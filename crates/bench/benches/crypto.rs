@@ -62,8 +62,9 @@ fn main() {
 
     section("batched verification: per-message vs one batch call");
     // The server-engine ingress workload: many short messages from a few
-    // signers. HMAC amortizes the per-signer key schedule; Ed25519 runs
-    // one multi-scalar batch equation that shares all point doublings.
+    // signers. Ed25519 runs one multi-scalar batch equation that shares
+    // all point doublings; HMAC keys hold their key schedule prepared, so
+    // its two paths are one and only Ed25519's speedup is asserted.
     for (label, scheme) in [("hmac", SigScheme::Hmac), ("ed25519", SigScheme::Ed25519)] {
         for batch_size in [16usize, 64] {
             let n = 4;
@@ -101,7 +102,7 @@ fn main() {
             });
             let speedup = report_speedup(&per_message, &batched);
             assert!(
-                speedup > 1.0,
+                scheme == SigScheme::Hmac || speedup > 1.0,
                 "{label} batched verification must beat per-message ({speedup:.2}x)"
             );
         }

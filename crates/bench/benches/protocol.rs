@@ -49,7 +49,9 @@ fn main() {
     // traffic is queued. Run over both schemes: HMAC is the benchmarking
     // fast path, Ed25519 the sound deployment (docs/trust-model.md); the
     // Ed25519 sizes are smaller because each verification is ~3 orders of
-    // magnitude costlier, which is exactly why its batch equation matters.
+    // magnitude costlier, which is exactly why its batch equation matters
+    // (and why only its speedup is asserted: HMAC keys hold their key
+    // schedule prepared, so per-message and batched are the same work).
     let configs = [
         (SigScheme::Hmac, 4usize, 64usize),
         (SigScheme::Hmac, 16, 64),
@@ -109,7 +111,7 @@ fn main() {
         );
         let speedup = report_speedup(&per_message, &batched);
         assert!(
-            speedup > 1.0,
+            scheme == SigScheme::Hmac || speedup > 1.0,
             "batched {scheme:?} verification must beat per-message ({speedup:.2}x)"
         );
     }

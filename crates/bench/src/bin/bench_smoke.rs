@@ -25,6 +25,9 @@ use faust_ustor::{serve, EngineStats, Server, ServerEngine, UstorClient, UstorSe
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
+/// The point whose JSON object also names the run's SHA-256 kernel.
+const SHA256_POINT: &str = "crypto: sha256 (1 KiB)";
+
 fn clients(n: usize) -> Vec<UstorClient> {
     testutil::clients(n, b"bench-smoke")
 }
@@ -112,7 +115,7 @@ fn collect(quick: TimingConfig) -> (Vec<Point>, ReactorReport) {
     // Crypto: the store's checksum primitive and the HMAC hot path.
     let kib = vec![0xA5u8; 1024];
     add(
-        "crypto: sha256 (1 KiB)",
+        SHA256_POINT,
         bench_quiet_with(quick, "", || {
             std::hint::black_box(sha256(&kib));
         }),
@@ -554,10 +557,15 @@ fn reactor_json(_r: &ReactorReport) -> String {
 /// Hand-rolled JSON (names are fixed ASCII literals, so no escaping is
 /// needed beyond what the format string provides).
 fn to_json(points: &[Point], egress: &EngineStats, reactor: &ReactorReport) -> String {
-    let mut out = String::from("{\n  \"schema\": 6,\n  \"mode\": \"quick\",\n  \"results\": [\n");
+    let mut out = String::from("{\n  \"schema\": 7,\n  \"mode\": \"quick\",\n  \"results\": [\n");
     for (i, p) in points.iter().enumerate() {
+        let backend = if p.name == SHA256_POINT {
+            format!(", \"backend\": \"{}\"", faust_crypto::sha256::backend())
+        } else {
+            String::new()
+        };
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, \"per_second\": {:.1}}}{}\n",
+            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, \"per_second\": {:.1}{backend}}}{}\n",
             p.name,
             p.ns_per_iter,
             p.per_second,
@@ -590,6 +598,7 @@ fn main() {
 
     println!("FAUST bench smoke (quick mode)");
     println!("==============================");
+    println!("sha256 backend: {}", faust_crypto::sha256::backend());
     let (points, reactor) = collect(TimingConfig::quick());
     let egress = egress_stats();
     println!(

@@ -197,6 +197,8 @@ fn serve_impl(args: &[String]) -> Result<(), String> {
         ServerEngine::from_backend(clients, backend.as_ref())
             .map_err(|e| format!("build server state: {e}"))?
     };
+    let sha256 = faust_crypto::sha256::backend();
+    println!("faust-serve: sha256 backend {sha256}");
     println!(
         "faust-serve: listening on {} ({} clients, durability={:?}, shards={}, transport={}, state={})",
         transport.local_addr(),
@@ -642,6 +644,8 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
         }
     };
 
+    let sha256 = faust_crypto::sha256::backend();
+    println!("faust-bench: sha256 backend {sha256}");
     println!(
         "faust-bench: {clients} clients x {ops} pipelined writes \
          ({value_len} B, depth {pipeline}, {shards} shard(s)) -> {addr}"

@@ -101,11 +101,10 @@ impl HmacSha256 {
 /// [`HmacSha256::new`] spends two SHA-256 compression runs per MAC on the
 /// key schedule: absorbing the 64-byte `ipad` block and, at finalization,
 /// the 64-byte `opad` block. When many MACs are computed under the *same*
-/// key — the server engine verifying a batch of SUBMIT signatures — those
-/// runs can be paid once and cloned. For the short messages the protocol
-/// signs (~50–130 bytes), this roughly halves the per-MAC cost, which is
-/// what makes batched ingress verification measurably faster than
-/// per-message verification.
+/// key those runs can be paid once and cloned; for the short messages the
+/// protocol signs (~50–130 bytes) this roughly halves the per-MAC cost.
+/// [`crate::sig`] keeps every HMAC key in this form, so signing,
+/// per-message verification and batched verification share one path.
 ///
 /// # Example
 ///

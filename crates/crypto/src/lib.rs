@@ -7,7 +7,9 @@
 //! dependencies:
 //!
 //! * [`mod@sha256`] — a complete SHA-256 implementation with incremental
-//!   hashing, verified against the NIST FIPS 180-4 test vectors.
+//!   hashing, verified against the NIST FIPS 180-4 test vectors. One
+//!   dispatch point feeds the scalar reference kernel or, detected at run
+//!   time, the x86-64 SHA-extensions one ([`sha256::backend`] says which).
 //! * [`mod@sha512`] — SHA-512, same structure, required by Ed25519.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), verified against the RFC 4231 test
 //!   vectors.
@@ -37,6 +39,14 @@
 //!
 //! `docs/trust-model.md` at the repository root develops this in full.
 //!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe_code` except in one private module,
+//! `sha256::x86`: compiled on x86-64 only, entered only after
+//! `is_x86_feature_detected!("sha")` (plus `ssse3`, `sse4.1`) succeeds —
+//! no feature flag, option or environment variable takes part. Everywhere
+//! else the scalar kernel runs.
+//!
 //! # Side channels
 //!
 //! This is a research reproduction: correctness and clarity outrank
@@ -64,7 +74,9 @@
 //! assert!(!registry.verify(1, SigContext::Data, b"message", &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the x86-64 SHA-extensions compression kernel
+// (`sha256::x86`) is the crate's one audited `allow(unsafe_code)` scope.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chain;

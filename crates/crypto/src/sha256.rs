@@ -3,8 +3,21 @@
 //! Provides both a one-shot convenience function ([`sha256`]) and an
 //! incremental hasher ([`Sha256`]) for streaming input. The implementation
 //! is verified against the NIST test vectors in this module's tests.
+//!
+//! # Compression kernels
+//!
+//! Every block goes through one private `compress_blocks` entry with two
+//! kernels behind it: the scalar reference in this file, and — on x86-64
+//! CPUs that report `sha`, `ssse3` and `sse4.1`, chosen once per process by
+//! `is_x86_feature_detected!` and nothing else — the `x86` submodule's
+//! `sha256rnds2` kernel, home of the crate's one `unsafe` block.
+//! [`backend`] names the kernel in use; the tests run both.
 
 use std::fmt;
+use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -186,20 +199,17 @@ impl Sha256 {
             self.buf_len += take;
             input = &input[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                compress(&mut self.state, &block);
+                compress_blocks(&mut self.state, &self.buf);
                 self.buf_len = 0;
             } else {
                 // Input exhausted without filling a block; nothing more to do.
                 return;
             }
         }
-        let mut chunks = input.chunks_exact(64);
-        for block in &mut chunks {
-            let block: &[u8; 64] = block.try_into().expect("chunk is 64 bytes");
-            compress(&mut self.state, block);
+        let (blocks, rest) = input.split_at(input.len() - input.len() % 64);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        let rest = chunks.remainder();
         self.buf[..rest.len()].copy_from_slice(rest);
         self.buf_len = rest.len();
     }
@@ -215,22 +225,56 @@ impl Sha256 {
             for b in &mut self.buf[self.buf_len..] {
                 *b = 0;
             }
-            let block = self.buf;
-            compress(&mut self.state, &block);
+            compress_blocks(&mut self.state, &self.buf);
             self.buf_len = 0;
         }
         for b in &mut self.buf[self.buf_len..56] {
             *b = 0;
         }
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        compress(&mut self.state, &block);
+        compress_blocks(&mut self.state, &self.buf);
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
+    }
+}
+
+/// A compression kernel: folds whole 64-byte `blocks` into `state`.
+type Kernel = fn(&mut [u32; 8], &[u8]);
+
+/// This process's kernel and its [`backend`] name, detected on first use.
+fn active_kernel() -> (Kernel, &'static str) {
+    static ACTIVE: OnceLock<(Kernel, &'static str)> = OnceLock::new();
+    *ACTIVE.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kernel) = x86::kernel() {
+            return (kernel, "x86-sha");
+        }
+        (compress_blocks_scalar, "scalar")
+    })
+}
+
+/// Which compression kernel this process hashes with: `"x86-sha"` or
+/// `"scalar"`. Digests are identical; a throughput number is only
+/// comparable with the kernel that produced it.
+pub fn backend() -> &'static str {
+    active_kernel().1
+}
+
+/// The single dispatch point: every [`Sha256::update`] and
+/// [`Sha256::finalize`] block goes through here.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    (active_kernel().0)(state, blocks);
+}
+
+/// The scalar (reference) kernel.
+fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        compress(state, block.try_into().expect("chunk is 64 bytes"));
     }
 }
 
@@ -298,32 +342,149 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
+/// Test support: each kernel by name, driven directly.
+#[cfg(test)]
+mod kernels {
+    use super::*;
+
+    /// Every kernel this machine can run, by [`backend`] name. The scalar
+    /// kernel is always listed, so it stays exercised on a SHA-extensions
+    /// runner; the hardware kernel is absent (its checks skipped, not
+    /// failed) where the CPU lacks it.
+    pub(super) fn all() -> Vec<(&'static str, Kernel)> {
+        #[cfg(target_arch = "x86_64")]
+        let hardware = x86::kernel().map(|kernel| ("x86-sha", kernel));
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware = None;
+        std::iter::once(("scalar", compress_blocks_scalar as Kernel))
+            .chain(hardware)
+            .collect()
+    }
+
+    /// SHA-256 of `msg` through `kernel` alone: FIPS 180-4 padding into
+    /// one buffer and a single multi-block call, sharing nothing with
+    /// [`Sha256`]'s buffering.
+    pub(super) fn digest_with(kernel: Kernel, msg: &[u8]) -> Digest {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        kernel(&mut state, &padded);
+        let mut out = [0u8; DIGEST_LEN];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    /// Asserts `msg` hashes to `digest_hex` through the public entry
+    /// point and through every kernel.
+    pub(super) fn check_vector(msg: &[u8], digest_hex: &str) {
+        assert_eq!(sha256(msg).to_hex(), digest_hex, "active: {}", backend());
+        for (name, kernel) in all() {
+            assert_eq!(digest_with(kernel, msg).to_hex(), digest_hex, "{name}");
+        }
+    }
+
+    /// A seeded buffer (top byte of a 64-bit LCG) with no structure a
+    /// kernel bug could hide behind.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        let step = |_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 56) as u8
+        };
+        (0..len).map(step).collect()
+    }
+
+    #[test]
+    fn backend_names_a_listed_kernel() {
+        // CI runs this test with `--nocapture` so every log states which
+        // kernel the suite ran on.
+        println!("sha256 backend: {}", backend());
+        // The hardware kernel is used whenever it is available.
+        assert_eq!(backend(), all().last().expect("scalar is always listed").0);
+    }
+
+    #[test]
+    fn kernels_agree_on_every_length_to_300() {
+        let msg = seeded_bytes(1, 300);
+        for len in 0..=300 {
+            let expect = digest_with(compress_blocks_scalar, &msg[..len]);
+            assert_eq!(sha256(&msg[..len]), expect, "dispatch, length {len}");
+            for (name, kernel) in all() {
+                assert_eq!(
+                    digest_with(kernel, &msg[..len]),
+                    expect,
+                    "{name}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_split_point_through_update_matches_each_kernel() {
+        let msg = seeded_bytes(2, 200);
+        let digests: Vec<Digest> = all().iter().map(|(_, k)| digest_with(*k, &msg)).collect();
+        for split in 0..=msg.len() {
+            let mut h = Sha256::new();
+            h.update(&msg[..split]);
+            h.update(&msg[split..]);
+            let got = h.finalize();
+            assert!(digests.iter().all(|d| *d == got), "split {split}");
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_a_seeded_mebibyte() {
+        let msg = seeded_bytes(3, 1 << 20);
+        let expect = digest_with(compress_blocks_scalar, &msg);
+        assert_eq!(sha256(&msg), expect);
+        for (name, kernel) in all() {
+            assert_eq!(digest_with(kernel, &msg), expect, "{name}");
+            // Block by block, the states must agree too — not only the end.
+            let (mut a, mut b) = (H0, H0);
+            for block in msg.chunks_exact(64).take(64) {
+                compress_blocks_scalar(&mut a, block);
+                kernel(&mut b, block);
+                assert_eq!(a, b, "{name}");
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::kernels::check_vector;
     use super::*;
 
     /// NIST FIPS 180-4 / classic test vectors.
     #[test]
     fn nist_empty() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        check_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn nist_abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        check_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn nist_two_block() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        check_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
@@ -331,18 +492,18 @@ mod tests {
     fn nist_four_block() {
         let msg = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
 hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-        assert_eq!(
-            sha256(msg).to_hex(),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        check_vector(
+            msg,
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
         );
     }
 
     #[test]
     fn nist_million_a() {
         let msg = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&msg).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        check_vector(
+            &msg,
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -407,14 +568,14 @@ mod cavp_vectors {
     //! Additional NIST CAVP SHA-256 short-message vectors
     //! (SHA256ShortMsg.rsp), exercising a spread of non-block-aligned
     //! lengths.
-    use super::*;
+    use super::kernels::check_vector;
 
     fn check(msg_hex: &str, digest_hex: &str) {
         let msg: Vec<u8> = (0..msg_hex.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&msg_hex[i..i + 2], 16).expect("valid hex"))
             .collect();
-        assert_eq!(sha256(&msg).to_hex(), digest_hex);
+        check_vector(&msg, digest_hex);
     }
 
     #[test]

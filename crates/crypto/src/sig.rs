@@ -32,7 +32,7 @@
 //! client's signatures — and a shared [`VerifierRegistry`]. Protocol code
 //! treats [`Signature`]s as opaque values and never mentions a scheme.
 
-use crate::hmac::constant_time_eq;
+use crate::hmac::{constant_time_eq, PreparedHmac};
 use crate::sha256::{sha256, Digest};
 use crate::{ed25519, sha512};
 use std::fmt;
@@ -192,10 +192,10 @@ pub trait Verifier {
     ///
     /// The default implementation just loops over [`Verifier::verify`];
     /// schemes with shareable per-batch work override it —
-    /// [`VerifierRegistry`] amortizes the HMAC key schedule per signer,
-    /// and runs one multi-scalar multiplication for a whole Ed25519
-    /// batch. The server engine's batched SUBMIT verification relies on
-    /// these overrides for its speedup.
+    /// [`VerifierRegistry`] runs one multi-scalar multiplication for a
+    /// whole Ed25519 batch, which is where the server engine's batched
+    /// SUBMIT verification gets its speedup. (HMAC has nothing to share:
+    /// every key already holds its prepared key schedule.)
     fn verify_batch(&self, items: &[VerifyItem]) -> Vec<bool> {
         items
             .iter()
@@ -204,9 +204,11 @@ pub trait Verifier {
     }
 }
 
-/// Per-client HMAC secret key material. Never leaves this module.
+/// Per-client HMAC secret key material, held as the keyed midstates so
+/// that no MAC — signing, per-message or batched verification — pays for
+/// the key schedule again. Never leaves this module.
 #[derive(Clone)]
-struct SecretKey([u8; 32]);
+struct SecretKey(PreparedHmac);
 
 impl SecretKey {
     fn derive(seed: &[u8], index: ClientIndex) -> Self {
@@ -214,7 +216,7 @@ impl SecretKey {
         h.update(b"faust-key-derivation/v1");
         h.update(seed);
         h.update(&index.to_be_bytes());
-        SecretKey(h.finalize().into_bytes())
+        SecretKey(PreparedHmac::new(h.finalize().as_bytes()))
     }
 }
 
@@ -280,8 +282,10 @@ fn tagged_message(context: SigContext, message: &[u8]) -> Vec<u8> {
     tagged
 }
 
+/// The one HMAC path: `MAC(key, context.tag() ‖ message)` from the key's
+/// prepared midstates, without materialising the tagged message.
 fn tagged_mac(secret: &SecretKey, context: SigContext, message: &[u8]) -> Digest {
-    crate::hmac::hmac_sha256(&secret.0, &tagged_message(context, message))
+    secret.0.mac(&[&[context.tag()], message])
 }
 
 /// The scheme-specific key material of a [`VerifierRegistry`].
@@ -444,29 +448,11 @@ impl Verifier for VerifierRegistry {
 
     fn verify_batch(&self, items: &[VerifyItem]) -> Vec<bool> {
         match &self.inner {
-            RegistryInner::Hmac(keys) => {
-                // Amortize the HMAC key schedule: each distinct signer in
-                // the batch pays for its padded-key midstates once, after
-                // which every item costs only the message compressions.
-                // Protocol messages are short, so this is close to a 2×
-                // saving on the SUBMIT hot path.
-                let mut prepared: Vec<Option<crate::hmac::PreparedHmac>> = vec![None; keys.len()];
-                items
-                    .iter()
-                    .map(|item| {
-                        let Some(secret) = keys.get(item.signer as usize) else {
-                            return false;
-                        };
-                        let Signature::Mac(mac) = &item.sig else {
-                            return false;
-                        };
-                        let mac_state = prepared[item.signer as usize]
-                            .get_or_insert_with(|| crate::hmac::PreparedHmac::new(&secret.0));
-                        let expect = mac_state.mac(&[&[item.context.tag()], &item.message]);
-                        constant_time_eq(&expect, &Digest::from_bytes(*mac))
-                    })
-                    .collect()
-            }
+            // Keys carry prepared midstates: a batch has nothing to share.
+            RegistryInner::Hmac(_) => items
+                .iter()
+                .map(|item| self.verify(item.signer, item.context, &item.message, &item.sig))
+                .collect(),
             RegistryInner::Ed25519(keys) => self.verify_batch_ed25519(keys, items),
         }
     }

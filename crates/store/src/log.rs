@@ -129,6 +129,8 @@ pub struct Wal {
     header: WalHeader,
     next_seq: u64,
     records: u64,
+    /// The record being appended, reused across appends.
+    scratch: Vec<u8>,
 }
 
 impl Wal {
@@ -162,6 +164,7 @@ impl Wal {
             header,
             next_seq: base_seq,
             records: 0,
+            scratch: Vec::new(),
         })
     }
 
@@ -184,6 +187,7 @@ impl Wal {
                 header: contents.header,
                 next_seq,
                 records: contents.records.len() as u64,
+                scratch: Vec::new(),
             },
             contents,
         ))
@@ -253,14 +257,16 @@ impl Wal {
     /// Propagates write/sync errors; on error the caller must treat the
     /// record as *not* logged (and must not acknowledge the client).
     pub fn append(&mut self, record: &LogRecord, sync: bool) -> Result<u64, StoreError> {
-        let mut payload = Vec::new();
-        self.next_seq.encode_into(&mut payload);
-        record.encode_into(&mut payload);
-        let mut buf = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-        (payload.len() as u32).encode_into(&mut buf);
-        buf.extend_from_slice(sha256(&payload).as_bytes());
-        buf.extend_from_slice(&payload);
-        self.file.write_all(&buf)?;
+        // Encode once behind room for the header, hash in place, patch it.
+        let buf = &mut self.scratch;
+        buf.clear();
+        buf.resize(RECORD_OVERHEAD, 0);
+        self.next_seq.encode_into(buf);
+        record.encode_into(buf);
+        let (head, payload) = buf.split_at_mut(RECORD_OVERHEAD);
+        head[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        head[4..].copy_from_slice(sha256(payload).as_bytes());
+        self.file.write_all(buf)?;
         if sync {
             self.file.sync_data()?;
         }

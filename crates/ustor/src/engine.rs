@@ -32,11 +32,14 @@
 //! optionally does so, per message or batched
 //! ([`IngressVerification`]). Batched mode drains the whole inbox first
 //! and verifies all SUBMIT signatures through
-//! [`Verifier::verify_batch`] — for HMAC keys that amortizes each
-//! signer's key schedule, for Ed25519 keys it runs one multi-scalar
-//! batch equation over the whole inbox; both are measurably faster than
+//! [`Verifier::verify_batch`] — for Ed25519 keys that is one multi-scalar
+//! batch equation over the whole inbox, measurably faster than
 //! per-message verification (see `faust-bench/benches/protocol.rs` and
-//! `faust-bench/benches/crypto.rs`).
+//! `faust-bench/benches/crypto.rs`); HMAC keys carry their key schedule
+//! prepared, so both modes cost the same there.
+//!
+//! The hash `x̄` of a written value is computed once, as its SUBMIT is
+//! queued, and only with verification on — nothing else reads it.
 //!
 //! Note on the trust model (`docs/trust-model.md` has the full story):
 //! the engine takes a `dyn` [`Verifier`], and which keys stand behind it
@@ -106,6 +109,10 @@ pub struct Session {
     pub last_timestamp: Timestamp,
     /// Hash of the client's most recently written value (`x̄` as the
     /// server can reconstruct it); `None` before the first write.
+    ///
+    /// Maintained only under ingress verification, its one reader: with
+    /// [`IngressVerification::Off`] no write is hashed and this keeps
+    /// whatever recovery seeded it with.
     pub last_value_hash: Option<Digest>,
     /// Resent SUBMITs recognised as duplicates (answered from the reply
     /// cache, never re-run through the protocol server).
@@ -187,7 +194,8 @@ pub struct ServerEngine {
     n: usize,
     server: Box<dyn Server + Send>,
     sessions: Vec<Session>,
-    inbox: VecDeque<(ClientId, UstorMsg)>,
+    /// Queued messages; a write queued under verification carries `x̄`.
+    inbox: VecDeque<(ClientId, UstorMsg, Option<Digest>)>,
     outbox: VecDeque<(ClientId, UstorMsg)>,
     /// Per-client egress batches grouped out of the outbox by the last
     /// [`ServerEngine::poll_output_batch`] pass, in first-seen client
@@ -252,7 +260,9 @@ impl ServerEngine {
         Ok(ServerEngine::new(n, backend.build(n)?))
     }
 
-    /// Sets the ingress-verification policy (builder style).
+    /// Sets the ingress-verification policy (builder style), before the
+    /// first [`ServerEngine::enqueue`]: a write queued earlier carries no
+    /// value hash and is rejected.
     pub fn with_verification(mut self, verification: IngressVerification) -> Self {
         self.verification = verification;
         self
@@ -280,7 +290,16 @@ impl ServerEngine {
     /// Queues one inbound message. No processing happens until
     /// [`ServerEngine::process_all`].
     pub fn enqueue(&mut self, from: ClientId, msg: UstorMsg) {
-        self.inbox.push_back((from, msg));
+        // The one place the engine hashes a value: `x̄` of a write, and
+        // only when ingress verification will check signatures over it.
+        let xbar = match (&self.verification, &msg) {
+            (IngressVerification::Off, _) => None,
+            (_, UstorMsg::Submit(submit)) if submit.tuple.kind == OpKind::Write => {
+                submit.value.as_ref().map(|v| sha256(v.as_bytes()))
+            }
+            _ => None,
+        };
+        self.inbox.push_back((from, msg, xbar));
     }
 
     /// Removes the next outbound `(recipient, message)` pair.
@@ -399,14 +418,14 @@ impl ServerEngine {
                 _ => None,
             };
             for idx in 0..batch_len {
-                let (from, msg) = self.inbox.pop_front().expect("counted above");
+                let (from, msg, xbar) = self.inbox.pop_front().expect("counted above");
                 if let Some(verdicts) = &verdicts {
                     if !verdicts[idx] {
                         self.reject(from);
                         continue;
                     }
                 }
-                self.process_one(from, msg);
+                self.process_one(from, msg, xbar);
             }
         }
         self.flush_server(false);
@@ -430,7 +449,7 @@ impl ServerEngine {
         let mut items: Vec<VerifyItem> = Vec::new();
         // For message k: (well_formed, first item index, item count).
         let mut spans: Vec<(bool, usize, usize)> = Vec::with_capacity(self.inbox.len());
-        for (from, msg) in &self.inbox {
+        for (from, msg, xbar) in &self.inbox {
             let UstorMsg::Submit(submit) = msg else {
                 // Only SUBMITs carry ingress-checked signatures.
                 spans.push((true, items.len(), 0));
@@ -452,11 +471,10 @@ impl ServerEngine {
                 sig: submit.tuple.sig,
             });
             if submit.tuple.kind == OpKind::Write {
-                let xbar = submit.value.as_ref().map(|v| sha256(v.as_bytes()));
                 items.push(VerifyItem {
                     signer: from.as_u32(),
                     context: SigContext::Data,
-                    message: data_signing_bytes(submit.timestamp, xbar),
+                    message: data_signing_bytes(submit.timestamp, *xbar),
                     sig: submit.data_sig,
                 });
             }
@@ -482,7 +500,7 @@ impl ServerEngine {
             self.sessions.iter().map(|s| s.last_timestamp).collect();
         let mut read_items: Vec<VerifyItem> = Vec::new();
         let mut read_slots: Vec<usize> = Vec::new();
-        for (idx, (from, msg)) in self.inbox.iter().enumerate() {
+        for (idx, (from, msg, xbar)) in self.inbox.iter().enumerate() {
             let UstorMsg::Submit(submit) = msg else {
                 continue;
             };
@@ -495,9 +513,7 @@ impl ServerEngine {
             }
             shadow_ts[i] = submit.timestamp;
             match submit.tuple.kind {
-                OpKind::Write => {
-                    shadow_hash[i] = submit.value.as_ref().map(|v| sha256(v.as_bytes()));
-                }
+                OpKind::Write => shadow_hash[i] = *xbar,
                 OpKind::Read => {
                     read_items.push(VerifyItem {
                         signer: from.as_u32(),
@@ -520,7 +536,14 @@ impl ServerEngine {
 
     /// Verifies one SUBMIT with individual [`Verifier::verify`] calls (the
     /// per-message path the batched mode is measured against).
-    fn verify_one(&self, verifier: &SharedVerifier, from: ClientId, submit: &SubmitMsg) -> bool {
+    /// `write_hash` is the queued hash of the value `submit` writes.
+    fn verify_one(
+        &self,
+        verifier: &SharedVerifier,
+        from: ClientId,
+        submit: &SubmitMsg,
+        write_hash: Option<Digest>,
+    ) -> bool {
         if from.index() >= self.n || submit.tuple.client != from {
             return false;
         }
@@ -539,7 +562,7 @@ impl ServerEngine {
             // A write's DATA signature covers its *own* value hash, so it
             // stays checkable even on a resend — which is what catches a
             // replayed SUBMIT whose value was swapped.
-            OpKind::Write => submit.value.as_ref().map(|v| sha256(v.as_bytes())),
+            OpKind::Write => write_hash,
             // A resent read's DATA signature covers the value hash as of
             // its original submission, which the session has since moved
             // past; it is answered from the reply cache without touching
@@ -562,12 +585,13 @@ impl ServerEngine {
         }
     }
 
-    fn process_one(&mut self, from: ClientId, msg: UstorMsg) {
+    /// `xbar` is the hash queued with `msg` by [`ServerEngine::enqueue`].
+    fn process_one(&mut self, from: ClientId, msg: UstorMsg, xbar: Option<Digest>) {
         match msg {
             UstorMsg::Submit(submit) => {
                 if let IngressVerification::PerMessage(verifier) = &self.verification {
                     let verifier = Arc::clone(verifier);
-                    if !self.verify_one(&verifier, from, &submit) {
+                    if !self.verify_one(&verifier, from, &submit, xbar) {
                         self.reject(from);
                         return;
                     }
@@ -606,9 +630,9 @@ impl ServerEngine {
                     session.submits += 1;
                     session.last_timestamp = submit.timestamp;
                     session.awaiting_reply.push_back(submit.timestamp);
-                    if submit.tuple.kind == OpKind::Write {
-                        session.last_value_hash =
-                            submit.value.as_ref().map(|v| sha256(v.as_bytes()));
+                    let verifying = !matches!(self.verification, IngressVerification::Off);
+                    if verifying && submit.tuple.kind == OpKind::Write {
+                        session.last_value_hash = xbar;
                     }
                     if submit.piggyback.is_some() {
                         session.commits += 1;
@@ -697,7 +721,7 @@ pub fn serve<T: ServerTransport>(engine: &mut ServerEngine, transport: &mut T) {
 mod tests {
     use super::*;
     use crate::client::UstorClient;
-    use crate::server::UstorServer;
+    use crate::server::{SessionResume, UstorServer};
     use faust_crypto::sig::KeySet;
     use faust_types::Value;
 
@@ -723,6 +747,14 @@ mod tests {
 
     fn registry(keys: &KeySet) -> SharedVerifier {
         Arc::new(keys.registry())
+    }
+
+    fn mode(batched: bool, keys: &KeySet) -> IngressVerification {
+        if batched {
+            IngressVerification::Batched(registry(keys))
+        } else {
+            IngressVerification::PerMessage(registry(keys))
+        }
     }
 
     /// Runs one full op through the engine, asserting the reply routes
@@ -757,13 +789,7 @@ mod tests {
     #[test]
     fn honest_traffic_passes_both_verification_modes() {
         for batched in [false, true] {
-            let (mut engine, mut clients) = setup(3, |keys| {
-                if batched {
-                    IngressVerification::Batched(registry(keys))
-                } else {
-                    IngressVerification::PerMessage(registry(keys))
-                }
-            });
+            let (mut engine, mut clients) = setup(3, |keys| mode(batched, keys));
             // Writes then cross-reads, including a read of an unwritten
             // register (x̄ = ⊥ for the never-written client 2).
             let submit = clients[0].begin_write(Value::from("a")).unwrap();
@@ -806,13 +832,7 @@ mod tests {
     #[test]
     fn forged_submits_are_rejected_in_both_modes() {
         for batched in [false, true] {
-            let (mut engine, mut clients) = setup(2, |keys| {
-                if batched {
-                    IngressVerification::Batched(registry(keys))
-                } else {
-                    IngressVerification::PerMessage(registry(keys))
-                }
-            });
+            let (mut engine, mut clients) = setup(2, |keys| mode(batched, keys));
             // A genuine submit, tampered three ways.
             let good = clients[0].begin_write(Value::from("v")).unwrap();
             let mut wrong_sig = good.clone();
@@ -846,13 +866,7 @@ mod tests {
         // advances the shadow hash for unverified writes rejects the
         // honest read here.)
         for batched in [false, true] {
-            let (mut engine, mut clients) = setup(2, |keys| {
-                if batched {
-                    IngressVerification::Batched(registry(keys))
-                } else {
-                    IngressVerification::PerMessage(registry(keys))
-                }
-            });
+            let (mut engine, mut clients) = setup(2, |keys| mode(batched, keys));
             // Establish a committed write so the client has a value hash.
             let w = clients[0].begin_write(Value::from("genuine")).unwrap();
             run_op(&mut engine, &mut clients[0], w);
@@ -1082,13 +1096,7 @@ mod tests {
         // from the cache, and must not poison the shadow hash that fresh
         // traffic queued behind them is verified against.
         for batched in [false, true] {
-            let (mut engine, mut clients) = setup(2, |keys| {
-                if batched {
-                    IngressVerification::Batched(registry(keys))
-                } else {
-                    IngressVerification::PerMessage(registry(keys))
-                }
-            });
+            let (mut engine, mut clients) = setup(2, |keys| mode(batched, keys));
             clients[0].set_pipeline(3);
             let w1 = clients[0].begin_write(Value::from("old")).unwrap();
             run_op(&mut engine, &mut clients[0], w1);
@@ -1133,6 +1141,150 @@ mod tests {
             let (_, done) = clients[0].handle_reply(reply_r4).unwrap();
             assert_eq!(done.read_value, Some(Some(Value::from("new"))));
         }
+    }
+
+    #[test]
+    fn value_hash_is_maintained_only_under_verification() {
+        // `Off` (what `faust serve` ships) must not hash written values:
+        // the session hash, the digest's one resting place, stays unset.
+        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let w = clients[0].begin_write(Value::from("unhashed")).unwrap();
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(w.clone()));
+        assert!(
+            engine.inbox.iter().all(|(_, _, xbar)| xbar.is_none()),
+            "no digest is computed at ingress"
+        );
+        engine.process_all();
+        assert_eq!(engine.stats().submits, 1);
+        assert_eq!(engine.session(ClientId::new(0)).last_value_hash, None);
+
+        // Under either verification mode it is computed once, as the
+        // SUBMIT is queued, and lands in the session.
+        let expect = Some(sha256(Value::from("hashed").as_bytes()));
+        for batched in [false, true] {
+            let (mut engine, mut clients) = setup(2, |keys| mode(batched, keys));
+            let w = clients[0].begin_write(Value::from("hashed")).unwrap();
+            engine.enqueue(ClientId::new(0), UstorMsg::Submit(w));
+            assert_eq!(engine.inbox[0].2, expect, "batched={batched}");
+            engine.process_all();
+            assert_eq!(engine.stats().rejected, 0, "batched={batched}");
+            assert_eq!(
+                engine.session(ClientId::new(0)).last_value_hash,
+                expect,
+                "batched={batched}"
+            );
+        }
+    }
+
+    /// A recovered server: the protocol state of `inner` plus the session
+    /// state a persistent backend would hand the engine.
+    struct Recovered {
+        inner: UstorServer,
+        resume: Vec<SessionResume>,
+    }
+
+    impl Server for Recovered {
+        fn on_submit(&mut self, client: ClientId, msg: SubmitMsg) -> Vec<(ClientId, ReplyMsg)> {
+            self.inner.on_submit(client, msg)
+        }
+
+        fn on_commit(
+            &mut self,
+            client: ClientId,
+            msg: faust_types::CommitMsg,
+        ) -> Vec<(ClientId, ReplyMsg)> {
+            self.inner.on_commit(client, msg)
+        }
+
+        fn resume_sessions(&mut self) -> Vec<SessionResume> {
+            std::mem::take(&mut self.resume)
+        }
+    }
+
+    #[test]
+    fn modes_agree_verdict_for_verdict_after_resume_sessions() {
+        // A restarted server: client 0 wrote "durable" (ts 1) and its read
+        // (ts 2) was applied but never acknowledged. The new engine starts
+        // from `resume_sessions` alone, and must decide the same in both
+        // modes for: the resent read, a forged write queued before an
+        // honest fresh read, and a fresh write followed by a read of it.
+        let mut traces = Vec::new();
+        for batched in [false, true] {
+            let keys = KeySet::generate(2, b"engine-tests");
+            let mut client = UstorClient::new(
+                ClientId::new(0),
+                2,
+                keys.keypair(0).unwrap().clone(),
+                keys.registry(),
+            );
+            client.set_pipeline(4);
+            let c0 = ClientId::new(0);
+            let mut inner = UstorServer::new(2);
+            let w1 = client.begin_write(Value::from("durable")).unwrap();
+            let (_, reply_w1) = inner.on_submit(c0, w1).pop().unwrap();
+            let (commit, _) = client.handle_reply(reply_w1.clone()).unwrap();
+            inner.on_commit(c0, commit.expect("window empty: immediate commit"));
+            let r2 = client.begin_read(c0).unwrap();
+            let (_, reply_r2) = inner.on_submit(c0, r2.clone()).pop().unwrap();
+            let resume = vec![
+                SessionResume {
+                    last_timestamp: 2,
+                    last_value_hash: Some(sha256(Value::from("durable").as_bytes())),
+                    replies: vec![(1, reply_w1), (2, reply_r2.clone())],
+                },
+                SessionResume::default(),
+            ];
+            let mut engine = ServerEngine::new(2, Box::new(Recovered { inner, resume }))
+                .with_verification(mode(batched, &keys));
+            let mut trace = Vec::new();
+            let mut snapshot = |engine: &ServerEngine| {
+                let s = engine.stats();
+                let hash = engine.session(c0).last_value_hash;
+                trace.push((s.rejected, s.duplicates, s.submits, hash));
+            };
+
+            // Round 1: [resent r2, forged write, honest r3] in one batch.
+            let r3 = client.begin_read(c0).unwrap();
+            let mut forged = r3.clone();
+            forged.tuple.kind = OpKind::Write;
+            forged.value = Some(Value::from("poison"));
+            forged.tuple.sig = faust_crypto::Signature::garbage();
+            forged.data_sig = faust_crypto::Signature::garbage();
+            engine.enqueue(c0, UstorMsg::Submit(r2));
+            engine.enqueue(c0, UstorMsg::Submit(forged));
+            engine.enqueue(c0, UstorMsg::Submit(r3));
+            engine.process_all();
+            snapshot(&engine);
+            let (_, UstorMsg::Reply(replayed)) = engine.poll_output().unwrap() else {
+                panic!("expected r2's replay");
+            };
+            assert_eq!(replayed, reply_r2, "batched={batched}");
+            client.handle_reply(replayed).expect("no false violation");
+            let (_, UstorMsg::Reply(reply_r3)) = engine.poll_output().unwrap() else {
+                panic!("expected r3's reply");
+            };
+            let (_, done) = client.handle_reply(reply_r3).expect("honest read survives");
+            assert_eq!(done.read_value, Some(Some(Value::from("durable"))));
+            assert!(engine.poll_output().is_none(), "batched={batched}");
+
+            // Round 2: a fresh write and a read of it, in one batch.
+            let w4 = client.begin_write(Value::from("new")).unwrap();
+            let r5 = client.begin_read(c0).unwrap();
+            engine.enqueue(c0, UstorMsg::Submit(w4));
+            engine.enqueue(c0, UstorMsg::Submit(r5));
+            engine.process_all();
+            snapshot(&engine);
+            let mut last_read = None;
+            while let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() {
+                last_read = client.handle_reply(reply).unwrap().1.read_value;
+            }
+            assert_eq!(last_read, Some(Some(Value::from("new"))));
+            traces.push(trace);
+        }
+        let new_hash = Some(sha256(Value::from("new").as_bytes()));
+        let old_hash = Some(sha256(Value::from("durable").as_bytes()));
+        assert_eq!(traces[0], vec![(1, 1, 1, old_hash), (1, 1, 3, new_hash)]);
+        assert_eq!(traces[0], traces[1], "per-message vs batched");
     }
 
     #[test]
