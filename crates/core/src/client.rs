@@ -440,12 +440,12 @@ impl FaustClient {
                 // in-flight operation.
                 let was_user = self.current.pop_front().map(|c| c.user).unwrap_or(false);
                 let own = self.id().index();
-                self.install_version(own, done.version.clone(), now, &mut actions);
+                self.install_version(own, done.version, now, &mut actions);
                 if self.failed.is_none() {
-                    if let Some(writer_version) = &done.writer_version {
+                    if let Some(writer_version) = done.writer_version {
                         self.install_version(
                             done.target.index(),
-                            writer_version.version.clone(),
+                            writer_version.version,
                             now,
                             &mut actions,
                         );
@@ -458,7 +458,7 @@ impl FaustClient {
                             kind: done.kind,
                             target: done.target,
                             timestamp: done.timestamp,
-                            read_value: done.read_value.clone(),
+                            read_value: done.read_value,
                         }));
                 }
                 if self.failed.is_none() {

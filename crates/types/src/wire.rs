@@ -89,6 +89,19 @@ pub trait Wire: Sized {
     }
 }
 
+/// Reads a collection's length prefix and returns it with the capacity
+/// to reserve for it. The prefix is the sender's claim; every element
+/// encodes to at least one byte, so the reservation never exceeds the
+/// bytes that actually remain in `input` — a 30-byte frame claiming 2²⁴
+/// elements reserves room for 26, and fails at the first missing one.
+fn decode_len(input: &mut &[u8]) -> Result<(usize, usize), WireError> {
+    let len = u32::decode_from(input)? as u64;
+    if len > MAX_LEN {
+        return Err(WireError::BadLength(len));
+    }
+    Ok((len as usize, (len as usize).min(input.len())))
+}
+
 fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     if input.len() < n {
         return Err(WireError::Truncated);
@@ -202,11 +215,8 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
-        let len = u32::decode_from(input)? as u64;
-        if len > MAX_LEN {
-            return Err(WireError::BadLength(len));
-        }
-        let mut out = Vec::with_capacity(len as usize);
+        let (len, reserve) = decode_len(input)?;
+        let mut out = Vec::with_capacity(reserve);
         for _ in 0..len {
             out.push(T::decode_from(input)?);
         }
@@ -220,11 +230,8 @@ impl Wire for Value {
         out.extend_from_slice(self.as_bytes());
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
-        let len = u32::decode_from(input)? as u64;
-        if len > MAX_LEN {
-            return Err(WireError::BadLength(len));
-        }
-        Ok(Value::new(take(input, len as usize)?.to_vec()))
+        let (len, _) = decode_len(input)?;
+        Ok(Value::new(take(input, len)?.to_vec()))
     }
 }
 
@@ -266,15 +273,7 @@ impl Wire for TimestampVec {
         }
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
-        let len = u32::decode_from(input)? as u64;
-        if len > MAX_LEN {
-            return Err(WireError::BadLength(len));
-        }
-        let mut entries = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            entries.push(u64::decode_from(input)?);
-        }
-        Ok(TimestampVec::from_vec(entries))
+        Vec::<u64>::decode_from(input).map(TimestampVec::from_vec)
     }
 
     fn encoded_len(&self) -> usize {
@@ -290,15 +289,7 @@ impl Wire for DigestVec {
         }
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
-        let len = u32::decode_from(input)? as u64;
-        if len > MAX_LEN {
-            return Err(WireError::BadLength(len));
-        }
-        let mut entries = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            entries.push(Option::<Digest>::decode_from(input)?);
-        }
-        Ok(DigestVec::from_vec(entries))
+        Vec::<Option<Digest>>::decode_from(input).map(DigestVec::from_vec)
     }
 
     fn encoded_len(&self) -> usize {
@@ -689,6 +680,86 @@ mod tests {
             Vec::<Signature>::decode(&bytes),
             Err(WireError::BadLength(_))
         ));
+    }
+
+    /// `claim` as a length prefix followed by `body`.
+    fn claiming(claim: u32, body: &[u8]) -> Vec<u8> {
+        [&claim.to_be_bytes()[..], body].concat()
+    }
+
+    #[test]
+    fn a_claimed_length_reserves_no_more_than_the_bytes_that_follow() {
+        // `TimestampVec` and `DigestVec` decode through `Vec<T>`, which
+        // reserves what `decode_len` returns as capacity.
+        let max = MAX_LEN as u32;
+        let input = claiming(max, &[0u8; 26]);
+        assert_eq!(decode_len(&mut &input[..]), Ok((max as usize, 26)));
+        assert_eq!(
+            decode_len(&mut &claiming(max, &[])[..]),
+            Ok((max as usize, 0))
+        );
+        // An honest prefix still reserves exactly once.
+        assert_eq!(decode_len(&mut &claiming(3, &[0u8; 99])[..]), Ok((3, 3)));
+        let tuples = sample_reply(3).pending.encode();
+        let decoded = Vec::<InvocationTuple>::decode(&tuples).unwrap();
+        assert_eq!(decoded.capacity(), decoded.len());
+        // Past the cap the claim itself is the error.
+        assert_eq!(
+            decode_len(&mut &claiming(max + 1, &[0u8; 26])[..]),
+            Err(WireError::BadLength(MAX_LEN + 1))
+        );
+    }
+
+    #[test]
+    fn maximal_length_claims_fail_typed_in_all_three_collection_decoders() {
+        let max = MAX_LEN as u32;
+        // Empty body, and a body far shorter than the claim (a few valid
+        // elements, then nothing).
+        let some_tuples = &sample_reply(3).pending.encode()[4..];
+        for body in [&[][..], some_tuples] {
+            let input = claiming(max, body);
+            assert_eq!(
+                Vec::<InvocationTuple>::decode(&input),
+                Err(WireError::Truncated)
+            );
+        }
+        for body in [&[][..], &[0u8; 24][..]] {
+            let input = claiming(max, body);
+            assert_eq!(TimestampVec::decode(&input), Err(WireError::Truncated));
+            assert_eq!(DigestVec::decode(&input), Err(WireError::Truncated));
+        }
+        // One past the cap is rejected before anything is read or reserved.
+        let input = claiming(max + 1, &[0u8; 24]);
+        let too_long = WireError::BadLength(MAX_LEN + 1);
+        assert_eq!(Vec::<InvocationTuple>::decode(&input), Err(too_long));
+        assert_eq!(TimestampVec::decode(&input), Err(too_long));
+        assert_eq!(DigestVec::decode(&input), Err(too_long));
+    }
+
+    #[test]
+    fn a_tiny_framed_reply_claiming_a_huge_pending_list_is_malformed() {
+        use crate::frame::{read_frame, FrameError};
+        // A REPLY for n = 1 with an empty pending list, its length prefix
+        // then rewritten to the maximum: under 40 bytes on the wire, 2²⁴
+        // tuples claimed.
+        let honest = ReplyMsg {
+            last_committer: ClientId::new(0),
+            commit_version: SignedVersion::initial(1),
+            read: None,
+            pending: vec![],
+            proofs: vec![None],
+        };
+        let mut body = UstorMsg::Reply(honest).encode();
+        let at = body.len() - (4 + 1) - 4; // before `proofs`: its prefix and one `None`
+        assert_eq!(body[at..at + 4], [0, 0, 0, 0]);
+        body[at..at + 4].copy_from_slice(&(MAX_LEN as u32).to_be_bytes());
+        assert!(body.len() < 40);
+        let framed = claiming(body.len() as u32, &body);
+        let got = read_frame::<_, UstorMsg>(&mut &framed[..]);
+        assert!(
+            matches!(got, Err(FrameError::Malformed(WireError::Truncated))),
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -50,6 +50,23 @@
 //! be configured with the same value (it bounds what they tolerate of
 //! *each other*). The default depth 1 reproduces Algorithm 1 bit for
 //! bit.
+//!
+//! ## What a reply costs
+//!
+//! Between two replies to one client, `L` loses a committed prefix and
+//! gains a suffix, and `P` changes in the slots that committed. The
+//! client keeps the fold steps the previous reply verified (`FoldStep`)
+//! and aligns them to the next reply by its start digest `M^c[c]`: a
+//! step whose tuple, timestamp and incoming digest are byte for byte the
+//! ones already checked costs that comparison, any other runs lines
+//! 41–45. A reply that aligns with nothing (the first, a restored
+//! client's, a forking server's) is verified in full — one path,
+//! nothing to configure. Per PROOF slot it keeps the signature bytes
+//! last seen and the digest they were *verified* to vouch (`Peer`;
+//! `docs/trust-model.md` has the inference rule). A reply costs (new
+//! tuples) + (changed PROOF slots) + O(1) signature verifications, and
+//! the state is at most `|L|` steps plus `max_pipeline + 1` digests per
+//! client, whatever the run length.
 
 use crate::fault::Fault;
 use faust_crypto::chain::chain_extend;
@@ -58,10 +75,10 @@ use faust_crypto::sig::{Keypair, SigContext, Signature, Signer, Verifier, Verifi
 use faust_crypto::Digest;
 use faust_types::op::{data_signing_bytes, proof_signing_bytes, submit_signing_bytes};
 use faust_types::{
-    ClientId, CommitMsg, InvocationTuple, OpKind, ReplyMsg, SignedVersion, SubmitMsg, Timestamp,
-    Value, Version, Wire, WireError,
+    ClientId, CommitMsg, InvocationTuple, OpKind, ReadReply, ReplyMsg, SignedVersion, SubmitMsg,
+    Timestamp, Value, Version, Wire, WireError,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Why a new operation could not be started.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,18 +101,8 @@ impl std::fmt::Display for BeginError {
 
 impl std::error::Error for BeginError {}
 
-/// The in-flight operation.
-#[derive(Debug, Clone)]
-struct PendingOp {
-    kind: OpKind,
-    target: ClientId,
-    timestamp: Timestamp,
-    /// Value being written (writes only), echoed into the completion.
-    value: Option<Value>,
-}
-
-/// Serializable snapshot of one in-flight operation (see
-/// [`UstorClientState`]).
+/// One in-flight operation, as the client holds it and as
+/// [`UstorClientState`] serializes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingOpState {
     /// Read or write.
@@ -104,7 +111,7 @@ pub struct PendingOpState {
     pub target: ClientId,
     /// The operation's timestamp `t`.
     pub timestamp: Timestamp,
-    /// Value being written (writes only).
+    /// Value being written (writes only), echoed into the completion.
     pub value: Option<Value>,
 }
 
@@ -132,9 +139,11 @@ impl Wire for PendingOpState {
 /// consumed by [`UstorClient::from_state`]. Keys never appear here — the
 /// caller re-supplies the keypair and registry on restore.
 ///
-/// The signature-verification memo tables are deliberately *not* part of
-/// the state (they are pure caches and refill in one reply), and neither
-/// is a halted fault — a halted client has no session worth resuming.
+/// The positional fold state (module docs, "What a reply costs") is
+/// deliberately *not* part of the state: it only ever saves work, a
+/// restored client verifies its first reply in full and has it back. A
+/// halted fault is not persisted either — a halted client has no session
+/// worth resuming.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UstorClientState {
     /// The client's identity.
@@ -266,7 +275,7 @@ pub struct UstorClient {
     /// Operations begun but whose replies have not yet been processed,
     /// oldest first. Replies are consumed strictly FIFO. Holds at most
     /// one entry at the default pipeline depth 1.
-    inflight: VecDeque<PendingOp>,
+    inflight: VecDeque<PendingOpState>,
     /// The deployment-wide pipeline depth (see the module docs); 1 =
     /// the paper's sequential client.
     max_pipeline: usize,
@@ -279,35 +288,58 @@ pub struct UstorClient {
     /// so eager signing would waste two signatures per overwritten
     /// commit.
     held_commit_version: Option<Version>,
-    /// Memoized *successful* SUBMIT-signature checks from pending-list
-    /// folds, keyed by the statement they pin (client, expected
-    /// timestamp) and holding the exact verified tuple. An uncommitted
-    /// operation reappears in every reply until pruned, so under
-    /// concurrency (and especially pipelining) the same signature would
-    /// otherwise be re-verified dozens of times. A hit requires the
-    /// presented tuple to match the verified one byte for byte, so this
-    /// is pure memoization — no check is weakened. Bounded (cleared at
-    /// [`VERIFY_CACHE_CAP`]).
-    verified_submits: HashMap<(ClientId, Timestamp), InvocationTuple>,
-    /// Same memoization for vouching PROOF-signatures, keyed by
-    /// (client, vouched digest).
-    verified_proofs: HashMap<(ClientId, Digest), Signature>,
-    /// Negative counterpart of `verified_proofs`: a proof that *failed*
-    /// to vouch a digest fails deterministically, and under pipelining
-    /// the same stale (honest) proof is re-presented against the same
-    /// mid-fold digest on every reply — without this table each one
-    /// would re-run the full verification just to fail again.
-    refuted_proofs: HashMap<(ClientId, Digest), Signature>,
-    /// Memoized digest-chain extensions (`chain_extend` is a pure hash):
-    /// successive replies re-fold largely the same pending suffix, so
-    /// the same links are recomputed on every reply — O(L) hashes that
-    /// one table lookup replaces.
-    chain_memo: HashMap<(Option<Digest>, u32), Digest>,
+    /// The fold steps the previous reply verified, in schedule order, and
+    /// what is kept per peer (module docs, "What a reply costs"). Nothing
+    /// in either is trusted beyond "these exact bytes passed this check".
+    run: VecDeque<FoldStep>,
+    peers: Vec<Peer>,
 }
 
-/// Entry cap of the signature-verification memo tables; reaching it
-/// clears the table (entries are tiny and refill in one reply).
-const VERIFY_CACHE_CAP: usize = 4096;
+/// One step of lines 39–45 that passed its checks: `tuple`'s
+/// SUBMIT-signature verified at timestamp `t`, and folding it took the
+/// digest chain from `before` to `after`.
+#[derive(Debug, Clone)]
+struct FoldStep {
+    tuple: InvocationTuple,
+    t: Timestamp,
+    before: Option<Digest>,
+    after: Digest,
+}
+
+/// What the fold keeps about client `C_k`.
+#[derive(Debug, Clone, Default)]
+struct Peer {
+    /// The `after` digests of `C_k`'s steps pruned from the run, oldest
+    /// first, at most `max_pipeline + 1`: its PROOF may trail the pruned
+    /// prefix by the pipeline depth.
+    chain: VecDeque<Digest>,
+    /// The signature bytes last seen in PROOF slot `k` and, once a
+    /// verification of exactly those bytes accepted one, what they vouch.
+    proof: Option<Signature>,
+    vouched: Option<Digest>,
+    /// Line 41 under pipelining: `C_k`'s pending operations that no
+    /// PROOF-signature anchored, recounted every reply.
+    unanchored: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Signature verifications run by clients on this thread.
+    static VERIFICATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Every signature check of Algorithm 1 goes through here.
+fn verify(
+    registry: &VerifierRegistry,
+    signer: ClientId,
+    context: SigContext,
+    message: &[u8],
+    sig: &Signature,
+) -> bool {
+    #[cfg(test)]
+    VERIFICATIONS.with(|c| c.set(c.get() + 1));
+    registry.verify(signer.as_u32(), context, message, sig)
+}
 
 /// Builds the COMMIT message for `version`: COMMIT-signature over the
 /// version, PROOF-signature over the signer's own digest entry
@@ -329,25 +361,17 @@ impl UstorClient {
     ///
     /// Panics if the keypair does not belong to `id` or `id ≥ n`.
     pub fn new(id: ClientId, n: usize, keypair: Keypair, registry: VerifierRegistry) -> Self {
-        assert_eq!(keypair.signer_index(), id.as_u32(), "keypair must match id");
-        assert!(id.index() < n, "client id out of range");
-        UstorClient {
+        let initial = UstorClientState {
             id,
-            n,
-            keypair,
-            registry,
+            n: n as u32,
             xbar: None,
             version: Version::initial(n),
-            inflight: VecDeque::new(),
+            inflight: Vec::new(),
             max_pipeline: 1,
-            halted: None,
-            commit_mode: CommitMode::Immediate,
+            piggyback: false,
             held_commit_version: None,
-            verified_submits: HashMap::new(),
-            verified_proofs: HashMap::new(),
-            refuted_proofs: HashMap::new(),
-            chain_memo: HashMap::new(),
-        }
+        };
+        Self::from_state(keypair, registry, initial)
     }
 
     /// Snapshots the resumable protocol state (keys excluded; see
@@ -359,16 +383,7 @@ impl UstorClient {
             n: self.n as u32,
             xbar: self.xbar,
             version: self.version.clone(),
-            inflight: self
-                .inflight
-                .iter()
-                .map(|op| PendingOpState {
-                    kind: op.kind,
-                    target: op.target,
-                    timestamp: op.timestamp,
-                    value: op.value.clone(),
-                })
-                .collect(),
+            inflight: self.inflight.iter().cloned().collect(),
             max_pipeline: self.max_pipeline as u32,
             piggyback: self.commit_mode == CommitMode::Piggyback,
             held_commit_version: self.held_commit_version.clone(),
@@ -376,7 +391,7 @@ impl UstorClient {
     }
 
     /// Rebuilds a client from a state snapshot plus its (externally kept)
-    /// key material. The memo caches start empty and a restored client is
+    /// key material. The fold state starts empty and a restored client is
     /// never halted — staleness of the snapshot itself is the caller's
     /// concern (the FAUST layer detects it against the server).
     ///
@@ -403,16 +418,7 @@ impl UstorClient {
             registry,
             xbar: state.xbar,
             version: state.version,
-            inflight: state
-                .inflight
-                .into_iter()
-                .map(|op| PendingOp {
-                    kind: op.kind,
-                    target: op.target,
-                    timestamp: op.timestamp,
-                    value: op.value,
-                })
-                .collect(),
+            inflight: state.inflight.into(),
             max_pipeline: (state.max_pipeline as usize).max(1),
             halted: None,
             commit_mode: if state.piggyback {
@@ -421,25 +427,9 @@ impl UstorClient {
                 CommitMode::Immediate
             },
             held_commit_version: state.held_commit_version,
-            verified_submits: HashMap::new(),
-            verified_proofs: HashMap::new(),
-            refuted_proofs: HashMap::new(),
-            chain_memo: HashMap::new(),
+            run: VecDeque::new(),
+            peers: vec![Peer::default(); n],
         }
-    }
-
-    /// [`chain_extend`] through the memo table (it is a pure function of
-    /// its inputs; see `chain_memo`).
-    fn chain_extend_memo(&mut self, d: Option<Digest>, k: u32) -> Digest {
-        if let Some(cached) = self.chain_memo.get(&(d, k)) {
-            return *cached;
-        }
-        let out = chain_extend(d, k);
-        if self.chain_memo.len() >= VERIFY_CACHE_CAP {
-            self.chain_memo.clear();
-        }
-        self.chain_memo.insert((d, k), out);
-        out
     }
 
     /// Switches the commit transmission strategy (see [`CommitMode`]).
@@ -563,7 +553,7 @@ impl UstorClient {
         let data_sig = self
             .keypair
             .sign(SigContext::Data, &data_signing_bytes(t, self.xbar));
-        self.inflight.push_back(PendingOp {
+        self.inflight.push_back(PendingOpState {
             kind,
             target,
             timestamp: t,
@@ -600,38 +590,36 @@ impl UstorClient {
         &mut self,
         reply: ReplyMsg,
     ) -> Result<(Option<CommitMsg>, OpCompletion), Fault> {
-        match self.try_handle_reply(reply) {
-            Ok(out) => Ok(out),
-            Err(fault) => {
-                self.halted = Some(fault.clone());
-                self.inflight.clear();
-                Err(fault)
-            }
-        }
+        self.try_handle_reply(reply).inspect_err(|fault| {
+            self.halted = Some(fault.clone());
+            self.inflight.clear();
+        })
     }
 
     fn try_handle_reply(
         &mut self,
-        reply: ReplyMsg,
+        mut reply: ReplyMsg,
     ) -> Result<(Option<CommitMsg>, OpCompletion), Fault> {
         if let Some(fault) = &self.halted {
             return Err(fault.clone());
         }
         // Replies are consumed strictly FIFO: this one answers the oldest
-        // in-flight operation.
-        let op = self
-            .inflight
-            .front()
-            .cloned()
-            .ok_or(Fault::UnsolicitedReply)?;
+        // in-flight operation. (Any fault below halts the client and
+        // clears the window, so taking the operation now loses nothing.)
+        let op = self.inflight.pop_front().ok_or(Fault::UnsolicitedReply)?;
         self.validate_shape(&reply, &op)?;
-        self.update_version(&reply, op.timestamp)?;
-        let read_value = if op.kind == OpKind::Read {
-            Some(self.check_data(&reply, op.target)?)
-        } else {
-            None
+        // Line 51's first conjunct reads (V^c, M^c), which the fold
+        // below overwrites; evaluated here, raised in its place.
+        let committed = &reply.commit_version.version;
+        let read = reply.read.as_ref();
+        let writer_in_history = read.is_none_or(|r| r.writer_version.version.le(committed));
+        self.update_version(&mut reply, op.timestamp)?;
+        let read_value = match &reply.read {
+            Some(read) if op.kind == OpKind::Read => {
+                Some(self.check_data(read, op.target, writer_in_history)?)
+            }
+            _ => None,
         };
-        self.inflight.pop_front();
 
         // Lines 18/31: COMMIT- and PROOF-signatures on the new version.
         // In piggyback mode the signing is deferred to attach time (see
@@ -660,7 +648,7 @@ impl UstorClient {
     /// Structural validation: vector arities and index ranges. A correct
     /// server never fails these; they keep a Byzantine server from causing
     /// panics instead of clean detection.
-    fn validate_shape(&self, reply: &ReplyMsg, op: &PendingOp) -> Result<(), Fault> {
+    fn validate_shape(&self, reply: &ReplyMsg, op: &PendingOpState) -> Result<(), Fault> {
         if reply.last_committer.index() >= self.n {
             return Err(Fault::MalformedReply("last committer out of range"));
         }
@@ -684,10 +672,54 @@ impl UstorClient {
         }
     }
 
+    /// Starts a reply whose fold begins at digest `start`: the steps a
+    /// COMMIT pruned since (those before the one that began at `start`;
+    /// all, if none did) leave the run, their digests kept as `C_k`'s
+    /// chain.
+    fn align_fold(&mut self, start: Option<Digest>) {
+        let survivors = self.run.iter().position(|s| s.before == start);
+        for step in self.run.drain(..survivors.unwrap_or(self.run.len())) {
+            let chain = &mut self.peers[step.tuple.client.index()].chain;
+            if chain.len() > self.max_pipeline {
+                chain.pop_front();
+            }
+            chain.push_back(step.after);
+        }
+        self.peers.iter_mut().for_each(|p| p.unanchored = 0);
+    }
+
+    /// Line 41: whether `proof`, the signature in slot `k`, vouches `e`.
+    fn vouches(&mut self, k: ClientId, proof: &Signature, e: Digest) -> bool {
+        let verifies = |d| {
+            let bytes = proof_signing_bytes(Some(d));
+            verify(&self.registry, k, SigContext::Proof, &bytes, proof)
+        };
+        let peer = &mut self.peers[k.index()];
+        if peer.proof != Some(*proof) {
+            // New bytes. An honest C_k commits in order, so they vouch
+            // the digest after the one the old bytes vouched: try C_k's
+            // chain from there. This only picks *which* verifications to
+            // run — a bad guess costs time, never a verdict.
+            let in_run = self.run.iter().filter(|s| s.tuple.client == k);
+            let chain = peer.chain.iter().copied().chain(in_run.map(|s| s.after));
+            let mut next = chain.skip_while(|d| Some(*d) != peer.vouched).skip(1);
+            peer.vouched = next.find(|d| verifies(*d));
+            peer.proof = Some(*proof);
+        }
+        if peer.vouched.is_none() && verifies(e) {
+            peer.vouched = Some(e);
+        }
+        // Accepted only on a verification of exactly these bytes over
+        // exactly `e`. Rejected also by inference: bytes that verified for
+        // `v` verify for `e ≠ v` only on a collision, and a wrong
+        // rejection could only add to `unanchored`, never remove.
+        peer.vouched == Some(e)
+    }
+
     /// Algorithm 1, `updateVersion` (lines 34–47), generalized to the
     /// pipelined window (see the module docs). At `max_pipeline == 1`
     /// every check is exactly the paper's, in the paper's order.
-    fn update_version(&mut self, reply: &ReplyMsg, op_timestamp: Timestamp) -> Result<(), Fault> {
+    fn update_version(&mut self, reply: &mut ReplyMsg, own_t: Timestamp) -> Result<(), Fault> {
         let c = reply.last_committer;
         let signed = &reply.commit_version;
         let sequential = self.max_pipeline <= 1;
@@ -695,14 +727,11 @@ impl UstorClient {
         // Line 35: the version is the initial one or carries a valid
         // COMMIT-signature by C_c.
         if !signed.version.is_initial() {
-            let valid = signed.sig.as_ref().is_some_and(|sig| {
-                self.registry.verify(
-                    c.as_u32(),
-                    SigContext::Commit,
-                    &signed.version.signing_bytes(),
-                    sig,
-                )
-            });
+            let bytes = signed.version.signing_bytes();
+            let valid = signed
+                .sig
+                .as_ref()
+                .is_some_and(|sig| verify(&self.registry, c, SigContext::Commit, &bytes, sig));
             if !valid {
                 return Err(Fault::BadCommitVersionSignature);
             }
@@ -722,59 +751,31 @@ impl UstorClient {
             }
         }
 
-        // Line 37: adopt (V^c, M^c) as the candidate to fold into.
-        let mut candidate = signed.version.clone();
+        // Line 37: adopt (V^c, M^c) as the candidate to fold into — in
+        // place, the reply is ours.
+        let candidate = &mut reply.commit_version.version;
         // Line 38: d ← M^c[c].
         let mut d = candidate.m().get(c);
-        // Pipelined mode: pending operations whose digest could not be
-        // anchored by a PROOF-signature, per client (commits lag submits
-        // by at most the deployment's pipeline depth).
-        let mut unanchored = vec![0usize; self.n];
+        self.align_fold(d);
 
         // Lines 39–45: fold in the pending (concurrent) operations.
-        for tuple in &reply.pending {
+        for (pos, tuple) in reply.pending.iter().enumerate() {
             let k = tuple.client;
             // Line 41: C_k's previous operation must have committed the
             // digest we hold for it, vouched by its PROOF-signature. A
             // pipelined peer's commits trail its submits, so up to
             // `max_pipeline` operations per client may go unanchored.
             if let Some(expected) = candidate.m().get(k) {
-                let anchored = match reply.proofs[k.index()].as_ref() {
-                    Some(proof) => {
-                        if self.verified_proofs.get(&(k, expected)) == Some(proof) {
-                            true
-                        } else if self.refuted_proofs.get(&(k, expected)) == Some(proof) {
-                            false
-                        } else {
-                            let ok = self.registry.verify(
-                                k.as_u32(),
-                                SigContext::Proof,
-                                &proof_signing_bytes(Some(expected)),
-                                proof,
-                            );
-                            let memo = if ok {
-                                &mut self.verified_proofs
-                            } else {
-                                &mut self.refuted_proofs
-                            };
-                            if memo.len() >= VERIFY_CACHE_CAP {
-                                memo.clear();
-                            }
-                            memo.insert((k, expected), *proof);
-                            ok
-                        }
-                    }
-                    None => false,
-                };
-                if !anchored {
+                let proof = reply.proofs[k.index()].as_ref();
+                if !proof.is_some_and(|p| self.vouches(k, p, expected)) {
                     if sequential {
-                        return Err(match reply.proofs[k.index()] {
+                        return Err(match proof {
                             Some(_) => Fault::BadProofSignature,
                             None => Fault::MissingProofSignature,
                         });
                     }
-                    unanchored[k.index()] += 1;
-                    if unanchored[k.index()] > self.max_pipeline {
+                    self.peers[k.index()].unanchored += 1;
+                    if self.peers[k.index()].unanchored > self.max_pipeline {
                         return Err(Fault::UnanchoredPendingOverflow);
                     }
                 }
@@ -790,34 +791,34 @@ impl UstorClient {
             if k == self.id && sequential {
                 return Err(Fault::OwnOperationPending);
             }
-            let memoized = self
-                .verified_submits
-                .get(&(k, expected_t))
-                .is_some_and(|verified| verified == tuple);
-            let ok = memoized
-                || self.registry.verify(
-                    k.as_u32(),
-                    SigContext::Submit,
-                    &submit_signing_bytes(tuple.kind, tuple.register, expected_t),
-                    &tuple.sig,
-                );
-            if !ok {
-                return Err(Fault::BadSubmitSignature);
-            }
-            if !memoized {
-                if self.verified_submits.len() >= VERIFY_CACHE_CAP {
-                    self.verified_submits.clear();
+            // The step the previous reply verified at this position
+            // stands if its every input is byte-identical; anything else
+            // is a new step, and so is everything after it.
+            let run = &mut self.run;
+            let stands = |s: &FoldStep| s.tuple == *tuple && s.t == expected_t && s.before == d;
+            if !run.get(pos).is_some_and(stands) {
+                let bytes = submit_signing_bytes(tuple.kind, tuple.register, expected_t);
+                if !verify(&self.registry, k, SigContext::Submit, &bytes, &tuple.sig) {
+                    return Err(Fault::BadSubmitSignature);
                 }
-                self.verified_submits.insert((k, expected_t), tuple.clone());
+                run.truncate(pos);
+                run.push_back(FoldStep {
+                    tuple: tuple.clone(),
+                    t: expected_t,
+                    before: d,
+                    // Lines 44–45: extend the digest chain.
+                    after: chain_extend(d, k.as_u32()),
+                });
             }
-            // Lines 44–45: extend the digest chain.
-            d = Some(self.chain_extend_memo(d, k.as_u32()));
-            candidate.m_mut().set(k, d.expect("just set"));
+            let after = run[pos].after;
+            d = Some(after);
+            candidate.m_mut().set(k, after);
         }
+        self.run.truncate(reply.pending.len());
 
         // Lines 46–47: append our own operation.
         let t_new = candidate.v_mut().increment(self.id);
-        let own_digest = self.chain_extend_memo(d, self.id.as_u32());
+        let own_digest = chain_extend(d, self.id.as_u32());
         candidate.m_mut().set(self.id, own_digest);
 
         // Line 36 on the folded version: the reply must place this very
@@ -827,32 +828,34 @@ impl UstorClient {
         // both already hold (checked above, and `≼` is transitive along
         // the fold); in pipelined mode these are the authoritative
         // checks.
-        if t_new != op_timestamp {
+        if t_new != own_t {
             return Err(Fault::OwnTimestampMismatch);
         }
-        if !self.version.le(&candidate) {
+        if !self.version.le(candidate) {
             return Err(Fault::VersionRegression);
         }
-        self.version = candidate;
+        std::mem::swap(&mut self.version, candidate);
         Ok(())
     }
 
     /// Algorithm 1, `checkData` (lines 48–52). Returns the read value.
-    fn check_data(&self, reply: &ReplyMsg, j: ClientId) -> Result<Option<Value>, Fault> {
-        let read = reply.read.as_ref().expect("validated in validate_shape");
+    /// `writer_in_history` is line 51's `(V^j, M^j) ≼ (V^c, M^c)`.
+    fn check_data(
+        &self,
+        read: &ReadReply,
+        j: ClientId,
+        writer_in_history: bool,
+    ) -> Result<Option<Value>, Fault> {
         let writer = &read.writer_version;
         let tj = read.mem_timestamp;
 
         // Line 49: writer's version is initial or properly signed by C_j.
         if !writer.version.is_initial() {
-            let valid = writer.sig.as_ref().is_some_and(|sig| {
-                self.registry.verify(
-                    j.as_u32(),
-                    SigContext::Commit,
-                    &writer.version.signing_bytes(),
-                    sig,
-                )
-            });
+            let bytes = writer.version.signing_bytes();
+            let valid = writer
+                .sig
+                .as_ref()
+                .is_some_and(|sig| verify(&self.registry, j, SigContext::Commit, &bytes, sig));
             if !valid {
                 return Err(Fault::BadWriterCommitSignature);
             }
@@ -870,14 +873,11 @@ impl UstorClient {
         // Line 50: the value is fresh-signed by C_j under timestamp t_j.
         if tj != 0 {
             let value_hash = read.mem_value.as_ref().map(|v| sha256(v.as_bytes()));
-            let valid = read.mem_data_sig.as_ref().is_some_and(|sig| {
-                self.registry.verify(
-                    j.as_u32(),
-                    SigContext::Data,
-                    &data_signing_bytes(tj, value_hash),
-                    sig,
-                )
-            });
+            let bytes = data_signing_bytes(tj, value_hash);
+            let valid = read
+                .mem_data_sig
+                .as_ref()
+                .is_some_and(|sig| verify(&self.registry, j, SigContext::Data, &bytes, sig));
             if !valid {
                 return Err(Fault::BadDataSignature);
             }
@@ -885,7 +885,7 @@ impl UstorClient {
 
         // Line 51: the writer's version is within the presented history,
         // and t_j is exactly the last operation of C_j we account for.
-        if !writer.version.le(&reply.commit_version.version) {
+        if !writer_in_history {
             return Err(Fault::WriterVersionAhead);
         }
         if tj != self.version.v().get(j) {
@@ -1158,5 +1158,151 @@ mod tests {
         let held = cs[0].take_held_commit().expect("one commit held");
         s.on_commit(me, held);
         assert_eq!(s.pending_len(), 0);
+    }
+
+    // ── what a reply costs, as a function of what changed ─────────────
+
+    /// `n` clients, each keeping `depth` operations in flight against a
+    /// correct server, served round-robin: one reply handled, its COMMIT
+    /// delivered, the next operation submitted.
+    struct SteadyState {
+        server: UstorServer,
+        clients: Vec<UstorClient>,
+        replies: Vec<VecDeque<ReplyMsg>>,
+        /// The previous reply each client handled.
+        last: Vec<Option<ReplyMsg>>,
+        ops: u64,
+    }
+
+    /// One handled reply: what it cost and what it was entitled to.
+    struct Handled {
+        verifications: u64,
+        /// Tuples the previous reply did not carry, PROOF slots whose
+        /// bytes changed since, plus lines 49–50 on a read.
+        entitled: u64,
+        pending: usize,
+    }
+
+    impl SteadyState {
+        fn new(n: usize, depth: usize) -> Self {
+            let (server, clients) = pipelined_setup(n, depth);
+            let mut s = SteadyState {
+                server,
+                clients,
+                replies: vec![VecDeque::new(); n],
+                last: vec![None; n],
+                ops: 0,
+            };
+            for _ in 0..depth {
+                for i in 0..n {
+                    s.submit(i);
+                }
+            }
+            s
+        }
+
+        fn submit(&mut self, i: usize) {
+            self.ops += 1;
+            let id = ClientId::new(i as u32);
+            let submit = if self.ops.is_multiple_of(4) {
+                let n = self.clients.len() as u64;
+                self.clients[i].begin_read(ClientId::new((self.ops / 4 % n) as u32))
+            } else {
+                self.clients[i].begin_write(Value::unique(i as u32, self.ops))
+            };
+            let reply = self.server.on_submit(id, submit.unwrap()).pop().unwrap().1;
+            self.replies[i].push_back(reply);
+        }
+
+        fn handle(&mut self, i: usize) -> Handled {
+            let reply = self.replies[i].pop_front().unwrap();
+            let entitled = self.last[i].as_ref().map_or(u64::MAX, |last| {
+                let tuples = reply.pending.iter().filter(|t| !last.pending.contains(t));
+                let slots = reply
+                    .proofs
+                    .iter()
+                    .zip(&last.proofs)
+                    .filter(|(a, b)| a != b);
+                (tuples.count() + slots.count() + 2 * usize::from(reply.read.is_some())) as u64
+            });
+            let pending = reply.pending.len();
+            let before = VERIFICATIONS.with(|c| c.get());
+            let (commit, _) = self.clients[i].handle_reply(reply.clone()).unwrap();
+            let verifications = VERIFICATIONS.with(|c| c.get()) - before;
+            self.last[i] = Some(reply);
+            self.server
+                .on_commit(ClientId::new(i as u32), commit.unwrap());
+            self.submit(i);
+            Handled {
+                verifications,
+                entitled,
+                pending,
+            }
+        }
+
+        /// Steps held by client `i`'s positional state.
+        fn positional_len(&self, i: usize) -> usize {
+            let client = &self.clients[i];
+            client.run.len() + client.peers.iter().map(|p| p.chain.len()).sum::<usize>()
+        }
+    }
+
+    #[test]
+    fn verifications_per_reply_follow_what_changed_not_the_pending_length() {
+        let mut mean = Vec::new();
+        for depth in [4usize, 32] {
+            for n in [2usize, 3, 5] {
+                let mut s = SteadyState::new(n, depth);
+                let (mut total, mut replies) = (0u64, 0u64);
+                for round in 0..3 * depth + 20 {
+                    for i in 0..n {
+                        let h = s.handle(i);
+                        if round < 2 * depth {
+                            continue; // the windows are still filling
+                        }
+                        assert!(h.pending >= n * (depth - 1), "not a steady state");
+                        assert!(
+                            h.verifications <= h.entitled + 2,
+                            "n={n} depth={depth} round {round} client {i}: {} verifications \
+                             for {} new tuples and changed PROOF slots (|L| = {})",
+                            h.verifications,
+                            h.entitled,
+                            h.pending,
+                        );
+                        total += h.verifications;
+                        replies += 1;
+                    }
+                }
+                mean.push(total as f64 / replies as f64);
+            }
+        }
+        eprintln!("mean verifications per reply, n = 2, 3, 5 at depth 4 then 32: {mean:?}");
+        let (shallow, deep) = mean.split_at(3);
+        for (shallow, deep) in shallow.iter().zip(deep) {
+            assert!(
+                deep <= &(shallow + 0.01),
+                "verifications per reply grew with depth: {shallow} at 4, {deep} at 32"
+            );
+        }
+    }
+
+    #[test]
+    fn positional_state_is_flat_in_run_length() {
+        let (n, depth) = (3usize, 8usize);
+        let mut s = SteadyState::new(n, depth);
+        let mut peak = 0;
+        while s.ops < 50_000 {
+            for i in 0..n {
+                let pending = s.handle(i).pending;
+                let held = s.positional_len(i);
+                assert!(
+                    held <= pending + n * (depth + 1) + 1,
+                    "after {} operations client {i} holds {held} steps at |L| = {pending}",
+                    s.ops
+                );
+                peak = peak.max(held);
+            }
+        }
+        assert!(peak > depth, "the state was exercised: peak {peak}");
     }
 }
