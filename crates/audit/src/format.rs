@@ -34,7 +34,7 @@ use std::path::Path;
 
 use faust_crypto::{sha256, Digest, SigScheme, Signature};
 use faust_store::LogRecord;
-use faust_types::{History, SignedVersion, Wire, WireError};
+use faust_types::{History, SignedVersion, Sink, Wire, WireError};
 use faust_ustor::ServerState;
 
 /// Magic bytes opening every history file.
@@ -300,7 +300,7 @@ struct SectionDesc {
 }
 
 impl Wire for SectionDesc {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.len.encode_into(out);
         self.digest.encode_into(out);
     }
@@ -326,7 +326,7 @@ struct Manifest {
 }
 
 impl Wire for Manifest {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.n.encode_into(out);
         self.scheme.encode_into(out);
         self.base_seq.encode_into(out);
@@ -402,12 +402,15 @@ impl SessionHistory {
         });
         let mut records_bytes = Vec::new();
         for (seq, record) in &self.records {
-            let mut payload = Vec::with_capacity(8 + record.encoded_len());
-            seq.encode_into(&mut payload);
-            record.encode_into(&mut payload);
-            (payload.len() as u32).encode_into(&mut records_bytes);
-            sha256(&payload).encode_into(&mut records_bytes);
-            records_bytes.extend_from_slice(&payload);
+            // Encode once behind room for the frame header, hash in
+            // place, patch it.
+            let frame = records_bytes.len();
+            records_bytes.resize(frame + RECORD_OVERHEAD, 0);
+            seq.encode_into(&mut records_bytes);
+            record.encode_into(&mut records_bytes);
+            let (head, payload) = records_bytes[frame..].split_at_mut(RECORD_OVERHEAD);
+            head[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+            head[4..].copy_from_slice(sha256(payload).as_bytes());
         }
         let history_bytes = self.client_history.as_ref().map(|history| history.encode());
 
@@ -724,3 +727,36 @@ impl fmt::Display for HistoryReadError {
 }
 
 impl std::error::Error for HistoryReadError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn manifest_and_section_sizes_are_exact() {
+        let section = |label: u8| SectionDesc {
+            len: 1000 + label as u32,
+            digest: sha256(&[label]),
+        };
+        for n in [1usize, 3, 64] {
+            let manifest = Manifest {
+                n: n as u32,
+                scheme: scheme_tag(SigScheme::Ed25519),
+                base_seq: 17,
+                record_count: 99,
+                base_state: (n > 1).then(|| section(1)),
+                records: section(2),
+                client_history: (n > 3).then(|| section(3)),
+                claimed_chain: vec![SignedVersion::initial(n); n],
+                claimed_proofs: (0..n)
+                    .map(|k| (k % 2 == 0).then(Signature::garbage))
+                    .collect(),
+            };
+            assert_eq!(manifest.encoded_len(), manifest.encode().len());
+            assert_eq!(
+                manifest.records.encoded_len(),
+                manifest.records.encode().len()
+            );
+        }
+    }
+}

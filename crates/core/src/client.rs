@@ -11,7 +11,9 @@
 use crate::events::{FailReason, FaustCompletion, Notification, StabilityCut};
 use crate::offline::OfflineMsg;
 use faust_crypto::sig::{Keypair, VerifierRegistry};
-use faust_types::{ClientId, ReplyMsg, Timestamp, UstorMsg, Value, Version, Wire, WireError};
+use faust_types::{
+    ClientId, ReplyMsg, Sink, Timestamp, UstorMsg, Value, Version, VersionCmp, Wire, WireError,
+};
 use faust_ustor::{Fault, UstorClient, UstorClientState};
 use std::collections::VecDeque;
 
@@ -60,7 +62,7 @@ pub enum UserOp {
 }
 
 impl Wire for UserOp {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         match self {
             UserOp::Write(value) => {
                 0u8.encode_into(out);
@@ -117,7 +119,7 @@ pub struct FaustClientState {
 }
 
 impl Wire for FaustClientState {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.ustor.encode_into(out);
         self.probe_period.encode_into(out);
         u8::from(self.dummy_reads).encode_into(out);
@@ -579,9 +581,11 @@ impl FaustClient {
     }
 
     /// Installs a version received from client `j`, running the
-    /// comparability check and refreshing the stability cut.
+    /// comparability check and refreshing the stability cut: one
+    /// comparison against the current maximum, one against `VER_i[j]`.
     fn install_version(&mut self, j: usize, version: Version, now: u64, actions: &mut Actions) {
-        if !version.comparable(&self.ver[self.max_idx]) {
+        let against_max = version.compare(&self.ver[self.max_idx]);
+        if against_max == VersionCmp::Incomparable {
             self.fail(
                 FailReason::IncomparableVersions {
                     from: ClientId::new(j as u32),
@@ -596,28 +600,18 @@ impl FaustClient {
             // faulty server could keep forked clients from ever
             // exchanging versions (detection completeness would break).
             self.ver_time[j] = now;
+            // Only slot j changed, so only `W_i[j]` can.
+            let vji = version.v().get(self.id());
             self.ver[j] = version;
-            if self.ver[self.max_idx].le(&self.ver[j]) {
+            if against_max != VersionCmp::Less {
                 self.max_idx = j;
             }
-            self.refresh_stability(actions);
-        }
-    }
-
-    fn refresh_stability(&mut self, actions: &mut Actions) {
-        let me = self.id();
-        let mut changed = false;
-        for j in 0..self.num_clients() {
-            let vji = self.ver[j].v().get(me);
             if vji > self.w[j] {
                 self.w[j] = vji;
-                changed = true;
+                actions
+                    .notifications
+                    .push(Notification::Stable(self.stability_cut()));
             }
-        }
-        if changed {
-            actions
-                .notifications
-                .push(Notification::Stable(self.stability_cut()));
         }
     }
 
@@ -823,6 +817,126 @@ mod tests {
         // The failure is broadcast to all other clients.
         assert_eq!(actions.offline.len(), 2);
         assert!(clients[0].failure().is_some());
+    }
+
+    /// `install_version` as it was before it made one comparison per
+    /// version: `comparable` + `lt` + `le` (five evaluations of `≼` when
+    /// each was its own pass) and a rescan of all of `VER_i` for the
+    /// stability cut.
+    struct ReferenceInstall {
+        me: usize,
+        ver: Vec<Version>,
+        max_idx: usize,
+        w: Vec<Timestamp>,
+        failed: bool,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Note {
+        Stable(Vec<Timestamp>),
+        Failed(usize),
+    }
+
+    impl ReferenceInstall {
+        fn install(&mut self, j: usize, version: Version) -> Vec<Note> {
+            let mut notes = Vec::new();
+            if !version.comparable(&self.ver[self.max_idx]) {
+                self.failed = true;
+                notes.push(Note::Failed(j));
+                return notes;
+            }
+            if self.ver[j].lt(&version) {
+                self.ver[j] = version;
+                if self.ver[self.max_idx].le(&self.ver[j]) {
+                    self.max_idx = j;
+                }
+                let mut changed = false;
+                for k in 0..self.ver.len() {
+                    let vki = self.ver[k].v().as_slice()[self.me];
+                    if vki > self.w[k] {
+                        self.w[k] = vki;
+                        changed = true;
+                    }
+                }
+                if changed {
+                    notes.push(Note::Stable(self.w.clone()));
+                }
+            }
+            notes
+        }
+    }
+
+    #[test]
+    fn one_compare_install_matches_the_five_compare_reference() {
+        use faust_sim::SmallRng;
+        const N: usize = 3;
+        let mut forks_noticed = 0;
+        for seed in 0..64u64 {
+            let rng = &mut SmallRng::seed_from_u64(0x1457 ^ seed);
+            // One honest history: every version extends the previous one.
+            let mut chain = vec![Version::initial(N)];
+            for step in 0..24u8 {
+                let mut next = chain[chain.len() - 1].clone();
+                let k = ClientId::new(rng.gen_index(N) as u32);
+                next.v_mut().increment(k);
+                next.m_mut().set(k, faust_crypto::sha256(&[step]));
+                chain.push(next);
+            }
+            let (_, mut clients) = setup(N);
+            let client = &mut clients[0];
+            let mut reference = ReferenceInstall {
+                me: 0,
+                ver: vec![Version::initial(N); N],
+                max_idx: 0,
+                w: vec![0; N],
+                failed: false,
+            };
+            // Stale, equal and growing versions in any order, from any
+            // client; part-way through, one that forks off the maximum.
+            let fork_at = 5 + rng.gen_index(15);
+            let mut frontier = 1;
+            for step in 0..40 {
+                let j = rng.gen_index(N);
+                let version = if step == fork_at {
+                    let mut fork = client.max_version().clone();
+                    let k = ClientId::new(rng.gen_index(N) as u32);
+                    fork.v_mut().increment(k);
+                    fork.m_mut().set(k, faust_crypto::sha256(b"other branch"));
+                    fork
+                } else {
+                    frontier = (frontier + rng.gen_index(3)).min(chain.len() - 1);
+                    chain[rng.gen_index(frontier + 1)].clone()
+                };
+                let mut actions = Actions::default();
+                client.install_version(j, version.clone(), step as u64, &mut actions);
+                let got: Vec<Note> = actions
+                    .notifications
+                    .into_iter()
+                    .map(|note| match note {
+                        Notification::Stable(cut) => Note::Stable(cut.w),
+                        Notification::Failed(FailReason::IncomparableVersions { from }) => {
+                            Note::Failed(from.index())
+                        }
+                        other => panic!("unexpected {other:?}"),
+                    })
+                    .collect();
+                assert_eq!(
+                    got,
+                    reference.install(j, version),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(client.failure().is_some(), reference.failed);
+                assert_eq!(client.max_version(), &reference.ver[reference.max_idx]);
+                assert_eq!(client.stability_cut().w, reference.w);
+                if reference.failed {
+                    break; // a failed client installs nothing further
+                }
+            }
+            forks_noticed += usize::from(reference.failed);
+        }
+        // The fork itself extends the maximum and installs; it shows when
+        // the honest branch next reaches the forked entry.
+        assert!(forks_noticed >= 32, "{forks_noticed} of 64 scripts failed");
     }
 
     #[test]

@@ -63,7 +63,7 @@ use crate::offline::OfflineMsg;
 use faust_crypto::sig::{KeySet, Keypair, SigScheme, VerifierRegistry};
 use faust_net::{ClientDialer, ClientTransport, TransportClosed};
 use faust_sim::SmallRng;
-use faust_types::{ClientId, ReplyMsg, UstorMsg, Value, Wire, WireError};
+use faust_types::{ClientId, ReplyMsg, Sink, UstorMsg, Value, Wire, WireError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
@@ -306,7 +306,7 @@ pub struct SessionState {
 }
 
 impl Wire for SessionState {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.proto.encode_into(out);
         self.clock.encode_into(out);
         self.next_ticket.encode_into(out);

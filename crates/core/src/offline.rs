@@ -10,7 +10,7 @@
 
 use faust_crypto::sig::{SigContext, Signature, Signer, Verifier};
 use faust_types::wire::WireError;
-use faust_types::{ClientId, Version, Wire};
+use faust_types::{ClientId, Sink, Version, Wire};
 
 /// An offline client-to-client message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +124,7 @@ impl OfflineMsg {
 }
 
 impl Wire for OfflineMsg {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         match self {
             OfflineMsg::Probe { from, sig } => {
                 out.push(0);
@@ -162,18 +162,6 @@ impl Wire for OfflineMsg {
             }),
             t => Err(WireError::BadTag(t)),
         }
-    }
-
-    // The simulator calls `size_bytes` (→ this) on every offline send;
-    // compute the size arithmetically instead of paying the default
-    // encode-and-measure allocation each time.
-    fn encoded_len(&self) -> usize {
-        // tag + sender + signature (scheme tag + scheme-length bytes).
-        let (sig, version) = match self {
-            OfflineMsg::Probe { sig, .. } | OfflineMsg::Failure { sig, .. } => (sig, None),
-            OfflineMsg::Version { version, sig, .. } => (sig, Some(version)),
-        };
-        1 + 4 + 1 + sig.as_bytes().len() + version.map_or(0, |v| v.encoded_len())
     }
 }
 

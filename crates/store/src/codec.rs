@@ -4,7 +4,7 @@
 //! record *is* the message the server acknowledged.
 
 use faust_crypto::sig::Signature;
-use faust_types::{ClientId, CommitMsg, SubmitMsg, Timestamp, Value, Wire, WireError};
+use faust_types::{ClientId, CommitMsg, Sink, SubmitMsg, Timestamp, Value, Wire, WireError};
 use faust_ustor::{MemEntry, Server, ServerState};
 
 /// One logged state mutation: an inbound protocol message, replayable
@@ -93,7 +93,7 @@ impl LogRecord {
 }
 
 impl Wire for LogRecord {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         match self {
             LogRecord::Submit { from, msg } => {
                 out.push(0);

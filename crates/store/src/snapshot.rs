@@ -36,6 +36,8 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 pub const SNAPSHOT_VERSION_SHARDED: u32 = 2;
 /// File name of the snapshot inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
+/// Bytes before the payload: magic, version, payload length, digest.
+const HEADER: usize = 8 + 4 + 4 + 32;
 
 /// A decoded snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,25 +69,24 @@ pub struct Snapshot {
 /// Propagates file-system errors; a failed write never disturbs an
 /// existing snapshot.
 pub fn write_snapshot(dir: &Path, snapshot: &Snapshot, sync: bool) -> Result<(), StoreError> {
-    let mut payload = Vec::new();
-    (snapshot.n as u32).encode_into(&mut payload);
-    snapshot.next_seq.encode_into(&mut payload);
-    if let Some(global) = snapshot.global_next_seq {
-        global.encode_into(&mut payload);
-    }
-    encode_state(&snapshot.state, &mut payload);
-
     let version = if snapshot.global_next_seq.is_some() {
         SNAPSHOT_VERSION_SHARDED
     } else {
         SNAPSHOT_VERSION
     };
-    let mut bytes = Vec::with_capacity(8 + 4 + 4 + 32 + payload.len());
-    bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    version.encode_into(&mut bytes);
-    (payload.len() as u32).encode_into(&mut bytes);
-    bytes.extend_from_slice(sha256(&payload).as_bytes());
-    bytes.extend_from_slice(&payload);
+    // Encode once behind room for the header, hash in place, patch it.
+    let mut bytes = vec![0; HEADER];
+    (snapshot.n as u32).encode_into(&mut bytes);
+    snapshot.next_seq.encode_into(&mut bytes);
+    if let Some(global) = snapshot.global_next_seq {
+        global.encode_into(&mut bytes);
+    }
+    encode_state(&snapshot.state, &mut bytes);
+    let (head, payload) = bytes.split_at_mut(HEADER);
+    head[..8].copy_from_slice(SNAPSHOT_MAGIC);
+    head[8..12].copy_from_slice(&version.to_be_bytes());
+    head[12..16].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    head[16..].copy_from_slice(sha256(payload).as_bytes());
 
     let tmp = dir.join("snapshot.tmp");
     let path = dir.join(SNAPSHOT_FILE);
@@ -121,7 +122,6 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    const HEADER: usize = 8 + 4 + 4 + 32;
     if bytes.len() < HEADER {
         return Err(StoreError::TruncatedHeader { file: "snapshot" });
     }
@@ -211,6 +211,37 @@ mod tests {
         let read = read_snapshot(&dir).unwrap().unwrap();
         assert_eq!(read, snap);
         assert_eq!(read.global_next_seq, Some(977));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_is_header_then_payload_byte_for_byte() {
+        // The layout spelled out the long way — payload first, then a
+        // header that describes it — is what `write_snapshot` must leave
+        // on disk although it encodes behind a reserved header.
+        let dir = scratch_dir("snap-layout");
+        for global_next_seq in [None, Some(977)] {
+            let snap = Snapshot {
+                global_next_seq,
+                ..snapshot(5, 42)
+            };
+            let mut payload = Vec::new();
+            5u32.encode_into(&mut payload);
+            42u64.encode_into(&mut payload);
+            if let Some(global) = global_next_seq {
+                global.encode_into(&mut payload);
+            }
+            encode_state(&snap.state, &mut payload);
+            let version = 1 + u32::from(global_next_seq.is_some());
+            let mut expected = SNAPSHOT_MAGIC.to_vec();
+            expected.extend_from_slice(&version.to_be_bytes());
+            expected.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            expected.extend_from_slice(sha256(&payload).as_bytes());
+            expected.extend_from_slice(&payload);
+
+            write_snapshot(&dir, &snap, false).unwrap();
+            assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), expected);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,7 +10,7 @@
 use crate::ids::{ClientId, Timestamp};
 use crate::op::OpKind;
 use crate::value::Value;
-use crate::wire::{Wire, WireError};
+use crate::wire::{Sink, Wire, WireError};
 use std::fmt;
 
 /// Unique identifier of an operation within a [`History`].
@@ -264,7 +264,7 @@ impl History {
 }
 
 impl Wire for OpId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.0.encode_into(out);
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -273,7 +273,7 @@ impl Wire for OpId {
 }
 
 impl Wire for OpOutcome {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         match self {
             OpOutcome::Pending => out.push(0),
             OpOutcome::WriteOk => out.push(1),
@@ -296,7 +296,7 @@ impl Wire for OpOutcome {
 }
 
 impl Wire for OpRecord {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.id.encode_into(out);
         self.client.encode_into(out);
         self.kind.encode_into(out);
@@ -323,7 +323,7 @@ impl Wire for OpRecord {
 }
 
 impl Wire for History {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.ops.encode_into(out);
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {

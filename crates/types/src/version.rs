@@ -84,15 +84,20 @@ impl TimestampVec {
         self.0[k.index()]
     }
 
+    /// The component-wise order, in one pass over both vectors.
+    fn compare(&self, other: &TimestampVec) -> VersionCmp {
+        pointwise(&self.0, &other.0, |_| true)
+    }
+
     /// Component-wise `≤`.
     pub fn le(&self, other: &TimestampVec) -> bool {
-        self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
+        matches!(self.compare(other), VersionCmp::Equal | VersionCmp::Less)
     }
 
     /// Strictly greater: `other ≤ self` and `self ≠ other`. This is the
     /// `V_i > V^c` test the server applies on COMMIT (Algorithm 2 line 119).
     pub fn gt(&self, other: &TimestampVec) -> bool {
-        other.le(self) && self != other
+        self.compare(other) == VersionCmp::Greater
     }
 
     /// Iterates over `(client, timestamp)` pairs.
@@ -207,6 +212,32 @@ pub enum VersionCmp {
     Incomparable,
 }
 
+/// The one comparison pass behind every order in this module: `a` against
+/// `b` entry by entry, where an entry with equal timestamps must also
+/// satisfy `agree` (Definition 7's condition on the digests; constantly
+/// true for bare timestamp vectors). Vectors of different arity are
+/// incomparable.
+#[inline]
+fn pointwise(a: &[Timestamp], b: &[Timestamp], agree: impl Fn(usize) -> bool) -> VersionCmp {
+    if a.len() != b.len() {
+        return VersionCmp::Incomparable;
+    }
+    let (mut le, mut ge) = (true, true);
+    for (k, (x, y)) in a.iter().zip(b).enumerate() {
+        le &= x <= y;
+        ge &= x >= y;
+        if x == y && !agree(k) {
+            return VersionCmp::Incomparable;
+        }
+    }
+    match (le, ge) {
+        (true, true) => VersionCmp::Equal,
+        (true, false) => VersionCmp::Less,
+        (false, true) => VersionCmp::Greater,
+        (false, false) => VersionCmp::Incomparable,
+    }
+}
+
 /// A version `(V, M)`: the pair of timestamp vector and digest vector that
 /// a client commits after every operation.
 ///
@@ -277,43 +308,36 @@ impl Version {
 
     /// Definition 7: `self ≼ other`.
     pub fn le(&self, other: &Version) -> bool {
-        if !self.v.le(&other.v) {
-            return false;
-        }
-        for k in 0..self.v.len() {
-            let k = ClientId::new(k as u32);
-            if self.v.get(k) == other.v.get(k) && self.m.get(k) != other.m.get(k) {
-                return false;
-            }
-        }
-        true
+        matches!(self.compare(other), VersionCmp::Equal | VersionCmp::Less)
     }
 
     /// `self ≺ other`: `self ≼ other` and `self ≠ other`.
     pub fn lt(&self, other: &Version) -> bool {
-        self != other && self.le(other)
+        self.compare(other) == VersionCmp::Less
     }
 
-    /// Full comparison under `≼`.
+    /// Full comparison under `≼`, in one pass over `V` and `M` of both
+    /// versions: an entry with equal timestamps and different digests
+    /// makes them incomparable, otherwise the timestamps decide.
     pub fn compare(&self, other: &Version) -> VersionCmp {
-        match (self.le(other), other.le(self)) {
-            (true, true) => VersionCmp::Equal,
-            (true, false) => VersionCmp::Less,
-            (false, true) => VersionCmp::Greater,
-            (false, false) => VersionCmp::Incomparable,
-        }
+        let (m, other_m) = (self.m.as_slice(), other.m.as_slice());
+        pointwise(self.v.as_slice(), other.v.as_slice(), |k| {
+            m[k] == other_m[k]
+        })
     }
 
     /// Whether the versions are comparable (either `≼` holds). FAUST treats
     /// incomparable versions as proof of server misbehaviour.
     pub fn comparable(&self, other: &Version) -> bool {
-        !matches!(self.compare(other), VersionCmp::Incomparable)
+        self.compare(other) != VersionCmp::Incomparable
     }
 
     /// Canonical byte string signed by COMMIT-signatures (`COMMIT ‖ V_i ‖
     /// M_i` in the paper).
     pub fn signing_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.v.len() * 41);
+        // Tag, arity, then 8 bytes of timestamp and at most 33 of digest
+        // per client: sized once.
+        let mut out = Vec::with_capacity(8 + 4 + self.v.len() * (8 + 33));
         out.extend_from_slice(b"version:");
         out.extend_from_slice(&(self.v.len() as u32).to_be_bytes());
         for &t in self.v.as_slice() {
@@ -455,6 +479,16 @@ mod tests {
         let c = version(vec![0, 1], vec![Some(d(1)), None]);
         assert_ne!(a.signing_bytes(), b.signing_bytes());
         assert_ne!(a.signing_bytes(), c.signing_bytes());
+    }
+
+    #[test]
+    fn signing_bytes_are_sized_once() {
+        // 64 clients, every digest present: the 2 636 bytes every COMMIT-
+        // signature at n = 64 covers, built without regrowing.
+        let full = version((1..=64).collect(), (0..64).map(|k| Some(d(k))).collect());
+        let bytes = full.signing_bytes();
+        assert_eq!((bytes.len(), bytes.capacity()), (2636, 2636));
+        assert!(Version::initial(64).signing_bytes().len() < 2636);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use faust_crypto::{sha256, Digest};
 use faust_sim::SmallRng;
 use faust_types::frame::{frame_bytes, FrameDecoder};
 use faust_types::{
-    ClientId, CommitMsg, DigestVec, InvocationTuple, OpKind, ReadReply, ReplyMsg, SignedVersion,
-    SubmitMsg, TimestampVec, UstorMsg, Value, Version, VersionCmp, Wire,
+    ClientId, CommitMsg, DigestVec, History, InvocationTuple, OpKind, ReadReply, ReplyMsg,
+    SignedVersion, SubmitMsg, TimestampVec, UstorMsg, Value, Version, VersionCmp, Wire,
 };
 
 const N: usize = 4;
@@ -259,14 +259,6 @@ fn decode_never_panics_on_junk() {
     });
 }
 
-#[test]
-fn encoded_len_matches_encode() {
-    for_cases("encoded-len", |rng| {
-        let m = arb_reply(rng);
-        assert_eq!(m.encoded_len(), m.encode().len());
-    });
-}
-
 /// Stream-framing property: any sequence of messages framed back to back
 /// and split at arbitrary byte boundaries decodes to the same sequence.
 #[test]
@@ -292,4 +284,576 @@ fn framed_streams_roundtrip_across_arbitrary_splits() {
         assert_eq!(decoded, msgs);
         assert_eq!(decoder.pending_bytes(), 0);
     });
+}
+
+// ---------------------------------------------------------------------------
+// The order kernel against Definition 7 written out.
+// ---------------------------------------------------------------------------
+
+/// Definition 7 as the four passes it used to be: `V_a ≤ V_b`, then the
+/// digests of every entry with equal timestamps.
+fn reference_le(a: &Version, b: &Version) -> bool {
+    let (va, vb) = (a.v().as_slice(), b.v().as_slice());
+    let (ma, mb) = (a.m().as_slice(), b.m().as_slice());
+    va.len() == vb.len()
+        && va.iter().zip(vb).all(|(x, y)| x <= y)
+        && (0..va.len()).all(|k| va[k] != vb[k] || ma[k] == mb[k])
+}
+
+fn reference_compare(a: &Version, b: &Version) -> VersionCmp {
+    match (reference_le(a, b), reference_le(b, a)) {
+        (true, true) => VersionCmp::Equal,
+        (true, false) => VersionCmp::Less,
+        (false, true) => VersionCmp::Greater,
+        (false, false) => VersionCmp::Incomparable,
+    }
+}
+
+fn assert_order_agrees(a: &Version, b: &Version) {
+    let expected = reference_compare(a, b);
+    assert_eq!(a.compare(b), expected, "{a:?} vs {b:?}");
+    assert_eq!(a.le(b), reference_le(a, b), "{a:?} ≼ {b:?}");
+    assert_eq!(a.lt(b), a != b && reference_le(a, b), "{a:?} ≺ {b:?}");
+    assert_eq!(a.comparable(b), expected != VersionCmp::Incomparable);
+    // The server's line-119 test, and the bare timestamp order under it.
+    let (va, vb) = (a.v(), b.v());
+    let pointwise_le = |x: &TimestampVec, y: &TimestampVec| {
+        x.len() == y.len() && x.as_slice().iter().zip(y.as_slice()).all(|(s, t)| s <= t)
+    };
+    assert_eq!(va.le(vb), pointwise_le(va, vb));
+    assert_eq!(va.gt(vb), pointwise_le(vb, va) && va != vb);
+}
+
+#[test]
+fn single_pass_compare_is_definition_7() {
+    for_cases("order-kernel", |rng| {
+        let (a, b) = (arb_version(rng), arb_version(rng));
+        assert_order_agrees(&a, &b);
+        assert_order_agrees(&a, &a.clone());
+    });
+}
+
+#[test]
+fn single_pass_compare_edge_cases() {
+    let version = |v: Vec<u64>, m: Vec<Option<Digest>>| {
+        Version::new(TimestampVec::from_vec(v), DigestVec::from_vec(m))
+    };
+    let d = |label: u8| Some(sha256(&[label]));
+    let cases = [
+        // Arity mismatch: never ordered, either way.
+        (Version::initial(2), Version::initial(3)),
+        (Version::initial(0), Version::initial(1)),
+        // The initial version against itself and against a later one.
+        (Version::initial(3), Version::initial(3)),
+        (Version::initial(2), version(vec![1, 0], vec![d(1), None])),
+        // Equal timestamps, differing digests: a fork.
+        (
+            version(vec![1, 1], vec![d(1), d(2)]),
+            version(vec![1, 1], vec![d(1), d(9)]),
+        ),
+        // Equal timestamps, one digest ⊥ (no honest client commits this;
+        // a forging server can send it).
+        (
+            version(vec![1, 1], vec![d(1), None]),
+            version(vec![1, 1], vec![d(1), d(2)]),
+        ),
+        // A differing digest under a *larger* timestamp is fine.
+        (
+            version(vec![1, 1], vec![d(1), d(2)]),
+            version(vec![1, 2], vec![d(1), d(3)]),
+        ),
+        // …but not when another entry ties with differing digests.
+        (
+            version(vec![1, 1], vec![d(1), d(2)]),
+            version(vec![1, 2], vec![d(7), d(3)]),
+        ),
+        // Crossing timestamps.
+        (
+            version(vec![2, 0], vec![d(1), None]),
+            version(vec![0, 2], vec![None, d(2)]),
+        ),
+    ];
+    for (a, b) in &cases {
+        assert_order_agrees(a, b);
+        assert_order_agrees(b, a);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sizes without encoding.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn encoded_len_is_the_encoding_length_for_every_wire_type_here() {
+    fn check<T: Wire>(value: &T) {
+        assert_eq!(value.encoded_len(), value.encode().len());
+    }
+    for_cases("encoded-len-all", |rng| {
+        let reply = arb_reply(rng);
+        check(&reply.commit_version.version.v().clone());
+        check(&reply.commit_version.version.m().clone());
+        check(&reply.commit_version.version);
+        check(&reply.commit_version);
+        check(&reply.read);
+        check(&reply.pending);
+        check(&reply.proofs);
+        check(&reply);
+        let submit = arb_submit(rng);
+        check(&submit.tuple);
+        check(&submit.tuple.kind);
+        check(&submit.tuple.client);
+        check(&submit.tuple.sig);
+        check(&submit.value);
+        check(&submit.piggyback);
+        check(&submit);
+        check(&arb_msg(rng));
+        check(&sha256(&[rng.next_u64() as u8]));
+        check(&(rng.next_u64() as u8));
+        check(&(rng.next_u64() as u32));
+        check(&rng.next_u64());
+
+        let mut history = History::new();
+        for _ in 0..rng.gen_index(4) {
+            let client = ClientId::new(rng.gen_index(N) as u32);
+            let at = rng.gen_range_inclusive(0, 50);
+            if rng.gen_bool(0.5) {
+                let op = history.begin_write(client, arb_value(rng), at);
+                if rng.gen_bool(0.5) {
+                    history.complete_write(op, at + 3, Some(7));
+                }
+            } else {
+                let op = history.begin_read(client, ClientId::new(0), at);
+                if rng.gen_bool(0.5) {
+                    let value = rng.gen_bool(0.5).then(|| arb_value(rng));
+                    history.complete_read(op, at + 2, value, None);
+                }
+            }
+        }
+        for op in history.ops() {
+            check(op);
+            check(&op.id);
+            check(&op.outcome);
+        }
+        check(&history);
+    });
+}
+
+#[test]
+fn frames_and_encodings_are_sized_once() {
+    for_cases("sized-once", |rng| {
+        let msg = arb_msg(rng);
+        let frame = frame_bytes(&msg);
+        assert_eq!(frame.capacity(), frame.len());
+        assert_eq!(frame.len(), 4 + msg.encoded_len());
+        let bytes = msg.encode();
+        assert_eq!(bytes.capacity(), bytes.len());
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Differential codec test: the decoders against an element-wise reference,
+// on every truncation and every single-byte flip.
+// ---------------------------------------------------------------------------
+
+/// The decoders as they were before they became single passes: one
+/// bounds-checked `take` per field, every value returned through a
+/// `Result`. Kept as the reference the shipped decoders must agree with —
+/// value for value, error for error.
+mod reference {
+    use super::*;
+    use faust_crypto::Signature;
+    use faust_types::WireError;
+
+    type Decoded<T> = Result<T, WireError>;
+    const MAX_LEN: u64 = 1 << 24;
+
+    fn take<'a>(input: &mut &'a [u8], n: usize) -> Decoded<&'a [u8]> {
+        if input.len() < n {
+            return Err(WireError::Truncated);
+        }
+        let (head, tail) = input.split_at(n);
+        *input = tail;
+        Ok(head)
+    }
+
+    fn byte(input: &mut &[u8]) -> Decoded<u8> {
+        Ok(take(input, 1)?[0])
+    }
+
+    fn word(input: &mut &[u8]) -> Decoded<u32> {
+        Ok(u32::from_be_bytes(take(input, 4)?.try_into().unwrap()))
+    }
+
+    fn long(input: &mut &[u8]) -> Decoded<u64> {
+        Ok(u64::from_be_bytes(take(input, 8)?.try_into().unwrap()))
+    }
+
+    fn client(input: &mut &[u8]) -> Decoded<ClientId> {
+        Ok(ClientId::new(word(input)?))
+    }
+
+    fn length(input: &mut &[u8]) -> Decoded<usize> {
+        let len = word(input)? as u64;
+        if len > MAX_LEN {
+            return Err(WireError::BadLength(len));
+        }
+        Ok(len as usize)
+    }
+
+    fn option<T>(input: &mut &[u8], item: fn(&mut &[u8]) -> Decoded<T>) -> Decoded<Option<T>> {
+        match byte(input)? {
+            0 => Ok(None),
+            1 => Ok(Some(item(input)?)),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+
+    fn vec<T>(input: &mut &[u8], item: fn(&mut &[u8]) -> Decoded<T>) -> Decoded<Vec<T>> {
+        let len = length(input)?;
+        let mut out = Vec::with_capacity(len.min(input.len()));
+        for _ in 0..len {
+            out.push(item(input)?);
+        }
+        Ok(out)
+    }
+
+    fn signature(input: &mut &[u8]) -> Decoded<Signature> {
+        match byte(input)? {
+            0 => Ok(Signature::Mac(take(input, 32)?.try_into().unwrap())),
+            1 => Ok(Signature::Ed25519(take(input, 64)?.try_into().unwrap())),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+
+    fn digest(input: &mut &[u8]) -> Decoded<Digest> {
+        Ok(Digest::from_bytes(take(input, 32)?.try_into().unwrap()))
+    }
+
+    fn value(input: &mut &[u8]) -> Decoded<Value> {
+        let len = length(input)?;
+        Ok(Value::new(take(input, len)?.to_vec()))
+    }
+
+    fn kind(input: &mut &[u8]) -> Decoded<OpKind> {
+        match byte(input)? {
+            0 => Ok(OpKind::Read),
+            1 => Ok(OpKind::Write),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+
+    fn tuple(input: &mut &[u8]) -> Decoded<InvocationTuple> {
+        Ok(InvocationTuple {
+            client: client(input)?,
+            kind: kind(input)?,
+            register: client(input)?,
+            sig: signature(input)?,
+        })
+    }
+
+    fn version(input: &mut &[u8]) -> Decoded<Version> {
+        let v = vec(input, long)?;
+        let m = vec(input, |input| option(input, digest))?;
+        if v.len() != m.len() {
+            return Err(WireError::BadLength(m.len() as u64));
+        }
+        Ok(Version::new(
+            TimestampVec::from_vec(v),
+            DigestVec::from_vec(m),
+        ))
+    }
+
+    fn signed_version(input: &mut &[u8]) -> Decoded<SignedVersion> {
+        Ok(SignedVersion {
+            version: version(input)?,
+            sig: option(input, signature)?,
+        })
+    }
+
+    fn commit_body(input: &mut &[u8]) -> Decoded<CommitMsg> {
+        Ok(CommitMsg {
+            version: version(input)?,
+            commit_sig: signature(input)?,
+            proof_sig: signature(input)?,
+        })
+    }
+
+    fn submit_body(input: &mut &[u8]) -> Decoded<SubmitMsg> {
+        Ok(SubmitMsg {
+            timestamp: long(input)?,
+            tuple: tuple(input)?,
+            value: option(input, value)?,
+            data_sig: signature(input)?,
+            piggyback: option(input, commit_body)?,
+        })
+    }
+
+    fn read_reply(input: &mut &[u8]) -> Decoded<ReadReply> {
+        Ok(ReadReply {
+            writer_version: signed_version(input)?,
+            mem_timestamp: long(input)?,
+            mem_value: option(input, value)?,
+            mem_data_sig: option(input, signature)?,
+        })
+    }
+
+    fn reply_body(input: &mut &[u8]) -> Decoded<ReplyMsg> {
+        Ok(ReplyMsg {
+            last_committer: client(input)?,
+            commit_version: signed_version(input)?,
+            read: option(input, read_reply)?,
+            pending: vec(input, tuple)?,
+            proofs: vec(input, |input| option(input, signature))?,
+        })
+    }
+
+    fn msg_body(input: &mut &[u8]) -> Decoded<UstorMsg> {
+        match byte(input)? {
+            0 => Ok(UstorMsg::Submit(submit_body(input)?)),
+            1 => Ok(UstorMsg::Reply(reply_body(input)?)),
+            2 => Ok(UstorMsg::Commit(commit_body(input)?)),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+
+    fn whole<T>(mut input: &[u8], body: fn(&mut &[u8]) -> Decoded<T>) -> Decoded<T> {
+        let value = body(&mut input)?;
+        if input.is_empty() {
+            Ok(value)
+        } else {
+            Err(WireError::TrailingBytes(input.len()))
+        }
+    }
+
+    pub fn submit(input: &[u8]) -> Decoded<SubmitMsg> {
+        whole(input, submit_body)
+    }
+    pub fn reply(input: &[u8]) -> Decoded<ReplyMsg> {
+        whole(input, reply_body)
+    }
+    pub fn commit(input: &[u8]) -> Decoded<CommitMsg> {
+        whole(input, commit_body)
+    }
+    pub fn msg(input: &[u8]) -> Decoded<UstorMsg> {
+        whole(input, msg_body)
+    }
+}
+
+/// What a differential case looks like: deployment size, pending-list
+/// length, signature scheme, and which optional parts are present.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    n: usize,
+    pending: usize,
+    ed25519: bool,
+    /// The REPLY's read part / the SUBMIT's piggybacked COMMIT.
+    extras: bool,
+}
+
+fn shaped_sig(rng: &mut SmallRng, shape: Shape) -> faust_crypto::Signature {
+    let digest = sha256(&rng.next_u64().to_be_bytes()).into_bytes();
+    if shape.ed25519 {
+        let mut raw = [0u8; 64];
+        raw[..32].copy_from_slice(&digest);
+        raw[32..].copy_from_slice(&digest);
+        faust_crypto::Signature::Ed25519(raw)
+    } else {
+        faust_crypto::Signature::Mac(digest)
+    }
+}
+
+/// A version for `shape.n` clients with `⊥` entries mixed in.
+fn shaped_version(rng: &mut SmallRng, shape: Shape) -> Version {
+    let v: Vec<u64> = (0..shape.n).map(|_| rng.next_u64() >> 40).collect();
+    let m = (0..shape.n)
+        .map(|_| {
+            rng.gen_bool(0.8)
+                .then(|| sha256(&rng.next_u64().to_be_bytes()))
+        })
+        .collect();
+    Version::new(TimestampVec::from_vec(v), DigestVec::from_vec(m))
+}
+
+fn shaped_tuple(rng: &mut SmallRng, shape: Shape) -> InvocationTuple {
+    InvocationTuple {
+        client: ClientId::new(rng.gen_index(shape.n) as u32),
+        kind: arb_kind(rng),
+        register: ClientId::new(rng.gen_index(shape.n) as u32),
+        sig: shaped_sig(rng, shape),
+    }
+}
+
+fn shaped_signed_version(rng: &mut SmallRng, shape: Shape) -> SignedVersion {
+    SignedVersion {
+        version: shaped_version(rng, shape),
+        sig: rng.gen_bool(0.8).then(|| shaped_sig(rng, shape)),
+    }
+}
+
+fn shaped_commit(rng: &mut SmallRng, shape: Shape) -> CommitMsg {
+    CommitMsg {
+        version: shaped_version(rng, shape),
+        commit_sig: shaped_sig(rng, shape),
+        proof_sig: shaped_sig(rng, shape),
+    }
+}
+
+fn shaped_submit(rng: &mut SmallRng, shape: Shape) -> SubmitMsg {
+    SubmitMsg {
+        timestamp: rng.next_u64() >> 40,
+        tuple: shaped_tuple(rng, shape),
+        value: rng.gen_bool(0.5).then(|| arb_value(rng)),
+        data_sig: shaped_sig(rng, shape),
+        piggyback: shape.extras.then(|| shaped_commit(rng, shape)),
+    }
+}
+
+fn shaped_reply(rng: &mut SmallRng, shape: Shape) -> ReplyMsg {
+    ReplyMsg {
+        last_committer: ClientId::new(rng.gen_index(shape.n) as u32),
+        commit_version: shaped_signed_version(rng, shape),
+        read: shape.extras.then(|| ReadReply {
+            writer_version: shaped_signed_version(rng, shape),
+            mem_timestamp: rng.next_u64() >> 40,
+            mem_value: rng.gen_bool(0.7).then(|| arb_value(rng)),
+            mem_data_sig: rng.gen_bool(0.7).then(|| shaped_sig(rng, shape)),
+        }),
+        pending: (0..shape.pending)
+            .map(|_| shaped_tuple(rng, shape))
+            .collect(),
+        proofs: (0..shape.n)
+            .map(|_| rng.gen_bool(0.8).then(|| shaped_sig(rng, shape)))
+            .collect(),
+    }
+}
+
+/// Every shape the differential tests run: n ∈ {1, 2, 5, 64} × |L| ∈
+/// {0, 1, 31} × both schemes × with and without the optional part. At
+/// n = 64 an encoding is 5–10 KiB and every one of its bytes is mutated,
+/// so only the empty pending list is crossed with everything there.
+fn shapes() -> Vec<Shape> {
+    let mut shapes = Vec::new();
+    for n in [1, 2, 5, 64] {
+        for pending in [0, 1, 31] {
+            for ed25519 in [false, true] {
+                for extras in [false, true] {
+                    if n == 64 && pending > 0 && (ed25519 || !extras) {
+                        continue;
+                    }
+                    shapes.push(Shape {
+                        n,
+                        pending,
+                        ed25519,
+                        extras,
+                    });
+                }
+            }
+        }
+    }
+    shapes
+}
+
+/// `bytes`, every prefix of it, and every single-byte flip of it (low bit:
+/// a tag becomes the other tag; high bit: a tag becomes unknown, a length
+/// implausible) must decode to the same `Result` under both decoders.
+fn assert_decoders_agree<T: Wire + PartialEq + std::fmt::Debug>(
+    reference: fn(&[u8]) -> Result<T, faust_types::WireError>,
+    bytes: &[u8],
+    shape: Shape,
+) {
+    let check = |input: &[u8], what: &str, at: usize| {
+        let (got, expected) = (T::decode(input), reference(input));
+        assert!(
+            got == expected,
+            "{shape:?}, {what} at {at}: {got:?} vs {expected:?}"
+        );
+    };
+    check(bytes, "intact", 0);
+    assert!(reference(bytes).is_ok(), "{shape:?}: own encoding rejected");
+    for cut in 0..bytes.len() {
+        check(&bytes[..cut], "truncation", cut);
+    }
+    let mut mutated = bytes.to_vec();
+    for pos in 0..bytes.len() {
+        for mask in [0x01, 0x80] {
+            mutated[pos] ^= mask;
+            check(&mutated, "flip", pos);
+            mutated[pos] ^= mask;
+        }
+    }
+    // And with bytes after the message.
+    mutated.push(0);
+    check(&mutated, "trailing byte", bytes.len());
+}
+
+#[test]
+fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
+    for (case, shape) in shapes().into_iter().enumerate() {
+        let rng = &mut SmallRng::seed_from_u64(0xD1FF ^ case as u64);
+        let submit = shaped_submit(rng, shape);
+        let reply = shaped_reply(rng, shape);
+        let commit = shaped_commit(rng, shape);
+        assert_decoders_agree(reference::submit, &submit.encode(), shape);
+        assert_decoders_agree(reference::reply, &reply.encode(), shape);
+        assert_decoders_agree(reference::commit, &commit.encode(), shape);
+        // Through the enum the three share a tag byte; the SUBMIT is the
+        // smallest body to sweep it with.
+        assert_decoders_agree(reference::msg, &UstorMsg::Submit(submit).encode(), shape);
+        for msg in [UstorMsg::Reply(reply), UstorMsg::Commit(commit)] {
+            let bytes = msg.encode();
+            assert_eq!(UstorMsg::decode(&bytes), reference::msg(&bytes));
+            assert_eq!(reference::msg(&bytes), Ok(msg));
+        }
+    }
+}
+
+/// What [`FrameDecoder`] must make of one whole frame around `payload`.
+fn assert_frame_matches_reference(frame: &[u8], payload: &[u8], shape: Shape) {
+    use faust_types::FrameError;
+    let expected = reference::msg(payload);
+    for split in 0..=frame.len() {
+        let mut decoder = FrameDecoder::new();
+        decoder.extend(&frame[..split]);
+        if split < frame.len() {
+            let early = decoder.next_frame::<UstorMsg>();
+            assert!(
+                matches!(early, Ok(None)),
+                "{shape:?}, split {split}: {early:?}"
+            );
+            decoder.extend(&frame[split..]);
+        }
+        match (decoder.next_frame::<UstorMsg>(), &expected) {
+            (Ok(Some(got)), Ok(want)) => assert_eq!(&got, want, "{shape:?}, split {split}"),
+            (Err(FrameError::Malformed(got)), Err(want)) => {
+                assert_eq!(&got, want, "{shape:?}, split {split}")
+            }
+            (got, want) => panic!("{shape:?}, split {split}: {got:?} vs {want:?}"),
+        }
+    }
+}
+
+#[test]
+fn frame_decoder_agrees_with_the_reference_at_every_split_point() {
+    for (case, shape) in shapes().into_iter().enumerate() {
+        let rng = &mut SmallRng::seed_from_u64(0xF4A3 ^ case as u64);
+        let msgs = [
+            UstorMsg::Submit(shaped_submit(rng, shape)),
+            UstorMsg::Reply(shaped_reply(rng, shape)),
+            UstorMsg::Commit(shaped_commit(rng, shape)),
+        ];
+        for msg in msgs {
+            let frame = frame_bytes(&msg);
+            assert_frame_matches_reference(&frame, &frame[4..], shape);
+            // A payload cut short and one with a flipped byte, each under
+            // a header that announces exactly what follows.
+            let cut = 1 + rng.gen_index(frame.len() - 5);
+            let mut short = ((cut) as u32).to_be_bytes().to_vec();
+            short.extend_from_slice(&frame[4..4 + cut]);
+            assert_frame_matches_reference(&short, &short[4..], shape);
+            let mut flipped = frame.clone();
+            let at = 4 + rng.gen_index(frame.len() - 4);
+            flipped[at] ^= 0x80;
+            assert_frame_matches_reference(&flipped, &flipped[4..], shape);
+        }
+    }
 }

@@ -75,8 +75,8 @@ use faust_crypto::sig::{Keypair, SigContext, Signature, Signer, Verifier, Verifi
 use faust_crypto::Digest;
 use faust_types::op::{data_signing_bytes, proof_signing_bytes, submit_signing_bytes};
 use faust_types::{
-    ClientId, CommitMsg, InvocationTuple, OpKind, ReadReply, ReplyMsg, SignedVersion, SubmitMsg,
-    Timestamp, Value, Version, Wire, WireError,
+    ClientId, CommitMsg, InvocationTuple, OpKind, ReadReply, ReplyMsg, SignedVersion, Sink,
+    SubmitMsg, Timestamp, Value, Version, Wire, WireError,
 };
 use std::collections::VecDeque;
 
@@ -116,7 +116,7 @@ pub struct PendingOpState {
 }
 
 impl Wire for PendingOpState {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.kind.encode_into(out);
         self.target.encode_into(out);
         self.timestamp.encode_into(out);
@@ -165,7 +165,7 @@ pub struct UstorClientState {
 }
 
 impl Wire for UstorClientState {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.id.encode_into(out);
         self.n.encode_into(out);
         self.xbar.encode_into(out);
