@@ -45,7 +45,11 @@ pub const HISTORY_VERSION: u32 = 1;
 const MAX_RECORD_LEN: u32 = 1 << 26;
 /// Upper bound on the manifest frame.
 const MAX_MANIFEST_LEN: u32 = 1 << 26;
-/// Bytes of framing around each record payload: `len: u32` + digest.
+/// Bytes of framing around each record payload: `len: u32` + SHA-256
+/// digest. This is `FAUSTHIS`'s own framing, not the WAL's: the store
+/// moved its records to an 8-byte checksum (log format v2), but a history
+/// file is handed to third parties and authenticates itself, which is
+/// what a cryptographic digest is for.
 const RECORD_OVERHEAD: usize = 4 + 32;
 
 /// Which section of the container an error refers to.

@@ -41,7 +41,7 @@ fn bench_wal_append(value_len: usize) {
         from: ClientId::new(0),
         msg: c.begin_write(Value::new(vec![0xA5; value_len])).unwrap(),
     };
-    let bytes = record.encoded_len() + 8 + faust_store::log::RECORD_OVERHEAD;
+    let bytes = record.encoded_len() + 8 + wal.framing().overhead();
     bench_throughput(
         &format!("wal append fsync-off ({value_len} B value)"),
         bytes,

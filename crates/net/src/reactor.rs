@@ -63,7 +63,7 @@ use crate::{Incoming, ServerTransport};
 use faust_types::frame::{frame_into, FrameDecoder};
 use faust_types::{ClientId, UstorMsg};
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
@@ -346,7 +346,6 @@ pub struct ReactorTransport {
     cfg: ReactorConfig,
     stats: ReactorStats,
     recent: VecDeque<(Option<ClientId>, DisconnectReason)>,
-    chunk: Vec<u8>,
 }
 
 /// Listener registration token; connection tokens are `slot + 1`.
@@ -409,7 +408,6 @@ impl ReactorTransport {
             cfg,
             stats: ReactorStats::default(),
             recent: VecDeque::new(),
-            chunk: vec![0; 8192],
         })
     }
 
@@ -603,22 +601,24 @@ impl ReactorTransport {
             return;
         }
 
-        // Read phase: up to READ_BUDGET bytes, then yield to the loop.
+        // Read phase: straight into the connection's decoder, up to
+        // READ_BUDGET bytes, then yield to the loop. A short read means
+        // the socket is drained — no second `read` just to be told
+        // `WouldBlock`; level-triggered polling re-arms if more arrives.
         let mut eof = false;
         let mut budget = READ_BUDGET;
         loop {
             let conn = self.slots[slot].conn.as_mut().expect("present");
-            match conn.stream.read(&mut self.chunk) {
-                Ok(0) => {
+            match conn.decoder.read_from(&mut conn.stream, budget) {
+                Ok((0, _)) => {
                     eof = true;
                     break;
                 }
-                Ok(n) => {
-                    conn.decoder.extend(&self.chunk[..n]);
+                Ok((n, filled)) => {
                     self.stats.bytes_in += n as u64;
                     self.note_buffered(n);
-                    budget = budget.saturating_sub(n);
-                    if budget == 0 {
+                    budget -= n;
+                    if budget == 0 || !filled {
                         break;
                     }
                 }
@@ -1024,6 +1024,7 @@ mod tests {
     use faust_crypto::Signature;
     use faust_types::frame::{write_frame, MAX_FRAME_LEN};
     use faust_types::{CommitMsg, Version};
+    use std::io::Read;
 
     fn msg(n: usize) -> UstorMsg {
         UstorMsg::Commit(CommitMsg {

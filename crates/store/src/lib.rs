@@ -1,7 +1,6 @@
 //! Crash-safe persistent backend for the USTOR server: an append-only
 //! write-ahead log plus periodic snapshots, hand-rolled on the wire
-//! codecs of `faust-types` and the SHA-256 of `faust-crypto` — no
-//! external dependencies, no `unsafe`.
+//! codecs of `faust-types` — no external dependencies, no `unsafe`.
 //!
 //! # Why the *untrusted* server needs durability
 //!
@@ -23,10 +22,15 @@
 //!
 //! # Layout
 //!
-//! * [`log`] — the write-ahead log: length-prefixed, SHA-256-checksummed,
+//! * [`log`] — the write-ahead log: length-prefixed, checksummed,
 //!   sequence-numbered records of every inbound protocol message.
 //! * [`snapshot`] — atomic (write-temp + rename) snapshots of the full
 //!   [`ServerState`](faust_ustor::ServerState); snapshots compact the log.
+//! * `checksum` (private) — the one module that knows the disk checksum:
+//!   XXH64 in current files, SHA-256 in those written before log format
+//!   v2, which still load. It guards against the disk, not the operator.
+//! * [`session`] — the client's `FAUSTSES` session file (SHA-256
+//!   checksummed; written per session, off the serving path).
 //! * [`server`] — [`PersistentServer`]: the `Server` impl that logs
 //!   before acknowledging, and [`PersistentBackend`]: the
 //!   [`ServerBackend`](faust_ustor::ServerBackend) every runtime
@@ -51,6 +55,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checksum;
 pub mod codec;
 pub mod log;
 pub mod server;
@@ -101,7 +106,7 @@ pub enum StoreError {
         /// The client count recorded on disk.
         found: usize,
     },
-    /// The snapshot payload hash does not match its header digest.
+    /// The snapshot payload does not match its header checksum.
     SnapshotChecksum,
     /// The snapshot payload failed to decode.
     SnapshotCorrupt(WireError),
@@ -117,7 +122,7 @@ pub enum StoreError {
         /// How many more bytes the record needed.
         missing: usize,
     },
-    /// A record's payload hash does not match its stored digest (bit rot
+    /// A record's payload does not match its stored checksum (bit rot
     /// or deliberate tampering).
     RecordChecksum {
         /// Sequence number expected at this position.

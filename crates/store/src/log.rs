@@ -4,9 +4,18 @@
 //!
 //! ```text
 //!   header:  "FAUSTWAL" | version: u32 | n: u32 | base_seq: u64      (24 B)
-//!   record:  len: u32 | sha256(payload): 32 B | payload              (36 B + len)
+//!   record:  len: u32 | xxh64(payload): u64 | payload                (12 B + len)
 //!   payload: seq: u64 | LogRecord wire encoding
 //! ```
+//!
+//! That is format version 2, the only one written into new files. A
+//! version-1 file frames its records `len: u32 | sha256(payload): 32 B |
+//! payload` (36 B + len); it still scans, and a log opened in that
+//! version keeps appending in it until the next rotation replaces the
+//! file. The header's version picks the [`Framing`] and nothing else
+//! does. The checksum guards against what the disk did — torn writes,
+//! bit rot — not against the operator, whom no local check can stop
+//! (see [`truncate_tail_records`]); `crate::checksum` has the argument.
 //!
 //! All integers are big-endian, matching `faust_types::wire`. `base_seq`
 //! is the sequence number of the file's first record; sequence numbers
@@ -30,9 +39,9 @@
 //! bytes only, a malicious one uses the same tool to roll history back —
 //! and learns from `docs/persistence.md` why clients catch the latter.
 
+use crate::checksum::Checksum;
 use crate::codec::LogRecord;
 use crate::StoreError;
-use faust_crypto::sha256::sha256;
 use faust_types::{Wire, WireError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -41,21 +50,70 @@ use std::path::{Path, PathBuf};
 
 /// Magic string opening every log file.
 pub const WAL_MAGIC: &[u8; 8] = b"FAUSTWAL";
-/// Current log format version.
-pub const WAL_VERSION: u32 = 1;
+/// Current log format version — what every newly created file carries.
+pub const WAL_VERSION: u32 = Framing::CURRENT.version();
 /// Header size in bytes: magic + version + n + base_seq.
 pub const WAL_HEADER_LEN: usize = 8 + 4 + 4 + 8;
-/// Per-record overhead in bytes: length prefix + SHA-256 digest.
-pub const RECORD_OVERHEAD: usize = 4 + 32;
+/// Per-record overhead in bytes of the current format: length prefix +
+/// XXH64 checksum. A file in an older version has its own —
+/// [`Framing::overhead`] of its header's framing.
+pub const RECORD_OVERHEAD: usize = Framing::CURRENT.overhead();
 /// Upper bound on one record's payload; anything larger is corruption.
 pub const MAX_RECORD_LEN: u64 = 1 << 26;
 
 /// File name of the write-ahead log inside a store directory.
 pub const WAL_FILE: &str = "wal.bin";
 
+/// How one log format version frames its records — the single place a
+/// version number turns into a per-record overhead and a checksum.
+/// Appending, scanning, [`LogCursor`], [`truncate_tail_records`] and the
+/// sharded store all get theirs from the file's [`WalHeader`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framing {
+    /// `len: u32 | sha256(payload): 32 B | payload` — read, and appended
+    /// to when such a file is reopened, never created.
+    V1,
+    /// `len: u32 | xxh64(payload): u64 | payload`.
+    V2,
+}
+
+impl Framing {
+    /// The framing of every newly created file.
+    pub const CURRENT: Framing = Framing::V2;
+
+    /// The format version a file header carries for this framing.
+    pub const fn version(self) -> u32 {
+        match self {
+            Framing::V1 => 1,
+            Framing::V2 => 2,
+        }
+    }
+
+    fn from_version(version: u32) -> Option<Self> {
+        [Framing::V1, Framing::V2]
+            .into_iter()
+            .find(|framing| framing.version() == version)
+    }
+
+    const fn checksum(self) -> Checksum {
+        match self {
+            Framing::V1 => Checksum::Sha256,
+            Framing::V2 => Checksum::Xxh64,
+        }
+    }
+
+    /// Bytes a record occupies beyond its payload: length prefix plus
+    /// checksum.
+    pub const fn overhead(self) -> usize {
+        4 + self.checksum().len()
+    }
+}
+
 /// A parsed log header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalHeader {
+    /// Record framing, from the header's format version.
+    pub framing: Framing,
     /// Client count the state is for.
     pub n: usize,
     /// Sequence number of the file's first record.
@@ -66,7 +124,7 @@ impl WalHeader {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(WAL_HEADER_LEN);
         out.extend_from_slice(WAL_MAGIC);
-        (WAL_VERSION).encode_into(&mut out);
+        self.framing.version().encode_into(&mut out);
         (self.n as u32).encode_into(&mut out);
         self.base_seq.encode_into(&mut out);
         out
@@ -81,15 +139,19 @@ impl WalHeader {
         }
         let mut rest = &bytes[8..WAL_HEADER_LEN];
         let version = u32::decode_from(&mut rest).expect("sized above");
-        if version != WAL_VERSION {
+        let Some(framing) = Framing::from_version(version) else {
             return Err(StoreError::UnsupportedVersion {
                 file: "wal",
                 version,
             });
-        }
+        };
         let n = u32::decode_from(&mut rest).expect("sized above") as usize;
         let base_seq = u64::decode_from(&mut rest).expect("sized above");
-        Ok(WalHeader { n, base_seq })
+        Ok(WalHeader {
+            framing,
+            n,
+            base_seq,
+        })
     }
 }
 
@@ -135,7 +197,7 @@ pub struct Wal {
 
 impl Wal {
     /// Creates a fresh log at `dir/wal.bin` (truncating any previous
-    /// file) with the given header, via a temp file + atomic rename so a
+    /// file) in the current format, via a temp file + atomic rename so a
     /// crash mid-create never leaves a half-written header.
     ///
     /// # Errors
@@ -144,7 +206,11 @@ impl Wal {
     pub fn create(dir: &Path, n: usize, base_seq: u64, sync: bool) -> Result<Self, StoreError> {
         let path = dir.join(WAL_FILE);
         let tmp = dir.join("wal.tmp");
-        let header = WalHeader { n, base_seq };
+        let header = WalHeader {
+            framing: Framing::CURRENT,
+            n,
+            base_seq,
+        };
         let mut file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -170,7 +236,7 @@ impl Wal {
 
     /// Opens the existing log in `dir` for appending, after a strict
     /// scan; returns the log positioned at its end plus the scanned
-    /// contents for replay.
+    /// contents for replay. Appends continue in the file's own framing.
     ///
     /// # Errors
     ///
@@ -234,7 +300,7 @@ impl Wal {
         let mut pos = WAL_HEADER_LEN;
         let mut seq = header.base_seq;
         let anomaly = loop {
-            match parse_record_at(bytes, pos, seq) {
+            match parse_record_at(header.framing, bytes, pos, seq) {
                 Ok(None) => break None,
                 Ok(Some(rec)) => {
                     pos = rec.span.end;
@@ -257,15 +323,16 @@ impl Wal {
     /// Propagates write/sync errors; on error the caller must treat the
     /// record as *not* logged (and must not acknowledge the client).
     pub fn append(&mut self, record: &LogRecord, sync: bool) -> Result<u64, StoreError> {
-        // Encode once behind room for the header, hash in place, patch it.
+        // Encode once behind room for the prefix, checksum in place, patch it.
+        let framing = self.header.framing;
         let buf = &mut self.scratch;
         buf.clear();
-        buf.resize(RECORD_OVERHEAD, 0);
+        buf.resize(framing.overhead(), 0);
         self.next_seq.encode_into(buf);
         record.encode_into(buf);
-        let (head, payload) = buf.split_at_mut(RECORD_OVERHEAD);
+        let (head, payload) = buf.split_at_mut(framing.overhead());
         head[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-        head[4..].copy_from_slice(sha256(payload).as_bytes());
+        framing.checksum().write(payload, &mut head[4..]);
         self.file.write_all(buf)?;
         if sync {
             self.file.sync_data()?;
@@ -305,18 +372,25 @@ impl Wal {
         self.header.n
     }
 
+    /// The record framing this file is appended in.
+    pub fn framing(&self) -> Framing {
+        self.header.framing
+    }
+
     /// Path of the log file.
     pub fn path(&self) -> &Path {
         &self.path
     }
 }
 
-/// Parses the record starting at byte `pos`, expected to carry sequence
-/// number `seq`. `Ok(None)` at the exact end of the buffer; every
-/// anomaly is the same structured [`StoreError`] a strict scan reports.
-/// This is the single place that knows the record framing — [`Wal::scan`]
-/// and [`LogCursor`] both step through it.
+/// Parses the record starting at byte `pos`, framed as the file's header
+/// says and expected to carry sequence number `seq`. `Ok(None)` at the
+/// exact end of the buffer; every anomaly is the same structured
+/// [`StoreError`] a strict scan reports. This is the single place that
+/// walks the record layout — [`Wal::scan`] and [`LogCursor`] both step
+/// through it.
 fn parse_record_at(
+    framing: Framing,
     bytes: &[u8],
     pos: usize,
     seq: u64,
@@ -324,11 +398,12 @@ fn parse_record_at(
     if pos >= bytes.len() {
         return Ok(None);
     }
+    let overhead = framing.overhead();
     let avail = bytes.len() - pos;
-    if avail < RECORD_OVERHEAD {
+    if avail < overhead {
         return Err(StoreError::TornRecord {
             seq,
-            missing: RECORD_OVERHEAD - avail,
+            missing: overhead - avail,
         });
     }
     let mut len_bytes = &bytes[pos..pos + 4];
@@ -336,16 +411,16 @@ fn parse_record_at(
     if len > MAX_RECORD_LEN {
         return Err(StoreError::ImplausibleRecordLength { seq, len });
     }
-    let need = RECORD_OVERHEAD + len as usize;
+    let need = overhead + len as usize;
     if avail < need {
         return Err(StoreError::TornRecord {
             seq,
             missing: need - avail,
         });
     }
-    let digest = &bytes[pos + 4..pos + RECORD_OVERHEAD];
-    let payload = &bytes[pos + RECORD_OVERHEAD..pos + need];
-    if sha256(payload).as_bytes() != digest {
+    let stored = &bytes[pos + 4..pos + overhead];
+    let payload = &bytes[pos + overhead..pos + need];
+    if !framing.checksum().matches(payload, stored) {
         return Err(StoreError::RecordChecksum { seq });
     }
     let mut input = payload;
@@ -445,7 +520,7 @@ impl Iterator for LogCursor {
         if self.finished {
             return None;
         }
-        match parse_record_at(&self.bytes, self.pos, self.next_seq) {
+        match parse_record_at(self.header.framing, &self.bytes, self.pos, self.next_seq) {
             Ok(None) => {
                 self.finished = true;
                 None
@@ -500,6 +575,9 @@ pub fn wal_record_spans(dir: &Path) -> Result<Vec<Range<usize>>, StoreError> {
 /// records to drop, and any anomalous trailing bytes (the torn record)
 /// are discarded along with them — `truncate_tail_records(dir, 0)`
 /// repairs a torn tail without touching a single acknowledged record.
+///
+/// The kept prefix is copied byte for byte, header included, so the
+/// rewritten file stays in the format version it was written in.
 ///
 /// Returns the number of records remaining.
 ///
@@ -625,6 +703,101 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// An empty version-1 log: what a pre-v2 build's `Wal::create` left.
+    fn create_v1(dir: &Path, n: usize) {
+        let header = WalHeader {
+            framing: Framing::V1,
+            n,
+            base_seq: 0,
+        };
+        std::fs::write(dir.join(WAL_FILE), header.encode()).unwrap();
+    }
+
+    #[test]
+    fn new_files_are_current_and_a_reopened_v1_file_keeps_its_framing() {
+        let dir = scratch_dir("wal-framing");
+        let wal = Wal::create(&dir, 4, 0, false).unwrap();
+        assert_eq!(wal.framing(), Framing::CURRENT);
+        assert_eq!((WAL_VERSION, RECORD_OVERHEAD), (2, 12));
+        assert_eq!(Framing::V1.overhead(), 36);
+        drop(wal);
+
+        create_v1(&dir, 4);
+        let (mut wal, _) = Wal::open(&dir).unwrap();
+        assert_eq!(wal.framing(), Framing::V1);
+        for i in 0..3u32 {
+            wal.append(&record(i, 0), false).unwrap();
+        }
+        drop(wal);
+        let contents = Wal::scan(&dir.join(WAL_FILE)).unwrap();
+        assert_eq!(contents.header.framing, Framing::V1);
+        assert_eq!(contents.records.len(), 3);
+        for rec in &contents.records {
+            let payload = 8 + rec.record.encoded_len();
+            assert_eq!(rec.span.len(), 36 + payload, "SHA-256 framing");
+        }
+        // The cursor walks the same framing.
+        assert_eq!(LogCursor::open(&dir).unwrap().count(), 3);
+
+        // The rollback tool rewrites the file in the version it found,
+        // and the result keeps taking appends in it.
+        assert_eq!(truncate_tail_records(&dir, 1).unwrap(), 2);
+        let (mut wal, contents) = Wal::open(&dir).unwrap();
+        assert_eq!(contents.header.framing, Framing::V1);
+        assert_eq!(wal.append(&record(3, 0), false).unwrap(), 2);
+        assert_eq!(Wal::scan(wal.path()).unwrap().records.len(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn garbage_payload_with_matching_checksum_is_record_corrupt() {
+        // A record whose checksum is *valid* but whose payload is not a
+        // LogRecord — seq 2 followed by a bogus tag — in either framing.
+        let dir = scratch_dir("wal-garbage");
+        for framing in [Framing::V1, Framing::V2] {
+            match framing {
+                Framing::V1 => create_v1(&dir, 4),
+                Framing::V2 => drop(Wal::create(&dir, 4, 0, false).unwrap()),
+            }
+            let (mut wal, _) = Wal::open(&dir).unwrap();
+            wal.append(&record(0, 0), false).unwrap();
+            wal.append(&record(1, 0), false).unwrap();
+            drop(wal);
+            let mut payload = 2u64.to_be_bytes().to_vec();
+            payload.push(0xEE); // no such record tag
+            let mut frame = vec![0; framing.overhead()];
+            frame[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+            framing.checksum().write(&payload, &mut frame[4..]);
+            frame.extend_from_slice(&payload);
+            let path = dir.join(WAL_FILE);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend_from_slice(&frame);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                Wal::scan(&path).unwrap_err(),
+                StoreError::RecordCorrupt { seq: 2, .. }
+            ));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_same_records_cost_24_bytes_less_each_in_v2() {
+        let v1 = scratch_dir("wal-size-v1");
+        let v2 = scratch_dir("wal-size-v2");
+        create_v1(&v1, 4);
+        let (mut old, _) = Wal::open(&v1).unwrap();
+        let mut new = Wal::create(&v2, 4, 0, false).unwrap();
+        for i in 0..4u32 {
+            old.append(&record(i, 2), false).unwrap();
+            new.append(&record(i, 2), false).unwrap();
+        }
+        let len = |wal: &Wal| std::fs::metadata(wal.path()).unwrap().len();
+        assert_eq!(len(&old) - len(&new), 4 * 24);
+        std::fs::remove_dir_all(&v1).ok();
+        std::fs::remove_dir_all(&v2).ok();
+    }
+
     #[test]
     fn cursor_observes_exactly_the_recovered_sequence_across_snapshots() {
         use crate::server::{PersistentServer, StoreConfig};
@@ -711,14 +884,21 @@ mod tests {
             StoreError::BadMagic { file: "wal" }
         ));
 
-        // Unsupported version.
-        let mut bad = good.clone();
-        bad[11] = 99;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            Wal::scan(&path).unwrap_err(),
-            StoreError::UnsupportedVersion { version: 99, .. }
-        ));
+        // Unsupported version: anything past the current one, and 0.
+        for version in [WAL_VERSION + 1, 99, 0] {
+            let mut bad = good.clone();
+            bad[8..12].copy_from_slice(&version.to_be_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            match Wal::scan(&path).unwrap_err() {
+                StoreError::UnsupportedVersion {
+                    file: "wal",
+                    version: v,
+                } => {
+                    assert_eq!(v, version)
+                }
+                other => panic!("expected UnsupportedVersion, got {other}"),
+            }
+        }
 
         // Truncated header.
         std::fs::write(&path, &good[..10]).unwrap();

@@ -57,9 +57,10 @@ pub(crate) fn replay_capturing(
 }
 
 /// Assembles the per-client [`SessionResume`] records a recovered server
-/// hands the engine: the last submitted timestamp and last-written-value
-/// hash come from `MEM` (covering even snapshot-absorbed history), the
-/// replayable replies from the post-snapshot log window in `rings`.
+/// hands the engine: the last submitted timestamp and last written value
+/// come from `MEM` (covering even snapshot-absorbed history; the value is
+/// shared, not copied, and not hashed here), the replayable replies from
+/// the post-snapshot log window in `rings`.
 pub(crate) fn session_resume(
     server: &UstorServer,
     rings: Vec<VecDeque<(Timestamp, ReplyMsg)>>,
@@ -71,10 +72,7 @@ pub(crate) fn session_resume(
             let entry = server.mem(ClientId::new(i as u32));
             SessionResume {
                 last_timestamp: entry.timestamp,
-                last_value_hash: entry
-                    .value
-                    .as_ref()
-                    .map(|v| faust_crypto::sha256(v.as_bytes())),
+                last_value: entry.value.clone(),
                 replies: ring.into_iter().collect(),
             }
         })
@@ -940,10 +938,7 @@ mod tests {
         let resume = server.resume_sessions();
         assert_eq!(resume.len(), 2);
         assert_eq!(resume[0].last_timestamp, 2, "write then read");
-        assert_eq!(
-            resume[0].last_value_hash,
-            Some(faust_crypto::sha256(Value::from("durable").as_bytes()))
-        );
+        assert_eq!(resume[0].last_value, Some(Value::from("durable")));
         // The rebuilt ts=2 reply is byte-identical to the lost one — a
         // resent SUBMIT gets the exact ack the pre-crash server sent.
         let cached = resume[0]

@@ -882,6 +882,36 @@ mod tests {
     }
 
     #[test]
+    fn repair_rewrites_a_v1_shard_log_as_v1() {
+        use crate::log::Framing;
+        let dir = scratch_dir("sharded-repair-v1");
+        let n = 2;
+        let backend = backend(&dir, 2);
+        drop(backend.open(n).unwrap());
+        // Age the (still empty) shard logs to format v1: reopened, they
+        // take appends in SHA-256 framing like any pre-v2 store.
+        let wal_path = |shard| shard_dir(&dir, shard).join(WAL_FILE);
+        let framing = |shard| Wal::scan(&wal_path(shard)).unwrap().header.framing;
+        for shard in 0..2 {
+            let mut header = std::fs::read(wal_path(shard)).unwrap();
+            header[8..12].copy_from_slice(&Framing::V1.version().to_be_bytes());
+            std::fs::write(wal_path(shard), &header).unwrap();
+        }
+        let mut server = backend.open(n).unwrap();
+        let mut cs = clients(n, b"sharded-repair-v1");
+        workload(&mut server, &mut cs, 3);
+        drop(server);
+        truncate_tail_records(&shard_dir(&dir, 1), 2).unwrap();
+
+        let cut = backend.repair_to_consistent_prefix(n).unwrap();
+        assert!(cut > 0, "a prefix survives");
+        assert_eq!((framing(0), framing(1)), (Framing::V1, Framing::V1));
+        // And the repaired v1 logs recover strictly.
+        backend.open(n).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn repair_on_a_clean_store_is_a_no_op() {
         let dir = scratch_dir("sharded-repair-noop");
         let n = 2;

@@ -4,9 +4,16 @@
 //! [`ServerState`] at a log position:
 //!
 //! ```text
-//!   "FAUSTSNP" | version: u32 | payload_len: u32 | sha256(payload): 32 B | payload
-//!   payload:     n: u32 | next_seq: u64 | ServerState encoding
+//!   "FAUSTSNP" | version: u32 | payload_len: u32 | xxh64(payload): u64 | payload
+//!   payload:     n: u32 | next_seq: u64 | [global_next_seq: u64] | ServerState encoding
 //! ```
+//!
+//! Versions 3 (single-engine store) and 4 (shard replica, with
+//! `global_next_seq`) are the ones written. Versions 1 and 2 are the same
+//! two payloads behind a 32-byte SHA-256 digest where the checksum now
+//! sits; they still load, and the next snapshot replaces them. As in the
+//! log, the checksum guards against the disk, not the operator
+//! (`crate::checksum`).
 //!
 //! `next_seq` is the first log sequence number **not** reflected in the
 //! state — recovery loads the snapshot and replays records from
@@ -17,10 +24,10 @@
 //! *after* the rename, and recovery tolerates the in-between crash by
 //! skipping already-covered records (verified but not replayed).
 
+use crate::checksum::Checksum;
 use crate::codec::{decode_state, encode_state};
 use crate::log::sync_dir;
 use crate::StoreError;
-use faust_crypto::sha256::sha256;
 use faust_types::Wire;
 use faust_ustor::ServerState;
 use std::fs::{File, OpenOptions};
@@ -29,15 +36,28 @@ use std::path::Path;
 
 /// Magic string opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"FAUSTSNP";
-/// Snapshot format version for single-engine stores.
-pub const SNAPSHOT_VERSION: u32 = 1;
-/// Snapshot format version for shard replicas: the payload additionally
-/// records the *global* (cross-shard) coverage position.
-pub const SNAPSHOT_VERSION_SHARDED: u32 = 2;
+/// Snapshot format version written for single-engine stores.
+pub const SNAPSHOT_VERSION: u32 = 3;
+/// Snapshot format version written for shard replicas: the payload
+/// additionally records the *global* (cross-shard) coverage position.
+pub const SNAPSHOT_VERSION_SHARDED: u32 = 4;
 /// File name of the snapshot inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
-/// Bytes before the payload: magic, version, payload length, digest.
-const HEADER: usize = 8 + 4 + 4 + 32;
+/// Bytes before the checksum: magic, version, payload length.
+const PREFIX: usize = 8 + 4 + 4;
+
+/// What a snapshot format version says about the file: which checksum
+/// follows the prefix, and whether the payload carries the global
+/// coverage position. `None` for a version this build does not know.
+fn layout(version: u32) -> Option<(Checksum, bool)> {
+    match version {
+        1 => Some((Checksum::Sha256, false)),
+        2 => Some((Checksum::Sha256, true)),
+        SNAPSHOT_VERSION => Some((Checksum::Xxh64, false)),
+        SNAPSHOT_VERSION_SHARDED => Some((Checksum::Xxh64, true)),
+        _ => None,
+    }
+}
 
 /// A decoded snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +73,7 @@ pub struct Snapshot {
     /// reflected in `state`. A shard's state covers the whole
     /// cross-shard history (replicas apply every message), so its local
     /// `next_seq` cannot express how far the state reaches; this does.
-    /// `None` for single-engine stores (format v1 on disk, v2 when
+    /// `None` for single-engine stores (format v3 on disk, v4 when
     /// `Some`).
     pub global_next_seq: Option<u64>,
 }
@@ -74,19 +94,21 @@ pub fn write_snapshot(dir: &Path, snapshot: &Snapshot, sync: bool) -> Result<(),
     } else {
         SNAPSHOT_VERSION
     };
-    // Encode once behind room for the header, hash in place, patch it.
-    let mut bytes = vec![0; HEADER];
+    let (checksum, _) = layout(version).expect("a version this build writes");
+    let header = PREFIX + checksum.len();
+    // Encode once behind room for the header, checksum in place, patch it.
+    let mut bytes = vec![0; header];
     (snapshot.n as u32).encode_into(&mut bytes);
     snapshot.next_seq.encode_into(&mut bytes);
     if let Some(global) = snapshot.global_next_seq {
         global.encode_into(&mut bytes);
     }
     encode_state(&snapshot.state, &mut bytes);
-    let (head, payload) = bytes.split_at_mut(HEADER);
+    let (head, payload) = bytes.split_at_mut(header);
     head[..8].copy_from_slice(SNAPSHOT_MAGIC);
     head[8..12].copy_from_slice(&version.to_be_bytes());
     head[12..16].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    head[16..].copy_from_slice(sha256(payload).as_bytes());
+    checksum.write(payload, &mut head[PREFIX..]);
 
     let tmp = dir.join("snapshot.tmp");
     let path = dir.join(SNAPSHOT_FILE);
@@ -122,35 +144,38 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    if bytes.len() < HEADER {
+    if bytes.len() < PREFIX {
         return Err(StoreError::TruncatedHeader { file: "snapshot" });
     }
     if &bytes[..8] != SNAPSHOT_MAGIC {
         return Err(StoreError::BadMagic { file: "snapshot" });
     }
-    let mut rest = &bytes[8..HEADER];
+    let mut rest = &bytes[8..PREFIX];
     let version = u32::decode_from(&mut rest).expect("sized above");
-    if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_SHARDED {
+    let Some((checksum, sharded)) = layout(version) else {
         return Err(StoreError::UnsupportedVersion {
             file: "snapshot",
             version,
         });
-    }
+    };
     let payload_len = u32::decode_from(&mut rest).expect("sized above") as usize;
-    let digest = &bytes[16..HEADER];
-    let Some(payload) = bytes.get(HEADER..HEADER + payload_len) else {
+    let header = PREFIX + checksum.len();
+    let Some(stored) = bytes.get(PREFIX..header) else {
+        return Err(StoreError::TruncatedHeader { file: "snapshot" });
+    };
+    let Some(payload) = bytes.get(header..header + payload_len) else {
         // File ends inside the declared payload.
         return Err(StoreError::SnapshotCorrupt(
             faust_types::WireError::Truncated,
         ));
     };
-    if sha256(payload).as_bytes() != digest {
+    if !checksum.matches(payload, stored) {
         return Err(StoreError::SnapshotChecksum);
     }
     let mut input = payload;
     let n = u32::decode_from(&mut input).map_err(StoreError::SnapshotCorrupt)? as usize;
     let next_seq = u64::decode_from(&mut input).map_err(StoreError::SnapshotCorrupt)?;
-    let global_next_seq = if version == SNAPSHOT_VERSION_SHARDED {
+    let global_next_seq = if sharded {
         Some(u64::decode_from(&mut input).map_err(StoreError::SnapshotCorrupt)?)
     } else {
         None
@@ -214,34 +239,76 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The file laid out the long way — payload first, then a header
+    /// that describes it — for any format version.
+    fn file_bytes(snap: &Snapshot, version: u32) -> Vec<u8> {
+        let (checksum, sharded) = layout(version).unwrap();
+        assert_eq!(sharded, snap.global_next_seq.is_some());
+        let mut payload = Vec::new();
+        (snap.n as u32).encode_into(&mut payload);
+        snap.next_seq.encode_into(&mut payload);
+        if let Some(global) = snap.global_next_seq {
+            global.encode_into(&mut payload);
+        }
+        encode_state(&snap.state, &mut payload);
+        let mut stored = vec![0; checksum.len()];
+        checksum.write(&payload, &mut stored);
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&version.to_be_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(&stored);
+        bytes.extend_from_slice(&payload);
+        bytes
+    }
+
     #[test]
     fn file_is_header_then_payload_byte_for_byte() {
-        // The layout spelled out the long way — payload first, then a
-        // header that describes it — is what `write_snapshot` must leave
-        // on disk although it encodes behind a reserved header.
+        // What `write_snapshot` must leave on disk although it encodes
+        // behind a reserved header: the current version, an 8-byte
+        // checksum, the payload.
         let dir = scratch_dir("snap-layout");
-        for global_next_seq in [None, Some(977)] {
+        for (global_next_seq, version) in [(None, 3), (Some(977), 4)] {
             let snap = Snapshot {
                 global_next_seq,
                 ..snapshot(5, 42)
             };
-            let mut payload = Vec::new();
-            5u32.encode_into(&mut payload);
-            42u64.encode_into(&mut payload);
-            if let Some(global) = global_next_seq {
-                global.encode_into(&mut payload);
-            }
-            encode_state(&snap.state, &mut payload);
-            let version = 1 + u32::from(global_next_seq.is_some());
-            let mut expected = SNAPSHOT_MAGIC.to_vec();
-            expected.extend_from_slice(&version.to_be_bytes());
-            expected.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            expected.extend_from_slice(sha256(&payload).as_bytes());
-            expected.extend_from_slice(&payload);
-
+            let expected = file_bytes(&snap, version);
+            assert_eq!(expected[8..12], version.to_be_bytes());
             write_snapshot(&dir, &snap, false).unwrap();
             assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), expected);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sha256_era_snapshots_still_load_and_unknown_versions_do_not() {
+        let dir = scratch_dir("snap-v1");
+        let path = dir.join(SNAPSHOT_FILE);
+        for (global_next_seq, version) in [(None, 1), (Some(977), 2)] {
+            let snap = Snapshot {
+                global_next_seq,
+                ..snapshot(3, 42)
+            };
+            let bytes = file_bytes(&snap, version);
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(read_snapshot(&dir).unwrap(), Some(snap));
+            // Cut inside the 32-byte digest: still a header problem.
+            std::fs::write(&path, &bytes[..PREFIX + 20]).unwrap();
+            assert!(matches!(
+                read_snapshot(&dir).unwrap_err(),
+                StoreError::TruncatedHeader { file: "snapshot" }
+            ));
+        }
+        let mut bytes = file_bytes(&snapshot(3, 42), SNAPSHOT_VERSION);
+        bytes[8..12].copy_from_slice(&5u32.to_be_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_snapshot(&dir).unwrap_err(),
+            StoreError::UnsupportedVersion {
+                file: "snapshot",
+                version: 5
+            }
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

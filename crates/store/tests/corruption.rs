@@ -5,13 +5,16 @@
 //! "successfully" into rolled-back state, which is the clients' job to
 //! detect (see `tests/attacks.rs`).
 
-use faust_store::log::{RECORD_OVERHEAD, WAL_FILE};
+use faust_store::log::{Wal, WAL_FILE, WAL_HEADER_LEN};
 use faust_store::testutil::{self, clients, run_op};
 use faust_store::{
     truncate_tail_records, wal_record_spans, Durability, PersistentServer, StoreConfig, StoreError,
 };
 use faust_types::Value;
 use std::path::Path;
+
+#[path = "fixtures/script.rs"]
+mod script;
 
 fn no_sync() -> StoreConfig {
     StoreConfig {
@@ -47,16 +50,21 @@ fn write_log(dir: &Path, bytes: &[u8]) {
 fn flipped_byte_is_a_checksum_mismatch() {
     let dir = testutil::scratch_dir("corrupt-flip");
     let (good, spans) = seeded_store(&dir);
-    // Flip one payload byte of record 2 (past its length + digest).
+    // Flip one payload byte of record 2 (past its length + checksum).
+    let overhead = Wal::scan(&dir.join(WAL_FILE))
+        .unwrap()
+        .header
+        .framing
+        .overhead();
     let mut bad = good.clone();
-    bad[spans[2].start + RECORD_OVERHEAD + 3] ^= 0x40;
+    bad[spans[2].start + overhead + 3] ^= 0x40;
     write_log(&dir, &bad);
     match PersistentServer::recover(&dir, 2, no_sync()).unwrap_err() {
         StoreError::RecordChecksum { seq } => assert_eq!(seq, 2),
         other => panic!("expected RecordChecksum, got {other}"),
     }
 
-    // Flipping a byte of the stored *digest* is the same mismatch.
+    // Flipping a byte of the stored *checksum* is the same mismatch.
     let mut bad = good.clone();
     bad[spans[4].start + 7] ^= 0x01;
     write_log(&dir, &bad);
@@ -81,7 +89,7 @@ fn truncation_mid_record_is_a_torn_record() {
         other => panic!("expected TornRecord, got {other}"),
     }
 
-    // Cut inside the length/digest prefix of record 3.
+    // Cut inside the length/checksum prefix of record 3.
     write_log(&dir, &good[..spans[3].start + 2]);
     assert!(matches!(
         PersistentServer::recover(&dir, 2, no_sync()).unwrap_err(),
@@ -142,28 +150,6 @@ fn hostile_length_prefix_is_rejected_without_allocating() {
 }
 
 #[test]
-fn garbage_payload_with_matching_checksum_is_record_corrupt() {
-    let dir = testutil::scratch_dir("corrupt-payload");
-    let (good, spans) = seeded_store(&dir);
-    // Hand-craft a record whose checksum is *valid* but whose payload is
-    // not a LogRecord: seq 5 followed by a bogus tag.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&5u64.to_be_bytes());
-    payload.push(0xEE); // no such record tag
-    let digest = faust_crypto::sha256::sha256(&payload);
-    let mut bad = good[..spans[5].start].to_vec();
-    bad.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    bad.extend_from_slice(digest.as_bytes());
-    bad.extend_from_slice(&payload);
-    write_log(&dir, &bad);
-    assert!(matches!(
-        PersistentServer::recover(&dir, 2, no_sync()).unwrap_err(),
-        StoreError::RecordCorrupt { seq: 5, .. }
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn torn_tail_is_repairable_with_zero_record_truncation() {
     // The honest-operator path after a real crash: strict recovery
     // refuses the torn tail; `truncate_tail_records(dir, 0)` discards
@@ -212,4 +198,112 @@ fn recover_never_panics_on_random_tail_garbage() {
         let _ = PersistentServer::recover(&dir, 2, no_sync());
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The mutation harness: every way to damage `good` by cutting it short
+/// or flipping one bit, as `(offset of the first damaged byte, bytes)`.
+fn mutations(good: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
+    let truncations = (0..good.len()).map(|len| (len, good[..len].to_vec()));
+    let flips = (0..good.len() * 8).map(|bit| {
+        let mut bad = good.to_vec();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        (bit / 8, bad)
+    });
+    truncations.chain(flips)
+}
+
+/// Runs the harness over the pristine log at `dir`: whatever the damage,
+/// the strict scan answers with a typed error and the tolerant one with
+/// exactly the records in front of it — never a panic, never a shorter
+/// log passed off as whole. Two outcomes are `Ok` by construction and
+/// are pinned as such: a cut at a record boundary is the rollback no
+/// local check can see (`boundary_truncation_recovers_locally_but_rolls_back`),
+/// and the header's client count has nothing in the file to contradict
+/// it — `recover` compares it with the count it was asked for.
+fn sweep_log(dir: &Path, framing: faust_store::log::Framing, n: usize) {
+    let path = dir.join(WAL_FILE);
+    let good = std::fs::read(&path).unwrap();
+    let pristine = Wal::scan(&path).unwrap();
+    assert_eq!(pristine.header.framing, framing);
+    assert!(pristine.records.len() >= 4);
+    let encoded = |records: &[faust_store::log::ScannedRecord]| -> Vec<(u64, Vec<u8>)> {
+        records
+            .iter()
+            .map(|r| (r.seq, faust_types::Wire::encode(&r.record)))
+            .collect()
+    };
+    let want = encoded(&pristine.records);
+    for (at, bad) in mutations(&good) {
+        write_log(dir, &bad);
+        let strict = Wal::scan(&path);
+        if at < WAL_HEADER_LEN {
+            // magic 0..8 | version 8..12 | n 12..16 | base_seq 16..24
+            let cut = bad.len() < good.len();
+            match (strict, at) {
+                (Err(StoreError::TruncatedHeader { file: "wal" }), _) if cut => {}
+                (Err(StoreError::BadMagic { file: "wal" }), 0..=7) if !cut => {}
+                (Err(StoreError::UnsupportedVersion { file: "wal", .. }), 8..=11) if !cut => {}
+                (Ok(contents), 12..=15) if !cut => {
+                    assert_ne!(contents.header.n, n);
+                    assert_eq!(encoded(&contents.records), want);
+                    assert!(matches!(
+                        PersistentServer::recover(dir, n, no_sync()),
+                        Err(StoreError::ClientCountMismatch { .. })
+                    ));
+                }
+                // A base_seq flip renumbers the file under its records.
+                (
+                    Err(StoreError::DuplicateRecord { .. } | StoreError::SequenceGap { .. }),
+                    16..=23,
+                ) if !cut => {}
+                (other, _) => panic!("header damage at {at} (cut: {cut}): {other:?}"),
+            }
+            continue;
+        }
+        // Records wholly in front of the damage.
+        let intact = pristine
+            .records
+            .iter()
+            .take_while(|r| r.span.end <= at)
+            .count();
+        let (prefix, anomaly) = Wal::scan_prefix(&path).unwrap();
+        assert_eq!(encoded(&prefix.records), want[..intact], "damage at {at}");
+        let boundary_cut = bad.len() < good.len()
+            && (at == WAL_HEADER_LEN || pristine.records.iter().any(|r| r.span.end == at));
+        match strict {
+            Ok(contents) => {
+                assert!(boundary_cut, "damage at {at} went unnoticed");
+                assert!(anomaly.is_none());
+                assert_eq!(contents.records.len(), intact);
+            }
+            Err(
+                StoreError::TornRecord { seq, .. }
+                | StoreError::RecordChecksum { seq }
+                | StoreError::ImplausibleRecordLength { seq, .. },
+            ) => {
+                assert!(!boundary_cut);
+                assert_eq!(seq, pristine.header.base_seq + intact as u64);
+                assert!(anomaly.is_some());
+            }
+            Err(other) => panic!("damage at {at}: unexpected {other}"),
+        }
+    }
+}
+
+#[test]
+fn every_truncation_and_bit_flip_of_a_v1_and_a_v2_log_is_typed() {
+    use faust_store::log::Framing;
+    // v1: the checked-in pre-upgrade log (SHA-256 framing).
+    let v1 = testutil::scratch_dir("corrupt-sweep-v1");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1");
+    std::fs::copy(fixture.join(WAL_FILE), v1.join(WAL_FILE)).unwrap();
+    sweep_log(&v1, Framing::V1, script::N);
+    std::fs::remove_dir_all(&v1).ok();
+
+    // v2: the same script, run by this tree.
+    let v2 = testutil::scratch_dir("corrupt-sweep-v2");
+    drop(script::run(&v2));
+    std::fs::remove_file(v2.join("snapshot.bin")).unwrap();
+    sweep_log(&v2, Framing::V2, script::N);
+    std::fs::remove_dir_all(&v2).ok();
 }

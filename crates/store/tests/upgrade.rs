@@ -1,0 +1,105 @@
+//! Format upgrade: a store directory written before format v2 (SHA-256
+//! record and snapshot checksums; `fixtures/v1/`, produced by the parent
+//! commit from `fixtures/script.rs`) recovers to exactly the state the
+//! same script produces on this tree, keeps serving, and turns into
+//! current-format files at its next snapshot — with nothing to configure.
+
+use faust_store::log::{Framing, Wal, WAL_FILE};
+use faust_store::snapshot::{read_snapshot, SNAPSHOT_FILE, SNAPSHOT_VERSION};
+use faust_store::testutil;
+use faust_store::PersistentServer;
+use faust_types::ClientId;
+use faust_ustor::Server;
+use std::path::{Path, PathBuf};
+
+#[path = "fixtures/script.rs"]
+mod script;
+
+fn fixture_copy(label: &str) -> PathBuf {
+    let dir = testutil::scratch_dir(label);
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1");
+    for file in [WAL_FILE, SNAPSHOT_FILE] {
+        std::fs::copy(fixture.join(file), dir.join(file)).unwrap();
+    }
+    dir
+}
+
+fn framing(dir: &Path) -> Framing {
+    Wal::scan(&dir.join(WAL_FILE)).unwrap().header.framing
+}
+
+fn snapshot_version(dir: &Path) -> u32 {
+    let bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    u32::from_be_bytes(bytes[8..12].try_into().unwrap())
+}
+
+#[test]
+fn v1_store_recovers_identically_serves_and_rotates_into_v2() {
+    let old = fixture_copy("upgrade-v1");
+    let new = testutil::scratch_dir("upgrade-v2");
+    let (mut twin, mut clients) = script::run(&new);
+    assert_eq!((framing(&old), snapshot_version(&old)), (Framing::V1, 1));
+    assert_eq!(
+        (framing(&new), snapshot_version(&new)),
+        (Framing::V2, SNAPSHOT_VERSION)
+    );
+    // Same history, 24 bytes less per record and per snapshot header.
+    let len = |dir: &Path, file| std::fs::metadata(dir.join(file)).unwrap().len();
+    assert_eq!(
+        len(&old, WAL_FILE) - len(&new, WAL_FILE),
+        24 * script::WAL_RECORDS
+    );
+    assert_eq!(len(&old, SNAPSHOT_FILE) - len(&new, SNAPSHOT_FILE), 24);
+    assert_eq!(
+        read_snapshot(&old).unwrap(),
+        read_snapshot(&new).unwrap(),
+        "both snapshot versions decode to the same state"
+    );
+
+    let mut server = PersistentServer::recover(&old, script::N, script::config()).unwrap();
+    assert_eq!(server.server(), twin.server(), "identical ServerState");
+    assert_eq!(server.next_seq(), twin.next_seq());
+    assert_eq!(server.wal_records(), script::WAL_RECORDS);
+
+    // It keeps serving. The first record joins the v1 file in v1 framing…
+    let c0 = ClientId::new(0);
+    let submit = clients[0]
+        .begin_write(script::value(script::WRITES))
+        .unwrap();
+    let (_, reply) = server.on_submit(c0, submit.clone()).pop().unwrap();
+    assert_eq!(twin.on_submit(c0, submit).pop().unwrap().1, reply);
+    assert_eq!(framing(&old), Framing::V1);
+    assert_eq!(server.wal_records(), script::WAL_RECORDS + 1);
+    // …and the COMMIT reaches the snapshot threshold: both files are
+    // replaced, in the current format, by the ordinary rotation.
+    let (commit, _) = clients[0].handle_reply(reply).unwrap();
+    let commit = commit.expect("immediate mode");
+    server.on_commit(c0, commit.clone());
+    twin.on_commit(c0, commit);
+    assert!(server.wedge_error().is_none());
+    assert_eq!(server.wal_records(), 0, "rotated");
+    assert_eq!(
+        (framing(&old), snapshot_version(&old)),
+        (Framing::V2, SNAPSHOT_VERSION)
+    );
+    for file in [WAL_FILE, SNAPSHOT_FILE] {
+        assert_eq!(
+            std::fs::read(old.join(file)).unwrap(),
+            std::fs::read(new.join(file)).unwrap(),
+            "{file}: the upgraded store is byte-identical to one born v2"
+        );
+    }
+
+    // A client that never met the old incarnation reads the value
+    // written before the upgrade's rotation, through a fresh recovery.
+    let reference = server.server().clone();
+    drop(server);
+    let mut server = PersistentServer::recover(&old, script::N, script::config()).unwrap();
+    assert_eq!(*server.server(), reference);
+    let submit = clients[1].begin_read(c0).unwrap();
+    let (_, reply) = server.on_submit(ClientId::new(1), submit).pop().unwrap();
+    let (_, done) = clients[1].handle_reply(reply).expect("no violation");
+    assert_eq!(done.read_value, Some(Some(script::value(script::WRITES))));
+    std::fs::remove_dir_all(&old).ok();
+    std::fs::remove_dir_all(&new).ok();
+}

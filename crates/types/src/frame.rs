@@ -12,9 +12,11 @@
 //! * [`read_frame`] / [`write_frame`] — blocking `std::io` helpers for
 //!   threads that own a socket;
 //! * [`FrameDecoder`] — an incremental, `ReadBuf`-style decoder: feed it
-//!   arbitrary byte chunks as they arrive ([`FrameDecoder::extend`]) and
-//!   pull complete messages out ([`FrameDecoder::next_frame`]). Frames may
-//!   be split at any byte boundary across chunks.
+//!   arbitrary byte chunks as they arrive ([`FrameDecoder::extend`]), or
+//!   let it read a socket straight into its own buffer
+//!   ([`FrameDecoder::read_from`]), and pull complete messages out
+//!   ([`FrameDecoder::next_frame`]). Frames may be split at any byte
+//!   boundary across chunks.
 
 use crate::wire::{Wire, WireError};
 use std::io::{self, Read, Write};
@@ -140,10 +142,20 @@ pub fn read_frame<R: Read, T: Wire>(r: &mut R) -> Result<Option<T>, FrameError> 
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Initialised throughout: `start..end` is live, `end..` is spare
+    /// room a read can land in without anything being zero-filled first.
     buf: Vec<u8>,
-    /// Read cursor into `buf`; consumed bytes are compacted lazily.
+    /// Read cursor; consumed bytes are compacted lazily.
     start: usize,
+    /// End of the received bytes.
+    end: usize,
 }
+
+/// The least spare room [`FrameDecoder::read_from`] offers a read. The
+/// buffer doubles whenever less is left, so it tracks the data actually
+/// in flight and a connection that only ever sees small frames stays at
+/// this size.
+const MIN_READ_ROOM: usize = 4096;
 
 impl FrameDecoder {
     /// Creates an empty decoder.
@@ -151,20 +163,62 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Appends newly received bytes.
-    pub fn extend(&mut self, chunk: &[u8]) {
-        // Compact once the consumed prefix dominates, keeping the buffer
-        // bounded by the data actually in flight.
-        if self.start > 0 && self.start >= self.buf.len() / 2 {
-            self.buf.drain(..self.start);
+    /// Makes `end..` at least `room` bytes long: for free when nothing
+    /// is pending, by moving the live bytes to the front when that is
+    /// enough, by growing (at least doubling) otherwise.
+    fn make_room(&mut self, room: usize) {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.buf.len() - self.end >= room {
+            return;
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
-        self.buf.extend_from_slice(chunk);
+        if self.buf.len() - self.end < room {
+            let len = (self.end + room).max(self.buf.len() * 2);
+            self.buf.resize(len, 0);
+        }
+    }
+
+    /// Appends newly received bytes.
+    pub fn extend(&mut self, chunk: &[u8]) {
+        self.make_room(chunk.len());
+        self.buf[self.end..self.end + chunk.len()].copy_from_slice(chunk);
+        self.end += chunk.len();
+    }
+
+    /// Reads once from `r` straight into the decoder's spare room — no
+    /// bounce buffer, no second copy — offering it at most `limit` bytes.
+    /// Returns how many arrived (`0` is end of stream) and whether they
+    /// filled the room offered; a read that did not is a short read: the
+    /// source had nothing more to give just now.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `r.read` returns, `WouldBlock` and `Interrupted`
+    /// included; the decoder is unchanged then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `limit` is zero (the result could not be told from end
+    /// of stream).
+    pub fn read_from<R: Read>(&mut self, r: &mut R, limit: usize) -> io::Result<(usize, bool)> {
+        assert!(limit > 0, "a zero-byte read is indistinguishable from EOF");
+        self.make_room(MIN_READ_ROOM);
+        let room = (self.buf.len() - self.end).min(limit);
+        let n = r.read(&mut self.buf[self.end..self.end + room])?;
+        self.end += n;
+        Ok((n, n == room))
     }
 
     /// Number of buffered, not-yet-consumed bytes.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Attempts to decode the next complete frame.
@@ -178,7 +232,7 @@ impl FrameDecoder {
     /// that the stream position is undefined, so callers should drop the
     /// connection (exactly what the transports do).
     pub fn next_frame<T: Wire>(&mut self) -> Result<Option<T>, FrameError> {
-        let avail = &self.buf[self.start..];
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }
@@ -259,6 +313,85 @@ mod tests {
         }
         assert_eq!(dec.next_frame::<u64>().unwrap(), None);
         assert_eq!(dec.pending_bytes(), 0);
+    }
+
+    /// A socket stand-in: hands out `stream` at most `burst` bytes per
+    /// `read`, then reports `WouldBlock` once before the next burst.
+    struct Bursty<'a> {
+        stream: &'a [u8],
+        burst: usize,
+        left_in_burst: usize,
+    }
+
+    impl Read for Bursty<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.left_in_burst == 0 && !self.stream.is_empty() {
+                self.left_in_burst = self.burst;
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.left_in_burst).min(self.stream.len());
+            buf[..n].copy_from_slice(&self.stream[..n]);
+            self.stream = &self.stream[n..];
+            self.left_in_burst -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_from_lands_bytes_in_place_and_tells_short_reads_from_full_ones() {
+        // 40 frames of 1 000 bytes: frames straddle every burst and the
+        // buffer has to grow past its first 4 KiB while bytes are pending.
+        let frames: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 1000]).collect();
+        let stream: Vec<u8> = frames.iter().flat_map(frame_bytes).collect();
+        for burst in [1, 7, 1004, 4096, 5000, 70_000] {
+            let mut socket = Bursty {
+                stream: &stream,
+                burst,
+                left_in_burst: burst,
+            };
+            let mut dec = FrameDecoder::new();
+            let mut got: Vec<Vec<u8>> = Vec::new();
+            let mut arrived = 0;
+            loop {
+                let before = dec.pending_bytes();
+                match dec.read_from(&mut socket, 64 * 1024) {
+                    Ok((0, _)) => break,
+                    Ok((n, filled)) => {
+                        arrived += n;
+                        assert_eq!(dec.pending_bytes(), before + n);
+                        // Only a read that filled its room may have left
+                        // bytes behind in this burst.
+                        assert!(filled || socket.left_in_burst == 0 || socket.stream.is_empty());
+                        while let Some(frame) = dec.next_frame::<Vec<u8>>().unwrap() {
+                            got.push(frame);
+                        }
+                    }
+                    Err(e) => {
+                        assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+                        assert_eq!(dec.pending_bytes(), before, "an error moves nothing");
+                    }
+                }
+            }
+            assert_eq!(arrived, stream.len());
+            assert_eq!(got, frames, "burst {burst}");
+            assert_eq!(dec.pending_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn read_from_honours_its_limit_and_extend_shares_the_buffer() {
+        let stream = [frame_bytes(&1u64), frame_bytes(&2u64)].concat();
+        let mut dec = FrameDecoder::new();
+        // The first frame arrives by `extend`, the second by two reads
+        // capped at 5 bytes and then uncapped.
+        dec.extend(&stream[..12]);
+        let mut rest = &stream[12..];
+        assert_eq!(dec.read_from(&mut rest, 5).unwrap(), (5, true));
+        assert_eq!(dec.next_frame::<u64>().unwrap(), Some(1));
+        assert_eq!(dec.next_frame::<u64>().unwrap(), None);
+        assert_eq!(dec.read_from(&mut rest, 1 << 20).unwrap(), (7, false));
+        assert_eq!(dec.next_frame::<u64>().unwrap(), Some(2));
+        assert_eq!(dec.read_from(&mut rest, 1 << 20).unwrap().0, 0, "EOF");
     }
 
     #[test]

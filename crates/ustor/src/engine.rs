@@ -59,7 +59,7 @@ use faust_crypto::sig::{SigContext, Verifier, VerifyItem};
 use faust_crypto::Digest;
 use faust_net::{Incoming, ServerTransport};
 use faust_types::op::{data_signing_bytes, submit_signing_bytes};
-use faust_types::{ClientId, OpKind, ReplyMsg, SubmitMsg, Timestamp, UstorMsg};
+use faust_types::{ClientId, OpKind, ReplyMsg, SubmitMsg, Timestamp, UstorMsg, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -111,9 +111,13 @@ pub struct Session {
     /// server can reconstruct it); `None` before the first write.
     ///
     /// Maintained only under ingress verification, its one reader: with
-    /// [`IngressVerification::Off`] no write is hashed and this keeps
-    /// whatever recovery seeded it with.
+    /// [`IngressVerification::Off`] no value is hashed — not a write's,
+    /// not the one recovery handed over — and this stays `None`.
     pub last_value_hash: Option<Digest>,
+    /// The last written value as recovery found it, until
+    /// [`ServerEngine::with_verification`] turns it into
+    /// `last_value_hash` or the client's next write supersedes it.
+    resumed_value: Option<Value>,
     /// Resent SUBMITs recognised as duplicates (answered from the reply
     /// cache, never re-run through the protocol server).
     pub duplicates: u64,
@@ -225,7 +229,7 @@ impl ServerEngine {
         let mut sessions = vec![Session::default(); n];
         for (session, resume) in sessions.iter_mut().zip(server.resume_sessions()) {
             session.last_timestamp = resume.last_timestamp;
-            session.last_value_hash = resume.last_value_hash;
+            session.resumed_value = resume.last_value;
             session.replies = resume
                 .replies
                 .into_iter()
@@ -262,8 +266,17 @@ impl ServerEngine {
 
     /// Sets the ingress-verification policy (builder style), before the
     /// first [`ServerEngine::enqueue`]: a write queued earlier carries no
-    /// value hash and is rejected.
+    /// value hash and is rejected. Switching verification on is also
+    /// where the values recovery handed over are hashed — a recovered
+    /// server that never verifies never pays for that.
     pub fn with_verification(mut self, verification: IngressVerification) -> Self {
+        if !matches!(verification, IngressVerification::Off) {
+            for session in &mut self.sessions {
+                if let Some(value) = session.resumed_value.take() {
+                    session.last_value_hash = Some(sha256(value.as_bytes()));
+                }
+            }
+        }
         self.verification = verification;
         self
     }
@@ -630,9 +643,11 @@ impl ServerEngine {
                     session.submits += 1;
                     session.last_timestamp = submit.timestamp;
                     session.awaiting_reply.push_back(submit.timestamp);
-                    let verifying = !matches!(self.verification, IngressVerification::Off);
-                    if verifying && submit.tuple.kind == OpKind::Write {
-                        session.last_value_hash = xbar;
+                    if submit.tuple.kind == OpKind::Write {
+                        session.resumed_value = None;
+                        if !matches!(self.verification, IngressVerification::Off) {
+                            session.last_value_hash = xbar;
+                        }
                     }
                     if submit.piggyback.is_some() {
                         session.commits += 1;
@@ -1202,6 +1217,37 @@ mod tests {
     }
 
     #[test]
+    fn a_resumed_value_is_hashed_only_where_verification_is_switched_on() {
+        let keys = KeySet::generate(2, b"engine-tests");
+        let recovered = || {
+            Box::new(Recovered {
+                inner: UstorServer::new(2),
+                resume: vec![
+                    SessionResume {
+                        last_timestamp: 1,
+                        last_value: Some(Value::from("durable")),
+                        replies: Vec::new(),
+                    },
+                    SessionResume::default(),
+                ],
+            })
+        };
+        let c0 = ClientId::new(0);
+        let engine = ServerEngine::new(2, recovered());
+        assert_eq!(engine.session(c0).last_value_hash, None);
+        let engine = engine.with_verification(IngressVerification::Off);
+        assert_eq!(engine.session(c0).last_value_hash, None);
+        for batched in [false, true] {
+            let engine = ServerEngine::new(2, recovered()).with_verification(mode(batched, &keys));
+            assert_eq!(
+                engine.session(c0).last_value_hash,
+                Some(sha256(Value::from("durable").as_bytes()))
+            );
+            assert_eq!(engine.session(ClientId::new(1)).last_value_hash, None);
+        }
+    }
+
+    #[test]
     fn modes_agree_verdict_for_verdict_after_resume_sessions() {
         // A restarted server: client 0 wrote "durable" (ts 1) and its read
         // (ts 2) was applied but never acknowledged. The new engine starts
@@ -1229,7 +1275,7 @@ mod tests {
             let resume = vec![
                 SessionResume {
                     last_timestamp: 2,
-                    last_value_hash: Some(sha256(Value::from("durable").as_bytes())),
+                    last_value: Some(Value::from("durable")),
                     replies: vec![(1, reply_w1), (2, reply_r2.clone())],
                 },
                 SessionResume::default(),

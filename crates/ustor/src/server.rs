@@ -83,8 +83,10 @@ pub trait Server {
 pub struct SessionResume {
     /// Timestamp of the client's last durably applied SUBMIT (0 if none).
     pub last_timestamp: Timestamp,
-    /// Hash of the client's last written value, if any.
-    pub last_value_hash: Option<faust_crypto::Digest>,
+    /// The client's last written value, if any — a shared reference to
+    /// `MEM[i]`'s, not a copy. The engine hashes it only if ingress
+    /// verification is switched on, which is the one reader of that hash.
+    pub last_value: Option<Value>,
     /// Replies re-derived during recovery, oldest first, each tagged with
     /// the timestamp of the SUBMIT it answered — the duplicate-replay
     /// cache. Recovery can only rebuild replies for records replayed from
