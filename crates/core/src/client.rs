@@ -583,6 +583,8 @@ impl FaustClient {
     /// Installs a version received from client `j`, running the
     /// comparability check and refreshing the stability cut: one
     /// comparison against the current maximum, one against `VER_i[j]`.
+    /// That second one needs the full `VER_i[j]`: after a join a summary
+    /// such as `Σ V` misorders versions (`docs/trust-model.md`).
     fn install_version(&mut self, j: usize, version: Version, now: u64, actions: &mut Actions) {
         let against_max = version.compare(&self.ver[self.max_idx]);
         if against_max == VersionCmp::Incomparable {

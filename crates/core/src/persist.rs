@@ -86,7 +86,7 @@ mod tests {
     use faust_crypto::sig::KeySet;
     use faust_store::testutil::scratch_dir;
     use faust_types::{ClientId, UstorMsg, Value};
-    use faust_ustor::{Fault, Server, UstorServer};
+    use faust_ustor::{Fault, Server, ServerEngine, UstorServer};
 
     fn keys(n: usize) -> KeySet {
         KeySet::generate(n, b"persist-tests")
@@ -216,6 +216,81 @@ mod tests {
                 }
             )),
             "violation event delivered: {events:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// [`pump`] through a real [`ServerEngine`] — the duplicate-reply
+    /// cache included — instead of a bare server.
+    fn pump_engine(
+        engine: &mut ServerEngine,
+        core: &mut SessionCore,
+        msgs: Vec<UstorMsg>,
+        now: u64,
+    ) {
+        let mut queue = msgs;
+        while !queue.is_empty() {
+            for msg in queue.drain(..) {
+                engine.enqueue(core.id(), msg);
+            }
+            engine.process_all();
+            while let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() {
+                queue.extend(core.handle_reply(reply, now).to_server);
+            }
+        }
+    }
+
+    #[test]
+    fn resending_a_committed_operation_through_the_engine_flags_stale_client_state() {
+        let dir = scratch_dir("persist-stale-engine");
+        let path = dir.join("c0.session");
+        let keys = keys(2);
+        let mut engine = ServerEngine::new(2, Box::new(UstorServer::new(2)));
+        let mut core = fresh_core(&keys, 0, 2);
+        let c0 = core.id();
+
+        // Saved with op 2 in flight...
+        let (_, out) = core.submit(UserOp::Write(Value::from("first")), 1);
+        pump_engine(&mut engine, &mut core, out.to_server, 1);
+        let (_, out) = core.submit(UserOp::Write(Value::from("second")), 2);
+        assert!(checkpoint_session(&path, &core, 2).unwrap());
+        // ...which then completes and commits, and so does op 3: the
+        // engine keeps only op 3's reply.
+        pump_engine(&mut engine, &mut core, out.to_server, 2);
+        let (_, out) = core.submit(UserOp::Write(Value::from("third")), 3);
+        pump_engine(&mut engine, &mut core, out.to_server, 3);
+        assert!(core.failure().is_none());
+        assert_eq!(
+            engine
+                .session(c0)
+                .replies()
+                .timestamps()
+                .collect::<Vec<_>>(),
+            [3]
+        );
+        drop(core);
+
+        // The rolled-back session resends op 2. The cache no longer holds
+        // its reply, so the engine answers with the newest one — frontier
+        // evidence the restored client cannot validate.
+        let state = load_session(&path).unwrap().expect("file exists");
+        let (mut core, clock) =
+            SessionCore::from_state(keys.keypair(0).unwrap().clone(), keys.registry(), state);
+        let resend = core.resend_messages();
+        pump_engine(&mut engine, &mut core, resend, clock + 1);
+        assert_eq!(engine.stats().duplicates, 1);
+        assert_eq!(
+            engine.stats().submits,
+            3,
+            "the resend never reached the server"
+        );
+        assert!(
+            matches!(
+                core.failure(),
+                Some(FailReason::Ustor(Fault::StaleClientState))
+            ),
+            "expected StaleClientState, got {:?}",
+            core.failure()
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -83,6 +83,16 @@ impl LogRecord {
         }
     }
 
+    /// The COMMIT this record carries, standalone or piggybacked on a
+    /// SUBMIT — what recovery prunes the sender's duplicate cache by.
+    pub fn commit(&self) -> Option<&CommitMsg> {
+        match self {
+            LogRecord::Submit { msg, .. } => msg.piggyback.as_ref(),
+            LogRecord::Commit { msg, .. } => Some(msg),
+            LogRecord::Routed { inner, .. } => inner.commit(),
+        }
+    }
+
     /// The global sequence number, for [`LogRecord::Routed`] records.
     pub fn global_seq(&self) -> Option<u64> {
         match self {

@@ -17,41 +17,42 @@ use crate::codec::LogRecord;
 use crate::log::Wal;
 use crate::snapshot::{read_snapshot, write_snapshot, Snapshot};
 use crate::StoreError;
-use faust_types::{ClientId, CommitMsg, ReplyMsg, SubmitMsg, Timestamp};
-use faust_ustor::{Server, ServerBackend, SessionResume, UstorServer};
-use std::collections::VecDeque;
+use faust_types::{ClientId, CommitMsg, ReplyMsg, SubmitMsg};
+use faust_ustor::{ReplyCache, Server, ServerBackend, SessionResume, UstorServer};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How many rebuilt replies recovery retains per client for the
-/// engine's duplicate-replay cache. Must cover the deepest SUBMIT
-/// pipeline a client can have in flight; matches the engine's own
-/// per-session cache depth.
-pub(crate) const RESUME_REPLIES_CAP: usize = 32;
-
-/// Replays one log record against `server` while capturing the replies
-/// it regenerates into per-client `rings` (bounded, oldest evicted),
-/// each tagged with the SUBMIT timestamp it answers. The server is
-/// deterministic, so the rebuilt reply is byte-identical to the one the
-/// pre-crash server sent — exactly what a restarted engine must re-issue
-/// when the client resends that SUBMIT.
+/// Replays one log record against `server` while rebuilding the
+/// sender's duplicate-reply cache in `caches`: a COMMIT (standalone or
+/// piggybacked) acknowledges replies, a SUBMIT's regenerated reply is
+/// pushed, tagged with the SUBMIT's timestamp — the live engine's rule
+/// ([`ReplyCache`]), so the rebuilt cache holds what the live one held.
+/// The server is deterministic, so the rebuilt reply is byte-identical
+/// to the one the pre-crash server sent — exactly what a restarted
+/// engine must re-issue when the client resends that SUBMIT.
 pub(crate) fn replay_capturing(
     record: LogRecord,
     server: &mut dyn Server,
-    rings: &mut [VecDeque<(Timestamp, ReplyMsg)>],
+    caches: &mut [ReplyCache],
 ) {
     let from = record.from();
     let ts = record.submit_timestamp();
-    for (to, reply) in record.apply(server) {
-        let Some(ts) = ts else { break };
-        if to == from {
-            let ring = &mut rings[to.index()];
-            if ring.len() == RESUME_REPLIES_CAP {
-                ring.pop_front();
-            }
-            ring.push_back((ts, reply));
+    let acknowledged = record
+        .commit()
+        .map(|commit| ReplyCache::acknowledged(from, commit));
+    let replies = record.apply(server);
+    let Some(cache) = caches.get_mut(from.index()) else {
+        return;
+    };
+    if let Some(t) = acknowledged {
+        cache.committed(t);
+    }
+    if let Some(ts) = ts {
+        for (_, reply) in replies.into_iter().filter(|(to, _)| *to == from) {
+            cache.push(ts, Cow::Owned(reply));
         }
     }
 }
@@ -60,20 +61,17 @@ pub(crate) fn replay_capturing(
 /// hands the engine: the last submitted timestamp and last written value
 /// come from `MEM` (covering even snapshot-absorbed history; the value is
 /// shared, not copied, and not hashed here), the replayable replies from
-/// the post-snapshot log window in `rings`.
-pub(crate) fn session_resume(
-    server: &UstorServer,
-    rings: Vec<VecDeque<(Timestamp, ReplyMsg)>>,
-) -> Vec<SessionResume> {
-    rings
+/// the post-snapshot log window in `caches`.
+pub(crate) fn session_resume(server: &UstorServer, caches: Vec<ReplyCache>) -> Vec<SessionResume> {
+    caches
         .into_iter()
         .enumerate()
-        .map(|(i, ring)| {
+        .map(|(i, cache)| {
             let entry = server.mem(ClientId::new(i as u32));
             SessionResume {
                 last_timestamp: entry.timestamp,
                 last_value: entry.value.clone(),
-                replies: ring.into_iter().collect(),
+                replies: cache.into_iter().collect(),
             }
         })
         .collect()
@@ -334,7 +332,7 @@ impl PersistentServer {
             }
             None => (UstorServer::new(n), 0),
         };
-        let mut rings = vec![VecDeque::new(); n];
+        let mut caches = vec![ReplyCache::default(); n];
         for scanned in contents.records {
             // Records below `applied_seq` were verified by the scan but
             // are already reflected in the snapshot.
@@ -342,11 +340,11 @@ impl PersistentServer {
                 // Replay rebuilds state *and* recaptures the replies of
                 // the post-snapshot window — the duplicate cache a
                 // resumed engine answers resent SUBMITs from.
-                replay_capturing(scanned.record, &mut inner, &mut rings);
+                replay_capturing(scanned.record, &mut inner, &mut caches);
                 applied_seq = scanned.seq + 1;
             }
         }
-        let resume = session_resume(&inner, rings);
+        let resume = session_resume(&inner, caches);
         Ok(PersistentServer {
             dir: dir.to_path_buf(),
             config,

@@ -54,8 +54,9 @@ use crate::server::{replay_capturing, session_resume, Durability, StoreConfig};
 use crate::snapshot::{read_snapshot, write_snapshot, Snapshot};
 use crate::StoreError;
 use faust_types::{ClientId, CommitMsg, ReplyMsg, SubmitMsg};
-use faust_ustor::{Server, ServerBackend, SessionResume, ShardMember, ShardedServer, UstorServer};
-use std::collections::VecDeque;
+use faust_ustor::{
+    ReplyCache, Server, ServerBackend, SessionResume, ShardMember, ShardedServer, UstorServer,
+};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -432,7 +433,7 @@ fn recover_shards(dir: &Path, shards: usize, n: usize) -> Result<RecoveredShards
         .collect();
     merged.sort_by_key(|(global, _)| *global);
     let mut expected = base;
-    let mut rings = vec![VecDeque::new(); n];
+    let mut caches = vec![ReplyCache::default(); n];
     for (global, record) in merged {
         if *global < expected {
             return Err(StoreError::DuplicateRecord {
@@ -448,10 +449,10 @@ fn recover_shards(dir: &Path, shards: usize, n: usize) -> Result<RecoveredShards
         }
         // Replay in global order, recapturing the replies of the
         // post-snapshot window for the engine's duplicate cache.
-        replay_capturing(record.clone(), &mut state, &mut rings);
+        replay_capturing(record.clone(), &mut state, &mut caches);
         expected += 1;
     }
-    let resume = session_resume(&state, rings);
+    let resume = session_resume(&state, caches);
     Ok(RecoveredShards {
         state,
         global_next: expected,

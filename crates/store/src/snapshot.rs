@@ -134,8 +134,9 @@ pub fn write_snapshot(dir: &Path, snapshot: &Snapshot, sync: bool) -> Result<(),
 /// # Errors
 ///
 /// Structured [`StoreError`]s for a bad magic, unknown version,
-/// truncated header or payload, checksum mismatch, or undecodable state
-/// — a corrupt snapshot is never partially loaded.
+/// truncated header or payload, bytes after the payload, checksum
+/// mismatch, or undecodable state — a corrupt snapshot is never
+/// partially loaded.
 pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     let path = dir.join(SNAPSHOT_FILE);
     let mut bytes = Vec::new();
@@ -169,6 +170,11 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
             faust_types::WireError::Truncated,
         ));
     };
+    if bytes.len() > header + payload_len {
+        return Err(StoreError::SnapshotCorrupt(
+            faust_types::WireError::TrailingBytes(bytes.len() - header - payload_len),
+        ));
+    }
     if !checksum.matches(payload, stored) {
         return Err(StoreError::SnapshotChecksum);
     }
@@ -309,6 +315,29 @@ mod tests {
                 version: 5
             }
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bytes_after_the_payload_are_rejected_in_every_layout() {
+        let dir = scratch_dir("snap-trailing");
+        let path = dir.join(SNAPSHOT_FILE);
+        for (global_next_seq, version) in [(None, 1), (Some(977), 2), (None, 3), (Some(977), 4)] {
+            let snap = Snapshot {
+                global_next_seq,
+                ..snapshot(3, 42)
+            };
+            let mut bytes = file_bytes(&snap, version);
+            bytes.push(0);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(
+                    read_snapshot(&dir).unwrap_err(),
+                    StoreError::SnapshotCorrupt(faust_types::WireError::TrailingBytes(1))
+                ),
+                "version {version}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,8 +5,8 @@
 use faust_store::snapshot::{write_snapshot, Snapshot};
 use faust_store::testutil::{self, clients, run_op};
 use faust_store::{Durability, PersistentServer, StoreConfig, StoreError};
-use faust_types::{ClientId, Value};
-use faust_ustor::{Server, UstorClient, UstorServer};
+use faust_types::{ClientId, Timestamp, UstorMsg, Value};
+use faust_ustor::{CommitMode, Server, ServerEngine, UstorClient, UstorServer};
 
 fn c(i: u32) -> ClientId {
     ClientId::new(i)
@@ -363,5 +363,99 @@ fn log_starting_after_snapshot_coverage_is_a_gap() {
             base_seq: 10
         }
     ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Processes rounds until the engine has nothing left to send, handing
+/// every reply to its client (except the discarded ones) and every
+/// resulting COMMIT back to the engine.
+fn pump(engine: &mut ServerEngine, cs: &mut [UstorClient], discard: ClientId) {
+    loop {
+        engine.process_all();
+        let mut replied = false;
+        while let Some((to, msg)) = engine.poll_output() {
+            let UstorMsg::Reply(reply) = msg else {
+                continue;
+            };
+            replied = true;
+            if to == discard {
+                continue;
+            }
+            let (commit, _) = cs[to.index()].handle_reply(reply).expect("correct server");
+            if let Some(commit) = commit {
+                engine.enqueue(to, UstorMsg::Commit(commit));
+            }
+        }
+        if !replied {
+            return;
+        }
+    }
+}
+
+fn cached(engine: &ServerEngine, i: u32) -> Vec<Timestamp> {
+    engine.session(c(i)).replies().timestamps().collect()
+}
+
+#[test]
+fn recovery_rebuilds_exactly_the_reply_caches_the_live_engine_held() {
+    // Three shapes of duplicate cache at crash time, all through a real
+    // engine: C0 commits each op (one reply, its last ack lost), C1
+    // piggybacks over a window of 4 (its last window unacknowledged), C2
+    // never commits (the cap).
+    let dir = testutil::scratch_dir("recovery-reply-cache");
+    let n = 3;
+    let config = StoreConfig {
+        durability: Durability::Never,
+        snapshot_every: 0,
+    };
+    let server = PersistentServer::open(&dir, n, config.clone()).unwrap();
+    let mut engine = ServerEngine::new(n, Box::new(server));
+    let mut cs = clients(n, b"recovery-reply-cache");
+    for client in &mut cs[1..] {
+        client.set_commit_mode(CommitMode::Piggyback);
+    }
+    for client in &mut cs {
+        client.set_pipeline(64);
+    }
+    for round in 0..10u64 {
+        let submit = cs[0].begin_write(Value::unique(0, round)).unwrap();
+        engine.enqueue(c(0), UstorMsg::Submit(submit));
+        while cs[1].in_flight() < 4 {
+            let submit = cs[1].begin_read(c(0)).unwrap();
+            engine.enqueue(c(1), UstorMsg::Submit(submit));
+        }
+        for k in 0..4 {
+            let submit = cs[2].begin_write(Value::unique(2, 4 * round + k)).unwrap();
+            engine.enqueue(c(2), UstorMsg::Submit(submit));
+        }
+        pump(&mut engine, &mut cs, c(2));
+    }
+    // C0's next ack dies with the connection.
+    let submit = cs[0].begin_read(c(1)).unwrap();
+    engine.enqueue(c(0), UstorMsg::Submit(submit));
+    engine.process_all();
+    while engine.poll_output().is_some() {}
+
+    let live: Vec<Vec<Timestamp>> = (0..3).map(|i| cached(&engine, i)).collect();
+    assert_eq!(live[0], [11]);
+    assert_eq!(live[1], [37, 38, 39, 40]);
+    assert_eq!(live[2], (9..=40).collect::<Vec<_>>());
+    drop(engine); // the crash
+
+    let mut recovered = PersistentServer::recover(&dir, n, config.clone()).unwrap();
+    let rebuilt: Vec<Vec<Timestamp>> = recovered
+        .resume_sessions()
+        .iter()
+        .map(|resume| resume.replies.iter().map(|(ts, _)| *ts).collect())
+        .collect();
+    assert_eq!(rebuilt, live);
+    let restarted = ServerEngine::new(
+        n,
+        Box::new(PersistentServer::recover(&dir, n, config).unwrap()),
+    );
+    assert_eq!(
+        (0..3).map(|i| cached(&restarted, i)).collect::<Vec<_>>(),
+        live
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -18,7 +18,8 @@
 //! # Sessions
 //!
 //! The engine keeps one [`Session`] per client: message counters, the last
-//! submitted timestamp, and the hash of the client's last written value.
+//! submitted timestamp, the hash of the client's last written value, and
+//! the replies a resent SUBMIT may still ask for ([`ReplyCache`]).
 //! Sessions are what make ingress verification possible — the DATA
 //! signature covers the hash of the *previous* write, which the session
 //! tracks — and give operators per-client visibility.
@@ -53,6 +54,7 @@
 //! demonstrates the forgery), so HMAC-backed ingress verification is a
 //! benchmarking/closed-deployment device only.
 
+use crate::reply_cache::ReplyCache;
 use crate::server::Server;
 use faust_crypto::sha256::sha256;
 use faust_crypto::sig::{SigContext, Verifier, VerifyItem};
@@ -60,13 +62,9 @@ use faust_crypto::Digest;
 use faust_net::{Incoming, ServerTransport};
 use faust_types::op::{data_signing_bytes, submit_signing_bytes};
 use faust_types::{ClientId, OpKind, ReplyMsg, SubmitMsg, Timestamp, UstorMsg, Value};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Per-session cap on cached `(timestamp, reply)` pairs kept for
-/// duplicate-SUBMIT replay. Must exceed any client's pipeline depth so a
-/// whole resend window after a reconnect hits the cache exactly.
-const REPLY_CACHE_CAP: usize = 32;
 
 /// A shared, thread-safe signature verifier for ingress checks.
 pub type SharedVerifier = Arc<dyn Verifier + Send + Sync>;
@@ -126,12 +124,19 @@ pub struct Session {
     /// client, which is what lets the engine tag each released reply
     /// with the timestamp it answered.
     awaiting_reply: VecDeque<Timestamp>,
-    /// Released replies, oldest first, tagged with the SUBMIT timestamp
-    /// each answered — the duplicate-replay cache (bounded by
-    /// [`REPLY_CACHE_CAP`]). A cached reply was already released once,
-    /// so re-issuing it bypasses group-commit holds safely: its record
-    /// is durable.
-    replies: VecDeque<(Timestamp, ReplyMsg)>,
+    /// The duplicate-replay cache: it answers a resend with the reply
+    /// of an operation this client has not committed, or else with the
+    /// newest reply ([`ReplyCache`] has the rule). A cached reply was
+    /// already released once, so re-issuing it bypasses group-commit
+    /// holds safely: its record is durable.
+    replies: ReplyCache,
+}
+
+impl Session {
+    /// The duplicate-replay cache (see the field docs).
+    pub fn replies(&self) -> &ReplyCache {
+        &self.replies
+    }
 }
 
 /// Aggregate engine counters.
@@ -230,13 +235,7 @@ impl ServerEngine {
         for (session, resume) in sessions.iter_mut().zip(server.resume_sessions()) {
             session.last_timestamp = resume.last_timestamp;
             session.resumed_value = resume.last_value;
-            session.replies = resume
-                .replies
-                .into_iter()
-                .rev()
-                .take(REPLY_CACHE_CAP)
-                .rev()
-                .collect();
+            session.replies = resume.replies.into_iter().collect();
         }
         ServerEngine {
             n,
@@ -390,10 +389,7 @@ impl ServerEngine {
     fn release_reply(&mut self, to: ClientId, reply: ReplyMsg) {
         if let Some(session) = self.sessions.get_mut(to.index()) {
             if let Some(ts) = session.awaiting_reply.pop_front() {
-                if session.replies.len() >= REPLY_CACHE_CAP {
-                    session.replies.pop_front();
-                }
-                session.replies.push_back((ts, reply.clone()));
+                session.replies.push(ts, Cow::Borrowed(&reply));
             }
         }
         self.outbox.push_back((to, UstorMsg::Reply(reply)));
@@ -618,22 +614,17 @@ impl ServerEngine {
                 // from the cache. A cached reply was already released
                 // once — under group commit that means its record is
                 // durable — so immediate release is safe. With no exact
-                // cache hit (a client resuming from state far older than
-                // the cache) the *newest* cached reply is sent as
-                // frontier evidence: its content cannot validate against
-                // the stale op, which surfaces as `StaleClientState` at
-                // the client instead of a silent hang.
+                // cache hit (a client resending an operation it already
+                // committed, i.e. resuming from stale state) the *newest*
+                // cached reply is sent as frontier evidence: its content
+                // cannot validate against the stale op, which surfaces as
+                // `StaleClientState` at the client instead of a silent
+                // hang.
                 if let Some(session) = self.sessions.get_mut(from.index()) {
                     if session.last_timestamp > 0 && submit.timestamp <= session.last_timestamp {
                         session.duplicates += 1;
                         self.stats.duplicates += 1;
-                        let cached = session
-                            .replies
-                            .iter()
-                            .find(|(ts, _)| *ts == submit.timestamp)
-                            .or_else(|| session.replies.back())
-                            .map(|(_, reply)| reply.clone());
-                        if let Some(reply) = cached {
+                        if let Some(reply) = session.replies.lookup(submit.timestamp).cloned() {
                             self.outbox.push_back((from, UstorMsg::Reply(reply)));
                         }
                         return;
@@ -649,8 +640,11 @@ impl ServerEngine {
                             session.last_value_hash = xbar;
                         }
                     }
-                    if submit.piggyback.is_some() {
+                    if let Some(commit) = &submit.piggyback {
                         session.commits += 1;
+                        session
+                            .replies
+                            .committed(ReplyCache::acknowledged(from, commit));
                     }
                 }
                 self.stats.submits += 1;
@@ -661,6 +655,9 @@ impl ServerEngine {
             UstorMsg::Commit(commit) => {
                 if let Some(session) = self.sessions.get_mut(from.index()) {
                     session.commits += 1;
+                    session
+                        .replies
+                        .committed(ReplyCache::acknowledged(from, &commit));
                 }
                 self.stats.commits += 1;
                 for (rcpt, reply) in self.server.on_commit(from, commit) {
@@ -1100,6 +1097,75 @@ mod tests {
         // The duplicate never reached the protocol server: only the two
         // genuine submits were forwarded.
         assert_eq!(engine.stats().submits, 2);
+    }
+
+    fn cached(engine: &ServerEngine, client: ClientId) -> Vec<Timestamp> {
+        engine.session(client).replies().timestamps().collect()
+    }
+
+    #[test]
+    fn lockstep_commits_leave_exactly_one_cached_reply() {
+        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let c0 = ClientId::new(0);
+        for k in 0..40u64 {
+            let submit = if k % 2 == 0 {
+                clients[0].begin_write(Value::unique(0, k)).unwrap()
+            } else {
+                clients[0].begin_read(ClientId::new(1)).unwrap()
+            };
+            run_op(&mut engine, &mut clients[0], submit);
+            assert_eq!(cached(&engine, c0), [k + 1], "after COMMIT {}", k + 1);
+        }
+    }
+
+    #[test]
+    fn piggybacked_commits_bound_the_cache_at_depth_plus_one() {
+        for depth in [1usize, 4, 16] {
+            let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+            let client = &mut clients[0];
+            client.set_commit_mode(crate::client::CommitMode::Piggyback);
+            client.set_pipeline(depth);
+            let c0 = client.id();
+            let mut largest = 0;
+            for k in 0..(4 * depth as u64 + 8) {
+                // Refill the window (the first SUBMIT carries the COMMIT
+                // of the newest completion), then answer it in one round.
+                while !client.is_busy() {
+                    let submit = client.begin_write(Value::unique(0, k)).unwrap();
+                    engine.enqueue(c0, UstorMsg::Submit(submit));
+                }
+                engine.process_all();
+                while let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() {
+                    assert!(client.handle_reply(reply).unwrap().0.is_none());
+                    largest = largest.max(engine.session(c0).replies().len());
+                }
+                assert!(largest <= depth + 1, "depth {depth}: {largest} cached");
+            }
+            assert_eq!(largest, depth, "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn a_client_that_never_commits_stays_at_the_cap() {
+        use crate::reply_cache::REPLY_CACHE_CAP;
+        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let client = &mut clients[0];
+        let c0 = client.id();
+        let ops = REPLY_CACHE_CAP as Timestamp + 8;
+        // A deep window whose piggybacked commits are never sent: every
+        // reply stays unacknowledged.
+        client.set_commit_mode(crate::client::CommitMode::Piggyback);
+        client.set_pipeline(ops as usize);
+        for k in 0..ops {
+            let submit = client.begin_write(Value::unique(0, k)).unwrap();
+            engine.enqueue(c0, UstorMsg::Submit(submit));
+        }
+        engine.process_all();
+        while let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() {
+            client.handle_reply(reply).expect("correct server");
+        }
+        let expect: Vec<Timestamp> = (ops - REPLY_CACHE_CAP as Timestamp + 1..=ops).collect();
+        assert_eq!(cached(&engine, c0), expect);
     }
 
     #[test]

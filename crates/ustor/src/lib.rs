@@ -54,6 +54,7 @@ pub mod client;
 pub mod driver;
 pub mod engine;
 pub mod fault;
+pub mod reply_cache;
 pub mod server;
 pub mod shard;
 
@@ -63,6 +64,7 @@ pub use client::{
 pub use driver::{random_workloads, Driver, RunResult, WorkloadOp};
 pub use engine::{serve, EngineStats, IngressVerification, ServerEngine, Session, SharedVerifier};
 pub use fault::{CrashRestartServer, Fault, RestartHook};
+pub use reply_cache::ReplyCache;
 pub use server::{
     MemEntry, MemoryBackend, Server, ServerBackend, ServerState, SessionResume, UstorServer,
 };

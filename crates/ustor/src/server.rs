@@ -89,9 +89,11 @@ pub struct SessionResume {
     pub last_value: Option<Value>,
     /// Replies re-derived during recovery, oldest first, each tagged with
     /// the timestamp of the SUBMIT it answered — the duplicate-replay
-    /// cache. Recovery can only rebuild replies for records replayed from
-    /// the log (post-snapshot), which covers every reply a client could
-    /// still be waiting on.
+    /// cache, rebuilt from the logged SUBMITs and COMMITs under the live
+    /// engine's rule ([`ReplyCache`](crate::ReplyCache)). Recovery can
+    /// only rebuild replies for records replayed from the log
+    /// (post-snapshot), which covers every reply a client could still be
+    /// waiting on.
     pub replies: Vec<(Timestamp, ReplyMsg)>,
 }
 
