@@ -676,11 +676,7 @@ impl<'a> Auditor<'a> {
     }
 
     fn check_record(&mut self, seq: u64, record: &LogRecord) -> Result<(), Diverged> {
-        let inner = match record {
-            LogRecord::Routed { inner, .. } => inner.as_ref(),
-            other => other,
-        };
-        match inner {
+        match record {
             LogRecord::Submit { from, msg } => {
                 if from.index() >= self.n {
                     return Err(Diverged {
@@ -707,14 +703,6 @@ impl<'a> Auditor<'a> {
                 }
                 self.check_commit(seq, *from, msg)?;
                 self.server.on_commit(*from, msg.clone());
-            }
-            LogRecord::Routed { .. } => {
-                return Err(Diverged {
-                    first_bad_version: seq,
-                    divergence: Divergence::MalformedRecord {
-                        detail: "nested routed record".into(),
-                    },
-                });
             }
         }
         Ok(())

@@ -187,7 +187,7 @@ mod tests {
   "schema": 4,
   "results": [
     {"name": "wire: encode REPLY (n=8, read)", "ns_per_iter": 245.8, "per_second": 4067552.9},
-    {"name": "e2e: tcp write op, sharded(4) (4x16)", "ns_per_iter": 72121.5, "per_second": 13865.0}
+    {"name": "e2e: tcp write op, group-commit (2x32)", "ns_per_iter": 72121.5, "per_second": 13865.0}
   ],
   "egress": {"frames_out": 32, "flushes": 4, "max_egress_batch": 8}
 }"#;
@@ -195,7 +195,7 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].0, "wire: encode REPLY (n=8, read)");
         assert!((points[0].1 - 4067552.9).abs() < 1e-6);
-        assert_eq!(points[1].0, "e2e: tcp write op, sharded(4) (4x16)");
+        assert_eq!(points[1].0, "e2e: tcp write op, group-commit (2x32)");
         assert!((points[1].1 - 13865.0).abs() < 1e-6);
     }
 

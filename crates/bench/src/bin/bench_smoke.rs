@@ -390,75 +390,6 @@ fn collect(quick: TimingConfig) -> (Vec<Point>, ReactorReport) {
          pipelined path: {handle_ns_per_op:.0} vs {raw_ns_per_op:.0} ns/op"
     );
 
-    // The sharded serving path. First the same 2x32 load at width 1:
-    // every message still takes the router + worker-thread detour, so
-    // this point is pure sharding overhead and must stay within 1.5x of
-    // the unsharded raw point (best-of-two damps scheduler noise).
-    let mut sharded1_ns_per_op = f64::MAX;
-    for _ in 0..2 {
-        let (elapsed, sstats) = faust_bench::tcp_sharded_run(2, 32, 64, group, 1);
-        assert_eq!(sstats.submits, 64, "every submit reached its owner shard");
-        sharded1_ns_per_op = sharded1_ns_per_op.min(elapsed.as_nanos() as f64 / ops);
-    }
-    println!(
-        "{:<44} {:>12.1} ns/iter {:>14.0} iter/s",
-        "e2e: tcp write op, sharded(1) (2x32)",
-        sharded1_ns_per_op,
-        1e9 / sharded1_ns_per_op
-    );
-    points.push(Point {
-        name: "e2e: tcp write op, sharded(1) (2x32)",
-        ns_per_iter: sharded1_ns_per_op,
-        per_second: 1e9 / sharded1_ns_per_op,
-    });
-    assert!(
-        sharded1_ns_per_op <= 1.5 * raw_ns_per_op,
-        "a single shard behind the router must stay within 1.5x of the \
-         unsharded path: {sharded1_ns_per_op:.0} vs {raw_ns_per_op:.0} ns/op"
-    );
-
-    // Then the scaling point: 4 clients x 16 writes, registers spread
-    // across all shards, at widths 1 and 4. The >= 1.5x speedup claim
-    // only holds where the shards actually get cores, so it is asserted
-    // only on machines with at least 4 available CPUs (CI containers
-    // with 1 CPU still record both points for the trend).
-    let wide_ops = 4.0 * 16.0;
-    let wide = |shards: usize| {
-        let mut best = f64::MAX;
-        for _ in 0..2 {
-            let (elapsed, sstats) = faust_bench::tcp_sharded_run(4, 16, 64, group, shards);
-            assert_eq!(sstats.submits, 64, "every submit reached its owner shard");
-            best = best.min(elapsed.as_nanos() as f64 / wide_ops);
-        }
-        best
-    };
-    let wide1_ns_per_op = wide(1);
-    let wide4_ns_per_op = wide(4);
-    for (name, ns) in [
-        ("e2e: tcp write op, sharded(1) (4x16)", wide1_ns_per_op),
-        ("e2e: tcp write op, sharded(4) (4x16)", wide4_ns_per_op),
-    ] {
-        println!("{name:<44} {ns:>12.1} ns/iter {:>14.0} iter/s", 1e9 / ns);
-        points.push(Point {
-            name,
-            ns_per_iter: ns,
-            per_second: 1e9 / ns,
-        });
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if cores >= 4 {
-        assert!(
-            wide4_ns_per_op <= wide1_ns_per_op / 1.5,
-            "4 shards on {cores} cores must deliver >= 1.5x ops/s over 1 \
-             shard: {wide4_ns_per_op:.0} vs {wide1_ns_per_op:.0} ns/op"
-        );
-    } else {
-        println!(
-            "(sharded scaling assertion skipped: {cores} CPU(s) available, \
-             shards cannot parallelize)"
-        );
-    }
-
     // Many-connection scale: 512 concurrent sequential clients, each
     // completing 2 full write ops, served by ONE reactor event-loop
     // thread (a thread-per-connection transport would need 512 readers).

@@ -656,71 +656,6 @@ pub fn tcp_handle_run(
     (elapsed, stats)
 }
 
-/// The [`tcp_pipelined_run`] load shape against a *sharded* deployment:
-/// `shards` worker-threaded server shards, each with its own `shard-<i>/`
-/// store directory, behind the global-order router. Clients spread their
-/// pre-signed bursts exactly as in the unsharded run (each client's
-/// register is homed on `register % shards`), so at `shards == 1` this
-/// measures pure router overhead and at `shards > 1` the available
-/// fsync/apply parallelism. Returns the loaded-phase wall time and the
-/// *merged* engine stats.
-pub fn tcp_sharded_run(
-    clients: usize,
-    pipeline: u64,
-    value_len: usize,
-    durability: faust_store::Durability,
-    shards: usize,
-) -> (std::time::Duration, faust_ustor::EngineStats) {
-    use faust_store::{testutil, ShardedBackend, StoreConfig};
-    use faust_types::UstorMsg;
-
-    let dir = testutil::scratch_dir("bench-e2e-sharded");
-    let backend = ShardedBackend::new(
-        &dir,
-        StoreConfig {
-            durability,
-            snapshot_every: 0,
-        },
-        shards,
-        true,
-    );
-    let transport =
-        faust_net::TcpServerTransport::bind("127.0.0.1:0", clients).expect("bind loopback");
-    let addr = transport.local_addr();
-    let server = faust_ustor::ServerBackend::build(&backend, clients).expect("fresh store");
-    let engine_thread = faust_core::runtime::spawn_engine(clients, server, transport);
-
-    let keys = KeySet::generate(clients, b"bench-e2e-sharded");
-    let start = std::time::Instant::now();
-    let workers: Vec<_> = (0..clients)
-        .map(|i| {
-            let id = c(i as u32);
-            let burst = pipelined_writes(&keys, id, pipeline, value_len);
-            std::thread::spawn(move || {
-                let conn = faust_net::tcp::connect(addr, id).expect("connect");
-                for submit in &burst {
-                    conn.send(&UstorMsg::Submit(submit.clone())).expect("send");
-                }
-                let mut replies = 0u64;
-                while replies < pipeline {
-                    match conn.recv().expect("reply stream") {
-                        UstorMsg::Reply(_) => replies += 1,
-                        _ => panic!("server sends only replies"),
-                    }
-                }
-                replies
-            })
-        })
-        .collect();
-    for worker in workers {
-        assert_eq!(worker.join().expect("client thread"), pipeline);
-    }
-    let elapsed = start.elapsed();
-    let stats = engine_thread.join().expect("engine thread");
-    std::fs::remove_dir_all(&dir).ok();
-    (elapsed, stats)
-}
-
 /// The many-connection reactor run: `conns` sequential protocol clients
 /// multiplexed over blocking loopback sockets from ONE driver thread,
 /// against a server whose transport is the single-threaded

@@ -22,9 +22,9 @@ use faust_crypto::sig::SigScheme;
 #[cfg(unix)]
 use faust_net::ReactorTransport;
 use faust_net::TcpServerTransport;
-use faust_store::{Durability, PersistentBackend, ShardedBackend, StoreConfig};
+use faust_store::{Durability, PersistentBackend, StoreConfig};
 use faust_types::{ClientId, Value};
-use faust_ustor::{serve, MemoryBackend, ServerBackend, ServerEngine, ShardedServer};
+use faust_ustor::{serve, MemoryBackend, ServerBackend, ServerEngine};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -54,12 +54,12 @@ faust — fail-aware untrusted storage (FAUST) over TCP
 
 USAGE:
   faust serve   [--addr A] [--clients N] [--dir PATH] [--durability D] [--snapshot-every K]
-                [--shards S] [--reactor] [--max-conns C]
+                [--reactor] [--max-conns C]
   faust connect --addr A [--id I] [--clients N] [--key-seed S] [--scheme hmac|ed25519]
                 [--pipeline D] [--write VALUE]... [--read J]... [--linger-ms MS] [--dummy-reads]
                 [--session FILE]
   faust bench   [--addr A] [--clients N] [--ops K] [--pipeline D] [--value-len B]
-                [--durability D] [--key-seed S] [--shards S] [--reactor]
+                [--durability D] [--key-seed S] [--reactor]
   faust audit   PATH [--key-seed S] [--scheme hmac|ed25519] [--json]
   faust export-history DIR OUT [--scheme hmac|ed25519]
 
@@ -68,10 +68,6 @@ Durability D: always (fsync per record), group (batched fsync, the default), nev
 control (bounded per-client ingress queues, connection/memory caps with shed-on-accept,
 slow-consumer excision — see docs/networking.md) instead of a thread per connection;
 --max-conns caps simultaneously open reactor connections (default 1024).
---shards S > 1 runs S server shards, each on its own worker thread with its own
-shard-<i>/ store directory under --dir; client-visible messages are identical to an
-unsharded server, so any client can talk to any deployment. The shard count is part
-of a persistent store's layout and must match across restarts.
 `connect` ops run in command-line order and pipeline up to the configured depth.
 All clients of one deployment must share --clients, --key-seed, --scheme, and --pipeline.
 
@@ -130,7 +126,6 @@ fn serve_impl(args: &[String]) -> Result<(), String> {
     let mut dir: Option<String> = None;
     let mut durability = Durability::group();
     let mut snapshot_every = 1024u64;
-    let mut shards = 1usize;
     let mut reactor = false;
     let mut max_conns: Option<usize> = None;
     let mut it = args.iter();
@@ -146,7 +141,6 @@ fn serve_impl(args: &[String]) -> Result<(), String> {
             "--dir" => dir = Some(val()?.to_string()),
             "--durability" => durability = parse_durability(val()?)?,
             "--snapshot-every" => snapshot_every = parse_value(flag, val()?)?,
-            "--shards" => shards = parse_value(flag, val()?)?,
             "--reactor" => reactor = true,
             "--max-conns" => max_conns = Some(parse_value(flag, val()?)?),
             other => return Err(format!("unknown flag `{other}`")),
@@ -155,56 +149,30 @@ fn serve_impl(args: &[String]) -> Result<(), String> {
     if clients == 0 {
         return Err("--clients must be at least 1".into());
     }
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     if max_conns.is_some() && !reactor {
         return Err("--max-conns requires --reactor".into());
     }
 
     let mut transport = bind_transport(&addr, clients, reactor, max_conns)?;
-    // --shards 1 keeps the plain single-engine stack; > 1 deploys one
-    // worker thread (and, with --dir, one store directory) per shard.
-    let mut shard_stats = None;
-    let mut engine = if shards > 1 {
-        let server = match &dir {
-            Some(dir) => ShardedBackend::new(
-                dir,
-                StoreConfig {
-                    durability,
-                    snapshot_every,
-                },
-                shards,
-                true,
-            )
-            .open(clients)
-            .map_err(|e| format!("build server state: {e}"))?,
-            None => ShardedServer::volatile(clients, shards, true),
-        };
-        shard_stats = Some(server.stats_handle());
-        ServerEngine::new(clients, Box::new(server))
-    } else {
-        let backend: Box<dyn ServerBackend + Send> = match &dir {
-            Some(dir) => Box::new(PersistentBackend::new(
-                dir,
-                StoreConfig {
-                    durability,
-                    snapshot_every,
-                },
-            )),
-            None => Box::new(MemoryBackend),
-        };
-        ServerEngine::from_backend(clients, backend.as_ref())
-            .map_err(|e| format!("build server state: {e}"))?
+    let backend: Box<dyn ServerBackend + Send> = match &dir {
+        Some(dir) => Box::new(PersistentBackend::new(
+            dir,
+            StoreConfig {
+                durability,
+                snapshot_every,
+            },
+        )),
+        None => Box::new(MemoryBackend),
     };
+    let mut engine = ServerEngine::from_backend(clients, backend.as_ref())
+        .map_err(|e| format!("build server state: {e}"))?;
     let sha256 = faust_crypto::sha256::backend();
     println!("faust-serve: sha256 backend {sha256}");
     println!(
-        "faust-serve: listening on {} ({} clients, durability={:?}, shards={}, transport={}, state={})",
+        "faust-serve: listening on {} ({} clients, durability={:?}, transport={}, state={})",
         transport.local_addr(),
         clients,
         durability,
-        shards,
         if reactor { "reactor" } else { "threaded" },
         dir.as_deref().unwrap_or("in-memory"),
     );
@@ -223,15 +191,6 @@ fn serve_impl(args: &[String]) -> Result<(), String> {
          ({} submits, {} commits, {} rejected, {} frames out in {} writes)",
         clients, stats.submits, stats.commits, stats.rejected, stats.frames_out, stats.flushes,
     );
-    if let Some(handle) = shard_stats {
-        for (i, s) in handle.per_shard().iter().enumerate() {
-            println!(
-                "faust-serve: shard {i}: {} owned submits, {} owned commits, \
-                 {} replies released in {} flushes",
-                s.submits, s.commits, s.frames_out, s.flushes,
-            );
-        }
-    }
     #[cfg(unix)]
     if let CliTransport::Reactor(t) = &transport {
         print_reactor_stats("faust-serve", t.stats());
@@ -548,7 +507,6 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
     let mut value_len = 64usize;
     let mut durability = Durability::group();
     let mut key_seed = "faust-cli".to_string();
-    let mut shards = 1usize;
     let mut reactor = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -565,7 +523,6 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
             "--value-len" => value_len = parse_value(flag, val()?)?,
             "--durability" => durability = parse_durability(val()?)?,
             "--key-seed" => key_seed = val()?.to_string(),
-            "--shards" => shards = parse_value(flag, val()?)?,
             "--reactor" => reactor = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -575,9 +532,6 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
     }
     if clients == 0 || ops == 0 {
         return Err("--clients and --ops must be at least 1".into());
-    }
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
     }
     // Match the group-commit batch to the bench's sliding window. With
     // the stock max_records (64) a small `clients x pipeline` window can
@@ -608,20 +562,15 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
             let mut transport = bind_transport("127.0.0.1:0", clients, reactor, None)
                 .map_err(|e| format!("bind loopback: {e}"))?;
             let addr = transport.local_addr();
-            let config = StoreConfig {
-                durability,
-                snapshot_every: 0,
-            };
-            let mut engine = if shards > 1 {
-                let server = ShardedBackend::new(&dir, config, shards, true)
-                    .open(clients)
-                    .map_err(|e| format!("build server state: {e}"))?;
-                ServerEngine::new(clients, Box::new(server))
-            } else {
-                let backend = PersistentBackend::new(&dir, config);
-                ServerEngine::from_backend(clients, &backend)
-                    .map_err(|e| format!("build server state: {e}"))?
-            };
+            let backend = PersistentBackend::new(
+                &dir,
+                StoreConfig {
+                    durability,
+                    snapshot_every: 0,
+                },
+            );
+            let mut engine = ServerEngine::from_backend(clients, &backend)
+                .map_err(|e| format!("build server state: {e}"))?;
             // The serve thread hands the reactor's counters back for the
             // end-of-run report (the threaded transport has none).
             self_hosted = Some((
@@ -648,7 +597,7 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
     println!("faust-bench: sha256 backend {sha256}");
     println!(
         "faust-bench: {clients} clients x {ops} pipelined writes \
-         ({value_len} B, depth {pipeline}, {shards} shard(s)) -> {addr}"
+         ({value_len} B, depth {pipeline}) -> {addr}"
     );
     let config = HandleConfig {
         faust: FaustConfig {

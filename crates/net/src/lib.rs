@@ -71,7 +71,6 @@ pub mod dial;
 pub mod queue;
 #[cfg(unix)]
 pub mod reactor;
-pub mod router;
 pub mod tcp;
 
 pub use channel::ChannelServerTransport;
@@ -81,7 +80,6 @@ pub use dial::{ChannelDialer, ClientDialer, TcpDialer};
 pub use queue::QueueTransport;
 #[cfg(unix)]
 pub use reactor::{DisconnectReason, ReactorConfig, ReactorStats, ReactorTransport};
-pub use router::{shard_of, ShardRouter};
 pub use tcp::{TcpServerTransport, TcpSever, MAX_CLIENTS};
 
 use faust_types::{ClientId, UstorMsg};

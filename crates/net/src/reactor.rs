@@ -8,8 +8,8 @@
 //! [`sys`]): non-blocking accept, per-connection incremental frame
 //! decoding via [`faust_types::frame::FrameDecoder`], and write-interest
 //! driven egress over the same coalescing buffers the TCP transport
-//! introduced. It implements [`ServerTransport`], so `ServerEngine`,
-//! group commit, and sharding run on top unchanged — the reactor *is*
+//! introduced. It implements [`ServerTransport`], so `ServerEngine` and
+//! group commit run on top unchanged — the reactor *is*
 //! the serve thread: all socket work happens inside `recv`/`send` calls
 //! on the engine loop's own thread.
 //!
@@ -147,11 +147,8 @@ impl std::fmt::Display for DisconnectReason {
     }
 }
 
-/// Reactor counters, mirroring the [`EngineStats`] merge convention:
-/// counters add, high-water marks take the maximum —
-/// [`ReactorStats::merge`] is the one sanctioned aggregation.
-///
-/// [`EngineStats`]: https://docs.rs/faust-ustor
+/// Reactor counters. Under [`ReactorStats::merge`], the one sanctioned
+/// aggregation, counters add and high-water marks take the maximum.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Connections admitted past the accept-time checks.

@@ -31,18 +31,6 @@ pub enum LogRecord {
         /// The message, exactly as received.
         msg: CommitMsg,
     },
-    /// A record of a *sharded* deployment: `inner` as accepted, plus
-    /// its position in the cross-shard global order. Each shard logs
-    /// only the messages it owns, with ordinary consecutive *local* WAL
-    /// sequence numbers; the global position travels inside the
-    /// checksummed payload, and recovery merges the shards' logs back
-    /// into one gap-checked global sequence (`sharded` module).
-    Routed {
-        /// The message's global sequence number across all shards.
-        seq: u64,
-        /// The logged message.
-        inner: Box<LogRecord>,
-    },
 }
 
 impl LogRecord {
@@ -53,7 +41,6 @@ impl LogRecord {
         match self {
             LogRecord::Submit { from, msg } => server.on_submit(from, msg),
             LogRecord::Commit { from, msg } => server.on_commit(from, msg),
-            LogRecord::Routed { inner, .. } => inner.apply(server),
         }
     }
 
@@ -68,7 +55,6 @@ impl LogRecord {
     pub fn from(&self) -> ClientId {
         match self {
             LogRecord::Submit { from, .. } | LogRecord::Commit { from, .. } => *from,
-            LogRecord::Routed { inner, .. } => inner.from(),
         }
     }
 
@@ -79,7 +65,6 @@ impl LogRecord {
         match self {
             LogRecord::Submit { msg, .. } => Some(msg.timestamp),
             LogRecord::Commit { .. } => None,
-            LogRecord::Routed { inner, .. } => inner.submit_timestamp(),
         }
     }
 
@@ -89,15 +74,6 @@ impl LogRecord {
         match self {
             LogRecord::Submit { msg, .. } => msg.piggyback.as_ref(),
             LogRecord::Commit { msg, .. } => Some(msg),
-            LogRecord::Routed { inner, .. } => inner.commit(),
-        }
-    }
-
-    /// The global sequence number, for [`LogRecord::Routed`] records.
-    pub fn global_seq(&self) -> Option<u64> {
-        match self {
-            LogRecord::Routed { seq, .. } => Some(*seq),
-            _ => None,
         }
     }
 }
@@ -115,11 +91,6 @@ impl Wire for LogRecord {
                 from.encode_into(out);
                 msg.encode_into(out);
             }
-            LogRecord::Routed { seq, inner } => {
-                out.push(2);
-                seq.encode_into(out);
-                inner.encode_into(out);
-            }
         }
     }
 
@@ -133,19 +104,8 @@ impl Wire for LogRecord {
                 from: ClientId::decode_from(input)?,
                 msg: CommitMsg::decode_from(input)?,
             }),
-            2 => {
-                let seq = u64::decode_from(input)?;
-                let inner = LogRecord::decode_from(input)?;
-                // A routed record wraps exactly one protocol message —
-                // nesting would make the global order ambiguous.
-                if matches!(inner, LogRecord::Routed { .. }) {
-                    return Err(WireError::BadTag(2));
-                }
-                Ok(LogRecord::Routed {
-                    seq,
-                    inner: Box::new(inner),
-                })
-            }
+            // Do not reuse tag 2: logs of the retired multi-log layout
+            // hold it, and they must stay refused, not misread.
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -256,44 +216,18 @@ mod tests {
     }
 
     #[test]
-    fn routed_record_roundtrips_and_delegates() {
+    fn retired_routed_tag_is_a_bad_tag() {
+        // The retired routed record: tag 2, a u64 position, then a
+        // whole record. It is refused at its tag, whatever follows.
         let mut c0 = client(2, 0);
-        let submit = c0.begin_write(Value::from("routed")).unwrap();
-        let rec = LogRecord::Routed {
-            seq: 41,
-            inner: Box::new(LogRecord::Submit {
-                from: ClientId::new(0),
-                msg: submit.clone(),
-            }),
+        let inner = LogRecord::Submit {
+            from: ClientId::new(0),
+            msg: c0.begin_write(Value::from("routed")).unwrap(),
         };
-        assert_eq!(rec.from(), ClientId::new(0));
-        assert_eq!(rec.global_seq(), Some(41));
-        assert_eq!(LogRecord::decode(&rec.encode()), Ok(rec.clone()));
-        // Applying the routed record is applying the inner message.
-        let mut via_routed = UstorServer::new(2);
-        rec.replay(&mut via_routed);
-        let mut direct = UstorServer::new(2);
-        direct.on_submit(ClientId::new(0), submit);
-        assert_eq!(via_routed, direct);
-        // Nested routing is rejected at decode time.
-        let nested = LogRecord::Routed {
-            seq: 7,
-            inner: Box::new(LogRecord::Routed {
-                seq: 8,
-                inner: Box::new(LogRecord::Commit {
-                    from: ClientId::new(1),
-                    msg: CommitMsg {
-                        version: faust_types::Version::initial(2),
-                        commit_sig: Signature::garbage(),
-                        proof_sig: Signature::garbage(),
-                    },
-                }),
-            }),
-        };
-        assert_eq!(
-            LogRecord::decode(&nested.encode()),
-            Err(WireError::BadTag(2))
-        );
+        let mut bytes = vec![2];
+        41u64.encode_into(&mut bytes);
+        inner.encode_into(&mut bytes);
+        assert_eq!(LogRecord::decode(&bytes), Err(WireError::BadTag(2)));
     }
 
     #[test]

@@ -60,14 +60,12 @@ pub mod codec;
 pub mod log;
 pub mod server;
 pub mod session;
-pub mod sharded;
 pub mod snapshot;
 pub mod testutil;
 
 pub use codec::LogRecord;
 pub use log::{truncate_tail_records, wal_record_spans, LogCursor};
 pub use server::{Durability, PersistentBackend, PersistentServer, SimClock, StoreConfig};
-pub use sharded::{shard_dir, ShardStore, ShardedBackend};
 
 use faust_types::WireError;
 use std::fmt;
@@ -186,32 +184,11 @@ pub enum StoreError {
     /// [`PersistentServer::recover`] was asked to recover from a
     /// directory holding no state at all.
     MissingState,
-    /// A sharded store was opened with a different shard count than it
-    /// was created with. Re-partitioning would silently change register
-    /// ownership and scatter the logs' global order, so the count is
-    /// part of the on-disk layout.
-    ShardLayoutMismatch {
-        /// Shard count the backend was configured with.
-        expected: usize,
-        /// `shard-<i>/` directories actually present.
-        found: usize,
-    },
-    /// A shard's log contained a record without a global sequence
-    /// number (a single-engine record inside a sharded store) — the
-    /// merged recovery cannot place it in the global order.
-    UnroutedRecord {
-        /// Which shard's log.
-        shard: usize,
-        /// The record's local sequence number.
-        seq: u64,
-    },
-    /// A shard's snapshot does not record its global coverage (it was
-    /// written by a single-engine store) — recovery cannot tell how far
-    /// the replica's state reaches.
-    UnshardedSnapshot {
-        /// Which shard's snapshot.
-        shard: usize,
-    },
+    /// The directory holds `shard-0/` but no `wal.bin` or
+    /// `snapshot.bin`: a store of the retired sharded layout (one
+    /// `shard-<i>/` log per server replica). This build does not read
+    /// it, and refuses rather than start an empty store beside it.
+    RetiredShardLayout,
 }
 
 impl fmt::Display for StoreError {
@@ -270,17 +247,9 @@ impl fmt::Display for StoreError {
                  snapshot-covered records were truncated off the log"
             ),
             StoreError::MissingState => f.write_str("no persistent state in directory"),
-            StoreError::ShardLayoutMismatch { expected, found } => write!(
-                f,
-                "store holds {found} shard directories, backend configured for {expected}"
-            ),
-            StoreError::UnroutedRecord { shard, seq } => write!(
-                f,
-                "shard {shard}: record {seq} carries no global sequence number"
-            ),
-            StoreError::UnshardedSnapshot { shard } => write!(
-                f,
-                "shard {shard}: snapshot records no global coverage (single-engine format)"
+            StoreError::RetiredShardLayout => f.write_str(
+                "directory holds a retired sharded store (shard-<i>/ subdirectories), \
+                 which this build does not read",
             ),
         }
     }

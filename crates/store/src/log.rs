@@ -66,8 +66,8 @@ pub const WAL_FILE: &str = "wal.bin";
 
 /// How one log format version frames its records — the single place a
 /// version number turns into a per-record overhead and a checksum.
-/// Appending, scanning, [`LogCursor`], [`truncate_tail_records`] and the
-/// sharded store all get theirs from the file's [`WalHeader`].
+/// Appending, scanning, [`LogCursor`] and [`truncate_tail_records`] all
+/// get theirs from the file's [`WalHeader`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Framing {
     /// `len: u32 | sha256(payload): 32 B | payload` — read, and appended

@@ -33,11 +33,7 @@ use std::time::{Duration, Instant};
 /// The server is deterministic, so the rebuilt reply is byte-identical
 /// to the one the pre-crash server sent — exactly what a restarted
 /// engine must re-issue when the client resends that SUBMIT.
-pub(crate) fn replay_capturing(
-    record: LogRecord,
-    server: &mut dyn Server,
-    caches: &mut [ReplyCache],
-) {
+fn replay_capturing(record: LogRecord, server: &mut dyn Server, caches: &mut [ReplyCache]) {
     let from = record.from();
     let ts = record.submit_timestamp();
     let acknowledged = record
@@ -62,7 +58,7 @@ pub(crate) fn replay_capturing(
 /// come from `MEM` (covering even snapshot-absorbed history; the value is
 /// shared, not copied, and not hashed here), the replayable replies from
 /// the post-snapshot log window in `caches`.
-pub(crate) fn session_resume(server: &UstorServer, caches: Vec<ReplyCache>) -> Vec<SessionResume> {
+fn session_resume(server: &UstorServer, caches: Vec<ReplyCache>) -> Vec<SessionResume> {
     caches
         .into_iter()
         .enumerate()
@@ -186,12 +182,12 @@ impl StoreConfig {
     /// Whether snapshots, rotations, and file creation fsync. Group
     /// commit is a *durable* policy — only the per-append fsync is
     /// amortized, never the rename barriers.
-    pub(crate) fn sync(&self) -> bool {
+    fn sync(&self) -> bool {
         !matches!(self.durability, Durability::Never)
     }
 
     /// Whether each individual append fsyncs before returning.
-    pub(crate) fn sync_each_append(&self) -> bool {
+    fn sync_each_append(&self) -> bool {
         matches!(self.durability, Durability::Always)
     }
 }
@@ -238,13 +234,18 @@ impl PersistentServer {
     /// # Errors
     ///
     /// Structured [`StoreError`]s for recovery anomalies (see
-    /// [`PersistentServer::recover`]) or file-system errors.
+    /// [`PersistentServer::recover`]), [`StoreError::RetiredShardLayout`]
+    /// for a directory of the retired sharded layout, or file-system
+    /// errors.
     pub fn open(dir: &Path, n: usize, config: StoreConfig) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir)?;
         let has_wal = dir.join(crate::log::WAL_FILE).exists();
         let has_snapshot = dir.join(crate::snapshot::SNAPSHOT_FILE).exists();
         if has_wal || has_snapshot {
             return Self::recover(dir, n, config);
+        }
+        if dir.join("shard-0").is_dir() {
+            return Err(StoreError::RetiredShardLayout);
         }
         let wal = Wal::create(dir, n, 0, config.sync())?;
         Ok(PersistentServer {
@@ -454,7 +455,6 @@ impl PersistentServer {
                 n: self.inner.num_clients(),
                 next_seq,
                 state: self.inner.export_state(),
-                global_next_seq: None,
             },
             self.config.sync(),
         )?;
@@ -730,6 +730,21 @@ mod tests {
         // Now open() recovers instead of reinitializing.
         let server = PersistentServer::open(&dir, 2, no_sync()).unwrap();
         assert_eq!(server.next_seq(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_retired_shard_layout_is_refused_not_initialized_beside() {
+        let dir = scratch_dir("srv-retired-layout");
+        std::fs::create_dir_all(dir.join("shard-0")).unwrap();
+        assert!(matches!(
+            PersistentServer::open(&dir, 2, no_sync()).unwrap_err(),
+            StoreError::RetiredShardLayout
+        ));
+        assert!(
+            !dir.join(crate::log::WAL_FILE).exists(),
+            "no fresh store started beside the old data"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

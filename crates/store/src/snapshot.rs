@@ -5,15 +5,15 @@
 //!
 //! ```text
 //!   "FAUSTSNP" | version: u32 | payload_len: u32 | xxh64(payload): u64 | payload
-//!   payload:     n: u32 | next_seq: u64 | [global_next_seq: u64] | ServerState encoding
+//!   payload:     n: u32 | next_seq: u64 | ServerState encoding
 //! ```
 //!
-//! Versions 3 (single-engine store) and 4 (shard replica, with
-//! `global_next_seq`) are the ones written. Versions 1 and 2 are the same
-//! two payloads behind a 32-byte SHA-256 digest where the checksum now
-//! sits; they still load, and the next snapshot replaces them. As in the
-//! log, the checksum guards against the disk, not the operator
-//! (`crate::checksum`).
+//! Version 3 is the one written. Version 1 is the same payload behind a
+//! 32-byte SHA-256 digest where the checksum now sits; it still loads,
+//! and the next snapshot replaces it. Versions 2 and 4 added a coverage
+//! position for a retired multi-log layout and are refused with
+//! [`StoreError::UnsupportedVersion`]. As in the log, the checksum guards
+//! against the disk, not the operator (`crate::checksum`).
 //!
 //! `next_seq` is the first log sequence number **not** reflected in the
 //! state — recovery loads the snapshot and replays records from
@@ -36,25 +36,19 @@ use std::path::Path;
 
 /// Magic string opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"FAUSTSNP";
-/// Snapshot format version written for single-engine stores.
+/// Snapshot format version written by this build.
 pub const SNAPSHOT_VERSION: u32 = 3;
-/// Snapshot format version written for shard replicas: the payload
-/// additionally records the *global* (cross-shard) coverage position.
-pub const SNAPSHOT_VERSION_SHARDED: u32 = 4;
 /// File name of the snapshot inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Bytes before the checksum: magic, version, payload length.
 const PREFIX: usize = 8 + 4 + 4;
 
-/// What a snapshot format version says about the file: which checksum
-/// follows the prefix, and whether the payload carries the global
-/// coverage position. `None` for a version this build does not know.
-fn layout(version: u32) -> Option<(Checksum, bool)> {
+/// Which checksum follows the prefix in a snapshot of format `version`;
+/// `None` for a version this build does not read.
+fn layout(version: u32) -> Option<Checksum> {
     match version {
-        1 => Some((Checksum::Sha256, false)),
-        2 => Some((Checksum::Sha256, true)),
-        SNAPSHOT_VERSION => Some((Checksum::Xxh64, false)),
-        SNAPSHOT_VERSION_SHARDED => Some((Checksum::Xxh64, true)),
+        1 => Some(Checksum::Sha256),
+        SNAPSHOT_VERSION => Some(Checksum::Xxh64),
         _ => None,
     }
 }
@@ -64,18 +58,10 @@ fn layout(version: u32) -> Option<(Checksum, bool)> {
 pub struct Snapshot {
     /// Client count the state is for.
     pub n: usize,
-    /// First log sequence number not reflected in `state` — *local* to
-    /// this store's own WAL.
+    /// First log sequence number not reflected in `state`.
     pub next_seq: u64,
     /// The full server state at that position.
     pub state: ServerState,
-    /// For a shard replica: the first **global** sequence number not
-    /// reflected in `state`. A shard's state covers the whole
-    /// cross-shard history (replicas apply every message), so its local
-    /// `next_seq` cannot express how far the state reaches; this does.
-    /// `None` for single-engine stores (format v3 on disk, v4 when
-    /// `Some`).
-    pub global_next_seq: Option<u64>,
 }
 
 /// Atomically writes `snapshot` as `dir/snapshot.bin`.
@@ -89,24 +75,16 @@ pub struct Snapshot {
 /// Propagates file-system errors; a failed write never disturbs an
 /// existing snapshot.
 pub fn write_snapshot(dir: &Path, snapshot: &Snapshot, sync: bool) -> Result<(), StoreError> {
-    let version = if snapshot.global_next_seq.is_some() {
-        SNAPSHOT_VERSION_SHARDED
-    } else {
-        SNAPSHOT_VERSION
-    };
-    let (checksum, _) = layout(version).expect("a version this build writes");
+    let checksum = layout(SNAPSHOT_VERSION).expect("the version this build writes");
     let header = PREFIX + checksum.len();
     // Encode once behind room for the header, checksum in place, patch it.
     let mut bytes = vec![0; header];
     (snapshot.n as u32).encode_into(&mut bytes);
     snapshot.next_seq.encode_into(&mut bytes);
-    if let Some(global) = snapshot.global_next_seq {
-        global.encode_into(&mut bytes);
-    }
     encode_state(&snapshot.state, &mut bytes);
     let (head, payload) = bytes.split_at_mut(header);
     head[..8].copy_from_slice(SNAPSHOT_MAGIC);
-    head[8..12].copy_from_slice(&version.to_be_bytes());
+    head[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_be_bytes());
     head[12..16].copy_from_slice(&(payload.len() as u32).to_be_bytes());
     checksum.write(payload, &mut head[PREFIX..]);
 
@@ -153,7 +131,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     }
     let mut rest = &bytes[8..PREFIX];
     let version = u32::decode_from(&mut rest).expect("sized above");
-    let Some((checksum, sharded)) = layout(version) else {
+    let Some(checksum) = layout(version) else {
         return Err(StoreError::UnsupportedVersion {
             file: "snapshot",
             version,
@@ -181,11 +159,6 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     let mut input = payload;
     let n = u32::decode_from(&mut input).map_err(StoreError::SnapshotCorrupt)? as usize;
     let next_seq = u64::decode_from(&mut input).map_err(StoreError::SnapshotCorrupt)?;
-    let global_next_seq = if sharded {
-        Some(u64::decode_from(&mut input).map_err(StoreError::SnapshotCorrupt)?)
-    } else {
-        None
-    };
     let state = decode_state(&mut input).map_err(StoreError::SnapshotCorrupt)?;
     if !input.is_empty() {
         return Err(StoreError::SnapshotCorrupt(
@@ -198,12 +171,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
             found: state.mem.len(),
         });
     }
-    Ok(Some(Snapshot {
-        n,
-        next_seq,
-        state,
-        global_next_seq,
-    }))
+    Ok(Some(Snapshot { n, next_seq, state }))
 }
 
 #[cfg(test)]
@@ -217,7 +185,6 @@ mod tests {
             n,
             next_seq,
             state: UstorServer::new(n).export_state(),
-            global_next_seq: None,
         }
     }
 
@@ -231,40 +198,58 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn sharded_snapshot_roundtrips_the_global_position() {
-        let dir = scratch_dir("snap-global");
-        let snap = Snapshot {
-            global_next_seq: Some(977),
-            ..snapshot(2, 14)
-        };
-        write_snapshot(&dir, &snap, false).unwrap();
-        let read = read_snapshot(&dir).unwrap().unwrap();
-        assert_eq!(read, snap);
-        assert_eq!(read.global_next_seq, Some(977));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The file laid out the long way — payload first, then a header
-    /// that describes it — for any format version.
-    fn file_bytes(snap: &Snapshot, version: u32) -> Vec<u8> {
-        let (checksum, sharded) = layout(version).unwrap();
-        assert_eq!(sharded, snap.global_next_seq.is_some());
+    /// The payload of `snap`, encoded the long way.
+    fn payload(snap: &Snapshot) -> Vec<u8> {
         let mut payload = Vec::new();
         (snap.n as u32).encode_into(&mut payload);
         snap.next_seq.encode_into(&mut payload);
-        if let Some(global) = snap.global_next_seq {
-            global.encode_into(&mut payload);
-        }
         encode_state(&snap.state, &mut payload);
+        payload
+    }
+
+    /// A file laid out the long way — payload first, then a header that
+    /// describes it.
+    fn file_with(version: u32, checksum: Checksum, payload: &[u8]) -> Vec<u8> {
         let mut stored = vec![0; checksum.len()];
-        checksum.write(&payload, &mut stored);
+        checksum.write(payload, &mut stored);
         let mut bytes = SNAPSHOT_MAGIC.to_vec();
         bytes.extend_from_slice(&version.to_be_bytes());
         bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         bytes.extend_from_slice(&stored);
-        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(payload);
         bytes
+    }
+
+    /// [`file_with`] for a version this build reads.
+    fn file_bytes(snap: &Snapshot, version: u32) -> Vec<u8> {
+        file_with(version, layout(version).unwrap(), &payload(snap))
+    }
+
+    #[test]
+    fn retired_versions_2_and_4_are_unsupported() {
+        // Both carried a `u64` coverage position after `next_seq`,
+        // behind SHA-256 (v2) and XXH64 (v4). No store this build
+        // writes or reads has one, so both are refused by version.
+        let dir = scratch_dir("snap-retired");
+        let snap = snapshot(2, 14);
+        let mut payload = Vec::new();
+        (snap.n as u32).encode_into(&mut payload);
+        snap.next_seq.encode_into(&mut payload);
+        977u64.encode_into(&mut payload);
+        encode_state(&snap.state, &mut payload);
+        for (version, checksum) in [(2, Checksum::Sha256), (4, Checksum::Xxh64)] {
+            assert_eq!(layout(version), None);
+            let bytes = file_with(version, checksum, &payload);
+            std::fs::write(dir.join(SNAPSHOT_FILE), bytes).unwrap();
+            assert!(
+                matches!(
+                    read_snapshot(&dir).unwrap_err(),
+                    StoreError::UnsupportedVersion { file: "snapshot", version: v } if v == version
+                ),
+                "version {version}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -273,16 +258,11 @@ mod tests {
         // behind a reserved header: the current version, an 8-byte
         // checksum, the payload.
         let dir = scratch_dir("snap-layout");
-        for (global_next_seq, version) in [(None, 3), (Some(977), 4)] {
-            let snap = Snapshot {
-                global_next_seq,
-                ..snapshot(5, 42)
-            };
-            let expected = file_bytes(&snap, version);
-            assert_eq!(expected[8..12], version.to_be_bytes());
-            write_snapshot(&dir, &snap, false).unwrap();
-            assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), expected);
-        }
+        let snap = snapshot(5, 42);
+        let expected = file_bytes(&snap, SNAPSHOT_VERSION);
+        assert_eq!(expected[8..12], 3u32.to_be_bytes());
+        write_snapshot(&dir, &snap, false).unwrap();
+        assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), expected);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -290,21 +270,16 @@ mod tests {
     fn sha256_era_snapshots_still_load_and_unknown_versions_do_not() {
         let dir = scratch_dir("snap-v1");
         let path = dir.join(SNAPSHOT_FILE);
-        for (global_next_seq, version) in [(None, 1), (Some(977), 2)] {
-            let snap = Snapshot {
-                global_next_seq,
-                ..snapshot(3, 42)
-            };
-            let bytes = file_bytes(&snap, version);
-            std::fs::write(&path, &bytes).unwrap();
-            assert_eq!(read_snapshot(&dir).unwrap(), Some(snap));
-            // Cut inside the 32-byte digest: still a header problem.
-            std::fs::write(&path, &bytes[..PREFIX + 20]).unwrap();
-            assert!(matches!(
-                read_snapshot(&dir).unwrap_err(),
-                StoreError::TruncatedHeader { file: "snapshot" }
-            ));
-        }
+        let snap = snapshot(3, 42);
+        let bytes = file_bytes(&snap, 1);
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_snapshot(&dir).unwrap(), Some(snap));
+        // Cut inside the 32-byte digest: still a header problem.
+        std::fs::write(&path, &bytes[..PREFIX + 20]).unwrap();
+        assert!(matches!(
+            read_snapshot(&dir).unwrap_err(),
+            StoreError::TruncatedHeader { file: "snapshot" }
+        ));
         let mut bytes = file_bytes(&snapshot(3, 42), SNAPSHOT_VERSION);
         bytes[8..12].copy_from_slice(&5u32.to_be_bytes());
         std::fs::write(&path, &bytes).unwrap();
@@ -322,12 +297,8 @@ mod tests {
     fn bytes_after_the_payload_are_rejected_in_every_layout() {
         let dir = scratch_dir("snap-trailing");
         let path = dir.join(SNAPSHOT_FILE);
-        for (global_next_seq, version) in [(None, 1), (Some(977), 2), (None, 3), (Some(977), 4)] {
-            let snap = Snapshot {
-                global_next_seq,
-                ..snapshot(3, 42)
-            };
-            let mut bytes = file_bytes(&snap, version);
+        for version in [1, SNAPSHOT_VERSION] {
+            let mut bytes = file_bytes(&snapshot(3, 42), version);
             bytes.push(0);
             std::fs::write(&path, &bytes).unwrap();
             assert!(

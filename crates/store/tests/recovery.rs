@@ -125,7 +125,6 @@ fn crash_between_snapshot_and_rotation_is_benign() {
             n,
             next_seq: persistent.next_seq(),
             state: persistent.server().export_state(),
-            global_next_seq: None,
         },
         false,
     )
@@ -176,7 +175,6 @@ fn log_ending_before_snapshot_coverage_is_refused() {
             n,
             next_seq: persistent.next_seq(),
             state: persistent.server().export_state(),
-            global_next_seq: None,
         },
         false,
     )
@@ -348,7 +346,6 @@ fn log_starting_after_snapshot_coverage_is_a_gap() {
             n,
             next_seq: 3,
             state: server.server().export_state(),
-            global_next_seq: None,
         },
         false,
     )

@@ -169,35 +169,6 @@ pub struct EngineStats {
     pub max_egress_batch: usize,
 }
 
-impl EngineStats {
-    /// Accumulates `other` into `self`: counters add, high-water marks
-    /// take the maximum. This is the one sanctioned way to aggregate
-    /// stats across engines or shards — router aggregation and bench
-    /// reporting must not hand-roll the field sums.
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.submits += other.submits;
-        self.commits += other.commits;
-        self.duplicates += other.duplicates;
-        self.rejected += other.rejected;
-        self.nonsense += other.nonsense;
-        self.batches += other.batches;
-        self.max_batch = self.max_batch.max(other.max_batch);
-        self.frames_out += other.frames_out;
-        self.flushes += other.flushes;
-        self.max_egress_batch = self.max_egress_batch.max(other.max_egress_batch);
-    }
-
-    /// [`EngineStats::merge`] over any number of stats, starting from
-    /// zero.
-    pub fn merged<'a>(stats: impl IntoIterator<Item = &'a EngineStats>) -> EngineStats {
-        let mut out = EngineStats::default();
-        for s in stats {
-            out.merge(s);
-        }
-        out
-    }
-}
-
 /// The transport-agnostic server engine. See the module docs.
 pub struct ServerEngine {
     n: usize,
@@ -1027,51 +998,6 @@ mod tests {
         assert_eq!(outputs.len(), 1);
         assert_eq!(outputs[0].0, ClientId::new(0));
         assert!(matches!(outputs[0].1, UstorMsg::Reply(_)));
-    }
-
-    #[test]
-    fn merge_adds_counters_and_maxes_high_water_marks() {
-        let a = EngineStats {
-            submits: 10,
-            commits: 8,
-            duplicates: 2,
-            rejected: 1,
-            nonsense: 0,
-            batches: 4,
-            max_batch: 5,
-            frames_out: 12,
-            flushes: 6,
-            max_egress_batch: 3,
-        };
-        let b = EngineStats {
-            submits: 7,
-            commits: 5,
-            duplicates: 1,
-            rejected: 0,
-            nonsense: 2,
-            batches: 3,
-            max_batch: 9,
-            frames_out: 8,
-            flushes: 2,
-            max_egress_batch: 1,
-        };
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.submits, 17);
-        assert_eq!(merged.commits, 13);
-        assert_eq!(merged.duplicates, 3);
-        assert_eq!(merged.rejected, 1);
-        assert_eq!(merged.nonsense, 2);
-        assert_eq!(merged.batches, 7);
-        assert_eq!(merged.max_batch, 9, "high-water marks take the max");
-        assert_eq!(merged.frames_out, 20);
-        assert_eq!(merged.flushes, 8);
-        assert_eq!(merged.max_egress_batch, 3);
-        // merged() folds from zero, so identity and order hold.
-        assert_eq!(EngineStats::merged([&a, &b]), merged);
-        assert_eq!(EngineStats::merged([&b, &a]), merged);
-        assert_eq!(EngineStats::merged([&a]), a);
-        assert_eq!(EngineStats::merged([]), EngineStats::default());
     }
 
     #[test]

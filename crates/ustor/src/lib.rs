@@ -56,7 +56,6 @@ pub mod engine;
 pub mod fault;
 pub mod reply_cache;
 pub mod server;
-pub mod shard;
 
 pub use client::{
     BeginError, CommitMode, OpCompletion, PendingOpState, UstorClient, UstorClientState,
@@ -68,4 +67,3 @@ pub use reply_cache::ReplyCache;
 pub use server::{
     MemEntry, MemoryBackend, Server, ServerBackend, ServerState, SessionResume, UstorServer,
 };
-pub use shard::{ShardMember, ShardStatsHandle, ShardedEngine, ShardedServer, VolatileShard};

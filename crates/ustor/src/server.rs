@@ -269,57 +269,6 @@ impl UstorServer {
         }
     }
 
-    /// Applies a SUBMIT to the server state **without constructing the
-    /// REPLY** — the replica path of a sharded deployment, where every
-    /// shard applies every message so the version plane (schedule,
-    /// `L`, `SVER`, `P`) stays identical across shards, but only the
-    /// shard owning the target register pays the `O(n + |L|)` clones
-    /// of the internal reply builder.
-    ///
-    /// State-equivalent to [`Server::on_submit`]: the piggybacked
-    /// commit, the `MEM` update, and the append to `L` all happen
-    /// exactly as there. Two servers fed the same message stream —
-    /// one via `on_submit`, one via `absorb_submit` — are equal.
-    pub fn absorb_submit(&mut self, client: ClientId, msg: SubmitMsg) {
-        self.apply_submit(client, msg, false);
-    }
-
-    /// Shared body of [`Server::on_submit`] and
-    /// [`UstorServer::absorb_submit`]; builds the reply only when asked.
-    fn apply_submit(
-        &mut self,
-        client: ClientId,
-        mut msg: SubmitMsg,
-        with_reply: bool,
-    ) -> Option<ReplyMsg> {
-        // Piggybacked COMMIT of the client's previous operation (Section
-        // 5 optimization): apply it first, exactly as if it had arrived
-        // as a separate message on the FIFO channel.
-        if let Some(pb) = msg.piggyback.take() {
-            self.on_commit(client, pb);
-        }
-        let i = client.index();
-        // Lines 108–113: update MEM[i]. A read refreshes the timestamp and
-        // DATA-signature but keeps the stored value.
-        match msg.tuple.kind {
-            OpKind::Read => {
-                self.mem[i].timestamp = msg.timestamp;
-                self.mem[i].data_sig = Some(msg.data_sig);
-            }
-            OpKind::Write => {
-                self.mem[i] = MemEntry {
-                    timestamp: msg.timestamp,
-                    value: msg.value.clone(),
-                    data_sig: Some(msg.data_sig),
-                };
-            }
-        }
-        // Lines 111/114–115: reply, then line 116: append to L.
-        let reply = with_reply.then(|| self.build_reply(&msg));
-        self.pending.push(msg.tuple);
-        reply
-    }
-
     /// Builds the REPLY for a submit without mutating state further;
     /// used by both the correct path and adversarial wrappers.
     fn build_reply(&self, msg: &SubmitMsg) -> ReplyMsg {
@@ -345,10 +294,32 @@ impl UstorServer {
 }
 
 impl Server for UstorServer {
-    fn on_submit(&mut self, client: ClientId, msg: SubmitMsg) -> Vec<(ClientId, ReplyMsg)> {
-        let reply = self
-            .apply_submit(client, msg, true)
-            .expect("with_reply = true");
+    fn on_submit(&mut self, client: ClientId, mut msg: SubmitMsg) -> Vec<(ClientId, ReplyMsg)> {
+        // Piggybacked COMMIT of the client's previous operation (Section
+        // 5 optimization): apply it first, exactly as if it had arrived
+        // as a separate message on the FIFO channel.
+        if let Some(pb) = msg.piggyback.take() {
+            self.on_commit(client, pb);
+        }
+        let i = client.index();
+        // Lines 108–113: update MEM[i]. A read refreshes the timestamp and
+        // DATA-signature but keeps the stored value.
+        match msg.tuple.kind {
+            OpKind::Read => {
+                self.mem[i].timestamp = msg.timestamp;
+                self.mem[i].data_sig = Some(msg.data_sig);
+            }
+            OpKind::Write => {
+                self.mem[i] = MemEntry {
+                    timestamp: msg.timestamp,
+                    value: msg.value.clone(),
+                    data_sig: Some(msg.data_sig),
+                };
+            }
+        }
+        // Lines 111/114–115: reply, then line 116: append to L.
+        let reply = self.build_reply(&msg);
+        self.pending.push(msg.tuple);
         vec![(client, reply)]
     }
 
@@ -590,47 +561,6 @@ mod tests {
         let rb = b.on_submit(ClientId::new(1), submit);
         assert_eq!(ra, rb);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn absorb_submit_reaches_the_same_state_as_on_submit() {
-        // Two servers fed an identical stream — one building replies,
-        // one absorbing — must be equal after every step, including
-        // piggybacked commits and interleaved reads.
-        let (mut replying, mut cs) = setup(3);
-        for client in &mut cs {
-            client.set_commit_mode(crate::client::CommitMode::Piggyback);
-        }
-        let script: Vec<(ClientId, SubmitMsg)> = {
-            let mut ops = Vec::new();
-            for round in 0..3u64 {
-                for i in 0..3usize {
-                    let id = ClientId::new(i as u32);
-                    let submit = if (round + i as u64).is_multiple_of(2) {
-                        cs[i].begin_write(Value::unique(i as u32, round)).unwrap()
-                    } else {
-                        cs[i]
-                            .begin_read(ClientId::new(((i + 1) % 3) as u32))
-                            .unwrap()
-                    };
-                    ops.push((id, submit.clone()));
-                    // Drive the real client forward so later submits carry
-                    // genuine piggybacked commits.
-                    let mut replies = replying.on_submit(id, submit);
-                    let (_, reply) = replies.pop().unwrap();
-                    cs[i].handle_reply(reply).expect("correct server");
-                }
-            }
-            ops
-        };
-        let mut a = UstorServer::new(3);
-        let mut b = UstorServer::new(3);
-        for (id, submit) in script {
-            a.on_submit(id, submit.clone());
-            b.absorb_submit(id, submit);
-            assert_eq!(a, b, "states must stay bit-identical");
-        }
-        assert!(a.pending_len() > 0, "the script left work in L");
     }
 
     #[test]

@@ -51,8 +51,7 @@
 //! snapshots, `docs/persistence.md`), under which a restarted server
 //! resumes mid-protocol invisibly to clients — and a rolled-back log is
 //! detected by them as a violation.
-//! The sharded serving path and the single-threaded many-connection
-//! reactor both landed exactly this way — behind
+//! The single-threaded many-connection reactor landed exactly this way — behind
 //! `ServerTransport`/`ServerEngine`, without touching protocol code;
 //! further scaling work follows the same seam (see ROADMAP.md).
 //!

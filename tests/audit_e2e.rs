@@ -142,7 +142,6 @@ fn honest_tcp_run_is_certified_and_tampered_copy_is_pinpointed() {
             .position(|(_, r)| match r {
                 LogRecord::Submit { from, .. } => from.index() == 0,
                 LogRecord::Commit { msg, .. } => msg.version.v().get(c(0)) >= 2,
-                _ => false,
             })
             .expect("a later record exposes the removed one");
     let tampered = relaunder(&tampered);

@@ -13,15 +13,24 @@
 //!   advancing.
 //! * **Truncated recovery is a detected violation**: if the log loses
 //!   acknowledged records while the server is down, the restarted server
-//!   presents a rolled-back schedule and clients flag it.
+//!   presents a rolled-back schedule and clients flag it — exactly the
+//!   clients whose view the cut contradicts, and no others.
 
+use faust::client::{Event, FaustHandle, HandleConfig, WaitError};
 use faust::core::runtime::spawn_engine;
 use faust::core::threaded_faust::{run_faust_session, FaustSession, ThreadedFaustConfig};
 use faust::core::{FailReason, FaustConfig, ThreadedFaustReport, UserOp};
 use faust::net::{tcp, ClientConn, TcpServerTransport};
-use faust::store::{testutil, truncate_tail_records, Durability, PersistentBackend, StoreConfig};
+use faust::sim::SmallRng;
+use faust::store::log::{Wal, WAL_FILE};
+use faust::store::{
+    testutil, truncate_tail_records, Durability, LogRecord, PersistentBackend, StoreConfig,
+};
 use faust::types::{ClientId, Value};
-use faust::ustor::ServerBackend;
+use faust::ustor::{EngineStats, ServerBackend};
+use std::net::SocketAddr;
+use std::path::Path;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn c(i: u32) -> ClientId {
@@ -44,18 +53,24 @@ fn config() -> ThreadedFaustConfig {
 }
 
 /// Stands up a server incarnation from `backend` on a fresh loopback
-/// socket and runs one phase of `session` against it. When this returns,
-/// that incarnation is dead: clients disconnected, engine thread joined.
+/// socket; returns its address and engine thread.
+fn incarnation(backend: &PersistentBackend, n: usize) -> (SocketAddr, JoinHandle<EngineStats>) {
+    let transport = TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
+    let addr = transport.local_addr();
+    let server = backend.build(n).expect("backend builds/recovers");
+    (addr, spawn_engine(n, server, transport))
+}
+
+/// Stands up a server incarnation from `backend` and runs one phase of
+/// `session` against it. When this returns, that incarnation is dead:
+/// clients disconnected, engine thread joined.
 fn run_phase(
     session: FaustSession,
     backend: &PersistentBackend,
     workloads: Vec<Vec<UserOp>>,
 ) -> (ThreadedFaustReport, FaustSession) {
     let n = session.num_clients();
-    let transport = TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
-    let addr = transport.local_addr();
-    let server = backend.build(n).expect("backend builds/recovers");
-    let engine_thread = spawn_engine(n, server, transport);
+    let (addr, engine_thread) = incarnation(backend, n);
     let conns: Vec<ClientConn> = (0..n)
         .map(|i| tcp::connect(addr, c(i as u32)).expect("connect"))
         .collect();
@@ -258,4 +273,244 @@ fn server_recovered_from_truncated_log_is_detected_as_violation() {
         report2.failures
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Quiet resilient handles: the truncation story is about writes, not
+/// probes.
+fn handle_config() -> HandleConfig {
+    HandleConfig {
+        faust: FaustConfig {
+            probe_period: u64::MAX / 2,
+            dummy_reads: false,
+            pipeline: 2,
+            ..FaustConfig::default()
+        },
+        tick_interval: Duration::from_millis(5),
+        ..HandleConfig::default()
+    }
+}
+
+/// Byte-for-byte copy of a store directory.
+fn copy_store(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).expect("mkdir");
+    for entry in std::fs::read_dir(src).expect("readdir") {
+        let entry = entry.expect("dir entry");
+        std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy");
+    }
+}
+
+/// **Random truncation points, and exactly which clients must notice.**
+/// Each iteration runs a round-robin write schedule against a group-commit
+/// store (every wait observed, so each client's SUBMIT and COMMIT records
+/// alternate in the log), then cuts a random tail of any length off the
+/// log. An odd cut separates a SUBMIT from its COMMIT. Recovery replays
+/// the surviving prefix without complaint — the log is locally flawless —
+/// so detection is the clients' job, and the oracle below predicts it
+/// from the cut point alone.
+///
+/// A reconnecting resilient session *replays its latest COMMIT* (the
+/// resend window retains it as the Algorithm 1 line 41 anchor), which
+/// re-anchors the client's own history on the rolled-back server: plain
+/// version regression is invisible to a write, and a cut whose evidence
+/// was entirely superseded heals silently (reads that could observe lost
+/// data still detect, which the tests above and `tests/chaos.rs`
+/// exercise). What a write still proves is a surviving-but-uncovered
+/// pending SUBMIT whose signature cannot verify at the healed version's
+/// expected timestamp; the oracle predicts exactly those flags. Every
+/// other client must stay clean: fail-aware detection is accurate, not
+/// just complete.
+///
+/// The oracle reads the order from the log's own sequence numbers and
+/// each record's sender rather than assuming a schedule: the waits pin
+/// each *client's* record order, but a COMMIT can legitimately be
+/// overtaken by the next client's SUBMIT.
+#[test]
+fn random_truncation_points_recover_into_flagged_rollbacks() {
+    let wait = Duration::from_secs(10);
+    // These seeds include cuts every client flags, cuts no client flags,
+    // and cuts only some clients flag; the oracle holds over the first
+    // 400 seeds too.
+    for seed in 0..24u64 {
+        let mut rng = SmallRng::seed_from_u64(0x5A_D0 ^ seed);
+        let n = rng.gen_range_inclusive(2, 4) as usize;
+        let rounds = rng.gen_range_inclusive(2, 3) as usize;
+        let dir = testutil::scratch_dir(&format!("truncation-prop-{seed}"));
+        let backend = PersistentBackend::new(&dir, group_store_config());
+        let config = handle_config();
+
+        // Phase 1: `rounds` round-robin writes per client, strictly
+        // sequential.
+        let (addr, engine) = incarnation(&backend, n);
+        let mut handles: Vec<FaustHandle> = (0..n)
+            .map(|i| {
+                FaustHandle::connect_tcp(addr, c(i as u32), n, b"truncation-prop", &config)
+                    .expect("connect")
+            })
+            .collect();
+        for r in 0..rounds {
+            for (i, h) in handles.iter_mut().enumerate() {
+                let ticket = h.write(Value::from(vec![b'v', i as u8, r as u8]));
+                let done = h.wait(ticket, wait).expect("phase-1 write completes");
+                assert_eq!(done.timestamp, (r + 1) as u64, "seed {seed}");
+            }
+        }
+        for h in &mut handles {
+            h.disconnect();
+        }
+        engine.join().expect("engine thread");
+
+        // Ground truth before tampering: the sequence numbers of each
+        // client's SUBMITs and of its COMMITs, `rounds` of each.
+        let log = Wal::scan(&dir.join(WAL_FILE)).expect("scan log").records;
+        let mut subs = vec![Vec::new(); n];
+        let mut coms = vec![Vec::new(); n];
+        for scanned in &log {
+            let from = scanned.record.from().index();
+            match scanned.record {
+                LogRecord::Submit { .. } => subs[from].push(scanned.seq),
+                LogRecord::Commit { .. } => coms[from].push(scanned.seq),
+            }
+        }
+        for i in 0..n {
+            assert_eq!(
+                (subs[i].len(), coms[i].len()),
+                (rounds, rounds),
+                "seed {seed}, client {i}"
+            );
+        }
+
+        // The attack: cut a random tail, keeping at least one record.
+        let cut = rng.gen_range_inclusive(1, log.len() as u64 - 1) as usize;
+        let kept = truncate_tail_records(&dir, cut).expect("tamper with the log");
+        assert_eq!(kept, log.len() - cut, "a rollback, not a wipe");
+        let first_hole = log[kept].seq;
+
+        // What the recovered server still holds, per client.
+        let surviving = |seqs: &[u64]| seqs.iter().filter(|&&s| s < first_hole).count();
+        let effective: Vec<usize> = subs.iter().map(|s| surviving(s)).collect();
+        let eff_commits: Vec<usize> = coms.iter().map(|s| surviving(s)).collect();
+        // The version committed for client m's op r: entry i counts i's
+        // SUBMITs processed up to m's r-th SUBMIT (its own included).
+        // All versions along one schedule are totally ordered, so an
+        // entry-wise comparison identifies the dominant one.
+        let version_at = |m: usize, r: usize| -> Vec<usize> {
+            let pivot = subs[m][r - 1];
+            subs.iter()
+                .map(|s| s.iter().filter(|&&x| x <= pivot).count())
+                .collect()
+        };
+        let dominates = |a: &[usize], b: &[usize]| a.iter().zip(b).all(|(x, y)| x >= y);
+        // The dominant surviving commit version: recovery replays the
+        // surviving COMMITs in order and `on_commit` keeps the greatest
+        // (the initial version if none survived).
+        let v_surviving = (0..n)
+            .flat_map(|m| (1..=rounds).map(move |r| (m, r)))
+            .filter(|&(m, r)| coms[m][r - 1] < first_hole)
+            .map(|(m, r)| version_at(m, r))
+            .fold(vec![0; n], |a, b| if dominates(&b, &a) { b } else { a });
+        // Phase-2 oracle under resilient-session semantics: client j's
+        // reconnect replays its final COMMIT, so the reply it folds
+        // starts from the dominant of {best surviving version, j's own
+        // final version} — plain version regression is re-anchored, not
+        // flagged. What remains visible is a surviving-but-uncovered
+        // pending SUBMIT (its COMMIT fell past the cut while the SUBMIT
+        // survived): the fold checks each pending tuple's
+        // SUBMIT-signature at the healed version's expected timestamp,
+        // and a healed entry that moved past the tuple's true timestamp
+        // cannot verify.
+        //
+        // Which pending tuples the reply folds depends on the replayed
+        // COMMIT's pruning (Algorithm 2 lines 118–121): the replay
+        // advances the schedule head only if j's final version is the
+        // dominant one, and it prunes (j's covered tuple and everything
+        // queued before it) only if the covered tuple is actually in L —
+        // i.e. j's own uncovered SUBMIT is its *final* one. Otherwise
+        // nothing is pruned, and j's own stale pending tuple — expected
+        // at the healed `rounds + 1` but signed at its true timestamp —
+        // always flags.
+        let pend = |k: usize| effective[k] == eff_commits[k] + 1;
+        // Log position of client k's surviving pending SUBMIT.
+        let pend_seq = |k: usize| subs[k][effective[k] - 1];
+        let must_flag: Vec<bool> = (0..n)
+            .map(|j| {
+                let own = version_at(j, rounds);
+                let own_dominant = dominates(&own, &v_surviving);
+                assert!(
+                    own_dominant || dominates(&v_surviving, &own),
+                    "seed {seed}: schedule versions are totally ordered"
+                );
+                let heal = if own_dominant { &own } else { &v_surviving };
+                let prunes = pend(j) && own_dominant && effective[j] == rounds;
+                let own_folds = pend(j) && !prunes;
+                let peer_folds =
+                    |k: usize| pend(k) && (!prunes || pend_seq(k) > subs[j][rounds - 1]);
+                own_folds
+                    || (0..n)
+                        .filter(|&k| k != j)
+                        .any(|k| peer_folds(k) && heal[k] != eff_commits[k])
+            })
+            .collect();
+
+        // Freeze the tampered log: each client gets its verdict against
+        // a pristine copy, so one client's post-recovery SUBMIT (logged,
+        // replayed as pending, folded into candidates) cannot mask the
+        // rollback the next client would otherwise see.
+        let copies: Vec<std::path::PathBuf> = (0..n)
+            .map(|j| {
+                let copy = dir.with_file_name(format!(
+                    "{}-client{j}",
+                    dir.file_name().unwrap().to_string_lossy()
+                ));
+                copy_store(&dir, &copy);
+                copy
+            })
+            .collect();
+
+        // Phase 2: each client reconnects to its own recovered
+        // incarnation and writes once. Exactly the predicted clients
+        // flag the rollback; the rest stay clean.
+        for (j, h) in handles.iter_mut().enumerate() {
+            let recovered = PersistentBackend::new(&copies[j], group_store_config());
+            let (addr, engine) = incarnation(&recovered, n);
+            // The transport serves exactly n client slots; fill the
+            // others with idle connections so the engine can retire.
+            let fillers: Vec<_> = (0..n)
+                .filter(|&m| m != j)
+                .map(|m| tcp::connect(addr, c(m as u32)).expect("filler"))
+                .collect();
+            h.reconnect(Box::new(tcp::connect(addr, c(j as u32)).expect("redial")));
+            let ticket = h.write(Value::from(vec![b'p', j as u8]));
+            if must_flag[j] {
+                let err = h.wait(ticket, wait).expect_err("rollback must be detected");
+                assert!(
+                    matches!(err, WaitError::Violation(_)),
+                    "seed {seed}, client {j}: got {err:?}"
+                );
+                assert!(
+                    h.poll()
+                        .iter()
+                        .any(|(_, e)| matches!(e, Event::Violation { .. })),
+                    "seed {seed}, client {j}: expected Event::Violation"
+                );
+                assert!(h.failure().is_some(), "seed {seed}, client {j}");
+            } else {
+                let done = h.wait(ticket, wait).unwrap_or_else(|e| {
+                    panic!(
+                        "seed {seed}, client {j}, cut {cut}: detection must be \
+                         accurate, but the clean client saw {e:?}"
+                    )
+                });
+                // The session kept its own clock: the replayed COMMIT
+                // re-anchored the server, and the write lands at the
+                // client's true next timestamp, rolled-back tail or not.
+                assert_eq!(done.timestamp, rounds as u64 + 1, "seed {seed}");
+                assert!(h.failure().is_none(), "seed {seed}, client {j}");
+            }
+            h.disconnect();
+            drop(fillers);
+            engine.join().expect("engine thread");
+            std::fs::remove_dir_all(&copies[j]).ok();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

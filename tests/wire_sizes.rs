@@ -42,7 +42,6 @@ fn encoded_len_is_exact_across_a_seeded_session() {
     // Messages on their way to the server, delivered a few at a time so
     // that states are exported with operations queued and in flight.
     let mut upstream: Vec<(usize, UstorMsg)> = Vec::new();
-    let mut global_seq = 0;
     let (mut inflight_seen, mut queued_seen) = (0, 0);
     for now in 1..=60u64 {
         let i = rng.gen_index(N);
@@ -81,11 +80,6 @@ fn encoded_len_is_exact_across_a_seeded_session() {
                 UstorMsg::Reply(_) => unreachable!("clients send no replies"),
             };
             check(&record);
-            global_seq += 1;
-            check(&LogRecord::Routed {
-                seq: global_seq,
-                inner: Box::new(record),
-            });
             for (to, reply) in replies {
                 check(&UstorMsg::Reply(reply.clone()));
                 let out = cores[to.index()].handle_reply(reply, now);
