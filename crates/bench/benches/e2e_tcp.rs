@@ -8,8 +8,8 @@
 //! [`faust_bench::pipelined_writes`]) and then read back exactly that
 //! many REPLYs. The server runs the real `serve` loop over a
 //! `PersistentServer`, so under `Durability::Group` replies travel in
-//! per-batch bursts and the TCP transport coalesces each client's burst
-//! into one socket write.
+//! per-batch bursts and the reactor coalesces each client's burst into
+//! one socket write.
 //!
 //! Two assertions, checked on every run:
 //!

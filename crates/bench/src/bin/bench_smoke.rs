@@ -328,76 +328,78 @@ fn collect(quick: TimingConfig) -> (Vec<Point>, ReactorReport) {
         per_second: 1e9 / ns_per_record,
     });
 
-    // End-to-end TCP: one small pipelined run (2 clients × 32 writes)
-    // against a group-commit store over loopback — not an iteration
-    // bench, a single timed pass (sockets + threads are too heavy to
-    // batch in quick mode on this 1-CPU container).
-    let group = Durability::Group {
-        max_records: 64,
-        max_wait: std::time::Duration::from_millis(2),
-    };
-    let (elapsed, stats) = faust_bench::tcp_pipelined_run(2, 32, 64, group);
-    assert!(
-        stats.flushes < stats.frames_out,
-        "egress must coalesce: {} writes for {} frames",
-        stats.flushes,
-        stats.frames_out
-    );
-    let ops = 2.0 * 32.0;
-    let raw_ns_per_op = elapsed.as_nanos() as f64 / ops;
-    println!(
-        "{:<44} {:>12.1} ns/iter {:>14.0} iter/s",
-        "e2e: tcp write op, group-commit (2x32)",
-        raw_ns_per_op,
-        1e9 / raw_ns_per_op
-    );
-    points.push(Point {
-        name: "e2e: tcp write op, group-commit (2x32)",
-        ns_per_iter: raw_ns_per_op,
-        per_second: 1e9 / raw_ns_per_op,
-    });
-
-    // The same load shape through the *public* client API: 2 pipelined
-    // FaustHandle sessions (depth 32 — a full burst, matching the raw
-    // point) over TCP against the same group-commit store. The delta to
-    // the raw point is the cost of the full fail-aware client: signing,
-    // reply verification, version folding, stability tracking. The
-    // acceptance bound is 1.5× raw; best-of-two damps 1-CPU scheduler
-    // noise.
-    let mut handle_ns_per_op = f64::MAX;
-    for _ in 0..2 {
-        let (elapsed, hstats) = faust_bench::tcp_handle_run(2, 32, 32, 64, group);
-        assert_eq!(
-            hstats.submits, 64,
-            "every handle op reached the server exactly once"
-        );
-        handle_ns_per_op = handle_ns_per_op.min(elapsed.as_nanos() as f64 / ops);
-    }
-    println!(
-        "{:<44} {:>12.1} ns/iter {:>14.0} iter/s",
-        "client_api: tcp pipelined FaustHandle (2x32)",
-        handle_ns_per_op,
-        1e9 / handle_ns_per_op
-    );
-    points.push(Point {
-        name: "client_api: tcp pipelined FaustHandle (2x32)",
-        ns_per_iter: handle_ns_per_op,
-        per_second: 1e9 / handle_ns_per_op,
-    });
-    assert!(
-        handle_ns_per_op <= 1.5 * raw_ns_per_op,
-        "the full fail-aware client must stay within 1.5x of the raw \
-         pipelined path: {handle_ns_per_op:.0} vs {raw_ns_per_op:.0} ns/op"
-    );
-
-    // Many-connection scale: 512 concurrent sequential clients, each
-    // completing 2 full write ops, served by ONE reactor event-loop
-    // thread (a thread-per-connection transport would need 512 readers).
-    // A single timed pass; the reactor's own counters plus the process
-    // peak RSS ride along in the JSON so the trend shows both throughput
-    // and the memory bound at this connection count.
+    // The socket points: the reactor is the one socket server, so they
+    // exist where it does (unix).
     #[cfg(unix)]
     let reactor = {
+        // End-to-end TCP: one small pipelined run (2 clients × 32 writes)
+        // against a group-commit store over loopback — not an iteration
+        // bench, a single timed pass (sockets + threads are too heavy to
+        // batch in quick mode on this 1-CPU container).
+        let group = Durability::Group {
+            max_records: 64,
+            max_wait: std::time::Duration::from_millis(2),
+        };
+        let (elapsed, stats) = faust_bench::tcp_pipelined_run(2, 32, 64, group);
+        assert!(
+            stats.flushes < stats.frames_out,
+            "egress must coalesce: {} writes for {} frames",
+            stats.flushes,
+            stats.frames_out
+        );
+        let ops = 2.0 * 32.0;
+        let raw_ns_per_op = elapsed.as_nanos() as f64 / ops;
+        println!(
+            "{:<44} {:>12.1} ns/iter {:>14.0} iter/s",
+            "e2e: tcp write op, group-commit (2x32)",
+            raw_ns_per_op,
+            1e9 / raw_ns_per_op
+        );
+        points.push(Point {
+            name: "e2e: tcp write op, group-commit (2x32)",
+            ns_per_iter: raw_ns_per_op,
+            per_second: 1e9 / raw_ns_per_op,
+        });
+
+        // The same load shape through the *public* client API: 2 pipelined
+        // FaustHandle sessions (depth 32 — a full burst, matching the raw
+        // point) over TCP against the same group-commit store. The delta to
+        // the raw point is the cost of the full fail-aware client: signing,
+        // reply verification, version folding, stability tracking. The
+        // acceptance bound is 1.5× raw; best-of-two damps 1-CPU scheduler
+        // noise.
+        let mut handle_ns_per_op = f64::MAX;
+        for _ in 0..2 {
+            let (elapsed, hstats) = faust_bench::tcp_handle_run(2, 32, 32, 64, group);
+            assert_eq!(
+                hstats.submits, 64,
+                "every handle op reached the server exactly once"
+            );
+            handle_ns_per_op = handle_ns_per_op.min(elapsed.as_nanos() as f64 / ops);
+        }
+        println!(
+            "{:<44} {:>12.1} ns/iter {:>14.0} iter/s",
+            "client_api: tcp pipelined FaustHandle (2x32)",
+            handle_ns_per_op,
+            1e9 / handle_ns_per_op
+        );
+        points.push(Point {
+            name: "client_api: tcp pipelined FaustHandle (2x32)",
+            ns_per_iter: handle_ns_per_op,
+            per_second: 1e9 / handle_ns_per_op,
+        });
+        assert!(
+            handle_ns_per_op <= 1.5 * raw_ns_per_op,
+            "the full fail-aware client must stay within 1.5x of the raw \
+             pipelined path: {handle_ns_per_op:.0} vs {raw_ns_per_op:.0} ns/op"
+        );
+
+        // Many-connection scale: 512 concurrent sequential clients, each
+        // completing 2 full write ops, served by ONE reactor event-loop
+        // thread (a thread-per-connection transport would need 512 readers).
+        // A single timed pass; the reactor's own counters plus the process
+        // peak RSS ride along in the JSON so the trend shows both throughput
+        // and the memory bound at this connection count.
         const CONNS: usize = 512;
         const ROUNDS: u64 = 2;
         let (elapsed, estats, rstats) = faust_bench::tcp_reactor_run(CONNS, ROUNDS, 64, group);

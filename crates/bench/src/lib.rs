@@ -525,6 +525,7 @@ pub fn group_commit_round(
 /// given durability, waiting for every reply. Returns the loaded-phase
 /// wall time and the engine's final stats — the shared core of the
 /// `e2e_tcp` bench and the `bench_smoke` e2e data point.
+#[cfg(unix)]
 pub fn tcp_pipelined_run(
     clients: usize,
     pipeline: u64,
@@ -543,10 +544,10 @@ pub fn tcp_pipelined_run(
         },
     );
     let transport =
-        faust_net::TcpServerTransport::bind("127.0.0.1:0", clients).expect("bind loopback");
+        faust_net::ReactorTransport::bind("127.0.0.1:0", clients).expect("bind loopback");
     let addr = transport.local_addr();
-    let server = faust_ustor::ServerBackend::build(&backend, clients).expect("fresh store");
-    let engine_thread = faust_core::runtime::spawn_engine(clients, server, transport);
+    let engine = faust_ustor::ServerEngine::from_backend(clients, &backend).expect("fresh store");
+    let engine_thread = faust_ustor::spawn_engine(engine, transport);
 
     let keys = KeySet::generate(clients, b"bench-e2e-tcp");
     let start = std::time::Instant::now();
@@ -588,6 +589,7 @@ pub fn tcp_pipelined_run(
 /// path — so the delta between the two is exactly the cost of the full
 /// fail-aware client (signing, reply verification, version folding,
 /// stability tracking).
+#[cfg(unix)]
 pub fn tcp_handle_run(
     clients: usize,
     ops: u64,
@@ -609,10 +611,10 @@ pub fn tcp_handle_run(
         },
     );
     let transport =
-        faust_net::TcpServerTransport::bind("127.0.0.1:0", clients).expect("bind loopback");
+        faust_net::ReactorTransport::bind("127.0.0.1:0", clients).expect("bind loopback");
     let addr = transport.local_addr();
-    let server = faust_ustor::ServerBackend::build(&backend, clients).expect("fresh store");
-    let engine_thread = faust_core::runtime::spawn_engine(clients, server, transport);
+    let engine = faust_ustor::ServerEngine::from_backend(clients, &backend).expect("fresh store");
+    let engine_thread = faust_ustor::spawn_engine(engine, transport);
 
     let config = HandleConfig {
         faust: FaustConfig {

@@ -20,10 +20,12 @@ use faust_core::handle::{Event, FaustHandle, HandleConfig};
 use faust_core::FaustConfig;
 use faust_crypto::sig::SigScheme;
 #[cfg(unix)]
-use faust_net::ReactorTransport;
-use faust_net::TcpServerTransport;
-use faust_store::{Durability, PersistentBackend, StoreConfig};
+use faust_net::{ReactorConfig, ReactorStats, ReactorTransport, MAX_CLIENTS};
+use faust_store::Durability;
+#[cfg(unix)]
+use faust_store::{PersistentBackend, StoreConfig};
 use faust_types::{ClientId, Value};
+#[cfg(unix)]
 use faust_ustor::{serve, MemoryBackend, ServerBackend, ServerEngine};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -54,20 +56,21 @@ faust — fail-aware untrusted storage (FAUST) over TCP
 
 USAGE:
   faust serve   [--addr A] [--clients N] [--dir PATH] [--durability D] [--snapshot-every K]
-                [--reactor] [--max-conns C]
+                [--max-conns C]
   faust connect --addr A [--id I] [--clients N] [--key-seed S] [--scheme hmac|ed25519]
                 [--pipeline D] [--write VALUE]... [--read J]... [--linger-ms MS] [--dummy-reads]
                 [--session FILE]
   faust bench   [--addr A] [--clients N] [--ops K] [--pipeline D] [--value-len B]
-                [--durability D] [--key-seed S] [--reactor]
+                [--durability D] [--key-seed S]
   faust audit   PATH [--key-seed S] [--scheme hmac|ed25519] [--json]
   faust export-history DIR OUT [--scheme hmac|ed25519]
 
 Durability D: always (fsync per record), group (batched fsync, the default), never.
---reactor serves all connections from ONE readiness-driven event loop with admission
-control (bounded per-client ingress queues, connection/memory caps with shed-on-accept,
-slow-consumer excision — see docs/networking.md) instead of a thread per connection;
---max-conns caps simultaneously open reactor connections (default 1024).
+The server (`serve`, and `bench` without --addr) runs all connections on ONE
+readiness-driven event loop with admission control (bounded per-client ingress queues,
+connection/memory caps with shed-on-accept, slow-consumer excision — see
+docs/networking.md); unix only. --max-conns caps simultaneously open connections
+(default 1024).
 `connect` ops run in command-line order and pipeline up to the configured depth.
 All clients of one deployment must share --clients, --key-seed, --scheme, and --pipeline.
 
@@ -120,13 +123,18 @@ fn parse_durability(s: &str) -> Result<Durability, String> {
     }
 }
 
+#[cfg(not(unix))]
+fn serve_impl(_args: &[String]) -> Result<(), String> {
+    Err("serving needs a unix target (the reactor is the one socket server)".into())
+}
+
+#[cfg(unix)]
 fn serve_impl(args: &[String]) -> Result<(), String> {
     let mut addr = "127.0.0.1:0".to_string();
     let mut clients = 2usize;
     let mut dir: Option<String> = None;
     let mut durability = Durability::group();
     let mut snapshot_every = 1024u64;
-    let mut reactor = false;
     let mut max_conns: Option<usize> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -141,19 +149,12 @@ fn serve_impl(args: &[String]) -> Result<(), String> {
             "--dir" => dir = Some(val()?.to_string()),
             "--durability" => durability = parse_durability(val()?)?,
             "--snapshot-every" => snapshot_every = parse_value(flag, val()?)?,
-            "--reactor" => reactor = true,
             "--max-conns" => max_conns = Some(parse_value(flag, val()?)?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if clients == 0 {
-        return Err("--clients must be at least 1".into());
-    }
-    if max_conns.is_some() && !reactor {
-        return Err("--max-conns requires --reactor".into());
-    }
 
-    let mut transport = bind_transport(&addr, clients, reactor, max_conns)?;
+    let mut transport = bind_server(&addr, clients, max_conns)?;
     let backend: Box<dyn ServerBackend + Send> = match &dir {
         Some(dir) => Box::new(PersistentBackend::new(
             dir,
@@ -169,94 +170,53 @@ fn serve_impl(args: &[String]) -> Result<(), String> {
     let sha256 = faust_crypto::sha256::backend();
     println!("faust-serve: sha256 backend {sha256}");
     println!(
-        "faust-serve: listening on {} ({} clients, durability={:?}, transport={}, state={})",
+        "faust-serve: listening on {} ({} clients, durability={:?}, state={})",
         transport.local_addr(),
         clients,
         durability,
-        if reactor { "reactor" } else { "threaded" },
         dir.as_deref().unwrap_or("in-memory"),
     );
     // The smoke scripts parse the line above; make sure it is out.
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    match &mut transport {
-        CliTransport::Tcp(t) => serve(&mut engine, t),
-        #[cfg(unix)]
-        CliTransport::Reactor(t) => serve(&mut engine, t.as_mut()),
-    }
+    serve(&mut engine, &mut transport);
     let stats = engine.stats();
     println!(
         "faust-serve: all {} clients served and departed; shutting down \
          ({} submits, {} commits, {} rejected, {} frames out in {} writes)",
         clients, stats.submits, stats.commits, stats.rejected, stats.frames_out, stats.flushes,
     );
-    #[cfg(unix)]
-    if let CliTransport::Reactor(t) = &transport {
-        print_reactor_stats("faust-serve", t.stats());
-    }
+    print_reactor_stats("faust-serve", transport.stats());
     Ok(())
 }
 
-/// What a self-hosted serve thread reports back: the reactor's counters,
-/// or nothing for the threaded transport (and on non-unix targets).
+/// Binds the reactor, the one socket server. `--clients` and
+/// `--max-conns` are outside input, so they are checked here rather than
+/// left to the transport's contract assertions.
 #[cfg(unix)]
-type ReactorStatsOpt = Option<faust_net::ReactorStats>;
-#[cfg(not(unix))]
-type ReactorStatsOpt = Option<()>;
-
-/// The serve-side transport choice; boxed because the reactor is a much
-/// larger struct than the threaded transport's handle.
-enum CliTransport {
-    Tcp(TcpServerTransport),
-    #[cfg(unix)]
-    Reactor(Box<ReactorTransport>),
-}
-
-impl CliTransport {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            CliTransport::Tcp(t) => t.local_addr(),
-            #[cfg(unix)]
-            CliTransport::Reactor(t) => t.local_addr(),
-        }
-    }
-}
-
-fn bind_transport(
+fn bind_server(
     addr: &str,
     clients: usize,
-    reactor: bool,
     max_conns: Option<usize>,
-) -> Result<CliTransport, String> {
-    if !reactor {
-        return Ok(CliTransport::Tcp(
-            TcpServerTransport::bind(addr, clients).map_err(|e| format!("bind {addr}: {e}"))?,
+) -> Result<ReactorTransport, String> {
+    if clients == 0 || clients > MAX_CLIENTS {
+        return Err(format!(
+            "--clients must be between 1 and {MAX_CLIENTS}, got {clients}"
         ));
     }
-    #[cfg(unix)]
-    {
-        let mut cfg = faust_net::ReactorConfig::default();
-        if let Some(cap) = max_conns {
-            if cap == 0 {
-                return Err("--max-conns must be at least 1".into());
-            }
-            cfg.max_conns = cap;
+    let mut cfg = ReactorConfig::default();
+    if let Some(cap) = max_conns {
+        if cap == 0 {
+            return Err("--max-conns must be at least 1".into());
         }
-        Ok(CliTransport::Reactor(Box::new(
-            ReactorTransport::bind_with(addr, clients, cfg)
-                .map_err(|e| format!("bind {addr}: {e}"))?,
-        )))
+        cfg.max_conns = cap;
     }
-    #[cfg(not(unix))]
-    {
-        let _ = max_conns;
-        Err("--reactor is only available on unix".into())
-    }
+    ReactorTransport::bind_with(addr, clients, cfg).map_err(|e| format!("bind {addr}: {e}"))
 }
 
 #[cfg(unix)]
-fn print_reactor_stats(prefix: &str, s: &faust_net::ReactorStats) {
+fn print_reactor_stats(prefix: &str, s: &ReactorStats) {
     println!(
         "{prefix}: reactor: {} accepted, {} shed, {} msgs in ({} B), {} frames out \
          ({} B in {} writes), peak {} conns, peak buffered {} B, {} read pauses, \
@@ -507,7 +467,6 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
     let mut value_len = 64usize;
     let mut durability = Durability::group();
     let mut key_seed = "faust-cli".to_string();
-    let mut reactor = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut val = || {
@@ -523,12 +482,8 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
             "--value-len" => value_len = parse_value(flag, val()?)?,
             "--durability" => durability = parse_durability(val()?)?,
             "--key-seed" => key_seed = val()?.to_string(),
-            "--reactor" => reactor = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if reactor && addr.is_some() {
-        return Err("--reactor self-hosts the server; it conflicts with --addr".into());
     }
     if clients == 0 || ops == 0 {
         return Err("--clients and --ops must be at least 1".into());
@@ -554,42 +509,11 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
     }
 
     // Self-host a loopback server unless an external one was named.
-    let mut self_hosted = None;
-    let addr = match addr {
-        Some(addr) => addr,
+    let (addr, self_hosted) = match addr {
+        Some(addr) => (addr, None),
         None => {
-            let dir = std::env::temp_dir().join(format!("faust-cli-bench-{}", std::process::id()));
-            let mut transport = bind_transport("127.0.0.1:0", clients, reactor, None)
-                .map_err(|e| format!("bind loopback: {e}"))?;
-            let addr = transport.local_addr();
-            let backend = PersistentBackend::new(
-                &dir,
-                StoreConfig {
-                    durability,
-                    snapshot_every: 0,
-                },
-            );
-            let mut engine = ServerEngine::from_backend(clients, &backend)
-                .map_err(|e| format!("build server state: {e}"))?;
-            // The serve thread hands the reactor's counters back for the
-            // end-of-run report (the threaded transport has none).
-            self_hosted = Some((
-                std::thread::spawn(move || -> ReactorStatsOpt {
-                    match &mut transport {
-                        CliTransport::Tcp(t) => {
-                            serve(&mut engine, t);
-                            None
-                        }
-                        #[cfg(unix)]
-                        CliTransport::Reactor(t) => {
-                            serve(&mut engine, t.as_mut());
-                            Some(t.stats().clone())
-                        }
-                    }
-                }),
-                dir,
-            ));
-            addr
+            let (addr, finish) = self_host(clients, durability)?;
+            (addr, Some(finish))
         }
     };
 
@@ -636,11 +560,6 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
         worker.join().map_err(|_| "client thread panicked")??;
     }
     let elapsed = start.elapsed();
-    let mut reactor_stats = None;
-    if let Some((server, dir)) = self_hosted {
-        reactor_stats = server.join().map_err(|_| "server thread panicked")?;
-        let _ = std::fs::remove_dir_all(dir);
-    }
     let total = clients as f64 * ops as f64;
     println!(
         "faust-bench: {total:.0} ops in {:.3}s -> {:.0} ops/s ({:.1} us/op)",
@@ -648,13 +567,53 @@ fn bench_impl(args: &[String]) -> Result<(), String> {
         total / elapsed.as_secs_f64(),
         elapsed.as_micros() as f64 / total,
     );
-    #[cfg(unix)]
-    if let Some(stats) = reactor_stats {
-        print_reactor_stats("faust-bench", &stats);
+    if let Some(finish) = self_hosted {
+        finish()?;
     }
-    #[cfg(not(unix))]
-    let _ = reactor_stats;
     Ok(())
+}
+
+/// Self-hosts `faust bench`'s loopback server on a thread over a scratch
+/// store. The returned closure waits for the server to see every client
+/// depart, removes the store, and prints the reactor's counters.
+#[cfg(unix)]
+fn self_host(
+    clients: usize,
+    durability: Durability,
+) -> Result<(SocketAddr, impl FnOnce() -> Result<(), String>), String> {
+    let dir = std::env::temp_dir().join(format!("faust-cli-bench-{}", std::process::id()));
+    let mut transport = bind_server("127.0.0.1:0", clients, None)?;
+    let addr = transport.local_addr();
+    let backend = PersistentBackend::new(
+        &dir,
+        StoreConfig {
+            durability,
+            snapshot_every: 0,
+        },
+    );
+    let mut engine = ServerEngine::from_backend(clients, &backend)
+        .map_err(|e| format!("build server state: {e}"))?;
+    let server = std::thread::spawn(move || {
+        serve(&mut engine, &mut transport);
+        transport.stats().clone()
+    });
+    Ok((addr, move || {
+        let stats = server.join().map_err(|_| "server thread panicked")?;
+        let _ = std::fs::remove_dir_all(dir);
+        print_reactor_stats("faust-bench", &stats);
+        Ok(())
+    }))
+}
+
+#[cfg(not(unix))]
+fn self_host(
+    _clients: usize,
+    _durability: Durability,
+) -> Result<(SocketAddr, fn() -> Result<(), String>), String> {
+    Err(
+        "self-hosting needs a unix target (the reactor is the one socket server); pass --addr"
+            .into(),
+    )
 }
 
 fn cmd_audit(args: &[String]) -> i32 {

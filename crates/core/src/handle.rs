@@ -451,12 +451,6 @@ impl SessionCore {
         &self.proto
     }
 
-    /// Consumes the core, returning the protocol client (for resumption
-    /// against another server incarnation).
-    pub fn into_client(self) -> FaustClient {
-        self.proto
-    }
-
     /// The violation that halted this session, if any.
     pub fn failure(&self) -> Option<&FailReason> {
         self.proto.failure()
@@ -702,14 +696,13 @@ impl Default for HandleConfig {
 ///
 /// ```
 /// use faust_core::handle::{Event, FaustHandle, HandleConfig};
-/// use faust_core::runtime::spawn_engine;
 /// use faust_types::{ClientId, Value};
-/// use faust_ustor::UstorServer;
+/// use faust_ustor::{spawn_engine, ServerEngine, UstorServer};
 /// use std::time::Duration;
 ///
 /// // A one-client deployment over the in-process channel transport.
 /// let (transport, mut conns) = faust_net::channel::pair(1);
-/// let engine = spawn_engine(1, Box::new(UstorServer::new(1)), transport);
+/// let engine = spawn_engine(ServerEngine::new(1, Box::new(UstorServer::new(1))), transport);
 /// let mut handle = FaustHandle::new(
 ///     ClientId::new(0),
 ///     1,
@@ -784,7 +777,7 @@ impl FaustHandle {
         Self::from_core(SessionCore::new(proto), config.tick_interval, 0, transport)
     }
 
-    /// Connects to a `faust serve` (or any [`faust_net::TcpServerTransport`])
+    /// Connects to a `faust serve` (or any `faust_net::ReactorTransport`)
     /// endpoint and builds the session over it.
     ///
     /// # Errors
@@ -1272,12 +1265,20 @@ impl std::fmt::Debug for FaustHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::spawn_engine;
     use faust_net::channel;
-    use faust_ustor::UstorServer;
+    use faust_ustor::{spawn_engine, EngineStats, ServerEngine, UstorServer};
+    use std::thread::JoinHandle;
 
     fn c(i: u32) -> ClientId {
         ClientId::new(i)
+    }
+
+    /// A correct one-client server engine serving `transport` on a thread.
+    fn serve_one(transport: channel::ChannelServerTransport) -> JoinHandle<EngineStats> {
+        spawn_engine(
+            ServerEngine::new(1, Box::new(UstorServer::new(1))),
+            transport,
+        )
     }
 
     fn quiet_config(pipeline: usize) -> HandleConfig {
@@ -1297,7 +1298,7 @@ mod tests {
     fn pipelined_tickets_complete_in_order_with_events() {
         let n = 1;
         let (transport, mut conns) = channel::pair(n);
-        let engine = spawn_engine(n, Box::new(UstorServer::new(n)), transport);
+        let engine = serve_one(transport);
         let mut h = FaustHandle::new(
             c(0),
             n,
@@ -1334,7 +1335,7 @@ mod tests {
     fn wait_on_an_early_ticket_returns_its_own_completion() {
         let n = 1;
         let (transport, mut conns) = channel::pair(n);
-        let engine = spawn_engine(n, Box::new(UstorServer::new(n)), transport);
+        let engine = serve_one(transport);
         let mut h = FaustHandle::new(
             c(0),
             n,
@@ -1405,7 +1406,7 @@ mod tests {
         // A fresh incarnation appears; the handle resumes and the
         // retained SUBMIT completes.
         let (transport, mut conns) = channel::pair(n);
-        let engine = spawn_engine(n, Box::new(UstorServer::new(n)), transport);
+        let engine = serve_one(transport);
         h.reconnect(Box::new(conns.remove(0)));
         let done = h.wait(t0, Duration::from_secs(5)).expect("resumed");
         assert_eq!(done.timestamp, 1);
@@ -1470,7 +1471,7 @@ mod tests {
         // Second incarnation is real; the dialer hands it out on the
         // first due attempt.
         let (transport, mut conns) = channel::pair(n);
-        let engine = spawn_engine(n, Box::new(UstorServer::new(n)), transport);
+        let engine = serve_one(transport);
         dial_tx.send(conns.remove(0)).unwrap();
 
         let done = h.wait(t0, Duration::from_secs(5)).expect("resent");
@@ -1542,7 +1543,7 @@ mod tests {
         );
         // A manual reconnect still works and re-arms the budget.
         let (transport, mut conns) = channel::pair(n);
-        let engine = spawn_engine(n, Box::new(UstorServer::new(n)), transport);
+        let engine = serve_one(transport);
         h.reconnect(Box::new(conns.remove(0)));
         let done = h.wait(t0, Duration::from_secs(5)).expect("manual resume");
         assert_eq!(done.timestamp, 1);

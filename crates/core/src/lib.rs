@@ -24,8 +24,8 @@
 //! * [`FaustDriver`] — deterministic whole-system simulation (clients +
 //!   server + both channels), used by the tests, examples, and the
 //!   experiment harness.
-//! * [`runtime`] — a thread-per-client runtime demonstrating the same
-//!   stack under real concurrency.
+//! * [`FaustHandle`] — the live client session: the same stack under
+//!   real concurrency, over channels or TCP.
 //!
 //! # Example
 //!
@@ -55,9 +55,12 @@ pub mod events;
 pub mod handle;
 pub mod offline;
 pub mod persist;
-pub mod runtime;
 pub mod sim;
-pub mod threaded_faust;
+
+#[cfg(test)]
+mod runtime;
+#[cfg(test)]
+mod threaded_faust;
 
 pub use client::{Actions, FaustClient, FaustClientState, FaustConfig, UserOp};
 pub use driver::{
@@ -74,8 +77,4 @@ pub use sim::{
     check_determinism, check_oracles, gen_scenario, investigate, run_and_check, run_sim, CrashSpec,
     FaultClause, FaultPlan, ServerSpec, SimDurability, SimFailure, SimRunReport, SimScenario,
     WalTamper,
-};
-pub use threaded_faust::{
-    run_faust_session, run_threaded_faust, run_threaded_faust_over, run_threaded_faust_tcp,
-    FaustSession, ThreadedFaustConfig, ThreadedFaustReport,
 };

@@ -1,299 +1,167 @@
-//! Thread-per-client runtime: the same USTOR protocol stack as the
-//! simulator drives, but over real OS threads — genuine concurrency
-//! rather than virtual time.
-//!
-//! The server side is the transport-agnostic [`ServerEngine`] running in
-//! its own thread over a [`faust_net`] transport (in-process channels
-//! here; the FAUST variant in [`crate::threaded_faust`] also runs over
-//! loopback TCP). Used by the wait-freedom demonstrations and throughput
-//! benchmarks: a slow (or sleeping) client provably does not delay the
-//! others, because the server answers each SUBMIT immediately and never
-//! waits for anybody's COMMIT.
+//! Multi-client runs of live [`FaustHandle`](crate::handle::FaustHandle)
+//! sessions on OS threads against an engine thread — genuine concurrency
+//! rather than virtual time — over the in-process channel transport and
+//! over the loopback reactor, with volatile and persistent backends.
 
-use faust_crypto::sig::{KeySet, SigScheme};
-use faust_net::{channel, ClientConn};
-use faust_types::{ClientId, UstorMsg, Value};
-use faust_ustor::{serve, Fault, Server, ServerEngine, UstorClient, UstorServer};
-use std::time::{Duration, Instant};
+pub(crate) mod tests {
+    use crate::handle::{offline_mesh, Event, FaustHandle, HandleConfig};
+    use crate::{FaustConfig, UserOp};
+    use faust_crypto::SigScheme;
+    use faust_net::{channel, ClientConn};
+    use faust_store::{Durability, PersistentBackend, PersistentServer, StoreConfig};
+    use faust_types::{ClientId, Value};
+    use faust_ustor::{
+        spawn_engine, CommitMode, EngineStats, IngressVerification, ServerEngine, UstorServer,
+    };
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
 
-/// One step of a threaded client workload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadedOp {
-    /// Write a value to the client's own register.
-    Write(Value),
-    /// Read a register.
-    Read(ClientId),
-    /// Sleep for this many milliseconds (a slow collaborator).
-    SleepMs(u64),
-}
-
-/// Outcome of a threaded run.
-#[derive(Debug)]
-pub struct ThreadedReport {
-    /// Completed operations per client.
-    pub completions: Vec<usize>,
-    /// Faults detected (none unless the server misbehaves).
-    pub faults: Vec<(ClientId, Fault)>,
-    /// Wall-clock duration of the whole run.
-    pub elapsed: Duration,
-    /// Wall-clock duration until each client finished its own workload.
-    pub per_client_elapsed: Vec<Duration>,
-    /// Final engine statistics from the server thread.
-    pub engine_stats: faust_ustor::EngineStats,
-}
-
-/// Runs `n` clients on threads against a correct in-process USTOR server
-/// over the channel transport.
-///
-/// Returns when every client has finished its workload. Because USTOR is
-/// wait-free, a client's [`ThreadedOp::SleepMs`] steps never extend the
-/// other clients' `per_client_elapsed`.
-///
-/// # Panics
-///
-/// Panics if `workloads.len() != n` or a thread panics.
-pub fn run_threaded(n: usize, workloads: Vec<Vec<ThreadedOp>>, key_seed: &[u8]) -> ThreadedReport {
-    run_threaded_with_server(n, workloads, key_seed, Box::new(UstorServer::new(n)))
-}
-
-/// [`run_threaded`] with an explicit server implementation — the hook
-/// through which the threaded runtime runs durably: pass a server built
-/// by any [`faust_ustor::ServerBackend`] (e.g. `faust-store`'s
-/// `PersistentBackend`) instead of the default volatile [`UstorServer`].
-///
-/// # Panics
-///
-/// Panics if `workloads.len() != n` or a thread panics.
-pub fn run_threaded_with_server(
-    n: usize,
-    workloads: Vec<Vec<ThreadedOp>>,
-    key_seed: &[u8],
-    server: Box<dyn Server + Send>,
-) -> ThreadedReport {
-    let (mut transport, conns) = channel::pair(n);
-    let engine_thread = std::thread::spawn(move || {
-        let mut engine = ServerEngine::new(n, server);
-        serve(&mut engine, &mut transport);
-        engine.stats().clone()
-    });
-    run_threaded_over(n, workloads, conns, key_seed, engine_thread)
-}
-
-/// Runs `n` clients on threads over pre-built connections; the server
-/// engine runs wherever `engine_thread` put it (another thread, another
-/// process behind TCP, …).
-///
-/// # Panics
-///
-/// Panics if `workloads.len() != conns.len() != n` or a thread panics.
-pub fn run_threaded_over(
-    n: usize,
-    workloads: Vec<Vec<ThreadedOp>>,
-    conns: Vec<ClientConn>,
-    key_seed: &[u8],
-    engine_thread: std::thread::JoinHandle<faust_ustor::EngineStats>,
-) -> ThreadedReport {
-    run_threaded_over_with(
-        n,
-        workloads,
-        conns,
-        key_seed,
-        SigScheme::Hmac,
-        engine_thread,
-    )
-}
-
-/// [`run_threaded_over`] with an explicit signature scheme. With
-/// [`SigScheme::Ed25519`] the matching *public-key* registry
-/// (`KeySet::generate_ed25519(n, key_seed).registry()`) can be handed to
-/// the engine for sound ingress verification — the server never sees
-/// signing keys.
-///
-/// # Panics
-///
-/// Panics if `workloads.len() != conns.len() != n` or a thread panics.
-pub fn run_threaded_over_with(
-    n: usize,
-    workloads: Vec<Vec<ThreadedOp>>,
-    conns: Vec<ClientConn>,
-    key_seed: &[u8],
-    scheme: SigScheme,
-    engine_thread: std::thread::JoinHandle<faust_ustor::EngineStats>,
-) -> ThreadedReport {
-    assert_eq!(workloads.len(), n, "one workload per client");
-    assert_eq!(conns.len(), n, "one connection per client");
-    let keys = KeySet::generate_with(scheme, n, key_seed);
-
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(n);
-    for (i, (workload, conn)) in workloads.into_iter().zip(conns).enumerate() {
-        let id = ClientId::new(i as u32);
-        assert_eq!(conn.id(), id, "connections must be in client order");
-        let keypair = keys.keypair(i as u32).expect("generated").clone();
-        let registry = keys.registry();
-        handles.push(std::thread::spawn(move || {
-            let mut client = UstorClient::new(id, n, keypair, registry);
-            let mut completions = 0usize;
-            let mut fault = None;
-            let begun = Instant::now();
-            'workload: for op in workload {
-                let submit = match op {
-                    ThreadedOp::SleepMs(ms) => {
-                        std::thread::sleep(Duration::from_millis(ms));
-                        continue;
-                    }
-                    ThreadedOp::Write(v) => client.begin_write(v),
-                    ThreadedOp::Read(j) => client.begin_read(j),
-                };
-                let Ok(submit) = submit else { break };
-                if conn.send(&UstorMsg::Submit(submit)).is_err() {
-                    break;
-                }
-                // The engine sends only replies to clients.
-                let reply = loop {
-                    match conn.recv() {
-                        Ok(UstorMsg::Reply(reply)) => break reply,
-                        Ok(_) => continue,
-                        Err(_) => break 'workload,
-                    }
-                };
-                match client.handle_reply(reply) {
-                    Ok((commit, _done)) => {
-                        completions += 1;
-                        if let Some(commit) = commit {
-                            if conn.send(&UstorMsg::Commit(commit)).is_err() {
-                                break 'workload;
-                            }
-                        }
-                    }
-                    Err(f) => {
-                        fault = Some(f);
-                        break 'workload;
-                    }
-                }
-            }
-            // Dropping `conn` here closes this client's connection; the
-            // engine thread finishes once every client has done so.
-            (completions, fault, begun.elapsed())
-        }));
+    pub(crate) fn c(i: u32) -> ClientId {
+        ClientId::new(i)
     }
 
-    let mut completions = vec![0; n];
-    let mut per_client_elapsed = vec![Duration::ZERO; n];
-    let mut faults = Vec::new();
-    for (i, handle) in handles.into_iter().enumerate() {
-        let (done, fault, elapsed) = handle.join().expect("client thread panicked");
-        completions[i] = done;
-        per_client_elapsed[i] = elapsed;
-        if let Some(f) = fault {
-            faults.push((ClientId::new(i as u32), f));
+    /// Wall-clock tuning for threaded runs: a COMMIT after every reply
+    /// (so engine counters are exact), one operation in flight, 10 ms
+    /// ticks. With `background` off there are neither dummy reads nor
+    /// probes, so the only traffic is the workload itself.
+    pub(crate) fn config(background: bool) -> HandleConfig {
+        HandleConfig {
+            faust: FaustConfig {
+                probe_period: if background { 50 } else { u64::MAX / 2 },
+                dummy_reads: background,
+                commit_mode: CommitMode::Immediate,
+                pipeline: 1,
+            },
+            tick_interval: Duration::from_millis(10),
+            ..HandleConfig::default()
         }
     }
-    let engine_stats = engine_thread.join().expect("server thread panicked");
-    ThreadedReport {
-        completions,
-        faults,
-        elapsed: start.elapsed(),
-        per_client_elapsed,
-        engine_stats,
+
+    /// Runs one session per connection, each on a thread of its own and
+    /// all wired by an offline mesh. A session submits its whole workload
+    /// up front, runs until its backlog drains (or it halts on a
+    /// violation), keeps running for `settle`, and disconnects. Returns
+    /// the sessions in client order, each with its number of completed
+    /// operations, and the engine's final statistics.
+    pub(crate) fn run_handles(
+        conns: Vec<ClientConn>,
+        workloads: Vec<Vec<UserOp>>,
+        key_seed: &[u8],
+        config: HandleConfig,
+        settle: Duration,
+        engine: JoinHandle<EngineStats>,
+    ) -> (Vec<(FaustHandle, usize)>, EngineStats) {
+        let n = conns.len();
+        assert_eq!(workloads.len(), n, "one workload per client");
+        let threads: Vec<_> = conns
+            .into_iter()
+            .zip(workloads)
+            .zip(offline_mesh(n))
+            .map(|((conn, workload), link)| {
+                let key_seed = key_seed.to_vec();
+                std::thread::spawn(move || {
+                    let id = conn.id();
+                    let mut handle = FaustHandle::new(id, n, &key_seed, &config, Box::new(conn))
+                        .with_offline(link);
+                    for op in workload {
+                        match op {
+                            UserOp::Write(value) => handle.write(value),
+                            UserOp::Read(register) => handle.read(register),
+                        };
+                    }
+                    let deadline = Instant::now() + Duration::from_secs(20);
+                    let mut events = Vec::new();
+                    while handle.backlog() > 0 && handle.failure().is_none() {
+                        assert!(Instant::now() < deadline, "{id} stalled");
+                        events.extend(handle.run_for(Duration::from_millis(5)));
+                    }
+                    events.extend(handle.run_for(settle));
+                    handle.disconnect();
+                    let done = events
+                        .iter()
+                        .filter(|(_, e)| matches!(e, Event::Completed { .. }))
+                        .count();
+                    (handle, done)
+                })
+            })
+            .collect();
+        let run = threads
+            .into_iter()
+            .map(|t| t.join().expect("client thread"))
+            .collect();
+        (run, engine.join().expect("engine thread"))
     }
-}
 
-/// Spawns a server engine thread serving `server` over `transport`,
-/// returning the handle [`run_threaded_over`] expects.
-pub fn spawn_engine<T>(
-    n: usize,
-    server: Box<dyn Server + Send>,
-    transport: T,
-) -> std::thread::JoinHandle<faust_ustor::EngineStats>
-where
-    T: faust_net::ServerTransport + Send + 'static,
-{
-    spawn_engine_with(ServerEngine::new(n, server), transport)
-}
+    /// Completed operations per client.
+    fn completions(run: &[(FaustHandle, usize)]) -> Vec<usize> {
+        run.iter().map(|(_, done)| *done).collect()
+    }
 
-/// [`spawn_engine`] for a pre-configured engine (e.g. with ingress
-/// verification enabled).
-pub fn spawn_engine_with<T>(
-    mut engine: ServerEngine,
-    mut transport: T,
-) -> std::thread::JoinHandle<faust_ustor::EngineStats>
-where
-    T: faust_net::ServerTransport + Send + 'static,
-{
-    std::thread::spawn(move || {
-        serve(&mut engine, &mut transport);
-        engine.stats().clone()
-    })
-}
+    /// Asserts that no session halted on a violation.
+    fn assert_no_failures(run: &[(FaustHandle, usize)]) {
+        let failures: Vec<_> = run.iter().filter_map(|(h, _)| h.failure()).collect();
+        assert!(failures.is_empty(), "{failures:?}");
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn c(i: u32) -> ClientId {
-        ClientId::new(i)
+    /// `engine` on a thread over a fresh channel transport for `n`.
+    fn over_channel(engine: ServerEngine, n: usize) -> (Vec<ClientConn>, JoinHandle<EngineStats>) {
+        let (transport, conns) = channel::pair(n);
+        (conns, spawn_engine(engine, transport))
     }
 
     #[test]
     fn threaded_run_completes_all_ops() {
         let workloads = vec![
             vec![
-                ThreadedOp::Write(Value::from("a1")),
-                ThreadedOp::Write(Value::from("a2")),
-                ThreadedOp::Read(c(1)),
+                UserOp::Write(Value::from("a1")),
+                UserOp::Write(Value::from("a2")),
+                UserOp::Read(c(1)),
             ],
-            vec![ThreadedOp::Write(Value::from("b1")), ThreadedOp::Read(c(0))],
+            vec![UserOp::Write(Value::from("b1")), UserOp::Read(c(0))],
         ];
-        let report = run_threaded(2, workloads, b"threaded-test");
-        assert_eq!(report.completions, vec![3, 2]);
-        assert!(report.faults.is_empty());
-        assert_eq!(report.engine_stats.submits, 5);
-        assert_eq!(report.engine_stats.commits, 5);
-    }
-
-    #[test]
-    fn slow_client_does_not_delay_fast_clients() {
-        // C1 sleeps 300 ms mid-workload; C0's 20 ops must not take
-        // anywhere near that long.
-        let workloads = vec![
-            (0..20)
-                .map(|i| ThreadedOp::Write(Value::unique(0, i)))
-                .collect(),
-            vec![
-                ThreadedOp::Write(Value::unique(1, 0)),
-                ThreadedOp::SleepMs(300),
-                ThreadedOp::Write(Value::unique(1, 1)),
-            ],
-        ];
-        let report = run_threaded(2, workloads, b"slow-test");
-        assert_eq!(report.completions, vec![20, 2]);
-        assert!(
-            report.per_client_elapsed[0] < Duration::from_millis(200),
-            "wait-freedom violated: fast client took {:?}",
-            report.per_client_elapsed[0]
+        let (conns, engine) = over_channel(ServerEngine::new(2, Box::new(UstorServer::new(2))), 2);
+        let (run, stats) = run_handles(
+            conns,
+            workloads,
+            b"threaded-test",
+            config(false),
+            Duration::ZERO,
+            engine,
         );
+        assert_eq!(completions(&run), vec![3, 2]);
+        assert_no_failures(&run);
+        assert_eq!(stats.submits, 5);
+        assert_eq!(stats.commits, 5);
     }
 
     #[test]
     fn many_threads_heavy_interleaving() {
         let n = 8;
-        let workloads: Vec<Vec<ThreadedOp>> = (0..n)
+        let workloads: Vec<Vec<UserOp>> = (0..n as u32)
             .map(|i| {
                 (0..25)
                     .map(|s| {
                         if s % 3 == 0 {
-                            ThreadedOp::Read(c(((i as u32) + 1) % n as u32))
+                            UserOp::Read(c((i + 1) % n as u32))
                         } else {
-                            ThreadedOp::Write(Value::unique(i as u32, s))
+                            UserOp::Write(Value::unique(i, s))
                         }
                     })
                     .collect()
             })
             .collect();
-        let report = run_threaded(n, workloads, b"heavy");
-        assert!(report.faults.is_empty(), "{:?}", report.faults);
-        assert_eq!(report.completions, vec![25; 8]);
+        let (conns, engine) = over_channel(ServerEngine::new(n, Box::new(UstorServer::new(n))), n);
+        let (run, stats) = run_handles(
+            conns,
+            workloads,
+            b"heavy",
+            config(false),
+            Duration::ZERO,
+            engine,
+        );
+        assert_no_failures(&run);
+        assert_eq!(completions(&run), vec![25; 8]);
+        assert_eq!(stats.submits, 200);
     }
 
     #[test]
@@ -306,62 +174,62 @@ mod tests {
         let keys = faust_crypto::KeySet::generate_ed25519(n, key_seed);
         let registry = keys.registry();
         assert!(registry.is_public(), "server must hold public keys only");
-        let (transport, conns) = channel::pair(n);
-        let engine = ServerEngine::new(n, Box::new(UstorServer::new(n))).with_verification(
-            faust_ustor::IngressVerification::Batched(std::sync::Arc::new(registry)),
-        );
-        let engine_thread = spawn_engine_with(engine, transport);
+        let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)))
+            .with_verification(IngressVerification::Batched(std::sync::Arc::new(registry)));
+        let (conns, engine) = over_channel(engine, n);
         let workloads = vec![
             vec![
-                ThreadedOp::Write(Value::from("signed-1")),
-                ThreadedOp::Write(Value::from("signed-2")),
+                UserOp::Write(Value::from("signed-1")),
+                UserOp::Write(Value::from("signed-2")),
             ],
-            vec![ThreadedOp::Read(c(0))],
+            vec![UserOp::Read(c(0))],
         ];
-        let report = run_threaded_over_with(
-            n,
-            workloads,
-            conns,
-            key_seed,
-            SigScheme::Ed25519,
-            engine_thread,
-        );
-        assert!(report.faults.is_empty(), "{:?}", report.faults);
-        assert_eq!(report.completions, vec![2, 1]);
-        assert_eq!(report.engine_stats.rejected, 0);
-        assert_eq!(report.engine_stats.submits, 3);
+        let config = HandleConfig {
+            scheme: SigScheme::Ed25519,
+            ..config(false)
+        };
+        let (run, stats) = run_handles(conns, workloads, key_seed, config, Duration::ZERO, engine);
+        assert_no_failures(&run);
+        assert_eq!(completions(&run), vec![2, 1]);
+        assert_eq!(stats.rejected, 0);
+        assert_eq!(stats.submits, 3);
     }
 
     #[test]
     fn threaded_runtime_runs_durably_over_a_persistent_backend() {
-        // The same thread-per-client runtime, with the engine built from
-        // the persistent backend via `ServerEngine::from_backend`: every
-        // acknowledged message is in the log afterwards, and recovery
-        // rebuilds the full schedule.
-        use faust_store::{Durability, PersistentBackend, PersistentServer, StoreConfig};
+        // Threaded sessions against an engine built from the persistent
+        // backend via `ServerEngine::from_backend`: every acknowledged
+        // message is in the log afterwards, and recovery rebuilds the
+        // full schedule.
         let n = 2;
         let dir = faust_store::testutil::scratch_dir("threaded-durable");
-        let config = StoreConfig {
+        let store = StoreConfig {
             durability: Durability::Never,
             ..StoreConfig::default()
         };
-        let backend = PersistentBackend::new(&dir, config.clone());
-        let (transport, conns) = channel::pair(n);
+        let backend = PersistentBackend::new(&dir, store.clone());
         let engine = ServerEngine::from_backend(n, &backend).expect("fresh store");
-        let engine_thread = spawn_engine_with(engine, transport);
+        let (conns, engine) = over_channel(engine, n);
         let workloads = vec![
             vec![
-                ThreadedOp::Write(Value::from("d1")),
-                ThreadedOp::Write(Value::from("d2")),
+                UserOp::Write(Value::from("d1")),
+                UserOp::Write(Value::from("d2")),
             ],
-            vec![ThreadedOp::Read(c(0))],
+            vec![UserOp::Read(c(0))],
         ];
-        let report = run_threaded_over(n, workloads, conns, b"durable-threaded", engine_thread);
-        assert!(report.faults.is_empty(), "{:?}", report.faults);
-        assert_eq!(report.completions, vec![2, 1]);
+        let (run, _) = run_handles(
+            conns,
+            workloads,
+            b"durable-threaded",
+            config(false),
+            Duration::ZERO,
+            engine,
+        );
+        assert_no_failures(&run);
+        assert_eq!(completions(&run), vec![2, 1]);
         // 3 submits + 3 commits were acknowledged, so 6 records are
         // durable; recovery resumes exactly there.
-        let recovered = PersistentServer::recover(&dir, n, config).expect("clean recovery");
+        let recovered = PersistentServer::recover(&dir, n, store).expect("clean recovery");
         assert_eq!(recovered.next_seq(), 6);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -372,64 +240,79 @@ mod tests {
         // until the batch fsync, the serve loop honours the flush
         // deadline (no deadlock with synchronous clients), every op
         // completes, and recovery sees every acknowledged record.
-        use faust_store::{Durability, PersistentBackend, PersistentServer, StoreConfig};
         let n = 3;
         let dir = faust_store::testutil::scratch_dir("threaded-group");
-        let config = StoreConfig {
+        let store = StoreConfig {
             durability: Durability::Group {
                 max_records: 8,
                 max_wait: Duration::from_millis(2),
             },
             snapshot_every: 0,
         };
-        let backend = PersistentBackend::new(&dir, config.clone());
-        let (transport, conns) = channel::pair(n);
+        let backend = PersistentBackend::new(&dir, store.clone());
         let engine = ServerEngine::from_backend(n, &backend).expect("fresh store");
-        let engine_thread = spawn_engine_with(engine, transport);
-        let workloads: Vec<Vec<ThreadedOp>> = (0..n)
+        let (conns, engine) = over_channel(engine, n);
+        let workloads: Vec<Vec<UserOp>> = (0..n as u32)
             .map(|i| {
                 (0..5)
                     .map(|s| {
                         if s % 2 == 0 {
-                            ThreadedOp::Write(Value::unique(i as u32, s))
+                            UserOp::Write(Value::unique(i, s))
                         } else {
-                            ThreadedOp::Read(c(((i as u32) + 1) % n as u32))
+                            UserOp::Read(c((i + 1) % n as u32))
                         }
                     })
                     .collect()
             })
             .collect();
-        let report = run_threaded_over(n, workloads, conns, b"group-threaded", engine_thread);
-        assert!(report.faults.is_empty(), "{:?}", report.faults);
-        assert_eq!(report.completions, vec![5; n]);
+        let (run, _) = run_handles(
+            conns,
+            workloads,
+            b"group-threaded",
+            config(false),
+            Duration::ZERO,
+            engine,
+        );
+        assert_no_failures(&run);
+        assert_eq!(completions(&run), vec![5; n]);
         // 15 submits + 15 commits acknowledged ⇒ 30 durable records.
-        let recovered = PersistentServer::recover(&dir, n, config).expect("clean recovery");
+        let recovered = PersistentServer::recover(&dir, n, store).expect("clean recovery");
         assert_eq!(recovered.next_seq(), 30);
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[cfg(unix)]
     #[test]
     fn threaded_run_over_tcp_loopback() {
-        // The same runtime, with the engine behind real TCP framing.
+        // The same sessions, with the engine behind real TCP framing.
         let n = 3;
-        let transport =
-            faust_net::TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
+        let transport = faust_net::ReactorTransport::bind("127.0.0.1:0", n).expect("bind loopback");
         let addr = transport.local_addr();
-        let engine_thread = spawn_engine(n, Box::new(UstorServer::new(n)), transport);
-        let conns: Vec<ClientConn> = (0..n)
-            .map(|i| faust_net::tcp::connect(addr, c(i as u32)).expect("connect"))
+        let engine = spawn_engine(
+            ServerEngine::new(n, Box::new(UstorServer::new(n))),
+            transport,
+        );
+        let conns: Vec<ClientConn> = (0..n as u32)
+            .map(|i| faust_net::tcp::connect(addr, c(i)).expect("connect"))
             .collect();
-        let workloads = (0..n)
+        let workloads = (0..n as u32)
             .map(|i| {
                 vec![
-                    ThreadedOp::Write(Value::unique(i as u32, 0)),
-                    ThreadedOp::Read(c(((i as u32) + 1) % n as u32)),
+                    UserOp::Write(Value::unique(i, 0)),
+                    UserOp::Read(c((i + 1) % n as u32)),
                 ]
             })
             .collect();
-        let report = run_threaded_over(n, workloads, conns, b"tcp-threaded", engine_thread);
-        assert!(report.faults.is_empty(), "{:?}", report.faults);
-        assert_eq!(report.completions, vec![2; 3]);
-        assert_eq!(report.engine_stats.submits, 6);
+        let (run, stats) = run_handles(
+            conns,
+            workloads,
+            b"tcp-threaded",
+            config(false),
+            Duration::ZERO,
+            engine,
+        );
+        assert_no_failures(&run);
+        assert_eq!(completions(&run), vec![2; 3]);
+        assert_eq!(stats.submits, 6);
     }
 }

@@ -1,8 +1,5 @@
 //! In-process channel transport: `std::sync::mpsc` queues between client
-//! threads and the engine thread.
-//!
-//! This replaces the bespoke channel plumbing the thread-per-client
-//! runtimes used to carry around: all clients share one sender into the
+//! threads and the engine thread. All clients share one sender into the
 //! engine's inbox, and each client owns a private reply queue.
 
 use crate::conn::{ClientConn, ConnSender, SenderInner};

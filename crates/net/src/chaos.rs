@@ -1,6 +1,6 @@
 //! Chaos-testing support: abrupt, externally-triggered server death.
 //!
-//! The kill-and-restart tests in `tests/crash_recovery.rs` drain traffic
+//! The kill-and-restart tests in `tests/client_api.rs` drain traffic
 //! before stopping an incarnation — an orderly operator shutdown. Real
 //! crashes are not orderly: the process dies *mid-conversation*, with
 //! SUBMITs unanswered, replies half-flushed, and sockets severed under

@@ -51,7 +51,7 @@ impl TcpWriter {
 /// the bytes travel. The mirror of [`crate::ServerTransport`]: the same
 /// two concrete transports back both sides (in-process channels and
 /// framed TCP), and anything driving a client session — `faust-core`'s
-/// `FaustHandle`, the threaded runtimes, the CLI — programs against this
+/// `FaustHandle`, the CLI — programs against this
 /// trait, so it runs over either unchanged.
 ///
 /// [`ClientConn`] implements it for both built-in transports; custom

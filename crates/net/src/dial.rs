@@ -7,9 +7,9 @@
 //! it under its backoff policy. Two implementations:
 //!
 //! * [`TcpDialer`] — reconnects to a TCP endpoint with a per-attempt
-//!   connect timeout. Each server restart is a fresh
-//!   [`crate::TcpServerTransport`] incarnation, so the one-connection-
-//!   per-id rule of the accept loop never blocks a cross-restart redial.
+//!   connect timeout. Each server restart is a fresh reactor
+//!   incarnation, so its one-connection-per-id rule never blocks a
+//!   cross-restart redial.
 //! * [`ChannelDialer`] — hands out pre-built [`ClientConn`]s pushed by a
 //!   test harness (one per simulated server incarnation); an empty queue
 //!   behaves as a refused connection.
@@ -35,7 +35,7 @@ pub trait ClientDialer: Send {
     fn dial(&mut self, timeout: Duration) -> std::io::Result<Box<dyn ClientTransport>>;
 }
 
-/// Redials a [`crate::TcpServerTransport`]-style endpoint as a fixed
+/// Redials a TCP server endpoint as a fixed
 /// client id, with a hard per-attempt connect timeout.
 #[derive(Debug, Clone)]
 pub struct TcpDialer {

@@ -9,21 +9,18 @@
 //!   delivers a message, pushes it into the queue transport, lets the
 //!   engine drain it, and forwards the outputs back into virtual time.
 //!   No threads, no syscalls, bit-for-bit reproducible.
-//! * [`channel`] — in-process `std::sync::mpsc` channels, for
-//!   thread-per-client runtimes on one machine.
-//! * [`tcp`] — length-prefixed frames over loopback or real TCP
-//!   (`std::net`), using the stream framing of [`faust_types::frame`].
-//!   One reader thread per connection.
-//! * [`reactor`] (unix) — the same wire protocol on a single
-//!   readiness-driven event loop with explicit admission control
-//!   (bounded ingress queues, connection/memory caps with shed-on-accept,
-//!   slow-consumer excision): connections ≫ threads.
+//! * [`channel`] — in-process `std::sync::mpsc` channels, for clients
+//!   and the engine on threads of one process.
+//! * [`reactor`] (unix) — the one socket server: length-prefixed frames
+//!   ([`faust_types::frame`]) over TCP on a single readiness-driven event
+//!   loop with explicit admission control (bounded ingress queues,
+//!   connection/memory caps with shed-on-accept, slow-consumer
+//!   excision): connections ≫ threads.
 //!
 //! The client side mirrors the server side: [`ClientTransport`] is the
 //! trait a client session drives, and [`ClientConn`] implements it for
-//! both the channel and the TCP transport — runtimes (and `faust-core`'s
-//! `FaustHandle`) are written once and run over channels or TCP
-//! unchanged.
+//! both the channel transport and TCP ([`tcp::connect`]) — `faust-core`'s
+//! `FaustHandle` is written once and runs over either unchanged.
 //!
 //! # Invariants
 //!
@@ -79,8 +76,7 @@ pub use conn::{ClientConn, ClientTransport, ConnSender, TransportClosed};
 pub use dial::{ChannelDialer, ClientDialer, TcpDialer};
 pub use queue::QueueTransport;
 #[cfg(unix)]
-pub use reactor::{DisconnectReason, ReactorConfig, ReactorStats, ReactorTransport};
-pub use tcp::{TcpServerTransport, TcpSever, MAX_CLIENTS};
+pub use reactor::{DisconnectReason, ReactorConfig, ReactorStats, ReactorTransport, MAX_CLIENTS};
 
 use faust_types::{ClientId, UstorMsg};
 use std::time::Instant;
@@ -105,7 +101,7 @@ pub enum Incoming {
 /// Server side of a transport: a source of client messages and a sink for
 /// client-addressed replies.
 ///
-/// Blocking implementations ([`channel`], [`tcp`]) park in
+/// Blocking implementations ([`channel`], [`reactor`]) park in
 /// [`ServerTransport::recv`] until traffic arrives and never return
 /// [`Incoming::Idle`]; the deterministic [`queue`] implementation returns
 /// `Idle` when drained. Sends are best-effort: a message to a departed
@@ -142,8 +138,8 @@ pub trait ServerTransport {
     ///
     /// The default loops over [`ServerTransport::send`]; transports with
     /// per-message syscall cost override it to coalesce the batch into
-    /// one write — the TCP transport encodes every frame into a single
-    /// reused buffer and issues one `write_all` per client per batch.
+    /// one write — the reactor encodes every frame into the client's
+    /// egress buffer and issues one socket write per client per batch.
     fn send_batch(&mut self, to: ClientId, msgs: Vec<UstorMsg>) {
         for msg in msgs {
             self.send(to, msg);

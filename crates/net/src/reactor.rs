@@ -1,17 +1,15 @@
-//! Non-blocking reactor transport: one thread, many connections,
-//! explicit admission control.
+//! The socket server: one thread, many connections, explicit admission
+//! control.
 //!
-//! The [`tcp`](crate::tcp) transport spends one OS thread per connection,
-//! which caps a server at the thread limit long before the engine
-//! saturates. [`ReactorTransport`] replaces that model with a single
+//! [`ReactorTransport`] serves every connection from a single
 //! readiness-driven event loop (epoll on Linux, `poll(2)` elsewhere — see
 //! [`sys`]): non-blocking accept, per-connection incremental frame
 //! decoding via [`faust_types::frame::FrameDecoder`], and write-interest
-//! driven egress over the same coalescing buffers the TCP transport
-//! introduced. It implements [`ServerTransport`], so `ServerEngine` and
-//! group commit run on top unchanged — the reactor *is*
-//! the serve thread: all socket work happens inside `recv`/`send` calls
-//! on the engine loop's own thread.
+//! driven egress over per-connection coalescing buffers. It implements
+//! [`ServerTransport`], so `ServerEngine` and group commit run on top
+//! unchanged — the reactor *is* the serve thread: all socket work happens
+//! inside `recv`/`send` calls on the engine loop's own thread. Clients
+//! dial it with [`tcp::connect`](crate::tcp::connect).
 //!
 //! # Admission control
 //!
@@ -52,10 +50,13 @@
 //! [`ReactorStats::peak_buffered_bytes`] so tests can *assert* bounded
 //! memory instead of hoping for it.
 //!
-//! The HELLO contract matches the TCP transport: identification, not
-//! authentication (see [`tcp`](crate::tcp)); one connection per distinct
-//! client id over the transport's lifetime; [`Incoming::Closed`] once all
-//! `n` expected clients have connected and departed.
+//! The HELLO is identification, not authentication (see
+//! [`tcp`](crate::tcp)). One connection per distinct client id over the
+//! transport's lifetime: session resumption is a *session*-layer feature,
+//! so a reconnecting client resumes against a fresh server incarnation
+//! and, within one incarnation, an id reuse is an impostor or a bug
+//! ([`DisconnectReason::DuplicateClient`]). [`Incoming::Closed`] comes
+//! once all `n` expected clients have connected and departed.
 
 pub mod sys;
 
@@ -68,6 +69,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 use sys::{Poller, ReadyEvent};
+
+/// Upper bound on clients per server transport; keeps a hostile HELLO from
+/// sizing any table.
+pub const MAX_CLIENTS: usize = 4096;
 
 /// Admission-control knobs for [`ReactorTransport`]. The defaults are
 /// deliberately generous for trusted benchmarks and tight enough that a
@@ -147,8 +152,7 @@ impl std::fmt::Display for DisconnectReason {
     }
 }
 
-/// Reactor counters. Under [`ReactorStats::merge`], the one sanctioned
-/// aggregation, counters add and high-water marks take the maximum.
+/// Reactor counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Connections admitted past the accept-time checks.
@@ -198,41 +202,6 @@ pub struct ReactorStats {
 }
 
 impl ReactorStats {
-    /// Accumulates `other` into `self`: counters add, high-water marks
-    /// take the maximum.
-    pub fn merge(&mut self, other: &ReactorStats) {
-        self.accepted += other.accepted;
-        self.shed_over_capacity += other.shed_over_capacity;
-        self.shed_memory_pressure += other.shed_memory_pressure;
-        self.msgs_in += other.msgs_in;
-        self.bytes_in += other.bytes_in;
-        self.frames_out += other.frames_out;
-        self.bytes_out += other.bytes_out;
-        self.socket_writes += other.socket_writes;
-        self.read_pauses += other.read_pauses;
-        self.global_pauses += other.global_pauses;
-        self.polls += other.polls;
-        self.peak_conns = self.peak_conns.max(other.peak_conns);
-        self.peak_buffered_bytes = self.peak_buffered_bytes.max(other.peak_buffered_bytes);
-        self.hello_timeouts += other.hello_timeouts;
-        self.bad_hellos += other.bad_hellos;
-        self.duplicate_clients += other.duplicate_clients;
-        self.malformed += other.malformed;
-        self.slow_consumers += other.slow_consumers;
-        self.io_errors += other.io_errors;
-        self.departed += other.departed;
-    }
-
-    /// [`ReactorStats::merge`] over any number of stats, starting from
-    /// zero.
-    pub fn merged<'a>(stats: impl IntoIterator<Item = &'a ReactorStats>) -> ReactorStats {
-        let mut out = ReactorStats::default();
-        for s in stats {
-            out.merge(s);
-        }
-        out
-    }
-
     /// Total connections shed at accept, either cause.
     pub fn shed(&self) -> u64 {
         self.shed_over_capacity + self.shed_memory_pressure
@@ -322,8 +291,8 @@ pub struct ReactorTransport {
     free: Vec<usize>,
     /// Client id → live slot, for egress addressing.
     by_client: Vec<Option<usize>>,
-    /// One connection per distinct client id, ever (same rule as the
-    /// TCP transport: reconnects must not consume another id's slot).
+    /// One connection per distinct client id, ever: reconnects must not
+    /// consume another id's slot.
     registered: Vec<bool>,
     /// Decoded messages awaiting delivery to the engine.
     ready: VecDeque<Ready>,
@@ -358,7 +327,7 @@ impl ReactorTransport {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or exceeds [`crate::MAX_CLIENTS`].
+    /// Panics if `n` is zero or exceeds [`MAX_CLIENTS`].
     pub fn bind(addr: impl ToSocketAddrs, n: usize) -> io::Result<Self> {
         Self::bind_with(addr, n, ReactorConfig::default())
     }
@@ -371,13 +340,10 @@ impl ReactorTransport {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or exceeds [`crate::MAX_CLIENTS`], or if
+    /// Panics if `n` is zero or exceeds [`MAX_CLIENTS`], or if
     /// `cfg.max_conns` is zero.
     pub fn bind_with(addr: impl ToSocketAddrs, n: usize, cfg: ReactorConfig) -> io::Result<Self> {
-        assert!(
-            n > 0 && n <= crate::MAX_CLIENTS,
-            "client count out of range"
-        );
+        assert!(n > 0 && n <= MAX_CLIENTS, "client count out of range");
         assert!(cfg.max_conns > 0, "max_conns must admit at least one");
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -1357,27 +1323,5 @@ mod tests {
         assert!(matches!(server.recv(), Incoming::Closed));
         assert_eq!(server.buffered_bytes(), 0);
         assert!(server.stats().slow_consumers == 0);
-    }
-
-    #[test]
-    fn stats_merge_adds_counters_and_maxes_peaks() {
-        let mut a = ReactorStats {
-            accepted: 2,
-            peak_conns: 5,
-            peak_buffered_bytes: 100,
-            ..ReactorStats::default()
-        };
-        let b = ReactorStats {
-            accepted: 3,
-            peak_conns: 4,
-            peak_buffered_bytes: 200,
-            ..ReactorStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.accepted, 5);
-        assert_eq!(a.peak_conns, 5);
-        assert_eq!(a.peak_buffered_bytes, 200);
-        let m = ReactorStats::merged([&a, &b]);
-        assert_eq!(m.accepted, 8);
     }
 }

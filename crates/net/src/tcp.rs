@@ -1,9 +1,9 @@
-//! Length-prefixed TCP transport over `std::net`.
+//! Client side of the length-prefixed TCP transport over `std::net`.
 //!
 //! Frames use the stream framing of [`faust_types::frame`]: a 4-byte
 //! big-endian length followed by the exact wire encoding of the message.
 //! A connection starts with a single HELLO frame carrying the client's
-//! [`ClientId`].
+//! [`ClientId`]. The server side is the [`reactor`](crate::reactor).
 //!
 //! The HELLO is *identification, not authentication*: USTOR's security
 //! argument never trusts the server or the channel — every statement that
@@ -12,320 +12,19 @@
 //! verify, which the per-client checks (and the engine's optional ingress
 //! verification) reject.
 //!
-//! Threading model: the server runs one accept loop plus one reader thread
-//! per connection, all funnelling into a single event queue consumed by
-//! [`TcpServerTransport::recv`]; writes go directly to the per-client
-//! socket. Clients ([`connect`]) spawn one reader thread and receive
+//! [`connect`] spawns one reader thread per connection and receives
 //! through an in-process queue, so [`ClientConn::recv_timeout`] works the
 //! same as on the channel transport.
 //!
 //! [`ClientConn::recv_timeout`]: crate::ClientConn::recv_timeout
 
 use crate::conn::{ClientConn, ConnSender, SenderInner, TcpWriter};
-use crate::{Incoming, ServerTransport};
-use faust_types::frame::{frame_into, read_frame, write_frame, FrameDecoder};
+use faust_types::frame::{read_frame, write_frame};
 use faust_types::{ClientId, UstorMsg};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// How long a freshly accepted connection gets to produce its HELLO
-/// frame before the accept loop gives up on it. Bounds how long one
-/// silent connector can stall the (serial) handshake pipeline.
-pub const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// One client's write slot. Per-client locking: a blocking write to one
-/// stalled client must never hold up replies to the others.
-type WriterSlot = Mutex<Option<TcpStream>>;
-
-/// Upper bound on clients per server transport; keeps a hostile HELLO from
-/// sizing any table.
-pub const MAX_CLIENTS: usize = 4096;
-
-enum TcpEvent {
-    Connected,
-    Msg(ClientId, UstorMsg),
-    Disconnected(ClientId),
-}
-
-/// Server side of the TCP transport.
-///
-/// Bound with [`TcpServerTransport::bind`]; expects exactly `n` distinct
-/// clients to connect over the transport's lifetime and reports
-/// [`Incoming::Closed`] once all of them have connected and subsequently
-/// disconnected. One connection per client: a second HELLO for an
-/// already-seen id is rejected. Session resumption is deliberately a
-/// *session*-layer feature, not a transport one — a reconnecting client
-/// resumes against a fresh server incarnation (the client replays its
-/// resend window; the engine answers duplicates from its reply cache —
-/// see docs/client-api.md), so within one transport incarnation an id
-/// reuse is always an impostor or a bug and is refused.
-pub struct TcpServerTransport {
-    events: Receiver<TcpEvent>,
-    writers: Arc<Vec<WriterSlot>>,
-    local_addr: SocketAddr,
-    expected: usize,
-    seen: usize,
-    active: usize,
-    /// Reused frame-assembly buffer: single sends and whole egress
-    /// batches alike are encoded here and written with one `write_all`
-    /// per client (the sockets run `TCP_NODELAY`, so that one write is
-    /// what bounds both syscall count and latency).
-    sendbuf: Vec<u8>,
-}
-
-impl TcpServerTransport {
-    /// Binds a listener and starts accepting up to `n` client connections
-    /// in the background.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from binding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or exceeds [`MAX_CLIENTS`].
-    pub fn bind(addr: impl ToSocketAddrs, n: usize) -> std::io::Result<Self> {
-        assert!(n > 0 && n <= MAX_CLIENTS, "client count out of range");
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let writers: Arc<Vec<WriterSlot>> = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let (tx, events) = channel();
-        let accept_writers = Arc::clone(&writers);
-        std::thread::spawn(move || accept_loop(listener, n, accept_writers, tx));
-        Ok(TcpServerTransport {
-            events,
-            writers,
-            local_addr,
-            expected: n,
-            seen: 0,
-            active: 0,
-            sendbuf: Vec::with_capacity(4096),
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// A handle that can abruptly sever every established connection
-    /// from another thread — see [`TcpSever`].
-    pub fn sever_handle(&self) -> TcpSever {
-        TcpSever {
-            writers: Arc::clone(&self.writers),
-        }
-    }
-}
-
-/// Severs a [`TcpServerTransport`]'s connections from outside the serve
-/// loop: every established socket is `shutdown(Both)` and its writer
-/// slot cleared, so clients observe EOF immediately and the per-
-/// connection reader threads unblock and exit. Merely *dropping* the
-/// transport does neither — the reader threads hold their own clones of
-/// each stream, which keep the file descriptors open.
-///
-/// This is the socket-level half of an abrupt server kill (chaos
-/// testing); pair it with [`crate::chaos::KillableTransport`], which
-/// makes the serve loop itself stand down.
-pub struct TcpSever {
-    writers: Arc<Vec<WriterSlot>>,
-}
-
-impl TcpSever {
-    /// Shuts down every established connection, both directions.
-    /// Idempotent; connections accepted after the call are unaffected
-    /// (there are none in practice — a severed incarnation is dead).
-    pub fn sever_all(&self) {
-        for slot in self.writers.iter() {
-            if let Some(stream) = slot.lock().expect("writer slot poisoned").take() {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    n: usize,
-    writers: Arc<Vec<WriterSlot>>,
-    tx: Sender<TcpEvent>,
-) {
-    // One connection per distinct client id, ever: counting raw accepts
-    // would let one client connect/disconnect/reconnect and consume
-    // another client's slot, after which the transport could report
-    // `Closed` with a legitimate client locked out.
-    let mut registered = vec![false; n];
-    let mut accepted = 0;
-    while accepted < n {
-        let Ok((mut stream, _)) = listener.accept() else {
-            return;
-        };
-        let _ = stream.set_nodelay(true);
-        // HELLO: the connecting client's id, as one frame. The read is
-        // bounded by HELLO_TIMEOUT so a connector that sends nothing
-        // cannot wedge acceptance of the remaining clients forever.
-        let _ = stream.set_read_timeout(Some(HELLO_TIMEOUT));
-        let id = match read_frame::<_, ClientId>(&mut stream) {
-            Ok(Some(id)) if id.index() < n => id,
-            _ => continue, // bad, missing, or overdue hello: reject
-        };
-        if stream.set_read_timeout(None).is_err() {
-            continue;
-        }
-        if registered[id.index()] {
-            continue; // duplicate or reconnecting id: reject
-        }
-        {
-            let mut slot = writers[id.index()].lock().expect("writer slot poisoned");
-            let Ok(write_half) = stream.try_clone() else {
-                continue;
-            };
-            *slot = Some(write_half);
-        }
-        registered[id.index()] = true;
-        accepted += 1;
-        if tx.send(TcpEvent::Connected).is_err() {
-            return; // transport dropped
-        }
-        let reader_tx = tx.clone();
-        std::thread::spawn(move || reader_loop(stream, id, reader_tx));
-    }
-}
-
-/// Pumps one connection through an incremental [`FrameDecoder`] until EOF
-/// or a protocol violation.
-fn reader_loop(mut stream: TcpStream, id: ClientId, tx: Sender<TcpEvent>) {
-    let mut decoder = FrameDecoder::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(got) => {
-                decoder.extend(&chunk[..got]);
-                loop {
-                    match decoder.next_frame::<UstorMsg>() {
-                        Ok(Some(msg)) => {
-                            if tx.send(TcpEvent::Msg(id, msg)).is_err() {
-                                return;
-                            }
-                        }
-                        Ok(None) => break,
-                        // Garbage on the stream: hang up on this client.
-                        Err(_) => {
-                            let _ = tx.send(TcpEvent::Disconnected(id));
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let _ = tx.send(TcpEvent::Disconnected(id));
-}
-
-impl TcpServerTransport {
-    /// Applies one connection-state event; `Some` if it terminates the
-    /// receive loop with a result.
-    fn apply(&mut self, event: TcpEvent) -> Option<Incoming> {
-        match event {
-            TcpEvent::Connected => {
-                self.seen += 1;
-                self.active += 1;
-                None
-            }
-            TcpEvent::Msg(from, msg) => Some(Incoming::Msg(from, msg)),
-            TcpEvent::Disconnected(id) => {
-                self.active -= 1;
-                *self.writers[id.index()]
-                    .lock()
-                    .expect("writer slot poisoned") = None;
-                (self.seen == self.expected && self.active == 0).then_some(Incoming::Closed)
-            }
-        }
-    }
-}
-
-impl TcpServerTransport {
-    /// Writes the assembled `sendbuf` to `to`'s socket in one
-    /// `write_all`, dropping the writer on error (client gone).
-    fn write_assembled(writers: &[WriterSlot], to: ClientId, buf: &[u8]) {
-        let Some(slot) = writers.get(to.index()) else {
-            return;
-        };
-        // Only this client's slot is locked: a peer with a full kernel
-        // send buffer blocks its own replies, never anyone else's.
-        let mut slot = slot.lock().expect("writer slot poisoned");
-        if let Some(stream) = slot.as_mut() {
-            if stream.write_all(buf).is_err() {
-                *slot = None; // client gone; stop writing to it
-            }
-        }
-    }
-}
-
-impl ServerTransport for TcpServerTransport {
-    fn recv(&mut self) -> Incoming {
-        loop {
-            match self.events.recv() {
-                Ok(event) => {
-                    if let Some(out) = self.apply(event) {
-                        return out;
-                    }
-                }
-                Err(_) => return Incoming::Closed,
-            }
-        }
-    }
-
-    fn recv_deadline(&mut self, deadline: Instant) -> Incoming {
-        loop {
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            match self.events.recv_timeout(timeout) {
-                Ok(event) => {
-                    if let Some(out) = self.apply(event) {
-                        return out;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => return Incoming::TimedOut,
-                Err(RecvTimeoutError::Disconnected) => return Incoming::Closed,
-            }
-        }
-    }
-
-    fn try_recv(&mut self) -> Incoming {
-        loop {
-            match self.events.try_recv() {
-                Ok(event) => {
-                    if let Some(out) = self.apply(event) {
-                        return out;
-                    }
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => return Incoming::Idle,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => return Incoming::Closed,
-            }
-        }
-    }
-
-    fn send(&mut self, to: ClientId, msg: UstorMsg) {
-        self.sendbuf.clear();
-        frame_into(&mut self.sendbuf, &msg);
-        Self::write_assembled(&self.writers, to, &self.sendbuf);
-    }
-
-    fn send_batch(&mut self, to: ClientId, msgs: Vec<UstorMsg>) {
-        // Coalesce the whole per-client batch into one buffer and one
-        // socket write — the `writev`-style egress path: syscalls scale
-        // with *clients touched per round*, not with frames sent.
-        self.sendbuf.clear();
-        for msg in &msgs {
-            frame_into(&mut self.sendbuf, msg);
-        }
-        Self::write_assembled(&self.writers, to, &self.sendbuf);
-    }
-}
+use std::time::Duration;
 
 /// Connects to a server transport as client `id` and performs the HELLO
 /// handshake.
@@ -377,13 +76,19 @@ fn client_reader_loop(mut stream: TcpStream, tx: Sender<UstorMsg>) {
     }
 }
 
-#[cfg(test)]
+/// The client side against the reactor: what a [`ClientConn`] from
+/// [`connect`] observes. (The reactor's own tests of the same names check
+/// the server side of each exchange.)
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use crate::conn::TransportClosed;
+    use crate::{Incoming, ReactorTransport, ServerTransport};
     use faust_crypto::Signature;
     use faust_types::{CommitMsg, Version};
+    use std::time::Instant;
 
-    fn msg(n: usize) -> UstorMsg {
+    pub(super) fn msg(n: usize) -> UstorMsg {
         UstorMsg::Commit(CommitMsg {
             version: Version::initial(n),
             commit_sig: Signature::garbage(),
@@ -391,49 +96,62 @@ mod tests {
         })
     }
 
+    /// Pumps `server` until `done` holds, failing after five seconds.
+    pub(super) fn pump_until(
+        server: &mut ReactorTransport,
+        done: impl Fn(&ReactorTransport) -> bool,
+    ) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done(server) {
+            assert!(Instant::now() < deadline, "reactor never got there");
+            let _ = server.recv_deadline(Instant::now() + Duration::from_millis(20));
+        }
+    }
+
     #[test]
     fn loopback_roundtrip_and_close() {
-        let mut server = TcpServerTransport::bind("127.0.0.1:0", 2).unwrap();
+        let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr();
         let c0 = connect(addr, ClientId::new(0)).unwrap();
         let c1 = connect(addr, ClientId::new(1)).unwrap();
+        assert_eq!((c0.id(), c1.id()), (ClientId::new(0), ClientId::new(1)));
 
-        // Replies follow traffic from the same client (as in the real
-        // protocol), which guarantees the server has seen its HELLO.
-        c0.send(&msg(2)).unwrap();
-        let Incoming::Msg(from, _) = server.recv() else {
-            panic!("expected a message");
-        };
-        assert_eq!(from, ClientId::new(0));
+        // Each client is answered on its own connection.
+        for (id, conn) in [(0, &c0), (1, &c1)] {
+            conn.send(&msg(2)).unwrap();
+            let Incoming::Msg(from, _) = server.recv() else {
+                panic!("expected a message");
+            };
+            assert_eq!(from, ClientId::new(id));
+            server.send(from, msg(3 + id as usize));
+            assert_eq!(conn.recv(), Ok(msg(3 + id as usize)));
+        }
 
-        c1.send(&msg(2)).unwrap();
-        let Incoming::Msg(from, _) = server.recv() else {
-            panic!("expected a message");
-        };
-        assert_eq!(from, ClientId::new(1));
-        server.send(ClientId::new(1), msg(2));
-        assert!(c1.recv().is_ok());
-
-        drop(c0);
-        drop(c1);
-        assert!(matches!(server.recv(), Incoming::Closed));
+        // The server going away is a clean `TransportClosed`, not a hang.
+        drop(server);
+        assert_eq!(c0.recv(), Err(TransportClosed));
+        assert_eq!(
+            c1.recv_timeout(Duration::from_secs(5)),
+            Err(TransportClosed)
+        );
     }
 
     #[test]
     fn send_batch_coalesces_but_delivers_every_frame_in_order() {
-        let mut server = TcpServerTransport::bind("127.0.0.1:0", 1).unwrap();
+        let mut server = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr();
         let c0 = connect(addr, ClientId::new(0)).unwrap();
         c0.send(&msg(1)).unwrap();
         let Incoming::Msg(_, _) = server.recv() else {
             panic!("expected a message");
         };
-        // One coalesced write carrying 5 frames; the client's incremental
-        // decoder must recover each one, in order.
-        let batch: Vec<UstorMsg> = (0..5).map(|_| msg(1)).collect();
+        // One coalesced write carrying 5 distinct frames; the client's
+        // reader must recover each one, in order.
+        let batch: Vec<UstorMsg> = (1..=5).map(msg).collect();
         server.send_batch(ClientId::new(0), batch);
-        for _ in 0..5 {
-            assert!(matches!(c0.recv(), Ok(UstorMsg::Commit(_))));
+        assert_eq!(server.stats().socket_writes, 1);
+        for n in 1..=5 {
+            assert_eq!(c0.recv(), Ok(msg(n)));
         }
         drop(c0);
         assert!(matches!(server.recv(), Incoming::Closed));
@@ -441,25 +159,28 @@ mod tests {
 
     #[test]
     fn recv_deadline_times_out_then_still_delivers() {
-        let mut server = TcpServerTransport::bind("127.0.0.1:0", 1).unwrap();
+        let mut server = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr();
         let c0 = connect(addr, ClientId::new(0)).unwrap();
-        // Nothing in flight: the deadline elapses.
-        let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(matches!(server.recv_deadline(deadline), Incoming::TimedOut));
-        // Traffic arrives well before a generous deadline.
         c0.send(&msg(1)).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        assert!(matches!(server.recv_deadline(deadline), Incoming::Msg(..)));
+        let Incoming::Msg(from, _) = server.recv() else {
+            panic!("expected a message");
+        };
+        // Nothing in flight: the client's timeout elapses.
+        assert_eq!(c0.recv_timeout(Duration::from_millis(20)), Ok(None));
+        // A reply arrives well before a generous timeout.
+        server.send(from, msg(1));
+        assert_eq!(c0.recv_timeout(Duration::from_secs(5)), Ok(Some(msg(1))));
         drop(c0);
         assert!(matches!(server.recv(), Incoming::Closed));
     }
 
     #[test]
     fn bad_hello_is_rejected_but_good_clients_proceed() {
-        let mut server = TcpServerTransport::bind("127.0.0.1:0", 1).unwrap();
+        let mut server = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr();
-        // An out-of-range id: the server must drop this connection.
+        // An out-of-range id: the handshake write succeeds locally, but
+        // the server drops the connection.
         let bogus = connect(addr, ClientId::new(9)).unwrap();
         // A valid client still gets through afterwards.
         let good = connect(addr, ClientId::new(0)).unwrap();
@@ -468,29 +189,28 @@ mod tests {
             panic!("expected a message");
         };
         assert_eq!(from, ClientId::new(0));
-        drop(bogus);
+        server.send(from, msg(1));
+        assert!(good.recv().is_ok());
+        pump_until(&mut server, |s| s.stats().bad_hellos == 1);
+        assert_eq!(
+            bogus.recv_timeout(Duration::from_secs(5)),
+            Err(TransportClosed)
+        );
         drop(good);
         assert!(matches!(server.recv(), Incoming::Closed));
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod reconnect_tests {
+    use super::tests::{msg, pump_until};
     use super::*;
-    use faust_crypto::Signature;
-    use faust_types::{CommitMsg, Version};
-
-    fn msg(n: usize) -> UstorMsg {
-        UstorMsg::Commit(CommitMsg {
-            version: Version::initial(n),
-            commit_sig: Signature::garbage(),
-            proof_sig: Signature::garbage(),
-        })
-    }
+    use crate::conn::TransportClosed;
+    use crate::{Incoming, ReactorTransport, ServerTransport};
 
     #[test]
     fn reconnecting_client_cannot_consume_another_clients_slot() {
-        let mut server = TcpServerTransport::bind("127.0.0.1:0", 2).unwrap();
+        let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr();
 
         // Client 0 connects, talks, and leaves.
@@ -502,9 +222,14 @@ mod reconnect_tests {
         assert_eq!(from, ClientId::new(0));
         drop(c0);
 
-        // Client 0 "reconnects": the duplicate HELLO must be rejected
-        // rather than consuming client 1's accept slot.
+        // Client 0 "reconnects": the duplicate is turned away, and its
+        // connection reports the server's hangup.
         let again = connect(addr, ClientId::new(0)).unwrap();
+        pump_until(&mut server, |s| s.stats().duplicate_clients == 1);
+        assert_eq!(
+            again.recv_timeout(Duration::from_secs(5)),
+            Err(TransportClosed)
+        );
 
         // Client 1 still gets in and is served.
         let c1 = connect(addr, ClientId::new(1)).unwrap();
@@ -513,6 +238,8 @@ mod reconnect_tests {
             panic!("expected client 1's message; transport closed early");
         };
         assert_eq!(from, ClientId::new(1));
+        server.send(from, msg(2));
+        assert!(c1.recv().is_ok());
 
         drop(again);
         drop(c1);

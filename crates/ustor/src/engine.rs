@@ -11,9 +11,10 @@
 //! 3. the transport drains the replies with [`ServerEngine::poll_output`].
 //!
 //! Because the engine never performs I/O, the same code path serves the
-//! deterministic simulator (via [`faust_net::QueueTransport`]), the
-//! thread-per-client channel runtime, and real TCP clients — the [`serve`]
-//! loop works over any [`ServerTransport`].
+//! deterministic simulator (via [`faust_net::QueueTransport`]), clients
+//! on threads of the same process (the channel transport), and real TCP
+//! clients (the reactor) — the [`serve`] loop works over any
+//! [`ServerTransport`], and [`spawn_engine`] runs it on a thread.
 //!
 //! # Sessions
 //!
@@ -319,7 +320,7 @@ impl ServerEngine {
     /// drain is `O(frames)` regardless of how many clients it touches.
     ///
     /// Serve loops feed each batch to [`ServerTransport::send_batch`],
-    /// which the TCP transport coalesces into one socket write — egress
+    /// which the reactor coalesces into one socket write — egress
     /// syscalls then scale with clients touched per round, not frames.
     pub fn poll_output_batch(&mut self) -> Option<(ClientId, Vec<UstorMsg>)> {
         if self.staged.is_empty() && !self.outbox.is_empty() {
@@ -698,6 +699,22 @@ pub fn serve<T: ServerTransport>(engine: &mut ServerEngine, transport: &mut T) {
             return;
         }
     }
+}
+
+/// Runs [`serve`] on a thread of its own; joining yields the engine's
+/// final statistics. The transport is dropped with the thread, so a
+/// socket transport's connections close once the loop returns.
+pub fn spawn_engine<T>(
+    mut engine: ServerEngine,
+    mut transport: T,
+) -> std::thread::JoinHandle<EngineStats>
+where
+    T: ServerTransport + Send + 'static,
+{
+    std::thread::spawn(move || {
+        serve(&mut engine, &mut transport);
+        engine.stats().clone()
+    })
 }
 
 #[cfg(test)]

@@ -61,7 +61,9 @@ pub use client::{
     BeginError, CommitMode, OpCompletion, PendingOpState, UstorClient, UstorClientState,
 };
 pub use driver::{random_workloads, Driver, RunResult, WorkloadOp};
-pub use engine::{serve, EngineStats, IngressVerification, ServerEngine, Session, SharedVerifier};
+pub use engine::{
+    serve, spawn_engine, EngineStats, IngressVerification, ServerEngine, Session, SharedVerifier,
+};
 pub use fault::{CrashRestartServer, Fault, RestartHook};
 pub use reply_cache::ReplyCache;
 pub use server::{

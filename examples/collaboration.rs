@@ -18,10 +18,9 @@
 //! Run with: `cargo run --example collaboration`
 
 use faust::client::{Event, FaustHandle, HandleConfig};
-use faust::core::runtime::spawn_engine;
 use faust::core::FaustConfig;
 use faust::types::{ClientId, Value};
-use faust::ustor::UstorServer;
+use faust::ustor::{spawn_engine, ServerEngine, UstorServer};
 use std::time::Duration;
 
 const ALICE: ClientId = ClientId::new(0);
@@ -31,7 +30,10 @@ const CARLOS: ClientId = ClientId::new(2);
 fn main() {
     let n = 3;
     let (transport, mut conns) = faust::net::channel::pair(n);
-    let engine = spawn_engine(n, Box::new(UstorServer::new(n)), transport);
+    let engine = spawn_engine(
+        ServerEngine::new(n, Box::new(UstorServer::new(n))),
+        transport,
+    );
 
     // Probes would reveal everything instantly; the day is scripted
     // through reads alone, exactly as in Figure 2.

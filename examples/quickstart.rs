@@ -12,10 +12,9 @@
 //! Run with: `cargo run --example quickstart`
 
 use faust::client::{Event, FaustHandle, HandleConfig, OfflineLink, SessionCore};
-use faust::core::runtime::spawn_engine;
 use faust::core::FaustConfig;
 use faust::types::{ClientId, Value};
-use faust::ustor::UstorServer;
+use faust::ustor::{spawn_engine, ServerEngine, UstorServer};
 use std::time::Duration;
 
 fn main() {
@@ -24,7 +23,10 @@ fn main() {
     // Server side: the engine over the channel transport, on its own
     // thread — exactly what `faust serve` does behind TCP.
     let (transport, conns) = faust::net::channel::pair(n);
-    let engine = spawn_engine(n, Box::new(UstorServer::new(n)), transport);
+    let engine = spawn_engine(
+        ServerEngine::new(n, Box::new(UstorServer::new(n))),
+        transport,
+    );
 
     // Client side: one handle per client, sharing the offline mesh (the
     // paper's client-to-client medium) and one key seed.

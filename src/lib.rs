@@ -22,24 +22,23 @@
 //!   │     Byzantine adversary                                    │
 //!   └──────────────────────────▲─────────────────────────────────┘
 //!                              │ ServerTransport (faust-net)
-//!          ┌──────────────┬────┴──────────────┬──────────────────┐
-//!          │              │                   │                  │
-//!   QueueTransport   channel transport   TCP transport    ReactorTransport
-//!   (deterministic   (std::sync::mpsc,   (std::net,       (unix: one event
-//!   sim adapter; the  thread-per-client  length-prefixed  loop, many conns,
-//!   discrete-event    runtimes)          frames, one      admission control —
-//!   simulator stays                      reader thread    docs/networking.md)
-//!   bit-reproducible)                    per client)
+//!          ┌───────────────────┴──┬──────────────────────┐
+//!          │                      │                      │
+//!   QueueTransport         channel transport      ReactorTransport
+//!   (deterministic sim     (std::sync::mpsc,      (unix: the socket server —
+//!   adapter; the           engine and clients     length-prefixed frames, one
+//!   discrete-event         on threads of one      event loop, many conns,
+//!   simulator stays        process)               admission control —
+//!   bit-reproducible)                             docs/networking.md)
 //! ```
 //!
-//! One engine code path serves all four: the simulation drivers
+//! One engine code path serves all three: the simulation drivers
 //! ([`ustor::Driver`],
 //! [`core::FaustDriver`]) pump it through the
-//! queue transport inside virtual time, while the threaded runtimes
-//! ([`core::runtime`],
-//! [`core::threaded_faust`]) put it behind a
-//! channel or a real loopback-TCP listener. Client threads hold a
-//! transport-independent [`net::ClientConn`].
+//! queue transport inside virtual time, while [`ustor::spawn_engine`]
+//! runs it on a thread behind a channel or a real TCP listener, with
+//! live [`client::FaustHandle`] sessions on the other side. Client
+//! threads hold a transport-independent [`net::ClientConn`].
 //!
 //! Messages are encoded by the hand-rolled, byte-exact codec in
 //! [`types::wire`]; stream transports add the

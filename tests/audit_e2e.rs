@@ -9,28 +9,19 @@
 //!   sessions yields the signed evidence pair that convicts the server
 //!   to any third party.
 
+mod common;
+
 use faust::audit::{audit, AuditVerdict, Divergence, SessionHistory};
-use faust::core::threaded_faust::{run_threaded_faust_tcp, ThreadedFaustConfig};
-use faust::core::{FaustConfig, UserOp};
+use faust::core::UserOp;
 use faust::crypto::sig::KeySet;
 use faust::crypto::{SigScheme, VerifierRegistry};
 use faust::store::{testutil, Durability, LogRecord, PersistentServer, StoreConfig};
 use faust::types::{ClientId, Value};
+use faust::ustor::ServerEngine;
 use std::time::Duration;
 
 fn c(i: u32) -> ClientId {
     ClientId::new(i)
-}
-
-fn config(dummy_reads: bool) -> ThreadedFaustConfig {
-    ThreadedFaustConfig {
-        faust: FaustConfig {
-            dummy_reads,
-            ..FaustConfig::default()
-        },
-        run_for: Duration::from_millis(1200),
-        ..ThreadedFaustConfig::default()
-    }
 }
 
 fn registry(n: usize, key_seed: &[u8]) -> VerifierRegistry {
@@ -55,19 +46,20 @@ fn tcp_session(
         },
     )
     .expect("open store");
-    let report = run_threaded_faust_tcp(
-        n,
+    let (run, _) = common::run_loopback(
+        ServerEngine::new(n, Box::new(server)),
         workloads,
-        Box::new(server),
-        config(dummy_reads),
         key_seed,
-    )
-    .expect("loopback TCP available");
-    assert!(
-        report.failures.is_empty(),
-        "honest run must not fail: {:?}",
-        report.failures
+        &common::handle_config(dummy_reads),
+        Duration::from_millis(1200),
     );
+    for (handle, _) in &run {
+        assert!(
+            handle.failure().is_none(),
+            "honest run must not fail: {:?}",
+            handle.failure()
+        );
+    }
     faust::audit::export_store_dir(dir, SigScheme::Hmac, None).expect("export store dir")
 }
 

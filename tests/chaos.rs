@@ -35,10 +35,12 @@ use faust::core::handle::{
     DisconnectCause, Event, FaustHandle, HandleConfig, HandleStats, ReconnectPolicy,
 };
 use faust::core::{FaustConfig, UserOp};
-use faust::net::{tcp, ClientDialer, ClientTransport, KillSwitch, KillableTransport};
+use faust::net::{
+    tcp, ClientDialer, ClientTransport, KillSwitch, KillableTransport, ReactorTransport,
+};
 use faust::store::{testutil, truncate_tail_records, PersistentBackend, StoreConfig};
 use faust::types::{ClientId, Value};
-use faust::ustor::ServerBackend;
+use faust::ustor::{spawn_engine, ServerEngine};
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -85,8 +87,8 @@ fn chaos_policy() -> ReconnectPolicy {
 }
 
 /// Redials whatever address the harness last published — each restart is
-/// a fresh `TcpServerTransport` on a fresh port, exactly like a crashed
-/// process coming back behind a service-discovery entry.
+/// a fresh reactor on a fresh port, exactly like a crashed process coming
+/// back behind a service-discovery entry.
 struct PublishedAddrDialer {
     addr: Arc<Mutex<SocketAddr>>,
     id: ClientId,
@@ -99,39 +101,34 @@ impl ClientDialer for PublishedAddrDialer {
     }
 }
 
-/// One live server incarnation: engine thread, the switch that stands
-/// the serve loop down, and the handle that severs its sockets.
+/// One live server incarnation: engine thread, and the switch that
+/// stands the serve loop down.
 struct Incarnation {
     engine: JoinHandle<faust::ustor::EngineStats>,
     switch: KillSwitch,
-    sever: faust::net::TcpSever,
 }
 
 impl Incarnation {
     /// Stands up a fresh incarnation from `backend` on a new loopback
     /// port and publishes its address for the dialers.
     fn spawn(backend: &PersistentBackend, n: usize, published: &Arc<Mutex<SocketAddr>>) -> Self {
-        let transport =
-            faust::net::TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
+        let transport = ReactorTransport::bind("127.0.0.1:0", n).expect("bind loopback");
         *published.lock().unwrap() = transport.local_addr();
-        let sever = transport.sever_handle();
         let (transport, switch) = KillableTransport::new(transport);
-        let server = backend.build(n).expect("backend builds/recovers");
-        let engine = faust::core::runtime::spawn_engine(n, server, transport);
+        let engine = ServerEngine::from_backend(n, backend).expect("backend builds/recovers");
         Incarnation {
-            engine,
+            engine: spawn_engine(engine, transport),
             switch,
-            sever,
         }
     }
 
     /// Kills the incarnation abruptly and waits for its thread to die:
-    /// the serve loop stands down first (so its final courtesy flush is
-    /// swallowed, as a real crash would swallow it), then every socket
-    /// is severed so clients observe the loss immediately.
+    /// the serve loop stands down (so its final courtesy flush is
+    /// swallowed, as a real crash would swallow it), and the reactor
+    /// dropped with the thread closes every socket, so clients observe
+    /// the loss at once.
     fn kill(self) {
         self.switch.kill();
-        self.sever.sever_all();
         self.engine.join().expect("engine thread panicked");
     }
 }

@@ -8,17 +8,20 @@
 //!   the equivalent `FaustDriver` script in deterministic simulation.
 //! * A kill-and-restart end-to-end over real TCP with persistence and
 //!   group commit: an honest restart is invisible through the handle
-//!   (reconnect, cross-restart read), while a truncated log surfaces as
-//!   [`Event::Violation`].
+//!   (reconnect, cross-restart read, stability advancing), while a
+//!   truncated log surfaces as [`Event::Violation`].
 
+mod common;
+
+use common::{incarnation, quiet_config};
 use faust::client::{offline_mesh, Event, FaustHandle, HandleConfig, WaitError};
-use faust::core::runtime::spawn_engine;
 use faust::core::{
     random_faust_workloads, FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp,
 };
+use faust::net::tcp;
 use faust::store::{testutil, truncate_tail_records, Durability, PersistentBackend, StoreConfig};
 use faust::types::{ClientId, OpKind, Timestamp, Value};
-use faust::ustor::{ServerBackend, UstorServer};
+use faust::ustor::{spawn_engine, ServerEngine, UstorServer};
 use std::time::{Duration, Instant};
 
 fn c(i: u32) -> ClientId {
@@ -74,7 +77,10 @@ fn pipelined_handles_match_the_driver_script() {
         // The same script through live pipelined handles over the
         // channel transport (dummy reads + probes spread stability).
         let (transport, conns) = faust::net::channel::pair(n);
-        let engine = spawn_engine(n, Box::new(UstorServer::new(n)), transport);
+        let engine = spawn_engine(
+            ServerEngine::new(n, Box::new(UstorServer::new(n))),
+            transport,
+        );
         let config = HandleConfig {
             faust: FaustConfig {
                 probe_period: 50,
@@ -150,22 +156,8 @@ fn pipelined_handles_match_the_driver_script() {
     }
 }
 
-/// Config shared by both kill-and-restart tests: quiet handles (the
-/// restart story is about reads/writes, not probes), a pipeline window,
-/// group commit at production-ish CI scale.
-fn restart_config() -> HandleConfig {
-    HandleConfig {
-        faust: FaustConfig {
-            probe_period: u64::MAX / 2,
-            dummy_reads: false,
-            pipeline: 2,
-            ..FaustConfig::default()
-        },
-        tick_interval: Duration::from_millis(5),
-        ..HandleConfig::default()
-    }
-}
-
+/// Group commit at production-ish CI scale. (Both restarts under an
+/// fsync per record are `tests/crash_recovery.rs`.)
 fn group_store() -> StoreConfig {
     StoreConfig {
         durability: Durability::Group {
@@ -176,19 +168,10 @@ fn group_store() -> StoreConfig {
     }
 }
 
-/// Stands up one server incarnation from `backend` on a fresh loopback
-/// socket; returns its address and engine thread.
-fn incarnation(
-    backend: &PersistentBackend,
-    n: usize,
-) -> (
-    std::net::SocketAddr,
-    std::thread::JoinHandle<faust::ustor::EngineStats>,
-) {
-    let transport = faust::net::TcpServerTransport::bind("127.0.0.1:0", n).expect("bind");
-    let addr = transport.local_addr();
-    let server = backend.build(n).expect("backend builds/recovers");
-    (addr, spawn_engine(n, server, transport))
+/// Reconnects `handle` to the incarnation at `addr`.
+fn redial(handle: &mut FaustHandle, addr: std::net::SocketAddr) {
+    let conn = tcp::connect(addr, handle.id()).expect("redial");
+    handle.reconnect(Box::new(conn));
 }
 
 #[test]
@@ -197,7 +180,7 @@ fn honest_kill_and_restart_is_invisible_through_the_handle() {
     let wait = Duration::from_secs(10);
     let dir = testutil::scratch_dir("handle-e2e-honest");
     let backend = PersistentBackend::new(&dir, group_store());
-    let config = restart_config();
+    let config = quiet_config();
 
     // Incarnation 1.
     let (addr, engine) = incarnation(&backend, n);
@@ -209,6 +192,9 @@ fn honest_kill_and_restart_is_invisible_through_the_handle() {
     assert_eq!(h0.wait(a2, wait).expect("completes").timestamp, 2);
     let b1 = h1.write(Value::from("b1"));
     h1.wait(b1, wait).expect("completes");
+    // C0 has learned no version of C1's yet.
+    let cut_before = h0.stability_cut().w;
+    assert_eq!(cut_before[1], 0);
     // Quiescent: disconnect, and the incarnation dies with the sockets.
     h0.disconnect();
     h1.disconnect();
@@ -217,12 +203,8 @@ fn honest_kill_and_restart_is_invisible_through_the_handle() {
     // Incarnation 2: recovered from the log on a fresh socket; the same
     // handles reconnect with all session state intact.
     let (addr, engine) = incarnation(&backend, n);
-    h0.reconnect(Box::new(
-        faust::net::tcp::connect(addr, c(0)).expect("redial"),
-    ));
-    h1.reconnect(Box::new(
-        faust::net::tcp::connect(addr, c(1)).expect("redial"),
-    ));
+    redial(&mut h0, addr);
+    redial(&mut h1, addr);
 
     // The read crossing the restart sees the last pre-crash value...
     let r = h1.read(c(0));
@@ -231,6 +213,15 @@ fn honest_kill_and_restart_is_invisible_through_the_handle() {
     // ...writes continue with the next timestamps...
     let a3 = h0.write(Value::from("a3"));
     assert_eq!(h0.wait(a3, wait).expect("completes").timestamp, 3);
+    // ...stability advances across the restart: C1's pre-crash write,
+    // read back from the recovered server, vouches for C0's ops...
+    let r = h0.read(c(1));
+    h0.wait(r, wait).expect("completes");
+    let cut = h0.stability_cut().w;
+    assert!(
+        cut.iter().all(|&w| w >= 1) && cut[1] > cut_before[1],
+        "stability must survive the restart, got {cut:?}"
+    );
     // ...and no violation (or stray disconnect) was ever reported.
     for handle in [&mut h0, &mut h1] {
         assert!(handle.failure().is_none());
@@ -254,7 +245,7 @@ fn truncated_log_raises_a_violation_event() {
     let wait = Duration::from_secs(10);
     let dir = testutil::scratch_dir("handle-e2e-truncated");
     let backend = PersistentBackend::new(&dir, group_store());
-    let config = restart_config();
+    let config = quiet_config();
 
     let (addr, engine) = incarnation(&backend, n);
     let mut h0 =
@@ -280,12 +271,8 @@ fn truncated_log_raises_a_violation_event() {
     assert!(kept > 0, "a rollback, not a wipe");
 
     let (addr, engine) = incarnation(&backend, n);
-    h0.reconnect(Box::new(
-        faust::net::tcp::connect(addr, c(0)).expect("redial"),
-    ));
-    h1.reconnect(Box::new(
-        faust::net::tcp::connect(addr, c(1)).expect("redial"),
-    ));
+    redial(&mut h0, addr);
+    redial(&mut h1, addr);
     // C0's next operation hits the rolled-back schedule: the wait
     // surfaces the violation, and the event stream carries it.
     let a3 = h0.write(Value::from("a3"));

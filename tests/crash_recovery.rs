@@ -1,10 +1,10 @@
-//! Kill-and-restart end-to-end tests over the TCP runtime: the full
-//! FAUST stack (stability, probes, failure detection) runs against a
-//! persistent server engine behind real loopback sockets; mid-run the
-//! server process is killed — engine thread wound down, sockets torn
-//! down, all volatile state dropped — and a *new* incarnation is
-//! recovered from disk on a fresh socket, with the same FAUST clients
-//! (state intact, protocol clock continuing) redialing it.
+//! Kill-and-restart end-to-end tests over loopback TCP: the full FAUST
+//! stack (stability, probes, failure detection) runs in live
+//! `FaustHandle` sessions against a persistent server engine behind the
+//! reactor; mid-run the server is killed — engine thread wound down,
+//! sockets torn down, all volatile state dropped — and a *new*
+//! incarnation is recovered from disk on a fresh socket, with the same
+//! sessions (state intact, protocol clock continuing) redialing it.
 //!
 //! The two claims of the persistent backend, end to end:
 //!
@@ -16,65 +16,69 @@
 //!   presents a rolled-back schedule and clients flag it — exactly the
 //!   clients whose view the cut contradicts, and no others.
 
-use faust::client::{Event, FaustHandle, HandleConfig, WaitError};
-use faust::core::runtime::spawn_engine;
-use faust::core::threaded_faust::{run_faust_session, FaustSession, ThreadedFaustConfig};
-use faust::core::{FailReason, FaustConfig, ThreadedFaustReport, UserOp};
-use faust::net::{tcp, ClientConn, TcpServerTransport};
+mod common;
+
+use common::{completions, handle_config, incarnation, quiet_config, run_loopback, run_phase};
+use faust::client::{Event, FaustHandle, WaitError};
+use faust::core::{FailReason, UserOp};
+use faust::net::tcp;
 use faust::sim::SmallRng;
 use faust::store::log::{Wal, WAL_FILE};
 use faust::store::{
     testutil, truncate_tail_records, Durability, LogRecord, PersistentBackend, StoreConfig,
 };
 use faust::types::{ClientId, Value};
-use faust::ustor::{EngineStats, ServerBackend};
-use std::net::SocketAddr;
+use faust::ustor::{EngineStats, ServerEngine};
 use std::path::Path;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn c(i: u32) -> ClientId {
     ClientId::new(i)
 }
 
-/// CI-friendly timing; dummy reads are disabled so that when a phase's
-/// deadline passes every client is quiescent (no operation in flight),
-/// which is what makes a clean kill between phases possible — exactly
-/// like an operator draining traffic before stopping a process.
-fn config() -> ThreadedFaustConfig {
-    ThreadedFaustConfig {
-        faust: FaustConfig {
-            dummy_reads: false,
-            ..FaustConfig::default()
-        },
-        run_for: Duration::from_millis(1200),
-        ..ThreadedFaustConfig::default()
-    }
+/// Clients in the two-phase runs.
+const N: usize = 3;
+
+/// Wall time per phase. Dummy reads are off, so when a phase ends every
+/// session is quiescent (no operation in flight), which is what makes a
+/// clean kill between phases possible — exactly like an operator
+/// draining traffic before stopping a process.
+const RUN_FOR: Duration = Duration::from_millis(1200);
+
+/// The sessions at the end of a phase, each with its events.
+type Phase = Vec<(FaustHandle, Vec<Event>)>;
+
+/// The first phase: an incarnation built from `backend` serves fresh
+/// sessions. When this returns, that incarnation is dead: sessions
+/// disconnected, engine thread joined; only the log survives.
+fn first_phase(backend: &PersistentBackend, key_seed: &[u8]) -> (Phase, EngineStats) {
+    let engine = ServerEngine::from_backend(N, backend).expect("fresh store");
+    run_loopback(
+        engine,
+        phase1_workloads(),
+        key_seed,
+        &handle_config(false),
+        RUN_FOR,
+    )
 }
 
-/// Stands up a server incarnation from `backend` on a fresh loopback
-/// socket; returns its address and engine thread.
-fn incarnation(backend: &PersistentBackend, n: usize) -> (SocketAddr, JoinHandle<EngineStats>) {
-    let transport = TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
-    let addr = transport.local_addr();
-    let server = backend.build(n).expect("backend builds/recovers");
-    (addr, spawn_engine(n, server, transport))
-}
-
-/// Stands up a server incarnation from `backend` and runs one phase of
-/// `session` against it. When this returns, that incarnation is dead:
-/// clients disconnected, engine thread joined.
-fn run_phase(
-    session: FaustSession,
-    backend: &PersistentBackend,
-    workloads: Vec<Vec<UserOp>>,
-) -> (ThreadedFaustReport, FaustSession) {
-    let n = session.num_clients();
-    let (addr, engine_thread) = incarnation(backend, n);
-    let conns: Vec<ClientConn> = (0..n)
-        .map(|i| tcp::connect(addr, c(i as u32)).expect("connect"))
+/// The second phase: a new incarnation recovered from `backend`, redialed
+/// by the first phase's sessions.
+fn second_phase(previous: Phase, backend: &PersistentBackend) -> (Phase, EngineStats) {
+    let (addr, engine) = incarnation(backend, N);
+    let handles = previous
+        .into_iter()
+        .map(|(mut handle, _)| {
+            let conn = tcp::connect(addr, handle.id()).expect("redial");
+            handle.reconnect(Box::new(conn));
+            handle
+        })
         .collect();
-    run_faust_session(session, workloads, conns, config(), engine_thread)
+    let mut outcome = run_phase(handles, phase2_workloads(), RUN_FOR);
+    for (handle, _) in &mut outcome {
+        handle.disconnect();
+    }
+    (outcome, engine.join().expect("engine thread"))
 }
 
 fn phase1_workloads() -> Vec<Vec<UserOp>> {
@@ -96,53 +100,133 @@ fn phase2_workloads() -> Vec<Vec<UserOp>> {
     ]
 }
 
-#[test]
-fn server_killed_and_recovered_mid_run_is_invisible_to_clients() {
-    let n = 3;
-    let dir = testutil::scratch_dir("e2e-honest");
-    // The real deployment configuration: fsync before acknowledging.
-    let backend = PersistentBackend::new(&dir, StoreConfig::default());
-    let session = FaustSession::new(n, &config(), b"crash-e2e");
-
-    let (report1, session) = run_phase(session, &backend, phase1_workloads());
-    assert!(report1.failures.is_empty(), "{:?}", report1.failures);
-    assert_eq!(report1.completions(c(0)), 2);
-    assert_eq!(report1.completions(c(1)), 1);
-    assert_eq!(report1.completions(c(2)), 1);
-    // <-- the server incarnation is dead here; only the log survives.
-
-    let (report2, session) = run_phase(session, &backend, phase2_workloads());
-    assert!(
-        report2.failures.is_empty(),
-        "honest recovery must be invisible over TCP: {:?}",
-        report2.failures
-    );
-    assert_eq!(report2.completions(c(0)), 2);
-    assert_eq!(report2.completions(c(1)), 1);
-    assert_eq!(report2.completions(c(2)), 1);
-    // The restarted engine really served the second phase...
-    assert!(report2.engine_stats.submits >= 4);
-    assert_eq!(report2.engine_stats.rejected, 0);
-    // ...the read crossing the restart saw the pre-crash write...
-    let cross_read = report2.notifications[1]
+fn failures(phase: &Phase) -> Vec<FailReason> {
+    phase
         .iter()
-        .find_map(|(_, note)| match note {
-            faust::core::Notification::Completed(done) => done.read_value.clone(),
+        .filter_map(|(h, _)| h.failure().cloned())
+        .collect()
+}
+
+fn phase_completions(phase: &Phase) -> Vec<usize> {
+    phase
+        .iter()
+        .map(|(_, events)| completions(events))
+        .collect()
+}
+
+/// The value C1's read returned in `phase`.
+fn c1_read(phase: &Phase) -> Option<Value> {
+    phase[1]
+        .1
+        .iter()
+        .find_map(|e| match e {
+            Event::Completed { completion, .. } => completion.read_value.clone(),
             _ => None,
         })
-        .expect("C1's read completed");
+        .expect("C1's read completed")
+}
+
+/// The honest kill-and-restart under `store`.
+fn honest_restart(label: &str, store: StoreConfig) {
+    let dir = testutil::scratch_dir(label);
+    let backend = PersistentBackend::new(&dir, store);
+
+    let (phase1, _) = first_phase(&backend, label.as_bytes());
+    assert!(failures(&phase1).is_empty(), "{:?}", failures(&phase1));
+    assert_eq!(phase_completions(&phase1), vec![2, 1, 1]);
+    // <-- the server incarnation is dead here; only the log survives.
+
+    let (phase2, stats) = second_phase(phase1, &backend);
+    assert!(
+        failures(&phase2).is_empty(),
+        "honest recovery must be invisible over TCP: {:?}",
+        failures(&phase2)
+    );
+    assert_eq!(phase_completions(&phase2), vec![2, 1, 1]);
+    // The restarted engine really served the second phase...
+    assert!(stats.submits >= 4);
+    assert_eq!(stats.rejected, 0);
+    // ...the read crossing the restart saw the pre-crash write...
     assert_eq!(
-        cross_read,
+        c1_read(&phase2),
         Some(Value::from("a2")),
         "read after restart must see the last pre-crash value"
     );
     // ...and stability kept advancing across the restart.
-    let cut = session.client(c(0)).stability_cut().w;
+    let cut = phase2[0].0.stability_cut().w;
     assert!(
         cut.iter().all(|&w| w >= 1),
         "stability must survive the restart, got {cut:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The restart after the log lost its last 6 acknowledged records under
+/// `store`.
+fn truncated_restart(label: &str, store: StoreConfig) {
+    let dir = testutil::scratch_dir(label);
+    let backend = PersistentBackend::new(&dir, store);
+
+    let (phase1, _) = first_phase(&backend, label.as_bytes());
+    assert!(failures(&phase1).is_empty(), "{:?}", failures(&phase1));
+
+    // While the server is down, its log loses the last 6 acknowledged
+    // records — truncated at a record boundary, so the recovery itself
+    // is locally flawless. This is the rollback attack (or a disk that
+    // lied about fsync); either way the schedule the new incarnation
+    // serves is a prefix of what clients have signed proof of.
+    let kept = truncate_tail_records(&dir, 6).expect("tamper with the log");
+    assert!(kept > 0, "a rollback, not a wipe");
+
+    let (phase2, _) = second_phase(phase1, &backend);
+    let failures = failures(&phase2);
+    assert!(
+        !failures.is_empty(),
+        "clients must detect the rolled-back schedule"
+    );
+    // At least one client pinned it as a protocol violation (the others
+    // may learn of it via offline gossip instead).
+    assert!(
+        failures.iter().any(|reason| matches!(
+            reason,
+            FailReason::Ustor(_) | FailReason::IncomparableVersions { .. }
+        )),
+        "expected a protocol-violation reason, got {failures:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn server_killed_and_recovered_mid_run_is_invisible_to_clients() {
+    // The real deployment configuration: fsync before acknowledging.
+    honest_restart("e2e-honest", StoreConfig::default());
+}
+
+#[test]
+fn group_commit_server_killed_and_recovered_mid_run_is_invisible_to_clients() {
+    // The guarantee must survive the group-commit optimization
+    // unchanged: replies are only released after their batch's fsync, so
+    // the killed incarnation's log holds every acknowledged operation.
+    honest_restart("e2e-group-honest", group_store_config());
+}
+
+#[test]
+fn server_recovered_from_truncated_log_is_detected_as_violation() {
+    // No auto-snapshots, so the whole acknowledged history sits in the
+    // log — and the truncation provably discards acknowledged operations.
+    truncated_restart(
+        "e2e-truncated",
+        StoreConfig {
+            durability: Durability::Always,
+            snapshot_every: 0,
+        },
+    );
+}
+
+#[test]
+fn group_commit_truncated_log_is_still_detected_as_violation() {
+    // Group commit must not weaken rollback detection.
+    truncated_restart("e2e-group-truncated", group_store_config());
 }
 
 /// Group commit with production-ish knobs scaled for a CI loopback run:
@@ -154,139 +238,6 @@ fn group_store_config() -> StoreConfig {
             max_wait: Duration::from_millis(2),
         },
         snapshot_every: 0,
-    }
-}
-
-#[test]
-fn group_commit_server_killed_and_recovered_mid_run_is_invisible_to_clients() {
-    // The Always-durability kill-and-restart guarantee must survive the
-    // group-commit optimization unchanged: replies are only released
-    // after their batch's fsync, so the killed incarnation's log holds
-    // every acknowledged operation and recovery is invisible.
-    let n = 3;
-    let dir = testutil::scratch_dir("e2e-group-honest");
-    let backend = PersistentBackend::new(&dir, group_store_config());
-    let session = FaustSession::new(n, &config(), b"group-crash-e2e");
-
-    let (report1, session) = run_phase(session, &backend, phase1_workloads());
-    assert!(report1.failures.is_empty(), "{:?}", report1.failures);
-    assert_eq!(report1.completions(c(0)), 2);
-    assert_eq!(report1.completions(c(1)), 1);
-    assert_eq!(report1.completions(c(2)), 1);
-
-    let (report2, _session) = run_phase(session, &backend, phase2_workloads());
-    assert!(
-        report2.failures.is_empty(),
-        "honest group-commit recovery must be invisible over TCP: {:?}",
-        report2.failures
-    );
-    assert_eq!(report2.completions(c(0)), 2);
-    assert_eq!(report2.completions(c(1)), 1);
-    assert_eq!(report2.completions(c(2)), 1);
-    let cross_read = report2.notifications[1]
-        .iter()
-        .find_map(|(_, note)| match note {
-            faust::core::Notification::Completed(done) => done.read_value.clone(),
-            _ => None,
-        })
-        .expect("C1's read completed");
-    assert_eq!(
-        cross_read,
-        Some(Value::from("a2")),
-        "read after restart must see the last pre-crash value"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn group_commit_truncated_log_is_still_detected_as_violation() {
-    // Group commit must not weaken rollback detection: acknowledged
-    // records removed from the log while the server is down are flagged
-    // by clients exactly as under per-record fsync.
-    let n = 3;
-    let dir = testutil::scratch_dir("e2e-group-truncated");
-    let backend = PersistentBackend::new(&dir, group_store_config());
-    let session = FaustSession::new(n, &config(), b"group-rollback-e2e");
-
-    let (report1, session) = run_phase(session, &backend, phase1_workloads());
-    assert!(report1.failures.is_empty(), "{:?}", report1.failures);
-
-    let kept = truncate_tail_records(&dir, 6).expect("tamper with the log");
-    assert!(kept > 0, "a rollback, not a wipe");
-
-    let (report2, _session) = run_phase(session, &backend, phase2_workloads());
-    assert!(
-        !report2.failures.is_empty(),
-        "clients must detect the rolled-back schedule under group commit"
-    );
-    assert!(
-        report2.failures.iter().any(|(_, reason)| matches!(
-            reason,
-            FailReason::Ustor(_) | FailReason::IncomparableVersions { .. }
-        )),
-        "expected a protocol-violation reason, got {:?}",
-        report2.failures
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn server_recovered_from_truncated_log_is_detected_as_violation() {
-    let n = 3;
-    let dir = testutil::scratch_dir("e2e-truncated");
-    // No auto-snapshots, so the whole acknowledged history sits in the
-    // log — and the truncation below provably discards acknowledged
-    // operations.
-    let backend = PersistentBackend::new(
-        &dir,
-        StoreConfig {
-            durability: Durability::Always,
-            snapshot_every: 0,
-        },
-    );
-    let session = FaustSession::new(n, &config(), b"rollback-e2e");
-
-    let (report1, session) = run_phase(session, &backend, phase1_workloads());
-    assert!(report1.failures.is_empty(), "{:?}", report1.failures);
-
-    // While the server is down, its log loses the last 6 acknowledged
-    // records — truncated at a record boundary, so the recovery itself
-    // is locally flawless. This is the rollback attack (or a disk that
-    // lied about fsync); either way the schedule the new incarnation
-    // serves is a prefix of what clients have signed proof of.
-    let kept = truncate_tail_records(&dir, 6).expect("tamper with the log");
-    assert!(kept > 0, "a rollback, not a wipe");
-
-    let (report2, _session) = run_phase(session, &backend, phase2_workloads());
-    assert!(
-        !report2.failures.is_empty(),
-        "clients must detect the rolled-back schedule"
-    );
-    // At least one client pinned it as a protocol violation (the others
-    // may learn of it via offline gossip instead).
-    assert!(
-        report2.failures.iter().any(|(_, reason)| matches!(
-            reason,
-            FailReason::Ustor(_) | FailReason::IncomparableVersions { .. }
-        )),
-        "expected a protocol-violation reason, got {:?}",
-        report2.failures
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Quiet resilient handles: the truncation story is about writes, not
-/// probes.
-fn handle_config() -> HandleConfig {
-    HandleConfig {
-        faust: FaustConfig {
-            probe_period: u64::MAX / 2,
-            dummy_reads: false,
-            pipeline: 2,
-            ..FaustConfig::default()
-        },
-        tick_interval: Duration::from_millis(5),
-        ..HandleConfig::default()
     }
 }
 
@@ -313,7 +264,7 @@ fn copy_store(src: &Path, dst: &Path) {
 /// re-anchors the client's own history on the rolled-back server: plain
 /// version regression is invisible to a write, and a cut whose evidence
 /// was entirely superseded heals silently (reads that could observe lost
-/// data still detect, which the tests above and `tests/chaos.rs`
+/// data still detect, which `tests/client_api.rs` and `tests/chaos.rs`
 /// exercise). What a write still proves is a surviving-but-uncovered
 /// pending SUBMIT whose signature cannot verify at the healed version's
 /// expected timestamp; the oracle predicts exactly those flags. Every
@@ -336,7 +287,7 @@ fn random_truncation_points_recover_into_flagged_rollbacks() {
         let rounds = rng.gen_range_inclusive(2, 3) as usize;
         let dir = testutil::scratch_dir(&format!("truncation-prop-{seed}"));
         let backend = PersistentBackend::new(&dir, group_store_config());
-        let config = handle_config();
+        let config = quiet_config();
 
         // Phase 1: `rounds` round-robin writes per client, strictly
         // sequential.

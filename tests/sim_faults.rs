@@ -21,21 +21,21 @@
 //! See `docs/simulation.md` for the architecture and the oracle
 //! definitions.
 
+mod common;
+
+use common::{connect_all, handle_config, incarnation, run_phase};
 use faust::audit::{audit, AuditVerdict, SessionHistory};
-use faust::core::runtime::spawn_engine;
-use faust::core::threaded_faust::{run_faust_session, FaustSession, ThreadedFaustConfig};
 use faust::core::{
     check_determinism, gen_scenario, investigate, run_and_check, run_sim, CrashSpec, FaultClause,
-    FaultPlan, FaustConfig, FaustWorkloadOp, Notification, ServerSpec, SimDurability, SimScenario,
-    UserOp, WalTamper,
+    FaultPlan, FaustWorkloadOp, Notification, ServerSpec, SimDurability, SimScenario, UserOp,
+    WalTamper,
 };
 use faust::crypto::sig::KeySet;
 use faust::crypto::SigScheme;
-use faust::net::{tcp, ClientConn, TcpServerTransport};
+use faust::net::tcp;
 use faust::sim::DelayModel;
 use faust::store::{testutil, Durability, PersistentBackend, StoreConfig};
 use faust::types::{ClientId, Value};
-use faust::ustor::ServerBackend;
 use std::time::{Duration, Instant};
 
 fn c(i: u32) -> ClientId {
@@ -132,15 +132,14 @@ fn pinned_seeds_rerun_bit_identically() {
 // wall clock).
 // ---------------------------------------------------------------------------
 
-/// The virtual-time port of
-/// `crash_recovery::group_commit_server_killed_and_recovered_mid_run_is_invisible_to_clients`:
-/// three clients run a two-phase workload against a group-commit
-/// persistent server; at the quiescent phase boundary (message 8 — all
-/// four phase-1 operations submitted *and* committed, so no reply is
-/// held back by the durability batch) the server is killed and
-/// recovered from its log. Honest recovery must be invisible: no
-/// failure notifications, every op completes, and the read crossing
-/// the restart sees the last pre-crash value.
+/// The virtual-time twin of the threaded run below: three clients run a
+/// two-phase workload against a group-commit persistent server; at the
+/// quiescent phase boundary (message 8 — all four phase-1 operations
+/// submitted *and* committed, so no reply is held back by the durability
+/// batch) the server is killed and recovered from its log. Honest
+/// recovery must be invisible: no failure notifications, every op
+/// completes, and the read crossing the restart sees the last pre-crash
+/// value.
 fn kill_restart_scenario() -> SimScenario {
     SimScenario {
         seed: 4242,
@@ -191,10 +190,12 @@ fn kill_restart_scenario() -> SimScenario {
     }
 }
 
-/// Runs the threaded twin once (both phases, real sockets, real group
-/// fsync batches) and returns its wall-clock time.
+/// Runs the threaded twin once — the same three clients as live
+/// `FaustHandle` sessions on threads, both phases against real sockets
+/// and real group fsync batches — and returns its wall-clock time.
 fn threaded_twin_elapsed() -> Duration {
     let n = 3;
+    let phase = Duration::from_millis(1200);
     let dir = testutil::scratch_dir("sim-vs-threads");
     let backend = PersistentBackend::new(
         &dir,
@@ -206,29 +207,12 @@ fn threaded_twin_elapsed() -> Duration {
             snapshot_every: 0,
         },
     );
-    let config = ThreadedFaustConfig {
-        faust: FaustConfig {
-            dummy_reads: false,
-            ..FaustConfig::default()
-        },
-        run_for: Duration::from_millis(1200),
-        ..ThreadedFaustConfig::default()
-    };
-    let run_phase = |session: FaustSession, workloads: Vec<Vec<UserOp>>| {
-        let transport = TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
-        let addr = transport.local_addr();
-        let server = backend.build(n).expect("backend builds/recovers");
-        let engine_thread = spawn_engine(n, server, transport);
-        let conns: Vec<ClientConn> = (0..n)
-            .map(|i| tcp::connect(addr, c(i as u32)).expect("connect"))
-            .collect();
-        run_faust_session(session, workloads, conns, config, engine_thread)
-    };
 
     let started = Instant::now();
-    let session = FaustSession::new(n, &config, b"sim-vs-threads");
-    let (report1, session) = run_phase(
-        session,
+    let (addr, engine) = incarnation(&backend, n);
+    let handles = connect_all(addr, n, b"sim-vs-threads", &handle_config(false));
+    let phase1 = run_phase(
+        handles,
         vec![
             vec![
                 UserOp::Write(Value::from("a1")),
@@ -237,23 +221,40 @@ fn threaded_twin_elapsed() -> Duration {
             vec![UserOp::Write(Value::from("b1"))],
             vec![UserOp::Read(c(0))],
         ],
+        phase,
     );
-    assert!(report1.failures.is_empty(), "{:?}", report1.failures);
+    let mut handles = Vec::new();
+    for (mut handle, _) in phase1 {
+        assert!(handle.failure().is_none(), "{:?}", handle.failure());
+        handle.disconnect();
+        handles.push(handle);
+    }
+    engine.join().expect("engine thread");
     // <- the first incarnation is dead here; only the log survives.
-    let (report2, _session) = run_phase(
-        session,
+    let (addr, engine) = incarnation(&backend, n);
+    for handle in &mut handles {
+        let conn = tcp::connect(addr, handle.id()).expect("redial");
+        handle.reconnect(Box::new(conn));
+    }
+    let phase2 = run_phase(
+        handles,
         vec![
             vec![UserOp::Read(c(1)), UserOp::Write(Value::from("a3"))],
             vec![UserOp::Read(c(0))],
             vec![UserOp::Write(Value::from("c1"))],
         ],
+        phase,
     );
     let elapsed = started.elapsed();
-    assert!(
-        report2.failures.is_empty(),
-        "threaded honest recovery must be invisible: {:?}",
-        report2.failures
-    );
+    for (mut handle, _) in phase2 {
+        assert!(
+            handle.failure().is_none(),
+            "threaded honest recovery must be invisible: {:?}",
+            handle.failure()
+        );
+        handle.disconnect();
+    }
+    engine.join().expect("engine thread");
     std::fs::remove_dir_all(&dir).ok();
     elapsed
 }

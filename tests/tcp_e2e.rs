@@ -1,37 +1,34 @@
 //! End-to-end tests over real loopback TCP: the same FAUST protocol stack
-//! the deterministic simulator exercises, with every client↔server
-//! message crossing a socket as a length-prefixed frame.
+//! the deterministic simulator exercises, with live `FaustHandle`
+//! sessions on one side, the reactor on the other, and every
+//! client↔server message crossing a socket as a length-prefixed frame.
 //!
-//! Two claims are checked: a correct server serves a write/read workload
-//! with *no* `fail` notifications (failure-detection accuracy survives a
-//! real transport), and a forked (split-brain) server is detected by
-//! every client (detection completeness does too).
+//! Three claims are checked: a correct server serves a write/read
+//! workload with *no* `fail` notifications (failure-detection accuracy
+//! survives a real transport), a forked (split-brain) server is detected
+//! by every client (detection completeness does too), and a client that
+//! stalls mid-operation never delays the others (wait-freedom).
 
-use faust::core::runtime::spawn_engine_with;
-use faust::core::threaded_faust::{
-    run_threaded_faust_over, run_threaded_faust_tcp, ThreadedFaustConfig,
+mod common;
+
+use common::{
+    completions, connect_all, handle_config, last_cut, quiet_config, run_loopback, serve_loopback,
 };
-use faust::core::{Notification, UserOp};
+use faust::client::{Event, HandleConfig};
+use faust::core::UserOp;
 use faust::crypto::{KeySet, SigScheme};
-use faust::net::{tcp, ClientConn, TcpServerTransport};
 use faust::types::{ClientId, Value};
 use faust::ustor::adversary::SplitBrainServer;
 use faust::ustor::{IngressVerification, ServerEngine, UstorServer};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn c(i: u32) -> ClientId {
     ClientId::new(i)
 }
 
-/// A config generous enough for CI machines: probes every 50 ms, runs for
-/// just over a second of wall time.
-fn config() -> ThreadedFaustConfig {
-    ThreadedFaustConfig {
-        run_for: Duration::from_millis(1200),
-        ..ThreadedFaustConfig::default()
-    }
-}
+/// Generous for CI machines: just over a second of wall time per run.
+const RUN_FOR: Duration = Duration::from_millis(1200);
 
 #[test]
 fn three_clients_over_loopback_tcp_complete_without_failures() {
@@ -45,45 +42,36 @@ fn three_clients_over_loopback_tcp_complete_without_failures() {
         vec![UserOp::Write(Value::from("b1")), UserOp::Read(c(0))],
         vec![UserOp::Read(c(0)), UserOp::Write(Value::from("c1"))],
     ];
-    let report = run_threaded_faust_tcp(
-        n,
-        workloads,
-        Box::new(UstorServer::new(n)),
-        config(),
-        b"tcp-e2e",
-    )
-    .expect("loopback TCP available");
+    let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)));
+    let (run, stats) = run_loopback(engine, workloads, b"tcp-e2e", &handle_config(true), RUN_FOR);
 
     // Accuracy: a correct server is never blamed, even over TCP.
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    for (handle, _) in &run {
+        assert!(handle.failure().is_none(), "{:?}", handle.failure());
+    }
     // Every user operation completed.
-    assert_eq!(report.completions(c(0)), 3);
-    assert_eq!(report.completions(c(1)), 2);
-    assert_eq!(report.completions(c(2)), 2);
-    // Reads carried values: C1's read of register 0 saw a2 or an earlier
-    // consistent state, never garbage (any completed read suffices here —
-    // value correctness is the simulator tests' job; this checks the
-    // transport didn't corrupt anything en route).
-    let read_completions: usize = (0..n as u32)
-        .map(|i| {
-            report.notifications[i as usize]
-                .iter()
-                .filter(|(_, note)| {
-                    matches!(note, Notification::Completed(done) if done.read_value.is_some())
-                })
-                .count()
-        })
-        .sum();
+    let done: Vec<usize> = run.iter().map(|(_, events)| completions(events)).collect();
+    assert_eq!(done, vec![3, 2, 2]);
+    // Reads carried values: any completed read suffices here — value
+    // correctness is the simulator tests' job; this checks the transport
+    // didn't corrupt anything en route.
+    let read_completions = run
+        .iter()
+        .flat_map(|(_, events)| events)
+        .filter(
+            |e| matches!(e, Event::Completed { completion, .. } if completion.read_value.is_some()),
+        )
+        .count();
     assert_eq!(read_completions, 3, "all three reads completed");
     // Stability spread across the TCP deployment.
-    let cut = report.last_cut(c(0)).expect("stability cuts issued");
+    let cut = last_cut(&run[0].1).expect("stability cuts issued");
     assert!(
         cut.iter().all(|&w| w >= 2),
         "C0's writes should become globally stable, got {cut:?}"
     );
     // The engine actually carried the traffic.
-    assert!(report.engine_stats.submits >= 7);
-    assert_eq!(report.engine_stats.rejected, 0);
+    assert!(stats.submits >= 7);
+    assert_eq!(stats.rejected, 0);
 }
 
 #[test]
@@ -94,13 +82,19 @@ fn forked_server_over_tcp_is_detected_by_every_client() {
         vec![UserOp::Write(Value::from("left"))],
         vec![UserOp::Write(Value::from("right"))],
     ];
-    let report = run_threaded_faust_tcp(n, workloads, Box::new(server), config(), b"tcp-fork")
-        .expect("loopback TCP available");
+    let engine = ServerEngine::new(n, Box::new(server));
+    let (run, _) = run_loopback(
+        engine,
+        workloads,
+        b"tcp-fork",
+        &handle_config(true),
+        RUN_FOR,
+    );
+    let failures: Vec<_> = run.iter().filter_map(|(h, _)| h.failure()).collect();
     assert_eq!(
-        report.failures.len(),
+        failures.len(),
         2,
-        "both clients must detect the fork over TCP: {:?}",
-        report.failures
+        "both clients must detect the fork over TCP: {failures:?}"
     );
 }
 
@@ -118,15 +112,8 @@ fn ed25519_ingress_verification_serves_tcp_clients() {
     let registry = keys.registry();
     assert!(registry.is_public(), "server-side keys must be public-only");
 
-    let transport = TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
-    let addr = transport.local_addr();
     let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)))
         .with_verification(IngressVerification::Batched(Arc::new(registry)));
-    let engine_thread = spawn_engine_with(engine, transport);
-    let conns: Vec<ClientConn> = (0..n)
-        .map(|i| tcp::connect(addr, c(i as u32)).expect("connect"))
-        .collect();
-
     let workloads = vec![
         vec![
             UserOp::Write(Value::from("pk-1")),
@@ -135,21 +122,22 @@ fn ed25519_ingress_verification_serves_tcp_clients() {
         vec![UserOp::Read(c(0))],
         vec![UserOp::Write(Value::from("pk-3")), UserOp::Read(c(0))],
     ];
-    let config = ThreadedFaustConfig {
+    let config = HandleConfig {
         scheme: SigScheme::Ed25519,
-        ..config()
+        ..handle_config(true)
     };
-    let report = run_threaded_faust_over(n, workloads, conns, config, key_seed, engine_thread);
+    let (run, stats) = run_loopback(engine, workloads, key_seed, &config, RUN_FOR);
 
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    for (handle, _) in &run {
+        assert!(handle.failure().is_none(), "{:?}", handle.failure());
+    }
     assert_eq!(
-        report.engine_stats.rejected, 0,
+        stats.rejected, 0,
         "honest traffic must pass Ed25519 ingress verification"
     );
-    assert_eq!(report.completions(c(0)), 2);
-    assert_eq!(report.completions(c(1)), 1);
-    assert_eq!(report.completions(c(2)), 2);
-    assert!(report.engine_stats.submits >= 5);
+    let done: Vec<usize> = run.iter().map(|(_, events)| completions(events)).collect();
+    assert_eq!(done, vec![2, 1, 2]);
+    assert!(stats.submits >= 5);
 }
 
 #[test]
@@ -163,15 +151,8 @@ fn batched_ingress_verification_serves_tcp_clients() {
     let key_seed = b"tcp-verified";
     let keys = KeySet::generate(n, key_seed);
 
-    let transport = TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
-    let addr = transport.local_addr();
     let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)))
         .with_verification(IngressVerification::Batched(Arc::new(keys.registry())));
-    let engine_thread = spawn_engine_with(engine, transport);
-    let conns: Vec<ClientConn> = (0..n)
-        .map(|i| tcp::connect(addr, c(i as u32)).expect("connect"))
-        .collect();
-
     let workloads = vec![
         vec![
             UserOp::Write(Value::from("v1")),
@@ -180,14 +161,61 @@ fn batched_ingress_verification_serves_tcp_clients() {
         vec![UserOp::Read(c(0))],
         vec![UserOp::Write(Value::from("w1")), UserOp::Read(c(0))],
     ];
-    let report = run_threaded_faust_over(n, workloads, conns, config(), key_seed, engine_thread);
+    let (run, stats) = run_loopback(engine, workloads, key_seed, &handle_config(true), RUN_FOR);
 
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    for (handle, _) in &run {
+        assert!(handle.failure().is_none(), "{:?}", handle.failure());
+    }
     assert_eq!(
-        report.engine_stats.rejected, 0,
+        stats.rejected, 0,
         "honest traffic must pass batched ingress verification"
     );
-    assert_eq!(report.completions(c(0)), 2);
-    assert_eq!(report.completions(c(1)), 1);
-    assert_eq!(report.completions(c(2)), 2);
+    let done: Vec<usize> = run.iter().map(|(_, events)| completions(events)).collect();
+    assert_eq!(done, vec![2, 1, 2]);
+}
+
+/// Wait-freedom on the wire: the server answers every SUBMIT at once and
+/// never waits for anybody's COMMIT, so a client that stalls with an
+/// operation in flight — its REPLY unread, its COMMIT unsent — does not
+/// delay the others.
+#[test]
+fn slow_client_does_not_delay_fast_clients() {
+    let n = 2;
+    let wait = Duration::from_secs(5);
+    let (addr, engine) = serve_loopback(ServerEngine::new(n, Box::new(UstorServer::new(n))), n);
+    let mut handles = connect_all(addr, n, b"slow-test", &quiet_config());
+    let mut slow = handles.pop().expect("client 1");
+    let mut fast = handles.pop().expect("client 0");
+
+    let first = slow.write(Value::unique(1, 0));
+    slow.wait(first, wait).expect("slow client's first write");
+    let stalled = slow.write(Value::unique(1, 1));
+    let sleeper = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(300));
+        let done = slow.wait(stalled, wait).map(|d| d.timestamp);
+        (slow, done)
+    });
+
+    let began = Instant::now();
+    for k in 0..20 {
+        let ticket = fast.write(Value::unique(0, k));
+        fast.wait(ticket, wait).expect("fast client's write");
+    }
+    let fast_elapsed = began.elapsed();
+    let (mut slow, stalled_done) = sleeper.join().expect("slow client thread");
+
+    assert!(
+        fast_elapsed < Duration::from_millis(200),
+        "wait-freedom violated: fast client took {fast_elapsed:?}"
+    );
+    assert_eq!(
+        stalled_done,
+        Ok(2),
+        "the stalled write completes afterwards"
+    );
+    assert!(fast.failure().is_none() && slow.failure().is_none());
+    fast.disconnect();
+    slow.disconnect();
+    let stats = engine.join().expect("engine thread");
+    assert_eq!((stats.submits, stats.commits), (22, 22));
 }
