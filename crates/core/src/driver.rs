@@ -1,24 +1,11 @@
-//! Simulation driver for the full FAUST stack: `n` FAUST clients, a
-//! (correct or Byzantine) storage server, the reliable FIFO links, and the
-//! offline client-to-client channel — the complete architecture of
-//! Figures 1 and 4.
-//!
-//! Unlike the USTOR driver, FAUST runs forever (dummy reads and probes
-//! re-arm themselves), so runs execute up to a deadline. The driver
-//! records the user-visible history, every notification with its time,
-//! and per-client failure state — everything the Definition 5 experiments
-//! need.
+//! The script vocabulary of FAUST simulation runs: the per-client
+//! workload steps, the run configuration, and a seeded workload
+//! generator. The loop that executes scripts in virtual time is
+//! [`FaustDriver`](crate::FaustDriver), in [`crate::sim`].
 
-use crate::client::{FaustClient, FaustConfig, UserOp};
-use crate::events::{FailReason, Notification, StabilityCut};
-use crate::handle::{Event as SessionEvent, SessionCore, SessionOutput};
-use crate::offline::OfflineMsg;
-use faust_crypto::sig::KeySet;
-use faust_net::QueueTransport;
-use faust_sim::{Event, MessageSize, NodeId, SimConfig, Simulation};
-use faust_types::{ClientId, History, OpId, OpKind, Timestamp, UstorMsg, Value, Wire};
-use faust_ustor::{serve, Server, ServerEngine};
-use std::collections::{HashMap, VecDeque};
+use crate::client::FaustConfig;
+use faust_sim::SimConfig;
+use faust_types::{ClientId, Value};
 
 /// One step of a scripted FAUST client workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,128 +21,6 @@ pub enum FaustWorkloadOp {
     Disconnect(u64),
     /// Crash (permanently).
     Crash,
-}
-
-#[derive(Debug, Clone)]
-enum NetMsg {
-    Ustor(UstorMsg),
-    Offline(OfflineMsg),
-}
-
-impl MessageSize for NetMsg {
-    fn size_bytes(&self) -> usize {
-        match self {
-            NetMsg::Ustor(m) => m.encoded_len(),
-            NetMsg::Offline(m) => m.size_bytes(),
-        }
-    }
-}
-
-/// Timer tags.
-const TICK_TAG: u64 = 1;
-const RESUME_TAG: u64 = 2;
-const RECONNECT_TAG: u64 = 3;
-
-/// Outcome of a FAUST run.
-#[derive(Debug)]
-pub struct FaustRunResult {
-    /// User-visible history (dummy reads excluded).
-    pub history: History,
-    /// Every notification per client, with the virtual time it occurred.
-    pub notifications: Vec<Vec<(u64, Notification)>>,
-    /// Clients that emitted `fail_i`, with reasons.
-    pub failures: Vec<(ClientId, FailReason)>,
-    /// Traffic statistics.
-    pub metrics: faust_sim::Metrics,
-    /// Virtual time when the run stopped (deadline or quiescence).
-    pub final_time: u64,
-}
-
-impl FaustRunResult {
-    /// The last stability cut a client reported, if any.
-    pub fn last_cut(&self, client: ClientId) -> Option<StabilityCut> {
-        self.notifications[client.index()]
-            .iter()
-            .rev()
-            .find_map(|(_, n)| match n {
-                Notification::Stable(cut) => Some(cut.clone()),
-                _ => None,
-            })
-    }
-
-    /// The time a client first emitted `fail_i`, if it did.
-    pub fn failure_time(&self, client: ClientId) -> Option<u64> {
-        self.notifications[client.index()]
-            .iter()
-            .find_map(|(t, n)| matches!(n, Notification::Failed(_)).then_some(*t))
-    }
-
-    /// The time a client's stability entry for `other` first reached
-    /// timestamp `t`, if it did.
-    pub fn stability_time(&self, client: ClientId, other: ClientId, t: Timestamp) -> Option<u64> {
-        self.notifications[client.index()]
-            .iter()
-            .find_map(|(time, n)| match n {
-                Notification::Stable(cut) if cut.w[other.index()] >= t => Some(*time),
-                _ => None,
-            })
-    }
-
-    /// Completions of user operations at `client`, in order.
-    pub fn completions(&self, client: ClientId) -> Vec<crate::events::FaustCompletion> {
-        self.notifications[client.index()]
-            .iter()
-            .filter_map(|(_, n)| match n {
-                Notification::Completed(c) => Some(c.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-struct Slot {
-    /// The client side is the same sans-io session core the live
-    /// [`crate::FaustHandle`] drives — here inside virtual time.
-    core: SessionCore,
-    script: VecDeque<FaustWorkloadOp>,
-    /// History ids of in-flight *user* ops by ticket (dummy reads are
-    /// not ticketed and not recorded).
-    ticket_ops: HashMap<u64, OpId>,
-    notifications: Vec<(u64, Notification)>,
-    crashed: bool,
-    /// Script is parked on a Pause or Disconnect until its timer fires.
-    waiting: bool,
-}
-
-/// Drives the full FAUST stack in simulation.
-///
-/// # Example
-///
-/// ```
-/// use faust_core::{FaustDriver, FaustDriverConfig, FaustWorkloadOp};
-/// use faust_types::{ClientId, Value};
-/// use faust_ustor::UstorServer;
-///
-/// let mut d = FaustDriver::new(
-///     2,
-///     Box::new(UstorServer::new(2)),
-///     FaustDriverConfig::default(),
-///     b"doc",
-/// );
-/// d.push_op(ClientId::new(0), FaustWorkloadOp::Write(Value::from("v")));
-/// let result = d.run_until(2_000);
-/// assert!(result.failures.is_empty());
-/// ```
-pub struct FaustDriver {
-    n: usize,
-    sim: Simulation<NetMsg>,
-    /// The server side: protocol state behind the transport-agnostic
-    /// engine, fed through the deterministic queue transport.
-    engine: ServerEngine,
-    net: QueueTransport,
-    slots: Vec<Slot>,
-    history: History,
-    tick_period: u64,
 }
 
 /// Configuration of a FAUST simulation run.
@@ -176,266 +41,6 @@ impl Default for FaustDriverConfig {
             sim: SimConfig::default(),
             faust: FaustConfig::default(),
             tick_period: 25,
-        }
-    }
-}
-
-impl FaustDriver {
-    /// Creates a driver for `n` FAUST clients against `server` (HMAC
-    /// keys — the simulator fast path; see
-    /// [`FaustDriver::new_with_scheme`]).
-    pub fn new(
-        n: usize,
-        server: Box<dyn Server + Send>,
-        config: FaustDriverConfig,
-        key_seed: &[u8],
-    ) -> Self {
-        Self::new_with_scheme(n, server, config, key_seed, faust_crypto::SigScheme::Hmac)
-    }
-
-    /// [`FaustDriver::new`] with an explicit signature scheme.
-    pub fn new_with_scheme(
-        n: usize,
-        server: Box<dyn Server + Send>,
-        config: FaustDriverConfig,
-        key_seed: &[u8],
-        scheme: faust_crypto::SigScheme,
-    ) -> Self {
-        let keys = KeySet::generate_with(scheme, n, key_seed);
-        let mut sim = Simulation::new(config.sim);
-        // Arm the initial tick for every client.
-        for i in 0..n {
-            sim.set_timer(NodeId(i as u32), config.tick_period, TICK_TAG);
-        }
-        FaustDriver {
-            n,
-            sim,
-            engine: ServerEngine::new(n, server),
-            net: QueueTransport::new(),
-            slots: (0..n)
-                .map(|i| Slot {
-                    core: SessionCore::new(FaustClient::new(
-                        ClientId::new(i as u32),
-                        n,
-                        keys.keypair(i as u32).expect("generated").clone(),
-                        keys.registry(),
-                        config.faust,
-                    )),
-                    script: VecDeque::new(),
-                    ticket_ops: HashMap::new(),
-                    notifications: Vec::new(),
-                    crashed: false,
-                    waiting: false,
-                })
-                .collect(),
-            history: History::new(),
-            tick_period: config.tick_period,
-        }
-    }
-
-    fn server_node(&self) -> NodeId {
-        NodeId(self.n as u32)
-    }
-
-    /// Appends one step to a client's script.
-    pub fn push_op(&mut self, client: ClientId, op: FaustWorkloadOp) {
-        self.slots[client.index()].script.push_back(op);
-    }
-
-    /// Appends a whole script.
-    pub fn push_ops(&mut self, client: ClientId, ops: impl IntoIterator<Item = FaustWorkloadOp>) {
-        self.slots[client.index()].script.extend(ops);
-    }
-
-    /// Applies a session-core output: forwards messages, then drains the
-    /// core's events into notifications and history records.
-    fn apply_output(&mut self, i: usize, out: SessionOutput, now: u64) {
-        let node = NodeId(i as u32);
-        for msg in out.to_server {
-            self.sim.send(node, self.server_node(), NetMsg::Ustor(msg));
-        }
-        for (to, msg) in out.offline {
-            self.sim
-                .send_offline(node, NodeId(to.as_u32()), NetMsg::Offline(msg));
-        }
-        for (t, event) in self.slots[i].core.take_events() {
-            let note = match event {
-                SessionEvent::Completed { ticket, completion } => {
-                    if let Some(op_id) = self.slots[i].ticket_ops.remove(&ticket.index()) {
-                        match completion.kind {
-                            OpKind::Write => {
-                                self.history
-                                    .complete_write(op_id, t, Some(completion.timestamp))
-                            }
-                            OpKind::Read => self.history.complete_read(
-                                op_id,
-                                t,
-                                completion.read_value.clone().flatten(),
-                                Some(completion.timestamp),
-                            ),
-                        }
-                    }
-                    Notification::Completed(completion)
-                }
-                SessionEvent::Stable { cut } => Notification::Stable(cut),
-                SessionEvent::Violation { reason } => Notification::Failed(reason),
-                // The simulated links never fail out from under a client.
-                SessionEvent::Disconnected { .. }
-                | SessionEvent::Reconnecting { .. }
-                | SessionEvent::Resumed => continue,
-            };
-            self.slots[i].notifications.push((t, note));
-        }
-        // A completed user op may unblock the next script step.
-        if self.slots[i].core.backlog() == 0 {
-            self.advance_script(i, now);
-        }
-    }
-
-    /// Starts the next script step for client `i` if it is idle.
-    fn advance_script(&mut self, i: usize, now: u64) {
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.crashed
-                || slot.waiting
-                || slot.core.failure().is_some()
-                || slot.core.backlog() > 0
-            {
-                return;
-            }
-            let Some(step) = slot.script.pop_front() else {
-                return;
-            };
-            let client_id = ClientId::new(i as u32);
-            let node = NodeId(i as u32);
-            match step {
-                FaustWorkloadOp::Crash => {
-                    slot.crashed = true;
-                    self.sim.crash(node);
-                    return;
-                }
-                FaustWorkloadOp::Pause(ticks) => {
-                    slot.waiting = true;
-                    self.sim.set_timer(node, ticks, RESUME_TAG);
-                    return;
-                }
-                FaustWorkloadOp::Disconnect(duration) => {
-                    slot.waiting = true;
-                    self.sim.set_connected(node, false);
-                    self.sim.set_timer(node, duration, RECONNECT_TAG);
-                    return;
-                }
-                FaustWorkloadOp::Write(value) => {
-                    let op_id = self.history.begin_write(client_id, value.clone(), now);
-                    let (ticket, out) = self.slots[i].core.submit(UserOp::Write(value), now);
-                    self.slots[i].ticket_ops.insert(ticket.index(), op_id);
-                    self.apply_output(i, out, now);
-                    return;
-                }
-                FaustWorkloadOp::Read(register) => {
-                    if register.index() >= self.n {
-                        continue;
-                    }
-                    let op_id = self.history.begin_read(client_id, register, now);
-                    let (ticket, out) = self.slots[i].core.submit(UserOp::Read(register), now);
-                    self.slots[i].ticket_ops.insert(ticket.index(), op_id);
-                    self.apply_output(i, out, now);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs until `deadline` (virtual time) or quiescence, whichever is
-    /// first.
-    pub fn run_until(mut self, deadline: u64) -> FaustRunResult {
-        for i in 0..self.n {
-            self.advance_script(i, 0);
-        }
-        while let Some(ev) = self.sim.next() {
-            if ev.time > deadline {
-                break;
-            }
-            let now = ev.time;
-            match ev.event {
-                Event::Timer { node, tag, .. } => {
-                    let i = node.0 as usize;
-                    if i >= self.n || self.slots[i].crashed {
-                        continue;
-                    }
-                    match tag {
-                        TICK_TAG => {
-                            // Re-arm and tick the protocol.
-                            self.sim.set_timer(node, self.tick_period, TICK_TAG);
-                            let out = self.slots[i].core.tick(now);
-                            self.apply_output(i, out, now);
-                        }
-                        RESUME_TAG => {
-                            self.slots[i].waiting = false;
-                            self.advance_script(i, now);
-                        }
-                        RECONNECT_TAG => {
-                            self.slots[i].waiting = false;
-                            self.sim.set_connected(node, true);
-                            self.advance_script(i, now);
-                        }
-                        _ => {}
-                    }
-                }
-                Event::Message { from, to, msg, .. } => {
-                    if to == self.server_node() {
-                        let client = ClientId::new(from.0);
-                        let NetMsg::Ustor(m) = msg else {
-                            continue; // offline messages never reach the server
-                        };
-                        // The simulator acts as the transport: deliveries
-                        // flow through the queue transport into the engine
-                        // and the outputs return into virtual time.
-                        self.net.push_incoming(client, m);
-                        serve(&mut self.engine, &mut self.net);
-                        let outputs: Vec<_> = self.net.drain_outgoing().collect();
-                        for (rcpt, out) in outputs {
-                            self.sim.send(
-                                self.server_node(),
-                                NodeId(rcpt.as_u32()),
-                                NetMsg::Ustor(out),
-                            );
-                        }
-                    } else {
-                        let i = to.0 as usize;
-                        if self.slots[i].crashed {
-                            continue;
-                        }
-                        let out = match msg {
-                            NetMsg::Ustor(UstorMsg::Reply(reply)) => {
-                                self.slots[i].core.handle_reply(reply, now)
-                            }
-                            NetMsg::Offline(m) => self.slots[i].core.handle_offline(m, now),
-                            _ => SessionOutput::default(),
-                        };
-                        self.apply_output(i, out, now);
-                    }
-                }
-            }
-        }
-
-        let failures = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                s.core
-                    .failure()
-                    .cloned()
-                    .map(|f| (ClientId::new(i as u32), f))
-            })
-            .collect();
-        FaustRunResult {
-            history: self.history,
-            notifications: self.slots.into_iter().map(|s| s.notifications).collect(),
-            failures,
-            metrics: self.sim.metrics().clone(),
-            final_time: self.sim.now(),
         }
     }
 }
@@ -467,8 +72,9 @@ pub fn random_faust_workloads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FaustDriver, Notification};
     use faust_ustor::adversary::{CrashServer, Fig3Server, SplitBrainServer};
-    use faust_ustor::UstorServer;
+    use faust_ustor::{Server, UstorServer};
 
     fn c(i: u32) -> ClientId {
         ClientId::new(i)
@@ -629,8 +235,9 @@ mod tests {
 #[cfg(test)]
 mod determinism_tests {
     use super::*;
+    use crate::FaustDriver;
     use faust_ustor::adversary::SplitBrainServer;
-    use faust_ustor::UstorServer;
+    use faust_ustor::{Server, UstorServer};
 
     fn c(i: u32) -> ClientId {
         ClientId::new(i)

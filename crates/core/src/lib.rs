@@ -22,8 +22,9 @@
 //! * [`FaustClient`] — the sans-io protocol state machine.
 //! * [`OfflineMsg`] — the signed offline messages.
 //! * [`FaustDriver`] — deterministic whole-system simulation (clients +
-//!   server + both channels), used by the tests, examples, and the
-//!   experiment harness.
+//!   server + both channels) in virtual time: the fault simulator's loop
+//!   ([`sim`]), which scripted runs drive with no faults. Used by the
+//!   tests, examples, and the experiment harness.
 //! * [`FaustHandle`] — the live client session: the same stack under
 //!   real concurrency, over channels or TCP.
 //!
@@ -57,15 +58,8 @@ pub mod offline;
 pub mod persist;
 pub mod sim;
 
-#[cfg(test)]
-mod runtime;
-#[cfg(test)]
-mod threaded_faust;
-
 pub use client::{Actions, FaustClient, FaustClientState, FaustConfig, UserOp};
-pub use driver::{
-    random_faust_workloads, FaustDriver, FaustDriverConfig, FaustRunResult, FaustWorkloadOp,
-};
+pub use driver::{random_faust_workloads, FaustDriverConfig, FaustWorkloadOp};
 pub use events::{FailReason, FaustCompletion, Notification, StabilityCut};
 pub use handle::{
     offline_mesh, DisconnectCause, Event, FaustHandle, HandleConfig, HandleStats, OfflineLink,
@@ -75,6 +69,6 @@ pub use offline::OfflineMsg;
 pub use persist::{checkpoint_session, load_session, save_session};
 pub use sim::{
     check_determinism, check_oracles, gen_scenario, investigate, run_and_check, run_sim, CrashSpec,
-    FaultClause, FaultPlan, ServerSpec, SimDurability, SimFailure, SimRunReport, SimScenario,
-    WalTamper,
+    FaultClause, FaultPlan, FaustDriver, ServerSpec, SimDurability, SimFailure, SimRunReport,
+    SimScenario, WalTamper,
 };

@@ -9,7 +9,8 @@
 //! Byzantine reply substitution — happens at a virtual tick chosen by
 //! the seeded scheduler, so a run is a pure function of its
 //! [`SimScenario`] and any failure reproduces bit-identically from the
-//! seed. On top sit:
+//! seed. The loop is [`FaustDriver`]; a scripted run is the same loop
+//! with no faults and a server of the caller's choosing. On top sit:
 //!
 //! * a **fault-plan DSL** ([`FaultClause`]): link outages, connection
 //!   kills and dropped replies (recovered exactly-once through the
@@ -27,14 +28,14 @@
 //!   recipe.
 //!
 //! Group-commit flush timing — the one wall-clock dependency in the
-//! server hot path — runs on [`faust_store::SimClock`]: the harness
+//! server hot path — runs on [`faust_store::SimClock`]: the driver
 //! advances the clock before every server interaction and arms a virtual
 //! timer at [`ServerEngine::flush_deadline_at`], so held replies are
 //! released at deterministic ticks.
 
 use crate::client::{FaustClient, FaustConfig, UserOp};
-use crate::driver::FaustWorkloadOp;
-use crate::events::{FailReason, Notification};
+use crate::driver::{FaustDriverConfig, FaustWorkloadOp};
+use crate::events::{FailReason, FaustCompletion, Notification, StabilityCut};
 use crate::handle::{Event as SessionEvent, SessionCore, SessionOutput};
 use crate::offline::OfflineMsg;
 use faust_crypto::sig::KeySet;
@@ -44,7 +45,7 @@ use faust_sim::{
 use faust_store::{
     Durability, LogRecord, PersistentBackend, PersistentServer, SimClock, StoreConfig,
 };
-use faust_types::{ClientId, History, OpId, OpKind, ReplyMsg, UstorMsg, Value, Wire};
+use faust_types::{ClientId, History, OpId, OpKind, ReplyMsg, Timestamp, UstorMsg, Value, Wire};
 use faust_ustor::{CrashRestartServer, MemoryBackend, Server, ServerBackend, ServerEngine};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -365,7 +366,7 @@ pub struct SimRunReport {
 
 impl SimRunReport {
     /// Completed user operations of `client`, in order.
-    pub fn completions(&self, client: ClientId) -> Vec<crate::events::FaustCompletion> {
+    pub fn completions(&self, client: ClientId) -> Vec<FaustCompletion> {
         self.notifications[client.index()]
             .iter()
             .filter_map(|(_, n)| match n {
@@ -380,6 +381,28 @@ impl SimRunReport {
         self.notifications[client.index()]
             .iter()
             .find_map(|(t, n)| matches!(n, Notification::Failed(_)).then_some(*t))
+    }
+
+    /// The last stability cut `client` reported, if any.
+    pub fn last_cut(&self, client: ClientId) -> Option<StabilityCut> {
+        self.notifications[client.index()]
+            .iter()
+            .rev()
+            .find_map(|(_, n)| match n {
+                Notification::Stable(cut) => Some(cut.clone()),
+                _ => None,
+            })
+    }
+
+    /// The time `client`'s stability entry for `other` first reached
+    /// timestamp `t`, if it did.
+    pub fn stability_time(&self, client: ClientId, other: ClientId, t: Timestamp) -> Option<u64> {
+        self.notifications[client.index()]
+            .iter()
+            .find_map(|(time, n)| match n {
+                Notification::Stable(cut) if cut.w[other.index()] >= t => Some(*time),
+                _ => None,
+            })
     }
 
     /// Earliest failure time across all clients.
@@ -416,7 +439,7 @@ impl SimRunReport {
 // The recording tap
 // ---------------------------------------------------------------------------
 
-/// The record stream shared between the harness and the recording tap.
+/// The record stream shared between the driver and the recording tap.
 type SharedRecording = Arc<Mutex<Vec<(u64, LogRecord)>>>;
 
 /// A [`Server`] decorator that mirrors every accepted SUBMIT and COMMIT
@@ -506,7 +529,7 @@ impl ServerBackend for RecordingBackend {
 }
 
 // ---------------------------------------------------------------------------
-// The harness
+// The driver
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -540,11 +563,16 @@ const FLUSH_TAG: u64 = 4;
 const RELEASE_TAG_BASE: u64 = 100;
 
 struct Slot {
+    /// The same sans-io session core the live [`crate::FaustHandle`]
+    /// drives — here inside virtual time.
     core: SessionCore,
     script: VecDeque<FaustWorkloadOp>,
+    /// History ids of in-flight *user* ops by ticket (dummy reads are
+    /// not ticketed and not recorded).
     ticket_ops: HashMap<u64, OpId>,
     notifications: Vec<(u64, Notification)>,
     crashed: bool,
+    /// Script is parked on a Pause or Disconnect until its timer fires.
     waiting: bool,
     /// Whether the client is currently script-disconnected (its link
     /// traffic is delayed until reconnection).
@@ -585,10 +613,47 @@ fn scratch_dir() -> PathBuf {
     std::env::temp_dir().join(format!("faust-simrun-{}-{id}", std::process::id()))
 }
 
-struct Harness {
+/// Drives the full FAUST stack in virtual time: `n` FAUST clients, a
+/// (correct or Byzantine) storage server, the reliable FIFO links, and
+/// the offline client-to-client channel — the complete architecture of
+/// Figures 1 and 4, in one seeded event loop.
+///
+/// FAUST runs forever (dummy reads and probes re-arm themselves), so a
+/// run executes up to a deadline. The report records the user-visible
+/// history, every notification with its virtual time, and per-client
+/// failure state — everything the Definition 5 experiments need.
+///
+/// This is the one virtual-time loop of the FAUST stack. A scripted run
+/// is this loop with an empty [`FaultPlan`] and a caller-supplied server;
+/// [`run_sim`] builds the server from a [`ServerSpec`] and installs the
+/// scenario's plan. The server node runs [`ServerEngine::round`], the
+/// round `faust serve` runs. A caller-supplied server must report
+/// group-commit deadlines through [`Server::flush_deadline_at`]; no
+/// caller passes a wall-clock group-commit server.
+///
+/// # Example
+///
+/// ```
+/// use faust_core::{FaustDriver, FaustDriverConfig, FaustWorkloadOp};
+/// use faust_types::{ClientId, Value};
+/// use faust_ustor::UstorServer;
+///
+/// let mut d = FaustDriver::new(
+///     2,
+///     Box::new(UstorServer::new(2)),
+///     FaustDriverConfig::default(),
+///     b"doc",
+/// );
+/// d.push_op(ClientId::new(0), FaustWorkloadOp::Write(Value::from("v")));
+/// let result = d.run_until(2_000);
+/// assert!(result.failures.is_empty());
+/// ```
+pub struct FaustDriver {
     n: usize,
     sim: Simulation<NetMsg>,
     engine: ServerEngine,
+    /// The virtual clock a [`ServerSpec::Persistent`] server batches on;
+    /// set before every server interaction.
     clock: SimClock,
     slots: Vec<Slot>,
     history: History,
@@ -596,7 +661,7 @@ struct Harness {
     plan: FaultPlan,
     clause_state: Vec<ClauseState>,
     /// Mirror of [`CrashRestartServer`]'s message counter, so the
-    /// harness knows *when* (in virtual time) the crash fired.
+    /// driver knows *when* (in virtual time) the crash fired.
     server_messages: usize,
     crash_after: Option<usize>,
     crash_time: Option<u64>,
@@ -617,7 +682,7 @@ struct Harness {
     replies_in_flight: usize,
     /// Set when the crash fires: whether some live client is positioned
     /// to observe the post-crash state (see
-    /// [`Harness::crash_detector_present`]).
+    /// [`FaustDriver::crash_detector_present`]).
     wipe_detector: Option<bool>,
     fork_fired: Vec<(u64, &'static str, Option<ClientId>)>,
     dirty_fired: Vec<(u64, &'static str)>,
@@ -644,92 +709,151 @@ impl ServerBackend for VirtualPersistentBackend {
     }
 }
 
-impl Harness {
-    fn new(scenario: &SimScenario, store_dir: Option<&PathBuf>) -> Self {
-        let n = scenario.n();
-        let clock = SimClock::new();
-        let mut recording = None;
-        let backend: Box<dyn ServerBackend + Send> = match &scenario.server {
-            ServerSpec::Volatile => {
-                let log: SharedRecording = Arc::new(Mutex::new(Vec::new()));
-                recording = Some(log.clone());
-                Box::new(RecordingBackend {
-                    inner: Box::new(MemoryBackend),
-                    log,
-                })
-            }
-            ServerSpec::Persistent {
-                durability,
-                snapshot_every,
-            } => {
-                let config = StoreConfig {
-                    durability: match *durability {
-                        SimDurability::Always => Durability::Always,
-                        SimDurability::Group {
-                            max_records,
-                            max_wait_ticks,
-                        } => Durability::Group {
-                            max_records,
-                            max_wait: std::time::Duration::from_millis(max_wait_ticks),
-                        },
+/// Builds the server a scenario names: volatile servers behind the
+/// recording tap (returned alongside), persistent ones in `store_dir` on
+/// `clock`, either wrapped in a [`CrashRestartServer`] when the plan
+/// crashes it.
+fn build_server(
+    scenario: &SimScenario,
+    store_dir: Option<&PathBuf>,
+    clock: &SimClock,
+) -> (Box<dyn Server + Send>, Option<SharedRecording>) {
+    let n = scenario.n();
+    let mut recording = None;
+    let backend: Box<dyn ServerBackend + Send> = match &scenario.server {
+        ServerSpec::Volatile => {
+            let log: SharedRecording = Arc::new(Mutex::new(Vec::new()));
+            recording = Some(log.clone());
+            Box::new(RecordingBackend {
+                inner: Box::new(MemoryBackend),
+                log,
+            })
+        }
+        ServerSpec::Persistent {
+            durability,
+            snapshot_every,
+        } => {
+            let config = StoreConfig {
+                durability: match *durability {
+                    SimDurability::Always => Durability::Always,
+                    SimDurability::Group {
+                        max_records,
+                        max_wait_ticks,
+                    } => Durability::Group {
+                        max_records,
+                        max_wait: std::time::Duration::from_millis(max_wait_ticks),
                     },
-                    snapshot_every: *snapshot_every,
-                };
-                Box::new(VirtualPersistentBackend {
-                    inner: PersistentBackend::new(
-                        store_dir.expect("persistent spec allocates a dir"),
-                        config,
-                    ),
-                    clock: clock.clone(),
-                })
-            }
-        };
-        let server: Box<dyn Server + Send> = match scenario.plan.crash() {
-            Some(spec) => {
-                let mut crs = CrashRestartServer::new(n, backend, spec.after_messages)
-                    .expect("initial build");
-                if let Some(dir) = store_dir {
-                    let dir = dir.clone();
-                    match spec.tamper {
-                        WalTamper::None => {}
-                        WalTamper::TruncateTail(k) => {
-                            crs = crs.with_hook(Box::new(move || {
-                                faust_store::truncate_tail_records(&dir, k).ok();
-                            }));
-                        }
-                        WalTamper::WipeState => {
-                            crs = crs.with_hook(Box::new(move || {
-                                std::fs::remove_dir_all(&dir).ok();
-                            }));
-                        }
+                },
+                snapshot_every: *snapshot_every,
+            };
+            Box::new(VirtualPersistentBackend {
+                inner: PersistentBackend::new(
+                    store_dir.expect("persistent spec allocates a dir"),
+                    config,
+                ),
+                clock: clock.clone(),
+            })
+        }
+    };
+    let server: Box<dyn Server + Send> = match scenario.plan.crash() {
+        Some(spec) => {
+            let mut crs =
+                CrashRestartServer::new(n, backend, spec.after_messages).expect("initial build");
+            if let Some(dir) = store_dir {
+                let dir = dir.clone();
+                match spec.tamper {
+                    WalTamper::None => {}
+                    WalTamper::TruncateTail(k) => {
+                        crs = crs.with_hook(Box::new(move || {
+                            faust_store::truncate_tail_records(&dir, k).ok();
+                        }));
+                    }
+                    WalTamper::WipeState => {
+                        crs = crs.with_hook(Box::new(move || {
+                            std::fs::remove_dir_all(&dir).ok();
+                        }));
                     }
                 }
-                Box::new(crs)
             }
-            None => backend.build(n).expect("initial build"),
-        };
-
-        let keys = KeySet::generate_with(
-            faust_crypto::SigScheme::Hmac,
-            n,
-            &scenario.seed.to_be_bytes(),
-        );
-        let faust_config = FaustConfig {
-            dummy_reads: scenario.dummy_reads,
-            ..FaustConfig::default()
-        };
-        let mut sim = Simulation::new(SimConfig {
-            seed: scenario.seed,
-            link_delay: scenario.link_delay,
-            offline_delay: scenario.offline_delay,
-        });
-        for i in 0..n {
-            sim.set_timer(NodeId(i as u32), scenario.tick_period, TICK_TAG);
+            Box::new(crs)
         }
+        None => backend.build(n).expect("initial build"),
+    };
+    (server, recording)
+}
+
+impl FaustDriver {
+    /// Creates a driver for `n` FAUST clients against `server`, with HMAC
+    /// keys derived from `key_seed` and no faults.
+    pub fn new(
+        n: usize,
+        server: Box<dyn Server + Send>,
+        config: FaustDriverConfig,
+        key_seed: &[u8],
+    ) -> Self {
+        let keys = KeySet::generate_with(faust_crypto::SigScheme::Hmac, n, key_seed);
+        let mut sim = Simulation::new(config.sim);
+        for i in 0..n {
+            sim.set_timer(NodeId(i as u32), config.tick_period, TICK_TAG);
+        }
+        FaustDriver {
+            n,
+            sim,
+            engine: ServerEngine::new(n, server),
+            clock: SimClock::new(),
+            slots: (0..n)
+                .map(|i| Slot {
+                    core: SessionCore::new(FaustClient::new(
+                        ClientId::new(i as u32),
+                        n,
+                        keys.keypair(i as u32).expect("generated").clone(),
+                        keys.registry(),
+                        config.faust,
+                    )),
+                    script: VecDeque::new(),
+                    ticket_ops: HashMap::new(),
+                    notifications: Vec::new(),
+                    crashed: false,
+                    waiting: false,
+                    disconnected: false,
+                    in_flight: 0,
+                    last_reply: None,
+                    link_epoch: 0,
+                })
+                .collect(),
+            history: History::new(),
+            tick_period: config.tick_period,
+            plan: FaultPlan::honest(),
+            clause_state: Vec::new(),
+            server_messages: 0,
+            crash_after: None,
+            crash_time: None,
+            group_commit: false,
+            dummy_reads: config.faust.dummy_reads,
+            server_bound: 0,
+            replies_in_flight: 0,
+            wipe_detector: None,
+            fork_fired: Vec::new(),
+            dirty_fired: Vec::new(),
+            flush_timer: None,
+            recording: None,
+        }
+    }
+
+    /// Installs a scenario's fault plan, and what the run needs to know
+    /// about the server `run_sim` built for it: its virtual clock,
+    /// whether it holds replies for group commit, and its recording tap.
+    fn with_faults(
+        mut self,
+        scenario: &SimScenario,
+        clock: SimClock,
+        recording: Option<SharedRecording>,
+    ) -> Self {
         // Pre-arm end-of-window release timers so buffered traffic is
         // handed back even if no other event lands on that tick.
-        let server_node = NodeId(n as u32);
-        let clause_state = scenario
+        let server_node = self.server_node();
+        let sim = &mut self.sim;
+        self.clause_state = scenario
             .plan
             .clauses
             .iter()
@@ -759,55 +883,28 @@ impl Harness {
                 }
             })
             .collect();
+        self.plan = scenario.plan.clone();
+        self.crash_after = scenario.plan.crash().map(|s| s.after_messages);
+        self.group_commit = matches!(
+            scenario.server,
+            ServerSpec::Persistent {
+                durability: SimDurability::Group { .. },
+                ..
+            }
+        );
+        self.clock = clock;
+        self.recording = recording;
+        self
+    }
 
-        Harness {
-            n,
-            sim,
-            engine: ServerEngine::new(n, server),
-            clock,
-            slots: (0..n)
-                .map(|i| Slot {
-                    core: SessionCore::new(FaustClient::new(
-                        ClientId::new(i as u32),
-                        n,
-                        keys.keypair(i as u32).expect("generated").clone(),
-                        keys.registry(),
-                        faust_config,
-                    )),
-                    script: scenario.workloads[i].iter().cloned().collect(),
-                    ticket_ops: HashMap::new(),
-                    notifications: Vec::new(),
-                    crashed: false,
-                    waiting: false,
-                    disconnected: false,
-                    in_flight: 0,
-                    last_reply: None,
-                    link_epoch: 0,
-                })
-                .collect(),
-            history: History::new(),
-            tick_period: scenario.tick_period,
-            plan: scenario.plan.clone(),
-            clause_state,
-            server_messages: 0,
-            crash_after: scenario.plan.crash().map(|s| s.after_messages),
-            crash_time: None,
-            group_commit: matches!(
-                scenario.server,
-                ServerSpec::Persistent {
-                    durability: SimDurability::Group { .. },
-                    ..
-                }
-            ),
-            dummy_reads: scenario.dummy_reads,
-            server_bound: 0,
-            replies_in_flight: 0,
-            wipe_detector: None,
-            fork_fired: Vec::new(),
-            dirty_fired: Vec::new(),
-            flush_timer: None,
-            recording,
-        }
+    /// Appends one step to a client's script.
+    pub fn push_op(&mut self, client: ClientId, op: FaustWorkloadOp) {
+        self.slots[client.index()].script.push_back(op);
+    }
+
+    /// Appends a whole script.
+    pub fn push_ops(&mut self, client: ClientId, ops: impl IntoIterator<Item = FaustWorkloadOp>) {
+        self.slots[client.index()].script.extend(ops);
     }
 
     fn server_node(&self) -> NodeId {
@@ -876,7 +973,7 @@ impl Harness {
     }
 
     /// Feeds one protocol message to the engine and pumps outputs back
-    /// into virtual time. Mirrors the crash counter so the harness knows
+    /// into virtual time. Mirrors the crash counter so the driver knows
     /// the crash tick.
     fn server_receive(&mut self, from: ClientId, msg: UstorMsg, now: u64) {
         self.clock.set(now);
@@ -899,8 +996,7 @@ impl Harness {
             }
         }
         self.engine.enqueue(from, msg);
-        self.engine.process_all();
-        self.drain_server_outputs(now);
+        self.server_round(false, now);
         if crashed_now {
             // Judged *after* the trigger message's own replies went out:
             // detection of the wipe is only guaranteed when nothing on
@@ -914,16 +1010,22 @@ impl Harness {
         }
     }
 
-    fn drain_server_outputs(&mut self, now: u64) {
+    /// The server node's step: one [`ServerEngine::round`] — the round
+    /// `faust serve` runs — whose per-client batches go out into virtual
+    /// time, then the flush timer follows the engine's new deadline.
+    fn server_round(&mut self, closing: bool, now: u64) {
         let server_node = self.server_node();
-        while let Some((to, out)) = self.engine.poll_output() {
-            if matches!(out, UstorMsg::Reply(_)) {
-                self.replies_in_flight += 1;
+        let (sim, slots, replies_in_flight) =
+            (&mut self.sim, &self.slots, &mut self.replies_in_flight);
+        self.engine.round(closing, |to, batch| {
+            let epoch = slots.get(to.index()).map_or(0, |s| s.link_epoch);
+            for out in batch {
+                if matches!(out, UstorMsg::Reply(_)) {
+                    *replies_in_flight += 1;
+                }
+                sim.send(server_node, NodeId(to.as_u32()), NetMsg::Ustor(out, epoch));
             }
-            let epoch = self.slots.get(to.index()).map_or(0, |s| s.link_epoch);
-            self.sim
-                .send(server_node, NodeId(to.as_u32()), NetMsg::Ustor(out, epoch));
-        }
+        });
         self.update_flush_timer(now);
     }
 
@@ -1228,11 +1330,10 @@ impl Harness {
             return;
         }
         self.clock.set(now);
-        self.engine.flush_server(true);
-        // Drained before the epoch bump: the victim's flushed replies
-        // carry the old epoch and die; other clients' merely arrive a
-        // little early.
-        self.drain_server_outputs(now);
+        // A closing round, drained before the epoch bump: the victim's
+        // flushed replies carry the old epoch and die; other clients'
+        // merely arrive a little early.
+        self.server_round(true, now);
         self.slots[i].link_epoch += 1;
         let epoch = self.slots[i].link_epoch;
         let node = NodeId(i as u32);
@@ -1247,7 +1348,9 @@ impl Harness {
         }
     }
 
-    fn run(mut self, deadline: u64) -> SimRunReport {
+    /// Runs until `deadline` (virtual time) or quiescence, whichever is
+    /// first.
+    pub fn run_until(mut self, deadline: u64) -> SimRunReport {
         for i in 0..self.n {
             self.advance_script(i, 0);
         }
@@ -1265,8 +1368,7 @@ impl Harness {
                     if tag == FLUSH_TAG {
                         self.clock.set(now);
                         self.flush_timer = None;
-                        self.engine.flush_server(false);
-                        self.drain_server_outputs(now);
+                        self.server_round(false, now);
                         continue;
                     }
                     let i = node.0 as usize;
@@ -1365,10 +1467,28 @@ pub fn run_sim(scenario: &SimScenario) -> SimRunReport {
     if let Some(dir) = &store_dir {
         std::fs::remove_dir_all(dir).ok();
     }
-    let harness = Harness::new(scenario, store_dir.as_ref());
-    let mut report = harness.run(scenario.deadline);
+    let clock = SimClock::new();
+    let (server, recording) = build_server(scenario, store_dir.as_ref(), &clock);
+    let config = FaustDriverConfig {
+        sim: SimConfig {
+            seed: scenario.seed,
+            link_delay: scenario.link_delay,
+            offline_delay: scenario.offline_delay,
+        },
+        faust: FaustConfig {
+            dummy_reads: scenario.dummy_reads,
+            ..FaustConfig::default()
+        },
+        tick_period: scenario.tick_period,
+    };
+    let mut driver = FaustDriver::new(scenario.n(), server, config, &scenario.seed.to_be_bytes())
+        .with_faults(scenario, clock, recording);
+    for (i, script) in scenario.workloads.iter().enumerate() {
+        driver.push_ops(ClientId::new(i as u32), script.iter().cloned());
+    }
+    let mut report = driver.run_until(scenario.deadline);
     if let Some(dir) = &store_dir {
-        // The harness (and with it every file handle) is gone; export
+        // The driver (and with it every file handle) is gone; export
         // the real snapshot + WAL before wiping the scratch directory.
         report.exported_history = faust_audit::export_store_dir(
             dir,
@@ -1733,7 +1853,7 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
         }
     }
     // A volatile server with a crash clause forks; mark it as such by
-    // construction (handled in the harness via the crash mirror).
+    // construction (handled in the driver via the crash mirror).
     let fork_on_volatile_crash = matches!(server, ServerSpec::Volatile)
         && clauses
             .iter()
@@ -1752,7 +1872,7 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
     };
     if fork_on_volatile_crash {
         // Volatile + restart = guaranteed state wipe; encode it so the
-        // harness records the fork.
+        // driver records the fork.
         for clause in &mut scenario.plan.clauses {
             if let FaultClause::CrashRestart(spec) = clause {
                 spec.tamper = WalTamper::WipeState;

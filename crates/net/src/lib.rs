@@ -4,11 +4,12 @@
 //! defines how `(client, message)` pairs physically reach the server-side
 //! engine and how replies travel back. One trait, three implementations:
 //!
-//! * [`queue`] — a deterministic, single-threaded queue pair. This is the
-//!   adapter the discrete-event simulator drivers use: the simulator
-//!   delivers a message, pushes it into the queue transport, lets the
-//!   engine drain it, and forwards the outputs back into virtual time.
-//!   No threads, no syscalls, bit-for-bit reproducible.
+//! * [`queue`] — a deterministic, single-threaded queue pair. The USTOR
+//!   and lock-step simulation drivers use it: the simulator delivers a
+//!   message, pushes it into the queue transport, lets the engine drain
+//!   it, and forwards the outputs back into virtual time. No threads, no
+//!   syscalls, bit-for-bit reproducible. (The FAUST simulator needs no
+//!   transport: its server node calls the engine's serve round directly.)
 //! * [`channel`] — in-process `std::sync::mpsc` channels, for clients
 //!   and the engine on threads of one process.
 //! * [`reactor`] (unix) — the one socket server: length-prefixed frames

@@ -8,13 +8,17 @@
 //! 2. [`ServerEngine::process_all`] runs the protocol handlers in strict
 //!    FIFO arrival order — the order that *defines* the schedule of
 //!    operations in Algorithm 2;
-//! 3. the transport drains the replies with [`ServerEngine::poll_output`].
+//! 3. the transport drains the replies with [`ServerEngine::poll_output`]
+//!    or, per client, [`ServerEngine::poll_output_batch`].
 //!
-//! Because the engine never performs I/O, the same code path serves the
-//! deterministic simulator (via [`faust_net::QueueTransport`]), clients
-//! on threads of the same process (the channel transport), and real TCP
-//! clients (the reactor) — the [`serve`] loop works over any
-//! [`ServerTransport`], and [`spawn_engine`] runs it on a thread.
+//! [`ServerEngine::round`] is those steps as one serve round. Because the
+//! engine never performs I/O, the same round serves clients on threads of
+//! the same process (the channel transport) and real TCP clients (the
+//! reactor) — the [`serve`] loop works over any [`ServerTransport`], and
+//! [`spawn_engine`] runs it on a thread — as well as the FAUST
+//! simulator's server node, which calls the round directly inside
+//! virtual time. The USTOR [`Driver`](crate::Driver) feeds [`serve`]
+//! through [`faust_net::QueueTransport`].
 //!
 //! # Sessions
 //!
@@ -412,6 +416,25 @@ impl ServerEngine {
         self.flush_server(false);
     }
 
+    /// One serve round over whatever is queued:
+    /// [`ServerEngine::process_all`], then a forced flush when `closing`
+    /// (held replies are never stranded behind a closing transport or a
+    /// dying connection), then every per-client egress batch
+    /// ([`ServerEngine::poll_output_batch`]) handed to `sink`.
+    ///
+    /// [`serve`] runs one round per gathered batch of ingress; the
+    /// simulator's server node runs one per delivery, per virtual flush
+    /// timer, and per connection kill.
+    pub fn round(&mut self, closing: bool, mut sink: impl FnMut(ClientId, Vec<UstorMsg>)) {
+        self.process_all();
+        if closing {
+            self.flush_server(true);
+        }
+        while let Some((to, batch)) = self.poll_output_batch() {
+            sink(to, batch);
+        }
+    }
+
     /// Builds and checks the signature batch for every queued message.
     ///
     /// Two phases, so the verdicts match per-message processing exactly.
@@ -656,10 +679,9 @@ impl ServerEngine {
 /// and forces a final flush when the transport closes — an acknowledged
 /// reply is never stranded behind a parked `recv`.
 ///
-/// Outputs are drained **per client as frame batches**
-/// ([`ServerEngine::poll_output_batch`] →
-/// [`ServerTransport::send_batch`]), so a coalescing transport issues
-/// one write per client per round.
+/// Each round is one [`ServerEngine::round`]: outputs are drained **per
+/// client as frame batches** into [`ServerTransport::send_batch`], so a
+/// coalescing transport issues one write per client per round.
 pub fn serve<T: ServerTransport>(engine: &mut ServerEngine, transport: &mut T) {
     loop {
         // Block (or observe Idle) for the first message of the round —
@@ -687,14 +709,8 @@ pub fn serve<T: ServerTransport>(engine: &mut ServerEngine, transport: &mut T) {
                 }
             }
         }
-        engine.process_all();
-        if closed {
-            // Last chance to release held replies before the loop ends.
-            engine.flush_server(true);
-        }
-        while let Some((to, batch)) = engine.poll_output_batch() {
-            transport.send_batch(to, batch);
-        }
+        // A closing round is the last chance to release held replies.
+        engine.round(closed, |to, batch| transport.send_batch(to, batch));
         if closed {
             return;
         }

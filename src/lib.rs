@@ -25,20 +25,22 @@
 //!          ┌───────────────────┴──┬──────────────────────┐
 //!          │                      │                      │
 //!   QueueTransport         channel transport      ReactorTransport
-//!   (deterministic sim     (std::sync::mpsc,      (unix: the socket server —
-//!   adapter; the           engine and clients     length-prefixed frames, one
-//!   discrete-event         on threads of one      event loop, many conns,
-//!   simulator stays        process)               admission control —
+//!   (deterministic         (std::sync::mpsc,      (unix: the socket server —
+//!   adapter of the         engine and clients     length-prefixed frames, one
+//!   USTOR simulation       on threads of one      event loop, many conns,
+//!   driver; stays          process)               admission control —
 //!   bit-reproducible)                             docs/networking.md)
 //! ```
 //!
-//! One engine code path serves all three: the simulation drivers
-//! ([`ustor::Driver`],
-//! [`core::FaustDriver`]) pump it through the
-//! queue transport inside virtual time, while [`ustor::spawn_engine`]
-//! runs it on a thread behind a channel or a real TCP listener, with
-//! live [`client::FaustHandle`] sessions on the other side. Client
-//! threads hold a transport-independent [`net::ClientConn`].
+//! One engine round ([`ustor::ServerEngine::round`]) serves all three:
+//! [`ustor::spawn_engine`] runs the [`ustor::serve`] loop on a thread
+//! behind a channel or a real TCP listener, with live
+//! [`client::FaustHandle`] sessions on the other side; the USTOR
+//! simulation driver ([`ustor::Driver`]) pumps the same loop through the
+//! queue transport inside virtual time; and the FAUST simulator
+//! ([`core::FaustDriver`]) calls the round from its server node, no
+//! transport in between. Client threads hold a transport-independent
+//! [`net::ClientConn`].
 //!
 //! Messages are encoded by the hand-rolled, byte-exact codec in
 //! [`types::wire`]; stream transports add the

@@ -13,7 +13,7 @@ use faust::types::ClientId;
 use faust::ustor::{spawn_engine, EngineStats, ServerEngine};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serves `engine` for `n` clients on a fresh loopback reactor. The engine
 /// thread ends once every client has connected and departed.
@@ -79,8 +79,10 @@ pub fn connect_all(
 
 /// One phase of a run: each session, on a thread of its own, submits its
 /// whole workload up front (the pipeline window takes what fits, the rest
-/// queues) and then runs its event loop for `run_for`. Returns the
-/// sessions in client order, each with the events of the phase.
+/// queues), runs its event loop for `run_for`, and then on until its
+/// backlog drains or it halts on a violation — so `Duration::ZERO` means
+/// "until every operation completed". Returns the sessions in client
+/// order, each with the events of the phase.
 pub fn run_phase(
     handles: Vec<FaustHandle>,
     workloads: Vec<Vec<UserOp>>,
@@ -98,12 +100,13 @@ pub fn run_phase(
                         UserOp::Read(register) => handle.read(register),
                     };
                 }
-                let events: Vec<Event> = handle
-                    .run_for(run_for)
-                    .into_iter()
-                    .map(|(_, e)| e)
-                    .collect();
-                (handle, events)
+                let mut events = handle.run_for(run_for);
+                let stall = Instant::now() + Duration::from_secs(20);
+                while handle.backlog() > 0 && handle.failure().is_none() {
+                    assert!(Instant::now() < stall, "{} stalled", handle.id());
+                    events.extend(handle.run_for(Duration::from_millis(5)));
+                }
+                (handle, events.into_iter().map(|(_, e)| e).collect())
             })
         })
         .collect();

@@ -15,6 +15,9 @@
 //!   acknowledged records while the server is down, the restarted server
 //!   presents a rolled-back schedule and clients flag it — exactly the
 //!   clients whose view the cut contradicts, and no others.
+//!
+//! Underneath both: after one incarnation, with or without group commit,
+//! recovery finds exactly one record per acknowledged message.
 
 mod common;
 
@@ -25,7 +28,8 @@ use faust::net::tcp;
 use faust::sim::SmallRng;
 use faust::store::log::{Wal, WAL_FILE};
 use faust::store::{
-    testutil, truncate_tail_records, Durability, LogRecord, PersistentBackend, StoreConfig,
+    testutil, truncate_tail_records, Durability, LogRecord, PersistentBackend, PersistentServer,
+    StoreConfig,
 };
 use faust::types::{ClientId, Value};
 use faust::ustor::{EngineStats, ServerEngine};
@@ -227,6 +231,81 @@ fn server_recovered_from_truncated_log_is_detected_as_violation() {
 fn group_commit_truncated_log_is_still_detected_as_violation() {
     // Group commit must not weaken rollback detection.
     truncated_restart("e2e-group-truncated", group_store_config());
+}
+
+/// Sessions against an engine built from the persistent backend via
+/// `ServerEngine::from_backend`: every acknowledged message is in the log
+/// afterwards, and recovery rebuilds the full schedule.
+#[test]
+fn threaded_runtime_runs_durably_over_a_persistent_backend() {
+    let n = 2;
+    let dir = testutil::scratch_dir("threaded-durable");
+    let store = StoreConfig {
+        durability: Durability::Never,
+        ..StoreConfig::default()
+    };
+    let backend = PersistentBackend::new(&dir, store.clone());
+    let engine = ServerEngine::from_backend(n, &backend).expect("fresh store");
+    let workloads = vec![
+        vec![
+            UserOp::Write(Value::from("d1")),
+            UserOp::Write(Value::from("d2")),
+        ],
+        vec![UserOp::Read(c(0))],
+    ];
+    let (run, _) = run_loopback(
+        engine,
+        workloads,
+        b"durable-threaded",
+        &handle_config(false),
+        Duration::ZERO,
+    );
+    assert!(failures(&run).is_empty(), "{:?}", failures(&run));
+    assert_eq!(phase_completions(&run), vec![2, 1]);
+    // 3 submits + 3 commits were acknowledged, so 6 records are durable;
+    // recovery resumes exactly there.
+    let recovered = PersistentServer::recover(&dir, n, store).expect("clean recovery");
+    assert_eq!(recovered.next_seq(), 6);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The full pipeline under `Durability::Group`: replies are held until
+/// the batch fsync, the serve loop honours the flush deadline (no
+/// deadlock with synchronous clients), every op completes, and recovery
+/// sees every acknowledged record.
+#[test]
+fn threaded_runtime_group_commit_amortizes_fsyncs_and_stays_correct() {
+    let n = 3;
+    let dir = testutil::scratch_dir("threaded-group");
+    let store = group_store_config();
+    let backend = PersistentBackend::new(&dir, store.clone());
+    let engine = ServerEngine::from_backend(n, &backend).expect("fresh store");
+    let workloads: Vec<Vec<UserOp>> = (0..n as u32)
+        .map(|i| {
+            (0..5)
+                .map(|s| {
+                    if s % 2 == 0 {
+                        UserOp::Write(Value::unique(i, s))
+                    } else {
+                        UserOp::Read(c((i + 1) % n as u32))
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let (run, _) = run_loopback(
+        engine,
+        workloads,
+        b"group-threaded",
+        &handle_config(false),
+        Duration::ZERO,
+    );
+    assert!(failures(&run).is_empty(), "{:?}", failures(&run));
+    assert_eq!(phase_completions(&run), vec![5; n]);
+    // 15 submits + 15 commits acknowledged ⇒ 30 durable records.
+    let recovered = PersistentServer::recover(&dir, n, store).expect("clean recovery");
+    assert_eq!(recovered.next_seq(), 30);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Group commit with production-ish knobs scaled for a CI loopback run:

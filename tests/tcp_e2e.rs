@@ -5,9 +5,10 @@
 //!
 //! Three claims are checked: a correct server serves a write/read
 //! workload with *no* `fail` notifications (failure-detection accuracy
-//! survives a real transport), a forked (split-brain) server is detected
-//! by every client (detection completeness does too), and a client that
-//! stalls mid-operation never delays the others (wait-freedom).
+//! survives a real transport, at 2, 3 and 8 sessions), a forked
+//! (split-brain) server is detected by every client (detection
+//! completeness does too), and a client that stalls mid-operation never
+//! delays the others (wait-freedom).
 
 mod common;
 
@@ -172,6 +173,70 @@ fn batched_ingress_verification_serves_tcp_clients() {
     );
     let done: Vec<usize> = run.iter().map(|(_, events)| completions(events)).collect();
     assert_eq!(done, vec![2, 1, 2]);
+}
+
+/// One operation in flight and no background traffic (no dummy reads; the
+/// probes travel offline): every operation completes, and the engine sees
+/// exactly one SUBMIT and one COMMIT per operation.
+#[test]
+fn threaded_run_completes_all_ops() {
+    let workloads = vec![
+        vec![
+            UserOp::Write(Value::from("a1")),
+            UserOp::Write(Value::from("a2")),
+            UserOp::Read(c(1)),
+        ],
+        vec![UserOp::Write(Value::from("b1")), UserOp::Read(c(0))],
+    ];
+    let engine = ServerEngine::new(2, Box::new(UstorServer::new(2)));
+    let (run, stats) = run_loopback(
+        engine,
+        workloads,
+        b"threaded-test",
+        &handle_config(false),
+        Duration::ZERO,
+    );
+    let done: Vec<usize> = run.iter().map(|(_, events)| completions(events)).collect();
+    assert_eq!(done, vec![3, 2]);
+    for (handle, _) in &run {
+        assert!(handle.failure().is_none(), "{:?}", handle.failure());
+    }
+    assert_eq!(stats.submits, 5);
+    assert_eq!(stats.commits, 5);
+}
+
+/// Eight sessions, 25 interleaved writes and cross-reads each, on one
+/// reactor: nothing is lost and nobody is blamed.
+#[test]
+fn many_threads_heavy_interleaving() {
+    let n = 8;
+    let workloads: Vec<Vec<UserOp>> = (0..n as u32)
+        .map(|i| {
+            (0..25)
+                .map(|s| {
+                    if s % 3 == 0 {
+                        UserOp::Read(c((i + 1) % n as u32))
+                    } else {
+                        UserOp::Write(Value::unique(i, s))
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)));
+    let (run, stats) = run_loopback(
+        engine,
+        workloads,
+        b"heavy",
+        &handle_config(false),
+        Duration::ZERO,
+    );
+    for (handle, _) in &run {
+        assert!(handle.failure().is_none(), "{:?}", handle.failure());
+    }
+    let done: Vec<usize> = run.iter().map(|(_, events)| completions(events)).collect();
+    assert_eq!(done, vec![25; 8]);
+    assert_eq!(stats.submits, 200);
 }
 
 /// Wait-freedom on the wire: the server answers every SUBMIT at once and
