@@ -1,9 +1,10 @@
 //! The exporter reads a store directory through `faust-store`'s cursor
-//! and snapshot reader, so the store's checksum format must be invisible
-//! in what it emits: the pre-v2 fixture (`crates/store/tests/fixtures/v1`,
-//! SHA-256 record and snapshot checksums) and a current-format directory
-//! written by the same script export to byte-identical `FAUSTHIS` — the
-//! container whose own SHA-256 framing did not change — and both certify.
+//! and snapshot reader, so the store's format must be invisible in what it
+//! emits: the directories older builds wrote (`crates/store/tests/fixtures/`
+//! `v1`, SHA-256 record and snapshot checksums, and `v2`, XXH64 with every
+//! COMMIT in full) and a current-format directory written by the same
+//! script (COMMITs as deltas) export to byte-identical `FAUSTHIS` — the
+//! container whose own SHA-256 framing did not change — and all certify.
 
 use faust_audit::{audit, export_store_dir, AuditVerdict};
 use faust_crypto::sig::KeySet;
@@ -15,26 +16,28 @@ use std::path::Path;
 mod script;
 
 #[test]
-fn v1_and_v2_store_directories_export_byte_identical_histories() {
-    let v1 = Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures/v1");
-    let v2 = testutil::scratch_dir("audit-upgrade-v2");
-    drop(script::run(&v2));
-    assert_ne!(
-        std::fs::read(v1.join("wal.bin")).unwrap(),
-        std::fs::read(v2.join("wal.bin")).unwrap(),
-        "the two directories really are in different formats"
-    );
-
-    let old = export_store_dir(&v1, SigScheme::Hmac, None).unwrap();
-    let new = export_store_dir(&v2, SigScheme::Hmac, None).unwrap();
-    assert_eq!(old.encode(), new.encode());
-
+fn v1_v2_and_v3_store_directories_export_byte_identical_histories() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures");
+    let current = testutil::scratch_dir("audit-upgrade-v3");
+    drop(script::run(&current));
+    let new = export_store_dir(&current, SigScheme::Hmac, None).unwrap();
     let registry = KeySet::generate(script::N, b"faust-cli").registry();
-    let report = audit(&old, &registry).unwrap();
+    let report = audit(&new, &registry).unwrap();
     assert!(
         matches!(report.verdict, AuditVerdict::Certified { .. }),
         "{:?}",
         report.verdict
     );
-    std::fs::remove_dir_all(&v2).ok();
+
+    for version in ["v1", "v2"] {
+        let old = fixtures.join(version);
+        assert_ne!(
+            std::fs::read(old.join("wal.bin")).unwrap(),
+            std::fs::read(current.join("wal.bin")).unwrap(),
+            "{version}: the two directories really are in different formats"
+        );
+        let exported = export_store_dir(&old, SigScheme::Hmac, None).unwrap();
+        assert_eq!(exported.encode(), new.encode(), "{version}");
+    }
+    std::fs::remove_dir_all(&current).ok();
 }

@@ -1,7 +1,9 @@
 //! Binary encodings for persisted values, built entirely from the
 //! [`Wire`] codecs of `faust-types` — the on-disk format reuses the
-//! byte-exact message encodings the protocol already ships, so a logged
-//! record *is* the message the server acknowledged.
+//! byte-exact message encodings the protocol already ships, so a
+//! *scanned* record is the message the server acknowledged. (The log may
+//! store a COMMIT as a delta against the previous one in its file; that
+//! form is private to `crate::log`, which resolves it while scanning.)
 
 use faust_crypto::sig::Signature;
 use faust_types::{ClientId, CommitMsg, Sink, SubmitMsg, Timestamp, Value, Wire, WireError};
@@ -105,7 +107,8 @@ impl Wire for LogRecord {
                 msg: CommitMsg::decode_from(input)?,
             }),
             // Do not reuse tag 2: logs of the retired multi-log layout
-            // hold it, and they must stay refused, not misread.
+            // hold it, and they must stay refused, not misread. Tag 3 is
+            // the log's COMMIT delta, which only `crate::log` decodes.
             t => Err(WireError::BadTag(t)),
         }
     }

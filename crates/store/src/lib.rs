@@ -23,7 +23,8 @@
 //! # Layout
 //!
 //! * [`log`] — the write-ahead log: length-prefixed, checksummed,
-//!   sequence-numbered records of every inbound protocol message.
+//!   sequence-numbered records of every inbound protocol message, a
+//!   standalone COMMIT as a delta against the previous one in its file.
 //! * [`snapshot`] — atomic (write-temp + rename) snapshots of the full
 //!   [`ServerState`](faust_ustor::ServerState); snapshots compact the log.
 //! * `checksum` (private) — the one module that knows the disk checksum:

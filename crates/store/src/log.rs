@@ -5,17 +5,34 @@
 //! ```text
 //!   header:  "FAUSTWAL" | version: u32 | n: u32 | base_seq: u64      (24 B)
 //!   record:  len: u32 | xxh64(payload): u64 | payload                (12 B + len)
-//!   payload: seq: u64 | LogRecord wire encoding
+//!   payload: seq: u64 | body
+//!   body:    LogRecord wire encoding                     (tag 0 SUBMIT, tag 1 COMMIT)
+//!          | 3 | from: u32 | count: u32 | (k: u32 | V[k]: u64 | M[k]: Option<Digest>)^count
+//!              | commit_sig | proof_sig                  (a COMMIT as a delta)
 //! ```
 //!
-//! That is format version 2, the only one written into new files. A
-//! version-1 file frames its records `len: u32 | sha256(payload): 32 B |
-//! payload` (36 B + len); it still scans, and a log opened in that
-//! version keeps appending in it until the next rotation replaces the
-//! file. The header's version picks the [`Framing`] and nothing else
-//! does. The checksum guards against what the disk did — torn writes,
-//! bit rot — not against the operator, whom no local check can stop
-//! (see [`truncate_tail_records`]); `crate::checksum` has the argument.
+//! That is format version 3, the only one written into new files. A
+//! standalone COMMIT is stored as a *delta*: the entries `k`, in
+//! increasing order, where its version differs from the last COMMIT
+//! version earlier in the same file — standalone or piggybacked on a
+//! SUBMIT. In lockstep nothing commits between a client's REPLY and its
+//! COMMIT, so that is one entry where the full version has `n`. The full
+//! form (tag 1) is written instead when the file holds no COMMIT yet,
+//! when either version's arity is not the header's `n`, or when the delta
+//! would not be smaller. The base never crosses a file boundary, so a
+//! rotated file, and any prefix of a file, decodes on its own; a scan
+//! resolves every delta into an ordinary [`LogRecord::Commit`], so
+//! nothing above this module ever sees one.
+//!
+//! Versions 1 and 2 hold only tags 0 and 1. Version 2 is version 3's
+//! framing; version 1 frames its records `len: u32 | sha256(payload): 32
+//! B | payload` (36 B + len). Both still scan, and a log opened in either
+//! keeps appending full records in its own version until the next
+//! rotation replaces the file. The header's version picks the
+//! [`Framing`] and nothing else does. The checksum guards against what
+//! the disk did — torn writes, bit rot — not against the operator, whom
+//! no local check can stop (see [`truncate_tail_records`]);
+//! `crate::checksum` has the argument.
 //!
 //! All integers are big-endian, matching `faust_types::wire`. `base_seq`
 //! is the sequence number of the file's first record; sequence numbers
@@ -42,7 +59,8 @@
 use crate::checksum::Checksum;
 use crate::codec::LogRecord;
 use crate::StoreError;
-use faust_types::{Wire, WireError};
+use faust_crypto::{Digest, Signature};
+use faust_types::{ClientId, CommitMsg, DigestVec, TimestampVec, Version, Wire, WireError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -65,32 +83,38 @@ pub const MAX_RECORD_LEN: u64 = 1 << 26;
 pub const WAL_FILE: &str = "wal.bin";
 
 /// How one log format version frames its records — the single place a
-/// version number turns into a per-record overhead and a checksum.
-/// Appending, scanning, [`LogCursor`] and [`truncate_tail_records`] all
-/// get theirs from the file's [`WalHeader`].
+/// version number turns into a per-record overhead, a checksum, and
+/// whether COMMIT deltas may appear. Appending, scanning, [`LogCursor`]
+/// and [`truncate_tail_records`] all get theirs from the file's
+/// [`WalHeader`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Framing {
     /// `len: u32 | sha256(payload): 32 B | payload` — read, and appended
     /// to when such a file is reopened, never created.
     V1,
-    /// `len: u32 | xxh64(payload): u64 | payload`.
+    /// `len: u32 | xxh64(payload): u64 | payload`, full records only —
+    /// read, and appended to when such a file is reopened, never created.
     V2,
+    /// Version 2's framing, and a standalone COMMIT may be a delta
+    /// against the file's previous COMMIT version (module docs).
+    V3,
 }
 
 impl Framing {
     /// The framing of every newly created file.
-    pub const CURRENT: Framing = Framing::V2;
+    pub const CURRENT: Framing = Framing::V3;
 
     /// The format version a file header carries for this framing.
     pub const fn version(self) -> u32 {
         match self {
             Framing::V1 => 1,
             Framing::V2 => 2,
+            Framing::V3 => 3,
         }
     }
 
     fn from_version(version: u32) -> Option<Self> {
-        [Framing::V1, Framing::V2]
+        [Framing::V1, Framing::V2, Framing::V3]
             .into_iter()
             .find(|framing| framing.version() == version)
     }
@@ -98,8 +122,13 @@ impl Framing {
     const fn checksum(self) -> Checksum {
         match self {
             Framing::V1 => Checksum::Sha256,
-            Framing::V2 => Checksum::Xxh64,
+            Framing::V2 | Framing::V3 => Checksum::Xxh64,
         }
+    }
+
+    /// Whether a file in this version stores COMMITs as deltas.
+    pub const fn commit_deltas(self) -> bool {
+        matches!(self, Framing::V3)
     }
 
     /// Bytes a record occupies beyond its payload: length prefix plus
@@ -191,8 +220,31 @@ pub struct Wal {
     header: WalHeader,
     next_seq: u64,
     records: u64,
+    /// The last COMMIT version in this file, which the next standalone
+    /// COMMIT is stored against if the file's version has deltas.
+    base: Option<DeltaBase>,
     /// The record being appended, reused across appends.
     scratch: Vec<u8>,
+}
+
+/// The entries of the last COMMIT version in a file: what a delta is
+/// taken against. Two plain vectors, so that each COMMIT overwrites them
+/// in place — appending must not allocate a version per record.
+#[derive(Debug, Default)]
+struct DeltaBase {
+    v: Vec<u64>,
+    m: Vec<Option<Digest>>,
+}
+
+impl DeltaBase {
+    /// Makes `version` the base in `slot`, reusing the old one's buffers.
+    fn remember(slot: &mut Option<DeltaBase>, version: &Version) {
+        let base = slot.get_or_insert_with(DeltaBase::default);
+        base.v.clear();
+        base.v.extend_from_slice(version.v().as_slice());
+        base.m.clear();
+        base.m.extend_from_slice(version.m().as_slice());
+    }
 }
 
 impl Wal {
@@ -230,13 +282,15 @@ impl Wal {
             header,
             next_seq: base_seq,
             records: 0,
+            base: None,
             scratch: Vec::new(),
         })
     }
 
     /// Opens the existing log in `dir` for appending, after a strict
     /// scan; returns the log positioned at its end plus the scanned
-    /// contents for replay. Appends continue in the file's own framing.
+    /// contents for replay. Appends continue in the file's own framing,
+    /// COMMIT deltas against the file's last COMMIT version.
     ///
     /// # Errors
     ///
@@ -246,6 +300,15 @@ impl Wal {
         let contents = Self::scan(&path)?;
         let file = OpenOptions::new().append(true).open(&path)?;
         let next_seq = contents.next_seq();
+        let mut base = None;
+        if let Some(last) = contents
+            .records
+            .iter()
+            .rev()
+            .find_map(|r| r.record.commit())
+        {
+            DeltaBase::remember(&mut base, &last.version);
+        }
         Ok((
             Wal {
                 file,
@@ -253,6 +316,7 @@ impl Wal {
                 header: contents.header,
                 next_seq,
                 records: contents.records.len() as u64,
+                base,
                 scratch: Vec::new(),
             },
             contents,
@@ -296,11 +360,12 @@ impl Wal {
     /// open a window for the bytes to diverge from what was validated).
     fn scan_bytes(bytes: &[u8]) -> Result<(WalContents, Option<StoreError>), StoreError> {
         let header = WalHeader::decode(bytes)?;
+        let mut reader = RecordReader::new(header);
         let mut records = Vec::new();
         let mut pos = WAL_HEADER_LEN;
         let mut seq = header.base_seq;
         let anomaly = loop {
-            match parse_record_at(header.framing, bytes, pos, seq) {
+            match reader.parse_at(bytes, pos, seq) {
                 Ok(None) => break None,
                 Ok(Some(rec)) => {
                     pos = rec.span.end;
@@ -329,13 +394,17 @@ impl Wal {
         buf.clear();
         buf.resize(framing.overhead(), 0);
         self.next_seq.encode_into(buf);
-        record.encode_into(buf);
+        let base = self.base.as_ref().filter(|_| framing.commit_deltas());
+        encode_body(record, base, self.header.n, buf);
         let (head, payload) = buf.split_at_mut(framing.overhead());
         head[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
         framing.checksum().write(payload, &mut head[4..]);
         self.file.write_all(buf)?;
         if sync {
             self.file.sync_data()?;
+        }
+        if let Some(commit) = record.commit() {
+            DeltaBase::remember(&mut self.base, &commit.version);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -383,74 +452,171 @@ impl Wal {
     }
 }
 
-/// Parses the record starting at byte `pos`, framed as the file's header
-/// says and expected to carry sequence number `seq`. `Ok(None)` at the
-/// exact end of the buffer; every anomaly is the same structured
-/// [`StoreError`] a strict scan reports. This is the single place that
-/// walks the record layout — [`Wal::scan`] and [`LogCursor`] both step
-/// through it.
-fn parse_record_at(
-    framing: Framing,
-    bytes: &[u8],
-    pos: usize,
-    seq: u64,
-) -> Result<Option<ScannedRecord>, StoreError> {
-    if pos >= bytes.len() {
-        return Ok(None);
+/// Body tag of a COMMIT stored as a delta (version 3 only). Tag 2 is
+/// skipped: the retired multi-log layout used it, and it stays refused.
+const COMMIT_DELTA_TAG: u8 = 3;
+
+/// Encodes `record` into `out`: a standalone COMMIT as a delta against
+/// `base` when both versions have the file's arity `n` and the delta is
+/// smaller, everything else in full.
+fn encode_body(record: &LogRecord, base: Option<&DeltaBase>, n: usize, out: &mut Vec<u8>) {
+    let (LogRecord::Commit { from, msg }, Some(base)) = (record, base) else {
+        return record.encode_into(out);
+    };
+    let (t_new, d_new) = (msg.version.v().as_slice(), msg.version.m().as_slice());
+    let (t_old, d_old) = (base.v.as_slice(), base.m.as_slice());
+    if t_new.len() != n || t_old.len() != n {
+        return record.encode_into(out);
     }
-    let overhead = framing.overhead();
-    let avail = bytes.len() - pos;
-    if avail < overhead {
-        return Err(StoreError::TornRecord {
+    let changed = |k: &usize| t_new[*k] != t_old[*k] || d_new[*k] != d_old[*k];
+    // Both forms spend a tag byte, `from` and the signatures. The full
+    // one adds two arity prefixes and `n` entries; the delta a count and,
+    // per changed entry, an index beside the same entry.
+    let (count, delta) = (0..n).filter(changed).fold((0u32, 4), |(count, len), k| {
+        (count + 1, len + 4 + 8 + d_new[k].encoded_len())
+    });
+    if delta >= msg.version.encoded_len() {
+        return record.encode_into(out);
+    }
+    out.push(COMMIT_DELTA_TAG);
+    from.encode_into(out);
+    count.encode_into(out);
+    for k in (0..n).filter(changed) {
+        (k as u32).encode_into(out);
+        t_new[k].encode_into(out);
+        d_new[k].encode_into(out);
+    }
+    msg.commit_sig.encode_into(out);
+    msg.proof_sig.encode_into(out);
+}
+
+/// Walks one file's records in order: the framing from its header, and
+/// the last COMMIT version read so far, which a delta resolves against.
+/// [`Wal::scan`] and [`LogCursor`] both step through
+/// [`RecordReader::parse_at`], the single place that walks the record
+/// layout.
+#[derive(Debug)]
+struct RecordReader {
+    header: WalHeader,
+    base: Option<DeltaBase>,
+}
+
+impl RecordReader {
+    fn new(header: WalHeader) -> Self {
+        RecordReader { header, base: None }
+    }
+
+    /// Parses the record starting at byte `pos`, expected to carry
+    /// sequence number `seq`. `Ok(None)` at the exact end of the buffer;
+    /// every anomaly is the same structured [`StoreError`] a strict scan
+    /// reports.
+    fn parse_at(
+        &mut self,
+        bytes: &[u8],
+        pos: usize,
+        seq: u64,
+    ) -> Result<Option<ScannedRecord>, StoreError> {
+        if pos >= bytes.len() {
+            return Ok(None);
+        }
+        let framing = self.header.framing;
+        let overhead = framing.overhead();
+        let avail = bytes.len() - pos;
+        if avail < overhead {
+            return Err(StoreError::TornRecord {
+                seq,
+                missing: overhead - avail,
+            });
+        }
+        let mut len_bytes = &bytes[pos..pos + 4];
+        let len = u32::decode_from(&mut len_bytes).expect("sized above") as u64;
+        if len > MAX_RECORD_LEN {
+            return Err(StoreError::ImplausibleRecordLength { seq, len });
+        }
+        let need = overhead + len as usize;
+        if avail < need {
+            return Err(StoreError::TornRecord {
+                seq,
+                missing: need - avail,
+            });
+        }
+        let stored = &bytes[pos + 4..pos + overhead];
+        let payload = &bytes[pos + overhead..pos + need];
+        if !framing.checksum().matches(payload, stored) {
+            return Err(StoreError::RecordChecksum { seq });
+        }
+        let mut input = payload;
+        let corrupt = |error| StoreError::RecordCorrupt { seq, error };
+        let found_seq = u64::decode_from(&mut input).map_err(corrupt)?;
+        if found_seq < seq {
+            return Err(StoreError::DuplicateRecord {
+                expected: seq,
+                found: found_seq,
+            });
+        }
+        if found_seq > seq {
+            return Err(StoreError::SequenceGap {
+                expected: seq,
+                found: found_seq,
+            });
+        }
+        let record = match input {
+            [COMMIT_DELTA_TAG, rest @ ..] if framing.commit_deltas() => {
+                input = rest;
+                self.resolve_delta(&mut input)
+            }
+            _ => LogRecord::decode_from(&mut input),
+        }
+        .map_err(corrupt)?;
+        if !input.is_empty() {
+            return Err(corrupt(WireError::TrailingBytes(input.len())));
+        }
+        if let Some(commit) = record.commit() {
+            DeltaBase::remember(&mut self.base, &commit.version);
+        }
+        Ok(Some(ScannedRecord {
             seq,
-            missing: overhead - avail,
-        });
+            record,
+            span: pos..pos + need,
+        }))
     }
-    let mut len_bytes = &bytes[pos..pos + 4];
-    let len = u32::decode_from(&mut len_bytes).expect("sized above") as u64;
-    if len > MAX_RECORD_LEN {
-        return Err(StoreError::ImplausibleRecordLength { seq, len });
+
+    /// Decodes a delta body (after its tag) into the full COMMIT it
+    /// stands for. A delta with no base in the file, against a base
+    /// whose arity is not the header's `n`, or whose indices are out of
+    /// range or not strictly increasing is malformed.
+    fn resolve_delta(&self, input: &mut &[u8]) -> Result<LogRecord, WireError> {
+        let from = ClientId::decode_from(input)?;
+        let count = u32::decode_from(input)?;
+        let base = self
+            .base
+            .as_ref()
+            .ok_or(WireError::BadTag(COMMIT_DELTA_TAG))?;
+        let n = self.header.n;
+        if base.v.len() != n {
+            return Err(WireError::BadLength(base.v.len() as u64));
+        }
+        let (mut t, mut d) = (base.v.clone(), base.m.clone());
+        let mut next = 0;
+        for _ in 0..count {
+            let k = u32::decode_from(input)? as usize;
+            if k < next || k >= n {
+                return Err(WireError::BadLength(k as u64));
+            }
+            next = k + 1;
+            t[k] = u64::decode_from(input)?;
+            d[k] = Option::<Digest>::decode_from(input)?;
+        }
+        let version = Version::new(TimestampVec::from_vec(t), DigestVec::from_vec(d));
+        Ok(LogRecord::Commit {
+            from,
+            msg: CommitMsg {
+                version,
+                commit_sig: Signature::decode_from(input)?,
+                proof_sig: Signature::decode_from(input)?,
+            },
+        })
     }
-    let need = overhead + len as usize;
-    if avail < need {
-        return Err(StoreError::TornRecord {
-            seq,
-            missing: need - avail,
-        });
-    }
-    let stored = &bytes[pos + 4..pos + overhead];
-    let payload = &bytes[pos + overhead..pos + need];
-    if !framing.checksum().matches(payload, stored) {
-        return Err(StoreError::RecordChecksum { seq });
-    }
-    let mut input = payload;
-    let found_seq =
-        u64::decode_from(&mut input).map_err(|error| StoreError::RecordCorrupt { seq, error })?;
-    if found_seq < seq {
-        return Err(StoreError::DuplicateRecord {
-            expected: seq,
-            found: found_seq,
-        });
-    }
-    if found_seq > seq {
-        return Err(StoreError::SequenceGap {
-            expected: seq,
-            found: found_seq,
-        });
-    }
-    let record = LogRecord::decode_from(&mut input)
-        .map_err(|error| StoreError::RecordCorrupt { seq, error })?;
-    if !input.is_empty() {
-        return Err(StoreError::RecordCorrupt {
-            seq,
-            error: WireError::TrailingBytes(input.len()),
-        });
-    }
-    Ok(Some(ScannedRecord {
-        seq,
-        record,
-        span: pos..pos + need,
-    }))
 }
 
 /// A public, read-only, streaming iterator over a store directory's WAL —
@@ -466,7 +632,7 @@ fn parse_record_at(
 #[derive(Debug)]
 pub struct LogCursor {
     bytes: Vec<u8>,
-    header: WalHeader,
+    reader: RecordReader,
     pos: usize,
     next_seq: u64,
     finished: bool,
@@ -496,7 +662,7 @@ impl LogCursor {
         Ok(LogCursor {
             pos: WAL_HEADER_LEN,
             next_seq: header.base_seq,
-            header,
+            reader: RecordReader::new(header),
             bytes,
             finished: false,
         })
@@ -504,7 +670,7 @@ impl LogCursor {
 
     /// The parsed WAL header.
     pub fn header(&self) -> WalHeader {
-        self.header
+        self.reader.header
     }
 
     /// Sequence number the next yielded record must carry.
@@ -520,7 +686,7 @@ impl Iterator for LogCursor {
         if self.finished {
             return None;
         }
-        match parse_record_at(self.header.framing, &self.bytes, self.pos, self.next_seq) {
+        match self.reader.parse_at(&self.bytes, self.pos, self.next_seq) {
             Ok(None) => {
                 self.finished = true;
                 None
@@ -621,10 +787,10 @@ mod tests {
     use super::*;
     use crate::testutil::scratch_dir;
     use faust_crypto::sig::KeySet;
-    use faust_types::{ClientId, Value};
+    use faust_types::{SubmitMsg, Value};
     use faust_ustor::UstorClient;
 
-    fn record(i: u32, round: u64) -> LogRecord {
+    fn submit(i: u32, round: u64) -> SubmitMsg {
         let keys = KeySet::generate(4, b"wal-tests");
         let mut client = UstorClient::new(
             ClientId::new(i),
@@ -632,9 +798,13 @@ mod tests {
             keys.keypair(i).unwrap().clone(),
             keys.registry(),
         );
+        client.begin_write(Value::unique(i, round)).unwrap()
+    }
+
+    fn record(i: u32, round: u64) -> LogRecord {
         LogRecord::Submit {
             from: ClientId::new(i),
-            msg: client.begin_write(Value::unique(i, round)).unwrap(),
+            msg: submit(i, round),
         }
     }
 
@@ -703,14 +873,68 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// An empty version-1 log: what a pre-v2 build's `Wal::create` left.
-    fn create_v1(dir: &Path, n: usize) {
+    /// An empty log in an old `framing`: what an older build's
+    /// `Wal::create` left.
+    fn create_old(dir: &Path, framing: Framing, n: usize) {
         let header = WalHeader {
-            framing: Framing::V1,
+            framing,
             n,
             base_seq: 0,
         };
         std::fs::write(dir.join(WAL_FILE), header.encode()).unwrap();
+    }
+
+    /// Creates an empty log in `framing` and opens it for appending.
+    fn open_in(dir: &Path, framing: Framing, n: usize) -> Wal {
+        match framing {
+            Framing::CURRENT => drop(Wal::create(dir, n, 0, false).unwrap()),
+            old => create_old(dir, old, n),
+        }
+        Wal::open(dir).unwrap().0
+    }
+
+    /// Appends a record whose payload is `seq | body`, checksummed, so
+    /// only the body's decoding can object to it.
+    fn append_raw(dir: &Path, framing: Framing, seq: u64, body: &[u8]) {
+        let mut payload = seq.to_be_bytes().to_vec();
+        payload.extend_from_slice(body);
+        let mut frame = vec![0; framing.overhead()];
+        frame[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        framing.checksum().write(&payload, &mut frame[4..]);
+        frame.extend_from_slice(&payload);
+        let path = dir.join(WAL_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&frame);
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    /// Whether the record at `span` was stored in full.
+    fn stored_in_full(rec: &ScannedRecord, framing: Framing) -> bool {
+        rec.span.len() == framing.overhead() + 8 + rec.record.encoded_len()
+    }
+
+    /// A COMMIT from `from` of the version `(t, d)`, with placeholder
+    /// signatures — the log stores whatever it was handed.
+    fn commit_msg(from: u32, t: &[u64], d: &[Option<Digest>]) -> CommitMsg {
+        CommitMsg {
+            version: Version::new(
+                TimestampVec::from_vec(t.to_vec()),
+                DigestVec::from_vec(d.to_vec()),
+            ),
+            commit_sig: Signature::garbage(),
+            proof_sig: Signature::Mac([from as u8; 32]),
+        }
+    }
+
+    fn commit(from: u32, t: &[u64], d: &[Option<Digest>]) -> LogRecord {
+        LogRecord::Commit {
+            from: ClientId::new(from),
+            msg: commit_msg(from, t, d),
+        }
+    }
+
+    fn digest(label: u64) -> Option<Digest> {
+        Some(faust_crypto::sha256(&label.to_be_bytes()))
     }
 
     #[test]
@@ -718,63 +942,57 @@ mod tests {
         let dir = scratch_dir("wal-framing");
         let wal = Wal::create(&dir, 4, 0, false).unwrap();
         assert_eq!(wal.framing(), Framing::CURRENT);
-        assert_eq!((WAL_VERSION, RECORD_OVERHEAD), (2, 12));
+        assert_eq!((WAL_VERSION, RECORD_OVERHEAD), (3, 12));
         assert_eq!(Framing::V1.overhead(), 36);
+        assert_eq!(Framing::V2.overhead(), 12);
         drop(wal);
 
-        create_v1(&dir, 4);
-        let (mut wal, _) = Wal::open(&dir).unwrap();
-        assert_eq!(wal.framing(), Framing::V1);
-        for i in 0..3u32 {
-            wal.append(&record(i, 0), false).unwrap();
-        }
-        drop(wal);
-        let contents = Wal::scan(&dir.join(WAL_FILE)).unwrap();
-        assert_eq!(contents.header.framing, Framing::V1);
-        assert_eq!(contents.records.len(), 3);
-        for rec in &contents.records {
-            let payload = 8 + rec.record.encoded_len();
-            assert_eq!(rec.span.len(), 36 + payload, "SHA-256 framing");
-        }
-        // The cursor walks the same framing.
-        assert_eq!(LogCursor::open(&dir).unwrap().count(), 3);
+        for (framing, overhead) in [(Framing::V1, 36), (Framing::V2, 12)] {
+            let mut wal = open_in(&dir, framing, 4);
+            assert_eq!(wal.framing(), framing);
+            for i in 0..3u32 {
+                wal.append(&record(i, 0), false).unwrap();
+            }
+            // COMMITs that a current file would store as deltas stay
+            // full: an old version holds tags 0 and 1 only.
+            let d = [digest(1), None, None, None];
+            wal.append(&commit(0, &[1, 0, 0, 0], &d), false).unwrap();
+            wal.append(&commit(0, &[2, 0, 0, 0], &d), false).unwrap();
+            drop(wal);
+            let contents = Wal::scan(&dir.join(WAL_FILE)).unwrap();
+            assert_eq!(contents.header.framing, framing);
+            assert_eq!(contents.records.len(), 5);
+            for rec in &contents.records {
+                let payload = 8 + rec.record.encoded_len();
+                assert_eq!(rec.span.len(), overhead + payload, "{framing:?}");
+            }
+            // The cursor walks the same framing.
+            assert_eq!(LogCursor::open(&dir).unwrap().count(), 5);
 
-        // The rollback tool rewrites the file in the version it found,
-        // and the result keeps taking appends in it.
-        assert_eq!(truncate_tail_records(&dir, 1).unwrap(), 2);
-        let (mut wal, contents) = Wal::open(&dir).unwrap();
-        assert_eq!(contents.header.framing, Framing::V1);
-        assert_eq!(wal.append(&record(3, 0), false).unwrap(), 2);
-        assert_eq!(Wal::scan(wal.path()).unwrap().records.len(), 3);
+            // The rollback tool rewrites the file in the version it
+            // found, and the result keeps taking appends in it.
+            assert_eq!(truncate_tail_records(&dir, 1).unwrap(), 4);
+            let (mut wal, contents) = Wal::open(&dir).unwrap();
+            assert_eq!(contents.header.framing, framing);
+            assert_eq!(wal.append(&record(3, 0), false).unwrap(), 4);
+            assert_eq!(Wal::scan(wal.path()).unwrap().records.len(), 5);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn garbage_payload_with_matching_checksum_is_record_corrupt() {
         // A record whose checksum is *valid* but whose payload is not a
-        // LogRecord — seq 2 followed by a bogus tag — in either framing.
+        // LogRecord — seq 2 followed by a bogus tag — in every framing.
         let dir = scratch_dir("wal-garbage");
-        for framing in [Framing::V1, Framing::V2] {
-            match framing {
-                Framing::V1 => create_v1(&dir, 4),
-                Framing::V2 => drop(Wal::create(&dir, 4, 0, false).unwrap()),
-            }
-            let (mut wal, _) = Wal::open(&dir).unwrap();
+        for framing in [Framing::V1, Framing::V2, Framing::V3] {
+            let mut wal = open_in(&dir, framing, 4);
             wal.append(&record(0, 0), false).unwrap();
             wal.append(&record(1, 0), false).unwrap();
             drop(wal);
-            let mut payload = 2u64.to_be_bytes().to_vec();
-            payload.push(0xEE); // no such record tag
-            let mut frame = vec![0; framing.overhead()];
-            frame[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-            framing.checksum().write(&payload, &mut frame[4..]);
-            frame.extend_from_slice(&payload);
-            let path = dir.join(WAL_FILE);
-            let mut bytes = std::fs::read(&path).unwrap();
-            bytes.extend_from_slice(&frame);
-            std::fs::write(&path, &bytes).unwrap();
+            append_raw(&dir, framing, 2, &[0xEE]); // no such record tag
             assert!(matches!(
-                Wal::scan(&path).unwrap_err(),
+                Wal::scan(&dir.join(WAL_FILE)).unwrap_err(),
                 StoreError::RecordCorrupt { seq: 2, .. }
             ));
         }
@@ -782,10 +1000,244 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_is_stored_against_the_last_commit_in_its_file() {
+        let dir = scratch_dir("wal-delta");
+        let n = 4;
+        let mut wal = Wal::create(&dir, n, 0, false).unwrap();
+        let base = [digest(1), digest(2), None, None];
+        let one_more = [digest(1), digest(2), digest(3), None];
+        let records = [
+            // No COMMIT in the file yet: full.
+            commit(0, &[1, 1, 0, 0], &base),
+            record(1, 0),
+            // One entry past the previous COMMIT: a delta of 49 bytes.
+            commit(2, &[1, 1, 1, 0], &one_more),
+            // A piggybacked COMMIT is a base too, kept inside its SUBMIT.
+            LogRecord::Submit {
+                from: ClientId::new(1),
+                msg: SubmitMsg {
+                    piggyback: Some(commit_msg(1, &[1, 2, 1, 0], &one_more)),
+                    ..submit(1, 1)
+                },
+            },
+            // Identical to the piggybacked one: a delta with no entry.
+            commit(3, &[1, 2, 1, 0], &one_more),
+            // Every entry changed: the delta would not be smaller.
+            commit(
+                3,
+                &[2, 3, 2, 1],
+                &[digest(5), digest(6), digest(7), digest(8)],
+            ),
+            // A version of another arity is stored in full, and so is
+            // the next one, whose base it is.
+            commit(
+                0,
+                &[2, 3, 2, 1, 0],
+                &[digest(5), digest(6), digest(7), digest(8), None],
+            ),
+            commit(
+                0,
+                &[3, 3, 2, 1],
+                &[digest(9), digest(6), digest(7), digest(8)],
+            ),
+            // And an entry back to ⊥ is an ordinary change.
+            commit(0, &[3, 3, 2, 0], &[digest(9), digest(6), digest(7), None]),
+        ];
+        for r in &records {
+            wal.append(r, false).unwrap();
+        }
+        drop(wal);
+        let contents = Wal::scan(&dir.join(WAL_FILE)).unwrap();
+        let scanned: Vec<&LogRecord> = contents.records.iter().map(|r| &r.record).collect();
+        assert_eq!(scanned, records.iter().collect::<Vec<_>>());
+        let full: Vec<bool> = contents
+            .records
+            .iter()
+            .map(|r| stored_in_full(r, Framing::V3))
+            .collect();
+        assert_eq!(
+            full,
+            [true, true, false, true, false, true, true, true, false]
+        );
+        // 12 B framing, 8 B seq, tag, from, count, one entry of 4 + 8 + 33
+        // bytes and two 33-byte signatures.
+        assert_eq!(contents.records[2].span.len(), 12 + 8 + 1 + 4 + 4 + 45 + 66);
+        assert_eq!(contents.records[4].span.len(), 12 + 8 + 1 + 4 + 4 + 66);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn malformed_deltas_are_record_corrupt() {
+        let dir = scratch_dir("wal-bad-delta");
+        let n = 2;
+        // A delta body: tag, from, count, entries, two signatures.
+        let delta = |entries: &[(u32, u64)]| {
+            let mut body = vec![COMMIT_DELTA_TAG];
+            0u32.encode_into(&mut body);
+            (entries.len() as u32).encode_into(&mut body);
+            for &(k, t) in entries {
+                k.encode_into(&mut body);
+                t.encode_into(&mut body);
+                digest(t).encode_into(&mut body);
+            }
+            Signature::garbage().encode_into(&mut body);
+            Signature::garbage().encode_into(&mut body);
+            body
+        };
+        let cases: [(&str, Option<LogRecord>, Vec<u8>, WireError); 5] = [
+            ("no base", None, delta(&[(0, 1)]), WireError::BadTag(3)),
+            (
+                "index past the arity",
+                Some(commit(0, &[1, 0], &[digest(1), None])),
+                delta(&[(2, 2)]),
+                WireError::BadLength(2),
+            ),
+            (
+                "indices not increasing",
+                Some(commit(0, &[1, 0], &[digest(1), None])),
+                delta(&[(1, 2), (1, 3)]),
+                WireError::BadLength(1),
+            ),
+            (
+                "base of another arity",
+                Some(commit(0, &[1, 0, 0], &[digest(1), None, None])),
+                delta(&[(0, 2)]),
+                WireError::BadLength(3),
+            ),
+            (
+                "truncated entry",
+                Some(commit(0, &[1, 0], &[digest(1), None])),
+                delta(&[(0, 2)])[..20].to_vec(),
+                WireError::Truncated,
+            ),
+        ];
+        for (what, base, body, error) in cases {
+            let mut wal = Wal::create(&dir, n, 0, false).unwrap();
+            let seq = match &base {
+                Some(base) => wal.append(base, false).unwrap() + 1,
+                None => 0,
+            };
+            drop(wal);
+            append_raw(&dir, Framing::V3, seq, &body);
+            match Wal::scan(&dir.join(WAL_FILE)).unwrap_err() {
+                StoreError::RecordCorrupt { seq: s, error: e } => {
+                    assert_eq!((s, e), (seq, error), "{what}")
+                }
+                other => panic!("{what}: {other}"),
+            }
+        }
+        // A well-formed delta in a file without deltas is a bad tag.
+        let mut wal = open_in(&dir, Framing::V2, n);
+        wal.append(&commit(0, &[1, 0], &[digest(1), None]), false)
+            .unwrap();
+        drop(wal);
+        append_raw(&dir, Framing::V2, 1, &delta(&[(0, 2)]));
+        assert!(matches!(
+            Wal::scan(&dir.join(WAL_FILE)).unwrap_err(),
+            StoreError::RecordCorrupt {
+                seq: 1,
+                error: WireError::BadTag(3)
+            }
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A seeded stream of records for `n` clients: SUBMITs with and
+    /// without a piggybacked COMMIT, and standalone COMMITs whose
+    /// versions move a few entries (often back to `⊥`), all of them, or
+    /// — rarely — to another arity.
+    fn arbitrary_records(rng: &mut faust_sim::SmallRng, n: usize, count: usize) -> Vec<LogRecord> {
+        let mut t = vec![0u64; n];
+        let mut d: Vec<Option<Digest>> = vec![None; n];
+        let mut next_submit = submit(0, 0);
+        (0..count)
+            .map(|_| {
+                let changes = match rng.gen_index(4) {
+                    0 => n,
+                    _ => 1 + rng.gen_index(2),
+                };
+                for _ in 0..changes {
+                    let k = rng.gen_index(n);
+                    t[k] += 1;
+                    d[k] = if rng.gen_bool(0.1) {
+                        None
+                    } else {
+                        digest(rng.next_u64())
+                    };
+                }
+                let from = rng.gen_index(n) as u32;
+                let msg = if rng.gen_bool(0.05) {
+                    let (mut t, mut d) = (t.clone(), d.clone());
+                    t.push(1);
+                    d.push(None);
+                    commit_msg(from, &t, &d)
+                } else {
+                    commit_msg(from, &t, &d)
+                };
+                let from = ClientId::new(from);
+                if rng.gen_index(3) != 0 {
+                    return LogRecord::Commit { from, msg };
+                }
+                next_submit.timestamp += 1;
+                next_submit.piggyback = rng.gen_bool(0.5).then_some(msg);
+                LogRecord::Submit {
+                    from,
+                    msg: next_submit.clone(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scanning_what_was_appended_gives_it_back() {
+        // scan(append(rs)) == rs, across a rotation and a reopen: each
+        // file starts without a base, and a reopened one recovers its own.
+        let dir = scratch_dir("wal-property");
+        for (case, n) in [1, 2, 5, 64].into_iter().enumerate() {
+            let mut rng = faust_sim::SmallRng::seed_from_u64(0x3A1_0000 + case as u64);
+            let records = arbitrary_records(&mut rng, n, 300);
+            let (first, rest) = records.split_at(100);
+            let (second, third) = rest.split_at(100);
+            let mut wal = Wal::create(&dir, n, 0, false).unwrap();
+            for r in first {
+                wal.append(r, false).unwrap();
+            }
+            let mut scanned = Wal::scan(wal.path()).unwrap().records;
+            // Rotation: a fresh file continues the numbering.
+            let mut wal = Wal::create(&dir, n, 100, false).unwrap();
+            for r in second {
+                wal.append(r, false).unwrap();
+            }
+            drop(wal);
+            let (mut wal, _) = Wal::open(&dir).unwrap();
+            for r in third {
+                wal.append(r, false).unwrap();
+            }
+            let second_file = Wal::scan(wal.path()).unwrap();
+            assert_eq!(second_file.header.base_seq, 100);
+            // At n = 1 a one-entry delta is exactly as long as the full
+            // version, so the full one is kept.
+            let deltas = second_file
+                .records
+                .iter()
+                .filter(|r| !stored_in_full(r, Framing::V3))
+                .count();
+            assert!((deltas > 10) == (n > 1), "n = {n}: {deltas} deltas");
+            scanned.extend(second_file.records);
+            let got: Vec<(u64, &LogRecord)> = scanned.iter().map(|r| (r.seq, &r.record)).collect();
+            let want: Vec<(u64, &LogRecord)> = (0..).zip(&records).collect();
+            assert_eq!(got, want, "n = {n}");
+            assert_eq!(LogCursor::open(&dir).unwrap().count(), 200);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn the_same_records_cost_24_bytes_less_each_in_v2() {
+        // SUBMIT records: framed as in v2, which the current version keeps.
         let v1 = scratch_dir("wal-size-v1");
         let v2 = scratch_dir("wal-size-v2");
-        create_v1(&v1, 4);
+        create_old(&v1, Framing::V1, 4);
         let (mut old, _) = Wal::open(&v1).unwrap();
         let mut new = Wal::create(&v2, 4, 0, false).unwrap();
         for i in 0..4u32 {

@@ -29,10 +29,15 @@ use std::time::{Duration, Instant};
 /// sender's duplicate-reply cache in `caches`: a COMMIT (standalone or
 /// piggybacked) acknowledges replies, a SUBMIT's regenerated reply is
 /// pushed, tagged with the SUBMIT's timestamp — the live engine's rule
-/// ([`ReplyCache`]), so the rebuilt cache holds what the live one held.
-/// The server is deterministic, so the rebuilt reply is byte-identical
-/// to the one the pre-crash server sent — exactly what a restarted
-/// engine must re-issue when the client resends that SUBMIT.
+/// ([`ReplyCache`]). The server is deterministic, so the rebuilt reply is
+/// byte-identical to the one the pre-crash server sent — exactly what a
+/// restarted engine must re-issue when the client resends that SUBMIT.
+///
+/// Only records behind the last snapshot are replayed, so the rebuilt
+/// cache holds what the live one held only if no snapshot was taken since
+/// the live one's replies were released: the reply to a SUBMIT a snapshot
+/// absorbed is not rebuilt, and its resend goes unanswered (ROADMAP item
+/// 5(d)).
 fn replay_capturing(record: LogRecord, server: &mut dyn Server, caches: &mut [ReplyCache]) {
     let from = record.from();
     let ts = record.submit_timestamp();

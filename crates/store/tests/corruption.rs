@@ -5,12 +5,12 @@
 //! "successfully" into rolled-back state, which is the clients' job to
 //! detect (see `tests/attacks.rs`).
 
-use faust_store::log::{Wal, WAL_FILE, WAL_HEADER_LEN};
+use faust_store::log::{Framing, Wal, RECORD_OVERHEAD, WAL_FILE, WAL_HEADER_LEN};
 use faust_store::testutil::{self, clients, run_op};
 use faust_store::{
     truncate_tail_records, wal_record_spans, Durability, PersistentServer, StoreConfig, StoreError,
 };
-use faust_types::Value;
+use faust_types::{Value, WireError};
 use std::path::Path;
 
 #[path = "fixtures/script.rs"]
@@ -215,12 +215,14 @@ fn mutations(good: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
 /// Runs the harness over the pristine log at `dir`: whatever the damage,
 /// the strict scan answers with a typed error and the tolerant one with
 /// exactly the records in front of it — never a panic, never a shorter
-/// log passed off as whole. Two outcomes are `Ok` by construction and
+/// log passed off as whole. Three outcomes are `Ok` by construction and
 /// are pinned as such: a cut at a record boundary is the rollback no
 /// local check can see (`boundary_truncation_recovers_locally_but_rolls_back`),
-/// and the header's client count has nothing in the file to contradict
-/// it — `recover` compares it with the count it was asked for.
-fn sweep_log(dir: &Path, framing: faust_store::log::Framing, n: usize) {
+/// the header's client count has nothing in the file to contradict it —
+/// `recover` compares it with the count it was asked for — and a version
+/// flip from 2 to 3 reads the same records, because version 3 only adds
+/// a record form.
+fn sweep_log(dir: &Path, framing: Framing, n: usize) {
     let path = dir.join(WAL_FILE);
     let good = std::fs::read(&path).unwrap();
     let pristine = Wal::scan(&path).unwrap();
@@ -243,6 +245,28 @@ fn sweep_log(dir: &Path, framing: faust_store::log::Framing, n: usize) {
                 (Err(StoreError::TruncatedHeader { file: "wal" }), _) if cut => {}
                 (Err(StoreError::BadMagic { file: "wal" }), 0..=7) if !cut => {}
                 (Err(StoreError::UnsupportedVersion { file: "wal", .. }), 8..=11) if !cut => {}
+                // Another known version: v2 → v3 reads the very records,
+                // anything else misframes them or meets a delta it must
+                // not accept — and the tolerant scan keeps only records
+                // that are exactly the pristine ones.
+                (Ok(contents), 11) if !cut => {
+                    assert_ne!(contents.header.framing, framing);
+                    assert_eq!(encoded(&contents.records), want);
+                }
+                (
+                    Err(
+                        StoreError::RecordCorrupt { .. }
+                        | StoreError::RecordChecksum { .. }
+                        | StoreError::TornRecord { .. }
+                        | StoreError::ImplausibleRecordLength { .. },
+                    ),
+                    11,
+                ) if !cut => {
+                    let (prefix, anomaly) = Wal::scan_prefix(&path).unwrap();
+                    assert!(anomaly.is_some());
+                    let prefix = encoded(&prefix.records);
+                    assert_eq!(prefix, want[..prefix.len()], "version flip");
+                }
                 (Ok(contents), 12..=15) if !cut => {
                     assert_ne!(contents.header.n, n);
                     assert_eq!(encoded(&contents.records), want);
@@ -250,6 +274,20 @@ fn sweep_log(dir: &Path, framing: faust_store::log::Framing, n: usize) {
                         PersistentServer::recover(dir, n, no_sync()),
                         Err(StoreError::ClientCountMismatch { .. })
                     ));
+                }
+                // Except that a delta resolves only against a base of
+                // the header's arity: the first one in the file objects.
+                (
+                    Err(StoreError::RecordCorrupt {
+                        seq,
+                        error: WireError::BadLength(arity),
+                    }),
+                    12..=15,
+                ) if !cut && framing.commit_deltas() => {
+                    assert_eq!(arity, n as u64);
+                    let (prefix, _) = Wal::scan_prefix(&path).unwrap();
+                    let intact = (seq - pristine.header.base_seq) as usize;
+                    assert_eq!(encoded(&prefix.records), want[..intact]);
                 }
                 // A base_seq flip renumbers the file under its records.
                 (
@@ -291,19 +329,29 @@ fn sweep_log(dir: &Path, framing: faust_store::log::Framing, n: usize) {
 }
 
 #[test]
-fn every_truncation_and_bit_flip_of_a_v1_and_a_v2_log_is_typed() {
-    use faust_store::log::Framing;
-    // v1: the checked-in pre-upgrade log (SHA-256 framing).
-    let v1 = testutil::scratch_dir("corrupt-sweep-v1");
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1");
-    std::fs::copy(fixture.join(WAL_FILE), v1.join(WAL_FILE)).unwrap();
-    sweep_log(&v1, Framing::V1, script::N);
-    std::fs::remove_dir_all(&v1).ok();
+fn every_truncation_and_bit_flip_of_a_v1_v2_and_v3_log_is_typed() {
+    // v1 and v2: the checked-in logs older builds wrote (SHA-256, then
+    // XXH64 framing; every record in full).
+    for (version, framing) in [("v1", Framing::V1), ("v2", Framing::V2)] {
+        let dir = testutil::scratch_dir(&format!("corrupt-sweep-{version}"));
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        std::fs::copy(fixture.join(version).join(WAL_FILE), dir.join(WAL_FILE)).unwrap();
+        sweep_log(&dir, framing, script::N);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-    // v2: the same script, run by this tree.
-    let v2 = testutil::scratch_dir("corrupt-sweep-v2");
-    drop(script::run(&v2));
-    std::fs::remove_file(v2.join("snapshot.bin")).unwrap();
-    sweep_log(&v2, Framing::V2, script::N);
-    std::fs::remove_dir_all(&v2).ok();
+    // v3: the same script, run by this tree — its COMMITs after the
+    // file's first are deltas.
+    let v3 = testutil::scratch_dir("corrupt-sweep-v3");
+    drop(script::run(&v3));
+    std::fs::remove_file(v3.join("snapshot.bin")).unwrap();
+    let deltas = Wal::scan(&v3.join(WAL_FILE))
+        .unwrap()
+        .records
+        .iter()
+        .filter(|r| r.span.len() < RECORD_OVERHEAD + 8 + faust_types::Wire::encoded_len(&r.record))
+        .count();
+    assert_eq!(deltas, 2, "the log holds delta records");
+    sweep_log(&v3, Framing::V3, script::N);
+    std::fs::remove_dir_all(&v3).ok();
 }

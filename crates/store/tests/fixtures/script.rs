@@ -1,10 +1,11 @@
-// The seeded script behind `fixtures/v1/`: a store directory (`wal.bin` +
-// `snapshot.bin`, n = 2) written by the last commit whose log and
-// snapshot were SHA-256-checksummed (format v1). The same script, run by
-// the tree under test, is what the upgrade tests compare the recovered
-// fixture against — so it must stay deterministic and must only use
-// store API that both sides have. `fixtures/README.md` says how the
-// directory was produced.
+// The seeded script behind `fixtures/v1/` and `fixtures/v2/`: store
+// directories (`wal.bin` + `snapshot.bin`, n = 2) written by the last
+// commit whose log and snapshot were SHA-256-checksummed (log v1) and by
+// the last one that logged every COMMIT in full (log v2). The same
+// script, run by the tree under test, is what the upgrade tests compare
+// each recovered fixture against — so it must stay deterministic and
+// must only use store API that every side has. `fixtures/README.md` says
+// how the directories were produced.
 //
 // Included with `#[path]` by `tests/upgrade.rs` here, by
 // `crates/audit/tests/upgrade.rs`, and by the one-off generator.

@@ -456,3 +456,48 @@ fn recovery_rebuilds_exactly_the_reply_caches_the_live_engine_held() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The duplicate-reply cache does not survive a snapshot (ROADMAP item
+/// 5(d)). Recovery rebuilds it from the log records behind the snapshot
+/// only, so the reply to a SUBMIT the snapshot absorbed is gone. The
+/// engine still classes the client's resend as a duplicate and answers it
+/// with nothing: the client waits forever on an honest server. This pins
+/// the contract — the resend gets the original reply — and fails until
+/// the cache is made to survive.
+#[test]
+#[ignore = "ROADMAP 5(d): the duplicate-reply cache does not survive a snapshot"]
+fn a_resent_submit_whose_record_a_snapshot_absorbed_gets_its_original_reply() {
+    let dir = testutil::scratch_dir("recovery-cache-snapshot");
+    let n = 2;
+    let config = StoreConfig {
+        durability: Durability::Never,
+        snapshot_every: 3,
+    };
+    let server = PersistentServer::open(&dir, n, config.clone()).unwrap();
+    let mut engine = ServerEngine::new(n, Box::new(server));
+    let mut cs = clients(n, b"recovery-cache-snapshot");
+    // Client 0's first write: its SUBMIT and COMMIT are records 0 and 1.
+    let submit = cs[0].begin_write(Value::from("first")).unwrap();
+    engine.enqueue(c(0), UstorMsg::Submit(submit));
+    pump(&mut engine, &mut cs, c(1));
+    // Its second write's SUBMIT is record 2: a snapshot absorbs it and
+    // the log rotates. The reply is lost, and the server crashes.
+    let resend = cs[0].begin_write(Value::from("second")).unwrap();
+    engine.enqueue(c(0), UstorMsg::Submit(resend.clone()));
+    engine.process_all();
+    let Some((_, UstorMsg::Reply(original))) = engine.poll_output() else {
+        panic!("the second write is answered");
+    };
+    drop(engine);
+
+    let recovered = PersistentServer::recover(&dir, n, config).unwrap();
+    let mut engine = ServerEngine::new(n, Box::new(recovered));
+    engine.enqueue(c(0), UstorMsg::Submit(resend));
+    engine.process_all();
+    assert_eq!(
+        engine.poll_output(),
+        Some((c(0), UstorMsg::Reply(original))),
+        "the resend is answered with the reply that was lost"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

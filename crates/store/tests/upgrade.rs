@@ -1,23 +1,26 @@
-//! Format upgrade: a store directory written before format v2 (SHA-256
-//! record and snapshot checksums; `fixtures/v1/`, produced by the parent
-//! commit from `fixtures/script.rs`) recovers to exactly the state the
-//! same script produces on this tree, keeps serving, and turns into
-//! current-format files at its next snapshot — with nothing to configure.
+//! Format upgrade: a store directory an older build wrote — `fixtures/v1/`
+//! (SHA-256 record and snapshot checksums) and `fixtures/v2/` (XXH64, every
+//! COMMIT in full), both produced from `fixtures/script.rs` — recovers to
+//! exactly the state the same script produces on this tree, keeps serving,
+//! and turns into current-format files at its next snapshot — with nothing
+//! to configure.
 
-use faust_store::log::{Framing, Wal, WAL_FILE};
+use faust_store::log::{Framing, Wal, RECORD_OVERHEAD, WAL_FILE};
 use faust_store::snapshot::{read_snapshot, SNAPSHOT_FILE, SNAPSHOT_VERSION};
 use faust_store::testutil;
 use faust_store::PersistentServer;
-use faust_types::ClientId;
+use faust_types::{ClientId, Wire};
 use faust_ustor::Server;
 use std::path::{Path, PathBuf};
 
 #[path = "fixtures/script.rs"]
 mod script;
 
-fn fixture_copy(label: &str) -> PathBuf {
-    let dir = testutil::scratch_dir(label);
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1");
+fn fixture_copy(version: &str) -> PathBuf {
+    let dir = testutil::scratch_dir(&format!("upgrade-{version}"));
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(version);
     for file in [WAL_FILE, SNAPSHOT_FILE] {
         std::fs::copy(fixture.join(file), dir.join(file)).unwrap();
     }
@@ -33,42 +36,68 @@ fn snapshot_version(dir: &Path) -> u32 {
     u32::from_be_bytes(bytes[8..12].try_into().unwrap())
 }
 
-#[test]
-fn v1_store_recovers_identically_serves_and_rotates_into_v2() {
-    let old = fixture_copy("upgrade-v1");
-    let new = testutil::scratch_dir("upgrade-v2");
+/// Bytes the current format saves on the log of `dir` by storing COMMITs
+/// as deltas.
+fn delta_savings(dir: &Path) -> u64 {
+    Wal::scan(&dir.join(WAL_FILE))
+        .unwrap()
+        .records
+        .iter()
+        .map(|r| (RECORD_OVERHEAD + 8 + r.record.encoded_len() - r.span.len()) as u64)
+        .sum()
+}
+
+/// The fixture `version`, written in `(framing, snapshot version)`,
+/// against the same script run by this tree.
+fn recovers_identically_serves_and_rotates(version: &str, old_format: (Framing, u32)) {
+    let old = fixture_copy(version);
+    let new = testutil::scratch_dir(&format!("upgrade-{version}-twin"));
     let (mut twin, mut clients) = script::run(&new);
-    assert_eq!((framing(&old), snapshot_version(&old)), (Framing::V1, 1));
+    assert_eq!((framing(&old), snapshot_version(&old)), old_format);
     assert_eq!(
         (framing(&new), snapshot_version(&new)),
-        (Framing::V2, SNAPSHOT_VERSION)
+        (Framing::CURRENT, SNAPSHOT_VERSION)
     );
-    // Same history, 24 bytes less per record and per snapshot header.
+    // Same history: the framing's difference on every record, and the
+    // COMMITs the current format stores as deltas.
     let len = |dir: &Path, file| std::fs::metadata(dir.join(file)).unwrap().len();
+    let overhead = (old_format.0.overhead() - RECORD_OVERHEAD) as u64;
+    assert!(delta_savings(&new) > 0, "the current log holds deltas");
     assert_eq!(
         len(&old, WAL_FILE) - len(&new, WAL_FILE),
-        24 * script::WAL_RECORDS
+        overhead * script::WAL_RECORDS + delta_savings(&new)
     );
-    assert_eq!(len(&old, SNAPSHOT_FILE) - len(&new, SNAPSHOT_FILE), 24);
+    assert_eq!(
+        len(&old, SNAPSHOT_FILE) - len(&new, SNAPSHOT_FILE),
+        overhead
+    );
     assert_eq!(
         read_snapshot(&old).unwrap(),
         read_snapshot(&new).unwrap(),
         "both snapshot versions decode to the same state"
     );
+    if old_format.1 == SNAPSHOT_VERSION {
+        assert_eq!(
+            std::fs::read(old.join(SNAPSHOT_FILE)).unwrap(),
+            std::fs::read(new.join(SNAPSHOT_FILE)).unwrap(),
+            "an unchanged snapshot format writes the same bytes"
+        );
+    }
 
     let mut server = PersistentServer::recover(&old, script::N, script::config()).unwrap();
     assert_eq!(server.server(), twin.server(), "identical ServerState");
     assert_eq!(server.next_seq(), twin.next_seq());
     assert_eq!(server.wal_records(), script::WAL_RECORDS);
 
-    // It keeps serving. The first record joins the v1 file in v1 framing…
+    // It keeps serving. The first record joins the old file in its own
+    // version…
     let c0 = ClientId::new(0);
     let submit = clients[0]
         .begin_write(script::value(script::WRITES))
         .unwrap();
     let (_, reply) = server.on_submit(c0, submit.clone()).pop().unwrap();
     assert_eq!(twin.on_submit(c0, submit).pop().unwrap().1, reply);
-    assert_eq!(framing(&old), Framing::V1);
+    assert_eq!(framing(&old), old_format.0);
     assert_eq!(server.wal_records(), script::WAL_RECORDS + 1);
     // …and the COMMIT reaches the snapshot threshold: both files are
     // replaced, in the current format, by the ordinary rotation.
@@ -80,13 +109,13 @@ fn v1_store_recovers_identically_serves_and_rotates_into_v2() {
     assert_eq!(server.wal_records(), 0, "rotated");
     assert_eq!(
         (framing(&old), snapshot_version(&old)),
-        (Framing::V2, SNAPSHOT_VERSION)
+        (Framing::CURRENT, SNAPSHOT_VERSION)
     );
     for file in [WAL_FILE, SNAPSHOT_FILE] {
         assert_eq!(
             std::fs::read(old.join(file)).unwrap(),
             std::fs::read(new.join(file)).unwrap(),
-            "{file}: the upgraded store is byte-identical to one born v2"
+            "{file}: the upgraded store is byte-identical to one born current"
         );
     }
 
@@ -102,4 +131,14 @@ fn v1_store_recovers_identically_serves_and_rotates_into_v2() {
     assert_eq!(done.read_value, Some(Some(script::value(script::WRITES))));
     std::fs::remove_dir_all(&old).ok();
     std::fs::remove_dir_all(&new).ok();
+}
+
+#[test]
+fn v1_store_recovers_identically_serves_and_rotates_into_v3() {
+    recovers_identically_serves_and_rotates("v1", (Framing::V1, 1));
+}
+
+#[test]
+fn v2_store_recovers_identically_serves_and_rotates_into_v3() {
+    recovers_identically_serves_and_rotates("v2", (Framing::V2, 3));
 }

@@ -18,7 +18,8 @@
 //! them some two dozen times (count, encode, decode, compare, sign). A
 //! walk costs what its inner loop costs per client, so the loops here
 //! are written to three rules; the figures are at n = 64 (a 4 860-byte
-//! REPLY, a 2 716-byte COMMIT) on the 2-core box the benchmark of record
+//! REPLY with every PROOF slot filled, a 2 716-byte COMMIT) on the 2-core
+//! box the benchmark of record
 //! runs on, before → after they were applied.
 //!
 //! * **A size is counted, not encoded.** [`Wire::encoded_len`] runs
@@ -555,8 +556,10 @@ pub struct ReplyMsg {
     /// `L` — invocation tuples of submitted-but-uncommitted (concurrent)
     /// operations, oldest first.
     pub pending: Vec<InvocationTuple>,
-    /// `P` — PROOF-signatures, indexed by client (`None` before a client's
-    /// first commit).
+    /// `P` — PROOF-signatures, indexed by client. A correct server fills
+    /// only the slots of clients with a tuple in `pending`, the only ones
+    /// Algorithm 1 reads; the rest, and a slot before its client's first
+    /// commit, are `None`.
     pub proofs: Vec<Option<Signature>>,
 }
 

@@ -19,9 +19,14 @@
 //! operation in the engine). The cache therefore never holds more replies
 //! than the client once had unacknowledged: one for a lockstep client,
 //! `d` for a client pipelining `d` operations. [`REPLY_CACHE_CAP`] only
-//! bounds a client that never commits. The live engine and crash recovery
-//! (`faust-store`) apply the same three operations in the same order, so
-//! a recovered cache holds what the live one held.
+//! bounds a client that never commits. Crash recovery (`faust-store`)
+//! applies the same three operations in the same order, but only to the
+//! log records behind the last snapshot: a recovered cache holds what the
+//! live one held *if no snapshot was taken since the replies it held were
+//! released*. A reply whose SUBMIT a snapshot absorbed is lost, and its
+//! resend goes unanswered (ROADMAP item 5(d); the `#[ignore]`d
+//! `a_resent_submit_whose_record_a_snapshot_absorbed_gets_its_original_reply`
+//! in `crates/store/tests/recovery.rs` pins the contract).
 
 use faust_types::{ClientId, CommitMsg, ReplyMsg, Timestamp};
 use std::borrow::Cow;

@@ -92,8 +92,9 @@ pub struct SessionResume {
     /// cache, rebuilt from the logged SUBMITs and COMMITs under the live
     /// engine's rule ([`ReplyCache`](crate::ReplyCache)). Recovery can
     /// only rebuild replies for records replayed from the log
-    /// (post-snapshot), which covers every reply a client could still be
-    /// waiting on.
+    /// (post-snapshot); a reply whose SUBMIT a snapshot absorbed is not
+    /// among them, even if a client is still waiting on it (ROADMAP item
+    /// 5(d)).
     pub replies: Vec<(Timestamp, ReplyMsg)>,
 }
 
@@ -283,12 +284,28 @@ impl UstorServer {
                 mem_data_sig: entry.data_sig,
             }
         });
+        // Line 41 reads `P[k]` only for a client `k` with a tuple in `L`;
+        // every other slot would be bytes no client checks, so it is `None`.
+        // The walk stops once every slot is filled: a long `L` of few
+        // clients is mostly repeats.
+        let mut proofs = vec![None; self.n];
+        let mut unfilled = self.n;
+        for tuple in &self.pending {
+            let k = tuple.client.index();
+            if let Some(slot @ None) = proofs.get_mut(k) {
+                *slot = self.proofs[k];
+                unfilled -= usize::from(slot.is_some());
+                if unfilled == 0 {
+                    break;
+                }
+            }
+        }
         ReplyMsg {
             last_committer: c,
             commit_version: self.sver[c.index()].clone(),
             read,
             pending: self.pending.clone(),
-            proofs: self.proofs.clone(),
+            proofs,
         }
     }
 }

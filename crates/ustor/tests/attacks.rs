@@ -335,12 +335,18 @@ fn replayed_pending_tuple_detected() {
     let mut reply = r1.pop().expect("reply").1;
     reply.pending.push(old_tuple); // replay
     let err = cs[1].handle_reply(reply).expect_err("detects replay");
-    // The proof check (line 41) fires: C0's digest entry is non-⊥ but its
-    // PROOF-signature covers the committed digest, not the replayed one —
-    // or the submit signature check (line 43) fires on the stale
-    // timestamp, depending on which view the replay lands in.
+    // The proof check (line 41) fires: C0's digest entry is non-⊥, and a
+    // correct server sends `P[0]` only while C0 has a tuple in `L` — so
+    // the slot the replay needs is empty (`MissingProofSignature`); a
+    // server sending every slot gets `BadProofSignature` there (the
+    // PROOF covers the committed digest, not the replayed one) or the
+    // submit signature check (line 43) on the stale timestamp, depending
+    // on which view the replay lands in.
     assert!(
-        matches!(err, Fault::BadSubmitSignature | Fault::BadProofSignature),
+        matches!(
+            err,
+            Fault::MissingProofSignature | Fault::BadSubmitSignature | Fault::BadProofSignature
+        ),
         "got {err:?}"
     );
 }

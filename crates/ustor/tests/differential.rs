@@ -12,12 +12,20 @@
 //! Property-style without an external framework: each case is generated
 //! from a seeded [`SmallRng`], so a failure reproduces exactly by its
 //! label.
+//!
+//! A second comparison covers the server side. A correct server sends
+//! `P[k]` only for clients `k` with a tuple in `L`, the only slots line 41
+//! reads. Wherever an honest twin of the server can be fed the same
+//! messages, a second fleet of clients is shown every reply with the
+//! omitted slots put back from the twin's `export_state().proofs` — what
+//! a server that sent every slot would have sent — and must reach the
+//! same verdict.
 
 use faust_crypto::sig::{KeySet, Signature};
 use faust_sim::SmallRng;
 use faust_types::{ClientId, CommitMsg, ReplyMsg, SignedVersion, SubmitMsg, Value};
 use faust_ustor::adversary::{Fig3Server, SplitBrainServer, Tamper, TamperServer};
-use faust_ustor::{CommitMode, Server, UstorClient, UstorServer};
+use faust_ustor::{CommitMode, Fault, OpCompletion, Server, UstorClient, UstorServer};
 use std::collections::VecDeque;
 
 fn c(i: usize) -> ClientId {
@@ -157,6 +165,45 @@ enum ToServer {
     Commit(CommitMsg),
 }
 
+/// `P` slots a reply leaves out, indexed by client: `Some` where the
+/// server omitted a signature it held.
+type Omitted = Vec<Option<Signature>>;
+
+/// The reply a server sending every `P` slot would have sent: `reply`
+/// with each empty slot the server omitted put back.
+fn unmask(reply: &ReplyMsg, omitted: &Omitted) -> ReplyMsg {
+    let mut full = reply.clone();
+    for (slot, held) in full.proofs.iter_mut().zip(omitted) {
+        if slot.is_none() {
+            *slot = *held;
+        }
+    }
+    full
+}
+
+/// An honest twin of the server under test, fed the same messages, and
+/// the clients that are shown every reply with all of `P`.
+struct FullProofs {
+    twin: UstorServer,
+    clients: Vec<UstorClient>,
+}
+
+impl FullProofs {
+    /// Feeds the SUBMIT to the twin and returns the slots its reply —
+    /// the honest one, whatever the server under test did to it — left
+    /// out.
+    fn on_submit(&mut self, from: ClientId, msg: SubmitMsg) -> Omitted {
+        let (_, honest) = self.twin.on_submit(from, msg).pop().expect("one reply");
+        let mut omitted = self.twin.export_state().proofs;
+        for tuple in &honest.pending {
+            omitted[tuple.client.index()] = None;
+        }
+        omitted
+    }
+}
+
+type Handled = Result<(Option<CommitMsg>, OpCompletion), Fault>;
+
 /// What a case compared, so that the suite can show it was not vacuous.
 #[derive(Debug, Default)]
 struct Tally {
@@ -166,6 +213,11 @@ struct Tally {
     probes: [usize; MUTATIONS.len()],
     probe_faults: usize,
     probe_accepts: usize,
+    /// Verdicts compared against a client shown every `P` slot.
+    full_p: usize,
+    /// Of those, a forged own tuple caught at line 41 for want of the
+    /// client's own PROOF, where the full reply reached line 43.
+    shifted: usize,
 }
 
 impl Tally {
@@ -178,6 +230,26 @@ impl Tally {
         }
         self.probe_faults += other.probe_faults;
         self.probe_accepts += other.probe_accepts;
+        self.full_p += other.full_p;
+        self.shifted += other.shifted;
+    }
+
+    /// Checks the verdict on a masked reply against the one on the same
+    /// reply with every `P` slot: identical, or the one permitted shift.
+    fn compare_full_p(&mut self, masked: &Handled, full: &Handled, what: &str) {
+        self.full_p += 1;
+        if masked == full {
+            return;
+        }
+        assert_eq!(
+            (masked, full),
+            (
+                &Err(Fault::MissingProofSignature),
+                &Err(Fault::OwnOperationPending)
+            ),
+            "{what}: masked P (left) vs full P (right)"
+        );
+        self.shifted += 1;
     }
 }
 
@@ -193,12 +265,7 @@ struct Case<'a> {
 
 /// Handles `reply` with `client` and with a twin rebuilt from its exported
 /// state; both the results and the resulting protocol states must agree.
-fn handle_both(
-    client: &mut UstorClient,
-    keys: &KeySet,
-    reply: ReplyMsg,
-    what: &str,
-) -> Result<(Option<CommitMsg>, faust_ustor::OpCompletion), faust_ustor::Fault> {
+fn handle_both(client: &mut UstorClient, keys: &KeySet, reply: ReplyMsg, what: &str) -> Handled {
     let id = client.id();
     let mut twin = UstorClient::from_state(
         keys.keypair(id.as_u32()).unwrap().clone(),
@@ -216,7 +283,16 @@ fn handle_both(
     got
 }
 
-fn run_case(case: &Case<'_>, server: &mut dyn Server, rng: &mut SmallRng) -> Tally {
+/// Runs a case against `server`. With `honest_twin`, the server keeps a
+/// correct server's state under whatever it does to its replies (the
+/// honest server and every [`TamperServer`]), and each verdict is also
+/// compared against one on the reply with every `P` slot.
+fn run_case(
+    case: &Case<'_>,
+    server: &mut dyn Server,
+    honest_twin: bool,
+    rng: &mut SmallRng,
+) -> Tally {
     let Case { n, depth, mode, .. } = *case;
     let keys = KeySet::generate(n, b"differential");
     let mut cs: Vec<UstorClient> = (0..n)
@@ -228,8 +304,13 @@ fn run_case(case: &Case<'_>, server: &mut dyn Server, rng: &mut SmallRng) -> Tal
             client
         })
         .collect();
+    let mut full = honest_twin.then(|| FullProofs {
+        twin: UstorServer::new(n),
+        clients: cs.clone(),
+    });
     let mut to_server: Vec<VecDeque<ToServer>> = (0..n).map(|_| VecDeque::new()).collect();
-    let mut to_client: Vec<VecDeque<ReplyMsg>> = (0..n).map(|_| VecDeque::new()).collect();
+    let mut to_client: Vec<VecDeque<(ReplyMsg, Option<Omitted>)>> =
+        (0..n).map(|_| VecDeque::new()).collect();
     let mut seen: Vec<Seen> = (0..n).map(|_| Seen::default()).collect();
     let mut seq = vec![0u64; n];
     let mut tally = Tally::default();
@@ -244,28 +325,45 @@ fn run_case(case: &Case<'_>, server: &mut dyn Server, rng: &mut SmallRng) -> Tal
                     continue;
                 }
                 seq[i] += 1;
-                let submit = if rng.gen_index(4) != 0 {
-                    cs[i].begin_write(Value::unique(i as u32, seq[i]))
-                } else {
-                    cs[i].begin_read(c(rng.gen_index(n)))
+                let value = Value::unique(i as u32, seq[i]);
+                let read = (rng.gen_index(4) == 0).then(|| c(rng.gen_index(n)));
+                let begin = |client: &mut UstorClient| match read {
+                    None => client.begin_write(value.clone()),
+                    Some(j) => client.begin_read(j),
                 };
-                to_server[i].push_back(ToServer::Submit(submit.expect("not busy, not halted")));
+                let submit = begin(&mut cs[i]).expect("not busy, not halted");
+                if let Some(full) = &mut full {
+                    assert_eq!(begin(&mut full.clients[i]), Ok(submit.clone()), "{what}");
+                }
+                to_server[i].push_back(ToServer::Submit(submit));
             }
             // The server processes the head of the client's FIFO.
             3..=4 => {
-                let replies = match to_server[i].pop_front() {
-                    Some(ToServer::Submit(m)) => server.on_submit(c(i), m),
-                    Some(ToServer::Commit(m)) => server.on_commit(c(i), m),
+                let (replies, omitted) = match to_server[i].pop_front() {
+                    Some(ToServer::Submit(m)) => {
+                        let omitted = full.as_mut().map(|f| f.on_submit(c(i), m.clone()));
+                        (server.on_submit(c(i), m), omitted)
+                    }
+                    Some(ToServer::Commit(m)) => {
+                        if let Some(full) = &mut full {
+                            full.twin.on_commit(c(i), m.clone());
+                        }
+                        (server.on_commit(c(i), m), None)
+                    }
                     None => continue,
                 };
                 for (to, reply) in replies {
-                    to_client[to.index()].push_back(reply);
+                    to_client[to.index()].push_back((reply, omitted.clone()));
                 }
             }
             // An idle piggybacking client flushes its held COMMIT.
             5 => {
                 if cs[i].in_flight() == 0 {
-                    if let Some(commit) = cs[i].take_held_commit() {
+                    let held = cs[i].take_held_commit();
+                    if let Some(full) = &mut full {
+                        assert_eq!(full.clients[i].take_held_commit(), held, "{what}");
+                    }
+                    if let Some(commit) = held {
                         to_server[i].push_back(ToServer::Commit(commit));
                     }
                 }
@@ -275,9 +373,11 @@ fn run_case(case: &Case<'_>, server: &mut dyn Server, rng: &mut SmallRng) -> Tal
                 if cs[i].fault().is_some() {
                     continue;
                 }
-                let Some(mut reply) = to_client[i].pop_front() else {
+                let Some((mut reply, omitted)) = to_client[i].pop_front() else {
                     continue;
                 };
+                // The same client in the fleet shown every `P` slot.
+                let mut full = full.as_mut().zip(omitted.as_ref());
                 if rng.gen_bool(case.mutate) {
                     let which = rng.gen_index(MUTATIONS.len());
                     let kind = MUTATIONS[which];
@@ -294,7 +394,13 @@ fn run_case(case: &Case<'_>, server: &mut dyn Server, rng: &mut SmallRng) -> Tal
                             reply = mutated;
                         } else {
                             let mut probe = cs[i].clone();
-                            match handle_both(&mut probe, &keys, mutated, &what) {
+                            let got = handle_both(&mut probe, &keys, mutated.clone(), &what);
+                            if let Some((full, omitted)) = &full {
+                                let mut probe = full.clients[i].clone();
+                                let want = probe.handle_reply(unmask(&mutated, omitted));
+                                tally.compare_full_p(&got, &want, &what);
+                            }
+                            match got {
                                 Ok(_) => tally.probe_accepts += 1,
                                 Err(_) => tally.probe_faults += 1,
                             }
@@ -303,7 +409,12 @@ fn run_case(case: &Case<'_>, server: &mut dyn Server, rng: &mut SmallRng) -> Tal
                 }
                 seen[i].record(&reply);
                 tally.replies += 1;
-                match handle_both(&mut cs[i], &keys, reply, &what) {
+                let got = handle_both(&mut cs[i], &keys, reply.clone(), &what);
+                if let Some((full, omitted)) = &mut full {
+                    let want = full.clients[i].handle_reply(unmask(&reply, omitted));
+                    tally.compare_full_p(&got, &want, &what);
+                }
+                match got {
                     Ok((commit, _)) => {
                         tally.accepted += 1;
                         if let Some(commit) = commit {
@@ -347,7 +458,7 @@ fn honest_server_incremental_and_full_checks_agree() {
                     steps: 250 * n * depth.min(4),
                     mutate: 0.0,
                 };
-                let tally = run_case(&case, &mut UstorServer::new(n), &mut rng);
+                let tally = run_case(&case, &mut UstorServer::new(n), true, &mut rng);
                 assert_eq!(tally.faults, 0, "{label}: false positive");
                 assert!(tally.accepted > 20, "{label}: {tally:?}");
                 total.add(&tally);
@@ -356,6 +467,7 @@ fn honest_server_incremental_and_full_checks_agree() {
     }
     eprintln!("honest: {total:?}");
     assert!(total.accepted > 5_000, "{total:?}");
+    assert_eq!((total.full_p, total.shifted), (total.replies, 0));
 }
 
 #[test]
@@ -374,7 +486,7 @@ fn mutated_replies_get_the_same_verdict_from_both() {
                     steps: 250 * n * depth.min(4),
                     mutate: 0.3,
                 };
-                total.add(&run_case(&case, &mut UstorServer::new(n), &mut rng));
+                total.add(&run_case(&case, &mut UstorServer::new(n), true, &mut rng));
             }
         }
     }
@@ -382,6 +494,8 @@ fn mutated_replies_get_the_same_verdict_from_both() {
     // verdicts: detected (most) and — legitimately — tolerated (a stale
     // PROOF within the pipeline window).
     eprintln!("mutated: {total:?}");
+    assert_eq!(total.shifted, 0, "{total:?}");
+    assert!(total.full_p >= total.replies, "{total:?}");
     for (kind, count) in MUTATIONS.iter().zip(total.probes) {
         assert!(
             count >= 50,
@@ -409,18 +523,24 @@ fn byzantine_servers_get_the_same_verdict_from_both() {
     let mut total = Tally::default();
     for (shape, &(n, depth)) in SHAPES.iter().enumerate() {
         for mode in MODES {
-            let mut servers: Vec<(String, Box<dyn Server>)> = Vec::new();
+            // (name, server, whether an honest twin shares its state)
+            let mut servers: Vec<(String, Box<dyn Server>, bool)> = Vec::new();
             let (left, right) = (0..n).map(c).partition(|k| k.index() % 2 == 0);
             servers.push((
                 "split-brain".into(),
                 Box::new(SplitBrainServer::new(n, vec![left, right], 6 * n)),
+                false,
             ));
-            servers.push(("fig3".into(), Box::new(Fig3Server::new(n, c(0), c(1)))));
+            servers.push((
+                "fig3".into(),
+                Box::new(Fig3Server::new(n, c(0), c(1))),
+                false,
+            ));
             for (t, kind) in tampers.iter().enumerate() {
                 let server = TamperServer::new(n, c(t % n), 4 * n + t, *kind);
-                servers.push((format!("{kind:?}"), Box::new(server)));
+                servers.push((format!("{kind:?}"), Box::new(server), true));
             }
-            for (s, (name, mut server)) in servers.into_iter().enumerate() {
+            for (s, (name, mut server, twin)) in servers.into_iter().enumerate() {
                 let label = format!("{name} n={n} depth={depth} {mode:?}");
                 let seed = 0xD1FF_2000 + 1000 * shape as u64 + s as u64;
                 let mut rng = SmallRng::seed_from_u64(seed);
@@ -432,11 +552,19 @@ fn byzantine_servers_get_the_same_verdict_from_both() {
                     steps: 150 * n * depth.min(4),
                     mutate: 0.05,
                 };
-                total.add(&run_case(&case, server.as_mut(), &mut rng));
+                let tally = run_case(&case, server.as_mut(), twin, &mut rng);
+                // The one verdict a masked P may move: an echoed own
+                // tuple of a client that has committed is caught at
+                // line 41, for want of its own PROOF, not at line 43.
+                if name != "EchoOwnTuple" {
+                    assert_eq!(tally.shifted, 0, "{label}: {tally:?}");
+                }
+                total.add(&tally);
             }
         }
     }
     eprintln!("byzantine: {total:?}");
     assert!(total.faults >= 50, "few attacks were detected: {total:?}");
     assert!(total.accepted >= 5_000, "{total:?}");
+    assert!(total.full_p >= 2_000, "{total:?}");
 }
