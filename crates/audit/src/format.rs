@@ -763,4 +763,43 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn a_base_state_of_a_few_bytes_claiming_2_pow_24_clients_is_a_typed_error() {
+        // The section digest is a plain SHA-256 anyone can recompute, so
+        // the base state is untrusted input: six bytes claiming the
+        // largest client count the codec takes must fail on the missing
+        // entries, not reserve room for 2²⁴ of them first.
+        let mut base = Vec::new();
+        (1u32 << 24).encode_into(&mut base);
+        base.extend_from_slice(&[0, 0]);
+        let section = |bytes: &[u8]| SectionDesc {
+            len: bytes.len() as u32,
+            digest: sha256(bytes),
+        };
+        let manifest = Manifest {
+            n: 1,
+            scheme: scheme_tag(SigScheme::Hmac),
+            base_seq: 0,
+            record_count: 0,
+            base_state: Some(section(&base)),
+            records: section(&[]),
+            client_history: None,
+            claimed_chain: vec![SignedVersion::initial(1)],
+            claimed_proofs: vec![None],
+        }
+        .encode();
+        let mut file = HISTORY_MAGIC.to_vec();
+        HISTORY_VERSION.encode_into(&mut file);
+        (manifest.len() as u32).encode_into(&mut file);
+        sha256(&manifest).encode_into(&mut file);
+        file.extend_from_slice(&manifest);
+        file.extend_from_slice(&base);
+        assert_eq!(
+            SessionHistory::decode(&file),
+            Err(HistoryFileError::StateCorrupt {
+                error: WireError::Truncated
+            })
+        );
+    }
 }

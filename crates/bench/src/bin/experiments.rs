@@ -1,6 +1,6 @@
 //! Regenerates every figure and quantitative claim of the paper as
-//! printed tables (experiments E1–E9 of DESIGN.md; EXPERIMENTS.md records
-//! the outcomes).
+//! printed tables (experiments E5–E9; E1–E4 are the examples). The
+//! README's "Reproducing the paper" section says what each table shows.
 //!
 //! Run with: `cargo run -p faust-bench --bin experiments --release`
 

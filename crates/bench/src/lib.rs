@@ -1,16 +1,15 @@
 //! Experiment harness for the FAUST reproduction.
 //!
-//! Each public function regenerates one experiment of DESIGN.md's index
-//! (E5–E9): it produces the data series whose *shape* the paper asserts —
-//! one round per operation, `O(n)` bits of overhead, wait-freedom vs.
-//! blocking, eventual failure detection, eventual stability. The
-//! `experiments` binary prints them as tables; the Criterion benches in
-//! `benches/` measure the raw computational costs (E10).
+//! Each public function regenerates one experiment (E5–E9): it produces
+//! the data series whose *shape* the paper asserts — one round per
+//! operation, `O(n)` bits of overhead, wait-freedom vs. blocking,
+//! eventual failure detection, eventual stability. The `experiments`
+//! binary prints them as tables; the README's "Reproducing the paper"
+//! section lists what each one shows. Wall-clock performance is measured
+//! by `faustbench`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod timing;
 
 use faust_baseline::{LsDriver, LsWorkloadOp};
 use faust_core::{FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp};
@@ -444,348 +443,6 @@ pub fn stability_latency_sweep(configs: &[(u64, u64)], seeds: u64, n: usize) -> 
             }
         })
         .collect()
-}
-
-/// Pre-signs a pipelined burst of `count` write SUBMITs by client `id`
-/// (timestamps `1..=count`, each DATA-signature covering its own value's
-/// hash) — the load generator for the egress-coalescing benches.
-///
-/// [`UstorClient`] is deliberately sequential (one op in flight, as in
-/// the paper), but nothing in the *protocol* stops a client from
-/// pipelining: every SUBMIT's signatures depend only on the client's own
-/// op counter and values, never on the server's replies. Pre-signing a
-/// burst therefore produces exactly the wire traffic a future pipelined
-/// client would send, which is what batched ingress verification and
-/// coalesced egress need to show their worth.
-pub fn pipelined_writes(
-    keys: &KeySet,
-    id: ClientId,
-    count: u64,
-    value_len: usize,
-) -> Vec<faust_types::SubmitMsg> {
-    use faust_crypto::sha256::sha256;
-    use faust_crypto::sig::{SigContext, Signer};
-    use faust_types::op::{data_signing_bytes, submit_signing_bytes, InvocationTuple};
-    use faust_types::OpKind;
-
-    let keypair = keys.keypair(id.as_u32()).expect("client key");
-    (1..=count)
-        .map(|t| {
-            let mut bytes = vec![0xB6u8; value_len];
-            bytes[..8.min(value_len)].copy_from_slice(&t.to_be_bytes()[..8.min(value_len)]);
-            let value = Value::new(bytes);
-            let xbar = Some(sha256(value.as_bytes()));
-            faust_types::SubmitMsg {
-                timestamp: t,
-                tuple: InvocationTuple {
-                    client: id,
-                    kind: OpKind::Write,
-                    register: id,
-                    sig: keypair.sign(
-                        SigContext::Submit,
-                        &submit_signing_bytes(OpKind::Write, id, t),
-                    ),
-                },
-                value: Some(value),
-                data_sig: keypair.sign(SigContext::Data, &data_signing_bytes(t, xbar)),
-                piggyback: None,
-            }
-        })
-        .collect()
-}
-
-/// One group-commit round of a full protocol op per client: every
-/// client's submit is appended (reply withheld), ONE forced flush
-/// releases the whole batch, then the commits are logged (their appends
-/// ride the next round's fsync). Shared by the `store` bench and
-/// `bench_smoke`, so both measure the identical round protocol.
-///
-/// The server must run `Durability::Group` with thresholds the round
-/// cannot reach on its own — the explicit flush is the batch boundary.
-pub fn group_commit_round(
-    server: &mut faust_store::PersistentServer,
-    cs: &mut [UstorClient],
-    round: u64,
-) {
-    for (i, client) in cs.iter_mut().enumerate() {
-        let submit = client.begin_write(Value::unique(i as u32, round)).unwrap();
-        let eager = server.on_submit(client.id(), submit);
-        assert!(eager.is_empty(), "replies must wait for the batch fsync");
-    }
-    let replies = server.flush(true);
-    assert_eq!(replies.len(), cs.len(), "one fsync released the batch");
-    for (to, reply) in replies {
-        let (commit, _) = cs[to.index()].handle_reply(reply).expect("correct");
-        server.on_commit(to, commit.expect("immediate mode"));
-    }
-}
-
-/// Runs `clients × pipeline` pre-signed write SUBMITs ([`pipelined_writes`])
-/// over real loopback TCP against a fresh `PersistentServer` with the
-/// given durability, waiting for every reply. Returns the loaded-phase
-/// wall time and the engine's final stats — the shared core of the
-/// `e2e_tcp` bench and the `bench_smoke` e2e data point.
-#[cfg(unix)]
-pub fn tcp_pipelined_run(
-    clients: usize,
-    pipeline: u64,
-    value_len: usize,
-    durability: faust_store::Durability,
-) -> (std::time::Duration, faust_ustor::EngineStats) {
-    use faust_store::{testutil, PersistentBackend, StoreConfig};
-    use faust_types::UstorMsg;
-
-    let dir = testutil::scratch_dir("bench-e2e-tcp");
-    let backend = PersistentBackend::new(
-        &dir,
-        StoreConfig {
-            durability,
-            snapshot_every: 0,
-        },
-    );
-    let transport =
-        faust_net::ReactorTransport::bind("127.0.0.1:0", clients).expect("bind loopback");
-    let addr = transport.local_addr();
-    let engine = faust_ustor::ServerEngine::from_backend(clients, &backend).expect("fresh store");
-    let engine_thread = faust_ustor::spawn_engine(engine, transport);
-
-    let keys = KeySet::generate(clients, b"bench-e2e-tcp");
-    let start = std::time::Instant::now();
-    let workers: Vec<_> = (0..clients)
-        .map(|i| {
-            let id = c(i as u32);
-            let burst = pipelined_writes(&keys, id, pipeline, value_len);
-            std::thread::spawn(move || {
-                let conn = faust_net::tcp::connect(addr, id).expect("connect");
-                for submit in &burst {
-                    conn.send(&UstorMsg::Submit(submit.clone())).expect("send");
-                }
-                let mut replies = 0u64;
-                while replies < pipeline {
-                    match conn.recv().expect("reply stream") {
-                        UstorMsg::Reply(_) => replies += 1,
-                        _ => panic!("server sends only replies"),
-                    }
-                }
-                replies
-            })
-        })
-        .collect();
-    for worker in workers {
-        assert_eq!(worker.join().expect("client thread"), pipeline);
-    }
-    let elapsed = start.elapsed();
-    let stats = engine_thread.join().expect("engine thread");
-    std::fs::remove_dir_all(&dir).ok();
-    (elapsed, stats)
-}
-
-/// The [`tcp_pipelined_run`] load shape driven through the *public*
-/// client API instead of pre-signed frames: `clients` live
-/// [`faust_core::FaustHandle`] sessions over loopback TCP, each
-/// submitting `ops` writes into a pipeline window of `depth` and waiting
-/// for the last ticket. Piggybacked commits keep the wire profile at one
-/// inbound frame and one logged record per op — the same as the raw
-/// path — so the delta between the two is exactly the cost of the full
-/// fail-aware client (signing, reply verification, version folding,
-/// stability tracking).
-#[cfg(unix)]
-pub fn tcp_handle_run(
-    clients: usize,
-    ops: u64,
-    depth: usize,
-    value_len: usize,
-    durability: faust_store::Durability,
-) -> (std::time::Duration, faust_ustor::EngineStats) {
-    use faust_core::handle::{FaustHandle, HandleConfig};
-    use faust_core::FaustConfig;
-    use faust_store::{testutil, PersistentBackend, StoreConfig};
-    use std::time::Duration;
-
-    let dir = testutil::scratch_dir("bench-handle-tcp");
-    let backend = PersistentBackend::new(
-        &dir,
-        StoreConfig {
-            durability,
-            snapshot_every: 0,
-        },
-    );
-    let transport =
-        faust_net::ReactorTransport::bind("127.0.0.1:0", clients).expect("bind loopback");
-    let addr = transport.local_addr();
-    let engine = faust_ustor::ServerEngine::from_backend(clients, &backend).expect("fresh store");
-    let engine_thread = faust_ustor::spawn_engine(engine, transport);
-
-    let config = HandleConfig {
-        faust: FaustConfig {
-            // No offline medium, no idle machinery: pure op throughput.
-            probe_period: u64::MAX / 2,
-            dummy_reads: false,
-            commit_mode: faust_ustor::CommitMode::Piggyback,
-            pipeline: depth.max(1),
-        },
-        tick_interval: Duration::from_millis(2),
-        scheme: faust_crypto::SigScheme::Hmac,
-    };
-    let start = std::time::Instant::now();
-    let workers: Vec<_> = (0..clients)
-        .map(|i| {
-            let id = c(i as u32);
-            std::thread::spawn(move || {
-                let mut handle =
-                    FaustHandle::connect_tcp(addr, id, clients, b"bench-handle-tcp", &config)
-                        .expect("connect");
-                let mut last = None;
-                for k in 0..ops {
-                    let mut bytes = vec![0xB6u8; value_len.max(8)];
-                    bytes[..8].copy_from_slice(&k.to_be_bytes());
-                    last = Some(handle.write(Value::new(bytes)));
-                }
-                handle
-                    .wait(last.expect("ops >= 1"), Duration::from_secs(120))
-                    .expect("pipelined run completes");
-                assert!(handle.failure().is_none());
-                handle.disconnect();
-            })
-        })
-        .collect();
-    for worker in workers {
-        worker.join().expect("client thread");
-    }
-    let elapsed = start.elapsed();
-    let stats = engine_thread.join().expect("engine thread");
-    std::fs::remove_dir_all(&dir).ok();
-    (elapsed, stats)
-}
-
-/// The many-connection reactor run: `conns` sequential protocol clients
-/// multiplexed over blocking loopback sockets from ONE driver thread,
-/// against a server whose transport is the single-threaded
-/// [`faust_net::ReactorTransport`] — connections ≫ threads on *both*
-/// sides, so the measurement scales to counts where thread-per-connection
-/// would need hundreds of stacks. Each client performs `ops` full write
-/// operations (submit → reply → commit, commits pruning the pending
-/// list, exactly the paper's sequential client). Returns the loaded-phase
-/// wall time, the engine's stats, and the reactor's counters.
-#[cfg(unix)]
-pub fn tcp_reactor_run(
-    conns: usize,
-    ops: u64,
-    value_len: usize,
-    durability: faust_store::Durability,
-) -> (
-    std::time::Duration,
-    faust_ustor::EngineStats,
-    faust_net::ReactorStats,
-) {
-    use faust_store::{testutil, PersistentBackend, StoreConfig};
-    use faust_types::frame::{read_frame, write_frame};
-    use faust_types::UstorMsg;
-    use faust_ustor::{serve, ServerEngine};
-
-    let dir = testutil::scratch_dir("bench-e2e-reactor");
-    let backend = PersistentBackend::new(
-        &dir,
-        StoreConfig {
-            durability,
-            snapshot_every: 0,
-        },
-    );
-    let mut transport =
-        faust_net::ReactorTransport::bind("127.0.0.1:0", conns).expect("bind loopback");
-    let addr = transport.local_addr();
-    let server = faust_ustor::ServerBackend::build(&backend, conns).expect("fresh store");
-    // `spawn_engine` only hands back engine stats; run the loop by hand
-    // so the reactor's counters survive the serve.
-    let engine_thread = std::thread::spawn(move || {
-        let mut engine = ServerEngine::new(conns, server);
-        serve(&mut engine, &mut transport);
-        (engine.stats().clone(), transport.stats().clone())
-    });
-
-    let keys = KeySet::generate(conns, b"bench-e2e-reactor");
-    let mut sessions: Vec<UstorClient> = (0..conns)
-        .map(|i| {
-            UstorClient::new(
-                c(i as u32),
-                conns,
-                keys.keypair(i as u32).expect("generated").clone(),
-                keys.registry(),
-            )
-        })
-        .collect();
-    let mut socks: Vec<std::net::TcpStream> = (0..conns)
-        .map(|i| {
-            let mut s = std::net::TcpStream::connect(addr).expect("connect");
-            s.set_nodelay(true).ok();
-            write_frame(&mut s, &c(i as u32)).expect("hello");
-            s
-        })
-        .collect();
-
-    let start = std::time::Instant::now();
-    for k in 0..ops {
-        // Breadth-first: all submits out, then all replies in — at any
-        // moment every connection has (at most) one op in flight, which
-        // is the wire shape of `conns` concurrent sequential clients.
-        for i in 0..conns {
-            let mut bytes = vec![0xB6u8; value_len.max(8)];
-            bytes[..8].copy_from_slice(&k.to_be_bytes());
-            let submit = sessions[i]
-                .begin_write(Value::new(bytes))
-                .expect("sequential client is idle between ops");
-            write_frame(&mut socks[i], &UstorMsg::Submit(submit)).expect("submit");
-        }
-        for i in 0..conns {
-            let reply = match read_frame::<_, UstorMsg>(&mut socks[i])
-                .expect("reply stream")
-                .expect("server stays up")
-            {
-                UstorMsg::Reply(r) => r,
-                _ => panic!("server sends only replies"),
-            };
-            let (commit, _) = sessions[i].handle_reply(reply).expect("correct server");
-            write_frame(
-                &mut socks[i],
-                &UstorMsg::Commit(commit.expect("immediate mode")),
-            )
-            .expect("commit");
-        }
-    }
-    let elapsed = start.elapsed();
-    drop(socks);
-    let (engine_stats, reactor_stats) = engine_thread.join().expect("engine thread");
-    std::fs::remove_dir_all(&dir).ok();
-    (elapsed, engine_stats, reactor_stats)
-}
-
-/// Runs a full operation (submit → reply → commit) through client and
-/// server state machines, for the protocol-throughput benches (E10).
-pub fn run_one_write(
-    server: &mut UstorServer,
-    client: &mut UstorClient,
-    value: Value,
-) -> faust_ustor::OpCompletion {
-    let id = client.id();
-    let submit = client.begin_write(value).expect("idle");
-    let (_, reply) = server.on_submit(id, submit).pop().expect("reply");
-    let (commit, done) = client.handle_reply(reply).expect("correct server");
-    server.on_commit(id, commit.expect("immediate mode"));
-    done
-}
-
-/// Read counterpart of [`run_one_write`].
-pub fn run_one_read(
-    server: &mut UstorServer,
-    client: &mut UstorClient,
-    register: ClientId,
-) -> faust_ustor::OpCompletion {
-    let id = client.id();
-    let submit = client.begin_read(register).expect("idle");
-    let (_, reply) = server.on_submit(id, submit).pop().expect("reply");
-    let (commit, done) = client.handle_reply(reply).expect("correct server");
-    server.on_commit(id, commit.expect("immediate mode"));
-    done
 }
 
 #[cfg(test)]

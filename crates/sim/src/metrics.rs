@@ -1,7 +1,8 @@
 //! Traffic metrics collected by the simulator.
 //!
 //! Per-transport message and byte counters; these feed experiment E5
-//! (rounds per operation) and E6 (`O(n)` bytes per request) of DESIGN.md.
+//! (rounds per operation) and E6 (`O(n)` bytes per request) of the
+//! `experiments` binary in `faust-bench`.
 
 use crate::Transport;
 

@@ -160,7 +160,9 @@ pub fn decode_state(input: &mut &[u8]) -> Result<ServerState, WireError> {
     if n == 0 || n as u64 > (1 << 24) {
         return Err(WireError::BadLength(n as u64));
     }
-    let mut mem = Vec::with_capacity(n);
+    // `n` is the input's claim: reserve no more entries than there are
+    // bytes left (each entry takes at least one), as `decode_len` does.
+    let mut mem = Vec::with_capacity(n.min(input.len()));
     for _ in 0..n {
         mem.push(decode_mem_entry(input)?);
     }

@@ -313,6 +313,28 @@ mod tests {
     }
 
     #[test]
+    fn a_few_bytes_claiming_2_pow_24_clients_are_a_typed_error() {
+        // The checksum is anyone's to recompute, so a payload that
+        // passes it can still claim the largest client count the codec
+        // takes, backed by two bytes. It must fail on the missing
+        // entries, not reserve room for 2²⁴ of them first.
+        let dir = scratch_dir("snap-huge-n");
+        let n = 1u32 << 24;
+        let mut payload = Vec::new();
+        n.encode_into(&mut payload);
+        7u64.encode_into(&mut payload);
+        n.encode_into(&mut payload);
+        payload.extend_from_slice(&[0, 0]);
+        let bytes = file_with(SNAPSHOT_VERSION, Checksum::Xxh64, &payload);
+        std::fs::write(dir.join(SNAPSHOT_FILE), bytes).unwrap();
+        assert!(matches!(
+            read_snapshot(&dir).unwrap_err(),
+            StoreError::SnapshotCorrupt(faust_types::WireError::Truncated)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn overwrite_replaces_atomically() {
         let dir = scratch_dir("snap-overwrite");
         write_snapshot(&dir, &snapshot(2, 1), true).unwrap();

@@ -14,7 +14,8 @@
 //!   PROOF).
 //! * [`wire`] — the SUBMIT / REPLY / COMMIT messages of Algorithms 1–2 with
 //!   an exact, hand-rolled binary encoding. Byte-accurate sizes feed the
-//!   paper's `O(n)`-overhead experiment (E6 in DESIGN.md).
+//!   paper's `O(n)`-overhead experiment (E6 of the `experiments` binary
+//!   in `faust-bench`).
 //! * [`frame`] — length-prefixed stream framing over the wire encoding,
 //!   with an incremental decoder; this is what the TCP transport in
 //!   `faust-net` puts on the socket.

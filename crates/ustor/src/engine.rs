@@ -40,9 +40,9 @@
 //! and verifies all SUBMIT signatures through
 //! [`Verifier::verify_batch`] — for Ed25519 keys that is one multi-scalar
 //! batch equation over the whole inbox, measurably faster than
-//! per-message verification (see `faust-bench/benches/protocol.rs` and
-//! `faust-bench/benches/crypto.rs`); HMAC keys carry their key schedule
-//! prepared, so both modes cost the same there.
+//! per-message verification (README, "Choosing a verification scheme");
+//! HMAC keys carry their key schedule prepared, so both modes cost the
+//! same there.
 //!
 //! The hash `x̄` of a written value is computed once, as its SUBMIT is
 //! queued, and only with verification on — nothing else reads it.

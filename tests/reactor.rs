@@ -577,7 +577,11 @@ fn slow_consumer_is_excised_with_typed_reason_and_bounded_memory() {
             data_sig: keypair.sign(SigContext::Data, &data_signing_bytes(t, None)),
             piggyback: None,
         };
-        write_frame(&mut hostile, &UstorMsg::Submit(submit)).expect("hostile submit");
+        // A few replies exceed the cap, so a loaded server may excise us
+        // mid-burst (broken pipe); the asserts below check it either way.
+        if write_frame(&mut hostile, &UstorMsg::Submit(submit)).is_err() {
+            break;
+        }
     }
 
     // The server excises the hostile connection once its unread egress

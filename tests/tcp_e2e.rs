@@ -3,12 +3,13 @@
 //! sessions on one side, the reactor on the other, and every
 //! client↔server message crossing a socket as a length-prefixed frame.
 //!
-//! Three claims are checked: a correct server serves a write/read
+//! Four claims are checked: a correct server serves a write/read
 //! workload with *no* `fail` notifications (failure-detection accuracy
 //! survives a real transport, at 2, 3 and 8 sessions), a forked
 //! (split-brain) server is detected by every client (detection
-//! completeness does too), and a client that stalls mid-operation never
-//! delays the others (wait-freedom).
+//! completeness does too), a client that stalls mid-operation never
+//! delays the others (wait-freedom), and under group commit the reactor
+//! sends each client's released replies in one socket write.
 
 mod common;
 
@@ -16,11 +17,12 @@ use common::{
     completions, connect_all, handle_config, last_cut, quiet_config, run_loopback, serve_loopback,
 };
 use faust::client::{Event, HandleConfig};
-use faust::core::UserOp;
+use faust::core::{FaustConfig, UserOp};
 use faust::crypto::{KeySet, SigScheme};
+use faust::store::{testutil, Durability, PersistentBackend, StoreConfig};
 use faust::types::{ClientId, Value};
 use faust::ustor::adversary::SplitBrainServer;
-use faust::ustor::{IngressVerification, ServerEngine, UstorServer};
+use faust::ustor::{CommitMode, IngressVerification, ServerEngine, UstorServer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -283,4 +285,67 @@ fn slow_client_does_not_delay_fast_clients() {
     slow.disconnect();
     let stats = engine.join().expect("engine thread");
     assert_eq!((stats.submits, stats.commits), (22, 22));
+}
+
+/// Coalesced egress over real sockets: four sessions keep 16 writes in
+/// flight each against a group-commit store, so every fsync releases a
+/// burst of replies per client, and the engine hands each burst to the
+/// reactor as one batch (one socket write). Every SUBMIT gets exactly
+/// one reply, and there are fewer writes than replies.
+#[test]
+fn group_commit_replies_leave_in_coalesced_batches() {
+    let (n, ops, depth) = (4usize, 64u64, 16usize);
+    let dir = testutil::scratch_dir("tcp-coalesced-egress");
+    let backend = PersistentBackend::new(
+        &dir,
+        StoreConfig {
+            durability: Durability::Group {
+                max_records: (n * depth) as u64,
+                max_wait: Duration::from_millis(2),
+            },
+            snapshot_every: 0,
+        },
+    );
+    let engine = ServerEngine::from_backend(n, &backend).expect("fresh store");
+    let workloads = (0..n as u32)
+        .map(|i| {
+            (0..ops)
+                .map(|s| UserOp::Write(Value::unique(i, s)))
+                .collect()
+        })
+        .collect();
+    let quiet = quiet_config();
+    let config = HandleConfig {
+        faust: FaustConfig {
+            // One SUBMIT per operation on the wire; the COMMIT rides the
+            // next one.
+            commit_mode: CommitMode::Piggyback,
+            pipeline: depth,
+            ..quiet.faust
+        },
+        ..quiet
+    };
+    let (run, stats) = run_loopback(engine, workloads, b"coalesced", &config, Duration::ZERO);
+    std::fs::remove_dir_all(&dir).ok();
+
+    for (handle, events) in &run {
+        assert!(handle.failure().is_none(), "{:?}", handle.failure());
+        assert_eq!(completions(events), ops as usize);
+    }
+    assert_eq!(stats.submits, n as u64 * ops);
+    assert_eq!(
+        stats.frames_out, stats.submits,
+        "every SUBMIT got exactly one reply"
+    );
+    assert!(
+        stats.flushes < stats.frames_out,
+        "coalesced egress must issue fewer socket writes than frames: \
+         {} writes for {} frames",
+        stats.flushes,
+        stats.frames_out
+    );
+    assert!(
+        stats.max_egress_batch > 1,
+        "at least one multi-frame egress batch must have formed"
+    );
 }
