@@ -1,305 +1,122 @@
-//! Simulation driver for the lock-step baseline, mirroring
-//! `faust_ustor::Driver` so the two protocols can be compared head-to-head
-//! on identical workloads (experiment E7: wait-freedom vs. blocking).
+//! The lock-step baseline as a [`Protocol`] of the shared
+//! [`faust_ustor::Driver`] loop, so the two protocols run head-to-head on
+//! one script (experiment E7: wait-freedom vs. blocking).
 
 use crate::protocol::{
     LockStepClient, LockStepServer, LsCommit, LsCompletion, LsFault, LsGrant, LsSubmit,
 };
-use faust_crypto::sig::KeySet;
-use faust_sim::{Event, MessageSize, NodeId, SimConfig, Simulation};
-use faust_types::{ClientId, History, OpId, OpKind, Value};
-use std::collections::VecDeque;
+use faust_crypto::sig::{Keypair, VerifierRegistry};
+use faust_sim::MessageSize;
+use faust_types::{ClientId, OpKind, Timestamp, Value};
+use faust_ustor::{Driver, Protocol};
 
-/// One step of a scripted client workload (identical shape to the USTOR
-/// driver's, so benchmarks can share workload generators).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LsWorkloadOp {
-    /// Write a value to the client's own register.
-    Write(Value),
-    /// Read a register.
-    Read(ClientId),
-    /// Idle for the given virtual-time ticks.
-    Pause(u64),
-    /// Crash the client (taking the global lock down with it if held —
-    /// that is the point of the experiment).
-    Crash,
-}
+/// The lock-step protocol ([`LockStepClient`]s against the
+/// [`LockStepServer`]).
+#[derive(Debug, Clone, Copy)]
+pub struct LockStep;
 
-/// Timer tag used by [`LsDriver::crash_at`].
-const CRASH_TAG: u64 = u64::MAX;
+/// The lock-step baseline in the simulation loop.
+///
+/// # Example
+///
+/// ```
+/// use faust_baseline::{LockStepServer, LsDriver};
+/// use faust_crypto::KeySet;
+/// use faust_sim::SimConfig;
+/// use faust_types::{ClientId, Value};
+/// use faust_ustor::WorkloadOp;
+///
+/// let keys = KeySet::generate(2, b"ex");
+/// let mut d = LsDriver::with_keys(LockStepServer::new(2), SimConfig::default(), &keys);
+/// d.push_op(ClientId::new(0), WorkloadOp::Write(Value::from("v")));
+/// d.push_op(ClientId::new(1), WorkloadOp::Read(ClientId::new(0)));
+/// let r = d.run();
+/// assert_eq!(r.incomplete_ops, 0);
+/// ```
+pub type LsDriver = Driver<LockStep>;
 
+/// A lock-step link message, in either direction.
 #[derive(Debug, Clone)]
-enum LsNetMsg {
+pub enum LsMsg {
+    /// Client → server: request the lock for an operation.
     Submit(LsSubmit),
+    /// Server → client: the lock, with the current signed state.
     Grant(Box<LsGrant>),
+    /// Client → server: the new signed state; releases the lock.
     Commit(Box<LsCommit>),
 }
 
-impl MessageSize for LsNetMsg {
+impl MessageSize for LsMsg {
     fn size_bytes(&self) -> usize {
         // Rough wire-size model: states dominate (seq + counts + hashes +
         // signature); values carried verbatim.
         match self {
-            LsNetMsg::Submit(m) => 16 + m.value.as_ref().map_or(0, |v| v.len()),
-            LsNetMsg::Grant(g) => {
+            LsMsg::Submit(m) => 16 + m.value.as_ref().map_or(0, |v| v.len()),
+            LsMsg::Grant(g) => {
                 40 + g.state.counts.len() * 41 + g.value.as_ref().map_or(0, |v| v.len())
             }
-            LsNetMsg::Commit(c) => {
+            LsMsg::Commit(c) => {
                 40 + c.state.counts.len() * 41 + c.value.as_ref().map_or(0, |v| v.len())
             }
         }
     }
 }
 
-/// Outcome of a lock-step run.
-#[derive(Debug)]
-pub struct LsRunResult {
-    /// The recorded history.
-    pub history: History,
-    /// Completions per client.
-    pub completions: Vec<Vec<LsCompletion>>,
-    /// Faults detected by clients.
-    pub faults: Vec<(ClientId, LsFault)>,
-    /// Traffic statistics.
-    pub metrics: faust_sim::Metrics,
-    /// Virtual time at quiescence.
-    pub final_time: u64,
-    /// Operations that never completed — the blocking the paper proves
-    /// unavoidable for fork-linearizable protocols.
-    pub incomplete_ops: usize,
-}
+impl Protocol for LockStep {
+    type Client = LockStepClient;
+    type Server = LockStepServer;
+    type Msg = LsMsg;
+    type Completion = LsCompletion;
+    type Fault = LsFault;
 
-struct Slot {
-    proto: LockStepClient,
-    queue: VecDeque<LsWorkloadOp>,
-    current: Option<OpId>,
-    completions: Vec<LsCompletion>,
-    fault: Option<LsFault>,
-    crashed: bool,
-}
-
-/// Drives `n` lock-step clients against the lock-step server.
-///
-/// # Example
-///
-/// ```
-/// use faust_baseline::{LsDriver, LsWorkloadOp};
-/// use faust_sim::SimConfig;
-/// use faust_types::{ClientId, Value};
-///
-/// let mut d = LsDriver::new(2, SimConfig::default(), b"ex");
-/// d.push_op(ClientId::new(0), LsWorkloadOp::Write(Value::from("v")));
-/// d.push_op(ClientId::new(1), LsWorkloadOp::Read(ClientId::new(0)));
-/// let r = d.run();
-/// assert_eq!(r.incomplete_ops, 0);
-/// ```
-pub struct LsDriver {
-    n: usize,
-    sim: Simulation<LsNetMsg>,
-    server: LockStepServer,
-    slots: Vec<Slot>,
-    history: History,
-}
-
-impl LsDriver {
-    /// Creates a driver for `n` clients with a correct lock-step server
-    /// (HMAC keys; see [`LsDriver::new_with_scheme`]).
-    pub fn new(n: usize, sim: SimConfig, key_seed: &[u8]) -> Self {
-        Self::new_with_scheme(n, sim, key_seed, faust_crypto::SigScheme::Hmac)
-    }
-
-    /// [`LsDriver::new`] with an explicit signature scheme, for
-    /// comparisons on equal cryptographic footing with the USTOR driver.
-    pub fn new_with_scheme(
+    fn client(
+        id: ClientId,
         n: usize,
-        sim: SimConfig,
-        key_seed: &[u8],
-        scheme: faust_crypto::SigScheme,
-    ) -> Self {
-        let keys = KeySet::generate_with(scheme, n, key_seed);
-        LsDriver {
-            n,
-            sim: Simulation::new(sim),
-            server: LockStepServer::new(n),
-            slots: (0..n)
-                .map(|i| Slot {
-                    proto: LockStepClient::new(
-                        ClientId::new(i as u32),
-                        n,
-                        keys.keypair(i as u32).expect("generated").clone(),
-                        keys.registry(),
-                    ),
-                    queue: VecDeque::new(),
-                    current: None,
-                    completions: Vec::new(),
-                    fault: None,
-                    crashed: false,
-                })
-                .collect(),
-            history: History::new(),
-        }
+        keypair: Keypair,
+        registry: VerifierRegistry,
+    ) -> LockStepClient {
+        LockStepClient::new(id, n, keypair, registry)
     }
 
-    fn server_node(&self) -> NodeId {
-        NodeId(self.n as u32)
+    fn begin_write(client: &mut LockStepClient, value: Value) -> LsMsg {
+        LsMsg::Submit(client.begin_write(value))
     }
 
-    /// Appends one step to a client's script.
-    pub fn push_op(&mut self, client: ClientId, op: LsWorkloadOp) {
-        self.slots[client.index()].queue.push_back(op);
+    fn begin_read(client: &mut LockStepClient, register: ClientId) -> LsMsg {
+        LsMsg::Submit(client.begin_read(register))
     }
 
-    /// Appends a whole script for a client.
-    pub fn push_ops(&mut self, client: ClientId, ops: impl IntoIterator<Item = LsWorkloadOp>) {
-        self.slots[client.index()].queue.extend(ops);
+    fn answer(
+        client: &mut LockStepClient,
+        msg: LsMsg,
+    ) -> Option<Result<(Option<LsMsg>, LsCompletion), LsFault>> {
+        let LsMsg::Grant(grant) = msg else {
+            return None;
+        };
+        Some(
+            client
+                .handle_grant(*grant)
+                .map(|(commit, done)| (Some(LsMsg::Commit(Box::new(commit))), done)),
+        )
     }
 
-    /// Schedules `client` to crash at absolute virtual time `time`,
-    /// regardless of what it is doing — including mid-operation while
-    /// holding the global lock, which is the blocking scenario of
-    /// experiment E7.
-    pub fn crash_at(&mut self, client: ClientId, time: u64) {
-        self.sim.set_timer(NodeId(client.as_u32()), time, CRASH_TAG);
+    fn record(done: &LsCompletion) -> (OpKind, Timestamp, Option<Value>) {
+        (done.kind, done.seq, done.read_value.clone().flatten())
     }
 
-    fn try_start(&mut self, i: usize) {
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.crashed || slot.fault.is_some() || slot.current.is_some() {
-                return;
-            }
-            let Some(op) = slot.queue.pop_front() else {
-                return;
-            };
-            let client_id = ClientId::new(i as u32);
-            let now = self.sim.now();
-            match op {
-                LsWorkloadOp::Crash => {
-                    slot.crashed = true;
-                    self.sim.crash(NodeId(i as u32));
-                    return;
-                }
-                LsWorkloadOp::Pause(ticks) => {
-                    self.sim.set_timer(NodeId(i as u32), ticks, i as u64);
-                    return;
-                }
-                LsWorkloadOp::Write(value) => {
-                    let submit = slot.proto.begin_write(value.clone());
-                    slot.current = Some(self.history.begin_write(client_id, value, now));
-                    self.sim.send(
-                        NodeId(i as u32),
-                        self.server_node(),
-                        LsNetMsg::Submit(submit),
-                    );
-                    return;
-                }
-                LsWorkloadOp::Read(register) => {
-                    if register.index() >= self.n {
-                        continue;
-                    }
-                    let submit = slot.proto.begin_read(register);
-                    slot.current = Some(self.history.begin_read(client_id, register, now));
-                    self.sim.send(
-                        NodeId(i as u32),
-                        self.server_node(),
-                        LsNetMsg::Submit(submit),
-                    );
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs to quiescence.
-    pub fn run(mut self) -> LsRunResult {
-        for i in 0..self.n {
-            self.try_start(i);
-        }
-        while let Some(ev) = self.sim.next() {
-            let Event::Message { from, to, msg, .. } = ev.event else {
-                if let Event::Timer { node, tag, .. } = ev.event {
-                    if tag == CRASH_TAG {
-                        self.slots[node.0 as usize].crashed = true;
-                        self.sim.crash(node);
-                    } else {
-                        self.try_start(node.0 as usize);
-                    }
-                }
-                continue;
-            };
-            if to == self.server_node() {
-                let client = ClientId::new(from.0);
-                let grants = match msg {
-                    LsNetMsg::Submit(m) => self.server.on_submit(client, m),
-                    LsNetMsg::Commit(m) => self.server.on_commit(client, *m),
-                    LsNetMsg::Grant(_) => Vec::new(),
-                };
-                for (rcpt, grant) in grants {
-                    self.sim.send(
-                        self.server_node(),
-                        NodeId(rcpt.as_u32()),
-                        LsNetMsg::Grant(Box::new(grant)),
-                    );
-                }
-            } else {
-                let i = to.0 as usize;
-                let LsNetMsg::Grant(grant) = msg else {
-                    continue;
-                };
-                let now = self.sim.now();
-                let slot = &mut self.slots[i];
-                if slot.crashed || slot.fault.is_some() {
-                    continue;
-                }
-                match slot.proto.handle_grant(*grant) {
-                    Ok((commit, done)) => {
-                        if let Some(op_id) = slot.current.take() {
-                            match done.kind {
-                                OpKind::Write => {
-                                    self.history.complete_write(op_id, now, Some(done.seq))
-                                }
-                                OpKind::Read => self.history.complete_read(
-                                    op_id,
-                                    now,
-                                    done.read_value.clone().flatten(),
-                                    Some(done.seq),
-                                ),
-                            }
-                        }
-                        slot.completions.push(done);
-                        self.sim.send(
-                            NodeId(i as u32),
-                            self.server_node(),
-                            LsNetMsg::Commit(Box::new(commit)),
-                        );
-                        self.try_start(i);
-                    }
-                    Err(fault) => {
-                        slot.fault = Some(fault);
-                        slot.current = None;
-                    }
-                }
-            }
-        }
-        let faults = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.fault.clone().map(|f| (ClientId::new(i as u32), f)))
-            .collect();
-        let incomplete_ops = self
-            .history
-            .ops()
-            .iter()
-            .filter(|o| !o.is_complete())
-            .count();
-        LsRunResult {
-            incomplete_ops,
-            faults,
-            completions: self.slots.iter().map(|s| s.completions.clone()).collect(),
-            metrics: self.sim.metrics().clone(),
-            final_time: self.sim.now(),
-            history: self.history,
+    fn serve(
+        server: &mut LockStepServer,
+        from: ClientId,
+        msg: LsMsg,
+        mut send: impl FnMut(ClientId, LsMsg),
+    ) {
+        let grants = match msg {
+            LsMsg::Submit(m) => server.on_submit(from, m),
+            LsMsg::Commit(m) => server.on_commit(from, *m),
+            LsMsg::Grant(_) => Vec::new(),
+        };
+        for (to, grant) in grants {
+            send(to, LsMsg::Grant(Box::new(grant)));
         }
     }
 }
@@ -307,6 +124,9 @@ impl LsDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faust_crypto::KeySet;
+    use faust_sim::SimConfig;
+    use faust_ustor::WorkloadOp;
 
     fn c(i: u32) -> ClientId {
         ClientId::new(i)
@@ -314,15 +134,19 @@ mod tests {
 
     #[test]
     fn sequential_workload_completes() {
-        let mut d = LsDriver::new(2, SimConfig::default(), b"ls1");
+        let mut d = LsDriver::with_keys(
+            LockStepServer::new(2),
+            SimConfig::default(),
+            &KeySet::generate(2, b"ls1"),
+        );
         d.push_ops(
             c(0),
             vec![
-                LsWorkloadOp::Write(Value::from("a")),
-                LsWorkloadOp::Write(Value::from("b")),
+                WorkloadOp::Write(Value::from("a")),
+                WorkloadOp::Write(Value::from("b")),
             ],
         );
-        d.push_ops(c(1), vec![LsWorkloadOp::Read(c(0))]);
+        d.push_ops(c(1), vec![WorkloadOp::Read(c(0))]);
         let r = d.run();
         assert!(r.faults.is_empty());
         assert_eq!(r.incomplete_ops, 0);
@@ -334,17 +158,17 @@ mod tests {
         // C0's crash lands after its grant arrived but before its commit
         // is processed: the lock is never released, so C1's and C2's
         // operations never complete — the protocol is not wait-free.
-        let mut d = LsDriver::new(
-            3,
+        let mut d = LsDriver::with_keys(
+            LockStepServer::new(3),
             SimConfig {
                 link_delay: faust_sim::DelayModel::Fixed(10),
                 ..SimConfig::default()
             },
-            b"ls2",
+            &KeySet::generate(3, b"ls2"),
         );
-        d.push_op(c(0), LsWorkloadOp::Write(Value::from("w")));
-        d.push_ops(c(1), vec![LsWorkloadOp::Pause(5), LsWorkloadOp::Read(c(0))]);
-        d.push_ops(c(2), vec![LsWorkloadOp::Pause(5), LsWorkloadOp::Read(c(0))]);
+        d.push_op(c(0), WorkloadOp::Write(Value::from("w")));
+        d.push_ops(c(1), vec![WorkloadOp::Pause(5), WorkloadOp::Read(c(0))]);
+        d.push_ops(c(2), vec![WorkloadOp::Pause(5), WorkloadOp::Read(c(0))]);
         // Grant arrives at t=20 (submit 10 + grant 10); crash at t=15,
         // while the grant is in flight.
         d.crash_at(c(0), 15);
@@ -355,19 +179,46 @@ mod tests {
     }
 
     #[test]
+    fn disconnected_lock_holder_stalls_everyone_until_it_reconnects() {
+        // C0 goes offline for 100 ticks right after asking for the lock:
+        // its grant parks, and C1 queues behind the lock until C0 is back
+        // and commits. Both complete after the reconnect.
+        let mut d = LsDriver::with_keys(
+            LockStepServer::new(2),
+            SimConfig::default(),
+            &KeySet::generate(2, b"ls3"),
+        );
+        d.push_ops(
+            c(0),
+            vec![
+                WorkloadOp::Disconnect(100),
+                WorkloadOp::Write(Value::from("w")),
+            ],
+        );
+        d.push_ops(c(1), vec![WorkloadOp::Pause(5), WorkloadOp::Read(c(0))]);
+        let r = d.run();
+        assert!(r.faults.is_empty());
+        assert_eq!(r.incomplete_ops, 0);
+        for op in r.history.ops() {
+            assert!(op.responded_at > Some(100), "{op:?}");
+        }
+        assert_eq!(r.completions[1][0].read_value, Some(Some(Value::from("w"))));
+    }
+
+    #[test]
     fn lock_serializes_concurrent_clients() {
         // All clients submit at t=0; ops serialize behind the lock, so
         // the run takes ~2 round trips per op in sequence.
-        let mut d = LsDriver::new(
-            4,
+        let mut d = LsDriver::with_keys(
+            LockStepServer::new(4),
             SimConfig {
                 link_delay: faust_sim::DelayModel::Fixed(10),
                 ..SimConfig::default()
             },
-            b"ls4",
+            &KeySet::generate(4, b"ls4"),
         );
         for i in 0..4 {
-            d.push_op(c(i), LsWorkloadOp::Write(Value::unique(i, 0)));
+            d.push_op(c(i), WorkloadOp::Write(Value::unique(i, 0)));
         }
         let r = d.run();
         assert_eq!(r.incomplete_ops, 0);

@@ -11,8 +11,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use faust_baseline::{LsDriver, LsWorkloadOp};
-use faust_core::{FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp};
+use faust_baseline::{LockStepServer, LsDriver};
+use faust_core::{FaustConfig, FaustDriver, FaustDriverConfig};
 use faust_crypto::sig::KeySet;
 use faust_sim::{DelayModel, SimConfig};
 use faust_types::{ClientId, Value, Wire};
@@ -200,6 +200,27 @@ pub fn commit_mode_ablation(ns: &[usize], ops_per_client: usize) -> Vec<CommitMo
         .collect()
 }
 
+/// Client `i`'s script of `ops` writes.
+fn writes(i: usize, ops: u64) -> Vec<WorkloadOp> {
+    (0..ops)
+        .map(|s| WorkloadOp::Write(Value::unique(i as u32, s)))
+        .collect()
+}
+
+/// E7's two contestants, USTOR and the lock-step baseline, each loaded
+/// with the same per-client `script`.
+fn e7_drivers(sim: SimConfig, key_seed: &[u8], script: &[Vec<WorkloadOp>]) -> (Driver, LsDriver) {
+    let n = script.len();
+    let mut ustor = Driver::new(n, Box::new(UstorServer::new(n)), sim, key_seed);
+    let keys = KeySet::generate(n, key_seed);
+    let mut lockstep = LsDriver::with_keys(LockStepServer::new(n), sim, &keys);
+    for (i, steps) in script.iter().enumerate() {
+        ustor.push_ops(c(i as u32), steps.clone());
+        lockstep.push_ops(c(i as u32), steps.clone());
+    }
+    (ustor, lockstep)
+}
+
 /// One row of the concurrency (wait-freedom) experiment, E7 part 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConcurrencyRow {
@@ -222,21 +243,10 @@ pub fn concurrency_sweep(ns: &[usize], ops: u64, link_delay: u64) -> Vec<Concurr
     };
     ns.iter()
         .map(|&n| {
-            let mut ustor = Driver::new(n, Box::new(UstorServer::new(n)), sim(1), b"bench-cc");
-            for i in 0..n {
-                for s in 0..ops {
-                    ustor.push_op(c(i as u32), WorkloadOp::Write(Value::unique(i as u32, s)));
-                }
-            }
+            let script: Vec<_> = (0..n).map(|i| writes(i, ops)).collect();
+            let (ustor, lockstep) = e7_drivers(sim(1), b"bench-cc", &script);
             let u = ustor.run();
             assert_eq!(u.incomplete_ops, 0);
-
-            let mut lockstep = LsDriver::new(n, sim(1), b"bench-cc");
-            for i in 0..n {
-                for s in 0..ops {
-                    lockstep.push_op(c(i as u32), LsWorkloadOp::Write(Value::unique(i as u32, s)));
-                }
-            }
             let l = lockstep.run();
             assert_eq!(l.incomplete_ops, 0);
             ConcurrencyRow {
@@ -268,26 +278,14 @@ pub fn crash_blocking(n: usize, ops: u64) -> CrashRow {
         link_delay: DelayModel::Fixed(10),
         offline_delay: DelayModel::Fixed(50),
     };
-    let mut ustor = Driver::new(n, Box::new(UstorServer::new(n)), sim, b"bench-crash");
-    ustor.push_ops(
-        c(0),
-        vec![WorkloadOp::Write(Value::from("w")), WorkloadOp::Crash],
-    );
-    for i in 1..n {
-        for s in 0..ops {
-            ustor.push_op(c(i as u32), WorkloadOp::Write(Value::unique(i as u32, s)));
-        }
-    }
-    let u = ustor.run();
-
-    let mut lockstep = LsDriver::new(n, sim, b"bench-crash");
-    lockstep.push_op(c(0), LsWorkloadOp::Write(Value::from("w")));
-    for i in 1..n {
-        for s in 0..ops {
-            lockstep.push_op(c(i as u32), LsWorkloadOp::Write(Value::unique(i as u32, s)));
-        }
-    }
+    let mut script = vec![vec![WorkloadOp::Write(Value::from("w"))]];
+    script.extend((1..n).map(|i| writes(i, ops)));
+    let (mut ustor, mut lockstep) = e7_drivers(sim, b"bench-crash", &script);
+    // C0 dies after the server answered its write and before the answer
+    // lands: a lock-step client then holds the lock.
+    ustor.crash_at(c(0), 15);
     lockstep.crash_at(c(0), 15);
+    let u = ustor.run();
     let l = lockstep.run();
 
     CrashRow {
@@ -346,7 +344,7 @@ pub fn detection_latency_sweep(probe_periods: &[u64], seeds: u64, n: usize) -> V
                 for i in 0..n {
                     driver.push_op(
                         c(i as u32),
-                        FaustWorkloadOp::Write(Value::unique(i as u32, seed)),
+                        WorkloadOp::Write(Value::unique(i as u32, seed)),
                     );
                 }
                 let deadline = 100 * probe_period + 10_000;
@@ -414,7 +412,7 @@ pub fn stability_latency_sweep(configs: &[(u64, u64)], seeds: u64, n: usize) -> 
                     },
                     b"bench-stability",
                 );
-                driver.push_op(c(0), FaustWorkloadOp::Write(Value::unique(0, seed)));
+                driver.push_op(c(0), WorkloadOp::Write(Value::unique(0, seed)));
                 let result = driver.run_until(100 * probe_period + 10_000);
                 let completed_at =
                     result.notifications[0]

@@ -31,9 +31,9 @@
 //! # Example
 //!
 //! ```
-//! use faust_core::{FaustDriver, FaustDriverConfig, FaustWorkloadOp};
+//! use faust_core::{FaustDriver, FaustDriverConfig};
 //! use faust_types::{ClientId, Value};
-//! use faust_ustor::UstorServer;
+//! use faust_ustor::{UstorServer, WorkloadOp};
 //!
 //! let mut driver = FaustDriver::new(
 //!     3,
@@ -41,8 +41,8 @@
 //!     FaustDriverConfig::default(),
 //!     b"quickstart",
 //! );
-//! driver.push_op(ClientId::new(0), FaustWorkloadOp::Write(Value::from("hello")));
-//! driver.push_op(ClientId::new(1), FaustWorkloadOp::Read(ClientId::new(0)));
+//! driver.push_op(ClientId::new(0), WorkloadOp::Write(Value::from("hello")));
+//! driver.push_op(ClientId::new(1), WorkloadOp::Read(ClientId::new(0)));
 //! let result = driver.run_until(5_000);
 //! assert!(result.failures.is_empty());
 //! ```
@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod driver;
 pub mod events;
 pub mod handle;
 pub mod offline;
@@ -59,7 +58,6 @@ pub mod persist;
 pub mod sim;
 
 pub use client::{Actions, FaustClient, FaustClientState, FaustConfig, UserOp};
-pub use driver::{random_faust_workloads, FaustDriverConfig, FaustWorkloadOp};
 pub use events::{FailReason, FaustCompletion, Notification, StabilityCut};
 pub use handle::{
     offline_mesh, DisconnectCause, Event, FaustHandle, HandleConfig, HandleStats, OfflineLink,
@@ -69,6 +67,13 @@ pub use offline::OfflineMsg;
 pub use persist::{checkpoint_session, load_session, save_session};
 pub use sim::{
     check_determinism, check_oracles, gen_scenario, investigate, run_and_check, run_sim, CrashSpec,
-    FaultClause, FaultPlan, FaustDriver, ServerSpec, SimDurability, SimFailure, SimRunReport,
-    SimScenario, WalTamper,
+    FaultClause, FaultPlan, FaustDriver, FaustDriverConfig, ServerSpec, SimDurability, SimFailure,
+    SimRunReport, SimScenario, WalTamper,
 };
+
+/// Scripted [`FaustDriver`] runs: stability, detection and determinism.
+#[cfg(test)]
+mod driver {
+    mod determinism_tests;
+    mod tests;
+}

@@ -34,7 +34,6 @@
 //! released at deterministic ticks.
 
 use crate::client::{FaustClient, FaustConfig, UserOp};
-use crate::driver::{FaustDriverConfig, FaustWorkloadOp};
 use crate::events::{FailReason, FaustCompletion, Notification, StabilityCut};
 use crate::handle::{Event as SessionEvent, SessionCore, SessionOutput};
 use crate::offline::OfflineMsg;
@@ -46,7 +45,9 @@ use faust_store::{
     Durability, LogRecord, PersistentBackend, PersistentServer, SimClock, StoreConfig,
 };
 use faust_types::{ClientId, History, OpId, OpKind, ReplyMsg, Timestamp, UstorMsg, Value, Wire};
-use faust_ustor::{CrashRestartServer, MemoryBackend, Server, ServerBackend, ServerEngine};
+use faust_ustor::{
+    CrashRestartServer, MemoryBackend, Server, ServerBackend, ServerEngine, WorkloadOp,
+};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -278,7 +279,7 @@ pub struct SimScenario {
     /// Seed for the network schedule (delays, event tie-breaks).
     pub seed: u64,
     /// Per-client workload scripts; the client count is the length.
-    pub workloads: Vec<Vec<FaustWorkloadOp>>,
+    pub workloads: Vec<Vec<WorkloadOp>>,
     /// Which server to run.
     pub server: ServerSpec,
     /// The fault plan.
@@ -308,9 +309,7 @@ impl SimScenario {
         self.workloads
             .iter()
             .flatten()
-            .filter(|op| {
-                matches!(op, FaustWorkloadOp::Write(_)) || matches!(op, FaustWorkloadOp::Read(_))
-            })
+            .filter(|op| matches!(op, WorkloadOp::Write(_) | WorkloadOp::Read(_)))
             .count()
     }
 
@@ -566,13 +565,13 @@ struct Slot {
     /// The same sans-io session core the live [`crate::FaustHandle`]
     /// drives — here inside virtual time.
     core: SessionCore,
-    script: VecDeque<FaustWorkloadOp>,
+    script: VecDeque<WorkloadOp>,
     /// History ids of in-flight *user* ops by ticket (dummy reads are
     /// not ticketed and not recorded).
     ticket_ops: HashMap<u64, OpId>,
     notifications: Vec<(u64, Notification)>,
     crashed: bool,
-    /// Script is parked on a Pause or Disconnect until its timer fires.
+    /// Script is parked on a Pause until its timer fires.
     waiting: bool,
     /// Whether the client is currently script-disconnected (its link
     /// traffic is delayed until reconnection).
@@ -613,6 +612,28 @@ fn scratch_dir() -> PathBuf {
     std::env::temp_dir().join(format!("faust-simrun-{}-{id}", std::process::id()))
 }
 
+/// Configuration of a FAUST simulation run.
+#[derive(Debug, Clone, Copy)]
+pub struct FaustDriverConfig {
+    /// Underlying network simulation parameters.
+    pub sim: SimConfig,
+    /// FAUST layer tuning.
+    pub faust: FaustConfig,
+    /// Period of the per-client tick timer (drives dummy reads and probe
+    /// checks).
+    pub tick_period: u64,
+}
+
+impl Default for FaustDriverConfig {
+    fn default() -> Self {
+        FaustDriverConfig {
+            sim: SimConfig::default(),
+            faust: FaustConfig::default(),
+            tick_period: 25,
+        }
+    }
+}
+
 /// Drives the full FAUST stack in virtual time: `n` FAUST clients, a
 /// (correct or Byzantine) storage server, the reliable FIFO links, and
 /// the offline client-to-client channel — the complete architecture of
@@ -634,9 +655,9 @@ fn scratch_dir() -> PathBuf {
 /// # Example
 ///
 /// ```
-/// use faust_core::{FaustDriver, FaustDriverConfig, FaustWorkloadOp};
+/// use faust_core::{FaustDriver, FaustDriverConfig};
 /// use faust_types::{ClientId, Value};
-/// use faust_ustor::UstorServer;
+/// use faust_ustor::{UstorServer, WorkloadOp};
 ///
 /// let mut d = FaustDriver::new(
 ///     2,
@@ -644,7 +665,7 @@ fn scratch_dir() -> PathBuf {
 ///     FaustDriverConfig::default(),
 ///     b"doc",
 /// );
-/// d.push_op(ClientId::new(0), FaustWorkloadOp::Write(Value::from("v")));
+/// d.push_op(ClientId::new(0), WorkloadOp::Write(Value::from("v")));
 /// let result = d.run_until(2_000);
 /// assert!(result.failures.is_empty());
 /// ```
@@ -898,12 +919,12 @@ impl FaustDriver {
     }
 
     /// Appends one step to a client's script.
-    pub fn push_op(&mut self, client: ClientId, op: FaustWorkloadOp) {
+    pub fn push_op(&mut self, client: ClientId, op: WorkloadOp) {
         self.slots[client.index()].script.push_back(op);
     }
 
     /// Appends a whole script.
-    pub fn push_ops(&mut self, client: ClientId, ops: impl IntoIterator<Item = FaustWorkloadOp>) {
+    pub fn push_ops(&mut self, client: ClientId, ops: impl IntoIterator<Item = WorkloadOp>) {
         self.slots[client.index()].script.extend(ops);
     }
 
@@ -1136,31 +1157,29 @@ impl FaustDriver {
             let client_id = ClientId::new(i as u32);
             let node = NodeId(i as u32);
             match step {
-                FaustWorkloadOp::Crash => {
+                WorkloadOp::Crash => {
                     slot.crashed = true;
                     self.sim.crash(node);
                     return;
                 }
-                FaustWorkloadOp::Pause(ticks) => {
+                WorkloadOp::Pause(ticks) => {
                     slot.waiting = true;
                     self.sim.set_timer(node, ticks, RESUME_TAG);
                     return;
                 }
-                FaustWorkloadOp::Disconnect(duration) => {
-                    slot.waiting = true;
+                WorkloadOp::Disconnect(duration) => {
                     slot.disconnected = true;
                     self.sim.set_connected(node, false);
                     self.sim.set_timer(node, duration, RECONNECT_TAG);
-                    return;
                 }
-                FaustWorkloadOp::Write(value) => {
+                WorkloadOp::Write(value) => {
                     let op_id = self.history.begin_write(client_id, value.clone(), now);
                     let (ticket, out) = self.slots[i].core.submit(UserOp::Write(value), now);
                     self.slots[i].ticket_ops.insert(ticket.index(), op_id);
                     self.apply_output(i, out, now);
                     return;
                 }
-                FaustWorkloadOp::Read(register) => {
+                WorkloadOp::Read(register) => {
                     if register.index() >= self.n {
                         continue;
                     }
@@ -1386,10 +1405,8 @@ impl FaustDriver {
                             self.advance_script(i, now);
                         }
                         RECONNECT_TAG => {
-                            self.slots[i].waiting = false;
                             self.slots[i].disconnected = false;
                             self.sim.set_connected(node, true);
-                            self.advance_script(i, now);
                         }
                         _ => {}
                     }
@@ -1734,7 +1751,7 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
     let n = rng.gen_range_inclusive(2, 4) as usize;
     let ops_per_client = rng.gen_range_inclusive(2, 4) as usize;
     let deadline = 6_000;
-    let workloads = crate::driver::random_faust_workloads(n, ops_per_client, 0.6, seed);
+    let workloads = faust_ustor::random_workloads(n, ops_per_client, 0.6, seed);
 
     let server = match rng.gen_index(3) {
         0 => ServerSpec::Volatile,
@@ -1966,7 +1983,7 @@ mod tests {
     fn honest_scenario(seed: u64, server: ServerSpec) -> SimScenario {
         SimScenario {
             seed,
-            workloads: crate::driver::random_faust_workloads(3, 3, 0.6, seed),
+            workloads: faust_ustor::random_workloads(3, 3, 0.6, seed),
             server,
             plan: FaultPlan::honest(),
             deadline: 6_000,
@@ -2134,13 +2151,13 @@ mod tests {
         // Make sure reads happen: c1 reads c0's register after a write.
         scenario.workloads = vec![
             vec![
-                FaustWorkloadOp::Write(Value::from("x1")),
-                FaustWorkloadOp::Write(Value::from("x2")),
+                WorkloadOp::Write(Value::from("x1")),
+                WorkloadOp::Write(Value::from("x2")),
             ],
             vec![
-                FaustWorkloadOp::Pause(200),
-                FaustWorkloadOp::Read(c(0)),
-                FaustWorkloadOp::Read(c(0)),
+                WorkloadOp::Pause(200),
+                WorkloadOp::Read(c(0)),
+                WorkloadOp::Read(c(0)),
             ],
         ];
         scenario.plan.clauses.push(FaultClause::TamperReadValue {

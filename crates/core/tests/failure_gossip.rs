@@ -3,11 +3,12 @@
 //! the detector never talks to again, and even when the detector crashes
 //! immediately after broadcasting (the offline channel is reliable).
 
-use faust_core::{FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp};
+use faust_core::{FaustConfig, FaustDriver, FaustDriverConfig};
 use faust_sim::{DelayModel, SimConfig};
 use faust_types::{ClientId, Value};
 use faust_ustor::adversary::{Tamper, TamperServer};
 use faust_ustor::UstorServer;
+use faust_ustor::WorkloadOp;
 
 fn c(i: u32) -> ClientId {
     ClientId::new(i)
@@ -23,9 +24,9 @@ fn one_detection_halts_everyone() {
         driver.push_ops(
             c(i),
             vec![
-                FaustWorkloadOp::Write(Value::unique(i, 1)),
-                FaustWorkloadOp::Pause(40),
-                FaustWorkloadOp::Write(Value::unique(i, 2)),
+                WorkloadOp::Write(Value::unique(i, 1)),
+                WorkloadOp::Pause(40),
+                WorkloadOp::Write(Value::unique(i, 2)),
             ],
         );
     }
@@ -69,13 +70,13 @@ fn detector_crash_does_not_lose_the_alarm() {
     driver.push_ops(
         c(0),
         vec![
-            FaustWorkloadOp::Write(Value::unique(0, 1)),
-            FaustWorkloadOp::Write(Value::unique(0, 2)),
-            FaustWorkloadOp::Crash,
+            WorkloadOp::Write(Value::unique(0, 1)),
+            WorkloadOp::Write(Value::unique(0, 2)),
+            WorkloadOp::Crash,
         ],
     );
-    driver.push_op(c(1), FaustWorkloadOp::Write(Value::unique(1, 1)));
-    driver.push_op(c(2), FaustWorkloadOp::Write(Value::unique(2, 1)));
+    driver.push_op(c(1), WorkloadOp::Write(Value::unique(1, 1)));
+    driver.push_op(c(2), WorkloadOp::Write(Value::unique(2, 1)));
     let result = driver.run_until(30_000);
     // C0 detected (and is now crashed); C1 and C2 must still have been
     // alerted by the in-flight broadcast.
@@ -110,7 +111,7 @@ fn aggressive_probing_stays_accurate() {
         },
         b"aggressive",
     );
-    for (i, w) in faust_core::random_faust_workloads(n, 6, 0.5, 13)
+    for (i, w) in faust_ustor::random_workloads(n, 6, 0.5, 13)
         .into_iter()
         .enumerate()
     {

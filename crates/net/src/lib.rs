@@ -4,12 +4,12 @@
 //! defines how `(client, message)` pairs physically reach the server-side
 //! engine and how replies travel back. One trait, three implementations:
 //!
-//! * [`queue`] — a deterministic, single-threaded queue pair. The USTOR
-//!   and lock-step simulation drivers use it: the simulator delivers a
-//!   message, pushes it into the queue transport, lets the engine drain
-//!   it, and forwards the outputs back into virtual time. No threads, no
-//!   syscalls, bit-for-bit reproducible. (The FAUST simulator needs no
-//!   transport: its server node calls the engine's serve round directly.)
+//! * [`queue`] — a deterministic, single-threaded queue pair: the
+//!   in-process link of a caller that runs the serve loop itself (the
+//!   `faustbench` harness drives its no-socket workloads over it). No
+//!   threads, no syscalls, bit-for-bit reproducible. The simulators need
+//!   no transport: their server nodes call the engine's serve round
+//!   directly.
 //! * [`channel`] — in-process `std::sync::mpsc` channels, for clients
 //!   and the engine on threads of one process.
 //! * [`reactor`] (unix) — the one socket server: length-prefixed frames
@@ -35,7 +35,7 @@
 //!
 //! # Example
 //!
-//! The deterministic queue pair, standing where the simulator would:
+//! The deterministic queue pair, standing where a socket would:
 //!
 //! ```
 //! use faust_net::{Incoming, QueueTransport, ServerTransport};

@@ -1,14 +1,12 @@
-//! Deterministic queue-pair transport: the adapter between the
-//! discrete-event simulator and the server engine.
+//! Deterministic queue-pair transport: a [`ServerTransport`] with no
+//! threads and no sockets.
 //!
-//! The simulator owns delivery order and virtual time; this transport is
-//! merely the mailbox between a simulated delivery and the engine. A
-//! driver pushes each message the simulator delivers to the server node
+//! A caller that runs the serve loop itself pushes each inbound message
 //! ([`QueueTransport::push_incoming`]), lets the engine drain the
-//! transport, and then forwards everything the engine emitted
-//! ([`QueueTransport::drain_outgoing`]) back into the simulation as
-//! normally scheduled messages. Single-threaded and allocation-light, so
-//! simulated executions stay bit-for-bit reproducible.
+//! transport, and then takes everything the engine emitted
+//! ([`QueueTransport::drain_outgoing`]). The `faustbench` harness uses it
+//! as the in-process link of its no-socket workloads. Single-threaded and
+//! allocation-light, so runs over it are bit-for-bit reproducible.
 
 use crate::{Incoming, ServerTransport};
 use faust_types::{ClientId, UstorMsg};

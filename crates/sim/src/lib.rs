@@ -276,41 +276,6 @@ impl<M: MessageSize> Simulation<M> {
         self.enqueue_message(from, to, msg, Transport::Offline, delay);
     }
 
-    /// Sends `msg` on the FIFO link from `from` to `to` with an explicit
-    /// `delay` instead of one sampled from the delay model. The FIFO
-    /// clamp still applies, so delayed messages cannot overtake or be
-    /// overtaken by other traffic on the same link. Fault harnesses use
-    /// this to model added latency without disturbing the RNG stream.
-    pub fn forward(&mut self, from: NodeId, to: NodeId, msg: M, delay: u64) {
-        self.enqueue_message(from, to, msg, Transport::Link, delay);
-    }
-
-    /// Schedules `msg` for delivery at absolute virtual time `at`,
-    /// **bypassing** the per-link FIFO clamp (the link clock is neither
-    /// consulted nor advanced). This deliberately violates the reliable-
-    /// FIFO channel assumption and exists only for fault injection:
-    /// reordered or duplicated frames that an adversarial network — or an
-    /// adversarial server replaying old replies — could produce.
-    ///
-    /// Crash and disconnect handling still apply on delivery.
-    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M, at: u64) {
-        if self.crashed.contains(&from) {
-            return;
-        }
-        self.metrics.record_send(Transport::Link, msg.size_bytes());
-        let seq = self.bump_seq();
-        self.queue.push(Reverse(QueueEntry {
-            time: at.max(self.now),
-            seq,
-            payload: Payload::Message {
-                from,
-                to,
-                msg,
-                transport: Transport::Link,
-            },
-        }));
-    }
-
     fn enqueue_message(
         &mut self,
         from: NodeId,
@@ -380,7 +345,12 @@ impl<M: MessageSize> Simulation<M> {
             if self.disconnected.remove(&node) {
                 if let Some(parked) = self.parked.remove(&node) {
                     for (from, msg, transport) in parked {
-                        // Re-deliver promptly; seq keeps arrival order.
+                        // Re-deliver promptly; seq keeps arrival order. The
+                        // link clock catches up with `now`, so a send
+                        // after the reconnect ties at `now + 1` at the
+                        // earliest and queues behind the parked frames.
+                        let clock = self.link_clock.entry((from, node)).or_insert(0);
+                        *clock = (*clock).max(self.now);
                         let seq = self.bump_seq();
                         self.queue.push(Reverse(QueueEntry {
                             time: self.now + 1,
@@ -699,47 +669,30 @@ mod edge_case_tests {
     }
 
     #[test]
-    fn forward_respects_fifo_clamp() {
+    fn reconnect_with_zero_delay_keeps_parked_frames_ahead_of_new_sends() {
         let mut s: Simulation<M> = Simulation::new(SimConfig {
             seed: 0,
-            link_delay: DelayModel::Fixed(10),
-            offline_delay: DelayModel::Fixed(10),
+            link_delay: DelayModel::Fixed(0),
+            offline_delay: DelayModel::Fixed(0),
         });
-        s.send(NodeId(0), NodeId(1), M(1)); // arrives at t=10
-        s.forward(NodeId(0), NodeId(1), M(2), 0); // clamped behind it
+        s.set_connected(NodeId(1), false);
+        s.send(NodeId(0), NodeId(1), M(1));
+        s.send(NodeId(0), NodeId(1), M(2));
+        s.set_timer(NodeId(0), 10, 0);
+        // Both frames park; the timer moves time to 10.
+        assert!(matches!(
+            s.next().map(|e| e.event),
+            Some(Event::Timer { .. })
+        ));
+        s.set_connected(NodeId(1), true);
+        s.send(NodeId(0), NodeId(1), M(3));
         let mut seen = Vec::new();
         while let Some(ev) = s.next() {
             if let Event::Message { msg, .. } = ev.event {
                 seen.push((ev.time, msg.0));
             }
         }
-        assert_eq!(seen, vec![(10, 1), (11, 2)]);
-    }
-
-    #[test]
-    fn inject_bypasses_fifo_and_delivers_at_requested_time() {
-        let mut s: Simulation<M> = Simulation::new(SimConfig {
-            seed: 0,
-            link_delay: DelayModel::Fixed(10),
-            offline_delay: DelayModel::Fixed(10),
-        });
-        s.send(NodeId(0), NodeId(1), M(1)); // arrives at t=10
-        s.inject(NodeId(0), NodeId(1), M(99), 2); // overtakes
-        let mut seen = Vec::new();
-        while let Some(ev) = s.next() {
-            if let Event::Message { msg, .. } = ev.event {
-                seen.push((ev.time, msg.0));
-            }
-        }
-        assert_eq!(seen, vec![(2, 99), (10, 1)]);
-    }
-
-    #[test]
-    fn inject_to_crashed_node_is_dropped() {
-        let mut s: Simulation<M> = Simulation::new(SimConfig::default());
-        s.crash(NodeId(1));
-        s.inject(NodeId(0), NodeId(1), M(1), 5);
-        assert!(s.next().is_none());
+        assert_eq!(seen, vec![(11, 1), (11, 2), (11, 3)]);
     }
 
     #[test]

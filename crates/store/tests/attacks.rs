@@ -6,7 +6,9 @@
 //! guarantee extended to the server's own storage.
 
 use faust_sim::SimConfig;
-use faust_store::{testutil, truncate_tail_records, Durability, PersistentBackend, StoreConfig};
+use faust_store::{
+    testutil, truncate_tail_records, Durability, PersistentBackend, PersistentServer, StoreConfig,
+};
 use faust_types::{ClientId, Value};
 use faust_ustor::{CrashRestartServer, Driver, Fault, WorkloadOp};
 
@@ -78,6 +80,30 @@ fn honest_crash_recovery_with_snapshots_is_also_invisible() {
     let result = driver.run();
     assert!(!result.detected_fault(), "{:?}", result.faults);
     assert_eq!(result.incomplete_ops, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn group_commit_server_completes_every_operation_under_the_driver() {
+    // The batch bounds are out of reach, so the server releases a held
+    // reply only when told to: every delivery ends in a closing round,
+    // which forces the flush, as `faust serve` does when its transport
+    // closes.
+    let dir = testutil::scratch_dir("attack-group");
+    let config = StoreConfig {
+        durability: Durability::Group {
+            max_records: 1_000,
+            max_wait: std::time::Duration::from_secs(3_600),
+        },
+        snapshot_every: 0,
+    };
+    let server = PersistentServer::open(&dir, 2, config).unwrap();
+    let mut driver = Driver::new(2, Box::new(server), SimConfig::default(), b"group");
+    workload(&mut driver);
+    let result = driver.run();
+    assert!(!result.detected_fault(), "{:?}", result.faults);
+    assert_eq!(result.incomplete_ops, 0, "every op completes");
+    assert_eq!(result.history.len(), 8);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -15,10 +15,11 @@
 //! engine never performs I/O, the same round serves clients on threads of
 //! the same process (the channel transport) and real TCP clients (the
 //! reactor) — the [`serve`] loop works over any [`ServerTransport`], and
-//! [`spawn_engine`] runs it on a thread — as well as the FAUST
-//! simulator's server node, which calls the round directly inside
-//! virtual time. The USTOR [`Driver`](crate::Driver) feeds [`serve`]
-//! through [`faust_net::QueueTransport`].
+//! [`spawn_engine`] runs it on a thread — as well as the server nodes of
+//! both simulators, which call the round directly inside virtual time:
+//! the USTOR [`Driver`](crate::Driver) runs one closing round per
+//! delivery, the FAUST simulator one per delivery and per virtual flush
+//! timer.
 //!
 //! # Sessions
 //!
@@ -422,9 +423,10 @@ impl ServerEngine {
     /// dying connection), then every per-client egress batch
     /// ([`ServerEngine::poll_output_batch`]) handed to `sink`.
     ///
-    /// [`serve`] runs one round per gathered batch of ingress; the
+    /// [`serve`] runs one round per gathered batch of ingress; the FAUST
     /// simulator's server node runs one per delivery, per virtual flush
-    /// timer, and per connection kill.
+    /// timer, and per connection kill; the USTOR
+    /// [`Driver`](crate::Driver) runs one closing round per delivery.
     pub fn round(&mut self, closing: bool, mut sink: impl FnMut(ClientId, Vec<UstorMsg>)) {
         self.process_all();
         if closing {

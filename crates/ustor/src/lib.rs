@@ -19,7 +19,9 @@
 //! * [`adversary`] — Byzantine servers: split-brain forks, the Figure 3
 //!   stale-read attack, reply tampering, and crash-silence.
 //! * [`Driver`] — a deterministic simulation harness producing recorded
-//!   histories for tests and experiments.
+//!   histories for tests and experiments. It is one loop over the
+//!   [`Protocol`] trait: [`Ustor`] here, the lock-step baseline in
+//!   `faust-baseline`.
 //!
 //! # Invariants
 //!
@@ -60,7 +62,7 @@ pub mod server;
 pub use client::{
     BeginError, CommitMode, OpCompletion, PendingOpState, UstorClient, UstorClientState,
 };
-pub use driver::{random_workloads, Driver, RunResult, WorkloadOp};
+pub use driver::{random_workloads, Driver, Protocol, RunResult, Ustor, WorkloadOp};
 pub use engine::{
     serve, spawn_engine, EngineStats, IngressVerification, ServerEngine, Session, SharedVerifier,
 };

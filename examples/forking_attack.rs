@@ -15,7 +15,7 @@ use faust::consistency::{
     check_causal_consistency, check_fork_linearizability, check_linearizability,
     check_weak_fork_linearizability, Budget,
 };
-use faust::core::{FaustDriver, FaustDriverConfig, FaustWorkloadOp};
+use faust::core::{FaustDriver, FaustDriverConfig};
 use faust::sim::SimConfig;
 use faust::types::{ClientId, Value};
 use faust::ustor::adversary::Fig3Server;
@@ -95,13 +95,13 @@ fn main() {
         FaustDriverConfig::default(),
         b"fig3-faust",
     );
-    driver.push_op(c(0), FaustWorkloadOp::Write(Value::from("u")));
+    driver.push_op(c(0), WorkloadOp::Write(Value::from("u")));
     driver.push_ops(
         c(1),
         vec![
-            FaustWorkloadOp::Pause(50),
-            FaustWorkloadOp::Read(c(0)),
-            FaustWorkloadOp::Read(c(0)),
+            WorkloadOp::Pause(50),
+            WorkloadOp::Read(c(0)),
+            WorkloadOp::Read(c(0)),
         ],
     );
     let result = driver.run_until(30_000);

@@ -12,10 +12,10 @@
 //!
 //! Run with: `cargo run --example shared_doc`
 
-use faust::core::{FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp, Notification};
+use faust::core::{FaustConfig, FaustDriver, FaustDriverConfig, Notification};
 use faust::sim::{DelayModel, SimConfig};
 use faust::types::{ClientId, Value};
-use faust::ustor::UstorServer;
+use faust::ustor::{UstorServer, WorkloadOp};
 
 const AUTHORS: [&str; 3] = ["ana", "bruno", "chen"];
 
@@ -59,14 +59,14 @@ fn main() {
     driver.push_ops(
         ana,
         vec![
-            FaustWorkloadOp::Write(log_value(0, &["# Shared design doc"])),
-            FaustWorkloadOp::Write(log_value(
+            WorkloadOp::Write(log_value(0, &["# Shared design doc"])),
+            WorkloadOp::Write(log_value(
                 0,
                 &["# Shared design doc", "## Goals: fail-aware storage"],
             )),
-            FaustWorkloadOp::Pause(60),
-            FaustWorkloadOp::Read(bruno),
-            FaustWorkloadOp::Write(log_value(
+            WorkloadOp::Pause(60),
+            WorkloadOp::Read(bruno),
+            WorkloadOp::Write(log_value(
                 0,
                 &[
                     "# Shared design doc",
@@ -79,10 +79,10 @@ fn main() {
     driver.push_ops(
         bruno,
         vec![
-            FaustWorkloadOp::Pause(20),
-            FaustWorkloadOp::Write(log_value(1, &["## Protocol: USTOR, one round/op"])),
-            FaustWorkloadOp::Read(ana),
-            FaustWorkloadOp::Write(log_value(
+            WorkloadOp::Pause(20),
+            WorkloadOp::Write(log_value(1, &["## Protocol: USTOR, one round/op"])),
+            WorkloadOp::Read(ana),
+            WorkloadOp::Write(log_value(
                 1,
                 &[
                     "## Protocol: USTOR, one round/op",
@@ -94,10 +94,10 @@ fn main() {
     driver.push_ops(
         chen,
         vec![
-            FaustWorkloadOp::Pause(40),
-            FaustWorkloadOp::Read(ana),
-            FaustWorkloadOp::Read(bruno),
-            FaustWorkloadOp::Write(log_value(2, &["## Conclusion: trust, but verify"])),
+            WorkloadOp::Pause(40),
+            WorkloadOp::Read(ana),
+            WorkloadOp::Read(bruno),
+            WorkloadOp::Write(log_value(2, &["## Conclusion: trust, but verify"])),
         ],
     );
 

@@ -14,7 +14,8 @@
 //!
 //! Run with: `cargo run --example wait_freedom`
 
-use faust::baseline::{LsDriver, LsWorkloadOp};
+use faust::baseline::{LockStepServer, LsDriver};
+use faust::crypto::KeySet;
 use faust::sim::{DelayModel, SimConfig};
 use faust::types::{ClientId, Value};
 use faust::ustor::{Driver, UstorServer, WorkloadOp};
@@ -31,26 +32,35 @@ fn sim() -> SimConfig {
     }
 }
 
+/// Client `i`'s script of `ops` writes.
+fn writes(i: u32, ops: u64) -> Vec<WorkloadOp> {
+    (0..ops)
+        .map(|s| WorkloadOp::Write(Value::unique(i, s)))
+        .collect()
+}
+
+/// Both protocols, each loaded with the same per-client `script`.
+fn drivers(key_seed: &[u8], script: &[Vec<WorkloadOp>]) -> (Driver, LsDriver) {
+    let n = script.len();
+    let mut ustor = Driver::new(n, Box::new(UstorServer::new(n)), sim(), key_seed);
+    let keys = KeySet::generate(n, key_seed);
+    let mut lockstep = LsDriver::with_keys(LockStepServer::new(n), sim(), &keys);
+    for (i, steps) in script.iter().enumerate() {
+        ustor.push_ops(c(i as u32), steps.clone());
+        lockstep.push_ops(c(i as u32), steps.clone());
+    }
+    (ustor, lockstep)
+}
+
 fn main() {
     let n: usize = 8;
     let ops: u64 = 5;
 
     println!("── scenario 1: {n} clients, {ops} concurrent writes each ──\n");
 
-    let mut ustor = Driver::new(n, Box::new(UstorServer::new(n)), sim(), b"wf");
-    for i in 0..n {
-        for s in 0..ops {
-            ustor.push_op(c(i as u32), WorkloadOp::Write(Value::unique(i as u32, s)));
-        }
-    }
+    let script: Vec<_> = (0..n as u32).map(|i| writes(i, ops)).collect();
+    let (ustor, lockstep) = drivers(b"wf", &script);
     let u = ustor.run();
-
-    let mut lockstep = LsDriver::new(n, sim(), b"wf");
-    for i in 0..n {
-        for s in 0..ops {
-            lockstep.push_op(c(i as u32), LsWorkloadOp::Write(Value::unique(i as u32, s)));
-        }
-    }
     let l = lockstep.run();
 
     println!("                         USTOR      lock-step");
@@ -76,28 +86,17 @@ fn main() {
 
     println!("\n── scenario 2: a client crashes mid-operation ──\n");
 
-    // USTOR: C0 crashes while its write is in flight.
-    let mut ustor = Driver::new(3, Box::new(UstorServer::new(3)), sim(), b"wf-crash");
-    ustor.push_ops(
-        c(0),
-        vec![WorkloadOp::Write(Value::from("w")), WorkloadOp::Crash],
-    );
-    for i in 1..3 {
-        for s in 0..ops {
-            ustor.push_op(c(i), WorkloadOp::Write(Value::unique(i, s)));
-        }
-    }
+    let script = [
+        vec![WorkloadOp::Write(Value::from("w"))],
+        writes(1, ops),
+        writes(2, ops),
+    ];
+    let (mut ustor, mut lockstep) = drivers(b"wf-crash", &script);
+    // C0 crashes at t = 15, after the server answered its write (t = 10)
+    // and before the answer lands (t = 20): a lock-step C0 holds the lock.
+    ustor.crash_at(c(0), 15);
+    lockstep.crash_at(c(0), 15);
     let u = ustor.run();
-
-    // Lock-step: C0 crashes while holding the lock.
-    let mut lockstep = LsDriver::new(3, sim(), b"wf-crash");
-    lockstep.push_op(c(0), LsWorkloadOp::Write(Value::from("w")));
-    for i in 1..3 {
-        for s in 0..ops {
-            lockstep.push_op(c(i), LsWorkloadOp::Write(Value::unique(i, s)));
-        }
-    }
-    lockstep.crash_at(c(0), 15); // between grant and commit
     let l = lockstep.run();
 
     let u_done: usize = u.completions[1].len() + u.completions[2].len();

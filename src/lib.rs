@@ -20,27 +20,30 @@
 //!   │     the paper's trust model with public-key registries     │
 //!   │   · wraps any `Server`: the correct UstorServer or a       │
 //!   │     Byzantine adversary                                    │
-//!   └──────────────────────────▲─────────────────────────────────┘
-//!                              │ ServerTransport (faust-net)
-//!          ┌───────────────────┴──┬──────────────────────┐
-//!          │                      │                      │
-//!   QueueTransport         channel transport      ReactorTransport
-//!   (deterministic         (std::sync::mpsc,      (unix: the socket server —
-//!   adapter of the         engine and clients     length-prefixed frames, one
-//!   USTOR simulation       on threads of one      event loop, many conns,
-//!   driver; stays          process)               admission control —
-//!   bit-reproducible)                             docs/networking.md)
+//!   └──────────────▲──────────────────────────────▲──────────────┘
+//!                  │ ServerEngine::round          │ serve loop over a
+//!                  │ in virtual time              │ ServerTransport (faust-net)
+//!          ┌───────┴─────────┐         ┌──────────┴───────┬─────────────────┐
+//!          │                 │         │                  │                 │
+//!    ustor::Driver   core::FaustDriver QueueTransport  channel transport  ReactorTransport
+//!    (scripted       (full FAUST       (in-process     (std::sync::mpsc,  (unix: the socket
+//!    USTOR runs)     stack, fault      link of         engine and         server — frames,
+//!                    plan, oracles)    faustbench)     clients on         one event loop,
+//!                                                      threads)           admission control
+//!                                                                         — docs/networking.md)
 //! ```
 //!
-//! One engine round ([`ustor::ServerEngine::round`]) serves all three:
+//! One engine round ([`ustor::ServerEngine::round`]) serves all of them:
 //! [`ustor::spawn_engine`] runs the [`ustor::serve`] loop on a thread
 //! behind a channel or a real TCP listener, with live
-//! [`client::FaustHandle`] sessions on the other side; the USTOR
-//! simulation driver ([`ustor::Driver`]) pumps the same loop through the
-//! queue transport inside virtual time; and the FAUST simulator
-//! ([`core::FaustDriver`]) calls the round from its server node, no
-//! transport in between. Client threads hold a transport-independent
-//! [`net::ClientConn`].
+//! [`client::FaustHandle`] sessions on the other side, and the two
+//! simulators call the round from their server nodes inside virtual
+//! time, no transport in between. The USTOR simulation driver
+//! ([`ustor::Driver`]) is one loop over the [`ustor::Protocol`] trait, so
+//! the lock-step baseline ([`baseline::LsDriver`]) runs in it too, on its
+//! own server; the FAUST simulator ([`core::FaustDriver`]) is a separate
+//! loop with ticks, the offline channel and a fault plan. Client threads
+//! hold a transport-independent [`net::ClientConn`].
 //!
 //! Messages are encoded by the hand-rolled, byte-exact codec in
 //! [`types::wire`]; stream transports add the

@@ -15,13 +15,11 @@ mod common;
 
 use common::{incarnation, quiet_config};
 use faust::client::{offline_mesh, Event, FaustHandle, HandleConfig, WaitError};
-use faust::core::{
-    random_faust_workloads, FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp,
-};
+use faust::core::{FaustConfig, FaustDriver, FaustDriverConfig};
 use faust::net::tcp;
 use faust::store::{testutil, truncate_tail_records, Durability, PersistentBackend, StoreConfig};
 use faust::types::{ClientId, OpKind, Timestamp, Value};
-use faust::ustor::{spawn_engine, ServerEngine, UstorServer};
+use faust::ustor::{random_workloads, spawn_engine, ServerEngine, UstorServer, WorkloadOp};
 use std::time::{Duration, Instant};
 
 fn c(i: u32) -> ClientId {
@@ -37,7 +35,7 @@ fn pipelined_handles_match_the_driver_script() {
     let n = 3;
     let ops_per_client = 4u64;
     for seed in 0..2u64 {
-        let workloads = random_faust_workloads(n, ops_per_client as usize, 0.5, seed);
+        let workloads = random_workloads(n, ops_per_client as usize, 0.5, seed);
 
         // Reference: the deterministic simulation driver on the same
         // script, run to quiescence and full stability.
@@ -109,8 +107,8 @@ fn pipelined_handles_match_the_driver_script() {
                     .with_offline(link);
                     for op in workload {
                         match op {
-                            FaustWorkloadOp::Write(value) => handle.write(value),
-                            FaustWorkloadOp::Read(register) => handle.read(register),
+                            WorkloadOp::Write(value) => handle.write(value),
+                            WorkloadOp::Read(register) => handle.read(register),
                             _ => unreachable!("random workloads are reads and writes"),
                         };
                     }

@@ -2,16 +2,17 @@
 //! paper's scenarios and every adversary, with histories validated by the
 //! consistency checkers.
 
-use faust::baseline::{LsDriver, LsWorkloadOp};
+use faust::baseline::{LockStepServer, LsDriver};
 use faust::consistency::{
     check_causal_consistency, check_fork_linearizability, check_linearizability,
     check_weak_fork_linearizability, Budget, Verdict,
 };
-use faust::core::{FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp, Notification};
+use faust::core::{FaustConfig, FaustDriver, FaustDriverConfig, Notification};
+use faust::crypto::KeySet;
 use faust::sim::{DelayModel, SimConfig};
 use faust::types::{ClientId, Value};
 use faust::ustor::adversary::{CrashServer, Fig3Server, SplitBrainServer, Tamper, TamperServer};
-use faust::ustor::UstorServer;
+use faust::ustor::{random_workloads, UstorServer, WorkloadOp};
 
 fn c(i: u32) -> ClientId {
     ClientId::new(i)
@@ -47,30 +48,27 @@ fn figure_2_stability_cut() {
     driver.push_ops(
         ALICE,
         vec![
-            FaustWorkloadOp::Write(Value::from("alice rev 1")),
-            FaustWorkloadOp::Write(Value::from("alice rev 2")),
-            FaustWorkloadOp::Write(Value::from("alice rev 3")),
-            FaustWorkloadOp::Pause(100),
-            FaustWorkloadOp::Read(CARLOS),
-            FaustWorkloadOp::Write(Value::from("alice rev 4")),
-            FaustWorkloadOp::Write(Value::from("alice rev 5")),
-            FaustWorkloadOp::Write(Value::from("alice rev 6")),
-            FaustWorkloadOp::Write(Value::from("alice rev 7")),
-            FaustWorkloadOp::Pause(150),
-            FaustWorkloadOp::Read(BOB),
-            FaustWorkloadOp::Write(Value::from("alice rev 8")),
+            WorkloadOp::Write(Value::from("alice rev 1")),
+            WorkloadOp::Write(Value::from("alice rev 2")),
+            WorkloadOp::Write(Value::from("alice rev 3")),
+            WorkloadOp::Pause(100),
+            WorkloadOp::Read(CARLOS),
+            WorkloadOp::Write(Value::from("alice rev 4")),
+            WorkloadOp::Write(Value::from("alice rev 5")),
+            WorkloadOp::Write(Value::from("alice rev 6")),
+            WorkloadOp::Write(Value::from("alice rev 7")),
+            WorkloadOp::Pause(150),
+            WorkloadOp::Read(BOB),
+            WorkloadOp::Write(Value::from("alice rev 8")),
         ],
     );
-    driver.push_ops(
-        BOB,
-        vec![FaustWorkloadOp::Pause(230), FaustWorkloadOp::Read(ALICE)],
-    );
+    driver.push_ops(BOB, vec![WorkloadOp::Pause(230), WorkloadOp::Read(ALICE)]);
     driver.push_ops(
         CARLOS,
         vec![
-            FaustWorkloadOp::Pause(55),
-            FaustWorkloadOp::Read(ALICE),
-            FaustWorkloadOp::Disconnect(8_000),
+            WorkloadOp::Pause(55),
+            WorkloadOp::Read(ALICE),
+            WorkloadOp::Disconnect(8_000),
         ],
     );
 
@@ -121,10 +119,7 @@ fn faust_correct_server_properties() {
             },
             b"e2e-correct",
         );
-        for (i, w) in faust::core::random_faust_workloads(3, 5, 0.5, seed)
-            .into_iter()
-            .enumerate()
-        {
+        for (i, w) in random_workloads(3, 5, 0.5, seed).into_iter().enumerate() {
             driver.push_ops(c(i as u32), w);
         }
         let result = driver.run_until(20_000);
@@ -186,10 +181,10 @@ fn adversary_matrix() {
             driver.push_ops(
                 c(i),
                 vec![
-                    FaustWorkloadOp::Write(Value::unique(i, 1)),
-                    FaustWorkloadOp::Pause(30 * (i as u64 + 1)),
-                    FaustWorkloadOp::Read(c((i + 1) % 3)),
-                    FaustWorkloadOp::Write(Value::unique(i, 2)),
+                    WorkloadOp::Write(Value::unique(i, 1)),
+                    WorkloadOp::Pause(30 * (i as u64 + 1)),
+                    WorkloadOp::Read(c((i + 1) % 3)),
+                    WorkloadOp::Write(Value::unique(i, 2)),
                 ],
             );
         }
@@ -215,21 +210,21 @@ fn adversary_matrix() {
 fn lockstep_histories_linearizable() {
     let budget = Budget::default();
     for seed in 0..5 {
-        let mut d = LsDriver::new(
-            3,
+        let mut d = LsDriver::with_keys(
+            LockStepServer::new(3),
             SimConfig {
                 seed,
                 link_delay: DelayModel::Uniform(1, 10),
                 offline_delay: DelayModel::Fixed(50),
             },
-            b"ls-lin",
+            &KeySet::generate(3, b"ls-lin"),
         );
         for i in 0..3u32 {
             for s in 0..4u64 {
                 if s % 2 == 0 {
-                    d.push_op(c(i), LsWorkloadOp::Write(Value::unique(i, s)));
+                    d.push_op(c(i), WorkloadOp::Write(Value::unique(i, s)));
                 } else {
-                    d.push_op(c(i), LsWorkloadOp::Read(c((i + 1) % 3)));
+                    d.push_op(c(i), WorkloadOp::Read(c((i + 1) % 3)));
                 }
             }
         }
@@ -275,9 +270,9 @@ fn forked_faust_histories_meet_the_guarantees() {
         driver.push_ops(
             c(i),
             vec![
-                FaustWorkloadOp::Write(Value::unique(i, 1)),
-                FaustWorkloadOp::Pause(20),
-                FaustWorkloadOp::Read(c((i + 1) % 4)),
+                WorkloadOp::Write(Value::unique(i, 1)),
+                WorkloadOp::Pause(20),
+                WorkloadOp::Read(c((i + 1) % 4)),
             ],
         );
     }
@@ -314,10 +309,7 @@ fn faust_with_piggybacked_commits() {
         },
         b"faust-piggyback",
     );
-    for (i, w) in faust::core::random_faust_workloads(3, 5, 0.5, 9)
-        .into_iter()
-        .enumerate()
-    {
+    for (i, w) in random_workloads(3, 5, 0.5, 9).into_iter().enumerate() {
         driver.push_ops(c(i as u32), w);
     }
     let result = driver.run_until(10_000);
@@ -359,8 +351,8 @@ fn piggybacked_faust_still_detects_forks() {
         },
         b"piggyback-fork",
     );
-    driver.push_op(c(0), FaustWorkloadOp::Write(Value::from("a")));
-    driver.push_op(c(1), FaustWorkloadOp::Write(Value::from("b")));
+    driver.push_op(c(0), WorkloadOp::Write(Value::from("a")));
+    driver.push_op(c(1), WorkloadOp::Write(Value::from("b")));
     let result = driver.run_until(20_000);
     assert_eq!(result.failures.len(), 2, "{:?}", result.failures);
 }

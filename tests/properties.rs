@@ -5,11 +5,11 @@
 //! seeded [`SmallRng`], so a failure reproduces exactly by case number.
 
 use faust::consistency::{check_linearizability, check_wait_freedom, Budget, Verdict};
-use faust::core::{FaustDriver, FaustDriverConfig, FaustWorkloadOp, Notification};
+use faust::core::{FaustDriver, FaustDriverConfig, Notification};
 use faust::sim::{DelayModel, SimConfig, SmallRng};
 use faust::types::{ClientId, Value};
 use faust::ustor::adversary::SplitBrainServer;
-use faust::ustor::{random_workloads, Driver, UstorServer};
+use faust::ustor::{random_workloads, Driver, UstorServer, WorkloadOp};
 
 fn c(i: u32) -> ClientId {
     ClientId::new(i)
@@ -73,10 +73,7 @@ fn faust_timestamps_and_cuts_monotone() {
             },
             b"prop-monotone",
         );
-        for (i, w) in faust::core::random_faust_workloads(n, 4, 0.5, seed)
-            .into_iter()
-            .enumerate()
-        {
+        for (i, w) in random_workloads(n, 4, 0.5, seed).into_iter().enumerate() {
             driver.push_ops(c(i as u32), w);
         }
         let result = driver.run_until(8_000);
@@ -132,8 +129,8 @@ fn forks_always_detected() {
                 driver.push_ops(
                     c(i),
                     vec![
-                        FaustWorkloadOp::Write(Value::unique(i, s)),
-                        FaustWorkloadOp::Pause(40),
+                        WorkloadOp::Write(Value::unique(i, s)),
+                        WorkloadOp::Pause(40),
                     ],
                 );
             }

@@ -27,8 +27,7 @@ use common::{connect_all, handle_config, incarnation, run_phase};
 use faust::audit::{audit, AuditVerdict, SessionHistory};
 use faust::core::{
     check_determinism, gen_scenario, investigate, run_and_check, run_sim, CrashSpec, FaultClause,
-    FaultPlan, FaustWorkloadOp, Notification, ServerSpec, SimDurability, SimScenario, UserOp,
-    WalTamper,
+    FaultPlan, Notification, ServerSpec, SimDurability, SimScenario, UserOp, WalTamper,
 };
 use faust::crypto::sig::KeySet;
 use faust::crypto::SigScheme;
@@ -36,6 +35,7 @@ use faust::net::tcp;
 use faust::sim::DelayModel;
 use faust::store::{testutil, Durability, PersistentBackend, StoreConfig};
 use faust::types::{ClientId, Value};
+use faust::ustor::WorkloadOp;
 use std::time::{Duration, Instant};
 
 fn c(i: u32) -> ClientId {
@@ -145,24 +145,24 @@ fn kill_restart_scenario() -> SimScenario {
         seed: 4242,
         workloads: vec![
             vec![
-                FaustWorkloadOp::Write(Value::from("a1")),
-                FaustWorkloadOp::Write(Value::from("a2")),
+                WorkloadOp::Write(Value::from("a1")),
+                WorkloadOp::Write(Value::from("a2")),
                 // Staggered pauses: C1 resumes first, so its cross-read
                 // lands before C0's phase-2 write — the same op order
                 // the threaded twin asserts.
-                FaustWorkloadOp::Pause(500),
-                FaustWorkloadOp::Read(c(1)),
-                FaustWorkloadOp::Write(Value::from("a3")),
+                WorkloadOp::Pause(500),
+                WorkloadOp::Read(c(1)),
+                WorkloadOp::Write(Value::from("a3")),
             ],
             vec![
-                FaustWorkloadOp::Write(Value::from("b1")),
-                FaustWorkloadOp::Pause(300),
-                FaustWorkloadOp::Read(c(0)),
+                WorkloadOp::Write(Value::from("b1")),
+                WorkloadOp::Pause(300),
+                WorkloadOp::Read(c(0)),
             ],
             vec![
-                FaustWorkloadOp::Read(c(0)),
-                FaustWorkloadOp::Pause(400),
-                FaustWorkloadOp::Write(Value::from("c1")),
+                WorkloadOp::Read(c(0)),
+                WorkloadOp::Pause(400),
+                WorkloadOp::Write(Value::from("c1")),
             ],
         ],
         server: ServerSpec::Persistent {
