@@ -43,13 +43,14 @@ fn main() {
 
     // E6: O(n) bits of communication overhead per request.
     println!("E6  message sizes in bytes vs n (paper §1/§5: O(n) overhead per request;");
-    println!("    64-byte register values)");
-    println!("      n   SUBMIT   REPLY(w)   COMMIT   REPLY(r)");
+    println!("    64-byte register values;");
+    println!("    COMMIT(w): as a session sends it, a delta against the REPLY it answers)");
+    println!("      n   SUBMIT   REPLY(w)   COMMIT   COMMIT(w)   REPLY(r)");
     let rows = message_size_sweep(&[2, 4, 8, 16, 32, 64, 128, 256], 64);
     for row in &rows {
         println!(
-            "  {:>5}   {:>6}   {:>8}   {:>6}   {:>8}",
-            row.n, row.submit_write, row.reply_write, row.commit, row.reply_read
+            "  {:>5}   {:>6}   {:>8}   {:>6}   {:>9}   {:>8}",
+            row.n, row.submit_write, row.reply_write, row.commit, row.commit_wire, row.reply_read
         );
     }
     let d1 = rows[1].reply_write - rows[0].reply_write;

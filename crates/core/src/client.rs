@@ -673,7 +673,7 @@ mod tests {
             let replies = match msg {
                 UstorMsg::Submit(m) => server.on_submit(client.id(), m),
                 UstorMsg::Commit(m) => server.on_commit(client.id(), m),
-                UstorMsg::Reply(_) => Vec::new(),
+                UstorMsg::Reply(_) | UstorMsg::CommitDelta(_) => Vec::new(),
             };
             for (_, reply) in replies {
                 let a = client.handle_reply(reply, now);

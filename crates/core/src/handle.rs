@@ -48,14 +48,16 @@
 //! [`FaustHandle::reconnect`] — manual, or automatic through a
 //! [`faust_net::ClientDialer`] installed with
 //! [`FaustHandle::with_auto_reconnect`] — the window is replayed first,
-//! byte-identically; the server treats a SUBMIT whose timestamp it has
-//! already processed as a duplicate and re-issues the original REPLY, so
-//! every operation completes exactly once even when the ack was lost
-//! with the socket. Auto-reconnect redials under a [`ReconnectPolicy`]
-//! (capped exponential backoff with seeded jitter), emitting
-//! [`Event::Reconnecting`] per scheduled attempt and [`Event::Resumed`]
-//! when a dial succeeds. Clean shutdown is [`FaustHandle::disconnect`]
-//! or dropping the handle.
+//! every message in full (a COMMIT that first went out as a
+//! [`CommitDelta`] against its REPLY is replayed as the full COMMIT, since
+//! the new connection never saw that REPLY); the server treats a SUBMIT
+//! whose timestamp it has already processed as a duplicate and re-issues
+//! the original REPLY, so every operation completes exactly once even
+//! when the ack was lost with the socket. Auto-reconnect redials under a
+//! [`ReconnectPolicy`] (capped exponential backoff with seeded jitter),
+//! emitting [`Event::Reconnecting`] per scheduled attempt and
+//! [`Event::Resumed`] when a dial succeeds. Clean shutdown is
+//! [`FaustHandle::disconnect`] or dropping the handle.
 
 use crate::client::{Actions, FaustClient, FaustClientState, FaustConfig, UserOp};
 use crate::events::{FailReason, FaustCompletion, Notification, StabilityCut};
@@ -63,7 +65,8 @@ use crate::offline::OfflineMsg;
 use faust_crypto::sig::{KeySet, Keypair, SigScheme, VerifierRegistry};
 use faust_net::{ClientDialer, ClientTransport, TransportClosed};
 use faust_sim::SmallRng;
-use faust_types::{ClientId, ReplyMsg, Sink, UstorMsg, Value, Wire, WireError};
+use faust_types::{ClientId, CommitDelta, ReplyMsg, Sink, UstorMsg, Value, Wire, WireError};
+use faust_ustor::CommitMode;
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
@@ -300,8 +303,11 @@ pub struct SessionState {
     /// first.
     pub pending_tickets: Vec<u64>,
     /// The resend window: signed-but-unacknowledged SUBMITs plus the
-    /// latest COMMIT, in wire order, byte-identical to what went on the
-    /// wire.
+    /// latest COMMIT, in wire order. Each is the full message — a COMMIT
+    /// that went out as a [`CommitDelta`] is kept whole — so it replays
+    /// on any connection. Decoding rejects what no session holds: a
+    /// REPLY ([`WireError::BadTag`]`(1)`), a delta COMMIT (`BadTag(3)`)
+    /// or a second standalone COMMIT (`BadTag(2)`).
     pub resend_window: Vec<UstorMsg>,
 }
 
@@ -320,9 +326,29 @@ impl Wire for SessionState {
             clock: u64::decode_from(buf)?,
             next_ticket: u64::decode_from(buf)?,
             pending_tickets: Vec::<u64>::decode_from(buf)?,
-            resend_window: Vec::<UstorMsg>::decode_from(buf)?,
+            resend_window: decode_resend_window(buf)?,
         })
     }
+}
+
+/// A resend window as [`SessionCore::retain_for_resend`] builds it: SUBMITs
+/// and at most one standalone COMMIT, every one full. Anything else would
+/// be replayed to a server on a new connection — a REPLY the server never
+/// expects, a delta whose base that connection never saw, or a COMMIT a
+/// newer one subsumed.
+fn decode_resend_window(buf: &mut &[u8]) -> Result<Vec<UstorMsg>, WireError> {
+    let window = Vec::<UstorMsg>::decode_from(buf)?;
+    let mut commits = 0;
+    for msg in &window {
+        match msg {
+            UstorMsg::Submit(_) => {}
+            UstorMsg::Commit(_) if commits == 0 => commits += 1,
+            UstorMsg::Commit(_) => return Err(WireError::BadTag(2)),
+            UstorMsg::Reply(_) => return Err(WireError::BadTag(1)),
+            UstorMsg::CommitDelta(_) => return Err(WireError::BadTag(3)),
+        }
+    }
+    Ok(window)
 }
 
 /// The sans-io half of a fail-aware session: ticket and event bookkeeping
@@ -342,8 +368,11 @@ pub struct SessionCore {
     pending_tickets: VecDeque<OpTicket>,
     /// The **resend window**: every signed SUBMIT (user ops and dummy
     /// reads alike) whose REPLY has not yet been processed, plus the
-    /// latest COMMIT, in wire order, byte-identical to what went on the
-    /// wire. Replies consume the window FIFO (a reply proves FIFO
+    /// latest COMMIT, in wire order, each in full — a COMMIT that went
+    /// on the wire as a [`CommitDelta`] is held as the
+    /// [`CommitMsg`](faust_types::CommitMsg) it stands for, since a
+    /// replay goes out on a new connection, where the delta's base is
+    /// not known. Replies consume the window FIFO (a reply proves FIFO
     /// delivery of everything sent before the SUBMIT it answers); on a
     /// reconnect the embedding replays it so a frame lost with the
     /// socket cannot strand an operation. Bounded by the pipeline depth
@@ -361,6 +390,9 @@ pub struct SessionCore {
     resend_window: VecDeque<UstorMsg>,
     events: VecDeque<(u64, Event)>,
     results: HashMap<u64, FaustCompletion>,
+    /// The entries the last REPLY's fold touched, increasing: the
+    /// entries of its COMMIT's delta. Reused across replies.
+    touched: Vec<usize>,
 }
 
 impl SessionCore {
@@ -374,6 +406,7 @@ impl SessionCore {
             resend_window: VecDeque::new(),
             events: VecDeque::new(),
             results: HashMap::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -421,6 +454,7 @@ impl SessionCore {
             resend_window: state.resend_window.into(),
             events: VecDeque::new(),
             results: HashMap::new(),
+            touched: Vec::new(),
         };
         (core, state.clock)
     }
@@ -477,7 +511,26 @@ impl SessionCore {
     }
 
     /// Processes a REPLY from the server.
+    ///
+    /// The COMMIT it yields goes out as a [`CommitDelta`] against the
+    /// REPLY's `commit_version` whenever that is smaller — in lockstep,
+    /// one entry instead of `n`. The fold that built the COMMIT's version
+    /// from `commit_version` wrote only this client's entry and those of
+    /// the clients in `L` (Algorithm 1, lines 37–47), so those are the
+    /// delta's entries. The delta is for the connection this REPLY came
+    /// in on: the resend window keeps the full COMMIT, and every replay
+    /// sends that.
     pub fn handle_reply(&mut self, reply: ReplyMsg, now: u64) -> SessionOutput {
+        // Only an immediate-mode session answers a REPLY with a COMMIT of
+        // its own; a piggybacked one stays full and needs no entries.
+        let touched = &mut self.touched;
+        touched.clear();
+        if self.proto.config().commit_mode == CommitMode::Immediate {
+            touched.extend(reply.pending.iter().map(|t| t.client.index()));
+            touched.push(self.proto.id().index());
+            touched.sort_unstable();
+            touched.dedup();
+        }
         let actions = self.proto.handle_reply(reply, now);
         if self.proto.failure().is_none() {
             // The reply answered the oldest in-flight SUBMIT: its resend
@@ -493,7 +546,17 @@ impl SessionCore {
         } else {
             self.resend_window.clear(); // halted: nothing will be resent
         }
-        self.absorb(actions, now)
+        let mut out = self.absorb(actions, now);
+        if !self.touched.is_empty() {
+            for msg in &mut out.to_server {
+                if let UstorMsg::Commit(commit) = msg {
+                    if let Some(delta) = CommitDelta::of(commit, &self.touched) {
+                        *msg = UstorMsg::CommitDelta(delta);
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// Processes an offline message from another client.
@@ -515,9 +578,9 @@ impl SessionCore {
     }
 
     /// Signed-but-unacknowledged SUBMITs plus the latest retained
-    /// COMMIT, in wire order — byte-identical clones of what went (or
-    /// was about to go) on the wire. This is what a reconnect must
-    /// replay before anything else.
+    /// COMMIT, in wire order, each in full: a COMMIT that went on the
+    /// wire as a [`CommitDelta`] comes back as the full COMMIT it stands
+    /// for. This is what a reconnect must replay before anything else.
     pub fn resend_messages(&self) -> Vec<UstorMsg> {
         self.resend_window.iter().cloned().collect()
     }
@@ -619,7 +682,7 @@ impl SessionCore {
                     .retain(|w| !matches!(w, UstorMsg::Commit(_)));
                 self.resend_window.push_back(msg.clone());
             }
-            UstorMsg::Reply(_) => {}
+            UstorMsg::Reply(_) | UstorMsg::CommitDelta(_) => {}
         }
     }
 }
@@ -803,8 +866,8 @@ impl FaustHandle {
     /// protocol time the session has already lived through — time never
     /// rewinds for a resumed session. The core's resend window — any
     /// signed SUBMIT whose reply was never processed — is replayed over
-    /// the new transport immediately, byte-identically, exactly as after
-    /// a reconnect (empty for a fresh core, so this is free there).
+    /// the new transport immediately, every message in full, exactly as
+    /// after a reconnect (empty for a fresh core, so this is free there).
     pub fn from_core(
         core: SessionCore,
         tick_interval: Duration,
@@ -1017,7 +1080,7 @@ impl FaustHandle {
     /// failure (or an explicit [`FaustHandle::disconnect`]): the resend
     /// window — every signed SUBMIT whose reply was never processed
     /// (including ones that died on the old wire) plus the latest
-    /// COMMIT — is replayed byte-identically in wire order. Also
+    /// COMMIT, in full — is replayed in wire order. Also
     /// re-arms the auto-reconnect attempt budget.
     pub fn reconnect(&mut self, transport: Box<dyn ClientTransport>) {
         self.attempt = 0;
@@ -1561,12 +1624,106 @@ mod tests {
             let replies = match msg {
                 UstorMsg::Submit(m) => server.on_submit(core.id(), m),
                 UstorMsg::Commit(m) => server.on_commit(core.id(), m),
-                UstorMsg::Reply(_) => Vec::new(),
+                UstorMsg::Reply(_) | UstorMsg::CommitDelta(_) => unreachable!(),
             };
             for (_, reply) in replies {
-                queue.extend(core.handle_reply(reply, now).to_server);
+                // A bare server takes full COMMITs: expand a delta
+                // against the REPLY it answers, as the engine does.
+                let base = reply.commit_version.version.clone();
+                let out = core.handle_reply(reply, now).to_server;
+                queue.extend(out.into_iter().map(|msg| match msg {
+                    UstorMsg::CommitDelta(d) => UstorMsg::Commit(d.resolve(&base).unwrap()),
+                    msg => msg,
+                }));
             }
         }
+    }
+
+    #[test]
+    fn a_commit_goes_out_as_the_delta_of_the_entries_its_fold_touched() {
+        // Three pipelined sessions against a bare server: replies carry
+        // pending lists, so the fold touches more than the own entry. The
+        // delta a session sends must be exactly the full diff of the COMMIT
+        // it keeps against the REPLY's `commit_version`.
+        use faust_ustor::Server;
+        let n = 3;
+        let keys = KeySet::generate(n, b"delta-entries");
+        let mut server = UstorServer::new(n);
+        let mut cores: Vec<SessionCore> = (0..n as u32)
+            .map(|i| {
+                SessionCore::new(FaustClient::new(
+                    c(i),
+                    n,
+                    keys.keypair(i).unwrap().clone(),
+                    keys.registry(),
+                    FaustConfig {
+                        dummy_reads: false,
+                        pipeline: 3,
+                        ..FaustConfig::default()
+                    },
+                ))
+            })
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut upstream: VecDeque<(usize, UstorMsg)> = VecDeque::new();
+        let (mut deltas, mut with_pending, mut full) = (0, 0, 0);
+        for now in 0..400u64 {
+            if rng.gen_bool(0.4) {
+                let i = rng.gen_index(n);
+                let op = match rng.gen_bool(0.5) {
+                    true => UserOp::Write(Value::unique(i as u32, now)),
+                    false => UserOp::Read(c(rng.gen_index(n) as u32)),
+                };
+                let (_, out) = cores[i].submit(op, now);
+                upstream.extend(out.to_server.into_iter().map(|m| (i, m)));
+                continue;
+            }
+            let Some((from, msg)) = upstream.pop_front() else {
+                continue;
+            };
+            let replies = match msg {
+                UstorMsg::Submit(m) => server.on_submit(c(from as u32), m),
+                UstorMsg::Commit(m) => server.on_commit(c(from as u32), m),
+                other => panic!("sent {other:?}"),
+            };
+            for (to, reply) in replies {
+                let (to, base) = (to.index(), reply.commit_version.version.clone());
+                let pending = reply.pending.len();
+                let out = cores[to].handle_reply(reply, now);
+                let kept = cores[to]
+                    .resend_messages()
+                    .into_iter()
+                    .find_map(|m| match m {
+                        UstorMsg::Commit(commit) => Some(commit),
+                        _ => None,
+                    });
+                for msg in out.to_server {
+                    let msg = match msg {
+                        UstorMsg::CommitDelta(delta) => {
+                            let kept = kept.clone().expect("the window keeps it in full");
+                            assert_eq!(Some(&delta), CommitDelta::against(&base, &kept).as_ref());
+                            assert_eq!(delta.resolve(&base), Ok(kept.clone()));
+                            deltas += 1;
+                            with_pending += usize::from(pending > 0);
+                            UstorMsg::Commit(kept)
+                        }
+                        UstorMsg::Commit(commit) => {
+                            // Sent in full only where no delta is smaller.
+                            assert_eq!(CommitDelta::against(&base, &commit), None);
+                            full += 1;
+                            UstorMsg::Commit(commit)
+                        }
+                        msg => msg,
+                    };
+                    upstream.push_back((to, msg));
+                }
+            }
+        }
+        assert!(cores.iter().all(|core| core.failure().is_none()));
+        assert!(
+            deltas >= 10 && with_pending >= 5 && full > 0,
+            "{deltas} {with_pending} {full}"
+        );
     }
 
     #[test]

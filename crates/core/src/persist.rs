@@ -84,8 +84,9 @@ mod tests {
     use crate::events::FailReason;
     use crate::handle::Event;
     use faust_crypto::sig::KeySet;
+    use faust_store::session::write_session_file;
     use faust_store::testutil::scratch_dir;
-    use faust_types::{ClientId, UstorMsg, Value};
+    use faust_types::{ClientId, CommitDelta, CommitMsg, ReplyMsg, UstorMsg, Value, WireError};
     use faust_ustor::{Fault, Server, ServerEngine, UstorServer};
 
     fn keys(n: usize) -> KeySet {
@@ -114,12 +115,91 @@ mod tests {
             let replies = match msg {
                 UstorMsg::Submit(m) => server.on_submit(core.id(), m),
                 UstorMsg::Commit(m) => server.on_commit(core.id(), m),
-                UstorMsg::Reply(_) => Vec::new(),
+                UstorMsg::Reply(_) | UstorMsg::CommitDelta(_) => unreachable!(),
             };
             for (_, reply) in replies {
-                queue.extend(core.handle_reply(reply, now).to_server);
+                // A bare server takes full COMMITs: expand a delta
+                // against the REPLY it answers, as the engine does.
+                let base = reply.commit_version.version.clone();
+                let out = core.handle_reply(reply, now).to_server;
+                queue.extend(out.into_iter().map(|msg| match msg {
+                    UstorMsg::CommitDelta(d) => UstorMsg::Commit(d.resolve(&base).unwrap()),
+                    msg => msg,
+                }));
             }
         }
+    }
+
+    /// Saves a session file whose resend window is `window`, with the
+    /// rest of a genuine session's state.
+    fn crafted_window(
+        label: &str,
+        window: Vec<UstorMsg>,
+    ) -> Result<Option<SessionState>, StoreError> {
+        let dir = scratch_dir(label);
+        let path = dir.join("c0.session");
+        let keys = keys(2);
+        let core = fresh_core(&keys, 0, 2);
+        let mut state = core.export_state(1).expect("healthy");
+        state.resend_window = window;
+        write_session_file(&path, &state.encode(), false).unwrap();
+        let loaded = load_session(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        loaded
+    }
+
+    /// A genuine REPLY and the COMMIT it led to, full and as a delta.
+    fn reply_and_commits() -> (ReplyMsg, CommitMsg, CommitDelta) {
+        let keys = keys(2);
+        let mut server = UstorServer::new(2);
+        let mut core = fresh_core(&keys, 0, 2);
+        let (_, out) = core.submit(UserOp::Write(Value::from("one")), 1);
+        let [UstorMsg::Submit(submit)] = &out.to_server[..] else {
+            panic!("one SUBMIT");
+        };
+        let (_, reply) = server.on_submit(core.id(), submit.clone()).pop().unwrap();
+        let out = core.handle_reply(reply.clone(), 1);
+        let [UstorMsg::CommitDelta(delta)] = &out.to_server[..] else {
+            panic!("one delta COMMIT: {:?}", out.to_server);
+        };
+        let [UstorMsg::Commit(commit)] = &core.resend_messages()[..] else {
+            panic!("the window keeps the full COMMIT");
+        };
+        (reply, commit.clone(), delta.clone())
+    }
+
+    #[test]
+    fn a_session_file_holding_a_reply_in_its_window_is_corrupt() {
+        let (reply, commit, _) = reply_and_commits();
+        let window = vec![UstorMsg::Commit(commit), UstorMsg::Reply(reply)];
+        assert!(matches!(
+            crafted_window("persist-window-reply", window),
+            Err(StoreError::SessionCorrupt(WireError::BadTag(1)))
+        ));
+    }
+
+    #[test]
+    fn a_session_file_holding_a_delta_commit_is_corrupt() {
+        let (_, _, delta) = reply_and_commits();
+        let window = vec![UstorMsg::CommitDelta(delta)];
+        assert!(matches!(
+            crafted_window("persist-window-delta", window),
+            Err(StoreError::SessionCorrupt(WireError::BadTag(3)))
+        ));
+    }
+
+    #[test]
+    fn a_session_file_holding_two_standalone_commits_is_corrupt() {
+        let (_, commit, _) = reply_and_commits();
+        let window = vec![UstorMsg::Commit(commit.clone()), UstorMsg::Commit(commit)];
+        assert!(matches!(
+            crafted_window("persist-window-commits", window),
+            Err(StoreError::SessionCorrupt(WireError::BadTag(2)))
+        ));
+        // One is what a session keeps, and loads.
+        let (_, commit, _) = reply_and_commits();
+        let loaded = crafted_window("persist-window-commit", vec![UstorMsg::Commit(commit)]);
+        assert!(matches!(loaded, Ok(Some(_))));
     }
 
     #[test]

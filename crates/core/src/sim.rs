@@ -974,7 +974,9 @@ impl FaustDriver {
             let i = client_end.0 as usize;
             if i < self.n && *epoch < self.slots[i].link_epoch {
                 match m {
-                    UstorMsg::Submit(_) | UstorMsg::Commit(_) if to == server_node => {
+                    UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_)
+                        if to == server_node =>
+                    {
                         self.server_bound = self.server_bound.saturating_sub(1);
                     }
                     UstorMsg::Reply(_) if to != server_node => {
@@ -999,7 +1001,10 @@ impl FaustDriver {
     fn server_receive(&mut self, from: ClientId, msg: UstorMsg, now: u64) {
         self.clock.set(now);
         let mut crashed_now = false;
-        if matches!(msg, UstorMsg::Submit(_) | UstorMsg::Commit(_)) {
+        if matches!(
+            msg,
+            UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_)
+        ) {
             self.server_bound = self.server_bound.saturating_sub(1);
             self.server_messages += 1;
             if self.crash_after == Some(self.server_messages) {
@@ -1099,7 +1104,10 @@ impl FaustDriver {
             if matches!(msg, UstorMsg::Submit(_)) {
                 self.slots[i].in_flight += 1;
             }
-            if matches!(msg, UstorMsg::Submit(_) | UstorMsg::Commit(_)) {
+            if matches!(
+                msg,
+                UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_)
+            ) {
                 self.server_bound += 1;
             }
             let epoch = self.slots[i].link_epoch;
@@ -1241,7 +1249,10 @@ impl FaustDriver {
                     self.dirty_fired.push((now, "duplicate"));
                     if matches!(
                         msg,
-                        NetMsg::Ustor(UstorMsg::Submit(_) | UstorMsg::Commit(_), _)
+                        NetMsg::Ustor(
+                            UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_),
+                            _
+                        )
                     ) {
                         self.server_bound += 1;
                     }
@@ -1360,7 +1371,10 @@ impl FaustDriver {
         for msg in self.slots[i].core.resend_messages() {
             // The ops were counted in `in_flight` at first send and are
             // still unanswered — only the wire accounting is new.
-            if matches!(msg, UstorMsg::Submit(_) | UstorMsg::Commit(_)) {
+            if matches!(
+                msg,
+                UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_)
+            ) {
                 self.server_bound += 1;
             }
             self.sim.send(node, server_node, NetMsg::Ustor(msg, epoch));

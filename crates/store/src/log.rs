@@ -12,14 +12,15 @@
 //! ```
 //!
 //! That is format version 3, the only one written into new files. A
-//! standalone COMMIT is stored as a *delta*: the entries `k`, in
-//! increasing order, where its version differs from the last COMMIT
-//! version earlier in the same file — standalone or piggybacked on a
-//! SUBMIT. In lockstep nothing commits between a client's REPLY and its
-//! COMMIT, so that is one entry where the full version has `n`. The full
-//! form (tag 1) is written instead when the file holds no COMMIT yet,
-//! when either version's arity is not the header's `n`, or when the delta
-//! would not be smaller. The base never crosses a file boundary, so a
+//! standalone COMMIT is stored as a *delta* (the layout of
+//! [`faust_types::VersionDelta`], which carries the wire's deltas too):
+//! the entries `k`, in increasing order, where its version differs from
+//! the last COMMIT version earlier in the same file — standalone or
+//! piggybacked on a SUBMIT. In lockstep nothing commits between a
+//! client's REPLY and its COMMIT, so that is one entry where the full
+//! version has `n`. The full form (tag 1) is written instead when the
+//! file holds no COMMIT yet, when either version's arity is not the
+//! header's `n`, or when the delta would not be smaller. The base never crosses a file boundary, so a
 //! rotated file, and any prefix of a file, decodes on its own; a scan
 //! resolves every delta into an ordinary [`LogRecord::Commit`], so
 //! nothing above this module ever sees one.
@@ -60,7 +61,7 @@ use crate::checksum::Checksum;
 use crate::codec::LogRecord;
 use crate::StoreError;
 use faust_crypto::{Digest, Signature};
-use faust_types::{ClientId, CommitMsg, DigestVec, TimestampVec, Version, Wire, WireError};
+use faust_types::{decode_delta, ClientId, CommitMsg, Version, VersionDelta, Wire, WireError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -456,36 +457,21 @@ impl Wal {
 /// skipped: the retired multi-log layout used it, and it stays refused.
 const COMMIT_DELTA_TAG: u8 = 3;
 
-/// Encodes `record` into `out`: a standalone COMMIT as a delta against
-/// `base` when both versions have the file's arity `n` and the delta is
-/// smaller, everything else in full.
+/// Encodes `record` into `out`: a standalone COMMIT as a
+/// [`VersionDelta`] against `base` when both versions have the file's
+/// arity `n` and the delta is smaller, everything else in full.
 fn encode_body(record: &LogRecord, base: Option<&DeltaBase>, n: usize, out: &mut Vec<u8>) {
     let (LogRecord::Commit { from, msg }, Some(base)) = (record, base) else {
         return record.encode_into(out);
     };
-    let (t_new, d_new) = (msg.version.v().as_slice(), msg.version.m().as_slice());
-    let (t_old, d_old) = (base.v.as_slice(), base.m.as_slice());
-    if t_new.len() != n || t_old.len() != n {
+    let (t, d) = (msg.version.v().as_slice(), msg.version.m().as_slice());
+    let delta = VersionDelta::against(t, d, &base.v, &base.m);
+    let Some(delta) = delta.filter(|delta| t.len() == n && delta.is_smaller()) else {
         return record.encode_into(out);
-    }
-    let changed = |k: &usize| t_new[*k] != t_old[*k] || d_new[*k] != d_old[*k];
-    // Both forms spend a tag byte, `from` and the signatures. The full
-    // one adds two arity prefixes and `n` entries; the delta a count and,
-    // per changed entry, an index beside the same entry.
-    let (count, delta) = (0..n).filter(changed).fold((0u32, 4), |(count, len), k| {
-        (count + 1, len + 4 + 8 + d_new[k].encoded_len())
-    });
-    if delta >= msg.version.encoded_len() {
-        return record.encode_into(out);
-    }
+    };
     out.push(COMMIT_DELTA_TAG);
     from.encode_into(out);
-    count.encode_into(out);
-    for k in (0..n).filter(changed) {
-        (k as u32).encode_into(out);
-        t_new[k].encode_into(out);
-        d_new[k].encode_into(out);
-    }
+    delta.encode_into(0, out);
     msg.commit_sig.encode_into(out);
     msg.proof_sig.encode_into(out);
 }
@@ -583,8 +569,9 @@ impl RecordReader {
 
     /// Decodes a delta body (after its tag) into the full COMMIT it
     /// stands for. A delta with no base in the file, against a base
-    /// whose arity is not the header's `n`, or whose indices are out of
-    /// range or not strictly increasing is malformed.
+    /// whose arity is not the header's `n`, with more entries than that,
+    /// or whose indices are out of range or not strictly increasing is
+    /// malformed ([`decode_delta`]).
     fn resolve_delta(&self, input: &mut &[u8]) -> Result<LogRecord, WireError> {
         let from = ClientId::decode_from(input)?;
         let count = u32::decode_from(input)?;
@@ -592,22 +579,10 @@ impl RecordReader {
             .base
             .as_ref()
             .ok_or(WireError::BadTag(COMMIT_DELTA_TAG))?;
-        let n = self.header.n;
-        if base.v.len() != n {
+        if base.v.len() != self.header.n {
             return Err(WireError::BadLength(base.v.len() as u64));
         }
-        let (mut t, mut d) = (base.v.clone(), base.m.clone());
-        let mut next = 0;
-        for _ in 0..count {
-            let k = u32::decode_from(input)? as usize;
-            if k < next || k >= n {
-                return Err(WireError::BadLength(k as u64));
-            }
-            next = k + 1;
-            t[k] = u64::decode_from(input)?;
-            d[k] = Option::<Digest>::decode_from(input)?;
-        }
-        let version = Version::new(TimestampVec::from_vec(t), DigestVec::from_vec(d));
+        let version = decode_delta(input, count as usize, &base.v, &base.m)?;
         Ok(LogRecord::Commit {
             from,
             msg: CommitMsg {
@@ -787,7 +762,7 @@ mod tests {
     use super::*;
     use crate::testutil::scratch_dir;
     use faust_crypto::sig::KeySet;
-    use faust_types::{SubmitMsg, Value};
+    use faust_types::{DigestVec, SubmitMsg, TimestampVec, Value};
     use faust_ustor::UstorClient;
 
     fn submit(i: u32, round: u64) -> SubmitMsg {

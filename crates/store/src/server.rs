@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 /// cache holds what the live one held only if no snapshot was taken since
 /// the live one's replies were released: the reply to a SUBMIT a snapshot
 /// absorbed is not rebuilt, and its resend goes unanswered (ROADMAP item
-/// 5(d)).
+/// 1).
 fn replay_capturing(record: LogRecord, server: &mut dyn Server, caches: &mut [ReplyCache]) {
     let from = record.from();
     let ts = record.submit_timestamp();

@@ -458,14 +458,14 @@ fn recovery_rebuilds_exactly_the_reply_caches_the_live_engine_held() {
 }
 
 /// The duplicate-reply cache does not survive a snapshot (ROADMAP item
-/// 5(d)). Recovery rebuilds it from the log records behind the snapshot
+/// 1). Recovery rebuilds it from the log records behind the snapshot
 /// only, so the reply to a SUBMIT the snapshot absorbed is gone. The
 /// engine still classes the client's resend as a duplicate and answers it
 /// with nothing: the client waits forever on an honest server. This pins
 /// the contract — the resend gets the original reply — and fails until
 /// the cache is made to survive.
 #[test]
-#[ignore = "ROADMAP 5(d): the duplicate-reply cache does not survive a snapshot"]
+#[ignore = "ROADMAP item 1: the duplicate-reply cache does not survive a snapshot"]
 fn a_resent_submit_whose_record_a_snapshot_absorbed_gets_its_original_reply() {
     let dir = testutil::scratch_dir("recovery-cache-snapshot");
     let n = 2;

@@ -39,4 +39,7 @@ pub use ids::{ClientId, Timestamp};
 pub use op::{InvocationTuple, OpKind};
 pub use value::Value;
 pub use version::{DigestVec, SignedVersion, TimestampVec, Version, VersionCmp};
-pub use wire::{CommitMsg, ReadReply, ReplyMsg, Sink, SubmitMsg, UstorMsg, Wire, WireError};
+pub use wire::{
+    decode_delta, CommitDelta, CommitMsg, ReadReply, ReplyMsg, Sink, SubmitMsg, UstorMsg,
+    VersionDelta, VersionEntry, Wire, WireError,
+};

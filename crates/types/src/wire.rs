@@ -1,16 +1,29 @@
 //! Wire messages of the USTOR protocol (Algorithms 1–2) with an exact
 //! binary encoding.
 //!
-//! Three message types flow between a client and the server:
+//! Three message types flow between a client and the server, in four
+//! frames ([`UstorMsg`], whose tag byte is given):
 //!
-//! * [`SubmitMsg`] — `⟨SUBMIT, t, (i, oc, j, σ), x, δ⟩`;
-//! * [`ReplyMsg`] — `⟨REPLY, c, SVER[c], [SVER[j], MEM[j],] L, P⟩`;
-//! * [`CommitMsg`] — `⟨COMMIT, V_i, M_i, φ, ψ⟩`.
+//! * [`SubmitMsg`] (0) — `⟨SUBMIT, t, (i, oc, j, σ), x, δ⟩`;
+//! * [`ReplyMsg`] (1) — `⟨REPLY, c, SVER[c], [SVER[j], MEM[j],] L, P⟩`;
+//!   a read's `SVER[j]` goes as a delta against `SVER[c]` when that is
+//!   smaller, marked by bit 31 of its first length prefix (the
+//!   [`ReplyMsg`] docs have the layout);
+//! * [`CommitMsg`] (2) — `⟨COMMIT, V_i, M_i, φ, ψ⟩`, or [`CommitDelta`]
+//!   (3) — the same COMMIT as the entries where its version differs from
+//!   the `commit_version` of the REPLY it answers, sent by a session on
+//!   the connection that REPLY came in on when that is smaller. The
+//!   server resolves it against the REPLY it cached; nothing past its
+//!   engine sees one.
 //!
-//! The encoding is hand-rolled (length-prefixed, big-endian) so message
-//! sizes are exact and reproducible; experiment E6 (the paper's `O(n)`
-//! bits-per-request claim) measures [`Wire::encoded_len`] of these messages
-//! as a function of the number of clients `n`.
+//! Both deltas — and the store's COMMIT records — share one layout,
+//! [`VersionDelta`], sized and written there and read by
+//! [`decode_delta`]. Each delta form is chosen by size alone, so a
+//! message decodes to exactly what was encoded. The encoding is
+//! hand-rolled (length-prefixed, big-endian) so message sizes are exact
+//! and reproducible; experiment E6 (the paper's `O(n)` bits-per-request
+//! claim) measures [`Wire::encoded_len`] of these messages as a function
+//! of the number of clients `n`.
 //!
 //! # What a pass costs
 //!
@@ -417,12 +430,22 @@ impl Wire for TimestampVec {
         }
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
-        // Fixed-size elements: one bounds check for the whole vector.
-        let (len, _) = decode_len(input)?;
-        let (entries, _) = take(input, len * 8)?.as_chunks();
-        let entries = entries.iter().map(|t| u64::from_be_bytes(*t));
-        Ok(TimestampVec::from_vec(entries.collect()))
+        let len = u32::decode_from(input)?;
+        decode_timestamps(len, input)
     }
+}
+
+/// The entries of a [`TimestampVec`] whose length prefix `len` was
+/// already read. Fixed-size elements: one bounds check for the whole
+/// vector.
+#[inline]
+fn decode_timestamps(len: u32, input: &mut &[u8]) -> Result<TimestampVec, WireError> {
+    if u64::from(len) > MAX_LEN {
+        return Err(WireError::BadLength(len.into()));
+    }
+    let (entries, _) = take(input, len as usize * 8)?.as_chunks();
+    let entries = entries.iter().map(|t| u64::from_be_bytes(*t));
+    Ok(TimestampVec::from_vec(entries.collect()))
 }
 
 impl Wire for DigestVec {
@@ -443,13 +466,256 @@ impl Wire for Version {
         self.m().encode_into(out);
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
-        let v = TimestampVec::decode_from(input)?;
-        let m = DigestVec::decode_from(input)?;
-        if v.len() != m.len() {
-            return Err(WireError::BadLength(m.len() as u64));
-        }
-        Ok(Version::new(v, m))
+        let len = u32::decode_from(input)?;
+        decode_version(len, input)
     }
+}
+
+/// The rest of a full [`Version`] whose first length prefix `len` was
+/// already read.
+fn decode_version(len: u32, input: &mut &[u8]) -> Result<Version, WireError> {
+    let v = decode_timestamps(len, input)?;
+    let m = DigestVec::decode_from(input)?;
+    if v.len() != m.len() {
+        return Err(WireError::BadLength(m.len() as u64));
+    }
+    Ok(Version::new(v, m))
+}
+
+/// Set in the count word of a read REPLY's `SVER[j]` sent as a
+/// [`VersionDelta`] (see [`ReplyMsg`]). A full version's first length
+/// prefix is at most [`MAX_LEN`] = 2²⁴, so the full form never has it.
+const DELTA_MARK: u32 = 1 << 31;
+
+/// One entry `(k, V[k], M[k])` of a version, as a delta carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VersionEntry {
+    /// The entry's index `k`.
+    pub client: ClientId,
+    /// `V[k]`.
+    pub timestamp: Timestamp,
+    /// `M[k]`.
+    pub digest: Option<Digest>,
+}
+
+/// Writes the delta entry `k: u32 | V[k]: u64 | M[k]: Option<Digest>`,
+/// the one writer of that layout.
+fn encode_entry<S: Sink>(k: usize, timestamp: Timestamp, digest: &Option<Digest>, out: &mut S) {
+    (k as u32).encode_into(out);
+    timestamp.encode_into(out);
+    digest.encode_into(out);
+}
+
+/// A version as the entries where it differs from a base its reader
+/// already holds:
+///
+/// ```text
+///   count: u32 | (k: u32 | V[k]: u64 | M[k]: Option<Digest>)^count
+/// ```
+///
+/// at strictly increasing `k` below the base's arity `n`. A read REPLY's
+/// `SVER[j]` (against `SVER[c]`, its count marked), a [`CommitDelta`]
+/// (against the `commit_version` of the REPLY it answers) and the
+/// store's COMMIT records (against the last COMMIT before them in the
+/// file) all travel this way: they size and write it through this type
+/// and read it back through [`decode_delta`]. Both take the versions as
+/// slices, so a base kept in plain vectors serves as well as a
+/// [`Version`].
+///
+/// Each form costs `V[k] | M[k]` per entry it carries; the full form
+/// adds two length prefixes, the delta a count and an index per entry.
+/// Every sender picks the delta only when [`VersionDelta::is_smaller`].
+#[derive(Debug, Clone, Copy)]
+pub struct VersionDelta<'a> {
+    t: &'a [Timestamp],
+    d: &'a [Option<Digest>],
+    picks: Picks<'a>,
+    count: u32,
+    /// Encoded size of the delta, its count included.
+    len: usize,
+    /// Encoded size of the full version.
+    full: usize,
+}
+
+/// Which entries a [`VersionDelta`] carries.
+#[derive(Debug, Clone, Copy)]
+enum Picks<'a> {
+    /// The ones the sender named.
+    Listed(&'a [usize]),
+    /// The ones that differ from this base: where `V[k]` does, or — only
+    /// if some entry differs in `M[k]` alone, which no correct server's
+    /// versions do — where either does.
+    Differing {
+        t: &'a [Timestamp],
+        d: &'a [Option<Digest>],
+        digest_only: bool,
+    },
+}
+
+impl<'a> VersionDelta<'a> {
+    /// The entries `indices` — strictly increasing, each below the
+    /// arity — of the version `(t, d)`. A sender that knows which
+    /// entries moved needs no base.
+    pub fn listed(t: &'a [Timestamp], d: &'a [Option<Digest>], indices: &'a [usize]) -> Self {
+        let entry_len = |k: usize| 8 + d[k].encoded_len();
+        VersionDelta {
+            t,
+            d,
+            picks: Picks::Listed(indices),
+            count: indices.len() as u32,
+            len: indices.iter().fold(4, |len, &k| len + 4 + entry_len(k)),
+            full: (0..d.len()).fold(8, |full, k| full + entry_len(k)),
+        }
+    }
+
+    /// Every entry where the version `(t, d)` differs from the base
+    /// `(t_base, d_base)`; `None` when their arities differ.
+    ///
+    /// A REPLY is encoded twice per send (sized, then written), each time
+    /// against a base that may be cold, so this walks the entries once to
+    /// size both forms — comparing a digest only where the timestamps
+    /// agree — and [`VersionDelta::encode_into`] once more to write the
+    /// delta, by timestamps alone unless a digest moved on its own.
+    pub fn against(
+        t: &'a [Timestamp],
+        d: &'a [Option<Digest>],
+        t_base: &'a [Timestamp],
+        d_base: &'a [Option<Digest>],
+    ) -> Option<Self> {
+        if t.len() != t_base.len() {
+            return None;
+        }
+        let (mut count, mut len, mut full, mut digest_only) = (0, 4, 8, false);
+        for k in 0..t.len() {
+            let entry_len = 8 + d[k].encoded_len();
+            full += entry_len;
+            let digest_moved = t[k] == t_base[k] && d[k] != d_base[k];
+            digest_only |= digest_moved;
+            if t[k] != t_base[k] || digest_moved {
+                (count, len) = (count + 1, len + 4 + entry_len);
+            }
+        }
+        Some(VersionDelta {
+            t,
+            d,
+            picks: Picks::Differing {
+                t: t_base,
+                d: d_base,
+                digest_only,
+            },
+            count,
+            len,
+            full,
+        })
+    }
+
+    /// Whether the delta is smaller than the full version.
+    pub fn is_smaller(&self) -> bool {
+        self.len < self.full
+    }
+
+    /// Writes `mark | count`, then the entries.
+    pub fn encode_into<S: Sink>(&self, mark: u32, out: &mut S) {
+        (mark | self.count).encode_into(out);
+        let (t, d) = (self.t, self.d);
+        match self.picks {
+            Picks::Listed(indices) => {
+                for &k in indices {
+                    encode_entry(k, t[k], &d[k], out);
+                }
+            }
+            Picks::Differing {
+                t: t_base,
+                d: d_base,
+                digest_only,
+            } => {
+                for k in 0..t.len() {
+                    if t[k] != t_base[k] || digest_only && d[k] != d_base[k] {
+                        encode_entry(k, t[k], &d[k], out);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Reads `count` delta entries, handing each `(k, V[k], M[k])` to
+/// `apply`: the one reader of the layout. Indices must strictly increase
+/// and stay below `n`; the first that does not is
+/// [`WireError::BadLength`] of it, found before the entry's remaining
+/// bytes are read. Nothing is reserved for the claimed count, and no
+/// digest is passed back through a `Result` (the module docs, "What a
+/// pass costs").
+fn decode_entries(
+    input: &mut &[u8],
+    count: usize,
+    n: usize,
+    mut apply: impl FnMut(usize, Timestamp, Option<Digest>),
+) -> Result<(), WireError> {
+    let (mut rest, mut next) = (*input, 0);
+    for _ in 0..count {
+        let k = u32::decode_from(&mut rest)? as usize;
+        if k < next || k >= n {
+            return Err(WireError::BadLength(k as u64));
+        }
+        next = k + 1;
+        let timestamp = u64::decode_from(&mut rest)?;
+        Option::<Digest>::decode_then(&mut rest, |digest| apply(k, timestamp, digest))?;
+    }
+    *input = rest;
+    Ok(())
+}
+
+/// The version that a [`VersionDelta`] of `count` entries, read from
+/// `input` after its count word, stands for: the base `(t_base, d_base)`
+/// with the entries written over a copy.
+///
+/// # Errors
+///
+/// A delta may carry at most `n` entries, `n` the base's arity, at
+/// strictly increasing indices below `n`; anything else is
+/// [`WireError::BadLength`] of the offending count or index.
+pub fn decode_delta(
+    input: &mut &[u8],
+    count: usize,
+    t_base: &[Timestamp],
+    d_base: &[Option<Digest>],
+) -> Result<Version, WireError> {
+    let n = t_base.len();
+    if count > n {
+        return Err(WireError::BadLength(count as u64));
+    }
+    let (mut t, mut d) = (t_base.to_vec(), d_base.to_vec());
+    decode_entries(input, count, n, |k, timestamp, digest| {
+        t[k] = timestamp;
+        d[k] = digest;
+    })?;
+    Ok(Version::new(
+        TimestampVec::from_vec(t),
+        DigestVec::from_vec(d),
+    ))
+}
+
+/// `version` against `base`: a [`VersionDelta`] with its count marked by
+/// [`DELTA_MARK`] when that is smaller, else in full.
+/// [`decode_version_against`] reads either.
+fn encode_version_against<S: Sink>(version: &Version, base: &Version, out: &mut S) {
+    let (t, d) = (version.v().as_slice(), version.m().as_slice());
+    let delta = VersionDelta::against(t, d, base.v().as_slice(), base.m().as_slice());
+    match delta.filter(VersionDelta::is_smaller) {
+        Some(delta) => delta.encode_into(DELTA_MARK, out),
+        None => version.encode_into(out),
+    }
+}
+
+/// A version written by [`encode_version_against`] with the same `base`.
+fn decode_version_against(input: &mut &[u8], base: &Version) -> Result<Version, WireError> {
+    let word = u32::decode_from(input)?;
+    if word & DELTA_MARK == 0 {
+        return decode_version(word, input);
+    }
+    let count = (word & !DELTA_MARK) as usize;
+    decode_delta(input, count, base.v().as_slice(), base.m().as_slice())
 }
 
 impl Wire for SignedVersion {
@@ -525,16 +791,24 @@ pub struct ReadReply {
     pub mem_data_sig: Option<Signature>,
 }
 
-impl Wire for ReadReply {
-    fn encode_into<S: Sink>(&self, out: &mut S) {
-        self.writer_version.encode_into(out);
+impl ReadReply {
+    /// The read part of a REPLY whose `commit_version` is `base`:
+    /// `SVER[j]`'s version against `base` ([`encode_version_against`]),
+    /// then the rest as is. It has no encoding of its own.
+    fn encode_against<S: Sink>(&self, base: &Version, out: &mut S) {
+        encode_version_against(&self.writer_version.version, base, out);
+        self.writer_version.sig.encode_into(out);
         self.mem_timestamp.encode_into(out);
         self.mem_value.encode_into(out);
         self.mem_data_sig.encode_into(out);
     }
-    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+
+    fn decode_against(input: &mut &[u8], base: &Version) -> Result<Self, WireError> {
         Ok(ReadReply {
-            writer_version: SignedVersion::decode_from(input)?,
+            writer_version: SignedVersion {
+                version: decode_version_against(input, base)?,
+                sig: Option::<Signature>::decode_from(input)?,
+            },
             mem_timestamp: Timestamp::decode_from(input)?,
             mem_value: Option::<Value>::decode_from(input)?,
             mem_data_sig: Option::<Signature>::decode_from(input)?,
@@ -544,6 +818,15 @@ impl Wire for ReadReply {
 
 /// `⟨REPLY, c, SVER[c], [SVER[j], MEM[j],] L, P⟩` — the server's answer to
 /// a SUBMIT.
+///
+/// A read's `SVER[j]` is encoded as a [`VersionDelta`] against
+/// `SVER[c]` — the entries where the two differ, after one `u32` that is
+/// bit 31 plus their count — when both have the same arity and the delta
+/// is smaller; otherwise in full, whose first length prefix never has
+/// bit 31 set. Either way `decode(encode(m)) == m`. A delta's indices
+/// must strictly increase, and it may carry at most `n` entries, each
+/// below `n`, the arity of `SVER[c]`; anything else is
+/// [`WireError::BadLength`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplyMsg {
     /// `c` — the client that committed the last operation in the schedule.
@@ -567,15 +850,28 @@ impl Wire for ReplyMsg {
     fn encode_into<S: Sink>(&self, out: &mut S) {
         self.last_committer.encode_into(out);
         self.commit_version.encode_into(out);
-        self.read.encode_into(out);
+        match &self.read {
+            None => out.push(0),
+            Some(read) => {
+                out.push(1);
+                read.encode_against(&self.commit_version.version, out);
+            }
+        }
         self.pending.encode_into(out);
         self.proofs.encode_into(out);
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        let last_committer = ClientId::decode_from(input)?;
+        let commit_version = SignedVersion::decode_from(input)?;
+        let read = match u8::decode_from(input)? {
+            0 => None,
+            1 => Some(ReadReply::decode_against(input, &commit_version.version)?),
+            t => return Err(WireError::BadTag(t)),
+        };
         Ok(ReplyMsg {
-            last_committer: ClientId::decode_from(input)?,
-            commit_version: SignedVersion::decode_from(input)?,
-            read: Option::<ReadReply>::decode_from(input)?,
+            last_committer,
+            commit_version,
+            read,
             pending: Vec::<InvocationTuple>::decode_from(input)?,
             proofs: Vec::<Option<Signature>>::decode_from(input)?,
         })
@@ -608,6 +904,134 @@ impl Wire for CommitMsg {
     }
 }
 
+/// `⟨COMMIT, Δ, φ, ψ⟩` — a [`CommitMsg`] sent as a [`VersionDelta`]
+/// against the `commit_version` of the REPLY it answers, which the
+/// server still holds (its duplicate-reply cache). In lockstep that is
+/// the committer's own entry alone (Algorithm 1, lines 37–47, with `L`
+/// empty): 45 bytes where the full version has `n` entries. The
+/// signatures are the full COMMIT's, over the full version.
+///
+/// ```text
+///   count: u32 | (k: u32 | V[k]: u64 | M[k]: Option<Digest>)^count | φ | ψ
+/// ```
+///
+/// The frame carries no arity, so decoding checks only that the indices
+/// strictly increase and keeps the delta as it came;
+/// [`CommitDelta::resolve`] reads it over the base with
+/// [`decode_delta`], which bounds the count and the indices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CommitDelta {
+    /// The delta as encoded, count first.
+    delta: Vec<u8>,
+    /// COMMIT-signature `φ` over the full version.
+    pub commit_sig: Signature,
+    /// PROOF-signature `ψ` over `M_i[i]`.
+    pub proof_sig: Signature,
+}
+
+impl CommitDelta {
+    /// A delta of `entries`, given in strictly increasing `k`, whatever
+    /// its size. Senders use [`CommitDelta::of`] or
+    /// [`CommitDelta::against`], which pick the entries and send a delta
+    /// only where it is smaller.
+    pub fn new(entries: &[VersionEntry], commit_sig: Signature, proof_sig: Signature) -> Self {
+        let mut delta = Vec::new();
+        (entries.len() as u32).encode_into(&mut delta);
+        for e in entries {
+            encode_entry(e.client.index(), e.timestamp, &e.digest, &mut delta);
+        }
+        CommitDelta {
+            delta,
+            commit_sig,
+            proof_sig,
+        }
+    }
+
+    /// `commit` as the entries `indices` (strictly increasing, each below
+    /// its arity), if that is smaller than the full COMMIT. The caller
+    /// knows which entries moved without holding the base: a client's
+    /// fold touches only its own entry and those of the clients in `L`.
+    pub fn of(commit: &CommitMsg, indices: &[usize]) -> Option<Self> {
+        let (t, d) = (commit.version.v().as_slice(), commit.version.m().as_slice());
+        Self::sent(VersionDelta::listed(t, d, indices), commit)
+    }
+
+    /// `commit` as a delta against `base`, the `commit_version` of the
+    /// REPLY it answers: every entry where the two differ. `None` when
+    /// the arities differ or the delta would not be smaller.
+    pub fn against(base: &Version, commit: &CommitMsg) -> Option<Self> {
+        let (t, d) = (commit.version.v().as_slice(), commit.version.m().as_slice());
+        let (t_base, d_base) = (base.v().as_slice(), base.m().as_slice());
+        Self::sent(VersionDelta::against(t, d, t_base, d_base)?, commit)
+    }
+
+    /// `delta` with `commit`'s signatures, if it is smaller.
+    fn sent(delta: VersionDelta<'_>, commit: &CommitMsg) -> Option<Self> {
+        delta.is_smaller().then(|| {
+            let mut bytes = Vec::with_capacity(delta.len);
+            delta.encode_into(0, &mut bytes);
+            CommitDelta {
+                delta: bytes,
+                commit_sig: commit.commit_sig,
+                proof_sig: commit.proof_sig,
+            }
+        })
+    }
+
+    /// `V[from]` as this delta carries it: the timestamp of the operation
+    /// the COMMIT is for, and so of the REPLY it answers. `None` when
+    /// the entry is not there.
+    pub fn own_timestamp(&self, from: ClientId) -> Option<Timestamp> {
+        let (mut input, mut own) = (&self.delta[..], None);
+        let count = u32::decode_from(&mut input).ok()? as usize;
+        decode_entries(&mut input, count, usize::MAX, |k, timestamp, _| {
+            if k == from.index() {
+                own = Some(timestamp);
+            }
+        })
+        .ok()?;
+        own
+    }
+
+    /// The full COMMIT: `base` with this delta's entries written over it.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadLength`] of the count if it exceeds `base`'s
+    /// arity `n`, or of the first index `≥ n` ([`decode_delta`]).
+    pub fn resolve(&self, base: &Version) -> Result<CommitMsg, WireError> {
+        let mut input = &self.delta[..];
+        let count = u32::decode_from(&mut input)? as usize;
+        Ok(CommitMsg {
+            version: decode_delta(&mut input, count, base.v().as_slice(), base.m().as_slice())?,
+            commit_sig: self.commit_sig,
+            proof_sig: self.proof_sig,
+        })
+    }
+}
+
+impl Wire for CommitDelta {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.extend_from_slice(&self.delta);
+        self.commit_sig.encode_into(out);
+        self.proof_sig.encode_into(out);
+    }
+    /// A count of at most 2²⁴, then entries whose indices strictly
+    /// increase, else [`WireError::BadLength`] of the first that does
+    /// not; the delta is copied out only once all its bytes were read.
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        let start = *input;
+        let (count, _) = decode_len(input)?;
+        decode_entries(input, count, usize::MAX, |_, _, _| {})?;
+        let delta = start[..start.len() - input.len()].to_vec();
+        Ok(CommitDelta {
+            delta,
+            commit_sig: Signature::decode_from(input)?,
+            proof_sig: Signature::decode_from(input)?,
+        })
+    }
+}
+
 /// Any USTOR client↔server message, for transports that carry a single
 /// message type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -618,6 +1042,9 @@ pub enum UstorMsg {
     Reply(ReplyMsg),
     /// Client → server.
     Commit(CommitMsg),
+    /// Client → server: a COMMIT as a delta against the REPLY it answers,
+    /// sent only on the connection that REPLY came in on.
+    CommitDelta(CommitDelta),
 }
 
 impl Wire for UstorMsg {
@@ -635,6 +1062,10 @@ impl Wire for UstorMsg {
                 out.push(2);
                 m.encode_into(out);
             }
+            UstorMsg::CommitDelta(m) => {
+                out.push(3);
+                m.encode_into(out);
+            }
         }
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -642,6 +1073,7 @@ impl Wire for UstorMsg {
             0 => Ok(UstorMsg::Submit(SubmitMsg::decode_from(input)?)),
             1 => Ok(UstorMsg::Reply(ReplyMsg::decode_from(input)?)),
             2 => Ok(UstorMsg::Commit(CommitMsg::decode_from(input)?)),
+            3 => Ok(UstorMsg::CommitDelta(CommitDelta::decode_from(input)?)),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -959,6 +1391,229 @@ mod tests {
         // Doubling n roughly doubles the increment — linear growth.
         assert_eq!(delta2, 2 * delta1, "sizes {sizes:?}");
         assert_eq!(delta3, 2 * delta2, "sizes {sizes:?}");
+    }
+
+    #[test]
+    fn full_form_frames_are_byte_identical_to_those_before_delta_frames() {
+        // Lengths and SHA-256 of the frames as the encoder wrote them
+        // before tag 3 and the `SVER[j]` marker existed.
+        let write_reply = ReplyMsg {
+            read: None,
+            ..sample_reply(3)
+        };
+        let piggybacked = SubmitMsg {
+            piggyback: Some(CommitMsg {
+                version: sample_version(3),
+                commit_sig: sig(8),
+                proof_sig: ed_sig(9),
+            }),
+            ..sample_submit()
+        };
+        let commit = CommitMsg {
+            version: sample_version(4),
+            commit_sig: sig(8),
+            proof_sig: sig(9),
+        };
+        let golden = [
+            (
+                UstorMsg::Submit(sample_submit()),
+                101,
+                "af3e498880485f4145ab0c7d0695b4ffcafd1485c6f6108a4365333b57c7e1b7",
+            ),
+            (
+                UstorMsg::Submit(piggybacked),
+                330,
+                "0a89c450127f678383b6ca411d536a2c67a7725a179afa1a0ef5a1e4b0e93950",
+            ),
+            (
+                UstorMsg::Commit(commit),
+                243,
+                "5f3c813d7d7cd985cc62cf5721249840c3c959abc653682b5ca1f2c969a84a97",
+            ),
+            (
+                UstorMsg::Reply(write_reply),
+                294,
+                "e5f41345920631afcf2ac20121467285351f513d2848b05be37e463420241403",
+            ),
+        ];
+        for (msg, len, digest) in golden {
+            let frame = crate::frame::frame_bytes(&msg);
+            assert_eq!(
+                (frame.len(), sha256(&frame).to_hex().as_str()),
+                (len, digest)
+            );
+        }
+    }
+
+    /// A read REPLY at n = 3 whose `SVER[j]` is `SVER[c]` with entry 1
+    /// moved, and the offset of its `SVER[j]` marker word.
+    fn near_read_reply() -> (ReplyMsg, usize) {
+        let mut reply = sample_reply(3);
+        let mut writer = reply.commit_version.version.clone();
+        writer.v_mut().set(ClientId::new(1), 9);
+        reply.read.as_mut().unwrap().writer_version = SignedVersion {
+            version: writer,
+            sig: Some(sig(4)),
+        };
+        let at = 4 + reply.commit_version.encoded_len() + 1;
+        (reply, at)
+    }
+
+    #[test]
+    fn a_read_replys_writer_version_goes_as_a_delta_when_smaller() {
+        let (reply, at) = near_read_reply();
+        let bytes = reply.encode();
+        assert_eq!(bytes[at..at + 4], (DELTA_MARK | 1).to_be_bytes());
+        // One 49-byte entry (its count word included) against 131 bytes.
+        let full = reply
+            .read
+            .as_ref()
+            .unwrap()
+            .writer_version
+            .version
+            .encoded_len();
+        assert_eq!((full, 4 + (4 + 8 + 33)), (131, 49));
+        assert_eq!(ReplyMsg::decode(&bytes), Ok(reply.clone()));
+        // A digest that moved on its own (a forked history) rides along.
+        let mut forked = reply.clone();
+        let writer = &mut forked.read.as_mut().unwrap().writer_version.version;
+        writer.m_mut().set(ClientId::new(2), sha256(b"forked"));
+        let bytes = forked.encode();
+        assert_eq!(bytes[at..at + 4], (DELTA_MARK | 2).to_be_bytes());
+        assert_eq!(ReplyMsg::decode(&bytes), Ok(forked));
+        // Another arity: always in full, and still the same message back.
+        let mut odd = reply;
+        odd.read.as_mut().unwrap().writer_version = SignedVersion::initial(2);
+        let bytes = odd.encode();
+        assert_eq!(bytes[at..at + 4], 2u32.to_be_bytes());
+        assert_eq!(ReplyMsg::decode(&bytes), Ok(odd));
+    }
+
+    #[test]
+    fn malformed_writer_version_deltas_are_typed_errors() {
+        let (reply, at) = near_read_reply();
+        let good = reply.encode();
+        // `bytes` with the delta's count word, then `entries` (index and
+        // timestamp only; each entry's digest is `⊥`), then the rest of
+        // the read part and the REPLY as they were.
+        let tail = &good[at + 4 + 4 + 8 + 33..];
+        let delta = |count: u32, entries: &[(u32, u64)]| {
+            let mut bytes = good[..at].to_vec();
+            (DELTA_MARK | count).encode_into(&mut bytes);
+            for &(k, t) in entries {
+                k.encode_into(&mut bytes);
+                t.encode_into(&mut bytes);
+                bytes.push(0);
+            }
+            bytes.extend_from_slice(tail);
+            bytes
+        };
+        assert!(ReplyMsg::decode(&delta(1, &[(1, 9)])).is_ok());
+        let cases = [
+            ("index ≥ n", delta(1, &[(3, 9)]), WireError::BadLength(3)),
+            (
+                "repeated",
+                delta(2, &[(1, 9), (1, 9)]),
+                WireError::BadLength(1),
+            ),
+            (
+                "unsorted",
+                delta(2, &[(2, 9), (0, 9)]),
+                WireError::BadLength(0),
+            ),
+            ("count > n", delta(4, &[]), WireError::BadLength(4)),
+            (
+                "2²⁴ claimed",
+                delta(1 << 24, &[(0, 1)]),
+                WireError::BadLength(1 << 24),
+            ),
+        ];
+        for (what, bytes, error) in cases {
+            assert_eq!(ReplyMsg::decode(&bytes), Err(error), "{what}");
+        }
+        // A count within n, its second entry missing.
+        let short = delta(2, &[(0, 1)]);
+        assert_eq!(
+            ReplyMsg::decode(&short[..at + 4 + 13]),
+            Err(WireError::Truncated)
+        );
+    }
+
+    fn commit_delta(entries: &[(u32, u64)]) -> CommitDelta {
+        let entries: Vec<_> = entries
+            .iter()
+            .map(|&(k, t)| VersionEntry {
+                client: ClientId::new(k),
+                timestamp: t,
+                digest: None,
+            })
+            .collect();
+        CommitDelta::new(&entries, sig(1), sig(2))
+    }
+
+    #[test]
+    fn malformed_commit_deltas_are_typed_errors() {
+        // The frame carries no arity: order is checked as it decodes,
+        // range and count against the base they resolve on.
+        let base = sample_version(3);
+        for entries in [&[(1, 5), (1, 6)][..], &[(2, 5), (0, 6)]] {
+            let bytes = commit_delta(entries).encode();
+            let at = entries[1].0;
+            assert_eq!(
+                CommitDelta::decode(&bytes),
+                Err(WireError::BadLength(at.into()))
+            );
+        }
+        let too_far = commit_delta(&[(0, 5), (3, 6)]);
+        assert_eq!(too_far.resolve(&base), Err(WireError::BadLength(3)));
+        let too_many = commit_delta(&[(0, 5), (1, 5), (2, 5), (3, 5)]);
+        assert_eq!(too_many.resolve(&base), Err(WireError::BadLength(4)));
+        let fine = commit_delta(&[(1, 5)]);
+        let resolved = fine.resolve(&base).unwrap();
+        assert_eq!(resolved.version.v().as_slice(), [1, 5, 3]);
+        assert_eq!(resolved.version.m().get(ClientId::new(1)), None);
+        assert_eq!(fine.own_timestamp(ClientId::new(1)), Some(5));
+        assert_eq!(fine.own_timestamp(ClientId::new(0)), None);
+    }
+
+    #[test]
+    fn a_commit_delta_claiming_2_pow_24_entries_reads_only_the_bytes_present() {
+        // Two well-formed entries after the claim, then nothing: the
+        // decoder reserves nothing, reads the two, and stops at the
+        // third.
+        let frame = commit_delta(&[(0, 1), (1, 2)]).encode();
+        let entries = &frame[4..frame.len() - 2 * 33];
+        assert_eq!(entries.len(), 2 * (4 + 8 + 1));
+        let bytes = claiming(MAX_LEN as u32, entries);
+        assert_eq!(CommitDelta::decode(&bytes), Err(WireError::Truncated));
+        // Past the cap the claim itself is the error.
+        let bytes = claiming(MAX_LEN as u32 + 1, entries);
+        assert_eq!(
+            CommitDelta::decode(&bytes),
+            Err(WireError::BadLength(MAX_LEN + 1))
+        );
+    }
+
+    #[test]
+    fn a_lockstep_commit_delta_is_one_entry_and_smaller_than_the_full_commit() {
+        let base = sample_version(64);
+        let mut version = base.clone();
+        version.v_mut().set(ClientId::new(5), 99);
+        version.m_mut().set(ClientId::new(5), sha256(b"own"));
+        let commit = CommitMsg {
+            version,
+            commit_sig: sig(1),
+            proof_sig: sig(2),
+        };
+        let delta = CommitDelta::against(&base, &commit).unwrap();
+        assert_eq!(delta, CommitDelta::of(&commit, &[5]).unwrap());
+        let frame = crate::frame::frame_bytes(&UstorMsg::CommitDelta(delta.clone()));
+        assert_eq!(frame.len(), 4 + 1 + 4 + (4 + 8 + 33) + 33 + 33);
+        assert_eq!(delta.resolve(&base), Ok(commit.clone()));
+        // No delta where it would not be smaller, or the arities differ.
+        assert!(CommitDelta::against(&sample_version(63), &commit).is_none());
+        let every: Vec<usize> = (0..64).collect();
+        assert!(CommitDelta::of(&commit, &every).is_none());
     }
 
     #[test]

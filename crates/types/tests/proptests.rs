@@ -10,8 +10,9 @@ use faust_crypto::{sha256, Digest};
 use faust_sim::SmallRng;
 use faust_types::frame::{frame_bytes, FrameDecoder};
 use faust_types::{
-    ClientId, CommitMsg, DigestVec, History, InvocationTuple, OpKind, ReadReply, ReplyMsg,
-    SignedVersion, SubmitMsg, TimestampVec, UstorMsg, Value, Version, VersionCmp, Wire,
+    ClientId, CommitDelta, CommitMsg, DigestVec, History, InvocationTuple, OpKind, ReadReply,
+    ReplyMsg, SignedVersion, SubmitMsg, TimestampVec, UstorMsg, Value, Version, VersionCmp,
+    VersionEntry, Wire,
 };
 
 const N: usize = 4;
@@ -100,12 +101,37 @@ fn arb_submit(rng: &mut SmallRng) -> SubmitMsg {
     }
 }
 
+/// `base` with about `share` of its entries moved: a version a delta
+/// against `base` encodes in fewer bytes than in full when `share` is
+/// small.
+fn near_version(rng: &mut SmallRng, base: &Version, share: f64) -> Version {
+    let (mut v, mut m) = (base.v().as_slice().to_vec(), base.m().as_slice().to_vec());
+    for k in 0..v.len() {
+        if rng.gen_bool(share) {
+            v[k] += 1 + rng.gen_index(3) as u64;
+            m[k] = rng
+                .gen_bool(0.9)
+                .then(|| sha256(&rng.next_u64().to_be_bytes()));
+        }
+    }
+    Version::new(TimestampVec::from_vec(v), DigestVec::from_vec(m))
+}
+
 fn arb_reply(rng: &mut SmallRng) -> ReplyMsg {
+    let commit_version = arb_signed_version(rng);
+    // Half the reads carry `SVER[j]` close to `SVER[c]`: the delta form.
+    let writer_version = |rng: &mut SmallRng| match rng.gen_bool(0.5) {
+        true => SignedVersion {
+            version: near_version(rng, &commit_version.version, 0.2),
+            sig: Some(arb_sig(rng)),
+        },
+        false => arb_signed_version(rng),
+    };
     ReplyMsg {
         last_committer: ClientId::new(rng.gen_index(N) as u32),
-        commit_version: arb_signed_version(rng),
+        commit_version: commit_version.clone(),
         read: rng.gen_bool(0.5).then(|| ReadReply {
-            writer_version: arb_signed_version(rng),
+            writer_version: writer_version(rng),
             mem_timestamp: rng.gen_range_inclusive(0, 99),
             mem_value: rng.gen_bool(0.5).then(|| arb_value(rng)),
             mem_data_sig: rng.gen_bool(0.5).then(|| arb_sig(rng)),
@@ -120,15 +146,40 @@ fn arb_reply(rng: &mut SmallRng) -> ReplyMsg {
     }
 }
 
+fn arb_commit(rng: &mut SmallRng) -> CommitMsg {
+    CommitMsg {
+        version: arb_version(rng),
+        commit_sig: arb_sig(rng),
+        proof_sig: arb_sig(rng),
+    }
+}
+
+/// A COMMIT's delta against a version near it, as a client would send it.
+fn arb_commit_delta(rng: &mut SmallRng) -> CommitDelta {
+    let commit = arb_commit(rng);
+    let changed: Vec<usize> = (0..N).filter(|_| rng.gen_bool(0.3)).collect();
+    delta_of(&commit, &changed)
+}
+
+/// `commit` as a delta over the entries `changed`, whatever its size.
+fn delta_of(commit: &CommitMsg, changed: &[usize]) -> CommitDelta {
+    let entries: Vec<VersionEntry> = changed
+        .iter()
+        .map(|&k| VersionEntry {
+            client: ClientId::new(k as u32),
+            timestamp: commit.version.v().as_slice()[k],
+            digest: commit.version.m().as_slice()[k],
+        })
+        .collect();
+    CommitDelta::new(&entries, commit.commit_sig, commit.proof_sig)
+}
+
 fn arb_msg(rng: &mut SmallRng) -> UstorMsg {
-    match rng.gen_index(3) {
+    match rng.gen_index(4) {
         0 => UstorMsg::Submit(arb_submit(rng)),
         1 => UstorMsg::Reply(arb_reply(rng)),
-        _ => UstorMsg::Commit(CommitMsg {
-            version: arb_version(rng),
-            commit_sig: arb_sig(rng),
-            proof_sig: arb_sig(rng),
-        }),
+        2 => UstorMsg::Commit(arb_commit(rng)),
+        _ => UstorMsg::CommitDelta(arb_commit_delta(rng)),
     }
 }
 
@@ -230,12 +281,31 @@ fn reply_roundtrips() {
 #[test]
 fn commit_roundtrips() {
     for_cases("commit", |rng| {
-        let m = CommitMsg {
-            version: arb_version(rng),
+        let m = arb_commit(rng);
+        assert_eq!(CommitMsg::decode(&m.encode()), Ok(m));
+    });
+}
+
+#[test]
+fn a_commit_delta_resolves_against_its_base_to_the_full_commit() {
+    for_cases("commit-delta", |rng| {
+        let base = arb_version(rng);
+        let commit = CommitMsg {
+            version: near_version(rng, &base, 0.3),
             commit_sig: arb_sig(rng),
             proof_sig: arb_sig(rng),
         };
-        assert_eq!(CommitMsg::decode(&m.encode()), Ok(m));
+        match CommitDelta::against(&base, &commit) {
+            Some(delta) => {
+                assert!(delta.encoded_len() < commit.encoded_len());
+                assert_eq!(CommitDelta::decode(&delta.encode()).as_ref(), Ok(&delta));
+                assert_eq!(delta.resolve(&base), Ok(commit));
+            }
+            // Only when every entry moved is the delta not smaller.
+            None => assert!((0..N).all(|k| base.v().as_slice()[k]
+                != commit.version.v().as_slice()[k]
+                || base.m().as_slice()[k] != commit.version.m().as_slice()[k])),
+        }
     });
 }
 
@@ -256,6 +326,7 @@ fn decode_never_panics_on_junk() {
         let _ = ReplyMsg::decode(&bytes);
         let _ = SubmitMsg::decode(&bytes);
         let _ = CommitMsg::decode(&bytes);
+        let _ = CommitDelta::decode(&bytes);
     });
 }
 
@@ -394,7 +465,6 @@ fn encoded_len_is_the_encoding_length_for_every_wire_type_here() {
         check(&reply.commit_version.version.m().clone());
         check(&reply.commit_version.version);
         check(&reply.commit_version);
-        check(&reply.read);
         check(&reply.pending);
         check(&reply.proofs);
         check(&reply);
@@ -407,6 +477,7 @@ fn encoded_len_is_the_encoding_length_for_every_wire_type_here() {
         check(&submit.piggyback);
         check(&submit);
         check(&arb_msg(rng));
+        check(&arb_commit_delta(rng));
         check(&sha256(&[rng.next_u64() as u8]));
         check(&(rng.next_u64() as u8));
         check(&(rng.next_u64() as u32));
@@ -552,7 +623,19 @@ mod reference {
     }
 
     fn version(input: &mut &[u8]) -> Decoded<Version> {
-        let v = vec(input, long)?;
+        let len = word(input)?;
+        version_after(len, input)
+    }
+
+    /// A full version whose first length prefix `len` was already read.
+    fn version_after(len: u32, input: &mut &[u8]) -> Decoded<Version> {
+        if u64::from(len) > MAX_LEN {
+            return Err(WireError::BadLength(len.into()));
+        }
+        let mut v = Vec::new();
+        for _ in 0..len {
+            v.push(long(input)?);
+        }
         let m = vec(input, |input| option(input, digest))?;
         if v.len() != m.len() {
             return Err(WireError::BadLength(m.len() as u64));
@@ -561,6 +644,55 @@ mod reference {
             TimestampVec::from_vec(v),
             DigestVec::from_vec(m),
         ))
+    }
+
+    /// A read REPLY's `SVER[j]` version: bit 31 of the first word marks
+    /// a delta against `base` whose entry count is the low bits.
+    fn version_against(input: &mut &[u8], base: &Version) -> Decoded<Version> {
+        let first = word(input)?;
+        if first & (1 << 31) == 0 {
+            return version_after(first, input);
+        }
+        let (count, n) = ((first & !(1 << 31)) as usize, base.num_clients());
+        if count > n {
+            return Err(WireError::BadLength(count as u64));
+        }
+        let mut v = base.v().as_slice().to_vec();
+        let mut m = base.m().as_slice().to_vec();
+        let mut next = 0;
+        for _ in 0..count {
+            let k = word(input)? as usize;
+            if k < next || k >= n {
+                return Err(WireError::BadLength(k as u64));
+            }
+            next = k + 1;
+            v[k] = long(input)?;
+            m[k] = option(input, digest)?;
+        }
+        Ok(Version::new(
+            TimestampVec::from_vec(v),
+            DigestVec::from_vec(m),
+        ))
+    }
+
+    /// A COMMIT delta's `count` entries `k | V[k] | M[k]`, `k` strictly
+    /// increasing, checked before the rest of its entry is read.
+    fn entries(input: &mut &[u8], count: usize) -> Decoded<Vec<VersionEntry>> {
+        let mut entries = Vec::new();
+        let mut next = 0u64;
+        for _ in 0..count {
+            let k = word(input)?;
+            if u64::from(k) < next {
+                return Err(WireError::BadLength(k.into()));
+            }
+            next = u64::from(k) + 1;
+            entries.push(VersionEntry {
+                client: ClientId::new(k),
+                timestamp: long(input)?,
+                digest: option(input, digest)?,
+            });
+        }
+        Ok(entries)
     }
 
     fn signed_version(input: &mut &[u8]) -> Decoded<SignedVersion> {
@@ -588,9 +720,12 @@ mod reference {
         })
     }
 
-    fn read_reply(input: &mut &[u8]) -> Decoded<ReadReply> {
+    fn read_reply(input: &mut &[u8], base: &Version) -> Decoded<ReadReply> {
         Ok(ReadReply {
-            writer_version: signed_version(input)?,
+            writer_version: SignedVersion {
+                version: version_against(input, base)?,
+                sig: option(input, signature)?,
+            },
             mem_timestamp: long(input)?,
             mem_value: option(input, value)?,
             mem_data_sig: option(input, signature)?,
@@ -598,13 +733,30 @@ mod reference {
     }
 
     fn reply_body(input: &mut &[u8]) -> Decoded<ReplyMsg> {
+        let last_committer = client(input)?;
+        let commit_version = signed_version(input)?;
+        let read = match byte(input)? {
+            0 => None,
+            1 => Some(read_reply(input, &commit_version.version)?),
+            t => return Err(WireError::BadTag(t)),
+        };
         Ok(ReplyMsg {
-            last_committer: client(input)?,
-            commit_version: signed_version(input)?,
-            read: option(input, read_reply)?,
+            last_committer,
+            commit_version,
+            read,
             pending: vec(input, tuple)?,
             proofs: vec(input, |input| option(input, signature))?,
         })
+    }
+
+    fn commit_delta_body(input: &mut &[u8]) -> Decoded<CommitDelta> {
+        let count = length(input)?;
+        let entries = entries(input, count)?;
+        Ok(CommitDelta::new(
+            &entries,
+            signature(input)?,
+            signature(input)?,
+        ))
     }
 
     fn msg_body(input: &mut &[u8]) -> Decoded<UstorMsg> {
@@ -612,6 +764,7 @@ mod reference {
             0 => Ok(UstorMsg::Submit(submit_body(input)?)),
             1 => Ok(UstorMsg::Reply(reply_body(input)?)),
             2 => Ok(UstorMsg::Commit(commit_body(input)?)),
+            3 => Ok(UstorMsg::CommitDelta(commit_delta_body(input)?)),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -633,6 +786,9 @@ mod reference {
     }
     pub fn commit(input: &[u8]) -> Decoded<CommitMsg> {
         whole(input, commit_body)
+    }
+    pub fn commit_delta(input: &[u8]) -> Decoded<CommitDelta> {
+        whole(input, commit_delta_body)
     }
     pub fn msg(input: &[u8]) -> Decoded<UstorMsg> {
         whole(input, msg_body)
@@ -698,6 +854,18 @@ fn shaped_commit(rng: &mut SmallRng, shape: Shape) -> CommitMsg {
     }
 }
 
+/// A delta COMMIT for `shape`: `|L|` + 1 entries (capped at `n`), the
+/// entries a client's fold writes, in increasing order.
+fn shaped_commit_delta(rng: &mut SmallRng, shape: Shape) -> CommitDelta {
+    let commit = shaped_commit(rng, shape);
+    let mut changed: Vec<usize> = (0..=shape.pending)
+        .map(|_| rng.gen_index(shape.n))
+        .collect();
+    changed.sort_unstable();
+    changed.dedup();
+    delta_of(&commit, &changed)
+}
+
 fn shaped_submit(rng: &mut SmallRng, shape: Shape) -> SubmitMsg {
     SubmitMsg {
         timestamp: rng.next_u64() >> 40,
@@ -708,12 +876,23 @@ fn shaped_submit(rng: &mut SmallRng, shape: Shape) -> SubmitMsg {
     }
 }
 
-fn shaped_reply(rng: &mut SmallRng, shape: Shape) -> ReplyMsg {
+/// A REPLY for `shape`; with `near`, a read's `SVER[j]` differs from
+/// `SVER[c]` in about a quarter of its entries, so it is mostly encoded
+/// as a delta (not where every entry moved).
+fn shaped_reply(rng: &mut SmallRng, shape: Shape, near: bool) -> ReplyMsg {
+    let commit_version = shaped_signed_version(rng, shape);
+    let writer_version = |rng: &mut SmallRng| match near {
+        true => SignedVersion {
+            version: near_version(rng, &commit_version.version, 0.25),
+            sig: rng.gen_bool(0.8).then(|| shaped_sig(rng, shape)),
+        },
+        false => shaped_signed_version(rng, shape),
+    };
     ReplyMsg {
         last_committer: ClientId::new(rng.gen_index(shape.n) as u32),
-        commit_version: shaped_signed_version(rng, shape),
+        commit_version: commit_version.clone(),
         read: shape.extras.then(|| ReadReply {
-            writer_version: shaped_signed_version(rng, shape),
+            writer_version: writer_version(rng),
             mem_timestamp: rng.next_u64() >> 40,
             mem_value: rng.gen_bool(0.7).then(|| arb_value(rng)),
             mem_data_sig: rng.gen_bool(0.7).then(|| shaped_sig(rng, shape)),
@@ -791,15 +970,31 @@ fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
     for (case, shape) in shapes().into_iter().enumerate() {
         let rng = &mut SmallRng::seed_from_u64(0xD1FF ^ case as u64);
         let submit = shaped_submit(rng, shape);
-        let reply = shaped_reply(rng, shape);
+        let reply = shaped_reply(rng, shape, false);
+        let near = shaped_reply(rng, shape, true);
         let commit = shaped_commit(rng, shape);
+        let delta = shaped_commit_delta(rng, shape);
         assert_decoders_agree(reference::submit, &submit.encode(), shape);
         assert_decoders_agree(reference::reply, &reply.encode(), shape);
         assert_decoders_agree(reference::commit, &commit.encode(), shape);
-        // Through the enum the three share a tag byte; the SUBMIT is the
+        assert_decoders_agree(reference::commit_delta, &delta.encode(), shape);
+        if shape.extras {
+            // A read part again, `SVER[j]` now near `SVER[c]`: a delta
+            // whenever that is smaller, which at n = 64 it always is.
+            let bytes = near.encode();
+            let marker = bytes[4 + near.commit_version.encoded_len() + 1];
+            assert!(shape.n < 64 || marker & 0x80 != 0, "{shape:?}");
+            assert_decoders_agree(reference::reply, &bytes, shape);
+        }
+        // Through the enum the four share a tag byte; the SUBMIT is the
         // smallest body to sweep it with.
         assert_decoders_agree(reference::msg, &UstorMsg::Submit(submit).encode(), shape);
-        for msg in [UstorMsg::Reply(reply), UstorMsg::Commit(commit)] {
+        for msg in [
+            UstorMsg::Reply(reply),
+            UstorMsg::Reply(near),
+            UstorMsg::Commit(commit),
+            UstorMsg::CommitDelta(delta),
+        ] {
             let bytes = msg.encode();
             assert_eq!(UstorMsg::decode(&bytes), reference::msg(&bytes));
             assert_eq!(reference::msg(&bytes), Ok(msg));
@@ -838,8 +1033,10 @@ fn frame_decoder_agrees_with_the_reference_at_every_split_point() {
         let rng = &mut SmallRng::seed_from_u64(0xF4A3 ^ case as u64);
         let msgs = [
             UstorMsg::Submit(shaped_submit(rng, shape)),
-            UstorMsg::Reply(shaped_reply(rng, shape)),
+            UstorMsg::Reply(shaped_reply(rng, shape, false)),
+            UstorMsg::Reply(shaped_reply(rng, shape, true)),
             UstorMsg::Commit(shaped_commit(rng, shape)),
+            UstorMsg::CommitDelta(shaped_commit_delta(rng, shape)),
         ];
         for msg in msgs {
             let frame = frame_bytes(&msg);

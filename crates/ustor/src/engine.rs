@@ -67,7 +67,7 @@ use faust_crypto::sig::{SigContext, Verifier, VerifyItem};
 use faust_crypto::Digest;
 use faust_net::{Incoming, ServerTransport};
 use faust_types::op::{data_signing_bytes, submit_signing_bytes};
-use faust_types::{ClientId, OpKind, ReplyMsg, SubmitMsg, Timestamp, UstorMsg, Value};
+use faust_types::{ClientId, CommitMsg, OpKind, ReplyMsg, SubmitMsg, Timestamp, UstorMsg, Value};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -107,7 +107,8 @@ pub struct Session {
     /// COMMIT messages accepted from this client (piggybacked commits
     /// count here too).
     pub commits: u64,
-    /// Messages dropped by ingress verification.
+    /// Messages dropped by ingress verification, and delta COMMITs with
+    /// no cached REPLY to resolve against.
     pub rejected: u64,
     /// Timestamp of the last accepted SUBMIT (0 before the first).
     pub last_timestamp: Timestamp,
@@ -123,7 +124,9 @@ pub struct Session {
     /// `last_value_hash` or the client's next write supersedes it.
     resumed_value: Option<Value>,
     /// Resent SUBMITs recognised as duplicates (answered from the reply
-    /// cache, never re-run through the protocol server).
+    /// cache, never re-run through the protocol server), and delta
+    /// COMMITs arriving after their COMMIT was acknowledged and their
+    /// base evicted (dropped).
     pub duplicates: u64,
     /// Timestamps of accepted SUBMITs whose replies have not yet been
     /// released, oldest first. A correct server answers SUBMITs FIFO per
@@ -153,9 +156,11 @@ pub struct EngineStats {
     /// COMMITs forwarded to the protocol server.
     pub commits: u64,
     /// Resent SUBMITs answered from the reply cache instead of being
-    /// re-run (exactly-once ingress).
+    /// re-run (exactly-once ingress), and delta COMMITs dropped as late
+    /// duplicates.
     pub duplicates: u64,
-    /// Messages dropped by ingress verification.
+    /// Messages dropped by ingress verification, and delta COMMITs with
+    /// no cached REPLY to resolve against.
     pub rejected: u64,
     /// Client messages of a kind only the server sends (ignored).
     pub nonsense: u64,
@@ -649,22 +654,48 @@ impl ServerEngine {
                     self.release_reply(rcpt, reply);
                 }
             }
-            UstorMsg::Commit(commit) => {
-                if let Some(session) = self.sessions.get_mut(from.index()) {
-                    session.commits += 1;
-                    session
-                        .replies
-                        .committed(ReplyCache::acknowledged(from, &commit));
-                }
-                self.stats.commits += 1;
-                for (rcpt, reply) in self.server.on_commit(from, commit) {
-                    self.release_reply(rcpt, reply);
+            UstorMsg::Commit(commit) => self.process_commit(from, commit),
+            // A delta becomes the full COMMIT here, against the cached
+            // REPLY it answers — found by exact timestamp — so nothing
+            // past this arm (server, store, log, audit) ever sees one. An
+            // honest client sends it right after that REPLY, on the same
+            // connection, so the base is cached; a delta without one is a
+            // duplicate if its COMMIT was already acknowledged, and
+            // rejected otherwise.
+            UstorMsg::CommitDelta(delta) => {
+                let session = self.sessions.get(from.index());
+                let (Some(session), Some(t)) = (session, delta.own_timestamp(from)) else {
+                    return self.reject(from);
+                };
+                match session.replies.get(t) {
+                    Some(reply) => match delta.resolve(&reply.commit_version.version) {
+                        Ok(commit) => self.process_commit(from, commit),
+                        Err(_) => self.reject(from),
+                    },
+                    None if t <= session.replies.last_acknowledged() => {
+                        self.sessions[from.index()].duplicates += 1;
+                        self.stats.duplicates += 1;
+                    }
+                    None => self.reject(from),
                 }
             }
             // Clients never legitimately send REPLY; ignore quietly.
             UstorMsg::Reply(_) => {
                 self.stats.nonsense += 1;
             }
+        }
+    }
+
+    fn process_commit(&mut self, from: ClientId, commit: CommitMsg) {
+        if let Some(session) = self.sessions.get_mut(from.index()) {
+            session.commits += 1;
+            session
+                .replies
+                .committed(ReplyCache::acknowledged(from, &commit));
+        }
+        self.stats.commits += 1;
+        for (rcpt, reply) in self.server.on_commit(from, commit) {
+            self.release_reply(rcpt, reply);
         }
     }
 }
@@ -1058,6 +1089,118 @@ mod tests {
         // The duplicate never reached the protocol server: only the two
         // genuine submits were forwarded.
         assert_eq!(engine.stats().submits, 2);
+    }
+
+    /// One op of `client` whose COMMIT goes to `engine` as a delta
+    /// against its REPLY; returns the delta for replaying.
+    fn run_delta_op(
+        engine: &mut ServerEngine,
+        client: &mut UstorClient,
+        submit: faust_types::SubmitMsg,
+    ) -> faust_types::CommitDelta {
+        let id = client.id();
+        engine.enqueue(id, UstorMsg::Submit(submit));
+        engine.process_all();
+        let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() else {
+            panic!("expected a reply");
+        };
+        let base = reply.commit_version.version.clone();
+        let (commit, _) = client.handle_reply(reply).expect("correct server");
+        let commit = commit.unwrap();
+        let delta = faust_types::CommitDelta::against(&base, &commit).unwrap();
+        let own = faust_types::CommitDelta::of(&commit, &[id.index()]);
+        assert_eq!(Some(&delta), own.as_ref(), "lockstep: the own entry alone");
+        engine.enqueue(id, UstorMsg::CommitDelta(delta.clone()));
+        engine.process_all();
+        assert!(engine.poll_output().is_none(), "commit produces no reply");
+        delta
+    }
+
+    /// C1's read of C0's register: `SVER[c]`, `SVER[0]` and `MEM[0]` as
+    /// the server holds them.
+    fn probe_read(engine: &mut ServerEngine, reader: &mut UstorClient) -> ReplyMsg {
+        let submit = reader.begin_read(ClientId::new(0)).unwrap();
+        engine.enqueue(reader.id(), UstorMsg::Submit(submit));
+        engine.process_all();
+        let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() else {
+            panic!("expected a reply");
+        };
+        let (commit, _) = reader.handle_reply(reply.clone()).expect("correct server");
+        engine.enqueue(reader.id(), UstorMsg::Commit(commit.unwrap()));
+        engine.process_all();
+        reply
+    }
+
+    #[test]
+    fn a_delta_resolves_against_the_cached_reply_it_answers() {
+        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let (mut twin, mut twin_clients) = setup(2, |_| IngressVerification::Off);
+        for k in 0..3u64 {
+            let submit = clients[0].begin_write(Value::unique(0, k)).unwrap();
+            run_delta_op(&mut engine, &mut clients[0], submit);
+            let submit = twin_clients[0].begin_write(Value::unique(0, k)).unwrap();
+            run_op(&mut twin, &mut twin_clients[0], submit);
+        }
+        assert_eq!(engine.stats(), twin.stats());
+        let read = probe_read(&mut engine, &mut clients[1]);
+        assert_eq!(read, probe_read(&mut twin, &mut twin_clients[1]));
+    }
+
+    #[test]
+    fn a_delta_with_no_cached_base_is_rejected_and_changes_nothing() {
+        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let (mut twin, mut twin_clients) = setup(2, |_| IngressVerification::Off);
+        let submit = clients[0].begin_write(Value::from("one")).unwrap();
+        let sent = run_delta_op(&mut engine, &mut clients[0], submit);
+        let submit = twin_clients[0].begin_write(Value::from("one")).unwrap();
+        run_op(&mut twin, &mut twin_clients[0], submit);
+        // A delta for an operation C0 never submitted, and one whose own
+        // entry is missing: neither has a base.
+        let delta = |client| {
+            let entry = faust_types::VersionEntry {
+                client: ClientId::new(client),
+                timestamp: 7,
+                digest: None,
+            };
+            faust_types::CommitDelta::new(&[entry], sent.commit_sig, sent.proof_sig)
+        };
+        for delta in [delta(0), delta(1)] {
+            engine.enqueue(ClientId::new(0), UstorMsg::CommitDelta(delta));
+        }
+        engine.process_all();
+        assert!(engine.poll_output().is_none());
+        assert_eq!(engine.stats().rejected, 2);
+        assert_eq!(engine.session(ClientId::new(0)).rejected, 2);
+        let counts = |s: &EngineStats| (s.submits, s.commits, s.duplicates);
+        assert_eq!(counts(engine.stats()), counts(twin.stats()));
+        let read = probe_read(&mut engine, &mut clients[1]);
+        assert_eq!(read, probe_read(&mut twin, &mut twin_clients[1]));
+    }
+
+    #[test]
+    fn a_duplicated_delta_after_its_commit_is_a_no_op() {
+        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let (mut twin, mut twin_clients) = setup(2, |_| IngressVerification::Off);
+        let submit = clients[0].begin_write(Value::from("one")).unwrap();
+        let first = run_delta_op(&mut engine, &mut clients[0], submit);
+        // At once: the REPLY is still cached, so the duplicate resolves
+        // to the same COMMIT, which the server stores idempotently.
+        engine.enqueue(ClientId::new(0), UstorMsg::CommitDelta(first.clone()));
+        engine.process_all();
+        let submit = clients[0].begin_write(Value::from("two")).unwrap();
+        run_delta_op(&mut engine, &mut clients[0], submit);
+        // After the next REPLY evicted its base: dropped as a duplicate.
+        engine.enqueue(ClientId::new(0), UstorMsg::CommitDelta(first));
+        engine.process_all();
+        assert!(engine.poll_output().is_none());
+        assert_eq!(engine.stats().rejected, 0);
+        assert_eq!(engine.stats().duplicates, 1);
+        for value in ["one", "two"] {
+            let submit = twin_clients[0].begin_write(Value::from(value)).unwrap();
+            run_op(&mut twin, &mut twin_clients[0], submit);
+        }
+        let read = probe_read(&mut engine, &mut clients[1]);
+        assert_eq!(read, probe_read(&mut twin, &mut twin_clients[1]));
     }
 
     fn cached(engine: &ServerEngine, client: ClientId) -> Vec<Timestamp> {

@@ -24,9 +24,16 @@
 //! log records behind the last snapshot: a recovered cache holds what the
 //! live one held *if no snapshot was taken since the replies it held were
 //! released*. A reply whose SUBMIT a snapshot absorbed is lost, and its
-//! resend goes unanswered (ROADMAP item 5(d); the `#[ignore]`d
+//! resend goes unanswered (ROADMAP item 1; the `#[ignore]`d
 //! `a_resent_submit_whose_record_a_snapshot_absorbed_gets_its_original_reply`
 //! in `crates/store/tests/recovery.rs` pins the contract).
+//!
+//! The cache is also the base of a delta COMMIT
+//! ([`CommitDelta`](faust_types::CommitDelta)): a client sends one right
+//! after the REPLY it answers, on the connection that REPLY came in on,
+//! so that REPLY is still here — unacknowledged until the COMMIT itself
+//! arrives. The engine finds it with [`ReplyCache::get`], by exact
+//! timestamp only, never through [`ReplyCache::lookup`]'s fallback.
 
 use faust_types::{ClientId, CommitMsg, ReplyMsg, Timestamp};
 use std::borrow::Cow;
@@ -97,6 +104,23 @@ impl ReplyCache {
             None
         };
         hit.or(self.replies.back()).map(|(_, reply)| reply)
+    }
+
+    /// The reply to the SUBMIT with timestamp `ts`, acknowledged or not,
+    /// if it is still cached: what a delta COMMIT for `ts` resolves
+    /// against. Exact match only — [`ReplyCache::lookup`]'s frontier
+    /// fallback would hand a delta a base it was not taken against.
+    pub fn get(&self, ts: Timestamp) -> Option<&ReplyMsg> {
+        let at = self
+            .replies
+            .binary_search_by_key(&ts, |(cached, _)| *cached);
+        at.ok().map(|at| &self.replies[at].1)
+    }
+
+    /// The highest timestamp a COMMIT has acknowledged (0 before the
+    /// first).
+    pub fn last_acknowledged(&self) -> Timestamp {
+        self.committed
     }
 
     /// Number of cached replies.

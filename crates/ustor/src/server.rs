@@ -94,7 +94,7 @@ pub struct SessionResume {
     /// only rebuild replies for records replayed from the log
     /// (post-snapshot); a reply whose SUBMIT a snapshot absorbed is not
     /// among them, even if a client is still waiting on it (ROADMAP item
-    /// 5(d)).
+    /// 1).
     pub replies: Vec<(Timestamp, ReplyMsg)>,
 }
 

@@ -77,13 +77,23 @@ fn encoded_len_is_exact_across_a_seeded_session() {
                     },
                     server.on_commit(client, m),
                 ),
-                UstorMsg::Reply(_) => unreachable!("clients send no replies"),
+                UstorMsg::Reply(_) | UstorMsg::CommitDelta(_) => unreachable!("expanded above"),
             };
             check(&record);
             for (to, reply) in replies {
                 check(&UstorMsg::Reply(reply.clone()));
+                // The bare server takes full COMMITs: a delta is checked
+                // as sent, then expanded against the REPLY it answers.
+                let base = reply.commit_version.version.clone();
                 let out = cores[to.index()].handle_reply(reply, now);
-                upstream.extend(out.to_server.into_iter().map(|m| (to.index(), m)));
+                for msg in out.to_server {
+                    check(&msg);
+                    let msg = match msg {
+                        UstorMsg::CommitDelta(d) => UstorMsg::Commit(d.resolve(&base).unwrap()),
+                        msg => msg,
+                    };
+                    upstream.push((to.index(), msg));
+                }
             }
         }
 
