@@ -33,7 +33,7 @@ use std::io::{self, Write as _};
 use std::path::Path;
 
 use faust_crypto::{sha256, Digest, SigScheme, Signature};
-use faust_store::LogRecord;
+use faust_store::{codec::SverLayout, LogRecord};
 use faust_types::{History, SignedVersion, Sink, Wire, WireError};
 use faust_ustor::ServerState;
 
@@ -401,7 +401,7 @@ impl SessionHistory {
     pub fn encode(&self) -> Vec<u8> {
         let base_bytes = self.base_state.as_ref().map(|state| {
             let mut out = Vec::new();
-            faust_store::codec::encode_state(state, &mut out);
+            faust_store::codec::encode_state(state, SverLayout::Full, &mut out);
             out
         });
         let mut records_bytes = Vec::new();
@@ -562,7 +562,7 @@ impl SessionHistory {
                     });
                 }
                 let mut input = slice;
-                let state = faust_store::codec::decode_state(&mut input)
+                let state = faust_store::codec::decode_state(&mut input, SverLayout::Full)
                     .map_err(|error| HistoryFileError::StateCorrupt { error })?;
                 if !input.is_empty() {
                     return Err(HistoryFileError::StateCorrupt {

@@ -1,10 +1,12 @@
 //! The exporter reads a store directory through `faust-store`'s cursor
 //! and snapshot reader, so the store's format must be invisible in what it
 //! emits: the directories older builds wrote (`crates/store/tests/fixtures/`
-//! `v1`, SHA-256 record and snapshot checksums, and `v2`, XXH64 with every
-//! COMMIT in full) and a current-format directory written by the same
-//! script (COMMITs as deltas) export to byte-identical `FAUSTHIS` — the
-//! container whose own SHA-256 framing did not change — and all certify.
+//! `v1`, SHA-256 record and snapshot checksums; `v2`, XXH64 with every
+//! COMMIT in full; `v3`, COMMIT deltas but every snapshot `SVER` entry in
+//! full) and a current-format directory written by the same script
+//! (COMMITs as deltas, `SVER` as a ≼-chain) export to byte-identical
+//! `FAUSTHIS` — the container whose own SHA-256 framing did not change —
+//! and all certify.
 
 use faust_audit::{audit, export_store_dir, AuditVerdict};
 use faust_crypto::sig::KeySet;
@@ -29,11 +31,13 @@ fn v1_v2_and_v3_store_directories_export_byte_identical_histories() {
         report.verdict
     );
 
-    for version in ["v1", "v2"] {
+    for version in ["v1", "v2", "v3"] {
         let old = fixtures.join(version);
+        let files =
+            |dir: &Path| ["wal.bin", "snapshot.bin"].map(|f| std::fs::read(dir.join(f)).unwrap());
         assert_ne!(
-            std::fs::read(old.join("wal.bin")).unwrap(),
-            std::fs::read(current.join("wal.bin")).unwrap(),
+            files(&old),
+            files(&current),
             "{version}: the two directories really are in different formats"
         );
         let exported = export_store_dir(&old, SigScheme::Hmac, None).unwrap();

@@ -22,7 +22,7 @@ pub(crate) enum Checksum {
     /// 32-byte SHA-256 digest: WAL v1, snapshot v1/v2.
     Sha256,
     /// XXH64, seed 0, stored big-endian (its canonical form): WAL v2,
-    /// snapshot v3/v4.
+    /// snapshot v3/v4/v5.
     Xxh64,
 }
 

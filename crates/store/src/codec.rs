@@ -6,7 +6,10 @@
 //! form is private to `crate::log`, which resolves it while scanning.)
 
 use faust_crypto::sig::Signature;
-use faust_types::{ClientId, CommitMsg, Sink, SubmitMsg, Timestamp, Value, Wire, WireError};
+use faust_types::{
+    decode_version_against, encode_version_against, ClientId, CommitMsg, SignedVersion, Sink,
+    SubmitMsg, Timestamp, Value, Version, Wire, WireError,
+};
 use faust_ustor::{MemEntry, Server, ServerState};
 
 /// One logged state mutation: an inbound protocol message, replayable
@@ -130,28 +133,104 @@ fn decode_mem_entry(input: &mut &[u8]) -> Result<MemEntry, WireError> {
     })
 }
 
-/// Encodes a full [`ServerState`] (the snapshot payload body).
-pub fn encode_state(state: &ServerState, out: &mut Vec<u8>) {
+/// How a [`ServerState`] encoding lays out `SVER`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SverLayout {
+    /// `n: u32`, then each signed version in full, in client order: the
+    /// body of snapshots v1 and v3 and of `FAUSTHIS`'s base state.
+    Full,
+    /// A ≼-chain, snapshot v5's: `n` entries `k: u32 | SVER[k].version |
+    /// SVER[k].sig` in ascending `(Σ V, k)` order, each version after the
+    /// first written against the one before it by
+    /// [`encode_version_against`]. Versions committed one after another
+    /// differ in about one entry, so an honest server's `SVER` shrinks
+    /// from `O(n²)` to `O(n)` bytes.
+    Chain,
+}
+
+/// Encodes a full [`ServerState`] — `MEM`, `SVER` laid out as `layout`
+/// says, `P`, `c`, `L`.
+pub fn encode_state(state: &ServerState, layout: SverLayout, out: &mut Vec<u8>) {
     (state.mem.len() as u32).encode_into(out);
     for entry in &state.mem {
         encode_mem_entry(entry, out);
     }
-    state.sver.encode_into(out);
+    match layout {
+        SverLayout::Full => state.sver.encode_into(out),
+        SverLayout::Chain => encode_sver_chain(&state.sver, out),
+    }
     state.proofs.encode_into(out);
     state.last_committer.encode_into(out);
     state.pending.encode_into(out);
 }
 
-/// Decodes a [`ServerState`] and validates its internal arity (all
-/// per-client vectors must agree and the last committer must be in
-/// range), so [`faust_ustor::UstorServer::from_state`] cannot panic on
-/// hostile input.
+/// Writes `sver` as a [`SverLayout::Chain`].
+fn encode_sver_chain(sver: &[SignedVersion], out: &mut Vec<u8>) {
+    let mut order: Vec<usize> = (0..sver.len()).collect();
+    // Σ V grows along ≼, so this order puts each version next to the
+    // one it most likely extends; `k` breaks ties deterministically.
+    order.sort_by_cached_key(|&k| {
+        let sum: u128 = sver[k]
+            .version
+            .v()
+            .as_slice()
+            .iter()
+            .map(|&t| u128::from(t))
+            .sum();
+        (sum, k)
+    });
+    let mut base: Option<&Version> = None;
+    for k in order {
+        let SignedVersion { version, sig } = &sver[k];
+        (k as u32).encode_into(out);
+        match base {
+            None => version.encode_into(out),
+            Some(base) => encode_version_against(version, base, out),
+        }
+        sig.encode_into(out);
+        base = Some(version);
+    }
+}
+
+/// Reads `n` entries of a [`SverLayout::Chain`] back into client order.
+///
+/// The caller has already decoded `n` `MEM` entries from the same input,
+/// so `n` is backed by bytes that were there and the `n` slots reserved
+/// here are no claim's to size.
+fn decode_sver_chain(input: &mut &[u8], n: usize) -> Result<Vec<SignedVersion>, WireError> {
+    let mut slots: Vec<Option<SignedVersion>> = vec![None; n];
+    let mut prev: Option<usize> = None;
+    for _ in 0..n {
+        let k = u32::decode_from(input)? as usize;
+        if k >= n || slots[k].is_some() {
+            return Err(WireError::BadLength(k as u64));
+        }
+        // The first entry has no base: a delta there reads as a full
+        // version whose length prefix has bit 31 set, a `BadLength`.
+        let version = match prev.and_then(|p| slots[p].as_ref()) {
+            None => Version::decode_from(input)?,
+            Some(base) => decode_version_against(input, &base.version)?,
+        };
+        let sig = Option::<Signature>::decode_from(input)?;
+        slots[k] = Some(SignedVersion { version, sig });
+        prev = Some(k);
+    }
+    // `n` distinct indices below `n` fill every slot.
+    Ok(slots.into_iter().flatten().collect())
+}
+
+/// Decodes a [`ServerState`] written by [`encode_state`] with the same
+/// `layout` and validates its internal arity (all per-client vectors
+/// must agree and the last committer must be in range), so
+/// [`faust_ustor::UstorServer::from_state`] cannot panic on hostile
+/// input.
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on truncation, malformed fields, or arity
-/// mismatch (reported as [`WireError::BadLength`]).
-pub fn decode_state(input: &mut &[u8]) -> Result<ServerState, WireError> {
+/// Returns a [`WireError`] on truncation, malformed fields, arity
+/// mismatch, or a chain entry whose index is out of range or repeated
+/// (the last three reported as [`WireError::BadLength`]).
+pub fn decode_state(input: &mut &[u8], layout: SverLayout) -> Result<ServerState, WireError> {
     let n = u32::decode_from(input)? as usize;
     // n = 0 is rejected outright: no deployment has zero clients, and a
     // zero-client state would defeat the last-committer range check
@@ -166,9 +245,13 @@ pub fn decode_state(input: &mut &[u8]) -> Result<ServerState, WireError> {
     for _ in 0..n {
         mem.push(decode_mem_entry(input)?);
     }
+    let sver = match layout {
+        SverLayout::Full => Wire::decode_from(input)?,
+        SverLayout::Chain => decode_sver_chain(input, n)?,
+    };
     let state = ServerState {
         mem,
-        sver: Wire::decode_from(input)?,
+        sver,
         proofs: Wire::decode_from(input)?,
         last_committer: ClientId::decode_from(input)?,
         pending: Wire::decode_from(input)?,
@@ -278,9 +361,9 @@ mod tests {
 
         let state = server.export_state();
         let mut bytes = Vec::new();
-        encode_state(&state, &mut bytes);
+        encode_state(&state, SverLayout::Full, &mut bytes);
         let mut input = bytes.as_slice();
-        let decoded = decode_state(&mut input).expect("roundtrip");
+        let decoded = decode_state(&mut input, SverLayout::Full).expect("roundtrip");
         assert!(input.is_empty(), "full consumption");
         assert_eq!(decoded, state);
         assert_eq!(UstorServer::from_state(decoded), server);
@@ -290,10 +373,10 @@ mod tests {
     fn state_decode_rejects_arity_mismatch() {
         let state = UstorServer::new(2).export_state();
         let mut bytes = Vec::new();
-        encode_state(&state, &mut bytes);
+        encode_state(&state, SverLayout::Full, &mut bytes);
         // Claim 3 clients while the vectors hold 2.
         bytes[3] = 3;
         let mut input = bytes.as_slice();
-        assert!(decode_state(&mut input).is_err());
+        assert!(decode_state(&mut input, SverLayout::Full).is_err());
     }
 }

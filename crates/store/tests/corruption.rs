@@ -1,16 +1,21 @@
-//! Log-file corruption suite: every way the on-disk log can rot or be
-//! tampered with yields a *structured* [`StoreError`] from `recover` —
-//! never a panic, never a silently-loaded prefix. The one corruption no
-//! local check can catch — truncation at a record boundary — recovers
-//! "successfully" into rolled-back state, which is the clients' job to
-//! detect (see `tests/attacks.rs`).
+//! Corruption suite: every way the on-disk log can rot or be tampered
+//! with yields a *structured* [`StoreError`] from `recover` — never a
+//! panic, never a silently-loaded prefix — and every damaged snapshot
+//! payload, even one whose checksum was recomputed, is a typed error or a
+//! state the server can load. The one corruption no local check can
+//! catch — truncation at a record boundary — recovers "successfully"
+//! into rolled-back state, which is the clients' job to detect (see
+//! `tests/attacks.rs`).
 
+use faust_store::codec::{encode_state, SverLayout};
 use faust_store::log::{Framing, Wal, RECORD_OVERHEAD, WAL_FILE, WAL_HEADER_LEN};
+use faust_store::snapshot::{read_snapshot, seal, write_snapshot, Snapshot, SNAPSHOT_FILE};
 use faust_store::testutil::{self, clients, run_op};
 use faust_store::{
     truncate_tail_records, wal_record_spans, Durability, PersistentServer, StoreConfig, StoreError,
 };
-use faust_types::{Value, WireError};
+use faust_types::{Value, Version, Wire, WireError};
+use faust_ustor::{ServerState, UstorServer};
 use std::path::Path;
 
 #[path = "fixtures/script.rs"]
@@ -354,4 +359,186 @@ fn every_truncation_and_bit_flip_of_a_v1_v2_and_v3_log_is_typed() {
     assert_eq!(deltas, 2, "the log holds delta records");
     sweep_log(&v3, Framing::V3, script::N);
     std::fs::remove_dir_all(&v3).ok();
+}
+
+/// Marks every byte of `payload` that lies inside a signature or a digest
+/// of `state`: content with no redundancy, where any flip still parses.
+fn signature_and_digest_bytes(payload: &[u8], state: &ServerState) -> Vec<bool> {
+    let mut needles: Vec<&[u8]> = Vec::new();
+    let sigs = state.mem.iter().filter_map(|e| e.data_sig.as_ref());
+    let sigs = sigs.chain(state.sver.iter().filter_map(|s| s.sig.as_ref()));
+    let sigs = sigs.chain(state.proofs.iter().flatten());
+    let sigs = sigs.chain(state.pending.iter().map(|t| &t.sig));
+    needles.extend(sigs.map(|sig| sig.as_bytes()));
+    for signed in &state.sver {
+        needles.extend(
+            signed
+                .version
+                .m()
+                .as_slice()
+                .iter()
+                .flatten()
+                .map(|d| d.as_bytes().as_slice()),
+        );
+    }
+    let mut marked = vec![false; payload.len()];
+    for needle in needles {
+        for at in 0..=payload.len() - needle.len() {
+            if &payload[at..at + needle.len()] == needle {
+                marked[at..at + needle.len()].fill(true);
+            }
+        }
+    }
+    marked
+}
+
+/// Runs the mutation harness over the payload of the snapshot file
+/// `file`, re-sealing every mutant under a recomputed checksum so the
+/// payload parser, not the checksum, meets it. Every cut is a typed
+/// error; a flip is a typed error or loads — always where it lands in a
+/// signature or a digest, and sometimes elsewhere (timestamps, values,
+/// `next_seq` carry no redundancy either) — and what loads is a state
+/// the server can be built from, never the pristine snapshot passed off
+/// as whole.
+fn sweep_snapshot(label: &str, file: &[u8]) {
+    let dir = testutil::scratch_dir(label);
+    let path = dir.join(SNAPSHOT_FILE);
+    let version = u32::from_be_bytes(file[8..12].try_into().unwrap());
+    let len = u32::from_be_bytes(file[12..16].try_into().unwrap()) as usize;
+    let good = &file[file.len() - len..];
+    std::fs::write(&path, file).unwrap();
+    let pristine = read_snapshot(&dir).unwrap().unwrap();
+    let opaque = signature_and_digest_bytes(good, &pristine.state);
+    assert!(
+        opaque.iter().any(|&o| o),
+        "{label}: the payload holds signatures"
+    );
+    let mut loaded = 0;
+    for (at, bad) in mutations(good) {
+        std::fs::write(&path, seal(version, &bad)).unwrap();
+        let cut = bad.len() < good.len();
+        match read_snapshot(&dir) {
+            Err(StoreError::SnapshotCorrupt(_) | StoreError::ClientCountMismatch { .. }) => {
+                assert!(
+                    cut || !opaque[at],
+                    "{label}: flip at {at} in a signature or digest"
+                );
+            }
+            Ok(Some(snap)) if !cut => {
+                assert_ne!(snap, pristine, "{label}: flip at {at} went unnoticed");
+                drop(UstorServer::from_state(snap.state));
+                loaded += 1;
+            }
+            other => panic!("{label}: damage at {at} (cut: {cut}): {other:?}"),
+        }
+    }
+    assert!(loaded >= opaque.iter().filter(|&&o| o).count() * 8);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_truncation_and_bit_flip_of_a_v3_and_a_v5_snapshot_payload_is_typed() {
+    // v3: the checked-in snapshot a v3 build wrote (every `SVER` entry in
+    // full). v5: the same script, run by this tree (`SVER` chained), and
+    // a round-robin state of 4 clients, whose chain holds several deltas.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3");
+    let v3 = std::fs::read(fixture.join(SNAPSHOT_FILE)).unwrap();
+    assert_eq!(v3[8..12], 3u32.to_be_bytes());
+    sweep_snapshot("snap-sweep-v3", &v3);
+
+    let dir = testutil::scratch_dir("snap-sweep-v5");
+    drop(script::run(&dir));
+    let v5 = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    assert_eq!(v5[8..12], 5u32.to_be_bytes());
+    sweep_snapshot("snap-sweep-v5", &v5);
+
+    let n = 4;
+    let mut server = UstorServer::new(n);
+    let mut cs = clients(n, b"snap-sweep");
+    for round in 0..3 * n as u64 {
+        let i = round as usize % n;
+        let submit = cs[i].begin_write(Value::unique(i as u32, round)).unwrap();
+        run_op(&mut server, &mut cs[i], submit);
+    }
+    let snap = Snapshot {
+        n,
+        next_seq: 24,
+        state: server.export_state(),
+    };
+    write_snapshot(&dir, &snap, false).unwrap();
+    sweep_snapshot(
+        "snap-sweep-v5-n4",
+        &std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A v5 payload for the initial 2-client state whose `SVER` section is
+/// `sver`, sealed as a file.
+fn v5_file_with_sver(sver: &[u8]) -> Vec<u8> {
+    let state = UstorServer::new(2).export_state();
+    let mut full = Vec::new();
+    encode_state(&state, SverLayout::Full, &mut full);
+    let tail = state.proofs.encoded_len()
+        + state.last_committer.encoded_len()
+        + state.pending.encoded_len();
+    let sver_end = full.len() - tail;
+    let mem_end = sver_end - state.sver.encoded_len();
+    let mut payload = Vec::new();
+    2u32.encode_into(&mut payload);
+    7u64.encode_into(&mut payload);
+    payload.extend_from_slice(&full[..mem_end]);
+    payload.extend_from_slice(sver);
+    payload.extend_from_slice(&full[sver_end..]);
+    seal(5, &payload)
+}
+
+#[test]
+fn malformed_v5_sver_chains_are_typed_errors() {
+    let dir = testutil::scratch_dir("snap-v5-chain");
+    let initial = Version::initial(2).encode();
+    // `k | version | sig`, the signature absent.
+    let entry = |k: u32, version: &[u8]| {
+        let mut bytes = k.to_be_bytes().to_vec();
+        bytes.extend_from_slice(version);
+        bytes.push(0);
+        bytes
+    };
+    let delta = |count: u32| ((1u32 << 31) | count).to_be_bytes().to_vec();
+    let well_formed = [entry(1, &initial), entry(0, &delta(0))].concat();
+    std::fs::write(dir.join(SNAPSHOT_FILE), v5_file_with_sver(&well_formed)).unwrap();
+    let snap = read_snapshot(&dir).unwrap().unwrap();
+    assert_eq!(snap.state, UstorServer::new(2).export_state());
+
+    let cases = [
+        // The first entry has no base to be a delta against: its count
+        // word reads as a full version's length prefix, out of range.
+        ("first entry a delta", entry(0, &delta(1)), (1 << 31) | 1),
+        (
+            "k = n",
+            [entry(1, &initial), entry(2, &initial)].concat(),
+            2,
+        ),
+        (
+            "repeated k",
+            [entry(0, &initial), entry(0, &delta(0))].concat(),
+            0,
+        ),
+        // 2²⁴ entries claimed, none there: refused by count, nothing reserved.
+        (
+            "count 2^24",
+            [entry(1, &initial), entry(0, &delta(1 << 24))].concat(),
+            1 << 24,
+        ),
+    ];
+    for (name, sver, claim) in cases {
+        std::fs::write(dir.join(SNAPSHOT_FILE), v5_file_with_sver(&sver)).unwrap();
+        match read_snapshot(&dir) {
+            Err(StoreError::SnapshotCorrupt(WireError::BadLength(found))) => {
+                assert_eq!(found, claim, "{name}");
+            }
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,9 @@
-// The seeded script behind `fixtures/v1/` and `fixtures/v2/`: store
-// directories (`wal.bin` + `snapshot.bin`, n = 2) written by the last
-// commit whose log and snapshot were SHA-256-checksummed (log v1) and by
-// the last one that logged every COMMIT in full (log v2). The same
+// The seeded script behind `fixtures/v1/`, `fixtures/v2/` and
+// `fixtures/v3/`: store directories (`wal.bin` + `snapshot.bin`, n = 2)
+// written by the last commit whose log and snapshot were
+// SHA-256-checksummed (log v1), by the last one that logged every COMMIT
+// in full (log v2) and by the last one that wrote every snapshot `SVER`
+// entry in full (snapshot v3). The same
 // script, run by the tree under test, is what the upgrade tests compare
 // each recovered fixture against — so it must stay deterministic and
 // must only use store API that every side has. `fixtures/README.md` says

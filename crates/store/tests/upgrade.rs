@@ -1,10 +1,12 @@
 //! Format upgrade: a store directory an older build wrote — `fixtures/v1/`
-//! (SHA-256 record and snapshot checksums) and `fixtures/v2/` (XXH64, every
-//! COMMIT in full), both produced from `fixtures/script.rs` — recovers to
-//! exactly the state the same script produces on this tree, keeps serving,
-//! and turns into current-format files at its next snapshot — with nothing
-//! to configure.
+//! (SHA-256 record and snapshot checksums), `fixtures/v2/` (XXH64, every
+//! COMMIT in full) and `fixtures/v3/` (COMMIT deltas, every `SVER` entry
+//! of the snapshot in full), all produced from `fixtures/script.rs` —
+//! recovers to exactly the state the same script produces on this tree,
+//! keeps serving, and turns into current-format files (log v3, snapshot
+//! v5) at its next snapshot — with nothing to configure.
 
+use faust_store::codec::{encode_state, SverLayout};
 use faust_store::log::{Framing, Wal, RECORD_OVERHEAD, WAL_FILE};
 use faust_store::snapshot::{read_snapshot, SNAPSHOT_FILE, SNAPSHOT_VERSION};
 use faust_store::testutil;
@@ -47,6 +49,18 @@ fn delta_savings(dir: &Path) -> u64 {
         .sum()
 }
 
+/// Bytes the current format saves on the snapshot of `dir` by writing
+/// `SVER` as a ≼-chain.
+fn sver_savings(dir: &Path) -> u64 {
+    let state = read_snapshot(dir).unwrap().unwrap().state;
+    let len = |layout| {
+        let mut bytes = Vec::new();
+        encode_state(&state, layout, &mut bytes);
+        bytes.len() as u64
+    };
+    len(SverLayout::Full) - len(SverLayout::Chain)
+}
+
 /// The fixture `version`, written in `(framing, snapshot version)`,
 /// against the same script run by this tree.
 fn recovers_identically_serves_and_rotates(version: &str, old_format: (Framing, u32)) {
@@ -58,31 +72,32 @@ fn recovers_identically_serves_and_rotates(version: &str, old_format: (Framing, 
         (framing(&new), snapshot_version(&new)),
         (Framing::CURRENT, SNAPSHOT_VERSION)
     );
-    // Same history: the framing's difference on every record, and the
-    // COMMITs the current format stores as deltas.
+    // Same history: the framing's difference on every record and on the
+    // snapshot header, the COMMITs the current log stores as deltas
+    // (unless the old one did too), and the `SVER` entries the current
+    // snapshot chains (no fixture's snapshot does).
     let len = |dir: &Path, file| std::fs::metadata(dir.join(file)).unwrap().len();
     let overhead = (old_format.0.overhead() - RECORD_OVERHEAD) as u64;
     assert!(delta_savings(&new) > 0, "the current log holds deltas");
+    let log_savings = if old_format.0.commit_deltas() {
+        0
+    } else {
+        delta_savings(&new)
+    };
     assert_eq!(
         len(&old, WAL_FILE) - len(&new, WAL_FILE),
-        overhead * script::WAL_RECORDS + delta_savings(&new)
+        overhead * script::WAL_RECORDS + log_savings
     );
+    assert!(sver_savings(&new) > 0, "the current snapshot chains SVER");
     assert_eq!(
         len(&old, SNAPSHOT_FILE) - len(&new, SNAPSHOT_FILE),
-        overhead
+        overhead + sver_savings(&new)
     );
     assert_eq!(
         read_snapshot(&old).unwrap(),
         read_snapshot(&new).unwrap(),
         "both snapshot versions decode to the same state"
     );
-    if old_format.1 == SNAPSHOT_VERSION {
-        assert_eq!(
-            std::fs::read(old.join(SNAPSHOT_FILE)).unwrap(),
-            std::fs::read(new.join(SNAPSHOT_FILE)).unwrap(),
-            "an unchanged snapshot format writes the same bytes"
-        );
-    }
 
     let mut server = PersistentServer::recover(&old, script::N, script::config()).unwrap();
     assert_eq!(server.server(), twin.server(), "identical ServerState");
@@ -141,4 +156,19 @@ fn v1_store_recovers_identically_serves_and_rotates_into_v3() {
 #[test]
 fn v2_store_recovers_identically_serves_and_rotates_into_v3() {
     recovers_identically_serves_and_rotates("v2", (Framing::V2, 3));
+}
+
+#[test]
+fn v3_store_recovers_identically_serves_and_rotates_into_v5() {
+    // Its log is already the current format, byte for byte; only the
+    // snapshot changes.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3");
+    let current = testutil::scratch_dir("upgrade-v3-log");
+    drop(script::run(&current));
+    assert_eq!(
+        std::fs::read(fixture.join(WAL_FILE)).unwrap(),
+        std::fs::read(current.join(WAL_FILE)).unwrap()
+    );
+    std::fs::remove_dir_all(&current).ok();
+    recovers_identically_serves_and_rotates("v3", (Framing::V3, 3));
 }

@@ -697,9 +697,11 @@ pub fn decode_delta(
 }
 
 /// `version` against `base`: a [`VersionDelta`] with its count marked by
-/// [`DELTA_MARK`] when that is smaller, else in full.
-/// [`decode_version_against`] reads either.
-fn encode_version_against<S: Sink>(version: &Version, base: &Version, out: &mut S) {
+/// bit 31 when that is smaller, else in full (whose first length prefix
+/// never has bit 31). [`decode_version_against`] reads either. A read
+/// REPLY's `SVER[j]` and each `SVER` entry of a snapshot after its first
+/// travel this way.
+pub fn encode_version_against<S: Sink>(version: &Version, base: &Version, out: &mut S) {
     let (t, d) = (version.v().as_slice(), version.m().as_slice());
     let delta = VersionDelta::against(t, d, base.v().as_slice(), base.m().as_slice());
     match delta.filter(VersionDelta::is_smaller) {
@@ -709,7 +711,12 @@ fn encode_version_against<S: Sink>(version: &Version, base: &Version, out: &mut 
 }
 
 /// A version written by [`encode_version_against`] with the same `base`.
-fn decode_version_against(input: &mut &[u8], base: &Version) -> Result<Version, WireError> {
+///
+/// # Errors
+///
+/// As [`Version`]'s decoder for the full form, as [`decode_delta`] for a
+/// delta.
+pub fn decode_version_against(input: &mut &[u8], base: &Version) -> Result<Version, WireError> {
     let word = u32::decode_from(input)?;
     if word & DELTA_MARK == 0 {
         return decode_version(word, input);
