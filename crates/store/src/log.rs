@@ -48,22 +48,27 @@
 //! optionally `fsync` ([`Durability::Always`](crate::Durability)) —
 //! the caller acknowledges the client only after the append returns.
 //!
-//! Scanning ([`Wal::scan`]) is strict: any anomaly is a structured
-//! [`StoreError`], including a torn final record. A torn tail after a
-//! real crash is *expected* (the half-written record was never
-//! acknowledged), but silently dropping it is exactly the habit a
-//! fail-aware store must not have — the operator decides, explicitly,
-//! with [`truncate_tail_records`]; an honest operator drops the torn
-//! bytes only, a malicious one uses the same tool to roll history back —
-//! and learns from `docs/persistence.md` why clients catch the latter.
+//! Every reader — recovery, [`Wal::open`], [`LogCursor`], [`Wal::scan`],
+//! [`wal_record_spans`] and [`truncate_tail_records`] — walks the file
+//! once, front to back, through one buffered record reader, so its
+//! memory is the largest record, never the file. Reading is strict: any
+//! anomaly is a structured [`StoreError`], including a torn final
+//! record. A torn tail after a real crash is *expected* (the
+//! half-written record was never acknowledged), but silently dropping it
+//! is exactly the habit a fail-aware store must not have — the operator
+//! decides, explicitly, with [`truncate_tail_records`]; an honest
+//! operator drops the torn bytes only, a malicious one uses the same tool
+//! to roll history back — and learns from `docs/persistence.md` why
+//! clients catch the latter.
 
 use crate::checksum::Checksum;
 use crate::codec::LogRecord;
 use crate::StoreError;
 use faust_crypto::{Digest, Signature};
 use faust_types::{decode_delta, ClientId, CommitMsg, Version, VersionDelta, Wire, WireError};
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -289,44 +294,44 @@ impl Wal {
     }
 
     /// Opens the existing log in `dir` for appending, after a strict
-    /// scan; returns the log positioned at its end plus the scanned
-    /// contents for replay. Appends continue in the file's own framing,
-    /// COMMIT deltas against the file's last COMMIT version.
+    /// walk over every record; appends continue in the file's own
+    /// framing, COMMIT deltas against the file's last COMMIT version.
     ///
     /// # Errors
     ///
-    /// Any scan anomaly (see [`Wal::scan`]) or file-system error.
-    pub fn open(dir: &Path) -> Result<(Self, WalContents), StoreError> {
-        let path = dir.join(WAL_FILE);
-        let contents = Self::scan(&path)?;
-        let file = OpenOptions::new().append(true).open(&path)?;
-        let next_seq = contents.next_seq();
-        let mut base = None;
-        if let Some(last) = contents
-            .records
-            .iter()
-            .rev()
-            .find_map(|r| r.record.commit())
-        {
-            DeltaBase::remember(&mut base, &last.version);
-        }
-        Ok((
-            Wal {
-                file,
-                path,
-                header: contents.header,
-                next_seq,
-                records: contents.records.len() as u64,
-                base,
-                scratch: Vec::new(),
-            },
-            contents,
-        ))
+    /// Any anomaly (see [`Wal::scan`]) or file-system error.
+    pub fn open(dir: &Path) -> Result<Self, StoreError> {
+        Self::resume(Self::reader(dir)?)
+    }
+
+    /// A reader over `dir`'s log, opened for appending too, so that
+    /// [`Wal::resume`] continues the very file that was read. Only the
+    /// header has been read when it returns.
+    pub(crate) fn reader(dir: &Path) -> Result<RecordReader, StoreError> {
+        RecordReader::open(&dir.join(WAL_FILE), true)
+    }
+
+    /// Verifies whatever records `reader` (from [`Wal::reader`]) has not
+    /// read yet, then opens its file for appending at the end: the next
+    /// sequence number, the record count and the delta base are the
+    /// walk's.
+    pub(crate) fn resume(mut reader: RecordReader) -> Result<Self, StoreError> {
+        while reader.next_record()?.is_some() {}
+        Ok(Wal {
+            records: reader.next_seq - reader.header.base_seq,
+            next_seq: reader.next_seq,
+            header: reader.header,
+            base: reader.base,
+            file: reader.input.into_inner(),
+            path: reader.path,
+            scratch: Vec::new(),
+        })
     }
 
     /// Strictly parses the whole file at `path`: header, then every
-    /// record. Never panics; any anomaly is a structured [`StoreError`]
-    /// naming the first offending record.
+    /// record, collected — a convenience for tests and tools; recovery
+    /// streams instead. Never panics; any anomaly is a structured
+    /// [`StoreError`] naming the first offending record.
     ///
     /// # Errors
     ///
@@ -340,42 +345,23 @@ impl Wal {
         }
     }
 
-    /// Tolerant variant of [`Wal::scan`]: parses the longest valid
+    /// Tolerant variant of [`Wal::scan`]: collects the longest valid
     /// prefix and returns it *together with* the anomaly that stopped
-    /// the scan, if any — never absorbing the anomaly silently. This is
-    /// what [`truncate_tail_records`] builds on: repairing a torn tail
-    /// requires reading the log that strict recovery (rightly) refuses.
+    /// the walk, if any — never absorbing the anomaly silently.
     ///
     /// # Errors
     ///
     /// I/O and header problems are still hard errors — without a valid
-    /// header there is no prefix to speak of.
+    /// header there is no prefix to speak of, and a failed read says
+    /// nothing about the bytes behind it.
     pub fn scan_prefix(path: &Path) -> Result<(WalContents, Option<StoreError>), StoreError> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        Self::scan_bytes(&bytes)
-    }
-
-    /// [`Wal::scan_prefix`] over an already-read buffer, for callers
-    /// that also need the raw bytes (a second read of the file would
-    /// open a window for the bytes to diverge from what was validated).
-    fn scan_bytes(bytes: &[u8]) -> Result<(WalContents, Option<StoreError>), StoreError> {
-        let header = WalHeader::decode(bytes)?;
-        let mut reader = RecordReader::new(header);
+        let mut reader = RecordReader::open(path, false)?;
         let mut records = Vec::new();
-        let mut pos = WAL_HEADER_LEN;
-        let mut seq = header.base_seq;
-        let anomaly = loop {
-            match reader.parse_at(bytes, pos, seq) {
-                Ok(None) => break None,
-                Ok(Some(rec)) => {
-                    pos = rec.span.end;
-                    seq = rec.seq + 1;
-                    records.push(rec);
-                }
-                Err(e) => break Some(e),
-            }
-        };
+        let anomaly = reader.walk_valid(|rec, _| {
+            records.push(rec);
+            Ok(())
+        })?;
+        let header = reader.header;
         Ok((WalContents { header, records }, anomaly))
     }
 
@@ -476,58 +462,100 @@ fn encode_body(record: &LogRecord, base: Option<&DeltaBase>, n: usize, out: &mut
     msg.proof_sig.encode_into(out);
 }
 
-/// Walks one file's records in order: the framing from its header, and
-/// the last COMMIT version read so far, which a delta resolves against.
-/// [`Wal::scan`] and [`LogCursor`] both step through
-/// [`RecordReader::parse_at`], the single place that walks the record
+/// Walks one file's records in order, from a buffered reader: the
+/// framing from its header, and the last COMMIT version read so far,
+/// which a delta resolves against. Every reader of the log steps through
+/// [`RecordReader::next_record`], the single place that walks the record
 /// layout.
+///
+/// One buffer, reused, holds the record being read, so a walk needs the
+/// largest record's bytes and not the file's. A payload is read through
+/// `Read::take(len)`, so a torn or lying length prefix costs only the
+/// bytes that are really there.
 #[derive(Debug)]
-struct RecordReader {
+pub(crate) struct RecordReader {
+    input: BufReader<File>,
+    path: PathBuf,
     header: WalHeader,
     base: Option<DeltaBase>,
+    /// The record last read: length prefix, checksum and payload, as
+    /// they are in the file.
+    frame: Vec<u8>,
+    /// Byte offset of the next record.
+    pos: usize,
+    /// Sequence number the next record must carry.
+    next_seq: u64,
 }
 
 impl RecordReader {
-    fn new(header: WalHeader) -> Self {
-        RecordReader { header, base: None }
+    /// Opens the log at `path` — for appending too if `append` — and
+    /// reads its header.
+    fn open(path: &Path, append: bool) -> Result<Self, StoreError> {
+        let file = OpenOptions::new().read(true).append(append).open(path)?;
+        let mut input = BufReader::new(file);
+        let mut head = Vec::with_capacity(WAL_HEADER_LEN);
+        (&mut input)
+            .take(WAL_HEADER_LEN as u64)
+            .read_to_end(&mut head)?;
+        let header = WalHeader::decode(&head)?;
+        Ok(RecordReader {
+            input,
+            path: path.to_path_buf(),
+            header,
+            base: None,
+            frame: Vec::new(),
+            pos: WAL_HEADER_LEN,
+            next_seq: header.base_seq,
+        })
     }
 
-    /// Parses the record starting at byte `pos`, expected to carry
-    /// sequence number `seq`. `Ok(None)` at the exact end of the buffer;
-    /// every anomaly is the same structured [`StoreError`] a strict scan
-    /// reports.
-    fn parse_at(
-        &mut self,
-        bytes: &[u8],
-        pos: usize,
-        seq: u64,
-    ) -> Result<Option<ScannedRecord>, StoreError> {
-        if pos >= bytes.len() {
-            return Ok(None);
-        }
+    /// The parsed header.
+    pub(crate) fn header(&self) -> WalHeader {
+        self.header
+    }
+
+    /// Sequence number the next record must carry.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Appends up to `len` more bytes of the file to the frame; returns
+    /// how many there were.
+    fn fill(&mut self, len: u64) -> Result<usize, StoreError> {
+        Ok((&mut self.input).take(len).read_to_end(&mut self.frame)?)
+    }
+
+    /// Reads the next record. `Ok(None)` at the exact end of the file;
+    /// every anomaly is a structured [`StoreError`] naming the record,
+    /// after which the reader must not be used again.
+    pub(crate) fn next_record(&mut self) -> Result<Option<ScannedRecord>, StoreError> {
+        let seq = self.next_seq;
         let framing = self.header.framing;
         let overhead = framing.overhead();
-        let avail = bytes.len() - pos;
-        if avail < overhead {
+        self.frame.clear();
+        let head = self.fill(overhead as u64)?;
+        if head == 0 {
+            return Ok(None);
+        }
+        if head < overhead {
             return Err(StoreError::TornRecord {
                 seq,
-                missing: overhead - avail,
+                missing: overhead - head,
             });
         }
-        let mut len_bytes = &bytes[pos..pos + 4];
+        let mut len_bytes = &self.frame[..4];
         let len = u32::decode_from(&mut len_bytes).expect("sized above") as u64;
         if len > MAX_RECORD_LEN {
             return Err(StoreError::ImplausibleRecordLength { seq, len });
         }
-        let need = overhead + len as usize;
-        if avail < need {
+        let got = self.fill(len)?;
+        if got < len as usize {
             return Err(StoreError::TornRecord {
                 seq,
-                missing: need - avail,
+                missing: len as usize - got,
             });
         }
-        let stored = &bytes[pos + 4..pos + overhead];
-        let payload = &bytes[pos + overhead..pos + need];
+        let (stored, payload) = self.frame[4..].split_at(overhead - 4);
         if !framing.checksum().matches(payload, stored) {
             return Err(StoreError::RecordChecksum { seq });
         }
@@ -560,11 +588,29 @@ impl RecordReader {
         if let Some(commit) = record.commit() {
             DeltaBase::remember(&mut self.base, &commit.version);
         }
-        Ok(Some(ScannedRecord {
-            seq,
-            record,
-            span: pos..pos + need,
-        }))
+        let span = self.pos..self.pos + self.frame.len();
+        self.pos = span.end;
+        self.next_seq += 1;
+        Ok(Some(ScannedRecord { seq, record, span }))
+    }
+
+    /// Reads the rest of the file tolerantly: hands each valid record,
+    /// with its bytes as they are in the file, to `each`, and returns the
+    /// anomaly that ended the walk, if any. I/O errors, from reading or
+    /// from `each`, are hard errors: a failed read says nothing about
+    /// the bytes behind it.
+    fn walk_valid(
+        &mut self,
+        mut each: impl FnMut(ScannedRecord, &[u8]) -> Result<(), StoreError>,
+    ) -> Result<Option<StoreError>, StoreError> {
+        loop {
+            match self.next_record() {
+                Ok(Some(rec)) => each(rec, &self.frame)?,
+                Ok(None) => return Ok(None),
+                Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
+                Err(anomaly) => return Ok(Some(anomaly)),
+            }
+        }
     }
 
     /// Decodes a delta body (after its tag) into the full COMMIT it
@@ -597,19 +643,15 @@ impl RecordReader {
 /// A public, read-only, streaming iterator over a store directory's WAL —
 /// the export cursor behind `faust-audit`'s history exporter.
 ///
-/// Until now record iteration was recovery-internal ([`Wal::open`] hands
-/// the scanned contents straight to replay); the cursor exposes the same
-/// strictly validated sequence without opening the log for appending, so
-/// auditors and exporters can walk a *live* server's log. Records are
-/// parsed lazily from one snapshot read of the file; the first anomaly is
-/// yielded as an `Err` item (naming the offending record, exactly as
-/// strict recovery would) and ends the iteration.
+/// It yields the sequence strict recovery replays, through the same
+/// record reader, without opening the log for appending, so auditors and
+/// exporters can walk a *live* server's log. Records are read one at a
+/// time from a buffered file, in memory bounded by the largest record;
+/// the first anomaly is yielded as an `Err` item (naming the offending
+/// record, exactly as strict recovery would) and ends the iteration.
 #[derive(Debug)]
 pub struct LogCursor {
-    bytes: Vec<u8>,
     reader: RecordReader,
-    pos: usize,
-    next_seq: u64,
     finished: bool,
 }
 
@@ -631,14 +673,8 @@ impl LogCursor {
     /// I/O and header problems; record anomalies surface during
     /// iteration instead.
     pub fn open_file(path: &Path) -> Result<Self, StoreError> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let header = WalHeader::decode(&bytes)?;
         Ok(LogCursor {
-            pos: WAL_HEADER_LEN,
-            next_seq: header.base_seq,
-            reader: RecordReader::new(header),
-            bytes,
+            reader: RecordReader::open(path, false)?,
             finished: false,
         })
     }
@@ -650,7 +686,7 @@ impl LogCursor {
 
     /// Sequence number the next yielded record must carry.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.reader.next_seq
     }
 }
 
@@ -661,21 +697,9 @@ impl Iterator for LogCursor {
         if self.finished {
             return None;
         }
-        match self.reader.parse_at(&self.bytes, self.pos, self.next_seq) {
-            Ok(None) => {
-                self.finished = true;
-                None
-            }
-            Ok(Some(rec)) => {
-                self.pos = rec.span.end;
-                self.next_seq = rec.seq + 1;
-                Some(Ok(rec))
-            }
-            Err(e) => {
-                self.finished = true;
-                Some(Err(e))
-            }
-        }
+        let item = self.reader.next_record().transpose();
+        self.finished = !matches!(item, Some(Ok(_)));
+        item
     }
 }
 
@@ -686,18 +710,14 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), StoreError> {
 }
 
 /// Byte spans of every valid record in `dir`'s log, in order — the
-/// corruption tests and [`truncate_tail_records`] use these to address
-/// records without duplicating format knowledge.
+/// corruption tests use these to address records without duplicating
+/// format knowledge.
 ///
 /// # Errors
 ///
-/// Propagates scan anomalies (the log must currently be valid).
+/// Propagates anomalies (the log must currently be valid).
 pub fn wal_record_spans(dir: &Path) -> Result<Vec<Range<usize>>, StoreError> {
-    Ok(Wal::scan(&dir.join(WAL_FILE))?
-        .records
-        .into_iter()
-        .map(|r| r.span)
-        .collect())
+    LogCursor::open(dir)?.map(|r| r.map(|r| r.span)).collect()
 }
 
 /// Removes the last `k` records from `dir`'s log — **the rollback
@@ -711,14 +731,17 @@ pub fn wal_record_spans(dir: &Path) -> Result<Vec<Range<usize>>, StoreError> {
 /// An honest operator has one legitimate use: dropping a *torn* tail
 /// after a crash, where the half-written record was never acknowledged.
 ///
-/// The log is read with the tolerant [`Wal::scan_prefix`], so this tool
-/// works on exactly the logs strict recovery refuses: `k` counts *valid*
-/// records to drop, and any anomalous trailing bytes (the torn record)
-/// are discarded along with them — `truncate_tail_records(dir, 0)`
-/// repairs a torn tail without touching a single acknowledged record.
+/// The log is read tolerantly, as [`Wal::scan_prefix`] reads it, so this
+/// tool works on exactly the logs strict recovery refuses: `k` counts
+/// *valid* records to drop, and any anomalous trailing bytes (the torn
+/// record) are discarded along with them — `truncate_tail_records(dir,
+/// 0)` repairs a torn tail without touching a single acknowledged
+/// record.
 ///
-/// The kept prefix is copied byte for byte, header included, so the
-/// rewritten file stays in the format version it was written in.
+/// The file is read once: each valid record is copied to the new file as
+/// it is verified, and the copy is then cut back to the kept prefix, so
+/// what is kept is byte for byte what was verified, header included, and
+/// the rewritten file stays in the format version it was written in.
 ///
 /// Returns the number of records remaining.
 ///
@@ -728,33 +751,34 @@ pub fn wal_record_spans(dir: &Path) -> Result<Vec<Range<usize>>, StoreError> {
 /// than exist truncates to zero records.
 pub fn truncate_tail_records(dir: &Path, k: usize) -> Result<usize, StoreError> {
     let path = dir.join(WAL_FILE);
-    let mut bytes = Vec::new();
-    File::open(&path)?.read_to_end(&mut bytes)?;
-    // Scan the same buffer we slice below — one read, no divergence.
-    let (contents, _anomaly) = Wal::scan_bytes(&bytes)?;
-    let keep = contents.records.len().saturating_sub(k);
-    // End of the kept prefix: the first dropped record's start, or — when
-    // nothing valid is dropped — the end of the last valid record, which
-    // also discards any anomalous tail bytes beyond it.
-    let valid_end = contents
-        .records
-        .last()
-        .map_or(WAL_HEADER_LEN, |r| r.span.end);
-    let end = contents
-        .records
-        .get(keep)
-        .map_or(valid_end, |r| r.span.start);
+    let mut reader = RecordReader::open(&path, false)?;
     let tmp = dir.join("wal.tmp");
-    let mut file = OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(&tmp)?;
-    file.write_all(&bytes[..end])?;
+    let mut out = BufWriter::new(
+        OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(&tmp)?,
+    );
+    out.write_all(&reader.header.encode())?;
+    // Where each of the last k + 1 valid prefixes ends; the front one is
+    // the prefix that is kept.
+    let mut ends = VecDeque::from([WAL_HEADER_LEN]);
+    let _anomaly = reader.walk_valid(|rec, frame| {
+        out.write_all(frame)?;
+        ends.push_back(rec.span.end);
+        if ends.len() - 1 > k {
+            ends.pop_front();
+        }
+        Ok(())
+    })?;
+    let file = out.into_inner().map_err(|e| e.into_error())?;
+    file.set_len(ends[0] as u64)?;
     file.sync_data()?;
     std::fs::rename(&tmp, &path)?;
     sync_dir(dir)?;
-    Ok(keep)
+    let valid = (reader.next_seq - reader.header.base_seq) as usize;
+    Ok(valid.saturating_sub(k))
 }
 
 #[cfg(test)]
@@ -794,8 +818,9 @@ mod tests {
         assert_eq!(wal.next_seq(), 3);
         drop(wal);
 
-        let (wal, contents) = Wal::open(&dir).unwrap();
-        assert_eq!(wal.n(), 4);
+        let wal = Wal::open(&dir).unwrap();
+        assert_eq!((wal.n(), wal.next_seq(), wal.records()), (4, 3, 3));
+        let contents = Wal::scan(wal.path()).unwrap();
         assert_eq!(contents.header.base_seq, 0);
         assert_eq!(contents.records.len(), 3);
         assert_eq!(contents.next_seq(), 3);
@@ -812,7 +837,7 @@ mod tests {
         let mut wal = Wal::create(&dir, 2, 0, false).unwrap();
         wal.append(&record(0, 0), false).unwrap();
         drop(wal);
-        let (mut wal, _) = Wal::open(&dir).unwrap();
+        let mut wal = Wal::open(&dir).unwrap();
         assert_eq!(wal.append(&record(1, 0), false).unwrap(), 1);
         let contents = Wal::scan(wal.path()).unwrap();
         assert_eq!(contents.records.len(), 2);
@@ -865,7 +890,7 @@ mod tests {
             Framing::CURRENT => drop(Wal::create(dir, n, 0, false).unwrap()),
             old => create_old(dir, old, n),
         }
-        Wal::open(dir).unwrap().0
+        Wal::open(dir).unwrap()
     }
 
     /// Appends a record whose payload is `seq | body`, checksummed, so
@@ -947,8 +972,8 @@ mod tests {
             // The rollback tool rewrites the file in the version it
             // found, and the result keeps taking appends in it.
             assert_eq!(truncate_tail_records(&dir, 1).unwrap(), 4);
-            let (mut wal, contents) = Wal::open(&dir).unwrap();
-            assert_eq!(contents.header.framing, framing);
+            let mut wal = Wal::open(&dir).unwrap();
+            assert_eq!(wal.framing(), framing);
             assert_eq!(wal.append(&record(3, 0), false).unwrap(), 4);
             assert_eq!(Wal::scan(wal.path()).unwrap().records.len(), 5);
         }
@@ -1184,7 +1209,7 @@ mod tests {
                 wal.append(r, false).unwrap();
             }
             drop(wal);
-            let (mut wal, _) = Wal::open(&dir).unwrap();
+            let mut wal = Wal::open(&dir).unwrap();
             for r in third {
                 wal.append(r, false).unwrap();
             }
@@ -1213,7 +1238,7 @@ mod tests {
         let v1 = scratch_dir("wal-size-v1");
         let v2 = scratch_dir("wal-size-v2");
         create_old(&v1, Framing::V1, 4);
-        let (mut old, _) = Wal::open(&v1).unwrap();
+        let mut old = Wal::open(&v1).unwrap();
         let mut new = Wal::create(&v2, 4, 0, false).unwrap();
         for i in 0..4u32 {
             old.append(&record(i, 2), false).unwrap();

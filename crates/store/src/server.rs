@@ -268,21 +268,29 @@ impl PersistentServer {
     }
 
     /// Rebuilds a server from the durable state in `dir`: loads the
-    /// snapshot (if any), then replays the log strictly.
+    /// snapshot (if any), then streams the log once, verifying and
+    /// replaying each record as it is read.
     ///
     /// Recovery invariants (all violations are structured errors, never
     /// panics, never a silently-absorbed prefix):
     ///
-    /// * snapshot and log must both parse, checksum, and agree on the
-    ///   client count (and with `n`);
-    /// * log records must be consecutively numbered from the header's
-    ///   `base_seq` with no duplicates, gaps, or torn tail;
+    /// * snapshot and log header must both parse and agree on the client
+    ///   count (and with `n`), and the log may not start after the
+    ///   snapshot's coverage ends ([`StoreError::SnapshotAheadOfLog`]) —
+    ///   all checked before any record is read, so nothing is ever
+    ///   replayed into a server of the wrong `n`;
+    /// * log records must checksum, decode, and be consecutively numbered
+    ///   from the header's `base_seq` with no duplicates, gaps, or torn
+    ///   tail;
     /// * records the snapshot already covers are still verified, just
     ///   not replayed (a crash between snapshot and log rotation leaves
     ///   such records behind — the one benign overlap);
-    /// * the log may not start after the snapshot's coverage ends
-    ///   ([`StoreError::SnapshotAheadOfLog`]) and may not be missing
+    /// * the log may not end before the snapshot's coverage does
+    ///   ([`StoreError::LogEndsBeforeSnapshot`]) and may not be missing
     ///   entirely when a snapshot exists ([`StoreError::MissingWal`]).
+    ///
+    /// An anomaly anywhere fails recovery and drops the partly rebuilt
+    /// state. Memory is the state plus the largest record, not the log.
     ///
     /// The rebuilt in-memory state is **bit-identical** to the pre-crash
     /// server's (asserted in `tests/recovery.rs`), so a restarted server
@@ -301,14 +309,15 @@ impl PersistentServer {
                 None => Err(StoreError::MissingState),
             };
         }
-        let (wal, contents) = Wal::open(dir)?;
-        if wal.n() != n {
+        let mut log = Wal::reader(dir)?;
+        let header = log.header();
+        if header.n != n {
             return Err(StoreError::ClientCountMismatch {
                 expected: n,
-                found: wal.n(),
+                found: header.n,
             });
         }
-        let (mut inner, mut applied_seq) = match snapshot {
+        let (mut inner, covered) = match snapshot {
             Some(snap) => {
                 if snap.n != n {
                     return Err(StoreError::ClientCountMismatch {
@@ -316,22 +325,10 @@ impl PersistentServer {
                         found: snap.n,
                     });
                 }
-                if contents.header.base_seq > snap.next_seq {
+                if header.base_seq > snap.next_seq {
                     return Err(StoreError::SnapshotAheadOfLog {
                         snapshot_next: snap.next_seq,
-                        base_seq: contents.header.base_seq,
-                    });
-                }
-                // The converse hole: a log whose END falls short of the
-                // snapshot's coverage. The snapshot could serve the
-                // state, but the append counter would rewind below
-                // `snap.next_seq` and records logged at those reused
-                // sequence numbers would be skipped — silently — by the
-                // next recovery.
-                if contents.next_seq() < snap.next_seq {
-                    return Err(StoreError::LogEndsBeforeSnapshot {
-                        snapshot_next: snap.next_seq,
-                        log_next: contents.next_seq(),
+                        base_seq: header.base_seq,
                     });
                 }
                 (UstorServer::from_state(snap.state), snap.next_seq)
@@ -339,17 +336,27 @@ impl PersistentServer {
             None => (UstorServer::new(n), 0),
         };
         let mut caches = vec![ReplyCache::default(); n];
-        for scanned in contents.records {
-            // Records below `applied_seq` were verified by the scan but
-            // are already reflected in the snapshot.
-            if scanned.seq >= applied_seq {
+        while let Some(scanned) = log.next_record()? {
+            // Records below `covered` are verified but already reflected
+            // in the snapshot.
+            if scanned.seq >= covered {
                 // Replay rebuilds state *and* recaptures the replies of
                 // the post-snapshot window — the duplicate cache a
                 // resumed engine answers resent SUBMITs from.
                 replay_capturing(scanned.record, &mut inner, &mut caches);
-                applied_seq = scanned.seq + 1;
             }
         }
+        // A log whose END falls short of the snapshot's coverage: the
+        // snapshot could serve the state, but the append counter would
+        // rewind below it and records logged at those reused sequence
+        // numbers would be skipped — silently — by the next recovery.
+        if log.next_seq() < covered {
+            return Err(StoreError::LogEndsBeforeSnapshot {
+                snapshot_next: covered,
+                log_next: log.next_seq(),
+            });
+        }
+        let wal = Wal::resume(log)?;
         let resume = session_resume(&inner, caches);
         Ok(PersistentServer {
             dir: dir.to_path_buf(),

@@ -363,6 +363,65 @@ fn log_starting_after_snapshot_coverage_is_a_gap() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Appends `bytes` to `dir`'s log: a torn record behind the last whole one.
+fn tear(dir: &std::path::Path, bytes: &[u8]) {
+    use std::io::Write;
+    let mut wal = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join("wal.bin"))
+        .unwrap();
+    wal.write_all(bytes).unwrap();
+}
+
+#[test]
+fn header_level_anomalies_are_reported_before_a_torn_tail() {
+    // Recovery vets the log header and the snapshot before it reads a
+    // single record, so a directory wrong at both levels names the
+    // header-level problem — nothing is replayed into a server of the
+    // wrong `n`.
+    let dir = testutil::scratch_dir("recovery-precedence");
+    let n = 2;
+    let mut server = PersistentServer::open(&dir, n, no_sync()).unwrap();
+    let mut cs = clients(n, b"recovery-precedence");
+    let submit = cs[0].begin_write(Value::from("v")).unwrap();
+    run_op(&mut server, &mut cs[0], submit);
+    drop(server);
+    tear(&dir, &[0; 5]);
+    assert!(matches!(
+        PersistentServer::recover(&dir, n, no_sync()).unwrap_err(),
+        StoreError::TornRecord { seq: 2, missing: 7 }
+    ));
+    assert!(matches!(
+        PersistentServer::recover(&dir, 3, no_sync()).unwrap_err(),
+        StoreError::ClientCountMismatch {
+            expected: 3,
+            found: 2
+        }
+    ));
+
+    // A log starting past the snapshot's coverage, torn as well.
+    write_snapshot(
+        &dir,
+        &Snapshot {
+            n,
+            next_seq: 3,
+            state: UstorServer::new(n).export_state(),
+        },
+        false,
+    )
+    .unwrap();
+    faust_store::log::Wal::create(&dir, n, 10, false).unwrap();
+    tear(&dir, &[0; 5]);
+    assert!(matches!(
+        PersistentServer::recover(&dir, n, no_sync()).unwrap_err(),
+        StoreError::SnapshotAheadOfLog {
+            snapshot_next: 3,
+            base_seq: 10
+        }
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Processes rounds until the engine has nothing left to send, handing
 /// every reply to its client (except the discarded ones) and every
 /// resulting COMMIT back to the engine.
