@@ -100,15 +100,16 @@ pub fn export_records(
 
 /// Exports the session history held in a `faust-store` directory:
 /// snapshot (if any) as the base state plus every WAL record, read
-/// strictly through [`LogCursor`].
+/// strictly through [`LogCursor`]. The snapshot must be for the log
+/// header's client count ([`StoreError::ClientCountMismatch`] otherwise).
 pub fn export_store_dir(
     dir: &Path,
     scheme: SigScheme,
     client_history: Option<History>,
 ) -> Result<SessionHistory, ExportError> {
-    let snapshot = read_snapshot(dir)?;
     let cursor = LogCursor::open(dir)?;
     let header = cursor.header();
+    let snapshot = read_snapshot(dir, header.n)?;
     let base = match snapshot {
         Some(snapshot) => {
             if snapshot.next_seq != header.base_seq {

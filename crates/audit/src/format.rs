@@ -33,7 +33,7 @@ use std::io::{self, Write as _};
 use std::path::Path;
 
 use faust_crypto::{sha256, Digest, SigScheme, Signature};
-use faust_store::{codec::SverLayout, LogRecord};
+use faust_store::{codec::SverLayout, file::replace, LogRecord};
 use faust_types::{History, SignedVersion, Sink, Wire, WireError};
 use faust_ustor::ServerState;
 
@@ -692,17 +692,13 @@ impl SessionHistory {
         })
     }
 
-    /// Writes the encoded container to `path` atomically (temp file in
-    /// the same directory, then rename).
+    /// Writes the encoded container to `path` atomically and durably
+    /// ([`faust_store::file::replace`]: temp file in the same directory,
+    /// fsync, rename, directory fsync).
     pub fn write_to(&self, path: &Path) -> io::Result<()> {
         let bytes = self.encode();
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, path)
+        replace(path, true, |file| file.write_all(&bytes))?;
+        Ok(())
     }
 
     /// Reads and parses a container from `path`.

@@ -505,6 +505,36 @@ fn store_directory_with_snapshot_exports_base_state() {
 }
 
 #[test]
+fn a_snapshot_for_another_client_count_than_the_log_is_refused_by_export() {
+    use faust_store::snapshot::{write_snapshot, Snapshot};
+    use faust_store::{log::Wal, StoreError};
+    // An n = 3 snapshot covering records 0..4 beside an n = 2 log that
+    // starts at 4: the base state would have the wrong number of clients.
+    let dir = faust_store::testutil::scratch_dir("audit-store-n-mismatch");
+    let snapshot = Snapshot {
+        n: 3,
+        next_seq: 4,
+        state: UstorServer::new(3).export_state(),
+    };
+    write_snapshot(&dir, &snapshot, false).unwrap();
+    drop(Wal::create(&dir, 2, 4, false).unwrap());
+    let err = faust_audit::export_store_dir(&dir, SigScheme::Hmac, None).err();
+    assert!(
+        matches!(
+            err,
+            Some(faust_audit::ExportError::Store(
+                StoreError::ClientCountMismatch {
+                    expected: 2,
+                    found: 3
+                }
+            ))
+        ),
+        "{err:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn json_rendering_covers_both_verdicts() {
     let seed = b"certifier-json";
     let session = honest_session(seed, 2);

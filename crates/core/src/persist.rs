@@ -1,6 +1,16 @@
 //! Persistent client sessions: saving a [`SessionState`] to — and
-//! restoring it from — a checksummed single-file container
-//! (`faust-store`'s `"FAUSTSES"` format).
+//! restoring it from — the `FAUSTSES` session file, the sealed container
+//! [`faust_store::session::SESSION`]:
+//!
+//! ```text
+//!   "FAUSTSES" | version: u32 = 1 | payload_len: u32 | sha256(payload): 32 B | payload
+//! ```
+//!
+//! The payload is the [`SessionState`] wire encoding. Saves go through
+//! `faust-store`'s crash-safe replace (temp file, fsync, rename, directory
+//! fsync), so a crash mid-save leaves the previous session file
+//! untouched; loads validate magic, version, length and digest before
+//! decoding a single byte of payload.
 //!
 //! The file holds the session's *resumable* state only: protocol
 //! version vectors, the resend window (signed-but-unacknowledged
@@ -24,20 +34,21 @@
 //! is flagged immediately, not on the next user operation.
 
 use crate::handle::{SessionCore, SessionState};
-use faust_store::session::{read_session_file, write_session_file};
+use faust_store::session::SESSION;
 use faust_store::StoreError;
 use faust_types::Wire;
 use std::path::Path;
 
 /// Saves `state` to the session file at `path` (atomic write: temp file,
-/// fsync, rename). Overwrites any previous session file at that path.
+/// fsync, rename, directory fsync). Overwrites any previous session file
+/// at that path.
 ///
 /// # Errors
 ///
 /// Propagates file-system errors; a failed save never disturbs an
 /// existing session file.
 pub fn save_session(path: &Path, state: &SessionState) -> Result<(), StoreError> {
-    write_session_file(path, &state.encode(), true)
+    SESSION.write(path, true, |(), out| state.encode_into(out))
 }
 
 /// Loads and fully validates the session file at `path`; `Ok(None)` if
@@ -45,18 +56,22 @@ pub fn save_session(path: &Path, state: &SessionState) -> Result<(), StoreError>
 ///
 /// # Errors
 ///
-/// Structured [`StoreError`]s for a bad magic, unknown version,
-/// truncated or corrupt payload, or checksum mismatch. A file that
-/// validates but holds rolled-back state loads *successfully* — that
-/// staleness is detected by the protocol after resuming (see the module
-/// docs).
+/// Structured [`StoreError`]s naming `"session"`: a bad magic, unknown
+/// version, truncated header, [`StoreError::Checksum`] for a digest
+/// mismatch, and [`StoreError::Corrupt`] for a truncated or undecodable
+/// payload. A file that validates but holds rolled-back state loads
+/// *successfully* — that staleness is detected by the protocol after
+/// resuming (see the module docs).
 pub fn load_session(path: &Path) -> Result<Option<SessionState>, StoreError> {
-    let Some(payload) = read_session_file(path)? else {
+    let Some(((), payload)) = SESSION.read(path)? else {
         return Ok(None);
     };
     SessionState::decode(&payload)
         .map(Some)
-        .map_err(StoreError::SessionCorrupt)
+        .map_err(|error| StoreError::Corrupt {
+            file: SESSION.file,
+            error,
+        })
 }
 
 /// Convenience for embeddings: exports `core`'s state at protocol time
@@ -84,8 +99,7 @@ mod tests {
     use crate::events::FailReason;
     use crate::handle::Event;
     use faust_crypto::sig::KeySet;
-    use faust_store::session::write_session_file;
-    use faust_store::testutil::scratch_dir;
+    use faust_store::testutil::{mutations, scratch_dir};
     use faust_types::{ClientId, CommitDelta, CommitMsg, ReplyMsg, UstorMsg, Value, WireError};
     use faust_ustor::{Fault, Server, ServerEngine, UstorServer};
 
@@ -142,7 +156,7 @@ mod tests {
         let core = fresh_core(&keys, 0, 2);
         let mut state = core.export_state(1).expect("healthy");
         state.resend_window = window;
-        write_session_file(&path, &state.encode(), false).unwrap();
+        save_session(&path, &state).unwrap();
         let loaded = load_session(&path);
         std::fs::remove_dir_all(&dir).ok();
         loaded
@@ -174,7 +188,10 @@ mod tests {
         let window = vec![UstorMsg::Commit(commit), UstorMsg::Reply(reply)];
         assert!(matches!(
             crafted_window("persist-window-reply", window),
-            Err(StoreError::SessionCorrupt(WireError::BadTag(1)))
+            Err(StoreError::Corrupt {
+                file: "session",
+                error: WireError::BadTag(1)
+            })
         ));
     }
 
@@ -184,7 +201,10 @@ mod tests {
         let window = vec![UstorMsg::CommitDelta(delta)];
         assert!(matches!(
             crafted_window("persist-window-delta", window),
-            Err(StoreError::SessionCorrupt(WireError::BadTag(3)))
+            Err(StoreError::Corrupt {
+                file: "session",
+                error: WireError::BadTag(3)
+            })
         ));
     }
 
@@ -194,12 +214,103 @@ mod tests {
         let window = vec![UstorMsg::Commit(commit.clone()), UstorMsg::Commit(commit)];
         assert!(matches!(
             crafted_window("persist-window-commits", window),
-            Err(StoreError::SessionCorrupt(WireError::BadTag(2)))
+            Err(StoreError::Corrupt {
+                file: "session",
+                error: WireError::BadTag(2)
+            })
         ));
         // One is what a session keeps, and loads.
         let (_, commit, _) = reply_and_commits();
         let loaded = crafted_window("persist-window-commit", vec![UstorMsg::Commit(commit)]);
         assert!(matches!(loaded, Ok(Some(_))));
+    }
+
+    /// Saves, at `path`, a depth-4 pipelined session with two SUBMITs
+    /// and a COMMIT in its resend window.
+    fn pipelined_session(path: &Path) -> SessionState {
+        let keys = keys(2);
+        let mut server = UstorServer::new(2);
+        let config = FaustConfig {
+            dummy_reads: false,
+            pipeline: 4,
+            ..FaustConfig::default()
+        };
+        let keypair = keys.keypair(0).unwrap().clone();
+        let proto = FaustClient::new(ClientId::new(0), 2, keypair, keys.registry(), config);
+        let mut core = SessionCore::new(proto);
+        let (_, out) = core.submit(UserOp::Write(Value::from("one")), 1);
+        pump(&mut server, &mut core, out.to_server, 1);
+        core.submit(UserOp::Write(Value::from("two")), 2);
+        core.submit(UserOp::Read(ClientId::new(1)), 2);
+        let state = core.export_state(2).expect("healthy");
+        assert_eq!(state.resend_window.len(), 3);
+        save_session(path, &state).unwrap();
+        state
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_session_file_is_typed() {
+        let dir = scratch_dir("persist-sweep");
+        let path = dir.join("c0.session");
+        let pristine = pipelined_session(&path);
+        let good = std::fs::read(&path).unwrap();
+        // magic 0..8 | version 8..12 | payload_len 12..16 | sha256 16..48
+        let header = 16 + 32;
+        for (at, bad) in mutations(&good) {
+            std::fs::write(&path, &bad).unwrap();
+            let cut = bad.len() < good.len();
+            let err = load_session(&path).expect_err("SHA-256 covers every payload byte");
+            let expected = match (&err, cut) {
+                (StoreError::TruncatedHeader { file: "session" }, true) => at < header,
+                (
+                    StoreError::Corrupt {
+                        file: "session",
+                        error: WireError::Truncated,
+                    },
+                    true,
+                ) => at >= header,
+                (StoreError::BadMagic { file: "session" }, false) => at < 8,
+                (
+                    StoreError::UnsupportedVersion {
+                        file: "session", ..
+                    },
+                    false,
+                ) => (8..12).contains(&at),
+                (
+                    StoreError::Corrupt {
+                        file: "session",
+                        error: WireError::Truncated | WireError::TrailingBytes(_),
+                    },
+                    false,
+                ) => (12..16).contains(&at),
+                (StoreError::Checksum { file: "session" }, false) => at >= 16,
+                _ => false,
+            };
+            assert!(expected, "damage at {at} (cut: {cut}): {err:?}");
+        }
+
+        // Re-sealed under a recomputed digest, every payload mutant
+        // reaches the decoder: a typed error, or a state that is not the
+        // pristine one.
+        let payload = pristine.encode();
+        assert_eq!(good[header..], payload[..]);
+        let mut loaded = 0;
+        for (at, bad) in mutations(&payload) {
+            std::fs::write(&path, SESSION.seal(1, &bad)).unwrap();
+            let cut = bad.len() < payload.len();
+            match load_session(&path) {
+                Err(StoreError::Corrupt {
+                    file: "session", ..
+                }) => {}
+                Ok(Some(state)) if !cut => {
+                    assert_ne!(state, pristine, "flip at {at} went unnoticed");
+                    loaded += 1;
+                }
+                other => panic!("damage at {at} (cut: {cut}): {other:?}"),
+            }
+        }
+        assert!(loaded > 0, "flips in signatures and values load");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

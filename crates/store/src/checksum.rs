@@ -18,8 +18,8 @@ use faust_crypto::sha256::sha256;
 
 /// Which algorithm a file's format version selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Checksum {
-    /// 32-byte SHA-256 digest: WAL v1, snapshot v1/v2.
+pub enum Checksum {
+    /// 32-byte SHA-256 digest: WAL v1, snapshot v1/v2, `FAUSTSES` v1.
     Sha256,
     /// XXH64, seed 0, stored big-endian (its canonical form): WAL v2,
     /// snapshot v3/v4/v5.

@@ -27,11 +27,16 @@
 //!   standalone COMMIT as a delta against the previous one in its file.
 //! * [`snapshot`] — atomic (write-temp + rename) snapshots of the full
 //!   [`ServerState`](faust_ustor::ServerState); snapshots compact the log.
+//! * [`file`](mod@file) — how a file reaches the disk: the one crash-safe replace
+//!   (temp file, fsync, rename, directory fsync) behind `wal.bin`,
+//!   `snapshot.bin`, the client's `FAUSTSES` and `faust-audit`'s
+//!   `FAUSTHIS`, and the sealed container (`magic | version | len |
+//!   checksum | payload`) the snapshot and `FAUSTSES` share.
+//! * [`session`] — the client's `FAUSTSES` session file as a sealed
+//!   format (SHA-256 checksummed; `faust-core` owns its payload).
 //! * `checksum` (private) — the one module that knows the disk checksum:
 //!   XXH64 in current files, SHA-256 in those written before log format
 //!   v2, which still load. It guards against the disk, not the operator.
-//! * [`session`] — the client's `FAUSTSES` session file (SHA-256
-//!   checksummed; written per session, off the serving path).
 //! * [`server`] — [`PersistentServer`]: the `Server` impl that logs
 //!   before acknowledging, and [`PersistentBackend`]: the
 //!   [`ServerBackend`](faust_ustor::ServerBackend) every runtime
@@ -58,6 +63,7 @@
 
 mod checksum;
 pub mod codec;
+pub mod file;
 pub mod log;
 pub mod server;
 pub mod session;
@@ -83,19 +89,19 @@ pub enum StoreError {
     Io(io::Error),
     /// A file did not start with its magic string (`file` names it).
     BadMagic {
-        /// Which file: `"wal"` or `"snapshot"`.
+        /// Which file: `"wal"`, `"snapshot"` or `"session"`.
         file: &'static str,
     },
     /// A file's format version is unknown to this build.
     UnsupportedVersion {
-        /// Which file: `"wal"` or `"snapshot"`.
+        /// Which file: `"wal"`, `"snapshot"` or `"session"`.
         file: &'static str,
         /// The version found on disk.
         version: u32,
     },
     /// A file ended inside its fixed-size header.
     TruncatedHeader {
-        /// Which file: `"wal"` or `"snapshot"`.
+        /// Which file: `"wal"`, `"snapshot"` or `"session"`.
         file: &'static str,
     },
     /// The on-disk state was written for a different client count.
@@ -105,14 +111,20 @@ pub enum StoreError {
         /// The client count recorded on disk.
         found: usize,
     },
-    /// The snapshot payload does not match its header checksum.
-    SnapshotChecksum,
-    /// The snapshot payload failed to decode.
-    SnapshotCorrupt(WireError),
-    /// The session-file payload hash does not match its header digest.
-    SessionChecksum,
-    /// The session-file payload failed to decode.
-    SessionCorrupt(WireError),
+    /// A sealed file's payload ([`file::Sealed`]) does not match the
+    /// checksum in its header.
+    Checksum {
+        /// Which file: `"snapshot"` or `"session"`.
+        file: &'static str,
+    },
+    /// A sealed file ended inside its payload or ran past it, or the
+    /// payload failed to decode.
+    Corrupt {
+        /// Which file: `"snapshot"` or `"session"`.
+        file: &'static str,
+        /// The wire-level error.
+        error: WireError,
+    },
     /// The log ended in the middle of a record — a torn tail. Record
     /// `seq` was being read when the bytes ran out.
     TornRecord {
@@ -204,10 +216,10 @@ impl fmt::Display for StoreError {
             StoreError::ClientCountMismatch { expected, found } => {
                 write!(f, "state is for {found} clients, expected {expected}")
             }
-            StoreError::SnapshotChecksum => f.write_str("snapshot: payload checksum mismatch"),
-            StoreError::SnapshotCorrupt(e) => write!(f, "snapshot: undecodable payload: {e}"),
-            StoreError::SessionChecksum => f.write_str("session: payload checksum mismatch"),
-            StoreError::SessionCorrupt(e) => write!(f, "session: undecodable payload: {e}"),
+            StoreError::Checksum { file } => write!(f, "{file}: payload checksum mismatch"),
+            StoreError::Corrupt { file, error } => {
+                write!(f, "{file}: undecodable payload: {error}")
+            }
             StoreError::TornRecord { seq, missing } => {
                 write!(f, "log: record {seq} torn ({missing} bytes missing)")
             }

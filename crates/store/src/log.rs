@@ -63,6 +63,7 @@
 
 use crate::checksum::Checksum;
 use crate::codec::LogRecord;
+use crate::file::replace;
 use crate::StoreError;
 use faust_crypto::{Digest, Signature};
 use faust_types::{decode_delta, ClientId, CommitMsg, Version, VersionDelta, Wire, WireError};
@@ -254,34 +255,21 @@ impl DeltaBase {
 }
 
 impl Wal {
-    /// Creates a fresh log at `dir/wal.bin` (truncating any previous
-    /// file) in the current format, via a temp file + atomic rename so a
-    /// crash mid-create never leaves a half-written header.
+    /// Creates a fresh log at `dir/wal.bin` (replacing any previous
+    /// file) in the current format, through [`replace`] so a crash
+    /// mid-create never leaves a half-written header.
     ///
     /// # Errors
     ///
     /// Propagates file-system errors.
     pub fn create(dir: &Path, n: usize, base_seq: u64, sync: bool) -> Result<Self, StoreError> {
         let path = dir.join(WAL_FILE);
-        let tmp = dir.join("wal.tmp");
         let header = WalHeader {
             framing: Framing::CURRENT,
             n,
             base_seq,
         };
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(&header.encode())?;
-        if sync {
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        if sync {
-            sync_dir(dir)?;
-        }
+        let file = replace(&path, sync, |file| file.write_all(&header.encode()))?;
         Ok(Wal {
             file,
             path,
@@ -703,12 +691,6 @@ impl Iterator for LogCursor {
     }
 }
 
-/// Fsyncs a directory so a just-renamed file inside it survives a crash.
-pub(crate) fn sync_dir(dir: &Path) -> Result<(), StoreError> {
-    File::open(dir)?.sync_all()?;
-    Ok(())
-}
-
 /// Byte spans of every valid record in `dir`'s log, in order — the
 /// corruption tests use these to address records without duplicating
 /// format knowledge.
@@ -752,31 +734,23 @@ pub fn wal_record_spans(dir: &Path) -> Result<Vec<Range<usize>>, StoreError> {
 pub fn truncate_tail_records(dir: &Path, k: usize) -> Result<usize, StoreError> {
     let path = dir.join(WAL_FILE);
     let mut reader = RecordReader::open(&path, false)?;
-    let tmp = dir.join("wal.tmp");
-    let mut out = BufWriter::new(
-        OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?,
-    );
-    out.write_all(&reader.header.encode())?;
-    // Where each of the last k + 1 valid prefixes ends; the front one is
-    // the prefix that is kept.
-    let mut ends = VecDeque::from([WAL_HEADER_LEN]);
-    let _anomaly = reader.walk_valid(|rec, frame| {
-        out.write_all(frame)?;
-        ends.push_back(rec.span.end);
-        if ends.len() - 1 > k {
-            ends.pop_front();
-        }
-        Ok(())
+    replace(&path, true, |file| {
+        let mut out = BufWriter::new(&mut *file);
+        out.write_all(&reader.header.encode())?;
+        // Where each of the last k + 1 valid prefixes ends; the front one
+        // is the prefix that is kept.
+        let mut ends = VecDeque::from([WAL_HEADER_LEN]);
+        let _anomaly = reader.walk_valid(|rec, frame| {
+            out.write_all(frame)?;
+            ends.push_back(rec.span.end);
+            if ends.len() - 1 > k {
+                ends.pop_front();
+            }
+            Ok(())
+        })?;
+        let file = out.into_inner().map_err(|e| e.into_error())?;
+        file.set_len(ends[0] as u64)
     })?;
-    let file = out.into_inner().map_err(|e| e.into_error())?;
-    file.set_len(ends[0] as u64)?;
-    file.sync_data()?;
-    std::fs::rename(&tmp, &path)?;
-    sync_dir(dir)?;
     let valid = (reader.next_seq - reader.header.base_seq) as usize;
     Ok(valid.saturating_sub(k))
 }

@@ -274,8 +274,9 @@ impl PersistentServer {
     /// Recovery invariants (all violations are structured errors, never
     /// panics, never a silently-absorbed prefix):
     ///
-    /// * snapshot and log header must both parse and agree on the client
-    ///   count (and with `n`), and the log may not start after the
+    /// * snapshot and log header must both parse and carry the client
+    ///   count `n` (the snapshot's is compared before its state is
+    ///   decoded), and the log may not start after the
     ///   snapshot's coverage ends ([`StoreError::SnapshotAheadOfLog`]) —
     ///   all checked before any record is read, so nothing is ever
     ///   replayed into a server of the wrong `n`;
@@ -301,7 +302,7 @@ impl PersistentServer {
     /// [`StoreError::MissingState`] if `dir` holds no state at all;
     /// otherwise the anomaly that broke recovery.
     pub fn recover(dir: &Path, n: usize, config: StoreConfig) -> Result<Self, StoreError> {
-        let snapshot = read_snapshot(dir)?;
+        let snapshot = read_snapshot(dir, n)?;
         let has_wal = dir.join(crate::log::WAL_FILE).exists();
         if !has_wal {
             return match snapshot {
@@ -319,12 +320,6 @@ impl PersistentServer {
         }
         let (mut inner, covered) = match snapshot {
             Some(snap) => {
-                if snap.n != n {
-                    return Err(StoreError::ClientCountMismatch {
-                        expected: n,
-                        found: snap.n,
-                    });
-                }
                 if header.base_seq > snap.next_seq {
                     return Err(StoreError::SnapshotAheadOfLog {
                         snapshot_next: snap.next_seq,

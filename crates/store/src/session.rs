@@ -1,136 +1,34 @@
-//! The client-session file: durable storage for a resumable session's
-//! state, in the same single-file container idiom as the snapshot:
+//! The client's `FAUSTSES` session file, as a [`Sealed`] format:
 //!
 //! ```text
-//!   "FAUSTSES" | version: u32 | payload_len: u32 | sha256(payload): 32 B | payload
+//!   "FAUSTSES" | version: u32 = 1 | payload_len: u32 | sha256(payload): 32 B | payload
 //! ```
 //!
-//! The payload is opaque to this module — `faust-core` encodes its
-//! `SessionState` there (this crate cannot name that type without a
-//! dependency cycle, and the container is useful for any client-side
-//! state). Writes go to a temp file that is synced and renamed into
-//! place, so a crash mid-save leaves the previous session file
-//! untouched; reads validate magic, version, length, and checksum before
-//! returning a single byte of payload.
-//!
-//! Note what the checksum does **not** protect against: an old-but-valid
-//! file. A session file restored after further operations ran is
-//! internally consistent yet *stale*, and only the protocol itself can
-//! detect that — the FAUST client's stale guard flags the mismatch
-//! against the live server as `Fault::StaleClientState`.
+//! The payload is opaque here — `faust-core` encodes its `SessionState`
+//! there and saves and loads it through [`SESSION`] (this crate cannot
+//! name that type without a dependency cycle).
 
-use crate::log::sync_dir;
-use crate::StoreError;
-use faust_crypto::sha256::sha256;
-use faust_types::Wire;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::Path;
+use crate::file::{Checksum, Sealed};
 
-/// Magic string opening every session file.
-pub const SESSION_MAGIC: &[u8; 8] = b"FAUSTSES";
-/// Session-file format version.
-pub const SESSION_VERSION: u32 = 1;
-
-/// Atomically writes `payload` as the session file at `path`.
-///
-/// With `sync`, the bytes are fsynced before the rename and the parent
-/// directory after it, so the rename is durable; without, both syncs are
-/// skipped.
-///
-/// # Errors
-///
-/// Propagates file-system errors; a failed write never disturbs an
-/// existing session file.
-pub fn write_session_file(path: &Path, payload: &[u8], sync: bool) -> Result<(), StoreError> {
-    let mut bytes = Vec::with_capacity(8 + 4 + 4 + 32 + payload.len());
-    bytes.extend_from_slice(SESSION_MAGIC);
-    SESSION_VERSION.encode_into(&mut bytes);
-    (payload.len() as u32).encode_into(&mut bytes);
-    bytes.extend_from_slice(sha256(payload).as_bytes());
-    bytes.extend_from_slice(payload);
-
-    let tmp = path.with_extension("tmp");
-    let mut file = OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(&tmp)?;
-    file.write_all(&bytes)?;
-    if sync {
-        file.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if sync {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            sync_dir(dir)?;
-        }
-    }
-    Ok(())
-}
-
-/// Reads and fully validates the session file at `path`, returning its
-/// payload; `Ok(None)` if no file exists.
-///
-/// # Errors
-///
-/// Structured [`StoreError`]s for a bad magic, unknown version,
-/// truncated header or payload, or checksum mismatch — a corrupt
-/// session file is never partially loaded.
-pub fn read_session_file(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => f.read_to_end(&mut bytes)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    const HEADER: usize = 8 + 4 + 4 + 32;
-    if bytes.len() < HEADER {
-        return Err(StoreError::TruncatedHeader { file: "session" });
-    }
-    if &bytes[..8] != SESSION_MAGIC {
-        return Err(StoreError::BadMagic { file: "session" });
-    }
-    let mut rest = &bytes[8..16];
-    let version = u32::decode_from(&mut rest).expect("sized above");
-    if version != SESSION_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            file: "session",
-            version,
-        });
-    }
-    let payload_len = u32::decode_from(&mut rest).expect("sized above") as usize;
-    let digest = &bytes[16..HEADER];
-    let Some(payload) = bytes.get(HEADER..HEADER + payload_len) else {
-        // File ends inside the declared payload.
-        return Err(StoreError::SessionCorrupt(
-            faust_types::WireError::Truncated,
-        ));
-    };
-    if bytes.len() > HEADER + payload_len {
-        return Err(StoreError::SessionCorrupt(
-            faust_types::WireError::TrailingBytes(bytes.len() - HEADER - payload_len),
-        ));
-    }
-    if sha256(payload).as_bytes() != digest {
-        return Err(StoreError::SessionChecksum);
-    }
-    Ok(Some(payload.to_vec()))
-}
+/// The session file's sealed format: one version, SHA-256 over the
+/// payload.
+pub const SESSION: Sealed<()> = Sealed {
+    magic: b"FAUSTSES",
+    file: "session",
+    versions: &[(1, Checksum::Sha256, ())],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::scratch_dir;
+    use crate::testutil::{
+        scratch_dir, sealed_damage, sealed_overwrite, sealed_roundtrip_and_absence,
+    };
 
     #[test]
     fn roundtrip_and_absence() {
         let dir = scratch_dir("session-roundtrip");
-        let path = dir.join("alice.session");
-        assert_eq!(read_session_file(&path).unwrap(), None);
-        let payload = b"resumable state bytes".to_vec();
-        write_session_file(&path, &payload, true).unwrap();
-        assert_eq!(read_session_file(&path).unwrap(), Some(payload));
+        sealed_roundtrip_and_absence(&SESSION, &dir.join("alice.session"));
         assert!(!dir.join("alice.tmp").exists(), "temp file cleaned up");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -138,73 +36,14 @@ mod tests {
     #[test]
     fn overwrite_replaces_atomically() {
         let dir = scratch_dir("session-overwrite");
-        let path = dir.join("s.session");
-        write_session_file(&path, b"old", false).unwrap();
-        write_session_file(&path, b"new", false).unwrap();
-        assert_eq!(read_session_file(&path).unwrap().unwrap(), b"new");
+        sealed_overwrite(&SESSION, &dir.join("s.session"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corruption_is_structured_not_a_panic() {
         let dir = scratch_dir("session-corrupt");
-        let path = dir.join("s.session");
-        write_session_file(&path, b"some session payload", false).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Flip a payload byte: checksum mismatch.
-        let mut bad = good.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            read_session_file(&path).unwrap_err(),
-            StoreError::SessionChecksum
-        ));
-
-        // Truncate inside the payload.
-        std::fs::write(&path, &good[..good.len() - 4]).unwrap();
-        assert!(matches!(
-            read_session_file(&path).unwrap_err(),
-            StoreError::SessionCorrupt(_)
-        ));
-
-        // Truncate inside the header.
-        std::fs::write(&path, &good[..10]).unwrap();
-        assert!(matches!(
-            read_session_file(&path).unwrap_err(),
-            StoreError::TruncatedHeader { file: "session" }
-        ));
-
-        // Bad magic.
-        let mut bad = good.clone();
-        bad[0] ^= 0xFF;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            read_session_file(&path).unwrap_err(),
-            StoreError::BadMagic { file: "session" }
-        ));
-
-        // Unknown version.
-        let mut bad = good.clone();
-        bad[8] = 0xEE;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            read_session_file(&path).unwrap_err(),
-            StoreError::UnsupportedVersion {
-                file: "session",
-                ..
-            }
-        ));
-
-        // Trailing garbage after the payload.
-        let mut bad = good.clone();
-        bad.push(0x00);
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            read_session_file(&path).unwrap_err(),
-            StoreError::SessionCorrupt(faust_types::WireError::TrailingBytes(1))
-        ));
+        sealed_damage(&SESSION, &dir.join("s.session"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,11 +1,17 @@
 //! Shared helpers for tests and benchmarks: scratch directories (the
-//! repository vendors no `tempfile` crate) and the synchronous
-//! op-driving shorthand every store test needs.
+//! repository vendors no `tempfile` crate), the synchronous op-driving
+//! shorthand every store test needs, the mutation harness the log,
+//! snapshot and session-file sweeps share, and the contract every
+//! [`Sealed`] format keeps.
 
+use crate::file::Sealed;
+use crate::StoreError;
 use faust_crypto::sig::KeySet;
-use faust_types::{ClientId, SubmitMsg};
+use faust_types::{ClientId, SubmitMsg, WireError};
 use faust_ustor::{Server, UstorClient};
-use std::path::PathBuf;
+use std::fmt::Debug;
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -66,6 +72,168 @@ pub fn run_op(server: &mut dyn Server, client: &mut UstorClient, submit: SubmitM
         .expect("one reply for the submitter");
     let (commit, _) = client.handle_reply(reply).expect("correct server");
     server.on_commit(id, commit.expect("immediate mode"));
+}
+
+/// The mutation harness: every way to damage `good` by cutting it short
+/// or flipping one bit, as `(offset of the first damaged byte, bytes)`.
+pub fn mutations(good: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
+    let truncations = (0..good.len()).map(|len| (len, good[..len].to_vec()));
+    let flips = (0..good.len() * 8).map(|bit| {
+        let mut bad = good.to_vec();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        (bit / 8, bad)
+    });
+    truncations.chain(flips)
+}
+
+/// A [`Sealed`] format's first half of the contract, its file at `path`:
+/// an absent file reads as `None`, and a written payload reads back whole,
+/// with what the written version selects, and no temp file left behind.
+///
+/// # Panics
+///
+/// Panics where `format` breaks the contract.
+pub fn sealed_roundtrip_and_absence<T: Copy + Debug + PartialEq>(format: &Sealed<T>, path: &Path) {
+    let (_, _, selected) = format.versions[0];
+    assert_eq!(format.read(path).unwrap(), None, "{path:?}: absent");
+    let payload = b"resumable state bytes";
+    format
+        .write(path, true, |got, out| {
+            assert_eq!(got, selected);
+            out.extend_from_slice(payload);
+        })
+        .unwrap();
+    assert_eq!(
+        format.read(path).unwrap(),
+        Some((selected, payload.to_vec())),
+        "{path:?}: round trip"
+    );
+    assert!(
+        !path.with_extension("tmp").exists(),
+        "{path:?}: temp file left behind"
+    );
+}
+
+/// The second half: with and without sync, a write replaces the file at
+/// `path` whole, leaves no temp file, and lays it out as `magic | version
+/// | payload_len | checksum | payload`, checked byte by byte.
+///
+/// # Panics
+///
+/// Panics where `format` breaks the contract.
+pub fn sealed_overwrite<T: Copy + Debug + PartialEq>(format: &Sealed<T>, path: &Path) {
+    let (version, checksum, selected) = format.versions[0];
+    for sync in [true, false] {
+        format
+            .write(path, sync, |_, out| out.extend_from_slice(b"old"))
+            .unwrap();
+        let payload = b"newer state bytes";
+        format
+            .write(path, sync, |_, out| out.extend_from_slice(payload))
+            .unwrap();
+        assert_eq!(
+            format.read(path).unwrap(),
+            Some((selected, payload.to_vec())),
+            "{path:?}: the newer file, whole"
+        );
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "{path:?}: temp file left behind"
+        );
+        let mut stored = vec![0; checksum.len()];
+        checksum.write(payload, &mut stored);
+        let mut expected = format.magic.to_vec();
+        expected.extend_from_slice(&version.to_be_bytes());
+        expected.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        expected.extend_from_slice(&stored);
+        expected.extend_from_slice(payload);
+        assert_eq!(fs::read(path).unwrap(), expected, "{path:?}: layout");
+    }
+}
+
+/// The damage table: a payload flip, a cut in the payload, the prefix or
+/// the checksum, a flipped first or fourth magic byte, an unknown version
+/// and a trailing byte each read as their own typed [`StoreError`] naming
+/// `format.file`. Writes a fresh file at `path` first.
+///
+/// # Panics
+///
+/// Panics where `format` breaks the contract.
+pub fn sealed_damage<T: Copy + Debug + PartialEq>(format: &Sealed<T>, path: &Path) {
+    let (version, _, _) = format.versions[0];
+    format
+        .write(path, false, |_, out| {
+            out.extend_from_slice(b"some sealed payload")
+        })
+        .unwrap();
+    let good = fs::read(path).unwrap();
+    let file = format.file;
+    let edit = |f: fn(&mut Vec<u8>)| {
+        let mut bad = good.clone();
+        f(&mut bad);
+        bad
+    };
+    let cases = [
+        (
+            "payload flip",
+            edit(|b| *b.last_mut().unwrap() ^= 0x01),
+            StoreError::Checksum { file },
+        ),
+        (
+            "cut in the payload",
+            good[..good.len() - 4].to_vec(),
+            StoreError::Corrupt {
+                file,
+                error: WireError::Truncated,
+            },
+        ),
+        (
+            "cut in the prefix",
+            good[..10].to_vec(),
+            StoreError::TruncatedHeader { file },
+        ),
+        (
+            // Magic, version and length, then 4 bytes of the checksum.
+            "cut in the checksum",
+            good[..8 + 4 + 4 + 4].to_vec(),
+            StoreError::TruncatedHeader { file },
+        ),
+        (
+            "first magic byte",
+            edit(|b| b[0] ^= 0xFF),
+            StoreError::BadMagic { file },
+        ),
+        (
+            "fourth magic byte",
+            edit(|b| b[3] ^= 0xFF),
+            StoreError::BadMagic { file },
+        ),
+        (
+            "version",
+            edit(|b| b[8] = 0xEE),
+            StoreError::UnsupportedVersion {
+                file,
+                version: (0xEE << 24) | version,
+            },
+        ),
+        (
+            "trailing byte",
+            edit(|b| b.push(0)),
+            StoreError::Corrupt {
+                file,
+                error: WireError::TrailingBytes(1),
+            },
+        ),
+    ];
+    for (damage, bytes, expected) in cases {
+        fs::write(path, bytes).unwrap();
+        let err = format.read(path).unwrap_err();
+        assert_eq!(
+            format!("{err:?}"),
+            format!("{expected:?}"),
+            "{path:?}, {damage}"
+        );
+    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 
 use faust_store::codec::{encode_state, SverLayout};
 use faust_store::log::{Framing, Wal, RECORD_OVERHEAD, WAL_FILE, WAL_HEADER_LEN};
-use faust_store::snapshot::{read_snapshot, seal, write_snapshot, Snapshot, SNAPSHOT_FILE};
-use faust_store::testutil::{self, clients, run_op};
+use faust_store::snapshot::{read_snapshot, write_snapshot, Snapshot, SNAPSHOT, SNAPSHOT_FILE};
+use faust_store::testutil::{self, clients, mutations, run_op};
 use faust_store::{
     truncate_tail_records, wal_record_spans, Durability, PersistentServer, StoreConfig, StoreError,
 };
@@ -205,18 +205,6 @@ fn recover_never_panics_on_random_tail_garbage() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The mutation harness: every way to damage `good` by cutting it short
-/// or flipping one bit, as `(offset of the first damaged byte, bytes)`.
-fn mutations(good: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
-    let truncations = (0..good.len()).map(|len| (len, good[..len].to_vec()));
-    let flips = (0..good.len() * 8).map(|bit| {
-        let mut bad = good.to_vec();
-        bad[bit / 8] ^= 1 << (bit % 8);
-        (bit / 8, bad)
-    });
-    truncations.chain(flips)
-}
-
 /// Runs the harness over the pristine log at `dir`: whatever the damage,
 /// the strict scan answers with a typed error and the tolerant one with
 /// exactly the records in front of it — never a panic, never a shorter
@@ -406,8 +394,9 @@ fn sweep_snapshot(label: &str, file: &[u8]) {
     let version = u32::from_be_bytes(file[8..12].try_into().unwrap());
     let len = u32::from_be_bytes(file[12..16].try_into().unwrap()) as usize;
     let good = &file[file.len() - len..];
+    let n = u32::from_be_bytes(good[..4].try_into().unwrap()) as usize;
     std::fs::write(&path, file).unwrap();
-    let pristine = read_snapshot(&dir).unwrap().unwrap();
+    let pristine = read_snapshot(&dir, n).unwrap().unwrap();
     let opaque = signature_and_digest_bytes(good, &pristine.state);
     assert!(
         opaque.iter().any(|&o| o),
@@ -415,10 +404,15 @@ fn sweep_snapshot(label: &str, file: &[u8]) {
     );
     let mut loaded = 0;
     for (at, bad) in mutations(good) {
-        std::fs::write(&path, seal(version, &bad)).unwrap();
+        std::fs::write(&path, SNAPSHOT.seal(version, &bad)).unwrap();
         let cut = bad.len() < good.len();
-        match read_snapshot(&dir) {
-            Err(StoreError::SnapshotCorrupt(_) | StoreError::ClientCountMismatch { .. }) => {
+        match read_snapshot(&dir, n) {
+            Err(
+                StoreError::Corrupt {
+                    file: "snapshot", ..
+                }
+                | StoreError::ClientCountMismatch { .. },
+            ) => {
                 assert!(
                     cut || !opaque[at],
                     "{label}: flip at {at} in a signature or digest"
@@ -490,7 +484,7 @@ fn v5_file_with_sver(sver: &[u8]) -> Vec<u8> {
     payload.extend_from_slice(&full[..mem_end]);
     payload.extend_from_slice(sver);
     payload.extend_from_slice(&full[sver_end..]);
-    seal(5, &payload)
+    SNAPSHOT.seal(5, &payload)
 }
 
 #[test]
@@ -507,7 +501,7 @@ fn malformed_v5_sver_chains_are_typed_errors() {
     let delta = |count: u32| ((1u32 << 31) | count).to_be_bytes().to_vec();
     let well_formed = [entry(1, &initial), entry(0, &delta(0))].concat();
     std::fs::write(dir.join(SNAPSHOT_FILE), v5_file_with_sver(&well_formed)).unwrap();
-    let snap = read_snapshot(&dir).unwrap().unwrap();
+    let snap = read_snapshot(&dir, 2).unwrap().unwrap();
     assert_eq!(snap.state, UstorServer::new(2).export_state());
 
     let cases = [
@@ -533,8 +527,11 @@ fn malformed_v5_sver_chains_are_typed_errors() {
     ];
     for (name, sver, claim) in cases {
         std::fs::write(dir.join(SNAPSHOT_FILE), v5_file_with_sver(&sver)).unwrap();
-        match read_snapshot(&dir) {
-            Err(StoreError::SnapshotCorrupt(WireError::BadLength(found))) => {
+        match read_snapshot(&dir, 2) {
+            Err(StoreError::Corrupt {
+                file: "snapshot",
+                error: WireError::BadLength(found),
+            }) => {
                 assert_eq!(found, claim, "{name}");
             }
             other => panic!("{name}: {other:?}"),

@@ -52,7 +52,7 @@ fn delta_savings(dir: &Path) -> u64 {
 /// Bytes the current format saves on the snapshot of `dir` by writing
 /// `SVER` as a ≼-chain.
 fn sver_savings(dir: &Path) -> u64 {
-    let state = read_snapshot(dir).unwrap().unwrap().state;
+    let state = read_snapshot(dir, script::N).unwrap().unwrap().state;
     let len = |layout| {
         let mut bytes = Vec::new();
         encode_state(&state, layout, &mut bytes);
@@ -94,8 +94,8 @@ fn recovers_identically_serves_and_rotates(version: &str, old_format: (Framing, 
         overhead + sver_savings(&new)
     );
     assert_eq!(
-        read_snapshot(&old).unwrap(),
-        read_snapshot(&new).unwrap(),
+        read_snapshot(&old, script::N).unwrap(),
+        read_snapshot(&new, script::N).unwrap(),
         "both snapshot versions decode to the same state"
     );
 
