@@ -14,18 +14,22 @@
 //! ## Layout
 //!
 //! ```text
-//! "FAUSTHIS" | version: u32
-//! manifest_len: u32 | sha256(manifest) | manifest
+//! "FAUSTHIS" | version: u32 | manifest_len: u32 | sha256(manifest) | manifest
 //! [base-state section]      (present iff manifest says so)
 //! [records section]
 //! [client-history section]  (present iff manifest says so)
 //! ```
 //!
-//! The manifest describes each section by length and SHA-256 digest and
-//! carries the claimed final commit chain. The records section reuses the
-//! WAL's per-record framing (`len | sha256(payload) | payload`, payload =
-//! `seq ‖ LogRecord`) so a flipped bit in one record is pinned to that
-//! record's offset rather than to the section as a whole.
+//! This module composes two framings `faust-store` owns and parses
+//! neither itself. The first line is a [`Sealed`] file ([`HISTORY`]), the
+//! header `snapshot.bin` and `FAUSTSES` share, whose payload is the
+//! manifest; the sections follow it. The manifest describes each section
+//! by length and SHA-256 digest and carries the claimed final commit
+//! chain. The records section is a version 1 WAL's records
+//! (`len | sha256(payload) | payload`, payload = `seq ‖ LogRecord`),
+//! framed by [`Framing::frame`] and read by the WAL's [`RecordReader`], so
+//! a flipped bit in one record is pinned to that record's offset rather
+//! than to the section as a whole.
 
 use std::fmt;
 use std::fs;
@@ -33,24 +37,20 @@ use std::io::{self, Write as _};
 use std::path::Path;
 
 use faust_crypto::{sha256, Digest, SigScheme, Signature};
-use faust_store::{codec::SverLayout, file::replace, LogRecord};
+use faust_store::codec::{decode_state, encode_state, SverLayout};
+use faust_store::file::{replace, Checksum, Sealed};
+use faust_store::log::{Framing, RecordReader, WalHeader};
+use faust_store::{LogRecord, StoreError};
 use faust_types::{History, SignedVersion, Sink, Wire, WireError};
 use faust_ustor::ServerState;
 
-/// Magic bytes opening every history file.
-pub const HISTORY_MAGIC: &[u8; 8] = b"FAUSTHIS";
-/// Current container version.
-pub const HISTORY_VERSION: u32 = 1;
-/// Upper bound on a single framed record, matching the WAL's bound.
-const MAX_RECORD_LEN: u32 = 1 << 26;
-/// Upper bound on the manifest frame.
-const MAX_MANIFEST_LEN: u32 = 1 << 26;
-/// Bytes of framing around each record payload: `len: u32` + SHA-256
-/// digest. This is `FAUSTHIS`'s own framing, not the WAL's: the store
-/// moved its records to an 8-byte checksum (log format v2), but a history
-/// file is handed to third parties and authenticates itself, which is
-/// what a cryptographic digest is for.
-const RECORD_OVERHEAD: usize = 4 + 32;
+/// The history file's sealed header: one version, SHA-256 over the
+/// manifest.
+pub const HISTORY: Sealed<()> = Sealed {
+    magic: b"FAUSTHIS",
+    file: "history",
+    versions: &[(1, Checksum::Sha256, ())],
+};
 
 /// Which section of the container an error refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,35 +76,13 @@ impl fmt::Display for Section {
 /// Typed rejection of a malformed history file. Every variant that can
 /// point at bytes carries the absolute file offset where parsing failed,
 /// so `faust audit` can report exactly which region is damaged.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum HistoryFileError {
-    /// The file is shorter than the fixed preamble.
-    TruncatedPreamble {
-        /// Actual file length.
-        len: usize,
-    },
-    /// The first eight bytes are not `FAUSTHIS`.
-    BadMagic,
-    /// The container version is newer than this reader.
-    UnsupportedVersion {
-        /// Version found in the preamble.
-        version: u32,
-    },
-    /// The file ends inside the manifest frame.
-    ManifestTruncated {
-        /// Offset at which more bytes were expected.
-        offset: usize,
-    },
-    /// The manifest frame declares an implausibly large length.
-    ImplausibleManifestLength {
-        /// Declared length.
-        len: u32,
-    },
-    /// The manifest bytes do not match their recorded digest.
-    ManifestChecksum {
-        /// Offset of the manifest bytes.
-        offset: usize,
-    },
+    /// The file could not be read ([`StoreError::Io`]), or its sealed
+    /// header and manifest failed [`Sealed::open`]'s checks: truncated
+    /// header, bad magic, unsupported version, a manifest cut short, or a
+    /// manifest checksum mismatch, each naming file `"history"`.
+    Sealed(StoreError),
     /// The manifest bytes do not decode as a manifest.
     ManifestCorrupt {
         /// Underlying decode error.
@@ -134,48 +112,14 @@ pub enum HistoryFileError {
         /// Absolute offset of the section's first byte.
         offset: usize,
     },
-    /// The records section ends inside a record frame.
-    RecordTorn {
-        /// Index of the torn record within the section.
-        index: u64,
-        /// Absolute offset of the record's frame.
+    /// A record of the records section failed the WAL record reader's
+    /// checks: torn, implausibly long, checksum mismatch, undecodable, or
+    /// not numbered consecutively from `base_seq`.
+    Record {
+        /// Absolute offset of the damaged record's frame.
         offset: usize,
-    },
-    /// A record frame declares an implausibly large length.
-    ImplausibleRecordLength {
-        /// Index of the record within the section.
-        index: u64,
-        /// Absolute offset of the record's frame.
-        offset: usize,
-        /// Declared payload length.
-        len: u32,
-    },
-    /// A record payload does not match its per-record checksum.
-    RecordChecksum {
-        /// Index of the damaged record within the section.
-        index: u64,
-        /// Absolute offset of the record's frame.
-        offset: usize,
-    },
-    /// A record payload does not decode as `seq ‖ LogRecord`.
-    RecordCorrupt {
-        /// Index of the undecodable record within the section.
-        index: u64,
-        /// Absolute offset of the record's frame.
-        offset: usize,
-        /// Underlying decode error.
-        error: WireError,
-    },
-    /// Record sequence numbers are not consecutive from `base_seq`.
-    RecordSequence {
-        /// Index of the out-of-order record within the section.
-        index: u64,
-        /// Absolute offset of the record's frame.
-        offset: usize,
-        /// Sequence number expected at this position.
-        expected: u64,
-        /// Sequence number found.
-        found: u64,
+        /// What the record reader found.
+        error: StoreError,
     },
     /// The records section holds a different number of records than the
     /// manifest declares.
@@ -210,25 +154,7 @@ pub enum HistoryFileError {
 impl fmt::Display for HistoryFileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HistoryFileError::TruncatedPreamble { len } => {
-                write!(f, "file too short for the FAUSTHIS preamble ({len} bytes)")
-            }
-            HistoryFileError::BadMagic => write!(f, "not a FAUSTHIS file (bad magic)"),
-            HistoryFileError::UnsupportedVersion { version } => {
-                write!(f, "unsupported container version {version}")
-            }
-            HistoryFileError::ManifestTruncated { offset } => {
-                write!(f, "file ends inside the manifest (offset {offset})")
-            }
-            HistoryFileError::ImplausibleManifestLength { len } => {
-                write!(f, "implausible manifest length {len}")
-            }
-            HistoryFileError::ManifestChecksum { offset } => {
-                write!(
-                    f,
-                    "manifest checksum mismatch (manifest at offset {offset})"
-                )
-            }
+            HistoryFileError::Sealed(error) => write!(f, "{error}"),
             HistoryFileError::ManifestCorrupt { error } => {
                 write!(f, "manifest does not decode: {error:?}")
             }
@@ -247,33 +173,9 @@ impl fmt::Display for HistoryFileError {
                 f,
                 "{section} section checksum mismatch (section at offset {offset})"
             ),
-            HistoryFileError::RecordTorn { index, offset } => {
-                write!(f, "record {index} torn at offset {offset}")
+            HistoryFileError::Record { offset, error } => {
+                write!(f, "record at offset {offset}: {error}")
             }
-            HistoryFileError::ImplausibleRecordLength { index, offset, len } => write!(
-                f,
-                "record {index} at offset {offset} declares implausible length {len}"
-            ),
-            HistoryFileError::RecordChecksum { index, offset } => {
-                write!(f, "record {index} checksum mismatch at offset {offset}")
-            }
-            HistoryFileError::RecordCorrupt {
-                index,
-                offset,
-                error,
-            } => write!(
-                f,
-                "record {index} at offset {offset} does not decode: {error:?}"
-            ),
-            HistoryFileError::RecordSequence {
-                index,
-                offset,
-                expected,
-                found,
-            } => write!(
-                f,
-                "record {index} at offset {offset} has sequence {found}, expected {expected}"
-            ),
             HistoryFileError::RecordCountMismatch { expected, found } => write!(
                 f,
                 "manifest declares {expected} records but the section holds {found}"
@@ -401,20 +303,12 @@ impl SessionHistory {
     pub fn encode(&self) -> Vec<u8> {
         let base_bytes = self.base_state.as_ref().map(|state| {
             let mut out = Vec::new();
-            faust_store::codec::encode_state(state, SverLayout::Full, &mut out);
+            encode_state(state, SverLayout::Full, &mut out);
             out
         });
         let mut records_bytes = Vec::new();
         for (seq, record) in &self.records {
-            // Encode once behind room for the frame header, hash in
-            // place, patch it.
-            let frame = records_bytes.len();
-            records_bytes.resize(frame + RECORD_OVERHEAD, 0);
-            seq.encode_into(&mut records_bytes);
-            record.encode_into(&mut records_bytes);
-            let (head, payload) = records_bytes[frame..].split_at_mut(RECORD_OVERHEAD);
-            head[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-            head[4..].copy_from_slice(sha256(payload).as_bytes());
+            Framing::V1.frame(*seq, &mut records_bytes, |out| record.encode_into(out));
         }
         let history_bytes = self.client_history.as_ref().map(|history| history.encode());
 
@@ -433,20 +327,12 @@ impl SessionHistory {
             claimed_chain: self.claimed_chain.clone(),
             claimed_proofs: self.claimed_proofs.clone(),
         };
-        let manifest_bytes = manifest.encode();
-
-        let mut out = Vec::new();
-        out.extend_from_slice(HISTORY_MAGIC);
-        HISTORY_VERSION.encode_into(&mut out);
-        (manifest_bytes.len() as u32).encode_into(&mut out);
-        sha256(&manifest_bytes).encode_into(&mut out);
-        out.extend_from_slice(&manifest_bytes);
-        if let Some(bytes) = &base_bytes {
-            out.extend_from_slice(bytes);
-        }
-        out.extend_from_slice(&records_bytes);
-        if let Some(bytes) = &history_bytes {
-            out.extend_from_slice(bytes);
+        let mut out = HISTORY.seal_with(1, |(), out| manifest.encode_into(out));
+        for section in [base_bytes, Some(records_bytes), history_bytes]
+            .iter()
+            .flatten()
+        {
+            out.extend_from_slice(section);
         }
         out
     }
@@ -454,54 +340,11 @@ impl SessionHistory {
     /// Parses a `FAUSTHIS` container, rejecting any malformed input with
     /// a typed error pointing at the failing offset. Never panics.
     pub fn decode(bytes: &[u8]) -> Result<Self, HistoryFileError> {
-        // Preamble.
-        if bytes.len() < 12 {
-            return Err(HistoryFileError::TruncatedPreamble { len: bytes.len() });
-        }
-        if &bytes[..8] != HISTORY_MAGIC {
-            return Err(HistoryFileError::BadMagic);
-        }
-        let version = u32::from_be_bytes(bytes[8..12].try_into().expect("fixed length"));
-        if version != HISTORY_VERSION {
-            return Err(HistoryFileError::UnsupportedVersion { version });
-        }
-
-        // Manifest frame.
-        let mut pos = 12usize;
-        if bytes.len() < pos + 36 {
-            return Err(HistoryFileError::ManifestTruncated {
-                offset: bytes.len(),
-            });
-        }
-        let manifest_len =
-            u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("fixed length"));
-        if manifest_len > MAX_MANIFEST_LEN {
-            return Err(HistoryFileError::ImplausibleManifestLength { len: manifest_len });
-        }
-        let manifest_digest = &bytes[pos + 4..pos + 36];
-        pos += 36;
-        let manifest_end = pos
-            .checked_add(manifest_len as usize)
-            .filter(|&end| end <= bytes.len())
-            .ok_or(HistoryFileError::ManifestTruncated {
-                offset: bytes.len(),
-            })?;
-        let manifest_bytes = &bytes[pos..manifest_end];
-        if sha256(manifest_bytes).as_bytes() != manifest_digest {
-            return Err(HistoryFileError::ManifestChecksum { offset: pos });
-        }
-        let manifest = {
-            let mut input = manifest_bytes;
-            let manifest = Manifest::decode_from(&mut input)
-                .map_err(|error| HistoryFileError::ManifestCorrupt { error })?;
-            if !input.is_empty() {
-                return Err(HistoryFileError::ManifestCorrupt {
-                    error: WireError::TrailingBytes(0),
-                });
-            }
-            manifest
-        };
-        pos = manifest_end;
+        let ((), manifest_bytes, sections) =
+            HISTORY.open(bytes).map_err(HistoryFileError::Sealed)?;
+        let manifest = Manifest::decode(manifest_bytes)
+            .map_err(|error| HistoryFileError::ManifestCorrupt { error })?;
+        let mut pos = bytes.len() - sections.len();
 
         let scheme = scheme_from_tag(manifest.scheme).ok_or(HistoryFileError::BadScheme {
             tag: manifest.scheme,
@@ -562,13 +405,12 @@ impl SessionHistory {
                     });
                 }
                 let mut input = slice;
-                let state = faust_store::codec::decode_state(&mut input, SverLayout::Full)
+                let state = decode_state(&mut input, SverLayout::Full)
+                    .and_then(|state| match input.len() {
+                        0 => Ok(state),
+                        extra => Err(WireError::TrailingBytes(extra)),
+                    })
                     .map_err(|error| HistoryFileError::StateCorrupt { error })?;
-                if !input.is_empty() {
-                    return Err(HistoryFileError::StateCorrupt {
-                        error: WireError::TrailingBytes(0),
-                    });
-                }
                 if state.mem.len() as u64 != n {
                     return Err(HistoryFileError::DimensionMismatch {
                         what: "base state registers per client",
@@ -585,70 +427,27 @@ impl SessionHistory {
         // record; the section digest is checked afterwards as a belt
         // against framing-consistent corruption.
         let (records_offset, records_bytes) = records_slice.1;
+        let header = WalHeader {
+            framing: Framing::V1,
+            n: manifest.n as usize,
+            base_seq: manifest.base_seq,
+        };
+        let mut reader = RecordReader::new(records_bytes, header, records_offset);
         let mut records = Vec::new();
-        let mut rec_pos = 0usize;
-        let mut index = 0u64;
-        while rec_pos < records_bytes.len() {
-            let offset = records_offset + rec_pos;
-            if records_bytes.len() - rec_pos < RECORD_OVERHEAD {
-                return Err(HistoryFileError::RecordTorn { index, offset });
-            }
-            let len = u32::from_be_bytes(
-                records_bytes[rec_pos..rec_pos + 4]
-                    .try_into()
-                    .expect("fixed length"),
-            );
-            if len > MAX_RECORD_LEN {
-                return Err(HistoryFileError::ImplausibleRecordLength { index, offset, len });
-            }
-            let payload_start = rec_pos + RECORD_OVERHEAD;
-            let payload_end = payload_start
-                .checked_add(len as usize)
-                .filter(|&end| end <= records_bytes.len())
-                .ok_or(HistoryFileError::RecordTorn { index, offset })?;
-            let digest = &records_bytes[rec_pos + 4..rec_pos + 36];
-            let payload = &records_bytes[payload_start..payload_end];
-            if sha256(payload).as_bytes() != digest {
-                return Err(HistoryFileError::RecordChecksum { index, offset });
-            }
-            let mut input = payload;
-            let seq =
-                u64::decode_from(&mut input).map_err(|error| HistoryFileError::RecordCorrupt {
-                    index,
-                    offset,
-                    error,
-                })?;
-            let record = LogRecord::decode_from(&mut input).map_err(|error| {
-                HistoryFileError::RecordCorrupt {
-                    index,
-                    offset,
-                    error,
+        loop {
+            match reader.next_record() {
+                Ok(Some(scanned)) => records.push((scanned.seq, scanned.record)),
+                Ok(None) => break,
+                Err(error) => {
+                    let offset = reader.pos();
+                    return Err(HistoryFileError::Record { offset, error });
                 }
-            })?;
-            if !input.is_empty() {
-                return Err(HistoryFileError::RecordCorrupt {
-                    index,
-                    offset,
-                    error: WireError::TrailingBytes(0),
-                });
             }
-            let expected = manifest.base_seq + index;
-            if seq != expected {
-                return Err(HistoryFileError::RecordSequence {
-                    index,
-                    offset,
-                    expected,
-                    found: seq,
-                });
-            }
-            records.push((seq, record));
-            rec_pos = payload_end;
-            index += 1;
         }
-        if index != manifest.record_count {
+        if records.len() as u64 != manifest.record_count {
             return Err(HistoryFileError::RecordCountMismatch {
                 expected: manifest.record_count,
-                found: index,
+                found: records.len() as u64,
             });
         }
         if sha256(records_bytes) != manifest.records.digest {
@@ -667,14 +466,8 @@ impl SessionHistory {
                         offset,
                     });
                 }
-                let mut input = slice;
-                let history = History::decode_from(&mut input)
+                let history = History::decode(slice)
                     .map_err(|error| HistoryFileError::HistoryCorrupt { error })?;
-                if !input.is_empty() {
-                    return Err(HistoryFileError::HistoryCorrupt {
-                        error: WireError::TrailingBytes(0),
-                    });
-                }
                 Some(history)
             }
             None => None,
@@ -702,31 +495,16 @@ impl SessionHistory {
     }
 
     /// Reads and parses a container from `path`.
-    pub fn read_from(path: &Path) -> Result<Self, HistoryReadError> {
-        let bytes = fs::read(path).map_err(HistoryReadError::Io)?;
-        SessionHistory::decode(&bytes).map_err(HistoryReadError::Format)
+    ///
+    /// # Errors
+    ///
+    /// [`SessionHistory::decode`]'s, and a file that cannot be read as
+    /// [`HistoryFileError::Sealed`] of [`StoreError::Io`].
+    pub fn read_from(path: &Path) -> Result<Self, HistoryFileError> {
+        let bytes = fs::read(path).map_err(|e| HistoryFileError::Sealed(e.into()))?;
+        SessionHistory::decode(&bytes)
     }
 }
-
-/// Error reading a history file from disk.
-#[derive(Debug)]
-pub enum HistoryReadError {
-    /// The file could not be read at all.
-    Io(io::Error),
-    /// The bytes are not a valid container.
-    Format(HistoryFileError),
-}
-
-impl fmt::Display for HistoryReadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HistoryReadError::Io(err) => write!(f, "cannot read history file: {err}"),
-            HistoryReadError::Format(err) => write!(f, "{err}"),
-        }
-    }
-}
-
-impl std::error::Error for HistoryReadError {}
 
 #[cfg(test)]
 mod tests {
@@ -785,17 +563,13 @@ mod tests {
             claimed_proofs: vec![None],
         }
         .encode();
-        let mut file = HISTORY_MAGIC.to_vec();
-        HISTORY_VERSION.encode_into(&mut file);
-        (manifest.len() as u32).encode_into(&mut file);
-        sha256(&manifest).encode_into(&mut file);
-        file.extend_from_slice(&manifest);
+        let mut file = HISTORY.seal(1, &manifest);
         file.extend_from_slice(&base);
-        assert_eq!(
+        assert!(matches!(
             SessionHistory::decode(&file),
             Err(HistoryFileError::StateCorrupt {
                 error: WireError::Truncated
             })
-        );
+        ));
     }
 }

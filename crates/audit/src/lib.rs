@@ -13,9 +13,11 @@
 //! fail-aware machinery, so agreement between the two is strong evidence
 //! both are right.
 //!
-//! * [`SessionHistory`] / [`mod@format`] — the container: checksummed
-//!   manifest binding checksummed sections; typed, offset-precise
-//!   rejection of damaged files ([`HistoryFileError`]).
+//! * [`SessionHistory`] / [`mod@format`] — the container: a sealed,
+//!   checksummed manifest binding checksummed sections, records in the
+//!   WAL's framing — both framings `faust-store`'s, read by its readers;
+//!   typed, offset-precise rejection of damaged files
+//!   ([`HistoryFileError`]).
 //! * [`export_store_dir`] / [`export_records`] / [`export`] — building
 //!   containers from a `faust-store` directory (via the read-only
 //!   `LogCursor`) or an in-memory record stream (the simulator).
@@ -39,8 +41,6 @@ pub mod json;
 pub mod replay;
 
 pub use export::{export_records, export_store_dir, ExportError};
-pub use format::{
-    HistoryFileError, HistoryReadError, Section, SessionHistory, HISTORY_MAGIC, HISTORY_VERSION,
-};
+pub use format::{HistoryFileError, Section, SessionHistory, HISTORY};
 pub use json::report_to_json;
 pub use replay::{audit, AuditError, AuditReport, AuditVerdict, Divergence, SigKind};

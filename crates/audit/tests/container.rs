@@ -1,15 +1,19 @@
 //! Container-format tests: round-trip fidelity and typed rejection of
-//! every class of damaged file. The shotgun tests mutate every
-//! byte-region class — manifest, record header, record payload,
-//! signature bytes — and a full sweep asserts that *any* single-byte
-//! flip and *any* truncation is rejected with a typed error, never a
-//! panic and never silent acceptance.
+//! every class of damaged file. The sealed header keeps the contract
+//! every `faust-store` sealed format keeps, and one sweep over the
+//! mutation harness `snapshot.bin`, `wal.bin` and `FAUSTSES` share
+//! asserts that *any* bit flip and *any* truncation — manifest, record
+//! header, record payload, signature bytes — is rejected with a typed
+//! error, never a panic and never silent acceptance, and that a damaged
+//! record is named by its own offset.
 
-use faust_audit::{export_records, HistoryFileError, Section, SessionHistory};
-use faust_crypto::SigScheme;
-use faust_store::testutil::clients;
-use faust_store::LogRecord;
-use faust_types::{ClientId, History, Value};
+use faust_audit::{export_records, HistoryFileError, Section, SessionHistory, HISTORY};
+use faust_crypto::{sha256, SigScheme};
+use faust_store::testutil::{
+    clients, mutations, scratch_dir, sealed_damage, sealed_overwrite, sealed_roundtrip_and_absence,
+};
+use faust_store::{LogRecord, StoreError};
+use faust_types::{ClientId, History, Value, Wire, WireError};
 use faust_ustor::{Server, UstorServer};
 
 /// Drives an honest 2-client session against a fresh in-memory server,
@@ -96,91 +100,94 @@ fn roundtrip_preserves_everything() {
 #[test]
 fn write_read_roundtrip_on_disk() {
     let session = honest_session(2);
-    let dir = faust_store::testutil::scratch_dir("audit-container-rt");
+    let dir = scratch_dir("audit-container-rt");
     let path = dir.join("session.fausthis");
     session.write_to(&path).expect("write container");
     let back = SessionHistory::read_from(&path).expect("read container");
     assert_eq!(back.records, session.records);
+    assert!(matches!(
+        SessionHistory::read_from(&dir.join("missing.fausthis")),
+        Err(HistoryFileError::Sealed(StoreError::Io(_)))
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_history_header_keeps_the_sealed_file_contract() {
+    let dir = scratch_dir("audit-container-sealed");
+    sealed_roundtrip_and_absence(&HISTORY, &dir.join("a.fausthis"));
+    sealed_overwrite(&HISTORY, &dir.join("b.fausthis"));
+    sealed_damage(&HISTORY, &dir.join("c.fausthis"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn truncated_preamble_is_typed() {
     let bytes = honest_session(1).encode();
-    assert_eq!(
-        SessionHistory::decode(&bytes[..7]),
-        Err(HistoryFileError::TruncatedPreamble { len: 7 })
-    );
-    assert_eq!(
-        SessionHistory::decode(&[]),
-        Err(HistoryFileError::TruncatedPreamble { len: 0 })
-    );
+    for cut in [&bytes[..7], &[]] {
+        assert!(matches!(
+            SessionHistory::decode(cut),
+            Err(HistoryFileError::Sealed(StoreError::TruncatedHeader {
+                file: "history"
+            }))
+        ));
+    }
 }
 
 #[test]
 fn bad_magic_is_typed() {
     let mut bytes = honest_session(1).encode();
     bytes[0] ^= 0x01;
-    assert_eq!(
+    assert!(matches!(
         SessionHistory::decode(&bytes),
-        Err(HistoryFileError::BadMagic)
-    );
+        Err(HistoryFileError::Sealed(StoreError::BadMagic {
+            file: "history"
+        }))
+    ));
 }
 
 #[test]
 fn unsupported_version_is_typed() {
     let mut bytes = honest_session(1).encode();
     bytes[11] = 99;
-    assert_eq!(
+    assert!(matches!(
         SessionHistory::decode(&bytes),
-        Err(HistoryFileError::UnsupportedVersion { version: 99 })
-    );
+        Err(HistoryFileError::Sealed(StoreError::UnsupportedVersion {
+            file: "history",
+            version: 99
+        }))
+    ));
 }
 
 #[test]
 fn manifest_bit_flip_is_pinned_to_the_manifest() {
     let mut bytes = honest_session(1).encode();
-    // First manifest byte lives right after the 12-byte preamble and the
-    // 36-byte manifest frame header.
+    // First manifest byte lives right after the sealed header: magic,
+    // version, length and a 32-byte digest.
     bytes[48] ^= 0x80;
-    assert_eq!(
+    assert!(matches!(
         SessionHistory::decode(&bytes),
-        Err(HistoryFileError::ManifestChecksum { offset: 48 })
-    );
+        Err(HistoryFileError::Sealed(StoreError::Checksum {
+            file: "history"
+        }))
+    ));
 }
 
 #[test]
 fn record_region_flips_are_pinned_to_the_record() {
-    let session = honest_session(2);
-    let clean = session.encode();
-    // Locate the records section: everything the manifest says. Rather
-    // than re-parse by hand, find the first record's frame by scanning
-    // for its known payload prefix (seq 0 = 8 zero bytes after the
-    // 36-byte frame header is fragile; instead use decode offsets from
-    // the typed errors themselves).
-    // Flip one byte at a time over the whole file; every failure inside
-    // the records section must name a record index and offset.
+    let clean = honest_session(2).encode();
     let mut record_errors = 0;
-    for pos in 0..clean.len() {
-        let mut bytes = clean.clone();
-        bytes[pos] ^= 0x40;
-        match SessionHistory::decode(&bytes) {
-            Err(
-                HistoryFileError::RecordChecksum { index, offset }
-                | HistoryFileError::RecordCorrupt { index, offset, .. }
-                | HistoryFileError::RecordTorn { index, offset }
-                | HistoryFileError::ImplausibleRecordLength { index, offset, .. }
-                | HistoryFileError::RecordSequence { index, offset, .. },
-            ) => {
+    for (at, bad) in mutations(&clean) {
+        match SessionHistory::decode(&bad) {
+            Ok(_) => panic!("damage at byte {at}/{} went undetected", clean.len()),
+            // The named offset is the frame of the record the damage
+            // landed in (or the one it derailed); it must not point past
+            // the damage.
+            Err(HistoryFileError::Record { offset, .. }) => {
+                assert!(offset <= at, "offset {offset} past damage at {at}");
                 record_errors += 1;
-                // The named offset is the frame of the record the flip
-                // landed in (or the one it derailed); it must not point
-                // past the flip.
-                assert!(offset <= pos, "offset {offset} past flip at {pos}");
-                assert!(index < session.records.len() as u64 + 1);
             }
             Err(_) => {}
-            Ok(_) => panic!("flip at byte {pos} went undetected"),
         }
     }
     // A healthy share of the file is record bytes; the sweep must have
@@ -219,10 +226,42 @@ fn trailing_bytes_are_rejected() {
     let mut bytes = honest_session(1).encode();
     let offset = bytes.len();
     bytes.push(0);
-    assert_eq!(
+    assert!(matches!(
         SessionHistory::decode(&bytes),
-        Err(HistoryFileError::TrailingBytes { offset })
-    );
+        Err(HistoryFileError::TrailingBytes { offset: o }) if o == offset
+    ));
+}
+
+#[test]
+fn leftover_client_history_bytes_are_counted() {
+    // The client-history section grows by two bytes its decoder does not
+    // read, under a recomputed section digest and a re-sealed manifest:
+    // the error counts them.
+    let session = honest_session(1);
+    let history = session.client_history.as_ref().unwrap().encode();
+    let mut longer = history.clone();
+    longer.extend_from_slice(&[0, 0]);
+    let mut bytes = session.encode();
+    bytes.extend_from_slice(&[0, 0]);
+    // The manifest's `len: u32 | sha256` entry for the section, found by
+    // its digest.
+    let digest = sha256(&history);
+    let at = bytes
+        .windows(32)
+        .position(|w| w == digest.as_bytes())
+        .unwrap();
+    bytes[at - 4..at].copy_from_slice(&(longer.len() as u32).to_be_bytes());
+    bytes[at..at + 32].copy_from_slice(sha256(&longer).as_bytes());
+    // magic 0..8 | version 8..12 | manifest_len 12..16 | sha256 16..48
+    let manifest_len = u32::from_be_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let resealed = sha256(&bytes[48..48 + manifest_len]);
+    bytes[16..48].copy_from_slice(resealed.as_bytes());
+    assert!(matches!(
+        SessionHistory::decode(&bytes),
+        Err(HistoryFileError::HistoryCorrupt {
+            error: WireError::TrailingBytes(2)
+        })
+    ));
 }
 
 #[test]
@@ -262,17 +301,19 @@ fn renumbered_records_are_rejected() {
     let last = session.records.len() - 1;
     session.records[last].0 += 5;
     let bytes = session.encode();
+    // The last record's frame: `len | sha256 | seq ‖ record`, right in
+    // front of the client-history section.
+    let history = session.client_history.as_ref().unwrap().encode().len();
+    let frame = 4 + 32 + 8 + session.records[last].1.encoded_len();
     match SessionHistory::decode(&bytes) {
-        Err(HistoryFileError::RecordSequence {
-            index,
-            expected,
-            found,
-            ..
+        Err(HistoryFileError::Record {
+            offset,
+            error: StoreError::SequenceGap { expected, found },
         }) => {
-            assert_eq!(index, last as u64);
+            assert_eq!(offset, bytes.len() - history - frame);
             assert_eq!(expected, last as u64);
             assert_eq!(found, last as u64 + 5);
         }
-        other => panic!("expected RecordSequence, got {other:?}"),
+        other => panic!("expected a SequenceGap record error, got {other:?}"),
     }
 }

@@ -637,10 +637,10 @@ fn load_session_history(
             .map_err(|e| format!("export {}: {e}", path.display()));
     }
     faust_audit::SessionHistory::read_from(path).map_err(|e| match e {
-        faust_audit::HistoryReadError::Io(err) => format!("read {}: {err}", path.display()),
-        faust_audit::HistoryReadError::Format(err) => {
-            format!("{} is not a valid session history: {err}", path.display())
+        faust_audit::HistoryFileError::Sealed(faust_store::StoreError::Io(err)) => {
+            format!("read {}: {err}", path.display())
         }
+        err => format!("{} is not a valid session history: {err}", path.display()),
     })
 }
 

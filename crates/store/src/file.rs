@@ -1,6 +1,7 @@
 //! How a file reaches the disk: the one crash-safe replace every file of
 //! the store and the client is written through, and the sealed container
-//! that `snapshot.bin` and the client's `FAUSTSES` session file share.
+//! that `snapshot.bin`, the client's `FAUSTSES` session file and
+//! `faust-audit`'s `FAUSTHIS` session history share.
 //!
 //! [`replace`] writes the new contents to a temp file beside the target,
 //! syncs it, renames it over the target and syncs the directory, so a
@@ -21,11 +22,14 @@
 //! and whatever else it does (`snapshot.bin`'s `SVER` layout). The reader
 //! validates magic, version, length and checksum before it hands out a
 //! single byte of payload, so a damaged file is a typed [`StoreError`]
-//! keyed by the file's name, never a partly loaded one.
+//! keyed by the file's name, never a partly loaded one. `FAUSTHIS` seals
+//! only its manifest this way and carries its sections behind it
+//! ([`Sealed::open`] hands those bytes back; [`Sealed::read`] refuses
+//! them).
 
 pub use crate::checksum::Checksum;
 use crate::StoreError;
-use faust_types::WireError;
+use faust_types::{Wire, WireError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, ErrorKind, Write};
 use std::path::Path;
@@ -91,7 +95,11 @@ impl<T: Copy> Sealed<T> {
 
     /// The file of `version`, whose payload `encode` appends once, behind
     /// room reserved for the header; the header is patched in place.
-    fn seal_with(&self, version: u32, encode: impl FnOnce(T, &mut Vec<u8>)) -> Vec<u8> {
+    ///
+    /// # Panics
+    ///
+    /// Panics for a version this build does not read.
+    pub fn seal_with(&self, version: u32, encode: impl FnOnce(T, &mut Vec<u8>)) -> Vec<u8> {
         let (checksum, selected) = self.row(version).expect("a version this build reads");
         let header = PREFIX + checksum.len();
         let mut bytes = vec![0; header];
@@ -149,6 +157,31 @@ impl<T: Copy> Sealed<T> {
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
+        let (selected, payload, _) = self.check(&bytes, true)?;
+        let header = bytes.len() - payload.len();
+        bytes.drain(..header);
+        Ok(Some((selected, bytes)))
+    }
+
+    /// Validates the sealed file at the front of `bytes`: what its version
+    /// selects, its payload, and whatever follows the payload, which a
+    /// format that carries more than one payload (`FAUSTHIS`) reads itself.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sealed::read`], except that bytes after the payload are not
+    /// an error.
+    pub fn open<'a>(&self, bytes: &'a [u8]) -> Result<(T, &'a [u8], &'a [u8]), StoreError> {
+        self.check(bytes, false)
+    }
+
+    /// Magic, version, length — bytes after the payload too, if `whole`
+    /// — then the checksum.
+    fn check<'a>(
+        &self,
+        bytes: &'a [u8],
+        whole: bool,
+    ) -> Result<(T, &'a [u8], &'a [u8]), StoreError> {
         let file = self.file;
         if bytes.len() < PREFIX {
             return Err(StoreError::TruncatedHeader { file });
@@ -156,27 +189,27 @@ impl<T: Copy> Sealed<T> {
         if bytes[..8] != self.magic[..] {
             return Err(StoreError::BadMagic { file });
         }
-        let word = |at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let version = word(8);
+        let mut words = &bytes[8..PREFIX];
+        let version = u32::decode_from(&mut words).expect("sized above");
         let Some((checksum, selected)) = self.row(version) else {
             return Err(StoreError::UnsupportedVersion { file, version });
         };
-        let len = word(12) as usize;
+        let len = u32::decode_from(&mut words).expect("sized above") as usize;
         let header = PREFIX + checksum.len();
         let Some(found) = bytes.len().checked_sub(header) else {
             return Err(StoreError::TruncatedHeader { file });
         };
-        if found != len {
-            let error = match found.checked_sub(len) {
-                Some(extra) => WireError::TrailingBytes(extra),
-                None => WireError::Truncated,
-            };
-            return Err(StoreError::Corrupt { file, error });
+        let corrupt = |error| Err(StoreError::Corrupt { file, error });
+        let Some(extra) = found.checked_sub(len) else {
+            return corrupt(WireError::Truncated);
+        };
+        if whole && extra > 0 {
+            return corrupt(WireError::TrailingBytes(extra));
         }
-        if !checksum.matches(&bytes[header..], &bytes[PREFIX..header]) {
+        let (payload, rest) = bytes[header..].split_at(len);
+        if !checksum.matches(payload, &bytes[PREFIX..header]) {
             return Err(StoreError::Checksum { file });
         }
-        bytes.drain(..header);
-        Ok(Some((selected, bytes)))
+        Ok((selected, payload, rest))
     }
 }

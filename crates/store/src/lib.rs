@@ -31,7 +31,7 @@
 //!   (temp file, fsync, rename, directory fsync) behind `wal.bin`,
 //!   `snapshot.bin`, the client's `FAUSTSES` and `faust-audit`'s
 //!   `FAUSTHIS`, and the sealed container (`magic | version | len |
-//!   checksum | payload`) the snapshot and `FAUSTSES` share.
+//!   checksum | payload`) the three of them share.
 //! * [`session`] — the client's `FAUSTSES` session file as a sealed
 //!   format (SHA-256 checksummed; `faust-core` owns its payload).
 //! * `checksum` (private) — the one module that knows the disk checksum:
@@ -71,7 +71,7 @@ pub mod snapshot;
 pub mod testutil;
 
 pub use codec::LogRecord;
-pub use log::{truncate_tail_records, wal_record_spans, LogCursor};
+pub use log::{truncate_tail_records, LogCursor};
 pub use server::{Durability, PersistentBackend, PersistentServer, SimClock, StoreConfig};
 
 use faust_types::WireError;
@@ -89,19 +89,19 @@ pub enum StoreError {
     Io(io::Error),
     /// A file did not start with its magic string (`file` names it).
     BadMagic {
-        /// Which file: `"wal"`, `"snapshot"` or `"session"`.
+        /// Which file: `"wal"`, `"snapshot"`, `"session"` or `"history"`.
         file: &'static str,
     },
     /// A file's format version is unknown to this build.
     UnsupportedVersion {
-        /// Which file: `"wal"`, `"snapshot"` or `"session"`.
+        /// Which file: `"wal"`, `"snapshot"`, `"session"` or `"history"`.
         file: &'static str,
         /// The version found on disk.
         version: u32,
     },
     /// A file ended inside its fixed-size header.
     TruncatedHeader {
-        /// Which file: `"wal"`, `"snapshot"` or `"session"`.
+        /// Which file: `"wal"`, `"snapshot"`, `"session"` or `"history"`.
         file: &'static str,
     },
     /// The on-disk state was written for a different client count.
@@ -114,13 +114,13 @@ pub enum StoreError {
     /// A sealed file's payload ([`file::Sealed`]) does not match the
     /// checksum in its header.
     Checksum {
-        /// Which file: `"snapshot"` or `"session"`.
+        /// Which file: `"snapshot"`, `"session"` or `"history"`.
         file: &'static str,
     },
     /// A sealed file ended inside its payload or ran past it, or the
     /// payload failed to decode.
     Corrupt {
-        /// Which file: `"snapshot"` or `"session"`.
+        /// Which file: `"snapshot"`, `"session"` or `"history"`.
         file: &'static str,
         /// The wire-level error.
         error: WireError,

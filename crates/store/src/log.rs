@@ -48,9 +48,9 @@
 //! optionally `fsync` ([`Durability::Always`](crate::Durability)) —
 //! the caller acknowledges the client only after the append returns.
 //!
-//! Every reader — recovery, [`Wal::open`], [`LogCursor`], [`Wal::scan`],
-//! [`wal_record_spans`] and [`truncate_tail_records`] — walks the file
-//! once, front to back, through one buffered record reader, so its
+//! Every reader — recovery, [`Wal::open`], [`LogCursor`] and
+//! [`truncate_tail_records`] — walks the file once, front to back,
+//! through one buffered [`RecordReader`], so its
 //! memory is the largest record, never the file. Reading is strict: any
 //! anomaly is a structured [`StoreError`], including a torn final
 //! record. A torn tail after a real crash is *expected* (the
@@ -143,6 +143,20 @@ impl Framing {
     pub const fn overhead(self) -> usize {
         4 + self.checksum().len()
     }
+
+    /// Appends record `seq` to `out` in this framing: room for the length
+    /// prefix and checksum, `seq`, the body `encode` appends, then the
+    /// prefix and checksum patched in place — the one record writer,
+    /// behind [`Wal::append`] and `faust-audit`'s `FAUSTHIS` records.
+    pub fn frame(self, seq: u64, out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+        let start = out.len();
+        out.resize(start + self.overhead(), 0);
+        seq.encode_into(out);
+        encode(out);
+        let (head, payload) = out[start..].split_at_mut(self.overhead());
+        head[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        self.checksum().write(payload, &mut head[4..]);
+    }
 }
 
 /// A parsed log header.
@@ -201,22 +215,6 @@ pub struct ScannedRecord {
     /// Byte range of the whole record (length prefix included) within
     /// the log file.
     pub span: Range<usize>,
-}
-
-/// Result of a strict full-file scan.
-#[derive(Debug)]
-pub struct WalContents {
-    /// The parsed header.
-    pub header: WalHeader,
-    /// Every record, in sequence order.
-    pub records: Vec<ScannedRecord>,
-}
-
-impl WalContents {
-    /// Sequence number the next appended record would carry.
-    pub fn next_seq(&self) -> u64 {
-        self.header.base_seq + self.records.len() as u64
-    }
 }
 
 /// An open, appendable write-ahead log.
@@ -287,9 +285,9 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Any anomaly (see [`Wal::scan`]) or file-system error.
+    /// Any anomaly ([`RecordReader::next_record`]) or file-system error.
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
-        Self::resume(Self::reader(dir)?)
+        Self::resume(dir, Self::reader(dir)?)
     }
 
     /// A reader over `dir`'s log, opened for appending too, so that
@@ -299,11 +297,11 @@ impl Wal {
         RecordReader::open(&dir.join(WAL_FILE), true)
     }
 
-    /// Verifies whatever records `reader` (from [`Wal::reader`]) has not
-    /// read yet, then opens its file for appending at the end: the next
-    /// sequence number, the record count and the delta base are the
-    /// walk's.
-    pub(crate) fn resume(mut reader: RecordReader) -> Result<Self, StoreError> {
+    /// Verifies whatever records `reader` (from [`Wal::reader`] on `dir`)
+    /// has not read yet, then opens its file for appending at the end:
+    /// the next sequence number, the record count and the delta base are
+    /// the walk's.
+    pub(crate) fn resume(dir: &Path, mut reader: RecordReader) -> Result<Self, StoreError> {
         while reader.next_record()?.is_some() {}
         Ok(Wal {
             records: reader.next_seq - reader.header.base_seq,
@@ -311,46 +309,9 @@ impl Wal {
             header: reader.header,
             base: reader.base,
             file: reader.input.into_inner(),
-            path: reader.path,
+            path: dir.join(WAL_FILE),
             scratch: Vec::new(),
         })
-    }
-
-    /// Strictly parses the whole file at `path`: header, then every
-    /// record, collected — a convenience for tests and tools; recovery
-    /// streams instead. Never panics; any anomaly is a structured
-    /// [`StoreError`] naming the first offending record.
-    ///
-    /// # Errors
-    ///
-    /// See [`StoreError`] — torn tails, checksum mismatches, undecodable
-    /// payloads, duplicate or gapped sequence numbers, implausible
-    /// lengths, header problems.
-    pub fn scan(path: &Path) -> Result<WalContents, StoreError> {
-        match Self::scan_prefix(path)? {
-            (_, Some(anomaly)) => Err(anomaly),
-            (contents, None) => Ok(contents),
-        }
-    }
-
-    /// Tolerant variant of [`Wal::scan`]: collects the longest valid
-    /// prefix and returns it *together with* the anomaly that stopped
-    /// the walk, if any — never absorbing the anomaly silently.
-    ///
-    /// # Errors
-    ///
-    /// I/O and header problems are still hard errors — without a valid
-    /// header there is no prefix to speak of, and a failed read says
-    /// nothing about the bytes behind it.
-    pub fn scan_prefix(path: &Path) -> Result<(WalContents, Option<StoreError>), StoreError> {
-        let mut reader = RecordReader::open(path, false)?;
-        let mut records = Vec::new();
-        let anomaly = reader.walk_valid(|rec, _| {
-            records.push(rec);
-            Ok(())
-        })?;
-        let header = reader.header;
-        Ok((WalContents { header, records }, anomaly))
     }
 
     /// Appends one record and, if `sync`, makes it durable before
@@ -363,18 +324,13 @@ impl Wal {
     /// Propagates write/sync errors; on error the caller must treat the
     /// record as *not* logged (and must not acknowledge the client).
     pub fn append(&mut self, record: &LogRecord, sync: bool) -> Result<u64, StoreError> {
-        // Encode once behind room for the prefix, checksum in place, patch it.
-        let framing = self.header.framing;
-        let buf = &mut self.scratch;
-        buf.clear();
-        buf.resize(framing.overhead(), 0);
-        self.next_seq.encode_into(buf);
+        let (framing, n) = (self.header.framing, self.header.n);
         let base = self.base.as_ref().filter(|_| framing.commit_deltas());
-        encode_body(record, base, self.header.n, buf);
-        let (head, payload) = buf.split_at_mut(framing.overhead());
-        head[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-        framing.checksum().write(payload, &mut head[4..]);
-        self.file.write_all(buf)?;
+        self.scratch.clear();
+        framing.frame(self.next_seq, &mut self.scratch, |out| {
+            encode_body(record, base, n, out)
+        });
+        self.file.write_all(&self.scratch)?;
         if sync {
             self.file.sync_data()?;
         }
@@ -450,20 +406,19 @@ fn encode_body(record: &LogRecord, base: Option<&DeltaBase>, n: usize, out: &mut
     msg.proof_sig.encode_into(out);
 }
 
-/// Walks one file's records in order, from a buffered reader: the
-/// framing from its header, and the last COMMIT version read so far,
-/// which a delta resolves against. Every reader of the log steps through
-/// [`RecordReader::next_record`], the single place that walks the record
-/// layout.
+/// Walks records in order from any reader — a log file, buffered, or
+/// `FAUSTHIS`'s records section: the framing from their header, and the
+/// last COMMIT version read so far, which a delta resolves against. Every
+/// reader of the record layout steps through
+/// [`RecordReader::next_record`], the single place that walks it.
 ///
 /// One buffer, reused, holds the record being read, so a walk needs the
 /// largest record's bytes and not the file's. A payload is read through
 /// `Read::take(len)`, so a torn or lying length prefix costs only the
 /// bytes that are really there.
 #[derive(Debug)]
-pub(crate) struct RecordReader {
-    input: BufReader<File>,
-    path: PathBuf,
+pub struct RecordReader<R = BufReader<File>> {
+    input: R,
     header: WalHeader,
     base: Option<DeltaBase>,
     /// The record last read: length prefix, checksum and payload, as
@@ -485,19 +440,30 @@ impl RecordReader {
         (&mut input)
             .take(WAL_HEADER_LEN as u64)
             .read_to_end(&mut head)?;
-        let header = WalHeader::decode(&head)?;
-        Ok(RecordReader {
+        Ok(RecordReader::new(
             input,
-            path: path.to_path_buf(),
+            WalHeader::decode(&head)?,
+            WAL_HEADER_LEN,
+        ))
+    }
+}
+
+impl<R: Read> RecordReader<R> {
+    /// A reader of the records `input` holds under `header`, whose first
+    /// record sits at byte offset `pos` — what spans and
+    /// [`RecordReader::pos`] count from.
+    pub fn new(input: R, header: WalHeader, pos: usize) -> Self {
+        RecordReader {
+            input,
             header,
             base: None,
             frame: Vec::new(),
-            pos: WAL_HEADER_LEN,
+            pos,
             next_seq: header.base_seq,
-        })
+        }
     }
 
-    /// The parsed header.
+    /// The header the records are read under.
     pub(crate) fn header(&self) -> WalHeader {
         self.header
     }
@@ -505,6 +471,12 @@ impl RecordReader {
     /// Sequence number the next record must carry.
     pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Byte offset of the next record — after an error, of the record
+    /// that failed.
+    pub fn pos(&self) -> usize {
+        self.pos
     }
 
     /// Appends up to `len` more bytes of the file to the frame; returns
@@ -516,7 +488,14 @@ impl RecordReader {
     /// Reads the next record. `Ok(None)` at the exact end of the file;
     /// every anomaly is a structured [`StoreError`] naming the record,
     /// after which the reader must not be used again.
-    pub(crate) fn next_record(&mut self) -> Result<Option<ScannedRecord>, StoreError> {
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::TornRecord`], [`StoreError::ImplausibleRecordLength`],
+    /// [`StoreError::RecordChecksum`], [`StoreError::DuplicateRecord`],
+    /// [`StoreError::SequenceGap`], [`StoreError::RecordCorrupt`] and
+    /// read errors.
+    pub fn next_record(&mut self) -> Result<Option<ScannedRecord>, StoreError> {
         let seq = self.next_seq;
         let framing = self.header.framing;
         let overhead = framing.overhead();
@@ -691,17 +670,6 @@ impl Iterator for LogCursor {
     }
 }
 
-/// Byte spans of every valid record in `dir`'s log, in order — the
-/// corruption tests use these to address records without duplicating
-/// format knowledge.
-///
-/// # Errors
-///
-/// Propagates anomalies (the log must currently be valid).
-pub fn wal_record_spans(dir: &Path) -> Result<Vec<Range<usize>>, StoreError> {
-    LogCursor::open(dir)?.map(|r| r.map(|r| r.span)).collect()
-}
-
 /// Removes the last `k` records from `dir`'s log — **the rollback
 /// attack**, packaged for tests and attack demonstrations.
 ///
@@ -713,8 +681,8 @@ pub fn wal_record_spans(dir: &Path) -> Result<Vec<Range<usize>>, StoreError> {
 /// An honest operator has one legitimate use: dropping a *torn* tail
 /// after a crash, where the half-written record was never acknowledged.
 ///
-/// The log is read tolerantly, as [`Wal::scan_prefix`] reads it, so this
-/// tool works on exactly the logs strict recovery refuses: `k` counts
+/// The log is read tolerantly — each valid record up to the first anomaly
+/// — so this tool works on exactly the logs strict recovery refuses: `k` counts
 /// *valid* records to drop, and any anomalous trailing bytes (the torn
 /// record) are discarded along with them — `truncate_tail_records(dir,
 /// 0)` repairs a torn tail without touching a single acknowledged
@@ -774,6 +742,12 @@ mod tests {
         client.begin_write(Value::unique(i, round)).unwrap()
     }
 
+    /// Every record of `dir`'s log, or the first anomaly: what the
+    /// cursor yields, collected.
+    fn scan(dir: &Path) -> Result<Vec<ScannedRecord>, StoreError> {
+        LogCursor::open(dir)?.collect()
+    }
+
     fn record(i: u32, round: u64) -> LogRecord {
         LogRecord::Submit {
             from: ClientId::new(i),
@@ -794,11 +768,10 @@ mod tests {
 
         let wal = Wal::open(&dir).unwrap();
         assert_eq!((wal.n(), wal.next_seq(), wal.records()), (4, 3, 3));
-        let contents = Wal::scan(wal.path()).unwrap();
-        assert_eq!(contents.header.base_seq, 0);
-        assert_eq!(contents.records.len(), 3);
-        assert_eq!(contents.next_seq(), 3);
-        for (i, rec) in contents.records.iter().enumerate() {
+        assert_eq!(LogCursor::open(&dir).unwrap().header().base_seq, 0);
+        let records = scan(&dir).unwrap();
+        assert_eq!(records.len(), 3);
+        for (i, rec) in records.iter().enumerate() {
             assert_eq!(rec.seq, i as u64);
             assert_eq!(rec.record.from(), ClientId::new(i as u32));
         }
@@ -813,8 +786,7 @@ mod tests {
         drop(wal);
         let mut wal = Wal::open(&dir).unwrap();
         assert_eq!(wal.append(&record(1, 0), false).unwrap(), 1);
-        let contents = Wal::scan(wal.path()).unwrap();
-        assert_eq!(contents.records.len(), 2);
+        assert_eq!(scan(&dir).unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -823,9 +795,8 @@ mod tests {
         let dir = scratch_dir("wal-rotate");
         let mut wal = Wal::create(&dir, 2, 17, false).unwrap();
         assert_eq!(wal.append(&record(0, 0), false).unwrap(), 17);
-        let contents = Wal::scan(&dir.join(WAL_FILE)).unwrap();
-        assert_eq!(contents.header.base_seq, 17);
-        assert_eq!(contents.records[0].seq, 17);
+        assert_eq!(LogCursor::open(&dir).unwrap().header().base_seq, 17);
+        assert_eq!(scan(&dir).unwrap()[0].seq, 17);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -839,9 +810,9 @@ mod tests {
         drop(wal);
         assert_eq!(truncate_tail_records(&dir, 2).unwrap(), 2);
         // The rolled-back log scans cleanly — locally undetectable.
-        let contents = Wal::scan(&dir.join(WAL_FILE)).unwrap();
-        assert_eq!(contents.records.len(), 2);
-        assert_eq!(contents.next_seq(), 2);
+        let mut cursor = LogCursor::open(&dir).unwrap();
+        assert_eq!(cursor.by_ref().map(Result::unwrap).count(), 2);
+        assert_eq!(cursor.next_seq(), 2);
         // Over-truncation clamps to empty.
         assert_eq!(truncate_tail_records(&dir, 99).unwrap(), 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -933,10 +904,10 @@ mod tests {
             wal.append(&commit(0, &[1, 0, 0, 0], &d), false).unwrap();
             wal.append(&commit(0, &[2, 0, 0, 0], &d), false).unwrap();
             drop(wal);
-            let contents = Wal::scan(&dir.join(WAL_FILE)).unwrap();
-            assert_eq!(contents.header.framing, framing);
-            assert_eq!(contents.records.len(), 5);
-            for rec in &contents.records {
+            assert_eq!(LogCursor::open(&dir).unwrap().header().framing, framing);
+            let records = scan(&dir).unwrap();
+            assert_eq!(records.len(), 5);
+            for rec in &records {
                 let payload = 8 + rec.record.encoded_len();
                 assert_eq!(rec.span.len(), overhead + payload, "{framing:?}");
             }
@@ -949,7 +920,7 @@ mod tests {
             let mut wal = Wal::open(&dir).unwrap();
             assert_eq!(wal.framing(), framing);
             assert_eq!(wal.append(&record(3, 0), false).unwrap(), 4);
-            assert_eq!(Wal::scan(wal.path()).unwrap().records.len(), 5);
+            assert_eq!(scan(&dir).unwrap().len(), 5);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -966,7 +937,7 @@ mod tests {
             drop(wal);
             append_raw(&dir, framing, 2, &[0xEE]); // no such record tag
             assert!(matches!(
-                Wal::scan(&dir.join(WAL_FILE)).unwrap_err(),
+                scan(&dir).unwrap_err(),
                 StoreError::RecordCorrupt { seq: 2, .. }
             ));
         }
@@ -1021,11 +992,10 @@ mod tests {
             wal.append(r, false).unwrap();
         }
         drop(wal);
-        let contents = Wal::scan(&dir.join(WAL_FILE)).unwrap();
-        let scanned: Vec<&LogRecord> = contents.records.iter().map(|r| &r.record).collect();
+        let contents = scan(&dir).unwrap();
+        let scanned: Vec<&LogRecord> = contents.iter().map(|r| &r.record).collect();
         assert_eq!(scanned, records.iter().collect::<Vec<_>>());
         let full: Vec<bool> = contents
-            .records
             .iter()
             .map(|r| stored_in_full(r, Framing::V3))
             .collect();
@@ -1035,8 +1005,8 @@ mod tests {
         );
         // 12 B framing, 8 B seq, tag, from, count, one entry of 4 + 8 + 33
         // bytes and two 33-byte signatures.
-        assert_eq!(contents.records[2].span.len(), 12 + 8 + 1 + 4 + 4 + 45 + 66);
-        assert_eq!(contents.records[4].span.len(), 12 + 8 + 1 + 4 + 4 + 66);
+        assert_eq!(contents[2].span.len(), 12 + 8 + 1 + 4 + 4 + 45 + 66);
+        assert_eq!(contents[4].span.len(), 12 + 8 + 1 + 4 + 4 + 66);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1093,7 +1063,7 @@ mod tests {
             };
             drop(wal);
             append_raw(&dir, Framing::V3, seq, &body);
-            match Wal::scan(&dir.join(WAL_FILE)).unwrap_err() {
+            match scan(&dir).unwrap_err() {
                 StoreError::RecordCorrupt { seq: s, error: e } => {
                     assert_eq!((s, e), (seq, error), "{what}")
                 }
@@ -1107,7 +1077,7 @@ mod tests {
         drop(wal);
         append_raw(&dir, Framing::V2, 1, &delta(&[(0, 2)]));
         assert!(matches!(
-            Wal::scan(&dir.join(WAL_FILE)).unwrap_err(),
+            scan(&dir).unwrap_err(),
             StoreError::RecordCorrupt {
                 seq: 1,
                 error: WireError::BadTag(3)
@@ -1176,7 +1146,7 @@ mod tests {
             for r in first {
                 wal.append(r, false).unwrap();
             }
-            let mut scanned = Wal::scan(wal.path()).unwrap().records;
+            let mut scanned = scan(&dir).unwrap();
             // Rotation: a fresh file continues the numbering.
             let mut wal = Wal::create(&dir, n, 100, false).unwrap();
             for r in second {
@@ -1187,17 +1157,16 @@ mod tests {
             for r in third {
                 wal.append(r, false).unwrap();
             }
-            let second_file = Wal::scan(wal.path()).unwrap();
-            assert_eq!(second_file.header.base_seq, 100);
+            assert_eq!(LogCursor::open(&dir).unwrap().header().base_seq, 100);
+            let second_file = scan(&dir).unwrap();
             // At n = 1 a one-entry delta is exactly as long as the full
             // version, so the full one is kept.
             let deltas = second_file
-                .records
                 .iter()
                 .filter(|r| !stored_in_full(r, Framing::V3))
                 .count();
             assert!((deltas > 10) == (n > 1), "n = {n}: {deltas} deltas");
-            scanned.extend(second_file.records);
+            scanned.extend(second_file);
             let got: Vec<(u64, &LogRecord)> = scanned.iter().map(|r| (r.seq, &r.record)).collect();
             let want: Vec<(u64, &LogRecord)> = (0..).zip(&records).collect();
             assert_eq!(got, want, "n = {n}");
@@ -1244,21 +1213,19 @@ mod tests {
 
         // The log was rotated at least once (snapshot taken), so the
         // cursor starts mid-sequence — exactly where recovery does.
-        let recovered = Wal::scan(&dir.join(WAL_FILE)).unwrap();
-        assert!(recovered.header.base_seq > 0, "rotation happened");
-
         let cursor = LogCursor::open(&dir).unwrap();
-        assert_eq!(cursor.header(), recovered.header);
+        let base_seq = cursor.header().base_seq;
+        assert!(base_seq > 0, "rotation happened");
         let seen: Vec<(u64, Vec<u8>)> = cursor
             .map(|r| r.map(|rec| (rec.seq, rec.record.encode())))
             .collect::<Result<_, _>>()
             .unwrap();
-        let expected: Vec<(u64, Vec<u8>)> = recovered
-            .records
-            .iter()
-            .map(|rec| (rec.seq, rec.record.encode()))
-            .collect();
-        assert_eq!(seen, expected);
+        // What recovery replays from the log: the records from base_seq
+        // up to the server's next sequence number, applied on top of the
+        // snapshot.
+        let recovered = PersistentServer::recover(&dir, 2, StoreConfig::default()).unwrap();
+        let seqs: Vec<u64> = seen.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, (base_seq..recovered.next_seq()).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1289,7 +1256,7 @@ mod tests {
     #[test]
     fn scan_reports_missing_file_as_io() {
         let dir = scratch_dir("wal-missing");
-        let err = Wal::scan(&dir.join(WAL_FILE)).unwrap_err();
+        let err = LogCursor::open(&dir).unwrap_err();
         assert!(matches!(err, StoreError::Io(_)));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1306,7 +1273,7 @@ mod tests {
         bad[0] ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
-            Wal::scan(&path).unwrap_err(),
+            LogCursor::open(&dir).unwrap_err(),
             StoreError::BadMagic { file: "wal" }
         ));
 
@@ -1315,7 +1282,7 @@ mod tests {
             let mut bad = good.clone();
             bad[8..12].copy_from_slice(&version.to_be_bytes());
             std::fs::write(&path, &bad).unwrap();
-            match Wal::scan(&path).unwrap_err() {
+            match LogCursor::open(&dir).unwrap_err() {
                 StoreError::UnsupportedVersion {
                     file: "wal",
                     version: v,
@@ -1329,7 +1296,7 @@ mod tests {
         // Truncated header.
         std::fs::write(&path, &good[..10]).unwrap();
         assert!(matches!(
-            Wal::scan(&path).unwrap_err(),
+            LogCursor::open(&dir).unwrap_err(),
             StoreError::TruncatedHeader { file: "wal" }
         ));
         std::fs::remove_dir_all(&dir).ok();

@@ -351,7 +351,7 @@ impl PersistentServer {
                 log_next: log.next_seq(),
             });
         }
-        let wal = Wal::resume(log)?;
+        let wal = Wal::resume(dir, log)?;
         let resume = session_resume(&inner, caches);
         Ok(PersistentServer {
             dir: dir.to_path_buf(),

@@ -8,11 +8,13 @@
 //! `tests/attacks.rs`).
 
 use faust_store::codec::{encode_state, SverLayout};
-use faust_store::log::{Framing, Wal, RECORD_OVERHEAD, WAL_FILE, WAL_HEADER_LEN};
+use faust_store::log::{
+    Framing, ScannedRecord, WalHeader, RECORD_OVERHEAD, WAL_FILE, WAL_HEADER_LEN,
+};
 use faust_store::snapshot::{read_snapshot, write_snapshot, Snapshot, SNAPSHOT, SNAPSHOT_FILE};
 use faust_store::testutil::{self, clients, mutations, run_op};
 use faust_store::{
-    truncate_tail_records, wal_record_spans, Durability, PersistentServer, StoreConfig, StoreError,
+    truncate_tail_records, Durability, LogCursor, PersistentServer, StoreConfig, StoreError,
 };
 use faust_types::{Value, Version, Wire, WireError};
 use faust_ustor::{ServerState, UstorServer};
@@ -42,7 +44,10 @@ fn seeded_store(dir: &Path) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
     assert_eq!(server.next_seq(), 6);
     drop(server);
     let bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
-    let spans = wal_record_spans(dir).unwrap();
+    let spans: Vec<_> = LogCursor::open(dir)
+        .unwrap()
+        .map(|record| record.unwrap().span)
+        .collect();
     assert_eq!(spans.len(), 6);
     (bytes, spans)
 }
@@ -56,11 +61,7 @@ fn flipped_byte_is_a_checksum_mismatch() {
     let dir = testutil::scratch_dir("corrupt-flip");
     let (good, spans) = seeded_store(&dir);
     // Flip one payload byte of record 2 (past its length + checksum).
-    let overhead = Wal::scan(&dir.join(WAL_FILE))
-        .unwrap()
-        .header
-        .framing
-        .overhead();
+    let overhead = LogCursor::open(&dir).unwrap().header().framing.overhead();
     let mut bad = good.clone();
     bad[spans[2].start + overhead + 3] ^= 0x40;
     write_log(&dir, &bad);
@@ -205,64 +206,82 @@ fn recover_never_panics_on_random_tail_garbage() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The log in `dir` as a [`LogCursor`] walks it: its header, the records
+/// in front of the first anomaly, and that anomaly. Header problems are
+/// the `Err`.
+fn walk(dir: &Path) -> Result<(WalHeader, Vec<ScannedRecord>, Option<StoreError>), StoreError> {
+    let cursor = LogCursor::open(dir)?;
+    let header = cursor.header();
+    let mut records = Vec::new();
+    for item in cursor {
+        match item {
+            Ok(record) => records.push(record),
+            Err(anomaly) => return Ok((header, records, Some(anomaly))),
+        }
+    }
+    Ok((header, records, None))
+}
+
 /// Runs the harness over the pristine log at `dir`: whatever the damage,
-/// the strict scan answers with a typed error and the tolerant one with
-/// exactly the records in front of it — never a panic, never a shorter
-/// log passed off as whole. Three outcomes are `Ok` by construction and
-/// are pinned as such: a cut at a record boundary is the rollback no
-/// local check can see (`boundary_truncation_recovers_locally_but_rolls_back`),
-/// the header's client count has nothing in the file to contradict it —
+/// the walk ends in a typed error after exactly the records in front of
+/// it — never a panic, never a shorter log passed off as whole. Three
+/// outcomes end without an anomaly by construction and are pinned as
+/// such: a cut at a record boundary is the rollback no local check can
+/// see (`boundary_truncation_recovers_locally_but_rolls_back`), the
+/// header's client count has nothing in the file to contradict it —
 /// `recover` compares it with the count it was asked for — and a version
 /// flip from 2 to 3 reads the same records, because version 3 only adds
 /// a record form.
 fn sweep_log(dir: &Path, framing: Framing, n: usize) {
-    let path = dir.join(WAL_FILE);
-    let good = std::fs::read(&path).unwrap();
-    let pristine = Wal::scan(&path).unwrap();
-    assert_eq!(pristine.header.framing, framing);
-    assert!(pristine.records.len() >= 4);
-    let encoded = |records: &[faust_store::log::ScannedRecord]| -> Vec<(u64, Vec<u8>)> {
+    let good = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    let (header, pristine, None) = walk(dir).unwrap() else {
+        panic!("the pristine log walks to its end");
+    };
+    assert_eq!(header.framing, framing);
+    assert!(pristine.len() >= 4);
+    let encoded = |records: &[ScannedRecord]| -> Vec<(u64, Vec<u8>)> {
         records
             .iter()
             .map(|r| (r.seq, faust_types::Wire::encode(&r.record)))
             .collect()
     };
-    let want = encoded(&pristine.records);
+    let want = encoded(&pristine);
     for (at, bad) in mutations(&good) {
         write_log(dir, &bad);
-        let strict = Wal::scan(&path);
         if at < WAL_HEADER_LEN {
             // magic 0..8 | version 8..12 | n 12..16 | base_seq 16..24
             let cut = bad.len() < good.len();
-            match (strict, at) {
+            match (walk(dir), at) {
                 (Err(StoreError::TruncatedHeader { file: "wal" }), _) if cut => {}
                 (Err(StoreError::BadMagic { file: "wal" }), 0..=7) if !cut => {}
                 (Err(StoreError::UnsupportedVersion { file: "wal", .. }), 8..=11) if !cut => {}
                 // Another known version: v2 → v3 reads the very records,
                 // anything else misframes them or meets a delta it must
-                // not accept — and the tolerant scan keeps only records
-                // that are exactly the pristine ones.
-                (Ok(contents), 11) if !cut => {
-                    assert_ne!(contents.header.framing, framing);
-                    assert_eq!(encoded(&contents.records), want);
+                // not accept — and the walk yields only records that are
+                // exactly the pristine ones.
+                (Ok((flipped, records, None)), 11) if !cut => {
+                    assert_ne!(flipped.framing, framing);
+                    assert_eq!(encoded(&records), want);
                 }
                 (
-                    Err(
-                        StoreError::RecordCorrupt { .. }
-                        | StoreError::RecordChecksum { .. }
-                        | StoreError::TornRecord { .. }
-                        | StoreError::ImplausibleRecordLength { .. },
-                    ),
+                    Ok((
+                        _,
+                        records,
+                        Some(
+                            StoreError::RecordCorrupt { .. }
+                            | StoreError::RecordChecksum { .. }
+                            | StoreError::TornRecord { .. }
+                            | StoreError::ImplausibleRecordLength { .. },
+                        ),
+                    )),
                     11,
                 ) if !cut => {
-                    let (prefix, anomaly) = Wal::scan_prefix(&path).unwrap();
-                    assert!(anomaly.is_some());
-                    let prefix = encoded(&prefix.records);
+                    let prefix = encoded(&records);
                     assert_eq!(prefix, want[..prefix.len()], "version flip");
                 }
-                (Ok(contents), 12..=15) if !cut => {
-                    assert_ne!(contents.header.n, n);
-                    assert_eq!(encoded(&contents.records), want);
+                (Ok((flipped, records, None)), 12..=15) if !cut => {
+                    assert_ne!(flipped.n, n);
+                    assert_eq!(encoded(&records), want);
                     assert!(matches!(
                         PersistentServer::recover(dir, n, no_sync()),
                         Err(StoreError::ClientCountMismatch { .. })
@@ -271,20 +290,27 @@ fn sweep_log(dir: &Path, framing: Framing, n: usize) {
                 // Except that a delta resolves only against a base of
                 // the header's arity: the first one in the file objects.
                 (
-                    Err(StoreError::RecordCorrupt {
-                        seq,
-                        error: WireError::BadLength(arity),
-                    }),
+                    Ok((
+                        _,
+                        records,
+                        Some(StoreError::RecordCorrupt {
+                            seq,
+                            error: WireError::BadLength(arity),
+                        }),
+                    )),
                     12..=15,
                 ) if !cut && framing.commit_deltas() => {
                     assert_eq!(arity, n as u64);
-                    let (prefix, _) = Wal::scan_prefix(&path).unwrap();
-                    let intact = (seq - pristine.header.base_seq) as usize;
-                    assert_eq!(encoded(&prefix.records), want[..intact]);
+                    let intact = (seq - header.base_seq) as usize;
+                    assert_eq!(encoded(&records), want[..intact]);
                 }
                 // A base_seq flip renumbers the file under its records.
                 (
-                    Err(StoreError::DuplicateRecord { .. } | StoreError::SequenceGap { .. }),
+                    Ok((
+                        _,
+                        _,
+                        Some(StoreError::DuplicateRecord { .. } | StoreError::SequenceGap { .. }),
+                    )),
                     16..=23,
                 ) if !cut => {}
                 (other, _) => panic!("header damage at {at} (cut: {cut}): {other:?}"),
@@ -292,31 +318,22 @@ fn sweep_log(dir: &Path, framing: Framing, n: usize) {
             continue;
         }
         // Records wholly in front of the damage.
-        let intact = pristine
-            .records
-            .iter()
-            .take_while(|r| r.span.end <= at)
-            .count();
-        let (prefix, anomaly) = Wal::scan_prefix(&path).unwrap();
-        assert_eq!(encoded(&prefix.records), want[..intact], "damage at {at}");
+        let intact = pristine.iter().take_while(|r| r.span.end <= at).count();
+        let (_, prefix, anomaly) = walk(dir).unwrap();
+        assert_eq!(encoded(&prefix), want[..intact], "damage at {at}");
         let boundary_cut = bad.len() < good.len()
-            && (at == WAL_HEADER_LEN || pristine.records.iter().any(|r| r.span.end == at));
-        match strict {
-            Ok(contents) => {
-                assert!(boundary_cut, "damage at {at} went unnoticed");
-                assert!(anomaly.is_none());
-                assert_eq!(contents.records.len(), intact);
-            }
-            Err(
+            && (at == WAL_HEADER_LEN || pristine.iter().any(|r| r.span.end == at));
+        match anomaly {
+            None => assert!(boundary_cut, "damage at {at} went unnoticed"),
+            Some(
                 StoreError::TornRecord { seq, .. }
                 | StoreError::RecordChecksum { seq }
                 | StoreError::ImplausibleRecordLength { seq, .. },
             ) => {
                 assert!(!boundary_cut);
-                assert_eq!(seq, pristine.header.base_seq + intact as u64);
-                assert!(anomaly.is_some());
+                assert_eq!(seq, header.base_seq + intact as u64);
             }
-            Err(other) => panic!("damage at {at}: unexpected {other}"),
+            Some(other) => panic!("damage at {at}: unexpected {other}"),
         }
     }
 }
@@ -338,10 +355,9 @@ fn every_truncation_and_bit_flip_of_a_v1_v2_and_v3_log_is_typed() {
     let v3 = testutil::scratch_dir("corrupt-sweep-v3");
     drop(script::run(&v3));
     std::fs::remove_file(v3.join("snapshot.bin")).unwrap();
-    let deltas = Wal::scan(&v3.join(WAL_FILE))
+    let deltas = LogCursor::open(&v3)
         .unwrap()
-        .records
-        .iter()
+        .map(Result::unwrap)
         .filter(|r| r.span.len() < RECORD_OVERHEAD + 8 + faust_types::Wire::encoded_len(&r.record))
         .count();
     assert_eq!(deltas, 2, "the log holds delta records");

@@ -7,10 +7,10 @@
 //! v5) at its next snapshot — with nothing to configure.
 
 use faust_store::codec::{encode_state, SverLayout};
-use faust_store::log::{Framing, Wal, RECORD_OVERHEAD, WAL_FILE};
+use faust_store::log::{Framing, RECORD_OVERHEAD, WAL_FILE};
 use faust_store::snapshot::{read_snapshot, SNAPSHOT_FILE, SNAPSHOT_VERSION};
 use faust_store::testutil;
-use faust_store::PersistentServer;
+use faust_store::{LogCursor, PersistentServer};
 use faust_types::{ClientId, Wire};
 use faust_ustor::Server;
 use std::path::{Path, PathBuf};
@@ -30,7 +30,7 @@ fn fixture_copy(version: &str) -> PathBuf {
 }
 
 fn framing(dir: &Path) -> Framing {
-    Wal::scan(&dir.join(WAL_FILE)).unwrap().header.framing
+    LogCursor::open(dir).unwrap().header().framing
 }
 
 fn snapshot_version(dir: &Path) -> u32 {
@@ -41,10 +41,9 @@ fn snapshot_version(dir: &Path) -> u32 {
 /// Bytes the current format saves on the log of `dir` by storing COMMITs
 /// as deltas.
 fn delta_savings(dir: &Path) -> u64 {
-    Wal::scan(&dir.join(WAL_FILE))
+    LogCursor::open(dir)
         .unwrap()
-        .records
-        .iter()
+        .map(Result::unwrap)
         .map(|r| (RECORD_OVERHEAD + 8 + r.record.encoded_len() - r.span.len()) as u64)
         .sum()
 }

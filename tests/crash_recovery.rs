@@ -26,10 +26,9 @@ use faust::client::{Event, FaustHandle, WaitError};
 use faust::core::{FailReason, UserOp};
 use faust::net::tcp;
 use faust::sim::SmallRng;
-use faust::store::log::{Wal, WAL_FILE};
 use faust::store::{
-    testutil, truncate_tail_records, Durability, LogRecord, PersistentBackend, PersistentServer,
-    StoreConfig,
+    testutil, truncate_tail_records, Durability, LogCursor, LogRecord, PersistentBackend,
+    PersistentServer, StoreConfig,
 };
 use faust::types::{ClientId, Value};
 use faust::ustor::{EngineStats, ServerEngine};
@@ -391,7 +390,10 @@ fn random_truncation_points_recover_into_flagged_rollbacks() {
 
         // Ground truth before tampering: the sequence numbers of each
         // client's SUBMITs and of its COMMITs, `rounds` of each.
-        let log = Wal::scan(&dir.join(WAL_FILE)).expect("scan log").records;
+        let log: Vec<_> = LogCursor::open(&dir)
+            .expect("open log")
+            .collect::<Result<_, _>>()
+            .expect("walk log");
         let mut subs = vec![Vec::new(); n];
         let mut coms = vec![Vec::new(); n];
         for scanned in &log {
