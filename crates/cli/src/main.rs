@@ -340,8 +340,7 @@ fn connect_impl(args: &[String]) -> Result<i32, String> {
                 .count();
             let conn =
                 faust_net::tcp::connect(addr, id).map_err(|e| format!("connect {addr}: {e}"))?;
-            let handle =
-                FaustHandle::resume_from_state(state, key_seed.as_bytes(), &config, Box::new(conn));
+            let handle = FaustHandle::resume_from_state(state, key_seed.as_bytes(), &config, conn);
             println!(
                 "faust-connect: {id} resumed session from {} ({unacked} unacked SUBMITs resent)",
                 session.as_ref().expect("saved implies --session").display(),

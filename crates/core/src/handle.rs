@@ -22,7 +22,7 @@
 //! bookkeeping over a [`FaustClient`], with no clock and no transport.
 //! The deterministic simulation driver ([`crate::FaustDriver`]) drives a
 //! `SessionCore` per client inside virtual time; [`FaustHandle`] wraps
-//! one around a real [`ClientTransport`] and an [`Instant`]-based clock.
+//! one around a real [`ClientConn`] and an [`Instant`]-based clock.
 //! Both therefore run the *identical* protocol and event semantics.
 //!
 //! # Event ordering guarantees
@@ -38,7 +38,7 @@
 //!
 //! # Lifecycle
 //!
-//! A handle owns exactly one [`ClientTransport`] connection at a time.
+//! A handle owns exactly one [`ClientConn`] at a time.
 //! If the transport fails, the session state (version vectors, stability
 //! machinery, queued work) survives: [`Event::Disconnected`] is emitted
 //! once with a typed [`DisconnectCause`], and the session retains every
@@ -63,7 +63,7 @@ use crate::client::{Actions, FaustClient, FaustClientState, FaustConfig, UserOp}
 use crate::events::{FailReason, FaustCompletion, Notification, StabilityCut};
 use crate::offline::OfflineMsg;
 use faust_crypto::sig::{KeySet, Keypair, SigScheme, VerifierRegistry};
-use faust_net::{ClientDialer, ClientTransport, TransportClosed};
+use faust_net::{ClientConn, ClientDialer, TransportClosed};
 use faust_sim::SmallRng;
 use faust_types::{ClientId, CommitDelta, ReplyMsg, Sink, UstorMsg, Value, Wire, WireError};
 use faust_ustor::CommitMode;
@@ -753,35 +753,33 @@ impl Default for HandleConfig {
 }
 
 /// A live fail-aware session: one client of a FAUST deployment, bound to
-/// one [`ClientTransport`] connection. See the module docs.
+/// one [`ClientConn`]. See the module docs.
 ///
 /// # Example
 ///
 /// ```
-/// use faust_core::handle::{Event, FaustHandle, HandleConfig};
+/// use faust_core::handle::{FaustHandle, HandleConfig};
+/// use faust_net::ReactorTransport;
 /// use faust_types::{ClientId, Value};
 /// use faust_ustor::{spawn_engine, ServerEngine, UstorServer};
 /// use std::time::Duration;
 ///
-/// // A one-client deployment over the in-process channel transport.
-/// let (transport, mut conns) = faust_net::channel::pair(1);
+/// // A one-client deployment behind a loopback reactor.
+/// let transport = ReactorTransport::bind("127.0.0.1:0", 1)?;
+/// let addr = transport.local_addr();
 /// let engine = spawn_engine(ServerEngine::new(1, Box::new(UstorServer::new(1))), transport);
-/// let mut handle = FaustHandle::new(
-///     ClientId::new(0),
-///     1,
-///     b"doc-example",
-///     &HandleConfig::default(),
-///     Box::new(conns.remove(0)),
-/// );
+/// let mut handle =
+///     FaustHandle::connect_tcp(addr, ClientId::new(0), 1, b"doc-example", &HandleConfig::default())?;
 /// let ticket = handle.write(Value::from("hello"));
 /// let done = handle.wait(ticket, Duration::from_secs(5)).unwrap();
 /// assert_eq!(done.timestamp, 1);
 /// handle.disconnect();
 /// engine.join().unwrap();
+/// # Ok::<(), std::io::Error>(())
 /// ```
 pub struct FaustHandle {
     core: SessionCore,
-    transport: Option<Box<dyn ClientTransport>>,
+    transport: Option<ClientConn>,
     offline: Option<OfflineLink>,
     /// Wall-clock anchor of the protocol clock.
     epoch: Instant,
@@ -827,7 +825,7 @@ impl FaustHandle {
         n: usize,
         key_seed: &[u8],
         config: &HandleConfig,
-        transport: Box<dyn ClientTransport>,
+        transport: ClientConn,
     ) -> Self {
         let keys = KeySet::generate_with(config.scheme, n, key_seed);
         let proto = FaustClient::new(
@@ -858,7 +856,7 @@ impl FaustHandle {
         config: &HandleConfig,
     ) -> std::io::Result<Self> {
         let conn = faust_net::tcp::connect(addr, id)?;
-        Ok(Self::new(id, n, key_seed, config, Box::new(conn)))
+        Ok(Self::new(id, n, key_seed, config, conn))
     }
 
     /// Wraps an existing [`SessionCore`] (e.g. resumed from a previous
@@ -872,7 +870,7 @@ impl FaustHandle {
         core: SessionCore,
         tick_interval: Duration,
         clock_base: u64,
-        transport: Box<dyn ClientTransport>,
+        transport: ClientConn,
     ) -> Self {
         let now = Instant::now();
         let mut handle = FaustHandle {
@@ -918,7 +916,7 @@ impl FaustHandle {
         state: SessionState,
         key_seed: &[u8],
         config: &HandleConfig,
-        transport: Box<dyn ClientTransport>,
+        transport: ClientConn,
     ) -> Self {
         let n = state.proto.ustor.n as usize;
         let id = state.proto.ustor.id;
@@ -1082,7 +1080,7 @@ impl FaustHandle {
     /// (including ones that died on the old wire) plus the latest
     /// COMMIT, in full — is replayed in wire order. Also
     /// re-arms the auto-reconnect attempt budget.
-    pub fn reconnect(&mut self, transport: Box<dyn ClientTransport>) {
+    pub fn reconnect(&mut self, transport: ClientConn) {
         self.attempt = 0;
         self.stats.resumes += 1;
         self.resumed_unconfirmed = true;
@@ -1095,7 +1093,7 @@ impl FaustHandle {
     /// old outbox still held — unsent SUBMITs and the latest COMMIT —
     /// is already in the window, so replacing the outbox never loses a
     /// message and never duplicates one.
-    fn attach(&mut self, transport: Box<dyn ClientTransport>) {
+    fn attach(&mut self, transport: ClientConn) {
         let submits = |msgs: &[UstorMsg]| {
             msgs.iter()
                 .filter(|m| matches!(m, UstorMsg::Submit(_)))
@@ -1142,13 +1140,13 @@ impl FaustHandle {
         // Wait for server traffic, but never past the next tick.
         let until_tick = self.next_tick.saturating_duration_since(Instant::now());
         let wait = budget.min(until_tick);
-        match &self.transport {
+        match self.transport.as_mut() {
             Some(transport) => match transport.recv_timeout(wait) {
                 Ok(Some(msg)) => {
                     self.deliver(msg);
                     // Greedily drain whatever else already arrived (a
                     // group-commit flush releases replies in bursts).
-                    while let Some(transport) = &self.transport {
+                    while let Some(transport) = self.transport.as_mut() {
                         match transport.recv_timeout(Duration::ZERO) {
                             Ok(Some(msg)) => self.deliver(msg),
                             Ok(None) => break,
@@ -1233,7 +1231,7 @@ impl FaustHandle {
 
     fn flush_outbox(&mut self) {
         while let Some(msg) = self.outbox.front() {
-            let Some(transport) = &self.transport else {
+            let Some(transport) = self.transport.as_mut() else {
                 return;
             };
             if transport.send(msg).is_err() {
@@ -1325,10 +1323,10 @@ impl std::fmt::Debug for FaustHandle {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use faust_net::channel;
+    use faust_net::{tcp, ReactorTransport, TcpDialer};
     use faust_ustor::{spawn_engine, EngineStats, ServerEngine, UstorServer};
     use std::thread::JoinHandle;
 
@@ -1336,12 +1334,24 @@ mod tests {
         ClientId::new(i)
     }
 
-    /// A correct one-client server engine serving `transport` on a thread.
-    fn serve_one(transport: channel::ChannelServerTransport) -> JoinHandle<EngineStats> {
-        spawn_engine(
+    /// A correct one-client server engine behind a loopback reactor on a
+    /// thread, and client 0's connection to it.
+    fn serve_one() -> (ClientConn, JoinHandle<EngineStats>) {
+        let transport = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
+        let conn = tcp::connect(transport.local_addr(), c(0)).unwrap();
+        let engine = spawn_engine(
             ServerEngine::new(1, Box::new(UstorServer::new(1))),
             transport,
-        )
+        );
+        (conn, engine)
+    }
+
+    /// Client 0's connection to a reactor that nobody serves: once the
+    /// caller drops the reactor, the connection is reset.
+    fn unserved() -> (ReactorTransport, ClientConn) {
+        let transport = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
+        let conn = tcp::connect(transport.local_addr(), c(0)).unwrap();
+        (transport, conn)
     }
 
     fn quiet_config(pipeline: usize) -> HandleConfig {
@@ -1360,15 +1370,8 @@ mod tests {
     #[test]
     fn pipelined_tickets_complete_in_order_with_events() {
         let n = 1;
-        let (transport, mut conns) = channel::pair(n);
-        let engine = serve_one(transport);
-        let mut h = FaustHandle::new(
-            c(0),
-            n,
-            b"handle-test",
-            &quiet_config(3),
-            Box::new(conns.remove(0)),
-        );
+        let (conn, engine) = serve_one();
+        let mut h = FaustHandle::new(c(0), n, b"handle-test", &quiet_config(3), conn);
         let tickets: Vec<OpTicket> = (0..5).map(|k| h.write(Value::unique(0, k))).collect();
         // Waiting on the *last* ticket waits out the whole FIFO.
         let done = h
@@ -1397,15 +1400,8 @@ mod tests {
     #[test]
     fn wait_on_an_early_ticket_returns_its_own_completion() {
         let n = 1;
-        let (transport, mut conns) = channel::pair(n);
-        let engine = serve_one(transport);
-        let mut h = FaustHandle::new(
-            c(0),
-            n,
-            b"handle-early",
-            &quiet_config(2),
-            Box::new(conns.remove(0)),
-        );
+        let (conn, engine) = serve_one();
+        let mut h = FaustHandle::new(c(0), n, b"handle-early", &quiet_config(2), conn);
         let t0 = h.write(Value::from("first"));
         let t1 = h.read(c(0));
         let d0 = h.wait(t0, Duration::from_secs(5)).unwrap();
@@ -1419,16 +1415,10 @@ mod tests {
     #[test]
     fn server_hangup_surfaces_as_disconnected_event() {
         let n = 1;
-        let (transport, mut conns) = channel::pair(n);
-        // No engine: dropping the server half closes the transport.
+        // No engine: dropping the reactor closes the connection.
+        let (transport, conn) = unserved();
         drop(transport);
-        let mut h = FaustHandle::new(
-            c(0),
-            n,
-            b"handle-drop",
-            &quiet_config(1),
-            Box::new(conns.remove(0)),
-        );
+        let mut h = FaustHandle::new(c(0), n, b"handle-drop", &quiet_config(1), conn);
         let t0 = h.write(Value::from("lost"));
         assert_eq!(
             h.wait(t0, Duration::from_millis(200)),
@@ -1452,15 +1442,9 @@ mod tests {
     fn reconnect_resumes_with_retained_messages() {
         let n = 1;
         // First transport dies before the submit can be delivered.
-        let (transport, mut conns) = channel::pair(n);
+        let (transport, conn) = unserved();
         drop(transport);
-        let mut h = FaustHandle::new(
-            c(0),
-            n,
-            b"handle-reconnect",
-            &quiet_config(1),
-            Box::new(conns.remove(0)),
-        );
+        let mut h = FaustHandle::new(c(0), n, b"handle-reconnect", &quiet_config(1), conn);
         let t0 = h.write(Value::from("retry"));
         assert_eq!(
             h.wait(t0, Duration::from_millis(100)),
@@ -1468,9 +1452,8 @@ mod tests {
         );
         // A fresh incarnation appears; the handle resumes and the
         // retained SUBMIT completes.
-        let (transport, mut conns) = channel::pair(n);
-        let engine = serve_one(transport);
-        h.reconnect(Box::new(conns.remove(0)));
+        let (conn, engine) = serve_one();
+        h.reconnect(conn);
         let done = h.wait(t0, Duration::from_secs(5)).expect("resumed");
         assert_eq!(done.timestamp, 1);
         h.disconnect();
@@ -1511,31 +1494,24 @@ mod tests {
     #[test]
     fn auto_reconnect_resends_inflight_submit_after_server_loss() {
         let n = 1;
-        // First incarnation buffers the SUBMIT and dies without replying.
-        let (transport, mut conns) = channel::pair(n);
-        let (dialer, dial_tx) = faust_net::ChannelDialer::new();
+        // First incarnation buffers the SUBMIT and dies without replying;
+        // the second is bound already, so the dialer knows where it is.
+        let (transport, conn) = unserved();
+        let second = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
+        let dialer = TcpDialer::new(second.local_addr(), c(0));
         let policy = ReconnectPolicy {
             initial_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(4),
             connect_timeout: Duration::from_millis(10),
             ..ReconnectPolicy::default()
         };
-        let mut h = FaustHandle::new(
-            c(0),
-            n,
-            b"handle-autoreconnect",
-            &quiet_config(1),
-            Box::new(conns.remove(0)),
-        )
-        .with_auto_reconnect(Box::new(dialer), policy);
+        let mut h = FaustHandle::new(c(0), n, b"handle-autoreconnect", &quiet_config(1), conn)
+            .with_auto_reconnect(Box::new(dialer), policy);
         let t0 = h.write(Value::from("inflight"));
         assert_eq!(h.core.unacked_submits(), 1, "the SUBMIT is in flight");
         drop(transport);
-        // Second incarnation is real; the dialer hands it out on the
-        // first due attempt.
-        let (transport, mut conns) = channel::pair(n);
-        let engine = serve_one(transport);
-        dial_tx.send(conns.remove(0)).unwrap();
+        // Second incarnation is real; the first due attempt reaches it.
+        let engine = spawn_engine(ServerEngine::new(n, Box::new(UstorServer::new(n))), second);
 
         let done = h.wait(t0, Duration::from_secs(5)).expect("resent");
         assert_eq!(done.timestamp, 1);
@@ -1570,8 +1546,13 @@ mod tests {
     #[test]
     fn auto_reconnect_gives_up_after_max_attempts() {
         let n = 1;
-        let (transport, mut conns) = channel::pair(n);
-        let (dialer, _dial_tx) = faust_net::ChannelDialer::new();
+        let (transport, conn) = unserved();
+        // Bind-then-drop: nothing listens on this port any more.
+        let dead = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let dialer = TcpDialer::new(dead, c(0));
         let policy = ReconnectPolicy {
             initial_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(2),
@@ -1579,17 +1560,11 @@ mod tests {
             connect_timeout: Duration::from_millis(5),
             ..ReconnectPolicy::default()
         };
-        let mut h = FaustHandle::new(
-            c(0),
-            n,
-            b"handle-giveup",
-            &quiet_config(1),
-            Box::new(conns.remove(0)),
-        )
-        .with_auto_reconnect(Box::new(dialer), policy);
+        let mut h = FaustHandle::new(c(0), n, b"handle-giveup", &quiet_config(1), conn)
+            .with_auto_reconnect(Box::new(dialer), policy);
         let t0 = h.write(Value::from("doomed"));
         drop(transport);
-        // Every dial attempt fails (nothing pushed into the dialer);
+        // Every dial attempt fails (the port is dead);
         // after the budget runs out, wait reports Disconnected.
         assert_eq!(
             h.wait(t0, Duration::from_secs(5)),
@@ -1605,9 +1580,8 @@ mod tests {
             3
         );
         // A manual reconnect still works and re-arms the budget.
-        let (transport, mut conns) = channel::pair(n);
-        let engine = serve_one(transport);
-        h.reconnect(Box::new(conns.remove(0)));
+        let (conn, engine) = serve_one();
+        h.reconnect(conn);
         let done = h.wait(t0, Duration::from_secs(5)).expect("manual resume");
         assert_eq!(done.timestamp, 1);
         h.disconnect();

@@ -425,8 +425,13 @@ mod tests {
                 engine.enqueue(core.id(), msg);
             }
             engine.process_all();
-            while let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() {
-                queue.extend(core.handle_reply(reply, now).to_server);
+            while let Some((_, batch)) = engine.poll_output_batch() {
+                for msg in batch {
+                    let UstorMsg::Reply(reply) = msg else {
+                        unreachable!("the engine sends only replies")
+                    };
+                    queue.extend(core.handle_reply(reply, now).to_server);
+                }
             }
         }
     }

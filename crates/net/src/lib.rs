@@ -2,7 +2,8 @@
 //!
 //! The protocol state machines in `faust-ustor` are sans-io; this crate
 //! defines how `(client, message)` pairs physically reach the server-side
-//! engine and how replies travel back. One trait, three implementations:
+//! engine and how replies travel back. One server trait, two
+//! implementations:
 //!
 //! * [`queue`] — a deterministic, single-threaded queue pair: the
 //!   in-process link of a caller that runs the serve loop itself (the
@@ -10,18 +11,20 @@
 //!   threads, no syscalls, bit-for-bit reproducible. The simulators need
 //!   no transport: their server nodes call the engine's serve round
 //!   directly.
-//! * [`channel`] — in-process `std::sync::mpsc` channels, for clients
-//!   and the engine on threads of one process.
 //! * [`reactor`] (unix) — the one socket server: length-prefixed frames
 //!   ([`faust_types::frame`]) over TCP on a single readiness-driven event
 //!   loop with explicit admission control (bounded ingress queues,
 //!   connection/memory caps with shed-on-accept, slow-consumer
 //!   excision): connections ≫ threads.
 //!
-//! The client side mirrors the server side: [`ClientTransport`] is the
-//! trait a client session drives, and [`ClientConn`] implements it for
-//! both the channel transport and TCP ([`tcp::connect`]) — `faust-core`'s
-//! `FaustHandle` is written once and runs over either unchanged.
+//! [`chaos`] wraps either in a kill switch for fault-injection tests.
+//!
+//! The client side is one type: a [`ClientConn`] is one framed TCP socket
+//! ([`tcp::connect`]), read on the caller's thread. `faust-core`'s
+//! `FaustHandle` and the CLI drive it, and a [`ClientDialer`] hands out
+//! fresh ones to a session that reconnects. Tests, examples and the CLI
+//! all talk to a loopback reactor through it: there is no in-process
+//! stand-in for the socket.
 //!
 //! # Invariants
 //!
@@ -62,7 +65,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod chaos;
 pub mod conn;
 pub mod dial;
@@ -71,10 +73,9 @@ pub mod queue;
 pub mod reactor;
 pub mod tcp;
 
-pub use channel::ChannelServerTransport;
 pub use chaos::{KillSwitch, KillableTransport};
-pub use conn::{ClientConn, ClientTransport, ConnSender, TransportClosed};
-pub use dial::{ChannelDialer, ClientDialer, TcpDialer};
+pub use conn::{ClientConn, TransportClosed};
+pub use dial::{ClientDialer, TcpDialer};
 pub use queue::QueueTransport;
 #[cfg(unix)]
 pub use reactor::{DisconnectReason, ReactorConfig, ReactorStats, ReactorTransport, MAX_CLIENTS};
@@ -102,8 +103,8 @@ pub enum Incoming {
 /// Server side of a transport: a source of client messages and a sink for
 /// client-addressed replies.
 ///
-/// Blocking implementations ([`channel`], [`reactor`]) park in
-/// [`ServerTransport::recv`] until traffic arrives and never return
+/// A blocking implementation (the [`reactor`]) parks in
+/// [`ServerTransport::recv`] until traffic arrives and never returns
 /// [`Incoming::Idle`]; the deterministic [`queue`] implementation returns
 /// `Idle` when drained. Sends are best-effort: a message to a departed
 /// client is silently dropped, exactly as a real server cannot force a

@@ -1001,8 +1001,8 @@ mod tests {
     fn loopback_roundtrip_and_close() {
         let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr();
-        let c0 = connect(addr, ClientId::new(0)).unwrap();
-        let c1 = connect(addr, ClientId::new(1)).unwrap();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c1 = connect(addr, ClientId::new(1)).unwrap();
 
         c0.send(&msg(2)).unwrap();
         let Incoming::Msg(from, _) = server.recv() else {
@@ -1027,10 +1027,49 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_and_close() {
+        let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
+        let addr = server.local_addr();
+        let mut conns: Vec<_> = (0..2)
+            .map(|i| connect(addr, ClientId::new(i)).unwrap())
+            .collect();
+        conns[0].send(&msg(2)).unwrap();
+        let Incoming::Msg(from, _) = server.recv() else {
+            panic!("expected message");
+        };
+        assert_eq!(from, ClientId::new(0));
+        server.send(ClientId::new(0), msg(2));
+        assert!(conns[0].recv().is_ok());
+        // Dropping every conn, the one that never spoke too, closes the transport.
+        conns.clear();
+        assert!(matches!(server.recv(), Incoming::Closed));
+    }
+
+    #[test]
+    fn send_to_departed_client_is_dropped() {
+        let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
+        let addr = server.local_addr();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c1 = connect(addr, ClientId::new(1)).unwrap();
+        c1.send(&msg(2)).unwrap();
+        assert!(matches!(server.recv(), Incoming::Msg(..)));
+        drop(c1); // client 1 leaves
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.stats().departed == 0 {
+            assert!(Instant::now() < deadline, "client 1 never departed");
+            let _ = server.recv_deadline(Instant::now() + Duration::from_millis(20));
+        }
+        server.send(ClientId::new(1), msg(2)); // must not panic
+        assert_eq!(server.stats().frames_out, 0);
+        c0.send(&msg(2)).unwrap();
+        assert!(matches!(server.recv(), Incoming::Msg(..)));
+    }
+
+    #[test]
     fn send_batch_coalesces_but_delivers_every_frame_in_order() {
         let mut server = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr();
-        let c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
         c0.send(&msg(1)).unwrap();
         let Incoming::Msg(_, _) = server.recv() else {
             panic!("expected a message");
@@ -1051,7 +1090,7 @@ mod tests {
     fn recv_deadline_times_out_then_still_delivers() {
         let mut server = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr();
-        let c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
         let deadline = Instant::now() + Duration::from_millis(20);
         assert!(matches!(server.recv_deadline(deadline), Incoming::TimedOut));
         c0.send(&msg(1)).unwrap();
@@ -1066,7 +1105,7 @@ mod tests {
         let mut server = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr();
         let bogus = connect(addr, ClientId::new(9)).unwrap();
-        let good = connect(addr, ClientId::new(0)).unwrap();
+        let mut good = connect(addr, ClientId::new(0)).unwrap();
         good.send(&msg(1)).unwrap();
         let Incoming::Msg(from, _) = server.recv() else {
             panic!("expected a message");
@@ -1083,7 +1122,7 @@ mod tests {
         let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr();
 
-        let c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
         c0.send(&msg(2)).unwrap();
         let Incoming::Msg(from, _) = server.recv() else {
             panic!("expected a message");
@@ -1093,7 +1132,7 @@ mod tests {
 
         let again = connect(addr, ClientId::new(0)).unwrap();
 
-        let c1 = connect(addr, ClientId::new(1)).unwrap();
+        let mut c1 = connect(addr, ClientId::new(1)).unwrap();
         c1.send(&msg(2)).unwrap();
         let Incoming::Msg(from, _) = server.recv() else {
             panic!("expected client 1's message; transport closed early");
@@ -1139,7 +1178,7 @@ mod tests {
         };
         let mut server = ReactorTransport::bind_with("127.0.0.1:0", 1, cfg).unwrap();
         let addr = server.local_addr();
-        let admitted = connect(addr, ClientId::new(0)).unwrap();
+        let mut admitted = connect(addr, ClientId::new(0)).unwrap();
         admitted.send(&msg(1)).unwrap();
         let Incoming::Msg(_, _) = server.recv() else {
             panic!("expected the admitted client's message");
@@ -1168,7 +1207,7 @@ mod tests {
     fn malformed_frame_excises_only_the_offender() {
         let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr();
-        let good = connect(addr, ClientId::new(0)).unwrap();
+        let mut good = connect(addr, ClientId::new(0)).unwrap();
         good.send(&msg(2)).unwrap();
         let Incoming::Msg(_, _) = server.recv() else {
             panic!("expected good client's message");
@@ -1220,8 +1259,8 @@ mod tests {
         };
         let mut server = ReactorTransport::bind_with("127.0.0.1:0", 1, cfg).unwrap();
         let addr = server.local_addr();
-        // Raw stream, no reader thread: the reply sent below stays unread
-        // in this socket's kernel buffer.
+        // A raw stream, not a `ClientConn` (which drains its socket on
+        // drop): the reply sent below stays unread in its kernel buffer.
         let mut c0 = std::net::TcpStream::connect(addr).unwrap();
         write_frame(&mut c0, &ClientId::new(0)).unwrap();
         for _ in 0..3 {
@@ -1271,8 +1310,8 @@ mod tests {
         };
         let mut server = ReactorTransport::bind_with("127.0.0.1:0", 2, cfg).unwrap();
         let addr = server.local_addr();
-        let c0 = connect(addr, ClientId::new(0)).unwrap();
-        let c1 = connect(addr, ClientId::new(1)).unwrap();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c1 = connect(addr, ClientId::new(1)).unwrap();
         c0.send(&msg(2)).unwrap();
         c1.send(&msg(2)).unwrap();
         for _ in 0..2 {

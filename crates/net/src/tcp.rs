@@ -12,18 +12,12 @@
 //! verify, which the per-client checks (and the engine's optional ingress
 //! verification) reject.
 //!
-//! [`connect`] spawns one reader thread per connection and receives
-//! through an in-process queue, so [`ClientConn::recv_timeout`] works the
-//! same as on the channel transport.
-//!
-//! [`ClientConn::recv_timeout`]: crate::ClientConn::recv_timeout
+//! [`connect`] starts no thread: the [`ClientConn`] it returns reads
+//! its socket on the caller's thread.
 
-use crate::conn::{ClientConn, ConnSender, SenderInner, TcpWriter};
-use faust_types::frame::{read_frame, write_frame};
-use faust_types::{ClientId, UstorMsg};
+use crate::conn::ClientConn;
+use faust_types::ClientId;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Connects to a server transport as client `id` and performs the HELLO
@@ -33,7 +27,7 @@ use std::time::Duration;
 ///
 /// Propagates socket errors from connecting or the handshake write.
 pub fn connect(addr: SocketAddr, id: ClientId) -> std::io::Result<ClientConn> {
-    finish_connect(TcpStream::connect(addr)?, id)
+    ClientConn::handshake(TcpStream::connect(addr)?, id)
 }
 
 /// Like [`connect`], but gives up on the TCP handshake after `timeout` —
@@ -50,30 +44,7 @@ pub fn connect_timeout(
     id: ClientId,
     timeout: Duration,
 ) -> std::io::Result<ClientConn> {
-    finish_connect(TcpStream::connect_timeout(&addr, timeout)?, id)
-}
-
-fn finish_connect(mut stream: TcpStream, id: ClientId) -> std::io::Result<ClientConn> {
-    stream.set_nodelay(true)?;
-    write_frame(&mut stream, &id)?;
-    let read_half = stream.try_clone()?;
-    let (tx, rx) = channel();
-    std::thread::spawn(move || client_reader_loop(read_half, tx));
-    Ok(ClientConn {
-        id,
-        tx: ConnSender(SenderInner::Tcp {
-            writer: Arc::new(Mutex::new(TcpWriter::new(stream))),
-        }),
-        rx,
-    })
-}
-
-fn client_reader_loop(mut stream: TcpStream, tx: Sender<UstorMsg>) {
-    while let Ok(Some(msg)) = read_frame::<_, UstorMsg>(&mut stream) {
-        if tx.send(msg).is_err() {
-            return;
-        }
-    }
+    ClientConn::handshake(TcpStream::connect_timeout(&addr, timeout)?, id)
 }
 
 /// The client side against the reactor: what a [`ClientConn`] from
@@ -85,7 +56,7 @@ mod tests {
     use crate::conn::TransportClosed;
     use crate::{Incoming, ReactorTransport, ServerTransport};
     use faust_crypto::Signature;
-    use faust_types::{CommitMsg, Version};
+    use faust_types::{CommitMsg, UstorMsg, Version};
     use std::time::Instant;
 
     pub(super) fn msg(n: usize) -> UstorMsg {
@@ -112,12 +83,12 @@ mod tests {
     fn loopback_roundtrip_and_close() {
         let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr();
-        let c0 = connect(addr, ClientId::new(0)).unwrap();
-        let c1 = connect(addr, ClientId::new(1)).unwrap();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c1 = connect(addr, ClientId::new(1)).unwrap();
         assert_eq!((c0.id(), c1.id()), (ClientId::new(0), ClientId::new(1)));
 
         // Each client is answered on its own connection.
-        for (id, conn) in [(0, &c0), (1, &c1)] {
+        for (id, conn) in [(0, &mut c0), (1, &mut c1)] {
             conn.send(&msg(2)).unwrap();
             let Incoming::Msg(from, _) = server.recv() else {
                 panic!("expected a message");
@@ -140,7 +111,7 @@ mod tests {
     fn send_batch_coalesces_but_delivers_every_frame_in_order() {
         let mut server = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr();
-        let c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
         c0.send(&msg(1)).unwrap();
         let Incoming::Msg(_, _) = server.recv() else {
             panic!("expected a message");
@@ -161,7 +132,7 @@ mod tests {
     fn recv_deadline_times_out_then_still_delivers() {
         let mut server = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr();
-        let c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
         c0.send(&msg(1)).unwrap();
         let Incoming::Msg(from, _) = server.recv() else {
             panic!("expected a message");
@@ -181,9 +152,9 @@ mod tests {
         let addr = server.local_addr();
         // An out-of-range id: the handshake write succeeds locally, but
         // the server drops the connection.
-        let bogus = connect(addr, ClientId::new(9)).unwrap();
+        let mut bogus = connect(addr, ClientId::new(9)).unwrap();
         // A valid client still gets through afterwards.
-        let good = connect(addr, ClientId::new(0)).unwrap();
+        let mut good = connect(addr, ClientId::new(0)).unwrap();
         good.send(&msg(1)).unwrap();
         let Incoming::Msg(from, _) = server.recv() else {
             panic!("expected a message");
@@ -198,6 +169,25 @@ mod tests {
         );
         drop(good);
         assert!(matches!(server.recv(), Incoming::Closed));
+    }
+
+    #[test]
+    fn dropping_with_unread_replies_is_a_clean_departure() {
+        let mut server = ReactorTransport::bind("127.0.0.1:0", 1).unwrap();
+        let mut c0 = connect(server.local_addr(), ClientId::new(0)).unwrap();
+        c0.send(&msg(1)).unwrap();
+        let Incoming::Msg(from, _) = server.recv() else {
+            panic!("expected a message");
+        };
+        for n in 1..=3 {
+            server.send(from, msg(n));
+        }
+        assert_eq!(server.buffered_bytes(), 0, "all three frames written");
+        // None of them is read: a plain close would answer with RST.
+        drop(c0);
+        assert!(matches!(server.recv(), Incoming::Closed));
+        assert_eq!(server.stats().departed, 1);
+        assert_eq!(server.stats().io_errors, 0);
     }
 }
 
@@ -214,7 +204,7 @@ mod reconnect_tests {
         let addr = server.local_addr();
 
         // Client 0 connects, talks, and leaves.
-        let c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
         c0.send(&msg(2)).unwrap();
         let Incoming::Msg(from, _) = server.recv() else {
             panic!("expected a message");
@@ -224,7 +214,7 @@ mod reconnect_tests {
 
         // Client 0 "reconnects": the duplicate is turned away, and its
         // connection reports the server's hangup.
-        let again = connect(addr, ClientId::new(0)).unwrap();
+        let mut again = connect(addr, ClientId::new(0)).unwrap();
         pump_until(&mut server, |s| s.stats().duplicate_clients == 1);
         assert_eq!(
             again.recv_timeout(Duration::from_secs(5)),
@@ -232,7 +222,7 @@ mod reconnect_tests {
         );
 
         // Client 1 still gets in and is served.
-        let c1 = connect(addr, ClientId::new(1)).unwrap();
+        let mut c1 = connect(addr, ClientId::new(1)).unwrap();
         c1.send(&msg(2)).unwrap();
         let Incoming::Msg(from, _) = server.recv() else {
             panic!("expected client 1's message; transport closed early");

@@ -429,17 +429,19 @@ fn pump(engine: &mut ServerEngine, cs: &mut [UstorClient], discard: ClientId) {
     loop {
         engine.process_all();
         let mut replied = false;
-        while let Some((to, msg)) = engine.poll_output() {
-            let UstorMsg::Reply(reply) = msg else {
-                continue;
-            };
-            replied = true;
-            if to == discard {
-                continue;
-            }
-            let (commit, _) = cs[to.index()].handle_reply(reply).expect("correct server");
-            if let Some(commit) = commit {
-                engine.enqueue(to, UstorMsg::Commit(commit));
+        while let Some((to, batch)) = engine.poll_output_batch() {
+            for msg in batch {
+                let UstorMsg::Reply(reply) = msg else {
+                    continue;
+                };
+                replied = true;
+                if to == discard {
+                    continue;
+                }
+                let (commit, _) = cs[to.index()].handle_reply(reply).expect("correct server");
+                if let Some(commit) = commit {
+                    engine.enqueue(to, UstorMsg::Commit(commit));
+                }
             }
         }
         if !replied {
@@ -490,7 +492,7 @@ fn recovery_rebuilds_exactly_the_reply_caches_the_live_engine_held() {
     let submit = cs[0].begin_read(c(1)).unwrap();
     engine.enqueue(c(0), UstorMsg::Submit(submit));
     engine.process_all();
-    while engine.poll_output().is_some() {}
+    while engine.poll_output_batch().is_some() {}
 
     let live: Vec<Vec<Timestamp>> = (0..3).map(|i| cached(&engine, i)).collect();
     assert_eq!(live[0], [11]);
@@ -544,9 +546,10 @@ fn a_resent_submit_whose_record_a_snapshot_absorbed_gets_its_original_reply() {
     let resend = cs[0].begin_write(Value::from("second")).unwrap();
     engine.enqueue(c(0), UstorMsg::Submit(resend.clone()));
     engine.process_all();
-    let Some((_, UstorMsg::Reply(original))) = engine.poll_output() else {
+    let Some((_, batch)) = engine.poll_output_batch() else {
         panic!("the second write is answered");
     };
+    let [original] = <[UstorMsg; 1]>::try_from(batch).expect("one reply");
     drop(engine);
 
     let recovered = PersistentServer::recover(&dir, n, config).unwrap();
@@ -554,8 +557,8 @@ fn a_resent_submit_whose_record_a_snapshot_absorbed_gets_its_original_reply() {
     engine.enqueue(c(0), UstorMsg::Submit(resend));
     engine.process_all();
     assert_eq!(
-        engine.poll_output(),
-        Some((c(0), UstorMsg::Reply(original))),
+        engine.poll_output_batch(),
+        Some((c(0), vec![original])),
         "the resend is answered with the reply that was lost"
     );
     std::fs::remove_dir_all(&dir).ok();

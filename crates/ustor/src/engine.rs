@@ -8,12 +8,12 @@
 //! 2. [`ServerEngine::process_all`] runs the protocol handlers in strict
 //!    FIFO arrival order — the order that *defines* the schedule of
 //!    operations in Algorithm 2;
-//! 3. the transport drains the replies with [`ServerEngine::poll_output`]
-//!    or, per client, [`ServerEngine::poll_output_batch`].
+//! 3. the transport drains the replies, one per-client batch at a time,
+//!    with [`ServerEngine::poll_output_batch`].
 //!
 //! [`ServerEngine::round`] is those steps as one serve round. Because the
-//! engine never performs I/O, the same round serves clients on threads of
-//! the same process (the channel transport) and real TCP clients (the
+//! engine never performs I/O, the same round serves a caller that runs
+//! the loop itself (the queue transport) and real TCP clients (the
 //! reactor) — the [`serve`] loop works over any [`ServerTransport`], and
 //! [`spawn_engine`] runs it on a thread — as well as the server nodes of
 //! both simulators, which call the round directly inside virtual time:
@@ -170,11 +170,10 @@ pub struct EngineStats {
     pub max_batch: usize,
     /// Outbound messages handed to the transport.
     pub frames_out: u64,
-    /// Transport hand-offs (one per [`ServerEngine::poll_output`] frame,
-    /// one per [`ServerEngine::poll_output_batch`] *batch*). With a
-    /// coalescing transport this is the number of socket writes, so
-    /// `flushes < frames_out` is the measurable proof that egress
-    /// batching works.
+    /// Transport hand-offs (one per [`ServerEngine::poll_output_batch`]
+    /// *batch*). With a coalescing transport this is the number of socket
+    /// writes, so `flushes < frames_out` is the measurable proof that
+    /// egress batching works.
     pub flushes: u64,
     /// Largest per-client egress batch drained in one hand-off.
     pub max_egress_batch: usize,
@@ -294,29 +293,6 @@ impl ServerEngine {
             _ => None,
         };
         self.inbox.push_back((from, msg, xbar));
-    }
-
-    /// Removes the next outbound `(recipient, message)` pair.
-    pub fn poll_output(&mut self) -> Option<(ClientId, UstorMsg)> {
-        let out = match self.staged.front_mut() {
-            // A grouping pass already staged batches: serve their frames
-            // first (they are older than anything still in the outbox).
-            Some((to, batch)) => {
-                let msg = batch.remove(0);
-                let to = *to;
-                if batch.is_empty() {
-                    self.staged.pop_front();
-                }
-                Some((to, msg))
-            }
-            None => self.outbox.pop_front(),
-        };
-        if out.is_some() {
-            self.stats.frames_out += 1;
-            self.stats.flushes += 1;
-            self.stats.max_egress_batch = self.stats.max_egress_batch.max(1);
-        }
-        out
     }
 
     /// Removes the next per-client egress batch: every outbound message
@@ -806,21 +782,39 @@ mod tests {
         }
     }
 
+    /// Every reply queued so far, drained as serve loops drain them (one
+    /// per-client batch at a time) and flattened in order.
+    fn replies(engine: &mut ServerEngine) -> Vec<(ClientId, ReplyMsg)> {
+        let mut out = Vec::new();
+        while let Some((to, batch)) = engine.poll_output_batch() {
+            for msg in batch {
+                let UstorMsg::Reply(reply) = msg else {
+                    panic!("the engine sends only replies");
+                };
+                out.push((to, reply));
+            }
+        }
+        out
+    }
+
+    /// The one reply queued so far.
+    fn one_reply(engine: &mut ServerEngine) -> (ClientId, ReplyMsg) {
+        let [reply]: [_; 1] = replies(engine).try_into().expect("exactly one reply");
+        reply
+    }
+
     /// Runs one full op through the engine, asserting the reply routes
     /// back to the submitter.
     fn run_op(engine: &mut ServerEngine, client: &mut UstorClient, submit: faust_types::SubmitMsg) {
         let id = client.id();
         engine.enqueue(id, UstorMsg::Submit(submit));
         engine.process_all();
-        let (to, reply) = engine.poll_output().expect("one reply");
+        let (to, reply) = one_reply(engine);
         assert_eq!(to, id);
-        let UstorMsg::Reply(reply) = reply else {
-            panic!("expected a reply");
-        };
         let (commit, _) = client.handle_reply(reply).expect("correct server");
         engine.enqueue(id, UstorMsg::Commit(commit.expect("immediate mode")));
         engine.process_all();
-        assert!(engine.poll_output().is_none(), "commit produces no reply");
+        assert!(replies(engine).is_empty(), "commit produces no reply");
     }
 
     #[test]
@@ -861,9 +855,7 @@ mod tests {
         let w = clients[0].begin_write(Value::from("fresh")).unwrap();
         engine.enqueue(ClientId::new(0), UstorMsg::Submit(w));
         engine.process_all();
-        let (_, UstorMsg::Reply(reply)) = engine.poll_output().unwrap() else {
-            panic!("expected reply");
-        };
+        let (_, reply) = one_reply(&mut engine);
         let (commit, _) = clients[0].handle_reply(reply).unwrap();
         // Queue the commit AND the next read together.
         engine.enqueue(ClientId::new(0), UstorMsg::Commit(commit.unwrap()));
@@ -871,9 +863,7 @@ mod tests {
         engine.enqueue(ClientId::new(0), UstorMsg::Submit(r));
         engine.process_all();
         assert_eq!(engine.stats().rejected, 0);
-        let (_, UstorMsg::Reply(reply)) = engine.poll_output().unwrap() else {
-            panic!("expected reply");
-        };
+        let (_, reply) = one_reply(&mut engine);
         let (_, done) = clients[0].handle_reply(reply).unwrap();
         assert_eq!(done.read_value, Some(Some(Value::from("fresh"))));
     }
@@ -898,11 +888,7 @@ mod tests {
             assert_eq!(engine.stats().rejected, 3, "batched={batched}");
             assert_eq!(engine.stats().submits, 1, "batched={batched}");
             // Only the genuine submit got a reply.
-            let mut replies = 0;
-            while engine.poll_output().is_some() {
-                replies += 1;
-            }
-            assert_eq!(replies, 1, "batched={batched}");
+            assert_eq!(replies(&mut engine).len(), 1, "batched={batched}");
         }
     }
 
@@ -932,9 +918,7 @@ mod tests {
             engine.process_all();
             assert_eq!(engine.stats().rejected, 1, "batched={batched}");
             assert_eq!(engine.stats().submits, 2, "batched={batched}");
-            let (_, UstorMsg::Reply(reply)) = engine.poll_output().unwrap() else {
-                panic!("expected the honest read's reply");
-            };
+            let (_, reply) = one_reply(&mut engine);
             let (_, done) = clients[0]
                 .handle_reply(reply)
                 .expect("honest read must survive the forged write");
@@ -1076,14 +1060,13 @@ mod tests {
         let r = clients[0].begin_read(ClientId::new(0)).unwrap();
         engine.enqueue(ClientId::new(0), UstorMsg::Submit(r.clone()));
         engine.process_all();
-        let (_, original) = engine.poll_output().expect("original reply");
+        let (_, original) = one_reply(&mut engine);
         // The client reconnects and replays the identical SUBMIT bytes.
         engine.enqueue(ClientId::new(0), UstorMsg::Submit(r));
         engine.process_all();
-        let (to, replayed) = engine.poll_output().expect("replayed reply");
+        let (to, replayed) = one_reply(&mut engine);
         assert_eq!(to, ClientId::new(0));
         assert_eq!(replayed.encode(), original.encode(), "byte-identical");
-        assert!(engine.poll_output().is_none());
         assert_eq!(engine.stats().duplicates, 1);
         assert_eq!(engine.session(ClientId::new(0)).duplicates, 1);
         // The duplicate never reached the protocol server: only the two
@@ -1101,9 +1084,7 @@ mod tests {
         let id = client.id();
         engine.enqueue(id, UstorMsg::Submit(submit));
         engine.process_all();
-        let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() else {
-            panic!("expected a reply");
-        };
+        let (_, reply) = one_reply(engine);
         let base = reply.commit_version.version.clone();
         let (commit, _) = client.handle_reply(reply).expect("correct server");
         let commit = commit.unwrap();
@@ -1112,7 +1093,7 @@ mod tests {
         assert_eq!(Some(&delta), own.as_ref(), "lockstep: the own entry alone");
         engine.enqueue(id, UstorMsg::CommitDelta(delta.clone()));
         engine.process_all();
-        assert!(engine.poll_output().is_none(), "commit produces no reply");
+        assert!(replies(engine).is_empty(), "commit produces no reply");
         delta
     }
 
@@ -1122,9 +1103,7 @@ mod tests {
         let submit = reader.begin_read(ClientId::new(0)).unwrap();
         engine.enqueue(reader.id(), UstorMsg::Submit(submit));
         engine.process_all();
-        let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() else {
-            panic!("expected a reply");
-        };
+        let (_, reply) = one_reply(engine);
         let (commit, _) = reader.handle_reply(reply.clone()).expect("correct server");
         engine.enqueue(reader.id(), UstorMsg::Commit(commit.unwrap()));
         engine.process_all();
@@ -1168,7 +1147,7 @@ mod tests {
             engine.enqueue(ClientId::new(0), UstorMsg::CommitDelta(delta));
         }
         engine.process_all();
-        assert!(engine.poll_output().is_none());
+        assert!(replies(&mut engine).is_empty());
         assert_eq!(engine.stats().rejected, 2);
         assert_eq!(engine.session(ClientId::new(0)).rejected, 2);
         let counts = |s: &EngineStats| (s.submits, s.commits, s.duplicates);
@@ -1192,7 +1171,7 @@ mod tests {
         // After the next REPLY evicted its base: dropped as a duplicate.
         engine.enqueue(ClientId::new(0), UstorMsg::CommitDelta(first));
         engine.process_all();
-        assert!(engine.poll_output().is_none());
+        assert!(replies(&mut engine).is_empty());
         assert_eq!(engine.stats().rejected, 0);
         assert_eq!(engine.stats().duplicates, 1);
         for value in ["one", "two"] {
@@ -1239,7 +1218,7 @@ mod tests {
                     engine.enqueue(c0, UstorMsg::Submit(submit));
                 }
                 engine.process_all();
-                while let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() {
+                for (_, reply) in replies(&mut engine) {
                     assert!(client.handle_reply(reply).unwrap().0.is_none());
                     largest = largest.max(engine.session(c0).replies().len());
                 }
@@ -1265,7 +1244,7 @@ mod tests {
             engine.enqueue(c0, UstorMsg::Submit(submit));
         }
         engine.process_all();
-        while let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() {
+        for (_, reply) in replies(&mut engine) {
             client.handle_reply(reply).expect("correct server");
         }
         let expect: Vec<Timestamp> = (ops - REPLY_CACHE_CAP as Timestamp + 1..=ops).collect();
@@ -1291,12 +1270,9 @@ mod tests {
             engine.enqueue(ClientId::new(0), UstorMsg::Submit(w3.clone()));
             engine.process_all();
             assert_eq!(engine.stats().rejected, 0, "batched={batched}");
-            let (_, UstorMsg::Reply(reply_r2)) = engine.poll_output().unwrap() else {
-                panic!("expected r2's reply");
-            };
-            let (_, UstorMsg::Reply(reply_w3)) = engine.poll_output().unwrap() else {
-                panic!("expected w3's reply");
-            };
+            let [(_, reply_r2), (_, reply_w3)]: [_; 2] = replies(&mut engine)
+                .try_into()
+                .expect("r2's and w3's replies");
             // Both acks are lost; the whole window is replayed, with a
             // fresh read queued behind it in the same batch.
             engine.enqueue(ClientId::new(0), UstorMsg::Submit(r2));
@@ -1304,12 +1280,9 @@ mod tests {
             engine.process_all();
             assert_eq!(engine.stats().rejected, 0, "batched={batched}");
             assert_eq!(engine.stats().duplicates, 2, "batched={batched}");
-            let (_, UstorMsg::Reply(rr2)) = engine.poll_output().unwrap() else {
-                panic!("expected r2's replay");
-            };
-            let (_, UstorMsg::Reply(rw3)) = engine.poll_output().unwrap() else {
-                panic!("expected w3's replay");
-            };
+            let [(_, rr2), (_, rw3)]: [_; 2] = replies(&mut engine)
+                .try_into()
+                .expect("r2's and w3's replays");
             assert_eq!(rr2, reply_r2, "batched={batched}");
             assert_eq!(rw3, reply_w3, "batched={batched}");
             // The fail-aware client accepts the replayed replies without
@@ -1320,9 +1293,7 @@ mod tests {
             engine.enqueue(ClientId::new(0), UstorMsg::Submit(r4));
             engine.process_all();
             assert_eq!(engine.stats().rejected, 0, "batched={batched}");
-            let (_, UstorMsg::Reply(reply_r4)) = engine.poll_output().unwrap() else {
-                panic!("expected r4's reply");
-            };
+            let (_, reply_r4) = one_reply(&mut engine);
             let (_, done) = clients[0].handle_reply(reply_r4).unwrap();
             assert_eq!(done.read_value, Some(Some(Value::from("new"))));
         }
@@ -1471,17 +1442,13 @@ mod tests {
             engine.enqueue(c0, UstorMsg::Submit(r3));
             engine.process_all();
             snapshot(&engine);
-            let (_, UstorMsg::Reply(replayed)) = engine.poll_output().unwrap() else {
-                panic!("expected r2's replay");
-            };
+            let [(_, replayed), (_, reply_r3)]: [_; 2] = replies(&mut engine)
+                .try_into()
+                .unwrap_or_else(|out| panic!("batched={batched}: {out:?}"));
             assert_eq!(replayed, reply_r2, "batched={batched}");
             client.handle_reply(replayed).expect("no false violation");
-            let (_, UstorMsg::Reply(reply_r3)) = engine.poll_output().unwrap() else {
-                panic!("expected r3's reply");
-            };
             let (_, done) = client.handle_reply(reply_r3).expect("honest read survives");
             assert_eq!(done.read_value, Some(Some(Value::from("durable"))));
-            assert!(engine.poll_output().is_none(), "batched={batched}");
 
             // Round 2: a fresh write and a read of it, in one batch.
             let w4 = client.begin_write(Value::from("new")).unwrap();
@@ -1491,7 +1458,7 @@ mod tests {
             engine.process_all();
             snapshot(&engine);
             let mut last_read = None;
-            while let Some((_, UstorMsg::Reply(reply))) = engine.poll_output() {
+            for (_, reply) in replies(&mut engine) {
                 last_read = client.handle_reply(reply).unwrap().1.read_value;
             }
             assert_eq!(last_read, Some(Some(Value::from("new"))));

@@ -616,7 +616,7 @@ mod trust_model {
             engine.enqueue(c(0), UstorMsg::Submit(genuine.clone()));
             engine.process_all();
             assert_eq!(engine.stats().submits, 1, "batched={batched}");
-            while engine.poll_output().is_some() {}
+            while engine.poll_output_batch().is_some() {}
 
             // Forgery 1: fresh content, garbage Ed25519-shaped signatures.
             let mut garbage = genuine.clone();
@@ -648,7 +648,7 @@ mod trust_model {
                 );
             }
             assert_eq!(engine.stats().submits, 1, "batched={batched}");
-            assert!(engine.poll_output().is_none(), "no forged replies");
+            assert!(engine.poll_output_batch().is_none(), "no forged replies");
         }
     }
 

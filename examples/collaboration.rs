@@ -15,7 +15,11 @@
 //! waits): each `wait` serializes one operation, so the exact Figure 2
 //! cut is reproduced deterministically through the handle API alone.
 //!
+//! The server engine serves a loopback reactor, so, like `faust serve`,
+//! this needs a unix target.
+//!
 //! Run with: `cargo run --example collaboration`
+#![cfg_attr(not(unix), allow(unused_imports, dead_code))]
 
 use faust::client::{Event, FaustHandle, HandleConfig};
 use faust::core::FaustConfig;
@@ -27,9 +31,16 @@ const ALICE: ClientId = ClientId::new(0);
 const BOB: ClientId = ClientId::new(1);
 const CARLOS: ClientId = ClientId::new(2);
 
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("collaboration serves a loopback reactor, which needs a unix target");
+}
+
+#[cfg(unix)]
 fn main() {
     let n = 3;
-    let (transport, mut conns) = faust::net::channel::pair(n);
+    let transport = faust::net::ReactorTransport::bind("127.0.0.1:0", n).expect("bind loopback");
+    let addr = transport.local_addr();
     let engine = spawn_engine(
         ServerEngine::new(n, Box::new(UstorServer::new(n))),
         transport,
@@ -46,19 +57,10 @@ fn main() {
         tick_interval: Duration::from_millis(2),
         ..HandleConfig::default()
     };
-    let mk = |id: ClientId, conn| FaustHandle::new(id, n, b"figure-2", &config, Box::new(conn));
-    let mut carlos = {
-        let c = conns.remove(2);
-        mk(CARLOS, c)
-    };
-    let mut bob = {
-        let c = conns.remove(1);
-        mk(BOB, c)
-    };
-    let mut alice = {
-        let c = conns.remove(0);
-        mk(ALICE, c)
-    };
+    let mk = |id| FaustHandle::connect_tcp(addr, id, n, b"figure-2", &config).expect("connect");
+    let mut carlos = mk(CARLOS);
+    let mut bob = mk(BOB);
+    let mut alice = mk(ALICE);
     let wait = Duration::from_secs(5);
 
     // Alice's morning edits: timestamps 1..=3.

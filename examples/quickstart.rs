@@ -1,15 +1,16 @@
 //! Quickstart: three clients collaborate through an untrusted server —
 //! driven entirely through the public client API.
 //!
-//! A live deployment in one process: the server engine serves the
-//! in-process channel transport on its own thread, and three
-//! [`faust::client::FaustHandle`] sessions write, read, and react to the
-//! typed fail-awareness event stream (completions with timestamps,
-//! stability cuts). Swap the channel transport for
-//! `FaustHandle::connect_tcp` and this same code runs against a remote
-//! `faust serve` process.
+//! A live deployment in one process: the server engine serves a loopback
+//! reactor on its own thread, and three [`faust::client::FaustHandle`]
+//! sessions connect to it over TCP, write, read, and react to the typed
+//! fail-awareness event stream (completions with timestamps, stability
+//! cuts). Point `FaustHandle::connect_tcp` at the address of a remote
+//! `faust serve` process and this same code runs against it. Like
+//! `faust serve`, it needs a unix target.
 //!
 //! Run with: `cargo run --example quickstart`
+#![cfg_attr(not(unix), allow(unused_imports))]
 
 use faust::client::{Event, FaustHandle, HandleConfig, OfflineLink, SessionCore};
 use faust::core::FaustConfig;
@@ -17,12 +18,19 @@ use faust::types::{ClientId, Value};
 use faust::ustor::{spawn_engine, ServerEngine, UstorServer};
 use std::time::Duration;
 
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("quickstart serves a loopback reactor, which needs a unix target");
+}
+
+#[cfg(unix)]
 fn main() {
     let n = 3;
 
-    // Server side: the engine over the channel transport, on its own
-    // thread — exactly what `faust serve` does behind TCP.
-    let (transport, conns) = faust::net::channel::pair(n);
+    // Server side: the engine behind a loopback reactor, on its own
+    // thread — exactly what `faust serve` does.
+    let transport = faust::net::ReactorTransport::bind("127.0.0.1:0", n).expect("bind loopback");
+    let addr = transport.local_addr();
     let engine = spawn_engine(
         ServerEngine::new(n, Box::new(UstorServer::new(n))),
         transport,
@@ -43,18 +51,11 @@ fn main() {
         ..HandleConfig::default()
     };
     let mut links: Vec<OfflineLink> = faust::client::offline_mesh(n);
-    let mut handles: Vec<FaustHandle> = conns
-        .into_iter()
-        .enumerate()
-        .map(|(i, conn)| {
-            FaustHandle::new(
-                ClientId::new(i as u32),
-                n,
-                b"quickstart",
-                &config,
-                Box::new(conn),
-            )
-            .with_offline(links.remove(0))
+    let mut handles: Vec<FaustHandle> = (0..n)
+        .map(|i| {
+            FaustHandle::connect_tcp(addr, ClientId::new(i as u32), n, b"quickstart", &config)
+                .expect("connect")
+                .with_offline(links.remove(0))
         })
         .collect();
 

@@ -23,27 +23,32 @@
 //!   └──────────────▲──────────────────────────────▲──────────────┘
 //!                  │ ServerEngine::round          │ serve loop over a
 //!                  │ in virtual time              │ ServerTransport (faust-net)
-//!          ┌───────┴─────────┐         ┌──────────┴───────┬─────────────────┐
-//!          │                 │         │                  │                 │
-//!    ustor::Driver   core::FaustDriver QueueTransport  channel transport  ReactorTransport
-//!    (scripted       (full FAUST       (in-process     (std::sync::mpsc,  (unix: the socket
-//!    USTOR runs)     stack, fault      link of         engine and         server — frames,
-//!                    plan, oracles)    faustbench)     clients on         one event loop,
-//!                                                      threads)           admission control
-//!                                                                         — docs/networking.md)
+//!          ┌───────┴─────────┐           ┌────────┴─────────┐
+//!          │                 │           │                  │
+//!    ustor::Driver   core::FaustDriver QueueTransport   ReactorTransport
+//!    (scripted       (full FAUST       (in-process      (unix: the socket
+//!    USTOR runs)     stack, fault      link of          server — frames,
+//!                    plan, oracles)    faustbench)      one event loop,
+//!                                                       admission control
+//!                                                       — docs/networking.md)
+//!                                                              ▲
+//!                                                              │ framed TCP
+//!                                                       net::ClientConn
+//!                                                       (one socket per
+//!                                                       client session)
 //! ```
 //!
 //! One engine round ([`ustor::ServerEngine::round`]) serves all of them:
 //! [`ustor::spawn_engine`] runs the [`ustor::serve`] loop on a thread
-//! behind a channel or a real TCP listener, with live
-//! [`client::FaustHandle`] sessions on the other side, and the two
-//! simulators call the round from their server nodes inside virtual
-//! time, no transport in between. The USTOR simulation driver
-//! ([`ustor::Driver`]) is one loop over the [`ustor::Protocol`] trait, so
-//! the lock-step baseline ([`baseline::LsDriver`]) runs in it too, on its
-//! own server; the FAUST simulator ([`core::FaustDriver`]) is a separate
-//! loop with ticks, the offline channel and a fault plan. Client threads
-//! hold a transport-independent [`net::ClientConn`].
+//! behind a TCP listener, with live [`client::FaustHandle`] sessions on
+//! the other side, and the two simulators call the round from their
+//! server nodes inside virtual time, no transport in between. The USTOR
+//! simulation driver ([`ustor::Driver`]) is one loop over the
+//! [`ustor::Protocol`] trait, so the lock-step baseline
+//! ([`baseline::LsDriver`]) runs in it too, on its own server; the FAUST
+//! simulator ([`core::FaustDriver`]) is a separate loop with ticks, the
+//! offline channel and a fault plan. A live client session holds one
+//! [`net::ClientConn`]: a framed TCP socket it reads on its own thread.
 //!
 //! Messages are encoded by the hand-rolled, byte-exact codec in
 //! [`types::wire`]; stream transports add the

@@ -35,9 +35,7 @@ use faust::core::handle::{
     DisconnectCause, Event, FaustHandle, HandleConfig, HandleStats, ReconnectPolicy,
 };
 use faust::core::{FaustConfig, UserOp};
-use faust::net::{
-    tcp, ClientDialer, ClientTransport, KillSwitch, KillableTransport, ReactorTransport,
-};
+use faust::net::{tcp, ClientConn, ClientDialer, KillSwitch, KillableTransport, ReactorTransport};
 use faust::store::{testutil, truncate_tail_records, PersistentBackend, StoreConfig};
 use faust::types::{ClientId, Value};
 use faust::ustor::{spawn_engine, ServerEngine};
@@ -95,9 +93,9 @@ struct PublishedAddrDialer {
 }
 
 impl ClientDialer for PublishedAddrDialer {
-    fn dial(&mut self, timeout: Duration) -> std::io::Result<Box<dyn ClientTransport>> {
+    fn dial(&mut self, timeout: Duration) -> std::io::Result<ClientConn> {
         let addr = *self.addr.lock().unwrap();
-        Ok(Box::new(tcp::connect_timeout(addr, self.id, timeout)?))
+        tcp::connect_timeout(addr, self.id, timeout)
     }
 }
 
@@ -189,7 +187,7 @@ fn sessions_survive_repeated_abrupt_server_kills() {
     let mut handles: Vec<FaustHandle> = (0..n as u32)
         .map(|i| {
             let conn = tcp::connect(*published.lock().unwrap(), c(i)).expect("connect");
-            FaustHandle::new(c(i), n, b"chaos-honest", &config, Box::new(conn)).with_auto_reconnect(
+            FaustHandle::new(c(i), n, b"chaos-honest", &config, conn).with_auto_reconnect(
                 Box::new(PublishedAddrDialer {
                     addr: Arc::clone(&published),
                     id: c(i),
@@ -329,14 +327,13 @@ fn truncated_log_restart_is_flagged_through_auto_reconnect() {
     let mut handles: Vec<FaustHandle> = (0..n as u32)
         .map(|i| {
             let conn = tcp::connect(*published.lock().unwrap(), c(i)).expect("connect");
-            FaustHandle::new(c(i), n, b"chaos-truncated", &config, Box::new(conn))
-                .with_auto_reconnect(
-                    Box::new(PublishedAddrDialer {
-                        addr: Arc::clone(&published),
-                        id: c(i),
-                    }),
-                    chaos_policy(),
-                )
+            FaustHandle::new(c(i), n, b"chaos-truncated", &config, conn).with_auto_reconnect(
+                Box::new(PublishedAddrDialer {
+                    addr: Arc::clone(&published),
+                    id: c(i),
+                }),
+                chaos_policy(),
+            )
         })
         .collect();
 

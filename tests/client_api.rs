@@ -2,10 +2,10 @@
 //! here drives [`faust::client::FaustHandle`] / [`Event`] only — no
 //! driver internals, no direct `ServerEngine` access on the client side.
 //!
-//! * A seeded property: a pipelined handle deployment over the channel
-//!   transport completes the same operations (kinds, targets,
-//!   fail-aware timestamps) and converges to the same stability cuts as
-//!   the equivalent `FaustDriver` script in deterministic simulation.
+//! * A seeded property: a pipelined handle deployment over a loopback
+//!   reactor completes the same operations (kinds, targets, fail-aware
+//!   timestamps) and converges to the same stability cuts as the
+//!   equivalent `FaustDriver` script in deterministic simulation.
 //! * A kill-and-restart end-to-end over real TCP with persistence and
 //!   group commit: an honest restart is invisible through the handle
 //!   (reconnect, cross-restart read, stability advancing), while a
@@ -13,13 +13,13 @@
 
 mod common;
 
-use common::{incarnation, quiet_config};
+use common::{incarnation, quiet_config, serve_loopback};
 use faust::client::{offline_mesh, Event, FaustHandle, HandleConfig, WaitError};
 use faust::core::{FaustConfig, FaustDriver, FaustDriverConfig};
 use faust::net::tcp;
 use faust::store::{testutil, truncate_tail_records, Durability, PersistentBackend, StoreConfig};
 use faust::types::{ClientId, OpKind, Timestamp, Value};
-use faust::ustor::{random_workloads, spawn_engine, ServerEngine, UstorServer, WorkloadOp};
+use faust::ustor::{random_workloads, ServerEngine, UstorServer, WorkloadOp};
 use std::time::{Duration, Instant};
 
 fn c(i: u32) -> ClientId {
@@ -72,13 +72,9 @@ fn pipelined_handles_match_the_driver_script() {
             );
         }
 
-        // The same script through live pipelined handles over the
-        // channel transport (dummy reads + probes spread stability).
-        let (transport, conns) = faust::net::channel::pair(n);
-        let engine = spawn_engine(
-            ServerEngine::new(n, Box::new(UstorServer::new(n))),
-            transport,
-        );
+        // The same script through live pipelined handles over a
+        // loopback reactor (dummy reads + probes spread stability).
+        let (addr, engine) = serve_loopback(ServerEngine::new(n, Box::new(UstorServer::new(n))), n);
         let config = HandleConfig {
             faust: FaustConfig {
                 probe_period: 50,
@@ -90,21 +86,16 @@ fn pipelined_handles_match_the_driver_script() {
         };
         let mut links = offline_mesh(n);
         links.reverse();
-        let workers: Vec<_> = conns
+        let workers: Vec<_> = workloads
             .into_iter()
-            .zip(workloads)
             .enumerate()
-            .map(|(i, (conn, workload))| {
+            .map(|(i, workload)| {
                 let link = links.pop().expect("one link per client");
                 std::thread::spawn(move || {
-                    let mut handle = FaustHandle::new(
-                        c(i as u32),
-                        n,
-                        b"client-api-prop",
-                        &config,
-                        Box::new(conn),
-                    )
-                    .with_offline(link);
+                    let mut handle =
+                        FaustHandle::connect_tcp(addr, c(i as u32), n, b"client-api-prop", &config)
+                            .expect("connect")
+                            .with_offline(link);
                     for op in workload {
                         match op {
                             WorkloadOp::Write(value) => handle.write(value),
@@ -169,7 +160,7 @@ fn group_store() -> StoreConfig {
 /// Reconnects `handle` to the incarnation at `addr`.
 fn redial(handle: &mut FaustHandle, addr: std::net::SocketAddr) {
     let conn = tcp::connect(addr, handle.id()).expect("redial");
-    handle.reconnect(Box::new(conn));
+    handle.reconnect(conn);
 }
 
 #[test]

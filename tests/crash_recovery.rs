@@ -73,7 +73,7 @@ fn second_phase(previous: Phase, backend: &PersistentBackend) -> (Phase, EngineS
         .into_iter()
         .map(|(mut handle, _)| {
             let conn = tcp::connect(addr, handle.id()).expect("redial");
-            handle.reconnect(Box::new(conn));
+            handle.reconnect(conn);
             handle
         })
         .collect();
@@ -510,7 +510,7 @@ fn random_truncation_points_recover_into_flagged_rollbacks() {
                 .filter(|&m| m != j)
                 .map(|m| tcp::connect(addr, c(m as u32)).expect("filler"))
                 .collect();
-            h.reconnect(Box::new(tcp::connect(addr, c(j as u32)).expect("redial")));
+            h.reconnect(tcp::connect(addr, c(j as u32)).expect("redial"));
             let ticket = h.write(Value::from(vec![b'p', j as u8]));
             if must_flag[j] {
                 let err = h.wait(ticket, wait).expect_err("rollback must be detected");

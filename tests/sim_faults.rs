@@ -234,7 +234,7 @@ fn threaded_twin_elapsed() -> Duration {
     let (addr, engine) = incarnation(&backend, n);
     for handle in &mut handles {
         let conn = tcp::connect(addr, handle.id()).expect("redial");
-        handle.reconnect(Box::new(conn));
+        handle.reconnect(conn);
     }
     let phase2 = run_phase(
         handles,
