@@ -73,13 +73,6 @@ impl Relation {
             }
         }
     }
-
-    /// Union with another relation of the same arity.
-    pub fn union(&mut self, other: &Relation) {
-        for (a, b) in self.pred.iter_mut().zip(&other.pred) {
-            *a |= b;
-        }
-    }
 }
 
 /// All order information the checkers need about a history.

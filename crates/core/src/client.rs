@@ -477,7 +477,7 @@ impl FaustClient {
         if self.failed.is_some() {
             return actions;
         }
-        if !msg.verify(self.ustor_registry()) {
+        if !msg.verify(self.registry()) {
             return actions; // unauthenticated noise; ignore
         }
         match msg {
@@ -525,12 +525,6 @@ impl FaustClient {
             self.start_dummy_read(&mut actions);
         }
         actions
-    }
-
-    fn ustor_registry(&self) -> &VerifierRegistry {
-        // The registry is shared; UstorClient holds a clone. Keep one
-        // accessor so the offline path uses the same trust root.
-        self.registry()
     }
 
     /// The verifier registry used for offline-message authentication.

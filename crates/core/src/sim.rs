@@ -83,7 +83,9 @@ pub enum WalTamper {
 /// keep flowing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashSpec {
-    /// Crash after this many protocol messages reach the server.
+    /// Crash after the server has processed this many SUBMITs and
+    /// COMMITs; resends the engine answers from its reply cache do not
+    /// count.
     pub after_messages: usize,
     /// State tamper applied while down.
     pub tamper: WalTamper,
@@ -681,9 +683,6 @@ pub struct FaustDriver {
     tick_period: u64,
     plan: FaultPlan,
     clause_state: Vec<ClauseState>,
-    /// Mirror of [`CrashRestartServer`]'s message counter, so the
-    /// driver knows *when* (in virtual time) the crash fired.
-    server_messages: usize,
     crash_after: Option<usize>,
     crash_time: Option<u64>,
     /// Whether the server holds replies back for group commit — a crash
@@ -846,7 +845,6 @@ impl FaustDriver {
             tick_period: config.tick_period,
             plan: FaultPlan::honest(),
             clause_state: Vec::new(),
-            server_messages: 0,
             crash_after: None,
             crash_time: None,
             group_commit: false,
@@ -996,34 +994,32 @@ impl FaustDriver {
     }
 
     /// Feeds one protocol message to the engine and pumps outputs back
-    /// into virtual time. Mirrors the crash counter so the driver knows
-    /// the crash tick.
+    /// into virtual time, noting the tick at which the crash fired.
     fn server_receive(&mut self, from: ClientId, msg: UstorMsg, now: u64) {
         self.clock.set(now);
-        let mut crashed_now = false;
         if matches!(
             msg,
             UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_)
         ) {
             self.server_bound = self.server_bound.saturating_sub(1);
-            self.server_messages += 1;
-            if self.crash_after == Some(self.server_messages) {
-                crashed_now = true;
-                self.crash_time = Some(now);
-                if let Some(spec) = self.plan.crash() {
-                    match spec.tamper {
-                        WalTamper::WipeState => self.fork_fired.push((now, "crash-wipe", None)),
-                        WalTamper::TruncateTail(_) => {
-                            self.dirty_fired.push((now, "crash-truncate"))
-                        }
-                        WalTamper::None => {}
-                    }
-                }
-            }
         }
         self.engine.enqueue(from, msg);
         self.server_round(false, now);
-        if crashed_now {
+        // [`CrashRestartServer`] counts its `on_submit`/`on_commit`
+        // calls, which are exactly the engine's forwarded SUBMITs and
+        // COMMITs: a resend answered from the reply cache, or a delta
+        // with no base, never reaches the server and never fires it.
+        let stats = self.engine.stats();
+        let served = (stats.submits + stats.commits) as usize;
+        if self.crash_time.is_none() && served > 0 && self.crash_after == Some(served) {
+            self.crash_time = Some(now);
+            if let Some(spec) = self.plan.crash() {
+                match spec.tamper {
+                    WalTamper::WipeState => self.fork_fired.push((now, "crash-wipe", None)),
+                    WalTamper::TruncateTail(_) => self.dirty_fired.push((now, "crash-truncate")),
+                    WalTamper::None => {}
+                }
+            }
             // Judged *after* the trigger message's own replies went out:
             // detection of the wipe is only guaranteed when nothing on
             // the wire — in either direction — can re-teach the

@@ -14,17 +14,6 @@
 //! tables — curve constants are derived from their defining equations and
 //! pinned by the RFC 8032 test vectors below.
 //!
-//! # Batch verification
-//!
-//! [`verify_batch`] checks m signatures with one multi-scalar
-//! multiplication over 2m + 1 points instead of m double-scalar
-//! multiplications, sharing the ~252 point doublings across the whole
-//! batch (the classical random-linear-combination batch equation, with
-//! deterministic Fiat–Shamir-style coefficients derived by hashing the
-//! batch). It answers only "is every signature valid?"; callers that
-//! must identify culprits re-verify individually on failure, which is
-//! what the `verify_batch` of [`crate::sig::VerifierRegistry`] does.
-//!
 //! # Example
 //!
 //! ```
@@ -78,11 +67,10 @@ impl fmt::Debug for SigningKey {
 }
 
 /// An Ed25519 public key: the compressed point A = a·B plus its cached
-/// decompression.
+/// negation.
 #[derive(Clone, Copy)]
 pub struct VerifyingKey {
     compressed: [u8; PUBLIC_KEY_LEN],
-    point: Point,
     /// −A, precomputed for the verification equation R = s·B − h·A.
     neg_point: Point,
 }
@@ -122,7 +110,6 @@ impl SigningKey {
         let public_point = point::mul_base(a.as_bytes());
         let public = VerifyingKey {
             compressed: public_point.compress(),
-            point: public_point,
             neg_point: public_point.neg(),
         };
         SigningKey { a, prefix, public }
@@ -189,7 +176,6 @@ impl VerifyingKey {
         let point = Point::decompress(bytes)?;
         Some(VerifyingKey {
             compressed: *bytes,
-            point,
             neg_point: point.neg(),
         })
     }
@@ -217,90 +203,6 @@ impl VerifyingKey {
         // R decompressed, so comparing points (not bytes) is exact.
         candidate.eq_vartime(&parsed.r_point)
     }
-}
-
-/// One (public key, message, signature) triple for [`verify_batch`].
-#[derive(Clone)]
-pub struct BatchItem<'a> {
-    /// The claimed signer.
-    pub public: &'a VerifyingKey,
-    /// The signed message.
-    pub message: &'a [u8],
-    /// The 64-byte signature.
-    pub sig: &'a [u8; SIGNATURE_LEN],
-}
-
-/// Verifies a whole batch with one (2m+1)-point multi-scalar
-/// multiplication. Returns `true` iff — up to the standard cofactor
-/// slack — *every* signature in the batch verifies; an empty batch is
-/// vacuously valid. On `false`, at least one item is bad, but the batch
-/// equation cannot say which: re-verify individually to identify it.
-///
-/// The random coefficients zᵢ that prevent cross-item cancellation are
-/// derived by hashing the entire batch (public keys, signatures,
-/// messages), so a forger must commit to every signature before learning
-/// any zᵢ — the usual Fiat–Shamir replacement for an RNG, which this
-/// crate deliberately does not have (reproducibility).
-///
-/// The batch equation is checked after multiplying by the cofactor 8, as
-/// in RFC 8032's suggested batch method; adversarially crafted
-/// signatures involving small-order components can therefore pass the
-/// batch while failing [`VerifyingKey::verify`]'s cofactorless check.
-/// No such signature can alter signed *content*, and the registry layer
-/// falls back to per-item verification whenever the batch fails.
-pub fn verify_batch(items: &[BatchItem<'_>]) -> bool {
-    if items.is_empty() {
-        return true;
-    }
-    let mut parsed = Vec::with_capacity(items.len());
-    for item in items {
-        match parse_signature(item.sig) {
-            Some(p) => parsed.push(p),
-            None => return false,
-        }
-    }
-
-    // Transcript hash binding every signature in the batch.
-    let mut transcript = Sha512::new();
-    transcript.update(b"faust-ed25519-batch/v1");
-    for item in items {
-        transcript.update(item.public.as_bytes());
-        transcript.update(item.sig);
-        transcript.update(&(item.message.len() as u64).to_be_bytes());
-        transcript.update(item.message);
-    }
-    let seed = transcript.finalize();
-
-    // Σ zᵢ·sᵢ on B  ==  Σ zᵢ·Rᵢ + Σ (zᵢ·hᵢ)·Aᵢ   (×8 on both sides).
-    let mut s_agg = Scalar::ZERO;
-    let mut scalars = Vec::with_capacity(2 * items.len());
-    let mut points = Vec::with_capacity(2 * items.len());
-    for (i, (item, sig)) in items.iter().zip(&parsed).enumerate() {
-        let z = batch_coefficient(&seed, i as u64);
-        let h = challenge(&sig.r_bytes, item.public.as_bytes(), item.message);
-        s_agg = s_agg.add(&z.mul(&sig.s));
-        scalars.push(*z.as_bytes());
-        points.push(sig.r_point);
-        scalars.push(*z.mul(&h).as_bytes());
-        points.push(item.public.point);
-    }
-    let lhs = point::mul_base(s_agg.as_bytes());
-    let rhs = point::vartime_multiscalar_mul(&scalars, &points);
-    lhs.add(&rhs.neg()).mul_by_cofactor().is_identity()
-}
-
-/// The i-th 128-bit batch coefficient, never zero.
-fn batch_coefficient(seed: &[u8; 64], i: u64) -> Scalar {
-    let mut h = Sha512::new();
-    h.update(seed);
-    h.update(&i.to_be_bytes());
-    let digest = h.finalize();
-    let mut z = [0u8; 32];
-    z[..16].copy_from_slice(&digest[..16]);
-    if z == [0u8; 32] {
-        z[0] = 1; // probability 2⁻¹²⁸, but never hand out a useless zᵢ
-    }
-    Scalar::from_canonical_bytes(&z).expect("128-bit value is below L")
 }
 
 #[cfg(test)]
@@ -433,73 +335,5 @@ mod tests {
         let mut off_curve = [0u8; 32];
         off_curve[0] = 2;
         assert!(VerifyingKey::from_bytes(&off_curve).is_none());
-    }
-
-    #[test]
-    fn batch_accepts_honest_and_rejects_tampered() {
-        let keys: Vec<SigningKey> = (0..6u8).map(|i| SigningKey::from_seed(&[i; 32])).collect();
-        let messages: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 7 + i as usize]).collect();
-        let sigs: Vec<[u8; 64]> = keys.iter().zip(&messages).map(|(k, m)| k.sign(m)).collect();
-        let publics: Vec<VerifyingKey> = keys.iter().map(|k| k.verifying_key()).collect();
-        let items: Vec<BatchItem<'_>> = publics
-            .iter()
-            .zip(&messages)
-            .zip(&sigs)
-            .map(|((public, message), sig)| BatchItem {
-                public,
-                message,
-                sig,
-            })
-            .collect();
-        assert!(verify_batch(&items));
-        assert!(verify_batch(&[]), "empty batch is vacuously valid");
-
-        // One flipped signature bit fails the whole batch.
-        let mut bad_sigs = sigs.clone();
-        bad_sigs[3][40] ^= 0x10;
-        let bad_items: Vec<BatchItem<'_>> = publics
-            .iter()
-            .zip(&messages)
-            .zip(&bad_sigs)
-            .map(|((public, message), sig)| BatchItem {
-                public,
-                message,
-                sig,
-            })
-            .collect();
-        assert!(!verify_batch(&bad_items));
-
-        // Swapping two valid (message, signature) pairs also fails.
-        let mut swapped: Vec<BatchItem<'_>> = items.clone();
-        swapped[0].sig = items[1].sig;
-        swapped[1].sig = items[0].sig;
-        assert!(!verify_batch(&swapped));
-    }
-
-    #[test]
-    fn batch_agrees_with_individual_verification_on_random_corruption() {
-        let keys: Vec<SigningKey> = (10..14u8)
-            .map(|i| SigningKey::from_seed(&[i; 32]))
-            .collect();
-        let msg = b"same message for everyone";
-        let mut sigs: Vec<[u8; 64]> = keys.iter().map(|k| k.sign(msg)).collect();
-        sigs[2][0] ^= 0xFF; // corrupt R of one signature
-        let publics: Vec<VerifyingKey> = keys.iter().map(|k| k.verifying_key()).collect();
-        let per_item: Vec<bool> = publics
-            .iter()
-            .zip(&sigs)
-            .map(|(p, s)| p.verify(msg, s))
-            .collect();
-        assert_eq!(per_item, vec![true, true, false, true]);
-        let items: Vec<BatchItem<'_>> = publics
-            .iter()
-            .zip(&sigs)
-            .map(|(public, sig)| BatchItem {
-                public,
-                message: msg,
-                sig,
-            })
-            .collect();
-        assert!(!verify_batch(&items));
     }
 }

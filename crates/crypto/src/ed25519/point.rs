@@ -114,15 +114,6 @@ impl Point {
             && self.y.mul(q.z).ct_eq_vartime(q.y.mul(self.z))
     }
 
-    pub(crate) fn is_identity(&self) -> bool {
-        self.eq_vartime(&Point::IDENTITY)
-    }
-
-    /// Multiplies by the cofactor 8.
-    pub(crate) fn mul_by_cofactor(&self) -> Point {
-        self.double().double().double()
-    }
-
     /// The canonical 32-byte compressed encoding: little-endian y with
     /// the sign of x in bit 255.
     pub(crate) fn compress(&self) -> [u8; 32] {
@@ -251,7 +242,7 @@ static BASE_MULTIPLES: OnceLock<[Point; 15]> = OnceLock::new();
 
 /// Straus's interleaved radix-16 loop over prebuilt multiples tables:
 /// the ~252 doublings are shared across all points, which is the whole
-/// economy of the multi-scalar paths.
+/// economy of the double-scalar path.
 fn straus_loop(scalars: &[[u8; 32]], tables: &[&[Point; 15]]) -> Point {
     debug_assert_eq!(scalars.len(), tables.len());
     let mut acc = Point::IDENTITY;
@@ -272,21 +263,9 @@ fn straus_loop(scalars: &[[u8; 32]], tables: &[&[Point; 15]]) -> Point {
     acc
 }
 
-/// Variable-time multi-scalar multiplication Σᵢ sᵢ·Pᵢ.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub(crate) fn vartime_multiscalar_mul(scalars: &[[u8; 32]], points: &[Point]) -> Point {
-    assert_eq!(scalars.len(), points.len(), "one scalar per point");
-    let tables: Vec<[Point; 15]> = points.iter().map(multiples).collect();
-    let refs: Vec<&[Point; 15]> = tables.iter().collect();
-    straus_loop(scalars, &refs)
-}
-
-/// `s·B + t·Q` — the single-signature verification shape, using the
-/// cached table of B's multiples so per-message verification builds a
-/// table only for Q.
+/// `s·B + t·Q` — the signature verification shape, using the cached
+/// table of B's multiples so each verification builds a table only for
+/// Q.
 pub(crate) fn vartime_double_scalar_mul_base(s: &[u8; 32], t: &[u8; 32], q: &Point) -> Point {
     let q_table = multiples(q);
     straus_loop(&[*s, *t], &[base_multiples(), &q_table])
@@ -331,8 +310,8 @@ mod tests {
     fn identity_behaves() {
         let b = Point::base();
         assert!(b.add(&Point::IDENTITY).eq_vartime(&b));
-        assert!(b.add(&b.neg()).is_identity());
-        assert!(Point::IDENTITY.double().is_identity());
+        assert!(b.add(&b.neg()).eq_vartime(&Point::IDENTITY));
+        assert!(Point::IDENTITY.double().eq_vartime(&Point::IDENTITY));
     }
 
     #[test]
@@ -353,7 +332,9 @@ mod tests {
             b[24..32].copy_from_slice(&0x1000000000000000_u64.to_le_bytes());
             b
         };
-        assert!(Point::base().mul_scalar(&l_bytes).is_identity());
+        assert!(Point::base()
+            .mul_scalar(&l_bytes)
+            .eq_vartime(&Point::IDENTITY));
         let mut l_minus_1 = l_bytes;
         l_minus_1[0] -= 1;
         assert!(Point::base()
@@ -384,24 +365,8 @@ mod tests {
         s[..8].copy_from_slice(&0xfeed_beef_u64.to_le_bytes());
         let mut t = [0u8; 32];
         t[..8].copy_from_slice(&0x1234_5678_9abc_u64.to_le_bytes());
-        let want = vartime_multiscalar_mul(&[s, t], &[Point::base(), q]);
+        let want = Point::base().mul_scalar(&s).add(&q.mul_scalar(&t));
         assert!(vartime_double_scalar_mul_base(&s, &t, &q).eq_vartime(&want));
-    }
-
-    #[test]
-    fn multiscalar_agrees_with_naive_sum() {
-        let b = Point::base();
-        let p2 = b.double();
-        let p3 = p2.add(&b);
-        let mut s1 = [0u8; 32];
-        s1[..8].copy_from_slice(&123456789u64.to_le_bytes());
-        let mut s2 = [0u8; 32];
-        s2[..8].copy_from_slice(&987654321u64.to_le_bytes());
-        let mut s3 = [0u8; 32];
-        s3[0] = 0; // zero scalar contributes nothing
-        let want = b.mul_scalar(&s1).add(&p2.mul_scalar(&s2));
-        let got = vartime_multiscalar_mul(&[s1, s2, s3], &[b, p2, p3]);
-        assert!(got.eq_vartime(&want));
     }
 
     #[test]
@@ -423,14 +388,5 @@ mod tests {
         let mut neg_zero = canon_one;
         neg_zero[31] |= 0x80;
         assert!(Point::decompress(&neg_zero).is_none());
-    }
-
-    #[test]
-    fn cofactor_kills_small_order_points() {
-        // y = −1 gives a point of order ≤ 4 ((0, −1) has order 2).
-        let minus_one = Fe::ONE.neg().to_bytes();
-        let p = Point::decompress(&minus_one).expect("(0, −1) decodes");
-        assert!(!p.is_identity());
-        assert!(p.mul_by_cofactor().is_identity());
     }
 }

@@ -83,8 +83,6 @@ fn reduce_limbs(wide: &[u64]) -> [u64; 4] {
 }
 
 impl Scalar {
-    pub(crate) const ZERO: Scalar = Scalar([0; 32]);
-
     /// Whether `bytes` already encodes a canonical scalar (< L). RFC 8032
     /// requires rejecting signatures whose `s` fails this test.
     pub(crate) fn is_canonical(bytes: &[u8; 32]) -> bool {

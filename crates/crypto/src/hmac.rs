@@ -103,8 +103,8 @@ impl HmacSha256 {
 /// the 64-byte `opad` block. When many MACs are computed under the *same*
 /// key those runs can be paid once and cloned; for the short messages the
 /// protocol signs (~50–130 bytes) this roughly halves the per-MAC cost.
-/// [`crate::sig`] keeps every HMAC key in this form, so signing,
-/// per-message verification and batched verification share one path.
+/// [`crate::sig`] keeps every HMAC key in this form, so signing and
+/// verification share one path.
 ///
 /// # Example
 ///

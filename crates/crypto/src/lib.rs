@@ -14,9 +14,9 @@
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), verified against the RFC 4231 test
 //!   vectors.
 //! * [`ed25519`] — Ed25519 signatures (RFC 8032): curve25519 field and
-//!   scalar arithmetic, point compression, deterministic signing, strict
-//!   verification, and multi-scalar batch verification — all in-tree,
-//!   verified against the RFC 8032 test vectors.
+//!   scalar arithmetic, point compression, deterministic signing and strict
+//!   verification — all in-tree, verified against the RFC 8032 test
+//!   vectors.
 //! * [`sig`] — the signature abstraction of the paper: per-client signing
 //!   keys, a shared verifier registry, and domain-separated signature roles
 //!   (`SUBMIT`, `DATA`, `COMMIT`, `PROOF`), generic over the scheme.
@@ -92,5 +92,4 @@ pub use sha256::{sha256, Digest, Sha256};
 pub use sha512::{sha512, Sha512};
 pub use sig::{
     KeySet, Keypair, SigContext, SigScheme, Signature, Signer, Verifier, VerifierRegistry,
-    VerifyItem,
 };

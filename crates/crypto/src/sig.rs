@@ -162,19 +162,6 @@ pub trait Signer {
     fn sign(&self, context: SigContext, message: &[u8]) -> Signature;
 }
 
-/// One signature check inside a batch handed to [`Verifier::verify_batch`].
-#[derive(Debug, Clone)]
-pub struct VerifyItem {
-    /// The claimed signer.
-    pub signer: ClientIndex,
-    /// The signature's domain.
-    pub context: SigContext,
-    /// The canonical signed bytes.
-    pub message: Vec<u8>,
-    /// The signature to check.
-    pub sig: Signature,
-}
-
 /// Anything able to verify any client's signatures.
 pub trait Verifier {
     /// Returns `true` iff `sig` is a valid signature by client `signer` on
@@ -186,27 +173,11 @@ pub trait Verifier {
         message: &[u8],
         sig: &Signature,
     ) -> bool;
-
-    /// Verifies a whole batch, returning one verdict per item (same
-    /// order).
-    ///
-    /// The default implementation just loops over [`Verifier::verify`];
-    /// schemes with shareable per-batch work override it —
-    /// [`VerifierRegistry`] runs one multi-scalar multiplication for a
-    /// whole Ed25519 batch, which is where the server engine's batched
-    /// SUBMIT verification gets its speedup. (HMAC has nothing to share:
-    /// every key already holds its prepared key schedule.)
-    fn verify_batch(&self, items: &[VerifyItem]) -> Vec<bool> {
-        items
-            .iter()
-            .map(|item| self.verify(item.signer, item.context, &item.message, &item.sig))
-            .collect()
-    }
 }
 
 /// Per-client HMAC secret key material, held as the keyed midstates so
-/// that no MAC — signing, per-message or batched verification — pays for
-/// the key schedule again. Never leaves this module.
+/// that no MAC — signing or verification — pays for the key schedule
+/// again. Never leaves this module.
 #[derive(Clone)]
 struct SecretKey(PreparedHmac);
 
@@ -365,54 +336,6 @@ impl VerifierRegistry {
             RegistryInner::Ed25519(_) => None,
         }
     }
-
-    /// The Ed25519 batch path: one aggregate check; on failure, per-item
-    /// re-verification to identify the culprits.
-    fn verify_batch_ed25519(
-        &self,
-        keys: &[ed25519::VerifyingKey],
-        items: &[VerifyItem],
-    ) -> Vec<bool> {
-        // Pre-screen: signer in range and signature of the right shape.
-        // `candidates[k]` is the item index of the k-th screened item.
-        let mut verdicts = vec![false; items.len()];
-        let mut candidates: Vec<usize> = Vec::with_capacity(items.len());
-        let mut tagged: Vec<Vec<u8>> = Vec::with_capacity(items.len());
-        for (idx, item) in items.iter().enumerate() {
-            let in_range = (item.signer as usize) < keys.len();
-            let ed_sig = matches!(item.sig, Signature::Ed25519(_));
-            if in_range && ed_sig {
-                candidates.push(idx);
-                tagged.push(tagged_message(item.context, &item.message));
-            }
-        }
-        let batch: Vec<ed25519::BatchItem<'_>> = candidates
-            .iter()
-            .zip(&tagged)
-            .map(|(&idx, message)| {
-                let Signature::Ed25519(sig) = &items[idx].sig else {
-                    unreachable!("screened above");
-                };
-                ed25519::BatchItem {
-                    public: &keys[items[idx].signer as usize],
-                    message,
-                    sig,
-                }
-            })
-            .collect();
-        if ed25519::verify_batch(&batch) {
-            for &idx in &candidates {
-                verdicts[idx] = true;
-            }
-        } else {
-            // At least one bad signature: fall back to individual checks
-            // so the caller learns *which* items to reject.
-            for (&idx, item) in candidates.iter().zip(&batch) {
-                verdicts[idx] = item.public.verify(item.message, item.sig);
-            }
-        }
-        verdicts
-    }
 }
 
 impl Verifier for VerifierRegistry {
@@ -443,17 +366,6 @@ impl Verifier for VerifierRegistry {
                 };
                 public.verify(&tagged_message(context, message), sig)
             }
-        }
-    }
-
-    fn verify_batch(&self, items: &[VerifyItem]) -> Vec<bool> {
-        match &self.inner {
-            // Keys carry prepared midstates: a batch has nothing to share.
-            RegistryInner::Hmac(_) => items
-                .iter()
-                .map(|item| self.verify(item.signer, item.context, &item.message, &item.sig))
-                .collect(),
-            RegistryInner::Ed25519(keys) => self.verify_batch_ed25519(keys, items),
         }
     }
 }
@@ -707,93 +619,16 @@ mod tests {
 mod batch_tests {
     use super::*;
 
-    fn batch(scheme: SigScheme, n: u32, per_signer: u64) -> (VerifierRegistry, Vec<VerifyItem>) {
-        let keys = KeySet::generate_with(scheme, n as usize, b"batch");
-        let mut items = Vec::new();
-        for i in 0..n {
-            let kp = keys.keypair(i).unwrap();
-            for s in 0..per_signer {
-                let message = format!("message {i}/{s}").into_bytes();
-                let sig = kp.sign(SigContext::Submit, &message);
-                items.push(VerifyItem {
-                    signer: i,
-                    context: SigContext::Submit,
-                    message,
-                    sig,
-                });
-            }
-        }
-        (keys.registry(), items)
-    }
-
-    #[test]
-    fn batch_agrees_with_per_item_verification() {
-        for scheme in [SigScheme::Hmac, SigScheme::Ed25519] {
-            let (reg, mut items) = batch(scheme, 4, 5);
-            // Corrupt a few items in distinctive ways.
-            items[3].sig = Signature::garbage();
-            items[7].message.push(0xFF);
-            items[11].signer = (items[11].signer + 1) % 4;
-            items[13].context = SigContext::Data;
-            let per_item: Vec<bool> = items
-                .iter()
-                .map(|it| reg.verify(it.signer, it.context, &it.message, &it.sig))
-                .collect();
-            assert_eq!(reg.verify_batch(&items), per_item, "{scheme:?}");
-            assert_eq!(per_item.iter().filter(|ok| !**ok).count(), 4, "{scheme:?}");
-        }
-    }
-
-    #[test]
-    fn all_honest_batch_is_all_true() {
-        for scheme in [SigScheme::Hmac, SigScheme::Ed25519] {
-            let (reg, items) = batch(scheme, 3, 4);
-            assert!(reg.verify_batch(&items).iter().all(|&v| v), "{scheme:?}");
-        }
-    }
-
-    #[test]
-    fn single_bad_signature_is_identified_not_smeared() {
-        // The acceptance-criteria case: a batch with exactly one bad
-        // signature must reject that item and keep the others.
-        for scheme in [SigScheme::Hmac, SigScheme::Ed25519] {
-            let (reg, mut items) = batch(scheme, 3, 3);
-            items[4].sig = match scheme {
-                SigScheme::Hmac => Signature::garbage(),
-                SigScheme::Ed25519 => Signature::garbage_ed25519(),
-            };
-            let verdicts = reg.verify_batch(&items);
-            for (i, ok) in verdicts.iter().enumerate() {
-                assert_eq!(*ok, i != 4, "{scheme:?} item {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_rejects_unknown_signer() {
-        for scheme in [SigScheme::Hmac, SigScheme::Ed25519] {
-            let (reg, mut items) = batch(scheme, 2, 1);
-            items[0].signer = 99;
-            assert_eq!(reg.verify_batch(&items), vec![false, true], "{scheme:?}");
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        for scheme in [SigScheme::Hmac, SigScheme::Ed25519] {
-            let (reg, _) = batch(scheme, 2, 1);
-            assert!(reg.verify_batch(&[]).is_empty());
-        }
-    }
-
     #[test]
     fn truncated_style_corruptions_rejected() {
         // Wire decoding makes truncation unrepresentable (fixed-length
         // reads), so "truncated" arrives as bit-corrupted or
         // wrong-variant signatures; both must fail closed.
-        let (reg, items) = batch(SigScheme::Ed25519, 2, 1);
-        let Signature::Ed25519(good) = items[0].sig else {
-            panic!("ed25519 batch");
+        let keys = KeySet::generate_ed25519(2, b"batch");
+        let message = b"message 0/0";
+        let Signature::Ed25519(good) = keys.keypair(0).unwrap().sign(SigContext::Submit, message)
+        else {
+            panic!("ed25519 key");
         };
         let mut zeroed_r = good;
         zeroed_r[..32].fill(0);
@@ -804,10 +639,7 @@ mod batch_tests {
             Signature::Ed25519(huge_s),
             Signature::Mac([0xAB; 32]),
         ] {
-            assert!(!reg.verify(0, SigContext::Submit, &items[0].message, &bad));
-            let mut tampered = items.clone();
-            tampered[0].sig = bad;
-            assert_eq!(reg.verify_batch(&tampered), vec![false, true], "{bad:?}");
+            assert!(!keys.registry().verify(0, SigContext::Submit, message, &bad));
         }
     }
 }

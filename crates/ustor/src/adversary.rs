@@ -363,11 +363,6 @@ impl CrashServer {
             submits_seen: 0,
         }
     }
-
-    /// Whether the server has gone silent.
-    pub fn is_mute(&self) -> bool {
-        self.submits_seen >= self.mute_after
-    }
 }
 
 impl Server for CrashServer {

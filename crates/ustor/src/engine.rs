@@ -35,23 +35,20 @@
 //! The USTOR protocol needs no server-side checks: every signature is
 //! re-verified by clients, and a server that forwards garbage is detected
 //! and pinned. A deployed service still wants to reject unauthenticated
-//! traffic at the door (resource protection, not correctness). The engine
-//! optionally does so, per message or batched
-//! ([`IngressVerification`]). Batched mode drains the whole inbox first
-//! and verifies all SUBMIT signatures through
-//! [`Verifier::verify_batch`] — for Ed25519 keys that is one multi-scalar
-//! batch equation over the whole inbox, measurably faster than
-//! per-message verification (README, "Choosing a verification scheme");
-//! HMAC keys carry their key schedule prepared, so both modes cost the
-//! same there.
+//! traffic at the door (resource protection, not correctness). Once
+//! [`ServerEngine::with_verification`] hands it a registry, the engine
+//! checks each SUBMIT as it processes it, with the same strict
+//! [`Verifier::verify`] that clients run — so the engine and the clients
+//! can never disagree about a signature.
 //!
-//! The hash `x̄` of a written value is computed once, as its SUBMIT is
-//! queued, and only with verification on — nothing else reads it.
+//! The hash `x̄` of a written value is computed once, just before its
+//! SUBMIT is verified, and only with verification on — nothing else
+//! reads it.
 //!
 //! Note on the trust model (`docs/trust-model.md` has the full story):
-//! the engine takes a `dyn` [`Verifier`], and which keys stand behind it
-//! decides whether ingress verification is *sound* in the paper's
-//! Byzantine-server setting. An Ed25519 registry
+//! which keys stand behind the registry decides whether ingress
+//! verification is *sound* in the paper's Byzantine-server setting. An
+//! Ed25519 registry
 //! ([`KeySet::generate_ed25519`](faust_crypto::KeySet::generate_ed25519))
 //! holds public keys only — handing it to the server grants no forging
 //! power, so rejection at the door is sound. An HMAC registry holds the
@@ -63,41 +60,13 @@
 use crate::reply_cache::ReplyCache;
 use crate::server::Server;
 use faust_crypto::sha256::sha256;
-use faust_crypto::sig::{SigContext, Verifier, VerifyItem};
+use faust_crypto::sig::{SigContext, Verifier, VerifierRegistry};
 use faust_crypto::Digest;
 use faust_net::{Incoming, ServerTransport};
 use faust_types::op::{data_signing_bytes, submit_signing_bytes};
 use faust_types::{ClientId, CommitMsg, OpKind, ReplyMsg, SubmitMsg, Timestamp, UstorMsg, Value};
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-/// A shared, thread-safe signature verifier for ingress checks.
-pub type SharedVerifier = Arc<dyn Verifier + Send + Sync>;
-
-/// Whether (and how) the engine verifies SUBMIT signatures at ingress.
-#[derive(Clone, Default)]
-pub enum IngressVerification {
-    /// Trust the transport; forward everything (the paper's model — all
-    /// checking happens at clients). This is the default.
-    #[default]
-    Off,
-    /// Verify each SUBMIT's signatures as it is processed.
-    PerMessage(SharedVerifier),
-    /// Drain the inbox and verify all queued SUBMITs as one batch,
-    /// amortizing per-signer verifier setup.
-    Batched(SharedVerifier),
-}
-
-impl std::fmt::Debug for IngressVerification {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IngressVerification::Off => "Off",
-            IngressVerification::PerMessage(_) => "PerMessage(..)",
-            IngressVerification::Batched(_) => "Batched(..)",
-        })
-    }
-}
 
 /// Per-client connection/protocol state tracked by the engine.
 #[derive(Debug, Clone, Default)]
@@ -115,9 +84,10 @@ pub struct Session {
     /// Hash of the client's most recently written value (`x̄` as the
     /// server can reconstruct it); `None` before the first write.
     ///
-    /// Maintained only under ingress verification, its one reader: with
-    /// [`IngressVerification::Off`] no value is hashed — not a write's,
-    /// not the one recovery handed over — and this stays `None`.
+    /// Maintained only under ingress verification, its one reader:
+    /// without [`ServerEngine::with_verification`] no value is hashed —
+    /// not a write's, not the one recovery handed over — and this stays
+    /// `None`.
     pub last_value_hash: Option<Digest>,
     /// The last written value as recovery found it, until
     /// [`ServerEngine::with_verification`] turns it into
@@ -184,14 +154,15 @@ pub struct ServerEngine {
     n: usize,
     server: Box<dyn Server + Send>,
     sessions: Vec<Session>,
-    /// Queued messages; a write queued under verification carries `x̄`.
-    inbox: VecDeque<(ClientId, UstorMsg, Option<Digest>)>,
+    inbox: VecDeque<(ClientId, UstorMsg)>,
     outbox: VecDeque<(ClientId, UstorMsg)>,
     /// Per-client egress batches grouped out of the outbox by the last
     /// [`ServerEngine::poll_output_batch`] pass, in first-seen client
     /// order; always older than anything still in `outbox`.
     staged: VecDeque<(ClientId, Vec<UstorMsg>)>,
-    verification: IngressVerification,
+    /// Ingress verification keys; `None` (the paper's model, and the
+    /// default) forwards everything.
+    verifier: Option<VerifierRegistry>,
     stats: EngineStats,
 }
 
@@ -199,7 +170,7 @@ impl std::fmt::Debug for ServerEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerEngine")
             .field("n", &self.n)
-            .field("verification", &self.verification)
+            .field("verifier", &self.verifier)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -225,7 +196,7 @@ impl ServerEngine {
             inbox: VecDeque::new(),
             outbox: VecDeque::new(),
             staged: VecDeque::new(),
-            verification: IngressVerification::Off,
+            verifier: None,
             stats: EngineStats::default(),
         }
     }
@@ -244,20 +215,18 @@ impl ServerEngine {
         Ok(ServerEngine::new(n, backend.build(n)?))
     }
 
-    /// Sets the ingress-verification policy (builder style), before the
-    /// first [`ServerEngine::enqueue`]: a write queued earlier carries no
-    /// value hash and is rejected. Switching verification on is also
-    /// where the values recovery handed over are hashed — a recovered
-    /// server that never verifies never pays for that.
-    pub fn with_verification(mut self, verification: IngressVerification) -> Self {
-        if !matches!(verification, IngressVerification::Off) {
-            for session in &mut self.sessions {
-                if let Some(value) = session.resumed_value.take() {
-                    session.last_value_hash = Some(sha256(value.as_bytes()));
-                }
+    /// Switches ingress verification on (builder style): every SUBMIT
+    /// is checked against `registry` as it is processed, and one that
+    /// fails is dropped. This is also where the values recovery handed
+    /// over are hashed — a recovered server that never verifies never
+    /// pays for that.
+    pub fn with_verification(mut self, registry: VerifierRegistry) -> Self {
+        for session in &mut self.sessions {
+            if let Some(value) = session.resumed_value.take() {
+                session.last_value_hash = Some(sha256(value.as_bytes()));
             }
         }
-        self.verification = verification;
+        self.verifier = Some(registry);
         self
     }
 
@@ -283,16 +252,7 @@ impl ServerEngine {
     /// Queues one inbound message. No processing happens until
     /// [`ServerEngine::process_all`].
     pub fn enqueue(&mut self, from: ClientId, msg: UstorMsg) {
-        // The one place the engine hashes a value: `x̄` of a write, and
-        // only when ingress verification will check signatures over it.
-        let xbar = match (&self.verification, &msg) {
-            (IngressVerification::Off, _) => None,
-            (_, UstorMsg::Submit(submit)) if submit.tuple.kind == OpKind::Write => {
-                submit.value.as_ref().map(|v| sha256(v.as_bytes()))
-            }
-            _ => None,
-        };
-        self.inbox.push_back((from, msg, xbar));
+        self.inbox.push_back((from, msg));
     }
 
     /// Removes the next per-client egress batch: every outbound message
@@ -368,31 +328,12 @@ impl ServerEngine {
     /// Processes every queued message in FIFO order, then offers the
     /// server a (non-forced) durability flush point — one processing
     /// round is the natural group-commit batch.
-    ///
-    /// In [`IngressVerification::Batched`] mode, all queued SUBMITs are
-    /// signature-checked in one [`Verifier::verify_batch`] call first;
-    /// processing order is unchanged.
     pub fn process_all(&mut self) {
         if !self.inbox.is_empty() {
-            let batch_len = self.inbox.len();
             self.stats.batches += 1;
-            self.stats.max_batch = self.stats.max_batch.max(batch_len);
-
-            let verdicts: Option<Vec<bool>> = match &self.verification {
-                IngressVerification::Batched(verifier) => {
-                    Some(self.verify_queued_batch(Arc::clone(verifier)))
-                }
-                _ => None,
-            };
-            for idx in 0..batch_len {
-                let (from, msg, xbar) = self.inbox.pop_front().expect("counted above");
-                if let Some(verdicts) = &verdicts {
-                    if !verdicts[idx] {
-                        self.reject(from);
-                        continue;
-                    }
-                }
-                self.process_one(from, msg, xbar);
+            self.stats.max_batch = self.stats.max_batch.max(self.inbox.len());
+            while let Some((from, msg)) = self.inbox.pop_front() {
+                self.process_one(from, msg);
             }
         }
         self.flush_server(false);
@@ -418,119 +359,13 @@ impl ServerEngine {
         }
     }
 
-    /// Builds and checks the signature batch for every queued message.
-    ///
-    /// Two phases, so the verdicts match per-message processing exactly.
-    /// Phase 1 verifies everything that does not depend on earlier queued
-    /// messages: all SUBMIT signatures, plus the DATA signatures of
-    /// writes (a write's `x̄` is the hash of its *own* value). Phase 2
-    /// then walks the queue again, advancing a shadow copy of each
-    /// session's last-value hash **only for writes that phase 1
-    /// accepted**, and verifies the reads' DATA signatures against that
-    /// shadow. A rejected write therefore cannot poison the expected `x̄`
-    /// of an honest read queued behind it — per-message mode would have
-    /// dropped the write and left the session hash untouched, and batched
-    /// mode now agrees.
-    fn verify_queued_batch(&mut self, verifier: SharedVerifier) -> Vec<bool> {
-        // Phase 1: shadow-independent signatures.
-        let mut items: Vec<VerifyItem> = Vec::new();
-        // For message k: (well_formed, first item index, item count).
-        let mut spans: Vec<(bool, usize, usize)> = Vec::with_capacity(self.inbox.len());
-        for (from, msg, xbar) in &self.inbox {
-            let UstorMsg::Submit(submit) = msg else {
-                // Only SUBMITs carry ingress-checked signatures.
-                spans.push((true, items.len(), 0));
-                continue;
-            };
-            if from.index() >= self.n || submit.tuple.client != *from {
-                spans.push((false, items.len(), 0));
-                continue;
-            }
-            let start = items.len();
-            items.push(VerifyItem {
-                signer: from.as_u32(),
-                context: SigContext::Submit,
-                message: submit_signing_bytes(
-                    submit.tuple.kind,
-                    submit.tuple.register,
-                    submit.timestamp,
-                ),
-                sig: submit.tuple.sig,
-            });
-            if submit.tuple.kind == OpKind::Write {
-                items.push(VerifyItem {
-                    signer: from.as_u32(),
-                    context: SigContext::Data,
-                    message: data_signing_bytes(submit.timestamp, *xbar),
-                    sig: submit.data_sig,
-                });
-            }
-            spans.push((true, start, items.len() - start));
-        }
-        let results = verifier.verify_batch(&items);
-        let mut verdicts: Vec<bool> = spans
-            .into_iter()
-            .map(|(ok, start, count)| ok && results[start..start + count].iter().all(|&v| v))
-            .collect();
-
-        // Phase 2: reads, against the shadow hash advanced only by
-        // accepted *fresh* writes. Resent duplicates (timestamp at or
-        // below the session's shadow timestamp) are skipped entirely:
-        // they will be answered from the reply cache without touching
-        // server state, their DATA signatures cover a value hash the
-        // session has since moved past, and letting them advance the
-        // shadow would poison the checks of fresh traffic queued behind
-        // them. Their SUBMIT signatures were still phase-1 checked.
-        let mut shadow_hash: Vec<Option<Digest>> =
-            self.sessions.iter().map(|s| s.last_value_hash).collect();
-        let mut shadow_ts: Vec<Timestamp> =
-            self.sessions.iter().map(|s| s.last_timestamp).collect();
-        let mut read_items: Vec<VerifyItem> = Vec::new();
-        let mut read_slots: Vec<usize> = Vec::new();
-        for (idx, (from, msg, xbar)) in self.inbox.iter().enumerate() {
-            let UstorMsg::Submit(submit) = msg else {
-                continue;
-            };
-            if !verdicts[idx] {
-                continue;
-            }
-            let i = from.index();
-            if shadow_ts[i] > 0 && submit.timestamp <= shadow_ts[i] {
-                continue; // duplicate: cache-answered, state untouched
-            }
-            shadow_ts[i] = submit.timestamp;
-            match submit.tuple.kind {
-                OpKind::Write => shadow_hash[i] = *xbar,
-                OpKind::Read => {
-                    read_items.push(VerifyItem {
-                        signer: from.as_u32(),
-                        context: SigContext::Data,
-                        message: data_signing_bytes(submit.timestamp, shadow_hash[i]),
-                        sig: submit.data_sig,
-                    });
-                    read_slots.push(idx);
-                }
-            }
-        }
-        for (slot, ok) in read_slots
-            .into_iter()
-            .zip(verifier.verify_batch(&read_items))
-        {
-            verdicts[slot] = verdicts[slot] && ok;
-        }
-        verdicts
-    }
-
-    /// Verifies one SUBMIT with individual [`Verifier::verify`] calls (the
-    /// per-message path the batched mode is measured against).
-    /// `write_hash` is the queued hash of the value `submit` writes.
-    fn verify_one(
-        &self,
-        verifier: &SharedVerifier,
-        from: ClientId,
-        submit: &SubmitMsg,
-        write_hash: Option<Digest>,
-    ) -> bool {
+    /// Whether ingress verification admits `submit` from `from` — always,
+    /// with verification off. `write_hash` is `x̄` of the value `submit`
+    /// writes.
+    fn verify_one(&self, from: ClientId, submit: &SubmitMsg, write_hash: Option<Digest>) -> bool {
+        let Some(verifier) = &self.verifier else {
+            return true;
+        };
         if from.index() >= self.n || submit.tuple.client != from {
             return false;
         }
@@ -572,16 +407,20 @@ impl ServerEngine {
         }
     }
 
-    /// `xbar` is the hash queued with `msg` by [`ServerEngine::enqueue`].
-    fn process_one(&mut self, from: ClientId, msg: UstorMsg, xbar: Option<Digest>) {
+    fn process_one(&mut self, from: ClientId, msg: UstorMsg) {
         match msg {
             UstorMsg::Submit(submit) => {
-                if let IngressVerification::PerMessage(verifier) = &self.verification {
-                    let verifier = Arc::clone(verifier);
-                    if !self.verify_one(&verifier, from, &submit, xbar) {
-                        self.reject(from);
-                        return;
+                // The one place the engine hashes a value: `x̄` of a
+                // write, and only when ingress verification checks
+                // signatures over it.
+                let xbar = match (&self.verifier, &submit.value) {
+                    (Some(_), Some(value)) if submit.tuple.kind == OpKind::Write => {
+                        Some(sha256(value.as_bytes()))
                     }
+                    _ => None,
+                };
+                if !self.verify_one(from, &submit, xbar) {
+                    return self.reject(from);
                 }
                 // Idempotent ingress: a SUBMIT whose timestamp the
                 // session has already accepted is a resend (the client's
@@ -614,9 +453,7 @@ impl ServerEngine {
                     session.awaiting_reply.push_back(submit.timestamp);
                     if submit.tuple.kind == OpKind::Write {
                         session.resumed_value = None;
-                        if !matches!(self.verification, IngressVerification::Off) {
-                            session.last_value_hash = xbar;
-                        }
+                        session.last_value_hash = xbar;
                     }
                     if let Some(commit) = &submit.piggyback {
                         session.commits += 1;
@@ -680,9 +517,8 @@ impl ServerEngine {
 /// transports) or drains ([`Incoming::Idle`], deterministic transports).
 ///
 /// Each round greedily gathers every message already available before
-/// processing, so batched ingress verification and group-commit fsyncs
-/// see real batches under load while an idle connection still gets
-/// per-message latency. While the server holds replies back for
+/// processing, so group-commit fsyncs see real batches under load while
+/// an idle connection still gets per-message latency. While the server holds replies back for
 /// durability ([`crate::Server::flush_deadline`]), the loop waits with
 /// [`ServerTransport::recv_deadline`] instead of blocking indefinitely,
 /// and forces a final flush when the transport closes — an acknowledged
@@ -750,10 +586,9 @@ mod tests {
     use faust_crypto::sig::KeySet;
     use faust_types::Value;
 
-    fn setup(
-        n: usize,
-        verification: impl Fn(&KeySet) -> IngressVerification,
-    ) -> (ServerEngine, Vec<UstorClient>) {
+    /// `n` clients and an engine, with ingress verification on iff
+    /// `verify`.
+    fn setup(n: usize, verify: bool) -> (ServerEngine, Vec<UstorClient>) {
         let keys = KeySet::generate(n, b"engine-tests");
         let clients = (0..n)
             .map(|i| {
@@ -765,21 +600,11 @@ mod tests {
                 )
             })
             .collect();
-        let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)))
-            .with_verification(verification(&keys));
-        (engine, clients)
-    }
-
-    fn registry(keys: &KeySet) -> SharedVerifier {
-        Arc::new(keys.registry())
-    }
-
-    fn mode(batched: bool, keys: &KeySet) -> IngressVerification {
-        if batched {
-            IngressVerification::Batched(registry(keys))
-        } else {
-            IngressVerification::PerMessage(registry(keys))
+        let mut engine = ServerEngine::new(n, Box::new(UstorServer::new(n)));
+        if verify {
+            engine = engine.with_verification(keys.registry());
         }
+        (engine, clients)
     }
 
     /// Every reply queued so far, drained as serve loops drain them (one
@@ -819,7 +644,7 @@ mod tests {
 
     #[test]
     fn engine_matches_direct_server_behavior() {
-        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let (mut engine, mut clients) = setup(2, false);
         let submit = clients[0].begin_write(Value::from("v1")).unwrap();
         run_op(&mut engine, &mut clients[0], submit);
         let submit = clients[1].begin_read(ClientId::new(0)).unwrap();
@@ -831,27 +656,24 @@ mod tests {
 
     #[test]
     fn honest_traffic_passes_both_verification_modes() {
-        for batched in [false, true] {
-            let (mut engine, mut clients) = setup(3, |keys| mode(batched, keys));
-            // Writes then cross-reads, including a read of an unwritten
-            // register (x̄ = ⊥ for the never-written client 2).
-            let submit = clients[0].begin_write(Value::from("a")).unwrap();
-            run_op(&mut engine, &mut clients[0], submit);
-            let submit = clients[0].begin_read(ClientId::new(2)).unwrap();
-            run_op(&mut engine, &mut clients[0], submit);
-            let submit = clients[2].begin_read(ClientId::new(0)).unwrap();
-            run_op(&mut engine, &mut clients[2], submit);
-            assert_eq!(engine.stats().rejected, 0, "batched={batched}");
-        }
+        let (mut engine, mut clients) = setup(3, true);
+        // Writes then cross-reads, including a read of an unwritten
+        // register (x̄ = ⊥ for the never-written client 2).
+        let submit = clients[0].begin_write(Value::from("a")).unwrap();
+        run_op(&mut engine, &mut clients[0], submit);
+        let submit = clients[0].begin_read(ClientId::new(2)).unwrap();
+        run_op(&mut engine, &mut clients[0], submit);
+        let submit = clients[2].begin_read(ClientId::new(0)).unwrap();
+        run_op(&mut engine, &mut clients[2], submit);
+        assert_eq!(engine.stats().rejected, 0);
     }
 
     #[test]
     fn batched_mode_checks_reads_against_queued_writes() {
-        // A write and a subsequent read by the same client verified in the
-        // SAME batch: the read's DATA signature covers the new value's
-        // hash, which only the shadow-tracking batch builder can know.
-        let (mut engine, mut clients) =
-            setup(2, |keys| IngressVerification::Batched(registry(keys)));
+        // A write's COMMIT and the same client's next read processed in
+        // the SAME round: the read's DATA signature covers the new
+        // value's hash, which the session holds once the write is in.
+        let (mut engine, mut clients) = setup(2, true);
         let w = clients[0].begin_write(Value::from("fresh")).unwrap();
         engine.enqueue(ClientId::new(0), UstorMsg::Submit(w));
         engine.process_all();
@@ -870,67 +692,62 @@ mod tests {
 
     #[test]
     fn forged_submits_are_rejected_in_both_modes() {
-        for batched in [false, true] {
-            let (mut engine, mut clients) = setup(2, |keys| mode(batched, keys));
-            // A genuine submit, tampered three ways.
-            let good = clients[0].begin_write(Value::from("v")).unwrap();
-            let mut wrong_sig = good.clone();
-            wrong_sig.tuple.sig = faust_crypto::Signature::garbage();
-            let mut wrong_value = good.clone();
-            wrong_value.value = Some(Value::from("swapped")); // DATA sig mismatch
-            let mut spoofed = good.clone();
-            spoofed.tuple.client = ClientId::new(1); // from ≠ tuple.client
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(wrong_sig));
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(wrong_value));
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(spoofed));
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(good));
-            engine.process_all();
-            assert_eq!(engine.stats().rejected, 3, "batched={batched}");
-            assert_eq!(engine.stats().submits, 1, "batched={batched}");
-            // Only the genuine submit got a reply.
-            assert_eq!(replies(&mut engine).len(), 1, "batched={batched}");
-        }
+        let (mut engine, mut clients) = setup(2, true);
+        // A genuine submit, tampered three ways.
+        let good = clients[0].begin_write(Value::from("v")).unwrap();
+        let mut wrong_sig = good.clone();
+        wrong_sig.tuple.sig = faust_crypto::Signature::garbage();
+        let mut wrong_value = good.clone();
+        wrong_value.value = Some(Value::from("swapped")); // DATA sig mismatch
+        let mut spoofed = good.clone();
+        spoofed.tuple.client = ClientId::new(1); // from ≠ tuple.client
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(wrong_sig));
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(wrong_value));
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(spoofed));
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(good));
+        engine.process_all();
+        assert_eq!(engine.stats().rejected, 3);
+        assert_eq!(engine.stats().submits, 1);
+        // Only the genuine submit got a reply.
+        assert_eq!(replies(&mut engine).len(), 1);
     }
 
     #[test]
     fn rejected_write_does_not_poison_a_queued_honest_read() {
         // A forged write queued before the same client's genuine read, in
-        // ONE batch: the write must be rejected and the read accepted
-        // against the client's *previous* value hash — identical to what
-        // per-message processing decides. (A naive batch builder that
-        // advances the shadow hash for unverified writes rejects the
-        // honest read here.)
-        for batched in [false, true] {
-            let (mut engine, mut clients) = setup(2, |keys| mode(batched, keys));
-            // Establish a committed write so the client has a value hash.
-            let w = clients[0].begin_write(Value::from("genuine")).unwrap();
-            run_op(&mut engine, &mut clients[0], w);
-            // The client's genuine next read, signed over hash("genuine").
-            let honest = clients[0].begin_read(ClientId::new(0)).unwrap();
-            // A forgery in client 0's name (the attacker has no key).
-            let mut forged = honest.clone();
-            forged.tuple.kind = OpKind::Write;
-            forged.value = Some(Value::from("poison"));
-            forged.tuple.sig = faust_crypto::Signature::garbage();
-            forged.data_sig = faust_crypto::Signature::garbage();
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(forged));
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(honest));
-            engine.process_all();
-            assert_eq!(engine.stats().rejected, 1, "batched={batched}");
-            assert_eq!(engine.stats().submits, 2, "batched={batched}");
-            let (_, reply) = one_reply(&mut engine);
-            let (_, done) = clients[0]
-                .handle_reply(reply)
-                .expect("honest read must survive the forged write");
-            assert_eq!(done.read_value, Some(Some(Value::from("genuine"))));
-        }
+        // ONE round: the write must be rejected and the read accepted
+        // against the client's *previous* value hash. (Advancing the
+        // session hash for an unverified write would reject the honest
+        // read here.)
+        let (mut engine, mut clients) = setup(2, true);
+        // Establish a committed write so the client has a value hash.
+        let w = clients[0].begin_write(Value::from("genuine")).unwrap();
+        run_op(&mut engine, &mut clients[0], w);
+        // The client's genuine next read, signed over hash("genuine").
+        let honest = clients[0].begin_read(ClientId::new(0)).unwrap();
+        // A forgery in client 0's name (the attacker has no key).
+        let mut forged = honest.clone();
+        forged.tuple.kind = OpKind::Write;
+        forged.value = Some(Value::from("poison"));
+        forged.tuple.sig = faust_crypto::Signature::garbage();
+        forged.data_sig = faust_crypto::Signature::garbage();
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(forged));
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(honest));
+        engine.process_all();
+        assert_eq!(engine.stats().rejected, 1);
+        assert_eq!(engine.stats().submits, 2);
+        let (_, reply) = one_reply(&mut engine);
+        let (_, done) = clients[0]
+            .handle_reply(reply)
+            .expect("honest read must survive the forged write");
+        assert_eq!(done.read_value, Some(Some(Value::from("genuine"))));
     }
 
     #[test]
     fn out_of_range_sender_is_rejected_not_panicking() {
         let keys = KeySet::generate(2, b"engine-tests");
-        let mut engine = ServerEngine::new(2, Box::new(UstorServer::new(2)))
-            .with_verification(IngressVerification::Batched(Arc::new(keys.registry())));
+        let mut engine =
+            ServerEngine::new(2, Box::new(UstorServer::new(2))).with_verification(keys.registry());
         let mut rogue = UstorClient::new(
             ClientId::new(0),
             2,
@@ -951,7 +768,7 @@ mod tests {
         // engine answers in arrival order (outbox: 0,1,0,0), and the
         // batch drain must group client 0's three replies into ONE
         // batch without reordering them, then client 1's single reply.
-        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let (mut engine, mut clients) = setup(2, false);
         let r0 = clients[0].begin_read(ClientId::new(1)).unwrap();
         let r1 = clients[1].begin_read(ClientId::new(0)).unwrap();
         // The protocol client is sequential; the engine is not — a
@@ -1053,7 +870,7 @@ mod tests {
     #[test]
     fn duplicate_submit_replays_the_original_reply_byte_identically() {
         use faust_types::Wire;
-        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let (mut engine, mut clients) = setup(2, false);
         let w = clients[0].begin_write(Value::from("v1")).unwrap();
         run_op(&mut engine, &mut clients[0], w);
         // An in-flight read whose ack is "lost with the socket".
@@ -1112,8 +929,8 @@ mod tests {
 
     #[test]
     fn a_delta_resolves_against_the_cached_reply_it_answers() {
-        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
-        let (mut twin, mut twin_clients) = setup(2, |_| IngressVerification::Off);
+        let (mut engine, mut clients) = setup(2, false);
+        let (mut twin, mut twin_clients) = setup(2, false);
         for k in 0..3u64 {
             let submit = clients[0].begin_write(Value::unique(0, k)).unwrap();
             run_delta_op(&mut engine, &mut clients[0], submit);
@@ -1127,8 +944,8 @@ mod tests {
 
     #[test]
     fn a_delta_with_no_cached_base_is_rejected_and_changes_nothing() {
-        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
-        let (mut twin, mut twin_clients) = setup(2, |_| IngressVerification::Off);
+        let (mut engine, mut clients) = setup(2, false);
+        let (mut twin, mut twin_clients) = setup(2, false);
         let submit = clients[0].begin_write(Value::from("one")).unwrap();
         let sent = run_delta_op(&mut engine, &mut clients[0], submit);
         let submit = twin_clients[0].begin_write(Value::from("one")).unwrap();
@@ -1158,8 +975,8 @@ mod tests {
 
     #[test]
     fn a_duplicated_delta_after_its_commit_is_a_no_op() {
-        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
-        let (mut twin, mut twin_clients) = setup(2, |_| IngressVerification::Off);
+        let (mut engine, mut clients) = setup(2, false);
+        let (mut twin, mut twin_clients) = setup(2, false);
         let submit = clients[0].begin_write(Value::from("one")).unwrap();
         let first = run_delta_op(&mut engine, &mut clients[0], submit);
         // At once: the REPLY is still cached, so the duplicate resolves
@@ -1188,7 +1005,7 @@ mod tests {
 
     #[test]
     fn lockstep_commits_leave_exactly_one_cached_reply() {
-        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let (mut engine, mut clients) = setup(2, false);
         let c0 = ClientId::new(0);
         for k in 0..40u64 {
             let submit = if k % 2 == 0 {
@@ -1204,7 +1021,7 @@ mod tests {
     #[test]
     fn piggybacked_commits_bound_the_cache_at_depth_plus_one() {
         for depth in [1usize, 4, 16] {
-            let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+            let (mut engine, mut clients) = setup(2, false);
             let client = &mut clients[0];
             client.set_commit_mode(crate::client::CommitMode::Piggyback);
             client.set_pipeline(depth);
@@ -1231,7 +1048,7 @@ mod tests {
     #[test]
     fn a_client_that_never_commits_stays_at_the_cap() {
         use crate::reply_cache::REPLY_CACHE_CAP;
-        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        let (mut engine, mut clients) = setup(2, false);
         let client = &mut clients[0];
         let c0 = client.id();
         let ops = REPLY_CACHE_CAP as Timestamp + 8;
@@ -1257,79 +1074,67 @@ mod tests {
         // connection: the read's DATA signature covers the value hash
         // *before* the write, so naive re-verification would reject it.
         // Duplicates are gated on their SUBMIT signature alone, answered
-        // from the cache, and must not poison the shadow hash that fresh
+        // from the cache, and must not poison the session hash that fresh
         // traffic queued behind them is verified against.
-        for batched in [false, true] {
-            let (mut engine, mut clients) = setup(2, |keys| mode(batched, keys));
-            clients[0].set_pipeline(3);
-            let w1 = clients[0].begin_write(Value::from("old")).unwrap();
-            run_op(&mut engine, &mut clients[0], w1);
-            let r2 = clients[0].begin_read(ClientId::new(0)).unwrap();
-            let w3 = clients[0].begin_write(Value::from("new")).unwrap();
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(r2.clone()));
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(w3.clone()));
-            engine.process_all();
-            assert_eq!(engine.stats().rejected, 0, "batched={batched}");
-            let [(_, reply_r2), (_, reply_w3)]: [_; 2] = replies(&mut engine)
-                .try_into()
-                .expect("r2's and w3's replies");
-            // Both acks are lost; the whole window is replayed, with a
-            // fresh read queued behind it in the same batch.
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(r2));
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(w3));
-            engine.process_all();
-            assert_eq!(engine.stats().rejected, 0, "batched={batched}");
-            assert_eq!(engine.stats().duplicates, 2, "batched={batched}");
-            let [(_, rr2), (_, rw3)]: [_; 2] = replies(&mut engine)
-                .try_into()
-                .expect("r2's and w3's replays");
-            assert_eq!(rr2, reply_r2, "batched={batched}");
-            assert_eq!(rw3, reply_w3, "batched={batched}");
-            // The fail-aware client accepts the replayed replies without
-            // a false violation, and a fresh read still verifies.
-            clients[0].handle_reply(rr2).expect("no false violation");
-            clients[0].handle_reply(rw3).expect("no false violation");
-            let r4 = clients[0].begin_read(ClientId::new(0)).unwrap();
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(r4));
-            engine.process_all();
-            assert_eq!(engine.stats().rejected, 0, "batched={batched}");
-            let (_, reply_r4) = one_reply(&mut engine);
-            let (_, done) = clients[0].handle_reply(reply_r4).unwrap();
-            assert_eq!(done.read_value, Some(Some(Value::from("new"))));
-        }
+        let (mut engine, mut clients) = setup(2, true);
+        clients[0].set_pipeline(3);
+        let w1 = clients[0].begin_write(Value::from("old")).unwrap();
+        run_op(&mut engine, &mut clients[0], w1);
+        let r2 = clients[0].begin_read(ClientId::new(0)).unwrap();
+        let w3 = clients[0].begin_write(Value::from("new")).unwrap();
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(r2.clone()));
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(w3.clone()));
+        engine.process_all();
+        assert_eq!(engine.stats().rejected, 0);
+        let [(_, reply_r2), (_, reply_w3)]: [_; 2] = replies(&mut engine)
+            .try_into()
+            .expect("r2's and w3's replies");
+        // Both acks are lost; the whole window is replayed, with a
+        // fresh read queued behind it in the same batch.
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(r2));
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(w3));
+        engine.process_all();
+        assert_eq!(engine.stats().rejected, 0);
+        assert_eq!(engine.stats().duplicates, 2);
+        let [(_, rr2), (_, rw3)]: [_; 2] = replies(&mut engine)
+            .try_into()
+            .expect("r2's and w3's replays");
+        assert_eq!(rr2, reply_r2);
+        assert_eq!(rw3, reply_w3);
+        // The fail-aware client accepts the replayed replies without
+        // a false violation, and a fresh read still verifies.
+        clients[0].handle_reply(rr2).expect("no false violation");
+        clients[0].handle_reply(rw3).expect("no false violation");
+        let r4 = clients[0].begin_read(ClientId::new(0)).unwrap();
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(r4));
+        engine.process_all();
+        assert_eq!(engine.stats().rejected, 0);
+        let (_, reply_r4) = one_reply(&mut engine);
+        let (_, done) = clients[0].handle_reply(reply_r4).unwrap();
+        assert_eq!(done.read_value, Some(Some(Value::from("new"))));
     }
 
     #[test]
     fn value_hash_is_maintained_only_under_verification() {
-        // `Off` (what `faust serve` ships) must not hash written values:
-        // the session hash, the digest's one resting place, stays unset.
-        let (mut engine, mut clients) = setup(2, |_| IngressVerification::Off);
+        // Verification off (what `faust serve` ships) must not hash
+        // written values: the session hash, the digest's one resting
+        // place, stays unset.
+        let (mut engine, mut clients) = setup(2, false);
         let w = clients[0].begin_write(Value::from("unhashed")).unwrap();
         engine.enqueue(ClientId::new(0), UstorMsg::Submit(w.clone()));
-        assert!(
-            engine.inbox.iter().all(|(_, _, xbar)| xbar.is_none()),
-            "no digest is computed at ingress"
-        );
         engine.process_all();
         assert_eq!(engine.stats().submits, 1);
         assert_eq!(engine.session(ClientId::new(0)).last_value_hash, None);
 
-        // Under either verification mode it is computed once, as the
-        // SUBMIT is queued, and lands in the session.
+        // With verification on it is computed once, as the SUBMIT is
+        // processed, and lands in the session.
         let expect = Some(sha256(Value::from("hashed").as_bytes()));
-        for batched in [false, true] {
-            let (mut engine, mut clients) = setup(2, |keys| mode(batched, keys));
-            let w = clients[0].begin_write(Value::from("hashed")).unwrap();
-            engine.enqueue(ClientId::new(0), UstorMsg::Submit(w));
-            assert_eq!(engine.inbox[0].2, expect, "batched={batched}");
-            engine.process_all();
-            assert_eq!(engine.stats().rejected, 0, "batched={batched}");
-            assert_eq!(
-                engine.session(ClientId::new(0)).last_value_hash,
-                expect,
-                "batched={batched}"
-            );
-        }
+        let (mut engine, mut clients) = setup(2, true);
+        let w = clients[0].begin_write(Value::from("hashed")).unwrap();
+        engine.enqueue(ClientId::new(0), UstorMsg::Submit(w));
+        engine.process_all();
+        assert_eq!(engine.stats().rejected, 0);
+        assert_eq!(engine.session(ClientId::new(0)).last_value_hash, expect);
     }
 
     /// A recovered server: the protocol state of `inner` plus the session
@@ -1376,98 +1181,89 @@ mod tests {
         let c0 = ClientId::new(0);
         let engine = ServerEngine::new(2, recovered());
         assert_eq!(engine.session(c0).last_value_hash, None);
-        let engine = engine.with_verification(IngressVerification::Off);
-        assert_eq!(engine.session(c0).last_value_hash, None);
-        for batched in [false, true] {
-            let engine = ServerEngine::new(2, recovered()).with_verification(mode(batched, &keys));
-            assert_eq!(
-                engine.session(c0).last_value_hash,
-                Some(sha256(Value::from("durable").as_bytes()))
-            );
-            assert_eq!(engine.session(ClientId::new(1)).last_value_hash, None);
-        }
+        let engine = ServerEngine::new(2, recovered()).with_verification(keys.registry());
+        assert_eq!(
+            engine.session(c0).last_value_hash,
+            Some(sha256(Value::from("durable").as_bytes()))
+        );
+        assert_eq!(engine.session(ClientId::new(1)).last_value_hash, None);
     }
 
     #[test]
     fn modes_agree_verdict_for_verdict_after_resume_sessions() {
         // A restarted server: client 0 wrote "durable" (ts 1) and its read
         // (ts 2) was applied but never acknowledged. The new engine starts
-        // from `resume_sessions` alone, and must decide the same in both
-        // modes for: the resent read, a forged write queued before an
-        // honest fresh read, and a fresh write followed by a read of it.
-        let mut traces = Vec::new();
-        for batched in [false, true] {
-            let keys = KeySet::generate(2, b"engine-tests");
-            let mut client = UstorClient::new(
-                ClientId::new(0),
-                2,
-                keys.keypair(0).unwrap().clone(),
-                keys.registry(),
-            );
-            client.set_pipeline(4);
-            let c0 = ClientId::new(0);
-            let mut inner = UstorServer::new(2);
-            let w1 = client.begin_write(Value::from("durable")).unwrap();
-            let (_, reply_w1) = inner.on_submit(c0, w1).pop().unwrap();
-            let (commit, _) = client.handle_reply(reply_w1.clone()).unwrap();
-            inner.on_commit(c0, commit.expect("window empty: immediate commit"));
-            let r2 = client.begin_read(c0).unwrap();
-            let (_, reply_r2) = inner.on_submit(c0, r2.clone()).pop().unwrap();
-            let resume = vec![
-                SessionResume {
-                    last_timestamp: 2,
-                    last_value: Some(Value::from("durable")),
-                    replies: vec![(1, reply_w1), (2, reply_r2.clone())],
-                },
-                SessionResume::default(),
-            ];
-            let mut engine = ServerEngine::new(2, Box::new(Recovered { inner, resume }))
-                .with_verification(mode(batched, &keys));
-            let mut trace = Vec::new();
-            let mut snapshot = |engine: &ServerEngine| {
-                let s = engine.stats();
-                let hash = engine.session(c0).last_value_hash;
-                trace.push((s.rejected, s.duplicates, s.submits, hash));
-            };
+        // from `resume_sessions` alone, and must decide right for: the
+        // resent read, a forged write queued before an honest fresh read,
+        // and a fresh write followed by a read of it.
+        let keys = KeySet::generate(2, b"engine-tests");
+        let mut client = UstorClient::new(
+            ClientId::new(0),
+            2,
+            keys.keypair(0).unwrap().clone(),
+            keys.registry(),
+        );
+        client.set_pipeline(4);
+        let c0 = ClientId::new(0);
+        let mut inner = UstorServer::new(2);
+        let w1 = client.begin_write(Value::from("durable")).unwrap();
+        let (_, reply_w1) = inner.on_submit(c0, w1).pop().unwrap();
+        let (commit, _) = client.handle_reply(reply_w1.clone()).unwrap();
+        inner.on_commit(c0, commit.expect("window empty: immediate commit"));
+        let r2 = client.begin_read(c0).unwrap();
+        let (_, reply_r2) = inner.on_submit(c0, r2.clone()).pop().unwrap();
+        let resume = vec![
+            SessionResume {
+                last_timestamp: 2,
+                last_value: Some(Value::from("durable")),
+                replies: vec![(1, reply_w1), (2, reply_r2.clone())],
+            },
+            SessionResume::default(),
+        ];
+        let mut engine = ServerEngine::new(2, Box::new(Recovered { inner, resume }))
+            .with_verification(keys.registry());
+        let mut trace = Vec::new();
+        let mut snapshot = |engine: &ServerEngine| {
+            let s = engine.stats();
+            let hash = engine.session(c0).last_value_hash;
+            trace.push((s.rejected, s.duplicates, s.submits, hash));
+        };
 
-            // Round 1: [resent r2, forged write, honest r3] in one batch.
-            let r3 = client.begin_read(c0).unwrap();
-            let mut forged = r3.clone();
-            forged.tuple.kind = OpKind::Write;
-            forged.value = Some(Value::from("poison"));
-            forged.tuple.sig = faust_crypto::Signature::garbage();
-            forged.data_sig = faust_crypto::Signature::garbage();
-            engine.enqueue(c0, UstorMsg::Submit(r2));
-            engine.enqueue(c0, UstorMsg::Submit(forged));
-            engine.enqueue(c0, UstorMsg::Submit(r3));
-            engine.process_all();
-            snapshot(&engine);
-            let [(_, replayed), (_, reply_r3)]: [_; 2] = replies(&mut engine)
-                .try_into()
-                .unwrap_or_else(|out| panic!("batched={batched}: {out:?}"));
-            assert_eq!(replayed, reply_r2, "batched={batched}");
-            client.handle_reply(replayed).expect("no false violation");
-            let (_, done) = client.handle_reply(reply_r3).expect("honest read survives");
-            assert_eq!(done.read_value, Some(Some(Value::from("durable"))));
+        // Round 1: [resent r2, forged write, honest r3] in one batch.
+        let r3 = client.begin_read(c0).unwrap();
+        let mut forged = r3.clone();
+        forged.tuple.kind = OpKind::Write;
+        forged.value = Some(Value::from("poison"));
+        forged.tuple.sig = faust_crypto::Signature::garbage();
+        forged.data_sig = faust_crypto::Signature::garbage();
+        engine.enqueue(c0, UstorMsg::Submit(r2));
+        engine.enqueue(c0, UstorMsg::Submit(forged));
+        engine.enqueue(c0, UstorMsg::Submit(r3));
+        engine.process_all();
+        snapshot(&engine);
+        let [(_, replayed), (_, reply_r3)]: [_; 2] = replies(&mut engine)
+            .try_into()
+            .unwrap_or_else(|out| panic!("{out:?}"));
+        assert_eq!(replayed, reply_r2);
+        client.handle_reply(replayed).expect("no false violation");
+        let (_, done) = client.handle_reply(reply_r3).expect("honest read survives");
+        assert_eq!(done.read_value, Some(Some(Value::from("durable"))));
 
-            // Round 2: a fresh write and a read of it, in one batch.
-            let w4 = client.begin_write(Value::from("new")).unwrap();
-            let r5 = client.begin_read(c0).unwrap();
-            engine.enqueue(c0, UstorMsg::Submit(w4));
-            engine.enqueue(c0, UstorMsg::Submit(r5));
-            engine.process_all();
-            snapshot(&engine);
-            let mut last_read = None;
-            for (_, reply) in replies(&mut engine) {
-                last_read = client.handle_reply(reply).unwrap().1.read_value;
-            }
-            assert_eq!(last_read, Some(Some(Value::from("new"))));
-            traces.push(trace);
+        // Round 2: a fresh write and a read of it, in one batch.
+        let w4 = client.begin_write(Value::from("new")).unwrap();
+        let r5 = client.begin_read(c0).unwrap();
+        engine.enqueue(c0, UstorMsg::Submit(w4));
+        engine.enqueue(c0, UstorMsg::Submit(r5));
+        engine.process_all();
+        snapshot(&engine);
+        let mut last_read = None;
+        for (_, reply) in replies(&mut engine) {
+            last_read = client.handle_reply(reply).unwrap().1.read_value;
         }
+        assert_eq!(last_read, Some(Some(Value::from("new"))));
         let new_hash = Some(sha256(Value::from("new").as_bytes()));
         let old_hash = Some(sha256(Value::from("durable").as_bytes()));
-        assert_eq!(traces[0], vec![(1, 1, 1, old_hash), (1, 1, 3, new_hash)]);
-        assert_eq!(traces[0], traces[1], "per-message vs batched");
+        assert_eq!(trace, vec![(1, 1, 1, old_hash), (1, 1, 3, new_hash)]);
     }
 
     #[test]

@@ -242,11 +242,6 @@ impl CrashRestartServer {
         self.restarts
     }
 
-    /// Whether the server is currently down (backend rebuild failed).
-    pub fn is_down(&self) -> bool {
-        self.inner.is_none()
-    }
-
     /// Counts one processed message and performs the scheduled
     /// crash/restart once the count is reached.
     fn after_message(&mut self) {

@@ -31,7 +31,7 @@
 //!   `faust-crypto` behind the `Signer`/`Verifier` traits, and the same
 //!   stack runs over HMAC or Ed25519 keys
 //!   ([`Driver::new_with_scheme`]). Server-side ingress verification
-//!   ([`IngressVerification`]) is *sound* only with a public-key
+//!   ([`ServerEngine::with_verification`]) is *sound* only with a public-key
 //!   registry — see `docs/trust-model.md` at the repository root.
 //!
 //! # Example
@@ -63,9 +63,7 @@ pub use client::{
     BeginError, CommitMode, OpCompletion, PendingOpState, UstorClient, UstorClientState,
 };
 pub use driver::{random_workloads, Driver, Protocol, RunResult, Ustor, WorkloadOp};
-pub use engine::{
-    serve, spawn_engine, EngineStats, IngressVerification, ServerEngine, Session, SharedVerifier,
-};
+pub use engine::{serve, spawn_engine, EngineStats, ServerEngine, Session};
 pub use fault::{CrashRestartServer, Fault, RestartHook};
 pub use reply_cache::ReplyCache;
 pub use server::{

@@ -233,11 +233,6 @@ impl UstorServer {
         &self.mem[client.index()]
     }
 
-    /// The last committed version of `client` (test/diagnostic access).
-    pub fn stored_version(&self, client: ClientId) -> &SignedVersion {
-        &self.sver[client.index()]
-    }
-
     /// Exports the complete protocol state (for snapshots).
     pub fn export_state(&self) -> ServerState {
         ServerState {

@@ -583,8 +583,7 @@ mod trust_model {
     use faust_crypto::sig::{KeySet, SigContext, Signature};
     use faust_types::op::{data_signing_bytes, submit_signing_bytes};
     use faust_types::{InvocationTuple, OpKind, SubmitMsg, UstorMsg, Value};
-    use faust_ustor::{IngressVerification, ServerEngine, UstorClient, UstorServer};
-    use std::sync::Arc;
+    use faust_ustor::{ServerEngine, UstorClient, UstorServer};
 
     /// A server armed with every client's *public* key still cannot get a
     /// forged SUBMIT past its own ingress verification — and `try_forge`,
@@ -600,56 +599,49 @@ mod trust_model {
             "public keys must not sign"
         );
 
-        for batched in [false, true] {
-            let verification = if batched {
-                IngressVerification::Batched(Arc::new(keys.registry()))
-            } else {
-                IngressVerification::PerMessage(Arc::new(keys.registry()))
-            };
-            let mut engine =
-                ServerEngine::new(n, Box::new(UstorServer::new(n))).with_verification(verification);
-            // One genuine operation gives the attacker real signatures to
-            // replay.
-            let mut honest =
-                UstorClient::new(c(0), n, keys.keypair(0).unwrap().clone(), keys.registry());
-            let genuine = honest.begin_write(Value::from("honest")).unwrap();
-            engine.enqueue(c(0), UstorMsg::Submit(genuine.clone()));
+        let mut engine =
+            ServerEngine::new(n, Box::new(UstorServer::new(n))).with_verification(keys.registry());
+        // One genuine operation gives the attacker real signatures to
+        // replay.
+        let mut honest =
+            UstorClient::new(c(0), n, keys.keypair(0).unwrap().clone(), keys.registry());
+        let genuine = honest.begin_write(Value::from("honest")).unwrap();
+        engine.enqueue(c(0), UstorMsg::Submit(genuine.clone()));
+        engine.process_all();
+        assert_eq!(engine.stats().submits, 1);
+        while engine.poll_output_batch().is_some() {}
+
+        // Forgery 1: fresh content, garbage Ed25519-shaped signatures.
+        let mut garbage = genuine.clone();
+        garbage.timestamp = 2;
+        garbage.value = Some(Value::from("evil"));
+        garbage.tuple.sig = Signature::garbage_ed25519();
+        garbage.data_sig = Signature::garbage_ed25519();
+        // Forgery 2: replay the genuine SUBMIT-signature under a new
+        // timestamp (the signature covers t, so it cannot transfer).
+        let mut bumped = genuine.clone();
+        bumped.timestamp = 2;
+        // Forgery 3: keep the signatures, swap the written value (the
+        // DATA-signature covers the value hash).
+        let mut swapped = genuine.clone();
+        swapped.value = Some(Value::from("evil"));
+
+        for (label, forgery) in [
+            ("garbage", garbage),
+            ("bumped", bumped),
+            ("swapped", swapped),
+        ] {
+            let rejected_before = engine.stats().rejected;
+            engine.enqueue(c(0), UstorMsg::Submit(forgery));
             engine.process_all();
-            assert_eq!(engine.stats().submits, 1, "batched={batched}");
-            while engine.poll_output_batch().is_some() {}
-
-            // Forgery 1: fresh content, garbage Ed25519-shaped signatures.
-            let mut garbage = genuine.clone();
-            garbage.timestamp = 2;
-            garbage.value = Some(Value::from("evil"));
-            garbage.tuple.sig = Signature::garbage_ed25519();
-            garbage.data_sig = Signature::garbage_ed25519();
-            // Forgery 2: replay the genuine SUBMIT-signature under a new
-            // timestamp (the signature covers t, so it cannot transfer).
-            let mut bumped = genuine.clone();
-            bumped.timestamp = 2;
-            // Forgery 3: keep the signatures, swap the written value (the
-            // DATA-signature covers the value hash).
-            let mut swapped = genuine.clone();
-            swapped.value = Some(Value::from("evil"));
-
-            for (label, forgery) in [
-                ("garbage", garbage),
-                ("bumped", bumped),
-                ("swapped", swapped),
-            ] {
-                let rejected_before = engine.stats().rejected;
-                engine.enqueue(c(0), UstorMsg::Submit(forgery));
-                engine.process_all();
-                assert_eq!(
-                    engine.stats().rejected,
-                    rejected_before + 1,
-                    "{label} must be rejected (batched={batched})"
-                );
-            }
-            assert_eq!(engine.stats().submits, 1, "batched={batched}");
-            assert!(engine.poll_output_batch().is_none(), "no forged replies");
+            assert_eq!(
+                engine.stats().rejected,
+                rejected_before + 1,
+                "{label} must be rejected"
+            );
         }
+        assert_eq!(engine.stats().submits, 1);
+        assert!(engine.poll_output_batch().is_none(), "no forged replies");
     }
 
     /// The contrast case the trust-model doc warns about: an HMAC
@@ -692,8 +684,8 @@ mod trust_model {
             piggyback: None,
         };
 
-        let mut engine = ServerEngine::new(n, Box::new(UstorServer::new(n)))
-            .with_verification(IngressVerification::PerMessage(Arc::new(keys.registry())));
+        let mut engine =
+            ServerEngine::new(n, Box::new(UstorServer::new(n))).with_verification(keys.registry());
         engine.enqueue(c(0), UstorMsg::Submit(forged));
         engine.process_all();
         assert_eq!(

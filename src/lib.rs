@@ -14,10 +14,9 @@
 //!   │ ServerEngine (faust-ustor)                                 │
 //!   │   · pure: enqueue (ClientId, UstorMsg) → process → poll    │
 //!   │   · per-client Session state (counters, timestamps, x̄)     │
-//!   │   · optional ingress verification of SUBMIT signatures,    │
-//!   │     per-message or batched (HMAC: amortized key schedule;  │
-//!   │     Ed25519: one multi-scalar batch equation) — sound in   │
-//!   │     the paper's trust model with public-key registries     │
+//!   │   · optional ingress verification of each SUBMIT, with the │
+//!   │     strict check clients run — sound in the paper's trust  │
+//!   │     model with public-key registries                       │
 //!   │   · wraps any `Server`: the correct UstorServer or a       │
 //!   │     Byzantine adversary                                    │
 //!   └──────────────▲──────────────────────────────▲──────────────┘

@@ -32,7 +32,7 @@ use faust::core::{
 use faust::crypto::sig::KeySet;
 use faust::crypto::SigScheme;
 use faust::net::tcp;
-use faust::sim::DelayModel;
+use faust::sim::{DelayModel, TimeWindow};
 use faust::store::{testutil, Durability, PersistentBackend, StoreConfig};
 use faust::types::{ClientId, Value};
 use faust::ustor::WorkloadOp;
@@ -124,6 +124,64 @@ fn pinned_seeds_rerun_bit_identically() {
     for seed in [0, 7, 42, 88, 286, 1337] {
         check_determinism(&gen_scenario(seed)).expect("bit-identical rerun");
     }
+}
+
+/// Two clients against a synchronously durable server: C0's one write
+/// loses its REPLY inside a `DropReplies` window, so the reconnect at the
+/// window's end replays the SUBMIT — a duplicate the engine answers from
+/// its reply cache — and C1 reads afterwards. The server itself sees four
+/// messages (two SUBMITs, two COMMITs); the replay is a fifth frame that
+/// never reaches it. The plan crashes the server after `after_messages`.
+fn replayed_submit_scenario(after_messages: usize) -> SimScenario {
+    SimScenario {
+        seed: 7,
+        workloads: vec![
+            vec![WorkloadOp::Write(Value::from("a1"))],
+            vec![WorkloadOp::Pause(400), WorkloadOp::Read(c(0))],
+        ],
+        server: ServerSpec::Persistent {
+            durability: SimDurability::Always,
+            snapshot_every: 0,
+        },
+        plan: FaultPlan {
+            clauses: vec![
+                FaultClause::DropReplies {
+                    client: c(0),
+                    window: TimeWindow::new(0, 200),
+                },
+                FaultClause::CrashRestart(CrashSpec {
+                    after_messages,
+                    tamper: WalTamper::None,
+                }),
+            ],
+        },
+        deadline: 2_000,
+        tick_period: 25,
+        dummy_reads: false,
+        link_delay: DelayModel::Uniform(1, 6),
+        offline_delay: DelayModel::Uniform(20, 80),
+    }
+}
+
+/// The crash a report dates is the one the server performs: a SUBMIT
+/// answered from the reply cache does not count towards
+/// `after_messages`, so a crash scheduled one message past what the
+/// server sees never fires, and one scheduled at the last message fires
+/// at C1's COMMIT.
+#[test]
+fn a_cache_answered_resend_does_not_date_the_crash() {
+    let beyond = run_and_check(&replayed_submit_scenario(5)).expect("oracles pass");
+    assert_eq!(beyond.completed_ops(), 2);
+    assert_eq!(beyond.crash_time, None, "the server saw only 4 messages");
+    assert_eq!(beyond.wipe_detector, None);
+
+    let last = run_and_check(&replayed_submit_scenario(4)).expect("oracles pass");
+    assert_eq!(last.completed_ops(), 2);
+    let crash_time = last.crash_time.expect("the 4th message reaches the server");
+    assert!(
+        crash_time >= 400,
+        "C1's COMMIT, not C0's replay: t={crash_time}"
+    );
 }
 
 // ---------------------------------------------------------------------------

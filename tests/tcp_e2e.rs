@@ -22,8 +22,7 @@ use faust::crypto::{KeySet, SigScheme};
 use faust::store::{testutil, Durability, PersistentBackend, StoreConfig};
 use faust::types::{ClientId, Value};
 use faust::ustor::adversary::SplitBrainServer;
-use faust::ustor::{CommitMode, IngressVerification, ServerEngine, UstorServer};
-use std::sync::Arc;
+use faust::ustor::{CommitMode, ServerEngine, UstorServer};
 use std::time::{Duration, Instant};
 
 fn c(i: u32) -> ClientId {
@@ -105,7 +104,7 @@ fn forked_server_over_tcp_is_detected_by_every_client() {
 fn ed25519_ingress_verification_serves_tcp_clients() {
     // The sound deployment of docs/trust-model.md, end to end over real
     // sockets: clients hold Ed25519 signing keys, the server engine holds
-    // *only the public-key registry* and batch-verifies every SUBMIT at
+    // *only the public-key registry* and verifies every SUBMIT at
     // ingress. Honest traffic is never rejected, the full FAUST layer
     // (stability, failure detection) behaves exactly as with HMAC keys —
     // but unlike HMAC, this registry grants the server no forging power.
@@ -115,8 +114,7 @@ fn ed25519_ingress_verification_serves_tcp_clients() {
     let registry = keys.registry();
     assert!(registry.is_public(), "server-side keys must be public-only");
 
-    let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)))
-        .with_verification(IngressVerification::Batched(Arc::new(registry)));
+    let engine = ServerEngine::new(n, Box::new(UstorServer::new(n))).with_verification(registry);
     let workloads = vec![
         vec![
             UserOp::Write(Value::from("pk-1")),
@@ -145,17 +143,17 @@ fn ed25519_ingress_verification_serves_tcp_clients() {
 
 #[test]
 fn batched_ingress_verification_serves_tcp_clients() {
-    // The same TCP deployment with the engine's batched SUBMIT
-    // verification enabled over the HMAC fast path: honest traffic is
-    // never rejected and the run behaves identically. (With HMAC keys
+    // The same TCP deployment with the engine's SUBMIT verification
+    // enabled over the HMAC fast path: honest traffic is never rejected
+    // and the run behaves identically. (With HMAC keys
     // this configuration is a benchmarking device, not a sound
     // deployment — see docs/trust-model.md.)
     let n = 3;
     let key_seed = b"tcp-verified";
     let keys = KeySet::generate(n, key_seed);
 
-    let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)))
-        .with_verification(IngressVerification::Batched(Arc::new(keys.registry())));
+    let engine =
+        ServerEngine::new(n, Box::new(UstorServer::new(n))).with_verification(keys.registry());
     let workloads = vec![
         vec![
             UserOp::Write(Value::from("v1")),
@@ -171,7 +169,7 @@ fn batched_ingress_verification_serves_tcp_clients() {
     }
     assert_eq!(
         stats.rejected, 0,
-        "honest traffic must pass batched ingress verification"
+        "honest traffic must pass HMAC ingress verification"
     );
     let done: Vec<usize> = run.iter().map(|(_, events)| completions(events)).collect();
     assert_eq!(done, vec![2, 1, 2]);
