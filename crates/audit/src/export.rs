@@ -2,8 +2,8 @@
 //!
 //! Two sources: a `faust-store` directory (snapshot + WAL, read through
 //! the read-only [`LogCursor`] so a live or crashed server's files can be
-//! exported without mutating them), or an in-memory record stream (what
-//! the simulator's recording backend captures for volatile servers).
+//! exported without mutating them), or an in-memory record stream — the
+//! records the directory export read, or a hand-built session.
 //!
 //! The exporter *computes* the claimed commit chain by replaying its own
 //! records rather than trusting any caller-supplied value — the manifest

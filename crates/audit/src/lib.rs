@@ -20,7 +20,8 @@
 //!   ([`HistoryFileError`]).
 //! * [`export_store_dir`] / [`export_records`] / [`export`] — building
 //!   containers from a `faust-store` directory (via the read-only
-//!   `LogCursor`) or an in-memory record stream (the simulator).
+//!   `LogCursor`) — what `faust export-history`, `faust audit DIR` and
+//!   every simulated run export — or from an in-memory record stream.
 //! * [`audit`] / [`replay`] — the certifier. Verdicts are typed:
 //!   [`AuditVerdict::Certified`] carries the certified scope,
 //!   [`AuditVerdict::Diverged`] carries the first divergent version and

@@ -26,7 +26,7 @@
 //!   ([`sim`]), which scripted runs drive with no faults. Used by the
 //!   tests, examples, and the experiment harness.
 //! * [`FaustHandle`] — the live client session: the same stack under
-//!   real concurrency, over channels or TCP.
+//!   real concurrency, over one framed TCP connection.
 //!
 //! # Example
 //!
@@ -67,8 +67,8 @@ pub use offline::OfflineMsg;
 pub use persist::{checkpoint_session, load_session, save_session};
 pub use sim::{
     check_determinism, check_oracles, gen_scenario, investigate, run_and_check, run_sim, CrashSpec,
-    FaultClause, FaultPlan, FaustDriver, FaustDriverConfig, ServerSpec, SimDurability, SimFailure,
-    SimRunReport, SimScenario, WalTamper,
+    FaultClause, FaultPlan, FaustDriver, FaustDriverConfig, SimFailure, SimRunReport, SimScenario,
+    WalTamper,
 };
 
 /// Scripted [`FaustDriver`] runs: stability, detection and determinism.

@@ -1,7 +1,7 @@
 //! Deterministic whole-system fault simulator: the full FAUST stack —
-//! many sans-io [`SessionCore`] clients, a [`ServerEngine`] over any
-//! [`Server`] (volatile, persistent, crash-restarting) — inside one
-//! seeded virtual-time event loop, with a fault-plan DSL and oracles.
+//! many sans-io [`SessionCore`] clients and a [`ServerEngine`] over the
+//! shipped [`PersistentServer`] — inside one seeded virtual-time event
+//! loop, with a fault-plan DSL and oracles.
 //!
 //! This is the scenario-diversity engine in the FoundationDB style: no
 //! threads, no sockets, no wall clock. Everything that happens — message
@@ -20,18 +20,28 @@
 //!   tampered replies;
 //! * **oracles** ([`check_oracles`]): no `fail` notification unless an
 //!   adversarial clause actually fired (no false positives), every
-//!   guaranteed-observable fork detected (no false negatives), plus the
-//!   `faust-consistency` checkers over the recorded history;
+//!   guaranteed-observable fork detected (no false negatives), the
+//!   `faust-consistency` checkers over the recorded history, and the
+//!   offline auditor's verdict on the session exported from the store
+//!   directory the run's server wrote — the same export `faust
+//!   export-history` runs;
 //! * a **shrinking failure reporter** ([`investigate`]): on any oracle
 //!   violation the fault plan is minimized by delta debugging and the
 //!   seed + minimized plan are rendered as a ready-to-run reproduction
 //!   recipe.
 //!
+//! Every [`run_sim`] scenario names its server with the store's own
+//! [`StoreConfig`] and runs it in a scratch directory. A server without
+//! durable state is `Durability::Never` with no snapshots: it writes an
+//! unsynced log, a process crash loses nothing on its own, and a crash
+//! that wipes the server says so with [`WalTamper::WipeState`].
+//!
 //! Group-commit flush timing — the one wall-clock dependency in the
-//! server hot path — runs on [`faust_store::SimClock`]: the driver
-//! advances the clock before every server interaction and arms a virtual
-//! timer at [`ServerEngine::flush_deadline_at`], so held replies are
-//! released at deterministic ticks.
+//! server hot path — runs on [`faust_store::SimClock`] (1 tick = 1 ms of
+//! the store's `max_wait`): the driver advances the clock before every
+//! server interaction and arms a virtual timer at
+//! [`ServerEngine::flush_deadline_at`], so held replies are released at
+//! deterministic ticks.
 
 use crate::client::{FaustClient, FaustConfig, UserOp};
 use crate::events::{FailReason, FaustCompletion, Notification, StabilityCut};
@@ -41,26 +51,20 @@ use faust_crypto::sig::KeySet;
 use faust_sim::{
     DelayModel, Event, MessageSize, NodeId, SimConfig, Simulation, TimeWindow, TimerId, Transport,
 };
-use faust_store::{
-    Durability, LogRecord, PersistentBackend, PersistentServer, SimClock, StoreConfig,
-};
+use faust_store::{Durability, PersistentServer, SimClock, StoreConfig};
 use faust_types::{ClientId, History, OpId, OpKind, ReplyMsg, Timestamp, UstorMsg, Value, Wire};
-use faust_ustor::{
-    CrashRestartServer, MemoryBackend, Server, ServerBackend, ServerEngine, WorkloadOp,
-};
+use faust_ustor::{CrashRestartServer, Server, ServerBackend, ServerEngine, WorkloadOp};
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------------
 // Fault-plan DSL
 // ---------------------------------------------------------------------------
 
 /// What happens to the server's on-disk state while it is down (the
-/// [`CrashRestartServer`] restart hook). Only meaningful for
-/// [`ServerSpec::Persistent`]; a volatile server loses everything on
-/// crash regardless.
+/// [`CrashRestartServer`] restart hook). The crash itself is a process
+/// crash: under every [`Durability`] it loses only what the tamper
+/// says, plus the replies a group-commit server still held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalTamper {
     /// Honest restart: recover exactly what the log holds.
@@ -89,36 +93,6 @@ pub struct CrashSpec {
     pub after_messages: usize,
     /// State tamper applied while down.
     pub tamper: WalTamper,
-}
-
-/// Group-commit knobs in virtual ticks (1 tick = 1 ms of the store's
-/// `max_wait`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimDurability {
-    /// Fsync every append before replying.
-    Always,
-    /// Group commit: batch appends, withhold replies until the batch
-    /// fsync, bounded by the two knobs (see [`Durability::Group`]).
-    Group {
-        /// Flush once this many records are waiting.
-        max_records: u64,
-        /// Flush once the oldest waiting record is this many ticks old.
-        max_wait_ticks: u64,
-    },
-}
-
-/// Which server the scenario runs against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServerSpec {
-    /// In-memory [`faust_ustor::UstorServer`]; a crash loses all state.
-    Volatile,
-    /// [`PersistentServer`] in a scratch directory, on the virtual clock.
-    Persistent {
-        /// Durability policy.
-        durability: SimDurability,
-        /// Snapshot/rotation threshold (`0` disables auto-snapshots).
-        snapshot_every: u64,
-    },
 }
 
 /// One clause of a fault plan. Clauses target the client↔server **link**
@@ -214,7 +188,7 @@ impl FaultClause {
     /// Whether the clause can never violate the protocol's assumptions
     /// (reliable FIFO links, honest server): such clauses must never
     /// cause a failure notification.
-    pub fn is_benign(&self, server: &ServerSpec) -> bool {
+    pub fn is_benign(&self, server: &StoreConfig) -> bool {
         match self {
             FaultClause::Outage { .. } => true,
             // A kill (or drop-then-reconnect) loses only frames the
@@ -222,17 +196,12 @@ impl FaultClause {
             // cache keeps the replay exactly-once.
             FaultClause::KillConn { .. } | FaultClause::DropReplies { .. } => true,
             FaultClause::CrashRestart(spec) => {
-                // Only a synchronously-durable server restarts losslessly:
-                // under group commit a crash destroys its *held* replies
-                // and the affected clients stall, breaking wait-freedom.
+                // An untampered process crash loses nothing a server
+                // acknowledged — unless it holds replies back: under
+                // group commit a crash destroys its *held* replies and
+                // the affected clients stall, breaking wait-freedom.
                 spec.tamper == WalTamper::None
-                    && matches!(
-                        server,
-                        ServerSpec::Persistent {
-                            durability: SimDurability::Always,
-                            ..
-                        }
-                    )
+                    && !matches!(server.durability, Durability::Group { .. })
             }
             _ => false,
         }
@@ -255,7 +224,7 @@ impl FaultPlan {
     /// Whether every clause is benign against `server` — the
     /// no-false-positive oracle applies to the whole run regardless of
     /// which clauses fired.
-    pub fn is_benign(&self, server: &ServerSpec) -> bool {
+    pub fn is_benign(&self, server: &StoreConfig) -> bool {
         self.clauses.iter().all(|c| c.is_benign(server))
     }
 
@@ -282,8 +251,9 @@ pub struct SimScenario {
     pub seed: u64,
     /// Per-client workload scripts; the client count is the length.
     pub workloads: Vec<Vec<WorkloadOp>>,
-    /// Which server to run.
-    pub server: ServerSpec,
+    /// The store the run's [`PersistentServer`] is opened with, in a
+    /// scratch directory on the virtual clock.
+    pub server: StoreConfig,
     /// The fault plan.
     pub plan: FaultPlan,
     /// Virtual-time deadline of the run.
@@ -356,12 +326,13 @@ pub struct SimRunReport {
     pub metrics: faust_sim::Metrics,
     /// Virtual time when the run stopped.
     pub final_time: u64,
-    /// The run's encoded `FAUSTHIS` session history — the server-side
-    /// record stream (a recording tap for volatile servers, the real
-    /// snapshot + WAL for persistent ones) plus the client-observed
-    /// history, ready for the offline auditor. `None` only if the store
-    /// directory could not be exported (e.g. a `WipeState` tamper
-    /// deleted it).
+    /// The run's encoded `FAUSTHIS` session history — the snapshot and
+    /// WAL the server left in its store directory, exported as `faust
+    /// export-history` does, plus the client-observed history, ready for
+    /// the offline auditor. `None` only if that export failed, which
+    /// the audit oracle reports as an error; a run driven by
+    /// [`FaustDriver::run_until`] alone has no store directory and
+    /// exports nothing.
     pub exported_history: Option<Vec<u8>>,
 }
 
@@ -433,99 +404,6 @@ impl SimRunReport {
             self.final_time,
             &self.exported_history,
         )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The recording tap
-// ---------------------------------------------------------------------------
-
-/// The record stream shared between the driver and the recording tap.
-type SharedRecording = Arc<Mutex<Vec<(u64, LogRecord)>>>;
-
-/// A [`Server`] decorator that mirrors every accepted SUBMIT and COMMIT
-/// into a shared record stream — exactly what a WAL would hold. It sits
-/// *below* the [`ServerEngine`], so duplicate SUBMITs answered from the
-/// reply cache never reach it, matching `faust-store` semantics.
-struct RecordingServer {
-    inner: Box<dyn Server + Send>,
-    log: SharedRecording,
-}
-
-impl Server for RecordingServer {
-    fn on_submit(
-        &mut self,
-        client: ClientId,
-        msg: faust_types::SubmitMsg,
-    ) -> Vec<(ClientId, ReplyMsg)> {
-        {
-            let mut log = self.log.lock().expect("recording lock");
-            let seq = log.len() as u64;
-            log.push((
-                seq,
-                LogRecord::Submit {
-                    from: client,
-                    msg: msg.clone(),
-                },
-            ));
-        }
-        self.inner.on_submit(client, msg)
-    }
-
-    fn on_commit(
-        &mut self,
-        client: ClientId,
-        msg: faust_types::CommitMsg,
-    ) -> Vec<(ClientId, ReplyMsg)> {
-        {
-            let mut log = self.log.lock().expect("recording lock");
-            let seq = log.len() as u64;
-            log.push((
-                seq,
-                LogRecord::Commit {
-                    from: client,
-                    msg: msg.clone(),
-                },
-            ));
-        }
-        self.inner.on_commit(client, msg)
-    }
-
-    fn flush(&mut self, force: bool) -> Vec<(ClientId, ReplyMsg)> {
-        self.inner.flush(force)
-    }
-
-    fn flush_deadline(&self) -> Option<std::time::Instant> {
-        self.inner.flush_deadline()
-    }
-
-    fn flush_deadline_at(&self) -> Option<u64> {
-        self.inner.flush_deadline_at()
-    }
-
-    fn resume_sessions(&mut self) -> Vec<faust_ustor::SessionResume> {
-        self.inner.resume_sessions()
-    }
-}
-
-/// A [`ServerBackend`] decorator that taps every built server with a
-/// [`RecordingServer`]. Each build *clears* the shared stream: a
-/// volatile restart wipes the server, so the recording covers only the
-/// final incarnation — records that honestly apply to the fresh state,
-/// which is precisely what an auditor of the post-crash session sees.
-struct RecordingBackend {
-    inner: Box<dyn ServerBackend + Send>,
-    log: SharedRecording,
-}
-
-impl ServerBackend for RecordingBackend {
-    fn build(&self, n: usize) -> std::io::Result<Box<dyn Server + Send>> {
-        self.log.lock().expect("recording lock").clear();
-        let inner = self.inner.build(n)?;
-        Ok(Box::new(RecordingServer {
-            inner,
-            log: self.log.clone(),
-        }))
     }
 }
 
@@ -604,16 +482,6 @@ enum ClauseState {
     Stateless,
 }
 
-/// Scratch-directory counter so concurrent tests never collide without
-/// consulting wall time or ambient randomness (which would break
-/// reproducibility).
-static SCRATCH_COUNTER: AtomicUsize = AtomicUsize::new(0);
-
-fn scratch_dir() -> PathBuf {
-    let id = SCRATCH_COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("faust-simrun-{}-{id}", std::process::id()))
-}
-
 /// Configuration of a FAUST simulation run.
 #[derive(Debug, Clone, Copy)]
 pub struct FaustDriverConfig {
@@ -648,7 +516,7 @@ impl Default for FaustDriverConfig {
 ///
 /// This is the one virtual-time loop of the FAUST stack. A scripted run
 /// is this loop with an empty [`FaultPlan`] and a caller-supplied server;
-/// [`run_sim`] builds the server from a [`ServerSpec`] and installs the
+/// [`run_sim`] opens the scenario's [`PersistentServer`] and installs the
 /// scenario's plan. The server node runs [`ServerEngine::round`], the
 /// round `faust serve` runs. A caller-supplied server must report
 /// group-commit deadlines through [`Server::flush_deadline_at`]; no
@@ -675,8 +543,8 @@ pub struct FaustDriver {
     n: usize,
     sim: Simulation<NetMsg>,
     engine: ServerEngine,
-    /// The virtual clock a [`ServerSpec::Persistent`] server batches on;
-    /// set before every server interaction.
+    /// The virtual clock a [`run_sim`] server batches on; set before
+    /// every server interaction.
     clock: SimClock,
     slots: Vec<Slot>,
     history: History,
@@ -708,98 +576,53 @@ pub struct FaustDriver {
     dirty_fired: Vec<(u64, &'static str)>,
     /// The armed virtual flush timer: `(deadline_tick, timer_id)`.
     flush_timer: Option<(u64, TimerId)>,
-    /// The recording tap's shared record stream (volatile servers only;
-    /// persistent servers export their real WAL instead).
-    recording: Option<SharedRecording>,
 }
 
 /// A backend that re-attaches the shared [`SimClock`] on every build —
 /// including the rebuild [`CrashRestartServer`] performs after a crash.
 struct VirtualPersistentBackend {
-    inner: PersistentBackend,
+    dir: PathBuf,
+    config: StoreConfig,
     clock: SimClock,
 }
 
 impl ServerBackend for VirtualPersistentBackend {
     fn build(&self, n: usize) -> std::io::Result<Box<dyn Server + Send>> {
-        let server = PersistentServer::open(&self.inner.dir, n, self.inner.config.clone())
+        let server = PersistentServer::open(&self.dir, n, self.config.clone())
             .map_err(std::io::Error::other)?
             .with_sim_clock(self.clock.clone());
         Ok(Box::new(server))
     }
 }
 
-/// Builds the server a scenario names: volatile servers behind the
-/// recording tap (returned alongside), persistent ones in `store_dir` on
-/// `clock`, either wrapped in a [`CrashRestartServer`] when the plan
-/// crashes it.
+/// Opens the scenario's store in `store_dir` on `clock`, wrapped in a
+/// [`CrashRestartServer`] whose restart hook applies the tamper when the
+/// plan crashes it.
 fn build_server(
     scenario: &SimScenario,
-    store_dir: Option<&PathBuf>,
+    store_dir: &Path,
     clock: &SimClock,
-) -> (Box<dyn Server + Send>, Option<SharedRecording>) {
+) -> Box<dyn Server + Send> {
     let n = scenario.n();
-    let mut recording = None;
-    let backend: Box<dyn ServerBackend + Send> = match &scenario.server {
-        ServerSpec::Volatile => {
-            let log: SharedRecording = Arc::new(Mutex::new(Vec::new()));
-            recording = Some(log.clone());
-            Box::new(RecordingBackend {
-                inner: Box::new(MemoryBackend),
-                log,
-            })
-        }
-        ServerSpec::Persistent {
-            durability,
-            snapshot_every,
-        } => {
-            let config = StoreConfig {
-                durability: match *durability {
-                    SimDurability::Always => Durability::Always,
-                    SimDurability::Group {
-                        max_records,
-                        max_wait_ticks,
-                    } => Durability::Group {
-                        max_records,
-                        max_wait: std::time::Duration::from_millis(max_wait_ticks),
-                    },
-                },
-                snapshot_every: *snapshot_every,
-            };
-            Box::new(VirtualPersistentBackend {
-                inner: PersistentBackend::new(
-                    store_dir.expect("persistent spec allocates a dir"),
-                    config,
-                ),
-                clock: clock.clone(),
-            })
-        }
+    let backend = Box::new(VirtualPersistentBackend {
+        dir: store_dir.to_path_buf(),
+        config: scenario.server.clone(),
+        clock: clock.clone(),
+    });
+    let Some(spec) = scenario.plan.crash() else {
+        return backend.build(n).expect("initial build");
     };
-    let server: Box<dyn Server + Send> = match scenario.plan.crash() {
-        Some(spec) => {
-            let mut crs =
-                CrashRestartServer::new(n, backend, spec.after_messages).expect("initial build");
-            if let Some(dir) = store_dir {
-                let dir = dir.clone();
-                match spec.tamper {
-                    WalTamper::None => {}
-                    WalTamper::TruncateTail(k) => {
-                        crs = crs.with_hook(Box::new(move || {
-                            faust_store::truncate_tail_records(&dir, k).ok();
-                        }));
-                    }
-                    WalTamper::WipeState => {
-                        crs = crs.with_hook(Box::new(move || {
-                            std::fs::remove_dir_all(&dir).ok();
-                        }));
-                    }
-                }
-            }
-            Box::new(crs)
-        }
-        None => backend.build(n).expect("initial build"),
-    };
-    (server, recording)
+    let crs = CrashRestartServer::new(n, backend, spec.after_messages).expect("initial build");
+    let dir = store_dir.to_path_buf();
+    Box::new(match spec.tamper {
+        WalTamper::None => crs,
+        WalTamper::TruncateTail(k) => crs.with_hook(Box::new(move || {
+            faust_store::truncate_tail_records(&dir, k).ok();
+        })),
+        WalTamper::WipeState => crs.with_hook(Box::new(move || {
+            std::fs::remove_dir_all(&dir).ok();
+        })),
+    })
 }
 
 impl FaustDriver {
@@ -855,19 +678,13 @@ impl FaustDriver {
             fork_fired: Vec::new(),
             dirty_fired: Vec::new(),
             flush_timer: None,
-            recording: None,
         }
     }
 
     /// Installs a scenario's fault plan, and what the run needs to know
-    /// about the server `run_sim` built for it: its virtual clock,
-    /// whether it holds replies for group commit, and its recording tap.
-    fn with_faults(
-        mut self,
-        scenario: &SimScenario,
-        clock: SimClock,
-        recording: Option<SharedRecording>,
-    ) -> Self {
+    /// about the server `run_sim` built for it: its virtual clock and
+    /// whether it holds replies for group commit.
+    fn with_faults(mut self, scenario: &SimScenario, clock: SimClock) -> Self {
         // Pre-arm end-of-window release timers so buffered traffic is
         // handed back even if no other event lands on that tick.
         let server_node = self.server_node();
@@ -904,15 +721,8 @@ impl FaustDriver {
             .collect();
         self.plan = scenario.plan.clone();
         self.crash_after = scenario.plan.crash().map(|s| s.after_messages);
-        self.group_commit = matches!(
-            scenario.server,
-            ServerSpec::Persistent {
-                durability: SimDurability::Group { .. },
-                ..
-            }
-        );
+        self.group_commit = matches!(scenario.server.durability, Durability::Group { .. });
         self.clock = clock;
-        self.recording = recording;
         self
     }
 
@@ -1452,20 +1262,6 @@ impl FaustDriver {
                     .map(|f| (ClientId::new(i as u32), f))
             })
             .collect();
-        // Volatile servers export straight from the recording tap; the
-        // persistent path is filled in by `run_sim`, which still owns
-        // the store directory at this point.
-        let exported_history = self.recording.as_ref().map(|log| {
-            let records = log.lock().expect("recording lock").clone();
-            faust_audit::export_records(
-                self.n,
-                faust_crypto::SigScheme::Hmac,
-                None,
-                records,
-                Some(self.history.clone()),
-            )
-            .encode()
-        });
         SimRunReport {
             history: self.history,
             notifications: self.slots.into_iter().map(|s| s.notifications).collect(),
@@ -1476,26 +1272,21 @@ impl FaustDriver {
             wipe_detector: self.wipe_detector,
             metrics: self.sim.metrics().clone(),
             final_time: self.sim.now(),
-            exported_history,
+            // Filled in by `run_sim`, which owns the store directory.
+            exported_history: None,
         }
     }
 }
 
 /// Executes one scenario under virtual time and returns its report.
 ///
-/// Persistent scenarios run in a scratch directory under the system temp
-/// dir, removed before and after the run — every invocation starts from
-/// a clean slate, which the reproducibility contract requires.
+/// The server runs in a fresh scratch directory under the system temp
+/// dir, removed after the run — every invocation starts from a clean
+/// slate, which the reproducibility contract requires.
 pub fn run_sim(scenario: &SimScenario) -> SimRunReport {
-    let store_dir = match &scenario.server {
-        ServerSpec::Volatile => None,
-        ServerSpec::Persistent { .. } => Some(scratch_dir()),
-    };
-    if let Some(dir) = &store_dir {
-        std::fs::remove_dir_all(dir).ok();
-    }
+    let store_dir = faust_store::testutil::scratch_dir("simrun");
     let clock = SimClock::new();
-    let (server, recording) = build_server(scenario, store_dir.as_ref(), &clock);
+    let server = build_server(scenario, &store_dir, &clock);
     let config = FaustDriverConfig {
         sim: SimConfig {
             seed: scenario.seed,
@@ -1509,23 +1300,21 @@ pub fn run_sim(scenario: &SimScenario) -> SimRunReport {
         tick_period: scenario.tick_period,
     };
     let mut driver = FaustDriver::new(scenario.n(), server, config, &scenario.seed.to_be_bytes())
-        .with_faults(scenario, clock, recording);
+        .with_faults(scenario, clock);
     for (i, script) in scenario.workloads.iter().enumerate() {
         driver.push_ops(ClientId::new(i as u32), script.iter().cloned());
     }
     let mut report = driver.run_until(scenario.deadline);
-    if let Some(dir) = &store_dir {
-        // The driver (and with it every file handle) is gone; export
-        // the real snapshot + WAL before wiping the scratch directory.
-        report.exported_history = faust_audit::export_store_dir(
-            dir,
-            faust_crypto::SigScheme::Hmac,
-            Some(report.history.clone()),
-        )
-        .ok()
-        .map(|session| session.encode());
-        std::fs::remove_dir_all(dir).ok();
-    }
+    // The driver (and with it every file handle) is gone; export the
+    // snapshot + WAL the server left before wiping the directory.
+    report.exported_history = faust_audit::export_store_dir(
+        &store_dir,
+        faust_crypto::SigScheme::Hmac,
+        Some(report.history.clone()),
+    )
+    .ok()
+    .map(|session| session.encode());
+    std::fs::remove_dir_all(&store_dir).ok();
     report
 }
 
@@ -1570,13 +1359,18 @@ pub fn check_oracles(scenario: &SimScenario, report: &SimRunReport) -> Result<()
         if !faust_consistency::check_wait_freedom(&report.history, &[]) {
             return Err("wait-freedom checker rejected a benign run".into());
         }
-        if expected <= faust_consistency::MAX_OPS {
-            let verdict = faust_consistency::check_linearizability(
-                &report.history,
-                &faust_consistency::Budget::default(),
-            );
-            if let faust_consistency::Verdict::Violated(why) = verdict {
-                return Err(format!("benign run's history is not linearizable: {why}"));
+        // The auditor's certifier decides at any size; on the unique
+        // values the driver writes it never answers `Unknown`, so an
+        // `Unknown` is a failure too, not a pass.
+        match faust_consistency::certify_linearizable(&report.history) {
+            faust_consistency::CertifyOutcome::Linearizable { .. } => {}
+            faust_consistency::CertifyOutcome::Violated { reason, .. } => {
+                return Err(format!(
+                    "benign run's history is not linearizable: {reason}"
+                ));
+            }
+            faust_consistency::CertifyOutcome::Unknown(why) => {
+                return Err(format!("benign run's linearizability is undecided: {why}"));
             }
         }
     }
@@ -1636,13 +1430,26 @@ pub fn check_oracles(scenario: &SimScenario, report: &SimRunReport) -> Result<()
     }
 
     // Universal safety: completed ops are never weak-fork-lin violated.
-    if report.history.complete_ops().count() <= faust_consistency::MAX_OPS {
-        let verdict = faust_consistency::check_weak_fork_linearizability(
-            &report.history,
-            &faust_consistency::Budget::default(),
-        );
-        if let faust_consistency::Verdict::Violated(why) = verdict {
+    // A history the budgeted search cannot decide fails the oracle
+    // rather than passing unchecked.
+    let completed = report.history.complete_ops().count();
+    if completed > faust_consistency::MAX_OPS {
+        return Err(format!(
+            "weak fork-linearizability undecided: {completed} completed ops exceed the \
+             checker's {} op limit",
+            faust_consistency::MAX_OPS
+        ));
+    }
+    match faust_consistency::check_weak_fork_linearizability(
+        &report.history,
+        &faust_consistency::Budget::default(),
+    ) {
+        faust_consistency::Verdict::Satisfied => {}
+        faust_consistency::Verdict::Violated(why) => {
             return Err(format!("history violates weak fork-linearizability: {why}"));
+        }
+        faust_consistency::Verdict::Unknown(why) => {
+            return Err(format!("weak fork-linearizability undecided: {why}"));
         }
     }
 
@@ -1655,23 +1462,19 @@ pub fn check_oracles(scenario: &SimScenario, report: &SimRunReport) -> Result<()
 
 /// Cross-checks the run against the offline auditor.
 ///
-/// * The export must always decode and audit cleanly — any container
-///   error or panic is a bug regardless of the plan.
+/// * The export must always exist, decode and audit cleanly — a missing
+///   export, a container error or a panic is a bug regardless of the
+///   plan (the server reopens a wiped directory, so there is always one
+///   to export).
 /// * If no adversarial clause fired, the run is indistinguishable from
 ///   an honest one and the auditor must certify it.
-/// * If a state wipe destroyed committed operations (a crash on a
-///   volatile server, or a `WipeState` tamper, after some client
-///   completed an op), the exported post-crash session cannot account
-///   for the pre-crash schedule and the auditor must localize a
-///   divergence — even when no online client happened to observe the
-///   fork.
+/// * If a state wipe destroyed committed operations (a `WipeState`
+///   tamper after some client completed an op), the exported post-crash
+///   session cannot account for the pre-crash schedule and the auditor
+///   must localize a divergence — even when no online client happened
+///   to observe the fork.
 fn check_audit_agreement(scenario: &SimScenario, report: &SimRunReport) -> Result<(), String> {
     let Some(bytes) = &report.exported_history else {
-        // Export is only allowed to be missing when the plan tampers
-        // with the store directory out from under the server.
-        if scenario.plan.crash().is_some() {
-            return Ok(());
-        }
         return Err("run produced no exported session history".into());
     };
     let session = faust_audit::SessionHistory::decode(bytes)
@@ -1696,13 +1499,9 @@ fn check_audit_agreement(scenario: &SimScenario, report: &SimRunReport) -> Resul
     // A wipe that destroyed a completed operation is always provable
     // offline: the completed op's timestamp cannot appear in the
     // surviving schedule.
-    let wiped = match &scenario.server {
-        ServerSpec::Volatile => report.crash_time,
-        ServerSpec::Persistent { .. } => (scenario.plan.crash().map(|s| s.tamper)
-            == Some(WalTamper::WipeState))
+    let wiped = (scenario.plan.crash().map(|s| s.tamper) == Some(WalTamper::WipeState))
         .then_some(report.crash_time)
-        .flatten(),
-    };
+        .flatten();
     if let Some(crash_time) = wiped {
         let completed_before_crash = report.notifications.iter().any(|ns| {
             ns.iter()
@@ -1753,7 +1552,7 @@ pub fn check_determinism(scenario: &SimScenario) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 /// Derives a full randomized scenario from one seed: client count,
-/// scripts, server spec, and a fault plan drawn from benign, forking,
+/// scripts, store configuration, and a fault plan drawn from benign, forking,
 /// and adversarial-network families. `gen_scenario(seed)` is a pure
 /// function — the seed alone reproduces the run.
 pub fn gen_scenario(seed: u64) -> SimScenario {
@@ -1763,20 +1562,26 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
     let deadline = 6_000;
     let workloads = faust_ustor::random_workloads(n, ops_per_client, 0.6, seed);
 
+    // A third of the seeds run a server without durable state: no
+    // fsync, no snapshot, and every crash wipes it.
     let server = match rng.gen_index(3) {
-        0 => ServerSpec::Volatile,
-        1 => ServerSpec::Persistent {
-            durability: SimDurability::Always,
+        0 => StoreConfig {
+            durability: Durability::Never,
+            snapshot_every: 0,
+        },
+        1 => StoreConfig {
+            durability: Durability::Always,
             snapshot_every: [0, 4][rng.gen_index(2)],
         },
-        _ => ServerSpec::Persistent {
-            durability: SimDurability::Group {
+        _ => StoreConfig {
+            durability: Durability::Group {
                 max_records: rng.gen_range_inclusive(2, 16),
-                max_wait_ticks: rng.gen_range_inclusive(5, 40),
+                max_wait: std::time::Duration::from_millis(rng.gen_range_inclusive(5, 40)),
             },
             snapshot_every: 0,
         },
     };
+    let wipes = server.durability == Durability::Never;
 
     // Fault windows sit in the first half of the run so detection (and
     // outage release + completion) always has slack before the deadline.
@@ -1820,14 +1625,7 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
                     },
                 });
             }
-            if matches!(
-                server,
-                ServerSpec::Persistent {
-                    durability: SimDurability::Always,
-                    ..
-                }
-            ) && rng.gen_bool(0.5)
-            {
+            if server.durability == Durability::Always && rng.gen_bool(0.5) {
                 // Honest crash/restart: invisible under Always (nothing
                 // is ever held back or lost).
                 clauses.push(FaultClause::CrashRestart(CrashSpec {
@@ -1838,24 +1636,19 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
         }
         // Forking adversary: state wipe on restart.
         1 => {
-            let after_messages = rng.gen_range_inclusive(2, 14) as usize;
-            let tamper = match server {
-                ServerSpec::Volatile => WalTamper::None, // volatile restart wipes anyway
-                ServerSpec::Persistent { .. } => WalTamper::WipeState,
-            };
             clauses.push(FaultClause::CrashRestart(CrashSpec {
-                after_messages,
-                tamper,
+                after_messages: rng.gen_range_inclusive(2, 14) as usize,
+                tamper: WalTamper::WipeState,
             }));
         }
         // Rollback adversary: tail truncation (observability depends on
-        // what the tail held — universal-safety oracle only).
+        // what the tail held — universal-safety oracle only). A server
+        // without durable state loses all of it instead.
         2 => {
-            let tamper = match server {
-                ServerSpec::Volatile => WalTamper::None,
-                ServerSpec::Persistent { .. } => {
-                    WalTamper::TruncateTail(rng.gen_range_inclusive(1, 6) as usize)
-                }
+            let tamper = if wipes {
+                WalTamper::WipeState
+            } else {
+                WalTamper::TruncateTail(rng.gen_range_inclusive(1, 6) as usize)
             };
             clauses.push(FaultClause::CrashRestart(CrashSpec {
                 after_messages: rng.gen_range_inclusive(4, 16) as usize,
@@ -1879,14 +1672,7 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
             }
         }
     }
-    // A volatile server with a crash clause forks; mark it as such by
-    // construction (handled in the driver via the crash mirror).
-    let fork_on_volatile_crash = matches!(server, ServerSpec::Volatile)
-        && clauses
-            .iter()
-            .any(|c| matches!(c, FaultClause::CrashRestart(_)));
-
-    let mut scenario = SimScenario {
+    SimScenario {
         seed,
         workloads,
         server,
@@ -1896,17 +1682,7 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
         dummy_reads: true,
         link_delay: DelayModel::Uniform(1, rng.gen_range_inclusive(3, 12)),
         offline_delay: DelayModel::Uniform(20, 80),
-    };
-    if fork_on_volatile_crash {
-        // Volatile + restart = guaranteed state wipe; encode it so the
-        // driver records the fork.
-        for clause in &mut scenario.plan.clauses {
-            if let FaultClause::CrashRestart(spec) = clause {
-                spec.tamper = WalTamper::WipeState;
-            }
-        }
     }
-    scenario
 }
 
 // ---------------------------------------------------------------------------
@@ -1990,7 +1766,25 @@ mod tests {
         ClientId::new(i)
     }
 
-    fn honest_scenario(seed: u64, server: ServerSpec) -> SimScenario {
+    /// A server without durable state: no fsync, no snapshot.
+    fn unsynced() -> StoreConfig {
+        StoreConfig {
+            durability: Durability::Never,
+            snapshot_every: 0,
+        }
+    }
+
+    fn group(max_records: u64, max_wait_ms: u64) -> StoreConfig {
+        StoreConfig {
+            durability: Durability::Group {
+                max_records,
+                max_wait: std::time::Duration::from_millis(max_wait_ms),
+            },
+            snapshot_every: 0,
+        }
+    }
+
+    fn honest_scenario(seed: u64, server: StoreConfig) -> SimScenario {
         SimScenario {
             seed,
             workloads: faust_ustor::random_workloads(3, 3, 0.6, seed),
@@ -2006,7 +1800,7 @@ mod tests {
 
     #[test]
     fn honest_volatile_run_passes_oracles() {
-        let scenario = honest_scenario(1, ServerSpec::Volatile);
+        let scenario = honest_scenario(1, unsynced());
         let report = run_and_check(&scenario).expect("honest run");
         assert_eq!(report.completed_ops(), scenario.user_ops());
         assert!(report.failures.is_empty());
@@ -2014,23 +1808,16 @@ mod tests {
 
     #[test]
     fn honest_group_commit_run_releases_replies_on_virtual_deadlines() {
-        let scenario = honest_scenario(
-            2,
-            ServerSpec::Persistent {
-                durability: SimDurability::Group {
-                    max_records: 64,    // far larger than the traffic: only
-                    max_wait_ticks: 15, // the virtual deadline releases
-                },
-                snapshot_every: 0,
-            },
-        );
+        // 64 records is far larger than the traffic: only the virtual
+        // 15-tick deadline releases.
+        let scenario = honest_scenario(2, group(64, 15));
         let report = run_and_check(&scenario).expect("honest group-commit run");
         assert_eq!(report.completed_ops(), scenario.user_ops());
     }
 
     #[test]
     fn outage_is_invisible_and_release_preserves_fifo() {
-        let mut scenario = honest_scenario(3, ServerSpec::Volatile);
+        let mut scenario = honest_scenario(3, unsynced());
         scenario.plan.clauses.push(FaultClause::Outage {
             client: c(0),
             window: TimeWindow::new(100, 900),
@@ -2043,7 +1830,7 @@ mod tests {
     #[test]
     fn kill_conn_is_invisible_thanks_to_the_resend_window() {
         for seed in [12, 13, 14] {
-            let mut scenario = honest_scenario(seed, ServerSpec::Volatile);
+            let mut scenario = honest_scenario(seed, unsynced());
             // Kill while traffic is in full swing: frames die in both
             // directions and the resend window must recover every op.
             scenario.plan.clauses.push(FaultClause::KillConn {
@@ -2065,16 +1852,7 @@ mod tests {
         // The nasty interleaving: a reply held back for group commit is
         // force-flushed into the dying connection and lost; the replay
         // must be answered from the duplicate cache, exactly once.
-        let mut scenario = honest_scenario(
-            15,
-            ServerSpec::Persistent {
-                durability: SimDurability::Group {
-                    max_records: 64,
-                    max_wait_ticks: 20,
-                },
-                snapshot_every: 0,
-            },
-        );
+        let mut scenario = honest_scenario(15, group(64, 20));
         scenario.plan.clauses.push(FaultClause::KillConn {
             client: c(0),
             at: 140,
@@ -2087,7 +1865,7 @@ mod tests {
     #[test]
     fn dropped_replies_are_recovered_by_the_end_of_window_resend() {
         for seed in [16, 17] {
-            let mut scenario = honest_scenario(seed, ServerSpec::Volatile);
+            let mut scenario = honest_scenario(seed, unsynced());
             // A long ack-blackout: SUBMITs keep advancing the server
             // while every reply is eaten, so the reconnect's replay is
             // answered entirely from the duplicate cache.
@@ -2103,7 +1881,7 @@ mod tests {
 
     #[test]
     fn kill_conn_scenarios_rerun_bit_identically() {
-        let mut scenario = honest_scenario(18, ServerSpec::Volatile);
+        let mut scenario = honest_scenario(18, unsynced());
         scenario.plan.clauses.push(FaultClause::KillConn {
             client: c(2),
             at: 200,
@@ -2119,8 +1897,8 @@ mod tests {
     fn honest_persistent_crash_restart_is_invisible() {
         let mut scenario = honest_scenario(
             4,
-            ServerSpec::Persistent {
-                durability: SimDurability::Always,
+            StoreConfig {
+                durability: Durability::Always,
                 snapshot_every: 0,
             },
         );
@@ -2138,7 +1916,7 @@ mod tests {
 
     #[test]
     fn volatile_crash_fork_is_detected() {
-        let mut scenario = honest_scenario(5, ServerSpec::Volatile);
+        let mut scenario = honest_scenario(5, unsynced());
         scenario
             .plan
             .clauses
@@ -2157,7 +1935,7 @@ mod tests {
 
     #[test]
     fn tampered_read_value_is_detected_at_the_victim() {
-        let mut scenario = honest_scenario(6, ServerSpec::Volatile);
+        let mut scenario = honest_scenario(6, unsynced());
         // Make sure reads happen: c1 reads c0's register after a write.
         scenario.workloads = vec![
             vec![
@@ -2206,7 +1984,7 @@ mod tests {
         // simulate by asserting on a scenario that genuinely fails its
         // oracles is hard to fabricate, so instead check the shrinker
         // wiring: minimize "plan still produces failures".
-        let mut scenario = honest_scenario(10, ServerSpec::Volatile);
+        let mut scenario = honest_scenario(10, unsynced());
         scenario.plan.clauses = vec![
             FaultClause::Outage {
                 client: c(1),
@@ -2244,5 +2022,58 @@ mod tests {
         assert!(rendered.contains("seed:  11"));
         assert!(rendered.contains("FAUST_SIM_SEED=11"));
         assert!(rendered.contains("synthetic error"));
+    }
+
+    #[test]
+    fn a_missing_export_fails_the_audit_oracle_even_under_a_crash_plan() {
+        let mut scenario = honest_scenario(4, unsynced());
+        scenario
+            .plan
+            .clauses
+            .push(FaultClause::CrashRestart(CrashSpec {
+                after_messages: 5,
+                tamper: WalTamper::None,
+            }));
+        let mut report = run_and_check(&scenario).expect("an untampered crash is benign");
+        assert!(report.crash_time.is_some(), "the crash must actually fire");
+        report.exported_history = None;
+        let err = check_oracles(&scenario, &report).expect_err("no export, no pass");
+        assert!(err.contains("no exported session history"), "{err}");
+    }
+
+    #[test]
+    fn a_stale_read_fails_the_benign_linearizability_oracle() {
+        let mut scenario = honest_scenario(19, unsynced());
+        scenario.workloads = vec![
+            vec![WorkloadOp::Write(Value::from("x"))],
+            vec![WorkloadOp::Read(c(0))],
+        ];
+        let mut report = run_and_check(&scenario).expect("honest run");
+        // Replace the recorded history with one whose read, begun after
+        // the write completed, still returns the initial value.
+        let mut history = History::new();
+        let w = history.begin_write(c(0), Value::from("x"), 0);
+        history.complete_write(w, 10, None);
+        let r = history.begin_read(c(1), c(0), 20);
+        history.complete_read(r, 30, None, None);
+        report.history = history;
+        let err = check_oracles(&scenario, &report).expect_err("stale read");
+        assert!(err.contains("not linearizable"), "{err}");
+    }
+
+    #[test]
+    fn a_history_beyond_the_checker_fails_instead_of_passing() {
+        let mut scenario = honest_scenario(20, unsynced());
+        scenario.workloads = faust_ustor::random_workloads(3, 25, 0.6, 20);
+        let report = run_sim(&scenario);
+        assert_eq!(report.completed_ops(), scenario.user_ops());
+        assert!(report.completed_ops() > faust_consistency::MAX_OPS);
+        // The benign linearizability oracle decides at this size; the
+        // weak fork-linearizability search cannot, and says so.
+        let err = check_oracles(&scenario, &report).expect_err("undecidable history");
+        assert!(
+            err.starts_with("weak fork-linearizability undecided"),
+            "{err}"
+        );
     }
 }

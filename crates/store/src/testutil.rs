@@ -27,6 +27,9 @@ static COUNTER: AtomicU64 = AtomicU64::new(0);
 pub fn scratch_dir(label: &str) -> PathBuf {
     let id = COUNTER.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("faust-store-{label}-{}-{id}", std::process::id()));
+    // A directory a dead process with the same id leaked would otherwise
+    // hand its files to this caller.
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }

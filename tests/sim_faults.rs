@@ -27,7 +27,7 @@ use common::{connect_all, handle_config, incarnation, run_phase};
 use faust::audit::{audit, AuditVerdict, SessionHistory};
 use faust::core::{
     check_determinism, gen_scenario, investigate, run_and_check, run_sim, CrashSpec, FaultClause,
-    FaultPlan, Notification, ServerSpec, SimDurability, SimScenario, UserOp, WalTamper,
+    FaultPlan, Notification, SimScenario, UserOp, WalTamper,
 };
 use faust::crypto::sig::KeySet;
 use faust::crypto::SigScheme;
@@ -139,8 +139,8 @@ fn replayed_submit_scenario(after_messages: usize) -> SimScenario {
             vec![WorkloadOp::Write(Value::from("a1"))],
             vec![WorkloadOp::Pause(400), WorkloadOp::Read(c(0))],
         ],
-        server: ServerSpec::Persistent {
-            durability: SimDurability::Always,
+        server: StoreConfig {
+            durability: Durability::Always,
             snapshot_every: 0,
         },
         plan: FaultPlan {
@@ -223,10 +223,10 @@ fn kill_restart_scenario() -> SimScenario {
                 WorkloadOp::Write(Value::from("c1")),
             ],
         ],
-        server: ServerSpec::Persistent {
-            durability: SimDurability::Group {
+        server: StoreConfig {
+            durability: Durability::Group {
                 max_records: 8,
-                max_wait_ticks: 20,
+                max_wait: Duration::from_millis(20),
             },
             snapshot_every: 0,
         },
@@ -393,20 +393,29 @@ fn offline_verdict(scenario: &SimScenario, report: &faust::core::SimRunReport) -
     audit(&session, &registry).expect("auditor runs").verdict
 }
 
-/// Honest runs — volatile, and persistent across a crash+recovery —
+/// A store that never syncs and never snapshots: the server of the
+/// scenarios that model a server without durable state.
+fn unsynced() -> StoreConfig {
+    StoreConfig {
+        durability: Durability::Never,
+        snapshot_every: 0,
+    }
+}
+
+/// Honest runs — unsynced, and group-commit across a crash+recovery —
 /// must be certified by the offline auditor.
 #[test]
 fn auditor_certifies_honest_runs() {
-    // Volatile, no faults.
+    // Unsynced, no faults.
     let mut scenario = kill_restart_scenario();
-    scenario.server = ServerSpec::Volatile;
+    scenario.server = unsynced();
     scenario.plan = FaultPlan { clauses: vec![] };
     let report = run_and_check(&scenario).expect("oracles pass");
     match offline_verdict(&scenario, &report) {
         AuditVerdict::Certified {
             fork_linearizable, ..
         } => assert!(fork_linearizable),
-        other => panic!("honest volatile run must certify, got {other:?}"),
+        other => panic!("honest unsynced run must certify, got {other:?}"),
     }
 
     // Persistent, honest kill+restart: the recovered WAL accounts for
@@ -423,14 +432,20 @@ fn auditor_certifies_honest_runs() {
     }
 }
 
-/// A volatile server crash wipes committed state — a global fork. The
-/// exported post-crash session cannot account for the pre-crash
-/// schedule, so the auditor must localize a divergence even if no
-/// online client happened to observe the fork.
+/// A crash that wipes committed state is a global fork. The exported
+/// post-crash session cannot account for the pre-crash schedule, so the
+/// auditor must localize a divergence even if no online client happened
+/// to observe the fork.
 #[test]
 fn auditor_diverges_on_wiped_state() {
     let mut scenario = kill_restart_scenario();
-    scenario.server = ServerSpec::Volatile;
+    scenario.server = unsynced();
+    scenario.plan = FaultPlan {
+        clauses: vec![FaultClause::CrashRestart(CrashSpec {
+            after_messages: 8,
+            tamper: WalTamper::WipeState,
+        })],
+    };
     scenario.dummy_reads = true;
     let report = run_sim(&scenario);
     let crash_time = report.crash_time.expect("the crash must fire");
@@ -439,6 +454,42 @@ fn auditor_diverges_on_wiped_state() {
             .any(|(t, n)| matches!(n, Notification::Completed(_)) && *t < crash_time)
     });
     assert!(completed_before_crash, "ops must complete before the crash");
+    match offline_verdict(&scenario, &report) {
+        AuditVerdict::Diverged { .. } => {}
+        other => panic!("a wiped server must not be certified, got {other:?}"),
+    }
+}
+
+/// The crash rule: a crash loses exactly what its tamper says. An
+/// unsynced store crashed with `WalTamper::None` reopens its own log and
+/// loses nothing — no fork fires, every op completes and the auditor
+/// certifies the session across the crash. The same crash with
+/// `WalTamper::WipeState` loses everything, and the auditor diverges.
+#[test]
+fn an_unsynced_crash_loses_only_what_its_tamper_says() {
+    let mut scenario = kill_restart_scenario();
+    scenario.server = unsynced();
+
+    let report = run_and_check(&scenario).expect("oracles pass");
+    assert!(report.crash_time.is_some(), "the crash must fire");
+    assert!(report.fork_fired.is_empty(), "{:?}", report.fork_fired);
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert_eq!(report.completed_ops(), scenario.user_ops());
+    match offline_verdict(&scenario, &report) {
+        AuditVerdict::Certified {
+            fork_linearizable, ..
+        } => assert!(fork_linearizable),
+        other => panic!("an untampered crash must certify, got {other:?}"),
+    }
+
+    scenario.plan = FaultPlan {
+        clauses: vec![FaultClause::CrashRestart(CrashSpec {
+            after_messages: 8,
+            tamper: WalTamper::WipeState,
+        })],
+    };
+    let report = run_and_check(&scenario).expect("oracles pass");
+    assert!(report.crash_time.is_some(), "the crash must fire");
     match offline_verdict(&scenario, &report) {
         AuditVerdict::Diverged { .. } => {}
         other => panic!("a wiped server must not be certified, got {other:?}"),
