@@ -363,6 +363,11 @@ impl FaustClient {
         self.ustor.num_clients()
     }
 
+    /// The USTOR client underneath.
+    pub(crate) fn ustor(&self) -> &UstorClient {
+        &self.ustor
+    }
+
     /// The failure that halted this client, if any.
     pub fn failure(&self) -> Option<&FailReason> {
         self.failed.as_ref()
@@ -697,6 +702,56 @@ mod tests {
         assert_eq!(completed.len(), 1);
         assert_eq!(completed[0].timestamp, 1);
         assert_eq!(completed[0].kind, OpKind::Write);
+    }
+
+    #[test]
+    fn a_restored_client_handed_a_kept_tail_blames_its_snapshot() {
+        // C1's write never commits, and C0 pipelines two reads: the
+        // second reply's `L` keeps the one tuple of the first's. Restored
+        // from a snapshot taken between the two, C0 has no first reply to
+        // keep from — its resume guard blames the snapshot, not the
+        // server.
+        let (mut server, mut clients) = setup(2);
+        let (c0, c1) = (ClientId::new(0), ClientId::new(1));
+        let submit_of = |actions: Actions| match &actions.to_server[..] {
+            [UstorMsg::Submit(submit)] => submit.clone(),
+            other => panic!("one SUBMIT: {other:?}"),
+        };
+        let write = submit_of(clients[1].invoke(UserOp::Write(Value::from("w")), 0));
+        server.on_submit(c1, write);
+        let keys = KeySet::generate(2, b"faust-client");
+        let config = FaustConfig {
+            pipeline: 2,
+            ..FaustConfig::default()
+        };
+        let keypair = keys.keypair(0).unwrap().clone();
+        let mut live = FaustClient::new(c0, 2, keypair.clone(), keys.registry(), config);
+        let mut sent = Vec::new();
+        let mut replies = Vec::new();
+        for _ in 0..2 {
+            let submit = submit_of(live.invoke(UserOp::Read(c0), 0));
+            let (_, mut reply) = server.on_submit(c0, submit).pop().unwrap();
+            reply.keep_from(&mut sent);
+            replies.push(reply);
+        }
+        let kept: Vec<_> = replies.iter().map(|r| (r.kept, r.pending.len())).collect();
+        assert_eq!(kept, [(0, 1), (1, 1)]);
+        let second = replies.pop().unwrap();
+        live.handle_reply(replies.pop().unwrap(), 0);
+        let mut restored = FaustClient::from_state(keypair, keys.registry(), live.export_state());
+        let notes = restored.handle_reply(second.clone(), 0).notifications;
+        let stale = FailReason::Ustor(Fault::StaleClientState);
+        assert_eq!(notes, [Notification::Failed(stale.clone())]);
+        assert_eq!(restored.failure(), Some(&stale));
+        // The client that processed the first reply takes the second.
+        let notes = live.handle_reply(second, 0).notifications;
+        assert!(
+            notes
+                .iter()
+                .any(|n| matches!(n, Notification::Completed(_))),
+            "{notes:?}"
+        );
+        assert!(live.failure().is_none());
     }
 
     #[test]

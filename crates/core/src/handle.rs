@@ -517,21 +517,23 @@ impl SessionCore {
     /// one entry instead of `n`. The fold that built the COMMIT's version
     /// from `commit_version` wrote only this client's entry and those of
     /// the clients in `L` (Algorithm 1, lines 37–47), so those are the
-    /// delta's entries. The delta is for the connection this REPLY came
-    /// in on: the resend window keeps the full COMMIT, and every replay
-    /// sends that.
+    /// delta's entries — `L` in full, as the protocol client resolved it,
+    /// not the tuples this REPLY carried. The delta is for the connection
+    /// this REPLY came in on: the resend window keeps the full COMMIT, and
+    /// every replay sends that.
     pub fn handle_reply(&mut self, reply: ReplyMsg, now: u64) -> SessionOutput {
+        let actions = self.proto.handle_reply(reply, now);
         // Only an immediate-mode session answers a REPLY with a COMMIT of
         // its own; a piggybacked one stays full and needs no entries.
         let touched = &mut self.touched;
         touched.clear();
         if self.proto.config().commit_mode == CommitMode::Immediate {
-            touched.extend(reply.pending.iter().map(|t| t.client.index()));
+            let folded = self.proto.ustor().last_pending();
+            touched.extend(folded.iter().map(|t| t.client.index()));
             touched.push(self.proto.id().index());
             touched.sort_unstable();
             touched.dedup();
         }
-        let actions = self.proto.handle_reply(reply, now);
         if self.proto.failure().is_none() {
             // The reply answered the oldest in-flight SUBMIT: its resend
             // obligation is discharged, and FIFO delivery means every

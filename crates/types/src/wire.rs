@@ -7,8 +7,10 @@
 //! * [`SubmitMsg`] (0) — `⟨SUBMIT, t, (i, oc, j, σ), x, δ⟩`;
 //! * [`ReplyMsg`] (1) — `⟨REPLY, c, SVER[c], [SVER[j], MEM[j],] L, P⟩`;
 //!   a read's `SVER[j]` goes as a delta against `SVER[c]` when that is
-//!   smaller, marked by bit 31 of its first length prefix (the
-//!   [`ReplyMsg`] docs have the layout);
+//!   smaller, marked by bit 31 of its first length prefix, and `L` may
+//!   name a tail of the `L` of the client's previous REPLY instead of
+//!   repeating it, marked by bit 31 of its count (the [`ReplyMsg`] docs
+//!   have both layouts);
 //! * [`CommitMsg`] (2) — `⟨COMMIT, V_i, M_i, φ, ψ⟩`, or [`CommitDelta`]
 //!   (3) — the same COMMIT as the entries where its version differs from
 //!   the `commit_version` of the REPLY it answers, sent by a session on
@@ -212,9 +214,15 @@ pub trait Wire: Sized {
 /// elements reserves room for 26, and fails at the first missing one.
 #[inline]
 fn decode_len(input: &mut &[u8]) -> Result<(usize, usize), WireError> {
-    let len = u32::decode_from(input)? as u64;
-    if len > MAX_LEN {
-        return Err(WireError::BadLength(len));
+    let len = u32::decode_from(input)?;
+    bounded_len(len, input)
+}
+
+/// [`decode_len`] for a length prefix `len` already read.
+#[inline]
+fn bounded_len(len: u32, input: &[u8]) -> Result<(usize, usize), WireError> {
+    if u64::from(len) > MAX_LEN {
+        return Err(WireError::BadLength(len.into()));
     }
     Ok((len as usize, (len as usize).min(input.len())))
 }
@@ -359,16 +367,27 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
         let (len, reserve) = decode_len(input)?;
-        let mut out = Vec::with_capacity(reserve);
-        // The cursor is a local for the length of the loop: read through
-        // `input` it is reloaded and stored back around every element.
-        let mut rest = *input;
-        for _ in 0..len {
-            T::decode_then(&mut rest, |item| out.push(item))?;
-        }
-        *input = rest;
-        Ok(out)
+        decode_elements(len, reserve, input)
     }
+}
+
+/// The `len` elements of a collection whose length prefix was already
+/// read, `reserve` of them reserved up front ([`decode_len`]).
+#[inline]
+fn decode_elements<T: Wire>(
+    len: usize,
+    reserve: usize,
+    input: &mut &[u8],
+) -> Result<Vec<T>, WireError> {
+    let mut out = Vec::with_capacity(reserve);
+    // The cursor is a local for the length of the loop: read through
+    // `input` it is reloaded and stored back around every element.
+    let mut rest = *input;
+    for _ in 0..len {
+        T::decode_then(&mut rest, |item| out.push(item))?;
+    }
+    *input = rest;
+    Ok(out)
 }
 
 impl Wire for Value {
@@ -483,8 +502,10 @@ fn decode_version(len: u32, input: &mut &[u8]) -> Result<Version, WireError> {
 }
 
 /// Set in the count word of a read REPLY's `SVER[j]` sent as a
-/// [`VersionDelta`] (see [`ReplyMsg`]). A full version's first length
-/// prefix is at most [`MAX_LEN`] = 2²⁴, so the full form never has it.
+/// [`VersionDelta`], and in the count of a REPLY's `L` that keeps a tail
+/// of the previous one (see [`ReplyMsg`]). A full version's first length
+/// prefix and a full list's count are at most [`MAX_LEN`] = 2²⁴, so the
+/// full form never has it.
 const DELTA_MARK: u32 = 1 << 31;
 
 /// One entry `(k, V[k], M[k])` of a version, as a delta carries it.
@@ -834,6 +855,21 @@ impl ReadReply {
 /// must strictly increase, and it may carry at most `n` entries, each
 /// below `n`, the arity of `SVER[c]`; anything else is
 /// [`WireError::BadLength`].
+///
+/// `L` goes in full — a count, then the tuples — or, when [`ReplyMsg::kept`]
+/// is `k > 0`, as the tuples that follow the last `k` of the `L` of the
+/// REPLY the server released to the same client before this one:
+///
+/// ```text
+///   full:  count: u32 | tuple^count
+///   delta: (bit 31 | count): u32 | k: u32 | tuple^count
+/// ```
+///
+/// Only the server's engine sends the delta ([`ReplyMsg::keep_from`]), and
+/// the client turns it back into the full `L` before any check reads it
+/// ([`ReplyMsg::resolve_pending`]); a REPLY with `k = 0` is byte for byte
+/// the full form. Both the count and `k` are at most 2²⁴, and a delta's
+/// `k` is at least 1; anything else is [`WireError::BadLength`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplyMsg {
     /// `c` — the client that committed the last operation in the schedule.
@@ -844,10 +880,15 @@ pub struct ReplyMsg {
     /// operation was a read.
     pub read: Option<ReadReply>,
     /// `L` — invocation tuples of submitted-but-uncommitted (concurrent)
-    /// operations, oldest first.
+    /// operations, oldest first; with `kept > 0`, only those after the
+    /// kept ones.
     pub pending: Vec<InvocationTuple>,
+    /// `k` — how many tuples at the front of `L` are the last `k` of the
+    /// `L` of the previous REPLY to the same client, and are not in
+    /// `pending`. 0 (the full form) in every REPLY a server builds.
+    pub kept: u32,
     /// `P` — PROOF-signatures, indexed by client. A correct server fills
-    /// only the slots of clients with a tuple in `pending`, the only ones
+    /// only the slots of clients with a tuple in `L`, the only ones
     /// Algorithm 1 reads; the rest, and a slot before its client's first
     /// commit, are `None`.
     pub proofs: Vec<Option<Signature>>,
@@ -864,7 +905,15 @@ impl Wire for ReplyMsg {
                 read.encode_against(&self.commit_version.version, out);
             }
         }
-        self.pending.encode_into(out);
+        if self.kept == 0 {
+            self.pending.encode_into(out);
+        } else {
+            (DELTA_MARK | self.pending.len() as u32).encode_into(out);
+            self.kept.encode_into(out);
+            for tuple in &self.pending {
+                tuple.encode_into(out);
+            }
+        }
         self.proofs.encode_into(out);
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -875,13 +924,74 @@ impl Wire for ReplyMsg {
             1 => Some(ReadReply::decode_against(input, &commit_version.version)?),
             t => return Err(WireError::BadTag(t)),
         };
+        let word = u32::decode_from(input)?;
+        let kept = match word & DELTA_MARK {
+            0 => 0,
+            _ => match u32::decode_from(input)? {
+                k if k == 0 || u64::from(k) > MAX_LEN => {
+                    return Err(WireError::BadLength(k.into()))
+                }
+                k => k,
+            },
+        };
+        let (len, reserve) = bounded_len(word & !DELTA_MARK, input)?;
         Ok(ReplyMsg {
             last_committer,
             commit_version,
             read,
-            pending: Vec::<InvocationTuple>::decode_from(input)?,
+            pending: decode_elements(len, reserve, input)?,
+            kept,
             proofs: Vec::<Option<Signature>>::decode_from(input)?,
         })
+    }
+}
+
+impl ReplyMsg {
+    /// Sends `L` against `base`, the `L` of the REPLY released to the
+    /// same client before this one, and makes `base` this `L`, the base
+    /// for the next REPLY to that client. The tuples at the front of `L`
+    /// that are the tail of `base` leave `pending` and are counted in
+    /// [`ReplyMsg::kept`]. The tail starts where `base` holds `L`'s first
+    /// tuple and is checked tuple for tuple, so only a verified overlap
+    /// is kept; with none, `L` stays in full. Both lists keep their
+    /// buffers.
+    pub fn keep_from(&mut self, base: &mut Vec<InvocationTuple>) {
+        let tail = self
+            .pending
+            .first()
+            .and_then(|first| base.iter().position(|t| t == first))
+            .map(|at| &base[at..])
+            .filter(|tail| self.pending.starts_with(tail));
+        let kept = tail.map_or(0, <[_]>::len);
+        base.clone_from(&self.pending);
+        self.pending.drain(..kept);
+        self.kept = kept as u32;
+    }
+
+    /// Turns a REPLY as [`ReplyMsg::keep_from`] sent it back into the
+    /// full `L`, given `base` — the `L` of the previous REPLY its
+    /// recipient processed: the last [`ReplyMsg::kept`] tuples of `base`,
+    /// then `pending`, built in `base`'s buffer (no tuple is copied out
+    /// of it). A full REPLY is left as it is.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadLength`] of `k` if `base` has fewer than `k`
+    /// tuples; the REPLY is then left as it is.
+    pub fn resolve_pending(&mut self, mut base: Vec<InvocationTuple>) -> Result<(), WireError> {
+        let k = self.kept as usize;
+        if k == 0 {
+            return Ok(());
+        }
+        let skip = base
+            .len()
+            .checked_sub(k)
+            .ok_or(WireError::BadLength(k as u64))?;
+        base.drain(..skip);
+        base.append(&mut self.pending);
+        self.pending = base;
+        self.kept = 0;
+        Ok(())
     }
 }
 
@@ -1153,6 +1263,7 @@ mod tests {
                 register: ClientId::new(0),
                 sig: sig(5),
             }],
+            kept: 0,
             proofs: vec![Some(sig(6)), None, Some(sig(7))],
         }
     }
@@ -1325,6 +1436,7 @@ mod tests {
             commit_version: SignedVersion::initial(1),
             read: None,
             pending: vec![],
+            kept: 0,
             proofs: vec![None],
         };
         let mut body = UstorMsg::Reply(honest).encode();

@@ -12,7 +12,7 @@ use faust_types::frame::{frame_bytes, FrameDecoder};
 use faust_types::{
     ClientId, CommitDelta, CommitMsg, DigestVec, History, InvocationTuple, OpKind, ReadReply,
     ReplyMsg, SignedVersion, SubmitMsg, TimestampVec, UstorMsg, Value, Version, VersionCmp,
-    VersionEntry, Wire,
+    VersionEntry, Wire, WireError,
 };
 
 const N: usize = 4;
@@ -139,6 +139,11 @@ fn arb_reply(rng: &mut SmallRng) -> ReplyMsg {
         pending: {
             let len = rng.gen_index(4);
             (0..len).map(|_| arb_tuple(rng)).collect()
+        },
+        // A third keep a tail of the previous REPLY's `L`: the delta form.
+        kept: match rng.gen_bool(0.3) {
+            true => 1 + rng.gen_index(40) as u32,
+            false => 0,
         },
         proofs: (0..N)
             .map(|_| rng.gen_bool(0.5).then(|| arb_sig(rng)))
@@ -740,13 +745,40 @@ mod reference {
             1 => Some(read_reply(input, &commit_version.version)?),
             t => return Err(WireError::BadTag(t)),
         };
+        let (kept, pending) = pending_list(input)?;
         Ok(ReplyMsg {
             last_committer,
             commit_version,
             read,
-            pending: vec(input, tuple)?,
+            pending,
+            kept,
             proofs: vec(input, |input| option(input, signature))?,
         })
+    }
+
+    /// A REPLY's `L` and its `k`: a count and the tuples, or a count
+    /// marked by bit 31, then `k` (between 1 and 2²⁴), then the tuples.
+    fn pending_list(input: &mut &[u8]) -> Decoded<(u32, Vec<InvocationTuple>)> {
+        let first = word(input)?;
+        let kept = match first & (1 << 31) {
+            0 => 0,
+            _ => {
+                let k = word(input)?;
+                if k == 0 || u64::from(k) > MAX_LEN {
+                    return Err(WireError::BadLength(k.into()));
+                }
+                k
+            }
+        };
+        let len = u64::from(first & !(1 << 31));
+        if len > MAX_LEN {
+            return Err(WireError::BadLength(len));
+        }
+        let mut tuples = Vec::with_capacity((len as usize).min(input.len()));
+        for _ in 0..len {
+            tuples.push(tuple(input)?);
+        }
+        Ok((kept, tuples))
     }
 
     fn commit_delta_body(input: &mut &[u8]) -> Decoded<CommitDelta> {
@@ -900,6 +932,7 @@ fn shaped_reply(rng: &mut SmallRng, shape: Shape, near: bool) -> ReplyMsg {
         pending: (0..shape.pending)
             .map(|_| shaped_tuple(rng, shape))
             .collect(),
+        kept: 0,
         proofs: (0..shape.n)
             .map(|_| rng.gen_bool(0.8).then(|| shaped_sig(rng, shape)))
             .collect(),
@@ -974,6 +1007,13 @@ fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
         let near = shaped_reply(rng, shape, true);
         let commit = shaped_commit(rng, shape);
         let delta = shaped_commit_delta(rng, shape);
+        // `L` keeping a tail of the previous REPLY's: the count marked,
+        // then `k`, then only the new tuples.
+        let kept = ReplyMsg {
+            kept: 1 + rng.gen_index(31) as u32,
+            ..shaped_reply(rng, shape, shape.extras)
+        };
+        assert_decoders_agree(reference::reply, &kept.encode(), shape);
         assert_decoders_agree(reference::submit, &submit.encode(), shape);
         assert_decoders_agree(reference::reply, &reply.encode(), shape);
         assert_decoders_agree(reference::commit, &commit.encode(), shape);
@@ -992,6 +1032,7 @@ fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
         for msg in [
             UstorMsg::Reply(reply),
             UstorMsg::Reply(near),
+            UstorMsg::Reply(kept),
             UstorMsg::Commit(commit),
             UstorMsg::CommitDelta(delta),
         ] {
@@ -1037,6 +1078,10 @@ fn frame_decoder_agrees_with_the_reference_at_every_split_point() {
             UstorMsg::Reply(shaped_reply(rng, shape, true)),
             UstorMsg::Commit(shaped_commit(rng, shape)),
             UstorMsg::CommitDelta(shaped_commit_delta(rng, shape)),
+            UstorMsg::Reply(ReplyMsg {
+                kept: 1 + rng.gen_index(31) as u32,
+                ..shaped_reply(rng, shape, false)
+            }),
         ];
         for msg in msgs {
             let frame = frame_bytes(&msg);
@@ -1053,4 +1098,205 @@ fn frame_decoder_agrees_with_the_reference_at_every_split_point() {
             assert_frame_matches_reference(&flipped, &flipped[4..], shape);
         }
     }
+}
+
+/// Full-form REPLYs as the encoder wrote them before `L` could travel as a
+/// delta: a REPLY whose pending list goes in full — every REPLY a server
+/// builds, and every one the engine sends with nothing to keep — must not
+/// move by a byte. Length and SHA-256 of the encodings of seeded REPLYs,
+/// `(n, |L|, read part, SVER[j] near SVER[c])`: writes and reads, `|L|` ∈
+/// {0, 1, 31}, n ∈ {2, 64}, a read's `SVER[j]` in full and as a delta.
+#[test]
+fn full_form_replies_are_byte_identical_to_those_before_pending_deltas() {
+    let golden = [
+        (
+            (2, 0, false, false),
+            172,
+            "818b26b03bc3c469c363f1e132a094e4b4f62f60aae6512dff1242ae4d8758ad",
+        ),
+        (
+            (2, 0, true, false),
+            452,
+            "5b261faf1fe44501931ee6676b8a197ecb1d260da8c97d1b71f5d62a74a9e740",
+        ),
+        (
+            (2, 1, true, true),
+            334,
+            "71cb02263e804239049ea669e7cb7b3c6bcfbaeed22a6d18426bfb3b230cb95f",
+        ),
+        (
+            (2, 31, false, false),
+            2595,
+            "6c29422ee7921c7fe88a9a3c339817e7e8af53b199e50006838914384bda5fcb",
+        ),
+        (
+            (2, 31, true, true),
+            1627,
+            "c17bfc2f15d5f33e059c57541690e0df0b5c20cb1d4adb2b2f8295eaa84994df",
+        ),
+        (
+            (64, 0, true, true),
+            6538,
+            "8abff0feb0b3a124d66712493dbdeaf2e996c0e70d7903cc4d997d22376499e3",
+        ),
+        (
+            (64, 31, true, false),
+            7509,
+            "1a95f054726e35d51cb570363477177571785e68685fd0426bee2e27e74db310",
+        ),
+    ];
+    for (case, ((n, pending, extras, near), len, digest)) in golden.into_iter().enumerate() {
+        let rng = &mut SmallRng::seed_from_u64(0x601D ^ case as u64);
+        let shape = Shape {
+            n,
+            pending,
+            ed25519: case % 2 == 1,
+            extras,
+        };
+        let bytes = shaped_reply(rng, shape, near).encode();
+        assert_eq!(
+            (bytes.len(), sha256(&bytes).to_hex().as_str()),
+            (len, digest),
+            "{shape:?}"
+        );
+    }
+}
+
+/// `L` sent against the previous REPLY's `L` and resolved against it again
+/// is `L`, whatever the two share: a tail of the base and new tuples, a
+/// base that shares nothing, an empty `L` or base.
+#[test]
+fn a_pending_list_kept_from_its_base_resolves_to_itself() {
+    let shape = Shape {
+        n: N,
+        pending: 0,
+        ed25519: false,
+        extras: false,
+    };
+    let mut kept_some = 0;
+    for_cases("kept pending", |rng| {
+        let base: Vec<InvocationTuple> = (0..rng.gen_index(8))
+            .map(|_| shaped_tuple(rng, shape))
+            .collect();
+        let cut = match rng.gen_bool(0.8) {
+            true => rng.gen_index(base.len() + 1),
+            false => base.len(),
+        };
+        let mut full = base[cut..].to_vec();
+        full.extend((0..rng.gen_index(4)).map(|_| shaped_tuple(rng, shape)));
+        let mut reply = ReplyMsg {
+            pending: full.clone(),
+            kept: 0,
+            ..arb_reply(rng)
+        };
+        let full_len = reply.encoded_len();
+        let mut next = base.clone();
+        reply.keep_from(&mut next);
+        assert_eq!(next, full);
+        // Distinct tuples: exactly the shared tail is kept.
+        let expected = if full.is_empty() { 0 } else { base.len() - cut };
+        assert_eq!(reply.kept as usize, expected);
+        assert_eq!(reply.pending, full[expected..]);
+        if expected > 0 {
+            kept_some += 1;
+            assert_eq!(full_len - reply.encoded_len(), expected * 42 - 4);
+        } else {
+            assert_eq!(full_len, reply.encoded_len());
+        }
+        let mut sent = ReplyMsg::decode(&reply.encode()).unwrap();
+        assert_eq!(sent, reply);
+        sent.resolve_pending(base.clone()).unwrap();
+        assert_eq!((sent.kept, &sent.pending), (0, &full));
+        // Against a base too short for `k`, resolving fails and leaves
+        // the REPLY as it came.
+        if expected > 0 {
+            let mut short = reply.clone();
+            let got = short.resolve_pending(base[..expected - 1].to_vec());
+            assert_eq!(got, Err(WireError::BadLength(expected as u64)));
+            assert_eq!(short, reply);
+        }
+    });
+    assert!(kept_some > CASES / 2, "{kept_some}");
+}
+
+/// A delta-form `L` whose count or `k` is beyond 2²⁴, or whose `k` is 0
+/// (which only the full form says), is [`WireError::BadLength`] before a
+/// tuple is read; a count within bounds that the bytes do not back is
+/// [`WireError::Truncated`], with no more reserved than the bytes there.
+#[test]
+fn a_pending_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
+    const MARK: u32 = 1 << 31;
+    let max = 1u32 << 24;
+    let rng = &mut SmallRng::seed_from_u64(0xB0B);
+    let shape = Shape {
+        n: 2,
+        pending: 1,
+        ed25519: false,
+        extras: false,
+    };
+    let reply = ReplyMsg {
+        kept: 3,
+        ..shaped_reply(rng, shape, false)
+    };
+    let honest = reply.encode();
+    let at = 4 + reply.commit_version.encoded_len() + 1;
+    assert_eq!(
+        honest[at..at + 8],
+        [&(MARK | 1).to_be_bytes()[..], &3u32.to_be_bytes()].concat()
+    );
+    let with = |count: u32, k: u32| {
+        let mut bytes = honest.clone();
+        bytes[at..at + 4].copy_from_slice(&count.to_be_bytes());
+        bytes[at + 4..at + 8].copy_from_slice(&k.to_be_bytes());
+        bytes
+    };
+    for (count, k, expected) in [
+        (MARK | 1, 0, Err(WireError::BadLength(0))),
+        (
+            MARK | 1,
+            max + 1,
+            Err(WireError::BadLength(u64::from(max) + 1)),
+        ),
+        (
+            MARK | 1,
+            u32::MAX,
+            Err(WireError::BadLength(u32::MAX.into())),
+        ),
+        (
+            MARK | (max + 1),
+            3,
+            Err(WireError::BadLength(u64::from(max) + 1)),
+        ),
+        (MARK | !MARK, 3, Err(WireError::BadLength(u64::from(!MARK)))),
+        (MARK | max, 3, Err(WireError::Truncated)),
+        (MARK | 1, max, Ok(max)),
+    ] {
+        let mut bytes = with(count, k);
+        if count == MARK | max {
+            // 2²⁴ tuples claimed, one there: nothing after it.
+            bytes.truncate(at + 8 + 42);
+        }
+        let got = ReplyMsg::decode(&bytes).map(|r| r.kept);
+        assert_eq!(got, expected, "count {count:#x}, k {k}");
+        assert_eq!(reference::reply(&bytes).map(|r| r.kept), expected);
+    }
+    // The full form's count is bounded as before.
+    let full = ReplyMsg {
+        kept: 0,
+        ..reply.clone()
+    }
+    .encode();
+    let mut huge = full.clone();
+    huge[at..at + 4].copy_from_slice(&(max + 1).to_be_bytes());
+    assert_eq!(
+        ReplyMsg::decode(&huge),
+        Err(WireError::BadLength(u64::from(max) + 1))
+    );
+    // A `k` of 2²⁴ decodes, then fails to resolve against a short base.
+    let mut far = ReplyMsg::decode(&with(MARK | 1, max)).unwrap();
+    let base = reply.pending.clone();
+    assert_eq!(
+        far.resolve_pending(base),
+        Err(WireError::BadLength(max.into()))
+    );
 }

@@ -65,7 +65,8 @@
 //! last seen and the digest they were *verified* to vouch (`Peer`;
 //! `docs/trust-model.md` has the inference rule). A reply costs (new
 //! tuples) + (changed PROOF slots) + O(1) signature verifications, and
-//! the state is at most `|L|` steps plus `max_pipeline + 1` digests per
+//! the state is at most `|L|` steps — and `L` itself, which the next
+//! reply may keep a tail of — plus `max_pipeline + 1` digests per
 //! client, whatever the run length.
 
 use crate::fault::Fault;
@@ -293,6 +294,10 @@ pub struct UstorClient {
     /// in either is trusted beyond "these exact bytes passed this check".
     run: VecDeque<FoldStep>,
     peers: Vec<Peer>,
+    /// `L` of the last reply processed, in full — the run's tuples, kept
+    /// as a list so the next reply's kept tail is rebuilt in its buffer
+    /// ([`ReplyMsg::resolve_pending`]).
+    last_pending: Vec<InvocationTuple>,
 }
 
 /// One step of lines 39–45 that passed its checks: `tuple`'s
@@ -429,6 +434,7 @@ impl UstorClient {
             held_commit_version: state.held_commit_version,
             run: VecDeque::new(),
             peers: vec![Peer::default(); n],
+            last_pending: Vec::new(),
         }
     }
 
@@ -487,6 +493,13 @@ impl UstorClient {
     /// The current version `(V_i, M_i)` (last committed).
     pub fn version(&self) -> &Version {
         &self.version
+    }
+
+    /// `L` of the last reply processed, in full: the tuples its fold
+    /// folded, in schedule order (empty before the first reply and after
+    /// a restore).
+    pub fn last_pending(&self) -> &[InvocationTuple] {
+        &self.last_pending
     }
 
     /// The fault that halted this client, if any.
@@ -607,6 +620,12 @@ impl UstorClient {
         // in-flight operation. (Any fault below halts the client and
         // clears the window, so taking the operation now loses nothing.)
         let op = self.inflight.pop_front().ok_or(Fault::UnsolicitedReply)?;
+        // `L` may keep a tail of the previous reply's: every check below
+        // reads the full list.
+        let base = std::mem::take(&mut self.last_pending);
+        reply
+            .resolve_pending(base)
+            .map_err(|_| Fault::MalformedReply("pending list keeps more than the last reply's"))?;
         self.validate_shape(&reply, &op)?;
         // Line 51's first conjunct reads (V^c, M^c), which the fold
         // below overwrites; evaluated here, raised in its place.
@@ -614,6 +633,7 @@ impl UstorClient {
         let read = reply.read.as_ref();
         let writer_in_history = read.is_none_or(|r| r.writer_version.version.le(committed));
         self.update_version(&mut reply, op.timestamp)?;
+        self.last_pending = std::mem::take(&mut reply.pending);
         let read_value = match &reply.read {
             Some(read) if op.kind == OpKind::Read => {
                 Some(self.check_data(read, op.target, writer_in_history)?)
@@ -955,6 +975,7 @@ mod tests {
             commit_version: SignedVersion::initial(2),
             read: None,
             pending: vec![],
+            kept: 0,
             proofs: vec![None, None],
         };
         assert_eq!(c.handle_reply(reply), Err(Fault::UnsolicitedReply));
@@ -968,6 +989,7 @@ mod tests {
             commit_version: SignedVersion::initial(2),
             read: None,
             pending: vec![],
+            kept: 0,
             proofs: vec![None, None],
         };
         let _ = c.handle_reply(reply); // unsolicited → halt
@@ -986,6 +1008,7 @@ mod tests {
             commit_version: SignedVersion::initial(2), // wrong arity: 2 ≠ 3
             read: None,
             pending: vec![],
+            kept: 0,
             proofs: vec![None, None, None],
         };
         assert_eq!(
@@ -1113,6 +1136,45 @@ mod tests {
                 assert_eq!(result, Err(Fault::MissingProofSignature));
             }
         }
+    }
+
+    #[test]
+    fn a_kept_tail_resolves_against_the_last_reply_and_faults_cleanly_without_one() {
+        let (mut s, mut cs) = pipelined_setup(1, 4);
+        let me = ClientId::new(0);
+        let keys = KeySet::generate(1, b"pipeline-tests");
+        let mut sent_before = Vec::new();
+        let mut reply_to = |cs: &mut Vec<UstorClient>, k: u64| {
+            let submit = cs[0].begin_write(Value::unique(0, k)).unwrap();
+            let mut reply = s.on_submit(me, submit).pop().unwrap().1;
+            reply.keep_from(&mut sent_before);
+            reply
+        };
+        let first = reply_to(&mut cs, 0);
+        cs[0].handle_reply(first).expect("correct server");
+        let second = reply_to(&mut cs, 1);
+        cs[0].handle_reply(second).expect("correct server");
+        // The third reply keeps the second's one tuple.
+        let third = reply_to(&mut cs, 2);
+        assert_eq!((third.kept, third.pending.len()), (1, 1));
+        // A client restored with this very state has no last reply to
+        // keep from: a typed fault, not a panic.
+        let mut restored = UstorClient::from_state(
+            keys.keypair(0).unwrap().clone(),
+            keys.registry(),
+            cs[0].export_state(),
+        );
+        assert_eq!(
+            restored.handle_reply(third.clone()),
+            Err(Fault::MalformedReply(
+                "pending list keeps more than the last reply's"
+            ))
+        );
+        assert!(restored.fault().is_some());
+        // The live client rebuilds `L` in full.
+        let (_, done) = cs[0].handle_reply(third).expect("correct server");
+        assert_eq!(done.timestamp, 3);
+        assert_eq!(cs[0].last_pending().len(), 2);
     }
 
     #[test]

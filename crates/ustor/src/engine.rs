@@ -64,7 +64,9 @@ use faust_crypto::sig::{SigContext, Verifier, VerifierRegistry};
 use faust_crypto::Digest;
 use faust_net::{Incoming, ServerTransport};
 use faust_types::op::{data_signing_bytes, submit_signing_bytes};
-use faust_types::{ClientId, CommitMsg, OpKind, ReplyMsg, SubmitMsg, Timestamp, UstorMsg, Value};
+use faust_types::{
+    ClientId, CommitMsg, InvocationTuple, OpKind, ReplyMsg, SubmitMsg, Timestamp, UstorMsg, Value,
+};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
@@ -109,6 +111,10 @@ pub struct Session {
     /// already released once, so re-issuing it bypasses group-commit
     /// holds safely: its record is durable.
     replies: ReplyCache,
+    /// `L` of the last reply released to this client, in full: the base
+    /// the next one's `L` is sent against ([`ReplyMsg::keep_from`]).
+    /// Empty after [`ServerEngine::new`], so the first release is full.
+    sent_pending: Vec<InvocationTuple>,
 }
 
 impl Session {
@@ -299,16 +305,21 @@ impl ServerEngine {
         }
     }
 
-    /// The one funnel every released reply passes through: tags it with
-    /// the SUBMIT timestamp it answers (per-client FIFO), caches it for
-    /// duplicate replay, and queues it for the transport. Replies with
-    /// no awaiting SUBMIT (a Byzantine server broadcasting) are passed
-    /// through uncached.
-    fn release_reply(&mut self, to: ClientId, reply: ReplyMsg) {
+    /// The one funnel every fresh reply passes through: tags it with
+    /// the SUBMIT timestamp it answers (per-client FIFO), caches it in
+    /// full for duplicate replay, and queues it for the transport with
+    /// its `L` sent against the `L` of the reply released to the same
+    /// client before it ([`ReplyMsg::keep_from`]). The client processes
+    /// its replies in that order — a lost one comes back in full from
+    /// the cache when its SUBMIT is resent — so it holds that base when
+    /// this one arrives. Replies with no awaiting SUBMIT (a Byzantine
+    /// server broadcasting) are passed through uncached.
+    fn release_reply(&mut self, to: ClientId, mut reply: ReplyMsg) {
         if let Some(session) = self.sessions.get_mut(to.index()) {
             if let Some(ts) = session.awaiting_reply.pop_front() {
                 session.replies.push(ts, Cow::Borrowed(&reply));
             }
+            reply.keep_from(&mut session.sent_pending);
         }
         self.outbox.push_back((to, UstorMsg::Reply(reply)));
     }
@@ -889,6 +900,84 @@ mod tests {
         // The duplicate never reached the protocol server: only the two
         // genuine submits were forwarded.
         assert_eq!(engine.stats().submits, 2);
+    }
+
+    #[test]
+    fn a_duplicate_after_a_kept_release_gets_the_full_cached_reply() {
+        use faust_types::Wire;
+        let (mut engine, mut clients) = setup(2, false);
+        let client = &mut clients[0];
+        client.set_commit_mode(crate::client::CommitMode::Piggyback);
+        client.set_pipeline(4);
+        let c0 = client.id();
+        // A window of writes answered in one round: `L` grows by one own
+        // tuple per reply, and each reply keeps the `L` before it.
+        let submits: Vec<_> = (0..4)
+            .map(|k| client.begin_write(Value::unique(0, k)).unwrap())
+            .collect();
+        for submit in &submits {
+            engine.enqueue(c0, UstorMsg::Submit(submit.clone()));
+        }
+        engine.process_all();
+        let sent: Vec<ReplyMsg> = replies(&mut engine).into_iter().map(|(_, r)| r).collect();
+        let kept: Vec<u32> = sent.iter().map(|r| r.kept).collect();
+        assert_eq!(kept, [0, 0, 1, 2]);
+        assert!(sent.iter().all(|r| r.pending.len() <= 1));
+        // The last reply is "lost with the socket"; the client takes the
+        // others and resends its SUBMIT.
+        for reply in &sent[..3] {
+            client.handle_reply(reply.clone()).expect("correct server");
+        }
+        let lost = submits[3].timestamp;
+        let cached = engine
+            .session(c0)
+            .replies()
+            .get(lost)
+            .cloned()
+            .expect("cached");
+        assert_eq!(
+            (cached.kept, cached.pending.len()),
+            (0, 3),
+            "cached in full"
+        );
+        engine.enqueue(c0, UstorMsg::Submit(submits[3].clone()));
+        engine.process_all();
+        let (_, replayed) = one_reply(&mut engine);
+        assert_eq!(replayed.encode(), cached.encode(), "the cache's bytes");
+        assert_eq!(engine.stats().duplicates, 1);
+        client
+            .handle_reply(replayed)
+            .expect("a full reply needs no base");
+    }
+
+    #[test]
+    fn the_first_release_after_new_is_full() {
+        // Two writes of a pipelined C0 reach the server before any engine
+        // wraps it: C0 holds the `L` of the second reply, but a new
+        // engine does not know that, so its first release goes in full.
+        let (_, mut clients) = setup(2, false);
+        let client = &mut clients[0];
+        client.set_pipeline(4);
+        let c0 = client.id();
+        let mut server = UstorServer::new(2);
+        for k in 0..2 {
+            let submit = client.begin_write(Value::unique(0, k)).unwrap();
+            let (_, reply) = server.on_submit(c0, submit).pop().unwrap();
+            client.handle_reply(reply).expect("correct server");
+        }
+        assert_eq!(client.last_pending().len(), 1);
+        let mut engine = ServerEngine::new(2, Box::new(server));
+        let mut run = |client: &mut UstorClient, k| {
+            let submit = client.begin_write(Value::unique(0, k)).unwrap();
+            engine.enqueue(c0, UstorMsg::Submit(submit));
+            engine.process_all();
+            let (_, reply) = one_reply(&mut engine);
+            let kept = (reply.kept, reply.pending.len());
+            client.handle_reply(reply).expect("correct server");
+            kept
+        };
+        assert_eq!(run(client, 2), (0, 2), "in full");
+        assert_eq!(run(client, 3), (2, 1), "against the first");
     }
 
     /// One op of `client` whose COMMIT goes to `engine` as a delta

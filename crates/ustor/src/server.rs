@@ -300,6 +300,7 @@ impl UstorServer {
             commit_version: self.sver[c.index()].clone(),
             read,
             pending: self.pending.clone(),
+            kept: 0,
             proofs,
         }
     }

@@ -406,6 +406,7 @@ fn own_timestamp_mismatch_detected() {
         },
         read: None,
         pending: vec![],
+        kept: 0,
         proofs: vec![None, None],
     };
     assert_eq!(victim.handle_reply(reply), Err(Fault::OwnTimestampMismatch));
@@ -452,6 +453,7 @@ fn writer_version_ahead_detected() {
             mem_data_sig: Some(Signature::garbage()),
         }),
         pending: vec![],
+        kept: 0,
         proofs: vec![None, None],
     };
     let err = victim.handle_reply(reply).expect_err("detects");

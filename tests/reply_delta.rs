@@ -1,0 +1,326 @@
+//! REPLYs whose `L` keeps a tail of the previous one against the full
+//! REPLYs they stand for.
+//!
+//! The engine sends a REPLY's pending list `L` as the last `k` tuples of
+//! the `L` of the REPLY it released to the same client before, then the
+//! new ones, and the client rebuilds the full list before any check reads
+//! it. So a run must not change in any way but its downstream bytes when
+//! every REPLY is expanded to its full `L` before delivery: every verdict,
+//! every event, every REPLY as the client resolved it, every COMMIT and so
+//! the WAL, the snapshot and the exported `FAUSTHIS` of a persistent
+//! server must be the same. That is checked here over seeded scripts
+//! against the honest server, a persistent one and every [`Tamper`]
+//! server, pipelined and in lockstep, with COMMITs sent at once or
+//! piggybacked.
+//!
+//! An immediate-mode session sends its COMMIT as a delta over the entries
+//! its fold wrote, which are those of the clients in the *resolved* `L`:
+//! every delta COMMIT is also checked against the full COMMIT the session
+//! keeps for a resend.
+
+use faust::audit::export_store_dir;
+use faust::core::{Event, FaustClient, FaustConfig, SessionCore, UserOp};
+use faust::crypto::sig::{KeySet, SigScheme};
+use faust::sim::SmallRng;
+use faust::store::testutil::scratch_dir;
+use faust::store::{Durability, PersistentServer, StoreConfig};
+use faust::types::frame::frame_bytes;
+use faust::types::{ClientId, InvocationTuple, ReplyMsg, UstorMsg, Value};
+use faust::ustor::adversary::{Tamper, TamperServer};
+use faust::ustor::{CommitMode, EngineStats, Server, ServerEngine, UstorServer};
+use std::collections::VecDeque;
+use std::path::{Path, PathBuf};
+
+const N: usize = 3;
+const STEPS: u64 = 240;
+
+fn c(i: usize) -> ClientId {
+    ClientId::new(i as u32)
+}
+
+/// Which server a run is against.
+#[derive(Debug, Clone, Copy)]
+enum Spec {
+    Honest,
+    Persistent,
+    Tampering(Tamper),
+}
+
+const TAMPERS: [Tamper; 10] = [
+    Tamper::CorruptCommitSig,
+    Tamper::RegressToInitialVersion,
+    Tamper::CorruptPendingSig,
+    Tamper::EchoOwnTuple,
+    Tamper::OmitProof,
+    Tamper::CorruptProof,
+    Tamper::CorruptReadValue,
+    Tamper::StaleReadValue,
+    Tamper::CorruptWriterSig,
+    Tamper::AncientWriterVersion,
+];
+
+fn server(spec: Spec, dir: &Path, seed: u64) -> Box<dyn Server + Send> {
+    match spec {
+        Spec::Honest => Box::new(UstorServer::new(N)),
+        Spec::Persistent => {
+            let config = StoreConfig {
+                durability: Durability::Never,
+                snapshot_every: 16,
+            };
+            Box::new(PersistentServer::open(dir, N, config).expect("fresh store"))
+        }
+        Spec::Tampering(kind) => Box::new(TamperServer::new(
+            N,
+            c(seed as usize % N),
+            4 + seed as usize % 8,
+            kind,
+        )),
+    }
+}
+
+/// How the sessions run.
+#[derive(Debug, Clone, Copy)]
+struct Mode {
+    pipeline: usize,
+    commit_mode: CommitMode,
+}
+
+const MODES: [Mode; 3] = [
+    Mode {
+        pipeline: 1,
+        commit_mode: CommitMode::Immediate,
+    },
+    Mode {
+        pipeline: 4,
+        commit_mode: CommitMode::Immediate,
+    },
+    Mode {
+        pipeline: 4,
+        commit_mode: CommitMode::Piggyback,
+    },
+];
+
+/// Everything a run shows except its downstream bytes.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    /// Every REPLY each client was handed, in order, with its `L` in full.
+    replies: Vec<(usize, ReplyMsg)>,
+    /// Every message the sessions sent, in order.
+    upstream: Vec<(usize, UstorMsg)>,
+    events: Vec<(usize, u64, Event)>,
+    stats: EngineStats,
+    /// `wal.bin`, `snapshot.bin` and the exported `FAUSTHIS`.
+    files: Option<(Vec<u8>, Vec<u8>, Vec<u8>)>,
+}
+
+/// What came downstream.
+#[derive(Debug, Default)]
+struct Downstream {
+    /// REPLYs that kept a tail of the previous `L`.
+    kept: usize,
+    /// REPLYs with a non-empty `L`.
+    nonempty: usize,
+    /// Framed bytes as sent, and as they would be with every `L` in full.
+    bytes: usize,
+    full_bytes: usize,
+}
+
+/// Queues what session `i` sent after its REPLY to `answered` (if any),
+/// first checking each delta COMMIT against the full COMMIT the session
+/// keeps for a resend.
+fn send(
+    i: usize,
+    msgs: Vec<UstorMsg>,
+    core: &SessionCore,
+    answered: Option<&ReplyMsg>,
+    up: &mut VecDeque<(usize, UstorMsg)>,
+    upstream: &mut Vec<(usize, UstorMsg)>,
+) {
+    for msg in msgs {
+        if let UstorMsg::CommitDelta(delta) = &msg {
+            let answered = answered.expect("a delta answers a REPLY");
+            let full = core
+                .resend_messages()
+                .into_iter()
+                .rev()
+                .find_map(|m| match m {
+                    UstorMsg::Commit(commit) => Some(commit),
+                    _ => None,
+                });
+            let resolved = delta.resolve(&answered.commit_version.version);
+            assert_eq!(resolved.ok(), full, "a delta COMMIT misses an entry");
+        }
+        upstream.push((i, msg.clone()));
+        up.push_back((i, msg));
+    }
+}
+
+/// Runs one seeded script: each step a client submits, the engine takes
+/// the oldest upstream message, or a client takes its oldest REPLY —
+/// drawn from `seed` alone, so both variants of a run make the same
+/// choices. With `expand`, each REPLY's `L` is rebuilt in full before the
+/// client sees it, against the `L` of the REPLY before it to the same
+/// client.
+fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream) {
+    let dir: PathBuf = scratch_dir("reply-delta");
+    let keys = KeySet::generate(N, b"reply-delta");
+    let mut engine = ServerEngine::new(N, server(spec, &dir, seed));
+    let mut cores: Vec<SessionCore> = (0..N)
+        .map(|i| {
+            SessionCore::new(FaustClient::new(
+                c(i),
+                N,
+                keys.keypair(i as u32).expect("generated").clone(),
+                keys.registry(),
+                FaustConfig {
+                    dummy_reads: false,
+                    pipeline: mode.pipeline,
+                    commit_mode: mode.commit_mode,
+                    ..FaustConfig::default()
+                },
+            ))
+        })
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut up: VecDeque<(usize, UstorMsg)> = VecDeque::new();
+    let mut down: Vec<VecDeque<ReplyMsg>> = vec![VecDeque::new(); N];
+    // The full `L` of the last REPLY each client was handed.
+    let mut base: Vec<Vec<InvocationTuple>> = vec![Vec::new(); N];
+    let mut downstream = Downstream::default();
+    let mut outcome = Outcome {
+        replies: Vec::new(),
+        upstream: Vec::new(),
+        events: Vec::new(),
+        stats: EngineStats::default(),
+        files: None,
+    };
+    let mut step = 0;
+    loop {
+        step += 1;
+        let idle = up.is_empty() && down.iter().all(VecDeque::is_empty);
+        if step > STEPS && idle {
+            break;
+        }
+        let choice = if step > STEPS {
+            1 + rng.gen_index(2)
+        } else {
+            rng.gen_index(3)
+        };
+        match choice {
+            0 => {
+                let i = rng.gen_index(N);
+                let op = match rng.gen_bool(0.5) {
+                    true => UserOp::Write(Value::unique(i as u32, step)),
+                    false => UserOp::Read(c(rng.gen_index(N))),
+                };
+                let (_, out) = cores[i].submit(op, step);
+                send(
+                    i,
+                    out.to_server,
+                    &cores[i],
+                    None,
+                    &mut up,
+                    &mut outcome.upstream,
+                );
+            }
+            1 => {
+                let Some((from, msg)) = up.pop_front() else {
+                    continue;
+                };
+                engine.enqueue(c(from), msg);
+                engine.round(false, |to, batch| {
+                    for msg in batch {
+                        if let UstorMsg::Reply(reply) = msg {
+                            down[to.index()].push_back(reply);
+                        }
+                    }
+                });
+            }
+            _ => {
+                let i = rng.gen_index(N);
+                let Some(shipped) = down[i].pop_front() else {
+                    continue;
+                };
+                downstream.bytes += frame_bytes(&UstorMsg::Reply(shipped.clone())).len();
+                downstream.kept += usize::from(shipped.kept > 0);
+                let mut full = shipped.clone();
+                full.resolve_pending(std::mem::take(&mut base[i]))
+                    .expect("the engine keeps from what it sent");
+                downstream.nonempty += usize::from(!full.pending.is_empty());
+                downstream.full_bytes += frame_bytes(&UstorMsg::Reply(full.clone())).len();
+                base[i] = full.pending.clone();
+                let reply = if expand { full.clone() } else { shipped };
+                let out = cores[i].handle_reply(reply, step);
+                send(
+                    i,
+                    out.to_server,
+                    &cores[i],
+                    Some(&full),
+                    &mut up,
+                    &mut outcome.upstream,
+                );
+                outcome.replies.push((i, full));
+            }
+        }
+        for (i, core) in cores.iter_mut().enumerate() {
+            outcome
+                .events
+                .extend(core.take_events().into_iter().map(|(t, e)| (i, t, e)));
+        }
+    }
+    outcome.stats = engine.stats().clone();
+    drop(engine);
+    if matches!(spec, Spec::Persistent) {
+        let read = |file: &str| std::fs::read(dir.join(file)).unwrap_or_default();
+        let history = export_store_dir(&dir, SigScheme::Hmac, None).expect("exports");
+        outcome.files = Some((read("wal.bin"), read("snapshot.bin"), history.encode()));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    (outcome, downstream)
+}
+
+#[test]
+fn kept_pending_lists_and_their_full_forms_get_the_same_verdicts() {
+    let mut specs = vec![Spec::Honest, Spec::Persistent];
+    specs.extend(TAMPERS.map(Spec::Tampering));
+    let (mut violations, mut kept_runs) = (0, 0);
+    for spec in specs {
+        for mode in MODES {
+            for seed in 0..3u64 {
+                let (shipped, sent) = run(spec, seed, mode, false);
+                let (expanded, _) = run(spec, seed, mode, true);
+                let label = format!("{spec:?}, {mode:?}, seed {seed}");
+                assert_eq!(shipped, expanded, "{label}");
+                assert!(sent.nonempty > 0, "{label}: {sent:?}");
+                // 42 bytes per tuple kept at n = 3 (an HMAC signature), less
+                // the word that says how many.
+                if sent.kept > 0 {
+                    kept_runs += 1;
+                    assert!(
+                        sent.bytes + 38 * sent.kept <= sent.full_bytes,
+                        "{label}: {sent:?}"
+                    );
+                } else {
+                    assert_eq!(sent.bytes, sent.full_bytes, "{label}: {sent:?}");
+                }
+                let violated = shipped
+                    .events
+                    .iter()
+                    .any(|(_, _, e)| matches!(e, Event::Violation { .. }));
+                if let Spec::Honest | Spec::Persistent = spec {
+                    assert!(!violated, "{label}: {:?}", shipped.events);
+                    assert_eq!(shipped.stats.rejected, 0, "{label}");
+                    // A pipelined client's next REPLY finds its own and
+                    // its peers' uncommitted operations still in `L`.
+                    assert!(mode.pipeline == 1 || sent.kept > 0, "{label}: {sent:?}");
+                }
+                violations += usize::from(violated);
+            }
+        }
+    }
+    // The Byzantine servers are caught in most runs, kept tails or not,
+    // and tails are kept in most runs of every kind.
+    assert!(violations >= 60, "{violations} runs flagged");
+    println!("{violations} runs flagged, {kept_runs} kept a tail");
+    assert!(kept_runs >= 60, "{kept_runs} runs kept a tail");
+}

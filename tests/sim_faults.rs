@@ -24,7 +24,7 @@
 mod common;
 
 use common::{connect_all, handle_config, incarnation, run_phase};
-use faust::audit::{audit, AuditVerdict, SessionHistory};
+use faust::audit::{audit, AuditVerdict, Divergence, SessionHistory};
 use faust::core::{
     check_determinism, gen_scenario, investigate, run_and_check, run_sim, CrashSpec, FaultClause,
     FaultPlan, Notification, SimScenario, UserOp, WalTamper,
@@ -123,6 +123,41 @@ fn reproduce_seed() {
 fn pinned_seeds_rerun_bit_identically() {
     for seed in [0, 7, 42, 88, 286, 1337] {
         check_determinism(&gen_scenario(seed)).expect("bit-identical rerun");
+    }
+}
+
+/// Seed 101160, the `FOUND:` line of CHANGES.md that names
+/// `check_audit_agreement`: a `WipeState` crash at t = 10 after both
+/// clients completed an operation, and the audit oracle demands that the
+/// auditor diverge. It cannot: the COMMITs in flight at the crash re-teach
+/// the wiped server every client's version (no client fails, and the
+/// history is weakly fork-linearizable), the store then takes a snapshot
+/// every 4 records, and the exported `FAUSTHIS` starts from the last one
+/// (`base_seq` 960, two records), which already absorbed the evidence.
+/// The oracle over-claims; ignored until it is re-derived (ROADMAP item
+/// 1(a)).
+#[test]
+#[ignore = "the audit oracle over-claims on seed 101160; ROADMAP item 1(a)"]
+fn seed_101160_passes_every_oracle() {
+    run_and_check(&gen_scenario(101160)).expect("every oracle passes");
+}
+
+/// The auditor's side of seed 101160: the same run with a store that never
+/// snapshots exports its whole post-crash log, whose first record is a
+/// COMMIT of operations that log never saw — the wipe, localized.
+#[test]
+fn seed_101160s_wipe_is_in_its_whole_post_crash_log() {
+    let mut scenario = gen_scenario(101160);
+    scenario.server.snapshot_every = 0;
+    let report = run_sim(&scenario);
+    assert_eq!(report.crash_time, Some(10));
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    match offline_verdict(&scenario, &report) {
+        AuditVerdict::Diverged {
+            first_bad_version: 0,
+            divergence: Divergence::UnjustifiedCommit { committer, .. },
+        } => assert_eq!(committer, c(0)),
+        other => panic!("the whole post-crash log shows the wipe, got {other:?}"),
     }
 }
 
