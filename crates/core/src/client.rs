@@ -638,7 +638,7 @@ mod tests {
     use super::*;
     use faust_crypto::sig::KeySet;
     use faust_types::OpKind;
-    use faust_ustor::{Server, UstorServer};
+    use faust_ustor::{Server, ServerEngine, UstorServer};
 
     fn setup(n: usize) -> (UstorServer, Vec<FaustClient>) {
         let keys = KeySet::generate(n, b"faust-client");
@@ -705,53 +705,78 @@ mod tests {
     }
 
     #[test]
-    fn a_restored_client_handed_a_kept_tail_blames_its_snapshot() {
-        // C1's write never commits, and C0 pipelines two reads: the
-        // second reply's `L` keeps the one tuple of the first's. Restored
-        // from a snapshot taken between the two, C0 has no first reply to
-        // keep from — its resume guard blames the snapshot, not the
-        // server.
-        let (mut server, mut clients) = setup(2);
+    fn a_restored_client_takes_l_in_full_on_its_new_connection() {
+        // C1's write never commits. C0 pipelines two reads; only the
+        // first SUBMIT reaches the engine before C0 is saved, right after
+        // taking its reply, and exits.
+        let (_, mut clients) = setup(2);
         let (c0, c1) = (ClientId::new(0), ClientId::new(1));
-        let submit_of = |actions: Actions| match &actions.to_server[..] {
-            [UstorMsg::Submit(submit)] => submit.clone(),
-            other => panic!("one SUBMIT: {other:?}"),
+        let mut engine = ServerEngine::new(2, Box::new(UstorServer::new(2)));
+        let exchange = |engine: &mut ServerEngine, from, msgs: Vec<UstorMsg>| {
+            for msg in msgs {
+                engine.enqueue(from, msg);
+            }
+            engine.process_all();
+            let mut replies = Vec::new();
+            while let Some((_, batch)) = engine.poll_output_batch() {
+                for msg in batch {
+                    let UstorMsg::Reply(reply) = msg else {
+                        panic!("the engine sends only replies")
+                    };
+                    replies.push(reply);
+                }
+            }
+            replies
         };
-        let write = submit_of(clients[1].invoke(UserOp::Write(Value::from("w")), 0));
-        server.on_submit(c1, write);
+        let write = clients[1].invoke(UserOp::Write(Value::from("w")), 0);
+        exchange(&mut engine, c1, write.to_server);
         let keys = KeySet::generate(2, b"faust-client");
+        let keypair = keys.keypair(0).unwrap().clone();
         let config = FaustConfig {
             pipeline: 2,
             ..FaustConfig::default()
         };
-        let keypair = keys.keypair(0).unwrap().clone();
         let mut live = FaustClient::new(c0, 2, keypair.clone(), keys.registry(), config);
-        let mut sent = Vec::new();
-        let mut replies = Vec::new();
-        for _ in 0..2 {
-            let submit = submit_of(live.invoke(UserOp::Read(c0), 0));
-            let (_, mut reply) = server.on_submit(c0, submit).pop().unwrap();
-            reply.keep_from(&mut sent);
-            replies.push(reply);
-        }
-        let kept: Vec<_> = replies.iter().map(|r| (r.kept, r.pending.len())).collect();
-        assert_eq!(kept, [(0, 1), (1, 1)]);
-        let second = replies.pop().unwrap();
-        live.handle_reply(replies.pop().unwrap(), 0);
-        let mut restored = FaustClient::from_state(keypair, keys.registry(), live.export_state());
-        let notes = restored.handle_reply(second.clone(), 0).notifications;
-        let stale = FailReason::Ustor(Fault::StaleClientState);
-        assert_eq!(notes, [Notification::Failed(stale.clone())]);
-        assert_eq!(restored.failure(), Some(&stale));
-        // The client that processed the first reply takes the second.
-        let notes = live.handle_reply(second, 0).notifications;
+        let first = live.invoke(UserOp::Read(c0), 0).to_server;
+        let second = live.invoke(UserOp::Read(c0), 0).to_server;
+        let replies = exchange(&mut engine, c0, first);
+        let [first] = &replies[..] else {
+            panic!("one reply: {replies:?}")
+        };
+        assert_eq!((first.kept, first.pending.len()), (0, 1));
+        live.handle_reply(first.clone(), 0);
+        let saved = live.export_state();
+        let restore = || FaustClient::from_state(keypair.clone(), keys.registry(), saved.clone());
+
+        // Restored, C0 resends on a new connection. The engine, told of
+        // it, sends `L` in full, and C0 completes the read.
+        engine.connected(c0);
+        let replies = exchange(&mut engine, c0, second);
+        let [reply] = &replies[..] else {
+            panic!("one reply: {replies:?}")
+        };
+        assert_eq!((reply.kept, reply.pending.len()), (0, 2));
+        let mut restored = restore();
+        let notes = restored.handle_reply(reply.clone(), 0).notifications;
         assert!(
             notes
                 .iter()
                 .any(|n| matches!(n, Notification::Completed(_))),
             "{notes:?}"
         );
-        assert!(live.failure().is_none());
+        assert!(restored.failure().is_none());
+
+        // Sent against the `L` of the old connection, the same reply
+        // keeps a tuple a restored client cannot rebuild: a typed fault
+        // its resume guard blames on the snapshot, never a panic.
+        let mut kept = reply.clone();
+        kept.keep_from(&mut first.pending.clone());
+        assert_eq!((kept.kept, kept.pending.len()), (1, 1));
+        let mut restored = restore();
+        let notes = restored.handle_reply(kept, 0).notifications;
+        let stale = FailReason::Ustor(Fault::StaleClientState);
+        assert_eq!(notes, [Notification::Failed(stale.clone())]);
+        assert_eq!(restored.failure(), Some(&stale));
     }
 
     #[test]

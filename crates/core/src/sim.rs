@@ -1157,7 +1157,9 @@ impl FaustDriver {
     ///    they are now in the duplicate-reply cache, which is what makes
     ///    step 3 exactly-once);
     /// 2. the victim's link epoch is bumped, so every frame still in
-    ///    flight — in either direction — dies on arrival;
+    ///    flight — in either direction — dies on arrival, and the engine
+    ///    learns of the new connection, as `serve` does from the
+    ///    reactor's HELLO;
     /// 3. the client replays its resend window of unacknowledged
     ///    SUBMITs on the new connection, exactly as
     ///    [`crate::FaustHandle`]'s auto-reconnect does.
@@ -1171,6 +1173,7 @@ impl FaustDriver {
         // merely arrive a little early.
         self.server_round(true, now);
         self.slots[i].link_epoch += 1;
+        self.engine.connected(ClientId::new(i as u32));
         let epoch = self.slots[i].link_epoch;
         let node = NodeId(i as u32);
         let server_node = self.server_node();

@@ -147,4 +147,17 @@ pub trait ServerTransport {
             self.send(to, msg);
         }
     }
+
+    /// A client whose new connection the transport registered since the
+    /// last call, if any; each registration is reported once. From then
+    /// on sends to that client go out on the new connection, so a serve
+    /// loop drains this before it releases anything and tells the engine
+    /// that the client holds nothing sent on an earlier one
+    /// (`ServerEngine::connected` in `faust-ustor`).
+    ///
+    /// The default reports none, which is right for transports without
+    /// connections, such as [`QueueTransport`].
+    fn take_connected(&mut self) -> Option<ClientId> {
+        None
+    }
 }

@@ -294,6 +294,9 @@ pub struct ReactorTransport {
     /// One connection per distinct client id, ever: reconnects must not
     /// consume another id's slot.
     registered: Vec<bool>,
+    /// Clients registered since the engine last asked
+    /// ([`ServerTransport::take_connected`]); at most one entry per id.
+    connected: VecDeque<ClientId>,
     /// Decoded messages awaiting delivery to the engine.
     ready: VecDeque<Ready>,
     expected: usize,
@@ -359,6 +362,7 @@ impl ReactorTransport {
             free: Vec::new(),
             by_client: vec![None; n],
             registered: vec![false; n],
+            connected: VecDeque::new(),
             ready: VecDeque::new(),
             expected: n,
             seen: 0,
@@ -621,6 +625,7 @@ impl ReactorTransport {
                     self.buffered_bytes -= consumed;
                     self.registered[id.index()] = true;
                     self.by_client[id.index()] = Some(slot);
+                    self.connected.push_back(id);
                     self.seen += 1;
                     self.active += 1;
                     self.pending_hellos -= 1;
@@ -978,6 +983,10 @@ impl ServerTransport for ReactorTransport {
     fn send_batch(&mut self, to: ClientId, msgs: Vec<UstorMsg>) {
         self.enqueue_egress(to, &msgs);
     }
+
+    fn take_connected(&mut self) -> Option<ClientId> {
+        self.connected.pop_front()
+    }
 }
 
 #[cfg(test)]
@@ -1024,6 +1033,27 @@ mod tests {
         assert_eq!(server.stats().accepted, 2);
         assert_eq!(server.stats().departed, 2);
         assert_eq!(server.buffered_bytes(), 0);
+    }
+
+    #[test]
+    fn each_registered_connection_is_reported_once() {
+        let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
+        let addr = server.local_addr();
+        assert_eq!(server.take_connected(), None);
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c1 = connect(addr, ClientId::new(1)).unwrap();
+        for c in [&mut c0, &mut c1] {
+            c.send(&msg(2)).unwrap();
+            assert!(matches!(server.recv(), Incoming::Msg(_, _)));
+        }
+        // Registered by the time their first message is delivered, in
+        // whichever order the HELLOs were read.
+        let mut connected: Vec<_> = std::iter::from_fn(|| server.take_connected())
+            .map(ClientId::index)
+            .collect();
+        connected.sort_unstable();
+        assert_eq!(connected, [0, 1]);
+        assert_eq!(server.take_connected(), None);
     }
 
     #[test]

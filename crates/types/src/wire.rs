@@ -884,8 +884,9 @@ pub struct ReplyMsg {
     /// kept ones.
     pub pending: Vec<InvocationTuple>,
     /// `k` — how many tuples at the front of `L` are the last `k` of the
-    /// `L` of the previous REPLY to the same client, and are not in
-    /// `pending`. 0 (the full form) in every REPLY a server builds.
+    /// `L` of the previous REPLY to the same client on the same
+    /// connection, and are not in `pending`. 0 (the full form) in every
+    /// REPLY a server builds.
     pub kept: u32,
     /// `P` — PROOF-signatures, indexed by client. A correct server fills
     /// only the slots of clients with a tuple in `L`, the only ones

@@ -111,9 +111,11 @@ pub struct Session {
     /// already released once, so re-issuing it bypasses group-commit
     /// holds safely: its record is durable.
     replies: ReplyCache,
-    /// `L` of the last reply released to this client, in full: the base
-    /// the next one's `L` is sent against ([`ReplyMsg::keep_from`]).
-    /// Empty after [`ServerEngine::new`], so the first release is full.
+    /// `L` of the last reply released to this client on its current
+    /// connection, in full: the base the next one's `L` is sent against
+    /// ([`ReplyMsg::keep_from`]). Empty after [`ServerEngine::new`] and
+    /// [`ServerEngine::connected`], so the first release on each
+    /// connection is full.
     sent_pending: Vec<InvocationTuple>,
 }
 
@@ -255,6 +257,18 @@ impl ServerEngine {
         &self.stats
     }
 
+    /// Notes a new connection from `client`: whatever went out on an
+    /// earlier one may never have reached the process now on the other
+    /// end — a session restored from its file holds no `L` at all — so
+    /// the next reply released to it carries `L` in full. Call it before
+    /// processing anything that arrived on the new connection ([`serve`]
+    /// does, from [`ServerTransport::take_connected`]).
+    pub fn connected(&mut self, client: ClientId) {
+        if let Some(session) = self.sessions.get_mut(client.index()) {
+            session.sent_pending.clear();
+        }
+    }
+
     /// Queues one inbound message. No processing happens until
     /// [`ServerEngine::process_all`].
     pub fn enqueue(&mut self, from: ClientId, msg: UstorMsg) {
@@ -309,10 +323,11 @@ impl ServerEngine {
     /// the SUBMIT timestamp it answers (per-client FIFO), caches it in
     /// full for duplicate replay, and queues it for the transport with
     /// its `L` sent against the `L` of the reply released to the same
-    /// client before it ([`ReplyMsg::keep_from`]). The client processes
-    /// its replies in that order — a lost one comes back in full from
-    /// the cache when its SUBMIT is resent — so it holds that base when
-    /// this one arrives. Replies with no awaiting SUBMIT (a Byzantine
+    /// client before it on the same connection ([`ReplyMsg::keep_from`];
+    /// none before the first, see [`ServerEngine::connected`]). The
+    /// client processes its replies in that order — a lost one comes
+    /// back in full from the cache when its SUBMIT is resent — so it
+    /// holds that base when this one arrives. Replies with no awaiting SUBMIT (a Byzantine
     /// server broadcasting) are passed through uncached.
     fn release_reply(&mut self, to: ClientId, mut reply: ReplyMsg) {
         if let Some(session) = self.sessions.get_mut(to.index()) {
@@ -564,6 +579,11 @@ pub fn serve<T: ServerTransport>(engine: &mut ServerEngine, transport: &mut T) {
                     }
                 }
             }
+        }
+        // Sends to a newly registered client go out on its new
+        // connection from now on, so it gets `L` in full first.
+        while let Some(client) = transport.take_connected() {
+            engine.connected(client);
         }
         // A closing round is the last chance to release held replies.
         engine.round(closed, |to, batch| transport.send_batch(to, batch));
@@ -978,6 +998,83 @@ mod tests {
         };
         assert_eq!(run(client, 2), (0, 2), "in full");
         assert_eq!(run(client, 3), (2, 1), "against the first");
+    }
+
+    #[test]
+    fn the_first_release_on_a_new_connection_is_full() {
+        // C0's COMMITs never arrive, so `L` grows by C0's own tuple per
+        // reply and each reply keeps the `L` before it — until the engine
+        // learns of a new connection, whose first reply goes in full.
+        let (mut engine, mut clients) = setup(2, false);
+        let client = &mut clients[0];
+        client.set_pipeline(8);
+        let c0 = client.id();
+        let run = |engine: &mut ServerEngine, client: &mut UstorClient, k| {
+            let submit = client.begin_write(Value::unique(0, k)).unwrap();
+            engine.enqueue(c0, UstorMsg::Submit(submit));
+            engine.process_all();
+            let (_, reply) = one_reply(engine);
+            let kept = (reply.kept, reply.pending.len());
+            client.handle_reply(reply).expect("correct server");
+            kept
+        };
+        assert_eq!(run(&mut engine, client, 0), (0, 0));
+        assert_eq!(run(&mut engine, client, 1), (0, 1));
+        assert_eq!(run(&mut engine, client, 2), (1, 1));
+        engine.connected(c0);
+        assert_eq!(run(&mut engine, client, 3), (0, 3), "in full");
+        assert_eq!(run(&mut engine, client, 4), (3, 1), "against it");
+        // Another client's connection leaves C0's base alone.
+        engine.connected(ClientId::new(1));
+        assert_eq!(run(&mut engine, client, 5), (4, 1));
+    }
+
+    #[test]
+    fn serve_tells_the_engine_of_each_new_connection() {
+        /// A queue transport that reports one new connection.
+        struct Reconnected {
+            inner: faust_net::QueueTransport,
+            connected: Option<ClientId>,
+        }
+        impl ServerTransport for Reconnected {
+            fn recv(&mut self) -> Incoming {
+                self.inner.recv()
+            }
+            fn try_recv(&mut self) -> Incoming {
+                self.inner.try_recv()
+            }
+            fn send(&mut self, to: ClientId, msg: UstorMsg) {
+                self.inner.send(to, msg);
+            }
+            fn take_connected(&mut self) -> Option<ClientId> {
+                self.connected.take()
+            }
+        }
+        let (mut engine, mut clients) = setup(2, false);
+        let client = &mut clients[0];
+        client.set_pipeline(8);
+        let c0 = client.id();
+        let mut transport = Reconnected {
+            inner: faust_net::QueueTransport::new(),
+            connected: None,
+        };
+        let mut run = |client: &mut UstorClient, k, connected| {
+            let submit = client.begin_write(Value::unique(0, k)).unwrap();
+            transport.inner.push_incoming(c0, UstorMsg::Submit(submit));
+            transport.connected = connected;
+            serve(&mut engine, &mut transport);
+            let Some((_, UstorMsg::Reply(reply))) = transport.inner.pop_outgoing() else {
+                panic!("one reply")
+            };
+            let kept = (reply.kept, reply.pending.len());
+            client.handle_reply(reply).expect("correct server");
+            kept
+        };
+        assert_eq!(run(client, 0, None), (0, 0));
+        assert_eq!(run(client, 1, None), (0, 1));
+        assert_eq!(run(client, 2, None), (1, 1));
+        assert_eq!(run(client, 3, Some(c0)), (0, 3), "in full");
+        assert_eq!(run(client, 4, None), (3, 1));
     }
 
     /// One op of `client` whose COMMIT goes to `engine` as a delta
