@@ -36,6 +36,12 @@
 //! unsynced log, a process crash loses nothing on its own, and a crash
 //! that wipes the server says so with [`WalTamper::WipeState`].
 //!
+//! The driver keeps no copy of what another component knows: a client's
+//! crash and connection are the [`Simulation`]'s, its unanswered SUBMITs
+//! its [`SessionCore`]'s, and a crash is dated by the restart itself —
+//! the run's backend counts its builds. [`SimRunReport::wipe_detector`]
+//! is read off them once, when the crash fires.
+//!
 //! Group-commit flush timing — the one wall-clock dependency in the
 //! server hot path — runs on [`faust_store::SimClock`] (1 tick = 1 ms of
 //! the store's `max_wait`): the driver advances the clock before every
@@ -56,6 +62,8 @@ use faust_types::{ClientId, History, OpId, OpKind, ReplyMsg, Timestamp, UstorMsg
 use faust_ustor::{CrashRestartServer, Server, ServerBackend, ServerEngine, WorkloadOp};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Fault-plan DSL
@@ -308,19 +316,30 @@ pub struct SimRunReport {
     /// Adversarial clauses that fired without a detection guarantee
     /// (reorder, duplicate, replay, truncate): `(time, label)`.
     pub dirty_fired: Vec<(u64, &'static str)>,
-    /// Virtual time the scheduled crash fired, if it did.
+    /// Virtual time the scheduled crash fired, if it did: the tick at
+    /// which the backend built the server a second time, the restart.
     pub crash_time: Option<u64>,
-    /// Snapshot taken at crash time: whether the wire was quiescent in
-    /// both directions (no SUBMIT/COMMIT in flight that could re-teach
-    /// the restarted server, and no REPLY in flight whose receiver
-    /// would answer with a re-teaching COMMIT — including the replies
-    /// to the very message that triggered the crash) *and* some live,
-    /// connected, not-mid-op client with a completed op was positioned
-    /// to observe the post-crash state. `None` when no crash fired. Detection of a
+    /// Judged once, at crash time: whether the wire was quiescent in
+    /// both directions (no SUBMIT/COMMIT in transit that could re-teach
+    /// the restarted server, and no REPLY in transit to a live client,
+    /// which would answer with a re-teaching COMMIT — including the
+    /// replies to the very message that triggered the crash) *and* some
+    /// live, connected client with a completed op was positioned to
+    /// observe the post-crash state — under group commit one with no
+    /// SUBMIT awaiting a reply, since the crash destroys held replies
+    /// and a client waiting on one stalls (accuracy forbids flagging a
+    /// mute server). `None` when no crash fired. Detection of a
     /// state-wiping crash is guaranteed — and demanded by the oracle —
-    /// only when this is `Some(true)`; otherwise in-flight COMMITs
-    /// (which carry signed version vectors the server stores verbatim)
-    /// can repair the wiped state before any client observes it.
+    /// only when this is `Some(true)`; otherwise in-flight COMMITs (which
+    /// carry signed version vectors the server stores verbatim) can
+    /// repair the wiped state before any client observes it.
+    ///
+    /// Each fact is read from its owner: what is in transit from the
+    /// simulation's link frames ([`Simulation::link_frames`]), the fault
+    /// clauses' buffers and the delivery being routed; a client's crash
+    /// and connection from the [`Simulation`]; its unanswered SUBMITs
+    /// from its [`SessionCore::unacked_submits`]. A REPLY to a crashed
+    /// client never arrives and does not count.
     pub wipe_detector: Option<bool>,
     /// Traffic statistics.
     pub metrics: faust_sim::Metrics,
@@ -450,16 +469,8 @@ struct Slot {
     /// not ticketed and not recorded).
     ticket_ops: HashMap<u64, OpId>,
     notifications: Vec<(u64, Notification)>,
-    crashed: bool,
     /// Script is parked on a Pause until its timer fires.
     waiting: bool,
-    /// Whether the client is currently script-disconnected (its link
-    /// traffic is delayed until reconnection).
-    disconnected: bool,
-    /// SUBMITs on the wire without a reply yet — dummy reads included.
-    /// Nonzero at a group-commit crash means this client's reply may be
-    /// held by the dying server and lost (the client then stalls).
-    in_flight: u64,
     /// Last genuine reply delivered to this client — the material a
     /// [`FaultClause::ReplyReplay`] substitutes.
     last_reply: Option<ReplyMsg>,
@@ -551,26 +562,18 @@ pub struct FaustDriver {
     tick_period: u64,
     plan: FaultPlan,
     clause_state: Vec<ClauseState>,
-    crash_after: Option<usize>,
+    /// Link frames the current event put in transit and not yet routed:
+    /// what an interception let through, or a clause released.
+    routing: VecDeque<(NodeId, NodeId, NetMsg)>,
+    /// How often the [`run_sim`] backend built a server: the first build
+    /// opens the store, the second is the scheduled crash's restart.
+    builds: Arc<AtomicUsize>,
     crash_time: Option<u64>,
     /// Whether the server holds replies back for group commit — a crash
     /// can then destroy held replies and stall mid-op clients.
     group_commit: bool,
     dummy_reads: bool,
-    /// Server-bound SUBMIT/COMMIT frames currently on the wire (or
-    /// buffered by an outage clause). COMMITs carry signed version
-    /// vectors the server stores verbatim, so frames in flight across a
-    /// state-wiping crash can *re-teach* the restarted server its
-    /// pre-crash versions and silently heal the fork.
-    server_bound: usize,
-    /// Client-bound REPLY frames currently on the wire. A reply in
-    /// flight across a crash was produced by the *pre-crash* server;
-    /// its receiver will answer with a COMMIT carrying its full current
-    /// version vector — the other healing vector.
-    replies_in_flight: usize,
-    /// Set when the crash fires: whether some live client is positioned
-    /// to observe the post-crash state (see
-    /// [`FaustDriver::crash_detector_present`]).
+    /// Set when the crash fires, by [`FaustDriver::wipe_detectable`].
     wipe_detector: Option<bool>,
     fork_fired: Vec<(u64, &'static str, Option<ClientId>)>,
     dirty_fired: Vec<(u64, &'static str)>,
@@ -579,15 +582,19 @@ pub struct FaustDriver {
 }
 
 /// A backend that re-attaches the shared [`SimClock`] on every build —
-/// including the rebuild [`CrashRestartServer`] performs after a crash.
+/// including the rebuild [`CrashRestartServer`] performs after a crash —
+/// and counts its builds, so the driver learns of the restart from the
+/// restart itself.
 struct VirtualPersistentBackend {
     dir: PathBuf,
     config: StoreConfig,
     clock: SimClock,
+    builds: Arc<AtomicUsize>,
 }
 
 impl ServerBackend for VirtualPersistentBackend {
     fn build(&self, n: usize) -> std::io::Result<Box<dyn Server + Send>> {
+        self.builds.fetch_add(1, Ordering::Relaxed);
         let server = PersistentServer::open(&self.dir, n, self.config.clone())
             .map_err(std::io::Error::other)?
             .with_sim_clock(self.clock.clone());
@@ -602,12 +609,14 @@ fn build_server(
     scenario: &SimScenario,
     store_dir: &Path,
     clock: &SimClock,
+    builds: &Arc<AtomicUsize>,
 ) -> Box<dyn Server + Send> {
     let n = scenario.n();
     let backend = Box::new(VirtualPersistentBackend {
         dir: store_dir.to_path_buf(),
         config: scenario.server.clone(),
         clock: clock.clone(),
+        builds: builds.clone(),
     });
     let Some(spec) = scenario.plan.crash() else {
         return backend.build(n).expect("initial build");
@@ -656,10 +665,7 @@ impl FaustDriver {
                     script: VecDeque::new(),
                     ticket_ops: HashMap::new(),
                     notifications: Vec::new(),
-                    crashed: false,
                     waiting: false,
-                    disconnected: false,
-                    in_flight: 0,
                     last_reply: None,
                     link_epoch: 0,
                 })
@@ -668,12 +674,11 @@ impl FaustDriver {
             tick_period: config.tick_period,
             plan: FaultPlan::honest(),
             clause_state: Vec::new(),
-            crash_after: None,
+            routing: VecDeque::new(),
+            builds: Arc::default(),
             crash_time: None,
             group_commit: false,
             dummy_reads: config.faust.dummy_reads,
-            server_bound: 0,
-            replies_in_flight: 0,
             wipe_detector: None,
             fork_fired: Vec::new(),
             dirty_fired: Vec::new(),
@@ -682,9 +687,15 @@ impl FaustDriver {
     }
 
     /// Installs a scenario's fault plan, and what the run needs to know
-    /// about the server `run_sim` built for it: its virtual clock and
-    /// whether it holds replies for group commit.
-    fn with_faults(mut self, scenario: &SimScenario, clock: SimClock) -> Self {
+    /// about the server `run_sim` built for it: its virtual clock, its
+    /// backend's build count and whether it holds replies for group
+    /// commit.
+    fn with_faults(
+        mut self,
+        scenario: &SimScenario,
+        clock: SimClock,
+        builds: Arc<AtomicUsize>,
+    ) -> Self {
         // Pre-arm end-of-window release timers so buffered traffic is
         // handed back even if no other event lands on that tick.
         let server_node = self.server_node();
@@ -720,9 +731,9 @@ impl FaustDriver {
             })
             .collect();
         self.plan = scenario.plan.clone();
-        self.crash_after = scenario.plan.crash().map(|s| s.after_messages);
         self.group_commit = matches!(scenario.server.durability, Durability::Group { .. });
         self.clock = clock;
+        self.builds = builds;
         self
     }
 
@@ -740,27 +751,35 @@ impl FaustDriver {
         NodeId(self.n as u32)
     }
 
-    /// Whether, at the moment the crash fires, some client is positioned
-    /// to *observe* the restarted server's state — one half of the
-    /// precondition for the detection-guarantee oracle on a state-wiping
-    /// crash (the other half is wire quiescence, checked at the call
-    /// site: frames in flight across the crash can re-teach the
-    /// restarted server and silently heal the fork).
-    ///
-    /// A fork is only observable through a post-crash reply reaching a
-    /// client whose own version already advanced. That client must be
-    /// live, connected, and running dummy reads; and under group commit
-    /// it must not be mid-operation — a crash destroys the dying
-    /// server's *held* replies, and a client whose reply died that way
-    /// stalls forever (the accurate-detection property forbids flagging
-    /// a merely mute server, so nothing more can be demanded of the run).
-    fn crash_detector_present(&self, now: u64) -> bool {
-        self.dummy_reads
-            && self.slots.iter().any(|s| {
-                !s.crashed
-                    && !s.disconnected
+    /// [`SimRunReport::wipe_detector`], judged when the crash fires,
+    /// after the trigger message's own replies went out.
+    fn wipe_detectable(&self, now: u64) -> bool {
+        let server_node = self.server_node();
+        let held = self.clause_state.iter().flat_map(|state| match state {
+            ClauseState::Buffer(frames) => frames.as_slice(),
+            ClauseState::Stash(frame) => frame.as_slice(),
+            _ => &[],
+        });
+        let quiet = self
+            .sim
+            .link_frames()
+            .chain(
+                held.chain(&self.routing)
+                    .map(|(from, to, msg)| (*from, *to, msg)),
+            )
+            .all(|(_, to, msg)| match msg {
+                NetMsg::Ustor(UstorMsg::Reply(_), _) => self.sim.is_crashed(to),
+                NetMsg::Ustor(..) => to != server_node,
+                NetMsg::Offline(_) => true,
+            });
+        quiet
+            && self.dummy_reads
+            && self.slots.iter().enumerate().any(|(i, s)| {
+                let node = NodeId(i as u32);
+                !self.sim.is_crashed(node)
+                    && self.sim.is_connected(node)
                     && s.core.failure().is_none()
-                    && (!self.group_commit || s.in_flight == 0)
+                    && (!self.group_commit || s.core.unacked_submits() == 0)
                     && s.notifications
                         .iter()
                         .any(|(t, n)| matches!(n, Notification::Completed(_)) && *t < now)
@@ -777,21 +796,10 @@ impl FaustDriver {
     /// clause has since severed, and never arrives.
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: NetMsg, now: u64) {
         let server_node = self.server_node();
-        if let NetMsg::Ustor(m, epoch) = &msg {
+        if let NetMsg::Ustor(_, epoch) = &msg {
             let client_end = if to == server_node { from } else { to };
             let i = client_end.0 as usize;
             if i < self.n && *epoch < self.slots[i].link_epoch {
-                match m {
-                    UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_)
-                        if to == server_node =>
-                    {
-                        self.server_bound = self.server_bound.saturating_sub(1);
-                    }
-                    UstorMsg::Reply(_) if to != server_node => {
-                        self.replies_in_flight = self.replies_in_flight.saturating_sub(1);
-                    }
-                    _ => {}
-                }
                 return;
             }
         }
@@ -804,60 +812,39 @@ impl FaustDriver {
     }
 
     /// Feeds one protocol message to the engine and pumps outputs back
-    /// into virtual time, noting the tick at which the crash fired.
+    /// into virtual time.
     fn server_receive(&mut self, from: ClientId, msg: UstorMsg, now: u64) {
         self.clock.set(now);
-        if matches!(
-            msg,
-            UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_)
-        ) {
-            self.server_bound = self.server_bound.saturating_sub(1);
-        }
         self.engine.enqueue(from, msg);
         self.server_round(false, now);
-        // [`CrashRestartServer`] counts its `on_submit`/`on_commit`
-        // calls, which are exactly the engine's forwarded SUBMITs and
-        // COMMITs: a resend answered from the reply cache, or a delta
-        // with no base, never reaches the server and never fires it.
-        let stats = self.engine.stats();
-        let served = (stats.submits + stats.commits) as usize;
-        if self.crash_time.is_none() && served > 0 && self.crash_after == Some(served) {
-            self.crash_time = Some(now);
-            if let Some(spec) = self.plan.crash() {
-                match spec.tamper {
-                    WalTamper::WipeState => self.fork_fired.push((now, "crash-wipe", None)),
-                    WalTamper::TruncateTail(_) => self.dirty_fired.push((now, "crash-truncate")),
-                    WalTamper::None => {}
-                }
-            }
-            // Judged *after* the trigger message's own replies went out:
-            // detection of the wipe is only guaranteed when nothing on
-            // the wire — in either direction — can re-teach the
-            // restarted server before a detector observes it.
-            self.wipe_detector = Some(
-                self.server_bound == 0
-                    && self.replies_in_flight == 0
-                    && self.crash_detector_present(now),
-            );
-        }
     }
 
     /// The server node's step: one [`ServerEngine::round`] — the round
     /// `faust serve` runs — whose per-client batches go out into virtual
     /// time, then the flush timer follows the engine's new deadline.
+    ///
+    /// A scheduled crash happens inside a round: [`CrashRestartServer`]
+    /// restarts the server from the backend as it handles its
+    /// `after_messages`-th SUBMIT or COMMIT, and the backend's second
+    /// build dates the crash to this tick.
     fn server_round(&mut self, closing: bool, now: u64) {
         let server_node = self.server_node();
-        let (sim, slots, replies_in_flight) =
-            (&mut self.sim, &self.slots, &mut self.replies_in_flight);
+        let (sim, slots) = (&mut self.sim, &self.slots);
         self.engine.round(closing, |to, batch| {
             let epoch = slots.get(to.index()).map_or(0, |s| s.link_epoch);
             for out in batch {
-                if matches!(out, UstorMsg::Reply(_)) {
-                    *replies_in_flight += 1;
-                }
                 sim.send(server_node, NodeId(to.as_u32()), NetMsg::Ustor(out, epoch));
             }
         });
+        if self.crash_time.is_none() && self.builds.load(Ordering::Relaxed) > 1 {
+            self.crash_time = Some(now);
+            match self.plan.crash().map(|spec| spec.tamper) {
+                Some(WalTamper::WipeState) => self.fork_fired.push((now, "crash-wipe", None)),
+                Some(WalTamper::TruncateTail(_)) => self.dirty_fired.push((now, "crash-truncate")),
+                _ => {}
+            }
+            self.wipe_detector = Some(self.wipe_detectable(now));
+        }
         self.update_flush_timer(now);
     }
 
@@ -885,15 +872,13 @@ impl FaustDriver {
     }
 
     fn client_receive(&mut self, i: usize, msg: NetMsg, now: u64) {
-        if matches!(msg, NetMsg::Ustor(UstorMsg::Reply(_), _)) {
-            self.replies_in_flight = self.replies_in_flight.saturating_sub(1);
-        }
-        if i >= self.n || self.slots[i].crashed {
+        // The simulation drops what it would deliver to a crashed client;
+        // a frame a clause held for one dies here.
+        if self.sim.is_crashed(NodeId(i as u32)) {
             return;
         }
         let out = match msg {
             NetMsg::Ustor(UstorMsg::Reply(reply), _) => {
-                self.slots[i].in_flight = self.slots[i].in_flight.saturating_sub(1);
                 self.slots[i].last_reply = Some(reply.clone());
                 self.slots[i].core.handle_reply(reply, now)
             }
@@ -907,15 +892,6 @@ impl FaustDriver {
         let node = NodeId(i as u32);
         let server_node = self.server_node();
         for msg in out.to_server {
-            if matches!(msg, UstorMsg::Submit(_)) {
-                self.slots[i].in_flight += 1;
-            }
-            if matches!(
-                msg,
-                UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_)
-            ) {
-                self.server_bound += 1;
-            }
             let epoch = self.slots[i].link_epoch;
             self.sim.send(node, server_node, NetMsg::Ustor(msg, epoch));
         }
@@ -926,6 +902,9 @@ impl FaustDriver {
         for (t, event) in self.slots[i].core.take_events() {
             let note = match event {
                 SessionEvent::Completed { ticket, completion } => {
+                    // The event carries the result; the session need not
+                    // keep its copy for the rest of the run.
+                    self.slots[i].core.take_result(ticket);
                     if let Some(op_id) = self.slots[i].ticket_ops.remove(&ticket.index()) {
                         match completion.kind {
                             OpKind::Write => {
@@ -957,12 +936,10 @@ impl FaustDriver {
 
     fn advance_script(&mut self, i: usize, now: u64) {
         loop {
+            // Never called for a crashed client: the simulation drops its
+            // timers and every delivery to it.
             let slot = &mut self.slots[i];
-            if slot.crashed
-                || slot.waiting
-                || slot.core.failure().is_some()
-                || slot.core.backlog() > 0
-            {
+            if slot.waiting || slot.core.failure().is_some() || slot.core.backlog() > 0 {
                 return;
             }
             let Some(step) = slot.script.pop_front() else {
@@ -972,7 +949,6 @@ impl FaustDriver {
             let node = NodeId(i as u32);
             match step {
                 WorkloadOp::Crash => {
-                    slot.crashed = true;
                     self.sim.crash(node);
                     return;
                 }
@@ -982,7 +958,6 @@ impl FaustDriver {
                     return;
                 }
                 WorkloadOp::Disconnect(duration) => {
-                    slot.disconnected = true;
                     self.sim.set_connected(node, false);
                     self.sim.set_timer(node, duration, RECONNECT_TAG);
                 }
@@ -1007,25 +982,21 @@ impl FaustDriver {
         }
     }
 
-    /// Applies the fault plan to a popped link delivery. Returns the
-    /// messages to route *now*, in order — empty when the delivery was
-    /// consumed (buffered or stashed), possibly substituted or doubled.
-    fn intercept(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: NetMsg,
-        now: u64,
-    ) -> Vec<(NodeId, NodeId, NetMsg)> {
+    /// Applies the fault plan to a popped link delivery: puts what
+    /// reaches its destination *now* in transit, in order — nothing when
+    /// the delivery was consumed (buffered or stashed), possibly a
+    /// substitute or two copies.
+    fn intercept(&mut self, from: NodeId, to: NodeId, msg: NetMsg, now: u64) {
         let server_node = self.server_node();
-        for (idx, clause) in self.plan.clauses.clone().iter().enumerate() {
+        let routing = &mut self.routing;
+        for (clause, state) in self.plan.clauses.iter().zip(&mut self.clause_state) {
             match clause {
                 FaultClause::Outage { client, window } if window.contains(now) => {
                     let victim = NodeId(client.as_u32());
                     if from == victim || to == victim {
-                        if let ClauseState::Buffer(buf) = &mut self.clause_state[idx] {
+                        if let ClauseState::Buffer(buf) = state {
                             buf.push((from, to, msg));
-                            return Vec::new();
+                            return;
                         }
                     }
                 }
@@ -1034,17 +1005,16 @@ impl FaustDriver {
                         && from == NodeId(client.as_u32())
                         && to == server_node =>
                 {
-                    if let ClauseState::Stash(stash) = &mut self.clause_state[idx] {
+                    if let ClauseState::Stash(stash) = state {
                         match stash.take() {
-                            None => {
-                                *stash = Some((from, to, msg));
-                                return Vec::new();
-                            }
+                            None => *stash = Some((from, to, msg)),
                             Some(held) => {
                                 self.dirty_fired.push((now, "reorder"));
-                                return vec![(from, to, msg), held];
+                                routing.push_back((from, to, msg));
+                                routing.push_back(held);
                             }
                         }
+                        return;
                     }
                 }
                 FaultClause::Duplicate { client, window }
@@ -1053,16 +1023,9 @@ impl FaustDriver {
                         && to == server_node =>
                 {
                     self.dirty_fired.push((now, "duplicate"));
-                    if matches!(
-                        msg,
-                        NetMsg::Ustor(
-                            UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_),
-                            _
-                        )
-                    ) {
-                        self.server_bound += 1;
-                    }
-                    return vec![(from, to, msg.clone()), (from, to, msg)];
+                    routing.push_back((from, to, msg.clone()));
+                    routing.push_back((from, to, msg));
+                    return;
                 }
                 FaultClause::DropReplies { client, window }
                     if window.contains(now)
@@ -1072,24 +1035,19 @@ impl FaustDriver {
                     // The acknowledgement is eaten; its SUBMIT stays in
                     // the client's resend window and is replayed at the
                     // end-of-window reconnect.
-                    self.replies_in_flight = self.replies_in_flight.saturating_sub(1);
-                    return Vec::new();
+                    return;
                 }
                 FaultClause::ReplyReplay { client, window }
                     if window.contains(now) && to == NodeId(client.as_u32()) =>
                 {
                     if let NetMsg::Ustor(UstorMsg::Reply(_), epoch) = &msg {
-                        let already = matches!(self.clause_state[idx], ClauseState::Fired(true));
-                        if !already {
-                            if let Some(old) = self.slots[client.index()].last_reply.clone() {
-                                let epoch = *epoch;
-                                self.clause_state[idx] = ClauseState::Fired(true);
+                        if !matches!(state, ClauseState::Fired(true)) {
+                            if let Some(old) = &self.slots[client.index()].last_reply {
+                                let replay = NetMsg::Ustor(UstorMsg::Reply(old.clone()), *epoch);
+                                *state = ClauseState::Fired(true);
                                 self.dirty_fired.push((now, "reply-replay"));
-                                return vec![(
-                                    from,
-                                    to,
-                                    NetMsg::Ustor(UstorMsg::Reply(old), epoch),
-                                )];
+                                routing.push_back((from, to, replay));
+                                return;
                             }
                         }
                     }
@@ -1097,34 +1055,37 @@ impl FaustDriver {
                 FaultClause::TamperReadValue { client, window }
                     if window.contains(now) && to == NodeId(client.as_u32()) =>
                 {
-                    let already = matches!(self.clause_state[idx], ClauseState::Fired(true));
-                    if !already {
-                        if let NetMsg::Ustor(UstorMsg::Reply(reply), epoch) = &msg {
-                            if let Some(read) = &reply.read {
-                                if let Some(value) = &read.mem_value {
-                                    let epoch = *epoch;
-                                    let mut tampered = reply.clone();
-                                    let flipped: Vec<u8> =
-                                        value.as_bytes().iter().map(|b| b ^ 0xFF).collect();
-                                    tampered.read.as_mut().expect("read is Some").mem_value =
-                                        Some(Value::new(flipped));
-                                    self.clause_state[idx] = ClauseState::Fired(true);
-                                    self.fork_fired
-                                        .push((now, "tamper-read-value", Some(*client)));
-                                    return vec![(
-                                        from,
-                                        to,
-                                        NetMsg::Ustor(UstorMsg::Reply(tampered), epoch),
-                                    )];
-                                }
-                            }
+                    if matches!(state, ClauseState::Fired(true)) {
+                        continue;
+                    }
+                    if let NetMsg::Ustor(UstorMsg::Reply(reply), epoch) = &msg {
+                        if let Some(value) = reply.read.as_ref().and_then(|r| r.mem_value.as_ref())
+                        {
+                            let flipped: Vec<u8> =
+                                value.as_bytes().iter().map(|b| b ^ 0xFF).collect();
+                            let mut tampered = reply.clone();
+                            tampered.read.as_mut().expect("read is Some").mem_value =
+                                Some(Value::new(flipped));
+                            *state = ClauseState::Fired(true);
+                            self.fork_fired
+                                .push((now, "tamper-read-value", Some(*client)));
+                            let tampered = NetMsg::Ustor(UstorMsg::Reply(tampered), *epoch);
+                            routing.push_back((from, to, tampered));
+                            return;
                         }
                     }
                 }
                 _ => {}
             }
         }
-        vec![(from, to, msg)]
+        routing.push_back((from, to, msg));
+    }
+
+    /// Delivers what the current event put in transit, in order.
+    fn route(&mut self, now: u64) {
+        while let Some((from, to, msg)) = self.routing.pop_front() {
+            self.deliver(from, to, msg, now);
+        }
     }
 
     /// End-of-window release for clause `idx`: buffered/stashed traffic
@@ -1139,14 +1100,12 @@ impl FaustDriver {
             }
             _ => {}
         }
-        let pending = match &mut self.clause_state[idx] {
-            ClauseState::Buffer(buf) => std::mem::take(buf),
-            ClauseState::Stash(stash) => stash.take().into_iter().collect(),
-            _ => Vec::new(),
-        };
-        for (from, to, msg) in pending {
-            self.deliver(from, to, msg, now);
+        match &mut self.clause_state[idx] {
+            ClauseState::Buffer(buf) => self.routing.extend(buf.drain(..)),
+            ClauseState::Stash(stash) => self.routing.extend(stash.take()),
+            _ => {}
         }
+        self.route(now);
     }
 
     /// Severs and rebuilds client `i`'s link connection. Mirrors what a
@@ -1164,7 +1123,8 @@ impl FaustDriver {
     ///    SUBMITs on the new connection, exactly as
     ///    [`crate::FaustHandle`]'s auto-reconnect does.
     fn kill_and_replay(&mut self, i: usize, now: u64) {
-        if i >= self.n || self.slots[i].crashed || self.slots[i].core.failure().is_some() {
+        let node = NodeId(i as u32);
+        if i >= self.n || self.sim.is_crashed(node) || self.slots[i].core.failure().is_some() {
             return;
         }
         self.clock.set(now);
@@ -1175,17 +1135,8 @@ impl FaustDriver {
         self.slots[i].link_epoch += 1;
         self.engine.connected(ClientId::new(i as u32));
         let epoch = self.slots[i].link_epoch;
-        let node = NodeId(i as u32);
         let server_node = self.server_node();
         for msg in self.slots[i].core.resend_messages() {
-            // The ops were counted in `in_flight` at first send and are
-            // still unanswered — only the wire accounting is new.
-            if matches!(
-                msg,
-                UstorMsg::Submit(_) | UstorMsg::Commit(_) | UstorMsg::CommitDelta(_)
-            ) {
-                self.server_bound += 1;
-            }
             self.sim.send(node, server_node, NetMsg::Ustor(msg, epoch));
         }
     }
@@ -1213,10 +1164,9 @@ impl FaustDriver {
                         self.server_round(false, now);
                         continue;
                     }
+                    // Client timers only: the simulation drops those of a
+                    // crashed client.
                     let i = node.0 as usize;
-                    if i >= self.n || self.slots[i].crashed {
-                        continue;
-                    }
                     match tag {
                         TICK_TAG => {
                             self.sim.set_timer(node, self.tick_period, TICK_TAG);
@@ -1227,10 +1177,7 @@ impl FaustDriver {
                             self.slots[i].waiting = false;
                             self.advance_script(i, now);
                         }
-                        RECONNECT_TAG => {
-                            self.slots[i].disconnected = false;
-                            self.sim.set_connected(node, true);
-                        }
+                        RECONNECT_TAG => self.sim.set_connected(node, true),
                         _ => {}
                     }
                 }
@@ -1238,17 +1185,12 @@ impl FaustDriver {
                     from,
                     to,
                     msg,
-                    transport,
+                    transport: Transport::Link,
                 } => {
-                    let deliveries = if transport == Transport::Link {
-                        self.intercept(from, to, msg, now)
-                    } else {
-                        vec![(from, to, msg)]
-                    };
-                    for (from, to, msg) in deliveries {
-                        self.deliver(from, to, msg, now);
-                    }
+                    self.intercept(from, to, msg, now);
+                    self.route(now);
                 }
+                Event::Message { from, to, msg, .. } => self.deliver(from, to, msg, now),
             }
         }
 
@@ -1289,7 +1231,8 @@ impl FaustDriver {
 pub fn run_sim(scenario: &SimScenario) -> SimRunReport {
     let store_dir = faust_store::testutil::scratch_dir("simrun");
     let clock = SimClock::new();
-    let server = build_server(scenario, &store_dir, &clock);
+    let builds = Arc::default();
+    let server = build_server(scenario, &store_dir, &clock, &builds);
     let config = FaustDriverConfig {
         sim: SimConfig {
             seed: scenario.seed,
@@ -1303,7 +1246,7 @@ pub fn run_sim(scenario: &SimScenario) -> SimRunReport {
         tick_period: scenario.tick_period,
     };
     let mut driver = FaustDriver::new(scenario.n(), server, config, &scenario.seed.to_be_bytes())
-        .with_faults(scenario, clock);
+        .with_faults(scenario, clock, builds);
     for (i, script) in scenario.workloads.iter().enumerate() {
         driver.push_ops(ClientId::new(i as u32), script.iter().cloned());
     }
@@ -1934,6 +1877,37 @@ mod tests {
             !report.failures.is_empty(),
             "state wipe after completed ops must be flagged"
         );
+    }
+
+    /// A client that crashes with its dummy read's REPLY still on the
+    /// wire never receives that REPLY, so the REPLY cannot re-teach a
+    /// server wiped later: a wipe that an idle, connected client can see
+    /// over an otherwise quiet wire is demanded, and caught.
+    #[test]
+    fn a_reply_to_a_crashed_client_does_not_waive_a_later_wipe() {
+        let mut scenario = honest_scenario(21, unsynced());
+        scenario.link_delay = DelayModel::Fixed(3);
+        // C0's first tick (t = 25) sends a dummy read before its script
+        // crashes it; the REPLY reaches C0 at t = 31 and is dropped.
+        scenario.workloads = vec![
+            vec![WorkloadOp::Pause(25), WorkloadOp::Crash],
+            vec![WorkloadOp::Write(Value::from("x"))],
+        ];
+        // The server's 5th message is C1's dummy-read COMMIT at t = 34,
+        // when C1 is idle and nothing else is in transit.
+        scenario
+            .plan
+            .clauses
+            .push(FaultClause::CrashRestart(CrashSpec {
+                after_messages: 5,
+                tamper: WalTamper::WipeState,
+            }));
+        scenario.deadline = 2_000;
+        let report = run_sim(&scenario);
+        assert_eq!(report.crash_time, Some(34));
+        assert_eq!(report.wipe_detector, Some(true));
+        check_oracles(&scenario, &report).expect("the wipe is demanded and detected");
+        assert!(report.failure_time(c(1)).is_some());
     }
 
     #[test]

@@ -375,6 +375,32 @@ impl<M: MessageSize> Simulation<M> {
         !self.disconnected.contains(&node)
     }
 
+    /// Every link frame sent and not yet delivered, queued or parked for
+    /// a disconnected node, as `(from, to, msg)` in no particular order.
+    /// Frames addressed to a crashed node are included; they will be
+    /// dropped, never delivered.
+    pub fn link_frames(&self) -> impl Iterator<Item = (NodeId, NodeId, &M)> {
+        let queued = self
+            .queue
+            .iter()
+            .filter_map(|Reverse(entry)| match &entry.payload {
+                Payload::Message {
+                    from,
+                    to,
+                    msg,
+                    transport: Transport::Link,
+                } => Some((*from, *to, msg)),
+                _ => None,
+            });
+        let parked = self.parked.iter().flat_map(|(to, frames)| {
+            frames
+                .iter()
+                .filter(|(_, _, transport)| *transport == Transport::Link)
+                .map(move |(from, msg, _)| (*from, *to, msg))
+        });
+        queued.chain(parked)
+    }
+
     /// Advances virtual time to the next event and returns it, or `None`
     /// when no more events can occur.
     pub fn next(&mut self) -> Option<ScheduledEvent<M>> {
@@ -561,6 +587,30 @@ mod tests {
         s.set_connected(NodeId(1), true);
         let seen: Vec<u64> = drain_events(&mut s).iter().map(|e| e.3).collect();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn link_frames_lists_queued_and_parked_link_traffic_only() {
+        let mut s = sim(0, DelayModel::Fixed(1));
+        s.set_connected(NodeId(1), false);
+        s.send(NodeId(0), NodeId(1), TestMsg(1));
+        s.send(NodeId(1), NodeId(0), TestMsg(2));
+        s.send_offline(NodeId(0), NodeId(2), TestMsg(3));
+        s.set_timer(NodeId(0), 50, 0);
+        let frames = |s: &Simulation<TestMsg>| {
+            let mut f: Vec<_> = s.link_frames().map(|(a, b, m)| (a.0, b.0, m.0)).collect();
+            f.sort_unstable();
+            f
+        };
+        assert_eq!(frames(&s), vec![(0, 1, 1), (1, 0, 2)]);
+        // Frame 1 parks, frame 2 is delivered.
+        assert!(matches!(
+            s.next().map(|e| e.event),
+            Some(Event::Message { .. })
+        ));
+        assert_eq!(frames(&s), vec![(0, 1, 1)]);
+        s.drain();
+        assert_eq!(frames(&s), vec![(0, 1, 1)], "still parked");
     }
 
     #[test]

@@ -191,7 +191,6 @@ struct Slot<P: Protocol> {
     current: Option<OpId>,
     completions: Vec<P::Completion>,
     fault: Option<P::Fault>,
-    crashed: bool,
 }
 
 /// Drives `n` clients of protocol `P` against its server over the
@@ -236,7 +235,6 @@ impl<P: Protocol> Driver<P> {
                 current: None,
                 completions: Vec::new(),
                 fault: None,
-                crashed: false,
             })
             .collect();
         Driver {
@@ -271,10 +269,12 @@ impl<P: Protocol> Driver<P> {
     }
 
     /// Starts the next queued operation of client `i`, if it is idle.
+    /// Never called for a crashed client: the simulation drops every
+    /// timer and delivery addressed to one.
     fn try_start(&mut self, i: usize) {
         loop {
             let slot = &mut self.slots[i];
-            if slot.crashed || slot.fault.is_some() || slot.current.is_some() {
+            if slot.fault.is_some() || slot.current.is_some() {
                 return;
             }
             let Some(op) = slot.queue.pop_front() else {
@@ -285,7 +285,6 @@ impl<P: Protocol> Driver<P> {
             let now = self.sim.now();
             let request = match op {
                 WorkloadOp::Crash => {
-                    slot.crashed = true;
                     self.sim.crash(node);
                     return;
                 }
@@ -321,7 +320,7 @@ impl<P: Protocol> Driver<P> {
     fn client_receive(&mut self, i: usize, msg: P::Msg) {
         let now = self.sim.now();
         let slot = &mut self.slots[i];
-        if slot.crashed || slot.fault.is_some() {
+        if slot.fault.is_some() {
             return;
         }
         match P::answer(&mut slot.proto, msg) {
@@ -362,10 +361,7 @@ impl<P: Protocol> Driver<P> {
                     match tag {
                         RESUME_TAG => self.try_start(i),
                         RECONNECT_TAG => self.sim.set_connected(node, true),
-                        CRASH_TAG => {
-                            self.slots[i].crashed = true;
-                            self.sim.crash(node);
-                        }
+                        CRASH_TAG => self.sim.crash(node),
                         _ => {}
                     }
                 }

@@ -27,7 +27,7 @@ use common::{connect_all, handle_config, incarnation, run_phase};
 use faust::audit::{audit, AuditVerdict, Divergence, SessionHistory};
 use faust::core::{
     check_determinism, gen_scenario, investigate, run_and_check, run_sim, CrashSpec, FaultClause,
-    FaultPlan, Notification, SimScenario, UserOp, WalTamper,
+    FaultPlan, Notification, SimRunReport, SimScenario, UserOp, WalTamper,
 };
 use faust::crypto::sig::KeySet;
 use faust::crypto::SigScheme;
@@ -60,6 +60,12 @@ const REPRO_PATH: &str = "target/sim-failure-repro.txt";
 /// recorded history — with a determinism double-run sprinkled in. On
 /// the first violation the fault plan is delta-debugged down to a
 /// 1-minimal reproduction and the test panics with the recipe.
+///
+/// It ends with one tally line: how many plans were benign (wait-freedom
+/// and linearizability checked), how many `WipeState` crashes fired and
+/// on how many of them detection was demanded (`wipe_detector ==
+/// Some(true)`) or waived, and how many `TamperReadValue` victims were
+/// held to detection.
 #[test]
 fn seeded_runs_pass_all_oracles() {
     let base = env_u64("FAUST_SIM_SEED_BASE", 42);
@@ -68,9 +74,10 @@ fn seeded_runs_pass_all_oracles() {
         "sim_faults: seeds {base}..{} (base {base}, {runs} runs)",
         base + runs
     );
+    let mut tally = Tally::default();
     for seed in base..base + runs {
         let scenario = gen_scenario(seed);
-        let verdict = run_and_check(&scenario).map(|_| ());
+        let verdict = run_and_check(&scenario).map(|report| tally.add(&scenario, &report));
         let verdict = verdict.and_then(|()| {
             if (seed - base).is_multiple_of(64) {
                 // Reproducibility oracle: the same scenario twice must
@@ -86,6 +93,43 @@ fn seeded_runs_pass_all_oracles() {
             let report = failure.render();
             std::fs::write(REPRO_PATH, &report).ok();
             panic!("\n{report}\n(also written to {REPRO_PATH})");
+        }
+    }
+    eprintln!(
+        "sim_faults tally: {} benign plans checked for wait-freedom and linearizability; \
+         {} WipeState crashes fired, detection demanded on {} and waived on {}; \
+         {} TamperReadValue victims checked",
+        tally.benign,
+        tally.wipes_demanded + tally.wipes_waived,
+        tally.wipes_demanded,
+        tally.wipes_waived,
+        tally.tamper_victims,
+    );
+}
+
+/// What the oracles checked across a seed window.
+#[derive(Default)]
+struct Tally {
+    benign: usize,
+    wipes_demanded: usize,
+    wipes_waived: usize,
+    tamper_victims: usize,
+}
+
+impl Tally {
+    fn add(&mut self, scenario: &SimScenario, report: &SimRunReport) {
+        self.benign += usize::from(scenario.plan.is_benign(&scenario.server));
+        for &(at, label, victim) in &report.fork_fired {
+            // `check_oracles` demands detection only with slack left.
+            let demanded = at + scenario.detection_slack() <= scenario.deadline;
+            match (label, victim) {
+                ("crash-wipe", _) if demanded && report.wipe_detector == Some(true) => {
+                    self.wipes_demanded += 1
+                }
+                ("crash-wipe", _) => self.wipes_waived += 1,
+                (_, Some(_)) if demanded => self.tamper_victims += 1,
+                _ => {}
+            }
         }
     }
 }
@@ -416,7 +460,7 @@ fn group_commit_kill_restart_in_virtual_time_matches_threaded_run_10x_faster() {
 // ---------------------------------------------------------------------------
 
 /// Replays a run's exported history through the offline auditor.
-fn offline_verdict(scenario: &SimScenario, report: &faust::core::SimRunReport) -> AuditVerdict {
+fn offline_verdict(scenario: &SimScenario, report: &SimRunReport) -> AuditVerdict {
     let bytes = report
         .exported_history
         .as_ref()
