@@ -368,6 +368,11 @@ impl FaustClient {
         &self.ustor
     }
 
+    /// The USTOR client underneath, mutably.
+    pub(crate) fn ustor_mut(&mut self) -> &mut UstorClient {
+        &mut self.ustor
+    }
+
     /// The failure that halted this client, if any.
     pub fn failure(&self) -> Option<&FailReason> {
         self.failed.as_ref()

@@ -446,7 +446,15 @@ impl SessionCore {
         registry: VerifierRegistry,
         state: SessionState,
     ) -> (Self, u64) {
-        let proto = FaustClient::from_state(keypair, registry, state.proto);
+        let mut proto = FaustClient::from_state(keypair, registry, state.proto);
+        // The replay sends these COMMITs again, and a reply on the new
+        // connection may name them.
+        let commits = state.resend_window.iter().filter_map(|msg| match msg {
+            UstorMsg::Submit(submit) => submit.piggyback.as_ref(),
+            UstorMsg::Commit(commit) => Some(commit),
+            UstorMsg::Reply(_) | UstorMsg::CommitDelta(_) => None,
+        });
+        proto.ustor_mut().resume_commits(commits);
         let core = SessionCore {
             proto,
             next_ticket: state.next_ticket,

@@ -101,7 +101,7 @@ mod tests {
     use faust_crypto::sig::KeySet;
     use faust_store::testutil::{mutations, scratch_dir};
     use faust_types::{ClientId, CommitDelta, CommitMsg, ReplyMsg, UstorMsg, Value, WireError};
-    use faust_ustor::{Fault, Server, ServerEngine, UstorServer};
+    use faust_ustor::{CommitMode, Fault, Server, ServerEngine, UstorServer};
 
     fn keys(n: usize) -> KeySet {
         KeySet::generate(n, b"persist-tests")
@@ -489,6 +489,72 @@ mod tests {
             core.failure()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_session_restored_with_commits_in_its_window_resumes_against_a_live_engine() {
+        // Op 1 completes; its COMMIT — standalone, or piggybacked on op 2's
+        // SUBMIT — and op 2 are saved, never sent. Replayed on a new
+        // connection, the COMMIT is the base of op 2's reply, which names
+        // it instead of repeating it: the restored session holds it.
+        for (pipeline, commit_mode) in [(1, CommitMode::Immediate), (2, CommitMode::Piggyback)] {
+            let dir = scratch_dir("persist-own-commit");
+            let path = dir.join("c0.session");
+            let keys = keys(2);
+            let mut engine = ServerEngine::new(2, Box::new(UstorServer::new(2)));
+            let c0 = ClientId::new(0);
+            let mut core = SessionCore::new(FaustClient::new(
+                c0,
+                2,
+                keys.keypair(0).unwrap().clone(),
+                keys.registry(),
+                FaustConfig {
+                    dummy_reads: false,
+                    pipeline,
+                    commit_mode,
+                    ..FaustConfig::default()
+                },
+            ));
+            let replies = |engine: &mut ServerEngine, msgs: Vec<UstorMsg>| {
+                msgs.into_iter().for_each(|msg| engine.enqueue(c0, msg));
+                engine.process_all();
+                let mut replies = Vec::new();
+                while let Some((_, batch)) = engine.poll_output_batch() {
+                    replies.extend(batch.into_iter().map(|msg| match msg {
+                        UstorMsg::Reply(reply) => reply,
+                        _ => unreachable!("the engine sends only replies"),
+                    }));
+                }
+                replies
+            };
+            let (_, out) = core.submit(UserOp::Write(Value::from("one")), 1);
+            for reply in replies(&mut engine, out.to_server) {
+                core.handle_reply(reply, 1);
+            }
+            let (t2, _) = core.submit(UserOp::Write(Value::from("two")), 2);
+            assert!(checkpoint_session(&path, &core, 2).unwrap());
+            drop(core);
+
+            let state = load_session(&path).unwrap().expect("file exists");
+            let (mut core, clock) =
+                SessionCore::from_state(keys.keypair(0).unwrap().clone(), keys.registry(), state);
+            engine.connected(c0);
+            let resend = core.resend_messages();
+            let [reply] = &replies(&mut engine, resend)[..] else {
+                panic!("op 2's reply");
+            };
+            let own = reply.against_own.as_ref().expect("sent against COMMIT 1");
+            assert_eq!((own.base, own.is_marker()), (1, true), "{commit_mode:?}");
+            let out = core.handle_reply(reply.clone(), clock + 1);
+            assert!(core.failure().is_none(), "{:?}", core.failure());
+            assert!(core.is_complete(t2));
+            // And the session is fully live again.
+            pump_engine(&mut engine, &mut core, out.to_server, clock + 1);
+            let (t3, out) = core.submit(UserOp::Read(c0), clock + 2);
+            pump_engine(&mut engine, &mut core, out.to_server, clock + 2);
+            assert!(core.is_complete(t3) && core.failure().is_none());
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub use op::{InvocationTuple, OpKind};
 pub use value::Value;
 pub use version::{DigestVec, SignedVersion, TimestampVec, Version, VersionCmp};
 pub use wire::{
-    decode_delta, decode_version_against, encode_version_against, CommitDelta, CommitMsg,
-    ReadReply, ReplyMsg, Sink, SubmitMsg, UstorMsg, VersionDelta, VersionEntry, Wire, WireError,
+    decode_delta, decode_version_against, encode_version_against, AgainstOwn, CommitDelta,
+    CommitMsg, ReadReply, ReplyMsg, Sink, SubmitMsg, UstorMsg, VersionDelta, VersionEntry, Wire,
+    WireError,
 };

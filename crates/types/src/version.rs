@@ -32,8 +32,18 @@ use std::fmt;
 /// assert_eq!(v.get(ClientId::new(1)), 1);
 /// assert_eq!(v.get(ClientId::new(0)), 0);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct TimestampVec(Vec<Timestamp>);
+
+/// `clone_from` reuses the buffer, as for every vector type here.
+impl Clone for TimestampVec {
+    fn clone(&self) -> Self {
+        TimestampVec(self.0.clone())
+    }
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl TimestampVec {
     /// The all-zero vector `0^n` (the initial version's timestamps).
@@ -135,8 +145,17 @@ impl fmt::Display for TimestampVec {
 
 /// A vector of `n` optional digests; entry `k` is the digest of the view
 /// history up to the last operation of client `C_k`, or `⊥` (`None`).
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct DigestVec(Vec<Option<Digest>>);
+
+impl Clone for DigestVec {
+    fn clone(&self) -> Self {
+        DigestVec(self.0.clone())
+    }
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl DigestVec {
     /// The all-`⊥` vector `⊥^n` (the initial version's digests).
@@ -251,10 +270,24 @@ fn pointwise(a: &[Timestamp], b: &[Timestamp], agree: impl Fn(usize) -> bool) ->
 /// assert!(initial.le(&later));
 /// assert!(!later.le(&initial));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct Version {
     v: TimestampVec,
     m: DigestVec,
+}
+
+/// `clone_from` reuses both buffers.
+impl Clone for Version {
+    fn clone(&self) -> Self {
+        Version {
+            v: self.v.clone(),
+            m: self.m.clone(),
+        }
+    }
+    fn clone_from(&mut self, source: &Self) {
+        self.v.clone_from(&source.v);
+        self.m.clone_from(&source.m);
+    }
 }
 
 impl Version {

@@ -6,11 +6,14 @@
 //!
 //! * [`SubmitMsg`] (0) — `⟨SUBMIT, t, (i, oc, j, σ), x, δ⟩`;
 //! * [`ReplyMsg`] (1) — `⟨REPLY, c, SVER[c], [SVER[j], MEM[j],] L, P⟩`;
-//!   a read's `SVER[j]` goes as a delta against `SVER[c]` when that is
-//!   smaller, marked by bit 31 of its first length prefix, and `L` may
-//!   name a tail of the `L` of the client's previous REPLY instead of
-//!   repeating it, marked by bit 31 of its count (the [`ReplyMsg`] docs
-//!   have both layouts);
+//!   `SVER[c]` may name one of the recipient's own COMMITs instead of
+//!   repeating it (a marker, bit 30 of its first word, when it is that
+//!   COMMIT byte for byte; else a delta against it, bit 31), a read's
+//!   `SVER[j]` goes as a delta against `SVER[c]` when that is smaller,
+//!   marked by bit 31 of its first length prefix, and `L` may name a
+//!   tail of the `L` of the client's previous REPLY instead of repeating
+//!   it, marked by bit 31 of its count (the [`ReplyMsg`] docs have the
+//!   three layouts);
 //! * [`CommitMsg`] (2) — `⟨COMMIT, V_i, M_i, φ, ψ⟩`, or [`CommitDelta`]
 //!   (3) — the same COMMIT as the entries where its version differs from
 //!   the `commit_version` of the REPLY it answers, sent by a session on
@@ -18,8 +21,8 @@
 //!   server resolves it against the REPLY it cached; nothing past its
 //!   engine sees one.
 //!
-//! Both deltas — and the store's COMMIT records — share one layout,
-//! [`VersionDelta`], sized and written there and read by
+//! The version deltas — and the store's COMMIT records — share one
+//! layout, [`VersionDelta`], sized and written there and read by
 //! [`decode_delta`]. Each delta form is chosen by size alone, so a
 //! message decodes to exactly what was encoded. The encoding is
 //! hand-rolled (length-prefixed, big-endian) so message sizes are exact
@@ -501,12 +504,17 @@ fn decode_version(len: u32, input: &mut &[u8]) -> Result<Version, WireError> {
     Ok(Version::new(v, m))
 }
 
-/// Set in the count word of a read REPLY's `SVER[j]` sent as a
-/// [`VersionDelta`], and in the count of a REPLY's `L` that keeps a tail
-/// of the previous one (see [`ReplyMsg`]). A full version's first length
-/// prefix and a full list's count are at most [`MAX_LEN`] = 2²⁴, so the
-/// full form never has it.
+/// Set in the count word of a REPLY's `SVER[c]` or a read REPLY's
+/// `SVER[j]` sent as a [`VersionDelta`], and in the count of a REPLY's
+/// `L` that keeps a tail of the previous one (see [`ReplyMsg`]). A full
+/// version's first length prefix and a full list's count are at most
+/// [`MAX_LEN`] = 2²⁴, so the full form never has it.
 const DELTA_MARK: u32 = 1 << 31;
+
+/// The whole first word of a REPLY's `SVER[c]` that is, byte for byte,
+/// the recipient's own COMMIT it names (see [`ReplyMsg`]); never the
+/// first length prefix of a full version either.
+const SAME_MARK: u32 = 1 << 30;
 
 /// One entry `(k, V[k], M[k])` of a version, as a delta carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -638,6 +646,11 @@ impl<'a> VersionDelta<'a> {
     /// Writes `mark | count`, then the entries.
     pub fn encode_into<S: Sink>(&self, mark: u32, out: &mut S) {
         (mark | self.count).encode_into(out);
+        self.encode_entries(out);
+    }
+
+    /// Writes the entries alone.
+    fn encode_entries<S: Sink>(&self, out: &mut S) {
         let (t, d) = (self.t, self.d);
         match self.picks {
             Picks::Listed(indices) => {
@@ -746,6 +759,65 @@ pub fn decode_version_against(input: &mut &[u8], base: &Version) -> Result<Versi
     decode_delta(input, count, base.v().as_slice(), base.m().as_slice())
 }
 
+/// A [`VersionDelta`] as it was read before its base is known: the
+/// count and the entries' bytes, their indices checked to strictly
+/// increase. [`RawDelta::resolve`] reads it over the base.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RawDelta {
+    count: u32,
+    entries: Vec<u8>,
+}
+
+impl RawDelta {
+    /// The delta of `entries`, whatever its size.
+    fn listed(entries: &[VersionEntry]) -> Self {
+        let mut bytes = Vec::new();
+        for e in entries {
+            encode_entry(e.client.index(), e.timestamp, &e.digest, &mut bytes);
+        }
+        RawDelta {
+            count: entries.len() as u32,
+            entries: bytes,
+        }
+    }
+
+    /// The entries of `delta`, written once.
+    fn of(delta: &VersionDelta<'_>) -> Self {
+        let mut entries = Vec::with_capacity(delta.len - 4);
+        delta.encode_entries(&mut entries);
+        RawDelta {
+            count: delta.count,
+            entries,
+        }
+    }
+
+    /// Writes `DELTA_MARK | count`, then the entries.
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        (DELTA_MARK | self.count).encode_into(out);
+        out.extend_from_slice(&self.entries);
+    }
+
+    /// Reads `count` entries. A count above 2²⁴ is [`WireError::BadLength`]
+    /// before anything else is read, and nothing is reserved for it.
+    fn decode(count: u32, input: &mut &[u8]) -> Result<Self, WireError> {
+        if u64::from(count) > MAX_LEN {
+            return Err(WireError::BadLength(count.into()));
+        }
+        let start = *input;
+        decode_entries(input, count as usize, usize::MAX, |_, _, _| {})?;
+        Ok(RawDelta {
+            count,
+            entries: start[..start.len() - input.len()].to_vec(),
+        })
+    }
+
+    /// The version this delta stands for over `base` ([`decode_delta`]).
+    fn resolve(&self, base: &Version) -> Result<Version, WireError> {
+        let (t, d) = (base.v().as_slice(), base.m().as_slice());
+        decode_delta(&mut &self.entries[..], self.count as usize, t, d)
+    }
+}
+
 impl Wire for SignedVersion {
     fn encode_into<S: Sink>(&self, out: &mut S) {
         self.version.encode_into(out);
@@ -820,21 +892,20 @@ pub struct ReadReply {
 }
 
 impl ReadReply {
-    /// The read part of a REPLY whose `commit_version` is `base`:
-    /// `SVER[j]`'s version against `base` ([`encode_version_against`]),
-    /// then the rest as is. It has no encoding of its own.
-    fn encode_against<S: Sink>(&self, base: &Version, out: &mut S) {
-        encode_version_against(&self.writer_version.version, base, out);
+    /// Everything of the read part after `SVER[j]`'s version, which
+    /// [`ReplyMsg`] writes in one of its forms.
+    fn encode_rest<S: Sink>(&self, out: &mut S) {
         self.writer_version.sig.encode_into(out);
         self.mem_timestamp.encode_into(out);
         self.mem_value.encode_into(out);
         self.mem_data_sig.encode_into(out);
     }
 
-    fn decode_against(input: &mut &[u8], base: &Version) -> Result<Self, WireError> {
+    /// The read part whose `SVER[j]` version was already read.
+    fn decode_rest(version: Version, input: &mut &[u8]) -> Result<Self, WireError> {
         Ok(ReadReply {
             writer_version: SignedVersion {
-                version: decode_version_against(input, base)?,
+                version,
                 sig: Option::<Signature>::decode_from(input)?,
             },
             mem_timestamp: Timestamp::decode_from(input)?,
@@ -847,14 +918,42 @@ impl ReadReply {
 /// `⟨REPLY, c, SVER[c], [SVER[j], MEM[j],] L, P⟩` — the server's answer to
 /// a SUBMIT.
 ///
-/// A read's `SVER[j]` is encoded as a [`VersionDelta`] against
+/// `SVER[c]` goes in full — as a [`SignedVersion`] — or, when
+/// [`ReplyMsg::against_own`] is set, against one of the recipient's own
+/// COMMITs, named by `t`, the recipient's own entry `V[i]` in it (the
+/// timestamp of the operation it commits):
+///
+/// ```text
+///   full:   V: u32 len | u64^len | M: u32 len | Option<Digest>^len | sig
+///   delta:  (bit 31 | count): u32 | entry^count | t: u64 | sig
+///   marker: bit 30: u32 | t: u64
+/// ```
+///
+/// The name is absolute, not relative to the SUBMIT the REPLY answers,
+/// so a REPLY stands for the same `SVER[c]` whichever operation it is
+/// taken to answer: a replayed or reordered one is checked as what the
+/// server built.
+///
+/// The marker stands for that COMMIT's version and COMMIT-signature both;
+/// the delta is a [`VersionDelta`] against its version, with the
+/// signature `SVER[c]` carries. Only the server's engine sends either
+/// ([`ReplyMsg::commit_against`]), and the client rebuilds the full
+/// `SVER[c]` before any check reads it ([`ReplyMsg::resolve_commit`]).
+/// The full form's first word is at most 2²⁴, and a delta's count too;
+/// anything else is [`WireError::BadLength`].
+///
+/// A read's `SVER[j]` is encoded as a [`VersionDelta`] against the full
 /// `SVER[c]` — the entries where the two differ, after one `u32` that is
 /// bit 31 plus their count — when both have the same arity and the delta
 /// is smaller; otherwise in full, whose first length prefix never has
 /// bit 31 set. Either way `decode(encode(m)) == m`. A delta's indices
 /// must strictly increase, and it may carry at most `n` entries, each
 /// below `n`, the arity of `SVER[c]`; anything else is
-/// [`WireError::BadLength`].
+/// [`WireError::BadLength`]. When `SVER[c]` travels against the
+/// recipient's COMMIT, the arity and the base are known only once it is
+/// rebuilt, so the decoder keeps such a delta as read, checking only
+/// that its indices increase, and [`ReplyMsg::resolve_commit`] applies
+/// the rest.
 ///
 /// `L` goes in full — a count, then the tuples — or, when [`ReplyMsg::kept`]
 /// is `k > 0`, as the tuples that follow the last `k` of the `L` of the
@@ -870,14 +969,21 @@ impl ReadReply {
 /// ([`ReplyMsg::resolve_pending`]); a REPLY with `k = 0` is byte for byte
 /// the full form. Both the count and `k` are at most 2²⁴, and a delta's
 /// `k` is at least 1; anything else is [`WireError::BadLength`].
+///
+/// A REPLY whose `SVER[c]` goes in full and whose `k` is 0 is byte for
+/// byte what every server builds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplyMsg {
     /// `c` — the client that committed the last operation in the schedule.
     pub last_committer: ClientId,
-    /// `SVER[c]` — that client's last committed version.
+    /// `SVER[c]` — that client's last committed version. While
+    /// [`ReplyMsg::against_own`] is set, its version is empty and its
+    /// signature is the one the delta form carries (`None` for the
+    /// marker).
     pub commit_version: SignedVersion,
     /// Read-only extras (`SVER[j]`, `MEM[j]`) — present iff the submitted
-    /// operation was a read.
+    /// operation was a read. While [`ReplyMsg::against_own`] is set and
+    /// `SVER[j]` came as a delta, its version is empty.
     pub read: Option<ReadReply>,
     /// `L` — invocation tuples of submitted-but-uncommitted (concurrent)
     /// operations, oldest first; with `kept > 0`, only those after the
@@ -893,17 +999,82 @@ pub struct ReplyMsg {
     /// Algorithm 1 reads; the rest, and a slot before its client's first
     /// commit, are `None`.
     pub proofs: Vec<Option<Signature>>,
+    /// How `SVER[c]` travelled against the recipient's own COMMIT, until
+    /// [`ReplyMsg::resolve_commit`] rebuilds it. `None` (the full form)
+    /// in every REPLY a server builds.
+    pub against_own: Option<AgainstOwn>,
+}
+
+/// A REPLY's `SVER[c]` as sent against one of its recipient's own
+/// COMMITs (see [`ReplyMsg`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AgainstOwn {
+    /// `t` — the COMMIT named is the recipient's for its operation at
+    /// timestamp `t`, its own entry `V[i]`.
+    pub base: Timestamp,
+    /// `SVER[c]`'s version as the entries where it differs from that
+    /// COMMIT's; `None` for the marker.
+    delta: Option<RawDelta>,
+    /// A read's `SVER[j]` as a delta against the full `SVER[c]`.
+    writer: Option<RawDelta>,
+}
+
+impl AgainstOwn {
+    /// `SVER[c]` against the COMMIT at `base`: as the marker when `delta`
+    /// is `None`, else as the entries `delta`; and a read's `SVER[j]` as
+    /// the entries `writer`, if given. Entries go in strictly increasing
+    /// `k`, whatever their size: the engine uses
+    /// [`ReplyMsg::commit_against`], which picks them and a form.
+    pub fn new(
+        base: Timestamp,
+        delta: Option<&[VersionEntry]>,
+        writer: Option<&[VersionEntry]>,
+    ) -> Self {
+        AgainstOwn {
+            base,
+            delta: delta.map(RawDelta::listed),
+            writer: writer.map(RawDelta::listed),
+        }
+    }
+
+    /// Whether `SVER[c]` is the named COMMIT byte for byte — its version
+    /// and its COMMIT-signature — and travelled as the marker alone.
+    pub fn is_marker(&self) -> bool {
+        self.delta.is_none()
+    }
 }
 
 impl Wire for ReplyMsg {
     fn encode_into<S: Sink>(&self, out: &mut S) {
         self.last_committer.encode_into(out);
-        self.commit_version.encode_into(out);
+        match &self.against_own {
+            None => self.commit_version.encode_into(out),
+            Some(own) => match &own.delta {
+                None => {
+                    SAME_MARK.encode_into(out);
+                    own.base.encode_into(out);
+                }
+                Some(delta) => {
+                    delta.encode_into(out);
+                    own.base.encode_into(out);
+                    self.commit_version.sig.encode_into(out);
+                }
+            },
+        }
         match &self.read {
             None => out.push(0),
             Some(read) => {
                 out.push(1);
-                read.encode_against(&self.commit_version.version, out);
+                let writer = &read.writer_version.version;
+                match &self.against_own {
+                    None => encode_version_against(writer, &self.commit_version.version, out),
+                    Some(AgainstOwn {
+                        writer: Some(delta),
+                        ..
+                    }) => delta.encode_into(out),
+                    Some(_) => writer.encode_into(out),
+                }
+                read.encode_rest(out);
             }
         }
         if self.kept == 0 {
@@ -919,10 +1090,49 @@ impl Wire for ReplyMsg {
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
         let last_committer = ClientId::decode_from(input)?;
-        let commit_version = SignedVersion::decode_from(input)?;
+        let word = u32::decode_from(input)?;
+        let (commit_version, mut against_own) = if word == SAME_MARK {
+            let own = AgainstOwn {
+                base: Timestamp::decode_from(input)?,
+                delta: None,
+                writer: None,
+            };
+            (SignedVersion::initial(0), Some(own))
+        } else if word & DELTA_MARK != 0 {
+            let delta = Some(RawDelta::decode(word & !DELTA_MARK, input)?);
+            let base = Timestamp::decode_from(input)?;
+            let commit_version = SignedVersion {
+                version: Version::initial(0),
+                sig: Option::<Signature>::decode_from(input)?,
+            };
+            let own = AgainstOwn {
+                base,
+                delta,
+                writer: None,
+            };
+            (commit_version, Some(own))
+        } else {
+            let commit_version = SignedVersion {
+                version: decode_version(word, input)?,
+                sig: Option::<Signature>::decode_from(input)?,
+            };
+            (commit_version, None)
+        };
         let read = match u8::decode_from(input)? {
             0 => None,
-            1 => Some(ReadReply::decode_against(input, &commit_version.version)?),
+            1 => {
+                let version = match &mut against_own {
+                    None => decode_version_against(input, &commit_version.version)?,
+                    Some(own) => match u32::decode_from(input)? {
+                        word if word & DELTA_MARK != 0 => {
+                            own.writer = Some(RawDelta::decode(word & !DELTA_MARK, input)?);
+                            Version::initial(0)
+                        }
+                        word => decode_version(word, input)?,
+                    },
+                };
+                Some(ReadReply::decode_rest(version, input)?)
+            }
             t => return Err(WireError::BadTag(t)),
         };
         let word = u32::decode_from(input)?;
@@ -943,6 +1153,7 @@ impl Wire for ReplyMsg {
             pending: decode_elements(len, reserve, input)?,
             kept,
             proofs: Vec::<Option<Signature>>::decode_from(input)?,
+            against_own,
         })
     }
 }
@@ -954,8 +1165,10 @@ impl ReplyMsg {
     /// that are the tail of `base` leave `pending` and are counted in
     /// [`ReplyMsg::kept`]. The tail starts where `base` holds `L`'s first
     /// tuple and is checked tuple for tuple, so only a verified overlap
-    /// is kept; with none, `L` stays in full. Both lists keep their
-    /// buffers.
+    /// is kept; with none, `L` stays in full. The two lists trade
+    /// buffers: `base` takes `L` as it is, and only the tuples after the
+    /// kept ones are copied, into `base`'s old buffer, which becomes
+    /// `pending`.
     pub fn keep_from(&mut self, base: &mut Vec<InvocationTuple>) {
         let tail = self
             .pending
@@ -964,8 +1177,9 @@ impl ReplyMsg {
             .map(|at| &base[at..])
             .filter(|tail| self.pending.starts_with(tail));
         let kept = tail.map_or(0, <[_]>::len);
-        base.clone_from(&self.pending);
-        self.pending.drain(..kept);
+        base.clear();
+        base.extend_from_slice(&self.pending[kept..]);
+        std::mem::swap(base, &mut self.pending);
         self.kept = kept as u32;
     }
 
@@ -992,6 +1206,93 @@ impl ReplyMsg {
         base.append(&mut self.pending);
         self.pending = base;
         self.kept = 0;
+        Ok(())
+    }
+
+    /// Sends `SVER[c]` against `base` — the recipient's own COMMIT, its
+    /// version and COMMIT-signature, of its operation at timestamp `t`:
+    /// as the marker when the two are equal, which for these types is
+    /// equal byte for byte; else as a delta plus `SVER[c]`'s signature
+    /// when that is smaller than the full form; else not at all (the
+    /// REPLY is left as it is). A read's `SVER[j]` keeps the form it has
+    /// against the full `SVER[c]`.
+    pub fn commit_against(&mut self, t: Timestamp, base: &SignedVersion) {
+        if self.against_own.is_some() {
+            return;
+        }
+        let delta = if self.commit_version == *base {
+            None
+        } else {
+            let (version, base) = (&self.commit_version.version, &base.version);
+            let (v, m) = (version.v().as_slice(), version.m().as_slice());
+            // The delta form costs 12 + 4·D bytes besides the `D` entries
+            // it carries, the full form 8 besides all `n`: it is smaller
+            // only while 4 + 4·D is less than the `n − D` entries left
+            // out, 41 bytes at most each. The moved timestamps, a lower
+            // bound on `D`, settle that without the walk for a sequential
+            // REPLY at n = 64 whose `c` is another client.
+            let moved = v.iter().zip(base.v().as_slice()).filter(|(a, b)| a != b);
+            let moved = moved.count();
+            if 4 + 4 * moved >= 41 * (v.len() - moved) {
+                return;
+            }
+            let delta = VersionDelta::against(v, m, base.v().as_slice(), base.m().as_slice());
+            // The delta form also carries `t`.
+            match delta.filter(|delta| delta.len + 8 < delta.full) {
+                Some(delta) => Some(RawDelta::of(&delta)),
+                None => return,
+            }
+        };
+        let version = std::mem::replace(&mut self.commit_version.version, Version::initial(0));
+        if delta.is_none() {
+            self.commit_version.sig = None;
+        }
+        let writer = self.read.as_mut().and_then(|read| {
+            let writer = &mut read.writer_version.version;
+            let (v, m) = (writer.v().as_slice(), writer.m().as_slice());
+            let delta = VersionDelta::against(v, m, version.v().as_slice(), version.m().as_slice());
+            let delta = RawDelta::of(&delta.filter(VersionDelta::is_smaller)?);
+            *writer = Version::initial(0);
+            Some(delta)
+        });
+        self.against_own = Some(AgainstOwn {
+            base: t,
+            delta,
+            writer,
+        });
+    }
+
+    /// Rebuilds a REPLY's `SVER[c]` sent by [`ReplyMsg::commit_against`],
+    /// given `base`, the recipient's own COMMIT that
+    /// [`AgainstOwn::base`] names — its version and COMMIT-signature —
+    /// and a read's `SVER[j]` over the rebuilt `SVER[c]`. A REPLY whose
+    /// `SVER[c]` came in full is left as it is.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_delta`] for either delta over its base: a count above
+    /// the base's arity or an index at or past it. The REPLY is then
+    /// left as it is.
+    pub fn resolve_commit(&mut self, base: &Version, sig: Signature) -> Result<(), WireError> {
+        let Some(own) = &self.against_own else {
+            return Ok(());
+        };
+        let version = match &own.delta {
+            None => base.clone(),
+            Some(delta) => delta.resolve(base)?,
+        };
+        let writer = match &own.writer {
+            Some(delta) => Some(delta.resolve(&version)?),
+            None => None,
+        };
+        if let (Some(read), Some(writer)) = (&mut self.read, writer) {
+            read.writer_version.version = writer;
+        }
+        if own.is_marker() {
+            self.commit_version.sig = Some(sig);
+        }
+        self.commit_version.version = version;
+        self.against_own = None;
         Ok(())
     }
 }
@@ -1265,6 +1566,7 @@ mod tests {
                 sig: sig(5),
             }],
             kept: 0,
+            against_own: None,
             proofs: vec![Some(sig(6)), None, Some(sig(7))],
         }
     }
@@ -1438,6 +1740,7 @@ mod tests {
             read: None,
             pending: vec![],
             kept: 0,
+            against_own: None,
             proofs: vec![None],
         };
         let mut body = UstorMsg::Reply(honest).encode();

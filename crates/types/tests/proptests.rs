@@ -10,9 +10,9 @@ use faust_crypto::{sha256, Digest};
 use faust_sim::SmallRng;
 use faust_types::frame::{frame_bytes, FrameDecoder};
 use faust_types::{
-    ClientId, CommitDelta, CommitMsg, DigestVec, History, InvocationTuple, OpKind, ReadReply,
-    ReplyMsg, SignedVersion, SubmitMsg, TimestampVec, UstorMsg, Value, Version, VersionCmp,
-    VersionEntry, Wire, WireError,
+    AgainstOwn, ClientId, CommitDelta, CommitMsg, DigestVec, History, InvocationTuple, OpKind,
+    ReadReply, ReplyMsg, SignedVersion, SubmitMsg, TimestampVec, UstorMsg, Value, Version,
+    VersionCmp, VersionEntry, Wire, WireError,
 };
 
 const N: usize = 4;
@@ -117,7 +117,35 @@ fn near_version(rng: &mut SmallRng, base: &Version, share: f64) -> Version {
     Version::new(TimestampVec::from_vec(v), DigestVec::from_vec(m))
 }
 
+/// A REPLY as the engine may send it: a third have `SVER[c]` sent
+/// against a COMMIT of the recipient's ([`own_commit_near`]).
 fn arb_reply(rng: &mut SmallRng) -> ReplyMsg {
+    let mut reply = arb_full_reply(rng);
+    if rng.gen_bool(0.3) {
+        let base = own_commit_near(rng, &reply.commit_version);
+        reply.commit_against(rng.next_u64() >> 8, &base);
+    }
+    reply
+}
+
+/// A COMMIT of a REPLY's recipient that `signed`, the REPLY's `SVER[c]`,
+/// may be sent against: half the time `signed` itself, signed (the
+/// marker), else a version near it (mostly a delta).
+fn own_commit_near(rng: &mut SmallRng, signed: &SignedVersion) -> SignedVersion {
+    match rng.gen_bool(0.5) {
+        true => SignedVersion {
+            version: signed.version.clone(),
+            sig: Some(signed.sig.unwrap_or_else(|| arb_sig(rng))),
+        },
+        false => SignedVersion {
+            version: near_version(rng, &signed.version, 0.25),
+            sig: Some(arb_sig(rng)),
+        },
+    }
+}
+
+/// A REPLY as a server builds it: `SVER[c]` in full.
+fn arb_full_reply(rng: &mut SmallRng) -> ReplyMsg {
     let commit_version = arb_signed_version(rng);
     // Half the reads carry `SVER[j]` close to `SVER[c]`: the delta form.
     let writer_version = |rng: &mut SmallRng| match rng.gen_bool(0.5) {
@@ -148,6 +176,7 @@ fn arb_reply(rng: &mut SmallRng) -> ReplyMsg {
         proofs: (0..N)
             .map(|_| rng.gen_bool(0.5).then(|| arb_sig(rng)))
             .collect(),
+        against_own: None,
     }
 }
 
@@ -700,13 +729,6 @@ mod reference {
         Ok(entries)
     }
 
-    fn signed_version(input: &mut &[u8]) -> Decoded<SignedVersion> {
-        Ok(SignedVersion {
-            version: version(input)?,
-            sig: option(input, signature)?,
-        })
-    }
-
     fn commit_body(input: &mut &[u8]) -> Decoded<CommitMsg> {
         Ok(CommitMsg {
             version: version(input)?,
@@ -725,10 +747,11 @@ mod reference {
         })
     }
 
-    fn read_reply(input: &mut &[u8], base: &Version) -> Decoded<ReadReply> {
+    /// A read part whose `SVER[j]` version was already read.
+    fn read_rest(version: Version, input: &mut &[u8]) -> Decoded<ReadReply> {
         Ok(ReadReply {
             writer_version: SignedVersion {
-                version: version_against(input, base)?,
+                version,
                 sig: option(input, signature)?,
             },
             mem_timestamp: long(input)?,
@@ -737,12 +760,55 @@ mod reference {
         })
     }
 
+    /// A delta kept before its base is known: the count in `first`
+    /// (bit 31 set), at most 2²⁴, then its entries.
+    fn raw_entries(input: &mut &[u8], first: u32) -> Decoded<Vec<VersionEntry>> {
+        let count = u64::from(first & !(1 << 31));
+        if count > MAX_LEN {
+            return Err(WireError::BadLength(count));
+        }
+        entries(input, count as usize)
+    }
+
+    /// A REPLY's `SVER[c]`: bit 30 alone is the marker, then the name
+    /// `t`; bit 31 marks a delta — its count in the low bits, the
+    /// entries, `t`, then the signature; anything else is the full form.
     fn reply_body(input: &mut &[u8]) -> Decoded<ReplyMsg> {
         let last_committer = client(input)?;
-        let commit_version = signed_version(input)?;
+        let first = word(input)?;
+        let (commit_version, own) = if first == 1 << 30 {
+            (SignedVersion::initial(0), Some((long(input)?, None)))
+        } else if first & (1 << 31) != 0 {
+            let delta = raw_entries(input, first)?;
+            let t = long(input)?;
+            let signed = SignedVersion {
+                version: Version::initial(0),
+                sig: option(input, signature)?,
+            };
+            (signed, Some((t, Some(delta))))
+        } else {
+            let signed = SignedVersion {
+                version: version_after(first, input)?,
+                sig: option(input, signature)?,
+            };
+            (signed, None)
+        };
+        let mut writer = None;
         let read = match byte(input)? {
             0 => None,
-            1 => Some(read_reply(input, &commit_version.version)?),
+            1 => {
+                let version = match own {
+                    None => version_against(input, &commit_version.version)?,
+                    Some(_) => match word(input)? {
+                        first if first & (1 << 31) != 0 => {
+                            writer = Some(raw_entries(input, first)?);
+                            Version::initial(0)
+                        }
+                        first => version_after(first, input)?,
+                    },
+                };
+                Some(read_rest(version, input)?)
+            }
             t => return Err(WireError::BadTag(t)),
         };
         let (kept, pending) = pending_list(input)?;
@@ -753,6 +819,8 @@ mod reference {
             pending,
             kept,
             proofs: vec(input, |input| option(input, signature))?,
+            against_own: own
+                .map(|(t, delta)| AgainstOwn::new(t, delta.as_deref(), writer.as_deref())),
         })
     }
 
@@ -936,7 +1004,27 @@ fn shaped_reply(rng: &mut SmallRng, shape: Shape, near: bool) -> ReplyMsg {
         proofs: (0..shape.n)
             .map(|_| rng.gen_bool(0.8).then(|| shaped_sig(rng, shape)))
             .collect(),
+        against_own: None,
     }
+}
+
+/// A REPLY for `shape` with `SVER[c]` sent against a COMMIT of its
+/// recipient's: the marker, or a delta against a version near `SVER[c]`
+/// (which may come out full where that is not smaller, as at n = 1),
+/// with a read's `SVER[j]` near `SVER[c]`.
+fn sent_against_own(rng: &mut SmallRng, shape: Shape, marker: bool) -> ReplyMsg {
+    let mut reply = shaped_reply(rng, shape, !marker);
+    let signed = &mut reply.commit_version;
+    let sig = *signed.sig.get_or_insert_with(|| shaped_sig(rng, shape));
+    let base = SignedVersion {
+        version: match marker {
+            true => signed.version.clone(),
+            false => near_version(rng, &signed.version, 0.25),
+        },
+        sig: Some(sig),
+    };
+    reply.commit_against(rng.next_u64() >> 20, &base);
+    reply
 }
 
 /// Every shape the differential tests run: n ∈ {1, 2, 5, 64} × |L| ∈
@@ -1000,7 +1088,9 @@ fn assert_decoders_agree<T: Wire + PartialEq + std::fmt::Debug>(
 
 #[test]
 fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
-    for (case, shape) in shapes().into_iter().enumerate() {
+    let mut swept_deltas = 0;
+    let shapes = shapes();
+    for (case, &shape) in shapes.iter().enumerate() {
         let rng = &mut SmallRng::seed_from_u64(0xD1FF ^ case as u64);
         let submit = shaped_submit(rng, shape);
         let reply = shaped_reply(rng, shape, false);
@@ -1014,6 +1104,17 @@ fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
             ..shaped_reply(rng, shape, shape.extras)
         };
         assert_decoders_agree(reference::reply, &kept.encode(), shape);
+        // `SVER[c]` as the marker, and as a delta whose read part keeps
+        // `SVER[j]`'s delta as it came.
+        let marker = sent_against_own(rng, shape, true);
+        let own_delta = sent_against_own(rng, shape, false);
+        assert!(marker
+            .against_own
+            .as_ref()
+            .is_some_and(AgainstOwn::is_marker));
+        swept_deltas += usize::from(own_delta.against_own.is_some());
+        assert_decoders_agree(reference::reply, &marker.encode(), shape);
+        assert_decoders_agree(reference::reply, &own_delta.encode(), shape);
         assert_decoders_agree(reference::submit, &submit.encode(), shape);
         assert_decoders_agree(reference::reply, &reply.encode(), shape);
         assert_decoders_agree(reference::commit, &commit.encode(), shape);
@@ -1033,6 +1134,8 @@ fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
             UstorMsg::Reply(reply),
             UstorMsg::Reply(near),
             UstorMsg::Reply(kept),
+            UstorMsg::Reply(marker),
+            UstorMsg::Reply(own_delta),
             UstorMsg::Commit(commit),
             UstorMsg::CommitDelta(delta),
         ] {
@@ -1041,6 +1144,7 @@ fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
             assert_eq!(reference::msg(&bytes), Ok(msg));
         }
     }
+    assert!(swept_deltas > shapes.len() / 2, "{swept_deltas}");
 }
 
 /// What [`FrameDecoder`] must make of one whole frame around `payload`.
@@ -1082,6 +1186,8 @@ fn frame_decoder_agrees_with_the_reference_at_every_split_point() {
                 kept: 1 + rng.gen_index(31) as u32,
                 ..shaped_reply(rng, shape, false)
             }),
+            UstorMsg::Reply(sent_against_own(rng, shape, true)),
+            UstorMsg::Reply(sent_against_own(rng, shape, false)),
         ];
         for msg in msgs {
             let frame = frame_bytes(&msg);
@@ -1299,4 +1405,163 @@ fn a_pending_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
         far.resolve_pending(base),
         Err(WireError::BadLength(max.into()))
     );
+}
+
+/// `SVER[c]` sent against a COMMIT of the recipient's and rebuilt from it
+/// again is `SVER[c]`: the marker when the two are the same bytes, else a
+/// delta when that is smaller, else the REPLY as it was. A read's
+/// `SVER[j]` keeps its form against the full `SVER[c]`, so it costs the
+/// same bytes as before.
+#[test]
+fn sver_sent_against_the_recipients_own_commit_resolves_to_itself() {
+    let (mut markers, mut deltas) = (0, 0);
+    for_cases("against own", |rng| {
+        let full = arb_full_reply(rng);
+        let base = own_commit_near(rng, &full.commit_version);
+        let t = rng.next_u64() >> 8;
+        let mut sent = full.clone();
+        sent.commit_against(t, &base);
+        let Some(own) = sent.against_own.clone() else {
+            // Left in full: byte for byte what the server built.
+            assert_ne!(full.commit_version, base);
+            assert_eq!(sent.encode(), full.encode());
+            return;
+        };
+        assert_eq!(own.base, t);
+        let saved = full.encoded_len() - sent.encoded_len();
+        if own.is_marker() {
+            markers += 1;
+            assert_eq!(full.commit_version, base);
+            assert_eq!(saved, full.commit_version.encoded_len() - 12);
+        } else {
+            deltas += 1;
+            assert!(saved > 0);
+        }
+        let mut got = ReplyMsg::decode(&sent.encode()).unwrap();
+        assert_eq!(got, sent);
+        got.resolve_commit(&base.version, base.sig.unwrap())
+            .unwrap();
+        assert_eq!(got, full);
+        // Rebuilt, it encodes as the full REPLY; a full one resolves to
+        // itself against anything.
+        assert_eq!(got.encode(), full.encode());
+        got.resolve_commit(&Version::initial(1), faust_crypto::Signature::garbage())
+            .unwrap();
+        assert_eq!(got, full);
+    });
+    assert!(
+        markers > CASES / 8 && deltas > CASES / 8,
+        "{markers} {deltas}"
+    );
+}
+
+/// A delta-form `SVER[c]` — or a read's `SVER[j]` behind one — whose
+/// count is beyond 2²⁴ is [`WireError::BadLength`] before an entry is
+/// read; one within bounds that the bytes do not back is
+/// [`WireError::Truncated`], with nothing reserved for it; indices that do
+/// not increase are `BadLength` of the first that does not. Bits other
+/// than the marker's beside bit 30 read as an implausible full length.
+/// Against its base, a count above the arity or an index at or past it is
+/// `BadLength` too, and the REPLY is left as it came.
+#[test]
+fn an_own_commit_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
+    const MARK: u32 = 1 << 31;
+    let max = 1u32 << 24;
+    let rng = &mut SmallRng::seed_from_u64(0x0B5E);
+    let shape = Shape {
+        n: 4,
+        pending: 0,
+        ed25519: false,
+        extras: true,
+    };
+    let full = shaped_reply(rng, shape, true);
+    let base = SignedVersion {
+        version: near_version(rng, &full.commit_version.version, 0.3),
+        sig: Some(shaped_sig(rng, shape)),
+    };
+    let mut reply = full.clone();
+    reply.commit_against(7, &base);
+    assert!(reply.against_own.is_some());
+    let honest = reply.encode();
+    // SVER[c]'s count word follows `c`; SVER[j]'s the read tag.
+    let count = u32::from_be_bytes(honest[4..8].try_into().unwrap());
+    assert_eq!(count & MARK, MARK);
+    let both = |bytes: &[u8]| {
+        let got = ReplyMsg::decode(bytes);
+        assert_eq!(got, reference::reply(bytes));
+        got
+    };
+    let with_word = |at: usize, word: u32| {
+        let mut bytes = honest.clone();
+        bytes[at..at + 4].copy_from_slice(&word.to_be_bytes());
+        bytes
+    };
+    for word in [MARK | (max + 1), MARK | !MARK] {
+        let got = both(&with_word(4, word));
+        assert_eq!(got, Err(WireError::BadLength(u64::from(word & !MARK))));
+    }
+    for word in [(1 << 30) | 1, (1 << 30) | MARK] {
+        assert!(matches!(
+            both(&with_word(4, word)),
+            Err(WireError::BadLength(_))
+        ));
+    }
+    // 2²⁴ entries claimed, one there; two entries in the wrong order.
+    let entry = |k: u32| [&k.to_be_bytes()[..], &1u64.to_be_bytes(), &[0]].concat();
+    let claim = |word: u32, entries: &[u32]| {
+        let mut bytes = honest[..4].to_vec();
+        bytes.extend_from_slice(&word.to_be_bytes());
+        entries.iter().for_each(|&k| bytes.extend(entry(k)));
+        bytes
+    };
+    assert_eq!(both(&claim(MARK | max, &[0])), Err(WireError::Truncated));
+    assert_eq!(
+        both(&claim(MARK | 2, &[2, 1])),
+        Err(WireError::BadLength(1))
+    );
+    // The read's SVER[j], when it is a delta against the unknown SVER[c].
+    let own = reply.against_own.as_ref().unwrap();
+    let saved = full.encoded_len() - honest.len();
+    let writer_at = 4 + full.commit_version.encoded_len() - saved + 1;
+    let writer = u32::from_be_bytes(honest[writer_at..writer_at + 4].try_into().unwrap());
+    if writer & MARK != 0 {
+        let got = both(&with_word(writer_at, MARK | (max + 1)));
+        assert_eq!(got, Err(WireError::BadLength(u64::from(max) + 1)));
+    }
+    assert_eq!(own.base, 7);
+    // Hostile deltas that decode, against the base they name.
+    let at = |k: u32, t: u64| VersionEntry {
+        client: ClientId::new(k),
+        timestamp: t,
+        digest: None,
+    };
+    let hostile = [
+        (
+            AgainstOwn::new(
+                7,
+                Some(&[at(0, 1), at(1, 1), at(2, 1), at(3, 1), at(9, 1)]),
+                None,
+            ),
+            WireError::BadLength(5),
+        ),
+        (
+            AgainstOwn::new(7, Some(&[at(4, 1)]), None),
+            WireError::BadLength(4),
+        ),
+        (
+            AgainstOwn::new(7, Some(&[at(1, 1)]), Some(&[at(64, 1)])),
+            WireError::BadLength(64),
+        ),
+    ];
+    for (own, error) in hostile {
+        let sent = ReplyMsg {
+            against_own: Some(own),
+            ..reply.clone()
+        };
+        let mut got = both(&sent.encode()).unwrap();
+        assert_eq!(got, sent);
+        let sig = faust_crypto::Signature::garbage();
+        assert_eq!(got.resolve_commit(&base.version, sig), Err(error));
+        assert_eq!(got, sent);
+    }
 }

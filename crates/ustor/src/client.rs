@@ -64,10 +64,12 @@
 //! nothing to configure. Per PROOF slot it keeps the signature bytes
 //! last seen and the digest they were *verified* to vouch (`Peer`;
 //! `docs/trust-model.md` has the inference rule). A reply costs (new
-//! tuples) + (changed PROOF slots) + O(1) signature verifications, and
-//! the state is at most `|L|` steps — and `L` itself, which the next
-//! reply may keep a tail of — plus `max_pipeline + 1` digests per
-//! client, whatever the run length.
+//! tuples) + (changed PROOF slots) + O(1) signature verifications — the
+//! O(1) is zero when `SVER[c]` comes as the marker for one of the
+//! client's own COMMITs, which it signed itself — and the state is at
+//! most `|L|` steps — and `L` itself, which the next reply may keep a
+//! tail of — plus `max_pipeline + 1` digests per client and as many of
+//! the client's own COMMITs, whatever the run length.
 
 use crate::fault::Fault;
 use faust_crypto::chain::chain_extend;
@@ -298,6 +300,25 @@ pub struct UstorClient {
     /// as a list so the next reply's kept tail is rebuilt in its buffer
     /// ([`ReplyMsg::resolve_pending`]).
     last_pending: Vec<InvocationTuple>,
+    /// This client's last COMMITs, oldest first, at most
+    /// `max_pipeline + 1`: the ones a reply's `SVER[c]` may be sent
+    /// against ([`ReplyMsg::resolve_commit`]). The server names the last
+    /// COMMIT it had from us before the SUBMIT it answers, and while
+    /// that SUBMIT is in flight at most `max_pipeline - 1` replies, each
+    /// making one COMMIT, are processed before its own.
+    commits: VecDeque<OwnCommit>,
+}
+
+/// One of this client's COMMITs, as [`UstorClient::own_commit`] finds it:
+/// by `t`, its own entry.
+#[derive(Debug, Clone)]
+struct OwnCommit {
+    t: Timestamp,
+    sig: Signature,
+    /// The version signed; `None` while it is the client's current
+    /// version. A sequential client's only nameable COMMIT is that one,
+    /// so it copies none, and keeps the version its next reply replaces.
+    version: Option<Version>,
 }
 
 /// One step of lines 39–45 that passed its checks: `tuple`'s
@@ -435,6 +456,59 @@ impl UstorClient {
             run: VecDeque::new(),
             peers: vec![Peer::default(); n],
             last_pending: Vec::new(),
+            commits: VecDeque::new(),
+        }
+    }
+
+    /// Hands a restored client the COMMITs it sent before it was saved
+    /// and will send again on its new connection (oldest first), so a
+    /// reply may name them. A client that keeps running needs no call:
+    /// it records every COMMIT it makes.
+    pub fn resume_commits<'a>(&mut self, commits: impl IntoIterator<Item = &'a CommitMsg>) {
+        for commit in commits {
+            self.remember(commit, true);
+        }
+    }
+
+    /// Records a COMMIT this client is sending, its version copied only
+    /// if it can be named once the current version has moved on.
+    fn sent(&mut self, commit: &CommitMsg) {
+        let own = |version: &Version| version.v().as_slice().get(self.id.index()).copied();
+        let current = self.max_pipeline == 1 && own(&commit.version) == own(&self.version);
+        self.remember(commit, !current);
+    }
+
+    /// Records `commit`, with a copy of its version if `copy`: into the
+    /// buffers of the oldest one, if that leaves.
+    fn remember(&mut self, commit: &CommitMsg, copy: bool) {
+        let Some(&t) = commit.version.v().as_slice().get(self.id.index()) else {
+            return;
+        };
+        let mut spare = match self.commits.len() > self.max_pipeline {
+            true => self.commits.pop_front().and_then(|oldest| oldest.version),
+            false => None,
+        };
+        let version = copy.then(|| match spare.take() {
+            Some(mut spare) => {
+                spare.clone_from(&commit.version);
+                spare
+            }
+            None => commit.version.clone(),
+        });
+        self.commits.push_back(OwnCommit {
+            t,
+            sig: commit.commit_sig,
+            version,
+        });
+    }
+
+    /// This client's COMMIT of its operation at timestamp `t`, its
+    /// version and COMMIT-signature, if it still holds it.
+    fn own_commit(&self, t: Timestamp) -> Option<(&Version, Signature)> {
+        let commit = self.commits.iter().rev().find(|c| c.t == t)?;
+        match &commit.version {
+            Some(version) => Some((version, commit.sig)),
+            None => (self.version.v().get(self.id) == t).then_some((&self.version, commit.sig)),
         }
     }
 
@@ -470,9 +544,10 @@ impl UstorClient {
     /// the client goes idle, so the server's pending list is
     /// garbage-collected even when no further operation follows.
     pub fn take_held_commit(&mut self) -> Option<CommitMsg> {
-        self.held_commit_version
-            .take()
-            .map(|version| sign_commit(&self.keypair, self.id, version))
+        let version = self.held_commit_version.take()?;
+        let commit = sign_commit(&self.keypair, self.id, version);
+        self.sent(&commit);
+        Some(commit)
     }
 
     /// The current commit transmission strategy.
@@ -626,13 +701,29 @@ impl UstorClient {
         reply
             .resolve_pending(base)
             .map_err(|_| Fault::MalformedReply("pending list keeps more than the last reply's"))?;
+        // So may `SVER[c]` name one of our own COMMITs. Rebuilt byte for
+        // byte from it and attributed to us, it is what we signed: line
+        // 35 has nothing to verify.
+        let signed_by_us = match &reply.against_own {
+            None => false,
+            Some(own) => {
+                let marker = own.is_marker();
+                let (version, sig) = self.own_commit(own.base).ok_or(Fault::MalformedReply(
+                    "commit version names no COMMIT we hold",
+                ))?;
+                reply
+                    .resolve_commit(version, sig)
+                    .map_err(|_| Fault::MalformedReply("commit version delta out of range"))?;
+                marker && reply.last_committer == self.id
+            }
+        };
         self.validate_shape(&reply, &op)?;
         // Line 51's first conjunct reads (V^c, M^c), which the fold
         // below overwrites; evaluated here, raised in its place.
         let committed = &reply.commit_version.version;
         let read = reply.read.as_ref();
         let writer_in_history = read.is_none_or(|r| r.writer_version.version.le(committed));
-        self.update_version(&mut reply, op.timestamp)?;
+        self.update_version(&mut reply, op.timestamp, signed_by_us)?;
         self.last_pending = std::mem::take(&mut reply.pending);
         let read_value = match &reply.read {
             Some(read) if op.kind == OpKind::Read => {
@@ -646,7 +737,9 @@ impl UstorClient {
         // `held_commit_version`).
         let commit = match self.commit_mode {
             CommitMode::Immediate => {
-                Some(sign_commit(&self.keypair, self.id, self.version.clone()))
+                let commit = sign_commit(&self.keypair, self.id, self.version.clone());
+                self.sent(&commit);
+                Some(commit)
             }
             CommitMode::Piggyback => {
                 self.held_commit_version = Some(self.version.clone());
@@ -739,14 +832,21 @@ impl UstorClient {
     /// Algorithm 1, `updateVersion` (lines 34–47), generalized to the
     /// pipelined window (see the module docs). At `max_pipeline == 1`
     /// every check is exactly the paper's, in the paper's order.
-    fn update_version(&mut self, reply: &mut ReplyMsg, own_t: Timestamp) -> Result<(), Fault> {
+    /// `signed_by_us`: `SVER[c]` is, byte for byte, a COMMIT of ours and
+    /// `c` is us, so line 35 holds without a verification.
+    fn update_version(
+        &mut self,
+        reply: &mut ReplyMsg,
+        own_t: Timestamp,
+        signed_by_us: bool,
+    ) -> Result<(), Fault> {
         let c = reply.last_committer;
         let signed = &reply.commit_version;
         let sequential = self.max_pipeline <= 1;
 
         // Line 35: the version is the initial one or carries a valid
         // COMMIT-signature by C_c.
-        if !signed.version.is_initial() {
+        if !signed_by_us && !signed.version.is_initial() {
             let bytes = signed.version.signing_bytes();
             let valid = signed
                 .sig
@@ -855,6 +955,14 @@ impl UstorClient {
             return Err(Fault::VersionRegression);
         }
         std::mem::swap(&mut self.version, candidate);
+        // The version replaced is that of our last COMMIT, if a
+        // sequential client sent it: kept, a replayed reply naming it
+        // still reads as what the server built.
+        let replaced = candidate.v().get(self.id);
+        let sent = self.commits.iter_mut();
+        if let Some(commit) = sent.rev().find(|c| c.version.is_none() && c.t == replaced) {
+            commit.version = Some(std::mem::replace(candidate, Version::initial(0)));
+        }
         Ok(())
     }
 
@@ -976,6 +1084,7 @@ mod tests {
             read: None,
             pending: vec![],
             kept: 0,
+            against_own: None,
             proofs: vec![None, None],
         };
         assert_eq!(c.handle_reply(reply), Err(Fault::UnsolicitedReply));
@@ -990,6 +1099,7 @@ mod tests {
             read: None,
             pending: vec![],
             kept: 0,
+            against_own: None,
             proofs: vec![None, None],
         };
         let _ = c.handle_reply(reply); // unsolicited → halt
@@ -1009,6 +1119,7 @@ mod tests {
             read: None,
             pending: vec![],
             kept: 0,
+            against_own: None,
             proofs: vec![None, None, None],
         };
         assert_eq!(
@@ -1366,5 +1477,155 @@ mod tests {
             }
         }
         assert!(peak > depth, "the state was exercised: peak {peak}");
+    }
+
+    /// `reply` with `SVER[c]` sent against `commit`, a COMMIT of client
+    /// `owner`'s, as the engine sends it.
+    fn sent_against(mut reply: ReplyMsg, commit: &CommitMsg, owner: ClientId) -> ReplyMsg {
+        let base = SignedVersion {
+            version: commit.version.clone(),
+            sig: Some(commit.commit_sig),
+        };
+        reply.commit_against(commit.version.v().get(owner), &base);
+        reply
+    }
+
+    /// Signature verifications `client` runs on `reply`, and its verdict.
+    fn verifications(
+        client: &mut UstorClient,
+        reply: ReplyMsg,
+    ) -> (u64, Result<(Option<CommitMsg>, OpCompletion), Fault>) {
+        let before = VERIFICATIONS.with(|c| c.get());
+        let verdict = client.handle_reply(reply);
+        (VERIFICATIONS.with(|c| c.get()) - before, verdict)
+    }
+
+    #[test]
+    fn sver_against_our_own_commit_costs_a_verification_only_as_a_delta() {
+        // Lockstep, n = 2, nothing pending: line 35 is the only signature
+        // check a write's reply costs. C0's own last COMMIT comes back as
+        // the marker: nothing to verify. Once C1 has committed, `SVER[c]`
+        // is C1's, one entry away from C0's COMMIT: a delta, verified.
+        let (mut s, mut cs) = pipelined_setup(2, 1);
+        let (c0, c1) = (ClientId::new(0), ClientId::new(1));
+        let submit = cs[0].begin_write(Value::unique(0, 1)).unwrap();
+        let reply = s.on_submit(c0, submit).pop().unwrap().1;
+        let first = cs[0]
+            .handle_reply(reply)
+            .expect("correct server")
+            .0
+            .unwrap();
+        s.on_commit(c0, first.clone());
+        let submit = cs[0].begin_write(Value::unique(0, 2)).unwrap();
+        let full = s.on_submit(c0, submit).pop().unwrap().1;
+        let marker = sent_against(full.clone(), &first, c0);
+        assert!(marker
+            .against_own
+            .as_ref()
+            .is_some_and(|own| own.is_marker()));
+        let mut twin = cs[0].clone();
+        let (cost, verdict) = verifications(&mut cs[0], marker);
+        let second = verdict.expect("correct server").0.unwrap();
+        assert_eq!(cost, 0, "the marker");
+        let (cost, verdict) = verifications(&mut twin, full);
+        assert_eq!(twin.version(), cs[0].version(), "the same verdict");
+        assert_eq!(
+            (cost, verdict.map(|(commit, _)| commit)),
+            (1, Ok(Some(second.clone())))
+        );
+        s.on_commit(c0, second.clone());
+
+        let submit = cs[1].begin_write(Value::unique(1, 1)).unwrap();
+        let reply = s.on_submit(c1, submit).pop().unwrap().1;
+        let theirs = cs[1]
+            .handle_reply(reply)
+            .expect("correct server")
+            .0
+            .unwrap();
+        s.on_commit(c1, theirs);
+        let submit = cs[0].begin_write(Value::unique(0, 3)).unwrap();
+        let full = s.on_submit(c0, submit).pop().unwrap().1;
+        let delta = sent_against(full.clone(), &second, c0);
+        assert!(delta
+            .against_own
+            .as_ref()
+            .is_some_and(|own| !own.is_marker()));
+        assert!(delta.encoded_len() < full.encoded_len());
+        let (cost, verdict) = verifications(&mut cs[0], delta);
+        assert_eq!(cost, 1, "a delta carries C1's signature");
+        verdict.expect("correct server");
+    }
+
+    #[test]
+    fn a_marker_attributed_to_another_client_fails_its_commit_signature() {
+        let (mut s, mut cs) = pipelined_setup(2, 1);
+        let c0 = ClientId::new(0);
+        let submit = cs[0].begin_write(Value::unique(0, 1)).unwrap();
+        let reply = s.on_submit(c0, submit).pop().unwrap().1;
+        let first = cs[0]
+            .handle_reply(reply)
+            .expect("correct server")
+            .0
+            .unwrap();
+        s.on_commit(c0, first.clone());
+        let submit = cs[0].begin_write(Value::unique(0, 2)).unwrap();
+        let mut marker = sent_against(s.on_submit(c0, submit).pop().unwrap().1, &first, c0);
+        // Our own bytes, passed off as C1's: its key does not verify them.
+        marker.last_committer = ClientId::new(1);
+        assert_eq!(
+            verifications(&mut cs[0], marker),
+            (1, Err(Fault::BadCommitVersionSignature))
+        );
+    }
+
+    #[test]
+    fn a_commit_name_we_do_not_hold_is_a_malformed_reply() {
+        let keys = KeySet::generate(2, b"pipeline-tests");
+        let (mut s, mut cs) = pipelined_setup(2, 1);
+        let c0 = ClientId::new(0);
+        let submit = cs[0].begin_write(Value::unique(0, 1)).unwrap();
+        let reply = s.on_submit(c0, submit).pop().unwrap().1;
+        let first = cs[0]
+            .handle_reply(reply)
+            .expect("correct server")
+            .0
+            .unwrap();
+        s.on_commit(c0, first.clone());
+        let submit = cs[0].begin_write(Value::unique(0, 2)).unwrap();
+        let marker = sent_against(s.on_submit(c0, submit).pop().unwrap().1, &first, c0);
+        let unknown = Fault::MalformedReply("commit version names no COMMIT we hold");
+        // A name of no COMMIT ours: a typed fault, not a panic.
+        let mut far = marker.clone();
+        far.against_own.as_mut().unwrap().base = u64::MAX;
+        assert_eq!(cs[0].clone().handle_reply(far), Err(unknown.clone()));
+        // A client restored with this very state holds none, unless the
+        // COMMITs it is to resend are handed to it.
+        let restore = || {
+            UstorClient::from_state(
+                keys.keypair(0).unwrap().clone(),
+                keys.registry(),
+                cs[0].export_state(),
+            )
+        };
+        assert_eq!(restore().handle_reply(marker.clone()), Err(unknown));
+        let mut restored = restore();
+        restored.resume_commits([&first]);
+        let (_, done) = restored.handle_reply(marker.clone()).expect("resumed");
+        assert_eq!(done.timestamp, 2);
+        // The live client takes it, and a replay of it, naming the COMMIT
+        // before its newest, reads as what the server built: the same
+        // verdict as the replayed full reply.
+        let mut twin = cs[0].clone();
+        cs[0].handle_reply(marker.clone()).expect("correct server");
+        let mut full = marker.clone();
+        full.resolve_commit(&first.version, first.commit_sig)
+            .unwrap();
+        twin.handle_reply(full.clone()).expect("correct server");
+        for client in [&mut cs[0], &mut twin] {
+            client.begin_write(Value::unique(0, 3)).unwrap();
+        }
+        let replayed = cs[0].handle_reply(marker);
+        assert!(replayed.is_err());
+        assert_eq!(replayed, twin.handle_reply(full));
     }
 }

@@ -65,10 +65,12 @@ use faust_crypto::Digest;
 use faust_net::{Incoming, ServerTransport};
 use faust_types::op::{data_signing_bytes, submit_signing_bytes};
 use faust_types::{
-    ClientId, CommitMsg, InvocationTuple, OpKind, ReplyMsg, SubmitMsg, Timestamp, UstorMsg, Value,
+    ClientId, CommitMsg, InvocationTuple, OpKind, ReplyMsg, SignedVersion, SubmitMsg, Timestamp,
+    UstorMsg, Value,
 };
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Per-client connection/protocol state tracked by the engine.
 #[derive(Debug, Clone, Default)]
@@ -101,10 +103,12 @@ pub struct Session {
     /// base evicted (dropped).
     pub duplicates: u64,
     /// Timestamps of accepted SUBMITs whose replies have not yet been
-    /// released, oldest first. A correct server answers SUBMITs FIFO per
+    /// released, oldest first, each with `last_commit` as it stood when
+    /// the SUBMIT arrived. A correct server answers SUBMITs FIFO per
     /// client, which is what lets the engine tag each released reply
-    /// with the timestamp it answered.
-    awaiting_reply: VecDeque<Timestamp>,
+    /// with the timestamp it answered, and send its `SVER[c]` against
+    /// that COMMIT even when group commit holds it back.
+    awaiting_reply: VecDeque<(Timestamp, Option<Arc<CommitBase>>)>,
     /// The duplicate-replay cache: it answers a resend with the reply
     /// of an operation this client has not committed, or else with the
     /// newest reply ([`ReplyCache`] has the rule). A cached reply was
@@ -117,12 +121,52 @@ pub struct Session {
     /// [`ServerEngine::connected`], so the first release on each
     /// connection is full.
     sent_pending: Vec<InvocationTuple>,
+    /// The last COMMIT accepted from this client on its current
+    /// connection — standalone, resolved from a delta, or piggybacked —
+    /// which the client holds: the base a reply's `SVER[c]` is sent
+    /// against ([`ReplyMsg::commit_against`]). `None` after
+    /// [`ServerEngine::new`] and [`ServerEngine::connected`], and once
+    /// the engine drops a COMMIT the client sent, so a reply never names
+    /// one older than the client's newest.
+    last_commit: Option<Arc<CommitBase>>,
+}
+
+/// A client's COMMIT as the base of a reply's `SVER[c]`: its version and
+/// COMMIT-signature, and `t`, its own entry, which names it.
+#[derive(Debug)]
+struct CommitBase {
+    t: Timestamp,
+    commit: SignedVersion,
 }
 
 impl Session {
     /// The duplicate-replay cache (see the field docs).
     pub fn replies(&self) -> &ReplyCache {
         &self.replies
+    }
+
+    /// Makes `commit`, just accepted from client `from`, the base of the
+    /// replies to its next SUBMITs; one whose arity has no entry for
+    /// `from` is none. Once no held reply still names the last base —
+    /// always, in lockstep — the new one is copied into its buffers.
+    fn accepted(&mut self, from: ClientId, commit: &CommitMsg) {
+        let Some(&t) = commit.version.v().as_slice().get(from.index()) else {
+            self.last_commit = None;
+            return;
+        };
+        let sig = Some(commit.commit_sig);
+        match self.last_commit.as_mut().and_then(Arc::get_mut) {
+            Some(base) => {
+                base.t = t;
+                base.commit.version.clone_from(&commit.version);
+                base.commit.sig = sig;
+            }
+            None => {
+                let version = commit.version.clone();
+                let commit = SignedVersion { version, sig };
+                self.last_commit = Some(Arc::new(CommitBase { t, commit }));
+            }
+        }
     }
 }
 
@@ -266,6 +310,10 @@ impl ServerEngine {
     pub fn connected(&mut self, client: ClientId) {
         if let Some(session) = self.sessions.get_mut(client.index()) {
             session.sent_pending.clear();
+            session.last_commit = None;
+            for (_, base) in &mut session.awaiting_reply {
+                *base = None;
+            }
         }
     }
 
@@ -327,12 +375,18 @@ impl ServerEngine {
     /// none before the first, see [`ServerEngine::connected`]). The
     /// client processes its replies in that order — a lost one comes
     /// back in full from the cache when its SUBMIT is resent — so it
-    /// holds that base when this one arrives. Replies with no awaiting SUBMIT (a Byzantine
-    /// server broadcasting) are passed through uncached.
+    /// holds that base when this one arrives. Its `SVER[c]` goes against
+    /// the client's last COMMIT before that SUBMIT, which the client
+    /// still holds ([`ReplyMsg::commit_against`]). Replies with no
+    /// awaiting SUBMIT (a Byzantine server broadcasting) are passed
+    /// through uncached, in full.
     fn release_reply(&mut self, to: ClientId, mut reply: ReplyMsg) {
         if let Some(session) = self.sessions.get_mut(to.index()) {
-            if let Some(ts) = session.awaiting_reply.pop_front() {
+            if let Some((ts, base)) = session.awaiting_reply.pop_front() {
                 session.replies.push(ts, Cow::Borrowed(&reply));
+                if let Some(base) = base {
+                    reply.commit_against(base.t, &base.commit);
+                }
             }
             reply.keep_from(&mut session.sent_pending);
         }
@@ -446,6 +500,9 @@ impl ServerEngine {
                     _ => None,
                 };
                 if !self.verify_one(from, &submit, xbar) {
+                    if submit.piggyback.is_some() {
+                        self.dropped_commit(from);
+                    }
                     return self.reject(from);
                 }
                 // Idempotent ingress: a SUBMIT whose timestamp the
@@ -467,6 +524,9 @@ impl ServerEngine {
                     if session.last_timestamp > 0 && submit.timestamp <= session.last_timestamp {
                         session.duplicates += 1;
                         self.stats.duplicates += 1;
+                        if submit.piggyback.is_some() {
+                            session.last_commit = None;
+                        }
                         if let Some(reply) = session.replies.lookup(submit.timestamp).cloned() {
                             self.outbox.push_back((from, UstorMsg::Reply(reply)));
                         }
@@ -476,7 +536,6 @@ impl ServerEngine {
                 if let Some(session) = self.sessions.get_mut(from.index()) {
                     session.submits += 1;
                     session.last_timestamp = submit.timestamp;
-                    session.awaiting_reply.push_back(submit.timestamp);
                     if submit.tuple.kind == OpKind::Write {
                         session.resumed_value = None;
                         session.last_value_hash = xbar;
@@ -486,7 +545,10 @@ impl ServerEngine {
                         session
                             .replies
                             .committed(ReplyCache::acknowledged(from, commit));
+                        session.accepted(from, commit);
                     }
+                    let base = session.last_commit.clone();
+                    session.awaiting_reply.push_back((submit.timestamp, base));
                 }
                 self.stats.submits += 1;
                 for (rcpt, reply) in self.server.on_submit(from, submit) {
@@ -504,11 +566,12 @@ impl ServerEngine {
             UstorMsg::CommitDelta(delta) => {
                 let session = self.sessions.get(from.index());
                 let (Some(session), Some(t)) = (session, delta.own_timestamp(from)) else {
+                    self.dropped_commit(from);
                     return self.reject(from);
                 };
                 match session.replies.get(t) {
                     Some(reply) => match delta.resolve(&reply.commit_version.version) {
-                        Ok(commit) => self.process_commit(from, commit),
+                        Ok(commit) => return self.process_commit(from, commit),
                         Err(_) => self.reject(from),
                     },
                     None if t <= session.replies.last_acknowledged() => {
@@ -517,11 +580,20 @@ impl ServerEngine {
                     }
                     None => self.reject(from),
                 }
+                self.dropped_commit(from);
             }
             // Clients never legitimately send REPLY; ignore quietly.
             UstorMsg::Reply(_) => {
                 self.stats.nonsense += 1;
             }
+        }
+    }
+
+    /// A COMMIT `from` sent was not accepted: the client holds it as its
+    /// newest, so no later reply may be sent against an older one.
+    fn dropped_commit(&mut self, from: ClientId) {
+        if let Some(session) = self.sessions.get_mut(from.index()) {
+            session.last_commit = None;
         }
     }
 
@@ -531,6 +603,7 @@ impl ServerEngine {
             session
                 .replies
                 .committed(ReplyCache::acknowledged(from, &commit));
+            session.accepted(from, &commit);
         }
         self.stats.commits += 1;
         for (rcpt, reply) in self.server.on_commit(from, commit) {
@@ -909,12 +982,20 @@ mod tests {
         engine.enqueue(ClientId::new(0), UstorMsg::Submit(r.clone()));
         engine.process_all();
         let (_, original) = one_reply(&mut engine);
+        // It went with `SVER[c]` against the write's COMMIT; the cache
+        // holds it as the server built it.
+        assert!(original.against_own.is_some());
+        let session = engine.session(ClientId::new(0));
+        let built = session.replies().get(r.timestamp).expect("cached").clone();
         // The client reconnects and replays the identical SUBMIT bytes.
         engine.enqueue(ClientId::new(0), UstorMsg::Submit(r));
         engine.process_all();
         let (to, replayed) = one_reply(&mut engine);
         assert_eq!(to, ClientId::new(0));
-        assert_eq!(replayed.encode(), original.encode(), "byte-identical");
+        assert_eq!(replayed.encode(), built.encode(), "byte-identical");
+        clients[0]
+            .handle_reply(replayed)
+            .expect("a full reply needs no base");
         assert_eq!(engine.stats().duplicates, 1);
         assert_eq!(engine.session(ClientId::new(0)).duplicates, 1);
         // The duplicate never reached the protocol server: only the two
@@ -1030,6 +1111,101 @@ mod tests {
     }
 
     #[test]
+    fn sver_goes_in_full_on_each_new_connection_and_from_the_cache() {
+        // C0 alone writes and commits, so each reply's `SVER[c]` is C0's
+        // own last COMMIT: the marker — except the first on a connection,
+        // and any the cache replays.
+        let (mut engine, mut clients) = setup(2, false);
+        let client = &mut clients[0];
+        let c0 = client.id();
+        let form = |reply: &ReplyMsg| reply.against_own.as_ref().map(|own| own.is_marker());
+        let run = |engine: &mut ServerEngine, client: &mut UstorClient, k| {
+            let submit = client.begin_write(Value::unique(0, k)).unwrap();
+            engine.enqueue(c0, UstorMsg::Submit(submit));
+            engine.process_all();
+            let (_, reply) = one_reply(engine);
+            let sent = form(&reply);
+            let (commit, _) = client.handle_reply(reply).expect("correct server");
+            engine.enqueue(c0, UstorMsg::Commit(commit.expect("immediate mode")));
+            engine.process_all();
+            sent
+        };
+        assert_eq!(run(&mut engine, client, 0), None, "no COMMIT yet");
+        assert_eq!(run(&mut engine, client, 1), Some(true));
+        engine.connected(c0);
+        assert_eq!(run(&mut engine, client, 2), None, "a new connection");
+        assert_eq!(run(&mut engine, client, 3), Some(true));
+        // A reply lost with the socket comes back from the cache in full.
+        let submit = client.begin_write(Value::unique(0, 4)).unwrap();
+        engine.enqueue(c0, UstorMsg::Submit(submit.clone()));
+        engine.process_all();
+        let (_, lost) = one_reply(&mut engine);
+        assert_eq!(form(&lost), Some(true));
+        engine.enqueue(c0, UstorMsg::Submit(submit));
+        engine.process_all();
+        let (_, replayed) = one_reply(&mut engine);
+        assert_eq!(form(&replayed), None, "the cache's reply");
+        let (commit, _) = client.handle_reply(replayed).expect("no base needed");
+        engine.enqueue(c0, UstorMsg::Commit(commit.unwrap()));
+        // So does the frontier reply to an operation already committed.
+        let keys = KeySet::generate(2, b"engine-tests");
+        let mut restarted =
+            UstorClient::new(c0, 2, keys.keypair(0).unwrap().clone(), keys.registry());
+        let stale = restarted.begin_write(Value::unique(0, 9)).unwrap();
+        engine.enqueue(c0, UstorMsg::Submit(stale));
+        engine.process_all();
+        let (_, frontier) = one_reply(&mut engine);
+        assert_eq!(form(&frontier), None, "the cache's newest reply");
+        assert_eq!(engine.stats().duplicates, 2);
+    }
+
+    #[test]
+    fn a_reply_held_for_group_commit_keeps_its_submits_base() {
+        // C0 pipelines: COMMIT 1 arrives, then SUBMIT 3, whose reply the
+        // server holds, then COMMIT 2. Released after it, the reply still
+        // goes against COMMIT 1, the base its SUBMIT found, which is
+        // byte for byte its `SVER[c]`.
+        let keys = KeySet::generate(1, b"engine-tests");
+        let mut client = UstorClient::new(
+            ClientId::new(0),
+            1,
+            keys.keypair(0).unwrap().clone(),
+            keys.registry(),
+        );
+        client.set_pipeline(3);
+        let c0 = client.id();
+        let holding = HoldingServer {
+            inner: UstorServer::new(1),
+            held: Vec::new(),
+        };
+        let mut engine = ServerEngine::new(1, Box::new(holding));
+        for k in 0..2 {
+            let submit = client.begin_write(Value::unique(0, k)).unwrap();
+            engine.enqueue(c0, UstorMsg::Submit(submit));
+        }
+        engine.process_all();
+        engine.flush_server(true);
+        let mut commits = Vec::new();
+        for (_, reply) in replies(&mut engine) {
+            assert!(reply.against_own.is_none(), "no COMMIT yet");
+            let (commit, _) = client.handle_reply(reply).expect("correct server");
+            commits.push(commit.expect("immediate mode"));
+        }
+        let submit = client.begin_write(Value::unique(0, 2)).unwrap();
+        engine.enqueue(c0, UstorMsg::Commit(commits[0].clone()));
+        engine.enqueue(c0, UstorMsg::Submit(submit));
+        engine.enqueue(c0, UstorMsg::Commit(commits[1].clone()));
+        engine.process_all();
+        assert!(replies(&mut engine).is_empty(), "held");
+        engine.flush_server(true);
+        let (_, reply) = one_reply(&mut engine);
+        let own = reply.against_own.as_ref().expect("sent against a COMMIT");
+        assert_eq!((own.base, own.is_marker()), (1, true));
+        let (_, done) = client.handle_reply(reply).expect("C0 holds COMMIT 1");
+        assert_eq!(done.timestamp, 3);
+    }
+
+    #[test]
     fn serve_tells_the_engine_of_each_new_connection() {
         /// A queue transport that reports one new connection.
         struct Reconnected {
@@ -1084,11 +1260,12 @@ mod tests {
         client: &mut UstorClient,
         submit: faust_types::SubmitMsg,
     ) -> faust_types::CommitDelta {
-        let id = client.id();
+        let (id, ts) = (client.id(), submit.timestamp);
         engine.enqueue(id, UstorMsg::Submit(submit));
         engine.process_all();
         let (_, reply) = one_reply(engine);
-        let base = reply.commit_version.version.clone();
+        let built = engine.session(id).replies().get(ts).expect("cached");
+        let base = built.commit_version.version.clone();
         let (commit, _) = client.handle_reply(reply).expect("correct server");
         let commit = commit.unwrap();
         let delta = faust_types::CommitDelta::against(&base, &commit).unwrap();
@@ -1268,6 +1445,7 @@ mod tests {
         run_op(&mut engine, &mut clients[0], w1);
         let r2 = clients[0].begin_read(ClientId::new(0)).unwrap();
         let w3 = clients[0].begin_write(Value::from("new")).unwrap();
+        let (rr2_ts, rw3_ts) = (r2.timestamp, w3.timestamp);
         engine.enqueue(ClientId::new(0), UstorMsg::Submit(r2.clone()));
         engine.enqueue(ClientId::new(0), UstorMsg::Submit(w3.clone()));
         engine.process_all();
@@ -1285,8 +1463,12 @@ mod tests {
         let [(_, rr2), (_, rw3)]: [_; 2] = replies(&mut engine)
             .try_into()
             .expect("r2's and w3's replays");
-        assert_eq!(rr2, reply_r2);
-        assert_eq!(rw3, reply_w3);
+        // Sent against the first write's COMMIT, replayed from the cache
+        // as the server built them.
+        assert!(reply_r2.against_own.is_some() && reply_w3.against_own.is_some());
+        let built = |ts| engine.session(ClientId::new(0)).replies().get(ts).cloned();
+        assert_eq!(Some(&rr2), built(rr2_ts).as_ref());
+        assert_eq!(Some(&rw3), built(rw3_ts).as_ref());
         // The fail-aware client accepts the replayed replies without
         // a false violation, and a fresh read still verifies.
         clients[0].handle_reply(rr2).expect("no false violation");

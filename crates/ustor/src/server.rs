@@ -301,6 +301,7 @@ impl UstorServer {
             read,
             pending: self.pending.clone(),
             kept: 0,
+            against_own: None,
             proofs,
         }
     }

@@ -407,6 +407,7 @@ fn own_timestamp_mismatch_detected() {
         read: None,
         pending: vec![],
         kept: 0,
+        against_own: None,
         proofs: vec![None, None],
     };
     assert_eq!(victim.handle_reply(reply), Err(Fault::OwnTimestampMismatch));
@@ -454,6 +455,7 @@ fn writer_version_ahead_detected() {
         }),
         pending: vec![],
         kept: 0,
+        against_own: None,
         proofs: vec![None, None],
     };
     let err = victim.handle_reply(reply).expect_err("detects");

@@ -23,7 +23,7 @@ use faust::sim::SmallRng;
 use faust::store::testutil::scratch_dir;
 use faust::store::{Durability, PersistentBackend, PersistentServer, StoreConfig};
 use faust::types::frame::frame_bytes;
-use faust::types::{ClientId, ReplyMsg, UstorMsg, Value, Version};
+use faust::types::{ClientId, CommitMsg, ReplyMsg, UstorMsg, Value};
 use faust::ustor::adversary::{Tamper, TamperServer};
 use faust::ustor::{EngineStats, Server, ServerEngine, UstorServer};
 use std::collections::VecDeque;
@@ -135,14 +135,18 @@ fn run(spec: Spec, seed: u64, pipeline: usize, expand: bool) -> (Outcome, Upstre
         stats: EngineStats::default(),
         files: None,
     };
-    let mut send = |i: usize, msgs: Vec<UstorMsg>, base: Option<&Version>, up: &mut VecDeque<_>| {
+    // `full`: the COMMIT the session keeps for a resend, which a delta
+    // stands for (`tests/reply_delta.rs` checks that it does).
+    let mut send = |i: usize,
+                    msgs: Vec<UstorMsg>,
+                    full: Option<CommitMsg>,
+                    up: &mut VecDeque<_>| {
         for msg in msgs {
             let msg = match msg {
                 UstorMsg::CommitDelta(delta) => {
                     upstream.deltas += 1;
-                    let base = base.expect("a delta answers a REPLY");
                     match expand {
-                        true => UstorMsg::Commit(delta.resolve(base).expect("own base")),
+                        true => UstorMsg::Commit(full.clone().expect("a delta answers a REPLY")),
                         false => UstorMsg::CommitDelta(delta),
                     }
                 }
@@ -193,9 +197,16 @@ fn run(spec: Spec, seed: u64, pipeline: usize, expand: bool) -> (Outcome, Upstre
                     continue;
                 };
                 outcome.replies.push((i, reply.clone()));
-                let base = reply.commit_version.version.clone();
                 let out = cores[i].handle_reply(reply, step);
-                send(i, out.to_server, Some(&base), &mut up);
+                let full = cores[i]
+                    .resend_messages()
+                    .into_iter()
+                    .rev()
+                    .find_map(|m| match m {
+                        UstorMsg::Commit(commit) => Some(commit),
+                        _ => None,
+                    });
+                send(i, out.to_server, full, &mut up);
             }
         }
         for (i, core) in cores.iter_mut().enumerate() {

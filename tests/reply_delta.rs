@@ -1,11 +1,14 @@
-//! REPLYs whose `L` keeps a tail of the previous one against the full
-//! REPLYs they stand for.
+//! REPLYs whose `L` keeps a tail of the previous one, and whose `SVER[c]`
+//! names a COMMIT of the recipient's, against the full REPLYs they stand
+//! for.
 //!
 //! The engine sends a REPLY's pending list `L` as the last `k` tuples of
 //! the `L` of the REPLY it released to the same client before, then the
-//! new ones, and the client rebuilds the full list before any check reads
-//! it. So a run must not change in any way but its downstream bytes when
-//! every REPLY is expanded to its full `L` before delivery: every verdict,
+//! new ones, and its `SVER[c]` as a marker or a delta against the last
+//! COMMIT that client sent before the SUBMIT it answers; the client
+//! rebuilds both before any check reads them. So a run must not change in
+//! any way but its downstream bytes when every REPLY is expanded to its
+//! full `L` and `SVER[c]` before delivery: every verdict,
 //! every event, every REPLY as the client resolved it, every COMMIT and so
 //! the WAL, the snapshot and the exported `FAUSTHIS` of a persistent
 //! server must be the same. That is checked here over seeded scripts
@@ -25,7 +28,7 @@ use faust::sim::SmallRng;
 use faust::store::testutil::scratch_dir;
 use faust::store::{Durability, PersistentServer, StoreConfig};
 use faust::types::frame::frame_bytes;
-use faust::types::{ClientId, InvocationTuple, ReplyMsg, UstorMsg, Value};
+use faust::types::{ClientId, CommitMsg, InvocationTuple, ReplyMsg, UstorMsg, Value};
 use faust::ustor::adversary::{Tamper, TamperServer};
 use faust::ustor::{CommitMode, EngineStats, Server, ServerEngine, UstorServer};
 use std::collections::VecDeque;
@@ -118,16 +121,21 @@ struct Outcome {
 struct Downstream {
     /// REPLYs that kept a tail of the previous `L`.
     kept: usize,
+    /// REPLYs whose `SVER[c]` came as the marker, and as a delta.
+    markers: usize,
+    own_deltas: usize,
     /// REPLYs with a non-empty `L`.
     nonempty: usize,
-    /// Framed bytes as sent, and as they would be with every `L` in full.
+    /// Framed bytes as sent, and as they would be with every `L` and
+    /// `SVER[c]` in full.
     bytes: usize,
     full_bytes: usize,
 }
 
 /// Queues what session `i` sent after its REPLY to `answered` (if any),
 /// first checking each delta COMMIT against the full COMMIT the session
-/// keeps for a resend.
+/// keeps for a resend, and records in `sent` every COMMIT it sent in
+/// full.
 fn send(
     i: usize,
     msgs: Vec<UstorMsg>,
@@ -135,20 +143,27 @@ fn send(
     answered: Option<&ReplyMsg>,
     up: &mut VecDeque<(usize, UstorMsg)>,
     upstream: &mut Vec<(usize, UstorMsg)>,
+    sent: &mut Vec<CommitMsg>,
 ) {
     for msg in msgs {
-        if let UstorMsg::CommitDelta(delta) = &msg {
-            let answered = answered.expect("a delta answers a REPLY");
-            let full = core
-                .resend_messages()
-                .into_iter()
-                .rev()
-                .find_map(|m| match m {
-                    UstorMsg::Commit(commit) => Some(commit),
-                    _ => None,
-                });
-            let resolved = delta.resolve(&answered.commit_version.version);
-            assert_eq!(resolved.ok(), full, "a delta COMMIT misses an entry");
+        match &msg {
+            UstorMsg::CommitDelta(delta) => {
+                let answered = answered.expect("a delta answers a REPLY");
+                let full = core
+                    .resend_messages()
+                    .into_iter()
+                    .rev()
+                    .find_map(|m| match m {
+                        UstorMsg::Commit(commit) => Some(commit),
+                        _ => None,
+                    });
+                let resolved = delta.resolve(&answered.commit_version.version);
+                assert_eq!(resolved.ok(), full, "a delta COMMIT misses an entry");
+                sent.extend(full);
+            }
+            UstorMsg::Commit(commit) => sent.push(commit.clone()),
+            UstorMsg::Submit(submit) => sent.extend(submit.piggyback.clone()),
+            UstorMsg::Reply(_) => {}
         }
         upstream.push((i, msg.clone()));
         up.push_back((i, msg));
@@ -160,7 +175,7 @@ fn send(
 /// drawn from `seed` alone, so both variants of a run make the same
 /// choices. With `expand`, each REPLY's `L` is rebuilt in full before the
 /// client sees it, against the `L` of the REPLY before it to the same
-/// client.
+/// client, and so is its `SVER[c]`, from the COMMIT it names.
 fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream) {
     let dir: PathBuf = scratch_dir("reply-delta");
     let keys = KeySet::generate(N, b"reply-delta");
@@ -184,8 +199,10 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut up: VecDeque<(usize, UstorMsg)> = VecDeque::new();
     let mut down: Vec<VecDeque<ReplyMsg>> = vec![VecDeque::new(); N];
-    // The full `L` of the last REPLY each client was handed.
+    // The full `L` of the last REPLY each client was handed, and every
+    // COMMIT each client sent.
     let mut base: Vec<Vec<InvocationTuple>> = vec![Vec::new(); N];
+    let mut commits: Vec<Vec<CommitMsg>> = vec![Vec::new(); N];
     let mut downstream = Downstream::default();
     let mut outcome = Outcome {
         replies: Vec::new(),
@@ -221,6 +238,7 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
                     None,
                     &mut up,
                     &mut outcome.upstream,
+                    &mut commits[i],
                 );
             }
             1 => {
@@ -246,6 +264,17 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
                 let mut full = shipped.clone();
                 full.resolve_pending(std::mem::take(&mut base[i]))
                     .expect("the engine keeps from what it sent");
+                if let Some(own) = &shipped.against_own {
+                    let named = commits[i]
+                        .iter()
+                        .rev()
+                        .find(|commit| commit.version.v().get(c(i)) == own.base)
+                        .expect("the engine names a COMMIT the client sent");
+                    full.resolve_commit(&named.version, named.commit_sig)
+                        .expect("the engine sends against what it holds");
+                    downstream.markers += usize::from(own.is_marker());
+                    downstream.own_deltas += usize::from(!own.is_marker());
+                }
                 downstream.nonempty += usize::from(!full.pending.is_empty());
                 downstream.full_bytes += frame_bytes(&UstorMsg::Reply(full.clone())).len();
                 base[i] = full.pending.clone();
@@ -258,6 +287,7 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
                     Some(&full),
                     &mut up,
                     &mut outcome.upstream,
+                    &mut commits[i],
                 );
                 outcome.replies.push((i, full));
             }
@@ -283,7 +313,7 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
 fn kept_pending_lists_and_their_full_forms_get_the_same_verdicts() {
     let mut specs = vec![Spec::Honest, Spec::Persistent];
     specs.extend(TAMPERS.map(Spec::Tampering));
-    let (mut violations, mut kept_runs) = (0, 0);
+    let (mut violations, mut kept_runs, mut own_runs) = (0, 0, 0);
     for spec in specs {
         for mode in MODES {
             for seed in 0..3u64 {
@@ -293,14 +323,18 @@ fn kept_pending_lists_and_their_full_forms_get_the_same_verdicts() {
                 assert_eq!(shipped, expanded, "{label}");
                 assert!(sent.nonempty > 0, "{label}: {sent:?}");
                 // 42 bytes per tuple kept at n = 3 (an HMAC signature), less
-                // the word that says how many.
-                if sent.kept > 0 {
-                    kept_runs += 1;
-                    assert!(
-                        sent.bytes + 38 * sent.kept <= sent.full_bytes,
-                        "{label}: {sent:?}"
-                    );
-                } else {
+                // the word that says how many; a marker saves SVER[c] (at
+                // least 69 bytes at n = 3, every digest ⊥) less its 12, a
+                // delta more than nothing.
+                let own = sent.markers + sent.own_deltas;
+                kept_runs += usize::from(sent.kept > 0);
+                own_runs += usize::from(own > 0);
+                assert!(
+                    sent.bytes + 38 * sent.kept + 57 * sent.markers + sent.own_deltas
+                        <= sent.full_bytes,
+                    "{label}: {sent:?}"
+                );
+                if sent.kept + own == 0 {
                     assert_eq!(sent.bytes, sent.full_bytes, "{label}: {sent:?}");
                 }
                 let violated = shipped
@@ -311,8 +345,11 @@ fn kept_pending_lists_and_their_full_forms_get_the_same_verdicts() {
                     assert!(!violated, "{label}: {:?}", shipped.events);
                     assert_eq!(shipped.stats.rejected, 0, "{label}");
                     // A pipelined client's next REPLY finds its own and
-                    // its peers' uncommitted operations still in `L`.
+                    // its peers' uncommitted operations still in `L`, and
+                    // every client's SVER[c] is often its own last COMMIT
+                    // or near it.
                     assert!(mode.pipeline == 1 || sent.kept > 0, "{label}: {sent:?}");
+                    assert!(own > 0, "{label}: {sent:?}");
                 }
                 violations += usize::from(violated);
             }
@@ -321,6 +358,12 @@ fn kept_pending_lists_and_their_full_forms_get_the_same_verdicts() {
     // The Byzantine servers are caught in most runs, kept tails or not,
     // and tails are kept in most runs of every kind.
     assert!(violations >= 60, "{violations} runs flagged");
-    println!("{violations} runs flagged, {kept_runs} kept a tail");
+    println!(
+        "{violations} runs flagged, {kept_runs} kept a tail, {own_runs} named a COMMIT of the recipient's"
+    );
     assert!(kept_runs >= 60, "{kept_runs} runs kept a tail");
+    assert!(
+        own_runs >= 90,
+        "{own_runs} runs named a COMMIT of the recipient's"
+    );
 }
