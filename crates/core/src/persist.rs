@@ -412,14 +412,15 @@ mod tests {
     }
 
     /// [`pump`] through a real [`ServerEngine`] — the duplicate-reply
-    /// cache included — instead of a bare server.
+    /// cache included — instead of a bare server; returns the replies as
+    /// the engine sent them.
     fn pump_engine(
         engine: &mut ServerEngine,
         core: &mut SessionCore,
         msgs: Vec<UstorMsg>,
         now: u64,
-    ) {
-        let mut queue = msgs;
+    ) -> Vec<ReplyMsg> {
+        let (mut queue, mut replies) = (msgs, Vec::new());
         while !queue.is_empty() {
             for msg in queue.drain(..) {
                 engine.enqueue(core.id(), msg);
@@ -430,10 +431,12 @@ mod tests {
                     let UstorMsg::Reply(reply) = msg else {
                         unreachable!("the engine sends only replies")
                     };
+                    replies.push(reply.clone());
                     queue.extend(core.handle_reply(reply, now).to_server);
                 }
             }
         }
+        replies
     }
 
     #[test]
@@ -553,6 +556,65 @@ mod tests {
             let (t3, out) = core.submit(UserOp::Read(c0), clock + 2);
             pump_engine(&mut engine, &mut core, out.to_server, clock + 2);
             assert!(core.is_complete(t3) && core.failure().is_none());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_session_restored_mid_read_resumes_against_a_live_engine() {
+        // C1 reads C0's register twice — the second REPLY names the value
+        // of the first — and saves its session with a third read unsent.
+        // Restored, it holds no value; on its new connection the engine
+        // sends the resent read's value in full, and names it again only
+        // after that. An engine that missed the reconnect names a value
+        // the restored client does not hold: its resume guard reports it.
+        let name = |replies: &[ReplyMsg]| -> Vec<Option<u64>> {
+            let read = |reply: &ReplyMsg| reply.read.as_ref().and_then(|read| read.value_name);
+            replies.iter().map(read).collect()
+        };
+        for reconnect in [true, false] {
+            let dir = scratch_dir("persist-named-value");
+            let path = dir.join("c1.session");
+            let keys = keys(2);
+            let mut engine = ServerEngine::new(2, Box::new(UstorServer::new(2)));
+            let mut writer = fresh_core(&keys, 0, 2);
+            let (_, out) = writer.submit(UserOp::Write(Value::from("x")), 1);
+            pump_engine(&mut engine, &mut writer, out.to_server, 1);
+            let mut core = fresh_core(&keys, 1, 2);
+            let c0 = ClientId::new(0);
+            for (now, expected) in [(2, None), (3, Some(1))] {
+                let (_, out) = core.submit(UserOp::Read(c0), now);
+                let replies = pump_engine(&mut engine, &mut core, out.to_server, now);
+                assert_eq!(name(&replies), [expected]);
+            }
+            let (t3, _) = core.submit(UserOp::Read(c0), 4);
+            assert!(checkpoint_session(&path, &core, 4).unwrap());
+            drop(core);
+
+            let state = load_session(&path).unwrap().expect("file exists");
+            let (mut core, clock) =
+                SessionCore::from_state(keys.keypair(1).unwrap().clone(), keys.registry(), state);
+            if reconnect {
+                engine.connected(core.id());
+            }
+            let resend = core.resend_messages();
+            let replies = pump_engine(&mut engine, &mut core, resend, clock + 1);
+            if !reconnect {
+                assert_eq!(name(&replies), [Some(2)]);
+                assert_eq!(
+                    core.failure(),
+                    Some(&FailReason::Ustor(Fault::StaleClientState))
+                );
+                std::fs::remove_dir_all(&dir).ok();
+                continue;
+            }
+            assert_eq!(name(&replies), [None], "in full on the new connection");
+            assert!(core.failure().is_none(), "{:?}", core.failure());
+            assert!(core.is_complete(t3));
+            let (t4, out) = core.submit(UserOp::Read(c0), clock + 2);
+            let replies = pump_engine(&mut engine, &mut core, out.to_server, clock + 2);
+            assert_eq!(name(&replies), [Some(3)], "against the resent read");
+            assert!(core.is_complete(t4) && core.failure().is_none());
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -39,8 +39,10 @@
 //! The driver keeps no copy of what another component knows: a client's
 //! crash and connection are the [`Simulation`]'s, its unanswered SUBMITs
 //! its [`SessionCore`]'s, and a crash is dated by the restart itself —
-//! the run's backend counts its builds. [`SimRunReport::wipe_detector`]
-//! is read off them once, when the crash fires.
+//! the run's backend counts its builds, and notes where the restarted
+//! store's log resumes ([`SimRunReport::restart_seq`]).
+//! [`SimRunReport::wipe_detector`] is read off them once, when the crash
+//! fires.
 //!
 //! Group-commit flush timing — the one wall-clock dependency in the
 //! server hot path — runs on [`faust_store::SimClock`] (1 tick = 1 ms of
@@ -53,16 +55,18 @@ use crate::client::{FaustClient, FaustConfig, UserOp};
 use crate::events::{FailReason, FaustCompletion, Notification, StabilityCut};
 use crate::handle::{Event as SessionEvent, SessionCore, SessionOutput};
 use crate::offline::OfflineMsg;
-use faust_crypto::sig::KeySet;
+use faust_crypto::sig::{KeySet, Signature};
 use faust_sim::{
     DelayModel, Event, MessageSize, NodeId, SimConfig, Simulation, TimeWindow, TimerId, Transport,
 };
 use faust_store::{Durability, PersistentServer, SimClock, StoreConfig};
-use faust_types::{ClientId, History, OpId, OpKind, ReplyMsg, Timestamp, UstorMsg, Value, Wire};
+use faust_types::{
+    ClientId, History, OpId, OpKind, ReadReply, ReplyMsg, Timestamp, UstorMsg, Value, Wire,
+};
 use faust_ustor::{CrashRestartServer, Server, ServerBackend, ServerEngine, WorkloadOp};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -341,6 +345,11 @@ pub struct SimRunReport {
     /// from its [`SessionCore::unacked_submits`]. A REPLY to a crashed
     /// client never arrives and does not count.
     pub wipe_detector: Option<bool>,
+    /// The restarted store's next log sequence number as it opened, when
+    /// the scheduled crash fired: the first record the server wrote after
+    /// it. An exported `FAUSTHIS` shows what the crash did only if it
+    /// reaches back that far, its `base_seq` at most this.
+    pub restart_seq: Option<u64>,
     /// Traffic statistics.
     pub metrics: faust_sim::Metrics,
     /// Virtual time when the run stopped.
@@ -419,6 +428,7 @@ impl SimRunReport {
             &self.dirty_fired,
             self.crash_time,
             self.wipe_detector,
+            self.restart_seq,
             &self.metrics,
             self.final_time,
             &self.exported_history,
@@ -565,9 +575,9 @@ pub struct FaustDriver {
     /// Link frames the current event put in transit and not yet routed:
     /// what an interception let through, or a clause released.
     routing: VecDeque<(NodeId, NodeId, NetMsg)>,
-    /// How often the [`run_sim`] backend built a server: the first build
+    /// What the [`run_sim`] backend records of its builds: the first
     /// opens the store, the second is the scheduled crash's restart.
-    builds: Arc<AtomicUsize>,
+    builds: Arc<Builds>,
     crash_time: Option<u64>,
     /// Whether the server holds replies back for group commit — a crash
     /// can then destroy held replies and stall mid-op clients.
@@ -583,21 +593,33 @@ pub struct FaustDriver {
 
 /// A backend that re-attaches the shared [`SimClock`] on every build —
 /// including the rebuild [`CrashRestartServer`] performs after a crash —
-/// and counts its builds, so the driver learns of the restart from the
+/// and records its builds, so the driver learns of the restart from the
 /// restart itself.
 struct VirtualPersistentBackend {
     dir: PathBuf,
     config: StoreConfig,
     clock: SimClock,
-    builds: Arc<AtomicUsize>,
+    builds: Arc<Builds>,
+}
+
+/// What [`VirtualPersistentBackend`] records of its builds.
+#[derive(Debug, Default)]
+struct Builds {
+    /// Servers built.
+    count: AtomicUsize,
+    /// The store's next log sequence number as the last build opened it.
+    next_seq: AtomicU64,
 }
 
 impl ServerBackend for VirtualPersistentBackend {
     fn build(&self, n: usize) -> std::io::Result<Box<dyn Server + Send>> {
-        self.builds.fetch_add(1, Ordering::Relaxed);
+        self.builds.count.fetch_add(1, Ordering::Relaxed);
         let server = PersistentServer::open(&self.dir, n, self.config.clone())
             .map_err(std::io::Error::other)?
             .with_sim_clock(self.clock.clone());
+        self.builds
+            .next_seq
+            .store(server.next_seq(), Ordering::Relaxed);
         Ok(Box::new(server))
     }
 }
@@ -609,7 +631,7 @@ fn build_server(
     scenario: &SimScenario,
     store_dir: &Path,
     clock: &SimClock,
-    builds: &Arc<AtomicUsize>,
+    builds: &Arc<Builds>,
 ) -> Box<dyn Server + Send> {
     let n = scenario.n();
     let backend = Box::new(VirtualPersistentBackend {
@@ -632,6 +654,23 @@ fn build_server(
             std::fs::remove_dir_all(&dir).ok();
         })),
     })
+}
+
+/// [`FaultClause::TamperReadValue`] on the read part of a REPLY in
+/// transit: flips every bit of the value and says whether there was one
+/// to tamper with. A value sent as a name is not on the wire; the clause
+/// corrupts its DATA-signature instead, which line 50 checks together
+/// with the value the name stands for — the same verdict either way.
+fn tamper_value(read: &mut ReadReply) -> bool {
+    match (&read.mem_value, read.value_name, read.mem_data_sig) {
+        (Some(value), ..) => {
+            let flipped: Vec<u8> = value.as_bytes().iter().map(|b| b ^ 0xFF).collect();
+            read.mem_value = Some(Value::new(flipped));
+        }
+        (None, Some(_), Some(_)) => read.mem_data_sig = Some(Signature::garbage()),
+        _ => return false,
+    }
+    true
 }
 
 impl FaustDriver {
@@ -688,14 +727,9 @@ impl FaustDriver {
 
     /// Installs a scenario's fault plan, and what the run needs to know
     /// about the server `run_sim` built for it: its virtual clock, its
-    /// backend's build count and whether it holds replies for group
+    /// backend's build record and whether it holds replies for group
     /// commit.
-    fn with_faults(
-        mut self,
-        scenario: &SimScenario,
-        clock: SimClock,
-        builds: Arc<AtomicUsize>,
-    ) -> Self {
+    fn with_faults(mut self, scenario: &SimScenario, clock: SimClock, builds: Arc<Builds>) -> Self {
         // Pre-arm end-of-window release timers so buffered traffic is
         // handed back even if no other event lands on that tick.
         let server_node = self.server_node();
@@ -836,7 +870,7 @@ impl FaustDriver {
                 sim.send(server_node, NodeId(to.as_u32()), NetMsg::Ustor(out, epoch));
             }
         });
-        if self.crash_time.is_none() && self.builds.load(Ordering::Relaxed) > 1 {
+        if self.crash_time.is_none() && self.builds.count.load(Ordering::Relaxed) > 1 {
             self.crash_time = Some(now);
             match self.plan.crash().map(|spec| spec.tamper) {
                 Some(WalTamper::WipeState) => self.fork_fired.push((now, "crash-wipe", None)),
@@ -1059,13 +1093,8 @@ impl FaustDriver {
                         continue;
                     }
                     if let NetMsg::Ustor(UstorMsg::Reply(reply), epoch) = &msg {
-                        if let Some(value) = reply.read.as_ref().and_then(|r| r.mem_value.as_ref())
-                        {
-                            let flipped: Vec<u8> =
-                                value.as_bytes().iter().map(|b| b ^ 0xFF).collect();
-                            let mut tampered = reply.clone();
-                            tampered.read.as_mut().expect("read is Some").mem_value =
-                                Some(Value::new(flipped));
+                        let mut tampered = reply.clone();
+                        if tampered.read.as_mut().is_some_and(tamper_value) {
                             *state = ClauseState::Fired(true);
                             self.fork_fired
                                 .push((now, "tamper-read-value", Some(*client)));
@@ -1215,6 +1244,10 @@ impl FaustDriver {
             dirty_fired: self.dirty_fired,
             crash_time: self.crash_time,
             wipe_detector: self.wipe_detector,
+            // The plan crashes the server once: the last build restarted it.
+            restart_seq: self
+                .crash_time
+                .map(|_| self.builds.next_seq.load(Ordering::Relaxed)),
             metrics: self.sim.metrics().clone(),
             final_time: self.sim.now(),
             // Filled in by `run_sim`, which owns the store directory.
@@ -1420,6 +1453,18 @@ pub fn check_oracles(scenario: &SimScenario, report: &SimRunReport) -> Result<()
 ///   must localize a divergence — even when no online client happened
 ///   to observe the fork.
 fn check_audit_agreement(scenario: &SimScenario, report: &SimRunReport) -> Result<(), String> {
+    audit_agreement(scenario, report, faust_audit::audit)
+}
+
+/// [`check_audit_agreement`] with `auditor` in the auditor's place.
+fn audit_agreement(
+    scenario: &SimScenario,
+    report: &SimRunReport,
+    auditor: impl FnOnce(
+        &faust_audit::SessionHistory,
+        &faust_crypto::VerifierRegistry,
+    ) -> Result<faust_audit::AuditReport, faust_audit::AuditError>,
+) -> Result<(), String> {
     let Some(bytes) = &report.exported_history else {
         return Err("run produced no exported session history".into());
     };
@@ -1431,7 +1476,7 @@ fn check_audit_agreement(scenario: &SimScenario, report: &SimRunReport) -> Resul
         &scenario.seed.to_be_bytes(),
     )
     .registry();
-    let audit_report = faust_audit::audit(&session, &registry)
+    let audit_report = auditor(&session, &registry)
         .map_err(|err| format!("auditor rejected the exported history outright: {err}"))?;
 
     let adversarial_fired = !report.fork_fired.is_empty() || !report.dirty_fired.is_empty();
@@ -1442,21 +1487,25 @@ fn check_audit_agreement(scenario: &SimScenario, report: &SimRunReport) -> Resul
         ));
     }
 
-    // A wipe that destroyed a completed operation is always provable
-    // offline: the completed op's timestamp cannot appear in the
-    // surviving schedule.
+    // A wipe that destroyed a completed operation is provable offline
+    // from a log that reaches back to the restart: the completed op's
+    // timestamp cannot appear in the surviving schedule. A snapshot
+    // taken after the restart may have absorbed that evidence — the
+    // COMMITs in flight at the crash re-teach the server every version —
+    // and an export starting from it shows an honest window.
     let wiped = (scenario.plan.crash().map(|s| s.tamper) == Some(WalTamper::WipeState))
-        .then_some(report.crash_time)
-        .flatten();
-    if let Some(crash_time) = wiped {
+        .then_some((report.crash_time, report.restart_seq));
+    if let Some((Some(crash_time), Some(restart_seq))) = wiped {
         let completed_before_crash = report.notifications.iter().any(|ns| {
             ns.iter()
                 .any(|(t, n)| matches!(n, Notification::Completed(_)) && *t < crash_time)
         });
-        if completed_before_crash && audit_report.verdict.is_certified() {
+        let reaches_back = session.base_seq <= restart_seq;
+        if completed_before_crash && reaches_back && audit_report.verdict.is_certified() {
             return Err(format!(
                 "auditor certified a session whose server lost committed state in a crash \
-                 at t={crash_time}"
+                 at t={crash_time}, its export reaching back to the restart (base_seq {} ≤ {})",
+                session.base_seq, restart_seq
             ));
         }
     }
@@ -2016,6 +2065,40 @@ mod tests {
         report.exported_history = None;
         let err = check_oracles(&scenario, &report).expect_err("no export, no pass");
         assert!(err.contains("no exported session history"), "{err}");
+    }
+
+    /// Seed 101160's wipe, with a store that never snapshots: its export
+    /// reaches back to the restart, so the audit oracle still demands the
+    /// divergence the real auditor finds there — an auditor that
+    /// certifies fails it. With snapshots every 4 records the export
+    /// starts past the restart, and the same certificate passes.
+    #[test]
+    fn the_audit_oracle_demands_a_divergence_from_an_export_reaching_the_wipe() {
+        let certify = |_: &faust_audit::SessionHistory, _: &faust_crypto::VerifierRegistry| {
+            Ok(faust_audit::AuditReport {
+                verdict: faust_audit::AuditVerdict::Certified {
+                    fork_linearizable: true,
+                    ops: 0,
+                    clients: 2,
+                },
+                records_replayed: 0,
+                signatures_checked: 0,
+                commits_checked: 0,
+            })
+        };
+        let mut whole = gen_scenario(101160);
+        whole.server.snapshot_every = 0;
+        let report = run_sim(&whole);
+        assert_eq!((report.crash_time, report.restart_seq), (Some(10), Some(0)));
+        check_audit_agreement(&whole, &report).expect("the auditor diverges");
+        let err = audit_agreement(&whole, &report, certify).expect_err("certified");
+        assert!(err.contains("lost committed state"), "{err}");
+
+        let snapshotted = gen_scenario(101160);
+        assert_eq!(snapshotted.server.snapshot_every, 4);
+        let report = run_sim(&snapshotted);
+        assert_eq!(report.restart_seq, Some(0));
+        audit_agreement(&snapshotted, &report, certify).expect("the export starts past the wipe");
     }
 
     #[test]

@@ -77,17 +77,9 @@ pub fn run_op(server: &mut dyn Server, client: &mut UstorClient, submit: SubmitM
     server.on_commit(id, commit.expect("immediate mode"));
 }
 
-/// The mutation harness: every way to damage `good` by cutting it short
-/// or flipping one bit, as `(offset of the first damaged byte, bytes)`.
-pub fn mutations(good: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
-    let truncations = (0..good.len()).map(|len| (len, good[..len].to_vec()));
-    let flips = (0..good.len() * 8).map(|bit| {
-        let mut bad = good.to_vec();
-        bad[bit / 8] ^= 1 << (bit % 8);
-        (bit / 8, bad)
-    });
-    truncations.chain(flips)
-}
+/// The mutation harness, which lives in `faust-types` (below every crate
+/// that sweeps bytes with it); re-exported for this crate's users.
+pub use faust_types::testutil::mutations;
 
 /// A [`Sealed`] format's first half of the contract, its file at `path`:
 /// an absent file reads as `None`, and a written payload reads back whole,

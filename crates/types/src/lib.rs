@@ -21,6 +21,8 @@
 //!   `faust-net` puts on the socket.
 //! * [`history`] — invocation/response records of executions, consumed by
 //!   the `faust-consistency` checkers.
+//! * [`testutil`] — the mutation harness every crate's byte-level sweeps
+//!   share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +31,7 @@ pub mod frame;
 pub mod history;
 pub mod ids;
 pub mod op;
+pub mod testutil;
 pub mod value;
 pub mod version;
 pub mod wire;

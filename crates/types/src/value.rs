@@ -74,6 +74,18 @@ impl Value {
     pub fn is_empty(&self) -> bool {
         self.as_bytes().is_empty()
     }
+
+    /// Whether `self` and `other` are clones of one value: the same
+    /// shared allocation, or the same static bytes. It implies equal
+    /// bytes — the storage is immutable, and a live clone keeps it from
+    /// being reused — without reading them; equal bytes do not imply it.
+    pub fn same_allocation(&self, other: &Value) -> bool {
+        match (&self.0, &other.0) {
+            (Repr::Shared(a), Repr::Shared(b)) => Arc::ptr_eq(a, b),
+            (Repr::Static(a), Repr::Static(b)) => std::ptr::eq(*a, *b),
+            _ => false,
+        }
+    }
 }
 
 impl PartialEq for Value {
@@ -180,6 +192,17 @@ mod tests {
         let v = Value::new(Vec::new());
         assert!(v.is_empty());
         assert_eq!(Some(v.clone()), Some(v)); // Some(empty) ≠ None (⊥)
+    }
+
+    #[test]
+    fn same_allocation_is_identity_not_equality() {
+        let a = Value::from("same");
+        assert!(a.same_allocation(&a.clone()));
+        assert!(!a.same_allocation(&Value::from("same")));
+        let s = Value::from_static(b"same");
+        assert!(s.same_allocation(&s.clone()));
+        assert!(!s.same_allocation(&a) && !a.same_allocation(&s));
+        assert_eq!(a, s);
     }
 
     #[test]

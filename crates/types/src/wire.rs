@@ -12,8 +12,9 @@
 //!   `SVER[j]` goes as a delta against `SVER[c]` when that is smaller,
 //!   marked by bit 31 of its first length prefix, and `L` may name a
 //!   tail of the `L` of the client's previous REPLY instead of repeating
-//!   it, marked by bit 31 of its count (the [`ReplyMsg`] docs have the
-//!   three layouts);
+//!   it, marked by bit 31 of its count, and a read's `MEM[j].x` may name
+//!   the value an earlier REPLY to the same client delivered, marked by
+//!   its option tag 2 (the [`ReplyMsg`] docs have the four layouts);
 //! * [`CommitMsg`] (2) — `⟨COMMIT, V_i, M_i, φ, ψ⟩`, or [`CommitDelta`]
 //!   (3) — the same COMMIT as the entries where its version differs from
 //!   the `commit_version` of the REPLY it answers, sent by a session on
@@ -885,11 +886,21 @@ pub struct ReadReply {
     /// `MEM[j].t` — timestamp of the writer's last submitted operation.
     pub mem_timestamp: Timestamp,
     /// `MEM[j].x` — the register value (`None` = `⊥`, never written).
+    /// `None` also while [`ReadReply::value_name`] is set.
     pub mem_value: Option<Value>,
     /// `MEM[j].δ` — the writer's DATA-signature (`None` before the writer's
     /// first operation).
     pub mem_data_sig: Option<Signature>,
+    /// `t_r` when `MEM[j].x` travelled as a name: it is the value that the
+    /// REPLY to the recipient's own read of `j` at timestamp `t_r`
+    /// delivered, until [`ReadReply::resolve_value`] puts it back. `None`
+    /// (the value in full) in every REPLY a server builds.
+    pub value_name: Option<Timestamp>,
 }
+
+/// The option tag of a read REPLY's `MEM[j].x` that names a value instead
+/// of carrying it (see [`ReplyMsg`]); `0` is `⊥` and `1` a value.
+const VALUE_NAME_TAG: u8 = 2;
 
 impl ReadReply {
     /// Everything of the read part after `SVER[j]`'s version, which
@@ -897,21 +908,62 @@ impl ReadReply {
     fn encode_rest<S: Sink>(&self, out: &mut S) {
         self.writer_version.sig.encode_into(out);
         self.mem_timestamp.encode_into(out);
-        self.mem_value.encode_into(out);
+        match self.value_name {
+            None => self.mem_value.encode_into(out),
+            Some(t) => {
+                out.push(VALUE_NAME_TAG);
+                t.encode_into(out);
+            }
+        }
         self.mem_data_sig.encode_into(out);
     }
 
     /// The read part whose `SVER[j]` version was already read.
     fn decode_rest(version: Version, input: &mut &[u8]) -> Result<Self, WireError> {
+        let writer_version = SignedVersion {
+            version,
+            sig: Option::<Signature>::decode_from(input)?,
+        };
+        let mem_timestamp = Timestamp::decode_from(input)?;
+        let (mem_value, value_name) = match *input {
+            [VALUE_NAME_TAG, rest @ ..] => {
+                *input = rest;
+                (None, Some(Timestamp::decode_from(input)?))
+            }
+            _ => (Option::<Value>::decode_from(input)?, None),
+        };
         Ok(ReadReply {
-            writer_version: SignedVersion {
-                version,
-                sig: Option::<Signature>::decode_from(input)?,
-            },
-            mem_timestamp: Timestamp::decode_from(input)?,
-            mem_value: Option::<Value>::decode_from(input)?,
+            writer_version,
+            mem_timestamp,
+            mem_value,
             mem_data_sig: Option::<Signature>::decode_from(input)?,
+            value_name,
         })
+    }
+
+    /// Sends `MEM[j].x` as the name `t` if it is `base` — a clone of the
+    /// value the REPLY to the recipient's read at `t` delivered, by
+    /// [`Value::same_allocation`], never by its bytes — and says whether
+    /// it did. Anything else, `⊥` included, stays in full.
+    pub fn name_value(&mut self, t: Timestamp, base: &Value) -> bool {
+        let same = self
+            .mem_value
+            .as_ref()
+            .is_some_and(|value| value.same_allocation(base));
+        if same {
+            self.mem_value = None;
+            self.value_name = Some(t);
+        }
+        same
+    }
+
+    /// Puts back the value [`ReadReply::value_name`] names: `value`, which
+    /// the recipient holds from the REPLY to its read at that timestamp.
+    /// A read part with its value in full is left as it is.
+    pub fn resolve_value(&mut self, value: Value) {
+        if self.value_name.take().is_some() {
+            self.mem_value = Some(value);
+        }
     }
 }
 
@@ -970,8 +1022,26 @@ impl ReadReply {
 /// the full form. Both the count and `k` are at most 2²⁴, and a delta's
 /// `k` is at least 1; anything else is [`WireError::BadLength`].
 ///
-/// A REPLY whose `SVER[c]` goes in full and whose `k` is 0 is byte for
-/// byte what every server builds.
+/// A read's `MEM[j].x` goes as an option — `⊥` or the value — or, when
+/// [`ReadReply::value_name`] is `t_r`, as a name for the value the REPLY
+/// to the recipient's own read of `j` at `t_r` delivered:
+///
+/// ```text
+///   ⊥:     0: u8
+///   value: 1: u8 | len: u32 | byte^len
+///   name:  2: u8 | t_r: u64
+/// ```
+///
+/// Only the server's engine sends a name ([`ReadReply::name_value`]),
+/// when the value is a clone of the one it last sent the same client for
+/// `j` on the same connection, and the client puts the value back before
+/// any check reads it ([`ReadReply::resolve_value`]). Like the `SVER[c]`
+/// name, `t_r` is absolute, so a replayed REPLY names what it was built
+/// against. Tag 2 is legal in that position only; anywhere else an
+/// option's tag is 0 or 1, else [`WireError::BadTag`].
+///
+/// A REPLY whose `SVER[c]` goes in full, whose `k` is 0 and whose value
+/// (if any) travels in full is byte for byte what every server builds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplyMsg {
     /// `c` — the client that committed the last operation in the schedule.
@@ -1558,6 +1628,7 @@ mod tests {
                 mem_timestamp: 7,
                 mem_value: Some(Value::from("stored")),
                 mem_data_sig: Some(sig(4)),
+                value_name: None,
             }),
             pending: vec![InvocationTuple {
                 client: ClientId::new(2),
@@ -1605,17 +1676,6 @@ mod tests {
             }),
         ] {
             assert_eq!(UstorMsg::decode(&m.encode()), Ok(m));
-        }
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let bytes = sample_reply(3).encode();
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                ReplyMsg::decode(&bytes[..cut]).is_err(),
-                "cut at {cut} decoded"
-            );
         }
     }
 
@@ -1960,6 +2020,60 @@ mod tests {
             ReplyMsg::decode(&short[..at + 4 + 13]),
             Err(WireError::Truncated)
         );
+    }
+
+    /// What `proptests::a_read_value_named_and_resolved_is_the_reply_the_server_built`
+    /// does not draw: `⊥`, static bytes, and resolving a full value.
+    #[test]
+    fn bottom_and_full_values_stay_as_they_are_and_static_bytes_are_one_value() {
+        let full = sample_reply(3);
+        let mut bottom = full.clone();
+        let read = bottom.read.as_mut().unwrap();
+        let value = read.mem_value.take().unwrap();
+        let before = bottom.clone();
+        assert!(!bottom.read.as_mut().unwrap().name_value(5, &value));
+        assert_eq!(bottom, before);
+        let mut again = full.clone();
+        let read = again.read.as_mut().unwrap();
+        read.resolve_value(Value::from("other"));
+        assert_eq!(again, full);
+        let fixed = Value::from_static(b"fixed");
+        let mut read = full.read.clone().unwrap();
+        read.mem_value = Some(fixed.clone());
+        assert!(read.name_value(9, &fixed));
+        assert_eq!(read.value_name, Some(9));
+    }
+
+    #[test]
+    fn hostile_value_names_are_typed_errors() {
+        let mut named = sample_reply(3);
+        let value = named.read.as_ref().unwrap().mem_value.clone().unwrap();
+        named.read.as_mut().unwrap().name_value(5, &value);
+        let bytes = named.encode();
+        // The name sits after `SVER[j]`, its signature and `t_j`, before
+        // `δ_j` (34 bytes), `L` (4 + 42) and `P` (4 + 34 + 1 + 34).
+        let at = bytes.len() - 34 - 46 - 73 - 9;
+        assert_eq!(bytes[at..at + 9], [&[2][..], &5u64.to_be_bytes()].concat());
+        for cut in at..at + 9 {
+            assert_eq!(ReplyMsg::decode(&bytes[..cut]), Err(WireError::Truncated));
+        }
+        for tag in [3, 0x82, 0xFF] {
+            let mut bad = bytes.clone();
+            bad[at] = tag;
+            assert_eq!(ReplyMsg::decode(&bad), Err(WireError::BadTag(tag)));
+        }
+        // Any `t_r` decodes; whether it names anything is the client's
+        // to judge.
+        let mut far = bytes.clone();
+        far[at + 1..at + 9].copy_from_slice(&u64::MAX.to_be_bytes());
+        let got = ReplyMsg::decode(&far).unwrap();
+        assert_eq!(got.read.unwrap().value_name, Some(u64::MAX));
+        // Tag 2 is a name in that position only.
+        let mut submit = sample_submit().encode();
+        let value_at = 8 + 4 + 1 + 4 + 33;
+        assert_eq!(submit[value_at], 1);
+        submit[value_at] = 2;
+        assert_eq!(SubmitMsg::decode(&submit), Err(WireError::BadTag(2)));
     }
 
     fn commit_delta(entries: &[(u32, u64)]) -> CommitDelta {

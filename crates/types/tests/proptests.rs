@@ -9,6 +9,7 @@
 use faust_crypto::{sha256, Digest};
 use faust_sim::SmallRng;
 use faust_types::frame::{frame_bytes, FrameDecoder};
+use faust_types::testutil::mutations;
 use faust_types::{
     AgainstOwn, ClientId, CommitDelta, CommitMsg, DigestVec, History, InvocationTuple, OpKind,
     ReadReply, ReplyMsg, SignedVersion, SubmitMsg, TimestampVec, UstorMsg, Value, Version,
@@ -118,14 +119,25 @@ fn near_version(rng: &mut SmallRng, base: &Version, share: f64) -> Version {
 }
 
 /// A REPLY as the engine may send it: a third have `SVER[c]` sent
-/// against a COMMIT of the recipient's ([`own_commit_near`]).
+/// against a COMMIT of the recipient's ([`own_commit_near`]), and a third
+/// of the reads with a value name it ([`ReadReply::name_value`]).
 fn arb_reply(rng: &mut SmallRng) -> ReplyMsg {
     let mut reply = arb_full_reply(rng);
     if rng.gen_bool(0.3) {
         let base = own_commit_near(rng, &reply.commit_version);
         reply.commit_against(rng.next_u64() >> 8, &base);
     }
+    if let Some(read) = reply.read.as_mut().filter(|_| rng.gen_bool(0.3)) {
+        named(rng, read);
+    }
     reply
+}
+
+/// `read` with its value, if it has one, sent as a name.
+fn named(rng: &mut SmallRng, read: &mut ReadReply) {
+    if let Some(value) = read.mem_value.clone() {
+        assert!(read.name_value(rng.next_u64() >> 8, &value));
+    }
 }
 
 /// A COMMIT of a REPLY's recipient that `signed`, the REPLY's `SVER[c]`,
@@ -163,6 +175,7 @@ fn arb_full_reply(rng: &mut SmallRng) -> ReplyMsg {
             mem_timestamp: rng.gen_range_inclusive(0, 99),
             mem_value: rng.gen_bool(0.5).then(|| arb_value(rng)),
             mem_data_sig: rng.gen_bool(0.5).then(|| arb_sig(rng)),
+            value_name: None,
         }),
         pending: {
             let len = rng.gen_index(4);
@@ -747,16 +760,27 @@ mod reference {
         })
     }
 
-    /// A read part whose `SVER[j]` version was already read.
+    /// A read part whose `SVER[j]` version was already read. `MEM[j].x`'s
+    /// option tag may also be 2, a name: the timestamp `t_r`.
     fn read_rest(version: Version, input: &mut &[u8]) -> Decoded<ReadReply> {
+        let writer_version = SignedVersion {
+            version,
+            sig: option(input, signature)?,
+        };
+        let mem_timestamp = long(input)?;
+        let (mem_value, value_name) = match input.first() {
+            Some(2) => {
+                byte(input)?;
+                (None, Some(long(input)?))
+            }
+            _ => (option(input, value)?, None),
+        };
         Ok(ReadReply {
-            writer_version: SignedVersion {
-                version,
-                sig: option(input, signature)?,
-            },
-            mem_timestamp: long(input)?,
-            mem_value: option(input, value)?,
+            writer_version,
+            mem_timestamp,
+            mem_value,
             mem_data_sig: option(input, signature)?,
+            value_name,
         })
     }
 
@@ -996,6 +1020,7 @@ fn shaped_reply(rng: &mut SmallRng, shape: Shape, near: bool) -> ReplyMsg {
             mem_timestamp: rng.next_u64() >> 40,
             mem_value: rng.gen_bool(0.7).then(|| arb_value(rng)),
             mem_data_sig: rng.gen_bool(0.7).then(|| shaped_sig(rng, shape)),
+            value_name: None,
         }),
         pending: (0..shape.pending)
             .map(|_| shaped_tuple(rng, shape))
@@ -1027,6 +1052,16 @@ fn sent_against_own(rng: &mut SmallRng, shape: Shape, marker: bool) -> ReplyMsg 
     reply
 }
 
+/// A REPLY for `shape` whose read part, if it has one, names its value.
+fn value_named(rng: &mut SmallRng, shape: Shape) -> ReplyMsg {
+    let mut reply = shaped_reply(rng, shape, false);
+    if let Some(read) = reply.read.as_mut() {
+        read.mem_value.get_or_insert_with(|| arb_value(rng));
+        named(rng, read);
+    }
+    reply
+}
+
 /// Every shape the differential tests run: n ∈ {1, 2, 5, 64} × |L| ∈
 /// {0, 1, 31} × both schemes × with and without the optional part. At
 /// n = 64 an encoding is 5–10 KiB and every one of its bytes is mutated,
@@ -1053,37 +1088,40 @@ fn shapes() -> Vec<Shape> {
     shapes
 }
 
-/// `bytes`, every prefix of it, and every single-byte flip of it (low bit:
-/// a tag becomes the other tag; high bit: a tag becomes unknown, a length
-/// implausible) must decode to the same `Result` under both decoders.
+/// `bytes` and each of its mutations from the shared harness
+/// ([`mutations`]) — every prefix, every single-bit flip (a tag
+/// becomes another tag or an unknown one, a length implausible) — must
+/// decode to the same `Result` under both decoders, and every prefix
+/// must fail.
 fn assert_decoders_agree<T: Wire + PartialEq + std::fmt::Debug>(
     reference: fn(&[u8]) -> Result<T, faust_types::WireError>,
     bytes: &[u8],
     shape: Shape,
 ) {
-    let check = |input: &[u8], what: &str, at: usize| {
+    let check = |input: &[u8], at: usize| {
         let (got, expected) = (T::decode(input), reference(input));
+        let what = if input.len() < bytes.len() {
+            assert!(got.is_err(), "{shape:?}: a prefix of {at} bytes decoded");
+            "truncation"
+        } else {
+            "flip"
+        };
         assert!(
             got == expected,
             "{shape:?}, {what} at {at}: {got:?} vs {expected:?}"
         );
     };
-    check(bytes, "intact", 0);
+    check(bytes, 0);
     assert!(reference(bytes).is_ok(), "{shape:?}: own encoding rejected");
-    for cut in 0..bytes.len() {
-        check(&bytes[..cut], "truncation", cut);
-    }
-    let mut mutated = bytes.to_vec();
-    for pos in 0..bytes.len() {
-        for mask in [0x01, 0x80] {
-            mutated[pos] ^= mask;
-            check(&mutated, "flip", pos);
-            mutated[pos] ^= mask;
-        }
+    for (at, bad) in mutations(bytes) {
+        check(&bad, at);
     }
     // And with bytes after the message.
-    mutated.push(0);
-    check(&mutated, "trailing byte", bytes.len());
+    let mut trailing = bytes.to_vec();
+    trailing.push(0);
+    let got = T::decode(&trailing);
+    assert_eq!(got, Err(WireError::TrailingBytes(1)), "{shape:?}");
+    assert_eq!(got, reference(&trailing), "{shape:?}");
 }
 
 #[test]
@@ -1115,6 +1153,8 @@ fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
         swept_deltas += usize::from(own_delta.against_own.is_some());
         assert_decoders_agree(reference::reply, &marker.encode(), shape);
         assert_decoders_agree(reference::reply, &own_delta.encode(), shape);
+        let named_value = value_named(rng, shape);
+        assert_decoders_agree(reference::reply, &named_value.encode(), shape);
         assert_decoders_agree(reference::submit, &submit.encode(), shape);
         assert_decoders_agree(reference::reply, &reply.encode(), shape);
         assert_decoders_agree(reference::commit, &commit.encode(), shape);
@@ -1136,6 +1176,7 @@ fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
             UstorMsg::Reply(kept),
             UstorMsg::Reply(marker),
             UstorMsg::Reply(own_delta),
+            UstorMsg::Reply(named_value),
             UstorMsg::Commit(commit),
             UstorMsg::CommitDelta(delta),
         ] {
@@ -1188,6 +1229,7 @@ fn frame_decoder_agrees_with_the_reference_at_every_split_point() {
             }),
             UstorMsg::Reply(sent_against_own(rng, shape, true)),
             UstorMsg::Reply(sent_against_own(rng, shape, false)),
+            UstorMsg::Reply(value_named(rng, shape)),
         ];
         for msg in msgs {
             let frame = frame_bytes(&msg);
@@ -1405,6 +1447,36 @@ fn a_pending_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
         far.resolve_pending(base),
         Err(WireError::BadLength(max.into()))
     );
+}
+
+/// A read value sent as a name and put back again is the REPLY the server
+/// built: 9 bytes travel for the value's `1 + 4 + len`. Only a clone of
+/// the base is named — equal bytes in another allocation go in full, byte
+/// for byte as the server built them.
+#[test]
+fn a_read_value_named_and_resolved_is_the_reply_the_server_built() {
+    let mut named_some = 0;
+    for_cases("value name", |rng| {
+        let full = arb_full_reply(rng);
+        let Some(value) = full.read.as_ref().and_then(|read| read.mem_value.clone()) else {
+            return;
+        };
+        let t = rng.next_u64();
+        let mut sent = full.clone();
+        let copy = Value::new(value.as_bytes().to_vec());
+        assert!(!sent.read.as_mut().unwrap().name_value(t, &copy));
+        assert_eq!(sent.encode(), full.encode());
+        assert!(sent.read.as_mut().unwrap().name_value(t, &value));
+        named_some += 1;
+        assert_eq!(full.encoded_len() + 4, sent.encoded_len() + value.len());
+        let mut got = ReplyMsg::decode(&sent.encode()).unwrap();
+        assert_eq!(got, sent);
+        assert_eq!(got, reference::reply(&sent.encode()).unwrap());
+        got.read.as_mut().unwrap().resolve_value(value.clone());
+        assert_eq!(got, full);
+        assert_eq!(got.encode(), full.encode());
+    });
+    assert!(named_some > CASES / 8, "{named_some}");
 }
 
 /// `SVER[c]` sent against a COMMIT of the recipient's and rebuilt from it

@@ -307,6 +307,21 @@ pub struct UstorClient {
     /// that SUBMIT is in flight at most `max_pipeline - 1` replies, each
     /// making one COMMIT, are processed before its own.
     commits: VecDeque<OwnCommit>,
+    /// Per register, the value of the last read REPLY for it that this
+    /// client accepted, with its digest: what a REPLY may name instead of
+    /// sending it ([`ReadReply::value_name`]). One per register, so at
+    /// most `n` values.
+    values: Vec<Option<HeldValue>>,
+}
+
+/// A register value as the read REPLY that delivered it left it: `t`, the
+/// timestamp of that read, which names it, and the digest line 50
+/// verified the writer's DATA-signature over.
+#[derive(Debug, Clone)]
+struct HeldValue {
+    t: Timestamp,
+    value: Value,
+    digest: Digest,
 }
 
 /// One of this client's COMMITs, as [`UstorClient::own_commit`] finds it:
@@ -457,6 +472,7 @@ impl UstorClient {
             peers: vec![Peer::default(); n],
             last_pending: Vec::new(),
             commits: VecDeque::new(),
+            values: vec![None; n],
         }
     }
 
@@ -725,9 +741,24 @@ impl UstorClient {
         let writer_in_history = read.is_none_or(|r| r.writer_version.version.le(committed));
         self.update_version(&mut reply, op.timestamp, signed_by_us)?;
         self.last_pending = std::mem::take(&mut reply.pending);
-        let read_value = match &reply.read {
+        let read_value = match &mut reply.read {
             Some(read) if op.kind == OpKind::Read => {
-                Some(self.check_data(read, op.target, writer_in_history)?)
+                let j = op.target;
+                let digest = self.resolve_value(read, j)?;
+                let value = self.check_data(read, j, writer_in_history, digest)?;
+                // What a later REPLY may name: what this one delivered.
+                self.values[j.index()] = match (&value, digest) {
+                    (Some(value), Some(digest)) => Some(HeldValue {
+                        t: op.timestamp,
+                        value: value.clone(),
+                        digest,
+                    }),
+                    _ => None,
+                };
+                Some(value)
+            }
+            Some(read) if read.value_name.is_some() => {
+                return Err(Fault::MalformedReply("a write's reply names a read value"))
             }
             _ => None,
         };
@@ -966,13 +997,35 @@ impl UstorClient {
         Ok(())
     }
 
+    /// Puts back a value the REPLY for a read of `j` names — the one this
+    /// client holds from the REPLY to its read at that timestamp — and
+    /// returns the digest of the read value, `None` for `⊥`: a named
+    /// value's as it was verified when it arrived, a value sent in full
+    /// hashed here.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::MalformedReply`] if the name is not the one this client
+    /// holds for `j`.
+    fn resolve_value(&self, read: &mut ReadReply, j: ClientId) -> Result<Option<Digest>, Fault> {
+        let Some(t) = read.value_name else {
+            return Ok(read.mem_value.as_ref().map(|v| sha256(v.as_bytes())));
+        };
+        let held = self.values[j.index()].as_ref().filter(|held| held.t == t);
+        let held = held.ok_or(Fault::MalformedReply("read value names no value we hold"))?;
+        read.resolve_value(held.value.clone());
+        Ok(Some(held.digest))
+    }
+
     /// Algorithm 1, `checkData` (lines 48–52). Returns the read value.
-    /// `writer_in_history` is line 51's `(V^j, M^j) ≼ (V^c, M^c)`.
+    /// `writer_in_history` is line 51's `(V^j, M^j) ≼ (V^c, M^c)`;
+    /// `value_hash` the digest of the read value, `None` for `⊥`.
     fn check_data(
         &self,
         read: &ReadReply,
         j: ClientId,
         writer_in_history: bool,
+        value_hash: Option<Digest>,
     ) -> Result<Option<Value>, Fault> {
         let writer = &read.writer_version;
         let tj = read.mem_timestamp;
@@ -1000,7 +1053,6 @@ impl UstorClient {
 
         // Line 50: the value is fresh-signed by C_j under timestamp t_j.
         if tj != 0 {
-            let value_hash = read.mem_value.as_ref().map(|v| sha256(v.as_bytes()));
             let bytes = data_signing_bytes(tj, value_hash);
             let valid = read
                 .mem_data_sig
@@ -1627,5 +1679,86 @@ mod tests {
         let replayed = cs[0].handle_reply(marker);
         assert!(replayed.is_err());
         assert_eq!(replayed, twin.handle_reply(full));
+    }
+
+    /// The REPLY `s` builds for `submit` from `from`.
+    fn reply_to(s: &mut UstorServer, from: ClientId, submit: SubmitMsg) -> ReplyMsg {
+        s.on_submit(from, submit).pop().unwrap().1
+    }
+
+    #[test]
+    fn a_named_value_resolves_from_the_last_read_we_accepted_or_faults_cleanly() {
+        let keys = KeySet::generate(2, b"pipeline-tests");
+        let (mut s, mut cs) = pipelined_setup(2, 1);
+        let (c0, c1) = (ClientId::new(0), ClientId::new(1));
+        let submit = cs[0].begin_write(Value::from("x")).unwrap();
+        let (commit, _) = cs[0].handle_reply(reply_to(&mut s, c0, submit)).unwrap();
+        s.on_commit(c0, commit.unwrap());
+        // C1 reads "x" at t = 1, in full.
+        let submit = cs[1].begin_read(c0).unwrap();
+        let first = reply_to(&mut s, c1, submit);
+        let x = first.read.as_ref().unwrap().mem_value.clone().unwrap();
+        let (commit, _) = cs[1].handle_reply(first).unwrap();
+        s.on_commit(c1, commit.unwrap());
+        // Its next read's REPLY names it.
+        let submit = cs[1].begin_read(c0).unwrap();
+        let full = reply_to(&mut s, c1, submit);
+        let mut named = full.clone();
+        assert!(named.read.as_mut().unwrap().name_value(1, &x));
+        let unknown = Fault::MalformedReply("read value names no value we hold");
+        let mut far = named.clone();
+        far.read.as_mut().unwrap().value_name = Some(2);
+        assert_eq!(cs[1].clone().handle_reply(far), Err(unknown.clone()));
+        // A client restored from its state holds no value.
+        let restored = UstorClient::from_state(
+            keys.keypair(1).unwrap().clone(),
+            keys.registry(),
+            cs[1].export_state(),
+        );
+        assert_eq!(restored.clone().handle_reply(named.clone()), Err(unknown));
+        // A name with `t_j = 0` stands for a value where there is none.
+        let mut initial = named.clone();
+        initial.read.as_mut().unwrap().mem_timestamp = 0;
+        let got = cs[1].clone().handle_reply(initial);
+        assert!(matches!(got, Err(Fault::MalformedReply(_))), "{got:?}");
+        // Taken, it completes exactly as the full REPLY does.
+        let mut twin = cs[1].clone();
+        let (commit, done) = cs[1].handle_reply(named).expect("correct server");
+        assert_eq!(Ok((commit.clone(), done.clone())), twin.handle_reply(full));
+        assert_eq!(done.read_value, Some(Some(Value::from("x"))));
+        s.on_commit(c1, commit.unwrap());
+        // C0 writes "y"; a REPLY that names "x" for it fails line 50 over
+        // the digest of "x", as "x" sent in full would.
+        let submit = cs[0].begin_write(Value::from("y")).unwrap();
+        let (commit, _) = cs[0].handle_reply(reply_to(&mut s, c0, submit)).unwrap();
+        s.on_commit(c0, commit.unwrap());
+        let submit = cs[1].begin_read(c0).unwrap();
+        let fresh = reply_to(&mut s, c1, submit);
+        let mut lying = fresh.clone();
+        let read = lying.read.as_mut().unwrap();
+        (read.mem_value, read.value_name) = (None, Some(2));
+        let mut stale = fresh.clone();
+        stale.read.as_mut().unwrap().mem_value = Some(x);
+        assert_eq!(
+            cs[1].clone().handle_reply(lying),
+            Err(Fault::BadDataSignature)
+        );
+        assert_eq!(
+            cs[1].clone().handle_reply(stale),
+            Err(Fault::BadDataSignature)
+        );
+        let (commit, _) = cs[1].handle_reply(fresh.clone()).expect("correct server");
+        s.on_commit(c1, commit.unwrap());
+        // A name in a write's REPLY is malformed, the value held or not.
+        let submit = cs[1].begin_write(Value::from("z")).unwrap();
+        let mut write = reply_to(&mut s, c1, submit);
+        let mut read = fresh.read.clone().unwrap();
+        read.mem_value = None;
+        read.value_name = Some(3);
+        write.read = Some(read);
+        assert_eq!(
+            cs[1].handle_reply(write),
+            Err(Fault::MalformedReply("a write's reply names a read value"))
+        );
     }
 }

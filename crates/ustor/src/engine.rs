@@ -65,8 +65,8 @@ use faust_crypto::Digest;
 use faust_net::{Incoming, ServerTransport};
 use faust_types::op::{data_signing_bytes, submit_signing_bytes};
 use faust_types::{
-    ClientId, CommitMsg, InvocationTuple, OpKind, ReplyMsg, SignedVersion, SubmitMsg, Timestamp,
-    UstorMsg, Value,
+    ClientId, CommitMsg, InvocationTuple, OpKind, ReadReply, ReplyMsg, SignedVersion, SubmitMsg,
+    Timestamp, UstorMsg, Value,
 };
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -102,13 +102,12 @@ pub struct Session {
     /// COMMITs arriving after their COMMIT was acknowledged and their
     /// base evicted (dropped).
     pub duplicates: u64,
-    /// Timestamps of accepted SUBMITs whose replies have not yet been
-    /// released, oldest first, each with `last_commit` as it stood when
-    /// the SUBMIT arrived. A correct server answers SUBMITs FIFO per
-    /// client, which is what lets the engine tag each released reply
-    /// with the timestamp it answered, and send its `SVER[c]` against
-    /// that COMMIT even when group commit holds it back.
-    awaiting_reply: VecDeque<(Timestamp, Option<Arc<CommitBase>>)>,
+    /// Accepted SUBMITs whose replies have not yet been released, oldest
+    /// first. A correct server answers SUBMITs FIFO per client, which is
+    /// what lets the engine tag each released reply with the timestamp
+    /// it answered, and send its `SVER[c]` against the COMMIT before that
+    /// SUBMIT even when group commit holds it back.
+    awaiting_reply: VecDeque<Awaiting>,
     /// The duplicate-replay cache: it answers a resend with the reply
     /// of an operation this client has not committed, or else with the
     /// newest reply ([`ReplyCache`] has the rule). A cached reply was
@@ -137,6 +136,31 @@ pub struct Session {
 struct CommitBase {
     t: Timestamp,
     commit: SignedVersion,
+}
+
+/// An accepted SUBMIT whose reply has not been released, with what its
+/// reply is sent against that is fixed when the SUBMIT arrives.
+#[derive(Debug, Clone)]
+struct Awaiting {
+    /// The SUBMIT's timestamp.
+    t: Timestamp,
+    /// `last_commit` as it stood when the SUBMIT arrived.
+    commit: Option<Arc<CommitBase>>,
+    /// For a read: the register, and how many writes to it the engine
+    /// had forwarded when the SUBMIT arrived ([`ServerEngine`]'s
+    /// `writes`).
+    read: Option<(usize, u64)>,
+}
+
+/// The value the engine last sent client `to` for a register on its
+/// current connection — the base the next read REPLY's `MEM[j].x` is
+/// named against ([`ReadReply::name_value`]) — and `t`, the timestamp of
+/// the read whose REPLY delivered it, which names it.
+#[derive(Debug, Clone)]
+struct SentValue {
+    to: ClientId,
+    t: Timestamp,
+    value: Value,
 }
 
 impl Session {
@@ -216,6 +240,17 @@ pub struct ServerEngine {
     /// default) forwards everything.
     verifier: Option<VerifierRegistry>,
     stats: EngineStats,
+    /// Per register `j`: the value last sent for `j` to each client that
+    /// holds one on its current connection, in no order. A write to `j`
+    /// empties the list, so no base outlives the value `MEM[j]` held, and
+    /// it holds clones of the values the server built — the engine never
+    /// copies, hashes or compares their bytes. A client's entries go with
+    /// [`ServerEngine::connected`] and with every REPLY replayed to it
+    /// from the cache, which the client processes as any other.
+    sent_values: Vec<Vec<SentValue>>,
+    /// Per register: writes to it forwarded to the server. A read REPLY
+    /// released after a write its SUBMIT did not see leaves no base.
+    writes: Vec<u64>,
 }
 
 impl std::fmt::Debug for ServerEngine {
@@ -250,6 +285,8 @@ impl ServerEngine {
             staged: VecDeque::new(),
             verifier: None,
             stats: EngineStats::default(),
+            sent_values: vec![Vec::new(); n],
+            writes: vec![0; n],
         }
     }
 
@@ -275,7 +312,7 @@ impl ServerEngine {
     pub fn with_verification(mut self, registry: VerifierRegistry) -> Self {
         for session in &mut self.sessions {
             if let Some(value) = session.resumed_value.take() {
-                session.last_value_hash = Some(sha256(value.as_bytes()));
+                session.last_value_hash = Some(value_hash(&value));
             }
         }
         self.verifier = Some(registry);
@@ -311,9 +348,18 @@ impl ServerEngine {
         if let Some(session) = self.sessions.get_mut(client.index()) {
             session.sent_pending.clear();
             session.last_commit = None;
-            for (_, base) in &mut session.awaiting_reply {
-                *base = None;
+            for awaiting in &mut session.awaiting_reply {
+                awaiting.commit = None;
             }
+            self.forget_sent_values(client);
+        }
+    }
+
+    /// Drops every value base of `client`: the next read REPLY for each
+    /// register goes to it in full.
+    fn forget_sent_values(&mut self, client: ClientId) {
+        for row in &mut self.sent_values {
+            row.retain(|sent| sent.to != client);
         }
     }
 
@@ -377,15 +423,23 @@ impl ServerEngine {
     /// back in full from the cache when its SUBMIT is resent — so it
     /// holds that base when this one arrives. Its `SVER[c]` goes against
     /// the client's last COMMIT before that SUBMIT, which the client
-    /// still holds ([`ReplyMsg::commit_against`]). Replies with no
-    /// awaiting SUBMIT (a Byzantine server broadcasting) are passed
-    /// through uncached, in full.
+    /// still holds ([`ReplyMsg::commit_against`]). A read's `MEM[j].x`
+    /// goes as a name when it is the value last sent the same client for
+    /// `j` ([`ReadReply::name_value`]), which the client holds from the
+    /// REPLY that delivered it. Replies with no awaiting SUBMIT (a
+    /// Byzantine server broadcasting) are passed through uncached, in
+    /// full.
     fn release_reply(&mut self, to: ClientId, mut reply: ReplyMsg) {
         if let Some(session) = self.sessions.get_mut(to.index()) {
-            if let Some((ts, base)) = session.awaiting_reply.pop_front() {
-                session.replies.push(ts, Cow::Borrowed(&reply));
-                if let Some(base) = base {
+            if let Some(awaiting) = session.awaiting_reply.pop_front() {
+                session.replies.push(awaiting.t, Cow::Borrowed(&reply));
+                if let Some(base) = awaiting.commit {
                     reply.commit_against(base.t, &base.commit);
+                }
+                if let Some((j, writes)) = awaiting.read {
+                    let live = self.writes.get(j) == Some(&writes);
+                    let row = &mut self.sent_values[j];
+                    send_value(row, to, awaiting.t, reply.read.as_mut(), live);
                 }
             }
             reply.keep_from(&mut session.sent_pending);
@@ -490,12 +544,11 @@ impl ServerEngine {
     fn process_one(&mut self, from: ClientId, msg: UstorMsg) {
         match msg {
             UstorMsg::Submit(submit) => {
-                // The one place the engine hashes a value: `x̄` of a
-                // write, and only when ingress verification checks
+                // `x̄` of a write, only when ingress verification checks
                 // signatures over it.
                 let xbar = match (&self.verifier, &submit.value) {
                     (Some(_), Some(value)) if submit.tuple.kind == OpKind::Write => {
-                        Some(sha256(value.as_bytes()))
+                        Some(value_hash(value))
                     }
                     _ => None,
                 };
@@ -529,6 +582,7 @@ impl ServerEngine {
                         }
                         if let Some(reply) = session.replies.lookup(submit.timestamp).cloned() {
                             self.outbox.push_back((from, UstorMsg::Reply(reply)));
+                            self.forget_sent_values(from);
                         }
                         return;
                     }
@@ -547,8 +601,27 @@ impl ServerEngine {
                             .committed(ReplyCache::acknowledged(from, commit));
                         session.accepted(from, commit);
                     }
-                    let base = session.last_commit.clone();
-                    session.awaiting_reply.push_back((submit.timestamp, base));
+                    let read = match submit.tuple.kind {
+                        OpKind::Read => {
+                            let j = submit.tuple.register.index();
+                            self.writes.get(j).map(|&writes| (j, writes))
+                        }
+                        // The server overwrites the writer's `MEM[i]`: no
+                        // base may keep the old value alive.
+                        OpKind::Write => {
+                            let i = from.index();
+                            if let Some(writes) = self.writes.get_mut(i) {
+                                *writes += 1;
+                                self.sent_values[i].clear();
+                            }
+                            None
+                        }
+                    };
+                    session.awaiting_reply.push_back(Awaiting {
+                        t: submit.timestamp,
+                        commit: session.last_commit.clone(),
+                        read,
+                    });
                 }
                 self.stats.submits += 1;
                 for (rcpt, reply) in self.server.on_submit(from, submit) {
@@ -609,6 +682,50 @@ impl ServerEngine {
         for (rcpt, reply) in self.server.on_commit(from, commit) {
             self.release_reply(rcpt, reply);
         }
+    }
+}
+
+/// `x̄` of `value`: the one place the engine hashes a value, run only
+/// under ingress verification, whose DATA-signatures cover it. Whether a
+/// read value goes as a name is decided by allocation, never by hashing
+/// or comparing bytes (CI counts the calls to `sha256`).
+fn value_hash(value: &Value) -> Digest {
+    sha256(value.as_bytes())
+}
+
+/// Sends a read REPLY's `MEM[j].x` to client `to` against `row`, the
+/// values last sent for `j`, and makes what it carries — the value, or
+/// `⊥` (no entry) — the base for `to`'s next read of `j`, named by `t`,
+/// the timestamp of the read it answers; unless `j` was written since
+/// that read's SUBMIT (`live` is false), so that a REPLY held by group
+/// commit keeps no overwritten value alive. The client holds exactly that
+/// afterwards: it keeps, per register, the value of the last read REPLY
+/// it accepted.
+fn send_value(
+    row: &mut Vec<SentValue>,
+    to: ClientId,
+    t: Timestamp,
+    read: Option<&mut ReadReply>,
+    live: bool,
+) {
+    let at = row.iter().position(|sent| sent.to == to);
+    let value = match (read, live) {
+        (Some(read), true) => match at {
+            Some(at) if read.name_value(row[at].t, &row[at].value) => {
+                row[at].t = t;
+                return;
+            }
+            _ => read.mem_value.clone(),
+        },
+        _ => None,
+    };
+    match (at, value) {
+        (Some(at), Some(value)) => row[at] = SentValue { to, t, value },
+        (None, Some(value)) => row.push(SentValue { to, t, value }),
+        (Some(at), None) => {
+            row.swap_remove(at);
+        }
+        (None, None) => {}
     }
 }
 
@@ -1203,6 +1320,169 @@ mod tests {
         assert_eq!((own.base, own.is_marker()), (1, true));
         let (_, done) = client.handle_reply(reply).expect("C0 holds COMMIT 1");
         assert_eq!(done.timestamp, 3);
+    }
+
+    fn c(i: u32) -> ClientId {
+        ClientId::new(i)
+    }
+
+    /// Client `i` reads register `j` through the engine, completes and
+    /// commits: the name its reply's value came as, if any.
+    fn read_named(
+        engine: &mut ServerEngine,
+        clients: &mut [UstorClient],
+        i: usize,
+        j: u32,
+    ) -> Option<Timestamp> {
+        let submit = clients[i].begin_read(ClientId::new(j)).unwrap();
+        engine.enqueue(clients[i].id(), UstorMsg::Submit(submit));
+        engine.process_all();
+        let (_, reply) = one_reply(engine);
+        let name = reply.read.as_ref().and_then(|read| read.value_name);
+        let (commit, done) = clients[i].handle_reply(reply).expect("correct server");
+        assert!(done.read_value.is_some_and(|value| value.is_some()));
+        engine.enqueue(clients[i].id(), UstorMsg::Commit(commit.unwrap()));
+        engine.process_all();
+        name
+    }
+
+    #[test]
+    fn a_read_value_goes_in_full_first_on_each_connection_and_from_the_cache() {
+        let (mut engine, mut clients) = setup(2, false);
+        let c1 = clients[1].id();
+        let submit = clients[0].begin_write(Value::from("v")).unwrap();
+        run_op(&mut engine, &mut clients[0], submit);
+        // C1 reads register 0 at timestamps 1, 2, 3: the first in full,
+        // each later one named by the read before it.
+        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), None);
+        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(1));
+        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(2));
+        // Its own register is `⊥`: nothing to name.
+        let submit = clients[1].begin_read(c1).unwrap();
+        run_op(&mut engine, &mut clients[1], submit);
+        // A new connection: in full, then against it.
+        engine.connected(c1);
+        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), None);
+        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(5));
+        // Another client's connection leaves C1's base alone.
+        engine.connected(ClientId::new(0));
+        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(6));
+        // A reply lost with the socket comes back from the cache in full,
+        // and the client takes its value from it: the next one is full.
+        let submit = clients[1].begin_read(ClientId::new(0)).unwrap();
+        engine.enqueue(c1, UstorMsg::Submit(submit.clone()));
+        engine.process_all();
+        let (_, lost) = one_reply(&mut engine);
+        assert_eq!(lost.read.as_ref().unwrap().value_name, Some(7));
+        engine.enqueue(c1, UstorMsg::Submit(submit));
+        engine.process_all();
+        let (_, replayed) = one_reply(&mut engine);
+        assert_eq!(replayed.read.as_ref().unwrap().value_name, None);
+        let (commit, _) = clients[1].handle_reply(replayed).unwrap();
+        engine.enqueue(c1, UstorMsg::Commit(commit.unwrap()));
+        engine.process_all();
+        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), None);
+        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(9));
+    }
+
+    #[test]
+    fn a_write_empties_every_clients_base_for_its_register() {
+        let (mut engine, mut clients) = setup(3, false);
+        let submit = clients[0].begin_write(Value::from("old")).unwrap();
+        run_op(&mut engine, &mut clients[0], submit);
+        for i in [1, 2] {
+            assert_eq!(read_named(&mut engine, &mut clients, i, 0), None);
+        }
+        let held = |engine: &ServerEngine| engine.sent_values[0].len();
+        assert_eq!(held(&engine), 2);
+        let submit = clients[0].begin_write(Value::from("new")).unwrap();
+        run_op(&mut engine, &mut clients[0], submit);
+        assert_eq!(held(&engine), 0, "no base keeps the old value alive");
+        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), None);
+        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(2));
+        assert_eq!(held(&engine), 1);
+    }
+
+    #[test]
+    fn a_read_reply_held_for_group_commit_keeps_its_base() {
+        let keys = KeySet::generate(2, b"engine-tests");
+        let mut clients: Vec<UstorClient> = (0..2)
+            .map(|i| UstorClient::new(c(i), 2, keys.keypair(i).unwrap().clone(), keys.registry()))
+            .collect();
+        clients[1].set_pipeline(2);
+        let holding = HoldingServer {
+            inner: UstorServer::new(2),
+            held: Vec::new(),
+        };
+        let mut engine = ServerEngine::new(2, Box::new(holding));
+        // Every SUBMIT's reply is held until a forced flush.
+        let step =
+            |engine: &mut ServerEngine, clients: &mut [UstorClient], ops: &[(u32, OpKind)]| {
+                for &(i, kind) in ops {
+                    let client = &mut clients[i as usize];
+                    let submit = match kind {
+                        OpKind::Read => client.begin_read(c(0)),
+                        OpKind::Write => client.begin_write(Value::new(vec![i as u8; 4])),
+                    };
+                    engine.enqueue(c(i), UstorMsg::Submit(submit.unwrap()));
+                }
+                engine.process_all();
+                assert!(replies(engine).is_empty(), "held");
+                engine.flush_server(true);
+                let mut names = Vec::new();
+                for (to, reply) in replies(engine) {
+                    if to == c(1) {
+                        names.push(reply.read.as_ref().and_then(|read| read.value_name));
+                    }
+                    let (commit, _) = clients[to.index()]
+                        .handle_reply(reply)
+                        .expect("correct server");
+                    engine.enqueue(to, UstorMsg::Commit(commit.unwrap()));
+                }
+                engine.process_all();
+                names
+            };
+        let (read, write) = (OpKind::Read, OpKind::Write);
+        assert!(step(&mut engine, &mut clients, &[(0, write)]).is_empty());
+        assert_eq!(step(&mut engine, &mut clients, &[(1, read)]), [None]);
+        // Two pipelined reads released in one flush: each against the
+        // one before it.
+        let names = step(&mut engine, &mut clients, &[(1, read), (1, read)]);
+        assert_eq!(names, [Some(1), Some(2)]);
+        // A write between a read's SUBMIT and its release: the write
+        // empties the base before the read's REPLY leaves, so that goes
+        // in full, and it leaves no base for the value the write dropped.
+        let names = step(&mut engine, &mut clients, &[(1, read), (0, write)]);
+        assert_eq!(names, [None]);
+        assert!(engine.sent_values[0].is_empty());
+        assert_eq!(step(&mut engine, &mut clients, &[(1, read)]), [None]);
+        assert_eq!(step(&mut engine, &mut clients, &[(1, read)]), [Some(5)]);
+    }
+
+    #[test]
+    fn a_tampering_servers_substituted_value_goes_in_full() {
+        use crate::adversary::{Tamper, TamperServer};
+        let (_, mut clients) = setup(2, false);
+        // The fifth SUBMIT, C1's fourth read, gets a REPLY whose value
+        // the server made up.
+        let tamper = TamperServer::new(2, c(1), 4, Tamper::CorruptReadValue);
+        let mut engine = ServerEngine::new(2, Box::new(tamper));
+        let submit = clients[0].begin_write(Value::from("v")).unwrap();
+        run_op(&mut engine, &mut clients[0], submit);
+        for name in [None, Some(1), Some(2)] {
+            assert_eq!(read_named(&mut engine, &mut clients, 1, 0), name);
+        }
+        let submit = clients[1].begin_read(c(0)).unwrap();
+        engine.enqueue(c(1), UstorMsg::Submit(submit));
+        engine.process_all();
+        let (_, reply) = one_reply(&mut engine);
+        let read = reply.read.as_ref().unwrap();
+        assert_eq!(read.value_name, None);
+        assert_eq!(read.mem_value, Some(Value::from("corrupted by server")));
+        assert_eq!(
+            clients[1].handle_reply(reply).unwrap_err(),
+            crate::Fault::BadDataSignature
+        );
     }
 
     #[test]

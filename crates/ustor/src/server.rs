@@ -277,6 +277,7 @@ impl UstorServer {
                 mem_timestamp: entry.timestamp,
                 mem_value: entry.value.clone(),
                 mem_data_sig: entry.data_sig,
+                value_name: None,
             }
         });
         // Line 41 reads `P[k]` only for a client `k` with a tuple in `L`;

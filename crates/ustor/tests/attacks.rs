@@ -452,6 +452,7 @@ fn writer_version_ahead_detected() {
             mem_timestamp: 1,
             mem_value: Some(Value::from("v")),
             mem_data_sig: Some(Signature::garbage()),
+            value_name: None,
         }),
         pending: vec![],
         kept: 0,

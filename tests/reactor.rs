@@ -548,13 +548,18 @@ fn slow_consumer_is_excised_with_typed_reason_and_bounded_memory() {
     sessions[0].set_pipeline(64);
     let mut socks = vec![connect_hello(addr, c(0))];
 
-    // Honest client 0 writes a 512 KiB value.
-    let big = Value::new(vec![0xAB; 512 << 10]);
-    let submit = sessions[0].begin_write(big).expect("idle");
-    full_op(&mut sessions, &mut socks, 0, submit);
+    // Honest client 0 writes a fresh 512 KiB value before each of the
+    // first 16 reads below, so their REPLYs carry it in full: a REPLY
+    // names, instead of sending, a value its recipient already holds.
+    let write_big = |sessions: &mut [UstorClient], socks: &mut [TcpStream], t: u64| {
+        let big = Value::new(vec![t as u8; 512 << 10]);
+        let submit = sessions[0].begin_write(big).expect("idle");
+        full_op(sessions, socks, 0, submit);
+    };
+    write_big(&mut sessions, &mut socks, 0);
 
     // Hostile client 1: HELLO, then 64 pre-signed pipelined READs of
-    // register 0 — and never reads a byte of the ~32 MiB of replies.
+    // register 0 — and never reads a byte of the ~8 MiB of replies.
     // (Pipelining needs hand-built submits: the sequential client keeps
     // one op in flight by design. Signatures depend only on the
     // client's own counter, so pre-signing t = 1..=64 is valid wire
@@ -581,6 +586,9 @@ fn slow_consumer_is_excised_with_typed_reason_and_bounded_memory() {
         // mid-burst (broken pipe); the asserts below check it either way.
         if write_frame(&mut hostile, &UstorMsg::Submit(submit)).is_err() {
             break;
+        }
+        if t < 16 {
+            write_big(&mut sessions, &mut socks, t);
         }
     }
 

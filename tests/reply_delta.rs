@@ -1,14 +1,16 @@
-//! REPLYs whose `L` keeps a tail of the previous one, and whose `SVER[c]`
-//! names a COMMIT of the recipient's, against the full REPLYs they stand
-//! for.
+//! REPLYs whose `L` keeps a tail of the previous one, whose `SVER[c]`
+//! names a COMMIT of the recipient's, and whose read value names one the
+//! recipient holds, against the full REPLYs they stand for.
 //!
 //! The engine sends a REPLY's pending list `L` as the last `k` tuples of
 //! the `L` of the REPLY it released to the same client before, then the
-//! new ones, and its `SVER[c]` as a marker or a delta against the last
-//! COMMIT that client sent before the SUBMIT it answers; the client
-//! rebuilds both before any check reads them. So a run must not change in
-//! any way but its downstream bytes when every REPLY is expanded to its
-//! full `L` and `SVER[c]` before delivery: every verdict,
+//! new ones, its `SVER[c]` as a marker or a delta against the last
+//! COMMIT that client sent before the SUBMIT it answers, and a read's
+//! `MEM[j].x` as the timestamp of the client's read whose REPLY delivered
+//! that very value; the client rebuilds all three before any check reads
+//! them. So a run must not change in any way but its downstream bytes
+//! when every REPLY is expanded to its full `L`, `SVER[c]` and value
+//! before delivery: every verdict, every read value,
 //! every event, every REPLY as the client resolved it, every COMMIT and so
 //! the WAL, the snapshot and the exported `FAUSTHIS` of a persistent
 //! server must be the same. That is checked here over seeded scripts
@@ -28,7 +30,9 @@ use faust::sim::SmallRng;
 use faust::store::testutil::scratch_dir;
 use faust::store::{Durability, PersistentServer, StoreConfig};
 use faust::types::frame::frame_bytes;
-use faust::types::{ClientId, CommitMsg, InvocationTuple, ReplyMsg, UstorMsg, Value};
+use faust::types::{
+    ClientId, CommitMsg, InvocationTuple, OpKind, ReplyMsg, Timestamp, UstorMsg, Value,
+};
 use faust::ustor::adversary::{Tamper, TamperServer};
 use faust::ustor::{CommitMode, EngineStats, Server, ServerEngine, UstorServer};
 use std::collections::VecDeque;
@@ -124,18 +128,27 @@ struct Downstream {
     /// REPLYs whose `SVER[c]` came as the marker, and as a delta.
     markers: usize,
     own_deltas: usize,
+    /// Read REPLYs whose value came as a name.
+    names: usize,
     /// REPLYs with a non-empty `L`.
     nonempty: usize,
-    /// Framed bytes as sent, and as they would be with every `L` and
-    /// `SVER[c]` in full.
+    /// Framed bytes as sent, and as they would be with every `L`,
+    /// `SVER[c]` and value in full.
     bytes: usize,
     full_bytes: usize,
 }
 
+/// What session `i` has sent: every COMMIT in full, and each SUBMIT not
+/// yet answered — its timestamp, kind and register, oldest first.
+#[derive(Default)]
+struct Sent {
+    commits: Vec<CommitMsg>,
+    submits: VecDeque<(Timestamp, OpKind, ClientId)>,
+}
+
 /// Queues what session `i` sent after its REPLY to `answered` (if any),
 /// first checking each delta COMMIT against the full COMMIT the session
-/// keeps for a resend, and records in `sent` every COMMIT it sent in
-/// full.
+/// keeps for a resend, and records it in `sent`.
 fn send(
     i: usize,
     msgs: Vec<UstorMsg>,
@@ -143,8 +156,16 @@ fn send(
     answered: Option<&ReplyMsg>,
     up: &mut VecDeque<(usize, UstorMsg)>,
     upstream: &mut Vec<(usize, UstorMsg)>,
-    sent: &mut Vec<CommitMsg>,
+    sent: &mut Sent,
 ) {
+    for msg in &msgs {
+        if let UstorMsg::Submit(submit) = msg {
+            let tuple = &submit.tuple;
+            let submitted = (submit.timestamp, tuple.kind, tuple.register);
+            sent.submits.push_back(submitted);
+        }
+    }
+    let sent = &mut sent.commits;
     for msg in msgs {
         match &msg {
             UstorMsg::CommitDelta(delta) => {
@@ -175,7 +196,8 @@ fn send(
 /// drawn from `seed` alone, so both variants of a run make the same
 /// choices. With `expand`, each REPLY's `L` is rebuilt in full before the
 /// client sees it, against the `L` of the REPLY before it to the same
-/// client, and so is its `SVER[c]`, from the COMMIT it names.
+/// client, its `SVER[c]` from the COMMIT it names, and a named read value
+/// from the value of the REPLY to the read it names.
 fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream) {
     let dir: PathBuf = scratch_dir("reply-delta");
     let keys = KeySet::generate(N, b"reply-delta");
@@ -199,10 +221,12 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut up: VecDeque<(usize, UstorMsg)> = VecDeque::new();
     let mut down: Vec<VecDeque<ReplyMsg>> = vec![VecDeque::new(); N];
-    // The full `L` of the last REPLY each client was handed, and every
-    // COMMIT each client sent.
+    // The full `L` of the last REPLY each client was handed, what each
+    // client sent, and per client and register the value of the last read
+    // REPLY it was handed, with that read's timestamp.
     let mut base: Vec<Vec<InvocationTuple>> = vec![Vec::new(); N];
-    let mut commits: Vec<Vec<CommitMsg>> = vec![Vec::new(); N];
+    let mut sent: Vec<Sent> = (0..N).map(|_| Sent::default()).collect();
+    let mut values: Vec<Vec<Option<(Timestamp, Value)>>> = vec![vec![None; N]; N];
     let mut downstream = Downstream::default();
     let mut outcome = Outcome {
         replies: Vec::new(),
@@ -238,7 +262,7 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
                     None,
                     &mut up,
                     &mut outcome.upstream,
-                    &mut commits[i],
+                    &mut sent[i],
                 );
             }
             1 => {
@@ -265,7 +289,8 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
                 full.resolve_pending(std::mem::take(&mut base[i]))
                     .expect("the engine keeps from what it sent");
                 if let Some(own) = &shipped.against_own {
-                    let named = commits[i]
+                    let named = sent[i]
+                        .commits
                         .iter()
                         .rev()
                         .find(|commit| commit.version.v().get(c(i)) == own.base)
@@ -274,6 +299,19 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
                         .expect("the engine sends against what it holds");
                     downstream.markers += usize::from(own.is_marker());
                     downstream.own_deltas += usize::from(!own.is_marker());
+                }
+                let (t, kind, j) = sent[i].submits.pop_front().expect("a SUBMIT answered");
+                if let (Some(read), OpKind::Read) = (full.read.as_mut(), kind) {
+                    let held = &mut values[i][j.index()];
+                    if let Some(name) = read.value_name {
+                        let (_, value) = held
+                            .clone()
+                            .filter(|(t_r, _)| *t_r == name)
+                            .expect("the engine names a value the client was handed");
+                        read.resolve_value(value);
+                        downstream.names += 1;
+                    }
+                    *held = read.mem_value.clone().map(|value| (t, value));
                 }
                 downstream.nonempty += usize::from(!full.pending.is_empty());
                 downstream.full_bytes += frame_bytes(&UstorMsg::Reply(full.clone())).len();
@@ -287,7 +325,7 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
                     Some(&full),
                     &mut up,
                     &mut outcome.upstream,
-                    &mut commits[i],
+                    &mut sent[i],
                 );
                 outcome.replies.push((i, full));
             }
@@ -313,7 +351,7 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
 fn kept_pending_lists_and_their_full_forms_get_the_same_verdicts() {
     let mut specs = vec![Spec::Honest, Spec::Persistent];
     specs.extend(TAMPERS.map(Spec::Tampering));
-    let (mut violations, mut kept_runs, mut own_runs) = (0, 0, 0);
+    let (mut violations, mut kept_runs, mut own_runs, mut named_runs) = (0, 0, 0, 0);
     for spec in specs {
         for mode in MODES {
             for seed in 0..3u64 {
@@ -325,16 +363,22 @@ fn kept_pending_lists_and_their_full_forms_get_the_same_verdicts() {
                 // 42 bytes per tuple kept at n = 3 (an HMAC signature), less
                 // the word that says how many; a marker saves SVER[c] (at
                 // least 69 bytes at n = 3, every digest ⊥) less its 12, a
-                // delta more than nothing.
+                // delta more than nothing, a name the 1 + 4 + 12 bytes of
+                // a `Value::unique` less its 9.
                 let own = sent.markers + sent.own_deltas;
                 kept_runs += usize::from(sent.kept > 0);
                 own_runs += usize::from(own > 0);
+                named_runs += usize::from(sent.names > 0);
                 assert!(
-                    sent.bytes + 38 * sent.kept + 57 * sent.markers + sent.own_deltas
+                    sent.bytes
+                        + 38 * sent.kept
+                        + 57 * sent.markers
+                        + sent.own_deltas
+                        + 8 * sent.names
                         <= sent.full_bytes,
                     "{label}: {sent:?}"
                 );
-                if sent.kept + own == 0 {
+                if sent.kept + own + sent.names == 0 {
                     assert_eq!(sent.bytes, sent.full_bytes, "{label}: {sent:?}");
                 }
                 let violated = shipped
@@ -350,6 +394,8 @@ fn kept_pending_lists_and_their_full_forms_get_the_same_verdicts() {
                     // or near it.
                     assert!(mode.pipeline == 1 || sent.kept > 0, "{label}: {sent:?}");
                     assert!(own > 0, "{label}: {sent:?}");
+                    // Reads of registers nobody wrote since come named.
+                    assert!(sent.names > 0, "{label}: {sent:?}");
                 }
                 violations += usize::from(violated);
             }
@@ -359,11 +405,13 @@ fn kept_pending_lists_and_their_full_forms_get_the_same_verdicts() {
     // and tails are kept in most runs of every kind.
     assert!(violations >= 60, "{violations} runs flagged");
     println!(
-        "{violations} runs flagged, {kept_runs} kept a tail, {own_runs} named a COMMIT of the recipient's"
+        "{violations} runs flagged, {kept_runs} kept a tail, {own_runs} named a COMMIT of the \
+         recipient's, {named_runs} named a read value"
     );
     assert!(kept_runs >= 60, "{kept_runs} runs kept a tail");
     assert!(
         own_runs >= 90,
         "{own_runs} runs named a COMMIT of the recipient's"
     );
+    assert!(named_runs >= 90, "{named_runs} runs named a read value");
 }

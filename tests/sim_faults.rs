@@ -170,18 +170,16 @@ fn pinned_seeds_rerun_bit_identically() {
     }
 }
 
-/// Seed 101160, the `FOUND:` line of CHANGES.md that names
-/// `check_audit_agreement`: a `WipeState` crash at t = 10 after both
-/// clients completed an operation, and the audit oracle demands that the
-/// auditor diverge. It cannot: the COMMITs in flight at the crash re-teach
+/// Seed 101160: a `WipeState` crash at t = 10 after both clients
+/// completed an operation. The COMMITs in flight at the crash re-teach
 /// the wiped server every client's version (no client fails, and the
 /// history is weakly fork-linearizable), the store then takes a snapshot
 /// every 4 records, and the exported `FAUSTHIS` starts from the last one
 /// (`base_seq` 960, two records), which already absorbed the evidence.
-/// The oracle over-claims; ignored until it is re-derived (ROADMAP item
-/// 1(a)).
+/// The audit oracle demands a divergence only from an export that
+/// reaches back to the restart (`SimRunReport::restart_seq`), so it
+/// accepts the auditor's certificate here.
 #[test]
-#[ignore = "the audit oracle over-claims on seed 101160; ROADMAP item 1(a)"]
 fn seed_101160_passes_every_oracle() {
     run_and_check(&gen_scenario(101160)).expect("every oracle passes");
 }
