@@ -16,7 +16,7 @@ use faust::types::frame::{read_frame, write_frame};
 use faust::types::op::{data_signing_bytes, submit_signing_bytes, InvocationTuple};
 use faust::types::{ClientId, OpKind, SubmitMsg, UstorMsg, Value};
 use faust::ustor::{serve, EngineStats, ServerEngine, UstorClient, UstorServer};
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -604,9 +604,13 @@ fn slow_consumer_is_excised_with_typed_reason_and_bounded_memory() {
         match hostile.read(&mut sink) {
             Ok(0) => break,    // FIN: excised
             Ok(_) => continue, // draining what was in flight
-            Err(_) => break,   // RST: also excised
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                panic!("the slow consumer was not excised within 30 s")
+            }
+            Err(_) => break, // RST: also excised
         }
     }
+    drop(hostile);
 
     // The honest client is unaffected: another full op completes.
     let submit = sessions[0]
