@@ -748,7 +748,7 @@ mod tests {
         let [first] = &replies[..] else {
             panic!("one reply: {replies:?}")
         };
-        assert_eq!((first.kept, first.pending.len()), (0, 1));
+        assert_eq!((first.left_out.kept, first.pending.len()), (0, 1));
         live.handle_reply(first.clone(), 0);
         let saved = live.export_state();
         let restore = || FaustClient::from_state(keypair.clone(), keys.registry(), saved.clone());
@@ -760,7 +760,7 @@ mod tests {
         let [reply] = &replies[..] else {
             panic!("one reply: {replies:?}")
         };
-        assert_eq!((reply.kept, reply.pending.len()), (0, 2));
+        assert_eq!((reply.left_out.kept, reply.pending.len()), (0, 2));
         let mut restored = restore();
         let notes = restored.handle_reply(reply.clone(), 0).notifications;
         assert!(
@@ -775,8 +775,8 @@ mod tests {
         // keeps a tuple a restored client cannot rebuild: a typed fault
         // its resume guard blames on the snapshot, never a panic.
         let mut kept = reply.clone();
-        kept.keep_from(&mut first.pending.clone());
-        assert_eq!((kept.kept, kept.pending.len()), (1, 1));
+        kept.leave_out(&mut first.pending.clone(), None, None);
+        assert_eq!((kept.left_out.kept, kept.pending.len()), (1, 1));
         let mut restored = restore();
         let notes = restored.handle_reply(kept, 0).notifications;
         let stale = FailReason::Ustor(Fault::StaleClientState);

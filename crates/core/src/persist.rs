@@ -546,7 +546,11 @@ mod tests {
             let [reply] = &replies(&mut engine, resend)[..] else {
                 panic!("op 2's reply");
             };
-            let own = reply.against_own.as_ref().expect("sent against COMMIT 1");
+            let own = reply
+                .left_out
+                .commit
+                .as_ref()
+                .expect("sent against COMMIT 1");
             assert_eq!((own.base, own.is_marker()), (1, true), "{commit_mode:?}");
             let out = core.handle_reply(reply.clone(), clock + 1);
             assert!(core.failure().is_none(), "{:?}", core.failure());
@@ -569,8 +573,7 @@ mod tests {
         // after that. An engine that missed the reconnect names a value
         // the restored client does not hold: its resume guard reports it.
         let name = |replies: &[ReplyMsg]| -> Vec<Option<u64>> {
-            let read = |reply: &ReplyMsg| reply.read.as_ref().and_then(|read| read.value_name);
-            replies.iter().map(read).collect()
+            replies.iter().map(|reply| reply.left_out.value).collect()
         };
         for reconnect in [true, false] {
             let dir = scratch_dir("persist-named-value");

@@ -60,9 +60,7 @@ use faust_sim::{
     DelayModel, Event, MessageSize, NodeId, SimConfig, Simulation, TimeWindow, TimerId, Transport,
 };
 use faust_store::{Durability, PersistentServer, SimClock, StoreConfig};
-use faust_types::{
-    ClientId, History, OpId, OpKind, ReadReply, ReplyMsg, Timestamp, UstorMsg, Value, Wire,
-};
+use faust_types::{ClientId, History, OpId, OpKind, ReplyMsg, Timestamp, UstorMsg, Value, Wire};
 use faust_ustor::{CrashRestartServer, Server, ServerBackend, ServerEngine, WorkloadOp};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -661,13 +659,17 @@ fn build_server(
 /// to tamper with. A value sent as a name is not on the wire; the clause
 /// corrupts its DATA-signature instead, which line 50 checks together
 /// with the value the name stands for — the same verdict either way.
-fn tamper_value(read: &mut ReadReply) -> bool {
-    match (&read.mem_value, read.value_name, read.mem_data_sig) {
+fn tamper_value(reply: &mut ReplyMsg) -> bool {
+    let named = reply.left_out.value.is_some();
+    let Some(read) = &mut reply.read else {
+        return false;
+    };
+    match (&read.mem_value, named, read.mem_data_sig) {
         (Some(value), ..) => {
             let flipped: Vec<u8> = value.as_bytes().iter().map(|b| b ^ 0xFF).collect();
             read.mem_value = Some(Value::new(flipped));
         }
-        (None, Some(_), Some(_)) => read.mem_data_sig = Some(Signature::garbage()),
+        (None, true, Some(_)) => read.mem_data_sig = Some(Signature::garbage()),
         _ => return false,
     }
     true
@@ -1094,7 +1096,7 @@ impl FaustDriver {
                     }
                     if let NetMsg::Ustor(UstorMsg::Reply(reply), epoch) = &msg {
                         let mut tampered = reply.clone();
-                        if tampered.read.as_mut().is_some_and(tamper_value) {
+                        if tamper_value(&mut tampered) {
                             *state = ClauseState::Fired(true);
                             self.fork_fired
                                 .push((now, "tamper-read-value", Some(*client)));

@@ -6,15 +6,12 @@
 //!
 //! * [`SubmitMsg`] (0) — `⟨SUBMIT, t, (i, oc, j, σ), x, δ⟩`;
 //! * [`ReplyMsg`] (1) — `⟨REPLY, c, SVER[c], [SVER[j], MEM[j],] L, P⟩`;
-//!   `SVER[c]` may name one of the recipient's own COMMITs instead of
-//!   repeating it (a marker, bit 30 of its first word, when it is that
-//!   COMMIT byte for byte; else a delta against it, bit 31), a read's
-//!   `SVER[j]` goes as a delta against `SVER[c]` when that is smaller,
-//!   marked by bit 31 of its first length prefix, and `L` may name a
-//!   tail of the `L` of the client's previous REPLY instead of repeating
-//!   it, marked by bit 31 of its count, and a read's `MEM[j].x` may name
-//!   the value an earlier REPLY to the same client delivered, marked by
-//!   its option tag 2 (the [`ReplyMsg`] docs have the four layouts);
+//!   a read's `SVER[j]` goes as a delta against `SVER[c]` when that is
+//!   smaller, and the engine leaves out what the recipient already holds
+//!   from the same connection — `SVER[c]` against one of its own COMMITs,
+//!   a tail of the previous `L`, a read value it was sent before — which
+//!   the client fills back in before any check (the [`ReplyMsg`] docs
+//!   have the layouts);
 //! * [`CommitMsg`] (2) — `⟨COMMIT, V_i, M_i, φ, ψ⟩`, or [`CommitDelta`]
 //!   (3) — the same COMMIT as the entries where its version differs from
 //!   the `commit_version` of the REPLY it answers, sent by a session on
@@ -886,16 +883,11 @@ pub struct ReadReply {
     /// `MEM[j].t` — timestamp of the writer's last submitted operation.
     pub mem_timestamp: Timestamp,
     /// `MEM[j].x` — the register value (`None` = `⊥`, never written).
-    /// `None` also while [`ReadReply::value_name`] is set.
+    /// `None` also while [`LeftOut::value`] names it.
     pub mem_value: Option<Value>,
     /// `MEM[j].δ` — the writer's DATA-signature (`None` before the writer's
     /// first operation).
     pub mem_data_sig: Option<Signature>,
-    /// `t_r` when `MEM[j].x` travelled as a name: it is the value that the
-    /// REPLY to the recipient's own read of `j` at timestamp `t_r`
-    /// delivered, until [`ReadReply::resolve_value`] puts it back. `None`
-    /// (the value in full) in every REPLY a server builds.
-    pub value_name: Option<Timestamp>,
 }
 
 /// The option tag of a read REPLY's `MEM[j].x` that names a value instead
@@ -903,12 +895,12 @@ pub struct ReadReply {
 const VALUE_NAME_TAG: u8 = 2;
 
 impl ReadReply {
-    /// Everything of the read part after `SVER[j]`'s version, which
-    /// [`ReplyMsg`] writes in one of its forms.
-    fn encode_rest<S: Sink>(&self, out: &mut S) {
+    /// Everything of the read part after `SVER[j]`'s version, with
+    /// `MEM[j].x` as the name `name` if there is one.
+    fn encode_rest<S: Sink>(&self, name: Option<Timestamp>, out: &mut S) {
         self.writer_version.sig.encode_into(out);
         self.mem_timestamp.encode_into(out);
-        match self.value_name {
+        match name {
             None => self.mem_value.encode_into(out),
             Some(t) => {
                 out.push(VALUE_NAME_TAG);
@@ -918,161 +910,116 @@ impl ReadReply {
         self.mem_data_sig.encode_into(out);
     }
 
-    /// The read part whose `SVER[j]` version was already read.
-    fn decode_rest(version: Version, input: &mut &[u8]) -> Result<Self, WireError> {
+    /// The read part whose `SVER[j]` version was already read, and the
+    /// name its value came as, if it did.
+    fn decode_rest(
+        version: Version,
+        input: &mut &[u8],
+    ) -> Result<(Self, Option<Timestamp>), WireError> {
         let writer_version = SignedVersion {
             version,
             sig: Option::<Signature>::decode_from(input)?,
         };
         let mem_timestamp = Timestamp::decode_from(input)?;
-        let (mem_value, value_name) = match *input {
+        let (mem_value, name) = match *input {
             [VALUE_NAME_TAG, rest @ ..] => {
                 *input = rest;
                 (None, Some(Timestamp::decode_from(input)?))
             }
             _ => (Option::<Value>::decode_from(input)?, None),
         };
-        Ok(ReadReply {
+        let read = ReadReply {
             writer_version,
             mem_timestamp,
             mem_value,
             mem_data_sig: Option::<Signature>::decode_from(input)?,
-            value_name,
-        })
-    }
-
-    /// Sends `MEM[j].x` as the name `t` if it is `base` — a clone of the
-    /// value the REPLY to the recipient's read at `t` delivered, by
-    /// [`Value::same_allocation`], never by its bytes — and says whether
-    /// it did. Anything else, `⊥` included, stays in full.
-    pub fn name_value(&mut self, t: Timestamp, base: &Value) -> bool {
-        let same = self
-            .mem_value
-            .as_ref()
-            .is_some_and(|value| value.same_allocation(base));
-        if same {
-            self.mem_value = None;
-            self.value_name = Some(t);
-        }
-        same
-    }
-
-    /// Puts back the value [`ReadReply::value_name`] names: `value`, which
-    /// the recipient holds from the REPLY to its read at that timestamp.
-    /// A read part with its value in full is left as it is.
-    pub fn resolve_value(&mut self, value: Value) {
-        if self.value_name.take().is_some() {
-            self.mem_value = Some(value);
-        }
+        };
+        Ok((read, name))
     }
 }
 
 /// `⟨REPLY, c, SVER[c], [SVER[j], MEM[j],] L, P⟩` — the server's answer to
 /// a SUBMIT.
 ///
-/// `SVER[c]` goes in full — as a [`SignedVersion`] — or, when
-/// [`ReplyMsg::against_own`] is set, against one of the recipient's own
-/// COMMITs, named by `t`, the recipient's own entry `V[i]` in it (the
-/// timestamp of the operation it commits):
+/// Every server builds it in full. On its way out the engine leaves out
+/// what the recipient already holds from the same connection
+/// ([`ReplyMsg::leave_out`], which records it in [`ReplyMsg::left_out`]),
+/// and the client puts that back before any check reads the REPLY
+/// ([`ReplyMsg::fill_in`]). Each part travels in one of these forms:
 ///
 /// ```text
-///   full:   V: u32 len | u64^len | M: u32 len | Option<Digest>^len | sig
-///   delta:  (bit 31 | count): u32 | entry^count | t: u64 | sig
-///   marker: bit 30: u32 | t: u64
+///   SVER[c]   full:   V: u32 len | u64^len | M: u32 len | Option<Digest>^len | sig
+///             delta:  (bit 31 | count): u32 | entry^count | t: u64 | sig
+///             marker: bit 30: u32 | t: u64
+///   SVER[j]   full, or delta: (bit 31 | count): u32 | entry^count
+///   MEM[j].x  ⊥: 0: u8 | value: 1: u8 | len: u32 | byte^len | name: 2: u8 | t_r: u64
+///   L         full:   count: u32 | tuple^count
+///             kept:   (bit 31 | count): u32 | k: u32 | tuple^count
 /// ```
 ///
-/// The name is absolute, not relative to the SUBMIT the REPLY answers,
-/// so a REPLY stands for the same `SVER[c]` whichever operation it is
-/// taken to answer: a replayed or reordered one is checked as what the
-/// server built.
+/// * `SVER[c]`'s delta and marker stand against the recipient's own
+///   COMMIT whose own entry `V[i]` is `t` (the timestamp of the operation
+///   it commits): the delta is a [`VersionDelta`] against its version,
+///   with the signature `SVER[c]` carries; the marker is its version and
+///   COMMIT-signature both.
+/// * A read's `SVER[j]` goes as a [`VersionDelta`] against the full
+///   `SVER[c]` when both have the same arity and that is smaller. When
+///   `SVER[c]` was left out, that base and its arity are known only once
+///   it is filled in, so the decoder keeps such a delta as read, checking
+///   only that its indices strictly increase.
+/// * A named `MEM[j].x` is the value the REPLY to the recipient's own read
+///   of `j` at `t_r` delivered. Tag 2 is legal in that position only;
+///   anywhere else an option's tag is 0 or 1, else [`WireError::BadTag`].
+/// * A kept `L` is the last `k` tuples of the `L` of the REPLY released to
+///   the same client before this one, then the tuples that travelled.
 ///
-/// The marker stands for that COMMIT's version and COMMIT-signature both;
-/// the delta is a [`VersionDelta`] against its version, with the
-/// signature `SVER[c]` carries. Only the server's engine sends either
-/// ([`ReplyMsg::commit_against`]), and the client rebuilds the full
-/// `SVER[c]` before any check reads it ([`ReplyMsg::resolve_commit`]).
-/// The full form's first word is at most 2²⁴, and a delta's count too;
-/// anything else is [`WireError::BadLength`].
-///
-/// A read's `SVER[j]` is encoded as a [`VersionDelta`] against the full
-/// `SVER[c]` — the entries where the two differ, after one `u32` that is
-/// bit 31 plus their count — when both have the same arity and the delta
-/// is smaller; otherwise in full, whose first length prefix never has
-/// bit 31 set. Either way `decode(encode(m)) == m`. A delta's indices
-/// must strictly increase, and it may carry at most `n` entries, each
-/// below `n`, the arity of `SVER[c]`; anything else is
-/// [`WireError::BadLength`]. When `SVER[c]` travels against the
-/// recipient's COMMIT, the arity and the base are known only once it is
-/// rebuilt, so the decoder keeps such a delta as read, checking only
-/// that its indices increase, and [`ReplyMsg::resolve_commit`] applies
-/// the rest.
-///
-/// `L` goes in full — a count, then the tuples — or, when [`ReplyMsg::kept`]
-/// is `k > 0`, as the tuples that follow the last `k` of the `L` of the
-/// REPLY the server released to the same client before this one:
-///
-/// ```text
-///   full:  count: u32 | tuple^count
-///   delta: (bit 31 | count): u32 | k: u32 | tuple^count
-/// ```
-///
-/// Only the server's engine sends the delta ([`ReplyMsg::keep_from`]), and
-/// the client turns it back into the full `L` before any check reads it
-/// ([`ReplyMsg::resolve_pending`]); a REPLY with `k = 0` is byte for byte
-/// the full form. Both the count and `k` are at most 2²⁴, and a delta's
-/// `k` is at least 1; anything else is [`WireError::BadLength`].
-///
-/// A read's `MEM[j].x` goes as an option — `⊥` or the value — or, when
-/// [`ReadReply::value_name`] is `t_r`, as a name for the value the REPLY
-/// to the recipient's own read of `j` at `t_r` delivered:
-///
-/// ```text
-///   ⊥:     0: u8
-///   value: 1: u8 | len: u32 | byte^len
-///   name:  2: u8 | t_r: u64
-/// ```
-///
-/// Only the server's engine sends a name ([`ReadReply::name_value`]),
-/// when the value is a clone of the one it last sent the same client for
-/// `j` on the same connection, and the client puts the value back before
-/// any check reads it ([`ReadReply::resolve_value`]). Like the `SVER[c]`
-/// name, `t_r` is absolute, so a replayed REPLY names what it was built
-/// against. Tag 2 is legal in that position only; anywhere else an
-/// option's tag is 0 or 1, else [`WireError::BadTag`].
-///
-/// A REPLY whose `SVER[c]` goes in full, whose `k` is 0 and whose value
-/// (if any) travels in full is byte for byte what every server builds.
+/// The names `t` and `t_r` are absolute, not relative to the SUBMIT the
+/// REPLY answers, so a replayed or reordered REPLY stands for what the
+/// server built. A full version's first word, a delta's count, `L`'s count
+/// and `k` are at most 2²⁴, a delta's indices strictly increase, and `k`
+/// is at least 1; anything else is [`WireError::BadLength`]. A delta whose
+/// base the decoder knows, `SVER[j]`'s against a full `SVER[c]`, must also
+/// fit that base's arity; one against a COMMIT of the recipient's is
+/// checked against it by [`ReplyMsg::fill_in`]. Every form is chosen by
+/// size or identity, so `decode(encode(m)) == m`, and a REPLY that leaves
+/// out nothing is byte for byte what every server builds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplyMsg {
     /// `c` — the client that committed the last operation in the schedule.
     pub last_committer: ClientId,
     /// `SVER[c]` — that client's last committed version. While
-    /// [`ReplyMsg::against_own`] is set, its version is empty and its
-    /// signature is the one the delta form carries (`None` for the
-    /// marker).
+    /// [`LeftOut::commit`] is set, its version is empty and its signature
+    /// is the one the delta form carries (`None` for the marker).
     pub commit_version: SignedVersion,
     /// Read-only extras (`SVER[j]`, `MEM[j]`) — present iff the submitted
-    /// operation was a read. While [`ReplyMsg::against_own`] is set and
-    /// `SVER[j]` came as a delta, its version is empty.
+    /// operation was a read. While `SVER[c]` is left out and `SVER[j]`
+    /// came as a delta, its version is empty.
     pub read: Option<ReadReply>,
     /// `L` — invocation tuples of submitted-but-uncommitted (concurrent)
-    /// operations, oldest first; with `kept > 0`, only those after the
-    /// kept ones.
+    /// operations, oldest first; while [`LeftOut::kept`] is `k > 0`, only
+    /// those after the kept ones: the tuples that travelled.
     pub pending: Vec<InvocationTuple>,
-    /// `k` — how many tuples at the front of `L` are the last `k` of the
-    /// `L` of the previous REPLY to the same client on the same
-    /// connection, and are not in `pending`. 0 (the full form) in every
-    /// REPLY a server builds.
-    pub kept: u32,
     /// `P` — PROOF-signatures, indexed by client. A correct server fills
     /// only the slots of clients with a tuple in `L`, the only ones
     /// Algorithm 1 reads; the rest, and a slot before its client's first
     /// commit, are `None`.
     pub proofs: Vec<Option<Signature>>,
-    /// How `SVER[c]` travelled against the recipient's own COMMIT, until
-    /// [`ReplyMsg::resolve_commit`] rebuilds it. `None` (the full form)
-    /// in every REPLY a server builds.
-    pub against_own: Option<AgainstOwn>,
+    /// What this REPLY left out; nothing in every REPLY a server builds.
+    pub left_out: LeftOut,
+}
+
+/// The parts of a [`ReplyMsg`] left out because its recipient holds them
+/// from the same connection. The default leaves out nothing: the full
+/// form.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LeftOut {
+    /// `k` — how many tuples at the front of `L` are the last `k` of the
+    /// previous REPLY's `L`, and are not in `pending`.
+    pub kept: u32,
+    /// How `SVER[c]` travelled against one of the recipient's own COMMITs.
+    pub commit: Option<AgainstOwn>,
+    /// `t_r` when a read's `MEM[j].x` travelled as a name.
+    pub value: Option<Timestamp>,
 }
 
 /// A REPLY's `SVER[c]` as sent against one of its recipient's own
@@ -1094,7 +1041,7 @@ impl AgainstOwn {
     /// is `None`, else as the entries `delta`; and a read's `SVER[j]` as
     /// the entries `writer`, if given. Entries go in strictly increasing
     /// `k`, whatever their size: the engine uses
-    /// [`ReplyMsg::commit_against`], which picks them and a form.
+    /// [`ReplyMsg::leave_out`], which picks them and a form.
     pub fn new(
         base: Timestamp,
         delta: Option<&[VersionEntry]>,
@@ -1117,7 +1064,8 @@ impl AgainstOwn {
 impl Wire for ReplyMsg {
     fn encode_into<S: Sink>(&self, out: &mut S) {
         self.last_committer.encode_into(out);
-        match &self.against_own {
+        let own = self.left_out.commit.as_ref();
+        match own {
             None => self.commit_version.encode_into(out),
             Some(own) => match &own.delta {
                 None => {
@@ -1136,7 +1084,7 @@ impl Wire for ReplyMsg {
             Some(read) => {
                 out.push(1);
                 let writer = &read.writer_version.version;
-                match &self.against_own {
+                match own {
                     None => encode_version_against(writer, &self.commit_version.version, out),
                     Some(AgainstOwn {
                         writer: Some(delta),
@@ -1144,14 +1092,15 @@ impl Wire for ReplyMsg {
                     }) => delta.encode_into(out),
                     Some(_) => writer.encode_into(out),
                 }
-                read.encode_rest(out);
+                read.encode_rest(self.left_out.value, out);
             }
         }
-        if self.kept == 0 {
+        let kept = self.left_out.kept;
+        if kept == 0 {
             self.pending.encode_into(out);
         } else {
             (DELTA_MARK | self.pending.len() as u32).encode_into(out);
-            self.kept.encode_into(out);
+            kept.encode_into(out);
             for tuple in &self.pending {
                 tuple.encode_into(out);
             }
@@ -1161,37 +1110,33 @@ impl Wire for ReplyMsg {
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
         let last_committer = ClientId::decode_from(input)?;
         let word = u32::decode_from(input)?;
-        let (commit_version, mut against_own) = if word == SAME_MARK {
-            let own = AgainstOwn {
-                base: Timestamp::decode_from(input)?,
-                delta: None,
-                writer: None,
-            };
-            (SignedVersion::initial(0), Some(own))
+        let mut left_out = LeftOut::default();
+        let commit_version = if word == SAME_MARK {
+            let base = Timestamp::decode_from(input)?;
+            left_out.commit = Some(AgainstOwn::new(base, None, None));
+            SignedVersion::initial(0)
         } else if word & DELTA_MARK != 0 {
             let delta = Some(RawDelta::decode(word & !DELTA_MARK, input)?);
             let base = Timestamp::decode_from(input)?;
-            let commit_version = SignedVersion {
-                version: Version::initial(0),
-                sig: Option::<Signature>::decode_from(input)?,
-            };
-            let own = AgainstOwn {
+            left_out.commit = Some(AgainstOwn {
                 base,
                 delta,
                 writer: None,
-            };
-            (commit_version, Some(own))
+            });
+            SignedVersion {
+                version: Version::initial(0),
+                sig: Option::<Signature>::decode_from(input)?,
+            }
         } else {
-            let commit_version = SignedVersion {
+            SignedVersion {
                 version: decode_version(word, input)?,
                 sig: Option::<Signature>::decode_from(input)?,
-            };
-            (commit_version, None)
+            }
         };
         let read = match u8::decode_from(input)? {
             0 => None,
             1 => {
-                let version = match &mut against_own {
+                let version = match &mut left_out.commit {
                     None => decode_version_against(input, &commit_version.version)?,
                     Some(own) => match u32::decode_from(input)? {
                         word if word & DELTA_MARK != 0 => {
@@ -1201,95 +1146,86 @@ impl Wire for ReplyMsg {
                         word => decode_version(word, input)?,
                     },
                 };
-                Some(ReadReply::decode_rest(version, input)?)
+                let (read, name) = ReadReply::decode_rest(version, input)?;
+                left_out.value = name;
+                Some(read)
             }
             t => return Err(WireError::BadTag(t)),
         };
         let word = u32::decode_from(input)?;
-        let kept = match word & DELTA_MARK {
-            0 => 0,
-            _ => match u32::decode_from(input)? {
+        if word & DELTA_MARK != 0 {
+            left_out.kept = match u32::decode_from(input)? {
                 k if k == 0 || u64::from(k) > MAX_LEN => {
                     return Err(WireError::BadLength(k.into()))
                 }
                 k => k,
-            },
-        };
+            };
+        }
         let (len, reserve) = bounded_len(word & !DELTA_MARK, input)?;
         Ok(ReplyMsg {
             last_committer,
             commit_version,
             read,
             pending: decode_elements(len, reserve, input)?,
-            kept,
             proofs: Vec::<Option<Signature>>::decode_from(input)?,
-            against_own,
+            left_out,
         })
     }
 }
 
 impl ReplyMsg {
-    /// Sends `L` against `base`, the `L` of the REPLY released to the
-    /// same client before this one, and makes `base` this `L`, the base
-    /// for the next REPLY to that client. The tuples at the front of `L`
-    /// that are the tail of `base` leave `pending` and are counted in
-    /// [`ReplyMsg::kept`]. The tail starts where `base` holds `L`'s first
-    /// tuple and is checked tuple for tuple, so only a verified overlap
-    /// is kept; with none, `L` stays in full. The two lists trade
-    /// buffers: `base` takes `L` as it is, and only the tuples after the
-    /// kept ones are copied, into `base`'s old buffer, which becomes
-    /// `pending`.
-    pub fn keep_from(&mut self, base: &mut Vec<InvocationTuple>) {
+    /// Leaves out of a REPLY as a server built it what the connection
+    /// already carried to its recipient, and makes `pending` this REPLY's
+    /// full `L`:
+    ///
+    /// * `L` against `pending`, the `L` of the REPLY released to the same
+    ///   client before this one: the tuples at its front that are the tail
+    ///   of `pending` — starting where `pending` holds `L`'s first tuple,
+    ///   checked tuple for tuple — are kept. The two lists trade buffers:
+    ///   only the tuples after the kept ones are copied.
+    /// * `SVER[c]` against `commit`, the recipient's last COMMIT before the
+    ///   SUBMIT this REPLY answers and `t`, its own entry in it: the
+    ///   marker when the two are equal, for these types byte for byte;
+    ///   else a delta plus `SVER[c]`'s signature when that is smaller;
+    ///   else in full. A read's `SVER[j]` keeps its form against the full
+    ///   `SVER[c]`.
+    /// * A read's `MEM[j].x` against `value`, the value last sent the
+    ///   recipient for `j` and `t_r`, the timestamp of the read whose
+    ///   REPLY delivered it: a name when it is that very value by
+    ///   [`Value::same_allocation`], never by its bytes; else in full.
+    pub fn leave_out(
+        &mut self,
+        pending: &mut Vec<InvocationTuple>,
+        commit: Option<(Timestamp, &SignedVersion)>,
+        value: Option<(Timestamp, &Value)>,
+    ) {
+        if let Some((t, base)) = commit {
+            self.left_out.commit = self.against_own(t, base);
+        }
+        if let (Some(read), Some((t, base))) = (&mut self.read, value) {
+            let value = &mut read.mem_value;
+            if value.as_ref().is_some_and(|v| v.same_allocation(base)) {
+                *value = None;
+                self.left_out.value = Some(t);
+            }
+        }
         let tail = self
             .pending
             .first()
-            .and_then(|first| base.iter().position(|t| t == first))
-            .map(|at| &base[at..])
+            .and_then(|first| pending.iter().position(|t| t == first))
+            .map(|at| &pending[at..])
             .filter(|tail| self.pending.starts_with(tail));
         let kept = tail.map_or(0, <[_]>::len);
-        base.clear();
-        base.extend_from_slice(&self.pending[kept..]);
-        std::mem::swap(base, &mut self.pending);
-        self.kept = kept as u32;
+        pending.clear();
+        pending.extend_from_slice(&self.pending[kept..]);
+        std::mem::swap(pending, &mut self.pending);
+        self.left_out.kept = kept as u32;
     }
 
-    /// Turns a REPLY as [`ReplyMsg::keep_from`] sent it back into the
-    /// full `L`, given `base` — the `L` of the previous REPLY its
-    /// recipient processed: the last [`ReplyMsg::kept`] tuples of `base`,
-    /// then `pending`, built in `base`'s buffer (no tuple is copied out
-    /// of it). A full REPLY is left as it is.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::BadLength`] of `k` if `base` has fewer than `k`
-    /// tuples; the REPLY is then left as it is.
-    pub fn resolve_pending(&mut self, mut base: Vec<InvocationTuple>) -> Result<(), WireError> {
-        let k = self.kept as usize;
-        if k == 0 {
-            return Ok(());
-        }
-        let skip = base
-            .len()
-            .checked_sub(k)
-            .ok_or(WireError::BadLength(k as u64))?;
-        base.drain(..skip);
-        base.append(&mut self.pending);
-        self.pending = base;
-        self.kept = 0;
-        Ok(())
-    }
-
-    /// Sends `SVER[c]` against `base` — the recipient's own COMMIT, its
-    /// version and COMMIT-signature, of its operation at timestamp `t`:
-    /// as the marker when the two are equal, which for these types is
-    /// equal byte for byte; else as a delta plus `SVER[c]`'s signature
-    /// when that is smaller than the full form; else not at all (the
-    /// REPLY is left as it is). A read's `SVER[j]` keeps the form it has
-    /// against the full `SVER[c]`.
-    pub fn commit_against(&mut self, t: Timestamp, base: &SignedVersion) {
-        if self.against_own.is_some() {
-            return;
-        }
+    /// `SVER[c]` sent against `base`, the recipient's COMMIT of its
+    /// operation at `t` (see [`ReplyMsg::leave_out`]); `None`, with the
+    /// REPLY left as it is, when the full form is no larger.
+    fn against_own(&mut self, t: Timestamp, base: &SignedVersion) -> Option<AgainstOwn> {
         let delta = if self.commit_version == *base {
             None
         } else {
@@ -1304,14 +1240,11 @@ impl ReplyMsg {
             let moved = v.iter().zip(base.v().as_slice()).filter(|(a, b)| a != b);
             let moved = moved.count();
             if 4 + 4 * moved >= 41 * (v.len() - moved) {
-                return;
+                return None;
             }
             let delta = VersionDelta::against(v, m, base.v().as_slice(), base.m().as_slice());
             // The delta form also carries `t`.
-            match delta.filter(|delta| delta.len + 8 < delta.full) {
-                Some(delta) => Some(RawDelta::of(&delta)),
-                None => return,
-            }
+            Some(RawDelta::of(&delta.filter(|d| d.len + 8 < d.full)?))
         };
         let version = std::mem::replace(&mut self.commit_version.version, Version::initial(0));
         if delta.is_none() {
@@ -1325,44 +1258,75 @@ impl ReplyMsg {
             *writer = Version::initial(0);
             Some(delta)
         });
-        self.against_own = Some(AgainstOwn {
+        Some(AgainstOwn {
             base: t,
             delta,
             writer,
-        });
+        })
     }
 
-    /// Rebuilds a REPLY's `SVER[c]` sent by [`ReplyMsg::commit_against`],
-    /// given `base`, the recipient's own COMMIT that
-    /// [`AgainstOwn::base`] names — its version and COMMIT-signature —
-    /// and a read's `SVER[j]` over the rebuilt `SVER[c]`. A REPLY whose
-    /// `SVER[c]` came in full is left as it is.
+    /// Puts back what [`ReplyMsg::leave_out`] left out, from what the
+    /// recipient holds: `pending`, the `L` of the last REPLY it processed,
+    /// in whose buffer the full `L` is built; `commit`, its own COMMIT
+    /// whose own entry is `t`, to rebuild `SVER[c]` and a read's
+    /// `SVER[j]`; and `value`, the value that the REPLY to its read at
+    /// `t_r` of the register read delivered. Afterwards the REPLY leaves
+    /// out nothing; a full REPLY is left as it is.
     ///
     /// # Errors
     ///
-    /// As [`decode_delta`] for either delta over its base: a count above
-    /// the base's arity or an index at or past it. The REPLY is then
-    /// left as it is.
-    pub fn resolve_commit(&mut self, base: &Version, sig: Signature) -> Result<(), WireError> {
-        let Some(own) = &self.against_own else {
-            return Ok(());
-        };
-        let version = match &own.delta {
-            None => base.clone(),
-            Some(delta) => delta.resolve(base)?,
-        };
-        let writer = match &own.writer {
-            Some(delta) => Some(delta.resolve(&version)?),
+    /// What could not be put back: a kept tail longer than `pending`, a
+    /// name the recipient holds nothing for, or a delta with a count above
+    /// its base's arity or an index at or past it ([`decode_delta`]). The
+    /// REPLY is then left as it is.
+    pub fn fill_in<'a>(
+        &mut self,
+        mut pending: Vec<InvocationTuple>,
+        commit: impl FnOnce(Timestamp) -> Option<(&'a Version, Signature)>,
+        value: impl FnOnce(Timestamp) -> Option<Value>,
+    ) -> Result<(), &'static str> {
+        let (kept, name) = (self.left_out.kept as usize, self.left_out.value);
+        let skip = pending.len().checked_sub(kept);
+        let skip = skip.ok_or("pending list keeps more than the last reply's")?;
+        let commit = match &self.left_out.commit {
             None => None,
+            Some(own) => {
+                let named = commit(own.base);
+                let (base, sig) = named.ok_or("commit version names no COMMIT we hold")?;
+                let range = |_| "commit version delta out of range";
+                let version = match &own.delta {
+                    None => base.clone(),
+                    Some(delta) => delta.resolve(base).map_err(range)?,
+                };
+                let writer = match (&self.read, &own.writer) {
+                    (Some(_), Some(writer)) => Some(writer.resolve(&version).map_err(range)?),
+                    _ => None,
+                };
+                Some((version, writer, own.is_marker().then_some(sig)))
+            }
         };
-        if let (Some(read), Some(writer)) = (&mut self.read, writer) {
-            read.writer_version.version = writer;
+        let value = match (&self.read, name) {
+            (Some(_), Some(t)) => Some(value(t).ok_or("read value names no value we hold")?),
+            _ => None,
+        };
+        if kept > 0 {
+            pending.drain(..skip);
+            pending.append(&mut self.pending);
+            self.pending = pending;
         }
-        if own.is_marker() {
-            self.commit_version.sig = Some(sig);
+        if let Some((version, writer, sig)) = commit {
+            if let (Some(read), Some(writer)) = (&mut self.read, writer) {
+                read.writer_version.version = writer;
+            }
+            if sig.is_some() {
+                self.commit_version.sig = sig;
+            }
+            self.commit_version.version = version;
         }
-        self.commit_version.version = version;
-        self.against_own = None;
+        if let (Some(read), Some(value)) = (&mut self.read, value) {
+            read.mem_value = Some(value);
+        }
+        self.left_out = LeftOut::default();
         Ok(())
     }
 }
@@ -1628,7 +1592,6 @@ mod tests {
                 mem_timestamp: 7,
                 mem_value: Some(Value::from("stored")),
                 mem_data_sig: Some(sig(4)),
-                value_name: None,
             }),
             pending: vec![InvocationTuple {
                 client: ClientId::new(2),
@@ -1636,10 +1599,16 @@ mod tests {
                 register: ClientId::new(0),
                 sig: sig(5),
             }],
-            kept: 0,
-            against_own: None,
             proofs: vec![Some(sig(6)), None, Some(sig(7))],
+            left_out: LeftOut::default(),
         }
+    }
+
+    /// `reply` as sent to a client that holds `value` from its read at
+    /// `t`, and nothing else.
+    fn named(mut reply: ReplyMsg, t: Timestamp, value: &Value) -> ReplyMsg {
+        reply.leave_out(&mut Vec::new(), None, Some((t, value)));
+        reply
     }
 
     #[test]
@@ -1799,9 +1768,8 @@ mod tests {
             commit_version: SignedVersion::initial(1),
             read: None,
             pending: vec![],
-            kept: 0,
-            against_own: None,
             proofs: vec![None],
+            left_out: LeftOut::default(),
         };
         let mut body = UstorMsg::Reply(honest).encode();
         let at = body.len() - (4 + 1) - 4; // before `proofs`: its prefix and one `None`
@@ -2028,28 +1996,23 @@ mod tests {
     fn bottom_and_full_values_stay_as_they_are_and_static_bytes_are_one_value() {
         let full = sample_reply(3);
         let mut bottom = full.clone();
-        let read = bottom.read.as_mut().unwrap();
-        let value = read.mem_value.take().unwrap();
-        let before = bottom.clone();
-        assert!(!bottom.read.as_mut().unwrap().name_value(5, &value));
-        assert_eq!(bottom, before);
+        let value = bottom.read.as_mut().unwrap().mem_value.take().unwrap();
+        assert_eq!(named(bottom.clone(), 5, &value), bottom);
         let mut again = full.clone();
-        let read = again.read.as_mut().unwrap();
-        read.resolve_value(Value::from("other"));
+        let other = |_| Some(Value::from("other"));
+        again.fill_in(Vec::new(), |_| None, other).unwrap();
         assert_eq!(again, full);
         let fixed = Value::from_static(b"fixed");
-        let mut read = full.read.clone().unwrap();
-        read.mem_value = Some(fixed.clone());
-        assert!(read.name_value(9, &fixed));
-        assert_eq!(read.value_name, Some(9));
+        let mut reply = full.clone();
+        reply.read.as_mut().unwrap().mem_value = Some(fixed.clone());
+        assert_eq!(named(reply, 9, &fixed).left_out.value, Some(9));
     }
 
     #[test]
     fn hostile_value_names_are_typed_errors() {
-        let mut named = sample_reply(3);
-        let value = named.read.as_ref().unwrap().mem_value.clone().unwrap();
-        named.read.as_mut().unwrap().name_value(5, &value);
-        let bytes = named.encode();
+        let reply = sample_reply(3);
+        let value = reply.read.as_ref().unwrap().mem_value.clone().unwrap();
+        let bytes = named(reply, 5, &value).encode();
         // The name sits after `SVER[j]`, its signature and `t_j`, before
         // `δ_j` (34 bytes), `L` (4 + 42) and `P` (4 + 34 + 1 + 34).
         let at = bytes.len() - 34 - 46 - 73 - 9;
@@ -2067,7 +2030,7 @@ mod tests {
         let mut far = bytes.clone();
         far[at + 1..at + 9].copy_from_slice(&u64::MAX.to_be_bytes());
         let got = ReplyMsg::decode(&far).unwrap();
-        assert_eq!(got.read.unwrap().value_name, Some(u64::MAX));
+        assert_eq!(got.left_out.value, Some(u64::MAX));
         // Tag 2 is a name in that position only.
         let mut submit = sample_submit().encode();
         let value_at = 8 + 4 + 1 + 4 + 33;

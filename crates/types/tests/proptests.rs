@@ -11,9 +11,9 @@ use faust_sim::SmallRng;
 use faust_types::frame::{frame_bytes, FrameDecoder};
 use faust_types::testutil::mutations;
 use faust_types::{
-    AgainstOwn, ClientId, CommitDelta, CommitMsg, DigestVec, History, InvocationTuple, OpKind,
-    ReadReply, ReplyMsg, SignedVersion, SubmitMsg, TimestampVec, UstorMsg, Value, Version,
-    VersionCmp, VersionEntry, Wire, WireError,
+    AgainstOwn, ClientId, CommitDelta, CommitMsg, DigestVec, History, InvocationTuple, LeftOut,
+    OpKind, ReadReply, ReplyMsg, SignedVersion, SubmitMsg, Timestamp, TimestampVec, UstorMsg,
+    Value, Version, VersionCmp, VersionEntry, Wire, WireError,
 };
 
 const N: usize = 4;
@@ -119,24 +119,30 @@ fn near_version(rng: &mut SmallRng, base: &Version, share: f64) -> Version {
 }
 
 /// A REPLY as the engine may send it: a third have `SVER[c]` sent
-/// against a COMMIT of the recipient's ([`own_commit_near`]), and a third
-/// of the reads with a value name it ([`ReadReply::name_value`]).
+/// against a COMMIT of the recipient's ([`own_commit_near`]), a third of
+/// the reads with a value name it, and a third keep a tail of the
+/// previous REPLY's `L`.
 fn arb_reply(rng: &mut SmallRng) -> ReplyMsg {
     let mut reply = arb_full_reply(rng);
     if rng.gen_bool(0.3) {
         let base = own_commit_near(rng, &reply.commit_version);
-        reply.commit_against(rng.next_u64() >> 8, &base);
+        reply.leave_out(&mut Vec::new(), Some((rng.next_u64() >> 8, &base)), None);
     }
-    if let Some(read) = reply.read.as_mut().filter(|_| rng.gen_bool(0.3)) {
-        named(rng, read);
+    if reply.read.is_some() && rng.gen_bool(0.3) {
+        named(rng, &mut reply);
+    }
+    if rng.gen_bool(0.3) {
+        reply.left_out.kept = 1 + rng.gen_index(40) as u32;
     }
     reply
 }
 
-/// `read` with its value, if it has one, sent as a name.
-fn named(rng: &mut SmallRng, read: &mut ReadReply) {
-    if let Some(value) = read.mem_value.clone() {
-        assert!(read.name_value(rng.next_u64() >> 8, &value));
+/// `reply` with its read value, if it has one, sent as a name.
+fn named(rng: &mut SmallRng, reply: &mut ReplyMsg) {
+    let value = reply.read.as_ref().and_then(|read| read.mem_value.clone());
+    if let Some(value) = value {
+        reply.leave_out(&mut Vec::new(), None, Some((rng.next_u64() >> 8, &value)));
+        assert!(reply.left_out.value.is_some());
     }
 }
 
@@ -175,21 +181,15 @@ fn arb_full_reply(rng: &mut SmallRng) -> ReplyMsg {
             mem_timestamp: rng.gen_range_inclusive(0, 99),
             mem_value: rng.gen_bool(0.5).then(|| arb_value(rng)),
             mem_data_sig: rng.gen_bool(0.5).then(|| arb_sig(rng)),
-            value_name: None,
         }),
         pending: {
             let len = rng.gen_index(4);
             (0..len).map(|_| arb_tuple(rng)).collect()
         },
-        // A third keep a tail of the previous REPLY's `L`: the delta form.
-        kept: match rng.gen_bool(0.3) {
-            true => 1 + rng.gen_index(40) as u32,
-            false => 0,
-        },
         proofs: (0..N)
             .map(|_| rng.gen_bool(0.5).then(|| arb_sig(rng)))
             .collect(),
-        against_own: None,
+        left_out: LeftOut::default(),
     }
 }
 
@@ -762,26 +762,26 @@ mod reference {
 
     /// A read part whose `SVER[j]` version was already read. `MEM[j].x`'s
     /// option tag may also be 2, a name: the timestamp `t_r`.
-    fn read_rest(version: Version, input: &mut &[u8]) -> Decoded<ReadReply> {
+    fn read_rest(version: Version, input: &mut &[u8]) -> Decoded<(ReadReply, Option<Timestamp>)> {
         let writer_version = SignedVersion {
             version,
             sig: option(input, signature)?,
         };
         let mem_timestamp = long(input)?;
-        let (mem_value, value_name) = match input.first() {
+        let (mem_value, name) = match input.first() {
             Some(2) => {
                 byte(input)?;
                 (None, Some(long(input)?))
             }
             _ => (option(input, value)?, None),
         };
-        Ok(ReadReply {
+        let read = ReadReply {
             writer_version,
             mem_timestamp,
             mem_value,
             mem_data_sig: option(input, signature)?,
-            value_name,
-        })
+        };
+        Ok((read, name))
     }
 
     /// A delta kept before its base is known: the count in `first`
@@ -817,7 +817,7 @@ mod reference {
             };
             (signed, None)
         };
-        let mut writer = None;
+        let (mut writer, mut name) = (None, None);
         let read = match byte(input)? {
             0 => None,
             1 => {
@@ -831,7 +831,9 @@ mod reference {
                         first => version_after(first, input)?,
                     },
                 };
-                Some(read_rest(version, input)?)
+                let (read, value) = read_rest(version, input)?;
+                name = value;
+                Some(read)
             }
             t => return Err(WireError::BadTag(t)),
         };
@@ -841,10 +843,13 @@ mod reference {
             commit_version,
             read,
             pending,
-            kept,
             proofs: vec(input, |input| option(input, signature))?,
-            against_own: own
-                .map(|(t, delta)| AgainstOwn::new(t, delta.as_deref(), writer.as_deref())),
+            left_out: LeftOut {
+                kept,
+                commit: own
+                    .map(|(t, delta)| AgainstOwn::new(t, delta.as_deref(), writer.as_deref())),
+                value: name,
+            },
         })
     }
 
@@ -1020,16 +1025,14 @@ fn shaped_reply(rng: &mut SmallRng, shape: Shape, near: bool) -> ReplyMsg {
             mem_timestamp: rng.next_u64() >> 40,
             mem_value: rng.gen_bool(0.7).then(|| arb_value(rng)),
             mem_data_sig: rng.gen_bool(0.7).then(|| shaped_sig(rng, shape)),
-            value_name: None,
         }),
         pending: (0..shape.pending)
             .map(|_| shaped_tuple(rng, shape))
             .collect(),
-        kept: 0,
         proofs: (0..shape.n)
             .map(|_| rng.gen_bool(0.8).then(|| shaped_sig(rng, shape)))
             .collect(),
-        against_own: None,
+        left_out: LeftOut::default(),
     }
 }
 
@@ -1048,7 +1051,7 @@ fn sent_against_own(rng: &mut SmallRng, shape: Shape, marker: bool) -> ReplyMsg 
         },
         sig: Some(sig),
     };
-    reply.commit_against(rng.next_u64() >> 20, &base);
+    reply.leave_out(&mut Vec::new(), Some((rng.next_u64() >> 20, &base)), None);
     reply
 }
 
@@ -1057,7 +1060,7 @@ fn value_named(rng: &mut SmallRng, shape: Shape) -> ReplyMsg {
     let mut reply = shaped_reply(rng, shape, false);
     if let Some(read) = reply.read.as_mut() {
         read.mem_value.get_or_insert_with(|| arb_value(rng));
-        named(rng, read);
+        named(rng, &mut reply);
     }
     reply
 }
@@ -1138,7 +1141,10 @@ fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
         // `L` keeping a tail of the previous REPLY's: the count marked,
         // then `k`, then only the new tuples.
         let kept = ReplyMsg {
-            kept: 1 + rng.gen_index(31) as u32,
+            left_out: LeftOut {
+                kept: 1 + rng.gen_index(31) as u32,
+                ..LeftOut::default()
+            },
             ..shaped_reply(rng, shape, shape.extras)
         };
         assert_decoders_agree(reference::reply, &kept.encode(), shape);
@@ -1147,10 +1153,11 @@ fn decoders_agree_with_the_reference_on_every_truncation_and_flip() {
         let marker = sent_against_own(rng, shape, true);
         let own_delta = sent_against_own(rng, shape, false);
         assert!(marker
-            .against_own
+            .left_out
+            .commit
             .as_ref()
             .is_some_and(AgainstOwn::is_marker));
-        swept_deltas += usize::from(own_delta.against_own.is_some());
+        swept_deltas += usize::from(own_delta.left_out.commit.is_some());
         assert_decoders_agree(reference::reply, &marker.encode(), shape);
         assert_decoders_agree(reference::reply, &own_delta.encode(), shape);
         let named_value = value_named(rng, shape);
@@ -1224,7 +1231,10 @@ fn frame_decoder_agrees_with_the_reference_at_every_split_point() {
             UstorMsg::Commit(shaped_commit(rng, shape)),
             UstorMsg::CommitDelta(shaped_commit_delta(rng, shape)),
             UstorMsg::Reply(ReplyMsg {
-                kept: 1 + rng.gen_index(31) as u32,
+                left_out: LeftOut {
+                    kept: 1 + rng.gen_index(31) as u32,
+                    ..LeftOut::default()
+                },
                 ..shaped_reply(rng, shape, false)
             }),
             UstorMsg::Reply(sent_against_own(rng, shape, true)),
@@ -1334,16 +1344,16 @@ fn a_pending_list_kept_from_its_base_resolves_to_itself() {
         full.extend((0..rng.gen_index(4)).map(|_| shaped_tuple(rng, shape)));
         let mut reply = ReplyMsg {
             pending: full.clone(),
-            kept: 0,
             ..arb_reply(rng)
         };
+        reply.left_out.kept = 0;
         let full_len = reply.encoded_len();
         let mut next = base.clone();
-        reply.keep_from(&mut next);
+        reply.leave_out(&mut next, None, None);
         assert_eq!(next, full);
         // Distinct tuples: exactly the shared tail is kept.
         let expected = if full.is_empty() { 0 } else { base.len() - cut };
-        assert_eq!(reply.kept as usize, expected);
+        assert_eq!(reply.left_out.kept as usize, expected);
         assert_eq!(reply.pending, full[expected..]);
         if expected > 0 {
             kept_some += 1;
@@ -1353,15 +1363,20 @@ fn a_pending_list_kept_from_its_base_resolves_to_itself() {
         }
         let mut sent = ReplyMsg::decode(&reply.encode()).unwrap();
         assert_eq!(sent, reply);
-        sent.resolve_pending(base.clone()).unwrap();
-        assert_eq!((sent.kept, &sent.pending), (0, &full));
-        // Against a base too short for `k`, resolving fails and leaves
+        // Only `L` is filled in here.
+        sent.left_out.commit = None;
+        sent.left_out.value = None;
+        let short = sent.clone();
+        sent.fill_in(base.clone(), |_| None, |_| None).unwrap();
+        assert_eq!((sent.left_out.kept, &sent.pending), (0, &full));
+        // Against a base too short for `k`, filling in fails and leaves
         // the REPLY as it came.
         if expected > 0 {
-            let mut short = reply.clone();
-            let got = short.resolve_pending(base[..expected - 1].to_vec());
-            assert_eq!(got, Err(WireError::BadLength(expected as u64)));
-            assert_eq!(short, reply);
+            let mut got = short.clone();
+            let too_short = base[..expected - 1].to_vec();
+            let keeps_more = "pending list keeps more than the last reply's";
+            assert_eq!(got.fill_in(too_short, |_| None, |_| None), Err(keeps_more));
+            assert_eq!(got, short);
         }
     });
     assert!(kept_some > CASES / 2, "{kept_some}");
@@ -1383,7 +1398,10 @@ fn a_pending_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
         extras: false,
     };
     let reply = ReplyMsg {
-        kept: 3,
+        left_out: LeftOut {
+            kept: 3,
+            ..LeftOut::default()
+        },
         ..shaped_reply(rng, shape, false)
     };
     let honest = reply.encode();
@@ -1424,13 +1442,14 @@ fn a_pending_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
             // 2²⁴ tuples claimed, one there: nothing after it.
             bytes.truncate(at + 8 + 42);
         }
-        let got = ReplyMsg::decode(&bytes).map(|r| r.kept);
+        let got = ReplyMsg::decode(&bytes).map(|r| r.left_out.kept);
         assert_eq!(got, expected, "count {count:#x}, k {k}");
-        assert_eq!(reference::reply(&bytes).map(|r| r.kept), expected);
+        let reference = reference::reply(&bytes).map(|r| r.left_out.kept);
+        assert_eq!(reference, expected);
     }
     // The full form's count is bounded as before.
     let full = ReplyMsg {
-        kept: 0,
+        left_out: LeftOut::default(),
         ..reply.clone()
     }
     .encode();
@@ -1440,12 +1459,12 @@ fn a_pending_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
         ReplyMsg::decode(&huge),
         Err(WireError::BadLength(u64::from(max) + 1))
     );
-    // A `k` of 2²⁴ decodes, then fails to resolve against a short base.
+    // A `k` of 2²⁴ decodes, then fails to fill in against a short base.
     let mut far = ReplyMsg::decode(&with(MARK | 1, max)).unwrap();
     let base = reply.pending.clone();
     assert_eq!(
-        far.resolve_pending(base),
-        Err(WireError::BadLength(max.into()))
+        far.fill_in(base, |_| None, |_| None),
+        Err("pending list keeps more than the last reply's")
     );
 }
 
@@ -1464,15 +1483,18 @@ fn a_read_value_named_and_resolved_is_the_reply_the_server_built() {
         let t = rng.next_u64();
         let mut sent = full.clone();
         let copy = Value::new(value.as_bytes().to_vec());
-        assert!(!sent.read.as_mut().unwrap().name_value(t, &copy));
+        sent.leave_out(&mut Vec::new(), None, Some((t, &copy)));
+        assert_eq!(sent.left_out.value, None);
         assert_eq!(sent.encode(), full.encode());
-        assert!(sent.read.as_mut().unwrap().name_value(t, &value));
+        sent.leave_out(&mut Vec::new(), None, Some((t, &value)));
+        assert_eq!(sent.left_out.value, Some(t));
         named_some += 1;
         assert_eq!(full.encoded_len() + 4, sent.encoded_len() + value.len());
         let mut got = ReplyMsg::decode(&sent.encode()).unwrap();
         assert_eq!(got, sent);
         assert_eq!(got, reference::reply(&sent.encode()).unwrap());
-        got.read.as_mut().unwrap().resolve_value(value.clone());
+        let held = |name| (name == t).then(|| value.clone());
+        got.fill_in(Vec::new(), |_| None, held).unwrap();
         assert_eq!(got, full);
         assert_eq!(got.encode(), full.encode());
     });
@@ -1492,8 +1514,8 @@ fn sver_sent_against_the_recipients_own_commit_resolves_to_itself() {
         let base = own_commit_near(rng, &full.commit_version);
         let t = rng.next_u64() >> 8;
         let mut sent = full.clone();
-        sent.commit_against(t, &base);
-        let Some(own) = sent.against_own.clone() else {
+        sent.leave_out(&mut Vec::new(), Some((t, &base)), None);
+        let Some(own) = sent.left_out.commit.clone() else {
             // Left in full: byte for byte what the server built.
             assert_ne!(full.commit_version, base);
             assert_eq!(sent.encode(), full.encode());
@@ -1511,14 +1533,15 @@ fn sver_sent_against_the_recipients_own_commit_resolves_to_itself() {
         }
         let mut got = ReplyMsg::decode(&sent.encode()).unwrap();
         assert_eq!(got, sent);
-        got.resolve_commit(&base.version, base.sig.unwrap())
-            .unwrap();
+        let held = |name| (name == t).then(|| (&base.version, base.sig.unwrap()));
+        got.fill_in(Vec::new(), held, |_| None).unwrap();
         assert_eq!(got, full);
-        // Rebuilt, it encodes as the full REPLY; a full one resolves to
+        // Rebuilt, it encodes as the full REPLY; a full one fills in to
         // itself against anything.
         assert_eq!(got.encode(), full.encode());
-        got.resolve_commit(&Version::initial(1), faust_crypto::Signature::garbage())
-            .unwrap();
+        let initial = Version::initial(1);
+        let anything = |_| Some((&initial, faust_crypto::Signature::garbage()));
+        got.fill_in(Vec::new(), anything, |_| None).unwrap();
         assert_eq!(got, full);
     });
     assert!(
@@ -1533,8 +1556,8 @@ fn sver_sent_against_the_recipients_own_commit_resolves_to_itself() {
 /// [`WireError::Truncated`], with nothing reserved for it; indices that do
 /// not increase are `BadLength` of the first that does not. Bits other
 /// than the marker's beside bit 30 read as an implausible full length.
-/// Against its base, a count above the arity or an index at or past it is
-/// `BadLength` too, and the REPLY is left as it came.
+/// Against its base, a count above the arity or an index at or past it
+/// fails to fill in, and the REPLY is left as it came.
 #[test]
 fn an_own_commit_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
     const MARK: u32 = 1 << 31;
@@ -1552,8 +1575,8 @@ fn an_own_commit_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
         sig: Some(shaped_sig(rng, shape)),
     };
     let mut reply = full.clone();
-    reply.commit_against(7, &base);
-    assert!(reply.against_own.is_some());
+    reply.leave_out(&mut Vec::new(), Some((7, &base)), None);
+    assert!(reply.left_out.commit.is_some());
     let honest = reply.encode();
     // SVER[c]'s count word follows `c`; SVER[j]'s the read tag.
     let count = u32::from_be_bytes(honest[4..8].try_into().unwrap());
@@ -1592,7 +1615,7 @@ fn an_own_commit_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
         Err(WireError::BadLength(1))
     );
     // The read's SVER[j], when it is a delta against the unknown SVER[c].
-    let own = reply.against_own.as_ref().unwrap();
+    let own = reply.left_out.commit.as_ref().unwrap();
     let saved = full.encoded_len() - honest.len();
     let writer_at = 4 + full.commit_version.encoded_len() - saved + 1;
     let writer = u32::from_be_bytes(honest[writer_at..writer_at + 4].try_into().unwrap());
@@ -1608,32 +1631,30 @@ fn an_own_commit_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
         digest: None,
     };
     let hostile = [
-        (
-            AgainstOwn::new(
-                7,
-                Some(&[at(0, 1), at(1, 1), at(2, 1), at(3, 1), at(9, 1)]),
-                None,
-            ),
-            WireError::BadLength(5),
+        // Five entries against an arity of four.
+        AgainstOwn::new(
+            7,
+            Some(&[at(0, 1), at(1, 1), at(2, 1), at(3, 1), at(9, 1)]),
+            None,
         ),
-        (
-            AgainstOwn::new(7, Some(&[at(4, 1)]), None),
-            WireError::BadLength(4),
-        ),
-        (
-            AgainstOwn::new(7, Some(&[at(1, 1)]), Some(&[at(64, 1)])),
-            WireError::BadLength(64),
-        ),
+        // An index at the arity.
+        AgainstOwn::new(7, Some(&[at(4, 1)]), None),
+        // `SVER[j]`'s index past the arity of the rebuilt `SVER[c]`.
+        AgainstOwn::new(7, Some(&[at(1, 1)]), Some(&[at(64, 1)])),
     ];
-    for (own, error) in hostile {
+    for own in hostile {
         let sent = ReplyMsg {
-            against_own: Some(own),
+            left_out: LeftOut {
+                commit: Some(own),
+                ..LeftOut::default()
+            },
             ..reply.clone()
         };
         let mut got = both(&sent.encode()).unwrap();
         assert_eq!(got, sent);
-        let sig = faust_crypto::Signature::garbage();
-        assert_eq!(got.resolve_commit(&base.version, sig), Err(error));
+        let named = |_| Some((&base.version, faust_crypto::Signature::garbage()));
+        let out_of_range = Err("commit version delta out of range");
+        assert_eq!(got.fill_in(Vec::new(), named, |_| None), out_of_range);
         assert_eq!(got, sent);
     }
 }

@@ -78,8 +78,8 @@ use faust_crypto::sig::{Keypair, SigContext, Signature, Signer, Verifier, Verifi
 use faust_crypto::Digest;
 use faust_types::op::{data_signing_bytes, proof_signing_bytes, submit_signing_bytes};
 use faust_types::{
-    ClientId, CommitMsg, InvocationTuple, OpKind, ReadReply, ReplyMsg, SignedVersion, Sink,
-    SubmitMsg, Timestamp, Value, Version, Wire, WireError,
+    AgainstOwn, ClientId, CommitMsg, InvocationTuple, OpKind, ReadReply, ReplyMsg, SignedVersion,
+    Sink, SubmitMsg, Timestamp, Value, Version, Wire, WireError,
 };
 use std::collections::VecDeque;
 
@@ -296,22 +296,134 @@ pub struct UstorClient {
     /// in either is trusted beyond "these exact bytes passed this check".
     run: VecDeque<FoldStep>,
     peers: Vec<Peer>,
+    bases: HeldBases,
+}
+
+/// What this client holds from its connection: the bases a reply may
+/// leave out, which [`HeldBases::resolve`] fills back in
+/// ([`ReplyMsg::fill_in`]) before any check reads the reply.
+#[derive(Debug, Clone)]
+struct HeldBases {
     /// `L` of the last reply processed, in full — the run's tuples, kept
-    /// as a list so the next reply's kept tail is rebuilt in its buffer
-    /// ([`ReplyMsg::resolve_pending`]).
-    last_pending: Vec<InvocationTuple>,
+    /// as a list so the next reply's kept tail is rebuilt in its buffer.
+    pending: Vec<InvocationTuple>,
     /// This client's last COMMITs, oldest first, at most
-    /// `max_pipeline + 1`: the ones a reply's `SVER[c]` may be sent
-    /// against ([`ReplyMsg::resolve_commit`]). The server names the last
-    /// COMMIT it had from us before the SUBMIT it answers, and while
-    /// that SUBMIT is in flight at most `max_pipeline - 1` replies, each
-    /// making one COMMIT, are processed before its own.
+    /// `max_pipeline + 1`. The server names the last COMMIT it had from
+    /// us before the SUBMIT it answers, and while that SUBMIT is in
+    /// flight at most `max_pipeline - 1` replies, each making one COMMIT,
+    /// are processed before its own.
     commits: VecDeque<OwnCommit>,
-    /// Per register, the value of the last read REPLY for it that this
-    /// client accepted, with its digest: what a REPLY may name instead of
-    /// sending it ([`ReadReply::value_name`]). One per register, so at
-    /// most `n` values.
+    /// Per register, the value of the last read reply for it that this
+    /// client accepted, with its digest. One per register, so at most `n`
+    /// values.
     values: Vec<Option<HeldValue>>,
+}
+
+/// What the checks of a reply need from [`HeldBases::resolve`].
+struct Resolved {
+    /// `SVER[c]` is, byte for byte, a COMMIT of ours and `c` is us, so
+    /// line 35 holds without a verification.
+    signed_by_us: bool,
+    /// For a read: the digest of the value read, `None` for `⊥` — a
+    /// named value's as it was verified when it arrived, a value sent in
+    /// full hashed here. Or the fault a value name makes, raised where
+    /// the value is read.
+    value_digest: Result<Option<Digest>, Fault>,
+}
+
+impl HeldBases {
+    /// Fills in what `reply`, to `op`, left out, from what client `id` at
+    /// version `current` holds.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::MalformedReply`] if the reply keeps `L` or names a COMMIT
+    /// this client does not hold. A value name it does not hold, or one in
+    /// a write's reply, is [`Resolved::value_digest`]'s fault instead.
+    fn resolve(
+        &mut self,
+        reply: &mut ReplyMsg,
+        op: &PendingOpState,
+        id: ClientId,
+        current: &Version,
+    ) -> Result<Resolved, Fault> {
+        let (j, pending) = (op.target.index(), std::mem::take(&mut self.pending));
+        let held = self.values.get(j).and_then(Option::as_ref);
+        // A value name that cannot stand fails where the value is read, as
+        // a value sent in full would: lines 35–47 run first, with the
+        // value left `⊥` — they never read it.
+        let unheld = match (reply.left_out.value, op.kind) {
+            (None, _) => None,
+            (Some(_), OpKind::Write) => Some("a write's reply names a read value"),
+            (Some(t), OpKind::Read) => held
+                .is_none_or(|held| held.t != t)
+                .then_some("read value names no value we hold"),
+        };
+        if unheld.is_some() {
+            reply.left_out.value = None;
+        }
+        let named = reply.left_out.value.is_some();
+        // A COMMIT of ours rebuilt byte for byte and attributed to us is
+        // what we signed: line 35 has nothing to verify.
+        let own = reply.left_out.commit.as_ref();
+        let marker = own.is_some_and(AgainstOwn::is_marker);
+        let commit = |t| {
+            let commit = self.commits.iter().rev().find(|c| c.t == t)?;
+            match &commit.version {
+                Some(version) => Some((version, commit.sig)),
+                None => (current.v().get(id) == t).then_some((current, commit.sig)),
+            }
+        };
+        // A name still standing is the one held.
+        let value = |_| held.map(|held| held.value.clone());
+        reply
+            .fill_in(pending, commit, value)
+            .map_err(Fault::MalformedReply)?;
+        let value_digest = match (unheld, &reply.read) {
+            (Some(unheld), _) => Err(Fault::MalformedReply(unheld)),
+            (None, Some(_)) if named => Ok(held.map(|held| held.digest)),
+            (None, Some(read)) if op.kind == OpKind::Read => {
+                Ok(read.mem_value.as_ref().map(|v| sha256(v.as_bytes())))
+            }
+            _ => Ok(None),
+        };
+        Ok(Resolved {
+            signed_by_us: marker && reply.last_committer == id,
+            value_digest,
+        })
+    }
+
+    /// Records `commit`, ours of the operation at `t`, with a copy of its
+    /// version if `copy`: into the buffers of the oldest one, if that
+    /// leaves. At most `depth + 1` are kept.
+    fn remember(&mut self, t: Timestamp, commit: &CommitMsg, copy: bool, depth: usize) {
+        let mut spare = match self.commits.len() > depth {
+            true => self.commits.pop_front().and_then(|oldest| oldest.version),
+            false => None,
+        };
+        let version = copy.then(|| match spare.take() {
+            Some(mut spare) => {
+                spare.clone_from(&commit.version);
+                spare
+            }
+            None => commit.version.clone(),
+        });
+        self.commits.push_back(OwnCommit {
+            t,
+            sig: commit.commit_sig,
+            version,
+        });
+    }
+
+    /// The client's version moved on from `old`, that of its operation at
+    /// `t`. A COMMIT of it sent without a copy keeps it, so a replayed
+    /// reply naming it still reads as what the server built.
+    fn replaced(&mut self, t: Timestamp, old: &mut Version) {
+        let sent = self.commits.iter_mut();
+        if let Some(commit) = sent.rev().find(|c| c.version.is_none() && c.t == t) {
+            commit.version = Some(std::mem::replace(old, Version::initial(0)));
+        }
+    }
 }
 
 /// A register value as the read REPLY that delivered it left it: `t`, the
@@ -324,8 +436,8 @@ struct HeldValue {
     digest: Digest,
 }
 
-/// One of this client's COMMITs, as [`UstorClient::own_commit`] finds it:
-/// by `t`, its own entry.
+/// One of this client's COMMITs, as a reply names it: by `t`, its own
+/// entry.
 #[derive(Debug, Clone)]
 struct OwnCommit {
     t: Timestamp,
@@ -470,9 +582,11 @@ impl UstorClient {
             held_commit_version: state.held_commit_version,
             run: VecDeque::new(),
             peers: vec![Peer::default(); n],
-            last_pending: Vec::new(),
-            commits: VecDeque::new(),
-            values: vec![None; n],
+            bases: HeldBases {
+                pending: Vec::new(),
+                commits: VecDeque::new(),
+                values: vec![None; n],
+            },
         }
     }
 
@@ -482,50 +596,20 @@ impl UstorClient {
     /// it records every COMMIT it makes.
     pub fn resume_commits<'a>(&mut self, commits: impl IntoIterator<Item = &'a CommitMsg>) {
         for commit in commits {
-            self.remember(commit, true);
+            self.sent(commit, true);
         }
     }
 
-    /// Records a COMMIT this client is sending, its version copied only
-    /// if it can be named once the current version has moved on.
-    fn sent(&mut self, commit: &CommitMsg) {
-        let own = |version: &Version| version.v().as_slice().get(self.id.index()).copied();
-        let current = self.max_pipeline == 1 && own(&commit.version) == own(&self.version);
-        self.remember(commit, !current);
-    }
-
-    /// Records `commit`, with a copy of its version if `copy`: into the
-    /// buffers of the oldest one, if that leaves.
-    fn remember(&mut self, commit: &CommitMsg, copy: bool) {
+    /// Records a COMMIT this client is sending, its version copied if
+    /// `copy` or if it can be named once the current version has moved
+    /// on.
+    fn sent(&mut self, commit: &CommitMsg, copy: bool) {
         let Some(&t) = commit.version.v().as_slice().get(self.id.index()) else {
             return;
         };
-        let mut spare = match self.commits.len() > self.max_pipeline {
-            true => self.commits.pop_front().and_then(|oldest| oldest.version),
-            false => None,
-        };
-        let version = copy.then(|| match spare.take() {
-            Some(mut spare) => {
-                spare.clone_from(&commit.version);
-                spare
-            }
-            None => commit.version.clone(),
-        });
-        self.commits.push_back(OwnCommit {
-            t,
-            sig: commit.commit_sig,
-            version,
-        });
-    }
-
-    /// This client's COMMIT of its operation at timestamp `t`, its
-    /// version and COMMIT-signature, if it still holds it.
-    fn own_commit(&self, t: Timestamp) -> Option<(&Version, Signature)> {
-        let commit = self.commits.iter().rev().find(|c| c.t == t)?;
-        match &commit.version {
-            Some(version) => Some((version, commit.sig)),
-            None => (self.version.v().get(self.id) == t).then_some((&self.version, commit.sig)),
-        }
+        let current = self.max_pipeline == 1 && t == self.version.v().get(self.id);
+        self.bases
+            .remember(t, commit, copy || !current, self.max_pipeline);
     }
 
     /// Switches the commit transmission strategy (see [`CommitMode`]).
@@ -562,7 +646,7 @@ impl UstorClient {
     pub fn take_held_commit(&mut self) -> Option<CommitMsg> {
         let version = self.held_commit_version.take()?;
         let commit = sign_commit(&self.keypair, self.id, version);
-        self.sent(&commit);
+        self.sent(&commit, false);
         Some(commit)
     }
 
@@ -590,7 +674,7 @@ impl UstorClient {
     /// folded, in schedule order (empty before the first reply and after
     /// a restore).
     pub fn last_pending(&self) -> &[InvocationTuple] {
-        &self.last_pending
+        &self.bases.pending
     }
 
     /// The fault that halted this client, if any.
@@ -711,43 +795,27 @@ impl UstorClient {
         // in-flight operation. (Any fault below halts the client and
         // clears the window, so taking the operation now loses nothing.)
         let op = self.inflight.pop_front().ok_or(Fault::UnsolicitedReply)?;
-        // `L` may keep a tail of the previous reply's: every check below
-        // reads the full list.
-        let base = std::mem::take(&mut self.last_pending);
-        reply
-            .resolve_pending(base)
-            .map_err(|_| Fault::MalformedReply("pending list keeps more than the last reply's"))?;
-        // So may `SVER[c]` name one of our own COMMITs. Rebuilt byte for
-        // byte from it and attributed to us, it is what we signed: line
-        // 35 has nothing to verify.
-        let signed_by_us = match &reply.against_own {
-            None => false,
-            Some(own) => {
-                let marker = own.is_marker();
-                let (version, sig) = self.own_commit(own.base).ok_or(Fault::MalformedReply(
-                    "commit version names no COMMIT we hold",
-                ))?;
-                reply
-                    .resolve_commit(version, sig)
-                    .map_err(|_| Fault::MalformedReply("commit version delta out of range"))?;
-                marker && reply.last_committer == self.id
-            }
-        };
+        // What the reply left out — a tail of the last `L`, `SVER[c]`
+        // against a COMMIT of ours, a value we hold — goes back in first:
+        // every check below reads the full reply.
+        let resolved = self
+            .bases
+            .resolve(&mut reply, &op, self.id, &self.version)?;
         self.validate_shape(&reply, &op)?;
         // Line 51's first conjunct reads (V^c, M^c), which the fold
         // below overwrites; evaluated here, raised in its place.
         let committed = &reply.commit_version.version;
         let read = reply.read.as_ref();
         let writer_in_history = read.is_none_or(|r| r.writer_version.version.le(committed));
-        self.update_version(&mut reply, op.timestamp, signed_by_us)?;
-        self.last_pending = std::mem::take(&mut reply.pending);
-        let read_value = match &mut reply.read {
+        self.update_version(&mut reply, op.timestamp, resolved.signed_by_us)?;
+        self.bases.pending = std::mem::take(&mut reply.pending);
+        let digest = resolved.value_digest?;
+        let read_value = match &reply.read {
             Some(read) if op.kind == OpKind::Read => {
                 let j = op.target;
-                let digest = self.resolve_value(read, j)?;
                 let value = self.check_data(read, j, writer_in_history, digest)?;
                 // What a later REPLY may name: what this one delivered.
-                self.values[j.index()] = match (&value, digest) {
+                self.bases.values[j.index()] = match (&value, digest) {
                     (Some(value), Some(digest)) => Some(HeldValue {
                         t: op.timestamp,
                         value: value.clone(),
@@ -756,9 +824,6 @@ impl UstorClient {
                     _ => None,
                 };
                 Some(value)
-            }
-            Some(read) if read.value_name.is_some() => {
-                return Err(Fault::MalformedReply("a write's reply names a read value"))
             }
             _ => None,
         };
@@ -769,7 +834,7 @@ impl UstorClient {
         let commit = match self.commit_mode {
             CommitMode::Immediate => {
                 let commit = sign_commit(&self.keypair, self.id, self.version.clone());
-                self.sent(&commit);
+                self.sent(&commit, false);
                 Some(commit)
             }
             CommitMode::Piggyback => {
@@ -986,35 +1051,8 @@ impl UstorClient {
             return Err(Fault::VersionRegression);
         }
         std::mem::swap(&mut self.version, candidate);
-        // The version replaced is that of our last COMMIT, if a
-        // sequential client sent it: kept, a replayed reply naming it
-        // still reads as what the server built.
-        let replaced = candidate.v().get(self.id);
-        let sent = self.commits.iter_mut();
-        if let Some(commit) = sent.rev().find(|c| c.version.is_none() && c.t == replaced) {
-            commit.version = Some(std::mem::replace(candidate, Version::initial(0)));
-        }
+        self.bases.replaced(candidate.v().get(self.id), candidate);
         Ok(())
-    }
-
-    /// Puts back a value the REPLY for a read of `j` names — the one this
-    /// client holds from the REPLY to its read at that timestamp — and
-    /// returns the digest of the read value, `None` for `⊥`: a named
-    /// value's as it was verified when it arrived, a value sent in full
-    /// hashed here.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::MalformedReply`] if the name is not the one this client
-    /// holds for `j`.
-    fn resolve_value(&self, read: &mut ReadReply, j: ClientId) -> Result<Option<Digest>, Fault> {
-        let Some(t) = read.value_name else {
-            return Ok(read.mem_value.as_ref().map(|v| sha256(v.as_bytes())));
-        };
-        let held = self.values[j.index()].as_ref().filter(|held| held.t == t);
-        let held = held.ok_or(Fault::MalformedReply("read value names no value we hold"))?;
-        read.resolve_value(held.value.clone());
-        Ok(Some(held.digest))
     }
 
     /// Algorithm 1, `checkData` (lines 48–52). Returns the read value.
@@ -1135,9 +1173,8 @@ mod tests {
             commit_version: SignedVersion::initial(2),
             read: None,
             pending: vec![],
-            kept: 0,
-            against_own: None,
             proofs: vec![None, None],
+            left_out: Default::default(),
         };
         assert_eq!(c.handle_reply(reply), Err(Fault::UnsolicitedReply));
     }
@@ -1150,9 +1187,8 @@ mod tests {
             commit_version: SignedVersion::initial(2),
             read: None,
             pending: vec![],
-            kept: 0,
-            against_own: None,
             proofs: vec![None, None],
+            left_out: Default::default(),
         };
         let _ = c.handle_reply(reply); // unsolicited → halt
         assert!(matches!(
@@ -1170,9 +1206,8 @@ mod tests {
             commit_version: SignedVersion::initial(2), // wrong arity: 2 ≠ 3
             read: None,
             pending: vec![],
-            kept: 0,
-            against_own: None,
             proofs: vec![None, None, None],
+            left_out: Default::default(),
         };
         assert_eq!(
             c.handle_reply(reply),
@@ -1310,7 +1345,7 @@ mod tests {
         let mut reply_to = |cs: &mut Vec<UstorClient>, k: u64| {
             let submit = cs[0].begin_write(Value::unique(0, k)).unwrap();
             let mut reply = s.on_submit(me, submit).pop().unwrap().1;
-            reply.keep_from(&mut sent_before);
+            reply.leave_out(&mut sent_before, None, None);
             reply
         };
         let first = reply_to(&mut cs, 0);
@@ -1319,7 +1354,7 @@ mod tests {
         cs[0].handle_reply(second).expect("correct server");
         // The third reply keeps the second's one tuple.
         let third = reply_to(&mut cs, 2);
-        assert_eq!((third.kept, third.pending.len()), (1, 1));
+        assert_eq!((third.left_out.kept, third.pending.len()), (1, 1));
         // A client restored with this very state has no last reply to
         // keep from: a typed fault, not a panic.
         let mut restored = UstorClient::from_state(
@@ -1538,7 +1573,11 @@ mod tests {
             version: commit.version.clone(),
             sig: Some(commit.commit_sig),
         };
-        reply.commit_against(commit.version.v().get(owner), &base);
+        reply.leave_out(
+            &mut Vec::new(),
+            Some((commit.version.v().get(owner), &base)),
+            None,
+        );
         reply
     }
 
@@ -1572,7 +1611,8 @@ mod tests {
         let full = s.on_submit(c0, submit).pop().unwrap().1;
         let marker = sent_against(full.clone(), &first, c0);
         assert!(marker
-            .against_own
+            .left_out
+            .commit
             .as_ref()
             .is_some_and(|own| own.is_marker()));
         let mut twin = cs[0].clone();
@@ -1599,7 +1639,8 @@ mod tests {
         let full = s.on_submit(c0, submit).pop().unwrap().1;
         let delta = sent_against(full.clone(), &second, c0);
         assert!(delta
-            .against_own
+            .left_out
+            .commit
             .as_ref()
             .is_some_and(|own| !own.is_marker()));
         assert!(delta.encoded_len() < full.encoded_len());
@@ -1644,11 +1685,12 @@ mod tests {
             .unwrap();
         s.on_commit(c0, first.clone());
         let submit = cs[0].begin_write(Value::unique(0, 2)).unwrap();
-        let marker = sent_against(s.on_submit(c0, submit).pop().unwrap().1, &first, c0);
+        let full = s.on_submit(c0, submit).pop().unwrap().1;
+        let marker = sent_against(full.clone(), &first, c0);
         let unknown = Fault::MalformedReply("commit version names no COMMIT we hold");
         // A name of no COMMIT ours: a typed fault, not a panic.
         let mut far = marker.clone();
-        far.against_own.as_mut().unwrap().base = u64::MAX;
+        far.left_out.commit.as_mut().unwrap().base = u64::MAX;
         assert_eq!(cs[0].clone().handle_reply(far), Err(unknown.clone()));
         // A client restored with this very state holds none, unless the
         // COMMITs it is to resend are handed to it.
@@ -1669,9 +1711,6 @@ mod tests {
         // verdict as the replayed full reply.
         let mut twin = cs[0].clone();
         cs[0].handle_reply(marker.clone()).expect("correct server");
-        let mut full = marker.clone();
-        full.resolve_commit(&first.version, first.commit_sig)
-            .unwrap();
         twin.handle_reply(full.clone()).expect("correct server");
         for client in [&mut cs[0], &mut twin] {
             client.begin_write(Value::unique(0, 3)).unwrap();
@@ -1704,10 +1743,11 @@ mod tests {
         let submit = cs[1].begin_read(c0).unwrap();
         let full = reply_to(&mut s, c1, submit);
         let mut named = full.clone();
-        assert!(named.read.as_mut().unwrap().name_value(1, &x));
+        named.leave_out(&mut Vec::new(), None, Some((1, &x)));
+        assert_eq!(named.left_out.value, Some(1));
         let unknown = Fault::MalformedReply("read value names no value we hold");
         let mut far = named.clone();
-        far.read.as_mut().unwrap().value_name = Some(2);
+        far.left_out.value = Some(2);
         assert_eq!(cs[1].clone().handle_reply(far), Err(unknown.clone()));
         // A client restored from its state holds no value.
         let restored = UstorClient::from_state(
@@ -1735,8 +1775,8 @@ mod tests {
         let submit = cs[1].begin_read(c0).unwrap();
         let fresh = reply_to(&mut s, c1, submit);
         let mut lying = fresh.clone();
-        let read = lying.read.as_mut().unwrap();
-        (read.mem_value, read.value_name) = (None, Some(2));
+        lying.read.as_mut().unwrap().mem_value = None;
+        lying.left_out.value = Some(2);
         let mut stale = fresh.clone();
         stale.read.as_mut().unwrap().mem_value = Some(x);
         assert_eq!(
@@ -1754,8 +1794,8 @@ mod tests {
         let mut write = reply_to(&mut s, c1, submit);
         let mut read = fresh.read.clone().unwrap();
         read.mem_value = None;
-        read.value_name = Some(3);
         write.read = Some(read);
+        write.left_out.value = Some(3);
         assert_eq!(
             cs[1].handle_reply(write),
             Err(Fault::MalformedReply("a write's reply names a read value"))

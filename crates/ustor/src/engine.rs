@@ -65,8 +65,8 @@ use faust_crypto::Digest;
 use faust_net::{Incoming, ServerTransport};
 use faust_types::op::{data_signing_bytes, submit_signing_bytes};
 use faust_types::{
-    ClientId, CommitMsg, InvocationTuple, OpKind, ReadReply, ReplyMsg, SignedVersion, SubmitMsg,
-    Timestamp, UstorMsg, Value,
+    ClientId, CommitMsg, InvocationTuple, OpKind, ReplyMsg, SignedVersion, SubmitMsg, Timestamp,
+    UstorMsg, Value,
 };
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -102,32 +102,53 @@ pub struct Session {
     /// COMMITs arriving after their COMMIT was acknowledged and their
     /// base evicted (dropped).
     pub duplicates: u64,
-    /// Accepted SUBMITs whose replies have not yet been released, oldest
-    /// first. A correct server answers SUBMITs FIFO per client, which is
-    /// what lets the engine tag each released reply with the timestamp
-    /// it answered, and send its `SVER[c]` against the COMMIT before that
-    /// SUBMIT even when group commit holds it back.
-    awaiting_reply: VecDeque<Awaiting>,
     /// The duplicate-replay cache: it answers a resend with the reply
     /// of an operation this client has not committed, or else with the
     /// newest reply ([`ReplyCache`] has the rule). A cached reply was
     /// already released once, so re-issuing it bypasses group-commit
     /// holds safely: its record is durable.
     replies: ReplyCache,
-    /// `L` of the last reply released to this client on its current
-    /// connection, in full: the base the next one's `L` is sent against
-    /// ([`ReplyMsg::keep_from`]). Empty after [`ServerEngine::new`] and
-    /// [`ServerEngine::connected`], so the first release on each
-    /// connection is full.
-    sent_pending: Vec<InvocationTuple>,
-    /// The last COMMIT accepted from this client on its current
-    /// connection — standalone, resolved from a delta, or piggybacked —
-    /// which the client holds: the base a reply's `SVER[c]` is sent
-    /// against ([`ReplyMsg::commit_against`]). `None` after
-    /// [`ServerEngine::new`] and [`ServerEngine::connected`], and once
-    /// the engine drops a COMMIT the client sent, so a reply never names
-    /// one older than the client's newest.
-    last_commit: Option<Arc<CommitBase>>,
+}
+
+impl Session {
+    /// The duplicate-replay cache (see the field docs).
+    pub fn replies(&self) -> &ReplyCache {
+        &self.replies
+    }
+}
+
+/// What each client's current connection already carried: the bases a
+/// reply to it is sent against ([`ReplyMsg::leave_out`]), captured when
+/// the client's SUBMIT is accepted and named when its reply is released.
+/// The methods are the events that move them (`docs/networking.md` has
+/// the table).
+#[derive(Debug)]
+struct ConnBases {
+    clients: Vec<ClientBases>,
+    /// Per register `j`: the value last sent for `j` to each client that
+    /// holds one, in no order. A write to `j` empties the list, so no base
+    /// outlives the value `MEM[j]` held; it holds clones of the values the
+    /// server built, whose bytes the engine never copies, hashes or
+    /// compares.
+    values: Vec<Vec<SentValue>>,
+    /// Per register: writes to it forwarded to the server.
+    writes: Vec<u64>,
+}
+
+/// One client's bases (see [`ConnBases`]).
+#[derive(Debug, Clone, Default)]
+struct ClientBases {
+    /// `L` of the last reply released to the client, in full.
+    pending: Vec<InvocationTuple>,
+    /// The last COMMIT accepted from the client — standalone, resolved
+    /// from a delta, or piggybacked.
+    commit: Option<Arc<CommitBase>>,
+    /// Accepted SUBMITs whose replies have not been released, oldest
+    /// first. A correct server answers SUBMITs FIFO per client, which is
+    /// what lets the engine tag each released reply with the timestamp
+    /// it answered, and send it against what its SUBMIT found even when
+    /// group commit holds it back.
+    awaiting: VecDeque<Awaiting>,
 }
 
 /// A client's COMMIT as the base of a reply's `SVER[c]`: its version and
@@ -138,24 +159,20 @@ struct CommitBase {
     commit: SignedVersion,
 }
 
-/// An accepted SUBMIT whose reply has not been released, with what its
-/// reply is sent against that is fixed when the SUBMIT arrives.
+/// An accepted SUBMIT whose reply has not been released, with the bases
+/// its reply is sent against that are fixed when the SUBMIT arrives.
 #[derive(Debug, Clone)]
 struct Awaiting {
     /// The SUBMIT's timestamp.
     t: Timestamp,
-    /// `last_commit` as it stood when the SUBMIT arrived.
+    /// The client's last COMMIT when the SUBMIT arrived.
     commit: Option<Arc<CommitBase>>,
-    /// For a read: the register, and how many writes to it the engine
-    /// had forwarded when the SUBMIT arrived ([`ServerEngine`]'s
-    /// `writes`).
+    /// For a read: the register, and the writes to it forwarded by then.
     read: Option<(usize, u64)>,
 }
 
-/// The value the engine last sent client `to` for a register on its
-/// current connection — the base the next read REPLY's `MEM[j].x` is
-/// named against ([`ReadReply::name_value`]) — and `t`, the timestamp of
-/// the read whose REPLY delivered it, which names it.
+/// The value the engine last sent client `to` for a register, and `t`,
+/// the timestamp of the read whose reply delivered it, which names it.
 #[derive(Debug, Clone)]
 struct SentValue {
     to: ClientId,
@@ -163,23 +180,72 @@ struct SentValue {
     value: Value,
 }
 
-impl Session {
-    /// The duplicate-replay cache (see the field docs).
-    pub fn replies(&self) -> &ReplyCache {
-        &self.replies
+/// An event that breaks what a client's connection shares with the
+/// engine: a row of [`ConnBases::reset`]'s table.
+#[derive(Debug, Clone, Copy)]
+enum Reset {
+    /// A new connection: the process on its other end may hold nothing
+    /// that went out on an earlier one.
+    Connection,
+    /// A reply replayed from the cache, in full: the client processes it
+    /// like any other, so the values it holds move.
+    Replay,
+    /// A COMMIT the client sent and the engine did not accept: the client
+    /// holds it as its newest, so no later reply may name an older one.
+    CommitDropped,
+}
+
+impl ConnBases {
+    fn new(n: usize) -> Self {
+        ConnBases {
+            clients: vec![ClientBases::default(); n],
+            values: vec![Vec::new(); n],
+            writes: vec![0; n],
+        }
     }
 
-    /// Makes `commit`, just accepted from client `from`, the base of the
-    /// replies to its next SUBMITs; one whose arity has no entry for
-    /// `from` is none. Once no held reply still names the last base —
-    /// always, in lockstep — the new one is copied into its buffers.
-    fn accepted(&mut self, from: ClientId, commit: &CommitMsg) {
+    /// Empties what `event` breaks of `client`'s bases.
+    fn reset(&mut self, client: ClientId, event: Reset) {
+        let Some(bases) = self.clients.get_mut(client.index()) else {
+            return;
+        };
+        // `L`, the last COMMIT, the COMMITs awaiting replies go against,
+        // and the values.
+        let (pending, commit, awaited, values) = match event {
+            Reset::Connection => (true, true, true, true),
+            Reset::Replay => (false, false, false, true),
+            Reset::CommitDropped => (false, true, false, false),
+        };
+        if pending {
+            bases.pending.clear();
+        }
+        if commit {
+            bases.commit = None;
+        }
+        if awaited {
+            bases.awaiting.iter_mut().for_each(|a| a.commit = None);
+        }
+        if values {
+            for row in &mut self.values {
+                row.retain(|sent| sent.to != client);
+            }
+        }
+    }
+
+    /// A COMMIT accepted from `from` becomes the base of the replies to
+    /// its next SUBMITs; one whose arity has no entry for `from` is none.
+    /// Once no awaiting reply still names the last base — always, in
+    /// lockstep — the new one is copied into its buffers.
+    fn committed(&mut self, from: ClientId, commit: &CommitMsg) {
+        let Some(bases) = self.clients.get_mut(from.index()) else {
+            return;
+        };
         let Some(&t) = commit.version.v().as_slice().get(from.index()) else {
-            self.last_commit = None;
+            bases.commit = None;
             return;
         };
         let sig = Some(commit.commit_sig);
-        match self.last_commit.as_mut().and_then(Arc::get_mut) {
+        match bases.commit.as_mut().and_then(Arc::get_mut) {
             Some(base) => {
                 base.t = t;
                 base.commit.version.clone_from(&commit.version);
@@ -188,8 +254,77 @@ impl Session {
             None => {
                 let version = commit.version.clone();
                 let commit = SignedVersion { version, sig };
-                self.last_commit = Some(Arc::new(CommitBase { t, commit }));
+                bases.commit = Some(Arc::new(CommitBase { t, commit }));
             }
+        }
+    }
+
+    /// A SUBMIT accepted from `from`: its reply goes against the bases
+    /// that stand now. A write overwrites `MEM[from]`, so no base may
+    /// keep the old value alive.
+    fn submitted(&mut self, from: ClientId, submit: &SubmitMsg) {
+        let j = submit.tuple.register.index();
+        let read = match submit.tuple.kind {
+            OpKind::Read => self.writes.get(j).map(|&writes| (j, writes)),
+            OpKind::Write => {
+                if let Some(writes) = self.writes.get_mut(from.index()) {
+                    *writes += 1;
+                    self.values[from.index()].clear();
+                }
+                None
+            }
+        };
+        if let Some(bases) = self.clients.get_mut(from.index()) {
+            let (t, commit) = (submit.timestamp, bases.commit.clone());
+            bases.awaiting.push_back(Awaiting { t, commit, read });
+        }
+    }
+
+    /// A reply released to `to`: handed to `cache` in full with the
+    /// timestamp of the SUBMIT it answers, then sent with what `to`'s
+    /// connection carried left out, the bases moving to what `to` holds
+    /// once it has processed it. The client processes its replies in
+    /// release order — a lost one comes back in full from the cache when
+    /// its SUBMIT is resent — so it holds them when the next one arrives.
+    ///
+    /// A read's value base becomes what its reply carried, the value or
+    /// `⊥`; unless a write to its register came after its SUBMIT, so that
+    /// a reply held by group commit keeps no overwritten value alive. A
+    /// reply no SUBMIT awaits (a Byzantine server broadcasting) goes
+    /// uncached, with only a kept tail of `L` left out: the client folds
+    /// its `L` like any other.
+    fn released(
+        &mut self,
+        to: ClientId,
+        reply: &mut ReplyMsg,
+        cache: impl FnOnce(Timestamp, &ReplyMsg),
+    ) {
+        let Some(bases) = self.clients.get_mut(to.index()) else {
+            return;
+        };
+        let awaiting = bases.awaiting.pop_front();
+        let Some(Awaiting { t, commit, read }) = awaiting else {
+            return reply.leave_out(&mut bases.pending, None, None);
+        };
+        cache(t, reply);
+        let commit = commit.as_deref().map(|base| (base.t, &base.commit));
+        let Some((j, writes)) = read else {
+            return reply.leave_out(&mut bases.pending, commit, None);
+        };
+        let (row, live) = (&mut self.values[j], self.writes[j] == writes);
+        let at = row.iter().position(|sent| sent.to == to);
+        let held = at.filter(|_| live).map(|at| (row[at].t, &row[at].value));
+        reply.leave_out(&mut bases.pending, commit, held);
+        let value = match (reply.left_out.value, at) {
+            (Some(_), Some(at)) => Some(row[at].value.clone()),
+            _ if live => reply.read.as_ref().and_then(|read| read.mem_value.clone()),
+            _ => None,
+        };
+        if let Some(at) = at {
+            row.swap_remove(at);
+        }
+        if let Some(value) = value {
+            row.push(SentValue { to, t, value });
         }
     }
 }
@@ -240,17 +375,8 @@ pub struct ServerEngine {
     /// default) forwards everything.
     verifier: Option<VerifierRegistry>,
     stats: EngineStats,
-    /// Per register `j`: the value last sent for `j` to each client that
-    /// holds one on its current connection, in no order. A write to `j`
-    /// empties the list, so no base outlives the value `MEM[j]` held, and
-    /// it holds clones of the values the server built — the engine never
-    /// copies, hashes or compares their bytes. A client's entries go with
-    /// [`ServerEngine::connected`] and with every REPLY replayed to it
-    /// from the cache, which the client processes as any other.
-    sent_values: Vec<Vec<SentValue>>,
-    /// Per register: writes to it forwarded to the server. A read REPLY
-    /// released after a write its SUBMIT did not see leaves no base.
-    writes: Vec<u64>,
+    /// What each client's current connection already carried.
+    bases: ConnBases,
 }
 
 impl std::fmt::Debug for ServerEngine {
@@ -285,8 +411,7 @@ impl ServerEngine {
             staged: VecDeque::new(),
             verifier: None,
             stats: EngineStats::default(),
-            sent_values: vec![Vec::new(); n],
-            writes: vec![0; n],
+            bases: ConnBases::new(n),
         }
     }
 
@@ -340,27 +465,11 @@ impl ServerEngine {
 
     /// Notes a new connection from `client`: whatever went out on an
     /// earlier one may never have reached the process now on the other
-    /// end — a session restored from its file holds no `L` at all — so
-    /// the next reply released to it carries `L` in full. Call it before
-    /// processing anything that arrived on the new connection ([`serve`]
-    /// does, from [`ServerTransport::take_connected`]).
+    /// end, so no later reply to it is sent against any of it. Call it
+    /// before processing anything that arrived on the new connection
+    /// ([`serve`] does, from [`ServerTransport::take_connected`]).
     pub fn connected(&mut self, client: ClientId) {
-        if let Some(session) = self.sessions.get_mut(client.index()) {
-            session.sent_pending.clear();
-            session.last_commit = None;
-            for awaiting in &mut session.awaiting_reply {
-                awaiting.commit = None;
-            }
-            self.forget_sent_values(client);
-        }
-    }
-
-    /// Drops every value base of `client`: the next read REPLY for each
-    /// register goes to it in full.
-    fn forget_sent_values(&mut self, client: ClientId) {
-        for row in &mut self.sent_values {
-            row.retain(|sent| sent.to != client);
-        }
+        self.bases.reset(client, Reset::Connection);
     }
 
     /// Queues one inbound message. No processing happens until
@@ -413,36 +522,15 @@ impl ServerEngine {
         }
     }
 
-    /// The one funnel every fresh reply passes through: tags it with
-    /// the SUBMIT timestamp it answers (per-client FIFO), caches it in
-    /// full for duplicate replay, and queues it for the transport with
-    /// its `L` sent against the `L` of the reply released to the same
-    /// client before it on the same connection ([`ReplyMsg::keep_from`];
-    /// none before the first, see [`ServerEngine::connected`]). The
-    /// client processes its replies in that order — a lost one comes
-    /// back in full from the cache when its SUBMIT is resent — so it
-    /// holds that base when this one arrives. Its `SVER[c]` goes against
-    /// the client's last COMMIT before that SUBMIT, which the client
-    /// still holds ([`ReplyMsg::commit_against`]). A read's `MEM[j].x`
-    /// goes as a name when it is the value last sent the same client for
-    /// `j` ([`ReadReply::name_value`]), which the client holds from the
-    /// REPLY that delivered it. Replies with no awaiting SUBMIT (a
-    /// Byzantine server broadcasting) are passed through uncached, in
-    /// full.
+    /// The one funnel every fresh reply passes through: cached in full
+    /// under the SUBMIT timestamp it answers (per-client FIFO) for
+    /// duplicate replay, and queued for the transport with what the
+    /// client's connection already carried left out
+    /// ([`ConnBases::released`]).
     fn release_reply(&mut self, to: ClientId, mut reply: ReplyMsg) {
         if let Some(session) = self.sessions.get_mut(to.index()) {
-            if let Some(awaiting) = session.awaiting_reply.pop_front() {
-                session.replies.push(awaiting.t, Cow::Borrowed(&reply));
-                if let Some(base) = awaiting.commit {
-                    reply.commit_against(base.t, &base.commit);
-                }
-                if let Some((j, writes)) = awaiting.read {
-                    let live = self.writes.get(j) == Some(&writes);
-                    let row = &mut self.sent_values[j];
-                    send_value(row, to, awaiting.t, reply.read.as_mut(), live);
-                }
-            }
-            reply.keep_from(&mut session.sent_pending);
+            let cache = |t, full: &ReplyMsg| session.replies.push(t, Cow::Borrowed(full));
+            self.bases.released(to, &mut reply, cache);
         }
         self.outbox.push_back((to, UstorMsg::Reply(reply)));
     }
@@ -554,7 +642,7 @@ impl ServerEngine {
                 };
                 if !self.verify_one(from, &submit, xbar) {
                     if submit.piggyback.is_some() {
-                        self.dropped_commit(from);
+                        self.bases.reset(from, Reset::CommitDropped);
                     }
                     return self.reject(from);
                 }
@@ -578,11 +666,11 @@ impl ServerEngine {
                         session.duplicates += 1;
                         self.stats.duplicates += 1;
                         if submit.piggyback.is_some() {
-                            session.last_commit = None;
+                            self.bases.reset(from, Reset::CommitDropped);
                         }
                         if let Some(reply) = session.replies.lookup(submit.timestamp).cloned() {
                             self.outbox.push_back((from, UstorMsg::Reply(reply)));
-                            self.forget_sent_values(from);
+                            self.bases.reset(from, Reset::Replay);
                         }
                         return;
                     }
@@ -599,29 +687,9 @@ impl ServerEngine {
                         session
                             .replies
                             .committed(ReplyCache::acknowledged(from, commit));
-                        session.accepted(from, commit);
+                        self.bases.committed(from, commit);
                     }
-                    let read = match submit.tuple.kind {
-                        OpKind::Read => {
-                            let j = submit.tuple.register.index();
-                            self.writes.get(j).map(|&writes| (j, writes))
-                        }
-                        // The server overwrites the writer's `MEM[i]`: no
-                        // base may keep the old value alive.
-                        OpKind::Write => {
-                            let i = from.index();
-                            if let Some(writes) = self.writes.get_mut(i) {
-                                *writes += 1;
-                                self.sent_values[i].clear();
-                            }
-                            None
-                        }
-                    };
-                    session.awaiting_reply.push_back(Awaiting {
-                        t: submit.timestamp,
-                        commit: session.last_commit.clone(),
-                        read,
-                    });
+                    self.bases.submitted(from, &submit);
                 }
                 self.stats.submits += 1;
                 for (rcpt, reply) in self.server.on_submit(from, submit) {
@@ -639,7 +707,7 @@ impl ServerEngine {
             UstorMsg::CommitDelta(delta) => {
                 let session = self.sessions.get(from.index());
                 let (Some(session), Some(t)) = (session, delta.own_timestamp(from)) else {
-                    self.dropped_commit(from);
+                    self.bases.reset(from, Reset::CommitDropped);
                     return self.reject(from);
                 };
                 match session.replies.get(t) {
@@ -653,20 +721,12 @@ impl ServerEngine {
                     }
                     None => self.reject(from),
                 }
-                self.dropped_commit(from);
+                self.bases.reset(from, Reset::CommitDropped);
             }
             // Clients never legitimately send REPLY; ignore quietly.
             UstorMsg::Reply(_) => {
                 self.stats.nonsense += 1;
             }
-        }
-    }
-
-    /// A COMMIT `from` sent was not accepted: the client holds it as its
-    /// newest, so no later reply may be sent against an older one.
-    fn dropped_commit(&mut self, from: ClientId) {
-        if let Some(session) = self.sessions.get_mut(from.index()) {
-            session.last_commit = None;
         }
     }
 
@@ -676,8 +736,8 @@ impl ServerEngine {
             session
                 .replies
                 .committed(ReplyCache::acknowledged(from, &commit));
-            session.accepted(from, &commit);
         }
+        self.bases.committed(from, &commit);
         self.stats.commits += 1;
         for (rcpt, reply) in self.server.on_commit(from, commit) {
             self.release_reply(rcpt, reply);
@@ -691,42 +751,6 @@ impl ServerEngine {
 /// or comparing bytes (CI counts the calls to `sha256`).
 fn value_hash(value: &Value) -> Digest {
     sha256(value.as_bytes())
-}
-
-/// Sends a read REPLY's `MEM[j].x` to client `to` against `row`, the
-/// values last sent for `j`, and makes what it carries — the value, or
-/// `⊥` (no entry) — the base for `to`'s next read of `j`, named by `t`,
-/// the timestamp of the read it answers; unless `j` was written since
-/// that read's SUBMIT (`live` is false), so that a REPLY held by group
-/// commit keeps no overwritten value alive. The client holds exactly that
-/// afterwards: it keeps, per register, the value of the last read REPLY
-/// it accepted.
-fn send_value(
-    row: &mut Vec<SentValue>,
-    to: ClientId,
-    t: Timestamp,
-    read: Option<&mut ReadReply>,
-    live: bool,
-) {
-    let at = row.iter().position(|sent| sent.to == to);
-    let value = match (read, live) {
-        (Some(read), true) => match at {
-            Some(at) if read.name_value(row[at].t, &row[at].value) => {
-                row[at].t = t;
-                return;
-            }
-            _ => read.mem_value.clone(),
-        },
-        _ => None,
-    };
-    match (at, value) {
-        (Some(at), Some(value)) => row[at] = SentValue { to, t, value },
-        (None, Some(value)) => row.push(SentValue { to, t, value }),
-        (Some(at), None) => {
-            row.swap_remove(at);
-        }
-        (None, None) => {}
-    }
 }
 
 /// Runs an engine over a transport until the transport closes (blocking
@@ -876,7 +900,7 @@ mod tests {
     }
 
     #[test]
-    fn honest_traffic_passes_both_verification_modes() {
+    fn honest_traffic_passes_ingress_verification() {
         let (mut engine, mut clients) = setup(3, true);
         // Writes then cross-reads, including a read of an unwritten
         // register (x̄ = ⊥ for the never-written client 2).
@@ -890,7 +914,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_mode_checks_reads_against_queued_writes() {
+    fn a_read_verifies_against_a_write_committed_in_the_same_round() {
         // A write's COMMIT and the same client's next read processed in
         // the SAME round: the read's DATA signature covers the new
         // value's hash, which the session holds once the write is in.
@@ -912,7 +936,7 @@ mod tests {
     }
 
     #[test]
-    fn forged_submits_are_rejected_in_both_modes() {
+    fn forged_submits_are_rejected() {
         let (mut engine, mut clients) = setup(2, true);
         // A genuine submit, tampered three ways.
         let good = clients[0].begin_write(Value::from("v")).unwrap();
@@ -1021,44 +1045,66 @@ mod tests {
     /// are withheld until `flush`, with a deadline while anything is
     /// held — exercising exactly the engine/serve plumbing the real
     /// `faust-store` backend relies on (which lives downstream and
-    /// cannot be imported here).
-    struct HoldingServer {
+    /// cannot be imported here). Its state is shared, so a new engine can
+    /// wrap it; a COMMIT whose arity lacks its sender is ignored; and
+    /// with `stray` set, the next SUBMIT's reply also goes to C1, which
+    /// no SUBMIT of C1's awaits.
+    #[derive(Clone)]
+    struct HoldingServer(Arc<std::sync::Mutex<Holding>>);
+
+    struct Holding {
         inner: UstorServer,
-        held: Vec<(ClientId, faust_types::ReplyMsg)>,
+        held: Vec<(ClientId, ReplyMsg)>,
+        stray: bool,
+    }
+
+    impl HoldingServer {
+        fn new(n: usize) -> Self {
+            let inner = UstorServer::new(n);
+            let (held, stray) = (Vec::new(), false);
+            HoldingServer(Arc::new(std::sync::Mutex::new(Holding {
+                inner,
+                held,
+                stray,
+            })))
+        }
+
+        fn lock(&self) -> std::sync::MutexGuard<'_, Holding> {
+            self.0.lock().expect("no test thread panicked holding it")
+        }
     }
 
     impl Server for HoldingServer {
-        fn on_submit(
-            &mut self,
-            client: ClientId,
-            msg: faust_types::SubmitMsg,
-        ) -> Vec<(ClientId, faust_types::ReplyMsg)> {
-            let replies = self.inner.on_submit(client, msg);
-            self.held.extend(replies);
+        fn on_submit(&mut self, client: ClientId, msg: SubmitMsg) -> Vec<(ClientId, ReplyMsg)> {
+            let holding = &mut *self.lock();
+            let replies = holding.inner.on_submit(client, msg);
+            if std::mem::take(&mut holding.stray) {
+                holding.held.push((c(1), replies[0].1.clone()));
+            }
+            holding.held.extend(replies);
             Vec::new()
         }
 
-        fn on_commit(
-            &mut self,
-            client: ClientId,
-            msg: faust_types::CommitMsg,
-        ) -> Vec<(ClientId, faust_types::ReplyMsg)> {
-            self.inner.on_commit(client, msg)
+        fn on_commit(&mut self, client: ClientId, msg: CommitMsg) -> Vec<(ClientId, ReplyMsg)> {
+            if msg.version.num_clients() <= client.index() {
+                return Vec::new();
+            }
+            self.lock().inner.on_commit(client, msg)
         }
 
-        fn flush(&mut self, force: bool) -> Vec<(ClientId, faust_types::ReplyMsg)> {
+        fn flush(&mut self, force: bool) -> Vec<(ClientId, ReplyMsg)> {
             // Policy never satisfied on its own: only a *forced* flush
             // (transport closing) releases — the strictest test of the
             // serve loop's no-stranded-replies guarantee.
             if force {
-                std::mem::take(&mut self.held)
+                std::mem::take(&mut self.lock().held)
             } else {
                 Vec::new()
             }
         }
 
         fn flush_deadline(&self) -> Option<std::time::Instant> {
-            (!self.held.is_empty()).then(std::time::Instant::now)
+            (!self.lock().held.is_empty()).then(std::time::Instant::now)
         }
     }
 
@@ -1071,10 +1117,7 @@ mod tests {
             keys.keypair(0).unwrap().clone(),
             keys.registry(),
         );
-        let holding = HoldingServer {
-            inner: UstorServer::new(1),
-            held: Vec::new(),
-        };
+        let holding = HoldingServer::new(1);
         let mut engine = ServerEngine::new(1, Box::new(holding));
         let mut transport = faust_net::QueueTransport::new();
         let submit = client.begin_write(Value::from("held")).unwrap();
@@ -1101,7 +1144,7 @@ mod tests {
         let (_, original) = one_reply(&mut engine);
         // It went with `SVER[c]` against the write's COMMIT; the cache
         // holds it as the server built it.
-        assert!(original.against_own.is_some());
+        assert!(original.left_out.commit.is_some());
         let session = engine.session(ClientId::new(0));
         let built = session.replies().get(r.timestamp).expect("cached").clone();
         // The client reconnects and replays the identical SUBMIT bytes.
@@ -1138,7 +1181,7 @@ mod tests {
         }
         engine.process_all();
         let sent: Vec<ReplyMsg> = replies(&mut engine).into_iter().map(|(_, r)| r).collect();
-        let kept: Vec<u32> = sent.iter().map(|r| r.kept).collect();
+        let kept: Vec<u32> = sent.iter().map(|r| r.left_out.kept).collect();
         assert_eq!(kept, [0, 0, 1, 2]);
         assert!(sent.iter().all(|r| r.pending.len() <= 1));
         // The last reply is "lost with the socket"; the client takes the
@@ -1154,7 +1197,7 @@ mod tests {
             .cloned()
             .expect("cached");
         assert_eq!(
-            (cached.kept, cached.pending.len()),
+            (cached.left_out.kept, cached.pending.len()),
             (0, 3),
             "cached in full"
         );
@@ -1168,112 +1211,287 @@ mod tests {
             .expect("a full reply needs no base");
     }
 
+    /// The rig the reset rows run on: n = 2, depth 3, ingress
+    /// verification on. C0 wrote register 0 and committed; C1 read it
+    /// four times, its COMMITs trailing by two operations, so that `L`
+    /// keeps a tail from one reply to the next. C1 holds all three bases:
+    /// `L`, its own last COMMIT — `SVER[c]`, as C1 committed last — and
+    /// register 0's value.
+    struct Rig {
+        server: HoldingServer,
+        engine: ServerEngine,
+        clients: Vec<UstorClient>,
+        /// C1's COMMITs not yet delivered, oldest first.
+        trailing: VecDeque<CommitMsg>,
+        /// C1's last SUBMIT.
+        last: SubmitMsg,
+        /// A reply to C1 that an event made, checked in place of the
+        /// reply to C1's next read.
+        next: Option<ReplyMsg>,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let (_, mut clients) = setup(2, false);
+            clients.iter_mut().for_each(|client| client.set_pipeline(3));
+            let server = HoldingServer::new(2);
+            let last = clients[1].begin_read(c(0)).unwrap();
+            let (trailing, next) = (VecDeque::new(), None);
+            let engine = Rig::engine(&server);
+            let mut rig = Rig {
+                server,
+                engine,
+                clients,
+                trailing,
+                last,
+                next,
+            };
+            rig.write(true);
+            let first = rig.answer(false);
+            rig.take(first);
+            for _ in 0..3 {
+                rig.read();
+            }
+            rig
+        }
+
+        /// A new engine around the rig's server.
+        fn engine(server: &HoldingServer) -> ServerEngine {
+            let registry = KeySet::generate(2, b"engine-tests").registry();
+            ServerEngine::new(2, Box::new(server.clone())).with_verification(registry)
+        }
+
+        /// One serve round over `msgs`, closed by a forced flush: the
+        /// replies.
+        fn deliver(
+            &mut self,
+            msgs: impl IntoIterator<Item = (ClientId, UstorMsg)>,
+        ) -> Vec<(ClientId, ReplyMsg)> {
+            for (from, msg) in msgs {
+                self.engine.enqueue(from, msg);
+            }
+            self.engine.process_all();
+            self.engine.flush_server(true);
+            replies(&mut self.engine)
+        }
+
+        /// The reply to C1's last SUBMIT, or a new read's if `new`; C1's
+        /// oldest COMMIT follows once two trail.
+        fn answer(&mut self, new: bool) -> ReplyMsg {
+            if new {
+                self.last = self.clients[1].begin_read(c(0)).unwrap();
+            }
+            let submit = UstorMsg::Submit(self.last.clone());
+            let [(_, reply)]: [_; 1] = self.deliver([(c(1), submit)]).try_into().unwrap();
+            if self.trailing.len() == 2 {
+                let commit = self.trailing.pop_front().unwrap();
+                self.deliver([(c(1), UstorMsg::Commit(commit))]);
+            }
+            reply
+        }
+
+        /// C1 takes `reply`; its COMMIT trails.
+        fn take(&mut self, reply: ReplyMsg) {
+            let (commit, _) = self.clients[1].handle_reply(reply).expect("correct server");
+            self.trailing.push_back(commit.unwrap());
+        }
+
+        /// C1 reads register 0: the reply as it travelled.
+        fn read(&mut self) -> ReplyMsg {
+            let reply = self.answer(true);
+            self.take(reply.clone());
+            reply
+        }
+
+        /// C0 writes register 0 and takes its reply, and its COMMIT goes
+        /// out if `commit`: the replies.
+        fn write(&mut self, commit: bool) -> Vec<(ClientId, ReplyMsg)> {
+            let submit = self.clients[0].begin_write(Value::from("v")).unwrap();
+            let replies = self.deliver([(c(0), UstorMsg::Submit(submit))]);
+            let own = replies.iter().find(|(to, _)| *to == c(0)).unwrap();
+            let (done, _) = self.clients[0].handle_reply(own.1.clone()).unwrap();
+            if commit {
+                self.deliver([(c(0), UstorMsg::Commit(done.unwrap()))]);
+            }
+            replies
+        }
+    }
+
+    /// Which parts of `reply` went against a base: `L`, `SVER[c]` and
+    /// the read value.
+    fn against(reply: &ReplyMsg) -> [bool; 3] {
+        let left_out = &reply.left_out;
+        let (kept, commit, value) = (left_out.kept, &left_out.commit, left_out.value);
+        [kept > 0, commit.is_some(), value.is_some()]
+    }
+
+    /// An event, then whether the next reply to C1's `L`, `SVER[c]` and
+    /// read value went against a base.
+    type Row = (&'static str, fn(&mut Rig), [bool; 3]);
+
+    /// Runs each row on a rig of its own.
+    fn check(rows: &[Row]) {
+        for (event, run, expected) in rows {
+            let mut rig = Rig::new();
+            run(&mut rig);
+            let reply = rig.next.take().unwrap_or_else(|| rig.read());
+            assert_eq!(against(&reply), *expected, "after {event}");
+        }
+    }
+
+    /// A COMMIT delta from C1 for its operation at `t`.
+    fn commit_delta(t: Timestamp) -> [(ClientId, UstorMsg); 1] {
+        use faust_types::{CommitDelta, VersionEntry};
+        let (client, digest, garbage) = (c(1), None, faust_crypto::Signature::garbage());
+        let entry = VersionEntry {
+            client,
+            timestamp: t,
+            digest,
+        };
+        [(
+            c(1),
+            UstorMsg::CommitDelta(CommitDelta::new(&[entry], garbage, garbage)),
+        )]
+    }
+
     #[test]
     fn the_first_release_after_new_is_full() {
-        // Two writes of a pipelined C0 reach the server before any engine
-        // wraps it: C0 holds the `L` of the second reply, but a new
-        // engine does not know that, so its first release goes in full.
-        let (_, mut clients) = setup(2, false);
-        let client = &mut clients[0];
-        client.set_pipeline(4);
-        let c0 = client.id();
-        let mut server = UstorServer::new(2);
-        for k in 0..2 {
-            let submit = client.begin_write(Value::unique(0, k)).unwrap();
-            let (_, reply) = server.on_submit(c0, submit).pop().unwrap();
-            client.handle_reply(reply).expect("correct server");
-        }
-        assert_eq!(client.last_pending().len(), 1);
-        let mut engine = ServerEngine::new(2, Box::new(server));
-        let mut run = |client: &mut UstorClient, k| {
-            let submit = client.begin_write(Value::unique(0, k)).unwrap();
-            engine.enqueue(c0, UstorMsg::Submit(submit));
-            engine.process_all();
-            let (_, reply) = one_reply(&mut engine);
-            let kept = (reply.kept, reply.pending.len());
-            client.handle_reply(reply).expect("correct server");
-            kept
-        };
-        assert_eq!(run(client, 2), (0, 2), "in full");
-        assert_eq!(run(client, 3), (2, 1), "against the first");
+        // The rig's server already holds state when a new engine wraps
+        // it: C1 holds all three bases, but the engine does not know that.
+        check(&[
+            ("nothing", |_| {}, [true; 3]),
+            (
+                "a new engine",
+                |rig| rig.engine = Rig::engine(&rig.server),
+                [false; 3],
+            ),
+        ]);
     }
 
     #[test]
     fn the_first_release_on_a_new_connection_is_full() {
-        // C0's COMMITs never arrive, so `L` grows by C0's own tuple per
-        // reply and each reply keeps the `L` before it — until the engine
-        // learns of a new connection, whose first reply goes in full.
-        let (mut engine, mut clients) = setup(2, false);
-        let client = &mut clients[0];
-        client.set_pipeline(8);
-        let c0 = client.id();
-        let run = |engine: &mut ServerEngine, client: &mut UstorClient, k| {
-            let submit = client.begin_write(Value::unique(0, k)).unwrap();
-            engine.enqueue(c0, UstorMsg::Submit(submit));
-            engine.process_all();
-            let (_, reply) = one_reply(engine);
-            let kept = (reply.kept, reply.pending.len());
-            client.handle_reply(reply).expect("correct server");
-            kept
-        };
-        assert_eq!(run(&mut engine, client, 0), (0, 0));
-        assert_eq!(run(&mut engine, client, 1), (0, 1));
-        assert_eq!(run(&mut engine, client, 2), (1, 1));
-        engine.connected(c0);
-        assert_eq!(run(&mut engine, client, 3), (0, 3), "in full");
-        assert_eq!(run(&mut engine, client, 4), (3, 1), "against it");
-        // Another client's connection leaves C0's base alone.
-        engine.connected(ClientId::new(1));
-        assert_eq!(run(&mut engine, client, 5), (4, 1));
+        // Another client's connection leaves C1's bases alone.
+        check(&[
+            ("C1 connects", |rig| rig.engine.connected(c(1)), [false; 3]),
+            ("C0 connects", |rig| rig.engine.connected(c(0)), [true; 3]),
+        ]);
     }
 
     #[test]
     fn sver_goes_in_full_on_each_new_connection_and_from_the_cache() {
-        // C0 alone writes and commits, so each reply's `SVER[c]` is C0's
-        // own last COMMIT: the marker — except the first on a connection,
-        // and any the cache replays.
-        let (mut engine, mut clients) = setup(2, false);
-        let client = &mut clients[0];
-        let c0 = client.id();
-        let form = |reply: &ReplyMsg| reply.against_own.as_ref().map(|own| own.is_marker());
-        let run = |engine: &mut ServerEngine, client: &mut UstorClient, k| {
-            let submit = client.begin_write(Value::unique(0, k)).unwrap();
-            engine.enqueue(c0, UstorMsg::Submit(submit));
-            engine.process_all();
-            let (_, reply) = one_reply(engine);
-            let sent = form(&reply);
-            let (commit, _) = client.handle_reply(reply).expect("correct server");
-            engine.enqueue(c0, UstorMsg::Commit(commit.expect("immediate mode")));
-            engine.process_all();
-            sent
-        };
-        assert_eq!(run(&mut engine, client, 0), None, "no COMMIT yet");
-        assert_eq!(run(&mut engine, client, 1), Some(true));
-        engine.connected(c0);
-        assert_eq!(run(&mut engine, client, 2), None, "a new connection");
-        assert_eq!(run(&mut engine, client, 3), Some(true));
-        // A reply lost with the socket comes back from the cache in full.
-        let submit = client.begin_write(Value::unique(0, 4)).unwrap();
-        engine.enqueue(c0, UstorMsg::Submit(submit.clone()));
-        engine.process_all();
-        let (_, lost) = one_reply(&mut engine);
-        assert_eq!(form(&lost), Some(true));
-        engine.enqueue(c0, UstorMsg::Submit(submit));
-        engine.process_all();
-        let (_, replayed) = one_reply(&mut engine);
-        assert_eq!(form(&replayed), None, "the cache's reply");
-        let (commit, _) = client.handle_reply(replayed).expect("no base needed");
-        engine.enqueue(c0, UstorMsg::Commit(commit.unwrap()));
-        // So does the frontier reply to an operation already committed.
-        let keys = KeySet::generate(2, b"engine-tests");
-        let mut restarted =
-            UstorClient::new(c0, 2, keys.keypair(0).unwrap().clone(), keys.registry());
-        let stale = restarted.begin_write(Value::unique(0, 9)).unwrap();
-        engine.enqueue(c0, UstorMsg::Submit(stale));
-        engine.process_all();
-        let (_, frontier) = one_reply(&mut engine);
-        assert_eq!(form(&frontier), None, "the cache's newest reply");
-        assert_eq!(engine.stats().duplicates, 2);
+        // A cache replay C1 never took leaves C1 without the COMMIT base
+        // and the value the engine would name.
+        check(&[(
+            "a duplicate SUBMIT with a piggyback, its replay lost",
+            |rig| {
+                let mut resent = rig.last.clone();
+                resent.piggyback = rig.trailing.back().cloned();
+                assert_eq!(rig.deliver([(c(1), UstorMsg::Submit(resent))]).len(), 1);
+            },
+            [true, false, false],
+        )]);
+    }
+
+    #[test]
+    fn a_read_value_goes_in_full_first_on_each_connection_and_from_the_cache() {
+        // A reply lost with the socket comes back from the cache in full,
+        // and C1 takes its value from it: the next value goes in full.
+        check(&[(
+            "a reply lost, and replayed from the cache in full",
+            |rig| {
+                rig.answer(true);
+                let replayed = rig.answer(false);
+                assert_eq!(against(&replayed), [false; 3]);
+                rig.take(replayed);
+            },
+            [true, true, false],
+        )]);
+    }
+
+    #[test]
+    fn a_write_empties_every_clients_base_for_its_register() {
+        check(&[
+            (
+                "a write to register 0",
+                |rig| {
+                    rig.write(false);
+                    // Every client's base for the register goes at once.
+                    assert!(rig.engine.bases.values[0].is_empty());
+                },
+                [true, true, false],
+            ),
+            (
+                "a write to register 0 while C1's read reply is held",
+                |rig| {
+                    let read = rig.clients[1].begin_read(c(0)).unwrap();
+                    let write = rig.clients[0].begin_write(Value::from("new")).unwrap();
+                    let msgs = [
+                        (c(1), UstorMsg::Submit(read)),
+                        (c(0), UstorMsg::Submit(write)),
+                    ];
+                    let [(_, reply), _] = rig.deliver(msgs).try_into().unwrap();
+                    // No base keeps the value the write dropped.
+                    assert!(rig.engine.bases.values[0].is_empty());
+                    rig.next = Some(reply);
+                },
+                [true, true, false],
+            ),
+        ]);
+    }
+
+    #[test]
+    fn the_reset_table() {
+        // The rows the tests above leave out: COMMITs the engine drops,
+        // and a reply no SUBMIT awaits.
+        use faust_crypto::Signature;
+        use faust_types::Version;
+        check(&[
+            (
+                "a rejected SUBMIT with a piggyback",
+                |rig| {
+                    let mut forged = rig.last.clone();
+                    forged.tuple.sig = Signature::garbage();
+                    forged.piggyback = rig.trailing.back().cloned();
+                    assert!(rig.deliver([(c(1), UstorMsg::Submit(forged))]).is_empty());
+                },
+                [true, false, true],
+            ),
+            (
+                "a rejected COMMIT delta",
+                |rig| assert!(rig.deliver(commit_delta(1000)).is_empty()),
+                [true, false, true],
+            ),
+            (
+                "a duplicate COMMIT delta",
+                |rig| assert!(rig.deliver(commit_delta(1)).is_empty()),
+                [true, false, true],
+            ),
+            (
+                "a COMMIT whose arity lacks C1",
+                |rig| {
+                    let (version, garbage) = (Version::initial(1), Signature::garbage());
+                    let commit = CommitMsg {
+                        version,
+                        commit_sig: garbage,
+                        proof_sig: garbage,
+                    };
+                    rig.deliver([(c(1), UstorMsg::Commit(commit))]);
+                },
+                [true, false, true],
+            ),
+            (
+                "a reply no SUBMIT of C1's awaits",
+                |rig| {
+                    rig.server.lock().stray = true;
+                    let [(_, stray), _] = rig.write(false).try_into().unwrap();
+                    // C1 would fold its `L` like any other: the base follows
+                    // it, and the next reply keeps more of it.
+                    assert_eq!(rig.answer(true).left_out.kept, stray.left_out.kept + 1);
+                    rig.next = Some(stray);
+                },
+                [true, false, false],
+            ),
+        ]);
     }
 
     #[test]
@@ -1291,10 +1509,7 @@ mod tests {
         );
         client.set_pipeline(3);
         let c0 = client.id();
-        let holding = HoldingServer {
-            inner: UstorServer::new(1),
-            held: Vec::new(),
-        };
+        let holding = HoldingServer::new(1);
         let mut engine = ServerEngine::new(1, Box::new(holding));
         for k in 0..2 {
             let submit = client.begin_write(Value::unique(0, k)).unwrap();
@@ -1304,7 +1519,7 @@ mod tests {
         engine.flush_server(true);
         let mut commits = Vec::new();
         for (_, reply) in replies(&mut engine) {
-            assert!(reply.against_own.is_none(), "no COMMIT yet");
+            assert!(reply.left_out.commit.is_none(), "no COMMIT yet");
             let (commit, _) = client.handle_reply(reply).expect("correct server");
             commits.push(commit.expect("immediate mode"));
         }
@@ -1316,7 +1531,11 @@ mod tests {
         assert!(replies(&mut engine).is_empty(), "held");
         engine.flush_server(true);
         let (_, reply) = one_reply(&mut engine);
-        let own = reply.against_own.as_ref().expect("sent against a COMMIT");
+        let own = reply
+            .left_out
+            .commit
+            .as_ref()
+            .expect("sent against a COMMIT");
         assert_eq!((own.base, own.is_marker()), (1, true));
         let (_, done) = client.handle_reply(reply).expect("C0 holds COMMIT 1");
         assert_eq!(done.timestamp, 3);
@@ -1338,69 +1557,12 @@ mod tests {
         engine.enqueue(clients[i].id(), UstorMsg::Submit(submit));
         engine.process_all();
         let (_, reply) = one_reply(engine);
-        let name = reply.read.as_ref().and_then(|read| read.value_name);
+        let name = reply.left_out.value;
         let (commit, done) = clients[i].handle_reply(reply).expect("correct server");
         assert!(done.read_value.is_some_and(|value| value.is_some()));
         engine.enqueue(clients[i].id(), UstorMsg::Commit(commit.unwrap()));
         engine.process_all();
         name
-    }
-
-    #[test]
-    fn a_read_value_goes_in_full_first_on_each_connection_and_from_the_cache() {
-        let (mut engine, mut clients) = setup(2, false);
-        let c1 = clients[1].id();
-        let submit = clients[0].begin_write(Value::from("v")).unwrap();
-        run_op(&mut engine, &mut clients[0], submit);
-        // C1 reads register 0 at timestamps 1, 2, 3: the first in full,
-        // each later one named by the read before it.
-        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), None);
-        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(1));
-        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(2));
-        // Its own register is `⊥`: nothing to name.
-        let submit = clients[1].begin_read(c1).unwrap();
-        run_op(&mut engine, &mut clients[1], submit);
-        // A new connection: in full, then against it.
-        engine.connected(c1);
-        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), None);
-        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(5));
-        // Another client's connection leaves C1's base alone.
-        engine.connected(ClientId::new(0));
-        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(6));
-        // A reply lost with the socket comes back from the cache in full,
-        // and the client takes its value from it: the next one is full.
-        let submit = clients[1].begin_read(ClientId::new(0)).unwrap();
-        engine.enqueue(c1, UstorMsg::Submit(submit.clone()));
-        engine.process_all();
-        let (_, lost) = one_reply(&mut engine);
-        assert_eq!(lost.read.as_ref().unwrap().value_name, Some(7));
-        engine.enqueue(c1, UstorMsg::Submit(submit));
-        engine.process_all();
-        let (_, replayed) = one_reply(&mut engine);
-        assert_eq!(replayed.read.as_ref().unwrap().value_name, None);
-        let (commit, _) = clients[1].handle_reply(replayed).unwrap();
-        engine.enqueue(c1, UstorMsg::Commit(commit.unwrap()));
-        engine.process_all();
-        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), None);
-        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(9));
-    }
-
-    #[test]
-    fn a_write_empties_every_clients_base_for_its_register() {
-        let (mut engine, mut clients) = setup(3, false);
-        let submit = clients[0].begin_write(Value::from("old")).unwrap();
-        run_op(&mut engine, &mut clients[0], submit);
-        for i in [1, 2] {
-            assert_eq!(read_named(&mut engine, &mut clients, i, 0), None);
-        }
-        let held = |engine: &ServerEngine| engine.sent_values[0].len();
-        assert_eq!(held(&engine), 2);
-        let submit = clients[0].begin_write(Value::from("new")).unwrap();
-        run_op(&mut engine, &mut clients[0], submit);
-        assert_eq!(held(&engine), 0, "no base keeps the old value alive");
-        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), None);
-        assert_eq!(read_named(&mut engine, &mut clients, 1, 0), Some(2));
-        assert_eq!(held(&engine), 1);
     }
 
     #[test]
@@ -1410,10 +1572,7 @@ mod tests {
             .map(|i| UstorClient::new(c(i), 2, keys.keypair(i).unwrap().clone(), keys.registry()))
             .collect();
         clients[1].set_pipeline(2);
-        let holding = HoldingServer {
-            inner: UstorServer::new(2),
-            held: Vec::new(),
-        };
+        let holding = HoldingServer::new(2);
         let mut engine = ServerEngine::new(2, Box::new(holding));
         // Every SUBMIT's reply is held until a forced flush.
         let step =
@@ -1432,7 +1591,7 @@ mod tests {
                 let mut names = Vec::new();
                 for (to, reply) in replies(engine) {
                     if to == c(1) {
-                        names.push(reply.read.as_ref().and_then(|read| read.value_name));
+                        names.push(reply.left_out.value);
                     }
                     let (commit, _) = clients[to.index()]
                         .handle_reply(reply)
@@ -1454,7 +1613,7 @@ mod tests {
         // in full, and it leaves no base for the value the write dropped.
         let names = step(&mut engine, &mut clients, &[(1, read), (0, write)]);
         assert_eq!(names, [None]);
-        assert!(engine.sent_values[0].is_empty());
+        assert!(engine.bases.values[0].is_empty());
         assert_eq!(step(&mut engine, &mut clients, &[(1, read)]), [None]);
         assert_eq!(step(&mut engine, &mut clients, &[(1, read)]), [Some(5)]);
     }
@@ -1476,8 +1635,8 @@ mod tests {
         engine.enqueue(c(1), UstorMsg::Submit(submit));
         engine.process_all();
         let (_, reply) = one_reply(&mut engine);
+        assert_eq!(reply.left_out.value, None);
         let read = reply.read.as_ref().unwrap();
-        assert_eq!(read.value_name, None);
         assert_eq!(read.mem_value, Some(Value::from("corrupted by server")));
         assert_eq!(
             clients[1].handle_reply(reply).unwrap_err(),
@@ -1522,7 +1681,7 @@ mod tests {
             let Some((_, UstorMsg::Reply(reply))) = transport.inner.pop_outgoing() else {
                 panic!("one reply")
             };
-            let kept = (reply.kept, reply.pending.len());
+            let kept = (reply.left_out.kept, reply.pending.len());
             client.handle_reply(reply).expect("correct server");
             kept
         };
@@ -1712,7 +1871,7 @@ mod tests {
     }
 
     #[test]
-    fn resent_window_passes_ingress_verification_in_both_modes() {
+    fn a_resent_window_passes_ingress_verification() {
         // A pipelined window [read, write] resent in full after a lost
         // connection: the read's DATA signature covers the value hash
         // *before* the write, so naive re-verification would reject it.
@@ -1745,7 +1904,7 @@ mod tests {
             .expect("r2's and w3's replays");
         // Sent against the first write's COMMIT, replayed from the cache
         // as the server built them.
-        assert!(reply_r2.against_own.is_some() && reply_w3.against_own.is_some());
+        assert!(reply_r2.left_out.commit.is_some() && reply_w3.left_out.commit.is_some());
         let built = |ts| engine.session(ClientId::new(0)).replies().get(ts).cloned();
         assert_eq!(Some(&rr2), built(rr2_ts).as_ref());
         assert_eq!(Some(&rw3), built(rw3_ts).as_ref());
@@ -1838,7 +1997,7 @@ mod tests {
     }
 
     #[test]
-    fn modes_agree_verdict_for_verdict_after_resume_sessions() {
+    fn verification_agrees_with_clients_after_resume_sessions() {
         // A restarted server: client 0 wrote "durable" (ts 1) and its read
         // (ts 2) was applied but never acknowledged. The new engine starts
         // from `resume_sessions` alone, and must decide right for: the

@@ -3,8 +3,8 @@
 
 use faust_crypto::sig::Signature;
 use faust_types::{
-    ClientId, CommitMsg, InvocationTuple, OpKind, ReadReply, ReplyMsg, SignedVersion, SubmitMsg,
-    Timestamp, Value,
+    ClientId, CommitMsg, InvocationTuple, LeftOut, OpKind, ReadReply, ReplyMsg, SignedVersion,
+    SubmitMsg, Timestamp, Value,
 };
 
 /// Interface of a storage server, correct or Byzantine.
@@ -277,7 +277,6 @@ impl UstorServer {
                 mem_timestamp: entry.timestamp,
                 mem_value: entry.value.clone(),
                 mem_data_sig: entry.data_sig,
-                value_name: None,
             }
         });
         // Line 41 reads `P[k]` only for a client `k` with a tuple in `L`;
@@ -301,9 +300,8 @@ impl UstorServer {
             commit_version: self.sver[c.index()].clone(),
             read,
             pending: self.pending.clone(),
-            kept: 0,
-            against_own: None,
             proofs,
+            left_out: LeftOut::default(),
         }
     }
 }

@@ -406,9 +406,8 @@ fn own_timestamp_mismatch_detected() {
         },
         read: None,
         pending: vec![],
-        kept: 0,
-        against_own: None,
         proofs: vec![None, None],
+        left_out: Default::default(),
     };
     assert_eq!(victim.handle_reply(reply), Err(Fault::OwnTimestampMismatch));
 }
@@ -452,12 +451,10 @@ fn writer_version_ahead_detected() {
             mem_timestamp: 1,
             mem_value: Some(Value::from("v")),
             mem_data_sig: Some(Signature::garbage()),
-            value_name: None,
         }),
         pending: vec![],
-        kept: 0,
-        against_own: None,
         proofs: vec![None, None],
+        left_out: Default::default(),
     };
     let err = victim.handle_reply(reply).expect_err("detects");
     // The garbage data signature (line 50) or the ahead version (line 51)

@@ -284,33 +284,28 @@ fn run(spec: Spec, seed: u64, mode: Mode, expand: bool) -> (Outcome, Downstream)
                     continue;
                 };
                 downstream.bytes += frame_bytes(&UstorMsg::Reply(shipped.clone())).len();
-                downstream.kept += usize::from(shipped.kept > 0);
-                let mut full = shipped.clone();
-                full.resolve_pending(std::mem::take(&mut base[i]))
-                    .expect("the engine keeps from what it sent");
-                if let Some(own) = &shipped.against_own {
-                    let named = sent[i]
-                        .commits
-                        .iter()
-                        .rev()
-                        .find(|commit| commit.version.v().get(c(i)) == own.base)
-                        .expect("the engine names a COMMIT the client sent");
-                    full.resolve_commit(&named.version, named.commit_sig)
-                        .expect("the engine sends against what it holds");
+                let left_out = &shipped.left_out;
+                downstream.kept += usize::from(left_out.kept > 0);
+                if let Some(own) = &left_out.commit {
                     downstream.markers += usize::from(own.is_marker());
                     downstream.own_deltas += usize::from(!own.is_marker());
                 }
+                downstream.names += usize::from(left_out.value.is_some());
                 let (t, kind, j) = sent[i].submits.pop_front().expect("a SUBMIT answered");
-                if let (Some(read), OpKind::Read) = (full.read.as_mut(), kind) {
-                    let held = &mut values[i][j.index()];
-                    if let Some(name) = read.value_name {
-                        let (_, value) = held
-                            .clone()
-                            .filter(|(t_r, _)| *t_r == name)
-                            .expect("the engine names a value the client was handed");
-                        read.resolve_value(value);
-                        downstream.names += 1;
-                    }
+                let held = &mut values[i][j.index()];
+                // What the script says client `i` holds: the full `L` of the
+                // last REPLY it was handed, every COMMIT it sent, and the
+                // value of its last read REPLY for this register.
+                let commit = |t| {
+                    let mut commits = sent[i].commits.iter().rev();
+                    let named = commits.find(|commit| commit.version.v().get(c(i)) == t)?;
+                    Some((&named.version, named.commit_sig))
+                };
+                let value = |t_r| held.clone().filter(|(t, _)| *t == t_r).map(|(_, v)| v);
+                let mut full = shipped.clone();
+                full.fill_in(std::mem::take(&mut base[i]), commit, value)
+                    .expect("the engine leaves out only what the client holds");
+                if let (Some(read), OpKind::Read) = (full.read.as_ref(), kind) {
                     *held = read.mem_value.clone().map(|value| (t, value));
                 }
                 downstream.nonempty += usize::from(!full.pending.is_empty());
