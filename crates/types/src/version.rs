@@ -20,6 +20,7 @@ use crate::ids::{ClientId, Timestamp};
 use faust_crypto::sig::Signature;
 use faust_crypto::Digest;
 use std::fmt;
+use std::sync::Arc;
 
 /// A vector of `n` operation timestamps, one per client.
 ///
@@ -260,6 +261,31 @@ fn pointwise(a: &[Timestamp], b: &[Timestamp], agree: impl Fn(usize) -> bool) ->
 /// A version `(V, M)`: the pair of timestamp vector and digest vector that
 /// a client commits after every operation.
 ///
+/// # Sharing
+///
+/// A version is copy-on-write: `V` and `M` live behind one
+/// reference-counted allocation.
+///
+/// * Anyone may hold it: the server's `SVER[c]` and the REPLYs built from
+///   it, the engine's reply cache and COMMIT base, and a client's
+///   installed version, its retained COMMITs and its completions all keep
+///   one allocation. `clone` and `clone_from` bump a count and copy
+///   nothing.
+/// * A holder that writes — [`Version::v_mut`], [`Version::m_mut`] or
+///   [`Version::parts_mut`] — first unshares: if anyone else holds the
+///   allocation, it gets a copy of its own, so no write is ever seen
+///   through another holder. A version that [`Version::new`],
+///   [`Version::initial`] or a decoder built is held by no one else, and
+///   its first write copies nothing.
+/// * Each of those calls reads and resets the count with atomic
+///   operations, so a loop that writes many entries takes both halves
+///   once, with one [`Version::parts_mut`], before it: the client's fold
+///   of `L` does.
+///
+/// Equality is by content, with a pointer fast path; identity is
+/// [`Version::same_allocation`]. The arity-0 version, the placeholder for
+/// a part a REPLY left out, holds no allocation at all.
+///
 /// # Example
 ///
 /// ```
@@ -270,33 +296,43 @@ fn pointwise(a: &[Timestamp], b: &[Timestamp], agree: impl Fn(usize) -> bool) ->
 /// assert!(initial.le(&later));
 /// assert!(!later.le(&initial));
 /// ```
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Version {
+    /// `None` at arity 0.
+    shared: Option<Arc<Parts>>,
+}
+
+/// What a [`Version`] shares.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Parts {
     v: TimestampVec,
     m: DigestVec,
 }
 
-/// `clone_from` reuses both buffers.
-impl Clone for Version {
-    fn clone(&self) -> Self {
-        Version {
-            v: self.v.clone(),
-            m: self.m.clone(),
-        }
+/// The parts of every arity-0 version.
+static EMPTY: Parts = Parts {
+    v: TimestampVec(Vec::new()),
+    m: DigestVec(Vec::new()),
+};
+
+impl PartialEq for Version {
+    fn eq(&self, other: &Self) -> bool {
+        self.same_allocation(other) || self.parts() == other.parts()
     }
-    fn clone_from(&mut self, source: &Self) {
-        self.v.clone_from(&source.v);
-        self.m.clone_from(&source.m);
+}
+
+impl Eq for Version {}
+
+impl std::hash::Hash for Version {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
     }
 }
 
 impl Version {
     /// The initial version `(0^n, ⊥^n)`.
     pub fn initial(n: usize) -> Self {
-        Version {
-            v: TimestampVec::zeros(n),
-            m: DigestVec::bottoms(n),
-        }
+        Version::new(TimestampVec::zeros(n), DigestVec::bottoms(n))
     }
 
     /// Builds a version from its parts.
@@ -306,37 +342,61 @@ impl Version {
     /// Panics if the two vectors have different lengths.
     pub fn new(v: TimestampVec, m: DigestVec) -> Self {
         assert_eq!(v.len(), m.len(), "V and M must have the same arity");
-        Version { v, m }
+        let shared = (!v.is_empty()).then(|| Arc::new(Parts { v, m }));
+        Version { shared }
+    }
+
+    fn parts(&self) -> &Parts {
+        self.shared.as_deref().unwrap_or(&EMPTY)
+    }
+
+    /// Whether `self` and `other` are clones of one version: the same
+    /// shared allocation. It implies equal contents without reading them;
+    /// equal contents do not imply it, and an arity-0 version, which has
+    /// no allocation, is never one.
+    pub fn same_allocation(&self, other: &Version) -> bool {
+        match (&self.shared, &other.shared) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Whether this is the initial version `(0^n, ⊥^n)`.
     pub fn is_initial(&self) -> bool {
-        self.v.as_slice().iter().all(|&t| t == 0) && self.m.as_slice().iter().all(|d| d.is_none())
+        let Parts { v, m } = self.parts();
+        v.as_slice().iter().all(|&t| t == 0) && m.as_slice().iter().all(|d| d.is_none())
     }
 
     /// Number of clients `n`.
     pub fn num_clients(&self) -> usize {
-        self.v.len()
+        self.v().len()
     }
 
     /// The timestamp vector `V`.
     pub fn v(&self) -> &TimestampVec {
-        &self.v
+        &self.parts().v
     }
 
     /// The digest vector `M`.
     pub fn m(&self) -> &DigestVec {
-        &self.m
+        &self.parts().m
     }
 
-    /// Mutable access to `V` (protocol-internal updates).
+    /// Mutable access to `V` (protocol-internal updates); unshares first.
     pub fn v_mut(&mut self) -> &mut TimestampVec {
-        &mut self.v
+        self.parts_mut().0
     }
 
-    /// Mutable access to `M` (protocol-internal updates).
+    /// Mutable access to `M` (protocol-internal updates); unshares first.
     pub fn m_mut(&mut self) -> &mut DigestVec {
-        &mut self.m
+        self.parts_mut().1
+    }
+
+    /// Mutable access to `V` and `M` together, for one unsharing however
+    /// many entries are written.
+    pub fn parts_mut(&mut self) -> (&mut TimestampVec, &mut DigestVec) {
+        let parts = Arc::make_mut(self.shared.get_or_insert_with(|| Arc::new(EMPTY.clone())));
+        (&mut parts.v, &mut parts.m)
     }
 
     /// Definition 7: `self ≼ other`.
@@ -353,8 +413,8 @@ impl Version {
     /// versions: an entry with equal timestamps and different digests
     /// makes them incomparable, otherwise the timestamps decide.
     pub fn compare(&self, other: &Version) -> VersionCmp {
-        let (m, other_m) = (self.m.as_slice(), other.m.as_slice());
-        pointwise(self.v.as_slice(), other.v.as_slice(), |k| {
+        let (m, other_m) = (self.m().as_slice(), other.m().as_slice());
+        pointwise(self.v().as_slice(), other.v().as_slice(), |k| {
             m[k] == other_m[k]
         })
     }
@@ -368,15 +428,25 @@ impl Version {
     /// Canonical byte string signed by COMMIT-signatures (`COMMIT ‖ V_i ‖
     /// M_i` in the paper).
     pub fn signing_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_signing_bytes(&mut out);
+        out
+    }
+
+    /// [`Version::signing_bytes`] written over what `out` held, in its
+    /// buffer: a signer or verifier that keeps one buffer allocates once.
+    pub fn write_signing_bytes(&self, out: &mut Vec<u8>) {
+        let Parts { v, m } = self.parts();
         // Tag, arity, then 8 bytes of timestamp and at most 33 of digest
         // per client: sized once.
-        let mut out = Vec::with_capacity(8 + 4 + self.v.len() * (8 + 33));
+        out.clear();
+        out.reserve_exact(8 + 4 + v.len() * (8 + 33));
         out.extend_from_slice(b"version:");
-        out.extend_from_slice(&(self.v.len() as u32).to_be_bytes());
-        for &t in self.v.as_slice() {
+        out.extend_from_slice(&(v.len() as u32).to_be_bytes());
+        for &t in v.as_slice() {
             out.extend_from_slice(&t.to_be_bytes());
         }
-        for d in self.m.as_slice() {
+        for d in m.as_slice() {
             match d {
                 None => out.push(0),
                 Some(d) => {
@@ -385,19 +455,18 @@ impl Version {
                 }
             }
         }
-        out
     }
 }
 
 impl fmt::Debug for Version {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({:?}, {:?})", self.v, self.m)
+        write!(f, "({:?}, {:?})", self.v(), self.m())
     }
 }
 
 impl fmt::Display for Version {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.v)
+        write!(f, "{}", self.v())
     }
 }
 
@@ -522,6 +591,83 @@ mod tests {
         let bytes = full.signing_bytes();
         assert_eq!((bytes.len(), bytes.capacity()), (2636, 2636));
         assert!(Version::initial(64).signing_bytes().len() < 2636);
+    }
+
+    #[test]
+    fn signing_bytes_reuse_the_buffer_they_are_written_into() {
+        let small = version(vec![1, 0], vec![Some(d(1)), None]);
+        let full = version((1..=64).collect(), (0..64).map(|k| Some(d(k))).collect());
+        let mut out = Vec::new();
+        full.write_signing_bytes(&mut out);
+        assert_eq!(out, full.signing_bytes());
+        let buffer = out.as_ptr();
+        small.write_signing_bytes(&mut out);
+        assert_eq!(out, small.signing_bytes(), "what it held is written over");
+        full.write_signing_bytes(&mut out);
+        assert_eq!((out.as_ptr(), out.len()), (buffer, 2636), "no new buffer");
+    }
+
+    #[test]
+    fn a_clone_shares_until_either_holder_writes() {
+        let original = version(vec![1, 2, 3], vec![Some(d(1)), None, Some(d(3))]);
+        let k = ClientId::new(1);
+        let writes: [fn(&mut Version); 3] = [
+            |w| w.v_mut().set(ClientId::new(1), 9),
+            |w| w.m_mut().set(ClientId::new(1), sha256(b"m")),
+            |w| {
+                let (v, m) = w.parts_mut();
+                v.increment(ClientId::new(1));
+                m.set(ClientId::new(1), sha256(b"both"));
+            },
+        ];
+        for write in writes {
+            let (before, other) = (original.clone(), original.clone());
+            let mut written = original.clone();
+            assert!(written.same_allocation(&original) && other.same_allocation(&original));
+            write(&mut written);
+            assert!(!written.same_allocation(&original));
+            assert_ne!(written, original);
+            // Every other holder still reads what it held, in the
+            // allocation it held.
+            assert_eq!((&original, &other), (&before, &before));
+            assert!(other.same_allocation(&original) && before.same_allocation(&original));
+            assert_eq!(original.v().get(k), 2);
+            // Unshared now: a second write copies nothing.
+            let at = written.v().as_slice().as_ptr();
+            write(&mut written);
+            assert_eq!(written.v().as_slice().as_ptr(), at);
+        }
+    }
+
+    #[test]
+    fn sharing_is_identity_and_equality_stays_by_content() {
+        let a = version(vec![1, 0], vec![Some(d(1)), None]);
+        let b = version(vec![1, 0], vec![Some(d(1)), None]);
+        assert!(a.same_allocation(&a.clone()));
+        assert!(!a.same_allocation(&b), "equal contents, two allocations");
+        assert_eq!(a, b);
+        let mut copied = Version::initial(2);
+        copied.clone_from(&a);
+        assert!(copied.same_allocation(&a));
+        // The arity-0 placeholder holds nothing, so it shares nothing, and
+        // equals any other arity-0 version, however built.
+        let empty = Version::new(TimestampVec::from_vec(vec![]), DigestVec::from_vec(vec![]));
+        assert_eq!(empty, Version::initial(0));
+        assert!(!empty.same_allocation(&empty.clone()));
+        assert_eq!((empty.num_clients(), empty.is_initial()), (0, true));
+    }
+
+    #[test]
+    fn a_decoded_version_is_unshared() {
+        use crate::wire::Wire;
+        let a = version(vec![4, 2], vec![Some(d(4)), Some(d(2))]);
+        let mut decoded = Version::decode(&a.encode()).unwrap();
+        assert_eq!(decoded, a);
+        assert!(!decoded.same_allocation(&a));
+        let at = decoded.v().as_slice().as_ptr();
+        decoded.parts_mut().0.increment(ClientId::new(0));
+        assert_eq!(decoded.v().as_slice().as_ptr(), at, "written in place");
+        assert_eq!(a.v().get(ClientId::new(0)), 4);
     }
 
     #[test]

@@ -1002,8 +1002,8 @@ pub struct ReplyMsg {
     /// `P` — PROOF-signatures, indexed by client. A correct server fills
     /// only the slots of clients with a tuple in `L`, the only ones
     /// Algorithm 1 reads; the rest, and a slot before its client's first
-    /// commit, are `None`.
-    pub proofs: Vec<Option<Signature>>,
+    /// commit, are empty.
+    pub proofs: Proofs,
     /// What this REPLY left out; nothing in every REPLY a server builds.
     pub left_out: LeftOut,
 }
@@ -1167,7 +1167,7 @@ impl Wire for ReplyMsg {
             commit_version,
             read,
             pending: decode_elements(len, reserve, input)?,
-            proofs: Vec::<Option<Signature>>::decode_from(input)?,
+            proofs: Proofs::decode_from(input)?,
             left_out,
         })
     }
@@ -1328,6 +1328,128 @@ impl ReplyMsg {
         }
         self.left_out = LeftOut::default();
         Ok(())
+    }
+}
+
+/// `P` of a REPLY: one optional PROOF-signature per client. A correct
+/// server fills only the slots of clients with a tuple in `L`, so this
+/// keeps the arity `n` and the filled slots alone; at `n = 64` a REPLY
+/// holds a few signatures instead of 64 slots of 65 bytes. On the wire
+/// it is what a vector of `n` options is, one tag per slot:
+///
+/// ```text
+///   n: u32 | (0: u8 | 1: u8 | Signature)^n
+/// ```
+///
+/// The decoder reads an `n` of at most 2²⁴ and reserves nothing for it:
+/// what it keeps grows with the signatures present, at least 33 bytes of
+/// input each.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Proofs {
+    n: usize,
+    /// The filled slots, at strictly increasing `k`.
+    filled: Vec<(u32, Signature)>,
+}
+
+impl Proofs {
+    /// `n` empty slots.
+    pub fn none(n: usize) -> Self {
+        Proofs {
+            n,
+            filled: Vec::new(),
+        }
+    }
+
+    /// The arity `n`: how many slots, filled or not.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Whether there are no slots (`n = 0`).
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// The signature in slot `k`; `None` if it is empty or `k ≥ n`.
+    pub fn get(&self, k: ClientId) -> Option<&Signature> {
+        let at = self.filled.binary_search_by_key(&k.as_u32(), |(k, _)| *k);
+        at.ok().map(|at| &self.filled[at].1)
+    }
+
+    /// Fills slot `k` with `sig`, or empties it if `sig` is `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k ≥ n`.
+    pub fn set(&mut self, k: ClientId, sig: Option<Signature>) {
+        assert!(k.index() < self.n, "proof slot {k:?} of {}", self.n);
+        let at = self.filled.binary_search_by_key(&k.as_u32(), |(k, _)| *k);
+        match (at, sig) {
+            (Ok(at), Some(sig)) => self.filled[at].1 = sig,
+            (Ok(at), None) => {
+                self.filled.remove(at);
+            }
+            (Err(at), Some(sig)) => self.filled.insert(at, (k.as_u32(), sig)),
+            (Err(_), None) => {}
+        }
+    }
+
+    /// Every slot, in order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<&Signature>> + '_ {
+        let mut filled = self.filled.iter().peekable();
+        (0..self.n as u32).map(move |k| filled.next_if(|(at, _)| *at == k).map(|(_, sig)| sig))
+    }
+}
+
+/// The slots of a vector of options, in order.
+impl From<Vec<Option<Signature>>> for Proofs {
+    fn from(slots: Vec<Option<Signature>>) -> Self {
+        slots.into_iter().collect()
+    }
+}
+
+impl FromIterator<Option<Signature>> for Proofs {
+    fn from_iter<I: IntoIterator<Item = Option<Signature>>>(slots: I) -> Self {
+        let mut proofs = Proofs::default();
+        for slot in slots {
+            if let Some(sig) = slot {
+                proofs.filled.push((proofs.n as u32, sig));
+            }
+            proofs.n += 1;
+        }
+        proofs
+    }
+}
+
+/// As the vector of options it stands for.
+impl fmt::Debug for Proofs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Wire for Proofs {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        (self.n as u32).encode_into(out);
+        for slot in self.iter() {
+            match slot {
+                None => out.push(0),
+                Some(sig) => {
+                    out.push(1);
+                    sig.encode_into(out);
+                }
+            }
+        }
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        let (n, _) = decode_len(input)?;
+        let (mut rest, mut filled) = (*input, Vec::new());
+        for k in 0..n as u32 {
+            let slot = |slot: Option<Signature>| filled.extend(slot.map(|sig| (k, sig)));
+            Option::<Signature>::decode_then(&mut rest, slot)?;
+        }
+        *input = rest;
+        Ok(Proofs { n, filled })
     }
 }
 
@@ -1599,7 +1721,7 @@ mod tests {
                 register: ClientId::new(0),
                 sig: sig(5),
             }],
-            proofs: vec![Some(sig(6)), None, Some(sig(7))],
+            proofs: vec![Some(sig(6)), None, Some(sig(7))].into(),
             left_out: LeftOut::default(),
         }
     }
@@ -1732,6 +1854,75 @@ mod tests {
     }
 
     #[test]
+    fn proofs_are_byte_for_byte_the_vector_of_options_they_stand_for() {
+        let shapes: [Vec<Option<Signature>>; 5] = [
+            vec![],
+            vec![None; 64],
+            vec![Some(sig(1)), None, Some(ed_sig(2))],
+            (0..130)
+                .map(|k| (k % 67 == 3).then(|| sig(k as u8)))
+                .collect(),
+            vec![Some(ed_sig(9)); 4],
+        ];
+        for slots in shapes {
+            let proofs = Proofs::from(slots.clone());
+            let bytes = slots.encode();
+            assert_eq!(proofs.encode(), bytes);
+            assert_eq!(proofs.encoded_len(), bytes.len());
+            assert_eq!(format!("{proofs:?}"), format!("{slots:?}"));
+            assert_eq!(proofs.iter().map(|p| p.copied()).collect::<Vec<_>>(), slots);
+            let decoded = Proofs::decode(&bytes).unwrap();
+            assert_eq!(decoded, proofs);
+            // Every damaged copy fails, or decodes, exactly as the vector.
+            for (_, bad) in crate::testutil::mutations(&bytes) {
+                let vector = Vec::<Option<Signature>>::decode(&bad).map(Proofs::from);
+                assert_eq!(Proofs::decode(&bad), vector);
+            }
+        }
+    }
+
+    #[test]
+    fn proof_slots_are_set_and_read_by_client() {
+        let mut proofs = Proofs::none(4);
+        assert_eq!((proofs.len(), proofs.get(ClientId::new(2))), (4, None));
+        proofs.set(ClientId::new(2), Some(sig(2)));
+        proofs.set(ClientId::new(0), Some(sig(0)));
+        proofs.set(ClientId::new(2), Some(sig(3)));
+        assert_eq!(proofs.get(ClientId::new(2)), Some(&sig(3)));
+        assert_eq!(proofs, vec![Some(sig(0)), None, Some(sig(3)), None].into());
+        proofs.set(ClientId::new(0), None);
+        proofs.set(ClientId::new(1), None);
+        assert_eq!(proofs, vec![None, None, Some(sig(3)), None].into());
+        assert_eq!(proofs.get(ClientId::new(9)), None, "past n: empty");
+        assert!(std::panic::catch_unwind(move || proofs.set(ClientId::new(4), None)).is_err());
+    }
+
+    #[test]
+    fn a_claimed_proof_arity_reserves_nothing() {
+        // 2²⁴ slots claimed by a few bytes: the decoder walks the bytes
+        // there are and fails; a sparse `P` keeps only the signatures it
+        // read, never a slot per claimed client.
+        let max = MAX_LEN as u32;
+        let some = [&[0u8; 5][..], &[1, 0], &[7; 32], &[0; 3]].concat();
+        for body in [&[][..], &[0u8; 40][..], &some[..]] {
+            let input = claiming(max, body);
+            assert_eq!(Proofs::decode(&input), Err(WireError::Truncated));
+        }
+        let input = claiming(max + 1, &[0u8; 40]);
+        assert_eq!(
+            Proofs::decode(&input),
+            Err(WireError::BadLength(MAX_LEN + 1))
+        );
+        // Present in full, 2²⁴ empty slots decode to no signatures at all.
+        let input = claiming(max, &vec![0u8; MAX_LEN as usize]);
+        let decoded = Proofs::decode(&input).unwrap();
+        assert_eq!(
+            (decoded.len(), decoded.filled.capacity()),
+            (MAX_LEN as usize, 0)
+        );
+    }
+
+    #[test]
     fn maximal_length_claims_fail_typed_in_all_three_collection_decoders() {
         let max = MAX_LEN as u32;
         // Empty body, and a body far shorter than the claim (a few valid
@@ -1768,7 +1959,7 @@ mod tests {
             commit_version: SignedVersion::initial(1),
             read: None,
             pending: vec![],
-            proofs: vec![None],
+            proofs: vec![None].into(),
             left_out: LeftOut::default(),
         };
         let mut body = UstorMsg::Reply(honest).encode();
@@ -1832,7 +2023,7 @@ mod tests {
             .iter()
             .map(|&n| {
                 let mut r = sample_reply(n);
-                r.proofs = vec![Some(sig(1)); n];
+                r.proofs = vec![Some(sig(1)); n].into();
                 r.encoded_len()
             })
             .collect();

@@ -843,7 +843,7 @@ mod reference {
             commit_version,
             read,
             pending,
-            proofs: vec(input, |input| option(input, signature))?,
+            proofs: vec(input, |input| option(input, signature))?.into(),
             left_out: LeftOut {
                 kept,
                 commit: own

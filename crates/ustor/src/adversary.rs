@@ -263,13 +263,13 @@ impl TamperServer {
                 let Some(k) = reply.pending.first().map(|t| t.client) else {
                     return;
                 };
-                reply.proofs[k.index()] = None;
+                reply.proofs.set(k, None);
             }
             Tamper::CorruptProof => {
                 let Some(k) = reply.pending.first().map(|t| t.client) else {
                     return;
                 };
-                reply.proofs[k.index()] = Some(Signature::garbage());
+                reply.proofs.set(k, Some(Signature::garbage()));
             }
             Tamper::CorruptReadValue => {
                 let Some(read) = reply.read.as_mut() else {

@@ -297,6 +297,9 @@ pub struct UstorClient {
     run: VecDeque<FoldStep>,
     peers: Vec<Peer>,
     bases: HeldBases,
+    /// The bytes of the last version signed or verified: one buffer for
+    /// every COMMIT-signature ([`Version::write_signing_bytes`]).
+    signing: Vec<u8>,
 }
 
 /// What this client holds from its connection: the bases a reply may
@@ -332,8 +335,8 @@ struct Resolved {
 }
 
 impl HeldBases {
-    /// Fills in what `reply`, to `op`, left out, from what client `id` at
-    /// version `current` holds.
+    /// Fills in what `reply`, to `op`, left out, from what client `id`
+    /// holds.
     ///
     /// # Errors
     ///
@@ -345,7 +348,6 @@ impl HeldBases {
         reply: &mut ReplyMsg,
         op: &PendingOpState,
         id: ClientId,
-        current: &Version,
     ) -> Result<Resolved, Fault> {
         let (j, pending) = (op.target.index(), std::mem::take(&mut self.pending));
         let held = self.values.get(j).and_then(Option::as_ref);
@@ -369,10 +371,7 @@ impl HeldBases {
         let marker = own.is_some_and(AgainstOwn::is_marker);
         let commit = |t| {
             let commit = self.commits.iter().rev().find(|c| c.t == t)?;
-            match &commit.version {
-                Some(version) => Some((version, commit.sig)),
-                None => (current.v().get(id) == t).then_some((current, commit.sig)),
-            }
+            Some((&commit.version, commit.sig))
         };
         // A name still standing is the one held.
         let value = |_| held.map(|held| held.value.clone());
@@ -393,36 +392,17 @@ impl HeldBases {
         })
     }
 
-    /// Records `commit`, ours of the operation at `t`, with a copy of its
-    /// version if `copy`: into the buffers of the oldest one, if that
-    /// leaves. At most `depth + 1` are kept.
-    fn remember(&mut self, t: Timestamp, commit: &CommitMsg, copy: bool, depth: usize) {
-        let mut spare = match self.commits.len() > depth {
-            true => self.commits.pop_front().and_then(|oldest| oldest.version),
-            false => None,
-        };
-        let version = copy.then(|| match spare.take() {
-            Some(mut spare) => {
-                spare.clone_from(&commit.version);
-                spare
-            }
-            None => commit.version.clone(),
-        });
+    /// Records `commit`, ours of the operation at `t`, sharing its
+    /// version. At most `depth + 1` are kept.
+    fn remember(&mut self, t: Timestamp, commit: &CommitMsg, depth: usize) {
+        if self.commits.len() > depth {
+            self.commits.pop_front();
+        }
         self.commits.push_back(OwnCommit {
             t,
             sig: commit.commit_sig,
-            version,
+            version: commit.version.clone(),
         });
-    }
-
-    /// The client's version moved on from `old`, that of its operation at
-    /// `t`. A COMMIT of it sent without a copy keeps it, so a replayed
-    /// reply naming it still reads as what the server built.
-    fn replaced(&mut self, t: Timestamp, old: &mut Version) {
-        let sent = self.commits.iter_mut();
-        if let Some(commit) = sent.rev().find(|c| c.version.is_none() && c.t == t) {
-            commit.version = Some(std::mem::replace(old, Version::initial(0)));
-        }
     }
 }
 
@@ -442,10 +422,8 @@ struct HeldValue {
 struct OwnCommit {
     t: Timestamp,
     sig: Signature,
-    /// The version signed; `None` while it is the client's current
-    /// version. A sequential client's only nameable COMMIT is that one,
-    /// so it copies none, and keeps the version its next reply replaces.
-    version: Option<Version>,
+    /// The version signed: the allocation the client installed and sent.
+    version: Version,
 }
 
 /// One step of lines 39–45 that passed its checks: `tuple`'s
@@ -495,10 +473,16 @@ fn verify(
 }
 
 /// Builds the COMMIT message for `version`: COMMIT-signature over the
-/// version, PROOF-signature over the signer's own digest entry
-/// (Algorithm 1 lines 18/31).
-fn sign_commit(keypair: &Keypair, id: ClientId, version: Version) -> CommitMsg {
-    let commit_sig = keypair.sign(SigContext::Commit, &version.signing_bytes());
+/// version, its bytes written in `signing`, PROOF-signature over the
+/// signer's own digest entry (Algorithm 1 lines 18/31).
+fn sign_commit(
+    keypair: &Keypair,
+    id: ClientId,
+    version: Version,
+    signing: &mut Vec<u8>,
+) -> CommitMsg {
+    version.write_signing_bytes(signing);
+    let commit_sig = keypair.sign(SigContext::Commit, signing);
     let proof_sig = keypair.sign(SigContext::Proof, &proof_signing_bytes(version.m().get(id)));
     CommitMsg {
         version,
@@ -587,6 +571,7 @@ impl UstorClient {
                 commits: VecDeque::new(),
                 values: vec![None; n],
             },
+            signing: Vec::new(),
         }
     }
 
@@ -596,20 +581,16 @@ impl UstorClient {
     /// it records every COMMIT it makes.
     pub fn resume_commits<'a>(&mut self, commits: impl IntoIterator<Item = &'a CommitMsg>) {
         for commit in commits {
-            self.sent(commit, true);
+            self.sent(commit);
         }
     }
 
-    /// Records a COMMIT this client is sending, its version copied if
-    /// `copy` or if it can be named once the current version has moved
-    /// on.
-    fn sent(&mut self, commit: &CommitMsg, copy: bool) {
+    /// Records a COMMIT this client is sending.
+    fn sent(&mut self, commit: &CommitMsg) {
         let Some(&t) = commit.version.v().as_slice().get(self.id.index()) else {
             return;
         };
-        let current = self.max_pipeline == 1 && t == self.version.v().get(self.id);
-        self.bases
-            .remember(t, commit, copy || !current, self.max_pipeline);
+        self.bases.remember(t, commit, self.max_pipeline);
     }
 
     /// Switches the commit transmission strategy (see [`CommitMode`]).
@@ -645,8 +626,8 @@ impl UstorClient {
     /// garbage-collected even when no further operation follows.
     pub fn take_held_commit(&mut self) -> Option<CommitMsg> {
         let version = self.held_commit_version.take()?;
-        let commit = sign_commit(&self.keypair, self.id, version);
-        self.sent(&commit, false);
+        let commit = sign_commit(&self.keypair, self.id, version, &mut self.signing);
+        self.sent(&commit);
         Some(commit)
     }
 
@@ -798,9 +779,7 @@ impl UstorClient {
         // What the reply left out — a tail of the last `L`, `SVER[c]`
         // against a COMMIT of ours, a value we hold — goes back in first:
         // every check below reads the full reply.
-        let resolved = self
-            .bases
-            .resolve(&mut reply, &op, self.id, &self.version)?;
+        let resolved = self.bases.resolve(&mut reply, &op, self.id)?;
         self.validate_shape(&reply, &op)?;
         // Line 51's first conjunct reads (V^c, M^c), which the fold
         // below overwrites; evaluated here, raised in its place.
@@ -833,8 +812,9 @@ impl UstorClient {
         // `held_commit_version`).
         let commit = match self.commit_mode {
             CommitMode::Immediate => {
-                let commit = sign_commit(&self.keypair, self.id, self.version.clone());
-                self.sent(&commit, false);
+                let version = self.version.clone();
+                let commit = sign_commit(&self.keypair, self.id, version, &mut self.signing);
+                self.sent(&commit);
                 Some(commit)
             }
             CommitMode::Piggyback => {
@@ -943,11 +923,12 @@ impl UstorClient {
         // Line 35: the version is the initial one or carries a valid
         // COMMIT-signature by C_c.
         if !signed_by_us && !signed.version.is_initial() {
-            let bytes = signed.version.signing_bytes();
+            signed.version.write_signing_bytes(&mut self.signing);
+            let bytes = &self.signing;
             let valid = signed
                 .sig
                 .as_ref()
-                .is_some_and(|sig| verify(&self.registry, c, SigContext::Commit, &bytes, sig));
+                .is_some_and(|sig| verify(&self.registry, c, SigContext::Commit, bytes, sig));
             if !valid {
                 return Err(Fault::BadCommitVersionSignature);
             }
@@ -968,10 +949,12 @@ impl UstorClient {
         }
 
         // Line 37: adopt (V^c, M^c) as the candidate to fold into — in
-        // place, the reply is ours.
-        let candidate = &mut reply.commit_version.version;
+        // place, the reply is ours, with one unsharing for the whole fold
+        // (a version filled in from a COMMIT of ours shares its
+        // allocation).
+        let (cand_v, cand_m) = reply.commit_version.version.parts_mut();
         // Line 38: d ← M^c[c].
-        let mut d = candidate.m().get(c);
+        let mut d = cand_m.get(c);
         self.align_fold(d);
 
         // Lines 39–45: fold in the pending (concurrent) operations.
@@ -981,8 +964,8 @@ impl UstorClient {
             // digest we hold for it, vouched by its PROOF-signature. A
             // pipelined peer's commits trail its submits, so up to
             // `max_pipeline` operations per client may go unanchored.
-            if let Some(expected) = candidate.m().get(k) {
-                let proof = reply.proofs[k.index()].as_ref();
+            if let Some(expected) = cand_m.get(k) {
+                let proof = reply.proofs.get(k);
                 if !proof.is_some_and(|p| self.vouches(k, p, expected)) {
                     if sequential {
                         return Err(match proof {
@@ -997,7 +980,7 @@ impl UstorClient {
                 }
             }
             // Line 42: account for the pending operation.
-            let expected_t = candidate.v_mut().increment(k);
+            let expected_t = cand_v.increment(k);
             // Line 43: a *sequential* client never appears in its own
             // pending list; a pipelined one does — its own earlier
             // operations are folded like anyone else's, SUBMIT-signature
@@ -1028,14 +1011,15 @@ impl UstorClient {
             }
             let after = run[pos].after;
             d = Some(after);
-            candidate.m_mut().set(k, after);
+            cand_m.set(k, after);
         }
         self.run.truncate(reply.pending.len());
 
         // Lines 46–47: append our own operation.
-        let t_new = candidate.v_mut().increment(self.id);
+        let t_new = cand_v.increment(self.id);
         let own_digest = chain_extend(d, self.id.as_u32());
-        candidate.m_mut().set(self.id, own_digest);
+        cand_m.set(self.id, own_digest);
+        let candidate = &mut reply.commit_version.version;
 
         // Line 36 on the folded version: the reply must place this very
         // operation at its submitted timestamp (the server accounted for
@@ -1051,7 +1035,6 @@ impl UstorClient {
             return Err(Fault::VersionRegression);
         }
         std::mem::swap(&mut self.version, candidate);
-        self.bases.replaced(candidate.v().get(self.id), candidate);
         Ok(())
     }
 
@@ -1059,7 +1042,7 @@ impl UstorClient {
     /// `writer_in_history` is line 51's `(V^j, M^j) ≼ (V^c, M^c)`;
     /// `value_hash` the digest of the read value, `None` for `⊥`.
     fn check_data(
-        &self,
+        &mut self,
         read: &ReadReply,
         j: ClientId,
         writer_in_history: bool,
@@ -1070,11 +1053,12 @@ impl UstorClient {
 
         // Line 49: writer's version is initial or properly signed by C_j.
         if !writer.version.is_initial() {
-            let bytes = writer.version.signing_bytes();
+            writer.version.write_signing_bytes(&mut self.signing);
+            let bytes = &self.signing;
             let valid = writer
                 .sig
                 .as_ref()
-                .is_some_and(|sig| verify(&self.registry, j, SigContext::Commit, &bytes, sig));
+                .is_some_and(|sig| verify(&self.registry, j, SigContext::Commit, bytes, sig));
             if !valid {
                 return Err(Fault::BadWriterCommitSignature);
             }
@@ -1173,7 +1157,7 @@ mod tests {
             commit_version: SignedVersion::initial(2),
             read: None,
             pending: vec![],
-            proofs: vec![None, None],
+            proofs: vec![None, None].into(),
             left_out: Default::default(),
         };
         assert_eq!(c.handle_reply(reply), Err(Fault::UnsolicitedReply));
@@ -1187,7 +1171,7 @@ mod tests {
             commit_version: SignedVersion::initial(2),
             read: None,
             pending: vec![],
-            proofs: vec![None, None],
+            proofs: vec![None, None].into(),
             left_out: Default::default(),
         };
         let _ = c.handle_reply(reply); // unsolicited → halt
@@ -1206,7 +1190,7 @@ mod tests {
             commit_version: SignedVersion::initial(2), // wrong arity: 2 ≠ 3
             read: None,
             pending: vec![],
-            proofs: vec![None, None, None],
+            proofs: vec![None, None, None].into(),
             left_out: Default::default(),
         };
         assert_eq!(
@@ -1481,7 +1465,7 @@ mod tests {
                 let slots = reply
                     .proofs
                     .iter()
-                    .zip(&last.proofs)
+                    .zip(last.proofs.iter())
                     .filter(|(a, b)| a != b);
                 (tuples.count() + slots.count() + 2 * usize::from(reply.read.is_some())) as u64
             });
@@ -1718,6 +1702,42 @@ mod tests {
         let replayed = cs[0].handle_reply(marker);
         assert!(replayed.is_err());
         assert_eq!(replayed, twin.handle_reply(full));
+    }
+
+    #[test]
+    fn a_retained_commit_shares_the_version_the_client_installed() {
+        let (mut s, mut cs) = pipelined_setup(2, 1);
+        let c0 = ClientId::new(0);
+        let mut retained: Vec<Version> = Vec::new();
+        for k in 0..3 {
+            let submit = cs[0].begin_write(Value::unique(0, k)).unwrap();
+            let (commit, done) = cs[0].handle_reply(reply_to(&mut s, c0, submit)).unwrap();
+            let commit = commit.unwrap();
+            let installed = cs[0].version();
+            let own = &cs[0].bases.commits.back().unwrap().version;
+            for version in [&commit.version, &done.version, own] {
+                assert!(version.same_allocation(installed));
+            }
+            retained.push(own.clone());
+            s.on_commit(c0, commit);
+        }
+        // Installing the next version wrote nothing into a retained one.
+        for (k, version) in retained.iter().enumerate() {
+            assert_eq!(version.v().get(c0), k as u64 + 1);
+        }
+        let kept = &cs[0].bases.commits;
+        assert_eq!(kept.len(), 2, "depth + 1");
+        for (own, version) in kept.iter().zip(&retained[1..]) {
+            assert!(own.version.same_allocation(version));
+        }
+        // In piggyback mode the held version is the installed one too.
+        cs[1].set_commit_mode(CommitMode::Piggyback);
+        let submit = cs[1].begin_write(Value::from("y")).unwrap();
+        cs[1]
+            .handle_reply(reply_to(&mut s, ClientId::new(1), submit))
+            .unwrap();
+        let held = cs[1].held_commit_version.as_ref().unwrap();
+        assert!(held.same_allocation(cs[1].version()));
     }
 
     /// The REPLY `s` builds for `submit` from `from`.

@@ -70,7 +70,6 @@ use faust_types::{
 };
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Per-client connection/protocol state tracked by the engine.
 #[derive(Debug, Clone, Default)]
@@ -80,8 +79,9 @@ pub struct Session {
     /// COMMIT messages accepted from this client (piggybacked commits
     /// count here too).
     pub commits: u64,
-    /// Messages dropped by ingress verification, and delta COMMITs with
-    /// no cached REPLY to resolve against.
+    /// Messages dropped by ingress verification, delta COMMITs with no
+    /// cached REPLY to resolve against, and COMMITs whose arity is not
+    /// `n`.
     pub rejected: u64,
     /// Timestamp of the last accepted SUBMIT (0 before the first).
     pub last_timestamp: Timestamp,
@@ -142,7 +142,7 @@ struct ClientBases {
     pending: Vec<InvocationTuple>,
     /// The last COMMIT accepted from the client — standalone, resolved
     /// from a delta, or piggybacked.
-    commit: Option<Arc<CommitBase>>,
+    commit: Option<CommitBase>,
     /// Accepted SUBMITs whose replies have not been released, oldest
     /// first. A correct server answers SUBMITs FIFO per client, which is
     /// what lets the engine tag each released reply with the timestamp
@@ -152,8 +152,9 @@ struct ClientBases {
 }
 
 /// A client's COMMIT as the base of a reply's `SVER[c]`: its version and
-/// COMMIT-signature, and `t`, its own entry, which names it.
-#[derive(Debug)]
+/// COMMIT-signature, and `t`, its own entry, which names it. The version
+/// shares the COMMIT's allocation, as the server's `SVER[c]` does.
+#[derive(Debug, Clone)]
 struct CommitBase {
     t: Timestamp,
     commit: SignedVersion,
@@ -166,7 +167,7 @@ struct Awaiting {
     /// The SUBMIT's timestamp.
     t: Timestamp,
     /// The client's last COMMIT when the SUBMIT arrived.
-    commit: Option<Arc<CommitBase>>,
+    commit: Option<CommitBase>,
     /// For a read: the register, and the writes to it forwarded by then.
     read: Option<(usize, u64)>,
 }
@@ -232,30 +233,16 @@ impl ConnBases {
         }
     }
 
-    /// A COMMIT accepted from `from` becomes the base of the replies to
-    /// its next SUBMITs; one whose arity has no entry for `from` is none.
-    /// Once no awaiting reply still names the last base — always, in
-    /// lockstep — the new one is copied into its buffers.
+    /// A COMMIT accepted from `from`, of arity `n`, becomes the base of
+    /// the replies to its next SUBMITs: one shared allocation with the
+    /// COMMIT, which the server keeps as `SVER[from]`, so nothing is
+    /// copied.
     fn committed(&mut self, from: ClientId, commit: &CommitMsg) {
-        let Some(bases) = self.clients.get_mut(from.index()) else {
-            return;
-        };
-        let Some(&t) = commit.version.v().as_slice().get(from.index()) else {
-            bases.commit = None;
-            return;
-        };
-        let sig = Some(commit.commit_sig);
-        match bases.commit.as_mut().and_then(Arc::get_mut) {
-            Some(base) => {
-                base.t = t;
-                base.commit.version.clone_from(&commit.version);
-                base.commit.sig = sig;
-            }
-            None => {
-                let version = commit.version.clone();
-                let commit = SignedVersion { version, sig };
-                bases.commit = Some(Arc::new(CommitBase { t, commit }));
-            }
+        if let Some(bases) = self.clients.get_mut(from.index()) {
+            let t = commit.version.v().get(from);
+            let (version, sig) = (commit.version.clone(), Some(commit.commit_sig));
+            let commit = SignedVersion { version, sig };
+            bases.commit = Some(CommitBase { t, commit });
         }
     }
 
@@ -307,7 +294,7 @@ impl ConnBases {
             return reply.leave_out(&mut bases.pending, None, None);
         };
         cache(t, reply);
-        let commit = commit.as_deref().map(|base| (base.t, &base.commit));
+        let commit = commit.as_ref().map(|base| (base.t, &base.commit));
         let Some((j, writes)) = read else {
             return reply.leave_out(&mut bases.pending, commit, None);
         };
@@ -340,8 +327,9 @@ pub struct EngineStats {
     /// re-run (exactly-once ingress), and delta COMMITs dropped as late
     /// duplicates.
     pub duplicates: u64,
-    /// Messages dropped by ingress verification, and delta COMMITs with
-    /// no cached REPLY to resolve against.
+    /// Messages dropped by ingress verification, delta COMMITs with no
+    /// cached REPLY to resolve against, and COMMITs whose arity is not
+    /// `n`.
     pub rejected: u64,
     /// Client messages of a kind only the server sends (ignored).
     pub nonsense: u64,
@@ -631,7 +619,7 @@ impl ServerEngine {
 
     fn process_one(&mut self, from: ClientId, msg: UstorMsg) {
         match msg {
-            UstorMsg::Submit(submit) => {
+            UstorMsg::Submit(mut submit) => {
                 // `x̄` of a write, only when ingress verification checks
                 // signatures over it.
                 let xbar = match (&self.verifier, &submit.value) {
@@ -674,6 +662,11 @@ impl ServerEngine {
                         }
                         return;
                     }
+                }
+                if submit.piggyback.as_ref().is_some_and(|c| !self.admits(c)) {
+                    submit.piggyback = None;
+                    self.bases.reset(from, Reset::CommitDropped);
+                    self.reject(from);
                 }
                 if let Some(session) = self.sessions.get_mut(from.index()) {
                     session.submits += 1;
@@ -730,7 +723,19 @@ impl ServerEngine {
         }
     }
 
+    /// Whether a COMMIT's version has this deployment's arity `n`. One
+    /// that does not is dropped before the server and its log see it:
+    /// stored as `SVER[from]`, it would make every client reject the
+    /// REPLYs that name `from` as `c`.
+    fn admits(&self, commit: &CommitMsg) -> bool {
+        commit.version.num_clients() == self.n
+    }
+
     fn process_commit(&mut self, from: ClientId, commit: CommitMsg) {
+        if !self.admits(&commit) {
+            self.bases.reset(from, Reset::CommitDropped);
+            return self.reject(from);
+        }
         if let Some(session) = self.sessions.get_mut(from.index()) {
             session.commits += 1;
             session
@@ -830,6 +835,7 @@ mod tests {
     use crate::server::{SessionResume, UstorServer};
     use faust_crypto::sig::KeySet;
     use faust_types::Value;
+    use std::sync::Arc;
 
     /// `n` clients and an engine, with ingress verification on iff
     /// `verify`.
@@ -1046,8 +1052,7 @@ mod tests {
     /// held — exercising exactly the engine/serve plumbing the real
     /// `faust-store` backend relies on (which lives downstream and
     /// cannot be imported here). Its state is shared, so a new engine can
-    /// wrap it; a COMMIT whose arity lacks its sender is ignored; and
-    /// with `stray` set, the next SUBMIT's reply also goes to C1, which
+    /// wrap it; and with `stray` set, the next SUBMIT's reply also goes to C1, which
     /// no SUBMIT of C1's awaits.
     #[derive(Clone)]
     struct HoldingServer(Arc<std::sync::Mutex<Holding>>);
@@ -1086,9 +1091,6 @@ mod tests {
         }
 
         fn on_commit(&mut self, client: ClientId, msg: CommitMsg) -> Vec<(ClientId, ReplyMsg)> {
-            if msg.version.num_clients() <= client.index() {
-                return Vec::new();
-            }
             self.lock().inner.on_commit(client, msg)
         }
 
@@ -1492,6 +1494,91 @@ mod tests {
                 [true, false, false],
             ),
         ]);
+    }
+
+    #[test]
+    fn a_commit_of_another_arity_never_reaches_the_server() {
+        use faust_crypto::Signature;
+        use faust_types::{TimestampVec, Version};
+        let garbage = Signature::garbage();
+        // C1's entry present but the arity wrong, and an arity that lacks
+        // C1's entry.
+        let wide = Version::new(
+            TimestampVec::from_vec(vec![1, 9, 0]),
+            faust_types::DigestVec::bottoms(3),
+        );
+        let commit = |version: &Version| CommitMsg {
+            version: version.clone(),
+            commit_sig: garbage,
+            proof_sig: garbage,
+        };
+        for version in [wide, Version::initial(1)] {
+            let mut rig = Rig::new();
+            let sver = rig.server.lock().inner.export_state().sver;
+            let (rejected, submits) = (rig.engine.stats().rejected, rig.engine.stats().submits);
+            rig.deliver([(c(1), UstorMsg::Commit(commit(&version)))]);
+            // Piggybacked, it is dropped and its SUBMIT goes on alone.
+            let mut submit = rig.clients[1].begin_read(c(0)).unwrap();
+            submit.piggyback = Some(commit(&version));
+            let [(_, reply)] = rig
+                .deliver([(c(1), UstorMsg::Submit(submit))])
+                .try_into()
+                .unwrap();
+            assert_eq!(rig.engine.stats().rejected, rejected + 2);
+            assert_eq!(
+                rig.engine.stats().submits,
+                submits + 1,
+                "the SUBMIT went on"
+            );
+            assert_eq!(rig.server.lock().inner.export_state().sver, sver);
+            // C1 committed last, so its `SVER[1]` is every REPLY's
+            // `SVER[c]`: its reads still complete.
+            assert_eq!(reply.last_committer, c(1));
+            rig.take(reply);
+            rig.read();
+        }
+    }
+
+    #[test]
+    fn a_released_reply_its_cached_copy_and_the_servers_sver_share_one_version() {
+        /// One operation of `client`'s: the reply as released.
+        fn op(engine: &mut ServerEngine, client: &mut UstorClient, submit: SubmitMsg) -> ReplyMsg {
+            engine.enqueue(client.id(), UstorMsg::Submit(submit));
+            engine.process_all();
+            engine.flush_server(true);
+            let (_, reply) = one_reply(engine);
+            let (commit, _) = client.handle_reply(reply.clone()).unwrap();
+            engine.enqueue(client.id(), UstorMsg::Commit(commit.unwrap()));
+            engine.process_all();
+            reply
+        }
+        let server = HoldingServer::new(2);
+        let mut engine = ServerEngine::new(2, Box::new(server.clone()));
+        let (_, mut clients) = setup(2, false);
+        let write = clients[0].begin_write(Value::from("v")).unwrap();
+        op(&mut engine, &mut clients[0], write);
+        let read = clients[1].begin_read(c(0)).unwrap();
+        let t = read.timestamp;
+        let released = op(&mut engine, &mut clients[1], read);
+        let sver = server.lock().inner.export_state().sver;
+        let cached = engine.session(c(1)).replies().get(t).unwrap();
+        // `SVER[c]` is C0's COMMIT, `SVER[j]` the same, in full.
+        assert_eq!(
+            (released.last_committer, released.left_out.clone()),
+            (c(0), Default::default())
+        );
+        let shared = [
+            &released.commit_version.version,
+            &cached.commit_version.version,
+            &released.read.as_ref().unwrap().writer_version.version,
+            &cached.read.as_ref().unwrap().writer_version.version,
+        ];
+        for version in shared {
+            assert!(version.same_allocation(&sver[0].version));
+        }
+        // The engine's COMMIT base for C0 too.
+        let base = engine.bases.clients[0].commit.as_ref().unwrap();
+        assert!(base.commit.version.same_allocation(&sver[0].version));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use faust_crypto::sig::Signature;
 use faust_types::{
-    ClientId, CommitMsg, InvocationTuple, LeftOut, OpKind, ReadReply, ReplyMsg, SignedVersion,
-    SubmitMsg, Timestamp, Value,
+    ClientId, CommitMsg, InvocationTuple, LeftOut, OpKind, Proofs, ReadReply, ReplyMsg,
+    SignedVersion, SubmitMsg, Timestamp, Value,
 };
 
 /// Interface of a storage server, correct or Byzantine.
@@ -280,16 +280,19 @@ impl UstorServer {
             }
         });
         // Line 41 reads `P[k]` only for a client `k` with a tuple in `L`;
-        // every other slot would be bytes no client checks, so it is `None`.
-        // The walk stops once every slot is filled: a long `L` of few
-        // clients is mostly repeats.
-        let mut proofs = vec![None; self.n];
+        // every other slot would be bytes no client checks, so it stays
+        // empty. The walk stops once every slot is filled: a long `L` of
+        // few clients is mostly repeats.
+        let mut proofs = Proofs::none(self.n);
         let mut unfilled = self.n;
         for tuple in &self.pending {
-            let k = tuple.client.index();
-            if let Some(slot @ None) = proofs.get_mut(k) {
-                *slot = self.proofs[k];
-                unfilled -= usize::from(slot.is_some());
+            let k = tuple.client;
+            let Some(&proof @ Some(_)) = self.proofs.get(k.index()) else {
+                continue;
+            };
+            if proofs.get(k).is_none() {
+                proofs.set(k, proof);
+                unfilled -= 1;
                 if unfilled == 0 {
                     break;
                 }
@@ -337,6 +340,14 @@ impl Server for UstorServer {
     }
 
     fn on_commit(&mut self, client: ClientId, msg: CommitMsg) -> Vec<(ClientId, ReplyMsg)> {
+        // A version of another arity than `n` is no version of this
+        // deployment: stored as `SVER[client]`, it would make every client
+        // reject later REPLYs naming `client` as malformed, blaming an
+        // honest server. The engine drops such a COMMIT at ingress; a log
+        // written before it did replays to the same state through this.
+        if msg.version.num_clients() != self.n {
+            return Vec::new();
+        }
         // Lines 118–121: if this commit advances the schedule head, prune
         // L up to and including the committing client's tuple that the
         // committed version actually covers. For a sequential client that
@@ -574,6 +585,29 @@ mod tests {
         let rb = b.on_submit(ClientId::new(1), submit);
         assert_eq!(ra, rb);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_commit_of_another_arity_leaves_the_state_alone() {
+        let (mut s, mut cs) = setup(2);
+        let w = cs[0].begin_write(Value::from("x")).unwrap();
+        run_op(&mut s, &mut cs[0], w);
+        let before = s.export_state();
+        let garbage = Signature::garbage();
+        for n in [1, 3] {
+            let mut version = faust_types::Version::initial(n);
+            version.v_mut().set(ClientId::new(0), 5);
+            let commit = CommitMsg {
+                version,
+                commit_sig: garbage,
+                proof_sig: garbage,
+            };
+            assert!(s.on_commit(ClientId::new(0), commit).is_empty());
+            assert_eq!(s.export_state(), before);
+        }
+        // And the clients go on.
+        let r = cs[1].begin_read(ClientId::new(0)).unwrap();
+        run_op(&mut s, &mut cs[1], r);
     }
 
     #[test]

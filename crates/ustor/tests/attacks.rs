@@ -363,7 +363,7 @@ fn omitted_proof_detected() {
     let s1 = cs[1].begin_write(Value::from("x")).expect("idle");
     let mut r1 = server.on_submit(c(1), s1);
     let mut reply = r1.pop().expect("reply").1;
-    reply.proofs[0] = None;
+    reply.proofs.set(c(0), None);
     assert_eq!(cs[1].handle_reply(reply), Err(Fault::MissingProofSignature));
 }
 
@@ -377,7 +377,7 @@ fn corrupted_proof_detected() {
     let s1 = cs[1].begin_write(Value::from("x")).expect("idle");
     let mut r1 = server.on_submit(c(1), s1);
     let mut reply = r1.pop().expect("reply").1;
-    reply.proofs[0] = Some(Signature::garbage());
+    reply.proofs.set(c(0), Some(Signature::garbage()));
     assert_eq!(cs[1].handle_reply(reply), Err(Fault::BadProofSignature));
 }
 
@@ -406,7 +406,7 @@ fn own_timestamp_mismatch_detected() {
         },
         read: None,
         pending: vec![],
-        proofs: vec![None, None],
+        proofs: vec![None, None].into(),
         left_out: Default::default(),
     };
     assert_eq!(victim.handle_reply(reply), Err(Fault::OwnTimestampMismatch));
@@ -453,7 +453,7 @@ fn writer_version_ahead_detected() {
             mem_data_sig: Some(Signature::garbage()),
         }),
         pending: vec![],
-        proofs: vec![None, None],
+        proofs: vec![None, None].into(),
         left_out: Default::default(),
     };
     let err = victim.handle_reply(reply).expect_err("detects");

@@ -73,7 +73,7 @@ impl Seen {
     fn record(&mut self, reply: &ReplyMsg) {
         self.pending = reply.pending.clone();
         self.proofs.resize(reply.proofs.len(), Vec::new());
-        for (seen, proof) in self.proofs.iter_mut().zip(&reply.proofs) {
+        for (seen, proof) in self.proofs.iter_mut().zip(reply.proofs.iter()) {
             if let Some(p) = proof {
                 if seen.last() != Some(p) {
                     seen.push(*p);
@@ -139,10 +139,11 @@ impl Seen {
                 let k = stale[rng.gen_index(stale.len())];
                 let older = &self.proofs[k][..self.proofs[k].len() - 1];
                 let pick = older[rng.gen_index(older.len())];
-                if reply.proofs[k] == Some(pick) {
+                let k = ClientId::new(k as u32);
+                if reply.proofs.get(k) == Some(&pick) {
                     return false;
                 }
-                reply.proofs[k] = Some(pick);
+                reply.proofs.set(k, Some(pick));
             }
             Mutation::RollBackCommitVersion => {
                 // Old enough that every step since has left the client's
@@ -173,9 +174,10 @@ type Omitted = Vec<Option<Signature>>;
 /// with each empty slot the server omitted put back.
 fn unmask(reply: &ReplyMsg, omitted: &Omitted) -> ReplyMsg {
     let mut full = reply.clone();
-    for (slot, held) in full.proofs.iter_mut().zip(omitted) {
-        if slot.is_none() {
-            *slot = *held;
+    for (k, held) in omitted.iter().enumerate() {
+        let k = ClientId::new(k as u32);
+        if held.is_some() && full.proofs.get(k).is_none() {
+            full.proofs.set(k, *held);
         }
     }
     full
