@@ -7,16 +7,15 @@
 //!   record:  len: u32 | xxh64(payload): u64 | payload                (12 B + len)
 //!   payload: seq: u64 | body
 //!   body:    LogRecord wire encoding                     (tag 0 SUBMIT, tag 1 COMMIT)
-//!          | 3 | from: u32 | count: u32 | (k: u32 | V[k]: u64 | M[k]: Option<Digest>)^count
-//!              | commit_sig | proof_sig                  (a COMMIT as a delta)
+//!          | 3 | from: u32 | CommitDelta wire encoding     (a COMMIT as a delta)
 //! ```
 //!
 //! That is format version 3, the only one written into new files. A
-//! standalone COMMIT is stored as a *delta* (the layout of
-//! [`faust_types::VersionDelta`], which carries the wire's deltas too):
-//! the entries `k`, in increasing order, where its version differs from
-//! the last COMMIT version earlier in the same file — standalone or
-//! piggybacked on a SUBMIT. In lockstep nothing commits between a
+//! standalone COMMIT is stored as the wire's [`CommitDelta`], written and
+//! read by its own code: the entries `k`, in increasing order, where its
+//! version differs from the last COMMIT version earlier in the same file
+//! — standalone or piggybacked on a SUBMIT, and shared with that record,
+//! not copied. In lockstep nothing commits between a
 //! client's REPLY and its COMMIT, so that is one entry where the full
 //! version has `n`. The full form (tag 1) is written instead when the
 //! file holds no COMMIT yet, when either version's arity is not the
@@ -65,8 +64,7 @@ use crate::checksum::Checksum;
 use crate::codec::LogRecord;
 use crate::file::replace;
 use crate::StoreError;
-use faust_crypto::{Digest, Signature};
-use faust_types::{decode_delta, ClientId, CommitMsg, Version, VersionDelta, Wire, WireError};
+use faust_types::{ClientId, CommitDelta, Version, Wire, WireError};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -227,29 +225,9 @@ pub struct Wal {
     records: u64,
     /// The last COMMIT version in this file, which the next standalone
     /// COMMIT is stored against if the file's version has deltas.
-    base: Option<DeltaBase>,
+    base: Option<Version>,
     /// The record being appended, reused across appends.
     scratch: Vec<u8>,
-}
-
-/// The entries of the last COMMIT version in a file: what a delta is
-/// taken against. Two plain vectors, so that each COMMIT overwrites them
-/// in place — appending must not allocate a version per record.
-#[derive(Debug, Default)]
-struct DeltaBase {
-    v: Vec<u64>,
-    m: Vec<Option<Digest>>,
-}
-
-impl DeltaBase {
-    /// Makes `version` the base in `slot`, reusing the old one's buffers.
-    fn remember(slot: &mut Option<DeltaBase>, version: &Version) {
-        let base = slot.get_or_insert_with(DeltaBase::default);
-        base.v.clear();
-        base.v.extend_from_slice(version.v().as_slice());
-        base.m.clear();
-        base.m.extend_from_slice(version.m().as_slice());
-    }
 }
 
 impl Wal {
@@ -335,7 +313,7 @@ impl Wal {
             self.file.sync_data()?;
         }
         if let Some(commit) = record.commit() {
-            DeltaBase::remember(&mut self.base, &commit.version);
+            self.base = Some(commit.version.clone());
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -388,22 +366,19 @@ impl Wal {
 const COMMIT_DELTA_TAG: u8 = 3;
 
 /// Encodes `record` into `out`: a standalone COMMIT as a
-/// [`VersionDelta`] against `base` when both versions have the file's
+/// [`CommitDelta`] against `base` when both versions have the file's
 /// arity `n` and the delta is smaller, everything else in full.
-fn encode_body(record: &LogRecord, base: Option<&DeltaBase>, n: usize, out: &mut Vec<u8>) {
+fn encode_body(record: &LogRecord, base: Option<&Version>, n: usize, out: &mut Vec<u8>) {
     let (LogRecord::Commit { from, msg }, Some(base)) = (record, base) else {
         return record.encode_into(out);
     };
-    let (t, d) = (msg.version.v().as_slice(), msg.version.m().as_slice());
-    let delta = VersionDelta::against(t, d, &base.v, &base.m);
-    let Some(delta) = delta.filter(|delta| t.len() == n && delta.is_smaller()) else {
+    let delta = CommitDelta::against(base, msg).filter(|_| msg.version.num_clients() == n);
+    let Some(delta) = delta else {
         return record.encode_into(out);
     };
     out.push(COMMIT_DELTA_TAG);
     from.encode_into(out);
-    delta.encode_into(0, out);
-    msg.commit_sig.encode_into(out);
-    msg.proof_sig.encode_into(out);
+    delta.encode_into(out);
 }
 
 /// Walks records in order from any reader — a log file, buffered, or
@@ -420,7 +395,7 @@ fn encode_body(record: &LogRecord, base: Option<&DeltaBase>, n: usize, out: &mut
 pub struct RecordReader<R = BufReader<File>> {
     input: R,
     header: WalHeader,
-    base: Option<DeltaBase>,
+    base: Option<Version>,
     /// The record last read: length prefix, checksum and payload, as
     /// they are in the file.
     frame: Vec<u8>,
@@ -553,7 +528,7 @@ impl<R: Read> RecordReader<R> {
             return Err(corrupt(WireError::TrailingBytes(input.len())));
         }
         if let Some(commit) = record.commit() {
-            DeltaBase::remember(&mut self.base, &commit.version);
+            self.base = Some(commit.version.clone());
         }
         let span = self.pos..self.pos + self.frame.len();
         self.pos = span.end;
@@ -584,7 +559,7 @@ impl<R: Read> RecordReader<R> {
     /// stands for. A delta with no base in the file, against a base
     /// whose arity is not the header's `n`, with more entries than that,
     /// or whose indices are out of range or not strictly increasing is
-    /// malformed ([`decode_delta`]).
+    /// malformed ([`CommitDelta::decode_rest`]).
     fn resolve_delta(&self, input: &mut &[u8]) -> Result<LogRecord, WireError> {
         let from = ClientId::decode_from(input)?;
         let count = u32::decode_from(input)?;
@@ -592,18 +567,12 @@ impl<R: Read> RecordReader<R> {
             .base
             .as_ref()
             .ok_or(WireError::BadTag(COMMIT_DELTA_TAG))?;
-        if base.v.len() != self.header.n {
-            return Err(WireError::BadLength(base.v.len() as u64));
+        let n = base.num_clients();
+        if n != self.header.n {
+            return Err(WireError::BadLength(n as u64));
         }
-        let version = decode_delta(input, count as usize, &base.v, &base.m)?;
-        Ok(LogRecord::Commit {
-            from,
-            msg: CommitMsg {
-                version,
-                commit_sig: Signature::decode_from(input)?,
-                proof_sig: Signature::decode_from(input)?,
-            },
-        })
+        let msg = CommitDelta::decode_rest(count, n, input)?.resolve(base)?;
+        Ok(LogRecord::Commit { from, msg })
     }
 }
 
@@ -728,7 +697,8 @@ mod tests {
     use super::*;
     use crate::testutil::scratch_dir;
     use faust_crypto::sig::KeySet;
-    use faust_types::{DigestVec, SubmitMsg, TimestampVec, Value};
+    use faust_crypto::{Digest, Signature};
+    use faust_types::{CommitMsg, DigestVec, SubmitMsg, TimestampVec, Value};
     use faust_ustor::UstorClient;
 
     fn submit(i: u32, round: u64) -> SubmitMsg {
@@ -1007,6 +977,20 @@ mod tests {
         // bytes and two 33-byte signatures.
         assert_eq!(contents[2].span.len(), 12 + 8 + 1 + 4 + 4 + 45 + 66);
         assert_eq!(contents[4].span.len(), 12 + 8 + 1 + 4 + 4 + 66);
+        // Each delta body is the tag, the committer, then the wire's
+        // COMMIT delta against the COMMIT before it, byte for byte.
+        let file = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        for (at, before) in [(2, 0), (4, 3), (8, 7)] {
+            let LogRecord::Commit { from, msg } = &records[at] else {
+                panic!("record {at} is a COMMIT");
+            };
+            let base = &records[before].commit().unwrap().version;
+            let mut body = vec![COMMIT_DELTA_TAG];
+            from.encode_into(&mut body);
+            body.extend(CommitDelta::against(base, msg).unwrap().encode());
+            let span = &contents[at].span;
+            assert_eq!(file[span.start + 12 + 8..span.end], body, "record {at}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1028,8 +1012,14 @@ mod tests {
             Signature::garbage().encode_into(&mut body);
             body
         };
-        let cases: [(&str, Option<LogRecord>, Vec<u8>, WireError); 5] = [
+        let cases: [(&str, Option<LogRecord>, Vec<u8>, WireError); 6] = [
             ("no base", None, delta(&[(0, 1)]), WireError::BadTag(3)),
+            (
+                "more entries than the arity",
+                Some(commit(0, &[1, 0], &[digest(1), None])),
+                delta(&[(0, 2), (1, 2), (2, 2)]),
+                WireError::BadLength(3),
+            ),
             (
                 "index past the arity",
                 Some(commit(0, &[1, 0], &[digest(1), None])),

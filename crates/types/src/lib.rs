@@ -43,7 +43,7 @@ pub use op::{InvocationTuple, OpKind};
 pub use value::Value;
 pub use version::{DigestVec, SignedVersion, TimestampVec, Version, VersionCmp};
 pub use wire::{
-    decode_delta, decode_version_against, encode_version_against, AgainstOwn, CommitDelta,
-    CommitMsg, LeftOut, Proofs, ReadReply, ReplyMsg, Sink, SubmitMsg, UstorMsg, VersionDelta,
-    VersionEntry, Wire, WireError,
+    decode_version_against, encode_version_against, AgainstOwn, CommitDelta, CommitMsg, Delta,
+    LeftOut, Proofs, ReadReply, ReplyMsg, Sink, SubmitMsg, UstorMsg, VersionDelta, VersionEntry,
+    Wire, WireError,
 };

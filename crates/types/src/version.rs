@@ -33,18 +33,8 @@ use std::sync::Arc;
 /// assert_eq!(v.get(ClientId::new(1)), 1);
 /// assert_eq!(v.get(ClientId::new(0)), 0);
 /// ```
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct TimestampVec(Vec<Timestamp>);
-
-/// `clone_from` reuses the buffer, as for every vector type here.
-impl Clone for TimestampVec {
-    fn clone(&self) -> Self {
-        TimestampVec(self.0.clone())
-    }
-    fn clone_from(&mut self, source: &Self) {
-        self.0.clone_from(&source.0);
-    }
-}
 
 impl TimestampVec {
     /// The all-zero vector `0^n` (the initial version's timestamps).
@@ -146,17 +136,8 @@ impl fmt::Display for TimestampVec {
 
 /// A vector of `n` optional digests; entry `k` is the digest of the view
 /// history up to the last operation of client `C_k`, or `⊥` (`None`).
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct DigestVec(Vec<Option<Digest>>);
-
-impl Clone for DigestVec {
-    fn clone(&self) -> Self {
-        DigestVec(self.0.clone())
-    }
-    fn clone_from(&mut self, source: &Self) {
-        self.0.clone_from(&source.0);
-    }
-}
 
 impl DigestVec {
     /// The all-`⊥` vector `⊥^n` (the initial version's digests).

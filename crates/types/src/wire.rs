@@ -19,10 +19,11 @@
 //!   server resolves it against the REPLY it cached; nothing past its
 //!   engine sees one.
 //!
-//! The version deltas — and the store's COMMIT records — share one
-//! layout, [`VersionDelta`], sized and written there and read by
-//! [`decode_delta`]. Each delta form is chosen by size alone, so a
-//! message decodes to exactly what was encoded. The encoding is
+//! The version deltas — and the store's COMMIT records and a snapshot's
+//! `SVER` chain — share one layout, [`Delta`], picked and written by
+//! [`VersionDelta`], held as a [`Delta`] until its base is at hand and
+//! read over that base by [`Delta::resolve`]. Each delta form is chosen
+//! by size alone, so a message decodes to exactly what was encoded. The encoding is
 //! hand-rolled (length-prefixed, big-endian) so message sizes are exact
 //! and reproducible; experiment E6 (the paper's `O(n)` bits-per-request
 //! claim) measures [`Wire::encoded_len`] of these messages as a function
@@ -503,9 +504,9 @@ fn decode_version(len: u32, input: &mut &[u8]) -> Result<Version, WireError> {
 }
 
 /// Set in the count word of a REPLY's `SVER[c]` or a read REPLY's
-/// `SVER[j]` sent as a [`VersionDelta`], and in the count of a REPLY's
-/// `L` that keeps a tail of the previous one (see [`ReplyMsg`]). A full
-/// version's first length prefix and a full list's count are at most
+/// `SVER[j]` sent as a [`Delta`], and in the count of a REPLY's `L` that
+/// keeps a tail of the previous one (see [`ReplyMsg`]). A full version's
+/// first length prefix and a full list's count are at most
 /// [`MAX_LEN`] = 2²⁴, so the full form never has it.
 const DELTA_MARK: u32 = 1 << 31;
 
@@ -514,7 +515,7 @@ const DELTA_MARK: u32 = 1 << 31;
 /// first length prefix of a full version either.
 const SAME_MARK: u32 = 1 << 30;
 
-/// One entry `(k, V[k], M[k])` of a version, as a delta carries it.
+/// One entry `(k, V[k], M[k])` of a version, as a [`Delta`] carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VersionEntry {
     /// The entry's index `k`.
@@ -540,22 +541,102 @@ fn encode_entry<S: Sink>(k: usize, timestamp: Timestamp, digest: &Option<Digest>
 ///   count: u32 | (k: u32 | V[k]: u64 | M[k]: Option<Digest>)^count
 /// ```
 ///
-/// at strictly increasing `k` below the base's arity `n`. A read REPLY's
-/// `SVER[j]` (against `SVER[c]`, its count marked), a [`CommitDelta`]
-/// (against the `commit_version` of the REPLY it answers) and the
-/// store's COMMIT records (against the last COMMIT before them in the
-/// file) all travel this way: they size and write it through this type
-/// and read it back through [`decode_delta`]. Both take the versions as
-/// slices, so a base kept in plain vectors serves as well as a
-/// [`Version`].
+/// at strictly increasing `k` below the base's arity `n`. A REPLY's
+/// `SVER[c]` (against a COMMIT of the recipient's) and a read's `SVER[j]`
+/// (against `SVER[c]`), both with their count marked, a [`CommitDelta`]
+/// (against the `commit_version` of the REPLY it answers), the store's
+/// COMMIT records (against the last COMMIT before them in the file) and
+/// a snapshot's `SVER` chain all travel this way. [`VersionDelta`] picks
+/// the entries and writes them; this is the one form that holds them,
+/// as read or as written to be sent, until the base is at hand.
 ///
-/// Each form costs `V[k] | M[k]` per entry it carries; the full form
-/// adds two length prefixes, the delta a count and an index per entry.
-/// Every sender picks the delta only when [`VersionDelta::is_smaller`].
+/// A decoded delta has a count of at most 2²⁴ — and at most `n` where
+/// the reader knows the base — for which nothing was reserved, and
+/// indices that strictly increase; [`Delta::resolve`] checks the rest
+/// against the base.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Delta {
+    count: u32,
+    /// The entries as encoded.
+    entries: Vec<u8>,
+}
+
+impl Delta {
+    /// The delta of `entries`, given in strictly increasing `k`, whatever
+    /// its size. Senders use [`VersionDelta`], which picks the entries
+    /// and a form.
+    pub fn from_entries(entries: &[VersionEntry]) -> Self {
+        let mut bytes = Vec::new();
+        for e in entries {
+            encode_entry(e.client.index(), e.timestamp, &e.digest, &mut bytes);
+        }
+        Delta {
+            count: entries.len() as u32,
+            entries: bytes,
+        }
+    }
+
+    /// Reads the entries after a count word already read, against a base
+    /// of arity `n` (`usize::MAX` where the reader does not know it). A
+    /// count above 2²⁴ or `n` is [`WireError::BadLength`] before anything
+    /// else is read, and the entries are copied out only once all their
+    /// bytes were.
+    fn decode(count: u32, n: usize, input: &mut &[u8]) -> Result<Self, WireError> {
+        if u64::from(count) > MAX_LEN || count as usize > n {
+            return Err(WireError::BadLength(count.into()));
+        }
+        let start = *input;
+        decode_entries(input, count, n, |_, _, _| {})?;
+        Ok(Delta {
+            count,
+            entries: start[..start.len() - input.len()].to_vec(),
+        })
+    }
+
+    /// Writes `mark | count`, then the entries.
+    fn encode_into<S: Sink>(&self, mark: u32, out: &mut S) {
+        (mark | self.count).encode_into(out);
+        out.extend_from_slice(&self.entries);
+    }
+
+    /// Entry `k`, if this delta carries it.
+    pub fn get(&self, k: ClientId) -> Option<VersionEntry> {
+        let (mut found, entries) = (None, &mut &self.entries[..]);
+        decode_entries(entries, self.count, usize::MAX, |at, timestamp, digest| {
+            if at == k.index() {
+                found = Some((timestamp, digest));
+            }
+        })
+        .ok()?;
+        let (timestamp, digest) = found?;
+        Some(VersionEntry {
+            client: k,
+            timestamp,
+            digest,
+        })
+    }
+
+    /// The version this delta stands for over `base`: `base` with the
+    /// entries written over a copy.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadLength`] of the count if it exceeds `base`'s arity
+    /// `n`, or of the first index `≥ n`.
+    pub fn resolve(&self, base: &Version) -> Result<Version, WireError> {
+        resolve_entries(&mut &self.entries[..], self.count, base)
+    }
+}
+
+/// A [`Delta`] being sent, read off the version it stands for: which
+/// entries it carries and the size of both forms, for the sender to pick
+/// one. Each form costs `V[k] | M[k]` per entry it carries; the full
+/// form adds two length prefixes, the delta a count and an index per
+/// entry. Every sender picks the delta only when
+/// [`VersionDelta::is_smaller`].
 #[derive(Debug, Clone, Copy)]
 pub struct VersionDelta<'a> {
-    t: &'a [Timestamp],
-    d: &'a [Option<Digest>],
+    version: &'a Version,
     picks: Picks<'a>,
     count: u32,
     /// Encoded size of the delta, its count included.
@@ -573,21 +654,20 @@ enum Picks<'a> {
     /// if some entry differs in `M[k]` alone, which no correct server's
     /// versions do — where either does.
     Differing {
-        t: &'a [Timestamp],
-        d: &'a [Option<Digest>],
+        base: &'a Version,
         digest_only: bool,
     },
 }
 
 impl<'a> VersionDelta<'a> {
     /// The entries `indices` — strictly increasing, each below the
-    /// arity — of the version `(t, d)`. A sender that knows which
-    /// entries moved needs no base.
-    pub fn listed(t: &'a [Timestamp], d: &'a [Option<Digest>], indices: &'a [usize]) -> Self {
+    /// arity — of `version`. A sender that knows which entries moved
+    /// needs no base.
+    pub fn listed(version: &'a Version, indices: &'a [usize]) -> Self {
+        let d = version.m().as_slice();
         let entry_len = |k: usize| 8 + d[k].encoded_len();
         VersionDelta {
-            t,
-            d,
+            version,
             picks: Picks::Listed(indices),
             count: indices.len() as u32,
             len: indices.iter().fold(4, |len, &k| len + 4 + entry_len(k)),
@@ -595,20 +675,17 @@ impl<'a> VersionDelta<'a> {
         }
     }
 
-    /// Every entry where the version `(t, d)` differs from the base
-    /// `(t_base, d_base)`; `None` when their arities differ.
+    /// Every entry where `version` differs from `base`; `None` when their
+    /// arities differ.
     ///
     /// A REPLY is encoded twice per send (sized, then written), each time
     /// against a base that may be cold, so this walks the entries once to
     /// size both forms — comparing a digest only where the timestamps
     /// agree — and [`VersionDelta::encode_into`] once more to write the
     /// delta, by timestamps alone unless a digest moved on its own.
-    pub fn against(
-        t: &'a [Timestamp],
-        d: &'a [Option<Digest>],
-        t_base: &'a [Timestamp],
-        d_base: &'a [Option<Digest>],
-    ) -> Option<Self> {
+    pub fn against(version: &'a Version, base: &'a Version) -> Option<Self> {
+        let (t, d) = (version.v().as_slice(), version.m().as_slice());
+        let (t_base, d_base) = (base.v().as_slice(), base.m().as_slice());
         if t.len() != t_base.len() {
             return None;
         }
@@ -623,13 +700,8 @@ impl<'a> VersionDelta<'a> {
             }
         }
         Some(VersionDelta {
-            t,
-            d,
-            picks: Picks::Differing {
-                t: t_base,
-                d: d_base,
-                digest_only,
-            },
+            version,
+            picks: Picks::Differing { base, digest_only },
             count,
             len,
             full,
@@ -649,24 +721,31 @@ impl<'a> VersionDelta<'a> {
 
     /// Writes the entries alone.
     fn encode_entries<S: Sink>(&self, out: &mut S) {
-        let (t, d) = (self.t, self.d);
+        let (t, d) = (self.version.v().as_slice(), self.version.m().as_slice());
         match self.picks {
             Picks::Listed(indices) => {
                 for &k in indices {
                     encode_entry(k, t[k], &d[k], out);
                 }
             }
-            Picks::Differing {
-                t: t_base,
-                d: d_base,
-                digest_only,
-            } => {
+            Picks::Differing { base, digest_only } => {
+                let (t_base, d_base) = (base.v().as_slice(), base.m().as_slice());
                 for k in 0..t.len() {
                     if t[k] != t_base[k] || digest_only && d[k] != d_base[k] {
                         encode_entry(k, t[k], &d[k], out);
                     }
                 }
             }
+        }
+    }
+
+    /// The entries, written once into a [`Delta`].
+    fn to_delta(self) -> Delta {
+        let mut entries = Vec::with_capacity(self.len - 4);
+        self.encode_entries(&mut entries);
+        Delta {
+            count: self.count,
+            entries,
         }
     }
 }
@@ -680,7 +759,7 @@ impl<'a> VersionDelta<'a> {
 /// pass costs").
 fn decode_entries(
     input: &mut &[u8],
-    count: usize,
+    count: u32,
     n: usize,
     mut apply: impl FnMut(usize, Timestamp, Option<Digest>),
 ) -> Result<(), WireError> {
@@ -698,26 +777,21 @@ fn decode_entries(
     Ok(())
 }
 
-/// The version that a [`VersionDelta`] of `count` entries, read from
-/// `input` after its count word, stands for: the base `(t_base, d_base)`
-/// with the entries written over a copy.
+/// `base` with the `count` entries read from `input` written over a
+/// copy: the one resolver, behind [`Delta::resolve`] and
+/// [`decode_version_against`].
 ///
 /// # Errors
 ///
 /// A delta may carry at most `n` entries, `n` the base's arity, at
 /// strictly increasing indices below `n`; anything else is
 /// [`WireError::BadLength`] of the offending count or index.
-pub fn decode_delta(
-    input: &mut &[u8],
-    count: usize,
-    t_base: &[Timestamp],
-    d_base: &[Option<Digest>],
-) -> Result<Version, WireError> {
-    let n = t_base.len();
-    if count > n {
-        return Err(WireError::BadLength(count as u64));
+fn resolve_entries(input: &mut &[u8], count: u32, base: &Version) -> Result<Version, WireError> {
+    let n = base.num_clients();
+    if count as usize > n {
+        return Err(WireError::BadLength(count.into()));
     }
-    let (mut t, mut d) = (t_base.to_vec(), d_base.to_vec());
+    let (mut t, mut d) = (base.v().as_slice().to_vec(), base.m().as_slice().to_vec());
     decode_entries(input, count, n, |k, timestamp, digest| {
         t[k] = timestamp;
         d[k] = digest;
@@ -728,15 +802,13 @@ pub fn decode_delta(
     ))
 }
 
-/// `version` against `base`: a [`VersionDelta`] with its count marked by
-/// bit 31 when that is smaller, else in full (whose first length prefix
-/// never has bit 31). [`decode_version_against`] reads either. A read
-/// REPLY's `SVER[j]` and each `SVER` entry of a snapshot after its first
-/// travel this way.
+/// `version` against `base`: a [`Delta`] with its count marked by bit 31
+/// when that is smaller, else in full (whose first length prefix never
+/// has bit 31). [`decode_version_against`] reads either. A read REPLY's
+/// `SVER[j]` and each `SVER` entry of a snapshot after its first travel
+/// this way.
 pub fn encode_version_against<S: Sink>(version: &Version, base: &Version, out: &mut S) {
-    let (t, d) = (version.v().as_slice(), version.m().as_slice());
-    let delta = VersionDelta::against(t, d, base.v().as_slice(), base.m().as_slice());
-    match delta.filter(VersionDelta::is_smaller) {
+    match VersionDelta::against(version, base).filter(VersionDelta::is_smaller) {
         Some(delta) => delta.encode_into(DELTA_MARK, out),
         None => version.encode_into(out),
     }
@@ -746,74 +818,14 @@ pub fn encode_version_against<S: Sink>(version: &Version, base: &Version, out: &
 ///
 /// # Errors
 ///
-/// As [`Version`]'s decoder for the full form, as [`decode_delta`] for a
-/// delta.
+/// As [`Version`]'s decoder for the full form, as [`Delta::resolve`] for
+/// a delta, whose count and indices are checked as they are read.
 pub fn decode_version_against(input: &mut &[u8], base: &Version) -> Result<Version, WireError> {
     let word = u32::decode_from(input)?;
     if word & DELTA_MARK == 0 {
         return decode_version(word, input);
     }
-    let count = (word & !DELTA_MARK) as usize;
-    decode_delta(input, count, base.v().as_slice(), base.m().as_slice())
-}
-
-/// A [`VersionDelta`] as it was read before its base is known: the
-/// count and the entries' bytes, their indices checked to strictly
-/// increase. [`RawDelta::resolve`] reads it over the base.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RawDelta {
-    count: u32,
-    entries: Vec<u8>,
-}
-
-impl RawDelta {
-    /// The delta of `entries`, whatever its size.
-    fn listed(entries: &[VersionEntry]) -> Self {
-        let mut bytes = Vec::new();
-        for e in entries {
-            encode_entry(e.client.index(), e.timestamp, &e.digest, &mut bytes);
-        }
-        RawDelta {
-            count: entries.len() as u32,
-            entries: bytes,
-        }
-    }
-
-    /// The entries of `delta`, written once.
-    fn of(delta: &VersionDelta<'_>) -> Self {
-        let mut entries = Vec::with_capacity(delta.len - 4);
-        delta.encode_entries(&mut entries);
-        RawDelta {
-            count: delta.count,
-            entries,
-        }
-    }
-
-    /// Writes `DELTA_MARK | count`, then the entries.
-    fn encode_into<S: Sink>(&self, out: &mut S) {
-        (DELTA_MARK | self.count).encode_into(out);
-        out.extend_from_slice(&self.entries);
-    }
-
-    /// Reads `count` entries. A count above 2²⁴ is [`WireError::BadLength`]
-    /// before anything else is read, and nothing is reserved for it.
-    fn decode(count: u32, input: &mut &[u8]) -> Result<Self, WireError> {
-        if u64::from(count) > MAX_LEN {
-            return Err(WireError::BadLength(count.into()));
-        }
-        let start = *input;
-        decode_entries(input, count as usize, usize::MAX, |_, _, _| {})?;
-        Ok(RawDelta {
-            count,
-            entries: start[..start.len() - input.len()].to_vec(),
-        })
-    }
-
-    /// The version this delta stands for over `base` ([`decode_delta`]).
-    fn resolve(&self, base: &Version) -> Result<Version, WireError> {
-        let (t, d) = (base.v().as_slice(), base.m().as_slice());
-        decode_delta(&mut &self.entries[..], self.count as usize, t, d)
-    }
+    resolve_entries(input, word & !DELTA_MARK, base)
 }
 
 impl Wire for SignedVersion {
@@ -959,10 +971,10 @@ impl ReadReply {
 ///
 /// * `SVER[c]`'s delta and marker stand against the recipient's own
 ///   COMMIT whose own entry `V[i]` is `t` (the timestamp of the operation
-///   it commits): the delta is a [`VersionDelta`] against its version,
+///   it commits): the delta is a [`Delta`] against its version,
 ///   with the signature `SVER[c]` carries; the marker is its version and
 ///   COMMIT-signature both.
-/// * A read's `SVER[j]` goes as a [`VersionDelta`] against the full
+/// * A read's `SVER[j]` goes as a [`Delta`] against the full
 ///   `SVER[c]` when both have the same arity and that is smaller. When
 ///   `SVER[c]` was left out, that base and its arity are known only once
 ///   it is filled in, so the decoder keeps such a delta as read, checking
@@ -1031,26 +1043,21 @@ pub struct AgainstOwn {
     pub base: Timestamp,
     /// `SVER[c]`'s version as the entries where it differs from that
     /// COMMIT's; `None` for the marker.
-    delta: Option<RawDelta>,
+    delta: Option<Delta>,
     /// A read's `SVER[j]` as a delta against the full `SVER[c]`.
-    writer: Option<RawDelta>,
+    writer: Option<Delta>,
 }
 
 impl AgainstOwn {
     /// `SVER[c]` against the COMMIT at `base`: as the marker when `delta`
-    /// is `None`, else as the entries `delta`; and a read's `SVER[j]` as
-    /// the entries `writer`, if given. Entries go in strictly increasing
-    /// `k`, whatever their size: the engine uses
-    /// [`ReplyMsg::leave_out`], which picks them and a form.
-    pub fn new(
-        base: Timestamp,
-        delta: Option<&[VersionEntry]>,
-        writer: Option<&[VersionEntry]>,
-    ) -> Self {
+    /// is `None`, else as `delta`; and a read's `SVER[j]` as `writer`, if
+    /// given, whatever their sizes: the engine uses
+    /// [`ReplyMsg::leave_out`], which picks the entries and a form.
+    pub fn new(base: Timestamp, delta: Option<Delta>, writer: Option<Delta>) -> Self {
         AgainstOwn {
             base,
-            delta: delta.map(RawDelta::listed),
-            writer: writer.map(RawDelta::listed),
+            delta,
+            writer,
         }
     }
 
@@ -1073,7 +1080,7 @@ impl Wire for ReplyMsg {
                     own.base.encode_into(out);
                 }
                 Some(delta) => {
-                    delta.encode_into(out);
+                    delta.encode_into(DELTA_MARK, out);
                     own.base.encode_into(out);
                     self.commit_version.sig.encode_into(out);
                 }
@@ -1089,7 +1096,7 @@ impl Wire for ReplyMsg {
                     Some(AgainstOwn {
                         writer: Some(delta),
                         ..
-                    }) => delta.encode_into(out),
+                    }) => delta.encode_into(DELTA_MARK, out),
                     Some(_) => writer.encode_into(out),
                 }
                 read.encode_rest(self.left_out.value, out);
@@ -1116,7 +1123,7 @@ impl Wire for ReplyMsg {
             left_out.commit = Some(AgainstOwn::new(base, None, None));
             SignedVersion::initial(0)
         } else if word & DELTA_MARK != 0 {
-            let delta = Some(RawDelta::decode(word & !DELTA_MARK, input)?);
+            let delta = Some(Delta::decode(word & !DELTA_MARK, usize::MAX, input)?);
             let base = Timestamp::decode_from(input)?;
             left_out.commit = Some(AgainstOwn {
                 base,
@@ -1140,7 +1147,8 @@ impl Wire for ReplyMsg {
                     None => decode_version_against(input, &commit_version.version)?,
                     Some(own) => match u32::decode_from(input)? {
                         word if word & DELTA_MARK != 0 => {
-                            own.writer = Some(RawDelta::decode(word & !DELTA_MARK, input)?);
+                            own.writer =
+                                Some(Delta::decode(word & !DELTA_MARK, usize::MAX, input)?);
                             Version::initial(0)
                         }
                         word => decode_version(word, input)?,
@@ -1230,7 +1238,7 @@ impl ReplyMsg {
             None
         } else {
             let (version, base) = (&self.commit_version.version, &base.version);
-            let (v, m) = (version.v().as_slice(), version.m().as_slice());
+            let v = version.v().as_slice();
             // The delta form costs 12 + 4·D bytes besides the `D` entries
             // it carries, the full form 8 besides all `n`: it is smaller
             // only while 4 + 4·D is less than the `n − D` entries left
@@ -1242,9 +1250,9 @@ impl ReplyMsg {
             if 4 + 4 * moved >= 41 * (v.len() - moved) {
                 return None;
             }
-            let delta = VersionDelta::against(v, m, base.v().as_slice(), base.m().as_slice());
             // The delta form also carries `t`.
-            Some(RawDelta::of(&delta.filter(|d| d.len + 8 < d.full)?))
+            let delta = VersionDelta::against(version, base).filter(|d| d.len + 8 < d.full);
+            Some(delta?.to_delta())
         };
         let version = std::mem::replace(&mut self.commit_version.version, Version::initial(0));
         if delta.is_none() {
@@ -1252,9 +1260,8 @@ impl ReplyMsg {
         }
         let writer = self.read.as_mut().and_then(|read| {
             let writer = &mut read.writer_version.version;
-            let (v, m) = (writer.v().as_slice(), writer.m().as_slice());
-            let delta = VersionDelta::against(v, m, version.v().as_slice(), version.m().as_slice());
-            let delta = RawDelta::of(&delta.filter(VersionDelta::is_smaller)?);
+            let delta = VersionDelta::against(writer, &version).filter(VersionDelta::is_smaller);
+            let delta = delta?.to_delta();
             *writer = Version::initial(0);
             Some(delta)
         });
@@ -1277,7 +1284,7 @@ impl ReplyMsg {
     ///
     /// What could not be put back: a kept tail longer than `pending`, a
     /// name the recipient holds nothing for, or a delta with a count above
-    /// its base's arity or an index at or past it ([`decode_delta`]). The
+    /// its base's arity or an index at or past it ([`Delta::resolve`]). The
     /// REPLY is then left as it is.
     pub fn fill_in<'a>(
         &mut self,
@@ -1479,25 +1486,26 @@ impl Wire for CommitMsg {
     }
 }
 
-/// `⟨COMMIT, Δ, φ, ψ⟩` — a [`CommitMsg`] sent as a [`VersionDelta`]
-/// against the `commit_version` of the REPLY it answers, which the
-/// server still holds (its duplicate-reply cache). In lockstep that is
-/// the committer's own entry alone (Algorithm 1, lines 37–47, with `L`
+/// `⟨COMMIT, Δ, φ, ψ⟩` — a [`CommitMsg`] sent as a [`Delta`] against
+/// the `commit_version` of the REPLY it answers, which the server still
+/// holds (its duplicate-reply cache). In lockstep that is the
+/// committer's own entry alone (Algorithm 1, lines 37–47, with `L`
 /// empty): 45 bytes where the full version has `n` entries. The
 /// signatures are the full COMMIT's, over the full version.
 ///
 /// ```text
-///   count: u32 | (k: u32 | V[k]: u64 | M[k]: Option<Digest>)^count | φ | ψ
+///   Delta | φ | ψ
 /// ```
 ///
 /// The frame carries no arity, so decoding checks only that the indices
-/// strictly increase and keeps the delta as it came;
-/// [`CommitDelta::resolve`] reads it over the base with
-/// [`decode_delta`], which bounds the count and the indices.
+/// strictly increase; [`CommitDelta::resolve`] checks the count and the
+/// indices against the base. The store's COMMIT records are this
+/// message after the committer's id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitDelta {
-    /// The delta as encoded, count first.
-    delta: Vec<u8>,
+    /// The committed version, as the entries where it differs from the
+    /// base.
+    pub version: Delta,
     /// COMMIT-signature `φ` over the full version.
     pub commit_sig: Signature,
     /// PROOF-signature `ψ` over `M_i[i]`.
@@ -1505,80 +1513,56 @@ pub struct CommitDelta {
 }
 
 impl CommitDelta {
-    /// A delta of `entries`, given in strictly increasing `k`, whatever
-    /// its size. Senders use [`CommitDelta::of`] or
-    /// [`CommitDelta::against`], which pick the entries and send a delta
-    /// only where it is smaller.
-    pub fn new(entries: &[VersionEntry], commit_sig: Signature, proof_sig: Signature) -> Self {
-        let mut delta = Vec::new();
-        (entries.len() as u32).encode_into(&mut delta);
-        for e in entries {
-            encode_entry(e.client.index(), e.timestamp, &e.digest, &mut delta);
-        }
-        CommitDelta {
-            delta,
-            commit_sig,
-            proof_sig,
-        }
-    }
-
     /// `commit` as the entries `indices` (strictly increasing, each below
     /// its arity), if that is smaller than the full COMMIT. The caller
     /// knows which entries moved without holding the base: a client's
     /// fold touches only its own entry and those of the clients in `L`.
     pub fn of(commit: &CommitMsg, indices: &[usize]) -> Option<Self> {
-        let (t, d) = (commit.version.v().as_slice(), commit.version.m().as_slice());
-        Self::sent(VersionDelta::listed(t, d, indices), commit)
+        Self::sent(VersionDelta::listed(&commit.version, indices), commit)
     }
 
     /// `commit` as a delta against `base`, the `commit_version` of the
     /// REPLY it answers: every entry where the two differ. `None` when
     /// the arities differ or the delta would not be smaller.
     pub fn against(base: &Version, commit: &CommitMsg) -> Option<Self> {
-        let (t, d) = (commit.version.v().as_slice(), commit.version.m().as_slice());
-        let (t_base, d_base) = (base.v().as_slice(), base.m().as_slice());
-        Self::sent(VersionDelta::against(t, d, t_base, d_base)?, commit)
+        Self::sent(VersionDelta::against(&commit.version, base)?, commit)
     }
 
     /// `delta` with `commit`'s signatures, if it is smaller.
     fn sent(delta: VersionDelta<'_>, commit: &CommitMsg) -> Option<Self> {
-        delta.is_smaller().then(|| {
-            let mut bytes = Vec::with_capacity(delta.len);
-            delta.encode_into(0, &mut bytes);
-            CommitDelta {
-                delta: bytes,
-                commit_sig: commit.commit_sig,
-                proof_sig: commit.proof_sig,
-            }
+        delta.is_smaller().then(|| CommitDelta {
+            version: delta.to_delta(),
+            commit_sig: commit.commit_sig,
+            proof_sig: commit.proof_sig,
         })
     }
 
-    /// `V[from]` as this delta carries it: the timestamp of the operation
-    /// the COMMIT is for, and so of the REPLY it answers. `None` when
-    /// the entry is not there.
-    pub fn own_timestamp(&self, from: ClientId) -> Option<Timestamp> {
-        let (mut input, mut own) = (&self.delta[..], None);
-        let count = u32::decode_from(&mut input).ok()? as usize;
-        decode_entries(&mut input, count, usize::MAX, |k, timestamp, _| {
-            if k == from.index() {
-                own = Some(timestamp);
-            }
+    /// Reads the rest of a COMMIT delta whose count word `count` was
+    /// already read, against a base of arity `n` (`usize::MAX` where the
+    /// reader does not know it): a count above `n` or an index at or past
+    /// it fails as it is read, before the bytes after it.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadLength`] of a count above 2²⁴ or `n`, or of the
+    /// first index that does not strictly increase or is `≥ n`;
+    /// [`WireError::Truncated`].
+    pub fn decode_rest(count: u32, n: usize, input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(CommitDelta {
+            version: Delta::decode(count, n, input)?,
+            commit_sig: Signature::decode_from(input)?,
+            proof_sig: Signature::decode_from(input)?,
         })
-        .ok()?;
-        own
     }
 
     /// The full COMMIT: `base` with this delta's entries written over it.
     ///
     /// # Errors
     ///
-    /// [`WireError::BadLength`] of the count if it exceeds `base`'s
-    /// arity `n`, or of the first index `≥ n` ([`decode_delta`]).
+    /// As [`Delta::resolve`].
     pub fn resolve(&self, base: &Version) -> Result<CommitMsg, WireError> {
-        let mut input = &self.delta[..];
-        let count = u32::decode_from(&mut input)? as usize;
         Ok(CommitMsg {
-            version: decode_delta(&mut input, count, base.v().as_slice(), base.m().as_slice())?,
+            version: self.version.resolve(base)?,
             commit_sig: self.commit_sig,
             proof_sig: self.proof_sig,
         })
@@ -1587,23 +1571,13 @@ impl CommitDelta {
 
 impl Wire for CommitDelta {
     fn encode_into<S: Sink>(&self, out: &mut S) {
-        out.extend_from_slice(&self.delta);
+        self.version.encode_into(0, out);
         self.commit_sig.encode_into(out);
         self.proof_sig.encode_into(out);
     }
-    /// A count of at most 2²⁴, then entries whose indices strictly
-    /// increase, else [`WireError::BadLength`] of the first that does
-    /// not; the delta is copied out only once all its bytes were read.
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
-        let start = *input;
-        let (count, _) = decode_len(input)?;
-        decode_entries(input, count, usize::MAX, |_, _, _| {})?;
-        let delta = start[..start.len() - input.len()].to_vec();
-        Ok(CommitDelta {
-            delta,
-            commit_sig: Signature::decode_from(input)?,
-            proof_sig: Signature::decode_from(input)?,
-        })
+        let count = u32::decode_from(input)?;
+        Self::decode_rest(count, usize::MAX, input)
     }
 }
 
@@ -2239,7 +2213,11 @@ mod tests {
                 digest: None,
             })
             .collect();
-        CommitDelta::new(&entries, sig(1), sig(2))
+        CommitDelta {
+            version: Delta::from_entries(&entries),
+            commit_sig: sig(1),
+            proof_sig: sig(2),
+        }
     }
 
     #[test]
@@ -2263,8 +2241,9 @@ mod tests {
         let resolved = fine.resolve(&base).unwrap();
         assert_eq!(resolved.version.v().as_slice(), [1, 5, 3]);
         assert_eq!(resolved.version.m().get(ClientId::new(1)), None);
-        assert_eq!(fine.own_timestamp(ClientId::new(1)), Some(5));
-        assert_eq!(fine.own_timestamp(ClientId::new(0)), None);
+        let own = fine.version.get(ClientId::new(1)).map(|e| e.timestamp);
+        assert_eq!(own, Some(5));
+        assert_eq!(fine.version.get(ClientId::new(0)), None);
     }
 
     #[test]

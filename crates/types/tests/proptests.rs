@@ -11,9 +11,9 @@ use faust_sim::SmallRng;
 use faust_types::frame::{frame_bytes, FrameDecoder};
 use faust_types::testutil::mutations;
 use faust_types::{
-    AgainstOwn, ClientId, CommitDelta, CommitMsg, DigestVec, History, InvocationTuple, LeftOut,
-    OpKind, ReadReply, ReplyMsg, SignedVersion, SubmitMsg, Timestamp, TimestampVec, UstorMsg,
-    Value, Version, VersionCmp, VersionEntry, Wire, WireError,
+    AgainstOwn, ClientId, CommitDelta, CommitMsg, Delta, DigestVec, History, InvocationTuple,
+    LeftOut, OpKind, ReadReply, ReplyMsg, SignedVersion, SubmitMsg, Timestamp, TimestampVec,
+    UstorMsg, Value, Version, VersionCmp, VersionEntry, Wire, WireError,
 };
 
 const N: usize = 4;
@@ -218,7 +218,11 @@ fn delta_of(commit: &CommitMsg, changed: &[usize]) -> CommitDelta {
             digest: commit.version.m().as_slice()[k],
         })
         .collect();
-    CommitDelta::new(&entries, commit.commit_sig, commit.proof_sig)
+    CommitDelta {
+        version: Delta::from_entries(&entries),
+        commit_sig: commit.commit_sig,
+        proof_sig: commit.proof_sig,
+    }
 }
 
 fn arb_msg(rng: &mut SmallRng) -> UstorMsg {
@@ -846,8 +850,10 @@ mod reference {
             proofs: vec(input, |input| option(input, signature))?.into(),
             left_out: LeftOut {
                 kept,
-                commit: own
-                    .map(|(t, delta)| AgainstOwn::new(t, delta.as_deref(), writer.as_deref())),
+                commit: own.map(|(t, delta)| {
+                    let delta = delta.as_deref().map(Delta::from_entries);
+                    AgainstOwn::new(t, delta, writer.as_deref().map(Delta::from_entries))
+                }),
                 value: name,
             },
         })
@@ -881,11 +887,11 @@ mod reference {
     fn commit_delta_body(input: &mut &[u8]) -> Decoded<CommitDelta> {
         let count = length(input)?;
         let entries = entries(input, count)?;
-        Ok(CommitDelta::new(
-            &entries,
-            signature(input)?,
-            signature(input)?,
-        ))
+        Ok(CommitDelta {
+            version: Delta::from_entries(&entries),
+            commit_sig: signature(input)?,
+            proof_sig: signature(input)?,
+        })
     }
 
     fn msg_body(input: &mut &[u8]) -> Decoded<UstorMsg> {
@@ -1630,17 +1636,18 @@ fn an_own_commit_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
         timestamp: t,
         digest: None,
     };
+    let delta = |entries: &[VersionEntry]| Some(Delta::from_entries(entries));
     let hostile = [
         // Five entries against an arity of four.
         AgainstOwn::new(
             7,
-            Some(&[at(0, 1), at(1, 1), at(2, 1), at(3, 1), at(9, 1)]),
+            delta(&[at(0, 1), at(1, 1), at(2, 1), at(3, 1), at(9, 1)]),
             None,
         ),
         // An index at the arity.
-        AgainstOwn::new(7, Some(&[at(4, 1)]), None),
+        AgainstOwn::new(7, delta(&[at(4, 1)]), None),
         // `SVER[j]`'s index past the arity of the rebuilt `SVER[c]`.
-        AgainstOwn::new(7, Some(&[at(1, 1)]), Some(&[at(64, 1)])),
+        AgainstOwn::new(7, delta(&[at(1, 1)]), delta(&[at(64, 1)])),
     ];
     for own in hostile {
         let sent = ReplyMsg {

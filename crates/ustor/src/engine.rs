@@ -699,16 +699,16 @@ impl ServerEngine {
             // rejected otherwise.
             UstorMsg::CommitDelta(delta) => {
                 let session = self.sessions.get(from.index());
-                let (Some(session), Some(t)) = (session, delta.own_timestamp(from)) else {
+                let (Some(session), Some(own)) = (session, delta.version.get(from)) else {
                     self.bases.reset(from, Reset::CommitDropped);
                     return self.reject(from);
                 };
-                match session.replies.get(t) {
+                match session.replies.get(own.timestamp) {
                     Some(reply) => match delta.resolve(&reply.commit_version.version) {
                         Ok(commit) => return self.process_commit(from, commit),
                         Err(_) => self.reject(from),
                     },
-                    None if t <= session.replies.last_acknowledged() => {
+                    None if own.timestamp <= session.replies.last_acknowledged() => {
                         self.sessions[from.index()].duplicates += 1;
                         self.stats.duplicates += 1;
                     }
@@ -1343,17 +1343,19 @@ mod tests {
 
     /// A COMMIT delta from C1 for its operation at `t`.
     fn commit_delta(t: Timestamp) -> [(ClientId, UstorMsg); 1] {
-        use faust_types::{CommitDelta, VersionEntry};
+        use faust_types::{CommitDelta, Delta, VersionEntry};
         let (client, digest, garbage) = (c(1), None, faust_crypto::Signature::garbage());
         let entry = VersionEntry {
             client,
             timestamp: t,
             digest,
         };
-        [(
-            c(1),
-            UstorMsg::CommitDelta(CommitDelta::new(&[entry], garbage, garbage)),
-        )]
+        let delta = CommitDelta {
+            version: Delta::from_entries(&[entry]),
+            commit_sig: garbage,
+            proof_sig: garbage,
+        };
+        [(c(1), UstorMsg::CommitDelta(delta))]
     }
 
     #[test]
@@ -1847,7 +1849,10 @@ mod tests {
                 timestamp: 7,
                 digest: None,
             };
-            faust_types::CommitDelta::new(&[entry], sent.commit_sig, sent.proof_sig)
+            faust_types::CommitDelta {
+                version: faust_types::Delta::from_entries(&[entry]),
+                ..sent.clone()
+            }
         };
         for delta in [delta(0), delta(1)] {
             engine.enqueue(ClientId::new(0), UstorMsg::CommitDelta(delta));

@@ -9,7 +9,9 @@
 //! out) must be the same, and so must the WAL, the snapshot and the
 //! exported `FAUSTHIS` of a persistent server. That is checked here over
 //! seeded scripts against the honest server, a persistent one and every
-//! [`Tamper`] server, lockstep and pipelined.
+//! [`Tamper`] server, lockstep and pipelined — and that each delta a
+//! session ships is [`CommitDelta::against`] the REPLY the engine cached
+//! for it, the sender experiment E6 sizes.
 //!
 //! The second test is the connection rule: a delta is for the connection
 //! its REPLY came in on, and a replay on a new one carries the full
@@ -23,7 +25,7 @@ use faust::sim::SmallRng;
 use faust::store::testutil::scratch_dir;
 use faust::store::{Durability, PersistentBackend, PersistentServer, StoreConfig};
 use faust::types::frame::frame_bytes;
-use faust::types::{ClientId, CommitMsg, ReplyMsg, UstorMsg, Value};
+use faust::types::{ClientId, CommitDelta, CommitMsg, ReplyMsg, UstorMsg, Value};
 use faust::ustor::adversary::{Tamper, TamperServer};
 use faust::ustor::{EngineStats, Server, ServerEngine, UstorServer};
 use std::collections::VecDeque;
@@ -206,6 +208,19 @@ fn run(spec: Spec, seed: u64, pipeline: usize, expand: bool) -> (Outcome, Upstre
                         UstorMsg::Commit(commit) => Some(commit),
                         _ => None,
                     });
+                // The session's delta, picked from the entries its fold
+                // touched, is the one a sender holding the base would
+                // pick: every entry where the COMMIT differs from the
+                // `commit_version` of the REPLY the engine cached for it.
+                for msg in &out.to_server {
+                    if let UstorMsg::CommitDelta(delta) = msg {
+                        let full = full.as_ref().expect("a delta answers a REPLY");
+                        let t = delta.version.get(c(i)).expect("own entry").timestamp;
+                        let cached = engine.session(c(i)).replies().get(t).expect("cached");
+                        let base = &cached.commit_version.version;
+                        assert_eq!(Some(delta), CommitDelta::against(base, full).as_ref());
+                    }
+                }
                 send(i, out.to_server, full, &mut up);
             }
         }
