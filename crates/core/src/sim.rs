@@ -1148,8 +1148,10 @@ impl FaustDriver {
     ///    step 3 exactly-once);
     /// 2. the victim's link epoch is bumped, so every frame still in
     ///    flight — in either direction — dies on arrival, and the engine
-    ///    learns of the new connection, as `serve` does from the
-    ///    reactor's HELLO;
+    ///    learns that the old connection ended (`ServerEngine::connected`).
+    ///    `faust serve` never takes this path: its reactor refuses a
+    ///    second HELLO for a live id, and `serve` resets bases only when
+    ///    the transport closes;
     /// 3. the client replays its resend window of unacknowledged
     ///    SUBMITs on the new connection, exactly as
     ///    [`crate::FaustHandle`]'s auto-reconnect does.

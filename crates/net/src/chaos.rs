@@ -121,10 +121,6 @@ impl<T: ServerTransport> ServerTransport for KillableTransport<T> {
             self.inner.send_batch(to, msgs);
         }
     }
-
-    fn take_connected(&mut self) -> Option<ClientId> {
-        self.inner.take_connected()
-    }
 }
 
 #[cfg(test)]

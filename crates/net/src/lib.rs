@@ -96,7 +96,8 @@ pub enum Incoming {
     /// with no traffic. The caller should run its due work (a durability
     /// flush) and come back; the transport is still open.
     TimedOut,
-    /// The transport is finished: every client connection has ended.
+    /// The transport is finished: every client connection has ended, and
+    /// no connection it carried comes back.
     Closed,
 }
 
@@ -146,18 +147,5 @@ pub trait ServerTransport {
         for msg in msgs {
             self.send(to, msg);
         }
-    }
-
-    /// A client whose new connection the transport registered since the
-    /// last call, if any; each registration is reported once. From then
-    /// on sends to that client go out on the new connection, so a serve
-    /// loop drains this before it releases anything and tells the engine
-    /// that the client holds nothing sent on an earlier one
-    /// (`ServerEngine::connected` in `faust-ustor`).
-    ///
-    /// The default reports none, which is right for transports without
-    /// connections, such as [`QueueTransport`].
-    fn take_connected(&mut self) -> Option<ClientId> {
-        None
     }
 }

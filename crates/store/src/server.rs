@@ -18,7 +18,7 @@ use crate::log::Wal;
 use crate::snapshot::{read_snapshot, write_snapshot, Snapshot};
 use crate::StoreError;
 use faust_types::{ClientId, CommitMsg, ReplyMsg, SubmitMsg};
-use faust_ustor::{ReplyCache, Server, ServerBackend, SessionResume, UstorServer};
+use faust_ustor::{admits, ReplyCache, Server, ServerBackend, SessionResume, UstorServer};
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,16 +38,24 @@ use std::time::{Duration, Instant};
 /// the live one's replies were released: the reply to a SUBMIT a snapshot
 /// absorbed is not rebuilt, and its resend goes unanswered (ROADMAP item
 /// 1).
+///
+/// A record the door ([`admits`]) refuses, as older logs may hold,
+/// changes nothing, and a refused piggyback acknowledges nothing.
 fn replay_capturing(record: LogRecord, server: &mut dyn Server, caches: &mut [ReplyCache]) {
-    let from = record.from();
-    let ts = record.submit_timestamp();
+    let (n, from, ts) = (caches.len(), record.from(), record.submit_timestamp());
+    let register = match &record {
+        LogRecord::Submit { msg, .. } => Some(msg.tuple.register),
+        LogRecord::Commit { .. } => None,
+    };
+    if !admits(n, from, register, None) {
+        return;
+    }
     let acknowledged = record
         .commit()
+        .filter(|commit| admits(n, from, None, Some(commit)))
         .map(|commit| ReplyCache::acknowledged(from, commit));
     let replies = record.apply(server);
-    let Some(cache) = caches.get_mut(from.index()) else {
-        return;
-    };
+    let cache = &mut caches[from.index()];
     if let Some(t) = acknowledged {
         cache.committed(t);
     }
@@ -971,6 +979,63 @@ mod tests {
         assert!(resume[1].replies.is_empty());
         // The resume state is surrendered once, to one engine.
         assert!(server.resume_sessions().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_logged_record_the_door_refuses_recovers_as_if_never_logged() {
+        use faust_types::{Timestamp, Wire};
+        /// What recovery rebuilt: the protocol state and every session.
+        type Rebuilt = (faust_ustor::ServerState, Vec<(Timestamp, Vec<Vec<u8>>)>);
+        fn rebuilt(server: &mut PersistentServer) -> Rebuilt {
+            let sessions = server.resume_sessions().into_iter();
+            let sessions = sessions.map(|resume| {
+                let replies = resume.replies.iter().map(|(_, reply)| reply.encode());
+                (resume.last_timestamp, replies.collect())
+            });
+            (server.server().export_state(), sessions.collect())
+        }
+        let dir = scratch_dir("srv-door");
+        let (c0, c1) = (ClientId::new(0), ClientId::new(1));
+        let mut server = PersistentServer::open(&dir, 2, no_sync()).unwrap();
+        let mut cs = clients(2);
+        let submit = cs[0].begin_write(Value::from("durable")).unwrap();
+        run_op(&mut server, &mut cs[0], submit);
+        // A read whose COMMIT is still on its way: its reply stays cached.
+        let read = cs[0].begin_read(c0).unwrap();
+        let (_, reply) = server.on_submit(c0, read).pop().unwrap();
+        let (commit, _) = cs[0].handle_reply(reply).unwrap();
+        drop(server);
+        let mut server = PersistentServer::recover(&dir, 2, no_sync()).unwrap();
+        let without = rebuilt(&mut server);
+        assert_eq!(without.1[0].1.len(), 1, "the read's reply is cached");
+        // The tail a server that logged before it admitted leaves: a read
+        // of register `n` whose piggyback acknowledges that reply.
+        let mut outside = cs[0].begin_read(c0).unwrap();
+        outside.tuple.register = ClientId::new(2);
+        outside.piggyback = commit;
+        let record = LogRecord::Submit {
+            from: c0,
+            msg: outside,
+        };
+        server.wal.append(&record, false).unwrap();
+        drop(server);
+        let mut server = PersistentServer::recover(&dir, 2, no_sync()).unwrap();
+        assert_eq!(rebuilt(&mut server), without);
+        // Nor does replay fall over a sender or a COMMIT arity outside the
+        // deployment.
+        let mut caches = vec![ReplyCache::default(); 2];
+        let mut inner = server.server().clone();
+        let garbage = faust_crypto::Signature::garbage();
+        let commit = |n| CommitMsg {
+            version: faust_types::Version::initial(n),
+            commit_sig: garbage,
+            proof_sig: garbage,
+        };
+        for (from, msg) in [(ClientId::new(2), commit(2)), (c1, commit(1))] {
+            replay_capturing(LogRecord::Commit { from, msg }, &mut inner, &mut caches);
+        }
+        assert_eq!(&inner, server.server());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -30,6 +30,13 @@
 //! signature covers the hash of the *previous* write, which the session
 //! tracks — and give operators per-client visibility.
 //!
+//! # The door
+//!
+//! [`admits`] judges every message before any session, base, server or
+//! log sees it. A refused SUBMIT drops its piggyback and counts as
+//! rejected, as one that fails ingress verification does; a refused
+//! piggyback alone is dropped and its SUBMIT goes on.
+//!
 //! # Ingress verification
 //!
 //! The USTOR protocol needs no server-side checks: every signature is
@@ -58,7 +65,7 @@
 //! benchmarking/closed-deployment device only.
 
 use crate::reply_cache::ReplyCache;
-use crate::server::Server;
+use crate::server::{admits, Server};
 use faust_crypto::sha256::sha256;
 use faust_crypto::sig::{SigContext, Verifier, VerifierRegistry};
 use faust_crypto::Digest;
@@ -79,9 +86,10 @@ pub struct Session {
     /// COMMIT messages accepted from this client (piggybacked commits
     /// count here too).
     pub commits: u64,
-    /// Messages dropped by ingress verification, delta COMMITs with no
-    /// cached REPLY to resolve against, and COMMITs whose arity is not
-    /// `n`.
+    /// Messages refused from this client: by the door ([`admits`]: a
+    /// SUBMIT naming a register outside the deployment, a COMMIT of
+    /// another arity), by ingress verification, and delta COMMITs with no
+    /// cached REPLY to resolve against.
     pub rejected: u64,
     /// Timestamp of the last accepted SUBMIT (0 before the first).
     pub last_timestamp: Timestamp,
@@ -207,9 +215,7 @@ impl ConnBases {
 
     /// Empties what `event` breaks of `client`'s bases.
     fn reset(&mut self, client: ClientId, event: Reset) {
-        let Some(bases) = self.clients.get_mut(client.index()) else {
-            return;
-        };
+        let bases = &mut self.clients[client.index()];
         // `L`, the last COMMIT, the COMMITs awaiting replies go against,
         // and the values.
         let (pending, commit, awaited, values) = match event {
@@ -238,33 +244,28 @@ impl ConnBases {
     /// COMMIT, which the server keeps as `SVER[from]`, so nothing is
     /// copied.
     fn committed(&mut self, from: ClientId, commit: &CommitMsg) {
-        if let Some(bases) = self.clients.get_mut(from.index()) {
-            let t = commit.version.v().get(from);
-            let (version, sig) = (commit.version.clone(), Some(commit.commit_sig));
-            let commit = SignedVersion { version, sig };
-            bases.commit = Some(CommitBase { t, commit });
-        }
+        let t = commit.version.v().get(from);
+        let (version, sig) = (commit.version.clone(), Some(commit.commit_sig));
+        let commit = SignedVersion { version, sig };
+        self.clients[from.index()].commit = Some(CommitBase { t, commit });
     }
 
     /// A SUBMIT accepted from `from`: its reply goes against the bases
     /// that stand now. A write overwrites `MEM[from]`, so no base may
     /// keep the old value alive.
     fn submitted(&mut self, from: ClientId, submit: &SubmitMsg) {
-        let j = submit.tuple.register.index();
+        let (i, j) = (from.index(), submit.tuple.register.index());
         let read = match submit.tuple.kind {
-            OpKind::Read => self.writes.get(j).map(|&writes| (j, writes)),
+            OpKind::Read => Some((j, self.writes[j])),
             OpKind::Write => {
-                if let Some(writes) = self.writes.get_mut(from.index()) {
-                    *writes += 1;
-                    self.values[from.index()].clear();
-                }
+                self.writes[i] += 1;
+                self.values[i].clear();
                 None
             }
         };
-        if let Some(bases) = self.clients.get_mut(from.index()) {
-            let (t, commit) = (submit.timestamp, bases.commit.clone());
-            bases.awaiting.push_back(Awaiting { t, commit, read });
-        }
+        let bases = &mut self.clients[i];
+        let (t, commit) = (submit.timestamp, bases.commit.clone());
+        bases.awaiting.push_back(Awaiting { t, commit, read });
     }
 
     /// A reply released to `to`: handed to `cache` in full with the
@@ -286,9 +287,7 @@ impl ConnBases {
         reply: &mut ReplyMsg,
         cache: impl FnOnce(Timestamp, &ReplyMsg),
     ) {
-        let Some(bases) = self.clients.get_mut(to.index()) else {
-            return;
-        };
+        let bases = &mut self.clients[to.index()];
         let awaiting = bases.awaiting.pop_front();
         let Some(Awaiting { t, commit, read }) = awaiting else {
             return reply.leave_out(&mut bases.pending, None, None);
@@ -327,9 +326,8 @@ pub struct EngineStats {
     /// re-run (exactly-once ingress), and delta COMMITs dropped as late
     /// duplicates.
     pub duplicates: u64,
-    /// Messages dropped by ingress verification, delta COMMITs with no
-    /// cached REPLY to resolve against, and COMMITs whose arity is not
-    /// `n`.
+    /// Messages refused: every [`Session::rejected`], and each message
+    /// from a sender outside the deployment, which has no session.
     pub rejected: u64,
     /// Client messages of a kind only the server sends (ignored).
     pub nonsense: u64,
@@ -451,11 +449,11 @@ impl ServerEngine {
         &self.stats
     }
 
-    /// Notes a new connection from `client`: whatever went out on an
-    /// earlier one may never have reached the process now on the other
-    /// end, so no later reply to it is sent against any of it. Call it
-    /// before processing anything that arrived on the new connection
-    /// ([`serve`] does, from [`ServerTransport::take_connected`]).
+    /// Notes that `client`'s connection ended, so no later reply to it is
+    /// sent against anything that went out on it. [`serve`] calls it for
+    /// every client when its transport closes; an embedder that moves a
+    /// client to a new link (the simulator) calls it before processing
+    /// anything that arrived there.
     pub fn connected(&mut self, client: ClientId) {
         self.bases.reset(client, Reset::Connection);
     }
@@ -514,7 +512,8 @@ impl ServerEngine {
     /// under the SUBMIT timestamp it answers (per-client FIFO) for
     /// duplicate replay, and queued for the transport with what the
     /// client's connection already carried left out
-    /// ([`ConnBases::released`]).
+    /// ([`ConnBases::released`]). A [`Server`] chooses where replies go,
+    /// so this is the one recipient the engine checks.
     fn release_reply(&mut self, to: ClientId, mut reply: ReplyMsg) {
         if let Some(session) = self.sessions.get_mut(to.index()) {
             let cache = |t, full: &ReplyMsg| session.replies.push(t, Cow::Borrowed(full));
@@ -576,7 +575,7 @@ impl ServerEngine {
         let Some(verifier) = &self.verifier else {
             return true;
         };
-        if from.index() >= self.n || submit.tuple.client != from {
+        if submit.tuple.client != from {
             return false;
         }
         let submit_ok = verifier.verify(
@@ -610,14 +609,23 @@ impl ServerEngine {
         )
     }
 
-    fn reject(&mut self, from: ClientId) {
+    /// Counts a message refused from `from`, which leaves the client
+    /// holding a newer COMMIT than the engine's if it carried one.
+    fn reject(&mut self, from: ClientId, carried_commit: bool) {
         self.stats.rejected += 1;
-        if let Some(session) = self.sessions.get_mut(from.index()) {
-            session.rejected += 1;
+        self.sessions[from.index()].rejected += 1;
+        if carried_commit {
+            self.bases.reset(from, Reset::CommitDropped);
         }
     }
 
+    /// Processes one message, through the door ([`admits`]) first. A
+    /// sender outside the deployment has no session to count it in.
     fn process_one(&mut self, from: ClientId, msg: UstorMsg) {
+        if !admits(self.n, from, None, None) {
+            self.stats.rejected += 1;
+            return;
+        }
         match msg {
             UstorMsg::Submit(mut submit) => {
                 // `x̄` of a write, only when ingress verification checks
@@ -628,11 +636,10 @@ impl ServerEngine {
                     }
                     _ => None,
                 };
-                if !self.verify_one(from, &submit, xbar) {
-                    if submit.piggyback.is_some() {
-                        self.bases.reset(from, Reset::CommitDropped);
-                    }
-                    return self.reject(from);
+                if !admits(self.n, from, Some(submit.tuple.register), None)
+                    || !self.verify_one(from, &submit, xbar)
+                {
+                    return self.reject(from, submit.piggyback.is_some());
                 }
                 // Idempotent ingress: a SUBMIT whose timestamp the
                 // session has already accepted is a resend (the client's
@@ -649,41 +656,41 @@ impl ServerEngine {
                 // cannot validate against the stale op, which surfaces as
                 // `StaleClientState` at the client instead of a silent
                 // hang.
-                if let Some(session) = self.sessions.get_mut(from.index()) {
-                    if session.last_timestamp > 0 && submit.timestamp <= session.last_timestamp {
-                        session.duplicates += 1;
-                        self.stats.duplicates += 1;
-                        if submit.piggyback.is_some() {
-                            self.bases.reset(from, Reset::CommitDropped);
-                        }
-                        if let Some(reply) = session.replies.lookup(submit.timestamp).cloned() {
-                            self.outbox.push_back((from, UstorMsg::Reply(reply)));
-                            self.bases.reset(from, Reset::Replay);
-                        }
-                        return;
+                let session = &mut self.sessions[from.index()];
+                if session.last_timestamp > 0 && submit.timestamp <= session.last_timestamp {
+                    session.duplicates += 1;
+                    self.stats.duplicates += 1;
+                    if submit.piggyback.is_some() {
+                        self.bases.reset(from, Reset::CommitDropped);
                     }
-                }
-                if submit.piggyback.as_ref().is_some_and(|c| !self.admits(c)) {
-                    submit.piggyback = None;
-                    self.bases.reset(from, Reset::CommitDropped);
-                    self.reject(from);
-                }
-                if let Some(session) = self.sessions.get_mut(from.index()) {
-                    session.submits += 1;
-                    session.last_timestamp = submit.timestamp;
-                    if submit.tuple.kind == OpKind::Write {
-                        session.resumed_value = None;
-                        session.last_value_hash = xbar;
+                    if let Some(reply) = session.replies.lookup(submit.timestamp).cloned() {
+                        self.outbox.push_back((from, UstorMsg::Reply(reply)));
+                        self.bases.reset(from, Reset::Replay);
                     }
-                    if let Some(commit) = &submit.piggyback {
-                        session.commits += 1;
-                        session
-                            .replies
-                            .committed(ReplyCache::acknowledged(from, commit));
-                        self.bases.committed(from, commit);
-                    }
-                    self.bases.submitted(from, &submit);
+                    return;
                 }
+                if submit
+                    .piggyback
+                    .take_if(|c| !admits(self.n, from, None, Some(c)))
+                    .is_some()
+                {
+                    self.reject(from, true);
+                }
+                let session = &mut self.sessions[from.index()];
+                session.submits += 1;
+                session.last_timestamp = submit.timestamp;
+                if submit.tuple.kind == OpKind::Write {
+                    session.resumed_value = None;
+                    session.last_value_hash = xbar;
+                }
+                if let Some(commit) = &submit.piggyback {
+                    session.commits += 1;
+                    session
+                        .replies
+                        .committed(ReplyCache::acknowledged(from, commit));
+                    self.bases.committed(from, commit);
+                }
+                self.bases.submitted(from, &submit);
                 self.stats.submits += 1;
                 for (rcpt, reply) in self.server.on_submit(from, submit) {
                     self.release_reply(rcpt, reply);
@@ -698,23 +705,22 @@ impl ServerEngine {
             // duplicate if its COMMIT was already acknowledged, and
             // rejected otherwise.
             UstorMsg::CommitDelta(delta) => {
-                let session = self.sessions.get(from.index());
-                let (Some(session), Some(own)) = (session, delta.version.get(from)) else {
-                    self.bases.reset(from, Reset::CommitDropped);
-                    return self.reject(from);
+                let session = &mut self.sessions[from.index()];
+                let Some(own) = delta.version.get(from) else {
+                    return self.reject(from, true);
                 };
                 match session.replies.get(own.timestamp) {
                     Some(reply) => match delta.resolve(&reply.commit_version.version) {
-                        Ok(commit) => return self.process_commit(from, commit),
-                        Err(_) => self.reject(from),
+                        Ok(commit) => self.process_commit(from, commit),
+                        Err(_) => self.reject(from, true),
                     },
                     None if own.timestamp <= session.replies.last_acknowledged() => {
-                        self.sessions[from.index()].duplicates += 1;
+                        session.duplicates += 1;
                         self.stats.duplicates += 1;
+                        self.bases.reset(from, Reset::CommitDropped);
                     }
-                    None => self.reject(from),
+                    None => self.reject(from, true),
                 }
-                self.bases.reset(from, Reset::CommitDropped);
             }
             // Clients never legitimately send REPLY; ignore quietly.
             UstorMsg::Reply(_) => {
@@ -723,25 +729,15 @@ impl ServerEngine {
         }
     }
 
-    /// Whether a COMMIT's version has this deployment's arity `n`. One
-    /// that does not is dropped before the server and its log see it:
-    /// stored as `SVER[from]`, it would make every client reject the
-    /// REPLYs that name `from` as `c`.
-    fn admits(&self, commit: &CommitMsg) -> bool {
-        commit.version.num_clients() == self.n
-    }
-
     fn process_commit(&mut self, from: ClientId, commit: CommitMsg) {
-        if !self.admits(&commit) {
-            self.bases.reset(from, Reset::CommitDropped);
-            return self.reject(from);
+        if !admits(self.n, from, None, Some(&commit)) {
+            return self.reject(from, true);
         }
-        if let Some(session) = self.sessions.get_mut(from.index()) {
-            session.commits += 1;
-            session
-                .replies
-                .committed(ReplyCache::acknowledged(from, &commit));
-        }
+        let session = &mut self.sessions[from.index()];
+        session.commits += 1;
+        session
+            .replies
+            .committed(ReplyCache::acknowledged(from, &commit));
         self.bases.committed(from, &commit);
         self.stats.commits += 1;
         for (rcpt, reply) in self.server.on_commit(from, commit) {
@@ -760,6 +756,9 @@ fn value_hash(value: &Value) -> Digest {
 
 /// Runs an engine over a transport until the transport closes (blocking
 /// transports) or drains ([`Incoming::Idle`], deterministic transports).
+/// A transport's end is the end of every connection it carried, so a
+/// close ends with [`ServerEngine::connected`] for every client; a drain
+/// does not, and the next call carries on where this one stopped.
 ///
 /// Each round greedily gathers every message already available before
 /// processing, so group-commit fsyncs see real batches under load while
@@ -776,37 +775,32 @@ pub fn serve<T: ServerTransport>(engine: &mut ServerEngine, transport: &mut T) {
     loop {
         // Block (or observe Idle) for the first message of the round —
         // bounded by the flush deadline while replies are held back.
-        let mut closed = false;
         let first = match engine.flush_deadline() {
             Some(deadline) => transport.recv_deadline(deadline),
             None => transport.recv(),
         };
-        match first {
-            Incoming::Msg(from, msg) => engine.enqueue(from, msg),
-            Incoming::TimedOut => {} // flush is due; fall through
-            Incoming::Idle | Incoming::Closed => closed = true,
-        }
-        if !closed {
-            // Gather whatever else has already arrived.
-            loop {
-                match transport.try_recv() {
-                    Incoming::Msg(from, msg) => engine.enqueue(from, msg),
-                    Incoming::Idle | Incoming::TimedOut => break,
-                    Incoming::Closed => {
-                        closed = true;
-                        break;
-                    }
-                }
+        let mut end = match first {
+            Incoming::Msg(from, msg) => {
+                engine.enqueue(from, msg);
+                None
+            }
+            Incoming::TimedOut => None, // flush is due; fall through
+            end => Some(end),
+        };
+        // Gather whatever else has already arrived.
+        while end.is_none() {
+            match transport.try_recv() {
+                Incoming::Msg(from, msg) => engine.enqueue(from, msg),
+                Incoming::Idle | Incoming::TimedOut => break,
+                closed => end = Some(closed),
             }
         }
-        // Sends to a newly registered client go out on its new
-        // connection from now on, so it gets `L` in full first.
-        while let Some(client) = transport.take_connected() {
-            engine.connected(client);
-        }
         // A closing round is the last chance to release held replies.
-        engine.round(closed, |to, batch| transport.send_batch(to, batch));
-        if closed {
+        engine.round(end.is_some(), |to, batch| transport.send_batch(to, batch));
+        if let Some(Incoming::Closed) = end {
+            (0..engine.n).for_each(|i| engine.connected(ClientId::new(i as u32)));
+        }
+        if end.is_some() {
             return;
         }
     }
@@ -1734,51 +1728,105 @@ mod tests {
     }
 
     #[test]
-    fn serve_tells_the_engine_of_each_new_connection() {
-        /// A queue transport that reports one new connection.
-        struct Reconnected {
-            inner: faust_net::QueueTransport,
-            connected: Option<ClientId>,
-        }
-        impl ServerTransport for Reconnected {
-            fn recv(&mut self) -> Incoming {
-                self.inner.recv()
-            }
-            fn try_recv(&mut self) -> Incoming {
-                self.inner.try_recv()
-            }
-            fn send(&mut self, to: ClientId, msg: UstorMsg) {
-                self.inner.send(to, msg);
-            }
-            fn take_connected(&mut self) -> Option<ClientId> {
-                self.connected.take()
-            }
-        }
+    fn a_transports_close_ends_every_connection_it_carried_and_a_drain_none() {
+        // Both clients write at depth 8 without committing, so each REPLY
+        // keeps a tail of the `L` before it.
         let (mut engine, mut clients) = setup(2, false);
-        let client = &mut clients[0];
-        client.set_pipeline(8);
-        let c0 = client.id();
-        let mut transport = Reconnected {
-            inner: faust_net::QueueTransport::new(),
-            connected: None,
-        };
-        let mut run = |client: &mut UstorClient, k, connected| {
-            let submit = client.begin_write(Value::unique(0, k)).unwrap();
-            transport.inner.push_incoming(c0, UstorMsg::Submit(submit));
-            transport.connected = connected;
-            serve(&mut engine, &mut transport);
-            let Some((_, UstorMsg::Reply(reply))) = transport.inner.pop_outgoing() else {
-                panic!("one reply")
-            };
-            let kept = (reply.left_out.kept, reply.pending.len());
-            client.handle_reply(reply).expect("correct server");
+        clients.iter_mut().for_each(|client| client.set_pipeline(8));
+        let mut queue = faust_net::QueueTransport::new();
+        // One write of each client served over `transport`: per client,
+        // how many tuples its REPLY kept and how many it carried.
+        let mut run = |engine: &mut ServerEngine, transport: &mut faust_net::QueueTransport, k| {
+            for client in clients.iter_mut() {
+                let submit = client.begin_write(Value::unique(0, k)).unwrap();
+                transport.push_incoming(client.id(), UstorMsg::Submit(submit));
+            }
+            serve(engine, transport);
+            let sent: Vec<_> = transport.drain_outgoing().collect();
+            let mut kept = Vec::new();
+            for (to, msg) in sent {
+                let UstorMsg::Reply(reply) = msg else {
+                    panic!("the engine sends only replies")
+                };
+                kept.push((reply.left_out.kept, reply.pending.len()));
+                clients[to.index()]
+                    .handle_reply(reply)
+                    .expect("correct server");
+            }
             kept
         };
-        assert_eq!(run(client, 0, None), (0, 0));
-        assert_eq!(run(client, 1, None), (0, 1));
-        assert_eq!(run(client, 2, None), (1, 1));
-        assert_eq!(run(client, 3, Some(c0)), (0, 3), "in full");
-        assert_eq!(run(client, 4, None), (3, 1));
+        assert_eq!(run(&mut engine, &mut queue, 0), [(0, 0), (0, 1)]);
+        assert_eq!(run(&mut engine, &mut queue, 1), [(0, 2), (1, 2)]);
+        // Each call ended on `Idle`: the next keeps what the last sent.
+        assert_eq!(run(&mut engine, &mut queue, 2), [(2, 2), (3, 2)]);
+        // A transport that reports `Closed` ends both connections, so the
+        // next transport's first REPLY to each client goes in full.
+        let (mut closed, switch) = faust_net::KillableTransport::new(queue);
+        switch.kill();
+        serve(&mut engine, &mut closed);
+        let mut next = faust_net::QueueTransport::new();
+        assert_eq!(run(&mut engine, &mut next, 3), [(0, 6), (0, 7)]);
+        assert_eq!(run(&mut engine, &mut next, 4), [(6, 2), (7, 2)]);
+    }
+
+    #[test]
+    fn the_door_refuses_what_the_deployment_does_not_have() {
+        // A read of register `n`, with and without a piggybacked COMMIT,
+        // and a SUBMIT and a COMMIT from client `n`, interleaved with
+        // honest operations; a twin engine sees the honest ones alone.
+        use faust_crypto::Signature;
+        use faust_types::{Version, Wire};
+        let (mut engine, mut clients) = setup(2, false);
+        let (mut twin, mut twin_clients) = setup(2, false);
+        let (c0, c1) = (c(0), c(1));
+        let mut outside = clients[1].clone().begin_read(c0).unwrap();
+        outside.tuple.register = c(2);
+        let mut carrying = outside.clone();
+        let garbage = Signature::garbage();
+        carrying.piggyback = Some(CommitMsg {
+            version: Version::initial(2),
+            commit_sig: garbage,
+            proof_sig: garbage,
+        });
+        let stranger = clients[0].clone().begin_write(Value::from("x")).unwrap();
+        let refused = [
+            (c1, UstorMsg::Submit(outside)),
+            (c1, UstorMsg::Submit(carrying.clone())),
+            (c(2), UstorMsg::Submit(stranger)),
+            (c(2), UstorMsg::Commit(carrying.piggyback.unwrap())),
+        ];
+        let ops = [(0, OpKind::Write), (1, OpKind::Read), (0, OpKind::Read)];
+        for (k, &(i, kind)) in ops.iter().enumerate() {
+            let (before, forwarded) = (engine.stats().rejected, engine.stats().submits);
+            for (from, msg) in refused.clone() {
+                engine.enqueue(from, msg);
+            }
+            engine.process_all();
+            assert!(replies(&mut engine).is_empty(), "no REPLY");
+            assert_eq!(engine.stats().rejected, before + 4);
+            assert_eq!(engine.stats().submits, forwarded, "no server call");
+            assert_eq!(engine.session(c1).rejected, 2 * (k as u64 + 1));
+            let mut sent = Vec::new();
+            for (engine, clients) in [(&mut engine, &mut clients), (&mut twin, &mut twin_clients)] {
+                let submit = match kind {
+                    OpKind::Write => clients[i].begin_write(Value::unique(0, k as u64)),
+                    OpKind::Read => clients[i].begin_read(c0),
+                };
+                engine.enqueue(c(i as u32), UstorMsg::Submit(submit.unwrap()));
+                engine.process_all();
+                let (_, reply) = one_reply(engine);
+                sent.push(reply.encode());
+                let (commit, _) = clients[i].handle_reply(reply).expect("correct server");
+                engine.enqueue(c(i as u32), UstorMsg::Commit(commit.unwrap()));
+                engine.process_all();
+            }
+            assert_eq!(
+                sent[0], sent[1],
+                "operation {k}: the twin's REPLY, byte for byte"
+            );
+        }
+        let counts = |s: &EngineStats| (s.submits, s.commits, s.duplicates);
+        assert_eq!(counts(engine.stats()), counts(twin.stats()));
     }
 
     /// One op of `client` whose COMMIT goes to `engine` as a delta

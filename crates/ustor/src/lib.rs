@@ -67,5 +67,5 @@ pub use engine::{serve, spawn_engine, EngineStats, ServerEngine, Session};
 pub use fault::{CrashRestartServer, Fault, RestartHook};
 pub use reply_cache::ReplyCache;
 pub use server::{
-    MemEntry, MemoryBackend, Server, ServerBackend, ServerState, SessionResume, UstorServer,
+    admits, MemEntry, MemoryBackend, Server, ServerBackend, ServerState, SessionResume, UstorServer,
 };

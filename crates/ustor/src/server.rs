@@ -7,12 +7,26 @@ use faust_types::{
     SignedVersion, SubmitMsg, Timestamp, Value,
 };
 
+/// The door into a deployment of `n` clients: whether the sender, a
+/// SUBMIT's register `j` and a COMMIT's arity (standalone, piggybacked or
+/// resolved from a delta) are the deployment's. Stored as `SVER[from]`, a
+/// COMMIT of another arity would make every client reject the REPLYs
+/// naming `from` as `c`. [`UstorServer`] applies it again, for direct
+/// callers and for logs written before the engine did.
+pub fn admits(n: usize, from: ClientId, j: Option<ClientId>, commit: Option<&CommitMsg>) -> bool {
+    from.index() < n
+        && j.is_none_or(|j| j.index() < n)
+        && commit.is_none_or(|commit| commit.version.num_clients() == n)
+}
+
 /// Interface of a storage server, correct or Byzantine.
 ///
 /// The simulator delivers each client message to these handlers; a handler
 /// returns the messages the server chooses to send (a correct server
 /// answers each SUBMIT with exactly one REPLY to the submitter, but a
-/// faulty server may answer differently, later, or not at all).
+/// faulty server may answer differently, later, or not at all). The
+/// engine hands it only what [`admits`] lets in; where its replies go is
+/// the implementation's choice.
 pub trait Server {
     /// Handles `⟨SUBMIT, …⟩` from `client`; returns `(recipient, reply)`
     /// pairs to deliver.
@@ -176,7 +190,8 @@ pub struct ServerState {
 /// The order in which SUBMIT messages are processed defines the schedule
 /// of operations — the linearization order when the server is correct.
 /// The server never verifies signatures itself; it merely stores and
-/// forwards them (it could not verify anyway: it holds no keys).
+/// forwards them (it could not verify anyway: it holds no keys). A
+/// message [`admits`] refuses changes nothing and gets no reply.
 ///
 /// # Example
 ///
@@ -311,6 +326,9 @@ impl UstorServer {
 
 impl Server for UstorServer {
     fn on_submit(&mut self, client: ClientId, mut msg: SubmitMsg) -> Vec<(ClientId, ReplyMsg)> {
+        if !admits(self.n, client, Some(msg.tuple.register), None) {
+            return Vec::new();
+        }
         // Piggybacked COMMIT of the client's previous operation (Section
         // 5 optimization): apply it first, exactly as if it had arrived
         // as a separate message on the FIFO channel.
@@ -340,12 +358,7 @@ impl Server for UstorServer {
     }
 
     fn on_commit(&mut self, client: ClientId, msg: CommitMsg) -> Vec<(ClientId, ReplyMsg)> {
-        // A version of another arity than `n` is no version of this
-        // deployment: stored as `SVER[client]`, it would make every client
-        // reject later REPLYs naming `client` as malformed, blaming an
-        // honest server. The engine drops such a COMMIT at ingress; a log
-        // written before it did replays to the same state through this.
-        if msg.version.num_clients() != self.n {
+        if !admits(self.n, client, None, Some(&msg)) {
             return Vec::new();
         }
         // Lines 118–121: if this commit advances the schedule head, prune

@@ -636,3 +636,36 @@ fn slow_consumer_is_excised_with_typed_reason_and_bounded_memory() {
         reactor.peak_buffered_bytes
     );
 }
+
+/// A peer that names a register the deployment does not have is refused
+/// at the engine's door: `serve` keeps running, the peer's own next
+/// operation is served as its first, and client 0 completes a write and a
+/// read on its own socket.
+#[test]
+fn a_submit_naming_a_register_outside_the_deployment_leaves_serve_running() {
+    let n = 2;
+    let (addr, server) = spawn_reactor_server(n, ReactorConfig::default());
+    let keys = KeySet::generate(n, b"reactor-door");
+    let mut sessions = sessions(&keys, n);
+
+    // The raw peer: HELLO as client 1, then a read of register `n`, then
+    // an honest read whose REPLY shows the first was processed and left
+    // client 1's session untouched (its timestamp is the same).
+    let mut outside = sessions[1].clone().begin_read(c(0)).expect("idle");
+    outside.tuple.register = c(n as u32);
+    let mut socks = vec![connect_hello(addr, c(0)), connect_hello(addr, c(1))];
+    write_frame(&mut socks[1], &UstorMsg::Submit(outside)).expect("submit");
+    let submit = sessions[1].begin_read(c(0)).expect("idle");
+    let done = full_op(&mut sessions, &mut socks, 1, submit);
+    assert_eq!((done.timestamp, done.read_value), (1, Some(None)));
+
+    let submit = sessions[0].begin_write(Value::from("after")).expect("idle");
+    full_op(&mut sessions, &mut socks, 0, submit);
+    let submit = sessions[0].begin_read(c(0)).expect("idle");
+    let done = full_op(&mut sessions, &mut socks, 0, submit);
+    assert_eq!(done.read_value, Some(Some(Value::from("after"))));
+
+    drop(socks);
+    let (engine, _reactor, _recent, _buffered) = server.join().expect("server thread");
+    assert_eq!((engine.rejected, engine.submits), (1, 3));
+}
