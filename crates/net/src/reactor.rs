@@ -1027,6 +1027,55 @@ mod tests {
     }
 
     #[test]
+    fn each_registered_connection_is_reported_once() {
+        // The transport's `Closed` is what ends a connection for the
+        // engine, so it must not come while any registered connection
+        // is open; each registered departure is logged once under its id,
+        // and a second HELLO for a live id registers nothing.
+        let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
+        let addr = server.local_addr();
+        let mut c0 = connect(addr, ClientId::new(0)).unwrap();
+        let mut c1 = connect(addr, ClientId::new(1)).unwrap();
+        for c in [&mut c0, &mut c1] {
+            c.send(&msg(2)).unwrap();
+            assert!(matches!(server.recv(), Incoming::Msg(_, _)));
+        }
+        let impostor = connect(addr, ClientId::new(0)).unwrap();
+        drop(c0);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.stats().departed + server.stats().duplicate_clients < 2 {
+            assert!(Instant::now() < deadline, "client 0 never departed");
+            let step = Instant::now() + Duration::from_millis(20);
+            assert!(
+                !matches!(server.recv_deadline(step), Incoming::Closed),
+                "closed while client 1 is connected"
+            );
+        }
+        c1.send(&msg(2)).unwrap();
+        let Incoming::Msg(from, _) = server.recv() else {
+            panic!("client 1's message after client 0 left");
+        };
+        assert_eq!(from, ClientId::new(1));
+        drop(impostor);
+        drop(c1);
+        assert!(matches!(server.recv(), Incoming::Closed));
+        let mut registered: Vec<_> = server
+            .recent_disconnects()
+            .into_iter()
+            .filter_map(|(id, reason)| Some((id?.index(), reason)))
+            .collect();
+        registered.sort_unstable_by_key(|&(id, _)| id);
+        assert_eq!(
+            registered,
+            [
+                (0, DisconnectReason::PeerClosed),
+                (1, DisconnectReason::PeerClosed)
+            ]
+        );
+        assert_eq!(server.stats().duplicate_clients, 1);
+    }
+
+    #[test]
     fn roundtrip_and_close() {
         let mut server = ReactorTransport::bind("127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr();

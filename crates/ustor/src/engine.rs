@@ -1728,6 +1728,38 @@ mod tests {
     }
 
     #[test]
+    fn serve_tells_the_engine_of_each_new_connection() {
+        // A connection is new once the transport that carried the last
+        // one has closed: C0's first REPLY over the next transport goes
+        // in full, and the ones after it keep a tail again.
+        let (mut engine, mut clients) = setup(2, false);
+        let client = &mut clients[0];
+        client.set_pipeline(8);
+        let c0 = client.id();
+        let mut run = |engine: &mut ServerEngine, transport: &mut faust_net::QueueTransport, k| {
+            let submit = client.begin_write(Value::unique(0, k)).unwrap();
+            transport.push_incoming(c0, UstorMsg::Submit(submit));
+            serve(engine, transport);
+            let Some((_, UstorMsg::Reply(reply))) = transport.pop_outgoing() else {
+                panic!("one reply")
+            };
+            let kept = (reply.left_out.kept, reply.pending.len());
+            client.handle_reply(reply).expect("correct server");
+            kept
+        };
+        let mut first = faust_net::QueueTransport::new();
+        assert_eq!(run(&mut engine, &mut first, 0), (0, 0));
+        assert_eq!(run(&mut engine, &mut first, 1), (0, 1));
+        assert_eq!(run(&mut engine, &mut first, 2), (1, 1));
+        let (mut closed, switch) = faust_net::KillableTransport::new(first);
+        switch.kill();
+        serve(&mut engine, &mut closed);
+        let mut next = faust_net::QueueTransport::new();
+        assert_eq!(run(&mut engine, &mut next, 3), (0, 3), "in full");
+        assert_eq!(run(&mut engine, &mut next, 4), (3, 1));
+    }
+
+    #[test]
     fn a_transports_close_ends_every_connection_it_carried_and_a_drain_none() {
         // Both clients write at depth 8 without committing, so each REPLY
         // keeps a tail of the `L` before it.
