@@ -2,8 +2,9 @@
 //! [`Wire`] codecs of `faust-types` — the on-disk format reuses the
 //! byte-exact message encodings the protocol already ships, so a
 //! *scanned* record is the message the server acknowledged. (The log may
-//! store a COMMIT as a delta against the previous one in its file; that
-//! form is private to `crate::log`, which resolves it while scanning.)
+//! store a COMMIT, standalone or piggybacked, as a delta against the
+//! previous one in its file; that form is private to `crate::log`, which
+//! resolves it while scanning.)
 
 use faust_crypto::sig::Signature;
 use faust_types::{
@@ -110,8 +111,9 @@ impl Wire for LogRecord {
                 msg: CommitMsg::decode_from(input)?,
             }),
             // Do not reuse tag 2: logs of the retired multi-log layout
-            // hold it, and they must stay refused, not misread. Tag 3 is
-            // the log's COMMIT delta, which only `crate::log` decodes.
+            // hold it, and they must stay refused, not misread. Tags 3
+            // and 4 are the log's COMMIT deltas, standalone and
+            // piggybacked, which only `crate::log` decodes.
             t => Err(WireError::BadTag(t)),
         }
     }

@@ -23,8 +23,9 @@
 //! # Layout
 //!
 //! * [`log`] — the write-ahead log: length-prefixed, checksummed,
-//!   sequence-numbered records of every inbound protocol message, a
-//!   standalone COMMIT as a delta against the previous one in its file.
+//!   sequence-numbered records of every inbound protocol message, each
+//!   COMMIT, standalone or piggybacked, as a delta against the previous
+//!   one in its file.
 //! * [`snapshot`] — atomic (write-temp + rename) snapshots of the full
 //!   [`ServerState`](faust_ustor::ServerState); snapshots compact the log.
 //! * [`file`](mod@file) — how a file reaches the disk: the one crash-safe replace

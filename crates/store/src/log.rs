@@ -7,27 +7,31 @@
 //!   record:  len: u32 | xxh64(payload): u64 | payload                (12 B + len)
 //!   payload: seq: u64 | body
 //!   body:    LogRecord wire encoding                     (tag 0 SUBMIT, tag 1 COMMIT)
-//!          | 3 | from: u32 | CommitDelta wire encoding     (a COMMIT as a delta)
+//!          | 3 | from: u32 | CommitDelta                   (a COMMIT as a delta)
+//!          | 4 | from: u32 | SUBMIT head | CommitDelta     (a piggybacked one as a delta)
 //! ```
 //!
-//! That is format version 3, the only one written into new files. A
-//! standalone COMMIT is stored as the wire's [`CommitDelta`], written and
-//! read by its own code: the entries `k`, in increasing order, where its
-//! version differs from the last COMMIT version earlier in the same file
-//! — standalone or piggybacked on a SUBMIT, and shared with that record,
-//! not copied. In lockstep nothing commits between a
-//! client's REPLY and its COMMIT, so that is one entry where the full
-//! version has `n`. The full form (tag 1) is written instead when the
-//! file holds no COMMIT yet, when either version's arity is not the
-//! header's `n`, or when the delta would not be smaller. The base never crosses a file boundary, so a
-//! rotated file, and any prefix of a file, decodes on its own; a scan
-//! resolves every delta into an ordinary [`LogRecord::Commit`], so
-//! nothing above this module ever sees one.
+//! That is format version 4, the only one written into new files. Every
+//! COMMIT, standalone or piggybacked on a SUBMIT, is stored as the wire's
+//! [`CommitDelta`], written and read by its own code: the entries `k`, in
+//! increasing order, where its version differs from the last COMMIT
+//! version earlier in the same file, shared with that record, not
+//! copied. A SUBMIT carrying one (tag 4) is the SUBMIT's fields up to its
+//! piggyback option ([`SubmitMsg::encode_head_into`]), then the delta.
+//! In lockstep nothing commits between a client's REPLY and its COMMIT,
+//! so that is one entry where the full version has `n`. The full form
+//! (tag 1, or tag 0 with the piggyback in full) is written instead when
+//! the file holds no COMMIT yet, when either version's arity is not the
+//! header's `n`, or when the delta would not be smaller. The base never
+//! crosses a file boundary, so a rotated file, and any prefix of a file,
+//! decodes on its own; a scan resolves every delta into an ordinary
+//! [`LogRecord`], so nothing above this module ever sees one.
 //!
-//! Versions 1 and 2 hold only tags 0 and 1. Version 2 is version 3's
-//! framing; version 1 frames its records `len: u32 | sha256(payload): 32
-//! B | payload` (36 B + len). Both still scan, and a log opened in either
-//! keeps appending full records in its own version until the next
+//! Version 3 is version 4 without tag 4: its piggybacked COMMITs stay in
+//! full. Versions 1 and 2 hold only tags 0 and 1. Versions 2 and 3 use
+//! version 4's framing; version 1 frames its records `len: u32 |
+//! sha256(payload): 32 B | payload` (36 B + len). All still scan, and a
+//! log opened in an older version keeps appending in it until the next
 //! rotation replaces the file. The header's version picks the
 //! [`Framing`] and nothing else does. The checksum guards against what
 //! the disk did — torn writes, bit rot — not against the operator, whom
@@ -64,7 +68,7 @@ use crate::checksum::Checksum;
 use crate::codec::LogRecord;
 use crate::file::replace;
 use crate::StoreError;
-use faust_types::{ClientId, CommitDelta, Version, Wire, WireError};
+use faust_types::{ClientId, CommitDelta, SubmitMsg, Version, Wire, WireError};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -89,9 +93,9 @@ pub const WAL_FILE: &str = "wal.bin";
 
 /// How one log format version frames its records — the single place a
 /// version number turns into a per-record overhead, a checksum, and
-/// whether COMMIT deltas may appear. Appending, scanning, [`LogCursor`]
-/// and [`truncate_tail_records`] all get theirs from the file's
-/// [`WalHeader`].
+/// which COMMITs may be stored as deltas. Appending, scanning,
+/// [`LogCursor`] and [`truncate_tail_records`] all get theirs from the
+/// file's [`WalHeader`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Framing {
     /// `len: u32 | sha256(payload): 32 B | payload` — read, and appended
@@ -101,13 +105,17 @@ pub enum Framing {
     /// read, and appended to when such a file is reopened, never created.
     V2,
     /// Version 2's framing, and a standalone COMMIT may be a delta
-    /// against the file's previous COMMIT version (module docs).
+    /// against the file's previous COMMIT version (tag 3) — read, and
+    /// appended to when such a file is reopened, never created.
     V3,
+    /// Version 3, and a piggybacked COMMIT may be a delta too (tag 4):
+    /// every COMMIT is stored against the one before it (module docs).
+    V4,
 }
 
 impl Framing {
     /// The framing of every newly created file.
-    pub const CURRENT: Framing = Framing::V3;
+    pub const CURRENT: Framing = Framing::V4;
 
     /// The format version a file header carries for this framing.
     pub const fn version(self) -> u32 {
@@ -115,11 +123,12 @@ impl Framing {
             Framing::V1 => 1,
             Framing::V2 => 2,
             Framing::V3 => 3,
+            Framing::V4 => 4,
         }
     }
 
     fn from_version(version: u32) -> Option<Self> {
-        [Framing::V1, Framing::V2, Framing::V3]
+        [Framing::V1, Framing::V2, Framing::V3, Framing::V4]
             .into_iter()
             .find(|framing| framing.version() == version)
     }
@@ -127,13 +136,25 @@ impl Framing {
     const fn checksum(self) -> Checksum {
         match self {
             Framing::V1 => Checksum::Sha256,
-            Framing::V2 | Framing::V3 => Checksum::Xxh64,
+            Framing::V2 | Framing::V3 | Framing::V4 => Checksum::Xxh64,
         }
     }
 
-    /// Whether a file in this version stores COMMITs as deltas.
+    /// Whether a file in this version stores standalone COMMITs as
+    /// deltas (tag 3).
     pub const fn commit_deltas(self) -> bool {
-        matches!(self, Framing::V3)
+        matches!(self, Framing::V3 | Framing::V4)
+    }
+
+    /// Whether a file in this version holds records of body tag `tag`
+    /// stored against the file's previous COMMIT version: tag 3 since
+    /// version 3, tag 4 (a piggybacked COMMIT) since version 4.
+    const fn has_delta_tag(self, tag: u8) -> bool {
+        match tag {
+            COMMIT_DELTA_TAG => self.commit_deltas(),
+            SUBMIT_DELTA_TAG => matches!(self, Framing::V4),
+            _ => false,
+        }
     }
 
     /// Bytes a record occupies beyond its payload: length prefix plus
@@ -223,8 +244,8 @@ pub struct Wal {
     header: WalHeader,
     next_seq: u64,
     records: u64,
-    /// The last COMMIT version in this file, which the next standalone
-    /// COMMIT is stored against if the file's version has deltas.
+    /// The last COMMIT version in this file, which the next COMMIT is
+    /// stored against if the file's version has deltas for it.
     base: Option<Version>,
     /// The record being appended, reused across appends.
     scratch: Vec<u8>,
@@ -302,11 +323,10 @@ impl Wal {
     /// Propagates write/sync errors; on error the caller must treat the
     /// record as *not* logged (and must not acknowledge the client).
     pub fn append(&mut self, record: &LogRecord, sync: bool) -> Result<u64, StoreError> {
-        let (framing, n) = (self.header.framing, self.header.n);
-        let base = self.base.as_ref().filter(|_| framing.commit_deltas());
+        let (framing, n, base) = (self.header.framing, self.header.n, self.base.as_ref());
         self.scratch.clear();
         framing.frame(self.next_seq, &mut self.scratch, |out| {
-            encode_body(record, base, n, out)
+            encode_body(record, base, framing, n, out)
         });
         self.file.write_all(&self.scratch)?;
         if sync {
@@ -361,23 +381,41 @@ impl Wal {
     }
 }
 
-/// Body tag of a COMMIT stored as a delta (version 3 only). Tag 2 is
-/// skipped: the retired multi-log layout used it, and it stays refused.
+/// Body tag of a standalone COMMIT stored as a delta (versions 3 and 4).
+/// Tag 2 is skipped: the retired multi-log layout used it, and it stays
+/// refused.
 const COMMIT_DELTA_TAG: u8 = 3;
+/// Body tag of a SUBMIT whose piggybacked COMMIT is stored as a delta
+/// (version 4).
+const SUBMIT_DELTA_TAG: u8 = 4;
 
-/// Encodes `record` into `out`: a standalone COMMIT as a
-/// [`CommitDelta`] against `base` when both versions have the file's
-/// arity `n` and the delta is smaller, everything else in full.
-fn encode_body(record: &LogRecord, base: Option<&Version>, n: usize, out: &mut Vec<u8>) {
-    let (LogRecord::Commit { from, msg }, Some(base)) = (record, base) else {
-        return record.encode_into(out);
+/// Encodes `record` into `out`: the COMMIT it carries, standalone or
+/// piggybacked, as a [`CommitDelta`] against `base` when `framing` has
+/// that record's delta tag, both versions have the file's arity `n` and
+/// the delta is smaller; everything else in full.
+fn encode_body(
+    record: &LogRecord,
+    base: Option<&Version>,
+    framing: Framing,
+    n: usize,
+    out: &mut Vec<u8>,
+) {
+    let tag = match record {
+        LogRecord::Submit { .. } => SUBMIT_DELTA_TAG,
+        LogRecord::Commit { .. } => COMMIT_DELTA_TAG,
     };
-    let delta = CommitDelta::against(base, msg).filter(|_| msg.version.num_clients() == n);
+    let delta = base
+        .zip(record.commit())
+        .filter(|(_, commit)| framing.has_delta_tag(tag) && commit.version.num_clients() == n)
+        .and_then(|(base, commit)| CommitDelta::against(base, commit));
     let Some(delta) = delta else {
         return record.encode_into(out);
     };
-    out.push(COMMIT_DELTA_TAG);
-    from.encode_into(out);
+    out.push(tag);
+    record.from().encode_into(out);
+    if let LogRecord::Submit { msg, .. } = record {
+        msg.encode_head_into(out);
+    }
     delta.encode_into(out);
 }
 
@@ -517,9 +555,10 @@ impl<R: Read> RecordReader<R> {
             });
         }
         let record = match input {
-            [COMMIT_DELTA_TAG, rest @ ..] if framing.commit_deltas() => {
+            [tag, rest @ ..] if framing.has_delta_tag(*tag) => {
+                let tag = *tag;
                 input = rest;
-                self.resolve_delta(&mut input)
+                self.resolve_delta(tag, &mut input)
             }
             _ => LogRecord::decode_from(&mut input),
         }
@@ -555,24 +594,35 @@ impl<R: Read> RecordReader<R> {
         }
     }
 
-    /// Decodes a delta body (after its tag) into the full COMMIT it
-    /// stands for. A delta with no base in the file, against a base
+    /// Decodes the body of a record of delta tag `tag` (after the tag)
+    /// into the record it stands for: a COMMIT, or a SUBMIT carrying it.
+    /// A delta with no base in the file (`BadTag(tag)`), against a base
     /// whose arity is not the header's `n`, with more entries than that,
     /// or whose indices are out of range or not strictly increasing is
     /// malformed ([`CommitDelta::decode_rest`]).
-    fn resolve_delta(&self, input: &mut &[u8]) -> Result<LogRecord, WireError> {
+    fn resolve_delta(&self, tag: u8, input: &mut &[u8]) -> Result<LogRecord, WireError> {
         let from = ClientId::decode_from(input)?;
+        let submit = match tag {
+            SUBMIT_DELTA_TAG => Some(SubmitMsg::decode_head(input)?),
+            _ => None,
+        };
         let count = u32::decode_from(input)?;
-        let base = self
-            .base
-            .as_ref()
-            .ok_or(WireError::BadTag(COMMIT_DELTA_TAG))?;
+        let base = self.base.as_ref().ok_or(WireError::BadTag(tag))?;
         let n = base.num_clients();
         if n != self.header.n {
             return Err(WireError::BadLength(n as u64));
         }
-        let msg = CommitDelta::decode_rest(count, n, input)?.resolve(base)?;
-        Ok(LogRecord::Commit { from, msg })
+        let commit = CommitDelta::decode_rest(count, n, input)?.resolve(base)?;
+        Ok(match submit {
+            Some(msg) => LogRecord::Submit {
+                from,
+                msg: SubmitMsg {
+                    piggyback: Some(commit),
+                    ..msg
+                },
+            },
+            None => LogRecord::Commit { from, msg: commit },
+        })
     }
 }
 
@@ -823,6 +873,11 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
     }
 
+    /// Bytes `record` takes in a current file when stored in full.
+    fn stored_len(record: &LogRecord) -> usize {
+        RECORD_OVERHEAD + 8 + record.encoded_len()
+    }
+
     /// Whether the record at `span` was stored in full.
     fn stored_in_full(rec: &ScannedRecord, framing: Framing) -> bool {
         rec.span.len() == framing.overhead() + 8 + rec.record.encoded_len()
@@ -857,7 +912,7 @@ mod tests {
         let dir = scratch_dir("wal-framing");
         let wal = Wal::create(&dir, 4, 0, false).unwrap();
         assert_eq!(wal.framing(), Framing::CURRENT);
-        assert_eq!((WAL_VERSION, RECORD_OVERHEAD), (3, 12));
+        assert_eq!((WAL_VERSION, RECORD_OVERHEAD), (4, 12));
         assert_eq!(Framing::V1.overhead(), 36);
         assert_eq!(Framing::V2.overhead(), 12);
         drop(wal);
@@ -892,6 +947,32 @@ mod tests {
             assert_eq!(wal.append(&record(3, 0), false).unwrap(), 4);
             assert_eq!(scan(&dir).unwrap().len(), 5);
         }
+
+        // A reopened v3 file stores standalone COMMITs as deltas and
+        // keeps piggybacked ones in full.
+        let mut wal = open_in(&dir, Framing::V3, 4);
+        let d = [digest(1), None, None, None];
+        let piggybacked = LogRecord::Submit {
+            from: ClientId::new(1),
+            msg: SubmitMsg {
+                piggyback: Some(commit_msg(1, &[2, 0, 0, 0], &d)),
+                ..submit(1, 0)
+            },
+        };
+        for r in [
+            commit(0, &[1, 0, 0, 0], &d),
+            piggybacked,
+            commit(0, &[3, 0, 0, 0], &d),
+        ] {
+            wal.append(&r, false).unwrap();
+        }
+        drop(wal);
+        let full: Vec<bool> = scan(&dir)
+            .unwrap()
+            .iter()
+            .map(|r| stored_in_full(r, Framing::V3))
+            .collect();
+        assert_eq!(full, [true, true, false]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -900,7 +981,7 @@ mod tests {
         // A record whose checksum is *valid* but whose payload is not a
         // LogRecord — seq 2 followed by a bogus tag — in every framing.
         let dir = scratch_dir("wal-garbage");
-        for framing in [Framing::V1, Framing::V2, Framing::V3] {
+        for framing in [Framing::V1, Framing::V2, Framing::V3, Framing::V4] {
             let mut wal = open_in(&dir, framing, 4);
             wal.append(&record(0, 0), false).unwrap();
             wal.append(&record(1, 0), false).unwrap();
@@ -927,7 +1008,8 @@ mod tests {
             record(1, 0),
             // One entry past the previous COMMIT: a delta of 49 bytes.
             commit(2, &[1, 1, 1, 0], &one_more),
-            // A piggybacked COMMIT is a base too, kept inside its SUBMIT.
+            // A piggybacked COMMIT is stored against the one before it
+            // too, and is the next one's base.
             LogRecord::Submit {
                 from: ClientId::new(1),
                 msg: SubmitMsg {
@@ -967,27 +1049,42 @@ mod tests {
         assert_eq!(scanned, records.iter().collect::<Vec<_>>());
         let full: Vec<bool> = contents
             .iter()
-            .map(|r| stored_in_full(r, Framing::V3))
+            .map(|r| stored_in_full(r, Framing::CURRENT))
             .collect();
         assert_eq!(
             full,
-            [true, true, false, true, false, true, true, true, false]
+            [true, true, false, false, false, true, true, true, false]
         );
         // 12 B framing, 8 B seq, tag, from, count, one entry of 4 + 8 + 33
         // bytes and two 33-byte signatures.
         assert_eq!(contents[2].span.len(), 12 + 8 + 1 + 4 + 4 + 45 + 66);
         assert_eq!(contents[4].span.len(), 12 + 8 + 1 + 4 + 4 + 66);
-        // Each delta body is the tag, the committer, then the wire's
-        // COMMIT delta against the COMMIT before it, byte for byte.
+        // The piggyback's option tag and full version (1 + 4 + 4 · 8 + 4 +
+        // 3 · 33 + 1 bytes) became a count and one entry.
+        assert_eq!(
+            stored_len(&records[3]) - contents[3].span.len(),
+            (1 + 4 + 32 + 4 + 99 + 1) - (4 + 45)
+        );
+        // Each delta body is the tag, the sender, the SUBMIT's fields up
+        // to its piggyback option if it is one, then the wire's COMMIT
+        // delta against the COMMIT before it, byte for byte.
         let file = std::fs::read(dir.join(WAL_FILE)).unwrap();
-        for (at, before) in [(2, 0), (4, 3), (8, 7)] {
-            let LogRecord::Commit { from, msg } = &records[at] else {
-                panic!("record {at} is a COMMIT");
+        for (at, before) in [(2, 0), (3, 2), (4, 3), (8, 7)] {
+            let (tag, head) = match &records[at] {
+                LogRecord::Commit { .. } => (COMMIT_DELTA_TAG, Vec::new()),
+                LogRecord::Submit { msg, .. } => {
+                    // The SUBMIT's own encoding, up to its piggyback.
+                    let full = msg.encode();
+                    let piggyback = msg.piggyback.encoded_len();
+                    (SUBMIT_DELTA_TAG, full[..full.len() - piggyback].to_vec())
+                }
             };
             let base = &records[before].commit().unwrap().version;
-            let mut body = vec![COMMIT_DELTA_TAG];
-            from.encode_into(&mut body);
-            body.extend(CommitDelta::against(base, msg).unwrap().encode());
+            let commit = records[at].commit().unwrap();
+            let mut body = vec![tag];
+            records[at].from().encode_into(&mut body);
+            body.extend(head);
+            body.extend(CommitDelta::against(base, commit).unwrap().encode());
             let span = &contents[at].span;
             assert_eq!(file[span.start + 12 + 8..span.end], body, "record {at}");
         }
@@ -1012,8 +1109,35 @@ mod tests {
             Signature::garbage().encode_into(&mut body);
             body
         };
-        let cases: [(&str, Option<LogRecord>, Vec<u8>, WireError); 6] = [
+        // The same delta piggybacked: tag, from, a SUBMIT's head, then
+        // the delta.
+        let piggybacked = |entries: &[(u32, u64)]| {
+            let mut body = vec![SUBMIT_DELTA_TAG];
+            0u32.encode_into(&mut body);
+            submit(0, 0).encode_head_into(&mut body);
+            body.extend_from_slice(&delta(entries)[1 + 4..]);
+            body
+        };
+        let cases: [(&str, Option<LogRecord>, Vec<u8>, WireError); 9] = [
             ("no base", None, delta(&[(0, 1)]), WireError::BadTag(3)),
+            (
+                "no base under a SUBMIT",
+                None,
+                piggybacked(&[(0, 1)]),
+                WireError::BadTag(4),
+            ),
+            (
+                "truncated SUBMIT head",
+                Some(commit(0, &[1, 0], &[digest(1), None])),
+                piggybacked(&[(0, 2)])[..30].to_vec(),
+                WireError::Truncated,
+            ),
+            (
+                "index past the arity under a SUBMIT",
+                Some(commit(0, &[1, 0], &[digest(1), None])),
+                piggybacked(&[(2, 2)]),
+                WireError::BadLength(2),
+            ),
             (
                 "more entries than the arity",
                 Some(commit(0, &[1, 0], &[digest(1), None])),
@@ -1052,7 +1176,7 @@ mod tests {
                 None => 0,
             };
             drop(wal);
-            append_raw(&dir, Framing::V3, seq, &body);
+            append_raw(&dir, Framing::CURRENT, seq, &body);
             match scan(&dir).unwrap_err() {
                 StoreError::RecordCorrupt { seq: s, error: e } => {
                     assert_eq!((s, e), (seq, error), "{what}")
@@ -1060,19 +1184,25 @@ mod tests {
                 other => panic!("{what}: {other}"),
             }
         }
-        // A well-formed delta in a file without deltas is a bad tag.
-        let mut wal = open_in(&dir, Framing::V2, n);
-        wal.append(&commit(0, &[1, 0], &[digest(1), None]), false)
-            .unwrap();
-        drop(wal);
-        append_raw(&dir, Framing::V2, 1, &delta(&[(0, 2)]));
-        assert!(matches!(
-            scan(&dir).unwrap_err(),
-            StoreError::RecordCorrupt {
-                seq: 1,
-                error: WireError::BadTag(3)
+        // A well-formed delta in a file without that kind of delta is a
+        // bad tag: none in version 2, no piggybacked one in version 3.
+        for (framing, body, tag) in [
+            (Framing::V2, delta(&[(0, 2)]), 3),
+            (Framing::V2, piggybacked(&[(0, 2)]), 4),
+            (Framing::V3, piggybacked(&[(0, 2)]), 4),
+        ] {
+            let mut wal = open_in(&dir, framing, n);
+            wal.append(&commit(0, &[1, 0], &[digest(1), None]), false)
+                .unwrap();
+            drop(wal);
+            append_raw(&dir, framing, 1, &body);
+            match scan(&dir).unwrap_err() {
+                StoreError::RecordCorrupt { seq: 1, error } => {
+                    assert_eq!(error, WireError::BadTag(tag), "{framing:?}")
+                }
+                other => panic!("{framing:?}: {other}"),
             }
-        ));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1153,7 +1283,7 @@ mod tests {
             // version, so the full one is kept.
             let deltas = second_file
                 .iter()
-                .filter(|r| !stored_in_full(r, Framing::V3))
+                .filter(|r| !stored_in_full(r, Framing::CURRENT))
                 .count();
             assert!((deltas > 10) == (n > 1), "n = {n}: {deltas} deltas");
             scanned.extend(second_file);

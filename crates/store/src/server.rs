@@ -43,11 +43,11 @@ use std::time::{Duration, Instant};
 /// changes nothing, and a refused piggyback acknowledges nothing.
 fn replay_capturing(record: LogRecord, server: &mut dyn Server, caches: &mut [ReplyCache]) {
     let (n, from, ts) = (caches.len(), record.from(), record.submit_timestamp());
-    let register = match &record {
-        LogRecord::Submit { msg, .. } => Some(msg.tuple.register),
+    let tuple = match &record {
+        LogRecord::Submit { msg, .. } => Some(&msg.tuple),
         LogRecord::Commit { .. } => None,
     };
-    if !admits(n, from, register, None) {
+    if !admits(n, from, tuple, None) {
         return;
     }
     let acknowledged = record
@@ -982,8 +982,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn a_logged_record_the_door_refuses_recovers_as_if_never_logged() {
+    /// Recovers a store whose log ends in client 0's read, forged by
+    /// `forge`, with a piggyback acknowledging the reply it still has
+    /// cached — the tail a server that logged before it admitted leaves —
+    /// and requires the protocol state and sessions of the log without
+    /// it. Returns the recovered server.
+    fn a_refused_tail_recovers_as_if_never_logged(
+        label: &str,
+        forge: impl FnOnce(&mut SubmitMsg),
+    ) -> (PersistentServer, PathBuf) {
         use faust_types::{Timestamp, Wire};
         /// What recovery rebuilt: the protocol state and every session.
         type Rebuilt = (faust_ustor::ServerState, Vec<(Timestamp, Vec<Vec<u8>>)>);
@@ -995,8 +1002,8 @@ mod tests {
             });
             (server.server().export_state(), sessions.collect())
         }
-        let dir = scratch_dir("srv-door");
-        let (c0, c1) = (ClientId::new(0), ClientId::new(1));
+        let dir = scratch_dir(label);
+        let c0 = ClientId::new(0);
         let mut server = PersistentServer::open(&dir, 2, no_sync()).unwrap();
         let mut cs = clients(2);
         let submit = cs[0].begin_write(Value::from("durable")).unwrap();
@@ -1009,19 +1016,26 @@ mod tests {
         let mut server = PersistentServer::recover(&dir, 2, no_sync()).unwrap();
         let without = rebuilt(&mut server);
         assert_eq!(without.1[0].1.len(), 1, "the read's reply is cached");
-        // The tail a server that logged before it admitted leaves: a read
-        // of register `n` whose piggyback acknowledges that reply.
-        let mut outside = cs[0].begin_read(c0).unwrap();
-        outside.tuple.register = ClientId::new(2);
-        outside.piggyback = commit;
+        let mut forged = cs[0].begin_read(c0).unwrap();
+        forge(&mut forged);
+        forged.piggyback = commit;
         let record = LogRecord::Submit {
             from: c0,
-            msg: outside,
+            msg: forged,
         };
         server.wal.append(&record, false).unwrap();
         drop(server);
         let mut server = PersistentServer::recover(&dir, 2, no_sync()).unwrap();
         assert_eq!(rebuilt(&mut server), without);
+        (server, dir)
+    }
+
+    #[test]
+    fn a_logged_record_the_door_refuses_recovers_as_if_never_logged() {
+        // A read of register `n`.
+        let (server, dir) = a_refused_tail_recovers_as_if_never_logged("srv-door", |read| {
+            read.tuple.register = ClientId::new(2)
+        });
         // Nor does replay fall over a sender or a COMMIT arity outside the
         // deployment.
         let mut caches = vec![ReplyCache::default(); 2];
@@ -1032,11 +1046,25 @@ mod tests {
             commit_sig: garbage,
             proof_sig: garbage,
         };
-        for (from, msg) in [(ClientId::new(2), commit(2)), (c1, commit(1))] {
+        for (from, msg) in [(ClientId::new(2), commit(2)), (ClientId::new(1), commit(1))] {
             replay_capturing(LogRecord::Commit { from, msg }, &mut inner, &mut caches);
         }
         assert_eq!(&inner, server.server());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_logged_submit_naming_another_client_recovers_as_if_never_logged() {
+        // Client 0's read whose tuple names client 7, outside the
+        // deployment, or client 1, inside it: either tuple in `L` would
+        // fail client 1's next REPLY.
+        for other in [7, 1] {
+            let label = format!("srv-door-tuple-{other}");
+            let (_, dir) = a_refused_tail_recovers_as_if_never_logged(&label, |read| {
+                read.tuple.client = ClientId::new(other)
+            });
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub fn clients(n: usize, seed: &[u8]) -> Vec<UstorClient> {
 }
 
 /// Runs one full synchronous operation (submit → reply → commit)
-/// through any server.
+/// through any server. A client in `CommitMode::Piggyback` keeps its
+/// COMMIT for its next SUBMIT, so its operation ends at the reply.
 ///
 /// Flush-aware: under `Durability::Group` the server withholds the
 /// reply until its batch fsync, so when `on_submit` returns nothing a
@@ -74,7 +75,9 @@ pub fn run_op(server: &mut dyn Server, client: &mut UstorClient, submit: SubmitM
         .find(|(to, _)| *to == id)
         .expect("one reply for the submitter");
     let (commit, _) = client.handle_reply(reply).expect("correct server");
-    server.on_commit(id, commit.expect("immediate mode"));
+    if let Some(commit) = commit {
+        server.on_commit(id, commit);
+    }
 }
 
 /// The mutation harness, which lives in `faust-types` (below every crate

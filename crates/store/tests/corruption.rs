@@ -16,8 +16,8 @@ use faust_store::testutil::{self, clients, mutations, run_op};
 use faust_store::{
     truncate_tail_records, Durability, LogCursor, PersistentServer, StoreConfig, StoreError,
 };
-use faust_types::{Value, Version, Wire, WireError};
-use faust_ustor::{ServerState, UstorServer};
+use faust_types::{ClientId, Value, Version, Wire, WireError};
+use faust_ustor::{CommitMode, ServerState, UstorServer};
 use std::path::Path;
 
 #[path = "fixtures/script.rs"]
@@ -338,31 +338,71 @@ fn sweep_log(dir: &Path, framing: Framing, n: usize) {
     }
 }
 
+/// Whether `r` is stored as a delta: shorter than in full.
+fn is_delta(r: &ScannedRecord) -> bool {
+    r.span.len() < RECORD_OVERHEAD + 8 + faust_types::Wire::encoded_len(&r.record)
+}
+
+/// Records of `dir`'s log stored as deltas.
+fn deltas(dir: &Path) -> usize {
+    LogCursor::open(dir)
+        .unwrap()
+        .map(Result::unwrap)
+        .filter(is_delta)
+        .count()
+}
+
 #[test]
 fn every_truncation_and_bit_flip_of_a_v1_v2_and_v3_log_is_typed() {
-    // v1 and v2: the checked-in logs older builds wrote (SHA-256, then
-    // XXH64 framing; every record in full).
-    for (version, framing) in [("v1", Framing::V1), ("v2", Framing::V2)] {
+    // v1, v2 and v3: the checked-in logs older builds wrote (SHA-256,
+    // then XXH64 framing, every record in full; then the COMMITs after
+    // the file's first as deltas).
+    for (version, framing, delta_records) in [
+        ("v1", Framing::V1, 0),
+        ("v2", Framing::V2, 0),
+        ("v3", Framing::V3, 2),
+    ] {
         let dir = testutil::scratch_dir(&format!("corrupt-sweep-{version}"));
         let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
         std::fs::copy(fixture.join(version).join(WAL_FILE), dir.join(WAL_FILE)).unwrap();
+        if framing.commit_deltas() {
+            assert_eq!(deltas(&dir), delta_records, "{version}");
+        }
         sweep_log(&dir, framing, script::N);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // v3: the same script, run by this tree — its COMMITs after the
-    // file's first are deltas.
-    let v3 = testutil::scratch_dir("corrupt-sweep-v3");
-    drop(script::run(&v3));
-    std::fs::remove_file(v3.join("snapshot.bin")).unwrap();
-    let deltas = LogCursor::open(&v3)
+    // v4: a log this tree wrote, holding every record form. Client 0
+    // writes and piggybacks each COMMIT on its next SUBMIT: a delta (tag
+    // 4) against client 1's last COMMIT, which differs from it in client
+    // 1's entry alone. Client 1 reads twice and commits each read on its
+    // own: the first in full, since client 0's entry moved too (client
+    // 0's newest write is pending), the second a delta (tag 3).
+    let v4 = testutil::scratch_dir("corrupt-sweep-v4");
+    let mut server = PersistentServer::open(&v4, 2, no_sync()).unwrap();
+    let mut cs = clients(2, b"corruption-v4");
+    cs[0].set_commit_mode(CommitMode::Piggyback);
+    for round in 0..3u64 {
+        let submit = cs[0].begin_write(Value::unique(0, round)).unwrap();
+        run_op(&mut server, &mut cs[0], submit);
+        for _ in 0..2 {
+            let submit = cs[1].begin_read(ClientId::new(0)).unwrap();
+            run_op(&mut server, &mut cs[1], submit);
+        }
+    }
+    drop(server);
+    let forms: Vec<(bool, bool)> = LogCursor::open(&v4)
         .unwrap()
         .map(Result::unwrap)
-        .filter(|r| r.span.len() < RECORD_OVERHEAD + 8 + faust_types::Wire::encoded_len(&r.record))
-        .count();
-    assert_eq!(deltas, 2, "the log holds delta records");
-    sweep_log(&v3, Framing::V3, script::N);
-    std::fs::remove_dir_all(&v3).ok();
+        .map(|r| (r.record.commit().is_some(), is_delta(&r)))
+        .collect();
+    // (carries a COMMIT, stored as a delta), record by record.
+    let (none, full, delta) = ((false, false), (true, false), (true, true));
+    let first = [none, none, full, none, delta];
+    let then = [delta, none, full, none, delta];
+    assert_eq!(forms, [&first[..], &then, &then].concat());
+    sweep_log(&v4, Framing::V4, 2);
+    std::fs::remove_dir_all(&v4).ok();
 }
 
 /// Marks every byte of `payload` that lies inside a signature or a digest

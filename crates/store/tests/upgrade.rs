@@ -3,16 +3,17 @@
 //! COMMIT in full) and `fixtures/v3/` (COMMIT deltas, every `SVER` entry
 //! of the snapshot in full), all produced from `fixtures/script.rs` —
 //! recovers to exactly the state the same script produces on this tree,
-//! keeps serving, and turns into current-format files (log v3, snapshot
-//! v5) at its next snapshot — with nothing to configure.
+//! keeps serving, and turns into current-format files (log v4, snapshot
+//! v5) at its next snapshot — with nothing to configure. A v3 log that
+//! takes piggybacked COMMITs keeps them in full until that rotation.
 
 use faust_store::codec::{encode_state, SverLayout};
-use faust_store::log::{Framing, RECORD_OVERHEAD, WAL_FILE};
+use faust_store::log::{Framing, RECORD_OVERHEAD, WAL_FILE, WAL_MAGIC};
 use faust_store::snapshot::{read_snapshot, SNAPSHOT_FILE, SNAPSHOT_VERSION};
 use faust_store::testutil;
-use faust_store::{LogCursor, PersistentServer};
-use faust_types::{ClientId, Wire};
-use faust_ustor::Server;
+use faust_store::{Durability, LogCursor, PersistentServer, StoreConfig};
+use faust_types::{ClientId, SubmitMsg, Value, Wire};
+use faust_ustor::{CommitMode, Server, UstorClient};
 use std::path::{Path, PathBuf};
 
 #[path = "fixtures/script.rs"]
@@ -159,15 +160,114 @@ fn v2_store_recovers_identically_serves_and_rotates_into_v3() {
 
 #[test]
 fn v3_store_recovers_identically_serves_and_rotates_into_v5() {
-    // Its log is already the current format, byte for byte; only the
-    // snapshot changes.
+    // The script piggybacks nothing, so its log is the current format's
+    // byte for byte but for the header's version, 3 where this tree
+    // writes 4; the snapshot changes, and the log is rotated into v4.
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3");
     let current = testutil::scratch_dir("upgrade-v3-log");
     drop(script::run(&current));
-    assert_eq!(
-        std::fs::read(fixture.join(WAL_FILE)).unwrap(),
-        std::fs::read(current.join(WAL_FILE)).unwrap()
-    );
+    let mut old = std::fs::read(fixture.join(WAL_FILE)).unwrap();
+    assert_eq!(old[8..12], 3u32.to_be_bytes());
+    old[8..12].copy_from_slice(&4u32.to_be_bytes());
+    assert_eq!(old, std::fs::read(current.join(WAL_FILE)).unwrap());
     std::fs::remove_dir_all(&current).ok();
     recovers_identically_serves_and_rotates("v3", (Framing::V3, 3));
+}
+
+/// Runs one operation of `client` through every server in `servers`:
+/// the same SUBMIT to each, the same REPLY from each, and the COMMIT, if
+/// the client sends one on its own, to each.
+fn run_on_all(servers: &mut [PersistentServer], client: &mut UstorClient, submit: SubmitMsg) {
+    let id = client.id();
+    let replies: Vec<_> = servers
+        .iter_mut()
+        .map(|server| server.on_submit(id, submit.clone()).pop().unwrap().1)
+        .collect();
+    assert!(replies.windows(2).all(|w| w[0] == w[1]), "the same REPLY");
+    let (commit, _) = client.handle_reply(replies[0].clone()).unwrap();
+    for server in servers.iter_mut().filter(|_| commit.is_some()) {
+        server.on_commit(id, commit.clone().unwrap());
+    }
+}
+
+#[test]
+fn a_v3_log_keeps_its_piggybacks_in_full_and_rotates_into_v4() {
+    // A store an older build began — an empty v3 log, its header as that
+    // build's `Wal::create` wrote it — and one born current run the same
+    // piggybacking script. The v3 file takes every piggybacked COMMIT in
+    // full; at the snapshot both rotate, and from then on the two stores
+    // are byte-identical.
+    let (n, every) = (2, 12);
+    let config = StoreConfig {
+        durability: Durability::Never,
+        snapshot_every: every,
+    };
+    let old = testutil::scratch_dir("upgrade-v3-piggyback");
+    let new = testutil::scratch_dir("upgrade-v3-piggyback-twin");
+    let mut header = WAL_MAGIC.to_vec();
+    header.extend(3u32.to_be_bytes());
+    header.extend((n as u32).to_be_bytes());
+    header.extend(0u64.to_be_bytes());
+    std::fs::write(old.join(WAL_FILE), header).unwrap();
+    let mut servers =
+        [&old, &new].map(|dir| PersistentServer::open(dir, n, config.clone()).unwrap());
+    let mut clients = testutil::clients(n, b"upgrade-piggyback");
+    clients[0].set_commit_mode(CommitMode::Piggyback);
+    let mut round = 0;
+    let mut op = |servers: &mut [PersistentServer], clients: &mut [UstorClient]| {
+        let submit = clients[0].begin_write(Value::unique(0, round)).unwrap();
+        run_on_all(servers, &mut clients[0], submit);
+        let submit = clients[1].begin_read(ClientId::new(0)).unwrap();
+        run_on_all(servers, &mut clients[1], submit);
+        round += 1;
+    };
+    // Client 0's write and client 1's read and COMMIT: three records per
+    // round, four rounds short of the snapshot.
+    for _ in 0..3 {
+        op(&mut servers, &mut clients);
+    }
+    assert_eq!(servers[0].wal_records(), every - 3);
+    assert_eq!(
+        [&old, &new].map(|dir| framing(dir)),
+        [Framing::V3, Framing::V4]
+    );
+    let scanned = [&old, &new].map(|dir| {
+        LogCursor::open(dir)
+            .unwrap()
+            .map(Result::unwrap)
+            .collect::<Vec<_>>()
+    });
+    let records = |i: usize| scanned[i].iter().map(|r| &r.record).collect::<Vec<_>>();
+    assert_eq!(records(0), records(1), "the same records");
+    // Only piggybacked COMMITs after the file's first COMMIT differ: in
+    // full in v3, a count and client 1's entry (4 + 45 bytes) in v4
+    // where v3 has the option tag and both entries (1 + 4 + 2 · 8 + 4 +
+    // 2 · 33).
+    let saved: Vec<usize> = scanned[0]
+        .iter()
+        .zip(&scanned[1])
+        .map(|(v3, v4)| v3.span.len() - v4.span.len())
+        .collect();
+    assert_eq!(saved, [0, 0, 0, 42, 0, 0, 42, 0, 0]);
+    // The fourth round's last record reaches the threshold: both rotate.
+    op(&mut servers, &mut clients);
+    assert_eq!(
+        servers.each_ref().map(|s| s.wal_records()),
+        [0, 0],
+        "rotated"
+    );
+    assert_eq!(framing(&old), Framing::V4);
+    for _ in 0..2 {
+        op(&mut servers, &mut clients);
+    }
+    for file in [WAL_FILE, SNAPSHOT_FILE] {
+        assert_eq!(
+            std::fs::read(old.join(file)).unwrap(),
+            std::fs::read(new.join(file)).unwrap(),
+            "{file}: the upgraded store is byte-identical to one born current"
+        );
+    }
+    drop(servers);
+    std::fs::remove_dir_all(&old).ok();
+    std::fs::remove_dir_all(&new).ok();
 }

@@ -867,21 +867,44 @@ pub struct SubmitMsg {
     pub piggyback: Option<CommitMsg>,
 }
 
-impl Wire for SubmitMsg {
-    fn encode_into<S: Sink>(&self, out: &mut S) {
+impl SubmitMsg {
+    /// Appends every field but the piggyback: the encoding up to its
+    /// option tag. The store's log follows it with the piggybacked COMMIT
+    /// as a [`CommitDelta`].
+    pub fn encode_head_into<S: Sink>(&self, out: &mut S) {
         self.timestamp.encode_into(out);
         self.tuple.encode_into(out);
         self.value.encode_into(out);
         self.data_sig.encode_into(out);
-        self.piggyback.encode_into(out);
     }
-    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+
+    /// Reads what [`SubmitMsg::encode_head_into`] wrote, as a SUBMIT
+    /// without a piggyback.
+    ///
+    /// # Errors
+    ///
+    /// As the fields' decoders.
+    pub fn decode_head(input: &mut &[u8]) -> Result<Self, WireError> {
         Ok(SubmitMsg {
             timestamp: Timestamp::decode_from(input)?,
             tuple: InvocationTuple::decode_from(input)?,
             value: Option::<Value>::decode_from(input)?,
             data_sig: Signature::decode_from(input)?,
+            piggyback: None,
+        })
+    }
+}
+
+impl Wire for SubmitMsg {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        self.encode_head_into(out);
+        self.piggyback.encode_into(out);
+    }
+    fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
+        let head = Self::decode_head(input)?;
+        Ok(SubmitMsg {
             piggyback: Option::<CommitMsg>::decode_from(input)?,
+            ..head
         })
     }
 }

@@ -575,9 +575,6 @@ impl ServerEngine {
         let Some(verifier) = &self.verifier else {
             return true;
         };
-        if submit.tuple.client != from {
-            return false;
-        }
         let submit_ok = verifier.verify(
             from.as_u32(),
             SigContext::Submit,
@@ -636,7 +633,7 @@ impl ServerEngine {
                     }
                     _ => None,
                 };
-                if !admits(self.n, from, Some(submit.tuple.register), None)
+                if !admits(self.n, from, Some(&submit.tuple), None)
                     || !self.verify_one(from, &submit, xbar)
                 {
                     return self.reject(from, submit.piggyback.is_some());
@@ -1859,6 +1856,36 @@ mod tests {
         }
         let counts = |s: &EngineStats| (s.submits, s.commits, s.duplicates);
         assert_eq!(counts(engine.stats()), counts(twin.stats()));
+    }
+
+    #[test]
+    fn the_door_refuses_a_submit_whose_tuple_names_another_client() {
+        // Client 0's SUBMIT whose invocation tuple names client 7,
+        // outside a deployment of 2, or client 1, inside it. Admitted,
+        // either tuple would enter `L` and client 1's next REPLY would
+        // fail its check (`MalformedReply("pending tuple index out of
+        // range")` for client 7, `OwnOperationPending` for client 1),
+        // blaming an honest server.
+        for other in [7, 1] {
+            let (mut engine, mut clients) = setup(2, false);
+            let mut forged = clients[0].clone().begin_write(Value::from("x")).unwrap();
+            forged.tuple.client = c(other);
+            engine.enqueue(c(0), UstorMsg::Submit(forged));
+            engine.process_all();
+            assert!(replies(&mut engine).is_empty(), "no REPLY");
+            assert_eq!(engine.stats().rejected, 1);
+            assert_eq!(engine.stats().submits, 0, "no server call");
+            assert_eq!(engine.session(c(0)).rejected, 1);
+            for (i, j) in [(1, 0), (0, 1)] {
+                let submit = clients[i].begin_read(c(j)).unwrap();
+                engine.enqueue(c(i as u32), UstorMsg::Submit(submit));
+                engine.process_all();
+                let (_, reply) = one_reply(&mut engine);
+                let (commit, _) = clients[i].handle_reply(reply).expect("correct server");
+                engine.enqueue(c(i as u32), UstorMsg::Commit(commit.unwrap()));
+                engine.process_all();
+            }
+        }
     }
 
     /// One op of `client` whose COMMIT goes to `engine` as a delta

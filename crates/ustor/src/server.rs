@@ -8,14 +8,22 @@ use faust_types::{
 };
 
 /// The door into a deployment of `n` clients: whether the sender, a
-/// SUBMIT's register `j` and a COMMIT's arity (standalone, piggybacked or
-/// resolved from a delta) are the deployment's. Stored as `SVER[from]`, a
-/// COMMIT of another arity would make every client reject the REPLYs
-/// naming `from` as `c`. [`UstorServer`] applies it again, for direct
-/// callers and for logs written before the engine did.
-pub fn admits(n: usize, from: ClientId, j: Option<ClientId>, commit: Option<&CommitMsg>) -> bool {
+/// SUBMIT's invocation tuple — its client must be the sender, its
+/// register `j` the deployment's — and a COMMIT's arity (standalone,
+/// piggybacked or resolved from a delta) are the deployment's. Appended
+/// to `L`, a tuple naming another client would make every client reject
+/// the next REPLY; stored as `SVER[from]`, a COMMIT of another arity
+/// would make every client reject the REPLYs naming `from` as `c`.
+/// [`UstorServer`] applies it again, for direct callers and for logs
+/// written before the engine did.
+pub fn admits(
+    n: usize,
+    from: ClientId,
+    tuple: Option<&InvocationTuple>,
+    commit: Option<&CommitMsg>,
+) -> bool {
     from.index() < n
-        && j.is_none_or(|j| j.index() < n)
+        && tuple.is_none_or(|tuple| tuple.client == from && tuple.register.index() < n)
         && commit.is_none_or(|commit| commit.version.num_clients() == n)
 }
 
@@ -326,7 +334,7 @@ impl UstorServer {
 
 impl Server for UstorServer {
     fn on_submit(&mut self, client: ClientId, mut msg: SubmitMsg) -> Vec<(ClientId, ReplyMsg)> {
-        if !admits(self.n, client, Some(msg.tuple.register), None) {
+        if !admits(self.n, client, Some(&msg.tuple), None) {
             return Vec::new();
         }
         // Piggybacked COMMIT of the client's previous operation (Section
