@@ -3,10 +3,11 @@
 //! emits: the directories older builds wrote (`crates/store/tests/fixtures/`
 //! `v1`, SHA-256 record and snapshot checksums; `v2`, XXH64 with every
 //! COMMIT in full; `v3`, COMMIT deltas but every snapshot `SVER` entry in
-//! full) and a current-format directory written by the same script
-//! (COMMITs as deltas, `SVER` as a ≼-chain) export to byte-identical
-//! `FAUSTHIS` — the container whose own SHA-256 framing did not change —
-//! and all certify.
+//! full; `v4`, `SVER` as a ≼-chain, every delta's entries in the fixed
+//! layout) and a current-format directory written by the same script
+//! (COMMITs as deltas, `SVER` as a ≼-chain, compact entries) export to
+//! byte-identical `FAUSTHIS` — the container whose own SHA-256 framing
+//! did not change — and all certify.
 
 use faust_audit::{audit, export_store_dir, AuditVerdict};
 use faust_crypto::sig::KeySet;
@@ -31,7 +32,7 @@ fn v1_v2_and_v3_store_directories_export_byte_identical_histories() {
         report.verdict
     );
 
-    for version in ["v1", "v2", "v3"] {
+    for version in ["v1", "v2", "v3", "v4"] {
         let old = fixtures.join(version);
         let files =
             |dir: &Path| ["wal.bin", "snapshot.bin"].map(|f| std::fs::read(dir.join(f)).unwrap());

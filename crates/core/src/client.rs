@@ -364,7 +364,7 @@ impl FaustClient {
     }
 
     /// The USTOR client underneath.
-    pub(crate) fn ustor(&self) -> &UstorClient {
+    pub fn ustor(&self) -> &UstorClient {
         &self.ustor
     }
 

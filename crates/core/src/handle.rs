@@ -1704,8 +1704,11 @@ mod tests {
             }
         }
         assert!(cores.iter().all(|core| core.failure().is_none()));
+        // Timestamps a step apart make the delta smaller even where the
+        // fold touched all three entries (113 bytes against 131), so no
+        // COMMIT goes in full.
         assert!(
-            deltas >= 10 && with_pending >= 5 && full > 0,
+            deltas >= 10 && with_pending >= 5 && full == 0,
             "{deltas} {with_pending} {full}"
         );
     }

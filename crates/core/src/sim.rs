@@ -360,6 +360,36 @@ pub struct SimRunReport {
     /// [`FaustDriver::run_until`] alone has no store directory and
     /// exports nothing.
     pub exported_history: Option<Vec<u8>>,
+    /// What the resolution oracle compared on a benign run (nothing on
+    /// any other). Not part of the bit-identical-rerun fingerprint: the
+    /// oracle only reads the run.
+    pub resolution: ResolutionTally,
+}
+
+/// The resolution oracle's account of one benign run: each REPLY a
+/// client was handed, filled in as the client fills it in
+/// ([`faust_ustor::UstorClient::resolve_reply`]), against the full REPLY
+/// the engine cached for the SUBMIT it answers, byte for byte. It checks
+/// every base the engine sent a REPLY against — `L`'s kept tail, the
+/// COMMIT `SVER[c]` names, a named read value — on every seed, through
+/// connection kills and crash restarts alike.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ResolutionTally {
+    /// REPLYs that resolved to the cached one.
+    pub compared: usize,
+    /// Of those, the ones whose `SVER[c]` came as the marker …
+    pub markers: usize,
+    /// … or as a delta against a COMMIT of the recipient's,
+    pub deltas: usize,
+    /// whose `L` kept a tail of the previous one,
+    pub kept: usize,
+    /// and whose read value came as a name.
+    pub named: usize,
+    /// REPLYs whose SUBMIT's reply the engine no longer caches, so there
+    /// was nothing to compare with.
+    pub uncached: usize,
+    /// The first REPLY that did not resolve to the cached one.
+    pub mismatch: Option<String>,
 }
 
 impl SimRunReport {
@@ -587,6 +617,9 @@ pub struct FaustDriver {
     dirty_fired: Vec<(u64, &'static str)>,
     /// The armed virtual flush timer: `(deadline_tick, timer_id)`.
     flush_timer: Option<(u64, TimerId)>,
+    /// Whether the resolution oracle runs: set for a benign plan.
+    check_resolution: bool,
+    resolution: ResolutionTally,
 }
 
 /// A backend that re-attaches the shared [`SimClock`] on every build —
@@ -724,6 +757,8 @@ impl FaustDriver {
             fork_fired: Vec::new(),
             dirty_fired: Vec::new(),
             flush_timer: None,
+            check_resolution: false,
+            resolution: ResolutionTally::default(),
         }
     }
 
@@ -768,6 +803,7 @@ impl FaustDriver {
             .collect();
         self.plan = scenario.plan.clone();
         self.group_commit = matches!(scenario.server.durability, Durability::Group { .. });
+        self.check_resolution = scenario.plan.is_benign(&scenario.server);
         self.clock = clock;
         self.builds = builds;
         self
@@ -915,6 +951,9 @@ impl FaustDriver {
         }
         let out = match msg {
             NetMsg::Ustor(UstorMsg::Reply(reply), _) => {
+                if self.check_resolution {
+                    self.check_resolution(i, &reply);
+                }
                 self.slots[i].last_reply = Some(reply.clone());
                 self.slots[i].core.handle_reply(reply, now)
             }
@@ -922,6 +961,37 @@ impl FaustDriver {
             _ => SessionOutput::default(),
         };
         self.apply_output(i, out, now);
+    }
+
+    /// The resolution oracle on one REPLY to client `i`, before the
+    /// client processes it ([`ResolutionTally`]).
+    fn check_resolution(&mut self, i: usize, reply: &ReplyMsg) {
+        let tally = &mut self.resolution;
+        let Some((t, resolved)) = self.slots[i].core.client().ustor().resolve_reply(reply) else {
+            let what = format!("client {i} cannot fill in a REPLY it was handed");
+            tally.mismatch.get_or_insert(what);
+            return;
+        };
+        let session = self.engine.session(ClientId::new(i as u32));
+        let Some(cached) = session.replies().get(t) else {
+            tally.uncached += 1;
+            return;
+        };
+        if resolved.encode() != cached.encode() {
+            let what = format!(
+                "client {i} fills in the REPLY to its SUBMIT at t = {t} as {resolved:?}, \
+                 where the engine cached {cached:?}"
+            );
+            tally.mismatch.get_or_insert(what);
+            return;
+        }
+        let left_out = &reply.left_out;
+        let marker = left_out.commit.as_ref().map(|own| own.is_marker());
+        tally.compared += 1;
+        tally.markers += usize::from(marker == Some(true));
+        tally.deltas += usize::from(marker == Some(false));
+        tally.kept += usize::from(left_out.kept > 0);
+        tally.named += usize::from(left_out.value.is_some());
     }
 
     fn apply_output(&mut self, i: usize, out: SessionOutput, now: u64) {
@@ -1256,6 +1326,7 @@ impl FaustDriver {
             final_time: self.sim.now(),
             // Filled in by `run_sim`, which owns the store directory.
             exported_history: None,
+            resolution: self.resolution,
         }
     }
 }
@@ -1311,8 +1382,9 @@ pub fn run_sim(scenario: &SimScenario) -> SimRunReport {
 /// * **No false positives**: if no adversarial clause actually fired,
 ///   there must be no failure notification, and no failure may precede
 ///   the first adversarial event; on a structurally benign plan
-///   additionally every user op completes (wait-freedom) and the
-///   history is linearizable.
+///   additionally every user op completes (wait-freedom), the
+///   history is linearizable, and every REPLY a client was handed
+///   resolves to the one the engine cached ([`ResolutionTally`]).
 /// * **No false negatives**: every guaranteed-observable fork that fired
 ///   with room to detect (slack before the deadline, and — for crash
 ///   forks — a detector client in position over a quiescent wire, see
@@ -1338,6 +1410,9 @@ pub fn check_oracles(scenario: &SimScenario, report: &SimRunReport) -> Result<()
             return Err(format!(
                 "wait-freedom: benign run completed {completed}/{expected} user ops"
             ));
+        }
+        if let Some(mismatch) = &report.resolution.mismatch {
+            return Err(format!("resolution: {mismatch}"));
         }
         if !faust_consistency::check_wait_freedom(&report.history, &[]) {
             return Err("wait-freedom checker rejected a benign run".into());

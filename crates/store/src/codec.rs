@@ -8,8 +8,8 @@
 
 use faust_crypto::sig::Signature;
 use faust_types::{
-    decode_version_against, encode_version_against, ClientId, CommitMsg, SignedVersion, Sink,
-    SubmitMsg, Timestamp, Value, Version, Wire, WireError,
+    decode_version_against, encode_version_against, ClientId, CommitMsg, EntryLayout,
+    SignedVersion, Sink, SubmitMsg, Timestamp, Value, Version, Wire, WireError,
 };
 use faust_ustor::{MemEntry, Server, ServerState};
 
@@ -141,13 +141,15 @@ pub enum SverLayout {
     /// `n: u32`, then each signed version in full, in client order: the
     /// body of snapshots v1 and v3 and of `FAUSTHIS`'s base state.
     Full,
-    /// A ≼-chain, snapshot v5's: `n` entries `k: u32 | SVER[k].version |
-    /// SVER[k].sig` in ascending `(Σ V, k)` order, each version after the
-    /// first written against the one before it by
-    /// [`encode_version_against`]. Versions committed one after another
-    /// differ in about one entry, so an honest server's `SVER` shrinks
-    /// from `O(n²)` to `O(n)` bytes.
-    Chain,
+    /// A ≼-chain: `n` entries `k: u32 | SVER[k].version | SVER[k].sig`
+    /// in ascending `(Σ V, k)` order, each version after the first
+    /// written against the one before it by [`encode_version_against`],
+    /// a delta's entries in the layout given: snapshot v6's
+    /// [`EntryLayout::Compact`], the only one written, or snapshot v5's
+    /// [`EntryLayout::Fixed`], read only. Versions committed one after
+    /// another differ in about one entry, so an honest server's `SVER`
+    /// shrinks from `O(n²)` to `O(n)` bytes.
+    Chain(EntryLayout),
 }
 
 /// Encodes a full [`ServerState`] — `MEM`, `SVER` laid out as `layout`
@@ -159,14 +161,17 @@ pub fn encode_state(state: &ServerState, layout: SverLayout, out: &mut Vec<u8>) 
     }
     match layout {
         SverLayout::Full => state.sver.encode_into(out),
-        SverLayout::Chain => encode_sver_chain(&state.sver, out),
+        SverLayout::Chain(entries) => {
+            assert_eq!(entries, EntryLayout::Compact, "a chain is written compact");
+            encode_sver_chain(&state.sver, out)
+        }
     }
     state.proofs.encode_into(out);
     state.last_committer.encode_into(out);
     state.pending.encode_into(out);
 }
 
-/// Writes `sver` as a [`SverLayout::Chain`].
+/// Writes `sver` as a [`SverLayout::Chain`] of compact entries.
 fn encode_sver_chain(sver: &[SignedVersion], out: &mut Vec<u8>) {
     let mut order: Vec<usize> = (0..sver.len()).collect();
     // Σ V grows along ≼, so this order puts each version next to the
@@ -194,12 +199,17 @@ fn encode_sver_chain(sver: &[SignedVersion], out: &mut Vec<u8>) {
     }
 }
 
-/// Reads `n` entries of a [`SverLayout::Chain`] back into client order.
+/// Reads `n` entries of a [`SverLayout::Chain`] whose deltas lay their
+/// entries out as `layout` says back into client order.
 ///
 /// The caller has already decoded `n` `MEM` entries from the same input,
 /// so `n` is backed by bytes that were there and the `n` slots reserved
 /// here are no claim's to size.
-fn decode_sver_chain(input: &mut &[u8], n: usize) -> Result<Vec<SignedVersion>, WireError> {
+fn decode_sver_chain(
+    input: &mut &[u8],
+    n: usize,
+    layout: EntryLayout,
+) -> Result<Vec<SignedVersion>, WireError> {
     let mut slots: Vec<Option<SignedVersion>> = vec![None; n];
     let mut prev: Option<usize> = None;
     for _ in 0..n {
@@ -211,7 +221,7 @@ fn decode_sver_chain(input: &mut &[u8], n: usize) -> Result<Vec<SignedVersion>, 
         // version whose length prefix has bit 31 set, a `BadLength`.
         let version = match prev.and_then(|p| slots[p].as_ref()) {
             None => Version::decode_from(input)?,
-            Some(base) => decode_version_against(input, &base.version)?,
+            Some(base) => decode_version_against(input, &base.version, layout)?,
         };
         let sig = Option::<Signature>::decode_from(input)?;
         slots[k] = Some(SignedVersion { version, sig });
@@ -249,7 +259,7 @@ pub fn decode_state(input: &mut &[u8], layout: SverLayout) -> Result<ServerState
     }
     let sver = match layout {
         SverLayout::Full => Wire::decode_from(input)?,
-        SverLayout::Chain => decode_sver_chain(input, n)?,
+        SverLayout::Chain(entries) => decode_sver_chain(input, n, entries)?,
     };
     let state = ServerState {
         mem,

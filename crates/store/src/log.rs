@@ -11,7 +11,7 @@
 //!          | 4 | from: u32 | SUBMIT head | CommitDelta     (a piggybacked one as a delta)
 //! ```
 //!
-//! That is format version 4, the only one written into new files. Every
+//! That is format version 5, the only one written into new files. Every
 //! COMMIT, standalone or piggybacked on a SUBMIT, is stored as the wire's
 //! [`CommitDelta`], written and read by its own code: the entries `k`, in
 //! increasing order, where its version differs from the last COMMIT
@@ -27,12 +27,17 @@
 //! decodes on its own; a scan resolves every delta into an ordinary
 //! [`LogRecord`], so nothing above this module ever sees one.
 //!
-//! Version 3 is version 4 without tag 4: its piggybacked COMMITs stay in
-//! full. Versions 1 and 2 hold only tags 0 and 1. Versions 2 and 3 use
-//! version 4's framing; version 1 frames its records `len: u32 |
-//! sha256(payload): 32 B | payload` (36 B + len). All still scan, and a
-//! log opened in an older version keeps appending in it until the next
-//! rotation replaces the file. The header's version picks the
+//! Version 4 is version 5 with the deltas' entries in
+//! [`EntryLayout::Fixed`] where version 5 has [`EntryLayout::Compact`]
+//! (49 bytes a one-entry delta where version 5 has 45), and version 3 is
+//! version 4 without tag 4: its piggybacked COMMITs stay in full.
+//! Versions 1 and 2 hold only tags 0 and 1. Versions 2 to 4 use version
+//! 5's framing; version 1 frames its records `len: u32 |
+//! sha256(payload): 32 B | payload` (36 B + len). All still scan through
+//! the one entry reader, and a log opened in an older version keeps
+//! appending in it until the next rotation replaces the file — in full
+//! records only, since only the current layout is ever written. The
+//! header's version picks the
 //! [`Framing`] and nothing else does. The checksum guards against what
 //! the disk did — torn writes, bit rot — not against the operator, whom
 //! no local check can stop (see [`truncate_tail_records`]);
@@ -68,7 +73,7 @@ use crate::checksum::Checksum;
 use crate::codec::LogRecord;
 use crate::file::replace;
 use crate::StoreError;
-use faust_types::{ClientId, CommitDelta, SubmitMsg, Version, Wire, WireError};
+use faust_types::{ClientId, CommitDelta, EntryLayout, SubmitMsg, Version, Wire, WireError};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -109,13 +114,19 @@ pub enum Framing {
     /// appended to when such a file is reopened, never created.
     V3,
     /// Version 3, and a piggybacked COMMIT may be a delta too (tag 4):
-    /// every COMMIT is stored against the one before it (module docs).
+    /// every COMMIT is stored against the one before it — read, and
+    /// appended to when such a file is reopened, never created.
     V4,
+    /// Version 4 with the deltas' entries in
+    /// [`EntryLayout::Compact`](faust_types::EntryLayout) where versions
+    /// 3 and 4 have [`EntryLayout::Fixed`](faust_types::EntryLayout): the
+    /// only version whose files take deltas (module docs).
+    V5,
 }
 
 impl Framing {
     /// The framing of every newly created file.
-    pub const CURRENT: Framing = Framing::V4;
+    pub const CURRENT: Framing = Framing::V5;
 
     /// The format version a file header carries for this framing.
     pub const fn version(self) -> u32 {
@@ -124,36 +135,53 @@ impl Framing {
             Framing::V2 => 2,
             Framing::V3 => 3,
             Framing::V4 => 4,
+            Framing::V5 => 5,
         }
     }
 
     fn from_version(version: u32) -> Option<Self> {
-        [Framing::V1, Framing::V2, Framing::V3, Framing::V4]
-            .into_iter()
-            .find(|framing| framing.version() == version)
+        [
+            Framing::V1,
+            Framing::V2,
+            Framing::V3,
+            Framing::V4,
+            Framing::V5,
+        ]
+        .into_iter()
+        .find(|framing| framing.version() == version)
     }
 
     const fn checksum(self) -> Checksum {
         match self {
             Framing::V1 => Checksum::Sha256,
-            Framing::V2 | Framing::V3 | Framing::V4 => Checksum::Xxh64,
+            Framing::V2 | Framing::V3 | Framing::V4 | Framing::V5 => Checksum::Xxh64,
         }
     }
 
-    /// Whether a file in this version stores standalone COMMITs as
+    /// Whether a file in this version may hold standalone COMMITs as
     /// deltas (tag 3).
     pub const fn commit_deltas(self) -> bool {
-        matches!(self, Framing::V3 | Framing::V4)
+        matches!(self, Framing::V3 | Framing::V4 | Framing::V5)
     }
 
-    /// Whether a file in this version holds records of body tag `tag`
+    /// Whether a file in this version may hold records of body tag `tag`
     /// stored against the file's previous COMMIT version: tag 3 since
     /// version 3, tag 4 (a piggybacked COMMIT) since version 4.
     const fn has_delta_tag(self, tag: u8) -> bool {
         match tag {
             COMMIT_DELTA_TAG => self.commit_deltas(),
-            SUBMIT_DELTA_TAG => matches!(self, Framing::V4),
+            SUBMIT_DELTA_TAG => matches!(self, Framing::V4 | Framing::V5),
             _ => false,
+        }
+    }
+
+    /// How the deltas of a file in this version lay out their entries.
+    /// Only the current layout is ever written: a reopened version 3 or
+    /// 4 file takes every later COMMIT in full.
+    pub const fn entry_layout(self) -> EntryLayout {
+        match self {
+            Framing::V5 => EntryLayout::Compact,
+            _ => EntryLayout::Fixed,
         }
     }
 
@@ -390,9 +418,9 @@ const COMMIT_DELTA_TAG: u8 = 3;
 const SUBMIT_DELTA_TAG: u8 = 4;
 
 /// Encodes `record` into `out`: the COMMIT it carries, standalone or
-/// piggybacked, as a [`CommitDelta`] against `base` when `framing` has
-/// that record's delta tag, both versions have the file's arity `n` and
-/// the delta is smaller; everything else in full.
+/// piggybacked, as a [`CommitDelta`] against `base` when `framing` is the
+/// current one, both versions have the file's arity `n` and the delta is
+/// smaller; everything else in full.
 fn encode_body(
     record: &LogRecord,
     base: Option<&Version>,
@@ -406,7 +434,7 @@ fn encode_body(
     };
     let delta = base
         .zip(record.commit())
-        .filter(|(_, commit)| framing.has_delta_tag(tag) && commit.version.num_clients() == n)
+        .filter(|(_, commit)| framing == Framing::CURRENT && commit.version.num_clients() == n)
         .and_then(|(base, commit)| CommitDelta::against(base, commit));
     let Some(delta) = delta else {
         return record.encode_into(out);
@@ -595,11 +623,12 @@ impl<R: Read> RecordReader<R> {
     }
 
     /// Decodes the body of a record of delta tag `tag` (after the tag)
-    /// into the record it stands for: a COMMIT, or a SUBMIT carrying it.
-    /// A delta with no base in the file (`BadTag(tag)`), against a base
-    /// whose arity is not the header's `n`, with more entries than that,
-    /// or whose indices are out of range or not strictly increasing is
-    /// malformed ([`CommitDelta::decode_rest`]).
+    /// into the record it stands for: a COMMIT, or a SUBMIT carrying it,
+    /// its entries in the file's [`Framing::entry_layout`]. A delta with
+    /// no base in the file (`BadTag(tag)`), against a base whose arity is
+    /// not the header's `n`, with more entries than that, or whose
+    /// indices are out of range or not strictly increasing is malformed
+    /// ([`CommitDelta::decode_against`]).
     fn resolve_delta(&self, tag: u8, input: &mut &[u8]) -> Result<LogRecord, WireError> {
         let from = ClientId::decode_from(input)?;
         let submit = match tag {
@@ -612,7 +641,8 @@ impl<R: Read> RecordReader<R> {
         if n != self.header.n {
             return Err(WireError::BadLength(n as u64));
         }
-        let commit = CommitDelta::decode_rest(count, n, input)?.resolve(base)?;
+        let layout = self.header.framing.entry_layout();
+        let commit = CommitDelta::decode_against(count, base, layout, input)?;
         Ok(match submit {
             Some(msg) => LogRecord::Submit {
                 from,
@@ -748,7 +778,7 @@ mod tests {
     use crate::testutil::scratch_dir;
     use faust_crypto::sig::KeySet;
     use faust_crypto::{Digest, Signature};
-    use faust_types::{CommitMsg, DigestVec, SubmitMsg, TimestampVec, Value};
+    use faust_types::{CommitMsg, Delta, DigestVec, SubmitMsg, TimestampVec, Value, VersionEntry};
     use faust_ustor::UstorClient;
 
     fn submit(i: u32, round: u64) -> SubmitMsg {
@@ -912,7 +942,7 @@ mod tests {
         let dir = scratch_dir("wal-framing");
         let wal = Wal::create(&dir, 4, 0, false).unwrap();
         assert_eq!(wal.framing(), Framing::CURRENT);
-        assert_eq!((WAL_VERSION, RECORD_OVERHEAD), (4, 12));
+        assert_eq!((WAL_VERSION, RECORD_OVERHEAD), (5, 12));
         assert_eq!(Framing::V1.overhead(), 36);
         assert_eq!(Framing::V2.overhead(), 12);
         drop(wal);
@@ -948,31 +978,33 @@ mod tests {
             assert_eq!(scan(&dir).unwrap().len(), 5);
         }
 
-        // A reopened v3 file stores standalone COMMITs as deltas and
-        // keeps piggybacked ones in full.
-        let mut wal = open_in(&dir, Framing::V3, 4);
-        let d = [digest(1), None, None, None];
-        let piggybacked = LogRecord::Submit {
-            from: ClientId::new(1),
-            msg: SubmitMsg {
-                piggyback: Some(commit_msg(1, &[2, 0, 0, 0], &d)),
-                ..submit(1, 0)
-            },
-        };
-        for r in [
-            commit(0, &[1, 0, 0, 0], &d),
-            piggybacked,
-            commit(0, &[3, 0, 0, 0], &d),
-        ] {
-            wal.append(&r, false).unwrap();
+        // A reopened v3 or v4 file takes every COMMIT in full: only the
+        // current entry layout is ever written.
+        for framing in [Framing::V3, Framing::V4] {
+            let mut wal = open_in(&dir, framing, 4);
+            let d = [digest(1), None, None, None];
+            let piggybacked = LogRecord::Submit {
+                from: ClientId::new(1),
+                msg: SubmitMsg {
+                    piggyback: Some(commit_msg(1, &[2, 0, 0, 0], &d)),
+                    ..submit(1, 0)
+                },
+            };
+            for r in [
+                commit(0, &[1, 0, 0, 0], &d),
+                piggybacked,
+                commit(0, &[3, 0, 0, 0], &d),
+            ] {
+                wal.append(&r, false).unwrap();
+            }
+            drop(wal);
+            let full: Vec<bool> = scan(&dir)
+                .unwrap()
+                .iter()
+                .map(|r| stored_in_full(r, framing))
+                .collect();
+            assert_eq!(full, [true, true, true], "{framing:?}");
         }
-        drop(wal);
-        let full: Vec<bool> = scan(&dir)
-            .unwrap()
-            .iter()
-            .map(|r| stored_in_full(r, Framing::V3))
-            .collect();
-        assert_eq!(full, [true, true, false]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -981,7 +1013,13 @@ mod tests {
         // A record whose checksum is *valid* but whose payload is not a
         // LogRecord — seq 2 followed by a bogus tag — in every framing.
         let dir = scratch_dir("wal-garbage");
-        for framing in [Framing::V1, Framing::V2, Framing::V3, Framing::V4] {
+        for framing in [
+            Framing::V1,
+            Framing::V2,
+            Framing::V3,
+            Framing::V4,
+            Framing::V5,
+        ] {
             let mut wal = open_in(&dir, framing, 4);
             wal.append(&record(0, 0), false).unwrap();
             wal.append(&record(1, 0), false).unwrap();
@@ -1006,7 +1044,7 @@ mod tests {
             // No COMMIT in the file yet: full.
             commit(0, &[1, 1, 0, 0], &base),
             record(1, 0),
-            // One entry past the previous COMMIT: a delta of 49 bytes.
+            // One entry past the previous COMMIT: a delta of 45 bytes.
             commit(2, &[1, 1, 1, 0], &one_more),
             // A piggybacked COMMIT is stored against the one before it
             // too, and is the next one's base.
@@ -1019,10 +1057,11 @@ mod tests {
             },
             // Identical to the piggybacked one: a delta with no entry.
             commit(3, &[1, 2, 1, 0], &one_more),
-            // Every entry changed: the delta would not be smaller.
+            // Every entry changed, each a wide step from the one before:
+            // the delta would not be smaller.
             commit(
                 3,
-                &[2, 3, 2, 1],
+                &[2, (1 << 62) + 3, 2, (1 << 62) + 1],
                 &[digest(5), digest(6), digest(7), digest(8)],
             ),
             // A version of another arity is stored in full, and so is
@@ -1055,15 +1094,15 @@ mod tests {
             full,
             [true, true, false, false, false, true, true, true, false]
         );
-        // 12 B framing, 8 B seq, tag, from, count, one entry of 4 + 8 + 33
+        // 12 B framing, 8 B seq, tag, from, count, one entry of 1 + 8 + 32
         // bytes and two 33-byte signatures.
-        assert_eq!(contents[2].span.len(), 12 + 8 + 1 + 4 + 4 + 45 + 66);
+        assert_eq!(contents[2].span.len(), 12 + 8 + 1 + 4 + 4 + 41 + 66);
         assert_eq!(contents[4].span.len(), 12 + 8 + 1 + 4 + 4 + 66);
         // The piggyback's option tag and full version (1 + 4 + 4 · 8 + 4 +
         // 3 · 33 + 1 bytes) became a count and one entry.
         assert_eq!(
             stored_len(&records[3]) - contents[3].span.len(),
-            (1 + 4 + 32 + 4 + 99 + 1) - (4 + 45)
+            (1 + 4 + 32 + 4 + 99 + 1) - (4 + 41)
         );
         // Each delta body is the tag, the sender, the SUBMIT's fields up
         // to its piggyback option if it is one, then the wire's COMMIT
@@ -1095,18 +1134,11 @@ mod tests {
     fn malformed_deltas_are_record_corrupt() {
         let dir = scratch_dir("wal-bad-delta");
         let n = 2;
-        // A delta body: tag, from, count, entries, two signatures.
+        // A delta body: tag, from, then the wire's COMMIT delta.
         let delta = |entries: &[(u32, u64)]| {
             let mut body = vec![COMMIT_DELTA_TAG];
             0u32.encode_into(&mut body);
-            (entries.len() as u32).encode_into(&mut body);
-            for &(k, t) in entries {
-                k.encode_into(&mut body);
-                t.encode_into(&mut body);
-                digest(t).encode_into(&mut body);
-            }
-            Signature::garbage().encode_into(&mut body);
-            Signature::garbage().encode_into(&mut body);
+            body.extend(commit_delta(entries).encode());
             body
         };
         // The same delta piggybacked: tag, from, a SUBMIT's head, then
@@ -1118,6 +1150,9 @@ mod tests {
             body.extend_from_slice(&delta(entries)[1 + 4..]);
             body
         };
+        // A delta whose one entry has an overlong head.
+        let mut overlong = delta(&[(0, 2)]);
+        overlong.splice(9..10, [0x81, 0]);
         let cases: [(&str, Option<LogRecord>, Vec<u8>, WireError); 9] = [
             ("no base", None, delta(&[(0, 1)]), WireError::BadTag(3)),
             (
@@ -1151,10 +1186,10 @@ mod tests {
                 WireError::BadLength(2),
             ),
             (
-                "indices not increasing",
+                "an overlong varint",
                 Some(commit(0, &[1, 0], &[digest(1), None])),
-                delta(&[(1, 2), (1, 3)]),
-                WireError::BadLength(1),
+                overlong,
+                WireError::BadVarint,
             ),
             (
                 "base of another arity",
@@ -1201,6 +1236,100 @@ mod tests {
                     assert_eq!(error, WireError::BadTag(tag), "{framing:?}")
                 }
                 other => panic!("{framing:?}: {other}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The wire's COMMIT delta of `entries`, each with a digest, and
+    /// placeholder signatures.
+    fn commit_delta(entries: &[(u32, u64)]) -> CommitDelta {
+        let entries: Vec<VersionEntry> = entries
+            .iter()
+            .map(|&(k, t)| VersionEntry {
+                client: ClientId::new(k),
+                timestamp: t,
+                digest: digest(t),
+            })
+            .collect();
+        CommitDelta {
+            version: Delta::from_entries(&entries),
+            commit_sig: Signature::garbage(),
+            proof_sig: Signature::garbage(),
+        }
+    }
+
+    /// A delta body as versions 3 and 4 wrote it, its entries in the
+    /// fixed layout `k: u32 | V[k]: u64 | M[k]: Option<Digest>`: tag 3,
+    /// or tag 4 behind `submit`'s head.
+    fn fixed_body(submit: Option<&SubmitMsg>, entries: &[(u32, u64)]) -> Vec<u8> {
+        let mut body = vec![match submit {
+            None => COMMIT_DELTA_TAG,
+            Some(_) => SUBMIT_DELTA_TAG,
+        }];
+        0u32.encode_into(&mut body);
+        if let Some(submit) = submit {
+            submit.encode_head_into(&mut body);
+        }
+        (entries.len() as u32).encode_into(&mut body);
+        for &(k, t) in entries {
+            k.encode_into(&mut body);
+            t.encode_into(&mut body);
+            digest(t).encode_into(&mut body);
+        }
+        Signature::garbage().encode_into(&mut body);
+        Signature::garbage().encode_into(&mut body);
+        body
+    }
+
+    #[test]
+    fn older_files_read_their_deltas_in_the_fixed_layout() {
+        let dir = scratch_dir("wal-fixed-delta");
+        let n = 2;
+        let first = commit(0, &[1, 0], &[digest(1), None]);
+        let resolved = |t: u64| CommitMsg {
+            commit_sig: Signature::garbage(),
+            proof_sig: Signature::garbage(),
+            ..commit_msg(0, &[1, t], &[digest(1), digest(t)])
+        };
+        let head = submit(0, 1);
+        let piggybacked = LogRecord::Submit {
+            from: ClientId::new(0),
+            msg: SubmitMsg {
+                piggyback: Some(resolved(3)),
+                ..head.clone()
+            },
+        };
+        let standalone = LogRecord::Commit {
+            from: ClientId::new(0),
+            msg: resolved(2),
+        };
+        for framing in [Framing::V3, Framing::V4] {
+            let mut wal = open_in(&dir, framing, n);
+            wal.append(&first, false).unwrap();
+            drop(wal);
+            append_raw(&dir, framing, 1, &fixed_body(None, &[(1, 2)]));
+            let mut expected = vec![&first, &standalone];
+            if framing == Framing::V4 {
+                append_raw(&dir, framing, 2, &fixed_body(Some(&head), &[(1, 3)]));
+                expected.push(&piggybacked);
+            }
+            let records = scan(&dir).unwrap();
+            let records: Vec<&LogRecord> = records.iter().map(|r| &r.record).collect();
+            assert_eq!(records, expected, "{framing:?}");
+            // Indices must strictly increase in the fixed layout, and
+            // stay below the arity.
+            for (entries, k) in [(&[(1, 2), (1, 3)][..], 1), (&[(2, 2)], 2)] {
+                let mut wal = open_in(&dir, framing, n);
+                wal.append(&first, false).unwrap();
+                drop(wal);
+                append_raw(&dir, framing, 1, &fixed_body(None, entries));
+                match scan(&dir).unwrap_err() {
+                    StoreError::RecordCorrupt { seq: 1, error } => {
+                        assert_eq!(error, WireError::BadLength(k), "{framing:?}")
+                    }
+                    other => panic!("{framing:?}: {other}"),
+                }
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1279,13 +1408,13 @@ mod tests {
             }
             assert_eq!(LogCursor::open(&dir).unwrap().header().base_seq, 100);
             let second_file = scan(&dir).unwrap();
-            // At n = 1 a one-entry delta is exactly as long as the full
-            // version, so the full one is kept.
+            // Even at n = 1 a one-entry delta (45 bytes) is shorter than
+            // the full version (49).
             let deltas = second_file
                 .iter()
                 .filter(|r| !stored_in_full(r, Framing::CURRENT))
                 .count();
-            assert!((deltas > 10) == (n > 1), "n = {n}: {deltas} deltas");
+            assert!(deltas > 10, "n = {n}: {deltas} deltas");
             scanned.extend(second_file);
             let got: Vec<(u64, &LogRecord)> = scanned.iter().map(|r| (r.seq, &r.record)).collect();
             let want: Vec<(u64, &LogRecord)> = (0..).zip(&records).collect();

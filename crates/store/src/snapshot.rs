@@ -8,20 +8,24 @@
 //!   payload:     n: u32 | next_seq: u64 | ServerState encoding
 //! ```
 //!
-//! Version 5 is the one written. Its state encoding lays `SVER` out as a
+//! Version 6 is the one written. Its state encoding lays `SVER` out as a
 //! ≼-chain ([`SverLayout::Chain`]): the `n` signed versions in ascending
 //! `(Σ V, k)` order, each tagged with its client `k` and written as a
 //! delta against the one before it whenever that is smaller — the code
-//! of a read REPLY's `SVER[j]`. An honest server's versions differ from
+//! of a read REPLY's `SVER[j]`, its entries in
+//! [`EntryLayout::Compact`]. An honest server's versions differ from
 //! their neighbours in that order by about one entry, so `SVER` costs
 //! `O(n)` bytes instead of `O(n²)` (at n = 64, 170 KB → 8 KB).
-//! Everything else in the payload is as in version 3, which wrote every
-//! version in full ([`SverLayout::Full`], still the body of `FAUSTHIS`'s
-//! base state). Version 3 still loads, and so does version 1, version 3's
-//! payload behind a 32-byte SHA-256 digest where the checksum now sits;
-//! the next snapshot replaces either. Versions 2 and 4 added a coverage
-//! position for a retired multi-log layout and are refused with
-//! [`StoreError::UnsupportedVersion`], as are 0 and everything from 6 on.
+//! Version 5 is the same chain with its deltas' entries in
+//! [`EntryLayout::Fixed`]. Everything else in the payload is as in
+//! version 3, which wrote every version in full ([`SverLayout::Full`],
+//! still the body of `FAUSTHIS`'s base state). Versions 5 and 3 still
+//! load, and so does version 1, version 3's payload behind a 32-byte
+//! SHA-256 digest where the checksum now sits; the next snapshot
+//! replaces any of them. Versions 2 and 4 added a coverage position for
+//! a retired multi-log layout and are refused with
+//! [`StoreError::UnsupportedVersion`], as are 0 and everything from 7
+//! on.
 //! As in the log, the checksum guards against the disk, not the operator
 //! (`crate::checksum`), so the payload parser takes any bytes: a chain
 //! entry whose `k` is out of range or repeated, or whose first version is
@@ -40,12 +44,12 @@
 use crate::codec::{decode_state, encode_state, SverLayout};
 use crate::file::{Checksum, Sealed};
 use crate::StoreError;
-use faust_types::{Wire, WireError};
+use faust_types::{EntryLayout, Wire, WireError};
 use faust_ustor::ServerState;
 use std::path::Path;
 
 /// Snapshot format version written by this build.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 /// File name of the snapshot inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 
@@ -55,7 +59,12 @@ pub const SNAPSHOT: Sealed<SverLayout> = Sealed {
     magic: b"FAUSTSNP",
     file: "snapshot",
     versions: &[
-        (SNAPSHOT_VERSION, Checksum::Xxh64, SverLayout::Chain),
+        (
+            SNAPSHOT_VERSION,
+            Checksum::Xxh64,
+            SverLayout::Chain(EntryLayout::Compact),
+        ),
+        (5, Checksum::Xxh64, SverLayout::Chain(EntryLayout::Fixed)),
         (3, Checksum::Xxh64, SverLayout::Full),
         (1, Checksum::Sha256, SverLayout::Full),
     ],
@@ -232,7 +241,7 @@ mod tests {
         let dir = scratch_dir("snap-layout");
         let snap = snapshot(5, 42);
         let expected = file_bytes(&snap, SNAPSHOT_VERSION);
-        assert_eq!(expected[8..12], 5u32.to_be_bytes());
+        assert_eq!(expected[8..12], 6u32.to_be_bytes());
         write_snapshot(&dir, &snap, false).unwrap();
         assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), expected);
         std::fs::remove_dir_all(&dir).ok();
@@ -252,7 +261,7 @@ mod tests {
             read_snapshot(&dir, 3).unwrap_err(),
             StoreError::TruncatedHeader { file: "snapshot" }
         ));
-        for unknown in [0, 6, u32::MAX] {
+        for unknown in [0, 7, u32::MAX] {
             let mut bytes = file_bytes(&snapshot(3, 42), SNAPSHOT_VERSION);
             bytes[8..12].copy_from_slice(&unknown.to_be_bytes());
             std::fs::write(&path, &bytes).unwrap();
@@ -433,7 +442,7 @@ mod tests {
     fn every_state_shape_roundtrips_in_both_sver_layouts_deterministically() {
         for n in [1, 2, 5, 64] {
             for (name, state) in states(n) {
-                for layout in [SverLayout::Full, SverLayout::Chain] {
+                for layout in [SverLayout::Full, SverLayout::Chain(EntryLayout::Compact)] {
                     let encode = || {
                         let mut bytes = Vec::new();
                         encode_state(&state, layout, &mut bytes);
@@ -469,9 +478,10 @@ mod tests {
 
     #[test]
     fn an_honest_n_64_snapshot_is_o_n_where_v3_was_o_n_squared() {
-        // Round robin: 13 875 B against 176 352. A seeded random order:
-        // 21 568 B against 174 000, where chaining in client order
-        // instead of Σ V order would take 100 432.
+        // Round robin: 13 623 B against 176 352. A seeded random order:
+        // 19 369 B against 174 000. (Snapshot v5's fixed-layout entries
+        // took 13 875 and 21 568 B, and chaining in client order instead
+        // of Σ V order 100 432 for the random one.)
         let n = 64;
         let shapes = [
             ("round robin", lockstep(n, 400, |r| r as usize % n), 20_000),
@@ -484,9 +494,9 @@ mod tests {
                 state,
             };
             let v3 = payload(&snap, SverLayout::Full).len();
-            let v5 = payload(&snap, SverLayout::Chain).len();
+            let v6 = payload(&snap, SverLayout::Chain(EntryLayout::Compact)).len();
             assert!(v3 > 170_000, "{name}: v3 payload {v3} B");
-            assert!(v5 <= bound, "{name}: v5 payload {v5} B");
+            assert!(v6 <= bound, "{name}: v6 payload {v6} B");
         }
     }
 }

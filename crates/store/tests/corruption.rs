@@ -354,13 +354,15 @@ fn deltas(dir: &Path) -> usize {
 
 #[test]
 fn every_truncation_and_bit_flip_of_a_v1_v2_and_v3_log_is_typed() {
-    // v1, v2 and v3: the checked-in logs older builds wrote (SHA-256,
-    // then XXH64 framing, every record in full; then the COMMITs after
-    // the file's first as deltas).
+    // v1 to v4: the checked-in logs older builds wrote (SHA-256, then
+    // XXH64 framing, every record in full; then the COMMITs after the
+    // file's first as deltas of fixed-layout entries, in versions 3 and
+    // 4).
     for (version, framing, delta_records) in [
         ("v1", Framing::V1, 0),
         ("v2", Framing::V2, 0),
         ("v3", Framing::V3, 2),
+        ("v4", Framing::V4, 2),
     ] {
         let dir = testutil::scratch_dir(&format!("corrupt-sweep-{version}"));
         let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -372,14 +374,15 @@ fn every_truncation_and_bit_flip_of_a_v1_v2_and_v3_log_is_typed() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // v4: a log this tree wrote, holding every record form. Client 0
+    // v5: a log this tree wrote, holding every record form. Client 0
     // writes and piggybacks each COMMIT on its next SUBMIT: a delta (tag
     // 4) against client 1's last COMMIT, which differs from it in client
     // 1's entry alone. Client 1 reads twice and commits each read on its
-    // own: the first in full, since client 0's entry moved too (client
-    // 0's newest write is pending), the second a delta (tag 3).
-    let v4 = testutil::scratch_dir("corrupt-sweep-v4");
-    let mut server = PersistentServer::open(&v4, 2, no_sync()).unwrap();
+    // own, each a delta (tag 3) — the first of two entries, since client
+    // 0's entry moved too (client 0's newest write is pending) — but the
+    // file's first COMMIT, which has no base and is in full.
+    let v5 = testutil::scratch_dir("corrupt-sweep-v5");
+    let mut server = PersistentServer::open(&v5, 2, no_sync()).unwrap();
     let mut cs = clients(2, b"corruption-v4");
     cs[0].set_commit_mode(CommitMode::Piggyback);
     for round in 0..3u64 {
@@ -391,7 +394,7 @@ fn every_truncation_and_bit_flip_of_a_v1_v2_and_v3_log_is_typed() {
         }
     }
     drop(server);
-    let forms: Vec<(bool, bool)> = LogCursor::open(&v4)
+    let forms: Vec<(bool, bool)> = LogCursor::open(&v5)
         .unwrap()
         .map(Result::unwrap)
         .map(|r| (r.record.commit().is_some(), is_delta(&r)))
@@ -399,10 +402,10 @@ fn every_truncation_and_bit_flip_of_a_v1_v2_and_v3_log_is_typed() {
     // (carries a COMMIT, stored as a delta), record by record.
     let (none, full, delta) = ((false, false), (true, false), (true, true));
     let first = [none, none, full, none, delta];
-    let then = [delta, none, full, none, delta];
+    let then = [delta, none, delta, none, delta];
     assert_eq!(forms, [&first[..], &then, &then].concat());
-    sweep_log(&v4, Framing::V4, 2);
-    std::fs::remove_dir_all(&v4).ok();
+    sweep_log(&v5, Framing::V5, 2);
+    std::fs::remove_dir_all(&v5).ok();
 }
 
 /// Marks every byte of `payload` that lies inside a signature or a digest
@@ -488,19 +491,23 @@ fn sweep_snapshot(label: &str, file: &[u8]) {
 
 #[test]
 fn every_truncation_and_bit_flip_of_a_v3_and_a_v5_snapshot_payload_is_typed() {
-    // v3: the checked-in snapshot a v3 build wrote (every `SVER` entry in
-    // full). v5: the same script, run by this tree (`SVER` chained), and
-    // a round-robin state of 4 clients, whose chain holds several deltas.
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3");
-    let v3 = std::fs::read(fixture.join(SNAPSHOT_FILE)).unwrap();
-    assert_eq!(v3[8..12], 3u32.to_be_bytes());
-    sweep_snapshot("snap-sweep-v3", &v3);
+    // v3 and v5: the checked-in snapshots older builds wrote (every
+    // `SVER` entry in full; `SVER` chained, its delta in fixed-layout
+    // entries). v6: the same script, run by this tree (the chain's delta
+    // compact), and a round-robin state of 4 clients, whose chain holds
+    // several deltas.
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (fixture, version) in [("v3", 3u32), ("v4", 5)] {
+        let old = std::fs::read(fixtures.join(fixture).join(SNAPSHOT_FILE)).unwrap();
+        assert_eq!(old[8..12], version.to_be_bytes());
+        sweep_snapshot(&format!("snap-sweep-v{version}"), &old);
+    }
 
-    let dir = testutil::scratch_dir("snap-sweep-v5");
+    let dir = testutil::scratch_dir("snap-sweep-v6");
     drop(script::run(&dir));
-    let v5 = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
-    assert_eq!(v5[8..12], 5u32.to_be_bytes());
-    sweep_snapshot("snap-sweep-v5", &v5);
+    let v6 = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    assert_eq!(v6[8..12], 6u32.to_be_bytes());
+    sweep_snapshot("snap-sweep-v6", &v6);
 
     let n = 4;
     let mut server = UstorServer::new(n);
@@ -517,15 +524,15 @@ fn every_truncation_and_bit_flip_of_a_v3_and_a_v5_snapshot_payload_is_typed() {
     };
     write_snapshot(&dir, &snap, false).unwrap();
     sweep_snapshot(
-        "snap-sweep-v5-n4",
+        "snap-sweep-v6-n4",
         &std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A v5 payload for the initial 2-client state whose `SVER` section is
-/// `sver`, sealed as a file.
-fn v5_file_with_sver(sver: &[u8]) -> Vec<u8> {
+/// A payload for the initial 2-client state whose `SVER` section is
+/// `sver`, sealed as a file of snapshot version `version`.
+fn file_with_sver(version: u32, sver: &[u8]) -> Vec<u8> {
     let state = UstorServer::new(2).export_state();
     let mut full = Vec::new();
     encode_state(&state, SverLayout::Full, &mut full);
@@ -540,11 +547,13 @@ fn v5_file_with_sver(sver: &[u8]) -> Vec<u8> {
     payload.extend_from_slice(&full[..mem_end]);
     payload.extend_from_slice(sver);
     payload.extend_from_slice(&full[sver_end..]);
-    SNAPSHOT.seal(5, &payload)
+    SNAPSHOT.seal(version, &payload)
 }
 
 #[test]
 fn malformed_v5_sver_chains_are_typed_errors() {
+    // Snapshot versions 5 and 6 lay out the chain alike; only the
+    // entries of its deltas differ.
     let dir = testutil::scratch_dir("snap-v5-chain");
     let initial = Version::initial(2).encode();
     // `k | version | sig`, the signature absent.
@@ -555,42 +564,66 @@ fn malformed_v5_sver_chains_are_typed_errors() {
         bytes
     };
     let delta = |count: u32| ((1u32 << 31) | count).to_be_bytes().to_vec();
-    let well_formed = [entry(1, &initial), entry(0, &delta(0))].concat();
-    std::fs::write(dir.join(SNAPSHOT_FILE), v5_file_with_sver(&well_formed)).unwrap();
-    let snap = read_snapshot(&dir, 2).unwrap().unwrap();
-    assert_eq!(snap.state, UstorServer::new(2).export_state());
+    // One entry, `(1, 5, ⊥)`, in each layout.
+    let fixed = [
+        &delta(1)[..],
+        &1u32.to_be_bytes(),
+        &5u64.to_be_bytes(),
+        &[0],
+    ]
+    .concat();
+    let compact = [&delta(1)[..], &[1 << 1], &5u64.to_be_bytes()].concat();
+    for (version, one) in [(5, fixed), (6, compact)] {
+        let well_formed = [entry(1, &initial), entry(0, &delta(0))].concat();
+        std::fs::write(
+            dir.join(SNAPSHOT_FILE),
+            file_with_sver(version, &well_formed),
+        )
+        .unwrap();
+        let snap = read_snapshot(&dir, 2).unwrap().unwrap();
+        assert_eq!(snap.state, UstorServer::new(2).export_state());
+        let moved = [entry(1, &initial), entry(0, &one)].concat();
+        std::fs::write(dir.join(SNAPSHOT_FILE), file_with_sver(version, &moved)).unwrap();
+        let snap = read_snapshot(&dir, 2).unwrap().unwrap();
+        assert_eq!(
+            snap.state.sver[0].version.v().as_slice(),
+            [0, 5],
+            "v{version}"
+        );
 
-    let cases = [
-        // The first entry has no base to be a delta against: its count
-        // word reads as a full version's length prefix, out of range.
-        ("first entry a delta", entry(0, &delta(1)), (1 << 31) | 1),
-        (
-            "k = n",
-            [entry(1, &initial), entry(2, &initial)].concat(),
-            2,
-        ),
-        (
-            "repeated k",
-            [entry(0, &initial), entry(0, &delta(0))].concat(),
-            0,
-        ),
-        // 2²⁴ entries claimed, none there: refused by count, nothing reserved.
-        (
-            "count 2^24",
-            [entry(1, &initial), entry(0, &delta(1 << 24))].concat(),
-            1 << 24,
-        ),
-    ];
-    for (name, sver, claim) in cases {
-        std::fs::write(dir.join(SNAPSHOT_FILE), v5_file_with_sver(&sver)).unwrap();
-        match read_snapshot(&dir, 2) {
-            Err(StoreError::Corrupt {
-                file: "snapshot",
-                error: WireError::BadLength(found),
-            }) => {
-                assert_eq!(found, claim, "{name}");
+        let cases = [
+            // The first entry has no base to be a delta against: its count
+            // word reads as a full version's length prefix, out of range.
+            ("first entry a delta", entry(0, &delta(1)), (1 << 31) | 1),
+            (
+                "k = n",
+                [entry(1, &initial), entry(2, &initial)].concat(),
+                2,
+            ),
+            (
+                "repeated k",
+                [entry(0, &initial), entry(0, &delta(0))].concat(),
+                0,
+            ),
+            // 2²⁴ entries claimed, none there: refused by count, nothing
+            // reserved.
+            (
+                "count 2^24",
+                [entry(1, &initial), entry(0, &delta(1 << 24))].concat(),
+                1 << 24,
+            ),
+        ];
+        for (name, sver, claim) in cases {
+            std::fs::write(dir.join(SNAPSHOT_FILE), file_with_sver(version, &sver)).unwrap();
+            match read_snapshot(&dir, 2) {
+                Err(StoreError::Corrupt {
+                    file: "snapshot",
+                    error: WireError::BadLength(found),
+                }) => {
+                    assert_eq!(found, claim, "v{version}: {name}");
+                }
+                other => panic!("v{version}: {name}: {other:?}"),
             }
-            other => panic!("{name}: {other:?}"),
         }
     }
     std::fs::remove_dir_all(&dir).ok();

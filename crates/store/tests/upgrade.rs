@@ -1,18 +1,20 @@
 //! Format upgrade: a store directory an older build wrote — `fixtures/v1/`
 //! (SHA-256 record and snapshot checksums), `fixtures/v2/` (XXH64, every
-//! COMMIT in full) and `fixtures/v3/` (COMMIT deltas, every `SVER` entry
-//! of the snapshot in full), all produced from `fixtures/script.rs` —
-//! recovers to exactly the state the same script produces on this tree,
-//! keeps serving, and turns into current-format files (log v4, snapshot
-//! v5) at its next snapshot — with nothing to configure. A v3 log that
-//! takes piggybacked COMMITs keeps them in full until that rotation.
+//! COMMIT in full), `fixtures/v3/` (COMMIT deltas, every `SVER` entry of
+//! the snapshot in full) and `fixtures/v4/` (log v4, snapshot v5: `SVER`
+//! chained, every delta's entries in the fixed layout), all produced from
+//! `fixtures/script.rs` — recovers to exactly the state the same script
+//! produces on this tree, keeps serving, and turns into current-format
+//! files (log v5, snapshot v6) at its next snapshot — with nothing to
+//! configure. An older log keeps every COMMIT it takes in full until that
+//! rotation.
 
 use faust_store::codec::{encode_state, SverLayout};
 use faust_store::log::{Framing, RECORD_OVERHEAD, WAL_FILE, WAL_MAGIC};
 use faust_store::snapshot::{read_snapshot, SNAPSHOT_FILE, SNAPSHOT_VERSION};
 use faust_store::testutil;
 use faust_store::{Durability, LogCursor, PersistentServer, StoreConfig};
-use faust_types::{ClientId, SubmitMsg, Value, Wire};
+use faust_types::{ClientId, EntryLayout, SubmitMsg, Value, Wire};
 use faust_ustor::{CommitMode, Server, UstorClient};
 use std::path::{Path, PathBuf};
 
@@ -39,13 +41,13 @@ fn snapshot_version(dir: &Path) -> u32 {
     u32::from_be_bytes(bytes[8..12].try_into().unwrap())
 }
 
-/// Bytes the current format saves on the log of `dir` by storing COMMITs
-/// as deltas.
+/// Bytes the log of `dir` saves by storing COMMITs as deltas.
 fn delta_savings(dir: &Path) -> u64 {
+    let overhead = framing(dir).overhead();
     LogCursor::open(dir)
         .unwrap()
         .map(Result::unwrap)
-        .map(|r| (RECORD_OVERHEAD + 8 + r.record.encoded_len() - r.span.len()) as u64)
+        .map(|r| (overhead + 8 + r.record.encoded_len() - r.span.len()) as u64)
         .sum()
 }
 
@@ -58,7 +60,7 @@ fn sver_savings(dir: &Path) -> u64 {
         encode_state(&state, layout, &mut bytes);
         bytes.len() as u64
     };
-    len(SverLayout::Full) - len(SverLayout::Chain)
+    len(SverLayout::Full) - len(SverLayout::Chain(EntryLayout::Compact))
 }
 
 /// The fixture `version`, written in `(framing, snapshot version)`,
@@ -73,25 +75,28 @@ fn recovers_identically_serves_and_rotates(version: &str, old_format: (Framing, 
         (Framing::CURRENT, SNAPSHOT_VERSION)
     );
     // Same history: the framing's difference on every record and on the
-    // snapshot header, the COMMITs the current log stores as deltas
-    // (unless the old one did too), and the `SVER` entries the current
-    // snapshot chains (no fixture's snapshot does).
+    // snapshot header, the bytes the current log's compact deltas save
+    // beyond the old log's, and the `SVER` entries the current snapshot
+    // chains — or, against a chain of fixed-layout entries, its one
+    // delta's one entry with a digest: 45 bytes there, 41 compact.
     let len = |dir: &Path, file| std::fs::metadata(dir.join(file)).unwrap().len();
     let overhead = (old_format.0.overhead() - RECORD_OVERHEAD) as u64;
-    assert!(delta_savings(&new) > 0, "the current log holds deltas");
-    let log_savings = if old_format.0.commit_deltas() {
-        0
-    } else {
-        delta_savings(&new)
-    };
+    assert!(
+        delta_savings(&new) > delta_savings(&old),
+        "the current log's deltas are smaller"
+    );
     assert_eq!(
         len(&old, WAL_FILE) - len(&new, WAL_FILE),
-        overhead * script::WAL_RECORDS + log_savings
+        overhead * script::WAL_RECORDS + delta_savings(&new) - delta_savings(&old)
     );
     assert!(sver_savings(&new) > 0, "the current snapshot chains SVER");
+    let snapshot_savings = match old_format.1 {
+        5 => 4,
+        _ => overhead + sver_savings(&new),
+    };
     assert_eq!(
         len(&old, SNAPSHOT_FILE) - len(&new, SNAPSHOT_FILE),
-        overhead + sver_savings(&new)
+        snapshot_savings
     );
     assert_eq!(
         read_snapshot(&old, script::N).unwrap(),
@@ -160,18 +165,22 @@ fn v2_store_recovers_identically_serves_and_rotates_into_v3() {
 
 #[test]
 fn v3_store_recovers_identically_serves_and_rotates_into_v5() {
-    // The script piggybacks nothing, so its log is the current format's
-    // byte for byte but for the header's version, 3 where this tree
-    // writes 4; the snapshot changes, and the log is rotated into v4.
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3");
-    let current = testutil::scratch_dir("upgrade-v3-log");
-    drop(script::run(&current));
-    let mut old = std::fs::read(fixture.join(WAL_FILE)).unwrap();
-    assert_eq!(old[8..12], 3u32.to_be_bytes());
-    old[8..12].copy_from_slice(&4u32.to_be_bytes());
-    assert_eq!(old, std::fs::read(current.join(WAL_FILE)).unwrap());
-    std::fs::remove_dir_all(&current).ok();
+    // The script piggybacks nothing, so the v3 log is the v4 one byte for
+    // byte but for the header's version, 3 where that build wrote 4.
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let mut v3 = std::fs::read(fixtures.join("v3").join(WAL_FILE)).unwrap();
+    assert_eq!(v3[8..12], 3u32.to_be_bytes());
+    v3[8..12].copy_from_slice(&4u32.to_be_bytes());
+    assert_eq!(
+        v3,
+        std::fs::read(fixtures.join("v4").join(WAL_FILE)).unwrap()
+    );
     recovers_identically_serves_and_rotates("v3", (Framing::V3, 3));
+}
+
+#[test]
+fn v4_store_recovers_identically_serves_and_rotates_into_v6() {
+    recovers_identically_serves_and_rotates("v4", (Framing::V4, 5));
 }
 
 /// Runs one operation of `client` through every server in `servers`:
@@ -194,9 +203,10 @@ fn run_on_all(servers: &mut [PersistentServer], client: &mut UstorClient, submit
 fn a_v3_log_keeps_its_piggybacks_in_full_and_rotates_into_v4() {
     // A store an older build began — an empty v3 log, its header as that
     // build's `Wal::create` wrote it — and one born current run the same
-    // piggybacking script. The v3 file takes every piggybacked COMMIT in
-    // full; at the snapshot both rotate, and from then on the two stores
-    // are byte-identical.
+    // piggybacking script. The v3 file takes every COMMIT in full, a
+    // piggybacked one as any other, since this build writes no v3 delta;
+    // at the snapshot both rotate into log v5, and from then on the two
+    // stores are byte-identical.
     let (n, every) = (2, 12);
     let config = StoreConfig {
         durability: Durability::Never,
@@ -229,7 +239,7 @@ fn a_v3_log_keeps_its_piggybacks_in_full_and_rotates_into_v4() {
     assert_eq!(servers[0].wal_records(), every - 3);
     assert_eq!(
         [&old, &new].map(|dir| framing(dir)),
-        [Framing::V3, Framing::V4]
+        [Framing::V3, Framing::CURRENT]
     );
     let scanned = [&old, &new].map(|dir| {
         LogCursor::open(dir)
@@ -239,16 +249,17 @@ fn a_v3_log_keeps_its_piggybacks_in_full_and_rotates_into_v4() {
     });
     let records = |i: usize| scanned[i].iter().map(|r| &r.record).collect::<Vec<_>>();
     assert_eq!(records(0), records(1), "the same records");
-    // Only piggybacked COMMITs after the file's first COMMIT differ: in
-    // full in v3, a count and client 1's entry (4 + 45 bytes) in v4
-    // where v3 has the option tag and both entries (1 + 4 + 2 · 8 + 4 +
-    // 2 · 33).
+    // Only COMMITs after the file's first COMMIT differ: in full in v3,
+    // deltas in v5. A piggybacked one is a count and one entry (4 +
+    // 41 bytes) where v3 has the option tag and both entries (1 + 4 + 2 ·
+    // 8 + 4 + 2 · 33); client 1's own is a count and both entries (4 +
+    // 41 + 34) against the full version and the COMMIT's tag.
     let saved: Vec<usize> = scanned[0]
         .iter()
         .zip(&scanned[1])
-        .map(|(v3, v4)| v3.span.len() - v4.span.len())
+        .map(|(v3, v5)| v3.span.len() - v5.span.len())
         .collect();
-    assert_eq!(saved, [0, 0, 0, 42, 0, 0, 42, 0, 0]);
+    assert_eq!(saved, [0, 0, 0, 46, 0, 11, 46, 0, 11]);
     // The fourth round's last record reaches the threshold: both rotate.
     op(&mut servers, &mut clients);
     assert_eq!(
@@ -256,7 +267,7 @@ fn a_v3_log_keeps_its_piggybacks_in_full_and_rotates_into_v4() {
         [0, 0],
         "rotated"
     );
-    assert_eq!(framing(&old), Framing::V4);
+    assert_eq!(framing(&old), Framing::CURRENT);
     for _ in 0..2 {
         op(&mut servers, &mut clients);
     }

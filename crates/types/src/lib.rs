@@ -44,6 +44,6 @@ pub use value::Value;
 pub use version::{DigestVec, SignedVersion, TimestampVec, Version, VersionCmp};
 pub use wire::{
     decode_version_against, encode_version_against, AgainstOwn, CommitDelta, CommitMsg, Delta,
-    LeftOut, Proofs, ReadReply, ReplyMsg, Sink, SubmitMsg, UstorMsg, VersionDelta, VersionEntry,
-    Wire, WireError,
+    EntryLayout, LeftOut, Proofs, ReadReply, ReplyMsg, Sink, SubmitMsg, UstorMsg, VersionDelta,
+    VersionEntry, Wire, WireError,
 };

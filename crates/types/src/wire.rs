@@ -91,6 +91,9 @@ pub enum WireError {
     BadLength(u64),
     /// Trailing bytes remained after a complete message.
     TrailingBytes(usize),
+    /// A varint was overlong, longer than ten bytes or above `u64::MAX`
+    /// ([`EntryLayout::Compact`]).
+    BadVarint,
 }
 
 impl fmt::Display for WireError {
@@ -100,6 +103,7 @@ impl fmt::Display for WireError {
             WireError::BadTag(t) => write!(f, "unknown tag byte {t}"),
             WireError::BadLength(l) => write!(f, "implausible length prefix {l}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
+            WireError::BadVarint => f.write_str("non-canonical varint"),
         }
     }
 }
@@ -526,19 +530,176 @@ pub struct VersionEntry {
     pub digest: Option<Digest>,
 }
 
-/// Writes the delta entry `k: u32 | V[k]: u64 | M[k]: Option<Digest>`,
-/// the one writer of that layout.
-fn encode_entry<S: Sink>(k: usize, timestamp: Timestamp, digest: &Option<Digest>, out: &mut S) {
-    (k as u32).encode_into(out);
-    timestamp.encode_into(out);
-    digest.encode_into(out);
+/// How the entries of a [`Delta`] are laid out. Only
+/// [`EntryLayout::Compact`] is written; the store reads
+/// [`EntryLayout::Fixed`] from the files older builds wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EntryLayout {
+    /// `head: varint((k − next) << 1 | [M[k] ≠ ⊥]) | V[k] | M[k]: 32 B if
+    /// present`, where `next` is 0 for the first entry and the previous
+    /// `k + 1` after it, and `V[k]` is the first entry's as a `u64`, each
+    /// later one's as `varint(zigzag(V[k] − previous V))`, wrapping. A
+    /// varint is canonical LEB128: seven bits a byte, low group first,
+    /// the top bit set on every byte but the last; an overlong one, one
+    /// of more than ten bytes or one above `u64::MAX` is
+    /// [`WireError::BadVarint`]. An entry's size depends only on its
+    /// distance from its neighbours, never on a timestamp's magnitude:
+    /// 34 bytes for the next client's digest one operation on, 41 for a
+    /// first entry.
+    Compact,
+    /// `k: u32 | V[k]: u64 | M[k]: Option<Digest>`: 45 bytes an entry
+    /// with a digest. Log versions 3 and 4 and snapshot version 5 hold
+    /// it.
+    Fixed,
+}
+
+/// Writes `x` as a canonical LEB128 varint ([`EntryLayout::Compact`]).
+fn encode_varint(mut x: u64, out: &mut Vec<u8>) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+/// Reads a canonical LEB128 varint.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] if the input ends inside it;
+/// [`WireError::BadVarint`] if it is overlong (a zero last byte after the
+/// first), longer than ten bytes, or above `u64::MAX` (a tenth byte above
+/// 1).
+#[inline]
+fn decode_varint(input: &mut &[u8]) -> Result<u64, WireError> {
+    match *input {
+        [byte, ref rest @ ..] if *byte < 0x80 => {
+            *input = rest;
+            Ok(u64::from(*byte))
+        }
+        _ => decode_long_varint(input),
+    }
+}
+
+/// [`decode_varint`] past its one-byte case.
+fn decode_long_varint(input: &mut &[u8]) -> Result<u64, WireError> {
+    let mut x = 0;
+    for (i, &byte) in input.iter().enumerate().take(10) {
+        x |= u64::from(byte & 0x7f) << (7 * i);
+        if byte < 0x80 {
+            if i > 0 && byte == 0 || i == 9 && byte > 1 {
+                return Err(WireError::BadVarint);
+            }
+            *input = &input[i + 1..];
+            return Ok(x);
+        }
+    }
+    match input.len() {
+        0..10 => Err(WireError::Truncated),
+        _ => Err(WireError::BadVarint),
+    }
+}
+
+/// A signed step between two timestamps, folded into an unsigned one so
+/// that small steps either way stay small: 0, −1, 1, −2 … become 0, 1,
+/// 2, 3 ….
+#[inline]
+fn zigzag(step: u64) -> u64 {
+    (step << 1) ^ ((step as i64 >> 63) as u64)
+}
+
+/// The step [`zigzag`] folded.
+#[inline]
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// Where an [`EntryLayout::Compact`] entry stands against the one before
+/// it: the first index it may have, and the timestamp its own is a step
+/// from (`None` before the first entry).
+#[derive(Debug, Clone, Copy, Default)]
+struct EntryPos {
+    next: usize,
+    prev: Option<Timestamp>,
+}
+
+/// The one writer of [`EntryLayout::Compact`]: entries appended at
+/// strictly increasing `k`.
+struct EntryWriter {
+    bytes: Vec<u8>,
+    count: u32,
+    at: EntryPos,
+}
+
+impl EntryWriter {
+    /// A writer with room for `entries` entries a step from the one
+    /// before each.
+    fn with_room(entries: usize) -> Self {
+        EntryWriter {
+            bytes: Vec::with_capacity(8 + 34 * entries),
+            count: 0,
+            at: EntryPos::default(),
+        }
+    }
+
+    /// Appends the entry `(k, V[k], M[k])`, `k` past the last one. An
+    /// entry with a digest whose head and step take a byte each — the
+    /// next client's, a step of at most 63 either way — is one fixed-size
+    /// copy.
+    #[inline(always)]
+    fn encode_entry(&mut self, k: usize, timestamp: Timestamp, digest: &Option<Digest>) {
+        let head = ((k - self.at.next) as u64) << 1 | u64::from(digest.is_some());
+        let prev = std::mem::replace(
+            &mut self.at,
+            EntryPos {
+                next: k + 1,
+                prev: Some(timestamp),
+            },
+        )
+        .prev;
+        self.count += 1;
+        let out = &mut self.bytes;
+        match (prev, digest) {
+            (Some(prev), Some(digest)) => {
+                let step = zigzag(timestamp.wrapping_sub(prev));
+                if head | step < 0x80 {
+                    let mut entry = [0; 34];
+                    entry[0] = head as u8;
+                    entry[1] = step as u8;
+                    entry[2..].copy_from_slice(digest.as_bytes());
+                    return out.extend_from_slice(&entry);
+                }
+                encode_varint(head, out);
+                encode_varint(step, out);
+            }
+            (Some(prev), None) => {
+                encode_varint(head, out);
+                encode_varint(zigzag(timestamp.wrapping_sub(prev)), out);
+            }
+            (None, _) => {
+                encode_varint(head, out);
+                out.extend_from_slice(&timestamp.to_be_bytes());
+            }
+        }
+        if let Some(digest) = digest {
+            out.extend_from_slice(digest.as_bytes());
+        }
+    }
+
+    /// The delta written.
+    fn finish(self) -> Delta {
+        Delta {
+            count: self.count,
+            entries: self.bytes,
+        }
+    }
 }
 
 /// A version as the entries where it differs from a base its reader
 /// already holds:
 ///
 /// ```text
-///   count: u32 | (k: u32 | V[k]: u64 | M[k]: Option<Digest>)^count
+///   count: u32 | entry^count          (EntryLayout::Compact)
 /// ```
 ///
 /// at strictly increasing `k` below the base's arity `n`. A REPLY's
@@ -548,12 +709,14 @@ fn encode_entry<S: Sink>(k: usize, timestamp: Timestamp, digest: &Option<Digest>
 /// COMMIT records (against the last COMMIT before them in the file) and
 /// a snapshot's `SVER` chain all travel this way. [`VersionDelta`] picks
 /// the entries and writes them; this is the one form that holds them,
-/// as read or as written to be sent, until the base is at hand.
+/// as read or as written to be sent, until the base is at hand. Every
+/// entry but the first names its index and timestamp as steps from the
+/// entry before, so [`Delta::get`] needs no base either.
 ///
-/// A decoded delta has a count of at most 2²⁴ — and at most `n` where
-/// the reader knows the base — for which nothing was reserved, and
-/// indices that strictly increase; [`Delta::resolve`] checks the rest
-/// against the base.
+/// A decoded delta has a count and indices below 2²⁴ — and below `n`
+/// where the reader knows the base —, nothing reserved for the count,
+/// and canonical varints; [`Delta::resolve`] checks the indices against
+/// the base.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delta {
     count: u32,
@@ -566,31 +729,36 @@ impl Delta {
     /// its size. Senders use [`VersionDelta`], which picks the entries
     /// and a form.
     pub fn from_entries(entries: &[VersionEntry]) -> Self {
-        let mut bytes = Vec::new();
+        let mut writer = EntryWriter::with_room(entries.len());
         for e in entries {
-            encode_entry(e.client.index(), e.timestamp, &e.digest, &mut bytes);
+            writer.encode_entry(e.client.index(), e.timestamp, &e.digest);
         }
-        Delta {
-            count: entries.len() as u32,
-            entries: bytes,
-        }
+        writer.finish()
     }
 
     /// Reads the entries after a count word already read, against a base
-    /// of arity `n` (`usize::MAX` where the reader does not know it). A
-    /// count above 2²⁴ or `n` is [`WireError::BadLength`] before anything
-    /// else is read, and the entries are copied out only once all their
-    /// bytes were.
+    /// of arity `n` (2²⁴, the largest, where the reader does not know
+    /// it). A count above 2²⁴ or `n` is [`WireError::BadLength`] before
+    /// anything else is read, and the entries are copied out only once
+    /// all their bytes were.
     fn decode(count: u32, n: usize, input: &mut &[u8]) -> Result<Self, WireError> {
-        if u64::from(count) > MAX_LEN || count as usize > n {
-            return Err(WireError::BadLength(count.into()));
-        }
+        check_count(count, n)?;
         let start = *input;
-        decode_entries(input, count, n, |_, _, _| {})?;
+        decode_entries(input, count, n, EntryLayout::Compact, |_, _, _| {})?;
         Ok(Delta {
             count,
             entries: start[..start.len() - input.len()].to_vec(),
         })
+    }
+
+    /// How many entries it carries.
+    pub fn count(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Encoded size: the count word and the entries.
+    pub fn encoded_len(&self) -> usize {
+        4 + self.entries.len()
     }
 
     /// Writes `mark | count`, then the entries.
@@ -602,11 +770,18 @@ impl Delta {
     /// Entry `k`, if this delta carries it.
     pub fn get(&self, k: ClientId) -> Option<VersionEntry> {
         let (mut found, entries) = (None, &mut &self.entries[..]);
-        decode_entries(entries, self.count, usize::MAX, |at, timestamp, digest| {
-            if at == k.index() {
-                found = Some((timestamp, digest));
-            }
-        })
+        let layout = EntryLayout::Compact;
+        decode_entries(
+            entries,
+            self.count,
+            usize::MAX,
+            layout,
+            |at, timestamp, digest| {
+                if at == k.index() {
+                    found = Some((timestamp, digest));
+                }
+            },
+        )
         .ok()?;
         let (timestamp, digest) = found?;
         Some(VersionEntry {
@@ -624,175 +799,192 @@ impl Delta {
     /// [`WireError::BadLength`] of the count if it exceeds `base`'s arity
     /// `n`, or of the first index `≥ n`.
     pub fn resolve(&self, base: &Version) -> Result<Version, WireError> {
-        resolve_entries(&mut &self.entries[..], self.count, base)
+        let entries = &mut &self.entries[..];
+        resolve_entries(entries, self.count, base, EntryLayout::Compact)
     }
 }
 
-/// A [`Delta`] being sent, read off the version it stands for: which
-/// entries it carries and the size of both forms, for the sender to pick
-/// one. Each form costs `V[k] | M[k]` per entry it carries; the full
-/// form adds two length prefixes, the delta a count and an index per
-/// entry. Every sender picks the delta only when
-/// [`VersionDelta::is_smaller`].
-#[derive(Debug, Clone, Copy)]
-pub struct VersionDelta<'a> {
-    version: &'a Version,
-    picks: Picks<'a>,
-    count: u32,
-    /// Encoded size of the delta, its count included.
-    len: usize,
+/// A count of delta entries against a base of arity `n`: at most 2²⁴ and
+/// `n`, else [`WireError::BadLength`] of it.
+fn check_count(count: u32, n: usize) -> Result<(), WireError> {
+    if u64::from(count) > MAX_LEN || count as usize > n {
+        return Err(WireError::BadLength(count.into()));
+    }
+    Ok(())
+}
+
+/// A [`Delta`] being sent, written in one pass over the version it
+/// stands for, with the size of the full form beside it for the sender
+/// to pick one. The full form costs two length prefixes, 8 bytes a
+/// timestamp and a digest's 33 or a `⊥`'s 1; the delta a count and each
+/// entry it carries ([`EntryLayout::Compact`]). Every sender picks the
+/// delta only when [`VersionDelta::is_smaller`].
+#[derive(Debug, Clone)]
+pub struct VersionDelta {
+    delta: Delta,
     /// Encoded size of the full version.
     full: usize,
 }
 
-/// Which entries a [`VersionDelta`] carries.
-#[derive(Debug, Clone, Copy)]
-enum Picks<'a> {
-    /// The ones the sender named.
-    Listed(&'a [usize]),
-    /// The ones that differ from this base: where `V[k]` does, or — only
-    /// if some entry differs in `M[k]` alone, which no correct server's
-    /// versions do — where either does.
-    Differing {
-        base: &'a Version,
-        digest_only: bool,
-    },
-}
-
-impl<'a> VersionDelta<'a> {
+impl VersionDelta {
     /// The entries `indices` — strictly increasing, each below the
     /// arity — of `version`. A sender that knows which entries moved
     /// needs no base.
-    pub fn listed(version: &'a Version, indices: &'a [usize]) -> Self {
-        let d = version.m().as_slice();
-        let entry_len = |k: usize| 8 + d[k].encoded_len();
+    pub fn listed(version: &Version, indices: &[usize]) -> Self {
+        let (t, d) = (version.v().as_slice(), version.m().as_slice());
+        let mut writer = EntryWriter::with_room(indices.len());
+        for &k in indices {
+            writer.encode_entry(k, t[k], &d[k]);
+        }
+        let bottoms = d.iter().filter(|d| d.is_none()).count();
         VersionDelta {
-            version,
-            picks: Picks::Listed(indices),
-            count: indices.len() as u32,
-            len: indices.iter().fold(4, |len, &k| len + 4 + entry_len(k)),
-            full: (0..d.len()).fold(8, |full, k| full + entry_len(k)),
+            delta: writer.finish(),
+            full: full_len(d.len(), bottoms),
         }
     }
 
-    /// Every entry where `version` differs from `base`; `None` when their
-    /// arities differ.
-    ///
-    /// A REPLY is encoded twice per send (sized, then written), each time
-    /// against a base that may be cold, so this walks the entries once to
-    /// size both forms — comparing a digest only where the timestamps
-    /// agree — and [`VersionDelta::encode_into`] once more to write the
-    /// delta, by timestamps alone unless a digest moved on its own.
-    pub fn against(version: &'a Version, base: &'a Version) -> Option<Self> {
+    /// Every entry where `version` differs from `base` — in `V[k]`, or in
+    /// `M[k]` alone, which no correct server's versions do — written in
+    /// the one walk that compares them; `None` when their arities differ.
+    pub fn against(version: &Version, base: &Version) -> Option<Self> {
         let (t, d) = (version.v().as_slice(), version.m().as_slice());
         let (t_base, d_base) = (base.v().as_slice(), base.m().as_slice());
         if t.len() != t_base.len() {
             return None;
         }
-        let (mut count, mut len, mut full, mut digest_only) = (0, 4, 8, false);
-        for k in 0..t.len() {
-            let entry_len = 8 + d[k].encoded_len();
-            full += entry_len;
-            let digest_moved = t[k] == t_base[k] && d[k] != d_base[k];
-            digest_only |= digest_moved;
-            if t[k] != t_base[k] || digest_moved {
-                (count, len) = (count + 1, len + 4 + entry_len);
+        // Room for every entry a step from the one before: at n = 64 a
+        // REPLY's `SVER[c]` in round-robin lockstep, where all but one
+        // moved, is written without a regrowth.
+        let (mut writer, mut bottoms) = (EntryWriter::with_room(t.len()), 0);
+        let pairs = t.iter().zip(d).zip(t_base.iter().zip(d_base));
+        for (k, ((t, d), (t_base, d_base))) in pairs.enumerate() {
+            bottoms += usize::from(d.is_none());
+            if t != t_base || d != d_base {
+                writer.encode_entry(k, *t, d);
             }
         }
         Some(VersionDelta {
-            version,
-            picks: Picks::Differing { base, digest_only },
-            count,
-            len,
-            full,
+            delta: writer.finish(),
+            full: full_len(t.len(), bottoms),
         })
+    }
+
+    /// Encoded size of the delta, its count included.
+    fn len(&self) -> usize {
+        self.delta.encoded_len()
     }
 
     /// Whether the delta is smaller than the full version.
     pub fn is_smaller(&self) -> bool {
-        self.len < self.full
+        self.len() < self.full
     }
 
     /// Writes `mark | count`, then the entries.
     pub fn encode_into<S: Sink>(&self, mark: u32, out: &mut S) {
-        (mark | self.count).encode_into(out);
-        self.encode_entries(out);
+        self.delta.encode_into(mark, out);
     }
 
-    /// Writes the entries alone.
-    fn encode_entries<S: Sink>(&self, out: &mut S) {
-        let (t, d) = (self.version.v().as_slice(), self.version.m().as_slice());
-        match self.picks {
-            Picks::Listed(indices) => {
-                for &k in indices {
-                    encode_entry(k, t[k], &d[k], out);
-                }
-            }
-            Picks::Differing { base, digest_only } => {
-                let (t_base, d_base) = (base.v().as_slice(), base.m().as_slice());
-                for k in 0..t.len() {
-                    if t[k] != t_base[k] || digest_only && d[k] != d_base[k] {
-                        encode_entry(k, t[k], &d[k], out);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The entries, written once into a [`Delta`].
-    fn to_delta(self) -> Delta {
-        let mut entries = Vec::with_capacity(self.len - 4);
-        self.encode_entries(&mut entries);
-        Delta {
-            count: self.count,
-            entries,
-        }
+    /// The delta written.
+    pub fn into_delta(self) -> Delta {
+        self.delta
     }
 }
 
-/// Reads `count` delta entries, handing each `(k, V[k], M[k])` to
-/// `apply`: the one reader of the layout. Indices must strictly increase
-/// and stay below `n`; the first that does not is
-/// [`WireError::BadLength`] of it, found before the entry's remaining
-/// bytes are read. Nothing is reserved for the claimed count, and no
-/// digest is passed back through a `Result` (the module docs, "What a
-/// pass costs").
+/// Encoded size of a full version of arity `n` with `bottoms` digests
+/// `⊥`: two length prefixes, a timestamp each, a digest option each.
+fn full_len(n: usize, bottoms: usize) -> usize {
+    8 + 8 * n + 33 * n - 32 * bottoms
+}
+
+/// Reads `count` delta entries in `layout`, handing each `(k, V[k],
+/// M[k])` to `apply`: the one reader of both layouts. Indices must
+/// strictly increase — the compact layout cannot say otherwise — and
+/// stay below `n`; the first that does not is [`WireError::BadLength`]
+/// of it, found before the entry's remaining bytes are read. Nothing is
+/// reserved for the claimed count, and no digest is passed back through
+/// a `Result` (the module docs, "What a pass costs").
+#[inline]
 fn decode_entries(
     input: &mut &[u8],
     count: u32,
     n: usize,
+    layout: EntryLayout,
     mut apply: impl FnMut(usize, Timestamp, Option<Digest>),
 ) -> Result<(), WireError> {
-    let (mut rest, mut next) = (*input, 0);
+    let (mut rest, mut at) = (*input, EntryPos::default());
     for _ in 0..count {
-        let k = u32::decode_from(&mut rest)? as usize;
-        if k < next || k >= n {
-            return Err(WireError::BadLength(k as u64));
+        let (k, timestamp, present) = match (layout, at.prev, rest) {
+            // A one-byte head and step: the common entry, read at once.
+            (EntryLayout::Compact, Some(prev), [head @ 0..0x80, step @ 0..0x80, tail @ ..]) => {
+                let k = at.next + usize::from(head >> 1);
+                if k >= n {
+                    return Err(WireError::BadLength(k as u64));
+                }
+                rest = tail;
+                let step = unzigzag(u64::from(*step));
+                (k, prev.wrapping_add(step), head & 1 == 1)
+            }
+            (EntryLayout::Compact, prev, _) => {
+                let head = decode_varint(&mut rest)?;
+                let k = (at.next as u64).saturating_add(head >> 1);
+                if k >= n as u64 {
+                    return Err(WireError::BadLength(k));
+                }
+                let timestamp = match prev {
+                    None => u64::decode_from(&mut rest)?,
+                    Some(prev) => prev.wrapping_add(unzigzag(decode_varint(&mut rest)?)),
+                };
+                (k as usize, timestamp, head & 1 == 1)
+            }
+            (EntryLayout::Fixed, ..) => {
+                let k = u32::decode_from(&mut rest)? as usize;
+                if k < at.next || k >= n {
+                    return Err(WireError::BadLength(k as u64));
+                }
+                let timestamp = u64::decode_from(&mut rest)?;
+                let present = match rest {
+                    [tag @ (0 | 1), tail @ ..] => {
+                        rest = tail;
+                        *tag == 1
+                    }
+                    [t, ..] => return Err(WireError::BadTag(*t)),
+                    [] => return Err(WireError::Truncated),
+                };
+                (k, timestamp, present)
+            }
+        };
+        match present {
+            false => apply(k, timestamp, None),
+            true => Digest::decode_then(&mut rest, |digest| apply(k, timestamp, Some(digest)))?,
         }
-        next = k + 1;
-        let timestamp = u64::decode_from(&mut rest)?;
-        Option::<Digest>::decode_then(&mut rest, |digest| apply(k, timestamp, digest))?;
+        at = EntryPos {
+            next: k + 1,
+            prev: Some(timestamp),
+        };
     }
     *input = rest;
     Ok(())
 }
 
-/// `base` with the `count` entries read from `input` written over a
-/// copy: the one resolver, behind [`Delta::resolve`] and
-/// [`decode_version_against`].
+/// `base` with the `count` entries read from `input` in `layout` written
+/// over a copy: the one resolver, behind [`Delta::resolve`],
+/// [`decode_version_against`] and [`CommitDelta::decode_against`].
 ///
 /// # Errors
 ///
 /// A delta may carry at most `n` entries, `n` the base's arity, at
 /// strictly increasing indices below `n`; anything else is
 /// [`WireError::BadLength`] of the offending count or index.
-fn resolve_entries(input: &mut &[u8], count: u32, base: &Version) -> Result<Version, WireError> {
+fn resolve_entries(
+    input: &mut &[u8],
+    count: u32,
+    base: &Version,
+    layout: EntryLayout,
+) -> Result<Version, WireError> {
     let n = base.num_clients();
-    if count as usize > n {
-        return Err(WireError::BadLength(count.into()));
-    }
+    check_count(count, n)?;
     let (mut t, mut d) = (base.v().as_slice().to_vec(), base.m().as_slice().to_vec());
-    decode_entries(input, count, n, |k, timestamp, digest| {
+    decode_entries(input, count, n, layout, |k, timestamp, digest| {
         t[k] = timestamp;
         d[k] = digest;
     })?;
@@ -814,18 +1006,23 @@ pub fn encode_version_against<S: Sink>(version: &Version, base: &Version, out: &
     }
 }
 
-/// A version written by [`encode_version_against`] with the same `base`.
+/// A version written by [`encode_version_against`] with the same `base`,
+/// a delta's entries laid out as `layout` says.
 ///
 /// # Errors
 ///
 /// As [`Version`]'s decoder for the full form, as [`Delta::resolve`] for
 /// a delta, whose count and indices are checked as they are read.
-pub fn decode_version_against(input: &mut &[u8], base: &Version) -> Result<Version, WireError> {
+pub fn decode_version_against(
+    input: &mut &[u8],
+    base: &Version,
+    layout: EntryLayout,
+) -> Result<Version, WireError> {
     let word = u32::decode_from(input)?;
     if word & DELTA_MARK == 0 {
         return decode_version(word, input);
     }
-    resolve_entries(input, word & !DELTA_MARK, base)
+    resolve_entries(input, word & !DELTA_MARK, base, layout)
 }
 
 impl Wire for SignedVersion {
@@ -994,9 +1191,12 @@ impl ReadReply {
 ///
 /// * `SVER[c]`'s delta and marker stand against the recipient's own
 ///   COMMIT whose own entry `V[i]` is `t` (the timestamp of the operation
-///   it commits): the delta is a [`Delta`] against its version,
-///   with the signature `SVER[c]` carries; the marker is its version and
-///   COMMIT-signature both.
+///   it commits): the delta is a [`Delta`] against its version, its
+///   entries steps from one another ([`EntryLayout::Compact`]), with the
+///   signature `SVER[c]` carries; the marker is its version and
+///   COMMIT-signature both. In round-robin lockstep at n = 64, 63 of
+///   `SVER[c]`'s entries moved since that COMMIT, and the delta is 2 153
+///   bytes where the full version is 2 632.
 /// * A read's `SVER[j]` goes as a [`Delta`] against the full
 ///   `SVER[c]` when both have the same arity and that is smaller. When
 ///   `SVER[c]` was left out, that base and its arity are known only once
@@ -1089,6 +1289,12 @@ impl AgainstOwn {
     pub fn is_marker(&self) -> bool {
         self.delta.is_none()
     }
+
+    /// `SVER[c]`'s version as a delta against the named COMMIT's; `None`
+    /// for the marker.
+    pub fn delta(&self) -> Option<&Delta> {
+        self.delta.as_ref()
+    }
 }
 
 impl Wire for ReplyMsg {
@@ -1146,7 +1352,7 @@ impl Wire for ReplyMsg {
             left_out.commit = Some(AgainstOwn::new(base, None, None));
             SignedVersion::initial(0)
         } else if word & DELTA_MARK != 0 {
-            let delta = Some(Delta::decode(word & !DELTA_MARK, usize::MAX, input)?);
+            let delta = Some(Delta::decode(word & !DELTA_MARK, MAX_LEN as usize, input)?);
             let base = Timestamp::decode_from(input)?;
             left_out.commit = Some(AgainstOwn {
                 base,
@@ -1167,11 +1373,14 @@ impl Wire for ReplyMsg {
             0 => None,
             1 => {
                 let version = match &mut left_out.commit {
-                    None => decode_version_against(input, &commit_version.version)?,
+                    None => {
+                        let base = &commit_version.version;
+                        decode_version_against(input, base, EntryLayout::Compact)?
+                    }
                     Some(own) => match u32::decode_from(input)? {
                         word if word & DELTA_MARK != 0 => {
                             own.writer =
-                                Some(Delta::decode(word & !DELTA_MARK, usize::MAX, input)?);
+                                Some(Delta::decode(word & !DELTA_MARK, MAX_LEN as usize, input)?);
                             Version::initial(0)
                         }
                         word => decode_version(word, input)?,
@@ -1255,27 +1464,19 @@ impl ReplyMsg {
 
     /// `SVER[c]` sent against `base`, the recipient's COMMIT of its
     /// operation at `t` (see [`ReplyMsg::leave_out`]); `None`, with the
-    /// REPLY left as it is, when the full form is no larger.
+    /// REPLY left as it is, when the full form is no larger. The delta is
+    /// written in the walk that compares the two versions, and its size
+    /// is known once written: an entry a small step from the one before
+    /// costs less than the full form spends on it, so no count of moved
+    /// entries settles the choice sooner.
     fn against_own(&mut self, t: Timestamp, base: &SignedVersion) -> Option<AgainstOwn> {
         let delta = if self.commit_version == *base {
             None
         } else {
             let (version, base) = (&self.commit_version.version, &base.version);
-            let v = version.v().as_slice();
-            // The delta form costs 12 + 4·D bytes besides the `D` entries
-            // it carries, the full form 8 besides all `n`: it is smaller
-            // only while 4 + 4·D is less than the `n − D` entries left
-            // out, 41 bytes at most each. The moved timestamps, a lower
-            // bound on `D`, settle that without the walk for a sequential
-            // REPLY at n = 64 whose `c` is another client.
-            let moved = v.iter().zip(base.v().as_slice()).filter(|(a, b)| a != b);
-            let moved = moved.count();
-            if 4 + 4 * moved >= 41 * (v.len() - moved) {
-                return None;
-            }
             // The delta form also carries `t`.
-            let delta = VersionDelta::against(version, base).filter(|d| d.len + 8 < d.full);
-            Some(delta?.to_delta())
+            let delta = VersionDelta::against(version, base).filter(|d| d.len() + 8 < d.full);
+            Some(delta?.into_delta())
         };
         let version = std::mem::replace(&mut self.commit_version.version, Version::initial(0));
         if delta.is_none() {
@@ -1284,7 +1485,7 @@ impl ReplyMsg {
         let writer = self.read.as_mut().and_then(|read| {
             let writer = &mut read.writer_version.version;
             let delta = VersionDelta::against(writer, &version).filter(VersionDelta::is_smaller);
-            let delta = delta?.to_delta();
+            let delta = delta?.into_delta();
             *writer = Version::initial(0);
             Some(delta)
         });
@@ -1513,7 +1714,8 @@ impl Wire for CommitMsg {
 /// the `commit_version` of the REPLY it answers, which the server still
 /// holds (its duplicate-reply cache). In lockstep that is the
 /// committer's own entry alone (Algorithm 1, lines 37–47, with `L`
-/// empty): 45 bytes where the full version has `n` entries. The
+/// empty): 45 bytes, its count included, where the full version has `n`
+/// entries. The
 /// signatures are the full COMMIT's, over the full version.
 ///
 /// ```text
@@ -1552,27 +1754,29 @@ impl CommitDelta {
     }
 
     /// `delta` with `commit`'s signatures, if it is smaller.
-    fn sent(delta: VersionDelta<'_>, commit: &CommitMsg) -> Option<Self> {
+    fn sent(delta: VersionDelta, commit: &CommitMsg) -> Option<Self> {
         delta.is_smaller().then(|| CommitDelta {
-            version: delta.to_delta(),
+            version: delta.into_delta(),
             commit_sig: commit.commit_sig,
             proof_sig: commit.proof_sig,
         })
     }
 
-    /// Reads the rest of a COMMIT delta whose count word `count` was
-    /// already read, against a base of arity `n` (`usize::MAX` where the
-    /// reader does not know it): a count above `n` or an index at or past
-    /// it fails as it is read, before the bytes after it.
+    /// The full COMMIT a delta whose count word `count` was already read
+    /// stands for over `base`, its entries read in `layout` straight into
+    /// the copy — the store's reader, which holds the base as it reads.
     ///
     /// # Errors
     ///
-    /// [`WireError::BadLength`] of a count above 2²⁴ or `n`, or of the
-    /// first index that does not strictly increase or is `≥ n`;
-    /// [`WireError::Truncated`].
-    pub fn decode_rest(count: u32, n: usize, input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(CommitDelta {
-            version: Delta::decode(count, n, input)?,
+    /// As [`Delta::resolve`]; [`WireError::Truncated`].
+    pub fn decode_against(
+        count: u32,
+        base: &Version,
+        layout: EntryLayout,
+        input: &mut &[u8],
+    ) -> Result<CommitMsg, WireError> {
+        Ok(CommitMsg {
+            version: resolve_entries(input, count, base, layout)?,
             commit_sig: Signature::decode_from(input)?,
             proof_sig: Signature::decode_from(input)?,
         })
@@ -1600,7 +1804,11 @@ impl Wire for CommitDelta {
     }
     fn decode_from(input: &mut &[u8]) -> Result<Self, WireError> {
         let count = u32::decode_from(input)?;
-        Self::decode_rest(count, usize::MAX, input)
+        Ok(CommitDelta {
+            version: Delta::decode(count, MAX_LEN as usize, input)?,
+            commit_sig: Signature::decode_from(input)?,
+            proof_sig: Signature::decode_from(input)?,
+        })
     }
 }
 
@@ -2103,7 +2311,8 @@ mod tests {
         let (reply, at) = near_read_reply();
         let bytes = reply.encode();
         assert_eq!(bytes[at..at + 4], (DELTA_MARK | 1).to_be_bytes());
-        // One 49-byte entry (its count word included) against 131 bytes.
+        // One 45-byte entry (its count word included) against 131 bytes:
+        // a head, the timestamp in full and the digest.
         let full = reply
             .read
             .as_ref()
@@ -2111,7 +2320,7 @@ mod tests {
             .writer_version
             .version
             .encoded_len();
-        assert_eq!((full, 4 + (4 + 8 + 33)), (131, 49));
+        assert_eq!((full, 4 + (1 + 8 + 32)), (131, 45));
         assert_eq!(ReplyMsg::decode(&bytes), Ok(reply.clone()));
         // A digest that moved on its own (a forked history) rides along.
         let mut forked = reply.clone();
@@ -2132,48 +2341,72 @@ mod tests {
     fn malformed_writer_version_deltas_are_typed_errors() {
         let (reply, at) = near_read_reply();
         let good = reply.encode();
-        // `bytes` with the delta's count word, then `entries` (index and
-        // timestamp only; each entry's digest is `⊥`), then the rest of
-        // the read part and the REPLY as they were.
-        let tail = &good[at + 4 + 4 + 8 + 33..];
-        let delta = |count: u32, entries: &[(u32, u64)]| {
+        // `bytes` with the delta's count word, then `entries` as raw
+        // bytes, then the rest of the read part and the REPLY as they
+        // were.
+        let tail = &good[at + 4 + 1 + 8 + 32..];
+        let delta = |count: u32, entries: &[&[u8]]| {
             let mut bytes = good[..at].to_vec();
             (DELTA_MARK | count).encode_into(&mut bytes);
-            for &(k, t) in entries {
-                k.encode_into(&mut bytes);
-                t.encode_into(&mut bytes);
-                bytes.push(0);
-            }
+            bytes.extend(entries.concat());
             bytes.extend_from_slice(tail);
             bytes
         };
-        assert!(ReplyMsg::decode(&delta(1, &[(1, 9)])).is_ok());
+        // Heads: the gap to the entry's index, shifted past the digest
+        // bit (`⊥` in every entry here).
+        let first = |gap: u8, t: u64| [&[gap << 1][..], &t.to_be_bytes()].concat();
+        assert!(ReplyMsg::decode(&delta(1, &[&first(1, 9)])).is_ok());
         let cases = [
-            ("index ≥ n", delta(1, &[(3, 9)]), WireError::BadLength(3)),
             (
-                "repeated",
-                delta(2, &[(1, 9), (1, 9)]),
-                WireError::BadLength(1),
+                "a gap to n",
+                delta(1, &[&first(3, 9)]),
+                WireError::BadLength(3),
             ),
             (
-                "unsorted",
-                delta(2, &[(2, 9), (0, 9)]),
-                WireError::BadLength(0),
+                "a gap past n",
+                delta(2, &[&first(1, 9), &[5 << 1, 0]]),
+                WireError::BadLength(7),
             ),
             ("count > n", delta(4, &[]), WireError::BadLength(4)),
             (
                 "2²⁴ claimed",
-                delta(1 << 24, &[(0, 1)]),
+                delta(1 << 24, &[&first(0, 1)]),
                 WireError::BadLength(1 << 24),
+            ),
+            (
+                "an overlong head",
+                delta(1, &[&[0x82, 0], &9u64.to_be_bytes()]),
+                WireError::BadVarint,
+            ),
+            (
+                "an overlong step",
+                delta(2, &[&first(0, 9), &[0, 0x80, 0]]),
+                WireError::BadVarint,
+            ),
+            (
+                "an 11-byte head",
+                delta(1, &[&[0xff; 10], &[1]]),
+                WireError::BadVarint,
+            ),
+            (
+                "a 10th byte above 1",
+                delta(1, &[&[0xff; 9], &[2]]),
+                WireError::BadVarint,
             ),
         ];
         for (what, bytes, error) in cases {
             assert_eq!(ReplyMsg::decode(&bytes), Err(error), "{what}");
         }
-        // A count within n, its second entry missing.
-        let short = delta(2, &[(0, 1)]);
+        // A count within n, its second entry missing, or cut inside a
+        // varint.
+        let short = delta(2, &[&first(0, 1)]);
         assert_eq!(
-            ReplyMsg::decode(&short[..at + 4 + 13]),
+            ReplyMsg::decode(&short[..at + 4 + 9]),
+            Err(WireError::Truncated)
+        );
+        let cut = delta(2, &[&first(0, 1), &[0x80]]);
+        assert_eq!(
+            ReplyMsg::decode(&cut[..at + 4 + 10]),
             Err(WireError::Truncated)
         );
     }
@@ -2245,17 +2478,31 @@ mod tests {
 
     #[test]
     fn malformed_commit_deltas_are_typed_errors() {
-        // The frame carries no arity: order is checked as it decodes,
+        // The frame carries no arity: varints are checked as it decodes,
         // range and count against the base they resolve on.
         let base = sample_version(3);
-        for entries in [&[(1, 5), (1, 6)][..], &[(2, 5), (0, 6)]] {
-            let bytes = commit_delta(entries).encode();
-            let at = entries[1].0;
-            assert_eq!(
-                CommitDelta::decode(&bytes),
-                Err(WireError::BadLength(at.into()))
-            );
+        let frame = |entries: &[&[u8]]| {
+            let mut bytes = 1u32.to_be_bytes().to_vec();
+            bytes.extend(entries.concat());
+            bytes.extend([sig(1).encode(), sig(2).encode()].concat());
+            bytes
+        };
+        let t = 5u64.to_be_bytes();
+        for head in [
+            &[0x80, 0][..],
+            &[0xff; 11],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
+        ] {
+            let bytes = frame(&[head, &t]);
+            assert_eq!(CommitDelta::decode(&bytes), Err(WireError::BadVarint));
         }
+        // An index past any arity fails as it is read, one within 2²⁴
+        // where it resolves.
+        let past = frame(&[&[0xfe, 0xff, 0xff, 0xff, 0x0f], &t]);
+        let error = Err(WireError::BadLength((1 << 31) - 1));
+        assert_eq!(CommitDelta::decode(&past), error);
+        let far = CommitDelta::decode(&frame(&[&[0xc8, 0x01], &t])).unwrap();
+        assert_eq!(far.resolve(&base), Err(WireError::BadLength(100)));
         let too_far = commit_delta(&[(0, 5), (3, 6)]);
         assert_eq!(too_far.resolve(&base), Err(WireError::BadLength(3)));
         let too_many = commit_delta(&[(0, 5), (1, 5), (2, 5), (3, 5)]);
@@ -2270,13 +2517,42 @@ mod tests {
     }
 
     #[test]
+    fn zigzag_steps_wrap_at_the_u64_extremes() {
+        for (prev, t, z) in [
+            (u64::MAX, 0, 2),
+            (0, u64::MAX, 1),
+            (7, 7, 0),
+            (0, 1 << 63, u64::MAX),
+        ] {
+            let step = t.wrapping_sub(prev);
+            assert_eq!(zigzag(step), z, "{prev} → {t}");
+            assert_eq!(prev.wrapping_add(unzigzag(zigzag(step))), t);
+            let delta = commit_delta(&[(0, prev), (1, t)]);
+            let base = Version::initial(2);
+            let resolved = delta.resolve(&base).unwrap().version;
+            assert_eq!(resolved.v().as_slice(), [prev, t]);
+            assert_eq!(delta.version.get(ClientId::new(1)).unwrap().timestamp, t);
+        }
+        for x in [0, 1, 0x7f, 0x80, 1 << 63, u64::MAX] {
+            let mut bytes = Vec::new();
+            encode_varint(x, &mut bytes);
+            assert_eq!(
+                bytes.len(),
+                (64 - x.leading_zeros() as usize).div_ceil(7).max(1)
+            );
+            let mut input = &bytes[..];
+            assert_eq!((decode_varint(&mut input), input.len()), (Ok(x), 0));
+        }
+    }
+
+    #[test]
     fn a_commit_delta_claiming_2_pow_24_entries_reads_only_the_bytes_present() {
         // Two well-formed entries after the claim, then nothing: the
         // decoder reserves nothing, reads the two, and stops at the
         // third.
         let frame = commit_delta(&[(0, 1), (1, 2)]).encode();
         let entries = &frame[4..frame.len() - 2 * 33];
-        assert_eq!(entries.len(), 2 * (4 + 8 + 1));
+        assert_eq!(entries.len(), (1 + 8) + (1 + 1));
         let bytes = claiming(MAX_LEN as u32, entries);
         assert_eq!(CommitDelta::decode(&bytes), Err(WireError::Truncated));
         // Past the cap the claim itself is the error.
@@ -2301,12 +2577,23 @@ mod tests {
         let delta = CommitDelta::against(&base, &commit).unwrap();
         assert_eq!(delta, CommitDelta::of(&commit, &[5]).unwrap());
         let frame = crate::frame::frame_bytes(&UstorMsg::CommitDelta(delta.clone()));
-        assert_eq!(frame.len(), 4 + 1 + 4 + (4 + 8 + 33) + 33 + 33);
+        // The delta is 45 bytes: a count, a head, the timestamp, the
+        // digest.
+        assert_eq!(delta.version.encoded_len(), 4 + 1 + 8 + 32);
+        assert_eq!(frame.len(), 4 + 1 + 45 + 33 + 33);
         assert_eq!(delta.resolve(&base), Ok(commit.clone()));
         // No delta where it would not be smaller, or the arities differ.
         assert!(CommitDelta::against(&sample_version(63), &commit).is_none());
+        // Every entry costs less than in full while each timestamp is a
+        // small step from the one before, and more where the steps are
+        // wide.
         let every: Vec<usize> = (0..64).collect();
-        assert!(CommitDelta::of(&commit, &every).is_none());
+        assert!(CommitDelta::of(&commit, &every).is_some());
+        let mut wide = commit.clone();
+        for k in (1..64).step_by(2) {
+            wide.version.v_mut().set(ClientId::new(k), 1 << 62);
+        }
+        assert!(CommitDelta::of(&wide, &every).is_none());
     }
 
     #[test]

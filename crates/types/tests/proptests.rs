@@ -346,17 +346,12 @@ fn a_commit_delta_resolves_against_its_base_to_the_full_commit() {
             commit_sig: arb_sig(rng),
             proof_sig: arb_sig(rng),
         };
-        match CommitDelta::against(&base, &commit) {
-            Some(delta) => {
-                assert!(delta.encoded_len() < commit.encoded_len());
-                assert_eq!(CommitDelta::decode(&delta.encode()).as_ref(), Ok(&delta));
-                assert_eq!(delta.resolve(&base), Ok(commit));
-            }
-            // Only when every entry moved is the delta not smaller.
-            None => assert!((0..N).all(|k| base.v().as_slice()[k]
-                != commit.version.v().as_slice()[k]
-                || base.m().as_slice()[k] != commit.version.m().as_slice()[k])),
-        }
+        // Timestamps a few steps apart make the delta smaller even where
+        // every entry moved.
+        let delta = CommitDelta::against(&base, &commit).expect("a smaller delta");
+        assert!(delta.encoded_len() < commit.encoded_len());
+        assert_eq!(CommitDelta::decode(&delta.encode()).as_ref(), Ok(&delta));
+        assert_eq!(delta.resolve(&base), Ok(commit));
     });
 }
 
@@ -697,6 +692,61 @@ mod reference {
         ))
     }
 
+    /// A canonical LEB128 varint, a byte at a time: a zero last byte
+    /// after the first, an eleventh byte or a tenth above 1 is
+    /// `BadVarint`.
+    fn varint(input: &mut &[u8]) -> Decoded<u64> {
+        let mut x = 0u64;
+        for i in 0..10 {
+            let b = byte(input)?;
+            x |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                if i > 0 && b == 0 || i == 9 && b > 1 {
+                    return Err(WireError::BadVarint);
+                }
+                return Ok(x);
+            }
+        }
+        Err(WireError::BadVarint)
+    }
+
+    /// A delta's `count` entries: each a head `(k − next) << 1 | [M[k] ≠
+    /// ⊥]`, the first entry's `V[k]` in full and each later one's as a
+    /// zigzag step from the one before, then the digest if the head says
+    /// so. An index at or past `n` is checked before the rest of its
+    /// entry is read.
+    fn entries(input: &mut &[u8], count: usize, n: u64) -> Decoded<Vec<VersionEntry>> {
+        let mut entries: Vec<VersionEntry> = Vec::new();
+        for _ in 0..count {
+            let next = entries
+                .last()
+                .map_or(0, |e| u64::from(e.client.as_u32()) + 1);
+            let head = varint(input)?;
+            let k = next.saturating_add(head >> 1);
+            if k >= n {
+                return Err(WireError::BadLength(k));
+            }
+            let timestamp = match entries.last() {
+                None => long(input)?,
+                Some(prev) => {
+                    let z = varint(input)?;
+                    let step = if z % 2 == 0 { z / 2 } else { !(z / 2) };
+                    prev.timestamp.wrapping_add(step)
+                }
+            };
+            let digest = match head % 2 {
+                0 => None,
+                _ => Some(digest(input)?),
+            };
+            entries.push(VersionEntry {
+                client: ClientId::new(k as u32),
+                timestamp,
+                digest,
+            });
+        }
+        Ok(entries)
+    }
+
     /// A read REPLY's `SVER[j]` version: bit 31 of the first word marks
     /// a delta against `base` whose entry count is the low bits.
     fn version_against(input: &mut &[u8], base: &Version) -> Decoded<Version> {
@@ -710,40 +760,14 @@ mod reference {
         }
         let mut v = base.v().as_slice().to_vec();
         let mut m = base.m().as_slice().to_vec();
-        let mut next = 0;
-        for _ in 0..count {
-            let k = word(input)? as usize;
-            if k < next || k >= n {
-                return Err(WireError::BadLength(k as u64));
-            }
-            next = k + 1;
-            v[k] = long(input)?;
-            m[k] = option(input, digest)?;
+        for e in entries(input, count, n as u64)? {
+            v[e.client.index()] = e.timestamp;
+            m[e.client.index()] = e.digest;
         }
         Ok(Version::new(
             TimestampVec::from_vec(v),
             DigestVec::from_vec(m),
         ))
-    }
-
-    /// A COMMIT delta's `count` entries `k | V[k] | M[k]`, `k` strictly
-    /// increasing, checked before the rest of its entry is read.
-    fn entries(input: &mut &[u8], count: usize) -> Decoded<Vec<VersionEntry>> {
-        let mut entries = Vec::new();
-        let mut next = 0u64;
-        for _ in 0..count {
-            let k = word(input)?;
-            if u64::from(k) < next {
-                return Err(WireError::BadLength(k.into()));
-            }
-            next = u64::from(k) + 1;
-            entries.push(VersionEntry {
-                client: ClientId::new(k),
-                timestamp: long(input)?,
-                digest: option(input, digest)?,
-            });
-        }
-        Ok(entries)
     }
 
     fn commit_body(input: &mut &[u8]) -> Decoded<CommitMsg> {
@@ -795,7 +819,7 @@ mod reference {
         if count > MAX_LEN {
             return Err(WireError::BadLength(count));
         }
-        entries(input, count as usize)
+        entries(input, count as usize, MAX_LEN)
     }
 
     /// A REPLY's `SVER[c]`: bit 30 alone is the marker, then the name
@@ -886,7 +910,7 @@ mod reference {
 
     fn commit_delta_body(input: &mut &[u8]) -> Decoded<CommitDelta> {
         let count = length(input)?;
-        let entries = entries(input, count)?;
+        let entries = entries(input, count, MAX_LEN)?;
         Ok(CommitDelta {
             version: Delta::from_entries(&entries),
             commit_sig: signature(input)?,
@@ -1270,6 +1294,9 @@ fn frame_decoder_agrees_with_the_reference_at_every_split_point() {
 /// move by a byte. Length and SHA-256 of the encodings of seeded REPLYs,
 /// `(n, |L|, read part, SVER[j] near SVER[c])`: writes and reads, `|L|` ∈
 /// {0, 1, 31}, n ∈ {2, 64}, a read's `SVER[j]` in full and as a delta.
+/// The four read cases whose `SVER[j]` is a delta, or became one, moved
+/// with the compact entry layout (452 → 444, 1 627 → 1 623, 6 538 →
+/// 6 413 and 7 509 → 7 250 bytes); the rest did not.
 #[test]
 fn full_form_replies_are_byte_identical_to_those_before_pending_deltas() {
     let golden = [
@@ -1280,8 +1307,8 @@ fn full_form_replies_are_byte_identical_to_those_before_pending_deltas() {
         ),
         (
             (2, 0, true, false),
-            452,
-            "5b261faf1fe44501931ee6676b8a197ecb1d260da8c97d1b71f5d62a74a9e740",
+            444,
+            "ccd3fab8353769c16dfda42649ee0f176c54a96d0777c2f49c2504b2ae70e740",
         ),
         (
             (2, 1, true, true),
@@ -1295,18 +1322,18 @@ fn full_form_replies_are_byte_identical_to_those_before_pending_deltas() {
         ),
         (
             (2, 31, true, true),
-            1627,
-            "c17bfc2f15d5f33e059c57541690e0df0b5c20cb1d4adb2b2f8295eaa84994df",
+            1623,
+            "8da7e30a99a3ecc7f9e6566ae16e77e7d7dc20a2c8dfb0450efba6e8b834d83c",
         ),
         (
             (64, 0, true, true),
-            6538,
-            "8abff0feb0b3a124d66712493dbdeaf2e996c0e70d7903cc4d997d22376499e3",
+            6413,
+            "625a2f4c32071d975edc54ee1e1161f659b30c94b329a5a9d1bc2018b155801f",
         ),
         (
             (64, 31, true, false),
-            7509,
-            "1a95f054726e35d51cb570363477177571785e68685fd0426bee2e27e74db310",
+            7250,
+            "197377a1c585ffd5dfeb9da2551d195dcc892a986a1f5b156632a65adab455d1",
         ),
     ];
     for (case, ((n, pending, extras, near), len, digest)) in golden.into_iter().enumerate() {
@@ -1559,8 +1586,9 @@ fn sver_sent_against_the_recipients_own_commit_resolves_to_itself() {
 /// A delta-form `SVER[c]` — or a read's `SVER[j]` behind one — whose
 /// count is beyond 2²⁴ is [`WireError::BadLength`] before an entry is
 /// read; one within bounds that the bytes do not back is
-/// [`WireError::Truncated`], with nothing reserved for it; indices that do
-/// not increase are `BadLength` of the first that does not. Bits other
+/// [`WireError::Truncated`], with nothing reserved for it; an index of
+/// 2²⁴ or more is `BadLength` of it, a varint that does not end within
+/// ten bytes `BadVarint`. Bits other
 /// than the marker's beside bit 30 read as an implausible full length.
 /// Against its base, a count above the arity or an index at or past it
 /// fails to fill in, and the REPLY is left as it came.
@@ -1607,18 +1635,24 @@ fn an_own_commit_delta_beyond_its_bounds_is_a_typed_error_in_bounded_memory() {
             Err(WireError::BadLength(_))
         ));
     }
-    // 2²⁴ entries claimed, one there; two entries in the wrong order.
-    let entry = |k: u32| [&k.to_be_bytes()[..], &1u64.to_be_bytes(), &[0]].concat();
-    let claim = |word: u32, entries: &[u32]| {
+    // 2²⁴ entries claimed, one there; a gap to index 2²⁴, past any
+    // arity; a head that never ends.
+    let claim = |word: u32, first: &[u8]| {
         let mut bytes = honest[..4].to_vec();
         bytes.extend_from_slice(&word.to_be_bytes());
-        entries.iter().for_each(|&k| bytes.extend(entry(k)));
+        bytes.extend_from_slice(first);
+        bytes.extend_from_slice(&1u64.to_be_bytes());
         bytes
     };
     assert_eq!(both(&claim(MARK | max, &[0])), Err(WireError::Truncated));
+    let to_max = [0x80, 0x80, 0x80, 0x10];
     assert_eq!(
-        both(&claim(MARK | 2, &[2, 1])),
-        Err(WireError::BadLength(1))
+        both(&claim(MARK | 2, &to_max)),
+        Err(WireError::BadLength(max.into()))
+    );
+    assert_eq!(
+        both(&claim(MARK | 1, &[0xff; 11])),
+        Err(WireError::BadVarint)
     );
     // The read's SVER[j], when it is a delta against the unknown SVER[c].
     let own = reply.left_out.commit.as_ref().unwrap();

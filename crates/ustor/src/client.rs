@@ -658,6 +658,19 @@ impl UstorClient {
         &self.bases.pending
     }
 
+    /// `reply` as this client would fill it in against what it holds
+    /// ([`ReplyMsg::fill_in`]), without processing it: the REPLY in full,
+    /// with the timestamp of the operation it answers. `None` when no
+    /// operation is in flight or something left out cannot be put back.
+    /// The simulator compares it with the full REPLY the engine cached.
+    pub fn resolve_reply(&self, reply: &ReplyMsg) -> Option<(Timestamp, ReplyMsg)> {
+        let op = self.inflight.front()?;
+        let mut reply = reply.clone();
+        let resolved = self.bases.clone().resolve(&mut reply, op, self.id).ok()?;
+        resolved.value_digest.ok()?;
+        Some((op.timestamp, reply))
+    }
+
     /// The fault that halted this client, if any.
     pub fn fault(&self) -> Option<&Fault> {
         self.halted.as_ref()

@@ -31,7 +31,8 @@ use faust::store::testutil::scratch_dir;
 use faust::store::{Durability, PersistentServer, StoreConfig};
 use faust::types::frame::frame_bytes;
 use faust::types::{
-    ClientId, CommitMsg, InvocationTuple, OpKind, ReplyMsg, Timestamp, UstorMsg, Value,
+    AgainstOwn, ClientId, CommitMsg, InvocationTuple, OpKind, ReplyMsg, Timestamp, UstorMsg, Value,
+    Wire,
 };
 use faust::ustor::adversary::{Tamper, TamperServer};
 use faust::ustor::{CommitMode, EngineStats, Server, ServerEngine, UstorServer};
@@ -409,4 +410,83 @@ fn kept_pending_lists_and_their_full_forms_get_the_same_verdicts() {
         "{own_runs} runs named a COMMIT of the recipient's"
     );
     assert!(named_runs >= 90, "{named_runs} runs named a read value");
+}
+
+/// Hands client `i`'s messages to the engine for one round and returns
+/// the REPLYs it released, all of them to `i`.
+fn exchange(engine: &mut ServerEngine, i: usize, msgs: Vec<UstorMsg>) -> Vec<ReplyMsg> {
+    for msg in msgs {
+        engine.enqueue(c(i), msg);
+    }
+    let mut replies = Vec::new();
+    engine.round(false, |to, batch| {
+        for msg in batch {
+            if let UstorMsg::Reply(reply) = msg {
+                assert_eq!(to, c(i));
+                replies.push(reply);
+            }
+        }
+    });
+    replies
+}
+
+/// At n = 64 in round-robin lockstep, a client's last COMMIT and the
+/// `SVER[c]` of its next REPLY differ in every entry but its own. From
+/// the second round on, `SVER[c]` therefore travels as a delta of 63
+/// entries and 2 153 bytes: a count, a first entry with its timestamp in
+/// full (41 bytes), then 62 entries a step from the one before (34 bytes
+/// each). The REPLY is 471 bytes shorter than in full, and the client
+/// fills it in to exactly the REPLY the engine cached.
+#[test]
+fn an_n_64_round_robin_reply_sends_sver_c_as_a_63_entry_delta() {
+    let n = 64;
+    let keys = KeySet::generate(n, b"reply-delta-64");
+    let mut engine = ServerEngine::new(n, Box::new(UstorServer::new(n)));
+    let mut cores: Vec<SessionCore> = (0..n)
+        .map(|i| {
+            SessionCore::new(FaustClient::new(
+                c(i),
+                n,
+                keys.keypair(i as u32).expect("generated").clone(),
+                keys.registry(),
+                FaustConfig {
+                    dummy_reads: false,
+                    ..FaustConfig::default()
+                },
+            ))
+        })
+        .collect();
+    let mut checked = 0;
+    for round in 0..3u64 {
+        for (i, core) in cores.iter_mut().enumerate() {
+            let (_, out) = core.submit(UserOp::Write(Value::unique(i as u32, round)), round);
+            let mut replies = exchange(&mut engine, i, out.to_server);
+            let shipped = replies.pop().expect("one REPLY");
+            assert!(replies.is_empty());
+            if round > 0 {
+                let (t, resolved) = core
+                    .client()
+                    .ustor()
+                    .resolve_reply(&shipped)
+                    .expect("the client fills it in");
+                let cached = engine.session(c(i)).replies().get(t).expect("cached");
+                assert_eq!(resolved.encode(), cached.encode(), "client {i}");
+                let own = shipped.left_out.commit.as_ref();
+                let delta = own.and_then(AgainstOwn::delta).expect("SVER[c] as a delta");
+                assert_eq!(
+                    (delta.count(), delta.encoded_len()),
+                    (63, 4 + 41 + 62 * 34),
+                    "client {i}"
+                );
+                assert_eq!(delta.encoded_len(), 2153);
+                let len = |reply: &ReplyMsg| frame_bytes(&UstorMsg::Reply(reply.clone())).len();
+                assert_eq!(len(&shipped) + 471, len(cached), "client {i}");
+                checked += 1;
+            }
+            let out = core.handle_reply(shipped, round);
+            assert!(exchange(&mut engine, i, out.to_server).is_empty());
+            assert!(core.failure().is_none(), "client {i}");
+        }
+    }
+    assert_eq!(checked, 2 * n);
 }

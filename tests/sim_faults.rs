@@ -27,7 +27,7 @@ use common::{connect_all, handle_config, incarnation, run_phase};
 use faust::audit::{audit, AuditVerdict, Divergence, SessionHistory};
 use faust::core::{
     check_determinism, gen_scenario, investigate, run_and_check, run_sim, CrashSpec, FaultClause,
-    FaultPlan, Notification, SimRunReport, SimScenario, UserOp, WalTamper,
+    FaultPlan, Notification, ResolutionTally, SimRunReport, SimScenario, UserOp, WalTamper,
 };
 use faust::crypto::sig::KeySet;
 use faust::crypto::SigScheme;
@@ -98,12 +98,27 @@ fn seeded_runs_pass_all_oracles() {
     eprintln!(
         "sim_faults tally: {} benign plans checked for wait-freedom and linearizability; \
          {} WipeState crashes fired, detection demanded on {} and waived on {}; \
-         {} TamperReadValue victims checked",
+         {} TamperReadValue victims checked; {} REPLYs resolved to the engine's cached ones \
+         ({} markers, {} deltas, {} kept tails, {} named values; {} no longer cached)",
         tally.benign,
         tally.wipes_demanded + tally.wipes_waived,
         tally.wipes_demanded,
         tally.wipes_waived,
         tally.tamper_victims,
+        tally.replies.compared,
+        tally.replies.markers,
+        tally.replies.deltas,
+        tally.replies.kept,
+        tally.replies.named,
+        tally.replies.uncached,
+    );
+    // The simulator's clients run one operation at a time, so `L` keeps
+    // no tail there (`tests/reply_delta.rs` pipelines); every other form
+    // shows up in any window of a hundred seeds.
+    let replies = &tally.replies;
+    assert!(
+        runs < 100 || replies.markers > 0 && replies.deltas > 0 && replies.named > 0,
+        "the resolution oracle saw every form"
     );
 }
 
@@ -114,11 +129,21 @@ struct Tally {
     wipes_demanded: usize,
     wipes_waived: usize,
     tamper_victims: usize,
+    /// The resolution oracle's counts, summed (no mismatch: the run
+    /// passed).
+    replies: ResolutionTally,
 }
 
 impl Tally {
     fn add(&mut self, scenario: &SimScenario, report: &SimRunReport) {
         self.benign += usize::from(scenario.plan.is_benign(&scenario.server));
+        let (sum, run) = (&mut self.replies, &report.resolution);
+        sum.compared += run.compared;
+        sum.markers += run.markers;
+        sum.deltas += run.deltas;
+        sum.kept += run.kept;
+        sum.named += run.named;
+        sum.uncached += run.uncached;
         for &(at, label, victim) in &report.fork_fired {
             // `check_oracles` demands detection only with slack left.
             let demanded = at + scenario.detection_slack() <= scenario.deadline;
